@@ -99,18 +99,8 @@ def _split_point(n: int) -> int:
     return 1 << ((n - 1).bit_length() - 1)
 
 
-def _range_root(leaves: Sequence[bytes], hash_fn: HashFn) -> Digest:
-    n = len(leaves)
-    if n == 1:
-        return leaf_hash(leaves[0], hash_fn)
-    k = _split_point(n)
-    return node_hash(_range_root(leaves[:k], hash_fn), _range_root(leaves[k:], hash_fn), hash_fn)
-
-
 def root(leaves: Sequence[bytes], hash_fn: HashFn = DEFAULT_HASH) -> Digest:
-    if len(leaves) == 0:
-        raise EmptyTreeError("cannot build a tree with no leaves")
-    return _range_root(leaves, hash_fn)
+    return MerkleTree(leaves, hash_fn).root
 
 
 @dataclass(frozen=True)
@@ -144,16 +134,32 @@ def _path_sides(index: int, size: int) -> list[Side]:
 
 
 class MerkleTree:
-    """An immutable tree over an ordered list of byte-string leaves."""
+    """An immutable tree over an ordered list of byte-string leaves.
 
-    __slots__ = ("_leaves", "_hash_fn", "_root")
+    Cost model: construction hashes every node once, level by level (O(n)
+    hashes); each level is kept as one packed ``bytes`` blob of 32-byte
+    digests, so a tree costs about 64 bytes per leaf on top of the leaves.
+    ``prove_inclusion`` slices one sibling per level, O(log n).  Pairing
+    adjacent nodes and promoting an unpaired last node yields exactly the
+    split-at-largest-power-of-two shape of the module docstring.
+    """
+
+    __slots__ = ("_leaves", "_levels", "_root")
 
     def __init__(self, leaves: Iterable[bytes], hash_fn: HashFn = DEFAULT_HASH):
         self._leaves: tuple[bytes, ...] = tuple(bytes(x) for x in leaves)
         if not self._leaves:
             raise EmptyTreeError("cannot build a tree with no leaves")
-        self._hash_fn = hash_fn
-        self._root: Optional[Digest] = None
+        level = b"".join([hash_fn(_LEAF_PREFIX + leaf) for leaf in self._leaves])
+        levels = [level]
+        pair = 2 * DIGEST_SIZE
+        while len(level) > DIGEST_SIZE:
+            paired = len(level) - len(level) % pair
+            parents = [hash_fn(_NODE_PREFIX + level[i : i + pair]) for i in range(0, paired, pair)]
+            level = b"".join(parents) + level[paired:]
+            levels.append(level)
+        self._levels: tuple[bytes, ...] = tuple(levels)
+        self._root = Digest(level)
 
     @property
     def leaves(self) -> tuple[bytes, ...]:
@@ -165,26 +171,19 @@ class MerkleTree:
 
     @property
     def root(self) -> Digest:
-        if self._root is None:
-            self._root = _range_root(self._leaves, self._hash_fn)
         return self._root
 
     def prove_inclusion(self, index: int) -> InclusionProof:
         if not 0 <= index < self.size:
             raise IndexOutOfRangeError(f"leaf index {index} not in tree of size {self.size}")
         path: list[tuple[Side, Digest]] = []
-        leaves = self._leaves
-        lo, hi = 0, self.size
-        # Collect siblings top-down, then reverse so the path reads bottom-up.
-        while hi - lo > 1:
-            k = _split_point(hi - lo)
-            if index < lo + k:
-                path.append((Side.RIGHT, _range_root(leaves[lo + k : hi], self._hash_fn)))
-                hi = lo + k
-            else:
-                path.append((Side.LEFT, _range_root(leaves[lo : lo + k], self._hash_fn)))
-                lo = lo + k
-        path.reverse()
+        i = index
+        for level in self._levels[:-1]:
+            start = (i ^ 1) * DIGEST_SIZE
+            if start < len(level):
+                side = Side.LEFT if i & 1 else Side.RIGHT
+                path.append((side, Digest(level[start : start + DIGEST_SIZE])))
+            i >>= 1
         return InclusionProof(leaf_index=index, audit_path=tuple(path), tree_size=self.size)
 
 

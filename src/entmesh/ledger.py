@@ -95,9 +95,11 @@ def commitment_row(label: str, commitment: Commitment) -> dict:
 
 
 def commitment_from_row(row: dict) -> Commitment:
+    if not isinstance(row, dict):
+        raise LedgerError("commitment record is not an object")
     try:
         c = Commitment.from_bytes(bytes.fromhex(row["commitment"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"bad commitment record: {exc}")
     if c.node_id.hex() != row.get("node_id") or c.round != row.get("round") or c.root.hex() != row.get("root"):
         raise LedgerError("commitment record fields disagree with the encoded bytes")
@@ -154,6 +156,13 @@ def write_trust_bundle(path: "Path | str", sim, out_indent: int = 2) -> None:
     Path(path).write_text(json.dumps(bundle, indent=out_indent, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _shaped(value, kind: type, what: str):
+    # Valid JSON of the wrong shape is as malformed as invalid JSON.
+    if not isinstance(value, kind):
+        raise LedgerError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def load_trust_bundle(path: "Path | str") -> TrustBundle:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -163,28 +172,29 @@ def load_trust_bundle(path: "Path | str") -> TrustBundle:
         raise LedgerError(f"{path}: not a trust bundle")
     directory = KeyDirectory()
     node_ids: dict[str, NodeId] = {}
-    for label, entry in sorted(raw.get("keys", {}).items()):
+    for label, entry in sorted(_shaped(raw.get("keys", {}), dict, f"{path}: keys").items()):
+        where = f"{path}: bad key entry for {label!r}"
+        bindings = _shaped(_shaped(entry, dict, where).get("bindings"), list, f"{where}: bindings")
         try:
             node_id = NodeId(bytes.fromhex(entry["node_id"]))
-            bindings = entry["bindings"]
             first = bindings[0]
             directory.register(node_id, bytes.fromhex(first["verify_key"]))
             for binding in bindings[1:]:
                 directory.rebind(node_id, bytes.fromhex(binding["verify_key"]), int(binding["from_round"]))
-        except (KeyError, IndexError, ValueError) as exc:
-            raise LedgerError(f"{path}: bad key entry for {label!r}: {exc}")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise LedgerError(f"{where}: {exc}")
         node_ids[label] = node_id
     anchors: dict[str, dict[int, Commitment]] = {}
-    for label, rows in sorted(raw.get("anchors", {}).items()):
+    for label, rows in sorted(_shaped(raw.get("anchors", {}), dict, f"{path}: anchors").items()):
         log = {}
-        for row in rows:
+        for row in _shaped(rows, list, f"{path}: anchor log for {label!r}"):
             c = commitment_from_row(row)
             if not directory.verify_commitment(c):
                 raise LedgerError(f"{path}: anchor log for {label!r} has a bad signature at round {c.round}")
             log[c.round] = c
         anchors[label] = log
     return TrustBundle(
-        seed=int(raw.get("seed", 0)),
+        seed=_shaped(raw.get("seed", 0), int, f"{path}: seed"),
         topology=str(raw.get("topology", "")),
         directory=directory,
         node_ids=node_ids,

@@ -573,6 +573,17 @@ class NodeRecord:
     state: Optional[RoundState] = None
     tree: Optional[MerkleTree] = None
     received_receipts: tuple[Receipt, ...] = ()
+    # Bytes the record keeps: encoded commitment, root and, until pruned, the
+    # tree's leaves.  Sized when the record is made and again when pruned.
+    retained_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._measure()
+
+    def _measure(self) -> None:
+        leaves = self.tree.leaves if self.tree is not None else ()
+        kept = len(self.commitment.to_bytes()) + len(self.commitment.root)
+        self.retained_bytes = kept + sum(map(len, leaves))
 
     @property
     def round(self) -> int:
@@ -679,6 +690,7 @@ class Node:
         record = self.record_at(round_no)
         record.state = None
         record.tree = None
+        record._measure()
 
     def make_submission(self) -> Submission:
         latest = self.latest

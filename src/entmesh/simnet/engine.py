@@ -45,7 +45,6 @@ from ..node import (
     Submission,
     build_round,
     chain_entry_for,
-    round_leaves,
     verify_chain_entries,
 )
 from ..sexpr import Expr
@@ -312,21 +311,20 @@ class Simulation:
         )
 
     def _phase_audit_and_prune(self, r: int) -> None:
-        if r >= 1:
-            for label in self.topology.labels:
-                node = self.nodes[label]
-                prev, cur = node.record_at(r - 1), node.record_at(r)
-                if prev.state is None or cur.state is None:
-                    continue
-                entries = [chain_entry_for(prev, self.hash_fn), chain_entry_for(cur, self.hash_fn)]
-                verdict = verify_chain_entries(entries, self.directory, self.hash_fn)
-                if not verdict:
-                    self._event("SelfAuditFailed", node=label, reason=verdict.reason)
-        for label in self._prunable:
+        if r < 1:
+            return
+        for label in self.topology.labels:
             node = self.nodes[label]
-            for round_no in range(r):
-                if node.records[round_no].state is not None:
-                    node.prune_record(round_no)
+            prev, cur = node.record_at(r - 1), node.record_at(r)
+            if prev.state is None or cur.state is None:
+                continue
+            entries = [chain_entry_for(prev, self.hash_fn), chain_entry_for(cur, self.hash_fn)]
+            verdict = verify_chain_entries(entries, self.directory, self.hash_fn)
+            if not verdict:
+                self._event("SelfAuditFailed", node=label, reason=verdict.reason)
+        # Rounds below r-1 were pruned in earlier rounds.
+        for label in self._prunable:
+            self.nodes[label].prune_record(r - 1)
 
     def _phase_submit(self, r: int) -> None:
         self._submitted_this_round = {}
@@ -485,12 +483,7 @@ class Simulation:
     # -- inspection --------------------------------------------------------
 
     def retained_bytes(self, label: str) -> int:
-        total = 0
-        for record in self.nodes[label].records:
-            total += len(record.commitment.to_bytes()) + len(record.commitment.root)
-            if record.state is not None:
-                total += sum(len(leaf) for leaf in round_leaves(record.state, self.hash_fn))
-        return total
+        return sum(record.retained_bytes for record in self.nodes[label].records)
 
     def records_by_id(self) -> dict[NodeId, list[NodeRecord]]:
         return {node.node_id: node.records for node in self.nodes.values()}

@@ -252,6 +252,30 @@ class TestVerify:
         assert rc == 1
         assert "MalformedTrust" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("keys", {"hub": 5}),
+            ("keys", [1]),
+            ("bindings", "x"),
+            ("anchors", {"hub": 7}),
+            ("anchors", [1]),
+        ],
+        ids=["keys-int-entry", "keys-list", "bindings-str", "anchors-int-log", "anchors-list"],
+    )
+    def test_wrongly_typed_trust_bundle(self, link_run, tmp_path, capsys, section, value):
+        # Valid JSON with a wrong type inside must be reported, not crash.
+        bundle = json.loads(link_run["trust"].read_text())
+        if section == "bindings":
+            bundle["keys"]["hub"]["bindings"] = value
+        else:
+            bundle[section] = value
+        bad = tmp_path / "trust.json"
+        bad.write_text(json.dumps(bundle))
+        rc = main(["verify", "--proof", str(link_run["proof"]), "--trust", str(bad)])
+        assert rc == 1
+        assert "MalformedTrust" in capsys.readouterr().out
+
     def test_missing_proof_file(self, link_run, tmp_path):
         rc = main(["verify", "--proof", str(tmp_path / "gone.proof"), "--trust", str(link_run["trust"])])
         assert rc == 3

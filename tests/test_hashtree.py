@@ -10,7 +10,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmesh.hashtree import (
@@ -258,3 +258,32 @@ def test_no_root_collisions_across_random_inputs():
     pairs = {(rng.randbytes(8), rng.randbytes(8)) for _ in range(5_000)}
     roots = {root(list(pair)) for pair in pairs}
     assert len(roots) == len(pairs)
+
+
+# Both sides of every power-of-two boundary up to 256, where the split
+# rule changes shape.
+BOUNDARY_SIZES = sorted({n for k in range(9) for n in (2**k - 1, 2**k, 2**k + 1) if n >= 1})
+
+
+def _with_boundary_examples(test):
+    for n in BOUNDARY_SIZES:
+        test = example([i.to_bytes(2, "big") for i in range(n)])(test)
+    return test
+
+
+@_with_boundary_examples
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.sampled_from(BOUNDARY_SIZES), st.integers(min_value=1, max_value=300)).flatmap(
+        lambda n: st.lists(st.binary(max_size=16), min_size=n, max_size=n)
+    )
+)
+def test_tree_matches_recursive_reference(leaves):
+    tree = MerkleTree(leaves)
+    assert tree.root == root(leaves) == ref_root(leaves)
+    for i in range(len(leaves)):
+        proof = tree.prove_inclusion(i)
+        want = [(Side.LEFT if name == "left" else Side.RIGHT, digest) for name, digest in ref_path(leaves, i)]
+        assert [(side, bytes(sibling)) for side, sibling in proof.audit_path] == want
+        assert all(type(sibling) is Digest for _, sibling in proof.audit_path)
+        assert verify_inclusion(leaves[i], proof, tree.root)

@@ -1,8 +1,13 @@
 """Topology builders and the round-driving engine, faults included."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+from entmesh.config import load_config, make_simulation
 from entmesh.entangle import MissingReceiptError, build_link_proof
+from entmesh.node import round_leaves
 from entmesh.simnet import (
     Equivocate,
     ForkHistory,
@@ -19,6 +24,8 @@ from entmesh.simnet import (
     validate_topology,
 )
 from entmesh.simnet.topology import Topology
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def events_of(sim, type_):
@@ -262,3 +269,84 @@ class TestHistoryFork:
         assert ("h0", "ChainBreak") in rejections
         # The rewriter itself: upstream receipt attests the erased root.
         assert ("m1-0", "ReceiptMismatch") in rejections
+
+
+def every_round_post(sim, check):
+    for r in range(sim.rounds):
+        sim.at(r, check, phase="post")
+    return sim
+
+
+def recomputed_retained_bytes(node):
+    """From-scratch size: every commitment and root, plus the leaves of
+    each round that is not pruned."""
+    total = 0
+    for record in node.records:
+        total += len(record.commitment.to_bytes()) + 32
+        if record.state is not None:
+            total += sum(len(leaf) for leaf in round_leaves(record.state))
+    return total
+
+
+RETAINED_RUNS = {
+    "fork-history": lambda prune: Simulation(
+        chain(2), rounds=6, seed=13, faults=[ForkHistory(node="m1-0", round=2)], prune_anchors=prune
+    ),
+    "fork-history-at-anchor": lambda prune: Simulation(
+        chain(2), rounds=6, seed=13, faults=[ForkHistory(node="root", round=3)], prune_anchors=prune
+    ),
+    "equivocate": lambda prune: Simulation(
+        federated(levels=2, arity=3, holders=9),
+        rounds=7,
+        seed=11,
+        faults=[Equivocate("m1-0", 3, ("h0",))],
+        prune_anchors=prune,
+        audit_every=3,
+    ),
+    "identity": lambda prune: make_simulation(
+        dataclasses.replace(load_config(SCENARIOS / "identity.yaml"), prune_anchors=prune)
+    ),
+}
+
+
+class TestRetainedBytes:
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("run", sorted(RETAINED_RUNS))
+    def test_matches_recomputation_every_round(self, run, prune):
+        checked = []
+
+        def check(sim):
+            for label, node in sim.nodes.items():
+                assert sim.retained_bytes(label) == recomputed_retained_bytes(node), (label, sim.round)
+            checked.append(sim.round)
+
+        sim = every_round_post(RETAINED_RUNS[run](prune), check).run()
+        assert checked == list(range(sim.rounds))
+        # After the final archival prune as well.
+        for label, node in sim.nodes.items():
+            assert sim.retained_bytes(label) == recomputed_retained_bytes(node)
+
+
+class TestAnchorPruning:
+    @pytest.mark.parametrize(
+        "topo",
+        [centralized(3), federated(levels=2, arity=2, holders=4), fan(3), interoperated(2, 2)],
+        ids=lambda topo: topo.name,
+    )
+    def test_only_rounds_below_current_are_pruned(self, topo):
+        pure_anchors = {a for a in topo.anchors if not topo.issuers_of(a)}
+        seen = []
+
+        def check(sim):
+            r = sim.round
+            for label, node in sim.nodes.items():
+                pruned = [record.round for record in node.records if record.state is None]
+                if label in pure_anchors:
+                    assert pruned == list(range(r)), (label, r)
+                    assert node.record_at(r).tree is not None
+                else:
+                    assert pruned == [], (label, r)
+            seen.append(r)
+
+        sim = every_round_post(Simulation(topo, rounds=5, seed=21), check).run()
+        assert seen == list(range(5))
