@@ -322,7 +322,7 @@ def make_simulation(config: ScenarioConfig, seed: Optional[int] = None) -> Simul
                     issuer=fields["issuer"],
                     subject=fields["subject"],
                     mode=fields["mode"].value,
-                    digest=cred.digest(s.hash_fn).hex(),
+                    digest=cred.digest().hex(),
                 )
 
             sim.at(op.round, run_issue, phase="pre")
@@ -332,7 +332,7 @@ def make_simulation(config: ScenarioConfig, seed: Optional[int] = None) -> Simul
                 index = fields["credential"]
                 if index >= len(issued):
                     raise ConfigError(f"identity revoke references credential {index} before it is issued")
-                digest = issued[index].digest(s.hash_fn)
+                digest = issued[index].digest()
                 s.registry(fields["issuer"]).revoke(digest)
                 s._event("CredentialRevoked", issuer=fields["issuer"], digest=digest.hex())
 
@@ -344,7 +344,7 @@ def make_simulation(config: ScenarioConfig, seed: Optional[int] = None) -> Simul
             )
 
             def enroll(s: Simulation, fields=fields, policy=policy):
-                s.registry(fields["node"]).commit_digest(policy.digest(s.hash_fn))
+                s.registry(fields["node"]).commit_digest(policy.digest())
 
             def run_recover(s: Simulation, fields=fields, policy=policy):
                 label = fields["node"]
@@ -362,7 +362,7 @@ def make_simulation(config: ScenarioConfig, seed: Optional[int] = None) -> Simul
                     effective_round=s.round,
                 )
                 verdict = apply_recovery(
-                    node, s.directory, cert, new_keypair, policy_digest=policy.digest(s.hash_fn)
+                    node, s.directory, cert, new_keypair, policy_digest=policy.digest()
                 )
                 s._event(
                     "KeyRecovered" if verdict else "RecoveryRejected",

@@ -24,22 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .hashtree import DEFAULT_HASH, Digest, HashFn, InclusionProof, fold_root, verify_inclusion
+from .hashtree import Digest, InclusionProof, fold_root
 from .keys import NodeId
 from .node import (
     ChainEntry,
     Commitment,
     KeyDirectory,
-    Node,
     NodeRecord,
     Receipt,
     Submission,
     Verdict,
     _manifest_leaf,
+    chain_entry_for,
+    check_receipt,
     commitment_digest,
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
-    entangled_leaf_index,
     evidence_leaf_index,
     verify_chain_entries,
 )
@@ -58,7 +58,6 @@ __all__ = [
     "build_root_path",
     "decode_proof",
     "encode_proof",
-    "issue_receipt",
     "verify_chain",
     "verify_hub",
     "verify_link",
@@ -75,11 +74,6 @@ class MissingReceiptError(ValueError):
         super().__init__(f"no receipt from {issuer_id.hex()} for round {round_no}")
         self.issuer_id = issuer_id
         self.round = round_no
-
-
-def issue_receipt(issuer: Node, sub: Submission) -> Receipt:
-    """Acknowledge a submission against the issuer's current round tree."""
-    return issuer.issue_receipt(sub)
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,6 @@ def build_link_proof(
     issuer_id: NodeId,
     window: tuple[int, int],
     receipts: Mapping[tuple[NodeId, int], Receipt],
-    hash_fn: HashFn = DEFAULT_HASH,
 ) -> LinkProof:
     start, end = window
     if start > end or start < 0:
@@ -165,9 +158,7 @@ def build_link_proof(
             f"but only {len(holder_records)} rounds exist"
         )
     holder_id = holder_records[start].commitment.node_id
-    chain = tuple(
-        _entry_from_record(holder_records[r], hash_fn) for r in range(start, end + EVIDENCE_LAG + 1)
-    )
+    chain = tuple(chain_entry_for(holder_records[r]) for r in range(start, end + EVIDENCE_LAG + 1))
     window_receipts = []
     evidence = []
     for r in range(start, end + 1):
@@ -191,22 +182,7 @@ def build_link_proof(
     )
 
 
-def _entry_from_record(record: NodeRecord, hash_fn: HashFn) -> ChainEntry:
-    if record.state is None or record.tree is None:
-        raise ValueError(f"round {record.round} was pruned; cannot build chain entry")
-    return ChainEntry(
-        commitment=record.commitment,
-        prev_digest=record.state.prev_commitment_digest,
-        first_leaf_proof=record.tree.prove_inclusion(0),
-    )
-
-
-def verify_link(
-    proof: LinkProof,
-    trusted: Mapping[int, Commitment],
-    directory: KeyDirectory,
-    hash_fn: HashFn = DEFAULT_HASH,
-) -> Verdict:
+def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: KeyDirectory) -> Verdict:
     """Check one link against trusted issuer commitments.
 
     ``trusted`` maps issuer rounds to commitments the verifier already
@@ -224,7 +200,7 @@ def verify_link(
             return Verdict.failed("HolderMismatch", "chain entry from another node")
         if entry.commitment.round != s + offset:
             return Verdict.failed("RoundGap", "chain entry out of place")
-    chain_verdict = verify_chain_entries(proof.holder_chain, directory, hash_fn)
+    chain_verdict = verify_chain_entries(proof.holder_chain, directory)
     if not chain_verdict:
         return chain_verdict
     commitments = {entry.commitment.round: entry.commitment for entry in proof.holder_chain}
@@ -242,32 +218,17 @@ def verify_link(
             return Verdict.failed("TrustedRootUnavailable", f"no trusted issuer commitment for round {r + 1}")
         if anchor != issuer_c:
             return Verdict.failed("TrustMismatch", f"issuer commitment for round {r + 1} disagrees")
-        if not directory.verify_commitment(issuer_c):
-            return Verdict.failed("BadSignature", f"issuer commitment round {issuer_c.round}")
-        holder_c = commitments[r]
-        if receipt.holder_root != holder_c.root:
+        if receipt.holder_root != commitments[r].root:
             return Verdict.failed("ReceiptMismatch", f"receipt attests a different round-{r} root")
-        key = directory.key_at(proof.holder_id, r)
-        if key is None or not directory.scheme.verify(key, receipt.submission().message(), receipt.holder_signature):
+        if not directory.verify_submission(receipt.submission()):
             return Verdict.failed("BadSignature", f"holder signature in receipt for round {r}")
-        if receipt.inclusion.tree_size != issuer_c.leaf_count or not verify_inclusion(
-            receipt.submission().leaf_bytes(), receipt.inclusion, issuer_c.root, hash_fn
-        ):
-            return Verdict.failed("ReceiptInvalid", f"submission leaf unproven for round {r}")
-        prev_leaf = bytes([LEAF_PREV]) + receipt.prev_digest
-        if (
-            receipt.prev_inclusion.leaf_index != 0
-            or receipt.prev_inclusion.tree_size != issuer_c.leaf_count
-            or not verify_inclusion(prev_leaf, receipt.prev_inclusion, issuer_c.root, hash_fn)
-        ):
-            return Verdict.failed("ReceiptInvalid", f"issuer prev leaf unproven for round {r}")
+        verdict = check_receipt(receipt, directory)
+        if not verdict:
+            return Verdict.failed(verdict.reason, f"{verdict.detail} for round {r}")
         if previous_receipt is not None:
-            if receipt.prev_digest != commitment_digest(previous_receipt.issuer_commitment, hash_fn):
+            if receipt.prev_digest != commitment_digest(previous_receipt.issuer_commitment):
                 return Verdict.failed("ChainBreak", f"issuer chain breaks before round {r + 1}")
-        retaining = commitments[r + EVIDENCE_LAG]
-        if ev_proof.tree_size != retaining.leaf_count or not verify_inclusion(
-            receipt.leaf_bytes(), ev_proof, retaining.root, hash_fn
-        ):
+        if not commitments[r + EVIDENCE_LAG].proves(receipt.leaf_bytes(), ev_proof):
             return Verdict.failed("EvidenceInvalid", f"receipt for round {r} not retained in round {r + EVIDENCE_LAG}")
         previous_receipt = receipt
     return Verdict.passed()
@@ -337,7 +298,6 @@ def build_hub_proof(
     holder_records: Sequence[NodeRecord],
     window: tuple[int, int],
     receipts: Mapping[tuple[NodeId, int], Receipt],
-    hash_fn: HashFn = DEFAULT_HASH,
 ) -> HubProof:
     start, end = window
     first = holder_records[start]
@@ -353,7 +313,7 @@ def build_hub_proof(
             raise ValueError(f"manifest changed inside window at round {r}")
         proofs.append(record.tree.prove_inclusion(MANIFEST_LEAF_INDEX))
     links = tuple(
-        build_link_proof(holder_records, issuer_id, window, receipts, hash_fn) for issuer_id in manifest
+        build_link_proof(holder_records, issuer_id, window, receipts) for issuer_id in manifest
     )
     return HubProof(
         holder_id=first.commitment.node_id,
@@ -369,7 +329,6 @@ def verify_hub(
     proof: HubProof,
     trusted: Mapping[NodeId, Mapping[int, Commitment]],
     directory: KeyDirectory,
-    hash_fn: HashFn = DEFAULT_HASH,
 ) -> Verdict:
     """Check completeness: every committed link present and verifying.
 
@@ -398,7 +357,7 @@ def verify_hub(
         issuer_trust = trusted.get(link.issuer_id)
         if issuer_trust is None:
             return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {link.issuer_id.hex()}")
-        verdict = verify_link(link, issuer_trust, directory, hash_fn)
+        verdict = verify_link(link, issuer_trust, directory)
         if not verdict:
             return Verdict.failed("LinkFailed", f"{link.issuer_id.hex()}: {verdict.reason}")
     manifest_leaf = _manifest_leaf(proof.manifest)
@@ -406,7 +365,7 @@ def verify_hub(
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
         if m_proof.leaf_index != MANIFEST_LEAF_INDEX or m_proof.tree_size != commitments[r].leaf_count:
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
-        if not verify_inclusion(manifest_leaf, m_proof, commitments[r].root, hash_fn):
+        if not commitments[r].proves(manifest_leaf, m_proof):
             return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")
     return Verdict.passed()
 
@@ -458,7 +417,6 @@ def build_chain_proof(
     path: Sequence[NodeId],
     start_round: int,
     window_len: int = 1,
-    hash_fn: HashFn = DEFAULT_HASH,
 ) -> ChainProof:
     """Compose a chain along ``path`` (holder first, anchor last)."""
     if len(path) < 2:
@@ -466,7 +424,7 @@ def build_chain_proof(
     hops = []
     for i, (holder, issuer) in enumerate(zip(path, path[1:])):
         window = (start_round + i, start_round + i + window_len - 1)
-        hops.append(build_link_proof(records_by_id[holder], issuer, window, receipts_by_id[holder], hash_fn))
+        hops.append(build_link_proof(records_by_id[holder], issuer, window, receipts_by_id[holder]))
     final_receipt_round = hops[-1].window_end + 1
     anchor_records = records_by_id[path[-1]]
     if final_receipt_round >= len(anchor_records):
@@ -474,12 +432,7 @@ def build_chain_proof(
     return ChainProof(hops=tuple(hops), anchor_commitment=anchor_records[final_receipt_round].commitment)
 
 
-def verify_chain(
-    proof: ChainProof,
-    trusted_anchor: Mapping[int, Commitment],
-    directory: KeyDirectory,
-    hash_fn: HashFn = DEFAULT_HASH,
-) -> Verdict:
+def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], directory: KeyDirectory) -> Verdict:
     """Check a chain against the anchor's trusted commitments only.
 
     Inner hops need no independent trust: hop i's issuer commitments are
@@ -509,7 +462,7 @@ def verify_chain(
         )
     if known != proof.anchor_commitment:
         return Verdict.failed("AnchorMismatch", "anchor commitment disagrees with the trusted root")
-    verdict = verify_link(last, trusted_anchor, directory, hash_fn)
+    verdict = verify_link(last, trusted_anchor, directory)
     if not verdict:
         if verdict.reason == "TrustedRootUnavailable":
             return Verdict.failed("InsufficientLatency", verdict.detail)
@@ -518,7 +471,7 @@ def verify_chain(
         return Verdict.failed("BrokenHop", f"hop {len(proof.hops) - 1}: {verdict.reason}")
     for i in range(len(proof.hops) - 2, -1, -1):
         vouched = proof.hops[i + 1].holder_commitments()
-        verdict = verify_link(proof.hops[i], vouched, directory, hash_fn)
+        verdict = verify_link(proof.hops[i], vouched, directory)
         if not verdict:
             return Verdict.failed("BrokenHop", f"hop {i}: {verdict.reason}")
     return Verdict.passed()
@@ -552,7 +505,6 @@ def build_root_path(
     records_by_id: Mapping[NodeId, Sequence[NodeRecord]],
     start: tuple[NodeId, int],
     end: tuple[NodeId, int],
-    hash_fn: HashFn = DEFAULT_HASH,
 ) -> Optional[RootPath]:
     """Breadth-first search for a digest path between two (node, round) points."""
     start_key, end_key = tuple(start), tuple(end)
@@ -566,7 +518,7 @@ def build_root_path(
         next_frontier = []
         for key in frontier:
             node_id, round_no = key
-            for step_key, step in _extensions(records_by_id, node_id, round_no, hash_fn):
+            for step_key, step in _extensions(records_by_id, node_id, round_no):
                 if step_key in seen:
                     continue
                 seen.add(step_key)
@@ -584,7 +536,7 @@ def build_root_path(
     return RootPath(start[0], start[1], end[0], end[1], tuple(steps))
 
 
-def _extensions(records_by_id, node_id: NodeId, round_no: int, hash_fn: HashFn):
+def _extensions(records_by_id, node_id: NodeId, round_no: int):
     own = records_by_id.get(node_id, ())
     if round_no + 1 < len(own):
         record = own[round_no + 1]
@@ -613,26 +565,21 @@ def _extensions(records_by_id, node_id: NodeId, round_no: int, hash_fn: HashFn):
                 break
 
 
-def verify_root_path(
-    path: RootPath,
-    start_root: Digest,
-    end_root: Digest,
-    hash_fn: HashFn = DEFAULT_HASH,
-) -> bool:
+def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bool:
     """Walk the digest path; True iff it transitively commits start in end."""
     current = start_root
     for step in path.steps:
         if step.kind == "entangled":
             if step.submission is None or step.submission.holder_root != current:
                 return False
-            implied = fold_root(step.submission.leaf_bytes(), step.proof, hash_fn)
+            implied = fold_root(step.submission.leaf_bytes(), step.proof)
         elif step.kind == "prev":
             if step.commitment is None or step.commitment.root != current:
                 return False
-            leaf = bytes([LEAF_PREV]) + commitment_digest(step.commitment, hash_fn)
+            leaf = bytes([LEAF_PREV]) + commitment_digest(step.commitment)
             if step.proof.leaf_index != 0:
                 return False
-            implied = fold_root(leaf, step.proof, hash_fn)
+            implied = fold_root(leaf, step.proof)
         else:
             return False
         if implied is None:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "DIGEST_SIZE",
     "Digest",
     "EmptyTreeError",
-    "HashFn",
     "IndexOutOfRangeError",
     "InclusionProof",
     "MerkleTree",
@@ -37,14 +36,9 @@ DIGEST_SIZE = 32
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
 
-HashFn = Callable[[bytes], bytes]
-
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
-
-
-DEFAULT_HASH: HashFn = sha256
 
 
 class Digest(bytes):
@@ -84,14 +78,14 @@ class Side(IntEnum):
     RIGHT = 1
 
 
-def leaf_hash(leaf: bytes, hash_fn: HashFn = DEFAULT_HASH) -> Digest:
+def leaf_hash(leaf: bytes) -> Digest:
     """Hash of a single leaf: H(0x00 || leaf)."""
-    return Digest(hash_fn(_LEAF_PREFIX + leaf))
+    return Digest(sha256(_LEAF_PREFIX + leaf))
 
 
-def node_hash(left: bytes, right: bytes, hash_fn: HashFn = DEFAULT_HASH) -> Digest:
+def node_hash(left: bytes, right: bytes) -> Digest:
     """Hash of an interior node: H(0x01 || left || right)."""
-    return Digest(hash_fn(_NODE_PREFIX + left + right))
+    return Digest(sha256(_NODE_PREFIX + left + right))
 
 
 def _split_point(n: int) -> int:
@@ -99,8 +93,8 @@ def _split_point(n: int) -> int:
     return 1 << ((n - 1).bit_length() - 1)
 
 
-def root(leaves: Sequence[bytes], hash_fn: HashFn = DEFAULT_HASH) -> Digest:
-    return MerkleTree(leaves, hash_fn).root
+def root(leaves: Sequence[bytes]) -> Digest:
+    return MerkleTree(leaves).root
 
 
 @dataclass(frozen=True)
@@ -146,16 +140,16 @@ class MerkleTree:
 
     __slots__ = ("_leaves", "_levels", "_root")
 
-    def __init__(self, leaves: Iterable[bytes], hash_fn: HashFn = DEFAULT_HASH):
+    def __init__(self, leaves: Iterable[bytes]):
         self._leaves: tuple[bytes, ...] = tuple(bytes(x) for x in leaves)
         if not self._leaves:
             raise EmptyTreeError("cannot build a tree with no leaves")
-        level = b"".join([hash_fn(_LEAF_PREFIX + leaf) for leaf in self._leaves])
+        level = b"".join([sha256(_LEAF_PREFIX + leaf) for leaf in self._leaves])
         levels = [level]
         pair = 2 * DIGEST_SIZE
         while len(level) > DIGEST_SIZE:
             paired = len(level) - len(level) % pair
-            parents = [hash_fn(_NODE_PREFIX + level[i : i + pair]) for i in range(0, paired, pair)]
+            parents = [sha256(_NODE_PREFIX + level[i : i + pair]) for i in range(0, paired, pair)]
             level = b"".join(parents) + level[paired:]
             levels.append(level)
         self._levels: tuple[bytes, ...] = tuple(levels)
@@ -187,7 +181,7 @@ class MerkleTree:
         return InclusionProof(leaf_index=index, audit_path=tuple(path), tree_size=self.size)
 
 
-def fold_root(leaf: bytes, proof: InclusionProof, hash_fn: HashFn = DEFAULT_HASH) -> Optional[Digest]:
+def fold_root(leaf: bytes, proof: InclusionProof) -> Optional[Digest]:
     """Fold a leaf up an audit path; return the implied root.
 
     Returns None when the proof is structurally invalid for its claimed
@@ -202,29 +196,24 @@ def fold_root(leaf: bytes, proof: InclusionProof, hash_fn: HashFn = DEFAULT_HASH
     expected = _path_sides(proof.leaf_index, proof.tree_size)
     if len(proof.audit_path) != len(expected):
         return None
-    current = leaf_hash(leaf, hash_fn)
+    current = leaf_hash(leaf)
     for (side, sibling), want in zip(proof.audit_path, expected):
         if side != want or len(sibling) != DIGEST_SIZE:
             return None
         if side == Side.LEFT:
-            current = node_hash(sibling, current, hash_fn)
+            current = node_hash(sibling, current)
         else:
-            current = node_hash(current, sibling, hash_fn)
+            current = node_hash(current, sibling)
     return current
 
 
-def verify_inclusion(
-    leaf: bytes,
-    proof: InclusionProof,
-    expected_root: bytes,
-    hash_fn: HashFn = DEFAULT_HASH,
-) -> bool:
+def verify_inclusion(leaf: bytes, proof: InclusionProof, expected_root: bytes) -> bool:
     """True iff the proof places ``leaf`` in a tree with ``expected_root``.
 
     Never raises on malformed input: bad proofs simply verify false.
     """
     try:
-        implied = fold_root(leaf, proof, hash_fn)
+        implied = fold_root(leaf, proof)
     except Exception:
         return False
     return implied is not None and implied == expected_root

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .hashtree import DEFAULT_HASH, Digest, HashFn, InclusionProof, verify_inclusion
+from .hashtree import Digest, InclusionProof, sha256
 from .keys import KeyPair, NodeId
 from .node import (
     Commitment,
@@ -87,8 +87,8 @@ class Credential:
             self.mode.value,
         )
 
-    def digest(self, hash_fn: HashFn = DEFAULT_HASH) -> Digest:
-        return Digest(hash_fn(unparse(self.expr()).encode("utf-8")))
+    def digest(self) -> Digest:
+        return Digest(sha256(unparse(self.expr()).encode("utf-8")))
 
 
 @dataclass(frozen=True)
@@ -112,16 +112,11 @@ class RevocationEvidence:
     commitment: Commitment
 
 
-def verify_revocation_evidence(
-    evidence: RevocationEvidence,
-    trusted: Commitment,
-    hash_fn: HashFn = DEFAULT_HASH,
-) -> Verdict:
+def verify_revocation_evidence(evidence: RevocationEvidence, trusted: Commitment) -> Verdict:
     c = evidence.commitment
     if c != trusted:
         return Verdict.failed("TrustMismatch", "evidence cites a different commitment")
-    leaf = _revocation_leaf(evidence.revocation_list)
-    if evidence.proof.tree_size != c.leaf_count or not verify_inclusion(leaf, evidence.proof, c.root, hash_fn):
+    if not c.proves(_revocation_leaf(evidence.revocation_list), evidence.proof):
         return Verdict.failed("EvidenceInvalid", "revocation leaf unproven")
     if list(evidence.revocation_list) != sorted(set(evidence.revocation_list)):
         return Verdict.failed("EvidenceInvalid", "revocation list not canonical")
@@ -152,7 +147,6 @@ class CredentialRegistry:
         subject_id: NodeId,
         claims: Expr,
         mode: CredentialMode,
-        hash_fn: HashFn = DEFAULT_HASH,
     ) -> Credential:
         cred = Credential(
             issuer_id=self.node.node_id,
@@ -161,7 +155,7 @@ class CredentialRegistry:
             issued_round=self.node.next_round,
             mode=mode,
         )
-        digest = cred.digest(hash_fn)
+        digest = cred.digest()
         self._pending_digests.append(digest)
         if mode is CredentialMode.ISSUER_CONTROLLED:
             self.issued[digest] = cred
@@ -184,9 +178,9 @@ class CredentialRegistry:
             raise UnknownCredentialError(digest.hex())
         self.revoked.add(digest)
 
-    def check_status(self, credential: Credential, hash_fn: HashFn = DEFAULT_HASH) -> StatusReport:
+    def check_status(self, credential: Credential) -> StatusReport:
         """Answer a status query as the issuer sees it."""
-        digest = credential.digest(hash_fn)
+        digest = credential.digest()
         if credential.mode is CredentialMode.HOLDER_CONTROLLED:
             # Nothing on file: the issuer cannot answer and never sees the use.
             return StatusReport(credential_digest=digest, status=CredentialStatus.NOT_CHECKABLE)
@@ -206,7 +200,6 @@ class CredentialRegistry:
         self,
         digest: Digest,
         record: Optional[NodeRecord] = None,
-        hash_fn: HashFn = DEFAULT_HASH,
     ) -> RevocationEvidence:
         """Build committed evidence for the digest's status at a round."""
         record = record if record is not None else self.node.latest
@@ -248,8 +241,8 @@ class RecoveryPolicy:
     def expr(self) -> Expr:
         return ("threshold", self.threshold) + tuple(bytes(g) for g in self.guardians)
 
-    def digest(self, hash_fn: HashFn = DEFAULT_HASH) -> Digest:
-        return Digest(hash_fn(unparse(self.expr()).encode("utf-8")))
+    def digest(self) -> Digest:
+        return Digest(sha256(unparse(self.expr()).encode("utf-8")))
 
     def decide(self, endorsed: Sequence[NodeId]) -> bool:
         """Evaluate the policy expression against the endorsing set."""
@@ -292,14 +285,13 @@ def verify_recovery(
     cert: RecoveryCertificate,
     directory: KeyDirectory,
     policy_digest: Optional[Digest] = None,
-    hash_fn: HashFn = DEFAULT_HASH,
 ) -> Verdict:
     """Check endorsements and evaluate the committed policy.
 
     ``policy_digest``, when given, pins the certificate's policy to the one
     the node committed; a substituted policy fails even if self-consistent.
     """
-    if policy_digest is not None and cert.policy.digest(hash_fn) != policy_digest:
+    if policy_digest is not None and cert.policy.digest() != policy_digest:
         return Verdict.failed("PolicyMismatch", "certificate policy is not the committed one")
     message = _recovery_message(cert.old_id, cert.new_verify_key)
     endorsed: list[NodeId] = []
@@ -311,8 +303,7 @@ def verify_recovery(
         if guardian in seen:
             return Verdict.failed("DuplicateGuardian", guardian.hex())
         seen.add(guardian)
-        key = directory.key_at(guardian, cert.effective_round)
-        if key is None or not directory.scheme.verify(key, message, endorsement.signature):
+        if not directory.verify_signature(guardian, cert.effective_round, message, endorsement.signature):
             return Verdict.failed("BadSignature", f"guardian {guardian.hex()}")
         endorsed.append(guardian)
     if not cert.policy.decide(endorsed):
@@ -330,7 +321,6 @@ def apply_recovery(
     cert: RecoveryCertificate,
     new_keypair: KeyPair,
     policy_digest: Optional[Digest] = None,
-    hash_fn: HashFn = DEFAULT_HASH,
 ) -> Verdict:
     """Validate a certificate and swap the node's signing key.
 
@@ -341,7 +331,7 @@ def apply_recovery(
         return Verdict.failed("HolderMismatch", "certificate names a different node")
     if new_keypair.verify_key != cert.new_verify_key:
         return Verdict.failed("KeyMismatch", "keypair does not match the certificate")
-    verdict = verify_recovery(cert, directory, policy_digest, hash_fn)
+    verdict = verify_recovery(cert, directory, policy_digest)
     if not verdict:
         return verdict
     directory.rebind(node.node_id, cert.new_verify_key, from_round=cert.effective_round)

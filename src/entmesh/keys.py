@@ -1,6 +1,6 @@
-"""Signature scheme abstraction and node identifiers.
+"""Ed25519 signing keys and node identifiers.
 
-The default scheme is Ed25519 via ``cryptography``.  Key material derives
+Signatures are Ed25519 via ``cryptography``.  Key material derives
 from an explicit 32-byte seed so whole simulations are reproducible; node
 identifiers are the hash of the verification key, which makes the id
 self-authenticating against any presented key.
@@ -9,14 +9,13 @@ self-authenticating against any presented key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 from .hashtree import Digest, sha256
 
-__all__ = ["Ed25519Scheme", "KeyPair", "NodeId", "SignatureScheme", "node_id_for_key"]
+__all__ = ["Ed25519Scheme", "KeyPair", "NodeId", "node_id_for_key"]
 
 # A node id is just a digest: the fingerprint of the verification key.
 NodeId = Digest
@@ -24,14 +23,6 @@ NodeId = Digest
 
 def node_id_for_key(verify_key: bytes) -> NodeId:
     return Digest(sha256(verify_key))
-
-
-class SignatureScheme(Protocol):
-    name: str
-
-    def keypair_from_seed(self, seed: bytes) -> "KeyPair": ...
-
-    def verify(self, verify_key: bytes, message: bytes, signature: bytes) -> bool: ...
 
 
 class Ed25519Scheme:
@@ -43,7 +34,7 @@ class Ed25519Scheme:
             raise ValueError("ed25519 seed must be 32 bytes")
         private = Ed25519PrivateKey.from_private_bytes(seed)
         public = private.public_key().public_bytes_raw()
-        return KeyPair(scheme=self, verify_key=public, _private=private)
+        return KeyPair(verify_key=public, _private=private)
 
     def verify(self, verify_key: bytes, message: bytes, signature: bytes) -> bool:
         if len(verify_key) != 32 or len(signature) != 64:
@@ -55,12 +46,8 @@ class Ed25519Scheme:
             return False
 
 
-DEFAULT_SCHEME = Ed25519Scheme()
-
-
 @dataclass
 class KeyPair:
-    scheme: SignatureScheme
     verify_key: bytes
     _private: Ed25519PrivateKey = field(repr=False)
 
@@ -72,7 +59,7 @@ class KeyPair:
         return node_id_for_key(self.verify_key)
 
 
-def keypair_from_seed(seed: "bytes | str", scheme: SignatureScheme = DEFAULT_SCHEME) -> KeyPair:
+def keypair_from_seed(seed: "bytes | str") -> KeyPair:
     """Derive a keypair from an arbitrary seed string or byte string.
 
     Anything that is not already a 32-byte seed is hashed down to one, so
@@ -82,4 +69,4 @@ def keypair_from_seed(seed: "bytes | str", scheme: SignatureScheme = DEFAULT_SCH
         seed = seed.encode("utf-8")
     if len(seed) != 32:
         seed = sha256(seed)
-    return scheme.keypair_from_seed(seed)
+    return Ed25519Scheme().keypair_from_seed(seed)

@@ -56,7 +56,10 @@ def write_ledger(path: "Path | str", kind: str, rows: Iterable[dict], meta: Opti
 
 
 def read_ledger(path: "Path | str", expected_kind: Optional[str] = None) -> tuple[dict, list[dict]]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LedgerError(f"{path}: not UTF-8: {exc}")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -71,6 +74,8 @@ def read_ledger(path: "Path | str", expected_kind: Optional[str] = None) -> tupl
                 logger.warning("%s: dropping truncated final record", path)
                 break
             raise LedgerError(f"{path}: malformed record on line {i + 1}")
+        except RecursionError:
+            raise LedgerError(f"{path}: record on line {i + 1} is nested too deeply")
         if not isinstance(row, dict):
             raise LedgerError(f"{path}: record on line {i + 1} is not an object")
         rows.append(row)
@@ -166,7 +171,7 @@ def _shaped(value, kind: type, what: str):
 def load_trust_bundle(path: "Path | str") -> TrustBundle:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise LedgerError(f"{path}: not valid JSON: {exc}")
     if not isinstance(raw, dict) or raw.get("format") != "entmesh-trust":
         raise LedgerError(f"{path}: not a trust bundle")
@@ -181,7 +186,7 @@ def load_trust_bundle(path: "Path | str") -> TrustBundle:
             directory.register(node_id, bytes.fromhex(first["verify_key"]))
             for binding in bindings[1:]:
                 directory.rebind(node_id, bytes.fromhex(binding["verify_key"]), int(binding["from_round"]))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise LedgerError(f"{where}: {exc}")
         node_ids[label] = node_id
     anchors: dict[str, dict[int, Commitment]] = {}

@@ -22,16 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .hashtree import (
-    DEFAULT_HASH,
-    Digest,
-    HashFn,
-    InclusionProof,
-    MerkleTree,
-    ZERO_DIGEST,
-    verify_inclusion,
-)
-from .keys import DEFAULT_SCHEME, KeyPair, NodeId, SignatureScheme, node_id_for_key
+from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, sha256, verify_inclusion
+from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
 from .sexpr import Expr, encode_tree
 from .wire import Reader, WireError, Writer, encode_inclusion_proof, read_inclusion_proof
 
@@ -49,6 +41,7 @@ __all__ = [
     "Submission",
     "Verdict",
     "build_round",
+    "check_receipt",
     "commitment_digest",
     "round_leaves",
     "verify_chain_entries",
@@ -125,6 +118,11 @@ class Commitment:
     def message(self) -> bytes:
         return _commitment_message(self.node_id, self.round, self.root, self.leaf_count)
 
+    def proves(self, leaf: bytes, proof: InclusionProof) -> bool:
+        """True iff ``proof`` places ``leaf`` in this commitment's tree: the
+        proof must fold to ``root`` and carry ``tree_size == leaf_count``."""
+        return proof.tree_size == self.leaf_count and verify_inclusion(leaf, proof, self.root)
+
     def to_bytes(self) -> bytes:
         return (
             Writer()
@@ -154,8 +152,8 @@ class Commitment:
         return c
 
 
-def commitment_digest(commitment: Commitment, hash_fn: HashFn = DEFAULT_HASH) -> Digest:
-    return Digest(hash_fn(commitment.to_bytes()))
+def commitment_digest(commitment: Commitment) -> Digest:
+    return Digest(sha256(commitment.to_bytes()))
 
 
 @dataclass(frozen=True)
@@ -357,11 +355,11 @@ def validate_state(state: RoundState) -> None:
         _require_sorted_unique(state.revocation, "revocation list")
 
 
-def round_leaves(state: RoundState, hash_fn: HashFn = DEFAULT_HASH) -> list[bytes]:
+def round_leaves(state: RoundState) -> list[bytes]:
     """Flatten a round state into its normative leaf sequence."""
     leaves = [
         bytes([LEAF_PREV]) + state.prev_commitment_digest,
-        bytes([LEAF_PAYLOAD]) + encode_tree(state.payload, hash_fn).root,
+        bytes([LEAF_PAYLOAD]) + encode_tree(state.payload).root,
         _manifest_leaf(state.manifest),
     ]
     leaves.extend(s.leaf_bytes() for s in state.entangled)
@@ -403,10 +401,10 @@ def revocation_leaf_index(state: RoundState) -> int:
     return 3 + len(state.entangled) + len(state.evidence) + len(state.credentials)
 
 
-def build_round(state: RoundState, keypair: KeyPair, hash_fn: HashFn = DEFAULT_HASH) -> tuple[MerkleTree, Commitment]:
+def build_round(state: RoundState, keypair: KeyPair) -> tuple[MerkleTree, Commitment]:
     """Build and sign one round.  Deterministic in the state's field values."""
     validate_state(state)
-    tree = MerkleTree(round_leaves(state, hash_fn), hash_fn)
+    tree = MerkleTree(round_leaves(state))
     signature = keypair.sign(_commitment_message(state.node_id, state.round, tree.root, tree.size))
     return tree, Commitment(
         node_id=state.node_id, round=state.round, root=tree.root, leaf_count=tree.size, signature=signature
@@ -421,8 +419,7 @@ class KeyDirectory:
     so old commitments still verify under the key that signed them.
     """
 
-    def __init__(self, scheme: SignatureScheme = DEFAULT_SCHEME):
-        self.scheme = scheme
+    def __init__(self):
         self._bindings: dict[NodeId, list[tuple[int, bytes]]] = {}
 
     def register(self, node_id: NodeId, verify_key: bytes) -> None:
@@ -451,48 +448,63 @@ class KeyDirectory:
     def bindings_of(self, node_id: NodeId) -> tuple[tuple[int, bytes], ...]:
         return tuple(self._bindings.get(node_id, ()))
 
+    def verify_signature(self, node_id: NodeId, round_no: int, message: bytes, signature: bytes) -> bool:
+        """True iff ``signature`` over ``message`` verifies under the key
+        bound to ``node_id`` at ``round_no``."""
+        key = self.key_at(node_id, round_no)
+        return key is not None and Ed25519Scheme().verify(key, message, signature)
+
     def verify_commitment(self, c: Commitment) -> bool:
-        key = self.key_at(c.node_id, c.round)
-        return key is not None and self.scheme.verify(key, c.message(), c.signature)
+        return self.verify_signature(c.node_id, c.round, c.message(), c.signature)
 
     def verify_submission(self, s: Submission) -> bool:
-        key = self.key_at(s.holder_id, s.holder_round)
-        return key is not None and self.scheme.verify(key, s.message(), s.signature)
+        return self.verify_signature(s.holder_id, s.holder_round, s.message(), s.signature)
+
+
+def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
+    """The checks every receipt needs, whoever verifies it.
+
+    In order: the issuer commitment's signature (BadSignature), the
+    submission leaf's proof (ReceiptInvalid), and the proof of the issuer
+    tree's prev-commitment leaf at index 0 (ReceiptInvalid).  The holder's
+    signature is not checked here: the holder itself compares the attested
+    root with its own record, so only other verifiers need that check.
+    """
+    c = receipt.issuer_commitment
+    if not directory.verify_commitment(c):
+        return Verdict.failed("BadSignature", f"issuer {c.node_id.hex()}")
+    if not c.proves(receipt.submission().leaf_bytes(), receipt.inclusion):
+        return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
+    prev_leaf = bytes([LEAF_PREV]) + receipt.prev_digest
+    if receipt.prev_inclusion.leaf_index != 0 or not c.proves(prev_leaf, receipt.prev_inclusion):
+        return Verdict.failed("ReceiptInvalid", "prev-commitment leaf unproven")
+    return Verdict.passed()
 
 
 def verify_commitment_chain(
     commitments: Sequence[Commitment],
     trees: Sequence[MerkleTree],
     directory: KeyDirectory,
-    hash_fn: HashFn = DEFAULT_HASH,
 ) -> Verdict:
     """Check a contiguous run of (commitment, tree) pairs.
 
     Reasons: BadSignature (a commitment fails under the bound key),
     RoundGap (rounds are not consecutive), ChainBreak (a tree's first leaf
     does not match the previous commitment's digest, or a root disagrees
-    with its commitment).
+    with its commitment).  Once every tree matches its commitment, the
+    chain entries built from the trees go through ``verify_chain_entries``.
     """
     if len(commitments) != len(trees) or not commitments:
         return Verdict.failed("ChainBreak", "empty or mismatched inputs")
-    previous: Optional[Commitment] = None
+    entries = []
     for commitment, tree in zip(commitments, trees):
-        if previous is not None and commitment.round != previous.round + 1:
-            return Verdict.failed("RoundGap", f"round {commitment.round} after {previous.round}")
-        if not directory.verify_commitment(commitment):
-            return Verdict.failed("BadSignature", f"round {commitment.round}")
         if tree.root != commitment.root or tree.size != commitment.leaf_count:
             return Verdict.failed("ChainBreak", f"tree disagrees with commitment at round {commitment.round}")
-        expect = commitment_digest(previous, hash_fn) if previous is not None else None
         first = tree.leaves[0]
         if len(first) != 33 or first[0] != LEAF_PREV:
             return Verdict.failed("ChainBreak", f"bad first leaf at round {commitment.round}")
-        if previous is not None and first[1:] != expect:
-            return Verdict.failed("ChainBreak", f"round {commitment.round} does not chain")
-        if previous is None and commitment.round == 0 and first[1:] != ZERO_DIGEST:
-            return Verdict.failed("ChainBreak", "round 0 must chain from the zero digest")
-        previous = commitment
-    return Verdict.passed()
+        entries.append(ChainEntry(commitment, Digest(first[1:]), tree.prove_inclusion(0)))
+    return verify_chain_entries(entries, directory)
 
 
 @dataclass(frozen=True)
@@ -527,9 +539,9 @@ class ChainEntry:
         return ChainEntry(commitment=commitment, prev_digest=prev_digest, first_leaf_proof=proof)
 
 
-def chain_entry_for(record: "NodeRecord", hash_fn: HashFn = DEFAULT_HASH) -> ChainEntry:
+def chain_entry_for(record: "NodeRecord") -> ChainEntry:
     if record.state is None or record.tree is None:
-        raise InvariantViolationError("record was pruned; no tree available")
+        raise InvariantViolationError(f"round {record.round} was pruned; cannot build chain entry")
     return ChainEntry(
         commitment=record.commitment,
         prev_digest=record.state.prev_commitment_digest,
@@ -537,11 +549,7 @@ def chain_entry_for(record: "NodeRecord", hash_fn: HashFn = DEFAULT_HASH) -> Cha
     )
 
 
-def verify_chain_entries(
-    entries: Sequence[ChainEntry],
-    directory: KeyDirectory,
-    hash_fn: HashFn = DEFAULT_HASH,
-) -> Verdict:
+def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
     """Tree-free variant of verify_commitment_chain, used inside proofs."""
     if not entries:
         return Verdict.failed("ChainBreak", "empty chain")
@@ -554,10 +562,9 @@ def verify_chain_entries(
             return Verdict.failed("BadSignature", f"round {c.round}")
         if entry.first_leaf_proof.leaf_index != 0 or entry.first_leaf_proof.tree_size != c.leaf_count:
             return Verdict.failed("ChainBreak", f"first-leaf proof at wrong position, round {c.round}")
-        leaf = bytes([LEAF_PREV]) + entry.prev_digest
-        if not verify_inclusion(leaf, entry.first_leaf_proof, c.root, hash_fn):
+        if not c.proves(bytes([LEAF_PREV]) + entry.prev_digest, entry.first_leaf_proof):
             return Verdict.failed("ChainBreak", f"first leaf unproven at round {c.round}")
-        if previous is not None and entry.prev_digest != commitment_digest(previous, hash_fn):
+        if previous is not None and entry.prev_digest != commitment_digest(previous):
             return Verdict.failed("ChainBreak", f"round {c.round} does not chain")
         if previous is None and c.round == 0 and entry.prev_digest != ZERO_DIGEST:
             return Verdict.failed("ChainBreak", "round 0 must chain from the zero digest")
@@ -604,18 +611,10 @@ class Node:
       4. ``receive_receipt`` queues evidence for the round after next.
     """
 
-    def __init__(
-        self,
-        label: str,
-        keypair: KeyPair,
-        hash_fn: HashFn = DEFAULT_HASH,
-        prune_states: bool = False,
-    ):
+    def __init__(self, label: str, keypair: KeyPair):
         self.label = label
         self.keypair = keypair
         self.node_id: NodeId = keypair.node_id
-        self.hash_fn = hash_fn
-        self.prune_states = prune_states
         self.manifest: tuple[NodeId, ...] = ()
         self.records: list[NodeRecord] = []
         self._pending_submissions: dict[tuple[NodeId, int], Submission] = {}
@@ -641,7 +640,7 @@ class Node:
     def prev_digest(self) -> Digest:
         if not self.records:
             return ZERO_DIGEST
-        return commitment_digest(self.records[-1].commitment, self.hash_fn)
+        return commitment_digest(self.records[-1].commitment)
 
     def set_manifest(self, ids: Iterable[NodeId]) -> None:
         self.manifest = tuple(sorted(set(ids)))
@@ -671,7 +670,7 @@ class Node:
         revocation: Optional[Sequence[Digest]] = None,
     ) -> NodeRecord:
         state = self.compose_state(payload, credentials, revocation)
-        tree, commitment = build_round(state, self.keypair, self.hash_fn)
+        tree, commitment = build_round(state, self.keypair)
         record = NodeRecord(commitment=commitment, state=state, tree=tree)
         self.records.append(record)
         self._pending_submissions.clear()
@@ -731,9 +730,6 @@ class Node:
 
     def verify_receipt(self, receipt: Receipt, directory: KeyDirectory) -> Verdict:
         """Holder-side check of a fresh receipt, including issuer continuity."""
-        c = receipt.issuer_commitment
-        if not directory.verify_commitment(c):
-            return Verdict.failed("BadSignature", f"issuer {c.node_id.hex()}")
         if receipt.holder_id != self.node_id:
             return Verdict.failed("HolderMismatch", "receipt addressed to another node")
         try:
@@ -742,20 +738,13 @@ class Node:
             return Verdict.failed("HolderMismatch", f"no local round {receipt.holder_round}")
         if receipt.holder_root != expected_root:
             return Verdict.failed("ReceiptMismatch", "receipt attests a root this node never committed")
-        if receipt.inclusion.tree_size != c.leaf_count or not verify_inclusion(
-            receipt.submission().leaf_bytes(), receipt.inclusion, c.root, self.hash_fn
-        ):
-            return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
-        leaf = bytes([LEAF_PREV]) + receipt.prev_digest
-        if (
-            receipt.prev_inclusion.leaf_index != 0
-            or receipt.prev_inclusion.tree_size != c.leaf_count
-            or not verify_inclusion(leaf, receipt.prev_inclusion, c.root, self.hash_fn)
-        ):
-            return Verdict.failed("ReceiptInvalid", "prev-commitment leaf unproven")
+        verdict = check_receipt(receipt, directory)
+        if not verdict:
+            return verdict
+        c = receipt.issuer_commitment
         prior = self.receipt_log.get((c.node_id, receipt.holder_round - 1))
         if prior is not None and prior.issuer_round + 1 == c.round:
-            if commitment_digest(prior.issuer_commitment, self.hash_fn) != receipt.prev_digest:
+            if commitment_digest(prior.issuer_commitment) != receipt.prev_digest:
                 return Verdict.failed("ChainBreak", f"issuer {c.node_id.hex()} broke its chain")
         return Verdict.passed()
 

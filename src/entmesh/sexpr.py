@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Union
 
-from .hashtree import HashFn, DEFAULT_HASH, MerkleTree
+from .hashtree import MerkleTree
 
 __all__ = [
     "EvalError",
@@ -153,9 +153,9 @@ def unparse(expr: Expr) -> str:
     return "".join(pieces)
 
 
-def encode_tree(expr: Expr, hash_fn: HashFn = DEFAULT_HASH) -> MerkleTree:
+def encode_tree(expr: Expr) -> MerkleTree:
     """Content-address an expression: one leaf per canonical token."""
-    return MerkleTree([t.encode("utf-8") for t in tokens_of(expr)], hash_fn)
+    return MerkleTree([t.encode("utf-8") for t in tokens_of(expr)])
 
 
 def _want_int(v: Value, op: str) -> int:

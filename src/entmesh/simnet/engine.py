@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..entangle import build_chain_proof, verify_chain
-from ..hashtree import DEFAULT_HASH, Digest, HashFn, verify_inclusion
+from ..hashtree import Digest
 from ..identity import CredentialRegistry
 from ..keys import NodeId, keypair_from_seed
 from ..node import (
@@ -45,6 +45,7 @@ from ..node import (
     Submission,
     build_round,
     chain_entry_for,
+    check_receipt,
     verify_chain_entries,
 )
 from ..sexpr import Expr
@@ -135,7 +136,6 @@ class Simulation:
         prune_anchors: bool = True,
         credential_issuers: Sequence[str] = (),
         audit_every: int = 0,
-        hash_fn: HashFn = DEFAULT_HASH,
     ):
         validate_topology(topology)
         if rounds < 1:
@@ -143,13 +143,12 @@ class Simulation:
         self.topology = topology
         self.rounds = rounds
         self.seed = seed
-        self.hash_fn = hash_fn
         self.audit_every = audit_every
         self.directory = KeyDirectory()
         self.nodes: dict[str, Node] = {}
         for label in topology.labels:
             keypair = keypair_from_seed(f"{seed}:{label}")
-            node = Node(label, keypair, hash_fn)
+            node = Node(label, keypair)
             node.set_manifest(())
             self.nodes[label] = node
             self.directory.register(node.node_id, keypair.verify_key)
@@ -285,7 +284,7 @@ class Simulation:
             eq = self._equivocations.get(label)
             equivocating = eq is not None and r >= eq.start_round
             if equivocating and r == eq.start_round:
-                shadow = Node(label, node.keypair, self.hash_fn)
+                shadow = Node(label, node.keypair)
                 shadow.records = list(node.records)
                 shadow.manifest = node.manifest
                 self._shadows[label] = shadow
@@ -305,7 +304,7 @@ class Simulation:
         if old.state is None:
             raise ValueError("cannot rewrite a pruned round")
         state = dataclasses.replace(old.state, payload=self._payload(node.label, r - 1, forked=True))
-        tree, commitment = build_round(state, node.keypair, self.hash_fn)
+        tree, commitment = build_round(state, node.keypair)
         node.records[r - 1] = NodeRecord(
             commitment=commitment, state=state, tree=tree, received_receipts=old.received_receipts
         )
@@ -318,8 +317,8 @@ class Simulation:
             prev, cur = node.record_at(r - 1), node.record_at(r)
             if prev.state is None or cur.state is None:
                 continue
-            entries = [chain_entry_for(prev, self.hash_fn), chain_entry_for(cur, self.hash_fn)]
-            verdict = verify_chain_entries(entries, self.directory, self.hash_fn)
+            entries = [chain_entry_for(prev), chain_entry_for(cur)]
+            verdict = verify_chain_entries(entries, self.directory)
             if not verdict:
                 self._event("SelfAuditFailed", node=label, reason=verdict.reason)
         # Rounds below r-1 were pruned in earlier rounds.
@@ -397,13 +396,12 @@ class Simulation:
     def _ingest_forward(self, observer: str, receipt: Receipt) -> None:
         c = receipt.issuer_commitment
         sub = receipt.submission()
-        if not (self.directory.verify_commitment(c) and self.directory.verify_submission(sub)):
+        if not self.directory.verify_submission(sub):
             self._event("ForwardRejected", observer=observer, reason="BadSignature")
             return
-        if receipt.inclusion.tree_size != c.leaf_count or not verify_inclusion(
-            sub.leaf_bytes(), receipt.inclusion, c.root, self.hash_fn
-        ):
-            self._event("ForwardRejected", observer=observer, reason="ReceiptInvalid")
+        verdict = check_receipt(receipt, self.directory)
+        if not verdict:
+            self._event("ForwardRejected", observer=observer, reason=verdict.reason)
             return
         # Two independent signed claims ride in every forwarded receipt.
         self._observe_claim(observer, sub.holder_id, sub.holder_round, sub.holder_root, source="forward")
@@ -445,10 +443,10 @@ class Simulation:
                 if record.state is None:
                     entries = []
                     continue
-                entries.append(chain_entry_for(record, self.hash_fn))
+                entries.append(chain_entry_for(record))
             if len(entries) < 2:
                 continue
-            verdict = verify_chain_entries(entries, self.directory, self.hash_fn)
+            verdict = verify_chain_entries(entries, self.directory)
             if not verdict:
                 self._event("ChainAuditFailed", node=label, reason=verdict.reason)
 
@@ -549,14 +547,12 @@ def measure_latency(
     if len(path) < 2:
         raise ValueError(f"{holder} is its own anchor")
     ids = [sim.nodes[label].node_id for label in path]
-    proof = build_chain_proof(
-        sim.records_by_id(), sim.receipts_by_id(), ids, probe_round, 1, sim.hash_fn
-    )
+    proof = build_chain_proof(sim.records_by_id(), sim.receipts_by_id(), ids, probe_round, 1)
     anchor_records = sim.nodes[path[-1]].records
     for k in range(1, max_k + 1):
         trusted = {
             record.round: record.commitment for record in anchor_records if record.round <= probe_round + k
         }
-        if verify_chain(proof, trusted, sim.directory, sim.hash_fn):
+        if verify_chain(proof, trusted, sim.directory):
             return k
     return None

@@ -8,6 +8,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmesh.cli import main
 from entmesh.entangle import ChainProof, HubProof, LinkProof, decode_proof
@@ -342,3 +344,122 @@ class TestInspect:
         rc = main(["inspect", "--proof", str(bad)])
         assert rc == 1
         assert "MalformedProof" in capsys.readouterr().out
+
+
+class TestUndecodableInput:
+    """Files that are not UTF-8 or nest too deeply for the JSON parser are
+    reported with exit 1 and a named reason, never a traceback."""
+
+    @staticmethod
+    def spoil(source: Path, kind: str) -> bytes:
+        blob = source.read_bytes()
+        if kind == "non-utf8":
+            middle = len(blob) // 2
+            return blob[:middle] + b"\xff" + blob[middle:]
+        deep = b"[" * 100000
+        if source.suffix == ".json":
+            assert b'"topology": ' in blob
+            return blob.replace(b'"topology": ', b'"topology": ' + deep, 1)
+        # A nested record between intact ones, so it is not a truncated tail.
+        header, rest = blob.split(b"\n", 1)
+        assert rest.count(b"\n") >= 1
+        return header + b"\n" + deep + b"\n" + rest
+
+    @pytest.mark.parametrize("kind", ["non-utf8", "nested"])
+    @pytest.mark.parametrize(
+        "command, reason",
+        [("verify-trust", "MalformedTrust"), ("inspect-trust", "MalformedTrust"), ("inspect-ledger", "MalformedLedger")],
+    )
+    def test_reported_not_raised(self, link_run, tmp_path, capsys, command, reason, kind):
+        source = link_run["art"] / ("metrics.jsonl" if command == "inspect-ledger" else "trust.json")
+        bad = tmp_path / source.name
+        bad.write_bytes(self.spoil(source, kind))
+        if command == "verify-trust":
+            argv = ["verify", "--proof", str(link_run["proof"]), "--trust", str(bad)]
+        elif command == "inspect-trust":
+            argv = ["inspect", "--trust", str(bad)]
+        else:
+            argv = ["inspect", "--ledger", str(bad)]
+        assert main(argv) == 1
+        assert reason in capsys.readouterr().out
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _paths(child, path + (index,))
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _restructure(value, op):
+    if op == "nest-list":
+        return [value]
+    if op == "nest-dict":
+        return {"value": value}
+    if op == "swap":
+        if isinstance(value, list):
+            return {str(index): child for index, child in enumerate(value)}
+        if isinstance(value, dict):
+            return list(value.values())
+        return [value]
+    return json.dumps(value)  # "stringify": any scalar or container becomes a string
+
+
+@pytest.fixture(scope="module")
+def recovery_run(tmp_path_factory):
+    """A trust bundle with a key rebinding (h1 recovers at round 7) and a
+    link proof that needs it."""
+    base = tmp_path_factory.mktemp("recovery-run")
+    config = str(SCENARIOS / "identity.yaml")
+    assert main(["simulate", "--config", config, "--out", str(base / "art")]) == 0
+    proof = base / "recovered.proof"
+    argv = ["prove", "--config", config, "--kind", "link", "--holder", "h1", "--issuer", "hub"]
+    assert main(argv + ["--start", "6", "--end", "7", "--out", str(proof)]) == 0
+    trust = base / "art" / "trust.json"
+    assert main(["verify", "--proof", str(proof), "--trust", str(trust)]) == 0
+    return {"base": base, "proof": proof, "trust": trust}
+
+
+class TestTrustBundleFuzz:
+    def test_infinite_rebind_round(self, recovery_run, tmp_path, capsys):
+        bundle = json.loads(recovery_run["trust"].read_text())
+        bundle["keys"]["h1"]["bindings"][1]["from_round"] = float("inf")
+        bad = tmp_path / "trust.json"
+        bad.write_text(json.dumps(bundle))
+        assert main(["verify", "--proof", str(recovery_run["proof"]), "--trust", str(bad)]) == 1
+        assert "MalformedTrust" in capsys.readouterr().out
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_structure_never_raises(self, recovery_run, data):
+        # Holding the bundle under one key lets the top level mutate like any value.
+        holder = {"bundle": json.loads(recovery_run["trust"].read_text())}
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            paths = list(_paths(holder))[1:]
+            if not paths:
+                break
+            *steps, last = data.draw(st.sampled_from(paths), label="path")
+            op = data.draw(st.sampled_from(["drop", "retype", "nest-list", "nest-dict", "swap", "stringify"]), label="op")
+            parent = holder
+            for step in steps:
+                parent = parent[step]
+            if op == "drop":
+                del parent[last]
+            elif op == "retype":
+                parent[last] = data.draw(JSON_VALUES, label="value")
+            else:
+                parent[last] = _restructure(parent[last], op)
+        mutated = recovery_run["base"] / "mutated-trust.json"
+        mutated.write_text(json.dumps(holder.get("bundle")))
+        assert main(["verify", "--proof", str(recovery_run["proof"]), "--trust", str(mutated)]) in (0, 1)

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from entmesh.config import load_config, make_simulation
-from entmesh.entangle import MissingReceiptError, build_link_proof
+from entmesh.entangle import MissingReceiptError, build_link_proof, verify_link
+from entmesh.hashtree import Digest, sha256, verify_inclusion
 from entmesh.node import round_leaves
 from entmesh.simnet import (
     Equivocate,
@@ -350,3 +351,81 @@ class TestAnchorPruning:
 
         sim = every_round_post(Simulation(topo, rounds=5, seed=21), check).run()
         assert seen == list(range(5))
+
+
+def _flip_first_sibling(proof):
+    (side, sibling), *rest = proof.audit_path
+    flipped = Digest(bytes([sibling[0] ^ 1]) + sibling[1:])
+    return dataclasses.replace(proof, audit_path=((side, flipped), *rest))
+
+
+RECEIPT_TAMPERS = {
+    "submission-sibling": lambda rc: dataclasses.replace(rc, inclusion=_flip_first_sibling(rc.inclusion)),
+    "submission-tree-size": lambda rc: dataclasses.replace(
+        rc, inclusion=dataclasses.replace(rc.inclusion, tree_size=rc.inclusion.tree_size + 1)
+    ),
+    "prev-leaf-index": lambda rc: dataclasses.replace(
+        rc, prev_inclusion=dataclasses.replace(rc.prev_inclusion, leaf_index=1)
+    ),
+    "prev-digest": lambda rc: dataclasses.replace(rc, prev_digest=Digest(sha256(b"another prev"))),
+    "unsigned-round": lambda rc: dataclasses.replace(
+        rc, issuer_commitment=dataclasses.replace(rc.issuer_commitment, round=rc.issuer_commitment.round + 7)
+    ),
+}
+
+
+class TestReceiptPathsAgree:
+    """The holder, a link verifier and a forwarding observer reject the same
+    tampered receipt for the same reason.
+
+    In federated(2, 3, 9), root issues receipts to the m1 nodes, which
+    forward them to their own holders.  Root's trees have 6 leaves.
+    """
+
+    SEED, ROUND = 5, 2
+    TOPOLOGY = federated(levels=2, arity=3, holders=9)
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        sim = Simulation(self.TOPOLOGY, rounds=6, seed=self.SEED).run()
+        root_id = sim.nodes["root"].node_id
+        # Leaf 3 of a 6-leaf tree has the same audit path in a 7-leaf tree,
+        # so a proof resized to 7 still folds to the root: only the rule
+        # tree_size == leaf_count rejects it.
+        receipts = {label: sim.nodes[label].receipt_log[(root_id, self.ROUND)] for label in ("m1-0", "m1-1", "m1-2")}
+        holder = next(label for label, rc in receipts.items() if rc.inclusion.leaf_index == 3)
+        assert receipts[holder].issuer_commitment.leaf_count == 6
+        return sim, holder, receipts[holder]
+
+    def forward(self, sim, holder, receipt):
+        # An observer that has not run yet: no claims and no events so far.
+        observer = Simulation(self.TOPOLOGY, rounds=6, seed=self.SEED)
+        label = sim.topology.holders_of(holder)[0]
+        observer._ingest_forward(label, receipt)
+        return label, observer.events, observer._claims[label]
+
+    def test_genuine_receipt_passes_every_path(self, run):
+        sim, holder, receipt = run
+        assert sim.nodes[holder].verify_receipt(receipt, sim.directory)
+        _, events, claims = self.forward(sim, holder, receipt)
+        assert events == [] and len(claims) == 2
+
+    @pytest.mark.parametrize("tamper", sorted(RECEIPT_TAMPERS))
+    def test_tampered_receipt(self, run, tamper):
+        sim, holder, receipt = run
+        bad = RECEIPT_TAMPERS[tamper](receipt)
+        if tamper == "submission-tree-size":
+            c = bad.issuer_commitment
+            assert verify_inclusion(bad.submission().leaf_bytes(), bad.inclusion, c.root)
+        reason = "BadSignature" if tamper == "unsigned-round" else "ReceiptInvalid"
+        assert sim.nodes[holder].verify_receipt(bad, sim.directory).reason == reason
+        label, events, claims = self.forward(sim, holder, bad)
+        assert events == [{"round": 0, "type": "ForwardRejected", "observer": label, "reason": reason}]
+        assert claims == {}
+        if tamper == "unsigned-round":
+            return  # a link verifier rejects the wrong round before any signature
+        root_id = sim.nodes["root"].node_id
+        receipts = {**sim.nodes[holder].receipt_log, (root_id, self.ROUND): bad}
+        proof = build_link_proof(sim.nodes[holder].records, root_id, (self.ROUND, self.ROUND), receipts)
+        trusted = {record.round: record.commitment for record in sim.nodes["root"].records}
+        assert verify_link(proof, trusted, sim.directory).reason == reason
