@@ -14,7 +14,6 @@ from typing import Optional
 
 from .config import ConfigError, load_config, make_simulation
 from .entangle import (
-    ChainProof,
     HubProof,
     LinkProof,
     MissingReceiptError,

@@ -40,10 +40,11 @@ from .node import (
     commitment_digest,
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
+    MAX_COMMITMENT,
     evidence_leaf_index,
     verify_chain_entries,
 )
-from .wire import Reader, WireError, Writer, encode_inclusion_proof, read_inclusion_proof
+from .wire import MAX_ITEMS, MAX_RECORD, Reader, WireError, Writer, decode, encode_inclusion_proof, read_inclusion_proof
 
 __all__ = [
     "ChainProof",
@@ -67,6 +68,9 @@ __all__ = [
 # How many rounds past the window end the holder chain must extend: +1 for
 # the issuer-side inclusion, +1 for evidence retention.
 EVIDENCE_LAG = 2
+
+# Bytes of one link blob inside a hub or chain proof (docs/FORMATS.md).
+MAX_LINK = 1 << 24
 
 
 class MissingReceiptError(ValueError):
@@ -99,9 +103,7 @@ class LinkProof:
         w = Writer()
         w.digest(self.holder_id).digest(self.issuer_id)
         w.u64(self.window_start).u64(self.window_end)
-        w.u32(len(self.holder_chain))
-        for entry in self.holder_chain:
-            w.blob(entry.to_bytes())
+        w.blobs([entry.to_bytes() for entry in self.holder_chain])
         w.u32(len(self.receipts))
         for receipt, proof in zip(self.receipts, self.evidence_proofs):
             w.blob(receipt.to_bytes())
@@ -114,33 +116,26 @@ class LinkProof:
         issuer_id = r.digest()
         start = r.u64()
         end = r.u64()
-        n_chain = r.u32()
-        if n_chain > 4096:
-            raise WireError("oversized holder chain")
-        chain = []
-        for _ in range(n_chain):
-            inner = Reader(r.blob(max_len=1 << 16))
-            chain.append(ChainEntry.read(inner))
-            inner.expect_eof()
-        n_rounds = r.u32()
-        if n_rounds > 4096:
-            raise WireError("oversized window")
-        receipts = []
-        proofs = []
-        for _ in range(n_rounds):
-            receipts.append(Receipt.from_bytes(r.blob(max_len=1 << 16)))
-            inner = Reader(r.blob(max_len=1 << 16))
-            proofs.append(read_inclusion_proof(inner))
-            inner.expect_eof()
+        chain = r.many(lambda r: r.nested(ChainEntry.read, MAX_RECORD), "holder chain entries", MAX_ITEMS)
+        evidence = r.many(_read_evidence, "window rounds", MAX_ITEMS)
         return LinkProof(
             holder_id=holder_id,
             issuer_id=issuer_id,
             window_start=start,
             window_end=end,
-            holder_chain=tuple(chain),
-            receipts=tuple(receipts),
-            evidence_proofs=tuple(proofs),
+            holder_chain=chain,
+            receipts=tuple(receipt for receipt, _ in evidence),
+            evidence_proofs=tuple(proof for _, proof in evidence),
         )
+
+
+def _read_evidence(r: Reader) -> tuple[Receipt, InclusionProof]:
+    # One window round: the receipt, then its evidence-leaf proof.
+    return r.nested(Receipt.read, MAX_RECORD), r.nested(read_inclusion_proof, MAX_RECORD)
+
+
+def _read_link(r: Reader) -> LinkProof:
+    return r.nested(LinkProof.read, MAX_LINK)
 
 
 def build_link_proof(
@@ -248,49 +243,20 @@ class HubProof:
     def to_bytes(self) -> bytes:
         w = Writer()
         w.digest(self.holder_id).u64(self.window_start).u64(self.window_end)
-        w.u32(len(self.manifest))
-        for node_id in self.manifest:
-            w.digest(node_id)
-        w.u32(len(self.manifest_proofs))
-        for proof in self.manifest_proofs:
-            w.blob(encode_inclusion_proof(proof))
-        w.u32(len(self.links))
-        for link in self.links:
-            w.blob(link.to_bytes())
+        w.digests(self.manifest)
+        w.blobs([encode_inclusion_proof(proof) for proof in self.manifest_proofs])
+        w.blobs([link.to_bytes() for link in self.links])
         return w.getvalue()
 
     @staticmethod
     def read(r: Reader) -> "HubProof":
-        holder_id = r.digest()
-        start = r.u64()
-        end = r.u64()
-        n_manifest = r.u32()
-        if n_manifest > 4096:
-            raise WireError("oversized manifest")
-        manifest = tuple(r.digest() for _ in range(n_manifest))
-        n_proofs = r.u32()
-        if n_proofs > 4096:
-            raise WireError("oversized manifest proofs")
-        proofs = []
-        for _ in range(n_proofs):
-            inner = Reader(r.blob(max_len=1 << 16))
-            proofs.append(read_inclusion_proof(inner))
-            inner.expect_eof()
-        n_links = r.u32()
-        if n_links > 4096:
-            raise WireError("oversized link set")
-        links = []
-        for _ in range(n_links):
-            inner = Reader(r.blob(max_len=1 << 24))
-            links.append(LinkProof.read(inner))
-            inner.expect_eof()
         return HubProof(
-            holder_id=holder_id,
-            window_start=start,
-            window_end=end,
-            manifest=manifest,
-            manifest_proofs=tuple(proofs),
-            links=tuple(links),
+            holder_id=r.digest(),
+            window_start=r.u64(),
+            window_end=r.u64(),
+            manifest=r.many(Reader.digest, "manifest ids", MAX_ITEMS),
+            manifest_proofs=r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "manifest proofs", MAX_ITEMS),
+            links=r.many(_read_link, "links", MAX_ITEMS),
         )
 
 
@@ -391,24 +357,16 @@ class ChainProof:
 
     def to_bytes(self) -> bytes:
         w = Writer()
-        w.u32(len(self.hops))
-        for hop in self.hops:
-            w.blob(hop.to_bytes())
+        w.blobs([hop.to_bytes() for hop in self.hops])
         w.blob(self.anchor_commitment.to_bytes())
         return w.getvalue()
 
     @staticmethod
     def read(r: Reader) -> "ChainProof":
-        n_hops = r.u32()
-        if not 1 <= n_hops <= 4096:
-            raise WireError("bad hop count")
-        hops = []
-        for _ in range(n_hops):
-            inner = Reader(r.blob(max_len=1 << 24))
-            hops.append(LinkProof.read(inner))
-            inner.expect_eof()
-        anchor = Commitment.from_bytes(r.blob(max_len=4096))
-        return ChainProof(hops=tuple(hops), anchor_commitment=anchor)
+        hops = r.many(_read_link, "hops", MAX_ITEMS)
+        if not hops:
+            raise WireError("a chain proof needs at least one hop")
+        return ChainProof(hops=hops, anchor_commitment=r.nested(Commitment.read, MAX_COMMITMENT))
 
 
 def build_chain_proof(
@@ -589,35 +547,20 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
 
 
 _PROOF_MAGIC = b"EMP1"
-_KIND_LINK = 0x10
-_KIND_HUB = 0x11
-_KIND_CHAIN = 0x12
+_PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 
 def encode_proof(proof: "LinkProof | HubProof | ChainProof") -> bytes:
-    if isinstance(proof, LinkProof):
-        kind = _KIND_LINK
-    elif isinstance(proof, HubProof):
-        kind = _KIND_HUB
-    elif isinstance(proof, ChainProof):
-        kind = _KIND_CHAIN
-    else:
-        raise TypeError(f"not a proof object: {proof!r}")
-    return _PROOF_MAGIC + bytes([kind]) + proof.to_bytes()
+    for kind, cls in _PROOF_KINDS.items():
+        if isinstance(proof, cls):
+            return _PROOF_MAGIC + bytes([kind]) + proof.to_bytes()
+    raise TypeError(f"not a proof object: {proof!r}")
 
 
 def decode_proof(data: bytes) -> "LinkProof | HubProof | ChainProof":
     if len(data) < 5 or data[:4] != _PROOF_MAGIC:
         raise WireError("not a proof file")
-    kind = data[4]
-    r = Reader(data[5:])
-    if kind == _KIND_LINK:
-        proof: LinkProof | HubProof | ChainProof = LinkProof.read(r)
-    elif kind == _KIND_HUB:
-        proof = HubProof.read(r)
-    elif kind == _KIND_CHAIN:
-        proof = ChainProof.read(r)
-    else:
-        raise WireError(f"unknown proof kind {kind:#x}")
-    r.expect_eof()
-    return proof
+    cls = _PROOF_KINDS.get(data[4])
+    if cls is None:
+        raise WireError(f"unknown proof kind {data[4]:#x}")
+    return decode(data[5:], cls.read)

@@ -18,7 +18,7 @@ the replacement, per a threshold policy the node committed in advance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 

@@ -26,9 +26,6 @@ def node_id_for_key(verify_key: bytes) -> NodeId:
 
 
 class Ed25519Scheme:
-    name = "ed25519"
-    signature_size = 64
-
     def keypair_from_seed(self, seed: bytes) -> "KeyPair":
         if len(seed) != 32:
             raise ValueError("ed25519 seed must be 32 bytes")

@@ -162,8 +162,9 @@ def write_trust_bundle(path: "Path | str", sim, out_indent: int = 2) -> None:
 
 
 def _shaped(value, kind: type, what: str):
-    # Valid JSON of the wrong shape is as malformed as invalid JSON.
-    if not isinstance(value, kind):
+    # Valid JSON of the wrong shape is as malformed as invalid JSON.  The type
+    # must match exactly: a JSON boolean is not an int, nor is 6.9 or "7".
+    if type(value) is not kind:
         raise LedgerError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -185,8 +186,9 @@ def load_trust_bundle(path: "Path | str") -> TrustBundle:
             first = bindings[0]
             directory.register(node_id, bytes.fromhex(first["verify_key"]))
             for binding in bindings[1:]:
-                directory.rebind(node_id, bytes.fromhex(binding["verify_key"]), int(binding["from_round"]))
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+                from_round = _shaped(binding["from_round"], int, "from_round")
+                directory.rebind(node_id, bytes.fromhex(binding["verify_key"]), from_round)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise LedgerError(f"{where}: {exc}")
         node_ids[label] = node_id
     anchors: dict[str, dict[int, Commitment]] = {}

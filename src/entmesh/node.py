@@ -20,12 +20,12 @@ Leaf layout (tags distinguish every leaf kind; see docs/FORMATS.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, sha256, verify_inclusion
 from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
 from .sexpr import Expr, encode_tree
-from .wire import Reader, WireError, Writer, encode_inclusion_proof, read_inclusion_proof
+from .wire import MAX_RECORD, Reader, WireError, Writer, decode, encode_inclusion_proof, read_inclusion_proof
 
 __all__ = [
     "ChainEntry",
@@ -55,6 +55,11 @@ LEAF_ENTANGLED = 0x04
 LEAF_EVIDENCE = 0x05
 LEAF_CREDENTIAL = 0x06
 LEAF_REVOCATION = 0x07
+
+# Length bounds of node records (the table in docs/FORMATS.md).
+MAX_SIGNATURE = 256  # bytes of one signature
+MAX_COMMITMENT = 4096  # bytes of one commitment blob
+MAX_MANIFEST_IDS = 1 << 20  # node ids in one manifest leaf
 
 # A holder may lag its issuer by at most this many rounds at receipt time.
 STALE_THRESHOLD = 1
@@ -141,15 +146,12 @@ class Commitment:
             round=r.u64(),
             root=r.digest(),
             leaf_count=r.u64(),
-            signature=r.blob(max_len=256),
+            signature=r.blob(MAX_SIGNATURE),
         )
 
     @staticmethod
     def from_bytes(data: bytes) -> "Commitment":
-        r = Reader(data)
-        c = Commitment.read(r)
-        r.expect_eof()
-        return c
+        return decode(data, Commitment.read)
 
 
 def commitment_digest(commitment: Commitment) -> Digest:
@@ -180,14 +182,11 @@ class Submission:
 
     @staticmethod
     def read(r: Reader) -> "Submission":
-        return Submission(holder_id=r.digest(), holder_round=r.u64(), holder_root=r.digest(), signature=r.blob(max_len=256))
+        return Submission(holder_id=r.digest(), holder_round=r.u64(), holder_root=r.digest(), signature=r.blob(MAX_SIGNATURE))
 
     @staticmethod
     def from_bytes(data: bytes) -> "Submission":
-        r = Reader(data)
-        sub = Submission.read(r)
-        r.expect_eof()
-        return sub
+        return decode(data, Submission.read)
 
     def leaf_bytes(self) -> bytes:
         return bytes([LEAF_ENTANGLED]) + self.to_bytes()
@@ -245,76 +244,41 @@ class Receipt:
 
     @staticmethod
     def read(r: Reader) -> "Receipt":
-        holder_id = r.digest()
-        holder_round = r.u64()
-        holder_root = r.digest()
-        holder_signature = r.blob(max_len=256)
-        commitment = Commitment.from_bytes(r.blob(max_len=4096))
-        inner = Reader(r.blob(max_len=1 << 16))
-        inclusion = read_inclusion_proof(inner)
-        inner.expect_eof()
-        prev_digest = r.digest()
-        inner = Reader(r.blob(max_len=1 << 16))
-        prev_inclusion = read_inclusion_proof(inner)
-        inner.expect_eof()
         return Receipt(
-            holder_id=holder_id,
-            holder_round=holder_round,
-            holder_root=holder_root,
-            holder_signature=holder_signature,
-            issuer_commitment=commitment,
-            inclusion=inclusion,
-            prev_digest=prev_digest,
-            prev_inclusion=prev_inclusion,
+            holder_id=r.digest(),
+            holder_round=r.u64(),
+            holder_root=r.digest(),
+            holder_signature=r.blob(MAX_SIGNATURE),
+            issuer_commitment=r.nested(Commitment.read, MAX_COMMITMENT),
+            inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
+            prev_digest=r.digest(),
+            prev_inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
         )
 
     @staticmethod
     def from_bytes(data: bytes) -> "Receipt":
-        r = Reader(data)
-        rcpt = Receipt.read(r)
-        r.expect_eof()
-        return rcpt
+        return decode(data, Receipt.read)
 
     def leaf_bytes(self) -> bytes:
         return bytes([LEAF_EVIDENCE]) + self.to_bytes()
 
 
 def _manifest_leaf(manifest: Sequence[NodeId]) -> bytes:
-    w = Writer().u8(LEAF_MANIFEST).u32(len(manifest))
-    for node_id in manifest:
-        w.digest(node_id)
-    return w.getvalue()
+    return Writer().u8(LEAF_MANIFEST).digests(manifest).getvalue()
 
 
 def _revocation_leaf(revoked: Sequence[Digest]) -> bytes:
-    w = Writer().u8(LEAF_REVOCATION).u32(len(revoked))
-    for digest in revoked:
-        w.digest(digest)
-    return w.getvalue()
+    return Writer().u8(LEAF_REVOCATION).digests(revoked).getvalue()
+
+
+def _read_manifest(r: Reader) -> tuple[NodeId, ...]:
+    if r.u8() != LEAF_MANIFEST:
+        raise WireError("not a manifest leaf")
+    return r.many(Reader.digest, "manifest ids", MAX_MANIFEST_IDS)
 
 
 def parse_manifest_leaf(leaf: bytes) -> tuple[NodeId, ...]:
-    r = Reader(leaf)
-    if r.u8() != LEAF_MANIFEST:
-        raise WireError("not a manifest leaf")
-    count = r.u32()
-    if count > 1 << 20:
-        raise WireError("manifest too large")
-    ids = tuple(r.digest() for _ in range(count))
-    r.expect_eof()
-    return ids
-
-
-def parse_revocation_leaf(leaf: bytes) -> tuple[Digest, ...]:
-    r = Reader(leaf)
-    if r.u8() != LEAF_REVOCATION:
-        raise WireError("not a revocation leaf")
-    count = r.u32()
-    if count > 1 << 20:
-        raise WireError("revocation list too large")
-    digests = tuple(r.digest() for _ in range(count))
-    r.expect_eof()
-    return digests
+    return decode(leaf, _read_manifest)
 
 
 @dataclass(frozen=True)
@@ -330,10 +294,6 @@ class RoundState:
     evidence: tuple[Receipt, ...]
     credentials: tuple[Digest, ...] = ()
     revocation: Optional[tuple[Digest, ...]] = None
-
-    @property
-    def entangled_roots(self) -> tuple[tuple[NodeId, Digest], ...]:
-        return tuple((s.holder_id, s.holder_root) for s in self.entangled)
 
 
 def _require_sorted_unique(items: Sequence, what: str) -> None:
@@ -442,9 +402,6 @@ class KeyDirectory:
                 key = vk
         return key
 
-    def known_ids(self) -> list[NodeId]:
-        return sorted(self._bindings)
-
     def bindings_of(self, node_id: NodeId) -> tuple[tuple[int, bytes], ...]:
         return tuple(self._bindings.get(node_id, ()))
 
@@ -531,12 +488,11 @@ class ChainEntry:
 
     @staticmethod
     def read(r: Reader) -> "ChainEntry":
-        commitment = Commitment.from_bytes(r.blob(max_len=4096))
-        prev_digest = r.digest()
-        inner = Reader(r.blob(max_len=1 << 16))
-        proof = read_inclusion_proof(inner)
-        inner.expect_eof()
-        return ChainEntry(commitment=commitment, prev_digest=prev_digest, first_leaf_proof=proof)
+        return ChainEntry(
+            commitment=r.nested(Commitment.read, MAX_COMMITMENT),
+            prev_digest=r.digest(),
+            first_leaf_proof=r.nested(read_inclusion_proof, MAX_RECORD),
+        )
 
 
 def chain_entry_for(record: "NodeRecord") -> ChainEntry:

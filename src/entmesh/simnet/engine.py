@@ -28,7 +28,7 @@ influence that node's view.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..entangle import build_chain_proof, verify_chain

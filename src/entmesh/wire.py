@@ -11,13 +11,21 @@ as a decode error or as a failed content check downstream.
 from __future__ import annotations
 
 import struct
+from typing import Callable, Sequence, TypeVar
 
 from .hashtree import DIGEST_SIZE, Digest, InclusionProof, Side
 
-__all__ = ["Reader", "Writer", "WireError", "encode_inclusion_proof", "read_inclusion_proof"]
+__all__ = ["Reader", "Writer", "WireError", "decode", "encode_inclusion_proof", "read_inclusion_proof"]
 
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
+
+# Length bounds shared by every record (the table in docs/FORMATS.md).
+MAX_ITEMS = 4096  # records in one counted list
+MAX_RECORD = 1 << 16  # bytes of one nested record
+MAX_AUDIT_STEPS = 64  # steps in one inclusion proof's audit path
+
+T = TypeVar("T")
 
 
 class WireError(ValueError):
@@ -54,14 +62,24 @@ class Writer:
         self._buf += d
         return self
 
-    def raw(self, b: bytes) -> "Writer":
-        self._buf += b
-        return self
-
     def blob(self, b: bytes) -> "Writer":
         # Length-prefixed variable bytes.
         self.u32(len(b))
         self._buf += b
+        return self
+
+    def blobs(self, items: Sequence[bytes]) -> "Writer":
+        # A u32 count, then each item as a blob.
+        self.u32(len(items))
+        for b in items:
+            self.blob(b)
+        return self
+
+    def digests(self, items: Sequence[bytes]) -> "Writer":
+        # A u32 count, then each digest.
+        self.u32(len(items))
+        for d in items:
+            self.digest(d)
         return self
 
     def getvalue(self) -> bytes:
@@ -100,12 +118,31 @@ class Reader:
             raise WireError(f"blob length {n} exceeds limit")
         return self._take(n)
 
+    def nested(self, read: Callable[["Reader"], T], max_len: int) -> T:
+        """A blob that holds exactly one record, read by ``read``."""
+        return decode(self.blob(max_len), read)
+
+    def many(self, read: Callable[["Reader"], T], what: str, limit: int) -> tuple[T, ...]:
+        """A u32 count of at most ``limit``, then that many records."""
+        count = self.u32()
+        if count > limit:
+            raise WireError(f"too many {what}: {count}")
+        return tuple([read(self) for _ in range(count)])
+
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
     def expect_eof(self) -> None:
         if self._pos != len(self._data):
             raise WireError(f"{self.remaining()} trailing bytes")
+
+
+def decode(data: bytes, read: Callable[[Reader], T]) -> T:
+    """Read one record from ``data`` and reject any trailing bytes."""
+    r = Reader(data)
+    value = read(r)
+    r.expect_eof()
+    return value
 
 
 def encode_inclusion_proof(proof: InclusionProof) -> bytes:
@@ -116,16 +153,15 @@ def encode_inclusion_proof(proof: InclusionProof) -> bytes:
     return w.getvalue()
 
 
+def _read_step(r: Reader) -> tuple[Side, Digest]:
+    side = r.u8()
+    if side not in (0, 1):
+        raise WireError(f"bad side byte {side}")
+    return Side(side), r.digest()
+
+
 def read_inclusion_proof(r: Reader) -> InclusionProof:
     leaf_index = r.u64()
     tree_size = r.u64()
-    count = r.u32()
-    if count > 64:
-        raise WireError(f"audit path too long: {count}")
-    path = []
-    for _ in range(count):
-        side = r.u8()
-        if side not in (0, 1):
-            raise WireError(f"bad side byte {side}")
-        path.append((Side(side), r.digest()))
-    return InclusionProof(leaf_index=leaf_index, audit_path=tuple(path), tree_size=tree_size)
+    path = r.many(_read_step, "audit steps", MAX_AUDIT_STEPS)
+    return InclusionProof(leaf_index=leaf_index, audit_path=path, tree_size=tree_size)

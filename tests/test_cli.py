@@ -440,6 +440,25 @@ class TestTrustBundleFuzz:
         assert main(["verify", "--proof", str(recovery_run["proof"]), "--trust", str(bad)]) == 1
         assert "MalformedTrust" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["verify", "inspect"])
+    @pytest.mark.parametrize(
+        "field, value", [("from_round", 6.9), ("from_round", True), ("from_round", "7"), ("seed", True)]
+    )
+    def test_round_and_seed_must_be_json_integers(self, recovery_run, tmp_path, capsys, command, field, value):
+        bundle = json.loads(recovery_run["trust"].read_text())
+        if field == "seed":
+            bundle["seed"] = value
+        else:
+            bundle["keys"]["h1"]["bindings"][1]["from_round"] = value
+        bad = tmp_path / "trust.json"
+        bad.write_text(json.dumps(bundle))
+        if command == "verify":
+            argv = ["verify", "--proof", str(recovery_run["proof"]), "--trust", str(bad)]
+        else:
+            argv = ["inspect", "--trust", str(bad)]
+        assert main(argv) == 1
+        assert "MalformedTrust" in capsys.readouterr().out
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_mutated_structure_never_raises(self, recovery_run, data):

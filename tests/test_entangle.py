@@ -28,7 +28,8 @@ from entmesh.entangle import (
     verify_root_path,
 )
 from entmesh.hashtree import sha256
-from entmesh.wire import WireError
+from entmesh.node import Receipt
+from entmesh.wire import WireError, Writer, encode_inclusion_proof
 
 
 @pytest.fixture
@@ -363,6 +364,7 @@ class TestProofCodec:
         assert len(kinds) == 3
         for p in (link, hub, chain):
             assert type(decode_proof(encode_proof(p))) is type(p)
+            assert encode_proof(decode_proof(encode_proof(p))) == encode_proof(p)
 
     def test_bad_magic(self, pair):
         data = bytearray(encode_proof(link_for(pair, "holder", "issuer", (1, 2))))
@@ -385,6 +387,60 @@ class TestProofCodec:
         data = encode_proof(link_for(pair, "holder", "issuer", (1, 2)))
         with pytest.raises(WireError):
             decode_proof(data + b"\x00")
+
+    def test_holder_chain_count_bound(self, pair):
+        # Well-formed entries throughout: only the 4096-item list bound rejects it.
+        link = link_for(pair, "holder", "issuer", (1, 2))
+        at_bound = dataclasses.replace(link, holder_chain=link.holder_chain[:1] * 4096)
+        assert len(decode_proof(encode_proof(at_bound)).holder_chain) == 4096
+        over = dataclasses.replace(link, holder_chain=link.holder_chain[:1] * 4097)
+        with pytest.raises(WireError):
+            decode_proof(encode_proof(over))
+
+    def test_chain_needs_a_hop(self, relay):
+        chain = build_chain_proof(
+            relay.records_by_id(), relay.receipts_by_id(), [relay.id_of("a"), relay.id_of("b")], 1
+        )
+        with pytest.raises(WireError):
+            decode_proof(encode_proof(dataclasses.replace(chain, hops=())))
+
+    def test_extra_byte_inside_chain_entry_blob(self, pair):
+        link = link_for(pair, "holder", "issuer", (1, 2))
+
+        def encoded(first_entry_blob):
+            w = Writer().digest(link.holder_id).digest(link.issuer_id).u64(link.window_start).u64(link.window_end)
+            w.blobs([first_entry_blob] + [entry.to_bytes() for entry in link.holder_chain[1:]])
+            w.u32(len(link.receipts))
+            for receipt, proof in zip(link.receipts, link.evidence_proofs):
+                w.blob(receipt.to_bytes()).blob(encode_inclusion_proof(proof))
+            return encode_proof(link)[:5] + w.getvalue()
+
+        first = link.holder_chain[0].to_bytes()
+        assert encoded(first) == encode_proof(link)
+        with pytest.raises(WireError):
+            decode_proof(encoded(first + b"\x00"))
+
+    def test_extra_byte_inside_receipt_commitment_blob(self, pair):
+        receipt = pair.nodes["holder"].receipt_log[(pair.id_of("issuer"), 1)]
+
+        def encoded(commitment_blob):
+            return (
+                Writer()
+                .digest(receipt.holder_id)
+                .u64(receipt.holder_round)
+                .digest(receipt.holder_root)
+                .blob(receipt.holder_signature)
+                .blob(commitment_blob)
+                .blob(encode_inclusion_proof(receipt.inclusion))
+                .digest(receipt.prev_digest)
+                .blob(encode_inclusion_proof(receipt.prev_inclusion))
+                .getvalue()
+            )
+
+        commitment = receipt.issuer_commitment.to_bytes()
+        assert encoded(commitment) == receipt.to_bytes()
+        with pytest.raises(WireError):
+            Receipt.from_bytes(encoded(commitment + b"\x00"))
 
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):

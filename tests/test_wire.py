@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmesh.hashtree import MerkleTree
+from entmesh.hashtree import InclusionProof, MerkleTree, Side
 from entmesh.wire import (
     Reader,
     WireError,
     Writer,
+    decode,
     encode_inclusion_proof,
     read_inclusion_proof,
 )
@@ -88,6 +89,14 @@ class TestInclusionProofWire:
         data[-33] = 9  # side marker of the only path step
         with pytest.raises(WireError):
             read_inclusion_proof(Reader(bytes(data)))
+
+    def test_audit_path_bound(self):
+        step = (Side.LEFT, MerkleTree([b"a"]).root)
+        at_bound = InclusionProof(leaf_index=0, audit_path=(step,) * 64, tree_size=1)
+        assert decode(encode_inclusion_proof(at_bound), read_inclusion_proof) == at_bound
+        over = InclusionProof(leaf_index=0, audit_path=(step,) * 65, tree_size=1)
+        with pytest.raises(WireError):
+            read_inclusion_proof(Reader(encode_inclusion_proof(over)))
 
 
 @settings(max_examples=200, deadline=None)
