@@ -10,8 +10,9 @@ makes mutual (cyclic) entanglement graphs possible.
 Proof vocabulary:
 
 * ``LinkProof``   -- one holder/issuer relationship over a round window.
-* ``HubProof``    -- every link in the holder's committed manifest; omitting
-  any committed link is detected (ManifestMismatch).
+* ``HubProof``    -- every link in the holder's committed manifest over one
+  shared holder chain; omitting any committed link is detected
+  (ManifestMismatch).
 * ``ChainProof``  -- composed links hop by hop toward a trust anchor; hop
   windows shift forward one round per hop, so a holder state at round r
   verifies only against an anchor commitment at round >= r + hops.
@@ -40,7 +41,6 @@ from .node import (
     commitment_digest,
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
-    MAX_COMMITMENT,
     evidence_leaf_index,
     verify_chain_entries,
 )
@@ -48,6 +48,7 @@ from .wire import MAX_ITEMS, MAX_RECORD, Reader, WireError, Writer, decode, enco
 
 __all__ = [
     "ChainProof",
+    "HubLink",
     "HubProof",
     "LinkProof",
     "MissingReceiptError",
@@ -69,7 +70,7 @@ __all__ = [
 # the issuer-side inclusion, +1 for evidence retention.
 EVIDENCE_LAG = 2
 
-# Bytes of one link blob inside a hub or chain proof (docs/FORMATS.md).
+# Bytes of one hub issuer record or one chain hop blob (docs/FORMATS.md).
 MAX_LINK = 1 << 24
 
 
@@ -96,54 +97,64 @@ class LinkProof:
     def rounds(self) -> range:
         return range(self.window_start, self.window_end + 1)
 
-    def holder_commitments(self) -> dict[int, Commitment]:
-        return {entry.commitment.round: entry.commitment for entry in self.holder_chain}
-
     def to_bytes(self) -> bytes:
         w = Writer()
         w.digest(self.holder_id).digest(self.issuer_id)
         w.u64(self.window_start).u64(self.window_end)
         w.blobs([entry.to_bytes() for entry in self.holder_chain])
-        w.u32(len(self.receipts))
-        for receipt, proof in zip(self.receipts, self.evidence_proofs):
-            w.blob(receipt.to_bytes())
-            w.blob(encode_inclusion_proof(proof))
+        _write_window(w, self)
         return w.getvalue()
 
     @staticmethod
     def read(r: Reader) -> "LinkProof":
-        holder_id = r.digest()
+        holder_id, issuer_id, start, end = r.digest(), r.digest(), r.u64(), r.u64()
+        return LinkProof(holder_id, issuer_id, start, end, _read_chain(r), *_read_window(r))
+
+
+@dataclass(frozen=True)
+class HubLink:
+    """One issuer's receipts inside a hub proof, which holds the holder chain."""
+
+    issuer_id: NodeId
+    receipts: tuple[Receipt, ...]  # one per window round
+    evidence_proofs: tuple[InclusionProof, ...]  # receipt leaf in holder tree r+2
+
+    def to_bytes(self) -> bytes:
+        w = Writer().digest(self.issuer_id)
+        _write_window(w, self)
+        return w.getvalue()
+
+    @staticmethod
+    def read(r: Reader) -> "HubLink":
         issuer_id = r.digest()
-        start = r.u64()
-        end = r.u64()
-        chain = r.many(lambda r: r.nested(ChainEntry.read, MAX_RECORD), "holder chain entries", MAX_ITEMS)
-        evidence = r.many(_read_evidence, "window rounds", MAX_ITEMS)
-        return LinkProof(
-            holder_id=holder_id,
-            issuer_id=issuer_id,
-            window_start=start,
-            window_end=end,
-            holder_chain=chain,
-            receipts=tuple(receipt for receipt, _ in evidence),
-            evidence_proofs=tuple(proof for _, proof in evidence),
-        )
+        return HubLink(issuer_id, *_read_window(r))
 
 
-def _read_evidence(r: Reader) -> tuple[Receipt, InclusionProof]:
-    # One window round: the receipt, then its evidence-leaf proof.
-    return r.nested(Receipt.read, MAX_RECORD), r.nested(read_inclusion_proof, MAX_RECORD)
+def _write_window(w: Writer, link: "LinkProof | HubLink") -> None:
+    # Per window round: the receipt, then its evidence-leaf proof.
+    if len(link.receipts) != len(link.evidence_proofs):
+        raise WireError(f"{len(link.receipts)} receipts but {len(link.evidence_proofs)} evidence proofs")
+    w.u32(len(link.receipts))
+    for receipt, proof in zip(link.receipts, link.evidence_proofs):
+        w.blob(receipt.to_bytes()).blob(encode_inclusion_proof(proof))
 
 
-def _read_link(r: Reader) -> LinkProof:
-    return r.nested(LinkProof.read, MAX_LINK)
+def _read_window(r: Reader) -> tuple[tuple[Receipt, ...], tuple[InclusionProof, ...]]:
+    evidence = r.many(
+        lambda r: (r.nested(Receipt.read, MAX_RECORD), r.nested(read_inclusion_proof, MAX_RECORD)), "window rounds", MAX_ITEMS
+    )
+    return tuple(receipt for receipt, _ in evidence), tuple(proof for _, proof in evidence)
 
 
-def build_link_proof(
-    holder_records: Sequence[NodeRecord],
-    issuer_id: NodeId,
-    window: tuple[int, int],
-    receipts: Mapping[tuple[NodeId, int], Receipt],
-) -> LinkProof:
+def _read_chain(r: Reader) -> tuple[ChainEntry, ...]:
+    return r.many(lambda r: r.nested(ChainEntry.read, MAX_RECORD), "holder chain entries", MAX_ITEMS)
+
+
+def _by_round(chain: Sequence[ChainEntry]) -> dict[int, Commitment]:
+    return {entry.commitment.round: entry.commitment for entry in chain}
+
+
+def _holder_chain(holder_records: Sequence[NodeRecord], window: tuple[int, int]) -> tuple[ChainEntry, ...]:
     start, end = window
     if start > end or start < 0:
         raise ValueError(f"bad window {window}")
@@ -152,11 +163,17 @@ def build_link_proof(
             f"window {window} needs holder rounds up to {end + EVIDENCE_LAG}, "
             f"but only {len(holder_records)} rounds exist"
         )
-    holder_id = holder_records[start].commitment.node_id
-    chain = tuple(chain_entry_for(holder_records[r]) for r in range(start, end + EVIDENCE_LAG + 1))
-    window_receipts = []
-    evidence = []
-    for r in range(start, end + 1):
+    return tuple(chain_entry_for(holder_records[r]) for r in range(start, end + EVIDENCE_LAG + 1))
+
+
+def _hub_link(
+    holder_records: Sequence[NodeRecord],
+    issuer_id: NodeId,
+    window: tuple[int, int],
+    receipts: Mapping[tuple[NodeId, int], Receipt],
+) -> HubLink:
+    window_receipts, evidence = [], []
+    for r in range(window[0], window[1] + 1):
         receipt = receipts.get((issuer_id, r))
         if receipt is None:
             raise MissingReceiptError(issuer_id, r)
@@ -166,15 +183,18 @@ def build_link_proof(
             raise ValueError(f"holder round {r + EVIDENCE_LAG} was pruned")
         index = evidence_leaf_index(retaining.state, issuer_id, r)
         evidence.append(retaining.tree.prove_inclusion(index))
-    return LinkProof(
-        holder_id=holder_id,
-        issuer_id=issuer_id,
-        window_start=start,
-        window_end=end,
-        holder_chain=chain,
-        receipts=tuple(window_receipts),
-        evidence_proofs=tuple(evidence),
-    )
+    return HubLink(issuer_id, tuple(window_receipts), tuple(evidence))
+
+
+def build_link_proof(
+    holder_records: Sequence[NodeRecord],
+    issuer_id: NodeId,
+    window: tuple[int, int],
+    receipts: Mapping[tuple[NodeId, int], Receipt],
+) -> LinkProof:
+    chain = _holder_chain(holder_records, window)
+    link = _hub_link(holder_records, issuer_id, window, receipts)
+    return LinkProof(chain[0].commitment.node_id, issuer_id, *window, chain, link.receipts, link.evidence_proofs)
 
 
 def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: KeyDirectory) -> Verdict:
@@ -183,28 +203,38 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
     ``trusted`` maps issuer rounds to commitments the verifier already
     believes (from gossip, an anchor, or an enclosing chain hop).
     """
-    s, e = proof.window_start, proof.window_end
+    return _check_holder_chain(proof, directory) and _check_receipts(proof, proof, trusted, directory)
+
+
+def _check_holder_chain(holder: "LinkProof | HubProof", directory: KeyDirectory) -> Verdict:
+    """The holder's chain covers its window plus EVIDENCE_LAG rounds and links up."""
+    s, e = holder.window_start, holder.window_end
     if s > e:
         return Verdict.failed("WindowInvalid", f"window [{s}, {e}]")
-    if len(proof.holder_chain) != e - s + 1 + EVIDENCE_LAG:
+    if len(holder.holder_chain) != e - s + 1 + EVIDENCE_LAG:
         return Verdict.failed("WindowInvalid", "holder chain does not cover the window")
-    if len(proof.receipts) != e - s + 1 or len(proof.evidence_proofs) != e - s + 1:
-        return Verdict.failed("WindowInvalid", "one receipt and evidence proof per round required")
-    for offset, entry in enumerate(proof.holder_chain):
-        if entry.commitment.node_id != proof.holder_id:
+    for offset, entry in enumerate(holder.holder_chain):
+        if entry.commitment.node_id != holder.holder_id:
             return Verdict.failed("HolderMismatch", "chain entry from another node")
         if entry.commitment.round != s + offset:
             return Verdict.failed("RoundGap", "chain entry out of place")
-    chain_verdict = verify_chain_entries(proof.holder_chain, directory)
-    if not chain_verdict:
-        return chain_verdict
-    commitments = {entry.commitment.round: entry.commitment for entry in proof.holder_chain}
+    return verify_chain_entries(holder.holder_chain, directory)
+
+
+def _check_receipts(
+    holder: "LinkProof | HubProof", link: "LinkProof | HubLink", trusted: Mapping[int, Commitment], directory: KeyDirectory
+) -> Verdict:
+    """One issuer's receipts against ``holder``'s already checked chain."""
+    s, e = holder.window_start, holder.window_end
+    if len(link.receipts) != e - s + 1 or len(link.evidence_proofs) != e - s + 1:
+        return Verdict.failed("WindowInvalid", "one receipt and evidence proof per round required")
+    commitments = _by_round(holder.holder_chain)
     previous_receipt: Optional[Receipt] = None
-    for r, receipt, ev_proof in zip(proof.rounds, proof.receipts, proof.evidence_proofs):
+    for r, receipt, ev_proof in zip(range(s, e + 1), link.receipts, link.evidence_proofs):
         issuer_c = receipt.issuer_commitment
-        if receipt.holder_id != proof.holder_id or receipt.holder_round != r:
+        if receipt.holder_id != holder.holder_id or receipt.holder_round != r:
             return Verdict.failed("ReceiptMismatch", f"receipt is not for holder round {r}")
-        if issuer_c.node_id != proof.issuer_id:
+        if issuer_c.node_id != link.issuer_id:
             return Verdict.failed("ReceiptMismatch", "receipt from another issuer")
         if issuer_c.round != r + 1:
             return Verdict.failed("ReceiptMismatch", f"receipt round {issuer_c.round}, expected {r + 1}")
@@ -231,20 +261,22 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
 
 @dataclass(frozen=True)
 class HubProof:
-    """All of a holder's committed links over one window."""
+    """All of a holder's committed links over one window, sharing one holder chain."""
 
     holder_id: NodeId
     window_start: int
     window_end: int
     manifest: tuple[NodeId, ...]
     manifest_proofs: tuple[InclusionProof, ...]  # manifest leaf, one per window round
-    links: tuple[LinkProof, ...]
+    holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
+    links: tuple[HubLink, ...]
 
     def to_bytes(self) -> bytes:
         w = Writer()
         w.digest(self.holder_id).u64(self.window_start).u64(self.window_end)
         w.digests(self.manifest)
         w.blobs([encode_inclusion_proof(proof) for proof in self.manifest_proofs])
+        w.blobs([entry.to_bytes() for entry in self.holder_chain])
         w.blobs([link.to_bytes() for link in self.links])
         return w.getvalue()
 
@@ -256,7 +288,8 @@ class HubProof:
             window_end=r.u64(),
             manifest=r.many(Reader.digest, "manifest ids", MAX_ITEMS),
             manifest_proofs=r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "manifest proofs", MAX_ITEMS),
-            links=r.many(_read_link, "links", MAX_ITEMS),
+            holder_chain=_read_chain(r),
+            links=r.many(lambda r: r.nested(HubLink.read, MAX_LINK), "links", MAX_ITEMS),
         )
 
 
@@ -265,6 +298,7 @@ def build_hub_proof(
     window: tuple[int, int],
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> HubProof:
+    chain = _holder_chain(holder_records, window)
     start, end = window
     first = holder_records[start]
     if first.state is None:
@@ -278,15 +312,14 @@ def build_hub_proof(
         if record.state.manifest != manifest:
             raise ValueError(f"manifest changed inside window at round {r}")
         proofs.append(record.tree.prove_inclusion(MANIFEST_LEAF_INDEX))
-    links = tuple(
-        build_link_proof(holder_records, issuer_id, window, receipts) for issuer_id in manifest
-    )
+    links = tuple(_hub_link(holder_records, issuer_id, window, receipts) for issuer_id in manifest)
     return HubProof(
         holder_id=first.commitment.node_id,
         window_start=start,
         window_end=end,
         manifest=manifest,
         manifest_proofs=tuple(proofs),
+        holder_chain=chain,
         links=links,
     )
 
@@ -312,22 +345,18 @@ def verify_hub(
         return Verdict.failed("ManifestMismatch", "presented links do not match the committed manifest")
     if not proof.links:
         return Verdict.failed("ManifestMismatch", "no links presented")
-    reference_chain = proof.links[0].holder_chain
+    verdict = _check_holder_chain(proof, directory)
+    if not verdict:
+        return Verdict.failed("LinkFailed", f"holder chain: {verdict.reason}")
     for link in proof.links:
-        if link.holder_id != proof.holder_id:
-            return Verdict.failed("LinkFailed", "link for another holder")
-        if (link.window_start, link.window_end) != (s, e):
-            return Verdict.failed("LinkFailed", "link window differs from hub window")
-        if link.holder_chain != reference_chain:
-            return Verdict.failed("LinkFailed", "links disagree about the holder chain")
         issuer_trust = trusted.get(link.issuer_id)
         if issuer_trust is None:
             return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {link.issuer_id.hex()}")
-        verdict = verify_link(link, issuer_trust, directory)
+        verdict = _check_receipts(proof, link, issuer_trust, directory)
         if not verdict:
             return Verdict.failed("LinkFailed", f"{link.issuer_id.hex()}: {verdict.reason}")
     manifest_leaf = _manifest_leaf(proof.manifest)
-    commitments = proof.links[0].holder_commitments()
+    commitments = _by_round(proof.holder_chain)
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
         if m_proof.leaf_index != MANIFEST_LEAF_INDEX or m_proof.tree_size != commitments[r].leaf_count:
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
@@ -345,7 +374,6 @@ class ChainProof:
     """
 
     hops: tuple[LinkProof, ...]
-    anchor_commitment: Commitment
 
     @property
     def holder_id(self) -> NodeId:
@@ -355,18 +383,20 @@ class ChainProof:
     def anchor_id(self) -> NodeId:
         return self.hops[-1].issuer_id
 
+    @property
+    def anchor_commitment(self) -> Commitment:
+        """The anchor's commitment the chain ends in: the last hop's final receipt's."""
+        return self.hops[-1].receipts[-1].issuer_commitment
+
     def to_bytes(self) -> bytes:
-        w = Writer()
-        w.blobs([hop.to_bytes() for hop in self.hops])
-        w.blob(self.anchor_commitment.to_bytes())
-        return w.getvalue()
+        return Writer().blobs([hop.to_bytes() for hop in self.hops]).getvalue()
 
     @staticmethod
     def read(r: Reader) -> "ChainProof":
-        hops = r.many(_read_link, "hops", MAX_ITEMS)
-        if not hops:
-            raise WireError("a chain proof needs at least one hop")
-        return ChainProof(hops=hops, anchor_commitment=r.nested(Commitment.read, MAX_COMMITMENT))
+        hops = r.many(lambda r: r.nested(LinkProof.read, MAX_LINK), "hops", MAX_ITEMS)
+        if not hops or not hops[-1].receipts:
+            raise WireError("a chain proof needs at least one hop, and a receipt in its last hop")
+        return ChainProof(hops=hops)
 
 
 def build_chain_proof(
@@ -383,19 +413,17 @@ def build_chain_proof(
     for i, (holder, issuer) in enumerate(zip(path, path[1:])):
         window = (start_round + i, start_round + i + window_len - 1)
         hops.append(build_link_proof(records_by_id[holder], issuer, window, receipts_by_id[holder]))
-    final_receipt_round = hops[-1].window_end + 1
-    anchor_records = records_by_id[path[-1]]
-    if final_receipt_round >= len(anchor_records):
-        raise ValueError("anchor has not committed the final receipt round yet")
-    return ChainProof(hops=tuple(hops), anchor_commitment=anchor_records[final_receipt_round].commitment)
+    return ChainProof(hops=tuple(hops))
 
 
 def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], directory: KeyDirectory) -> Verdict:
     """Check a chain against the anchor's trusted commitments only.
 
     Inner hops need no independent trust: hop i's issuer commitments are
-    vouched for by hop i+1's verified holder chain.  Reasons: BrokenHop,
-    AnchorMismatch, InsufficientLatency.
+    vouched for by hop i+1's verified holder chain.  The last hop's receipts
+    carry the anchor's commitments, the anchor commitment among them, and
+    each must equal the trusted copy.  Reasons: BrokenHop, AnchorMismatch,
+    InsufficientLatency.
     """
     if not proof.hops:
         return Verdict.failed("BrokenHop", "no hops")
@@ -406,29 +434,19 @@ def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], di
         if i + 1 < len(proof.hops) and hop.issuer_id != proof.hops[i + 1].holder_id:
             return Verdict.failed("BrokenHop", f"hop {i} issuer is not hop {i + 1} holder")
     last = proof.hops[-1]
-    if proof.anchor_commitment.node_id != last.issuer_id:
-        return Verdict.failed("AnchorMismatch", "anchor commitment is not from the final issuer")
-    expected_round = last.window_end + 1
-    if proof.anchor_commitment.round != expected_round:
-        return Verdict.failed("AnchorMismatch", f"anchor commitment round is not {expected_round}")
-    known = trusted_anchor.get(expected_round)
-    if known is None:
-        return Verdict.failed(
-            "InsufficientLatency",
-            f"anchor round {expected_round} not yet trusted; chain of {len(proof.hops)} hops "
-            f"needs an anchor commitment at round >= {base.window_start + len(proof.hops)}",
-        )
-    if known != proof.anchor_commitment:
-        return Verdict.failed("AnchorMismatch", "anchor commitment disagrees with the trusted root")
     verdict = verify_link(last, trusted_anchor, directory)
     if not verdict:
         if verdict.reason == "TrustedRootUnavailable":
-            return Verdict.failed("InsufficientLatency", verdict.detail)
+            return Verdict.failed(
+                "InsufficientLatency",
+                f"{verdict.detail}; chain of {len(proof.hops)} hops needs an anchor commitment "
+                f"at round >= {last.window_end + 1}",
+            )
         if verdict.reason == "TrustMismatch":
             return Verdict.failed("AnchorMismatch", verdict.detail)
         return Verdict.failed("BrokenHop", f"hop {len(proof.hops) - 1}: {verdict.reason}")
     for i in range(len(proof.hops) - 2, -1, -1):
-        vouched = proof.hops[i + 1].holder_commitments()
+        vouched = _by_round(proof.hops[i + 1].holder_chain)
         verdict = verify_link(proof.hops[i], vouched, directory)
         if not verdict:
             return Verdict.failed("BrokenHop", f"hop {i}: {verdict.reason}")
@@ -546,7 +564,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
     return current == end_root
 
 
-_PROOF_MAGIC = b"EMP1"
+_PROOF_MAGIC = b"EMP2"
 _PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 

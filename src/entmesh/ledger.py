@@ -106,7 +106,8 @@ def commitment_from_row(row: dict) -> Commitment:
         c = Commitment.from_bytes(bytes.fromhex(row["commitment"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"bad commitment record: {exc}")
-    if c.node_id.hex() != row.get("node_id") or c.round != row.get("round") or c.root.hex() != row.get("root"):
+    round_no = _shaped(row.get("round"), int, "commitment record round")
+    if c.node_id.hex() != row.get("node_id") or c.round != round_no or c.root.hex() != row.get("root"):
         raise LedgerError("commitment record fields disagree with the encoded bytes")
     return c
 

@@ -335,9 +335,6 @@ class Simulation:
             if not verdict:
                 self._event("SubmissionRejected", holder=holder, issuer=issuer, reason=verdict.reason)
                 continue
-            shadow = self._shadows.get(issuer)
-            if shadow is not None:
-                shadow.receive_submission(sub, self.directory)
             self._submitted_this_round[(holder, issuer)] = sub
 
     def _issuing_node(self, issuer: str, holder: str) -> Node:

@@ -459,6 +459,22 @@ class TestTrustBundleFuzz:
         assert main(argv) == 1
         assert "MalformedTrust" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["verify", "inspect"])
+    @pytest.mark.parametrize("round_no, value", [(1, 1.0), (0, False)])
+    def test_anchor_row_round_must_be_json_integer(self, recovery_run, tmp_path, capsys, command, round_no, value):
+        bundle = json.loads(recovery_run["trust"].read_text())
+        rows = [row for log in bundle["anchors"].values() for row in log if row["round"] == round_no]
+        assert rows
+        rows[0]["round"] = value
+        bad = tmp_path / "trust.json"
+        bad.write_text(json.dumps(bundle))
+        if command == "verify":
+            argv = ["verify", "--proof", str(recovery_run["proof"]), "--trust", str(bad)]
+        else:
+            argv = ["inspect", "--trust", str(bad)]
+        assert main(argv) == 1
+        assert "MalformedTrust" in capsys.readouterr().out
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_mutated_structure_never_raises(self, recovery_run, data):

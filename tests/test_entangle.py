@@ -207,6 +207,30 @@ class TestHubProof:
         verdict = verify_hub(bad, trusted, fan.directory)
         assert verdict.reason == "LinkFailed"
 
+    def test_corrupt_holder_chain_reported(self, fan):
+        proof = build_hub_proof(
+            fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
+        )
+        trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
+        chain = list(proof.holder_chain)
+        chain[2] = dataclasses.replace(chain[2], prev_digest=sha256(b"forged"))
+        for bad_chain in (tuple(chain), proof.holder_chain[:-1], proof.holder_chain[1:] + proof.holder_chain[:1]):
+            verdict = verify_hub(dataclasses.replace(proof, holder_chain=bad_chain), trusted, fan.directory)
+            assert verdict.reason == "LinkFailed"
+            assert verdict.detail.startswith("holder chain: ")
+
+    def test_one_holder_chain_for_all_issuers(self, fan):
+        # The hub carries each fact of the per-issuer link proofs once.
+        proof = build_hub_proof(
+            fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
+        )
+        by_issuer = {link.issuer_id: link for link in proof.links}
+        for label in ("p0", "p1", "p2"):
+            link = link_for(fan, "center", label, (1, 3))
+            hub_link = by_issuer[link.issuer_id]
+            assert proof.holder_chain == link.holder_chain
+            assert (hub_link.receipts, hub_link.evidence_proofs) == (link.receipts, link.evidence_proofs)
+
     def test_missing_issuer_trust(self, fan):
         proof = build_hub_proof(
             fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
@@ -275,13 +299,36 @@ class TestChainProof:
         assert verdict.reason == "BrokenHop"
 
     def test_anchor_from_wrong_node(self, relay):
+        # The anchor commitment is the last hop's final receipt's, so a
+        # foreign anchor commitment means a receipt from the wrong issuer.
         proof = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1
         )
+        last = proof.hops[-1]
         foreign = relay.nodes["b"].record_at(proof.anchor_commitment.round).commitment
-        bad = dataclasses.replace(proof, anchor_commitment=foreign)
+        receipt = dataclasses.replace(last.receipts[-1], issuer_commitment=foreign)
+        bad_last = dataclasses.replace(last, receipts=last.receipts[:-1] + (receipt,))
+        bad = dataclasses.replace(proof, hops=proof.hops[:-1] + (bad_last,))
+        assert bad.anchor_commitment == foreign
         verdict = verify_chain(bad, relay.commitments_of("c"), relay.directory)
-        assert verdict.reason == "AnchorMismatch"
+        assert verdict.reason == "BrokenHop"
+        assert "ReceiptMismatch" in verdict.detail
+
+    def test_anchor_commitment_is_the_last_receipts(self, relay):
+        proof = build_chain_proof(
+            relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1, window_len=2
+        )
+        assert proof.anchor_commitment == relay.commitments_of("c")[proof.hops[-1].window_end + 1]
+        assert proof.anchor_commitment is proof.hops[-1].receipts[-1].issuer_commitment
+
+    def test_insufficient_latency_names_first_verifying_round(self, relay):
+        proof = build_chain_proof(
+            relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1
+        )
+        trusted = {r: c for r, c in relay.commitments_of("c").items() if r < 3}
+        verdict = verify_chain(proof, trusted, relay.directory)
+        assert verdict.reason == "InsufficientLatency"
+        assert verdict.detail.endswith("needs an anchor commitment at round >= 3")
 
     def test_corrupt_inner_hop_reported(self, relay):
         proof = build_chain_proof(
@@ -441,6 +488,28 @@ class TestProofCodec:
         assert encoded(commitment) == receipt.to_bytes()
         with pytest.raises(WireError):
             Receipt.from_bytes(encoded(commitment + b"\x00"))
+
+    def test_encoder_refuses_mismatched_window(self, pair, fan):
+        link = link_for(pair, "holder", "issuer", (1, 4))
+        with pytest.raises(WireError):
+            encode_proof(dataclasses.replace(link, evidence_proofs=link.evidence_proofs[:1]))
+        hub = build_hub_proof(fan.nodes["center"].records, (1, 4), fan.nodes["center"].receipt_log)
+        cut = dataclasses.replace(hub.links[0], evidence_proofs=hub.links[0].evidence_proofs[:1])
+        with pytest.raises(WireError):
+            encode_proof(dataclasses.replace(hub, links=(cut,) + hub.links[1:]))
+
+    def test_chain_last_hop_needs_a_receipt(self, relay):
+        chain = build_chain_proof(
+            relay.records_by_id(), relay.receipts_by_id(), [relay.id_of("a"), relay.id_of("b")], 1
+        )
+        empty = dataclasses.replace(chain.hops[0], receipts=(), evidence_proofs=())
+        with pytest.raises(WireError):
+            decode_proof(encode_proof(dataclasses.replace(chain, hops=(empty,))))
+
+    def test_previous_envelope_refused(self, fan):
+        data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
+        with pytest.raises(WireError, match="not a proof file"):
+            decode_proof(b"EMP1" + data[4:])
 
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):

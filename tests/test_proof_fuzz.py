@@ -1,0 +1,81 @@
+"""Multi-byte mutations of real hub and chain proofs.
+
+Every mutated proof must either fail to decode with ``WireError`` or
+``ValueError``, or decode and get a falsy verdict: never another exception
+and never an accept.
+"""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entmesh.config import load_config, make_simulation
+from entmesh.entangle import (
+    ChainProof,
+    HubProof,
+    build_chain_proof,
+    build_hub_proof,
+    decode_proof,
+    encode_proof,
+    verify_chain,
+    verify_hub,
+    verify_link,
+)
+from entmesh.wire import WireError
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _run(name: str):
+    sim = make_simulation(load_config(SCENARIOS / name))
+    sim.run()
+    return sim
+
+
+@pytest.fixture(scope="module")
+def proofs():
+    hub_sim = _run("hub.yaml")
+    center = hub_sim.nodes["center"]
+    hub = build_hub_proof(center.records, (1, 4), center.receipt_log)
+    chain_sim = _run("chain.yaml")
+    ids = [chain_sim.nodes[label].node_id for label in chain_sim.path_to_anchor("h0")]
+    chain = build_chain_proof(chain_sim.records_by_id(), chain_sim.receipts_by_id(), ids, 1, 2)
+    return {"hub": (encode_proof(hub), hub_sim), "chain": (encode_proof(chain), chain_sim)}
+
+
+def _accepted(blob: bytes, sim) -> bool:
+    try:
+        proof = decode_proof(blob)
+    except (WireError, ValueError):
+        return False
+    logs = {
+        sim.nodes[label].node_id: {record.round: record.commitment for record in sim.nodes[label].records}
+        for label in sim.topology.anchors
+    }
+    if isinstance(proof, HubProof):
+        return bool(verify_hub(proof, logs, sim.directory))
+    if isinstance(proof, ChainProof):
+        log = logs.get(proof.anchor_id)
+        return log is not None and bool(verify_chain(proof, log, sim.directory))
+    log = logs.get(proof.issuer_id)
+    return log is not None and bool(verify_link(proof, log, sim.directory))
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain"])
+def test_pristine_proof_accepted(proofs, kind):
+    blob, sim = proofs[kind]
+    assert _accepted(blob, sim)
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_proof_never_accepted(proofs, kind, data):
+    blob, sim = proofs[kind]
+    mutated = bytearray(blob)
+    positions = data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=2, max_size=8, unique=True), label="positions")
+    for position in positions:
+        mutated[position] ^= data.draw(st.integers(1, 255), label="xor")
+    assert not _accepted(bytes(mutated), sim)
