@@ -29,9 +29,14 @@ from .simnet import (
     ring,
 )
 
-__all__ = ["ConfigError", "ScenarioConfig", "load_config", "config_from_dict", "make_simulation"]
+__all__ = ["ConfigError", "MAX_NODE_ROUNDS", "ScenarioConfig", "load_config", "config_from_dict", "make_simulation"]
 
 _MISSING = object()
+
+# Most rounds x nodes one scenario may run (docs/FORMATS.md).  A run costs
+# about 1 ms and 6 KB per node-round, so one at the bound takes minutes and
+# well under a gigabyte; past it a typo in `rounds` would run until killed.
+MAX_NODE_ROUNDS = 100_000
 
 
 class ConfigError(ValueError):
@@ -92,6 +97,27 @@ _TOPOLOGY_BUILDERS: dict[str, Callable[..., Topology]] = {
 }
 
 
+def _node_count(kind: str, args: dict) -> int:
+    """How many nodes the builder would make, counted without building
+    them; a federated count stops once it passes MAX_NODE_ROUNDS.  Values
+    the builder rejects give some count, never an error."""
+    if kind == "federated":
+        nodes = tier = 1
+        for _ in range(min(args["levels"], MAX_NODE_ROUNDS + 1) - 1):
+            tier *= max(args["arity"], 0)
+            nodes += tier
+            if nodes > MAX_NODE_ROUNDS:
+                break
+        return nodes + args["holders"]
+    if kind == "ring":
+        return args["size"]
+    if kind == "interoperated":
+        return 2 + args["left_holders"] + args["right_holders"]
+    # centralized, fan and chain: one node more than their single count.
+    (count,) = args.values()
+    return 1 + count
+
+
 def _build_topology(data: Any, path: str) -> Topology:
     mapping = dict(_need_mapping(data, path))
     kind = _take(mapping, "kind", path, str)
@@ -120,6 +146,8 @@ def _build_topology(data: Any, path: str) -> Topology:
     else:
         _fail(f"{path}.kind", f"unknown topology kind {kind!r}")
     _reject_extra(mapping, path)
+    if _node_count(kind, args) > MAX_NODE_ROUNDS:
+        _fail(path, f"more than {MAX_NODE_ROUNDS} nodes, the most rounds x nodes a scenario may run")
     try:
         return _TOPOLOGY_BUILDERS[kind](**args)
     except ValueError as exc:
@@ -138,6 +166,8 @@ def _build_fault(data: Any, topo: Topology, path: str):
     if kind == "equivocate":
         node = _known_label(_take(mapping, "node", path, str), topo, f"{path}.node")
         start = _take(mapping, "start_round", path, int)
+        if start < 0:
+            _fail(f"{path}.start_round", "must be non-negative")
         targets = _take_labels(mapping, "fork_targets", path)
         if not targets:
             _fail(f"{path}.fork_targets", "must name at least one holder")
@@ -247,6 +277,11 @@ def config_from_dict(data: Any, source: str = "config") -> ScenarioConfig:
     rounds = _take(mapping, "rounds", source, int)
     if rounds < 1:
         _fail(f"{source}.rounds", "must be at least 1")
+    if rounds * len(topo.labels) > MAX_NODE_ROUNDS:
+        _fail(
+            f"{source}.rounds",
+            f"{rounds} rounds x {len(topo.labels)} nodes is more than the {MAX_NODE_ROUNDS} node-rounds a scenario may run",
+        )
     prune = _take(mapping, "prune_anchors", source, bool, True)
     audit_every = _take(mapping, "audit_every", source, int, 0)
     if audit_every < 0:
@@ -264,14 +299,21 @@ def config_from_dict(data: Any, source: str = "config") -> ScenarioConfig:
         for i, item in enumerate(raw_ops)
     )
     _reject_extra(mapping, source)
-    issued_so_far = 0
+    issues: list[_IdentityOp] = []
     for i, op in enumerate(ops):
         if op.round >= rounds:
             _fail(f"{source}.identity[{i}]", f"round {op.round} is beyond the last round {rounds - 1}")
-        if op.op == "revoke" and op.fields["credential"] >= issued_so_far:
-            _fail(f"{source}.identity[{i}].credential", "references a credential not yet issued")
+        if op.op == "revoke":
+            if op.fields["credential"] >= len(issues):
+                _fail(f"{source}.identity[{i}].credential", "references a credential not yet issued")
+            issued = issues[op.fields["credential"]].fields
+            if issued["issuer"] != op.fields["issuer"] or issued["mode"] is not CredentialMode.ISSUER_CONTROLLED:
+                _fail(
+                    f"{source}.identity[{i}].credential",
+                    f"{op.fields['issuer']!r} holds no record of it: only the issuer of an issuer-controlled credential can revoke it",
+                )
         if op.op == "issue":
-            issued_so_far += 1
+            issues.append(op)
     return ScenarioConfig(
         name=name,
         seed=seed,

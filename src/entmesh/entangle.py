@@ -434,14 +434,21 @@ def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], di
         if i + 1 < len(proof.hops) and hop.issuer_id != proof.hops[i + 1].holder_id:
             return Verdict.failed("BrokenHop", f"hop {i} issuer is not hop {i + 1} holder")
     last = proof.hops[-1]
+    s, e = last.window_start, last.window_end
+    # verify_link's trust lookups, made first when the hop covers its window:
+    # an anchor log that ends too early is refused before the last hop's
+    # signatures are checked.  A window that does not fit the holder chain
+    # is left to verify_link, which names that fault.
+    if len(last.holder_chain) == e - s + 1 + EVIDENCE_LAG:
+        for r in range(s, e + 1):
+            if trusted_anchor.get(r + 1) is None:
+                return Verdict.failed(
+                    "InsufficientLatency",
+                    f"no trusted issuer commitment for round {r + 1}; chain of {len(proof.hops)} hops "
+                    f"needs an anchor commitment at round >= {e + 1}",
+                )
     verdict = verify_link(last, trusted_anchor, directory)
     if not verdict:
-        if verdict.reason == "TrustedRootUnavailable":
-            return Verdict.failed(
-                "InsufficientLatency",
-                f"{verdict.detail}; chain of {len(proof.hops)} hops needs an anchor commitment "
-                f"at round >= {last.window_end + 1}",
-            )
         if verdict.reason == "TrustMismatch":
             return Verdict.failed("AnchorMismatch", verdict.detail)
         return Verdict.failed("BrokenHop", f"hop {len(proof.hops) - 1}: {verdict.reason}")

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from ..entangle import build_chain_proof, verify_chain
 from ..hashtree import Digest
 from ..identity import CredentialRegistry
-from ..keys import NodeId, keypair_from_seed
+from ..keys import Ed25519Scheme, NodeId, keypair_from_seed
 from ..node import (
     Commitment,
     KeyDirectory,
@@ -115,6 +115,35 @@ class MetricsRecord:
         return dataclasses.asdict(self)
 
 
+class _CheckedOnce(KeyDirectory):
+    """A run's memoizing view of its key directory.
+
+    It shares the directory's bindings, so a rebinding applied to the
+    directory holds here at once.  Each check resolves the key first and
+    remembers only ``(key, message, signature)`` triples that passed: a pass
+    under an old key never vouches for a new one, and a bad signature is
+    checked, and reported, every time.  Ed25519 verify is pure, so the run's
+    events and metrics are those of the plain directory.  Proof verifiers
+    get ``Simulation.directory`` itself, which remembers nothing.
+    """
+
+    def __init__(self, directory: KeyDirectory):
+        self._bindings = directory._bindings
+        self._passed: set[tuple[bytes, bytes, bytes]] = set()
+
+    def verify_signature(self, node_id: NodeId, round_no: int, message: bytes, signature: bytes) -> bool:
+        key = self.key_at(node_id, round_no)
+        if key is None:
+            return False
+        triple = (key, message, signature)
+        if triple in self._passed:
+            return True
+        if not Ed25519Scheme().verify(key, message, signature):
+            return False
+        self._passed.add(triple)
+        return True
+
+
 @dataclass
 class _Counters:
     bytes_sent: int = 0
@@ -145,6 +174,8 @@ class Simulation:
         self.seed = seed
         self.audit_every = audit_every
         self.directory = KeyDirectory()
+        # Every signature check inside the run goes through this view.
+        self._verifier: KeyDirectory = _CheckedOnce(self.directory)
         self.nodes: dict[str, Node] = {}
         for label in topology.labels:
             keypair = keypair_from_seed(f"{seed}:{label}")
@@ -318,7 +349,7 @@ class Simulation:
             if prev.state is None or cur.state is None:
                 continue
             entries = [chain_entry_for(prev), chain_entry_for(cur)]
-            verdict = verify_chain_entries(entries, self.directory)
+            verdict = verify_chain_entries(entries, self._verifier)
             if not verdict:
                 self._event("SelfAuditFailed", node=label, reason=verdict.reason)
         # Rounds below r-1 were pruned in earlier rounds.
@@ -331,7 +362,7 @@ class Simulation:
             sub = self.nodes[holder].make_submission()
             payload = sub.to_bytes()
             self._send(holder, issuer, len(payload))
-            verdict = self.nodes[issuer].receive_submission(sub, self.directory)
+            verdict = self.nodes[issuer].receive_submission(sub, self._verifier)
             if not verdict:
                 self._event("SubmissionRejected", holder=holder, issuer=issuer, reason=verdict.reason)
                 continue
@@ -356,7 +387,7 @@ class Simulation:
                 continue
             self._counters[issuer].receipts_issued += 1
             self._send(issuer, holder, len(receipt.to_bytes()))
-            verdict = self.nodes[holder].receive_receipt(receipt, self.directory)
+            verdict = self.nodes[holder].receive_receipt(receipt, self._verifier)
             if not verdict:
                 self._event(
                     "ReceiptRejected",
@@ -393,10 +424,10 @@ class Simulation:
     def _ingest_forward(self, observer: str, receipt: Receipt) -> None:
         c = receipt.issuer_commitment
         sub = receipt.submission()
-        if not self.directory.verify_submission(sub):
+        if not self._verifier.verify_submission(sub):
             self._event("ForwardRejected", observer=observer, reason="BadSignature")
             return
-        verdict = check_receipt(receipt, self.directory)
+        verdict = check_receipt(receipt, self._verifier)
         if not verdict:
             self._event("ForwardRejected", observer=observer, reason=verdict.reason)
             return
@@ -421,7 +452,7 @@ class Simulation:
                     view = self.views[neighbor][anchor]
                     if commitment.round in view:
                         continue
-                    if not self.directory.verify_commitment(commitment):
+                    if not self._verifier.verify_commitment(commitment):
                         self._event("GossipRejected", observer=neighbor, reason="BadSignature")
                         continue
                     view[commitment.round] = commitment
@@ -443,7 +474,7 @@ class Simulation:
                 entries.append(chain_entry_for(record))
             if len(entries) < 2:
                 continue
-            verdict = verify_chain_entries(entries, self.directory)
+            verdict = verify_chain_entries(entries, self._verifier)
             if not verdict:
                 self._event("ChainAuditFailed", node=label, reason=verdict.reason)
 

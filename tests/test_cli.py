@@ -8,10 +8,12 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmesh.cli import main
+from entmesh.config import MAX_NODE_ROUNDS
 from entmesh.entangle import ChainProof, HubProof, LinkProof, decode_proof
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -104,6 +106,12 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_run_too_large_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "huge.yaml"
+        path.write_text("rounds: 100000000000\ntopology:\n  kind: chain\n  hops: 4\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "huge.yaml.rounds: 100000000000 rounds x 5 nodes is more than" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -416,6 +424,29 @@ def _restructure(value, op):
     return json.dumps(value)  # "stringify": any scalar or container becomes a string
 
 
+def _mutate(data, value, values):
+    """Apply one to three drawn mutations to ``value`` and return it: drop,
+    retype (to one of ``values``), nest, swap or stringify some part."""
+    # Holding the value under one key lets the top level mutate like any part.
+    holder = {"value": value}
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = list(_paths(holder))[1:]
+        if not paths:
+            break
+        *steps, last = data.draw(st.sampled_from(paths), label="path")
+        op = data.draw(st.sampled_from(["drop", "retype", "nest-list", "nest-dict", "swap", "stringify"]), label="op")
+        parent = holder
+        for step in steps:
+            parent = parent[step]
+        if op == "drop":
+            del parent[last]
+        elif op == "retype":
+            parent[last] = data.draw(values, label="value")
+        else:
+            parent[last] = _restructure(parent[last], op)
+    return holder.get("value")
+
+
 @pytest.fixture(scope="module")
 def recovery_run(tmp_path_factory):
     """A trust bundle with a key rebinding (h1 recovers at round 7) and a
@@ -478,23 +509,40 @@ class TestTrustBundleFuzz:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_mutated_structure_never_raises(self, recovery_run, data):
-        # Holding the bundle under one key lets the top level mutate like any value.
-        holder = {"bundle": json.loads(recovery_run["trust"].read_text())}
-        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
-            paths = list(_paths(holder))[1:]
-            if not paths:
-                break
-            *steps, last = data.draw(st.sampled_from(paths), label="path")
-            op = data.draw(st.sampled_from(["drop", "retype", "nest-list", "nest-dict", "swap", "stringify"]), label="op")
-            parent = holder
-            for step in steps:
-                parent = parent[step]
-            if op == "drop":
-                del parent[last]
-            elif op == "retype":
-                parent[last] = data.draw(JSON_VALUES, label="value")
-            else:
-                parent[last] = _restructure(parent[last], op)
+        bundle = _mutate(data, json.loads(recovery_run["trust"].read_text()), JSON_VALUES)
         mutated = recovery_run["base"] / "mutated-trust.json"
-        mutated.write_text(json.dumps(holder.get("bundle")))
+        mutated.write_text(json.dumps(bundle))
         assert main(["verify", "--proof", str(recovery_run["proof"]), "--trust", str(mutated)]) in (0, 1)
+
+
+# Small integers keep a mutated scenario's run short; the two large ones
+# cross MAX_NODE_ROUNDS whatever they replace.
+SCENARIO_SCALARS = st.one_of(
+    st.integers(-2, 5),
+    st.sampled_from([MAX_NODE_ROUNDS + 1, 10**11]),
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=8),
+)
+SCENARIO_VALUES = st.recursive(
+    SCENARIO_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scenario-fuzz")
+
+
+class TestScenarioFuzz:
+    @pytest.mark.parametrize("scenario", sorted(path.name for path in SCENARIOS.glob("*.yaml")))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mutated_structure_never_raises(self, fuzz_dir, scenario, data):
+        config = _mutate(data, yaml.safe_load((SCENARIOS / scenario).read_text()), SCENARIO_VALUES)
+        mutated = fuzz_dir / scenario
+        mutated.write_text(yaml.safe_dump(config))
+        assert main(["simulate", "--config", str(mutated)]) in (0, 2)

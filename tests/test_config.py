@@ -2,7 +2,7 @@
 
 import pytest
 
-from entmesh.config import ConfigError, config_from_dict, load_config, make_simulation
+from entmesh.config import MAX_NODE_ROUNDS, ConfigError, _node_count, config_from_dict, load_config, make_simulation
 
 
 def base(**overrides):
@@ -75,6 +75,8 @@ class TestTopologySchema:
     def test_kinds(self, spec, name):
         config = config_from_dict(base(topology=spec))
         assert config.topology.name == name
+        args = {key: value for key, value in spec.items() if key != "kind"}
+        assert _node_count(spec["kind"], args) == len(config.topology.labels)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown topology kind"):
@@ -83,6 +85,40 @@ class TestTopologySchema:
     def test_builder_errors_become_config_errors(self):
         with pytest.raises(ConfigError, match="at least three"):
             config_from_dict(base(topology={"kind": "ring", "size": 2}))
+
+
+class TestSizeBound:
+    def test_rounds_times_nodes_is_bounded(self):
+        # centralized(2) has 3 nodes.
+        assert config_from_dict(base(rounds=MAX_NODE_ROUNDS // 3)).rounds == MAX_NODE_ROUNDS // 3
+        with pytest.raises(ConfigError, match=r"config\.rounds: 33334 rounds x 3 nodes is more than the 100000"):
+            config_from_dict(base(rounds=MAX_NODE_ROUNDS // 3 + 1))
+        with pytest.raises(ConfigError, match=r"config\.rounds: 100000000000 rounds"):
+            config_from_dict(base(rounds=100_000_000_000))
+
+    # Sizes just past the bound: without the check each would still build
+    # in about a second and then fail on `rounds`, not hang.
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "centralized", "holders": MAX_NODE_ROUNDS},
+            {"kind": "federated", "levels": MAX_NODE_ROUNDS, "arity": 1, "holders": 1},
+            {"kind": "federated", "levels": 17, "arity": 2, "holders": 1},
+            {"kind": "federated", "levels": 3, "arity": 400, "holders": 1},
+            {"kind": "ring", "size": MAX_NODE_ROUNDS + 1},
+            {"kind": "fan", "partners": MAX_NODE_ROUNDS},
+            {"kind": "chain", "hops": MAX_NODE_ROUNDS},
+            {"kind": "interoperated", "left_holders": 1, "right_holders": MAX_NODE_ROUNDS},
+        ],
+    )
+    def test_topology_too_large_to_build(self, spec):
+        with pytest.raises(ConfigError, match=r"config\.topology: more than 100000 nodes"):
+            config_from_dict(base(topology=spec))
+
+    def test_invalid_federated_size_keeps_its_reason(self):
+        spec = {"kind": "federated", "levels": 10**11, "arity": -3, "holders": 1}
+        with pytest.raises(ConfigError, match="must be positive"):
+            config_from_dict(base(topology=spec))
 
 
 class TestFaultSchema:
@@ -107,6 +143,11 @@ class TestFaultSchema:
                     ]
                 )
             )
+
+    def test_equivocation_start_is_non_negative(self):
+        fault = {"kind": "equivocate", "node": "hub", "start_round": -1, "fork_targets": ["h0"]}
+        with pytest.raises(ConfigError, match=r"faults\[0\]\.start_round: must be non-negative"):
+            config_from_dict(base(faults=[fault]))
 
     def test_unknown_fault_kind(self):
         with pytest.raises(ConfigError, match="unknown fault kind"):
@@ -158,6 +199,15 @@ class TestIdentitySchema:
             base(credential_issuers=["hub"], identity=[self.issue_op(), revoke])
         )
         assert config.identity_ops[1].op == "revoke"
+
+    @pytest.mark.parametrize(
+        "issue", [{"mode": "holder-controlled"}, {"issuer": "h1"}], ids=["holder-controlled", "other-issuer"]
+    )
+    def test_revoke_needs_the_issuers_record(self, issue):
+        revoke = {"op": "revoke", "round": 3, "issuer": "hub", "credential": 0}
+        data = base(credential_issuers=["hub", "h1"], identity=[self.issue_op(**issue), revoke])
+        with pytest.raises(ConfigError, match=r"identity\[1\]\.credential: 'hub' holds no record of it"):
+            config_from_dict(data)
 
     def test_ops_must_fit_in_run(self):
         op = self.issue_op(round=99)

@@ -28,6 +28,7 @@ from entmesh.entangle import (
     verify_root_path,
 )
 from entmesh.hashtree import sha256
+from entmesh.keys import Ed25519Scheme
 from entmesh.node import Receipt
 from entmesh.wire import WireError, Writer, encode_inclusion_proof
 
@@ -329,6 +330,29 @@ class TestChainProof:
         verdict = verify_chain(proof, trusted, relay.directory)
         assert verdict.reason == "InsufficientLatency"
         assert verdict.detail.endswith("needs an anchor commitment at round >= 3")
+
+    def test_too_early_anchor_refused_before_any_signature(self, relay, monkeypatch):
+        proof = build_chain_proof(
+            relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1, window_len=2
+        )
+        trusted = {r: c for r, c in relay.commitments_of("c").items() if r < 4}
+        calls = []
+        verify = Ed25519Scheme.verify
+        monkeypatch.setattr(Ed25519Scheme, "verify", lambda self, *args: calls.append(args) or verify(self, *args))
+        verdict = verify_chain(proof, trusted, relay.directory)
+        assert verdict.reason == "InsufficientLatency"
+        assert verdict.detail == (
+            "no trusted issuer commitment for round 4; chain of 2 hops needs an anchor commitment at round >= 4"
+        )
+        assert calls == []
+
+    def test_window_past_its_holder_chain_is_a_broken_hop(self, relay):
+        # The claimed window also reaches past the trusted log; the hop's own
+        # fault is what gets reported.
+        proof = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay)[:2], 1)
+        stretched = ChainProof(hops=(dataclasses.replace(proof.hops[0], window_end=50),))
+        verdict = verify_chain(stretched, relay.commitments_of("b"), relay.directory)
+        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: WindowInvalid")
 
     def test_corrupt_inner_hop_reported(self, relay):
         proof = build_chain_proof(

@@ -8,7 +8,8 @@ import pytest
 from entmesh.config import load_config, make_simulation
 from entmesh.entangle import MissingReceiptError, build_link_proof, verify_link
 from entmesh.hashtree import Digest, sha256, verify_inclusion
-from entmesh.node import round_leaves
+from entmesh.keys import Ed25519Scheme, keypair_from_seed
+from entmesh.node import KeyDirectory, round_leaves
 from entmesh.simnet import (
     Equivocate,
     ForkHistory,
@@ -429,3 +430,125 @@ class TestReceiptPathsAgree:
         proof = build_link_proof(sim.nodes[holder].records, root_id, (self.ROUND, self.ROUND), receipts)
         trusted = {record.round: record.commitment for record in sim.nodes["root"].records}
         assert verify_link(proof, trusted, sim.directory).reason == reason
+
+
+def _federated_with_faults():
+    return Simulation(
+        federated(levels=3, arity=3, holders=18),
+        rounds=60,
+        seed=3,
+        faults=[Equivocate("m2-0", 4, ("h0",)), WithholdReceipt("m2-1", "h1", 5, 9), ForkHistory("m2-2", 7)],
+        audit_every=10,
+    )
+
+
+MEMO_RUNS = {
+    **{path.name: (lambda path=path: make_simulation(load_config(path))) for path in sorted(SCENARIOS.glob("*.yaml"))},
+    "federated-3x3-18x60-faults": _federated_with_faults,
+}
+
+
+def _flip_signature(commitment):
+    signature = commitment.signature
+    return dataclasses.replace(commitment, signature=bytes([signature[0] ^ 1]) + signature[1:])
+
+
+@pytest.fixture
+def ed25519_calls(monkeypatch):
+    """Every Ed25519 verify made while the fixture is active, as
+    ((verify_key, message, signature), result)."""
+    calls = []
+    verify = Ed25519Scheme.verify
+
+    def counted(self, verify_key, message, signature):
+        ok = verify(self, verify_key, message, signature)
+        calls.append(((bytes(verify_key), bytes(message), bytes(signature)), ok))
+        return ok
+
+    monkeypatch.setattr(Ed25519Scheme, "verify", counted)
+    return calls
+
+
+class TestSignatureMemo:
+    """Inside a run every signature check goes through a memoizing view of
+    the key directory; ``sim.directory`` itself stays plain."""
+
+    @pytest.mark.parametrize("run", sorted(MEMO_RUNS))
+    def test_same_run_as_the_plain_directory(self, run):
+        memo = MEMO_RUNS[run]().run()
+        reference = MEMO_RUNS[run]()
+        reference._verifier = reference.directory
+        reference.run()
+        assert memo.events == reference.events
+        assert memo.metrics_rows() == reference.metrics_rows()
+        for label in memo.topology.labels:
+            assert [r.commitment for r in memo.nodes[label].records] == [
+                r.commitment for r in reference.nodes[label].records
+            ], label
+
+    def test_each_passing_triple_checked_once_and_failures_every_time(self, ed25519_calls):
+        sim = Simulation(
+            federated(levels=2, arity=3, holders=9),
+            rounds=12,
+            seed=11,
+            faults=[Equivocate("m1-0", 3, ("h0",)), ForkHistory("m1-1", 5)],
+            audit_every=4,
+        )
+        root_id = sim.nodes["root"].node_id
+
+        def forward_forged_twice(sim):
+            receipt = sim.nodes["m1-2"].receipt_log[(root_id, 3)]
+            forged = dataclasses.replace(receipt, issuer_commitment=_flip_signature(receipt.issuer_commitment))
+            for _ in range(2):
+                sim._ingest_forward("h2", forged)
+
+        sim.at(6, forward_forged_twice, phase="post")
+        sim.run()
+        passed = [triple for triple, ok in ed25519_calls if ok]
+        failed = [triple for triple, ok in ed25519_calls if not ok]
+        assert len(passed) == len(set(passed))
+        assert len(failed) == 2 and failed[0] == failed[1]
+        assert len(ed25519_calls) == len(set(passed)) + len(failed)
+        rejected = [e for e in events_of(sim, "ForwardRejected") if e["round"] == 6]
+        assert rejected == [{"round": 6, "type": "ForwardRejected", "observer": "h2", "reason": "BadSignature"}] * 2
+
+    def test_flipped_signature_over_memoized_message(self, ed25519_calls):
+        sim = Simulation(centralized(3), rounds=4, seed=2).run()
+        commitment = sim.nodes["h0"].record_at(2).commitment
+        del ed25519_calls[:]
+        assert sim._verifier.verify_commitment(commitment)
+        assert ed25519_calls == []  # checked during the run already
+        forged = _flip_signature(commitment)
+        assert not sim._verifier.verify_commitment(forged)
+        assert not sim._verifier.verify_commitment(forged)
+        assert [ok for _, ok in ed25519_calls] == [False, False]
+
+    def test_old_key_refused_from_the_recovery_round(self):
+        config = load_config(SCENARIOS / "identity.yaml")
+        sim = make_simulation(config).run()
+        assert any(e["type"] == "KeyRecovered" and e["effective_round"] == 7 for e in sim.events)
+        h1 = sim.nodes["h1"]
+        old_key = keypair_from_seed(f"{config.seed}:h1")
+        assert sim._verifier.key_at(h1.node_id, 7) == h1.keypair.verify_key != old_key.verify_key
+        assert sim._verifier.verify_commitment(h1.record_at(6).commitment)
+        message = h1.record_at(7).commitment.message()
+        by_old_key = old_key.sign(message)
+        # A pass under the old key is remembered with that key ...
+        assert sim._verifier.verify_signature(h1.node_id, 6, message, by_old_key)
+        # ... and never counts for a round the new key is bound to.
+        for round_no in (7, 8):
+            assert not sim._verifier.verify_signature(h1.node_id, round_no, message, by_old_key)
+            assert not sim.directory.verify_signature(h1.node_id, round_no, message, by_old_key)
+
+    def test_directory_stays_plain(self, ed25519_calls):
+        sim = make_simulation(load_config(SCENARIOS / "link.yaml")).run()
+        assert type(sim.directory) is KeyDirectory
+        holder, hub = sim.nodes["h0"], sim.nodes["hub"]
+        proof = build_link_proof(holder.records, hub.node_id, (1, 4), holder.receipt_log)
+        trusted = {record.round: record.commitment for record in hub.records}
+        counts = []
+        for _ in range(2):
+            del ed25519_calls[:]
+            assert verify_link(proof, trusted, sim.directory)
+            counts.append(len(ed25519_calls))
+        assert counts[0] == counts[1] > 0
