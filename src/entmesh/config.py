@@ -1,7 +1,9 @@
 """Scenario files: strict YAML schema for simulation runs.
 
 Unknown keys are fatal and every error names the offending field by its
-dotted path, so a typo in a scenario cannot silently change a run.
+dotted path, so a typo in a scenario cannot silently change a run.  Every
+rule a run relies on is checked here, when the file loads, so a scenario
+that loads runs to completion.
 """
 
 from __future__ import annotations
@@ -12,7 +14,14 @@ from typing import Any, Callable, NoReturn, Optional
 
 import yaml
 
-from .identity import CredentialMode, RecoveryPolicy, apply_recovery, endorse_recovery, RecoveryCertificate
+from .identity import (
+    Credential,
+    CredentialMode,
+    RecoveryCertificate,
+    RecoveryPolicy,
+    apply_recovery,
+    endorse_recovery,
+)
 from .keys import keypair_from_seed
 from .sexpr import ParseError, parse
 from .simnet import (
@@ -87,13 +96,29 @@ def _take_labels(mapping: dict, key: str, path: str, default: Any = _MISSING) ->
     return tuple(out)
 
 
-_TOPOLOGY_BUILDERS: dict[str, Callable[..., Topology]] = {
-    "centralized": centralized,
-    "federated": federated,
-    "ring": ring,
-    "fan": fan,
-    "interoperated": interoperated,
-    "chain": chain,
+def _federated_count(args: dict) -> int:
+    nodes = tier = 1
+    for _ in range(min(args["levels"], MAX_NODE_ROUNDS + 1) - 1):
+        tier *= max(args["arity"], 0)
+        nodes += tier
+        if nodes > MAX_NODE_ROUNDS:
+            break
+    return nodes + args["holders"]
+
+
+# kind -> (builder, its integer keys, its node count from those keys).
+# Ring's optional `mutual` flag is the one key outside this table.
+_TOPOLOGIES: dict[str, tuple[Callable[..., Topology], tuple[str, ...], Callable[[dict], int]]] = {
+    "centralized": (centralized, ("holders",), lambda args: 1 + args["holders"]),
+    "federated": (federated, ("levels", "arity", "holders"), _federated_count),
+    "ring": (ring, ("size",), lambda args: args["size"]),
+    "fan": (fan, ("partners",), lambda args: 1 + args["partners"]),
+    "interoperated": (
+        interoperated,
+        ("left_holders", "right_holders"),
+        lambda args: 2 + args["left_holders"] + args["right_holders"],
+    ),
+    "chain": (chain, ("hops",), lambda args: 1 + args["hops"]),
 }
 
 
@@ -101,55 +126,23 @@ def _node_count(kind: str, args: dict) -> int:
     """How many nodes the builder would make, counted without building
     them; a federated count stops once it passes MAX_NODE_ROUNDS.  Values
     the builder rejects give some count, never an error."""
-    if kind == "federated":
-        nodes = tier = 1
-        for _ in range(min(args["levels"], MAX_NODE_ROUNDS + 1) - 1):
-            tier *= max(args["arity"], 0)
-            nodes += tier
-            if nodes > MAX_NODE_ROUNDS:
-                break
-        return nodes + args["holders"]
-    if kind == "ring":
-        return args["size"]
-    if kind == "interoperated":
-        return 2 + args["left_holders"] + args["right_holders"]
-    # centralized, fan and chain: one node more than their single count.
-    (count,) = args.values()
-    return 1 + count
+    return _TOPOLOGIES[kind][2](args)
 
 
 def _build_topology(data: Any, path: str) -> Topology:
     mapping = dict(_need_mapping(data, path))
     kind = _take(mapping, "kind", path, str)
-    if kind == "centralized":
-        args = {"holders": _take(mapping, "holders", path, int)}
-    elif kind == "federated":
-        args = {
-            "levels": _take(mapping, "levels", path, int),
-            "arity": _take(mapping, "arity", path, int),
-            "holders": _take(mapping, "holders", path, int),
-        }
-    elif kind == "ring":
-        args = {
-            "size": _take(mapping, "size", path, int),
-            "mutual": _take(mapping, "mutual", path, bool, False),
-        }
-    elif kind == "fan":
-        args = {"partners": _take(mapping, "partners", path, int)}
-    elif kind == "interoperated":
-        args = {
-            "left_holders": _take(mapping, "left_holders", path, int),
-            "right_holders": _take(mapping, "right_holders", path, int),
-        }
-    elif kind == "chain":
-        args = {"hops": _take(mapping, "hops", path, int)}
-    else:
+    if kind not in _TOPOLOGIES:
         _fail(f"{path}.kind", f"unknown topology kind {kind!r}")
+    build, keys, _ = _TOPOLOGIES[kind]
+    args = {key: _take(mapping, key, path, int) for key in keys}
+    if kind == "ring":
+        args["mutual"] = _take(mapping, "mutual", path, bool, False)
     _reject_extra(mapping, path)
     if _node_count(kind, args) > MAX_NODE_ROUNDS:
         _fail(path, f"more than {MAX_NODE_ROUNDS} nodes, the most rounds x nodes a scenario may run")
     try:
-        return _TOPOLOGY_BUILDERS[kind](**args)
+        return build(**args)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -160,14 +153,26 @@ def _known_label(label: str, topo: Topology, path: str) -> str:
     return label
 
 
-def _build_fault(data: Any, topo: Topology, path: str):
+def _take_round(mapping: dict, key: str, path: str, rounds: int) -> int:
+    """A round the run reaches: 0 <= value < rounds."""
+    value = _take(mapping, key, path, int)
+    if value < 0:
+        _fail(f"{path}.{key}", "must be non-negative")
+    if value >= rounds:
+        _fail(f"{path}.{key}", f"round {value} is beyond the last round {rounds - 1}")
+    return value
+
+
+def _build_fault(data: Any, topo: Topology, rounds: int, earlier: tuple, path: str):
     mapping = dict(_need_mapping(data, path))
     kind = _take(mapping, "kind", path, str)
+    if kind not in ("equivocate", "withhold_receipt", "fork_history"):
+        _fail(f"{path}.kind", f"unknown fault kind {kind!r}")
+    node = _known_label(_take(mapping, "node", path, str), topo, f"{path}.node")
     if kind == "equivocate":
-        node = _known_label(_take(mapping, "node", path, str), topo, f"{path}.node")
-        start = _take(mapping, "start_round", path, int)
-        if start < 0:
-            _fail(f"{path}.start_round", "must be non-negative")
+        if any(isinstance(fault, Equivocate) and fault.node == node for fault in earlier):
+            _fail(f"{path}.node", f"{node!r} already equivocates")
+        start = _take_round(mapping, "start_round", path, rounds)
         targets = _take_labels(mapping, "fork_targets", path)
         if not targets:
             _fail(f"{path}.fork_targets", "must name at least one holder")
@@ -176,44 +181,45 @@ def _build_fault(data: Any, topo: Topology, path: str):
                 _fail(f"{path}.fork_targets", f"{target!r} does not submit to {node!r}")
         fault = Equivocate(node=node, start_round=start, fork_targets=targets)
     elif kind == "withhold_receipt":
-        node = _known_label(_take(mapping, "node", path, str), topo, f"{path}.node")
         victim = _known_label(_take(mapping, "victim", path, str), topo, f"{path}.victim")
         if victim not in topo.holders_of(node):
             _fail(f"{path}.victim", f"{victim!r} does not submit to {node!r}")
-        fault = WithholdReceipt(
-            node=node,
-            victim=victim,
-            start_round=_take(mapping, "start_round", path, int),
-            end_round=_take(mapping, "end_round", path, int, None),
-        )
-    elif kind == "fork_history":
-        fault = ForkHistory(
-            node=_known_label(_take(mapping, "node", path, str), topo, f"{path}.node"),
-            round=_take(mapping, "round", path, int),
-        )
+        start = _take_round(mapping, "start_round", path, rounds)
+        end = _take(mapping, "end_round", path, int, None)
+        if end is not None and end < start:
+            _fail(f"{path}.end_round", f"must not precede start_round {start}")
+        fault = WithholdReceipt(node=node, victim=victim, start_round=start, end_round=end)
     else:
-        _fail(f"{path}.kind", f"unknown fault kind {kind!r}")
+        round_no = _take_round(mapping, "round", path, rounds)
+        if round_no == 0:
+            _fail(f"{path}.round", "round 0 has no earlier round to rewrite")
+        fault = ForkHistory(node=node, round=round_no)
     _reject_extra(mapping, path)
     return fault
 
 
-@dataclass(frozen=True)
+# eq=False: a revoke binds the issue op itself, and a run keys the
+# credential it issued by that op.
+@dataclass(frozen=True, eq=False)
 class _IdentityOp:
     op: str
     round: int
     fields: dict
 
 
-def _build_identity_op(data: Any, topo: Topology, issuers: tuple[str, ...], path: str) -> _IdentityOp:
+def _build_identity_op(
+    data: Any, topo: Topology, issuers: tuple[str, ...], rounds: int, earlier: tuple[_IdentityOp, ...], path: str
+) -> _IdentityOp:
     mapping = dict(_need_mapping(data, path))
     op = _take(mapping, "op", path, str)
-    round_no = _take(mapping, "round", path, int)
-    if round_no < 0:
-        _fail(f"{path}.round", "must be non-negative")
-    if op == "issue":
+    if op not in ("issue", "revoke", "recover"):
+        _fail(f"{path}.op", f"unknown identity op {op!r}")
+    round_no = _take_round(mapping, "round", path, rounds)
+    if op != "recover":
         issuer = _known_label(_take(mapping, "issuer", path, str), topo, f"{path}.issuer")
         if issuer not in issuers:
             _fail(f"{path}.issuer", f"{issuer!r} is not in credential_issuers")
+    if op == "issue":
         subject = _known_label(_take(mapping, "subject", path, str), topo, f"{path}.subject")
         mode_text = _take(mapping, "mode", path, str, CredentialMode.ISSUER_CONTROLLED.value)
         try:
@@ -227,20 +233,29 @@ def _build_identity_op(data: Any, topo: Topology, issuers: tuple[str, ...], path
             _fail(f"{path}.claims", f"bad expression: {exc}")
         fields = {"issuer": issuer, "subject": subject, "mode": mode, "claims": claims}
     elif op == "revoke":
-        issuer = _known_label(_take(mapping, "issuer", path, str), topo, f"{path}.issuer")
-        if issuer not in issuers:
-            _fail(f"{path}.issuer", f"{issuer!r} is not in credential_issuers")
+        # `credential: N` is the N-th issue op listed before this revoke.
         index = _take(mapping, "credential", path, int)
-        if index < 0:
-            _fail(f"{path}.credential", "must be an index into earlier issue ops")
-        fields = {"issuer": issuer, "credential": index}
-    elif op == "recover":
+        issues = [earlier_op for earlier_op in earlier if earlier_op.op == "issue"]
+        if not 0 <= index < len(issues):
+            _fail(f"{path}.credential", f"references a credential not yet issued: {len(issues)} issue ops precede it")
+        issue = issues[index]
+        if issue.fields["issuer"] != issuer or issue.fields["mode"] is not CredentialMode.ISSUER_CONTROLLED:
+            _fail(
+                f"{path}.credential",
+                f"{issuer!r} holds no record of it: only the issuer of an issuer-controlled credential can revoke it",
+            )
+        if issue.round > round_no:
+            _fail(f"{path}.credential", f"is issued in round {issue.round}, after this revoke in round {round_no}")
+        fields = {"issuer": issuer, "issue": issue}
+    else:
         node = _known_label(_take(mapping, "node", path, str), topo, f"{path}.node")
         if node not in issuers:
             _fail(f"{path}.node", f"{node!r} must be in credential_issuers to commit its policy")
         guardians = _take_labels(mapping, "guardians", path)
         for i, guardian in enumerate(guardians):
             _known_label(guardian, topo, f"{path}.guardians[{i}]")
+            if guardian in guardians[:i]:
+                _fail(f"{path}.guardians[{i}]", f"{guardian!r} is listed twice")
         threshold = _take(mapping, "threshold", path, int)
         if not 1 <= threshold <= len(guardians):
             _fail(f"{path}.threshold", f"must be between 1 and {len(guardians)}")
@@ -248,8 +263,6 @@ def _build_identity_op(data: Any, topo: Topology, issuers: tuple[str, ...], path
         if not 0 <= enroll < round_no:
             _fail(f"{path}.enroll_round", "must precede the recovery round")
         fields = {"node": node, "guardians": guardians, "threshold": threshold, "enroll_round": enroll}
-    else:
-        _fail(f"{path}.op", f"unknown identity op {op!r}")
     _reject_extra(mapping, path)
     return _IdentityOp(op=op, round=round_no, fields=fields)
 
@@ -289,31 +302,13 @@ def config_from_dict(data: Any, source: str = "config") -> ScenarioConfig:
     issuers = _take_labels(mapping, "credential_issuers", source, ())
     for i, issuer in enumerate(issuers):
         _known_label(issuer, topo, f"{source}.credential_issuers[{i}]")
-    raw_faults = _take(mapping, "faults", source, list, [])
-    faults = tuple(
-        _build_fault(item, topo, f"{source}.faults[{i}]") for i, item in enumerate(raw_faults)
-    )
-    raw_ops = _take(mapping, "identity", source, list, [])
-    ops = tuple(
-        _build_identity_op(item, topo, issuers, f"{source}.identity[{i}]")
-        for i, item in enumerate(raw_ops)
-    )
+    faults: tuple = ()
+    for i, item in enumerate(_take(mapping, "faults", source, list, [])):
+        faults += (_build_fault(item, topo, rounds, faults, f"{source}.faults[{i}]"),)
+    ops: tuple[_IdentityOp, ...] = ()
+    for i, item in enumerate(_take(mapping, "identity", source, list, [])):
+        ops += (_build_identity_op(item, topo, issuers, rounds, ops, f"{source}.identity[{i}]"),)
     _reject_extra(mapping, source)
-    issues: list[_IdentityOp] = []
-    for i, op in enumerate(ops):
-        if op.round >= rounds:
-            _fail(f"{source}.identity[{i}]", f"round {op.round} is beyond the last round {rounds - 1}")
-        if op.op == "revoke":
-            if op.fields["credential"] >= len(issues):
-                _fail(f"{source}.identity[{i}].credential", "references a credential not yet issued")
-            issued = issues[op.fields["credential"]].fields
-            if issued["issuer"] != op.fields["issuer"] or issued["mode"] is not CredentialMode.ISSUER_CONTROLLED:
-                _fail(
-                    f"{source}.identity[{i}].credential",
-                    f"{op.fields['issuer']!r} holds no record of it: only the issuer of an issuer-controlled credential can revoke it",
-                )
-        if op.op == "issue":
-            issues.append(op)
     return ScenarioConfig(
         name=name,
         seed=seed,
@@ -348,17 +343,18 @@ def make_simulation(config: ScenarioConfig, seed: Optional[int] = None) -> Simul
         credential_issuers=config.credential_issuers,
         audit_every=config.audit_every,
     )
-    issued: list = []
+    # Each revoke names the issue op it was bound to at load.
+    credentials: dict[_IdentityOp, Credential] = {}
     for op in config.identity_ops:
         fields = op.fields
         if op.op == "issue":
 
-            def run_issue(s: Simulation, fields=fields):
+            def run_issue(s: Simulation, op=op, fields=fields):
                 registry = s.registry(fields["issuer"])
                 cred = registry.issue(
                     s.nodes[fields["subject"]].node_id, fields["claims"], fields["mode"]
                 )
-                issued.append(cred)
+                credentials[op] = cred
                 s._event(
                     "CredentialIssued",
                     issuer=fields["issuer"],
@@ -371,10 +367,7 @@ def make_simulation(config: ScenarioConfig, seed: Optional[int] = None) -> Simul
         elif op.op == "revoke":
 
             def run_revoke(s: Simulation, fields=fields):
-                index = fields["credential"]
-                if index >= len(issued):
-                    raise ConfigError(f"identity revoke references credential {index} before it is issued")
-                digest = issued[index].digest()
+                digest = credentials[fields["issue"]].digest()
                 s.registry(fields["issuer"]).revoke(digest)
                 s._event("CredentialRevoked", issuer=fields["issuer"], digest=digest.hex())
 

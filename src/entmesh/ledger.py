@@ -134,7 +134,7 @@ class TrustBundle:
         return self.anchor_commitments[anchor]
 
 
-def write_trust_bundle(path: "Path | str", sim, out_indent: int = 2) -> None:
+def write_trust_bundle(path: "Path | str", sim) -> None:
     """Extract the verification material from a finished simulation."""
     keys = {}
     for label in sim.topology.labels:
@@ -159,7 +159,7 @@ def write_trust_bundle(path: "Path | str", sim, out_indent: int = 2) -> None:
         "keys": keys,
         "anchors": anchors,
     }
-    Path(path).write_text(json.dumps(bundle, indent=out_indent, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _shaped(value, kind: type, what: str):

@@ -562,22 +562,21 @@ class Simulation:
         return sum(c.bytes_sent for c in self._counters.values())
 
 
-def measure_latency(
-    sim: Simulation,
-    holder: str,
-    probe_round: int,
-    max_k: int = 16,
-) -> Optional[int]:
-    """Smallest k for which the holder's probe-round state verifies against
-    an anchor commitment at probe_round + k.  Equals the hop count to the
-    anchor: entanglement moves one hop per round, no faster."""
+_MAX_LATENCY = 16
+
+
+def measure_latency(sim: Simulation, holder: str, probe_round: int) -> Optional[int]:
+    """Smallest k <= _MAX_LATENCY for which the holder's probe-round state
+    verifies against an anchor commitment at probe_round + k.  Equals the
+    hop count to the anchor: entanglement moves one hop per round, no
+    faster."""
     path = sim.path_to_anchor(holder)
     if len(path) < 2:
         raise ValueError(f"{holder} is its own anchor")
     ids = [sim.nodes[label].node_id for label in path]
     proof = build_chain_proof(sim.records_by_id(), sim.receipts_by_id(), ids, probe_round, 1)
     anchor_records = sim.nodes[path[-1]].records
-    for k in range(1, max_k + 1):
+    for k in range(1, _MAX_LATENCY + 1):
         trusted = {
             record.round: record.commitment for record in anchor_records if record.round <= probe_round + k
         }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 __all__ = [
@@ -23,6 +24,8 @@ __all__ = [
     "validate_topology",
 ]
 
+_NO_PARTNERS: tuple[tuple[str, ...], ...] = ((), (), ())
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -32,18 +35,29 @@ class Topology:
     anchors: tuple[str, ...] = ()
     roles: dict[str, str] = field(default_factory=dict)
 
+    @cached_property
+    def _partners(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]]:
+        """label -> (issuers, holders, neighbors), each sorted, built in one
+        pass over the links the first time a node's partners are asked for."""
+        partners: dict[str, tuple[list[str], list[str]]] = {}
+        for holder, issuer in self.links:
+            partners.setdefault(holder, ([], []))[0].append(issuer)
+            partners.setdefault(issuer, ([], []))[1].append(holder)
+        return {
+            label: (tuple(sorted(issuers)), tuple(sorted(holders)), tuple(sorted({*issuers, *holders})))
+            for label, (issuers, holders) in partners.items()
+        }
+
     def issuers_of(self, label: str) -> tuple[str, ...]:
         """Outbound partners: who this node submits to (its manifest)."""
-        return tuple(sorted(issuer for holder, issuer in self.links if holder == label))
+        return self._partners.get(label, _NO_PARTNERS)[0]
 
     def holders_of(self, label: str) -> tuple[str, ...]:
         """Inbound partners: who submits to this node (forwarding targets)."""
-        return tuple(sorted(holder for holder, issuer in self.links if issuer == label))
+        return self._partners.get(label, _NO_PARTNERS)[1]
 
     def neighbors(self, label: str) -> tuple[str, ...]:
-        out = {issuer for holder, issuer in self.links if holder == label}
-        out.update(holder for holder, issuer in self.links if issuer == label)
-        return tuple(sorted(out))
+        return self._partners.get(label, _NO_PARTNERS)[2]
 
 
 def validate_topology(topo: Topology) -> None:

@@ -124,6 +124,114 @@ class TestSimulate:
         assert "mystery" in capsys.readouterr().err
 
 
+def _probe(**overrides):
+    """A 3-holder centralized scenario of 8 rounds in which the hub issues credentials."""
+    scenario = {"rounds": 8, "topology": {"kind": "centralized", "holders": 3}, "credential_issuers": ["hub"]}
+    scenario.update(overrides)
+    return scenario
+
+
+def _issue(round_no, subject, mode="issuer-controlled"):
+    return {"op": "issue", "round": round_no, "issuer": "hub", "subject": subject, "mode": mode}
+
+
+class TestScenarioRules:
+    """A scenario that loads runs to completion: every rule is checked when
+    the file loads, and a file that breaks one exits 2 naming the field."""
+
+    def simulate(self, tmp_path, scenario, *extra):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(scenario))
+        return path, main(["simulate", "--config", str(path), *extra])
+
+    @pytest.mark.parametrize("second_mode", ["holder-controlled", "issuer-controlled"])
+    def test_revoke_names_the_issue_op_listed_before_it(self, tmp_path, second_mode):
+        # credential 0 is the first issue op in the file (h0's, round 5),
+        # not the first one to run (h1's, round 2).
+        revoke = {"op": "revoke", "round": 6, "issuer": "hub", "credential": 0}
+        scenario = _probe(identity=[_issue(5, "h0"), _issue(2, "h1", second_mode), revoke])
+        out = tmp_path / "art"
+        assert self.simulate(tmp_path, scenario, "--out", str(out))[1] == 0
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()[1:]]
+        issued = {e["subject"]: e["digest"] for e in events if e["type"] == "CredentialIssued"}
+        (revoked,) = [e["digest"] for e in events if e["type"] == "CredentialRevoked"]
+        assert revoked == issued["h0"] != issued["h1"]
+
+    @pytest.mark.parametrize(
+        "scenario,field",
+        [
+            (
+                _probe(identity=[_issue(5, "h0"), {"op": "revoke", "round": 2, "issuer": "hub", "credential": 0}]),
+                "identity[1].credential: is issued in round 5",
+            ),
+            (
+                _probe(
+                    credential_issuers=["h1"],
+                    identity=[
+                        {
+                            "op": "recover",
+                            "round": 6,
+                            "node": "h1",
+                            "enroll_round": 2,
+                            "guardians": ["hub", "hub", "h0"],
+                            "threshold": 3,
+                        }
+                    ],
+                ),
+                "identity[0].guardians[1]: 'hub' is listed twice",
+            ),
+            (
+                {
+                    "rounds": 8,
+                    "topology": {"kind": "federated", "levels": 2, "arity": 2, "holders": 4},
+                    "faults": [
+                        {"kind": "equivocate", "node": "m1-0", "start_round": 2, "fork_targets": ["h0"]},
+                        {"kind": "equivocate", "node": "m1-0", "start_round": 3, "fork_targets": ["h2"]},
+                    ],
+                },
+                "faults[1].node: 'm1-0' already equivocates",
+            ),
+            (
+                _probe(
+                    rounds=5,
+                    faults=[
+                        {"kind": "fork_history", "node": "h0", "round": 50},
+                        {"kind": "withhold_receipt", "node": "hub", "victim": "h1", "start_round": 4, "end_round": 1},
+                        {"kind": "fork_history", "node": "h1", "round": 0},
+                        {"kind": "equivocate", "node": "hub", "start_round": 9, "fork_targets": ["h0"]},
+                    ],
+                ),
+                "faults[0].round: round 50 is beyond the last round 4",
+            ),
+            (
+                _probe(faults=[{"kind": "withhold_receipt", "node": "hub", "victim": "h1", "start_round": 4, "end_round": 1}]),
+                "faults[0].end_round: must not precede start_round 4",
+            ),
+            (
+                _probe(faults=[{"kind": "fork_history", "node": "h1", "round": 0}]),
+                "faults[0].round: round 0 has no earlier round to rewrite",
+            ),
+            (
+                _probe(faults=[{"kind": "equivocate", "node": "hub", "start_round": 9, "fork_targets": ["h0"]}]),
+                "faults[0].start_round: round 9 is beyond the last round 7",
+            ),
+        ],
+        ids=[
+            "revoke-before-issue",
+            "repeated-guardian",
+            "second-equivocation",
+            "faults-that-never-fire",
+            "withhold-ends-before-start",
+            "fork-at-round-0",
+            "equivocation-after-the-run",
+        ],
+    )
+    def test_refused_with_the_field_path(self, tmp_path, capsys, scenario, field):
+        path, rc = self.simulate(tmp_path, scenario)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}.{field}")
+
+
 class TestProve:
     def test_link_proof_decodes(self, link_run):
         proof = decode_proof(link_run["proof"].read_bytes())

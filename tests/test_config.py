@@ -1,6 +1,8 @@
 """Scenario schema: strict keys, dotted error paths, cross-field checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmesh.config import MAX_NODE_ROUNDS, ConfigError, _node_count, config_from_dict, load_config, make_simulation
 
@@ -267,3 +269,85 @@ class TestFiles:
         sim = make_simulation(config, seed=99)
         assert sim.seed == 99
         assert make_simulation(config).seed == 5
+
+
+# Small topologies (at most 10 nodes) keep each generated run short.
+FUZZ_TOPOLOGIES = [
+    {"kind": "centralized", "holders": 3},
+    {"kind": "federated", "levels": 2, "arity": 2, "holders": 4},
+    {"kind": "ring", "size": 4, "mutual": True},
+    {"kind": "fan", "partners": 3},
+    {"kind": "interoperated", "left_holders": 2, "right_holders": 2},
+    {"kind": "chain", "hops": 3},
+]
+
+
+@st.composite
+def generated_scenarios(draw):
+    """A scenario whose fault and identity lists are drawn op by op: kinds,
+    labels (one of them unknown), rounds from 0 to rounds + 1, credential
+    indices and guardian lists with repeats.  Labels and rounds lean
+    towards the ones a field accepts, so that many scenarios load."""
+    spec = draw(st.sampled_from(FUZZ_TOPOLOGIES))
+    rounds = draw(st.integers(1, 8))
+    topo = config_from_dict({"rounds": 1, "topology": spec}).topology
+    labels = st.sampled_from(topo.labels + ("nobody",))
+    round_no = st.integers(0, rounds - 1) | st.integers(0, rounds + 1)
+    issuers = draw(st.lists(st.sampled_from(topo.labels), min_size=1, max_size=3))
+    issuer = st.sampled_from(issuers) | labels
+
+    def holder_of(node):
+        return st.sampled_from(topo.holders_of(node)) if topo.holders_of(node) else labels
+
+    def fault():
+        kind = draw(st.sampled_from(["equivocate", "withhold_receipt", "fork_history"]))
+        node = draw(labels)
+        out = {"kind": kind, "node": node}
+        if kind == "equivocate":
+            out.update(start_round=draw(round_no), fork_targets=draw(st.lists(holder_of(node), min_size=1, max_size=3)))
+        elif kind == "withhold_receipt":
+            out.update(victim=draw(holder_of(node)), start_round=draw(round_no))
+            if draw(st.booleans()):
+                out["end_round"] = draw(round_no)
+        else:
+            out["round"] = draw(round_no)
+        return out
+
+    def identity_op(issues):
+        op = draw(st.sampled_from(["issue", "revoke", "recover"]))
+        out = {"op": op, "round": draw(round_no)}
+        if op == "issue":
+            out.update(issuer=draw(issuer), subject=draw(labels))
+            out["mode"] = draw(st.sampled_from(["issuer-controlled", "holder-controlled"]))
+        elif op == "revoke":
+            out.update(issuer=draw(issuer), credential=draw(st.integers(-1, issues)))
+        else:
+            guardians = draw(st.lists(labels, max_size=4))
+            out.update(node=draw(issuer), guardians=guardians, threshold=draw(st.integers(0, len(guardians) + 1)))
+            out["enroll_round"] = draw(st.integers(-1, rounds))
+        return out
+
+    ops: list[dict] = []
+    for _ in range(draw(st.integers(0, 4))):
+        ops.append(identity_op(sum(op["op"] == "issue" for op in ops)))
+
+    return {
+        "rounds": rounds,
+        "topology": spec,
+        "audit_every": draw(st.integers(0, 3)),
+        "prune_anchors": draw(st.booleans()),
+        "credential_issuers": issuers,
+        "faults": [fault() for _ in range(draw(st.integers(0, 2)))],
+        "identity": ops,
+    }
+
+
+class TestGeneratedScenarios:
+    @settings(max_examples=300, deadline=None)
+    @given(data=generated_scenarios())
+    def test_a_scenario_that_loads_runs(self, data):
+        try:
+            config = config_from_dict(data)
+        except ConfigError:
+            return
+        make_simulation(config).run()

@@ -4,6 +4,8 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmesh.config import load_config, make_simulation
 from entmesh.entangle import MissingReceiptError, build_link_proof, verify_link
@@ -75,6 +77,18 @@ class TestTopologies:
         assert set(f.anchors) == {f"p{i}" for i in range(5)}
         inter = interoperated(2, 3)
         assert ("a-hub", "b-hub") in inter.links and ("b-hub", "a-hub") in inter.links
+
+    @settings(max_examples=100, deadline=None)
+    @given(links=st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde")), max_size=12))
+    def test_partners_match_a_scan_of_the_links(self, links):
+        # Reference: one scan of every link per lookup, duplicates kept.
+        topo = Topology("any", ("a", "b", "c"), tuple(links))
+        for label in "abcdef":
+            issuers = tuple(sorted(issuer for holder, issuer in links if holder == label))
+            holders = tuple(sorted(holder for holder, issuer in links if issuer == label))
+            assert topo.issuers_of(label) == issuers
+            assert topo.holders_of(label) == holders
+            assert topo.neighbors(label) == tuple(sorted({*issuers, *holders}))
 
     def test_validation_rejects_unknown_labels(self):
         with pytest.raises(ValueError):
