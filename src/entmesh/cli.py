@@ -175,32 +175,17 @@ def cmd_verify(args) -> int:
         bundle = load_trust_bundle(args.trust)
     except LedgerError as exc:
         return _malformed(args.format, "MalformedTrust", str(exc))
-    if isinstance(proof, LinkProof):
-        issuer_label = bundle.label_of(proof.issuer_id)
-        trusted = bundle.anchor_commitments.get(issuer_label or "")
-        if trusted is None:
-            return _verdict_exit(
-                args.format,
-                "link",
-                Verdict.failed("TrustedRootUnavailable", "issuer has no anchor log in the trust bundle"),
-            )
-        return _verdict_exit(args.format, "link", verify_link(proof, trusted, bundle.directory))
     if isinstance(proof, HubProof):
-        trusted_by_id = {
-            bundle.node_ids[label]: log
-            for label, log in bundle.anchor_commitments.items()
-            if label in bundle.node_ids
-        }
-        return _verdict_exit(args.format, "hub", verify_hub(proof, trusted_by_id, bundle.directory))
-    anchor_label = args.anchor or bundle.label_of(proof.anchor_id)
-    if anchor_label is None or anchor_label not in bundle.anchor_commitments:
-        return _verdict_exit(
-            args.format,
-            "chain",
-            Verdict.failed("TrustedRootUnavailable", "anchor has no log in the trust bundle"),
-        )
-    trusted = bundle.trusted_for(anchor_label)
-    return _verdict_exit(args.format, "chain", verify_chain(proof, trusted, bundle.directory))
+        return _verdict_exit(args.format, "hub", verify_hub(proof, bundle.anchors, bundle.directory))
+    if isinstance(proof, LinkProof):
+        kind, verify, trusted = "link", verify_link, bundle.anchors.get(proof.issuer_id)
+        missing = "issuer has no anchor log in the trust bundle"
+    else:
+        kind, verify, trusted = "chain", verify_chain, bundle.anchors.get(proof.anchor_id)
+        missing = "anchor has no log in the trust bundle"
+    if trusted is None:
+        return _verdict_exit(args.format, kind, Verdict.failed("TrustedRootUnavailable", missing))
+    return _verdict_exit(args.format, kind, verify(proof, trusted, bundle.directory))
 
 
 def cmd_inspect(args) -> int:
@@ -270,20 +255,21 @@ def cmd_inspect(args) -> int:
         bundle = load_trust_bundle(args.trust)
     except LedgerError as exc:
         return _malformed(args.format, "MalformedTrust", str(exc))
+    anchors = {
+        label: len(bundle.anchors[node_id])
+        for label, node_id in sorted(bundle.node_ids.items())
+        if node_id in bundle.anchors
+    }
     obj = {
         "topology": bundle.topology,
         "seed": bundle.seed,
         "nodes": sorted(bundle.node_ids),
-        "anchors": {label: len(log) for label, log in sorted(bundle.anchor_commitments.items())},
+        "anchors": anchors,
     }
     lines = [
         f"trust bundle for {bundle.topology!r} (seed {bundle.seed})",
         f"  nodes: {', '.join(sorted(bundle.node_ids))}",
-        f"  anchors: "
-        + (
-            ", ".join(f"{label} ({len(log)} rounds)" for label, log in sorted(bundle.anchor_commitments.items()))
-            or "none"
-        ),
+        "  anchors: " + (", ".join(f"{label} ({rounds} rounds)" for label, rounds in anchors.items()) or "none"),
     ]
     _emit(args.format, lines, obj)
     return 0
@@ -319,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a proof file against a trust bundle")
     p_verify.add_argument("--proof", required=True)
     p_verify.add_argument("--trust", required=True, help="trust.json from a simulate run")
-    p_verify.add_argument("--anchor", default=None, help="anchor label (chain proofs)")
     _add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

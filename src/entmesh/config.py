@@ -251,6 +251,10 @@ def _build_identity_op(
         node = _known_label(_take(mapping, "node", path, str), topo, f"{path}.node")
         if node not in issuers:
             _fail(f"{path}.node", f"{node!r} must be in credential_issuers to commit its policy")
+        # The run derives one recovery key per node, so a second recovery
+        # could only re-bind the key the node already holds.
+        if any(earlier_op.op == "recover" and earlier_op.fields["node"] == node for earlier_op in earlier):
+            _fail(f"{path}.node", f"{node!r} already recovers its key")
         guardians = _take_labels(mapping, "guardians", path)
         for i, guardian in enumerate(guardians):
             _known_label(guardian, topo, f"{path}.guardians[{i}]")

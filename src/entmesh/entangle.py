@@ -358,7 +358,7 @@ def verify_hub(
     manifest_leaf = _manifest_leaf(proof.manifest)
     commitments = _by_round(proof.holder_chain)
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
-        if m_proof.leaf_index != MANIFEST_LEAF_INDEX or m_proof.tree_size != commitments[r].leaf_count:
+        if m_proof.leaf_index != MANIFEST_LEAF_INDEX:
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
         if not commitments[r].proves(manifest_leaf, m_proof):
             return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")

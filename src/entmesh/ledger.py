@@ -114,24 +114,13 @@ def commitment_from_row(row: dict) -> Commitment:
 
 @dataclass
 class TrustBundle:
-    """What a verifier needs: keys and the anchor commitment logs."""
+    """What a verifier needs: keys, and each anchor's commitment log by node id."""
 
     seed: int
     topology: str
     directory: KeyDirectory
     node_ids: dict[str, NodeId]
-    anchor_commitments: dict[str, dict[int, Commitment]]
-
-    def label_of(self, node_id: NodeId) -> Optional[str]:
-        for label, known in self.node_ids.items():
-            if known == node_id:
-                return label
-        return None
-
-    def trusted_for(self, anchor: str) -> dict[int, Commitment]:
-        if anchor not in self.anchor_commitments:
-            raise LedgerError(f"no anchor log for {anchor!r}")
-        return self.anchor_commitments[anchor]
+    anchors: dict[NodeId, dict[int, Commitment]]
 
 
 def write_trust_bundle(path: "Path | str", sim) -> None:
@@ -171,6 +160,7 @@ def _shaped(value, kind: type, what: str):
 
 
 def load_trust_bundle(path: "Path | str") -> TrustBundle:
+    """Load ``trust.json``, refusing it unless it keeps every rule in docs/FORMATS.md."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -184,27 +174,36 @@ def load_trust_bundle(path: "Path | str") -> TrustBundle:
         bindings = _shaped(_shaped(entry, dict, where).get("bindings"), list, f"{where}: bindings")
         try:
             node_id = NodeId(bytes.fromhex(entry["node_id"]))
-            first = bindings[0]
-            directory.register(node_id, bytes.fromhex(first["verify_key"]))
-            for binding in bindings[1:]:
-                from_round = _shaped(binding["from_round"], int, "from_round")
+            rounds = [_shaped(binding["from_round"], int, "from_round") for binding in bindings]
+            if rounds[:1] != [0] or rounds != sorted(set(rounds)):
+                raise LedgerError(f"from_round values {rounds} must start at 0 and strictly ascend")
+            directory.register(node_id, bytes.fromhex(bindings[0]["verify_key"]))
+            for binding, from_round in zip(bindings[1:], rounds[1:]):
                 directory.rebind(node_id, bytes.fromhex(binding["verify_key"]), from_round)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise LedgerError(f"{where}: {exc}")
         node_ids[label] = node_id
-    anchors: dict[str, dict[int, Commitment]] = {}
+    anchors: dict[NodeId, dict[int, Commitment]] = {}
     for label, rows in sorted(_shaped(raw.get("anchors", {}), dict, f"{path}: anchors").items()):
-        log = {}
-        for row in _shaped(rows, list, f"{path}: anchor log for {label!r}"):
+        where = f"{path}: anchor log for {label!r}"
+        node_id = node_ids.get(label)
+        if node_id is None:
+            raise LedgerError(f"{where}: {label!r} has no key entry")
+        log: dict[int, Commitment] = {}
+        for row in _shaped(rows, list, where):
             c = commitment_from_row(row)
+            if c.node_id != node_id:
+                raise LedgerError(f"{where}: round {c.round} is another node's commitment")
+            if c.round in log:
+                raise LedgerError(f"{where}: round {c.round} is listed twice")
             if not directory.verify_commitment(c):
-                raise LedgerError(f"{path}: anchor log for {label!r} has a bad signature at round {c.round}")
+                raise LedgerError(f"{where} has a bad signature at round {c.round}")
             log[c.round] = c
-        anchors[label] = log
+        anchors[node_id] = log
     return TrustBundle(
         seed=_shaped(raw.get("seed", 0), int, f"{path}: seed"),
-        topology=str(raw.get("topology", "")),
+        topology=_shaped(raw.get("topology", ""), str, f"{path}: topology"),
         directory=directory,
         node_ids=node_ids,
-        anchor_commitments=anchors,
+        anchors=anchors,
     )

@@ -385,6 +385,8 @@ class KeyDirectory:
     def register(self, node_id: NodeId, verify_key: bytes) -> None:
         if node_id_for_key(verify_key) != node_id:
             raise InvariantViolationError("node id is not the fingerprint of the key")
+        if node_id in self._bindings:
+            raise InvariantViolationError(f"node id {node_id.hex()} is already registered")
         self._bindings[node_id] = [(0, bytes(verify_key))]
 
     def rebind(self, node_id: NodeId, verify_key: bytes, from_round: int) -> None:
@@ -516,7 +518,7 @@ def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory)
             return Verdict.failed("RoundGap", f"round {c.round} after {previous.round}")
         if not directory.verify_commitment(c):
             return Verdict.failed("BadSignature", f"round {c.round}")
-        if entry.first_leaf_proof.leaf_index != 0 or entry.first_leaf_proof.tree_size != c.leaf_count:
+        if entry.first_leaf_proof.leaf_index != 0:
             return Verdict.failed("ChainBreak", f"first-leaf proof at wrong position, round {c.round}")
         if not c.proves(bytes([LEAF_PREV]) + entry.prev_digest, entry.first_leaf_proof):
             return Verdict.failed("ChainBreak", f"first leaf unproven at round {c.round}")

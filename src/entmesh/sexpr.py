@@ -86,11 +86,9 @@ def parse(text: str) -> Expr:
     """Parse one expression; reject trailing content and unbalanced parens."""
     stack: list[list[Expr]] = []
     result: list[Expr] = []
-    last_open = 0
     for token, pos in _tokenize(text):
         if token == "(":
             stack.append([])
-            last_open = pos
             continue
         if token == ")":
             if not stack:

@@ -179,10 +179,8 @@ class Simulation:
         self.nodes: dict[str, Node] = {}
         for label in topology.labels:
             keypair = keypair_from_seed(f"{seed}:{label}")
-            node = Node(label, keypair)
-            node.set_manifest(())
-            self.nodes[label] = node
-            self.directory.register(node.node_id, keypair.verify_key)
+            self.nodes[label] = Node(label, keypair)
+            self.directory.register(keypair.node_id, keypair.verify_key)
         self._label_of = {node.node_id: label for label, node in self.nodes.items()}
         for label, node in self.nodes.items():
             node.set_manifest(self.nodes[issuer].node_id for issuer in topology.issuers_of(label))
@@ -482,20 +480,9 @@ class Simulation:
         for label in self.topology.labels:
             self.nodes[label].attach_received()
         for label in self.topology.labels:
-            c = self._counters[label]
+            counters = vars(self._counters[label])
             self.metrics.append(
-                MetricsRecord(
-                    round=r,
-                    node=label,
-                    bytes_sent=c.bytes_sent,
-                    bytes_received=c.bytes_received,
-                    messages_sent=c.messages_sent,
-                    messages_received=c.messages_received,
-                    receipts_issued=c.receipts_issued,
-                    receipts_received=c.receipts_received,
-                    retained_bytes=self.retained_bytes(label),
-                    equivocations_detected=c.equivocations_detected,
-                )
+                MetricsRecord(round=r, node=label, retained_bytes=self.retained_bytes(label), **counters)
             )
 
     def _finalize(self) -> None:

@@ -231,6 +231,14 @@ class TestScenarioRules:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {path}.{field}")
 
+    def test_a_node_recovers_at_most_once(self, tmp_path, capsys):
+        scenario = yaml.safe_load((SCENARIOS / "identity.yaml").read_text())
+        (recover,) = [op for op in scenario["identity"] if op["op"] == "recover"]
+        scenario["identity"].append(recover)
+        path, rc = self.simulate(tmp_path, scenario)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}.identity[4].node: 'h1' already recovers")
+
 
 class TestProve:
     def test_link_proof_decodes(self, link_run):
@@ -336,8 +344,11 @@ class TestVerify:
     def test_chain_proof_with_and_without_anchor_flag(self, chain_run, capsys):
         args = ["verify", "--proof", str(chain_run["proof"]), "--trust", str(chain_run["trust"])]
         assert main(args) == 0
-        assert main(args + ["--anchor", "root"]) == 0
         capsys.readouterr()
+        # A chain proof names its anchor, so verify takes no --anchor.
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--anchor", "root"])
+        assert exc.value.code == 2
 
     def test_flipped_byte_fails(self, link_run, tmp_path, capsys):
         blob = bytearray(link_run["proof"].read_bytes())
@@ -570,7 +581,62 @@ def recovery_run(tmp_path_factory):
     return {"base": base, "proof": proof, "trust": trust}
 
 
+def _relabel_hub_log(label):
+    def relabel(bundle):
+        bundle["anchors"][label] = bundle["anchors"].pop("hub")
+
+    return relabel
+
+
+def _second_label_for_h1(bundle):
+    h1 = bundle["keys"]["h1"]
+    bundle["keys"]["zz"] = {"node_id": h1["node_id"], "bindings": h1["bindings"][:1]}
+
+
+# Bundles that break one load rule each, and the label or field the refusal
+# must name.
+TRUST_PROBES = {
+    "topology-not-a-string": (lambda bundle: bundle.update(topology={"x": [1]}), "topology"),
+    "first-binding-after-round-0": (
+        lambda bundle: bundle["keys"]["h1"]["bindings"][0].update(from_round=5),
+        "'h1': from_round values [5, 7]",
+    ),
+    "first-binding-round-not-an-integer": (
+        lambda bundle: bundle["keys"]["h1"]["bindings"][0].update(from_round="zero"),
+        "'h1': from_round",
+    ),
+    "rebinding-at-round-0": (
+        lambda bundle: bundle["keys"]["h1"]["bindings"][1].update(from_round=0),
+        "'h1': from_round values [0, 0]",
+    ),
+    "anchor-log-of-another-node": (_relabel_hub_log("h0"), "anchor log for 'h0'"),
+    "anchor-log-without-key-entry": (_relabel_hub_log("ghost"), "anchor log for 'ghost'"),
+    "node-id-listed-twice": (_second_label_for_h1, "'zz': node id"),
+    "anchor-round-listed-twice": (
+        lambda bundle: bundle["anchors"]["hub"].insert(5, bundle["anchors"]["hub"][5]),
+        "anchor log for 'hub': round 5 is listed twice",
+    ),
+}
+
+
 class TestTrustBundleFuzz:
+    @pytest.mark.parametrize("command", ["verify", "inspect"])
+    @pytest.mark.parametrize("probe", list(TRUST_PROBES))
+    def test_bundle_rules_checked_at_load(self, recovery_run, tmp_path, capsys, command, probe):
+        mutate, named = TRUST_PROBES[probe]
+        bundle = json.loads(recovery_run["trust"].read_text())
+        mutate(bundle)
+        bad = tmp_path / "trust.json"
+        bad.write_text(json.dumps(bundle))
+        if command == "verify":
+            argv = ["verify", "--proof", str(recovery_run["proof"]), "--trust", str(bad)]
+        else:
+            argv = ["inspect", "--trust", str(bad)]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL: MalformedTrust")
+        assert named in out
+
     def test_infinite_rebind_round(self, recovery_run, tmp_path, capsys):
         bundle = json.loads(recovery_run["trust"].read_text())
         bundle["keys"]["h1"]["bindings"][1]["from_round"] = float("inf")

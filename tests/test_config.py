@@ -1,10 +1,11 @@
 """Scenario schema: strict keys, dotted error paths, cross-field checks."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmesh.config import MAX_NODE_ROUNDS, ConfigError, _node_count, config_from_dict, load_config, make_simulation
+from entmesh.ledger import load_trust_bundle, write_trust_bundle
 
 
 def base(**overrides):
@@ -286,8 +287,9 @@ FUZZ_TOPOLOGIES = [
 def generated_scenarios(draw):
     """A scenario whose fault and identity lists are drawn op by op: kinds,
     labels (one of them unknown), rounds from 0 to rounds + 1, credential
-    indices and guardian lists with repeats.  Labels and rounds lean
-    towards the ones a field accepts, so that many scenarios load."""
+    indices, guardian lists with repeats and recover ops listed twice.
+    Labels, rounds, guardians and thresholds lean towards the ones a field
+    accepts, so that many scenarios load."""
     spec = draw(st.sampled_from(FUZZ_TOPOLOGIES))
     rounds = draw(st.integers(1, 8))
     topo = config_from_dict({"rounds": 1, "topology": spec}).topology
@@ -322,14 +324,20 @@ def generated_scenarios(draw):
         elif op == "revoke":
             out.update(issuer=draw(issuer), credential=draw(st.integers(-1, issues)))
         else:
-            guardians = draw(st.lists(labels, max_size=4))
-            out.update(node=draw(issuer), guardians=guardians, threshold=draw(st.integers(0, len(guardians) + 1)))
-            out["enroll_round"] = draw(st.integers(-1, rounds))
+            known = st.lists(st.sampled_from(topo.labels), min_size=1, max_size=4, unique=True)
+            guardians = draw(known | st.lists(labels, max_size=4))
+            threshold = st.integers(1, max(1, len(guardians))) | st.integers(0, len(guardians) + 1)
+            out.update(node=draw(issuer), guardians=guardians, threshold=draw(threshold))
+            out["enroll_round"] = draw(st.integers(0, max(0, out["round"] - 1)) | st.integers(-1, rounds))
         return out
 
     ops: list[dict] = []
     for _ in range(draw(st.integers(0, 4))):
-        ops.append(identity_op(sum(op["op"] == "issue" for op in ops)))
+        recovers = [op for op in ops if op["op"] == "recover"]
+        if recovers and draw(st.booleans()):
+            ops.append(dict(draw(st.sampled_from(recovers))))
+        else:
+            ops.append(identity_op(sum(op["op"] == "issue" for op in ops)))
 
     return {
         "rounds": rounds,
@@ -342,6 +350,21 @@ def generated_scenarios(draw):
     }
 
 
+# One recovery listed twice, as a scenario file can list it.
+_RECOVER = {"op": "recover", "round": 6, "node": "h1", "enroll_round": 2, "guardians": ["hub", "h0", "h2"], "threshold": 2}
+RECOVER_TWICE = {
+    "rounds": 8,
+    "topology": {"kind": "centralized", "holders": 3},
+    "credential_issuers": ["h1"],
+    "identity": [_RECOVER, _RECOVER],
+}
+
+
+@pytest.fixture(scope="module")
+def bundle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated-bundles")
+
+
 class TestGeneratedScenarios:
     @settings(max_examples=300, deadline=None)
     @given(data=generated_scenarios())
@@ -351,3 +374,18 @@ class TestGeneratedScenarios:
         except ConfigError:
             return
         make_simulation(config).run()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=generated_scenarios())
+    @example(data=RECOVER_TWICE)
+    def test_a_run_writes_a_trust_bundle_that_loads(self, bundle_dir, data):
+        try:
+            config = config_from_dict(data)
+        except ConfigError:
+            return
+        sim = make_simulation(config).run()
+        path = bundle_dir / "trust.json"
+        write_trust_bundle(path, sim)
+        bundle = load_trust_bundle(path)
+        assert bundle.node_ids == {label: node.node_id for label, node in sim.nodes.items()}
+        assert set(bundle.anchors) == {sim.nodes[label].node_id for label in sim.topology.anchors}

@@ -114,9 +114,9 @@ class TestTrustBundle:
         assert bundle.seed == sim.seed
         assert bundle.topology == sim.topology.name
         assert bundle.node_ids["hub"] == sim.nodes["hub"].node_id
-        assert bundle.label_of(sim.nodes["h0"].node_id) == "h0"
+        assert bundle.node_ids["h0"] == sim.nodes["h0"].node_id
 
-        trusted = bundle.trusted_for("hub")
+        trusted = bundle.anchors[sim.nodes["hub"].node_id]
         assert set(trusted) == set(range(5))
         for r, c in trusted.items():
             assert c == sim.nodes["hub"].record_at(r).commitment
@@ -131,8 +131,11 @@ class TestTrustBundle:
     def test_unknown_anchor_rejected(self, tmp_path):
         path = tmp_path / "trust.json"
         write_trust_bundle(path, self.run_sim())
-        with pytest.raises(LedgerError):
-            load_trust_bundle(path).trusted_for("nobody")
+        raw = json.loads(path.read_text())
+        raw["anchors"]["nobody"] = raw["anchors"].pop("hub")
+        path.write_text(json.dumps(raw))
+        with pytest.raises(LedgerError, match="'nobody' has no key entry"):
+            load_trust_bundle(path)
 
     def test_tampered_commitment_rejected_at_load(self, tmp_path):
         path = tmp_path / "trust.json"

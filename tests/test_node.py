@@ -330,6 +330,16 @@ class TestKeyDirectory:
     def test_unknown_id(self):
         assert KeyDirectory().key_at(sha256(b"ghost"), 0) is None
 
+    def test_register_refuses_an_id_it_holds(self):
+        # A second registration must not silently replace the id's rebindings.
+        directory = KeyDirectory()
+        old, new = keypair_from_seed("old"), keypair_from_seed("new")
+        directory.register(old.node_id, old.verify_key)
+        directory.rebind(old.node_id, new.verify_key, from_round=3)
+        with pytest.raises(InvariantViolationError, match="already registered"):
+            directory.register(old.node_id, old.verify_key)
+        assert directory.bindings_of(old.node_id) == ((0, old.verify_key), (3, new.verify_key))
+
     def test_bindings_listing(self):
         directory = KeyDirectory()
         old, new = keypair_from_seed("old"), keypair_from_seed("new")
