@@ -152,7 +152,14 @@ def cmd_prove(args) -> int:
 
 
 def _verdict_exit(fmt: str, kind: str, verdict: Verdict) -> int:
-    obj = {"ok": bool(verdict), "kind": kind, "reason": verdict.reason, "detail": verdict.detail}
+    obj = {
+        "ok": bool(verdict),
+        "kind": kind,
+        "reason": verdict.reason,
+        "detail": verdict.detail,
+        "signatures_checked": verdict.signatures_checked,
+        "signatures_repeated": verdict.signatures_repeated,
+    }
     if verdict:
         _emit(fmt, [f"OK: {kind} proof verifies"], obj)
         return 0

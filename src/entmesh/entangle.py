@@ -22,8 +22,8 @@ Proof vocabulary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Optional, Sequence
 
 from .hashtree import Digest, InclusionProof, fold_root
 from .keys import NodeId
@@ -197,17 +197,81 @@ def build_link_proof(
     return LinkProof(chain[0].commitment.node_id, issuer_id, *window, chain, link.receipts, link.evidence_proofs)
 
 
+_Obligation = tuple[NodeId, int, bytes, bytes]  # (node_id, round, message, signature)
+
+
+class _Deferred(KeyDirectory):
+    """One verifier call's view of its key directory, deferring signatures.
+
+    It shares the directory's bindings, as the simulator's memo does.  Each
+    signature check is recorded, in the order the verifier meets it, and
+    answered True unless it is the one obligation ``bad`` names or no key is
+    bound to its node at its round, so a first pass runs every hash, trust
+    and inclusion check before any Ed25519 check.  ``mark`` notes where the
+    record being checked begins.  The view lives for one call: it is not a
+    cache.
+    """
+
+    def __init__(self, directory: KeyDirectory):
+        self._bindings = directory._bindings
+        self.recorded: list[_Obligation] = []
+        self.record_start = 0
+        self.bad: Optional[_Obligation] = None
+
+    def mark(self) -> None:
+        self.record_start = len(self.recorded)
+
+    def verify_signature(self, node_id: NodeId, round_no: int, message: bytes, signature: bytes) -> bool:
+        obligation = (node_id, round_no, message, signature)
+        self.recorded.append(obligation)
+        # A node with no key bound fails as cheaply as a hash check does.
+        return obligation != self.bad and self.key_at(node_id, round_no) is not None
+
+
+def _verified(check: Callable[[_Deferred], Verdict], directory: KeyDirectory) -> Verdict:
+    """Run ``check`` with its signatures deferred, then check them once each.
+
+    If every other check passed, each distinct signature is checked under
+    ``directory`` in the order ``check`` first met it.  If one failed, only
+    the failing record's signatures are: the last two recorded since it
+    began, which covers a chain entry that fails to link because its
+    predecessor's signed commitment was altered.  The first bad signature
+    makes ``check`` run once more, answering False for it alone, so the
+    verdict is the one the checks give in their own order: the same reason,
+    wrapper and detail.
+    """
+    view = _Deferred(directory)
+    verdict = check(view)
+    recorded = view.recorded
+    distinct = list(dict.fromkeys(recorded))
+    repeated = len(recorded) - len(distinct)
+    due = distinct if verdict else list(dict.fromkeys(recorded[max(view.record_start, len(recorded) - 2) :]))
+    checked = 0
+    for obligation in due:
+        checked += 1
+        if not directory.verify_signature(*obligation):
+            view.bad = obligation
+            verdict = check(view)
+            break
+    return replace(verdict, signatures_checked=checked, signatures_repeated=repeated)
+
+
 def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: KeyDirectory) -> Verdict:
     """Check one link against trusted issuer commitments.
 
     ``trusted`` maps issuer rounds to commitments the verifier already
     believes (from gossip, an anchor, or an enclosing chain hop).
     """
-    return _check_holder_chain(proof, directory) and _check_receipts(proof, proof, trusted, directory)
+    return _verified(lambda view: _check_link(proof, trusted, view), directory)
 
 
-def _check_holder_chain(holder: "LinkProof | HubProof", directory: KeyDirectory) -> Verdict:
+def _check_link(proof: LinkProof, trusted: Mapping[int, Commitment], view: _Deferred) -> Verdict:
+    return _check_holder_chain(proof, view) and _check_receipts(proof, proof, trusted, view)
+
+
+def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verdict:
     """The holder's chain covers its window plus EVIDENCE_LAG rounds and links up."""
+    view.mark()
     s, e = holder.window_start, holder.window_end
     if s > e:
         return Verdict.failed("WindowInvalid", f"window [{s}, {e}]")
@@ -218,11 +282,11 @@ def _check_holder_chain(holder: "LinkProof | HubProof", directory: KeyDirectory)
             return Verdict.failed("HolderMismatch", "chain entry from another node")
         if entry.commitment.round != s + offset:
             return Verdict.failed("RoundGap", "chain entry out of place")
-    return verify_chain_entries(holder.holder_chain, directory)
+    return verify_chain_entries(holder.holder_chain, view)
 
 
 def _check_receipts(
-    holder: "LinkProof | HubProof", link: "LinkProof | HubLink", trusted: Mapping[int, Commitment], directory: KeyDirectory
+    holder: "LinkProof | HubProof", link: "LinkProof | HubLink", trusted: Mapping[int, Commitment], view: _Deferred
 ) -> Verdict:
     """One issuer's receipts against ``holder``'s already checked chain."""
     s, e = holder.window_start, holder.window_end
@@ -231,6 +295,7 @@ def _check_receipts(
     commitments = _by_round(holder.holder_chain)
     previous_receipt: Optional[Receipt] = None
     for r, receipt, ev_proof in zip(range(s, e + 1), link.receipts, link.evidence_proofs):
+        view.mark()
         issuer_c = receipt.issuer_commitment
         if receipt.holder_id != holder.holder_id or receipt.holder_round != r:
             return Verdict.failed("ReceiptMismatch", f"receipt is not for holder round {r}")
@@ -245,9 +310,9 @@ def _check_receipts(
             return Verdict.failed("TrustMismatch", f"issuer commitment for round {r + 1} disagrees")
         if receipt.holder_root != commitments[r].root:
             return Verdict.failed("ReceiptMismatch", f"receipt attests a different round-{r} root")
-        if not directory.verify_submission(receipt.submission()):
+        if not view.verify_submission(receipt.submission()):
             return Verdict.failed("BadSignature", f"holder signature in receipt for round {r}")
-        verdict = check_receipt(receipt, directory)
+        verdict = check_receipt(receipt, view)
         if not verdict:
             return Verdict.failed(verdict.reason, f"{verdict.detail} for round {r}")
         if previous_receipt is not None:
@@ -333,6 +398,10 @@ def verify_hub(
 
     ``trusted`` maps each issuer id to that issuer's trusted commitments.
     """
+    return _verified(lambda view: _check_hub(proof, trusted, view), directory)
+
+
+def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment]], view: _Deferred) -> Verdict:
     s, e = proof.window_start, proof.window_end
     if s > e:
         return Verdict.failed("WindowInvalid", f"window [{s}, {e}]")
@@ -345,16 +414,18 @@ def verify_hub(
         return Verdict.failed("ManifestMismatch", "presented links do not match the committed manifest")
     if not proof.links:
         return Verdict.failed("ManifestMismatch", "no links presented")
-    verdict = _check_holder_chain(proof, directory)
+    verdict = _check_holder_chain(proof, view)
     if not verdict:
         return Verdict.failed("LinkFailed", f"holder chain: {verdict.reason}")
     for link in proof.links:
+        view.mark()
         issuer_trust = trusted.get(link.issuer_id)
         if issuer_trust is None:
             return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {link.issuer_id.hex()}")
-        verdict = _check_receipts(proof, link, issuer_trust, directory)
+        verdict = _check_receipts(proof, link, issuer_trust, view)
         if not verdict:
             return Verdict.failed("LinkFailed", f"{link.issuer_id.hex()}: {verdict.reason}")
+    view.mark()
     manifest_leaf = _manifest_leaf(proof.manifest)
     commitments = _by_round(proof.holder_chain)
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
@@ -425,6 +496,10 @@ def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], di
     each must equal the trusted copy.  Reasons: BrokenHop, AnchorMismatch,
     InsufficientLatency.
     """
+    return _verified(lambda view: _check_chain(proof, trusted_anchor, view), directory)
+
+
+def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], view: _Deferred) -> Verdict:
     if not proof.hops:
         return Verdict.failed("BrokenHop", "no hops")
     base = proof.hops[0]
@@ -434,27 +509,20 @@ def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], di
         if i + 1 < len(proof.hops) and hop.issuer_id != proof.hops[i + 1].holder_id:
             return Verdict.failed("BrokenHop", f"hop {i} issuer is not hop {i + 1} holder")
     last = proof.hops[-1]
-    s, e = last.window_start, last.window_end
-    # verify_link's trust lookups, made first when the hop covers its window:
-    # an anchor log that ends too early is refused before the last hop's
-    # signatures are checked.  A window that does not fit the holder chain
-    # is left to verify_link, which names that fault.
-    if len(last.holder_chain) == e - s + 1 + EVIDENCE_LAG:
-        for r in range(s, e + 1):
-            if trusted_anchor.get(r + 1) is None:
-                return Verdict.failed(
-                    "InsufficientLatency",
-                    f"no trusted issuer commitment for round {r + 1}; chain of {len(proof.hops)} hops "
-                    f"needs an anchor commitment at round >= {e + 1}",
-                )
-    verdict = verify_link(last, trusted_anchor, directory)
+    verdict = _check_link(last, trusted_anchor, view)
     if not verdict:
+        if verdict.reason == "TrustedRootUnavailable":
+            return Verdict.failed(
+                "InsufficientLatency",
+                f"{verdict.detail}; chain of {len(proof.hops)} hops "
+                f"needs an anchor commitment at round >= {last.window_end + 1}",
+            )
         if verdict.reason == "TrustMismatch":
             return Verdict.failed("AnchorMismatch", verdict.detail)
         return Verdict.failed("BrokenHop", f"hop {len(proof.hops) - 1}: {verdict.reason}")
     for i in range(len(proof.hops) - 2, -1, -1):
         vouched = _by_round(proof.hops[i + 1].holder_chain)
-        verdict = verify_link(proof.hops[i], vouched, directory)
+        verdict = _check_link(proof.hops[i], vouched, view)
         if not verdict:
             return Verdict.failed("BrokenHop", f"hop {i}: {verdict.reason}")
     return Verdict.passed()

@@ -194,6 +194,8 @@ def load_trust_bundle(path: "Path | str") -> TrustBundle:
             c = commitment_from_row(row)
             if c.node_id != node_id:
                 raise LedgerError(f"{where}: round {c.round} is another node's commitment")
+            if row.get("node") != label:
+                raise LedgerError(f"{where}: round {c.round} is labelled {row.get('node')!r}")
             if c.round in log:
                 raise LedgerError(f"{where}: round {c.round} is listed twice")
             if not directory.verify_commitment(c):

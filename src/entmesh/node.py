@@ -79,11 +79,17 @@ class NotEntangledError(ValueError):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Boolean verification outcome plus a machine-readable reason."""
+    """Boolean verification outcome plus a machine-readable reason.
+
+    The proof verifiers also count the signatures they checked and the
+    checks they skipped as repeats of one made in the same call.
+    """
 
     ok: bool
     reason: Optional[str] = None
     detail: Optional[str] = None
+    signatures_checked: int = 0
+    signatures_repeated: int = 0
 
     def __bool__(self) -> bool:
         return self.ok

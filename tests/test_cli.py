@@ -341,6 +341,21 @@ class TestVerify:
         assert obj["ok"] is True
         assert obj["kind"] == "link"
 
+    def test_json_verdict_counts_signatures(self, link_run, tmp_path, capsys):
+        args = ["verify", "--proof", str(link_run["proof"]), "--trust", str(link_run["trust"])]
+        assert main(args) == 0
+        assert capsys.readouterr().out == "OK: link proof verifies\n"
+        assert main(args + ["--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["signatures_checked"], obj["signatures_repeated"]) == (14, 0)
+        blob = bytearray(link_run["proof"].read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        bad = tmp_path / "bad.proof"
+        bad.write_bytes(bytes(blob))
+        assert main(["verify", "--proof", str(bad), "--trust", str(link_run["trust"]), "--format", "json"]) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["ok"] is False and obj["signatures_checked"] <= 2
+
     def test_chain_proof_with_and_without_anchor_flag(self, chain_run, capsys):
         args = ["verify", "--proof", str(chain_run["proof"]), "--trust", str(chain_run["trust"])]
         assert main(args) == 0
@@ -615,6 +630,10 @@ TRUST_PROBES = {
     "anchor-round-listed-twice": (
         lambda bundle: bundle["anchors"]["hub"].insert(5, bundle["anchors"]["hub"][5]),
         "anchor log for 'hub': round 5 is listed twice",
+    ),
+    "anchor-row-labelled-another-node": (
+        lambda bundle: bundle["anchors"]["hub"][3].update(node="h2"),
+        "anchor log for 'hub': round 3 is labelled 'h2'",
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Multi-byte mutations of real hub and chain proofs.
+"""Multi-byte mutations of real hub, chain and link proofs.
 
 Every mutated proof must either fail to decode with ``WireError`` or
 ``ValueError``, or decode and get a falsy verdict: never another exception
@@ -17,6 +17,7 @@ from entmesh.entangle import (
     HubProof,
     build_chain_proof,
     build_hub_proof,
+    build_link_proof,
     decode_proof,
     encode_proof,
     verify_chain,
@@ -42,7 +43,14 @@ def proofs():
     chain_sim = _run("chain.yaml")
     ids = [chain_sim.nodes[label].node_id for label in chain_sim.path_to_anchor("h0")]
     chain = build_chain_proof(chain_sim.records_by_id(), chain_sim.receipts_by_id(), ids, 1, 2)
-    return {"hub": (encode_proof(hub), hub_sim), "chain": (encode_proof(chain), chain_sim)}
+    link_sim = _run("identity.yaml")
+    h1 = link_sim.nodes["h1"]
+    link = build_link_proof(h1.records, link_sim.nodes["hub"].node_id, (6, 7), h1.receipt_log)
+    return {
+        "hub": (encode_proof(hub), hub_sim),
+        "chain": (encode_proof(chain), chain_sim),
+        "link": (encode_proof(link), link_sim),
+    }
 
 
 def _accepted(blob: bytes, sim) -> bool:
@@ -63,13 +71,13 @@ def _accepted(blob: bytes, sim) -> bool:
     return log is not None and bool(verify_link(proof, log, sim.directory))
 
 
-@pytest.mark.parametrize("kind", ["hub", "chain"])
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
 def test_pristine_proof_accepted(proofs, kind):
     blob, sim = proofs[kind]
     assert _accepted(blob, sim)
 
 
-@pytest.mark.parametrize("kind", ["hub", "chain"])
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mutated_proof_never_accepted(proofs, kind, data):

@@ -1,0 +1,249 @@
+"""Verifiers check every hash, trust and inclusion fact first, then each
+distinct signature once per call.
+
+The verdict must not depend on that order: for a proof with one fault it is
+the verdict the checks give when each signature is checked where they meet
+it, reason, wrapper and detail included.  That sequential reference is the
+verifier's own body run with signatures checked eagerly, so no second copy
+of the verifier is kept for it.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from entmesh import entangle
+from entmesh.config import load_config, make_simulation
+from entmesh.entangle import (
+    ChainProof,
+    HubProof,
+    build_chain_proof,
+    build_hub_proof,
+    build_link_proof,
+    decode_proof,
+    encode_proof,
+    verify_chain,
+    verify_hub,
+    verify_link,
+)
+from entmesh.keys import Ed25519Scheme
+from entmesh.simnet import Simulation, chain, fan
+from entmesh.wire import WireError
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _run(name: str):
+    sim = make_simulation(load_config(SCENARIOS / name))
+    sim.run()
+    return sim
+
+
+def _logs(sim):
+    return {
+        sim.nodes[label].node_id: {record.round: record.commitment for record in sim.nodes[label].records}
+        for label in sim.topology.anchors
+    }
+
+
+def _trust(proof, sim):
+    """What the CLI hands the verifier: every anchor log for a hub proof, else
+    the log of the issuer or anchor the proof names (None if there is none)."""
+    logs = _logs(sim)
+    if isinstance(proof, HubProof):
+        return logs
+    return logs.get(proof.anchor_id if isinstance(proof, ChainProof) else proof.issuer_id)
+
+
+def _verify(proof, sim):
+    verify = {HubProof: verify_hub, ChainProof: verify_chain}.get(type(proof), verify_link)
+    return verify(proof, _trust(proof, sim), sim.directory)
+
+
+class _Eager(entangle._Deferred):
+    """Checks each signature where the verifier meets it, as many times as it does."""
+
+    def __init__(self, directory):
+        super().__init__(directory)
+        self._directory = directory
+
+    def verify_signature(self, node_id, round_no, message, signature):
+        return self._directory.verify_signature(node_id, round_no, message, signature)
+
+
+def _sequential(proof, sim):
+    check = {HubProof: entangle._check_hub, ChainProof: entangle._check_chain}.get(type(proof), entangle._check_link)
+    return check(proof, _trust(proof, sim), _Eager(sim.directory))
+
+
+def _flip(signature):
+    return bytes([signature[0] ^ 1]) + signature[1:]
+
+
+def _forged_receipt(receipt):
+    return dataclasses.replace(receipt, holder_signature=_flip(receipt.holder_signature))
+
+
+def _forged_entry(entry):
+    forged = dataclasses.replace(entry.commitment, signature=_flip(entry.commitment.signature))
+    return dataclasses.replace(entry, commitment=forged)
+
+
+def _swap(items, index, item):
+    items = list(items)
+    items[index] = item
+    return tuple(items)
+
+
+def _forge_at(items, index, forge):
+    return _swap(items, index, forge(items[index]))
+
+
+@pytest.fixture
+def ed25519_calls(monkeypatch):
+    calls = []
+    verify = Ed25519Scheme.verify
+    monkeypatch.setattr(Ed25519Scheme, "verify", lambda self, *args: calls.append(args) or verify(self, *args))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def runs():
+    hub_sim, chain_sim, link_sim = _run("hub.yaml"), _run("chain.yaml"), _run("identity.yaml")
+    center = hub_sim.nodes["center"]
+    ids = [chain_sim.nodes[label].node_id for label in chain_sim.path_to_anchor("h0")]
+    h1 = link_sim.nodes["h1"]
+    return {
+        "hub": (build_hub_proof(center.records, (1, 4), center.receipt_log), hub_sim),
+        "chain": (build_chain_proof(chain_sim.records_by_id(), chain_sim.receipts_by_id(), ids, 1, 2), chain_sim),
+        "link": (build_link_proof(h1.records, link_sim.nodes["hub"].node_id, (6, 7), h1.receipt_log), link_sim),
+    }
+
+
+class TestSignatureCounts:
+    def test_fan40_hub_checks_each_distinct_signature_once(self, ed25519_calls):
+        sim = Simulation(fan(40), rounds=8, seed=3).run()
+        center = sim.nodes["center"]
+        proof = build_hub_proof(center.records, (1, 4), center.receipt_log)
+        ed25519_calls.clear()
+        verdict = verify_hub(proof, _logs(sim), sim.directory)
+        assert verdict
+        assert verdict.signatures_checked == 170 == len(ed25519_calls)
+        assert verdict.signatures_checked + verdict.signatures_repeated == 326
+
+    def test_chain_of_four_hops_shares_the_vouched_commitments(self):
+        sim = Simulation(chain(4), rounds=10, seed=3).run()
+        ids = [sim.nodes[label].node_id for label in sim.path_to_anchor("h0")]
+        proof = build_chain_proof(sim.records_by_id(), sim.receipts_by_id(), ids, 2, 2)
+        verdict = verify_chain(proof, _logs(sim)[proof.anchor_id], sim.directory)
+        assert verdict
+        assert (verdict.signatures_checked, verdict.signatures_repeated) == (26, 6)
+
+    def test_link_proof_repeats_no_signature(self, runs):
+        proof, sim = runs["link"]
+        verdict = _verify(proof, sim)
+        assert verdict
+        assert (verdict.signatures_checked, verdict.signatures_repeated) == (8, 0)
+
+    def test_unbound_keys_fail_without_ed25519(self, runs, ed25519_calls):
+        proof, sim = runs["hub"]
+        _, other = runs["chain"]
+        verdict = verify_hub(proof, _trust(proof, sim), other.directory)
+        assert (verdict.reason, verdict.detail) == ("LinkFailed", "holder chain: BadSignature")
+        assert ed25519_calls == []
+
+    @pytest.mark.parametrize("where", ["evidence-path", "chain-prev-digest"])
+    def test_hashed_byte_flip_rejected_with_two_signature_checks(self, runs, ed25519_calls, where):
+        proof, sim = runs["hub"]
+        if where == "evidence-path":
+            link = proof.links[-1]
+            ev = link.evidence_proofs[-1]
+            side, sibling = ev.audit_path[0]
+            sibling = type(sibling)(bytes([sibling[0] ^ 1]) + sibling[1:])
+            flipped = dataclasses.replace(ev, audit_path=((side, sibling),) + ev.audit_path[1:])
+            link = dataclasses.replace(link, evidence_proofs=_swap(link.evidence_proofs, -1, flipped))
+            bad = dataclasses.replace(proof, links=proof.links[:-1] + (link,))
+        else:
+            entry = proof.holder_chain[2]
+            prev = entry.prev_digest
+            flipped = dataclasses.replace(entry, prev_digest=type(prev)(bytes([prev[0] ^ 1]) + prev[1:]))
+            bad = dataclasses.replace(proof, holder_chain=_swap(proof.holder_chain, 2, flipped))
+        good_blob, bad_blob = encode_proof(proof), encode_proof(bad)
+        assert len(good_blob) == len(bad_blob)
+        assert sum(bin(a ^ b).count("1") for a, b in zip(good_blob, bad_blob)) == 1
+        ed25519_calls.clear()
+        verdict = _verify(decode_proof(bad_blob), sim)
+        assert not verdict
+        assert verdict.signatures_checked <= 2 and len(ed25519_calls) == verdict.signatures_checked
+        reference = _sequential(bad, sim)
+        assert (verdict.reason, verdict.detail) == (reference.reason, reference.detail)
+
+
+class TestForgedSignatureKeepsItsReason:
+    """A forged signature is reported where the sequential checks meet it."""
+
+    def _check(self, proof, sim, reason, detail):
+        verdict = _verify(proof, sim)
+        assert (verdict.ok, verdict.reason, verdict.detail) == (False, reason, detail)
+        reference = _sequential(proof, sim)
+        assert (reference.ok, reference.reason, reference.detail) == (False, reason, detail)
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_hub_holder_chain(self, runs, index):
+        proof, sim = runs["hub"]
+        bad = dataclasses.replace(proof, holder_chain=_forge_at(proof.holder_chain, index, _forged_entry))
+        self._check(bad, sim, "LinkFailed", "holder chain: BadSignature")
+
+    def test_hub_issuer_receipt(self, runs):
+        proof, sim = runs["hub"]
+        link = proof.links[2]
+        forged = dataclasses.replace(link, receipts=_forge_at(link.receipts, 1, _forged_receipt))
+        bad = dataclasses.replace(proof, links=_swap(proof.links, 2, forged))
+        self._check(bad, sim, "LinkFailed", f"{link.issuer_id.hex()}: BadSignature")
+
+    @pytest.mark.parametrize("record", ["receipt", "chain-entry"])
+    def test_chain_inner_hop(self, runs, record):
+        proof, sim = runs["chain"]
+        hop = proof.hops[1]
+        if record == "receipt":
+            hop = dataclasses.replace(hop, receipts=_forge_at(hop.receipts, 0, _forged_receipt))
+        else:
+            hop = dataclasses.replace(hop, holder_chain=_forge_at(hop.holder_chain, -1, _forged_entry))
+        bad = ChainProof(hops=_swap(proof.hops, 1, hop))
+        self._check(bad, sim, "BrokenHop", "hop 1: BadSignature")
+
+    def test_chain_last_hop(self, runs):
+        proof, sim = runs["chain"]
+        last = proof.hops[-1]
+        hop = dataclasses.replace(last, holder_chain=_forge_at(last.holder_chain, -1, _forged_entry))
+        bad = ChainProof(hops=proof.hops[:-1] + (hop,))
+        self._check(bad, sim, "BrokenHop", f"hop {len(proof.hops) - 1}: BadSignature")
+
+    def test_link_receipt(self, runs):
+        proof, sim = runs["link"]
+        bad = dataclasses.replace(proof, receipts=_forge_at(proof.receipts, 1, _forged_receipt))
+        self._check(bad, sim, "BadSignature", "holder signature in receipt for round 7")
+
+    def test_link_holder_chain(self, runs):
+        proof, sim = runs["link"]
+        bad = dataclasses.replace(proof, holder_chain=_forge_at(proof.holder_chain, 1, _forged_entry))
+        self._check(bad, sim, "BadSignature", "round 7")
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+def test_single_bit_flips_keep_the_sequential_verdict(runs, kind):
+    proof, sim = runs[kind]
+    blob = encode_proof(proof)
+    bits = len(blob) * 8
+    for position in range(3, bits, bits // 400):
+        mutated = bytearray(blob)
+        mutated[position // 8] ^= 1 << (position % 8)
+        try:
+            bad = decode_proof(bytes(mutated))
+        except (WireError, ValueError):
+            continue
+        if _trust(bad, sim) is None:
+            continue
+        verdict, reference = _verify(bad, sim), _sequential(bad, sim)
+        assert (verdict.ok, verdict.reason, verdict.detail) == (reference.ok, reference.reason, reference.detail)
