@@ -351,7 +351,7 @@ class HubProof:
             holder_id=r.digest(),
             window_start=r.u64(),
             window_end=r.u64(),
-            manifest=r.many(Reader.digest, "manifest ids", MAX_ITEMS),
+            manifest=r.digests("manifest ids", MAX_ITEMS),
             manifest_proofs=r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "manifest proofs", MAX_ITEMS),
             holder_chain=_read_chain(r),
             links=r.many(lambda r: r.nested(HubLink.read, MAX_LINK), "links", MAX_ITEMS),
@@ -635,7 +635,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
             return False
         if implied is None:
             return False
-        current = Digest(implied)
+        current = implied
     return current == end_root
 
 

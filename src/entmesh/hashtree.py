@@ -60,6 +60,13 @@ class Digest(bytes):
         return f"Digest({self.hex()})"
 
 
+def _digest(value: bytes) -> Digest:
+    """``Digest(value)`` without the length check, for bytes that are 32
+    long by construction: hashlib output, or a slice its caller sized.
+    Package-internal; bytes from outside go through ``Digest``."""
+    return bytes.__new__(Digest, value)
+
+
 ZERO_DIGEST = Digest(b"\x00" * DIGEST_SIZE)
 
 
@@ -78,19 +85,17 @@ class Side(IntEnum):
     RIGHT = 1
 
 
+_LEFT, _RIGHT = Side.LEFT, Side.RIGHT  # module globals: cheaper to load than enum members
+
+
 def leaf_hash(leaf: bytes) -> Digest:
     """Hash of a single leaf: H(0x00 || leaf)."""
-    return Digest(sha256(_LEAF_PREFIX + leaf))
+    return _digest(sha256(_LEAF_PREFIX + leaf))
 
 
 def node_hash(left: bytes, right: bytes) -> Digest:
     """Hash of an interior node: H(0x01 || left || right)."""
-    return Digest(sha256(_NODE_PREFIX + left + right))
-
-
-def _split_point(n: int) -> int:
-    # Largest power of two strictly less than n (n >= 2).
-    return 1 << ((n - 1).bit_length() - 1)
+    return _digest(sha256(_NODE_PREFIX + left + right))
 
 
 def root(leaves: Sequence[bytes]) -> Digest:
@@ -109,22 +114,6 @@ class InclusionProof:
     leaf_index: int
     audit_path: tuple[tuple[Side, Digest], ...]
     tree_size: int
-
-
-def _path_sides(index: int, size: int) -> list[Side]:
-    # The side sequence is fully determined by (index, size).
-    sides: list[Side] = []
-    lo, hi = 0, size
-    while hi - lo > 1:
-        k = _split_point(hi - lo)
-        if index < lo + k:
-            sides.append(Side.RIGHT)
-            hi = lo + k
-        else:
-            sides.append(Side.LEFT)
-            lo = lo + k
-    sides.reverse()
-    return sides
 
 
 class MerkleTree:
@@ -153,7 +142,7 @@ class MerkleTree:
             level = b"".join(parents) + level[paired:]
             levels.append(level)
         self._levels: tuple[bytes, ...] = tuple(levels)
-        self._root = Digest(level)
+        self._root = _digest(level)
 
     @property
     def leaves(self) -> tuple[bytes, ...]:
@@ -176,7 +165,7 @@ class MerkleTree:
             start = (i ^ 1) * DIGEST_SIZE
             if start < len(level):
                 side = Side.LEFT if i & 1 else Side.RIGHT
-                path.append((side, Digest(level[start : start + DIGEST_SIZE])))
+                path.append((side, _digest(level[start : start + DIGEST_SIZE])))
             i >>= 1
         return InclusionProof(leaf_index=index, audit_path=tuple(path), tree_size=self.size)
 
@@ -188,23 +177,36 @@ def fold_root(leaf: bytes, proof: InclusionProof) -> Optional[Digest]:
     (leaf_index, tree_size): every serialized field must be load-bearing, so
     a path whose length or side sequence disagrees with the claimed position
     is rejected outright rather than folded anyway.
+
+    One bottom-up pass (RFC 9162 section 2.1.3.2).  Below level ``inner``,
+    where the leaf's and the last leaf's positions still differ, bit
+    ``level`` of the index says which side the sibling is on.  From there
+    up the leaf lies on the tree's right border: every remaining sibling is
+    a left one, one per set bit of ``index >> inner``, and levels where the
+    border node has no sibling add no step.
     """
-    if not isinstance(proof.leaf_index, int) or not isinstance(proof.tree_size, int):
+    index, size = proof.leaf_index, proof.tree_size
+    if not isinstance(index, int) or not isinstance(size, int):
         return None
-    if proof.tree_size < 1 or not 0 <= proof.leaf_index < proof.tree_size:
+    if size < 1 or not 0 <= index < size:
         return None
-    expected = _path_sides(proof.leaf_index, proof.tree_size)
-    if len(proof.audit_path) != len(expected):
+    inner = (index ^ (size - 1)).bit_length()
+    path = proof.audit_path
+    if len(path) != inner + (index >> inner).bit_count():
         return None
-    current = leaf_hash(leaf)
-    for (side, sibling), want in zip(proof.audit_path, expected):
-        if side != want or len(sibling) != DIGEST_SIZE:
+    current = hashlib.sha256(_LEAF_PREFIX + leaf).digest()
+    for level, (side, sibling) in enumerate(path):
+        if len(sibling) != DIGEST_SIZE:
             return None
-        if side == Side.LEFT:
-            current = node_hash(sibling, current)
+        if level >= inner or index >> level & 1:
+            if side != _LEFT:
+                return None
+            current = hashlib.sha256(_NODE_PREFIX + sibling + current).digest()
         else:
-            current = node_hash(current, sibling)
-    return current
+            if side != _RIGHT:
+                return None
+            current = hashlib.sha256(_NODE_PREFIX + current + sibling).digest()
+    return _digest(current)
 
 
 def verify_inclusion(leaf: bytes, proof: InclusionProof, expected_root: bytes) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, sha256, verify_inclusion
+from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, _digest, sha256, verify_inclusion
 from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
 from .sexpr import Expr, encode_tree
 from .wire import MAX_RECORD, Reader, WireError, Writer, decode, encode_inclusion_proof, read_inclusion_proof
@@ -161,7 +161,7 @@ class Commitment:
 
 
 def commitment_digest(commitment: Commitment) -> Digest:
-    return Digest(sha256(commitment.to_bytes()))
+    return _digest(sha256(commitment.to_bytes()))
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ def _revocation_leaf(revoked: Sequence[Digest]) -> bytes:
 def _read_manifest(r: Reader) -> tuple[NodeId, ...]:
     if r.u8() != LEAF_MANIFEST:
         raise WireError("not a manifest leaf")
-    return r.many(Reader.digest, "manifest ids", MAX_MANIFEST_IDS)
+    return r.digests("manifest ids", MAX_MANIFEST_IDS)
 
 
 def parse_manifest_leaf(leaf: bytes) -> tuple[NodeId, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Sequence, TypeVar
 
-from .hashtree import DIGEST_SIZE, Digest, InclusionProof, Side
+from .hashtree import DIGEST_SIZE, Digest, InclusionProof, Side, _digest
 
 __all__ = ["Reader", "Writer", "WireError", "decode", "encode_inclusion_proof", "read_inclusion_proof"]
 
@@ -86,31 +86,50 @@ class Writer:
         return bytes(self._buf)
 
 
+_U32 = struct.Struct(">I").unpack_from
+_U64 = struct.Struct(">Q").unpack_from
+
+
 class Reader:
-    __slots__ = ("_data", "_pos")
+    """Strict reads from one buffer, up to an end limit.
+
+    A nested record is read in place: ``nested`` narrows the end limit to
+    the record's blob and restores it once the record has filled the blob
+    exactly, so no blob is copied and no second reader is made.  A reader
+    that raised is left mid-record and is not read again.
+    """
+
+    __slots__ = ("_data", "_pos", "_end")
 
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0
+        self._end = len(data)
+
+    def _advance(self, n: int) -> int:
+        """Move past ``n`` bytes; return where they start."""
+        pos = self._pos
+        if n < 0 or pos + n > self._end:
+            raise WireError("truncated input")
+        self._pos = pos + n
+        return pos
 
     def _take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
-            raise WireError("truncated input")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        pos = self._advance(n)
+        return self._data[pos : pos + n]
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        return self._data[self._advance(1)]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
+        return _U32(self._data, self._advance(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
+        return _U64(self._data, self._advance(8))[0]
 
     def digest(self) -> Digest:
-        return Digest(self._take(DIGEST_SIZE))
+        pos = self._advance(DIGEST_SIZE)
+        return _digest(self._data[pos : pos + DIGEST_SIZE])
 
     def blob(self, max_len: int = 1 << 24) -> bytes:
         n = self.u32()
@@ -120,7 +139,18 @@ class Reader:
 
     def nested(self, read: Callable[["Reader"], T], max_len: int) -> T:
         """A blob that holds exactly one record, read by ``read``."""
-        return decode(self.blob(max_len), read)
+        n = self.u32()
+        if n > max_len:
+            raise WireError(f"blob length {n} exceeds limit")
+        end = self._pos + n
+        if end > self._end:
+            raise WireError("truncated input")
+        outer, self._end = self._end, end
+        value = read(self)
+        if self._pos != end:
+            raise WireError(f"{end - self._pos} trailing bytes")
+        self._end = outer
+        return value
 
     def many(self, read: Callable[["Reader"], T], what: str, limit: int) -> tuple[T, ...]:
         """A u32 count of at most ``limit``, then that many records."""
@@ -129,11 +159,20 @@ class Reader:
             raise WireError(f"too many {what}: {count}")
         return tuple([read(self) for _ in range(count)])
 
+    def digests(self, what: str, limit: int) -> tuple[Digest, ...]:
+        """A u32 count of at most ``limit``, then that many digests."""
+        count = self.u32()
+        if count > limit:
+            raise WireError(f"too many {what}: {count}")
+        pos = self._advance(count * DIGEST_SIZE)
+        data = self._data
+        return tuple([_digest(data[i : i + DIGEST_SIZE]) for i in range(pos, self._pos, DIGEST_SIZE)])
+
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._end - self._pos
 
     def expect_eof(self) -> None:
-        if self._pos != len(self._data):
+        if self._pos != self._end:
             raise WireError(f"{self.remaining()} trailing bytes")
 
 
@@ -153,15 +192,21 @@ def encode_inclusion_proof(proof: InclusionProof) -> bytes:
     return w.getvalue()
 
 
-def _read_step(r: Reader) -> tuple[Side, Digest]:
-    side = r.u8()
-    if side not in (0, 1):
-        raise WireError(f"bad side byte {side}")
-    return Side(side), r.digest()
+_PROOF_HEAD = struct.Struct(">QQI")  # leaf_index, tree_size, step count
+_STEP_SIZE = 1 + DIGEST_SIZE  # side byte, sibling digest
+_SIDES = (Side.LEFT, Side.RIGHT)
 
 
 def read_inclusion_proof(r: Reader) -> InclusionProof:
-    leaf_index = r.u64()
-    tree_size = r.u64()
-    path = r.many(_read_step, "audit steps", MAX_AUDIT_STEPS)
+    leaf_index, tree_size, count = _PROOF_HEAD.unpack_from(r._data, r._advance(_PROOF_HEAD.size))
+    if count > MAX_AUDIT_STEPS:
+        raise WireError(f"too many audit steps: {count}")
+    data, start, size = r._data, r._pos, count * _STEP_SIZE
+    sides = data[start : start + min(size, r.remaining()) : _STEP_SIZE]
+    if sides.translate(None, b"\x00\x01"):
+        # A step-by-step read meets the first bad side byte before the end.
+        raise WireError(f"bad side byte {next(b for b in sides if b > 1)}")
+    r._advance(size)
+    steps = range(start, start + size, _STEP_SIZE)
+    path = tuple([(_SIDES[data[i]], _digest(data[i + 1 : i + _STEP_SIZE])) for i in steps])
     return InclusionProof(leaf_index=leaf_index, audit_path=path, tree_size=tree_size)

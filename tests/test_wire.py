@@ -1,11 +1,18 @@
 """Byte-level encoding: strict reads, bounded blobs, proof round trips."""
 
+import struct
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmesh.hashtree import InclusionProof, MerkleTree, Side
+from entmesh import entangle, node
+from entmesh.config import load_config, make_simulation
+from entmesh.hashtree import Digest, InclusionProof, MerkleTree, Side
 from entmesh.wire import (
+    MAX_AUDIT_STEPS,
     Reader,
     WireError,
     Writer,
@@ -13,6 +20,8 @@ from entmesh.wire import (
     encode_inclusion_proof,
     read_inclusion_proof,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestWriterReader:
@@ -71,6 +80,81 @@ class TestWriterReader:
         r.u8()
         assert r.remaining() == 2
 
+    def test_digests_round_trip(self):
+        ids = [Digest(bytes([i]) * 32) for i in range(3)]
+        r = Reader(Writer().digests(ids).getvalue())
+        back = r.digests("ids", 3)
+        r.expect_eof()
+        assert back == tuple(ids) and all(type(d) is Digest for d in back)
+
+    def test_digests_bound_and_truncation(self):
+        data = Writer().digests([bytes(32)] * 3).getvalue()
+        with pytest.raises(WireError, match="^too many ids: 3$"):
+            Reader(data).digests("ids", 2)
+        with pytest.raises(WireError, match="^truncated input$"):
+            Reader(data[:-1]).digests("ids", 3)
+
+
+def _u32_record(r: Reader) -> int:
+    return r.u32()
+
+
+class TestNestedRecords:
+    """``nested`` reads a record in place, bounded by its blob."""
+
+    def test_record_shorter_than_its_blob(self):
+        data = Writer().blob(Writer().u32(5).u8(1).getvalue()).getvalue()
+        with pytest.raises(WireError, match="^1 trailing bytes$"):
+            Reader(data).nested(_u32_record, 64)
+
+    def test_length_past_the_outer_end(self):
+        data = Writer().u32(10).getvalue() + b"abc"
+        with pytest.raises(WireError, match="^truncated input$"):
+            Reader(data).nested(_u32_record, 64)
+
+    def test_record_reading_past_its_blob_into_the_outer_buffer(self):
+        # The blob holds 2 bytes but the record wants 4; the outer buffer
+        # has plenty more, which the record must not see.
+        data = Writer().blob(b"\x00\x01").u32(7).u64(9).getvalue()
+        with pytest.raises(WireError, match="^truncated input$"):
+            Reader(data).nested(_u32_record, 64)
+
+    def test_length_over_its_bound(self):
+        data = Writer().blob(bytes(8)).getvalue()
+        with pytest.raises(WireError, match="^blob length 8 exceeds limit$"):
+            Reader(data).nested(_u32_record, 4)
+
+    def test_remaining_inside_a_record(self):
+        data = Writer().blob(b"\x01\x02\x03\x04\x05").u8(6).u8(7).u8(8).getvalue()
+        seen = []
+
+        def read(r: Reader) -> int:
+            seen.append(r.remaining())
+            value = r.u8()
+            seen.append(r.remaining())
+            r.u32()
+            seen.append(r.remaining())
+            return value
+
+        r = Reader(data)
+        assert r.nested(read, 64) == 1
+        assert seen == [5, 4, 0]
+        assert r.remaining() == 3
+        assert (r.u8(), r.u8(), r.u8()) == (6, 7, 8)
+        r.expect_eof()
+
+    def test_records_nest_and_restore_the_outer_end(self):
+        inner = Writer().blob(Writer().u32(1).getvalue()).u8(2).getvalue()
+        data = Writer().blob(inner).u8(3).getvalue()
+
+        def read_outer(r: Reader) -> tuple:
+            return r.nested(_u32_record, 64), r.u8()
+
+        r = Reader(data)
+        assert r.nested(read_outer, 64) == (1, 2)
+        assert r.u8() == 3
+        r.expect_eof()
+
 
 class TestInclusionProofWire:
     @pytest.mark.parametrize("n,index", [(1, 0), (2, 1), (5, 3), (11, 7)])
@@ -90,6 +174,22 @@ class TestInclusionProofWire:
         with pytest.raises(WireError):
             read_inclusion_proof(Reader(bytes(data)))
 
+    def test_bad_side_byte_named_before_truncation(self):
+        # A step-by-step read meets the bad side byte of step 1 before it
+        # finds the path cut short in step 2.
+        tree = MerkleTree([bytes([i]) for i in range(5)])
+        data = bytearray(encode_inclusion_proof(tree.prove_inclusion(0)))
+        data[20 + 33] = 7
+        with pytest.raises(WireError, match="^bad side byte 7$"):
+            read_inclusion_proof(Reader(bytes(data[:-40])))
+        with pytest.raises(WireError, match="^truncated input$"):
+            read_inclusion_proof(Reader(bytes(data[: 20 + 33])))
+
+    def test_step_count_checked_before_the_steps(self):
+        data = struct.pack(">QQI", 0, 1, MAX_AUDIT_STEPS + 1)
+        with pytest.raises(WireError, match=f"^too many audit steps: {MAX_AUDIT_STEPS + 1}$"):
+            read_inclusion_proof(Reader(data))
+
     def test_audit_path_bound(self):
         step = (Side.LEFT, MerkleTree([b"a"]).root)
         at_bound = InclusionProof(leaf_index=0, audit_path=(step,) * 64, tree_size=1)
@@ -106,3 +206,145 @@ def test_proof_wire_property(leaves, data):
     index = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
     encoded = encode_inclusion_proof(tree.prove_inclusion(index))
     assert read_inclusion_proof(Reader(encoded)) == tree.prove_inclusion(index)
+
+
+# A slow reference decoder: the reader as it was before records were read
+# in place.  Every blob is copied and read by a fresh reader, and an audit
+# path is read one step at a time.  ``reference_decode_proof`` runs the
+# library's record readers on it.
+
+
+class CopyingReader:
+    def __init__(self, data: bytes):
+        self._data = data
+        self._pos = 0
+
+    def _take(self, n: int) -> bytes:
+        if n < 0 or self._pos + n > len(self._data):
+            raise WireError("truncated input")
+        out = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return out
+
+    def u8(self) -> int:
+        return self._take(1)[0]
+
+    def u32(self) -> int:
+        return struct.unpack(">I", self._take(4))[0]
+
+    def u64(self) -> int:
+        return struct.unpack(">Q", self._take(8))[0]
+
+    def digest(self) -> Digest:
+        return Digest(self._take(32))
+
+    def blob(self, max_len: int = 1 << 24) -> bytes:
+        n = self.u32()
+        if n > max_len:
+            raise WireError(f"blob length {n} exceeds limit")
+        return self._take(n)
+
+    def nested(self, read, max_len: int):
+        return copying_decode(self.blob(max_len), read)
+
+    def many(self, read, what: str, limit: int) -> tuple:
+        count = self.u32()
+        if count > limit:
+            raise WireError(f"too many {what}: {count}")
+        return tuple([read(self) for _ in range(count)])
+
+    def digests(self, what: str, limit: int) -> tuple:
+        return self.many(CopyingReader.digest, what, limit)
+
+    def remaining(self) -> int:
+        return len(self._data) - self._pos
+
+    def expect_eof(self) -> None:
+        if self._pos != len(self._data):
+            raise WireError(f"{self.remaining()} trailing bytes")
+
+
+def copying_decode(data: bytes, read):
+    r = CopyingReader(data)
+    value = read(r)
+    r.expect_eof()
+    return value
+
+
+def stepwise_read_inclusion_proof(r) -> InclusionProof:
+    leaf_index = r.u64()
+    tree_size = r.u64()
+
+    def read_step(r):
+        side = r.u8()
+        if side not in (0, 1):
+            raise WireError(f"bad side byte {side}")
+        return Side(side), r.digest()
+
+    path = r.many(read_step, "audit steps", MAX_AUDIT_STEPS)
+    return InclusionProof(leaf_index=leaf_index, audit_path=path, tree_size=tree_size)
+
+
+def reference_decode_proof(data: bytes):
+    with (
+        mock.patch.object(entangle, "decode", copying_decode),
+        mock.patch.object(entangle, "read_inclusion_proof", stepwise_read_inclusion_proof),
+        mock.patch.object(node, "read_inclusion_proof", stepwise_read_inclusion_proof),
+    ):
+        return entangle.decode_proof(data)
+
+
+def _outcome(decoder, data: bytes):
+    try:
+        return ("decoded", decoder(data))
+    except Exception as exc:  # the two decoders must fail alike, whatever the type
+        return ("raised", type(exc), str(exc))
+
+
+def _run(name: str):
+    sim = make_simulation(load_config(SCENARIOS / name))
+    sim.run()
+    return sim
+
+
+@pytest.fixture(scope="module")
+def encoded_proofs():
+    link_sim = _run("link.yaml")
+    h0 = link_sim.nodes["h0"]
+    link = entangle.build_link_proof(h0.records, link_sim.nodes["hub"].node_id, (1, 4), h0.receipt_log)
+    hub_sim = _run("hub.yaml")
+    center = hub_sim.nodes["center"]
+    hub = entangle.build_hub_proof(center.records, (1, 4), center.receipt_log)
+    chain_sim = _run("chain.yaml")
+    ids = [chain_sim.nodes[label].node_id for label in chain_sim.path_to_anchor("h0")]
+    chain = entangle.build_chain_proof(chain_sim.records_by_id(), chain_sim.receipts_by_id(), ids, 1, 2)
+    return {kind: entangle.encode_proof(proof) for kind, proof in (("link", link), ("hub", hub), ("chain", chain))}
+
+
+@pytest.mark.parametrize("kind", ["link", "hub", "chain"])
+def test_pristine_proof_decodes_like_the_reference(encoded_proofs, kind):
+    blob = encoded_proofs[kind]
+    decoded = entangle.decode_proof(blob)
+    assert decoded == reference_decode_proof(blob)
+    assert entangle.encode_proof(decoded) == blob
+
+
+@st.composite
+def _mutated(draw, blob: bytes) -> bytes:
+    how = draw(st.sampled_from(["xor", "truncate", "append"]))
+    if how == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if how == "append":
+        return blob + draw(st.binary(min_size=1, max_size=40))
+    data = bytearray(blob)
+    for position in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=8, unique=True)):
+        data[position] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", ["link", "hub", "chain"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_proof_decodes_like_the_reference(encoded_proofs, kind, data):
+    blob = data.draw(_mutated(encoded_proofs[kind]), label="mutated")
+    assert _outcome(entangle.decode_proof, blob) == _outcome(reference_decode_proof, blob)
