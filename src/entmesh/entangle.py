@@ -35,9 +35,9 @@ from .node import (
     Receipt,
     Submission,
     Verdict,
+    _check_receipt_inclusions,
     _manifest_leaf,
     chain_entry_for,
-    check_receipt,
     commitment_digest,
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
@@ -259,8 +259,12 @@ def _verified(check: Callable[[_Deferred], Verdict], directory: KeyDirectory) ->
 def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: KeyDirectory) -> Verdict:
     """Check one link against trusted issuer commitments.
 
-    ``trusted`` maps issuer rounds to commitments the verifier already
-    believes (from gossip, an anchor, or an enclosing chain hop).
+    ``trusted`` maps issuer rounds to commitments whose signatures are
+    already checked: anchor rows ``load_trust_bundle`` checked, commitments
+    a node checked before taking them from gossip, an anchor's own records,
+    or the next hop's holder chain that ``verify_chain`` checks in the same
+    call.  A receipt's issuer commitment must equal the trusted copy, so its
+    signature is not checked again.
     """
     return _verified(lambda view: _check_link(proof, trusted, view), directory)
 
@@ -312,7 +316,9 @@ def _check_receipts(
             return Verdict.failed("ReceiptMismatch", f"receipt attests a different round-{r} root")
         if not view.verify_submission(receipt.submission()):
             return Verdict.failed("BadSignature", f"holder signature in receipt for round {r}")
-        verdict = check_receipt(receipt, view)
+        # The issuer commitment equals the trusted copy, so its signature is
+        # the trusted one's, which was checked where that copy entered trust.
+        verdict = _check_receipt_inclusions(receipt)
         if not verdict:
             return Verdict.failed(verdict.reason, f"{verdict.detail} for round {r}")
         if previous_receipt is not None:
@@ -396,7 +402,9 @@ def verify_hub(
 ) -> Verdict:
     """Check completeness: every committed link present and verifying.
 
-    ``trusted`` maps each issuer id to that issuer's trusted commitments.
+    ``trusted`` maps each issuer id to that issuer's commitments, already
+    authenticated as ``verify_link`` requires; their signatures are not
+    checked again.
     """
     return _verified(lambda view: _check_hub(proof, trusted, view), directory)
 
@@ -490,11 +498,12 @@ def build_chain_proof(
 def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], directory: KeyDirectory) -> Verdict:
     """Check a chain against the anchor's trusted commitments only.
 
-    Inner hops need no independent trust: hop i's issuer commitments are
-    vouched for by hop i+1's verified holder chain.  The last hop's receipts
-    carry the anchor's commitments, the anchor commitment among them, and
-    each must equal the trusted copy.  Reasons: BrokenHop, AnchorMismatch,
-    InsufficientLatency.
+    ``trusted_anchor`` holds commitments already authenticated, as
+    ``verify_link`` requires.  Inner hops need no independent trust: hop i's
+    issuer commitments are vouched for by hop i+1's holder chain, whose
+    signatures this call checks.  The last hop's receipts carry the anchor's
+    commitments, the anchor commitment among them, and each must equal the
+    trusted copy.  Reasons: BrokenHop, AnchorMismatch, InsufficientLatency.
     """
     return _verified(lambda view: _check_chain(proof, trusted_anchor, view), directory)
 

@@ -433,11 +433,20 @@ def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
     submission leaf's proof (ReceiptInvalid), and the proof of the issuer
     tree's prev-commitment leaf at index 0 (ReceiptInvalid).  The holder's
     signature is not checked here: the holder itself compares the attested
-    root with its own record, so only other verifiers need that check.
+    root with its own record, so only other verifiers need that check.  A
+    proof verifier that found the issuer commitment equal to its trusted
+    copy runs only the two inclusion checks.
     """
     c = receipt.issuer_commitment
     if not directory.verify_commitment(c):
         return Verdict.failed("BadSignature", f"issuer {c.node_id.hex()}")
+    return _check_receipt_inclusions(receipt)
+
+
+def _check_receipt_inclusions(receipt: Receipt) -> Verdict:
+    """``check_receipt`` without the issuer signature, for a verifier that
+    holds an authenticated copy equal to the receipt's issuer commitment."""
+    c = receipt.issuer_commitment
     if not c.proves(receipt.submission().leaf_bytes(), receipt.inclusion):
         return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
     prev_leaf = bytes([LEAF_PREV]) + receipt.prev_digest

@@ -347,7 +347,7 @@ class TestVerify:
         assert capsys.readouterr().out == "OK: link proof verifies\n"
         assert main(args + ["--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert (obj["signatures_checked"], obj["signatures_repeated"]) == (14, 0)
+        assert (obj["signatures_checked"], obj["signatures_repeated"]) == (10, 0)
         blob = bytearray(link_run["proof"].read_bytes())
         blob[len(blob) // 2] ^= 0x01
         bad = tmp_path / "bad.proof"
@@ -608,6 +608,15 @@ def _second_label_for_h1(bundle):
     bundle["keys"]["zz"] = {"node_id": h1["node_id"], "bindings": h1["bindings"][:1]}
 
 
+def _flip_signature_byte(bundle):
+    # The commitment blob ends with its signature; verifiers do not check the
+    # signatures of trusted commitments again, so the bundle must be refused.
+    row = bundle["anchors"]["hub"][4]
+    blob = bytearray.fromhex(row["commitment"])
+    blob[-1] ^= 0x01
+    row["commitment"] = blob.hex()
+
+
 # Bundles that break one load rule each, and the label or field the refusal
 # must name.
 TRUST_PROBES = {
@@ -635,6 +644,7 @@ TRUST_PROBES = {
         lambda bundle: bundle["anchors"]["hub"][3].update(node="h2"),
         "anchor log for 'hub': round 3 is labelled 'h2'",
     ),
+    "anchor-row-signature-flipped": (_flip_signature_byte, "anchor log for 'hub' has a bad signature at round 4)"),
 }
 
 

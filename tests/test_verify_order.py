@@ -6,6 +6,11 @@ the verdict the checks give when each signature is checked where they meet
 it, reason, wrapper and detail included.  That sequential reference is the
 verifier's own body run with signatures checked eagerly, so no second copy
 of the verifier is kept for it.
+
+A receipt's issuer commitment must equal the verifier's trusted copy, whose
+signature was checked where it entered trust, so it records no signature
+check of its own.  On authentic trust logs the verdict must be the one the
+rule that also checks every issuer signature gives (``_parent_rule``).
 """
 
 import dataclasses
@@ -28,6 +33,7 @@ from entmesh.entangle import (
     verify_link,
 )
 from entmesh.keys import Ed25519Scheme
+from entmesh.node import check_receipt
 from entmesh.simnet import Simulation, chain, fan
 from entmesh.wire import WireError
 
@@ -77,12 +83,33 @@ def _sequential(proof, sim):
     return check(proof, _trust(proof, sim), _Eager(sim.directory))
 
 
+def _parent_rule(proof, sim):
+    """The verifier with every receipt's issuer signature checked as well,
+    through ``check_receipt``, in the place its inclusion checks run."""
+    views = []
+
+    class Recording(entangle._Deferred):
+        def __init__(self, directory):
+            super().__init__(directory)
+            views.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entangle, "_Deferred", Recording)
+        patch.setattr(entangle, "_check_receipt_inclusions", lambda receipt: check_receipt(receipt, views[-1]))
+        return _verify(proof, sim)
+
+
 def _flip(signature):
     return bytes([signature[0] ^ 1]) + signature[1:]
 
 
 def _forged_receipt(receipt):
     return dataclasses.replace(receipt, holder_signature=_flip(receipt.holder_signature))
+
+
+def _forged_issuer(receipt):
+    c = receipt.issuer_commitment
+    return dataclasses.replace(receipt, issuer_commitment=dataclasses.replace(c, signature=_flip(c.signature)))
 
 
 def _forged_entry(entry):
@@ -129,8 +156,8 @@ class TestSignatureCounts:
         ed25519_calls.clear()
         verdict = verify_hub(proof, _logs(sim), sim.directory)
         assert verdict
-        assert verdict.signatures_checked == 170 == len(ed25519_calls)
-        assert verdict.signatures_checked + verdict.signatures_repeated == 326
+        assert verdict.signatures_checked == 10 == len(ed25519_calls)
+        assert verdict.signatures_checked + verdict.signatures_repeated == 166
 
     def test_chain_of_four_hops_shares_the_vouched_commitments(self):
         sim = Simulation(chain(4), rounds=10, seed=3).run()
@@ -138,13 +165,41 @@ class TestSignatureCounts:
         proof = build_chain_proof(sim.records_by_id(), sim.receipts_by_id(), ids, 2, 2)
         verdict = verify_chain(proof, _logs(sim)[proof.anchor_id], sim.directory)
         assert verdict
-        assert (verdict.signatures_checked, verdict.signatures_repeated) == (26, 6)
+        assert (verdict.signatures_checked, verdict.signatures_repeated) == (24, 0)
 
     def test_link_proof_repeats_no_signature(self, runs):
         proof, sim = runs["link"]
         verdict = _verify(proof, sim)
         assert verdict
-        assert (verdict.signatures_checked, verdict.signatures_repeated) == (8, 0)
+        assert (verdict.signatures_checked, verdict.signatures_repeated) == (6, 0)
+
+    @pytest.mark.parametrize("n", [5, 10, 20])
+    def test_hub_checks_do_not_grow_with_issuers(self, ed25519_calls, n):
+        # The holder chain's w + 2 commitments and the w submissions the
+        # holder signs once per round, whatever the number of issuers.
+        sim = Simulation(fan(n), rounds=7, seed=3).run()
+        center = sim.nodes["center"]
+        for w in (1, 2, 4):
+            proof = build_hub_proof(center.records, (1, w), center.receipt_log)
+            ed25519_calls.clear()
+            verdict = verify_hub(proof, _logs(sim), sim.directory)
+            assert verdict
+            assert verdict.signatures_checked == 2 * w + 2 == len(ed25519_calls)
+            assert verdict.signatures_repeated == (n - 1) * w
+
+    @pytest.mark.parametrize("hops", [1, 2, 3, 4])
+    def test_chain_checks_grow_linearly_in_hops_times_window(self, ed25519_calls, hops):
+        # Per hop: its holder chain's w + 2 commitments and w submissions.
+        sim = Simulation(chain(hops), rounds=10, seed=3).run()
+        ids = [sim.nodes[label].node_id for label in sim.path_to_anchor("h0")]
+        assert len(ids) == hops + 1
+        for w in (1, 2):
+            proof = build_chain_proof(sim.records_by_id(), sim.receipts_by_id(), ids, 1, w)
+            ed25519_calls.clear()
+            verdict = verify_chain(proof, _logs(sim)[proof.anchor_id], sim.directory)
+            assert verdict
+            assert verdict.signatures_checked == hops * (2 * w + 2) == len(ed25519_calls)
+            assert verdict.signatures_repeated == 0
 
     def test_unbound_keys_fail_without_ed25519(self, runs, ed25519_calls):
         proof, sim = runs["hub"]
@@ -230,10 +285,38 @@ class TestForgedSignatureKeepsItsReason:
         bad = dataclasses.replace(proof, holder_chain=_forge_at(proof.holder_chain, 1, _forged_entry))
         self._check(bad, sim, "BadSignature", "round 7")
 
+    # An issuer commitment that differs from the trusted copy only in its
+    # signature is not the trusted commitment: it cannot borrow the trusted
+    # copy's checked signature.
+    def test_link_issuer_commitment(self, runs):
+        proof, sim = runs["link"]
+        bad = dataclasses.replace(proof, receipts=_forge_at(proof.receipts, 1, _forged_issuer))
+        self._check(bad, sim, "TrustMismatch", "issuer commitment for round 8 disagrees")
+
+    def test_hub_issuer_commitment(self, runs):
+        proof, sim = runs["hub"]
+        link = proof.links[2]
+        forged = dataclasses.replace(link, receipts=_forge_at(link.receipts, 1, _forged_issuer))
+        bad = dataclasses.replace(proof, links=_swap(proof.links, 2, forged))
+        self._check(bad, sim, "LinkFailed", f"{link.issuer_id.hex()}: TrustMismatch")
+
+    @pytest.mark.parametrize("hop", [-1, 1])
+    def test_chain_issuer_commitment(self, runs, hop):
+        proof, sim = runs["chain"]
+        forged = dataclasses.replace(proof.hops[hop], receipts=_forge_at(proof.hops[hop].receipts, -1, _forged_issuer))
+        bad = ChainProof(hops=_swap(proof.hops, hop, forged))
+        if hop == -1:
+            self._check(bad, sim, "AnchorMismatch", f"issuer commitment for round {forged.window_end + 1} disagrees")
+        else:
+            self._check(bad, sim, "BrokenHop", f"hop {hop}: TrustMismatch")
+
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
 def test_single_bit_flips_keep_the_sequential_verdict(runs, kind):
     proof, sim = runs[kind]
+    honest, parent = _verify(proof, sim), _parent_rule(proof, sim)
+    assert honest and parent
+    assert parent.signatures_checked > honest.signatures_checked
     blob = encode_proof(proof)
     bits = len(blob) * 8
     for position in range(3, bits, bits // 400):
@@ -245,5 +328,6 @@ def test_single_bit_flips_keep_the_sequential_verdict(runs, kind):
             continue
         if _trust(bad, sim) is None:
             continue
-        verdict, reference = _verify(bad, sim), _sequential(bad, sim)
-        assert (verdict.ok, verdict.reason, verdict.detail) == (reference.ok, reference.reason, reference.detail)
+        verdict = _verify(bad, sim)
+        for reference in (_sequential(bad, sim), _parent_rule(bad, sim)):
+            assert (verdict.ok, verdict.reason, verdict.detail) == (reference.ok, reference.reason, reference.detail)
