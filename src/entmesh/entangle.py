@@ -39,8 +39,11 @@ from .node import (
     _manifest_leaf,
     chain_entry_for,
     commitment_digest,
+    FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
+    NotEntangledError,
+    entangled_leaf_index,
     evidence_leaf_index,
     verify_chain_entries,
 )
@@ -314,7 +317,7 @@ def _check_receipts(
             return Verdict.failed("TrustMismatch", f"issuer commitment for round {r + 1} disagrees")
         if receipt.holder_root != commitments[r].root:
             return Verdict.failed("ReceiptMismatch", f"receipt attests a different round-{r} root")
-        if not view.verify_submission(receipt.submission()):
+        if not view.verify_submission(receipt.submission):
             return Verdict.failed("BadSignature", f"holder signature in receipt for round {r}")
         # The issuer commitment equals the trusted copy, so its signature is
         # the trusted one's, which was checked where that copy entered trust.
@@ -375,6 +378,8 @@ def build_hub_proof(
     if first.state is None:
         raise ValueError(f"holder round {start} was pruned")
     manifest = first.state.manifest
+    if not manifest:
+        raise ValueError(f"holder commits an empty manifest at round {start}; a hub proof needs at least one link")
     proofs = []
     for r in range(start, end + 1):
         record = holder_records[r]
@@ -615,14 +620,15 @@ def _extensions(records_by_id, node_id: NodeId, round_no: int):
         record = records[round_no + 1]
         if record.state is None or record.tree is None:
             continue
-        for pos, sub in enumerate(record.state.entangled):
-            if sub.holder_id == node_id and sub.holder_round == round_no:
-                yield (other_id, round_no + 1), PathStep(
-                    kind="entangled",
-                    proof=record.tree.prove_inclusion(3 + pos),
-                    submission=sub,
-                )
-                break
+        try:
+            index = entangled_leaf_index(record.state, node_id, round_no)
+        except NotEntangledError:
+            continue
+        yield (other_id, round_no + 1), PathStep(
+            kind="entangled",
+            proof=record.tree.prove_inclusion(index),
+            submission=record.state.entangled[index - FIXED_LEAVES],
+        )
 
 
 def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bool:

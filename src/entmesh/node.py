@@ -45,7 +45,6 @@ __all__ = [
     "commitment_digest",
     "round_leaves",
     "verify_chain_entries",
-    "verify_commitment_chain",
 ]
 
 LEAF_PREV = 0x01
@@ -103,12 +102,14 @@ class Verdict:
         return Verdict(False, reason, detail)
 
 
-def _signing_message(node_id: NodeId, round_no: int, root: Digest) -> bytes:
-    return Writer().digest(node_id).u64(round_no).digest(root).getvalue()
+def _commitment_fields(node_id: NodeId, round_no: int, root: Digest, leaf_count: int) -> Writer:
+    # The fields a commitment signs, in wire order; its encoding adds the signature.
+    return Writer().digest(node_id).u64(round_no).digest(root).u64(leaf_count)
 
 
-def _commitment_message(node_id: NodeId, round_no: int, root: Digest, leaf_count: int) -> bytes:
-    return Writer().digest(node_id).u64(round_no).digest(root).u64(leaf_count).getvalue()
+def _submission_fields(holder_id: NodeId, holder_round: int, holder_root: Digest) -> Writer:
+    # The fields a submission signs, in wire order; its encoding adds the signature.
+    return Writer().digest(holder_id).u64(holder_round).digest(holder_root)
 
 
 @dataclass(frozen=True)
@@ -126,24 +127,19 @@ class Commitment:
     leaf_count: int
     signature: bytes
 
+    def _signed(self) -> Writer:
+        return _commitment_fields(self.node_id, self.round, self.root, self.leaf_count)
+
     def message(self) -> bytes:
-        return _commitment_message(self.node_id, self.round, self.root, self.leaf_count)
+        return self._signed().getvalue()
+
+    def to_bytes(self) -> bytes:
+        return self._signed().blob(self.signature).getvalue()
 
     def proves(self, leaf: bytes, proof: InclusionProof) -> bool:
         """True iff ``proof`` places ``leaf`` in this commitment's tree: the
         proof must fold to ``root`` and carry ``tree_size == leaf_count``."""
         return proof.tree_size == self.leaf_count and verify_inclusion(leaf, proof, self.root)
-
-    def to_bytes(self) -> bytes:
-        return (
-            Writer()
-            .digest(self.node_id)
-            .u64(self.round)
-            .digest(self.root)
-            .u64(self.leaf_count)
-            .blob(self.signature)
-            .getvalue()
-        )
 
     @staticmethod
     def read(r: Reader) -> "Commitment":
@@ -173,18 +169,14 @@ class Submission:
     holder_root: Digest
     signature: bytes
 
+    def _signed(self) -> Writer:
+        return _submission_fields(self.holder_id, self.holder_round, self.holder_root)
+
     def message(self) -> bytes:
-        return _signing_message(self.holder_id, self.holder_round, self.holder_root)
+        return self._signed().getvalue()
 
     def to_bytes(self) -> bytes:
-        return (
-            Writer()
-            .digest(self.holder_id)
-            .u64(self.holder_round)
-            .digest(self.holder_root)
-            .blob(self.signature)
-            .getvalue()
-        )
+        return self._signed().blob(self.signature).getvalue()
 
     @staticmethod
     def read(r: Reader) -> "Submission":
@@ -202,21 +194,31 @@ class Submission:
 class Receipt:
     """An issuer's acknowledgement that a holder root is entangled.
 
-    Carries the issuer's full commitment, the inclusion proof of the
-    submission leaf, and a proof of the issuer's previous-commitment leaf,
-    so a receipt alone lets the holder check the issuer's chain continuity
-    round over round.  Receipts are retained as evidence leaves in the
-    holder's tree two rounds after the submitted root's round.
+    Carries the holder's signed submission, the issuer's full commitment,
+    the inclusion proof of the submission leaf, and a proof of the issuer's
+    previous-commitment leaf, so a receipt alone lets the holder check the
+    issuer's chain continuity round over round.  Receipts are retained as
+    evidence leaves in the holder's tree two rounds after the submitted
+    root's round.
     """
 
-    holder_id: NodeId
-    holder_round: int
-    holder_root: Digest
-    holder_signature: bytes
+    submission: Submission
     issuer_commitment: Commitment
     inclusion: InclusionProof
     prev_digest: Digest
     prev_inclusion: InclusionProof
+
+    @property
+    def holder_id(self) -> NodeId:
+        return self.submission.holder_id
+
+    @property
+    def holder_round(self) -> int:
+        return self.submission.holder_round
+
+    @property
+    def holder_root(self) -> Digest:
+        return self.submission.holder_root
 
     @property
     def issuer_id(self) -> NodeId:
@@ -226,21 +228,9 @@ class Receipt:
     def issuer_round(self) -> int:
         return self.issuer_commitment.round
 
-    def submission(self) -> Submission:
-        return Submission(
-            holder_id=self.holder_id,
-            holder_round=self.holder_round,
-            holder_root=self.holder_root,
-            signature=self.holder_signature,
-        )
-
     def to_bytes(self) -> bytes:
-        return (
+        return self.submission.to_bytes() + (
             Writer()
-            .digest(self.holder_id)
-            .u64(self.holder_round)
-            .digest(self.holder_root)
-            .blob(self.holder_signature)
             .blob(self.issuer_commitment.to_bytes())
             .blob(encode_inclusion_proof(self.inclusion))
             .digest(self.prev_digest)
@@ -251,10 +241,7 @@ class Receipt:
     @staticmethod
     def read(r: Reader) -> "Receipt":
         return Receipt(
-            holder_id=r.digest(),
-            holder_round=r.u64(),
-            holder_root=r.digest(),
-            holder_signature=r.blob(MAX_SIGNATURE),
+            submission=Submission.read(r),
             issuer_commitment=r.nested(Commitment.read, MAX_COMMITMENT),
             inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
             prev_digest=r.digest(),
@@ -337,24 +324,25 @@ def round_leaves(state: RoundState) -> list[bytes]:
 
 
 MANIFEST_LEAF_INDEX = 2
+FIXED_LEAVES = 3  # prev, payload, manifest: the leaves before the entangled ones
 
 
 def entangled_leaf_index(state: RoundState, holder_id: NodeId, holder_round: int) -> int:
     for pos, sub in enumerate(state.entangled):
         if sub.holder_id == holder_id and sub.holder_round == holder_round:
-            return 3 + pos
+            return FIXED_LEAVES + pos
     raise NotEntangledError(f"no submission from {holder_id.hex()} round {holder_round}")
 
 
 def evidence_leaf_index(state: RoundState, issuer_id: NodeId, holder_round: int) -> int:
     for pos, rcpt in enumerate(state.evidence):
         if rcpt.issuer_id == issuer_id and rcpt.holder_round == holder_round:
-            return 3 + len(state.entangled) + pos
+            return FIXED_LEAVES + len(state.entangled) + pos
     raise NotEntangledError(f"no evidence from {issuer_id.hex()} for round {holder_round}")
 
 
 def credential_leaf_index(state: RoundState, digest: Digest) -> int:
-    base = 3 + len(state.entangled) + len(state.evidence)
+    base = FIXED_LEAVES + len(state.entangled) + len(state.evidence)
     for pos, d in enumerate(state.credentials):
         if d == digest:
             return base + pos
@@ -364,14 +352,14 @@ def credential_leaf_index(state: RoundState, digest: Digest) -> int:
 def revocation_leaf_index(state: RoundState) -> int:
     if state.revocation is None:
         raise NotEntangledError("state carries no revocation list")
-    return 3 + len(state.entangled) + len(state.evidence) + len(state.credentials)
+    return FIXED_LEAVES + len(state.entangled) + len(state.evidence) + len(state.credentials)
 
 
 def build_round(state: RoundState, keypair: KeyPair) -> tuple[MerkleTree, Commitment]:
     """Build and sign one round.  Deterministic in the state's field values."""
     validate_state(state)
     tree = MerkleTree(round_leaves(state))
-    signature = keypair.sign(_commitment_message(state.node_id, state.round, tree.root, tree.size))
+    signature = keypair.sign(_commitment_fields(state.node_id, state.round, tree.root, tree.size).getvalue())
     return tree, Commitment(
         node_id=state.node_id, round=state.round, root=tree.root, leaf_count=tree.size, signature=signature
     )
@@ -447,38 +435,12 @@ def _check_receipt_inclusions(receipt: Receipt) -> Verdict:
     """``check_receipt`` without the issuer signature, for a verifier that
     holds an authenticated copy equal to the receipt's issuer commitment."""
     c = receipt.issuer_commitment
-    if not c.proves(receipt.submission().leaf_bytes(), receipt.inclusion):
+    if not c.proves(receipt.submission.leaf_bytes(), receipt.inclusion):
         return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
     prev_leaf = bytes([LEAF_PREV]) + receipt.prev_digest
     if receipt.prev_inclusion.leaf_index != 0 or not c.proves(prev_leaf, receipt.prev_inclusion):
         return Verdict.failed("ReceiptInvalid", "prev-commitment leaf unproven")
     return Verdict.passed()
-
-
-def verify_commitment_chain(
-    commitments: Sequence[Commitment],
-    trees: Sequence[MerkleTree],
-    directory: KeyDirectory,
-) -> Verdict:
-    """Check a contiguous run of (commitment, tree) pairs.
-
-    Reasons: BadSignature (a commitment fails under the bound key),
-    RoundGap (rounds are not consecutive), ChainBreak (a tree's first leaf
-    does not match the previous commitment's digest, or a root disagrees
-    with its commitment).  Once every tree matches its commitment, the
-    chain entries built from the trees go through ``verify_chain_entries``.
-    """
-    if len(commitments) != len(trees) or not commitments:
-        return Verdict.failed("ChainBreak", "empty or mismatched inputs")
-    entries = []
-    for commitment, tree in zip(commitments, trees):
-        if tree.root != commitment.root or tree.size != commitment.leaf_count:
-            return Verdict.failed("ChainBreak", f"tree disagrees with commitment at round {commitment.round}")
-        first = tree.leaves[0]
-        if len(first) != 33 or first[0] != LEAF_PREV:
-            return Verdict.failed("ChainBreak", f"bad first leaf at round {commitment.round}")
-        entries.append(ChainEntry(commitment, Digest(first[1:]), tree.prove_inclusion(0)))
-    return verify_chain_entries(entries, directory)
 
 
 @dataclass(frozen=True)
@@ -523,7 +485,14 @@ def chain_entry_for(record: "NodeRecord") -> ChainEntry:
 
 
 def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
-    """Tree-free variant of verify_commitment_chain, used inside proofs."""
+    """Check a contiguous run of chain entries, as proofs carry them.
+
+    Reasons: RoundGap (rounds are not consecutive), BadSignature (a
+    commitment fails under the bound key), ChainBreak (no entries, a
+    first-leaf proof misplaced or not folding to its commitment, a prev
+    digest that is not the previous commitment's digest, or a round 0 that
+    does not chain from the zero digest).
+    """
     if not entries:
         return Verdict.failed("ChainBreak", "empty chain")
     previous: Optional[Commitment] = None
@@ -666,7 +635,7 @@ class Node:
 
     def make_submission(self) -> Submission:
         latest = self.latest
-        signature = self.keypair.sign(_signing_message(self.node_id, latest.round, latest.root))
+        signature = self.keypair.sign(_submission_fields(self.node_id, latest.round, latest.root).getvalue())
         return Submission(
             holder_id=self.node_id, holder_round=latest.round, holder_root=latest.root, signature=signature
         )
@@ -687,14 +656,11 @@ class Node:
                 f"submission round {sub.holder_round} too old for issuer round {record.round}"
             )
         index = entangled_leaf_index(record.state, sub.holder_id, sub.holder_round)
-        entangled = record.state.entangled[index - 3]
+        entangled = record.state.entangled[index - FIXED_LEAVES]
         if entangled.holder_root != sub.holder_root:
             raise NotEntangledError("entangled root differs from the submission")
         return Receipt(
-            holder_id=sub.holder_id,
-            holder_round=sub.holder_round,
-            holder_root=sub.holder_root,
-            holder_signature=entangled.signature,
+            submission=entangled,
             issuer_commitment=record.commitment,
             inclusion=record.tree.prove_inclusion(index),
             prev_digest=record.state.prev_commitment_digest,

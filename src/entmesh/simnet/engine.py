@@ -421,7 +421,7 @@ class Simulation:
 
     def _ingest_forward(self, observer: str, receipt: Receipt) -> None:
         c = receipt.issuer_commitment
-        sub = receipt.submission()
+        sub = receipt.submission
         if not self._verifier.verify_submission(sub):
             self._event("ForwardRejected", observer=observer, reason="BadSignature")
             return

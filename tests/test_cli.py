@@ -270,6 +270,23 @@ class TestProve:
         assert isinstance(proof, ChainProof)
         assert len(proof.hops) == 4
 
+    def test_hub_proof_with_no_links_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "hub.proof"
+        rc = main(
+            [
+                "prove",
+                "--config", str(SCENARIOS / "identity.yaml"),
+                "--kind", "hub",
+                "--holder", "hub",
+                "--start", "1",
+                "--end", "2",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "cannot build proof: holder commits an empty manifest" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_link_without_issuer(self, tmp_path, capsys):
         rc = main(
             [

@@ -134,7 +134,7 @@ class TestLinkProof:
     def test_tampered_receipt_signature_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
         victim = proof.receipts[2]
-        forged = dataclasses.replace(victim, holder_signature=b"\x00" * 64)
+        forged = dataclasses.replace(victim, submission=dataclasses.replace(victim.submission, signature=b"\x00" * 64))
         receipts = proof.receipts[:2] + (forged,) + proof.receipts[3:]
         bad = dataclasses.replace(proof, receipts=receipts)
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
@@ -200,9 +200,9 @@ class TestHubProof:
         )
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
         link = proof.links[1]
-        forged_receipts = (
-            dataclasses.replace(link.receipts[0], holder_root=sha256(b"zzz")),
-        ) + link.receipts[1:]
+        victim = link.receipts[0]
+        forged = dataclasses.replace(victim, submission=dataclasses.replace(victim.submission, holder_root=sha256(b"zzz")))
+        forged_receipts = (forged,) + link.receipts[1:]
         bad_link = dataclasses.replace(link, receipts=forged_receipts)
         bad = dataclasses.replace(proof, links=(proof.links[0], bad_link, proof.links[2]))
         verdict = verify_hub(bad, trusted, fan.directory)
@@ -239,6 +239,14 @@ class TestHubProof:
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1")}
         verdict = verify_hub(proof, trusted, fan.directory)
         assert verdict.reason == "TrustedRootUnavailable"
+
+    def test_empty_manifest_refused(self, fan):
+        # A hub proof with no links never verifies ("no links presented"), so
+        # it is not built at all.
+        leaf = fan.nodes["p0"]
+        assert leaf.records[1].state.manifest == ()
+        with pytest.raises(ValueError, match="empty manifest"):
+            build_hub_proof(leaf.records, (1, 3), leaf.receipt_log)
 
     def test_manifest_constant_inside_window(self, fan):
         fan.nodes["center"].set_manifest([fan.id_of("p0")])
@@ -359,7 +367,8 @@ class TestChainProof:
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1, window_len=2
         )
         hop = proof.hops[0]
-        forged = dataclasses.replace(hop.receipts[0], holder_signature=b"\x01" * 64)
+        victim = hop.receipts[0]
+        forged = dataclasses.replace(victim, submission=dataclasses.replace(victim.submission, signature=b"\x01" * 64))
         bad_hop = dataclasses.replace(hop, receipts=(forged,) + hop.receipts[1:])
         bad = dataclasses.replace(proof, hops=(bad_hop, proof.hops[1]))
         verdict = verify_chain(bad, relay.commitments_of("c"), relay.directory)
@@ -500,7 +509,7 @@ class TestProofCodec:
                 .digest(receipt.holder_id)
                 .u64(receipt.holder_round)
                 .digest(receipt.holder_root)
-                .blob(receipt.holder_signature)
+                .blob(receipt.submission.signature)
                 .blob(commitment_blob)
                 .blob(encode_inclusion_proof(receipt.inclusion))
                 .digest(receipt.prev_digest)

@@ -12,6 +12,7 @@ from entmesh.node import (
     LEAF_MANIFEST,
     LEAF_PAYLOAD,
     LEAF_PREV,
+    FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
     Commitment,
     InvariantViolationError,
@@ -30,7 +31,6 @@ from entmesh.node import (
     round_leaves,
     validate_state,
     verify_chain_entries,
-    verify_commitment_chain,
 )
 from entmesh.sexpr import encode_tree
 from entmesh.wire import WireError
@@ -76,7 +76,7 @@ class TestLeafLayout:
         sub_leaf = issuer_state.entangled[0].leaf_bytes()
         assert sub_leaf[0] == LEAF_ENTANGLED
         index = entangled_leaf_index(issuer_state, net.id_of("a"), 1)
-        assert issuer_state.entangled[index - 3].holder_round == 1
+        assert issuer_state.entangled[index - FIXED_LEAVES].holder_round == 1
 
         holder_state = net.nodes["a"].record_at(3).state
         assert holder_state.evidence, "receipt must be retained as evidence"
@@ -212,7 +212,9 @@ class TestReceiptFlow:
     def test_receipt_for_unknown_root_rejected(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
         receipt = net.nodes["a"].receipt_log[(net.id_of("b"), 1)]
-        forged = dataclasses.replace(receipt, holder_root=sha256(b"other"))
+        forged = dataclasses.replace(
+            receipt, submission=dataclasses.replace(receipt.submission, holder_root=sha256(b"other"))
+        )
         verdict = net.nodes["a"].verify_receipt(forged, net.directory)
         assert not verdict and verdict.reason == "ReceiptMismatch"
 
@@ -248,30 +250,16 @@ class TestReceiptFlow:
 
 
 class TestCommitmentChains:
-    def test_full_chain_verifies(self, manual_net):
-        net = manual_net(["a", "b"], [("a", "b")]).run(4)
-        records = net.nodes["a"].records
-        verdict = verify_commitment_chain(
-            [r.commitment for r in records], [r.tree for r in records], net.directory
-        )
-        assert verdict
-
     def test_gap_detected(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(4)
         records = net.nodes["a"].records
-        verdict = verify_commitment_chain(
-            [records[0].commitment, records[2].commitment],
-            [records[0].tree, records[2].tree],
-            net.directory,
-        )
+        verdict = verify_chain_entries([chain_entry_for(records[0]), chain_entry_for(records[2])], net.directory)
         assert verdict.reason == "RoundGap"
 
     def test_unknown_signer_detected(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(2)
-        records = net.nodes["a"].records
-        verdict = verify_commitment_chain(
-            [r.commitment for r in records], [r.tree for r in records], KeyDirectory()
-        )
+        entries = [chain_entry_for(r) for r in net.nodes["a"].records]
+        verdict = verify_chain_entries(entries, KeyDirectory())
         assert verdict.reason == "BadSignature"
 
     def test_chain_entries_match_full_check(self, manual_net):

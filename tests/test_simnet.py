@@ -431,7 +431,7 @@ class TestReceiptPathsAgree:
         bad = RECEIPT_TAMPERS[tamper](receipt)
         if tamper == "submission-tree-size":
             c = bad.issuer_commitment
-            assert verify_inclusion(bad.submission().leaf_bytes(), bad.inclusion, c.root)
+            assert verify_inclusion(bad.submission.leaf_bytes(), bad.inclusion, c.root)
         reason = "BadSignature" if tamper == "unsigned-round" else "ReceiptInvalid"
         assert sim.nodes[holder].verify_receipt(bad, sim.directory).reason == reason
         label, events, claims = self.forward(sim, holder, bad)

@@ -104,7 +104,8 @@ def _flip(signature):
 
 
 def _forged_receipt(receipt):
-    return dataclasses.replace(receipt, holder_signature=_flip(receipt.holder_signature))
+    forged = dataclasses.replace(receipt.submission, signature=_flip(receipt.submission.signature))
+    return dataclasses.replace(receipt, submission=forged)
 
 
 def _forged_issuer(receipt):
