@@ -250,6 +250,16 @@ class TestReceiptFlow:
 
 
 class TestCommitmentChains:
+    def test_full_chain_verifies(self, manual_net):
+        # Every node's whole history, from round 0, verifies; and each
+        # committed root is the root of the tree the node kept for that round.
+        net = manual_net(["a", "b"], [("a", "b")]).run(4)
+        for node in net.nodes.values():
+            records = node.records
+            assert [r.round for r in records] == [0, 1, 2, 3]
+            assert all(r.tree.root == r.commitment.root for r in records)
+            assert verify_chain_entries([chain_entry_for(r) for r in records], net.directory)
+
     def test_gap_detected(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(4)
         records = net.nodes["a"].records
