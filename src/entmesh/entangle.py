@@ -22,6 +22,7 @@ Proof vocabulary:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -242,21 +243,31 @@ def _verified(check: Callable[[_Deferred], Verdict], directory: KeyDirectory) ->
     makes ``check`` run once more, answering False for it alone, so the
     verdict is the one the checks give in their own order: the same reason,
     wrapper and detail.
+
+    The verdict counts the signatures checked and, as repeats, the times
+    ``check`` met one of those again: checks skipped because an identical
+    one was made.  A verdict that checked none repeated none.
     """
     view = _Deferred(directory)
     verdict = check(view)
     recorded = view.recorded
-    distinct = list(dict.fromkeys(recorded))
-    repeated = len(recorded) - len(distinct)
-    due = distinct if verdict else list(dict.fromkeys(recorded[max(view.record_start, len(recorded) - 2) :]))
-    checked = 0
+    met = Counter(recorded)  # distinct obligations, in the order first met
+    due = met if verdict else dict.fromkeys(recorded[max(view.record_start, len(recorded) - 2) :])
+    checked = repeated = 0
     for obligation in due:
         checked += 1
+        repeated += met[obligation] - 1
         if not directory.verify_signature(*obligation):
             view.bad = obligation
             verdict = check(view)
             break
     return replace(verdict, signatures_checked=checked, signatures_repeated=repeated)
+
+
+def _wrapped(reason: str, where: str, inner: Verdict) -> Verdict:
+    """A failure of the part at ``where``, keeping its reason and detail."""
+    detail = f" ({inner.detail})" if inner.detail else ""
+    return Verdict.failed(reason, f"{where}: {inner.reason}{detail}")
 
 
 def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: KeyDirectory) -> Verdict:
@@ -429,7 +440,7 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
         return Verdict.failed("ManifestMismatch", "no links presented")
     verdict = _check_holder_chain(proof, view)
     if not verdict:
-        return Verdict.failed("LinkFailed", f"holder chain: {verdict.reason}")
+        return _wrapped("LinkFailed", "holder chain", verdict)
     for link in proof.links:
         view.mark()
         issuer_trust = trusted.get(link.issuer_id)
@@ -437,7 +448,7 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
             return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {link.issuer_id.hex()}")
         verdict = _check_receipts(proof, link, issuer_trust, view)
         if not verdict:
-            return Verdict.failed("LinkFailed", f"{link.issuer_id.hex()}: {verdict.reason}")
+            return _wrapped("LinkFailed", link.issuer_id.hex(), verdict)
     view.mark()
     manifest_leaf = _manifest_leaf(proof.manifest)
     commitments = _by_round(proof.holder_chain)
@@ -533,12 +544,12 @@ def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], vi
             )
         if verdict.reason == "TrustMismatch":
             return Verdict.failed("AnchorMismatch", verdict.detail)
-        return Verdict.failed("BrokenHop", f"hop {len(proof.hops) - 1}: {verdict.reason}")
+        return _wrapped("BrokenHop", f"hop {len(proof.hops) - 1}", verdict)
     for i in range(len(proof.hops) - 2, -1, -1):
         vouched = _by_round(proof.hops[i + 1].holder_chain)
         verdict = _check_link(proof.hops[i], vouched, view)
         if not verdict:
-            return Verdict.failed("BrokenHop", f"hop {i}: {verdict.reason}")
+            return _wrapped("BrokenHop", f"hop {i}", verdict)
     return Verdict.passed()
 
 

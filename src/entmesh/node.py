@@ -20,7 +20,8 @@ Leaf layout (tags distinguish every leaf kind; see docs/FORMATS.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence, TypeVar
 
 from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, _digest, sha256, verify_inclusion
 from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
@@ -112,6 +113,18 @@ def _submission_fields(holder_id: NodeId, holder_round: int, holder_root: Digest
     return Writer().digest(holder_id).u64(holder_round).digest(holder_root)
 
 
+R = TypeVar("R")
+
+
+def _keep(record: R, encoding: bytes) -> R:
+    """Give ``record`` its one encoding: the bytes it was read from, or the
+    writer's bytes it was signed from.  A record made any other way encodes
+    on first use; ``dataclasses.replace`` makes a new record, which does too.
+    """
+    object.__setattr__(record, "_encoding", encoding)
+    return record
+
+
 @dataclass(frozen=True)
 class Commitment:
     """A signed statement: at ``round``, this node's tree had ``leaf_count``
@@ -127,14 +140,17 @@ class Commitment:
     leaf_count: int
     signature: bytes
 
-    def _signed(self) -> Writer:
-        return _commitment_fields(self.node_id, self.round, self.root, self.leaf_count)
+    _SIGNED = 80  # bytes of node_id, round, root, leaf_count: the signed prefix
+
+    @cached_property
+    def _encoding(self) -> bytes:
+        return _commitment_fields(self.node_id, self.round, self.root, self.leaf_count).blob(self.signature).getvalue()
 
     def message(self) -> bytes:
-        return self._signed().getvalue()
+        return self._encoding[: self._SIGNED]
 
     def to_bytes(self) -> bytes:
-        return self._signed().blob(self.signature).getvalue()
+        return self._encoding
 
     def proves(self, leaf: bytes, proof: InclusionProof) -> bool:
         """True iff ``proof`` places ``leaf`` in this commitment's tree: the
@@ -143,13 +159,9 @@ class Commitment:
 
     @staticmethod
     def read(r: Reader) -> "Commitment":
-        return Commitment(
-            node_id=r.digest(),
-            round=r.u64(),
-            root=r.digest(),
-            leaf_count=r.u64(),
-            signature=r.blob(MAX_SIGNATURE),
-        )
+        start = r.tell()
+        c = Commitment(r.digest(), r.u64(), r.digest(), r.u64(), r.blob(MAX_SIGNATURE))
+        return _keep(c, r.since(start))
 
     @staticmethod
     def from_bytes(data: bytes) -> "Commitment":
@@ -157,7 +169,7 @@ class Commitment:
 
 
 def commitment_digest(commitment: Commitment) -> Digest:
-    return _digest(sha256(commitment.to_bytes()))
+    return _digest(sha256(commitment._encoding))
 
 
 @dataclass(frozen=True)
@@ -169,25 +181,30 @@ class Submission:
     holder_root: Digest
     signature: bytes
 
-    def _signed(self) -> Writer:
-        return _submission_fields(self.holder_id, self.holder_round, self.holder_root)
+    _SIGNED = 72  # bytes of holder_id, holder_round, holder_root: the signed prefix
+
+    @cached_property
+    def _encoding(self) -> bytes:
+        return _submission_fields(self.holder_id, self.holder_round, self.holder_root).blob(self.signature).getvalue()
 
     def message(self) -> bytes:
-        return self._signed().getvalue()
+        return self._encoding[: self._SIGNED]
 
     def to_bytes(self) -> bytes:
-        return self._signed().blob(self.signature).getvalue()
+        return self._encoding
 
     @staticmethod
     def read(r: Reader) -> "Submission":
-        return Submission(holder_id=r.digest(), holder_round=r.u64(), holder_root=r.digest(), signature=r.blob(MAX_SIGNATURE))
+        start = r.tell()
+        sub = Submission(r.digest(), r.u64(), r.digest(), r.blob(MAX_SIGNATURE))
+        return _keep(sub, r.since(start))
 
     @staticmethod
     def from_bytes(data: bytes) -> "Submission":
         return decode(data, Submission.read)
 
     def leaf_bytes(self) -> bytes:
-        return bytes([LEAF_ENTANGLED]) + self.to_bytes()
+        return bytes([LEAF_ENTANGLED]) + self._encoding
 
 
 @dataclass(frozen=True)
@@ -228,32 +245,38 @@ class Receipt:
     def issuer_round(self) -> int:
         return self.issuer_commitment.round
 
-    def to_bytes(self) -> bytes:
-        return self.submission.to_bytes() + (
+    @cached_property
+    def _encoding(self) -> bytes:
+        return self.submission._encoding + (
             Writer()
-            .blob(self.issuer_commitment.to_bytes())
+            .blob(self.issuer_commitment._encoding)
             .blob(encode_inclusion_proof(self.inclusion))
             .digest(self.prev_digest)
             .blob(encode_inclusion_proof(self.prev_inclusion))
             .getvalue()
         )
 
+    def to_bytes(self) -> bytes:
+        return self._encoding
+
     @staticmethod
     def read(r: Reader) -> "Receipt":
-        return Receipt(
+        start = r.tell()
+        receipt = Receipt(
             submission=Submission.read(r),
             issuer_commitment=r.nested(Commitment.read, MAX_COMMITMENT),
             inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
             prev_digest=r.digest(),
             prev_inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
         )
+        return _keep(receipt, r.since(start))
 
     @staticmethod
     def from_bytes(data: bytes) -> "Receipt":
         return decode(data, Receipt.read)
 
     def leaf_bytes(self) -> bytes:
-        return bytes([LEAF_EVIDENCE]) + self.to_bytes()
+        return bytes([LEAF_EVIDENCE]) + self._encoding
 
 
 def _manifest_leaf(manifest: Sequence[NodeId]) -> bytes:
@@ -359,10 +382,10 @@ def build_round(state: RoundState, keypair: KeyPair) -> tuple[MerkleTree, Commit
     """Build and sign one round.  Deterministic in the state's field values."""
     validate_state(state)
     tree = MerkleTree(round_leaves(state))
-    signature = keypair.sign(_commitment_fields(state.node_id, state.round, tree.root, tree.size).getvalue())
-    return tree, Commitment(
-        node_id=state.node_id, round=state.round, root=tree.root, leaf_count=tree.size, signature=signature
-    )
+    signed = _commitment_fields(state.node_id, state.round, tree.root, tree.size)
+    signature = keypair.sign(signed.getvalue())
+    commitment = Commitment(state.node_id, state.round, tree.root, tree.size, signature)
+    return tree, _keep(commitment, signed.blob(signature).getvalue())
 
 
 class KeyDirectory:
@@ -635,10 +658,10 @@ class Node:
 
     def make_submission(self) -> Submission:
         latest = self.latest
-        signature = self.keypair.sign(_submission_fields(self.node_id, latest.round, latest.root).getvalue())
-        return Submission(
-            holder_id=self.node_id, holder_round=latest.round, holder_root=latest.root, signature=signature
-        )
+        signed = _submission_fields(self.node_id, latest.round, latest.root)
+        signature = self.keypair.sign(signed.getvalue())
+        sub = Submission(self.node_id, latest.round, latest.root, signature)
+        return _keep(sub, signed.blob(signature).getvalue())
 
     def receive_submission(self, sub: Submission, directory: KeyDirectory) -> Verdict:
         if not directory.verify_submission(sub):

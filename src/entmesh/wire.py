@@ -168,6 +168,13 @@ class Reader:
         data = self._data
         return tuple([_digest(data[i : i + DIGEST_SIZE]) for i in range(pos, self._pos, DIGEST_SIZE)])
 
+    def tell(self) -> int:
+        return self._pos
+
+    def since(self, start: int) -> bytes:
+        """The bytes read from position ``start`` up to here."""
+        return self._data[start : self._pos]
+
     def remaining(self) -> int:
         return self._end - self._pos
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from entmesh.cli import main
 from entmesh.config import MAX_NODE_ROUNDS
 from entmesh.entangle import ChainProof, HubProof, LinkProof, decode_proof
+from entmesh.wire import encode_inclusion_proof
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -390,6 +391,53 @@ class TestVerify:
         rc = main(["verify", "--proof", str(bad), "--trust", str(link_run["trust"])])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @staticmethod
+    def _verify_both_formats(proof: Path, trust: Path, capsys) -> tuple[str, dict]:
+        args = ["verify", "--proof", str(proof), "--trust", str(trust)]
+        assert main(args) == 1
+        text = capsys.readouterr().out
+        assert main(args + ["--format", "json"]) == 1
+        return text, json.loads(capsys.readouterr().out)
+
+    def test_flip_in_an_inner_hop_names_its_round(self, chain_run, tmp_path, capsys):
+        # The CI chain proof: h0 from round 1, window 2, so hop 1 covers
+        # holder rounds 2 and 3 and retains round 3's receipt in round 5.
+        config = str(SCENARIOS / "chain.yaml")
+        proof = tmp_path / "chain.proof"
+        prove = ["prove", "--config", config, "--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"]
+        assert main(prove + ["--out", str(proof)]) == 0
+        capsys.readouterr()
+        blob = bytearray(proof.read_bytes())
+        evidence = encode_inclusion_proof(decode_proof(bytes(blob)).hops[1].evidence_proofs[-1])
+        assert blob.count(evidence) == 1
+        blob[blob.find(evidence) + len(evidence) - 1] ^= 0x01
+        bad = tmp_path / "bad.proof"
+        bad.write_bytes(bytes(blob))
+        text, obj = self._verify_both_formats(bad, chain_run["trust"], capsys)
+        detail = "hop 1: EvidenceInvalid (receipt for round 3 not retained in round 5)"
+        assert text == f"FAIL: BrokenHop ({detail})\n"
+        assert (obj["reason"], obj["detail"]) == ("BrokenHop", detail)
+
+    def test_failure_that_checks_no_signature_repeats_none(self, tmp_path, capsys):
+        # The last issuer's first receipt attests a flipped holder root: the
+        # verifier met the holder's signed submissions in the other issuers'
+        # receipts, but checked no signature, so it skipped none as a repeat.
+        config = str(SCENARIOS / "hub.yaml")
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 0
+        proof = tmp_path / "hub.proof"
+        prove = ["prove", "--config", config, "--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"]
+        assert main(prove + ["--out", str(proof)]) == 0
+        capsys.readouterr()
+        blob = bytearray(proof.read_bytes())
+        receipt = decode_proof(bytes(blob)).links[-1].receipts[0]
+        blob[blob.find(receipt.to_bytes()) + 40] ^= 0x01  # holder id (32 B), round (8 B), then the root
+        bad = tmp_path / "bad.proof"
+        bad.write_bytes(bytes(blob))
+        text, obj = self._verify_both_formats(bad, tmp_path / "run" / "trust.json", capsys)
+        assert text.startswith("FAIL: LinkFailed (")
+        assert text.endswith(": ReceiptMismatch (receipt attests a different round-1 root))\n")
+        assert (obj["signatures_checked"], obj["signatures_repeated"]) == (0, 0)
 
     def test_truncated_proof_is_malformed(self, link_run, tmp_path, capsys):
         bad = tmp_path / "short.proof"

@@ -360,7 +360,7 @@ class TestChainProof:
         proof = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay)[:2], 1)
         stretched = ChainProof(hops=(dataclasses.replace(proof.hops[0], window_end=50),))
         verdict = verify_chain(stretched, relay.commitments_of("b"), relay.directory)
-        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: WindowInvalid")
+        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: WindowInvalid (holder chain does not cover the window)")
 
     def test_corrupt_inner_hop_reported(self, relay):
         proof = build_chain_proof(

@@ -1,0 +1,189 @@
+"""Decoding is the inverse of encoding, and a record's bytes are its fields'.
+
+Signed records keep one encoding: a decoded one the bytes it was read from,
+one the simulator signs the bytes it signed, any other one the bytes its
+fields encode to on first use.  These tests hold every such encoding to a
+field-by-field reference writer (the record encoders as they were before
+records kept their bytes), on the three proofs the CI job builds and on
+mutations of them, and check that ``dataclasses.replace`` never carries an
+old encoding over to new fields.
+"""
+
+import dataclasses
+import hashlib
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entmesh.config import load_config, make_simulation
+from entmesh.entangle import (
+    ChainProof,
+    HubProof,
+    build_chain_proof,
+    build_hub_proof,
+    build_link_proof,
+    decode_proof,
+    encode_proof,
+)
+from entmesh.node import LEAF_ENTANGLED, LEAF_EVIDENCE, Commitment, Receipt, Submission, commitment_digest
+from entmesh.wire import WireError, Writer, encode_inclusion_proof
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+# The reference writers: each record's fields, written one by one.
+
+
+def ref_commitment_message(c: Commitment) -> bytes:
+    return Writer().digest(c.node_id).u64(c.round).digest(c.root).u64(c.leaf_count).getvalue()
+
+
+def ref_commitment(c: Commitment) -> bytes:
+    return ref_commitment_message(c) + Writer().blob(c.signature).getvalue()
+
+
+def ref_submission_message(s: Submission) -> bytes:
+    return Writer().digest(s.holder_id).u64(s.holder_round).digest(s.holder_root).getvalue()
+
+
+def ref_submission(s: Submission) -> bytes:
+    return ref_submission_message(s) + Writer().blob(s.signature).getvalue()
+
+
+def ref_receipt(r: Receipt) -> bytes:
+    return ref_submission(r.submission) + (
+        Writer()
+        .blob(ref_commitment(r.issuer_commitment))
+        .blob(encode_inclusion_proof(r.inclusion))
+        .digest(r.prev_digest)
+        .blob(encode_inclusion_proof(r.prev_inclusion))
+        .getvalue()
+    )
+
+
+def assert_encodes_its_fields(record) -> None:
+    if isinstance(record, Commitment):
+        assert record.to_bytes() == ref_commitment(record)
+        assert record.message() == ref_commitment_message(record)
+        assert commitment_digest(record) == hashlib.sha256(ref_commitment(record)).digest()
+    elif isinstance(record, Submission):
+        assert record.to_bytes() == ref_submission(record)
+        assert record.message() == ref_submission_message(record)
+        assert record.leaf_bytes() == bytes([LEAF_ENTANGLED]) + ref_submission(record)
+    else:
+        assert record.to_bytes() == ref_receipt(record)
+        assert record.leaf_bytes() == bytes([LEAF_EVIDENCE]) + ref_receipt(record)
+
+
+def signed_records(proof):
+    """Every commitment, submission and receipt a proof holds."""
+    parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
+    for part in parts:
+        for entry in part.holder_chain:
+            yield entry.commitment
+        for link in part.links if isinstance(part, HubProof) else (part,):
+            for receipt in link.receipts:
+                yield from (receipt, receipt.submission, receipt.issuer_commitment)
+
+
+def _run(name: str):
+    sim = make_simulation(load_config(SCENARIOS / name))
+    sim.run()
+    return sim
+
+
+@pytest.fixture(scope="module")
+def ci_proofs():
+    """The hub, chain and link proofs the CI job writes, with their runs."""
+    hub_sim = _run("hub.yaml")
+    center = hub_sim.nodes["center"]
+    chain_sim = _run("chain.yaml")
+    ids = [chain_sim.nodes[label].node_id for label in chain_sim.path_to_anchor("h0")]
+    link_sim = _run("identity.yaml")
+    h0 = link_sim.nodes["h0"]
+    return {
+        "hub": (build_hub_proof(center.records, (1, 3), center.receipt_log), hub_sim),
+        "chain": (build_chain_proof(chain_sim.records_by_id(), chain_sim.receipts_by_id(), ids, 1, 2), chain_sim),
+        "link": (build_link_proof(h0.records, link_sim.nodes["hub"].node_id, (1, 4), h0.receipt_log), link_sim),
+    }
+
+
+@st.composite
+def _mutated(draw, blob: bytes) -> bytes:
+    how = draw(st.sampled_from(["xor", "truncate", "append"]))
+    if how == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if how == "append":
+        return blob + draw(st.binary(min_size=1, max_size=40))
+    data = bytearray(blob)
+    for position in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=8, unique=True)):
+        data[position] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+def test_ci_proof_round_trips(ci_proofs, kind):
+    proof, _ = ci_proofs[kind]
+    blob = encode_proof(proof)
+    decoded = decode_proof(blob)
+    assert decoded == proof
+    assert encode_proof(decoded) == blob
+    for record in signed_records(decoded):
+        assert_encodes_its_fields(record)
+    for record in signed_records(proof):
+        assert_encodes_its_fields(record)
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_decodable_mutation_round_trips(ci_proofs, kind, data):
+    blob = data.draw(_mutated(encode_proof(ci_proofs[kind][0])), label="mutated")
+    try:
+        decoded = decode_proof(blob)
+    except (WireError, ValueError):
+        return
+    assert encode_proof(decoded) == blob
+    for record in signed_records(decoded):
+        assert_encodes_its_fields(record)
+
+
+def _flip(value: bytes) -> bytes:
+    return type(value)(bytes([value[0] ^ 1]) + value[1:])
+
+
+def _replaced(receipt: Receipt) -> list:
+    """Records made by ``replace`` from ``receipt`` and the records it holds,
+    each after the original has given its bytes."""
+    sub, c = receipt.submission, receipt.issuer_commitment
+    for record in (receipt, sub, c):
+        record.to_bytes()
+    new_sub = dataclasses.replace(sub, holder_root=_flip(sub.holder_root))
+    new_c = dataclasses.replace(c, round=c.round + 1)
+    return [
+        new_sub,
+        dataclasses.replace(sub, signature=_flip(sub.signature)),
+        new_c,
+        dataclasses.replace(c, leaf_count=c.leaf_count + 1),
+        dataclasses.replace(receipt, prev_digest=_flip(receipt.prev_digest)),
+        dataclasses.replace(receipt, submission=new_sub),
+        dataclasses.replace(receipt, issuer_commitment=new_c),
+    ]
+
+
+@pytest.mark.parametrize("origin", ["decoded", "simulated"])
+def test_replace_encodes_the_new_fields(ci_proofs, origin):
+    proof, sim = ci_proofs["link"]
+    if origin == "decoded":
+        decoded = decode_proof(encode_proof(proof))
+        receipt, commitment = decoded.receipts[0], decoded.holder_chain[0].commitment
+    else:
+        receipt, commitment = proof.receipts[0], sim.nodes["h0"].records[1].commitment
+    commitment.to_bytes()
+    records = _replaced(receipt) + [dataclasses.replace(commitment, root=_flip(commitment.root))]
+    for record in records:
+        assert_encodes_its_fields(record)
+    old = {receipt.to_bytes(), receipt.submission.to_bytes(), receipt.issuer_commitment.to_bytes(), commitment.to_bytes()}
+    assert not old & {record.to_bytes() for record in records}

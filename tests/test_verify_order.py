@@ -206,7 +206,7 @@ class TestSignatureCounts:
         proof, sim = runs["hub"]
         _, other = runs["chain"]
         verdict = verify_hub(proof, _trust(proof, sim), other.directory)
-        assert (verdict.reason, verdict.detail) == ("LinkFailed", "holder chain: BadSignature")
+        assert (verdict.reason, verdict.detail) == ("LinkFailed", "holder chain: BadSignature (round 1)")
         assert ed25519_calls == []
 
     @pytest.mark.parametrize("where", ["evidence-path", "chain-prev-digest"])
@@ -249,14 +249,16 @@ class TestForgedSignatureKeepsItsReason:
     def test_hub_holder_chain(self, runs, index):
         proof, sim = runs["hub"]
         bad = dataclasses.replace(proof, holder_chain=_forge_at(proof.holder_chain, index, _forged_entry))
-        self._check(bad, sim, "LinkFailed", "holder chain: BadSignature")
+        inner = f"round {proof.holder_chain[index].commitment.round}"
+        self._check(bad, sim, "LinkFailed", f"holder chain: BadSignature ({inner})")
 
     def test_hub_issuer_receipt(self, runs):
         proof, sim = runs["hub"]
         link = proof.links[2]
         forged = dataclasses.replace(link, receipts=_forge_at(link.receipts, 1, _forged_receipt))
         bad = dataclasses.replace(proof, links=_swap(proof.links, 2, forged))
-        self._check(bad, sim, "LinkFailed", f"{link.issuer_id.hex()}: BadSignature")
+        inner = "holder signature in receipt for round 2"
+        self._check(bad, sim, "LinkFailed", f"{link.issuer_id.hex()}: BadSignature ({inner})")
 
     @pytest.mark.parametrize("record", ["receipt", "chain-entry"])
     def test_chain_inner_hop(self, runs, record):
@@ -264,17 +266,20 @@ class TestForgedSignatureKeepsItsReason:
         hop = proof.hops[1]
         if record == "receipt":
             hop = dataclasses.replace(hop, receipts=_forge_at(hop.receipts, 0, _forged_receipt))
+            inner = "holder signature in receipt for round 2"
         else:
             hop = dataclasses.replace(hop, holder_chain=_forge_at(hop.holder_chain, -1, _forged_entry))
+            inner = "round 5"
         bad = ChainProof(hops=_swap(proof.hops, 1, hop))
-        self._check(bad, sim, "BrokenHop", "hop 1: BadSignature")
+        self._check(bad, sim, "BrokenHop", f"hop 1: BadSignature ({inner})")
 
     def test_chain_last_hop(self, runs):
         proof, sim = runs["chain"]
         last = proof.hops[-1]
         hop = dataclasses.replace(last, holder_chain=_forge_at(last.holder_chain, -1, _forged_entry))
         bad = ChainProof(hops=proof.hops[:-1] + (hop,))
-        self._check(bad, sim, "BrokenHop", f"hop {len(proof.hops) - 1}: BadSignature")
+        inner = f"round {last.holder_chain[-1].commitment.round}"
+        self._check(bad, sim, "BrokenHop", f"hop {len(proof.hops) - 1}: BadSignature ({inner})")
 
     def test_link_receipt(self, runs):
         proof, sim = runs["link"]
@@ -299,7 +304,8 @@ class TestForgedSignatureKeepsItsReason:
         link = proof.links[2]
         forged = dataclasses.replace(link, receipts=_forge_at(link.receipts, 1, _forged_issuer))
         bad = dataclasses.replace(proof, links=_swap(proof.links, 2, forged))
-        self._check(bad, sim, "LinkFailed", f"{link.issuer_id.hex()}: TrustMismatch")
+        inner = "issuer commitment for round 3 disagrees"
+        self._check(bad, sim, "LinkFailed", f"{link.issuer_id.hex()}: TrustMismatch ({inner})")
 
     @pytest.mark.parametrize("hop", [-1, 1])
     def test_chain_issuer_commitment(self, runs, hop):
@@ -309,7 +315,8 @@ class TestForgedSignatureKeepsItsReason:
         if hop == -1:
             self._check(bad, sim, "AnchorMismatch", f"issuer commitment for round {forged.window_end + 1} disagrees")
         else:
-            self._check(bad, sim, "BrokenHop", f"hop {hop}: TrustMismatch")
+            inner = f"issuer commitment for round {forged.window_end + 1} disagrees"
+            self._check(bad, sim, "BrokenHop", f"hop {hop}: TrustMismatch ({inner})")
 
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
@@ -332,3 +339,52 @@ def test_single_bit_flips_keep_the_sequential_verdict(runs, kind):
         verdict = _verify(bad, sim)
         for reference in (_sequential(bad, sim), _parent_rule(bad, sim)):
             assert (verdict.ok, verdict.reason, verdict.detail) == (reference.ok, reference.reason, reference.detail)
+
+
+class TestRepeatsAreSkippedChecks:
+    """``signatures_repeated`` counts the times the verifier met a signature
+    it checked in the same call again, and so skipped its check."""
+
+    def test_failure_before_any_signature_repeats_nothing(self, runs, ed25519_calls):
+        # Earlier issuers' receipts met the holder's submissions, but this
+        # receipt fails before its own, so nothing is checked or skipped.
+        proof, sim = runs["hub"]
+        link = proof.links[-1]
+        receipt = link.receipts[0]
+        sub = dataclasses.replace(receipt.submission, holder_root=_flip(receipt.holder_root))
+        forged = dataclasses.replace(link, receipts=_swap(link.receipts, 0, dataclasses.replace(receipt, submission=sub)))
+        verdict = _verify(dataclasses.replace(proof, links=_swap(proof.links, -1, forged)), sim)
+        assert (verdict.reason, verdict.detail) == (
+            "LinkFailed",
+            f"{link.issuer_id.hex()}: ReceiptMismatch (receipt attests a different round-1 root)",
+        )
+        assert (verdict.signatures_checked, verdict.signatures_repeated) == (0, 0)
+        assert ed25519_calls == []
+
+    @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+    def test_repeats_match_the_first_pass(self, runs, ed25519_calls, kind):
+        # Reference: the Ed25519 checks actually made, and how often a
+        # first pass that answers every signature True meets each of them.
+        proof, sim = runs[kind]
+        check = {HubProof: entangle._check_hub, ChainProof: entangle._check_chain}.get(type(proof), entangle._check_link)
+        blob = encode_proof(proof)
+        bits = len(blob) * 8
+        for position in [None, *range(3, bits, bits // 300)]:
+            mutated = bytearray(blob)
+            if position is not None:
+                mutated[position // 8] ^= 1 << (position % 8)
+            try:
+                bad = decode_proof(bytes(mutated))
+            except (WireError, ValueError):
+                continue
+            if _trust(bad, sim) is None:
+                continue
+            first = entangle._Deferred(sim.directory)
+            check(bad, _trust(bad, sim), first)
+            met = {}
+            for _, _, message, signature in first.recorded:
+                met[message, signature] = met.get((message, signature), 0) + 1
+            ed25519_calls.clear()
+            verdict = _verify(bad, sim)
+            assert verdict.signatures_checked == len(ed25519_calls)
+            assert verdict.signatures_repeated == sum(met[message, signature] - 1 for _, message, signature in ed25519_calls)

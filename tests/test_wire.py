@@ -256,6 +256,12 @@ class CopyingReader:
     def digests(self, what: str, limit: int) -> tuple:
         return self.many(CopyingReader.digest, what, limit)
 
+    def tell(self) -> int:
+        return self._pos
+
+    def since(self, start: int) -> bytes:
+        return self._data[start : self._pos]
+
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
