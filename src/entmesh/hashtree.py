@@ -41,33 +41,10 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-class Digest(bytes):
-    """A 32-byte hash value.
+# A digest is a plain 32-byte ``bytes``; the alias annotates and validates nothing.
+Digest = bytes
 
-    Subclasses ``bytes`` so digests sort bytewise and hash/compare like any
-    other byte string; construction enforces the fixed size.  Text output
-    should always use :meth:`hex` (lowercase).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: bytes) -> "Digest":
-        if len(value) != DIGEST_SIZE:
-            raise ValueError(f"digest must be {DIGEST_SIZE} bytes, got {len(value)}")
-        return super().__new__(cls, value)
-
-    def __repr__(self) -> str:
-        return f"Digest({self.hex()})"
-
-
-def _digest(value: bytes) -> Digest:
-    """``Digest(value)`` without the length check, for bytes that are 32
-    long by construction: hashlib output, or a slice its caller sized.
-    Package-internal; bytes from outside go through ``Digest``."""
-    return bytes.__new__(Digest, value)
-
-
-ZERO_DIGEST = Digest(b"\x00" * DIGEST_SIZE)
+ZERO_DIGEST = bytes(DIGEST_SIZE)
 
 
 class EmptyTreeError(ValueError):
@@ -90,12 +67,12 @@ _LEFT, _RIGHT = Side.LEFT, Side.RIGHT  # module globals: cheaper to load than en
 
 def leaf_hash(leaf: bytes) -> Digest:
     """Hash of a single leaf: H(0x00 || leaf)."""
-    return _digest(sha256(_LEAF_PREFIX + leaf))
+    return sha256(_LEAF_PREFIX + leaf)
 
 
 def node_hash(left: bytes, right: bytes) -> Digest:
     """Hash of an interior node: H(0x01 || left || right)."""
-    return _digest(sha256(_NODE_PREFIX + left + right))
+    return sha256(_NODE_PREFIX + left + right)
 
 
 def root(leaves: Sequence[bytes]) -> Digest:
@@ -142,7 +119,7 @@ class MerkleTree:
             level = b"".join(parents) + level[paired:]
             levels.append(level)
         self._levels: tuple[bytes, ...] = tuple(levels)
-        self._root = _digest(level)
+        self._root = level
 
     @property
     def leaves(self) -> tuple[bytes, ...]:
@@ -165,7 +142,7 @@ class MerkleTree:
             start = (i ^ 1) * DIGEST_SIZE
             if start < len(level):
                 side = Side.LEFT if i & 1 else Side.RIGHT
-                path.append((side, _digest(level[start : start + DIGEST_SIZE])))
+                path.append((side, level[start : start + DIGEST_SIZE]))
             i >>= 1
         return InclusionProof(leaf_index=index, audit_path=tuple(path), tree_size=self.size)
 
@@ -206,7 +183,7 @@ def fold_root(leaf: bytes, proof: InclusionProof) -> Optional[Digest]:
             if side != _RIGHT:
                 return None
             current = hashlib.sha256(_NODE_PREFIX + current + sibling).digest()
-    return _digest(current)
+    return current
 
 
 def verify_inclusion(leaf: bytes, proof: InclusionProof, expected_root: bytes) -> bool:

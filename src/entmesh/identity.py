@@ -80,15 +80,15 @@ class Credential:
     def expr(self) -> Expr:
         return (
             "credential",
-            bytes(self.issuer_id),
-            bytes(self.subject_id),
+            self.issuer_id,
+            self.subject_id,
             self.claims,
             self.issued_round,
             self.mode.value,
         )
 
     def digest(self) -> Digest:
-        return Digest(sha256(unparse(self.expr()).encode("utf-8")))
+        return sha256(unparse(self.expr()).encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -239,10 +239,10 @@ class RecoveryPolicy:
             raise ValueError(f"threshold {self.threshold} out of range for {len(self.guardians)} guardians")
 
     def expr(self) -> Expr:
-        return ("threshold", self.threshold) + tuple(bytes(g) for g in self.guardians)
+        return ("threshold", self.threshold) + self.guardians
 
     def digest(self) -> Digest:
-        return Digest(sha256(unparse(self.expr()).encode("utf-8")))
+        return sha256(unparse(self.expr()).encode("utf-8"))
 
     def decide(self, endorsed: Sequence[NodeId]) -> bool:
         """Evaluate the policy expression against the endorsing set."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
-from .hashtree import Digest, _digest, sha256
+from .hashtree import Digest, sha256
 
 __all__ = ["Ed25519Scheme", "KeyPair", "NodeId", "node_id_for_key"]
 
@@ -22,7 +22,7 @@ NodeId = Digest
 
 
 def node_id_for_key(verify_key: bytes) -> NodeId:
-    return _digest(sha256(verify_key))
+    return sha256(verify_key)
 
 
 class Ed25519Scheme:

@@ -173,7 +173,7 @@ def load_trust_bundle(path: "Path | str") -> TrustBundle:
         where = f"{path}: bad key entry for {label!r}"
         bindings = _shaped(_shaped(entry, dict, where).get("bindings"), list, f"{where}: bindings")
         try:
-            node_id = NodeId(bytes.fromhex(entry["node_id"]))
+            node_id = bytes.fromhex(entry["node_id"])
             rounds = [_shaped(binding["from_round"], int, "from_round") for binding in bindings]
             if rounds[:1] != [0] or rounds != sorted(set(rounds)):
                 raise LedgerError(f"from_round values {rounds} must start at 0 and strictly ascend")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, TypeVar
 
-from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, _digest, sha256, verify_inclusion
+from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, sha256, verify_inclusion
 from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
 from .sexpr import Expr, encode_tree
 from .wire import MAX_RECORD, Reader, WireError, Writer, decode, encode_inclusion_proof, read_inclusion_proof
@@ -169,7 +169,7 @@ class Commitment:
 
 
 def commitment_digest(commitment: Commitment) -> Digest:
-    return _digest(sha256(commitment._encoding))
+    return sha256(commitment._encoding)
 
 
 @dataclass(frozen=True)
@@ -584,7 +584,6 @@ class Node:
         self.records: list[NodeRecord] = []
         self._pending_submissions: dict[tuple[NodeId, int], Submission] = {}
         self._pending_receipts: dict[tuple[NodeId, int], Receipt] = {}
-        self._receipts_this_round: list[Receipt] = []
         self.receipt_log: dict[tuple[NodeId, int], Receipt] = {}
 
     @property
@@ -646,8 +645,7 @@ class Node:
         # Called at round end: pin the receipts that arrived during this
         # round onto the round's record so ledgers capture them verbatim.
         if self.records:
-            self.records[-1].received_receipts = tuple(self._receipts_this_round)
-        self._receipts_this_round = []
+            self.records[-1].received_receipts = tuple(self._pending_receipts.values())
 
     def prune_record(self, round_no: int) -> None:
         # Trust-anchor storage mode: keep only the root and the commitment.
@@ -714,6 +712,5 @@ class Node:
         verdict = self.verify_receipt(receipt, directory)
         if verdict:
             self._pending_receipts[(receipt.issuer_id, receipt.holder_round)] = receipt
-            self._receipts_this_round.append(receipt)
             self.receipt_log[(receipt.issuer_id, receipt.holder_round)] = receipt
         return verdict

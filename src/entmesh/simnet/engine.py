@@ -504,9 +504,6 @@ class Simulation:
     def receipts_by_id(self) -> dict[NodeId, Mapping[tuple[NodeId, int], Receipt]]:
         return {node.node_id: node.receipt_log for node in self.nodes.values()}
 
-    def label_of(self, node_id: NodeId) -> str:
-        return self._label_of[node_id]
-
     def path_to_anchor(self, label: str) -> list[str]:
         """Shortest outbound path from ``label`` to the nearest anchor."""
         anchors = set(self.topology.anchors)

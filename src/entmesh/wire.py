@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Sequence, TypeVar
 
-from .hashtree import DIGEST_SIZE, Digest, InclusionProof, Side, _digest
+from .hashtree import DIGEST_SIZE, Digest, InclusionProof, Side
 
 __all__ = ["Reader", "Writer", "WireError", "decode", "encode_inclusion_proof", "read_inclusion_proof"]
 
@@ -129,7 +129,7 @@ class Reader:
 
     def digest(self) -> Digest:
         pos = self._advance(DIGEST_SIZE)
-        return _digest(self._data[pos : pos + DIGEST_SIZE])
+        return self._data[pos : pos + DIGEST_SIZE]
 
     def blob(self, max_len: int = 1 << 24) -> bytes:
         n = self.u32()
@@ -166,7 +166,7 @@ class Reader:
             raise WireError(f"too many {what}: {count}")
         pos = self._advance(count * DIGEST_SIZE)
         data = self._data
-        return tuple([_digest(data[i : i + DIGEST_SIZE]) for i in range(pos, self._pos, DIGEST_SIZE)])
+        return tuple([data[i : i + DIGEST_SIZE] for i in range(pos, self._pos, DIGEST_SIZE)])
 
     def tell(self) -> int:
         return self._pos
@@ -215,5 +215,5 @@ def read_inclusion_proof(r: Reader) -> InclusionProof:
         raise WireError(f"bad side byte {next(b for b in sides if b > 1)}")
     r._advance(size)
     steps = range(start, start + size, _STEP_SIZE)
-    path = tuple([(_SIDES[data[i]], _digest(data[i + 1 : i + _STEP_SIZE])) for i in steps])
+    path = tuple([(_SIDES[data[i]], data[i + 1 : i + _STEP_SIZE]) for i in steps])
     return InclusionProof(leaf_index=leaf_index, audit_path=path, tree_size=tree_size)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from entmesh.cli import main
 from entmesh.config import MAX_NODE_ROUNDS
 from entmesh.entangle import ChainProof, HubProof, LinkProof, decode_proof
+from entmesh.ledger import LedgerError, load_trust_bundle
 from entmesh.wire import encode_inclusion_proof
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -57,6 +58,29 @@ def chain_run(tmp_path_factory):
             "--kind", "chain",
             "--holder", "h0",
             "--start", "1",
+            "--out", str(proof),
+        ]
+    )
+    assert rc == 0
+    return {"art": art, "proof": proof, "trust": art / "trust.json"}
+
+
+@pytest.fixture(scope="module")
+def identity_run(tmp_path_factory):
+    """The identity scenario's run and its h0 -> hub link proof."""
+    base = tmp_path_factory.mktemp("identity-run")
+    art = base / "artifacts"
+    assert main(["simulate", "--config", str(SCENARIOS / "identity.yaml"), "--out", str(art)]) == 0
+    proof = base / "link.proof"
+    rc = main(
+        [
+            "prove",
+            "--config", str(SCENARIOS / "identity.yaml"),
+            "--kind", "link",
+            "--holder", "h0",
+            "--issuer", "hub",
+            "--start", "1",
+            "--end", "4",
             "--out", str(proof),
         ]
     )
@@ -484,6 +508,22 @@ class TestVerify:
         rc = main(["verify", "--proof", str(link_run["proof"]), "--trust", str(bad)])
         assert rc == 1
         assert "MalformedTrust" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["one-byte-short", "one-byte-long"])
+    def test_node_id_of_wrong_length(self, identity_run, tmp_path, capsys, cut):
+        # No digest type checks the length: a 31- or 33-byte id is refused
+        # because it cannot equal the fingerprint of its key.
+        bundle = json.loads(identity_run["trust"].read_text())
+        node_id = bundle["keys"]["h0"]["node_id"]
+        bundle["keys"]["h0"]["node_id"] = node_id[:-2] if cut < 0 else node_id + "00"
+        bad = tmp_path / "trust.json"
+        bad.write_text(json.dumps(bundle))
+        with pytest.raises(LedgerError, match="bad key entry for 'h0'"):
+            load_trust_bundle(bad)
+        rc = main(["verify", "--proof", str(identity_run["proof"]), "--trust", str(bad)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL: MalformedTrust (") and "bad key entry for 'h0'" in out
 
     def test_missing_proof_file(self, link_run, tmp_path):
         rc = main(["verify", "--proof", str(tmp_path / "gone.proof"), "--trust", str(link_run["trust"])])

@@ -212,10 +212,6 @@ class TestInclusionProofs:
 
 
 class TestDigestType:
-    def test_size_enforced(self):
-        with pytest.raises(ValueError):
-            Digest(b"short")
-
     def test_zero_digest(self):
         assert len(ZERO_DIGEST) == 32
         assert set(ZERO_DIGEST) == {0}
