@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -22,7 +21,7 @@ __all__ = [
     "IndexOutOfRangeError",
     "InclusionProof",
     "MerkleTree",
-    "Side",
+    "STEP_SIZE",
     "ZERO_DIGEST",
     "fold_root",
     "leaf_hash",
@@ -33,6 +32,7 @@ __all__ = [
 ]
 
 DIGEST_SIZE = 32
+STEP_SIZE = 1 + DIGEST_SIZE  # one audit-path step: side byte, then sibling
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
 
@@ -55,16 +55,6 @@ class IndexOutOfRangeError(IndexError):
     """Requested leaf index is not inside the tree."""
 
 
-class Side(IntEnum):
-    """Which side of the running hash an audit-path sibling sits on."""
-
-    LEFT = 0
-    RIGHT = 1
-
-
-_LEFT, _RIGHT = Side.LEFT, Side.RIGHT  # module globals: cheaper to load than enum members
-
-
 def leaf_hash(leaf: bytes) -> Digest:
     """Hash of a single leaf: H(0x00 || leaf)."""
     return sha256(_LEAF_PREFIX + leaf)
@@ -83,34 +73,38 @@ def root(leaves: Sequence[bytes]) -> Digest:
 class InclusionProof:
     """Audit path for one leaf.
 
-    ``audit_path`` is ordered bottom-up: the first sibling combines directly
-    with the leaf hash.  ``tree_size`` pins the shape; verification rejects
-    any path whose structure does not match (leaf_index, tree_size).
+    ``audit_path`` is the path's wire bytes: ``STEP_SIZE``-byte steps, each
+    a side byte (0 = sibling on the left, 1 = on the right) and then the
+    32-byte sibling, ordered bottom-up, so the first sibling combines
+    directly with the leaf hash.  ``tree_size`` pins the shape; verification
+    rejects any path whose structure does not match (leaf_index, tree_size).
     """
 
     leaf_index: int
-    audit_path: tuple[tuple[Side, Digest], ...]
+    audit_path: bytes
     tree_size: int
 
 
 class MerkleTree:
     """An immutable tree over an ordered list of byte-string leaves.
 
-    Cost model: construction hashes every node once, level by level (O(n)
-    hashes); each level is kept as one packed ``bytes`` blob of 32-byte
-    digests, so a tree costs about 64 bytes per leaf on top of the leaves.
-    ``prove_inclusion`` slices one sibling per level, O(log n).  Pairing
-    adjacent nodes and promoting an unpaired last node yields exactly the
-    split-at-largest-power-of-two shape of the module docstring.
+    The tree keeps its hashes and ``leaf_bytes_total``, the leaves' summed
+    length, not the leaves themselves.  Cost model: construction hashes
+    every node once, level by level (O(n) hashes); each level is kept as one
+    packed ``bytes`` blob of 32-byte digests, so a tree costs about 64 bytes
+    per leaf.  ``prove_inclusion`` slices one sibling per level, O(log n).
+    Pairing adjacent nodes and promoting an unpaired last node yields
+    exactly the split-at-largest-power-of-two shape of the module docstring.
     """
 
-    __slots__ = ("_leaves", "_levels", "_root")
+    __slots__ = ("_levels", "_root", "leaf_bytes_total")
 
     def __init__(self, leaves: Iterable[bytes]):
-        self._leaves: tuple[bytes, ...] = tuple(bytes(x) for x in leaves)
-        if not self._leaves:
+        leaves = list(leaves)
+        if not leaves:
             raise EmptyTreeError("cannot build a tree with no leaves")
-        level = b"".join([sha256(_LEAF_PREFIX + leaf) for leaf in self._leaves])
+        self.leaf_bytes_total = sum(map(len, leaves))
+        level = b"".join([sha256(_LEAF_PREFIX + leaf) for leaf in leaves])
         levels = [level]
         pair = 2 * DIGEST_SIZE
         while len(level) > DIGEST_SIZE:
@@ -122,29 +116,26 @@ class MerkleTree:
         self._root = level
 
     @property
-    def leaves(self) -> tuple[bytes, ...]:
-        return self._leaves
-
-    @property
     def size(self) -> int:
-        return len(self._leaves)
+        return len(self._levels[0]) // DIGEST_SIZE
 
     @property
     def root(self) -> Digest:
         return self._root
 
     def prove_inclusion(self, index: int) -> InclusionProof:
-        if not 0 <= index < self.size:
-            raise IndexOutOfRangeError(f"leaf index {index} not in tree of size {self.size}")
-        path: list[tuple[Side, Digest]] = []
+        size = self.size
+        if not 0 <= index < size:
+            raise IndexOutOfRangeError(f"leaf index {index} not in tree of size {size}")
+        steps: list[bytes] = []
         i = index
         for level in self._levels[:-1]:
             start = (i ^ 1) * DIGEST_SIZE
             if start < len(level):
-                side = Side.LEFT if i & 1 else Side.RIGHT
-                path.append((side, level[start : start + DIGEST_SIZE]))
+                steps.append(b"\x00" if i & 1 else b"\x01")  # sibling on the left / right
+                steps.append(level[start : start + DIGEST_SIZE])
             i >>= 1
-        return InclusionProof(leaf_index=index, audit_path=tuple(path), tree_size=self.size)
+        return InclusionProof(leaf_index=index, audit_path=b"".join(steps), tree_size=size)
 
 
 def fold_root(leaf: bytes, proof: InclusionProof) -> Optional[Digest]:
@@ -155,12 +146,12 @@ def fold_root(leaf: bytes, proof: InclusionProof) -> Optional[Digest]:
     a path whose length or side sequence disagrees with the claimed position
     is rejected outright rather than folded anyway.
 
-    One bottom-up pass (RFC 9162 section 2.1.3.2).  Below level ``inner``,
-    where the leaf's and the last leaf's positions still differ, bit
-    ``level`` of the index says which side the sibling is on.  From there
-    up the leaf lies on the tree's right border: every remaining sibling is
-    a left one, one per set bit of ``index >> inner``, and levels where the
-    border node has no sibling add no step.
+    One bottom-up pass over the step bytes (RFC 9162 section 2.1.3.2).
+    Below level ``inner``, where the leaf's and the last leaf's positions
+    still differ, bit ``level`` of the index says which side the sibling is
+    on.  From there up the leaf lies on the tree's right border: every
+    remaining sibling is a left one, one per set bit of ``index >> inner``,
+    and levels where the border node has no sibling add no step.
     """
     index, size = proof.leaf_index, proof.tree_size
     if not isinstance(index, int) or not isinstance(size, int):
@@ -169,18 +160,17 @@ def fold_root(leaf: bytes, proof: InclusionProof) -> Optional[Digest]:
         return None
     inner = (index ^ (size - 1)).bit_length()
     path = proof.audit_path
-    if len(path) != inner + (index >> inner).bit_count():
+    if len(path) != (inner + (index >> inner).bit_count()) * STEP_SIZE:
         return None
     current = hashlib.sha256(_LEAF_PREFIX + leaf).digest()
-    for level, (side, sibling) in enumerate(path):
-        if len(sibling) != DIGEST_SIZE:
-            return None
+    for level, at in enumerate(range(0, len(path), STEP_SIZE)):
+        sibling = path[at + 1 : at + STEP_SIZE]
         if level >= inner or index >> level & 1:
-            if side != _LEFT:
+            if path[at] != 0:
                 return None
             current = hashlib.sha256(_NODE_PREFIX + sibling + current).digest()
         else:
-            if side != _RIGHT:
+            if path[at] != 1:
                 return None
             current = hashlib.sha256(_NODE_PREFIX + current + sibling).digest()
     return current

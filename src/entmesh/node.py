@@ -546,16 +546,15 @@ class NodeRecord:
     tree: Optional[MerkleTree] = None
     received_receipts: tuple[Receipt, ...] = ()
     # Bytes the record keeps: encoded commitment, root and, until pruned, the
-    # tree's leaves.  Sized when the record is made and again when pruned.
+    # tree's leaf bytes.  Sized when the record is made and again when pruned.
     retained_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._measure()
 
     def _measure(self) -> None:
-        leaves = self.tree.leaves if self.tree is not None else ()
-        kept = len(self.commitment.to_bytes()) + len(self.commitment.root)
-        self.retained_bytes = kept + sum(map(len, leaves))
+        leaf_bytes = self.tree.leaf_bytes_total if self.tree is not None else 0
+        self.retained_bytes = len(self.commitment.to_bytes()) + len(self.commitment.root) + leaf_bytes
 
     @property
     def round(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Sequence, TypeVar
 
-from .hashtree import DIGEST_SIZE, Digest, InclusionProof, Side
+from .hashtree import DIGEST_SIZE, STEP_SIZE, Digest, InclusionProof
 
 __all__ = ["Reader", "Writer", "WireError", "decode", "encode_inclusion_proof", "read_inclusion_proof"]
 
@@ -191,29 +191,33 @@ def decode(data: bytes, read: Callable[[Reader], T]) -> T:
     return value
 
 
-def encode_inclusion_proof(proof: InclusionProof) -> bytes:
-    w = Writer()
-    w.u64(proof.leaf_index).u64(proof.tree_size).u32(len(proof.audit_path))
-    for side, digest in proof.audit_path:
-        w.u8(int(side)).digest(digest)
-    return w.getvalue()
-
-
 _PROOF_HEAD = struct.Struct(">QQI")  # leaf_index, tree_size, step count
-_STEP_SIZE = 1 + DIGEST_SIZE  # side byte, sibling digest
-_SIDES = (Side.LEFT, Side.RIGHT)
+
+
+def _check_sides(sides: bytes) -> None:
+    """Refuse a side byte other than 0 or 1, naming the first one."""
+    if sides.translate(None, b"\x00\x01"):
+        raise WireError(f"bad side byte {next(b for b in sides if b > 1)}")
+
+
+def encode_inclusion_proof(proof: InclusionProof) -> bytes:
+    """The head, then the path's step bytes as they are; a path the reader
+    would refuse is refused here."""
+    path = proof.audit_path
+    count, extra = divmod(len(path), STEP_SIZE)
+    if extra:
+        raise WireError(f"audit path is not whole {STEP_SIZE}-byte steps")
+    if count > MAX_AUDIT_STEPS:
+        raise WireError(f"too many audit steps: {count}")
+    _check_sides(path[::STEP_SIZE])
+    return Writer().u64(proof.leaf_index).u64(proof.tree_size).u32(count).getvalue() + path
 
 
 def read_inclusion_proof(r: Reader) -> InclusionProof:
     leaf_index, tree_size, count = _PROOF_HEAD.unpack_from(r._data, r._advance(_PROOF_HEAD.size))
     if count > MAX_AUDIT_STEPS:
         raise WireError(f"too many audit steps: {count}")
-    data, start, size = r._data, r._pos, count * _STEP_SIZE
-    sides = data[start : start + min(size, r.remaining()) : _STEP_SIZE]
-    if sides.translate(None, b"\x00\x01"):
-        # A step-by-step read meets the first bad side byte before the end.
-        raise WireError(f"bad side byte {next(b for b in sides if b > 1)}")
-    r._advance(size)
-    steps = range(start, start + size, _STEP_SIZE)
-    path = tuple([(_SIDES[data[i]], data[i + 1 : i + _STEP_SIZE]) for i in steps])
-    return InclusionProof(leaf_index=leaf_index, audit_path=path, tree_size=tree_size)
+    # A step-by-step read meets the first bad side byte before a cut-short path.
+    start, size = r._pos, count * STEP_SIZE
+    _check_sides(r._data[start : start + min(size, r.remaining()) : STEP_SIZE])
+    return InclusionProof(leaf_index=leaf_index, audit_path=r._take(size), tree_size=tree_size)

@@ -19,7 +19,6 @@ from entmesh.hashtree import (
     IndexOutOfRangeError,
     InclusionProof,
     MerkleTree,
-    Side,
     ZERO_DIGEST,
     fold_root,
     leaf_hash,
@@ -61,6 +60,11 @@ def ref_path(leaves, index):
     if index < k:
         return ref_path(leaves[:k], index) + [("right", ref_root(leaves[k:]))]
     return ref_path(leaves[k:], index - k) + [("left", ref_root(leaves[:k]))]
+
+
+def ref_path_bytes(leaves, index) -> bytes:
+    """``ref_path`` as wire steps: side byte (0 left, 1 right), then sibling."""
+    return b"".join(bytes([side == "right"]) + digest for side, digest in ref_path(leaves, index))
 
 
 def leaf_set(n):
@@ -130,10 +134,11 @@ class TestInclusionProofs:
         for i in range(n):
             proof = tree.prove_inclusion(i)
             expected = ref_path(leaves, i)
-            assert len(proof.audit_path) == len(expected)
-            for (side_name, digest), (side, sibling) in zip(expected, proof.audit_path):
-                assert bytes(sibling) == digest
-                assert side == (Side.LEFT if side_name == "left" else Side.RIGHT)
+            assert len(proof.audit_path) == 33 * len(expected)
+            for k, (side_name, digest) in enumerate(expected):
+                step = proof.audit_path[33 * k : 33 * (k + 1)]
+                assert step[1:] == digest
+                assert step[0] == (0 if side_name == "left" else 1)
 
     def test_path_lengths_follow_tree_shape(self):
         # Depth varies per leaf in a ragged tree; it only equals
@@ -145,9 +150,9 @@ class TestInclusionProofs:
         }
         for n, lengths in shapes.items():
             tree = MerkleTree(leaf_set(n))
-            got = [len(tree.prove_inclusion(i).audit_path) for i in range(n)]
-            assert got == lengths
-            assert max(got) == math.ceil(math.log2(n))
+            got = [divmod(len(tree.prove_inclusion(i).audit_path), 33) for i in range(n)]
+            assert got == [(steps, 0) for steps in lengths]
+            assert max(lengths) == math.ceil(math.log2(n))
 
     def test_index_out_of_range(self):
         tree = MerkleTree(leaf_set(3))
@@ -180,7 +185,7 @@ class TestInclusionProofs:
         flipped = InclusionProof(
             leaf_index=proof.leaf_index,
             tree_size=proof.tree_size,
-            audit_path=tuple((Side(1 - side), sib) for side, sib in proof.audit_path),
+            audit_path=bytes(b ^ 1 if k % 33 == 0 else b for k, b in enumerate(proof.audit_path)),
         )
         assert fold_root(leaves[2], flipped) is None
 
@@ -207,7 +212,7 @@ class TestInclusionProofs:
     def test_single_leaf_proof_is_empty_path(self):
         tree = MerkleTree([b"only"])
         proof = tree.prove_inclusion(0)
-        assert proof.audit_path == ()
+        assert proof.audit_path == b""
         assert verify_inclusion(b"only", proof, tree.root)
 
 
@@ -279,24 +284,23 @@ def test_tree_matches_recursive_reference(leaves):
     assert tree.root == root(leaves) == ref_root(leaves)
     for i in range(len(leaves)):
         proof = tree.prove_inclusion(i)
-        want = [(Side.LEFT if name == "left" else Side.RIGHT, digest) for name, digest in ref_path(leaves, i)]
-        assert [(side, bytes(sibling)) for side, sibling in proof.audit_path] == want
-        assert all(type(sibling) is Digest for _, sibling in proof.audit_path)
+        assert proof.audit_path == ref_path_bytes(leaves, i)
+        assert type(proof.audit_path) is bytes
         assert verify_inclusion(leaves[i], proof, tree.root)
 
 
 def ref_path_sides(index: int, size: int) -> list:
-    # The side sequence, worked out top-down from (index, size) by the
-    # split rule and reversed to bottom-up order.
+    # The side bytes (0 left, 1 right), worked out top-down from
+    # (index, size) by the split rule and reversed to bottom-up order.
     sides = []
     lo, hi = 0, size
     while hi - lo > 1:
         k = 1 << ((hi - lo - 1).bit_length() - 1)
         if index < lo + k:
-            sides.append(Side.RIGHT)
+            sides.append(1)
             hi = lo + k
         else:
-            sides.append(Side.LEFT)
+            sides.append(0)
             lo = lo + k
     sides.reverse()
     return sides
@@ -309,36 +313,38 @@ def ref_fold_root(leaf: bytes, proof: InclusionProof):
     if proof.tree_size < 1 or not 0 <= proof.leaf_index < proof.tree_size:
         return None
     expected = ref_path_sides(proof.leaf_index, proof.tree_size)
-    if len(proof.audit_path) != len(expected):
+    path = proof.audit_path
+    if len(path) != 33 * len(expected):
         return None
     current = ref_leaf(leaf)
-    for (side, sibling), want in zip(proof.audit_path, expected):
+    for k, want in enumerate(expected):
+        side, sibling = path[33 * k], path[33 * k + 1 : 33 * (k + 1)]
         if side != want or len(sibling) != 32:
             return None
-        pair = sibling + current if side == Side.LEFT else current + sibling
+        pair = sibling + current if side == 0 else current + sibling
         current = hashlib.sha256(b"\x01" + pair).digest()
     return current
 
 
 def _variants(proof: InclusionProof):
-    """The proof itself, then copies with one side, the size, the index or
-    the path length changed."""
+    """The proof itself, then copies with one side byte, one sibling's
+    length, the size, the index or the path length changed."""
     index, size, path = proof.leaf_index, proof.tree_size, proof.audit_path
     yield proof
-    for i, (side, sibling) in enumerate(path):
-        flipped = (Side(1 - side), sibling)
-        yield InclusionProof(index, path[:i] + (flipped,) + path[i + 1 :], size)
-        yield InclusionProof(index, path[:i] + ((side, sibling[:-1]),) + path[i + 1 :], size)
+    for at in range(0, len(path), 33):
+        flipped = bytes([path[at] ^ 1])
+        yield InclusionProof(index, path[:at] + flipped + path[at + 1 :], size)
+        yield InclusionProof(index, path[: at + 32] + path[at + 33 :], size)
     for other in (0, size - 1, size + 1, 2 * size, size + 7):
         yield InclusionProof(index, path, other)
     for other in (-1, index - 1, index + 1, size - 1 - index, size):
         yield InclusionProof(other, path, size)
-    spare = (Side.LEFT, ZERO_DIGEST)
-    yield InclusionProof(index, path[:-1], size)
-    yield InclusionProof(index, path[1:], size)
-    yield InclusionProof(index, path + (spare,), size)
-    yield InclusionProof(index, (spare,) + path, size)
-    yield InclusionProof(index, path + ((Side.RIGHT, ZERO_DIGEST),), size)
+    spare = b"\x00" + ZERO_DIGEST
+    yield InclusionProof(index, path[:-33], size)
+    yield InclusionProof(index, path[33:], size)
+    yield InclusionProof(index, path + spare, size)
+    yield InclusionProof(index, spare + path, size)
+    yield InclusionProof(index, path + b"\x01" + ZERO_DIGEST, size)
 
 
 def test_fold_matches_reference_for_every_position():

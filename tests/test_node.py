@@ -44,7 +44,7 @@ class TestLeafLayout:
     def test_round_zero_chains_from_zero(self):
         node = solo_node()
         record = node.build(("genesis",))
-        leaves = record.tree.leaves
+        leaves = round_leaves(record.state)
         assert leaves[0] == bytes([LEAF_PREV]) + ZERO_DIGEST
         assert leaves[1] == bytes([LEAF_PAYLOAD]) + encode_tree(("genesis",)).root
         assert leaves[2][0] == LEAF_MANIFEST
@@ -54,14 +54,14 @@ class TestLeafLayout:
         first = node.build(("r0",))
         second = node.build(("r1",))
         expected = commitment_digest(first.commitment)
-        assert second.tree.leaves[0] == bytes([LEAF_PREV]) + expected
+        assert round_leaves(second.state)[0] == bytes([LEAF_PREV]) + expected
 
     def test_manifest_leaf_round_trips(self):
         node = solo_node()
         ids = [keypair_from_seed(f"peer:{i}").node_id for i in range(3)]
         node.set_manifest(ids)
         record = node.build(("x",))
-        leaf = record.tree.leaves[MANIFEST_LEAF_INDEX]
+        leaf = round_leaves(record.state)[MANIFEST_LEAF_INDEX]
         assert parse_manifest_leaf(leaf) == tuple(sorted(ids))
 
     def test_manifest_sorted_and_deduped(self):

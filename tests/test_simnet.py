@@ -369,9 +369,9 @@ class TestAnchorPruning:
 
 
 def _flip_first_sibling(proof):
-    (side, sibling), *rest = proof.audit_path
-    flipped = Digest(bytes([sibling[0] ^ 1]) + sibling[1:])
-    return dataclasses.replace(proof, audit_path=((side, flipped), *rest))
+    # Byte 0 of the path is the first step's side byte; byte 1 starts its sibling.
+    path = proof.audit_path
+    return dataclasses.replace(proof, audit_path=path[:1] + bytes([path[1] ^ 1]) + path[2:])
 
 
 RECEIPT_TAMPERS = {

@@ -215,9 +215,8 @@ class TestSignatureCounts:
         if where == "evidence-path":
             link = proof.links[-1]
             ev = link.evidence_proofs[-1]
-            side, sibling = ev.audit_path[0]
-            sibling = type(sibling)(bytes([sibling[0] ^ 1]) + sibling[1:])
-            flipped = dataclasses.replace(ev, audit_path=((side, sibling),) + ev.audit_path[1:])
+            path = ev.audit_path  # the first sibling starts after the first side byte
+            flipped = dataclasses.replace(ev, audit_path=path[:1] + bytes([path[1] ^ 1]) + path[2:])
             link = dataclasses.replace(link, evidence_proofs=_swap(link.evidence_proofs, -1, flipped))
             bad = dataclasses.replace(proof, links=proof.links[:-1] + (link,))
         else:

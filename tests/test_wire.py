@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from entmesh import entangle, node
 from entmesh.config import load_config, make_simulation
-from entmesh.hashtree import Digest, InclusionProof, MerkleTree, Side
+from entmesh.hashtree import Digest, InclusionProof, MerkleTree
 from entmesh.wire import (
     MAX_AUDIT_STEPS,
     Reader,
@@ -191,12 +191,34 @@ class TestInclusionProofWire:
             read_inclusion_proof(Reader(data))
 
     def test_audit_path_bound(self):
-        step = (Side.LEFT, MerkleTree([b"a"]).root)
-        at_bound = InclusionProof(leaf_index=0, audit_path=(step,) * 64, tree_size=1)
+        step = b"\x00" + MerkleTree([b"a"]).root
+        at_bound = InclusionProof(leaf_index=0, audit_path=step * 64, tree_size=1)
         assert decode(encode_inclusion_proof(at_bound), read_inclusion_proof) == at_bound
-        over = InclusionProof(leaf_index=0, audit_path=(step,) * 65, tree_size=1)
+        over = struct.pack(">QQI", 0, 1, 65) + step * 65
         with pytest.raises(WireError):
-            read_inclusion_proof(Reader(encode_inclusion_proof(over)))
+            read_inclusion_proof(Reader(over))
+
+
+class TestInclusionProofEncoderRefuses:
+    """The encoder refuses every path the reader would refuse."""
+
+    SIBLING = MerkleTree([b"a"]).root
+
+    def test_side_byte_other_than_0_or_1(self):
+        path = b"\x01" + self.SIBLING + b"\x02" + self.SIBLING
+        with pytest.raises(WireError, match="^bad side byte 2$"):
+            encode_inclusion_proof(InclusionProof(leaf_index=0, audit_path=path, tree_size=2))
+
+    def test_more_than_max_audit_steps(self):
+        path = (b"\x00" + self.SIBLING) * (MAX_AUDIT_STEPS + 1)
+        with pytest.raises(WireError, match=f"^too many audit steps: {MAX_AUDIT_STEPS + 1}$"):
+            encode_inclusion_proof(InclusionProof(leaf_index=0, audit_path=path, tree_size=1))
+
+    @pytest.mark.parametrize("cut", [1, 32, 34])
+    def test_path_not_whole_steps(self, cut):
+        path = ((b"\x00" + self.SIBLING) * 2)[:-cut]
+        with pytest.raises(WireError, match="^audit path is not whole 33-byte steps$"):
+            encode_inclusion_proof(InclusionProof(leaf_index=3, audit_path=path, tree_size=4))
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,6 +228,21 @@ def test_proof_wire_property(leaves, data):
     index = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
     encoded = encode_inclusion_proof(tree.prove_inclusion(index))
     assert read_inclusion_proof(Reader(encoded)) == tree.prove_inclusion(index)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=300))
+def test_every_proof_round_trips_as_its_step_bytes(n):
+    tree = MerkleTree([i.to_bytes(2, "big") for i in range(n)])
+    for i in range(n):
+        proof = tree.prove_inclusion(i)
+        blob = encode_inclusion_proof(proof)
+        decoded = decode(blob, read_inclusion_proof)
+        assert decoded == proof
+        assert encode_inclusion_proof(decoded) == blob
+        assert type(decoded.audit_path) is bytes and decoded.audit_path == blob[20:]
+        # The steps the encoding holds are the ones a step-by-step read sees.
+        assert decoded == copying_decode(blob, stepwise_read_inclusion_proof)
 
 
 # A slow reference decoder: the reader as it was before records were read
@@ -285,9 +322,9 @@ def stepwise_read_inclusion_proof(r) -> InclusionProof:
         side = r.u8()
         if side not in (0, 1):
             raise WireError(f"bad side byte {side}")
-        return Side(side), r.digest()
+        return bytes([side]) + r.digest()
 
-    path = r.many(read_step, "audit steps", MAX_AUDIT_STEPS)
+    path = b"".join(r.many(read_step, "audit steps", MAX_AUDIT_STEPS))
     return InclusionProof(leaf_index=leaf_index, audit_path=path, tree_size=tree_size)
 
 
