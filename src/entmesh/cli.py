@@ -159,6 +159,7 @@ def _verdict_exit(fmt: str, kind: str, verdict: Verdict) -> int:
         "detail": verdict.detail,
         "signatures_checked": verdict.signatures_checked,
         "signatures_repeated": verdict.signatures_repeated,
+        "inclusion_proofs_checked": verdict.inclusion_proofs_checked,
     }
     if verdict:
         _emit(fmt, [f"OK: {kind} proof verifies"], obj)
@@ -231,18 +232,19 @@ def cmd_inspect(args) -> int:
                 f"  holder {proof.holder_id.hex()}",
             ]
         else:
+            anchor_round = proof.hops[-1].window_end + 1  # the round of the anchor commitment the chain ends in
             obj = {
                 "kind": "chain",
                 "holder": proof.holder_id.hex(),
                 "anchor": proof.anchor_id.hex(),
                 "hops": len(proof.hops),
-                "anchor_round": proof.anchor_commitment.round,
+                "anchor_round": anchor_round,
                 "bytes": len(blob),
             }
             lines = [
                 f"chain proof, {len(proof.hops)} hops, {len(blob)} bytes",
                 f"  holder {proof.holder_id.hex()}",
-                f"  anchor {proof.anchor_id.hex()} at round {proof.anchor_commitment.round}",
+                f"  anchor {proof.anchor_id.hex()} at round {anchor_round}",
             ]
         _emit(args.format, lines, obj)
         return 0

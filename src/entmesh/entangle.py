@@ -12,12 +12,15 @@ Proof vocabulary:
 * ``LinkProof``   -- one holder/issuer relationship over a round window.
 * ``HubProof``    -- every link in the holder's committed manifest over one
   shared holder chain; omitting any committed link is detected
-  (ManifestMismatch).
+  (ManifestMismatch); one range proof per round proves its receipts retained.
 * ``ChainProof``  -- composed links hop by hop toward a trust anchor; hop
   windows shift forward one round per hop, so a holder state at round r
   verifies only against an anchor commitment at round >= r + hops.
 * ``RootPath``    -- a bare digest path showing one root is transitively
   committed by a later tree, with no receipt evidence involved.
+
+A receipt in a proof carries no issuer commitment: the verifier splices in
+its trusted copy, which it would otherwise compare the receipt's with.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class LinkProof:
     window_start: int
     window_end: int
     holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
-    receipts: tuple[Receipt, ...]  # one per window round
+    receipts: tuple[Receipt, ...]  # one per window round, without issuer commitment
     evidence_proofs: tuple[InclusionProof, ...]  # receipt leaf in holder tree r+2
 
     @property
@@ -102,52 +105,39 @@ class LinkProof:
         return range(self.window_start, self.window_end + 1)
 
     def to_bytes(self) -> bytes:
-        w = Writer()
-        w.digest(self.holder_id).digest(self.issuer_id)
-        w.u64(self.window_start).u64(self.window_end)
+        w = Writer().digest(self.holder_id).digest(self.issuer_id).u64(self.window_start).u64(self.window_end)
         w.blobs([entry.to_bytes() for entry in self.holder_chain])
-        _write_window(w, self)
+        if len(self.receipts) != len(self.evidence_proofs):
+            raise WireError(f"{len(self.receipts)} receipts but {len(self.evidence_proofs)} evidence proofs")
+        w.u32(len(self.receipts))
+        for receipt, proof in zip(self.receipts, self.evidence_proofs):  # per window round
+            w.blob(receipt.to_bytes()).blob(encode_inclusion_proof(proof))
         return w.getvalue()
 
     @staticmethod
     def read(r: Reader) -> "LinkProof":
-        holder_id, issuer_id, start, end = r.digest(), r.digest(), r.u64(), r.u64()
-        return LinkProof(holder_id, issuer_id, start, end, _read_chain(r), *_read_window(r))
+        holder_id, issuer_id, start, end, chain = r.digest(), r.digest(), r.u64(), r.u64(), _read_chain(r)
+        window = r.many(lambda r: (_read_receipt(r), r.nested(read_inclusion_proof, MAX_RECORD)), "window rounds", MAX_ITEMS)
+        return LinkProof(holder_id, issuer_id, start, end, chain, tuple(rc for rc, _ in window), tuple(ev for _, ev in window))
 
 
 @dataclass(frozen=True)
 class HubLink:
-    """One issuer's receipts inside a hub proof, which holds the holder chain."""
+    """One issuer's receipts inside a hub proof, which holds the rest."""
 
     issuer_id: NodeId
-    receipts: tuple[Receipt, ...]  # one per window round
-    evidence_proofs: tuple[InclusionProof, ...]  # receipt leaf in holder tree r+2
+    receipts: tuple[Receipt, ...]  # one per window round, without issuer commitment
 
     def to_bytes(self) -> bytes:
-        w = Writer().digest(self.issuer_id)
-        _write_window(w, self)
-        return w.getvalue()
+        return Writer().digest(self.issuer_id).blobs([receipt.to_bytes() for receipt in self.receipts]).getvalue()
 
     @staticmethod
     def read(r: Reader) -> "HubLink":
-        issuer_id = r.digest()
-        return HubLink(issuer_id, *_read_window(r))
+        return HubLink(r.digest(), r.many(_read_receipt, "window rounds", MAX_ITEMS))
 
 
-def _write_window(w: Writer, link: "LinkProof | HubLink") -> None:
-    # Per window round: the receipt, then its evidence-leaf proof.
-    if len(link.receipts) != len(link.evidence_proofs):
-        raise WireError(f"{len(link.receipts)} receipts but {len(link.evidence_proofs)} evidence proofs")
-    w.u32(len(link.receipts))
-    for receipt, proof in zip(link.receipts, link.evidence_proofs):
-        w.blob(receipt.to_bytes()).blob(encode_inclusion_proof(proof))
-
-
-def _read_window(r: Reader) -> tuple[tuple[Receipt, ...], tuple[InclusionProof, ...]]:
-    evidence = r.many(
-        lambda r: (r.nested(Receipt.read, MAX_RECORD), r.nested(read_inclusion_proof, MAX_RECORD)), "window rounds", MAX_ITEMS
-    )
-    return tuple(receipt for receipt, _ in evidence), tuple(proof for _, proof in evidence)
+def _read_receipt(r: Reader) -> Receipt:
+    return r.nested(lambda r: Receipt.read(r, in_proof=True), MAX_RECORD)
 
 
 def _read_chain(r: Reader) -> tuple[ChainEntry, ...]:
@@ -170,24 +160,26 @@ def _holder_chain(holder_records: Sequence[NodeRecord], window: tuple[int, int])
     return tuple(chain_entry_for(holder_records[r]) for r in range(start, end + EVIDENCE_LAG + 1))
 
 
-def _hub_link(
-    holder_records: Sequence[NodeRecord],
-    issuer_id: NodeId,
-    window: tuple[int, int],
-    receipts: Mapping[tuple[NodeId, int], Receipt],
-) -> HubLink:
-    window_receipts, evidence = [], []
+def _hub_link(issuer_id: NodeId, window: tuple[int, int], receipts: Mapping[tuple[NodeId, int], Receipt]) -> HubLink:
+    in_proof = []
     for r in range(window[0], window[1] + 1):
         receipt = receipts.get((issuer_id, r))
         if receipt is None:
             raise MissingReceiptError(issuer_id, r)
-        window_receipts.append(receipt)
-        retaining = holder_records[r + EVIDENCE_LAG]
-        if retaining.state is None or retaining.tree is None:
-            raise ValueError(f"holder round {r + EVIDENCE_LAG} was pruned")
-        index = evidence_leaf_index(retaining.state, issuer_id, r)
-        evidence.append(retaining.tree.prove_inclusion(index))
-    return HubLink(issuer_id, tuple(window_receipts), tuple(evidence))
+        in_proof.append(receipt.with_issuer(None))
+    return HubLink(issuer_id, tuple(in_proof))
+
+
+def _evidence_proof(holder_records: Sequence[NodeRecord], issuer_ids: Sequence[NodeId], r: int) -> InclusionProof:
+    """Proof that round ``r``'s receipts from ``issuer_ids``, in that order, are one
+    run of leaves in the holder's round r + EVIDENCE_LAG tree (unpruned: see ``_holder_chain``)."""
+    retaining = holder_records[r + EVIDENCE_LAG]
+    first = evidence_leaf_index(retaining.state, issuer_ids[0], r)
+    at = first - FIXED_LEAVES - len(retaining.state.entangled)
+    run = retaining.state.evidence[at : at + len(issuer_ids)]
+    if len(issuer_ids) > 1 and [(rc.issuer_id, rc.holder_round) for rc in run] != [(issuer_id, r) for issuer_id in issuer_ids]:
+        raise ValueError(f"receipts for round {r} are not one run of leaves in holder round {r + EVIDENCE_LAG}")
+    return retaining.tree.prove_range(first, first + len(issuer_ids))
 
 
 def build_link_proof(
@@ -197,8 +189,9 @@ def build_link_proof(
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> LinkProof:
     chain = _holder_chain(holder_records, window)
-    link = _hub_link(holder_records, issuer_id, window, receipts)
-    return LinkProof(chain[0].commitment.node_id, issuer_id, *window, chain, link.receipts, link.evidence_proofs)
+    in_proof = _hub_link(issuer_id, window, receipts).receipts  # a missing receipt is named before its evidence
+    evidence = tuple(_evidence_proof(holder_records, (issuer_id,), r) for r in range(window[0], window[1] + 1))
+    return LinkProof(chain[0].commitment.node_id, issuer_id, *window, chain, in_proof, evidence)
 
 
 _Obligation = tuple[NodeId, int, bytes, bytes]  # (node_id, round, message, signature)
@@ -212,8 +205,8 @@ class _Deferred(KeyDirectory):
     answered True unless it is the one obligation ``bad`` names or no key is
     bound to its node at its round, so a first pass runs every hash, trust
     and inclusion check before any Ed25519 check.  ``mark`` notes where the
-    record being checked begins.  The view lives for one call: it is not a
-    cache.
+    record being checked begins, and ``folds`` counts the inclusion proofs
+    checked.  The view lives for one call: it is not a cache.
     """
 
     def __init__(self, directory: KeyDirectory):
@@ -221,6 +214,11 @@ class _Deferred(KeyDirectory):
         self.recorded: list[_Obligation] = []
         self.record_start = 0
         self.bad: Optional[_Obligation] = None
+        self.folds = 0
+
+    def proves(self, c: Commitment, leaves: Sequence[bytes], proof: InclusionProof) -> bool:
+        self.folds += 1
+        return c.proves(leaves, proof)
 
     def mark(self) -> None:
         self.record_start = len(self.recorded)
@@ -258,10 +256,10 @@ def _verified(check: Callable[[_Deferred], Verdict], directory: KeyDirectory) ->
         checked += 1
         repeated += met[obligation] - 1
         if not directory.verify_signature(*obligation):
-            view.bad = obligation
+            view.bad, view.folds = obligation, 0
             verdict = check(view)
             break
-    return replace(verdict, signatures_checked=checked, signatures_repeated=repeated)
+    return replace(verdict, signatures_checked=checked, signatures_repeated=repeated, inclusion_proofs_checked=view.folds)
 
 
 def _wrapped(reason: str, where: str, inner: Verdict) -> Verdict:
@@ -277,14 +275,16 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
     already checked: anchor rows ``load_trust_bundle`` checked, commitments
     a node checked before taking them from gossip, an anchor's own records,
     or the next hop's holder chain that ``verify_chain`` checks in the same
-    call.  A receipt's issuer commitment must equal the trusted copy, so its
-    signature is not checked again.
+    call.  Each receipt's issuer commitment is the trusted copy, spliced in,
+    so its signature is not checked again.
     """
     return _verified(lambda view: _check_link(proof, trusted, view), directory)
 
 
 def _check_link(proof: LinkProof, trusted: Mapping[int, Commitment], view: _Deferred) -> Verdict:
-    return _check_holder_chain(proof, view) and _check_receipts(proof, proof, trusted, view)
+    leaves: list[bytes] = []
+    verdict = _check_holder_chain(proof, view) and _check_receipts(proof, proof, trusted, view, leaves)
+    return verdict and _check_evidence(proof, [(leaf,) for leaf in leaves], proof.evidence_proofs, view)
 
 
 def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verdict:
@@ -304,43 +304,51 @@ def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verd
 
 
 def _check_receipts(
-    holder: "LinkProof | HubProof", link: "LinkProof | HubLink", trusted: Mapping[int, Commitment], view: _Deferred
+    holder: "LinkProof | HubProof", link: "LinkProof | HubLink", trusted: Mapping[int, Commitment], view: _Deferred, leaves: list
 ) -> Verdict:
-    """One issuer's receipts against ``holder``'s already checked chain."""
+    """One issuer's receipts against ``holder``'s already checked chain; each
+    one's evidence leaf, trusted issuer commitment spliced in, goes to ``leaves``."""
     s, e = holder.window_start, holder.window_end
-    if len(link.receipts) != e - s + 1 or len(link.evidence_proofs) != e - s + 1:
-        return Verdict.failed("WindowInvalid", "one receipt and evidence proof per round required")
+    if len(link.receipts) != e - s + 1:
+        return Verdict.failed("WindowInvalid", "one receipt per round required")
     commitments = _by_round(holder.holder_chain)
-    previous_receipt: Optional[Receipt] = None
-    for r, receipt, ev_proof in zip(range(s, e + 1), link.receipts, link.evidence_proofs):
+    previous: Optional[Commitment] = None
+    for r, receipt in zip(range(s, e + 1), link.receipts):
         view.mark()
-        issuer_c = receipt.issuer_commitment
         if receipt.holder_id != holder.holder_id or receipt.holder_round != r:
             return Verdict.failed("ReceiptMismatch", f"receipt is not for holder round {r}")
+        issuer_c = trusted.get(r + 1)
+        if issuer_c is None:
+            return Verdict.failed("TrustedRootUnavailable", f"no trusted issuer commitment for round {r + 1}")
         if issuer_c.node_id != link.issuer_id:
             return Verdict.failed("ReceiptMismatch", "receipt from another issuer")
-        if issuer_c.round != r + 1:
-            return Verdict.failed("ReceiptMismatch", f"receipt round {issuer_c.round}, expected {r + 1}")
-        anchor = trusted.get(r + 1)
-        if anchor is None:
-            return Verdict.failed("TrustedRootUnavailable", f"no trusted issuer commitment for round {r + 1}")
-        if anchor != issuer_c:
-            return Verdict.failed("TrustMismatch", f"issuer commitment for round {r + 1} disagrees")
         if receipt.holder_root != commitments[r].root:
             return Verdict.failed("ReceiptMismatch", f"receipt attests a different round-{r} root")
         if not view.verify_submission(receipt.submission):
             return Verdict.failed("BadSignature", f"holder signature in receipt for round {r}")
-        # The issuer commitment equals the trusted copy, so its signature is
-        # the trusted one's, which was checked where that copy entered trust.
-        verdict = _check_receipt_inclusions(receipt)
+        receipt = receipt.with_issuer(issuer_c)  # its signature was checked where it entered trust
+        verdict = _check_receipt_inclusions(receipt, view)
         if not verdict:
             return Verdict.failed(verdict.reason, f"{verdict.detail} for round {r}")
-        if previous_receipt is not None:
-            if receipt.prev_digest != commitment_digest(previous_receipt.issuer_commitment):
-                return Verdict.failed("ChainBreak", f"issuer chain breaks before round {r + 1}")
-        if not commitments[r + EVIDENCE_LAG].proves(receipt.leaf_bytes(), ev_proof):
-            return Verdict.failed("EvidenceInvalid", f"receipt for round {r} not retained in round {r + EVIDENCE_LAG}")
-        previous_receipt = receipt
+        if previous is not None and receipt.prev_digest != commitment_digest(previous):
+            return Verdict.failed("ChainBreak", f"issuer chain breaks before round {r + 1}")
+        leaves.append(receipt.leaf_bytes())
+        previous = issuer_c
+    return Verdict.passed()
+
+
+def _check_evidence(holder: "LinkProof | HubProof", runs: Sequence, proofs: Sequence[InclusionProof], view: _Deferred) -> Verdict:
+    """Each window round's run of evidence leaves is retained, in order, in
+    the holder's tree EVIDENCE_LAG rounds later."""
+    view.mark()
+    s, e = holder.window_start, holder.window_end
+    if len(proofs) != e - s + 1:
+        return Verdict.failed("WindowInvalid", "one evidence proof per round required")
+    commitments = _by_round(holder.holder_chain)
+    for r, run, proof in zip(range(s, e + 1), runs, proofs):
+        if not view.proves(commitments[r + EVIDENCE_LAG], run, proof):
+            what = "receipts" if isinstance(holder, HubProof) else "receipt"
+            return Verdict.failed("EvidenceInvalid", f"{what} for round {r} not retained in round {r + EVIDENCE_LAG}")
     return Verdict.passed()
 
 
@@ -354,7 +362,8 @@ class HubProof:
     manifest: tuple[NodeId, ...]
     manifest_proofs: tuple[InclusionProof, ...]  # manifest leaf, one per window round
     holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
-    links: tuple[HubLink, ...]
+    links: tuple[HubLink, ...]  # in manifest order
+    evidence_proofs: tuple[InclusionProof, ...]  # per window round r, its receipts' run in holder tree r+2
 
     def to_bytes(self) -> bytes:
         w = Writer()
@@ -363,6 +372,7 @@ class HubProof:
         w.blobs([encode_inclusion_proof(proof) for proof in self.manifest_proofs])
         w.blobs([entry.to_bytes() for entry in self.holder_chain])
         w.blobs([link.to_bytes() for link in self.links])
+        w.blobs([encode_inclusion_proof(proof) for proof in self.evidence_proofs])
         return w.getvalue()
 
     @staticmethod
@@ -375,6 +385,7 @@ class HubProof:
             manifest_proofs=r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "manifest proofs", MAX_ITEMS),
             holder_chain=_read_chain(r),
             links=r.many(lambda r: r.nested(HubLink.read, MAX_LINK), "links", MAX_ITEMS),
+            evidence_proofs=r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "evidence proofs", MAX_ITEMS),
         )
 
 
@@ -385,29 +396,24 @@ def build_hub_proof(
 ) -> HubProof:
     chain = _holder_chain(holder_records, window)
     start, end = window
-    first = holder_records[start]
-    if first.state is None:
-        raise ValueError(f"holder round {start} was pruned")
-    manifest = first.state.manifest
+    manifest = holder_records[start].state.manifest
     if not manifest:
         raise ValueError(f"holder commits an empty manifest at round {start}; a hub proof needs at least one link")
     proofs = []
     for r in range(start, end + 1):
         record = holder_records[r]
-        if record.state is None or record.tree is None:
-            raise ValueError(f"holder round {r} was pruned")
         if record.state.manifest != manifest:
             raise ValueError(f"manifest changed inside window at round {r}")
         proofs.append(record.tree.prove_inclusion(MANIFEST_LEAF_INDEX))
-    links = tuple(_hub_link(holder_records, issuer_id, window, receipts) for issuer_id in manifest)
     return HubProof(
-        holder_id=first.commitment.node_id,
+        holder_id=chain[0].commitment.node_id,
         window_start=start,
         window_end=end,
         manifest=manifest,
         manifest_proofs=tuple(proofs),
         holder_chain=chain,
-        links=links,
+        links=tuple(_hub_link(issuer_id, window, receipts) for issuer_id in manifest),
+        evidence_proofs=tuple(_evidence_proof(holder_records, manifest, r) for r in range(start, end + 1)),
     )
 
 
@@ -416,7 +422,8 @@ def verify_hub(
     trusted: Mapping[NodeId, Mapping[int, Commitment]],
     directory: KeyDirectory,
 ) -> Verdict:
-    """Check completeness: every committed link present and verifying.
+    """Check completeness: every committed link present and verifying, and
+    each window round's receipts retained as one run of leaves.
 
     ``trusted`` maps each issuer id to that issuer's commitments, already
     authenticated as ``verify_link`` requires; their signatures are not
@@ -433,31 +440,31 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
         return Verdict.failed("WindowInvalid", "one manifest proof per round required")
     if tuple(sorted(proof.manifest)) != proof.manifest or len(set(proof.manifest)) != len(proof.manifest):
         return Verdict.failed("ManifestMismatch", "manifest not in canonical order")
-    link_issuers = tuple(sorted(link.issuer_id for link in proof.links))
-    if link_issuers != proof.manifest:
+    if tuple(link.issuer_id for link in proof.links) != proof.manifest:
         return Verdict.failed("ManifestMismatch", "presented links do not match the committed manifest")
     if not proof.links:
         return Verdict.failed("ManifestMismatch", "no links presented")
     verdict = _check_holder_chain(proof, view)
     if not verdict:
         return _wrapped("LinkFailed", "holder chain", verdict)
-    for link in proof.links:
+    by_link: list[list[bytes]] = [[] for _ in proof.links]
+    for link, leaves in zip(proof.links, by_link):
         view.mark()
         issuer_trust = trusted.get(link.issuer_id)
         if issuer_trust is None:
             return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {link.issuer_id.hex()}")
-        verdict = _check_receipts(proof, link, issuer_trust, view)
+        verdict = _check_receipts(proof, link, issuer_trust, view, leaves)
         if not verdict:
             return _wrapped("LinkFailed", link.issuer_id.hex(), verdict)
     view.mark()
-    manifest_leaf = _manifest_leaf(proof.manifest)
+    manifest_leaf = (_manifest_leaf(proof.manifest),)
     commitments = _by_round(proof.holder_chain)
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
         if m_proof.leaf_index != MANIFEST_LEAF_INDEX:
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
-        if not commitments[r].proves(manifest_leaf, m_proof):
+        if not view.proves(commitments[r], manifest_leaf, m_proof):
             return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")
-    return Verdict.passed()
+    return _check_evidence(proof, list(zip(*by_link)), proof.evidence_proofs, view)
 
 
 @dataclass(frozen=True)
@@ -477,11 +484,6 @@ class ChainProof:
     @property
     def anchor_id(self) -> NodeId:
         return self.hops[-1].issuer_id
-
-    @property
-    def anchor_commitment(self) -> Commitment:
-        """The anchor's commitment the chain ends in: the last hop's final receipt's."""
-        return self.hops[-1].receipts[-1].issuer_commitment
 
     def to_bytes(self) -> bytes:
         return Writer().blobs([hop.to_bytes() for hop in self.hops]).getvalue()
@@ -516,10 +518,10 @@ def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], di
 
     ``trusted_anchor`` holds commitments already authenticated, as
     ``verify_link`` requires.  Inner hops need no independent trust: hop i's
-    issuer commitments are vouched for by hop i+1's holder chain, whose
-    signatures this call checks.  The last hop's receipts carry the anchor's
-    commitments, the anchor commitment among them, and each must equal the
-    trusted copy.  Reasons: BrokenHop, AnchorMismatch, InsufficientLatency.
+    issuer commitments are hop i+1's holder chain entries, whose signatures
+    this call checks.  The last hop's receipts take the anchor's trusted
+    commitments, up to the anchor round, the last hop's window end + 1.
+    Reasons: BrokenHop, InsufficientLatency.
     """
     return _verified(lambda view: _check_chain(proof, trusted_anchor, view), directory)
 
@@ -542,8 +544,6 @@ def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], vi
                 f"{verdict.detail}; chain of {len(proof.hops)} hops "
                 f"needs an anchor commitment at round >= {last.window_end + 1}",
             )
-        if verdict.reason == "TrustMismatch":
-            return Verdict.failed("AnchorMismatch", verdict.detail)
         return _wrapped("BrokenHop", f"hop {len(proof.hops) - 1}", verdict)
     for i in range(len(proof.hops) - 2, -1, -1):
         vouched = _by_round(proof.hops[i + 1].holder_chain)
@@ -649,14 +649,14 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
         if step.kind == "entangled":
             if step.submission is None or step.submission.holder_root != current:
                 return False
-            implied = fold_root(step.submission.leaf_bytes(), step.proof)
+            implied = fold_root((step.submission.leaf_bytes(),), step.proof)
         elif step.kind == "prev":
             if step.commitment is None or step.commitment.root != current:
                 return False
             leaf = bytes([LEAF_PREV]) + commitment_digest(step.commitment)
             if step.proof.leaf_index != 0:
                 return False
-            implied = fold_root(leaf, step.proof)
+            implied = fold_root((leaf,), step.proof)
         else:
             return False
         if implied is None:
@@ -665,7 +665,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
     return current == end_root
 
 
-_PROOF_MAGIC = b"EMP2"
+_PROOF_MAGIC = b"EMP3"
 _PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 

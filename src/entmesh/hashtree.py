@@ -35,10 +35,11 @@ DIGEST_SIZE = 32
 STEP_SIZE = 1 + DIGEST_SIZE  # one audit-path step: side byte, then sibling
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
+_sha256 = hashlib.sha256
 
 
 def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+    return _sha256(data).digest()
 
 
 # A digest is a plain 32-byte ``bytes``; the alias annotates and validates nothing.
@@ -71,13 +72,14 @@ def root(leaves: Sequence[bytes]) -> Digest:
 
 @dataclass(frozen=True)
 class InclusionProof:
-    """Audit path for one leaf.
+    """Audit path for a run of consecutive leaves, one leaf or more.
 
-    ``audit_path`` is the path's wire bytes: ``STEP_SIZE``-byte steps, each
-    a side byte (0 = sibling on the left, 1 = on the right) and then the
-    32-byte sibling, ordered bottom-up, so the first sibling combines
-    directly with the leaf hash.  ``tree_size`` pins the shape; verification
-    rejects any path whose structure does not match (leaf_index, tree_size).
+    ``leaf_index`` is the run's first leaf; the verifier supplies the run's
+    leaves, so their count is not written.  ``audit_path`` is the path's
+    wire bytes: ``STEP_SIZE``-byte steps, each a side byte (0 = sibling on
+    the left, 1 = on the right) and then the 32-byte sibling, ordered
+    bottom-up.  ``tree_size`` pins the shape; verification rejects any path
+    whose structure does not match (leaf_index, run length, tree_size).
     """
 
     leaf_index: int
@@ -92,7 +94,7 @@ class MerkleTree:
     length, not the leaves themselves.  Cost model: construction hashes
     every node once, level by level (O(n) hashes); each level is kept as one
     packed ``bytes`` blob of 32-byte digests, so a tree costs about 64 bytes
-    per leaf.  ``prove_inclusion`` slices one sibling per level, O(log n).
+    per leaf.  ``prove_range`` slices at most two siblings per level, O(log n).
     Pairing adjacent nodes and promoting an unpaired last node yields
     exactly the split-at-largest-power-of-two shape of the module docstring.
     """
@@ -123,66 +125,89 @@ class MerkleTree:
     def root(self) -> Digest:
         return self._root
 
-    def prove_inclusion(self, index: int) -> InclusionProof:
-        size = self.size
-        if not 0 <= index < size:
-            raise IndexOutOfRangeError(f"leaf index {index} not in tree of size {size}")
+    def prove_range(self, start: int, end: int) -> InclusionProof:
+        """Proof for the run of leaves [start, end): the siblings that bound it, bottom-up."""
+        levels = self._levels
+        size = len(levels[0]) // DIGEST_SIZE
+        if not 0 <= start < end <= size:
+            raise IndexOutOfRangeError(f"leaf run [{start}, {end}) not in tree of size {size}")
         steps: list[bytes] = []
-        i = index
-        for level in self._levels[:-1]:
-            start = (i ^ 1) * DIGEST_SIZE
-            if start < len(level):
-                steps.append(b"\x00" if i & 1 else b"\x01")  # sibling on the left / right
-                steps.append(level[start : start + DIGEST_SIZE])
-            i >>= 1
-        return InclusionProof(leaf_index=index, audit_path=b"".join(steps), tree_size=size)
+        lo, hi = start, end
+        for level in levels[:-1]:
+            if lo & 1:  # the first node is a right child: its sibling is on the left
+                steps.append(b"\x00")
+                steps.append(level[(lo - 1) * DIGEST_SIZE : lo * DIGEST_SIZE])
+            if hi & 1 and hi * DIGEST_SIZE < len(level):  # the last node is a left child with a pair
+                steps.append(b"\x01")
+                steps.append(level[hi * DIGEST_SIZE : (hi + 1) * DIGEST_SIZE])
+            lo, hi = lo >> 1, (hi + 1) >> 1
+        return InclusionProof(start, b"".join(steps), size)
+
+    def prove_inclusion(self, index: int) -> InclusionProof:
+        return self.prove_range(index, index + 1)
 
 
-def fold_root(leaf: bytes, proof: InclusionProof) -> Optional[Digest]:
-    """Fold a leaf up an audit path; return the implied root.
+def fold_root(leaves: Sequence[bytes], proof: InclusionProof) -> Optional[Digest]:
+    """Fold a run of consecutive leaves up an audit path; return the implied root.
 
-    Returns None when the proof is structurally invalid for its claimed
-    (leaf_index, tree_size): every serialized field must be load-bearing, so
-    a path whose length or side sequence disagrees with the claimed position
-    is rejected outright rather than folded anyway.
-
-    One bottom-up pass over the step bytes (RFC 9162 section 2.1.3.2).
-    Below level ``inner``, where the leaf's and the last leaf's positions
-    still differ, bit ``level`` of the index says which side the sibling is
-    on.  From there up the leaf lies on the tree's right border: every
-    remaining sibling is a left one, one per set bit of ``index >> inner``,
-    and levels where the border node has no sibling add no step.
+    Returns None when the path's length or side sequence disagrees with the
+    claimed (leaf_index, tree_size) and the run's length: every serialized
+    field must be load-bearing.  While the run spans several nodes of a
+    level, the level takes the steps ``prove_range`` writes; an unpaired
+    last node is promoted.  Then one pass (RFC 9162 section 2.1.3.2): below
+    level ``inner``, where the node's and the level's last node's positions
+    differ, bit ``level`` of the index gives the sibling's side; above it
+    the node is on the right border, one left sibling per set bit of
+    ``index >> inner``.
     """
     index, size = proof.leaf_index, proof.tree_size
     if not isinstance(index, int) or not isinstance(size, int):
         return None
-    if size < 1 or not 0 <= index < size:
+    end = index + len(leaves)
+    if not 0 <= index < end <= size:
         return None
-    inner = (index ^ (size - 1)).bit_length()
     path = proof.audit_path
-    if len(path) != (inner + (index >> inner).bit_count()) * STEP_SIZE:
+    if end - index == 1:
+        at, current = 0, _sha256(_LEAF_PREFIX + leaves[0]).digest()
+    else:
+        at, nodes = 0, [_sha256(_LEAF_PREFIX + leaf).digest() for leaf in leaves]
+        while end - index > 1:
+            if index & 1:
+                if path[at : at + 1] != b"\x00":
+                    return None
+                nodes.insert(0, path[at + 1 : at + STEP_SIZE])
+                at += STEP_SIZE
+            if end & 1 and end < size:
+                if path[at : at + 1] != b"\x01":
+                    return None
+                nodes.append(path[at + 1 : at + STEP_SIZE])
+                at += STEP_SIZE
+            pairs = range(0, len(nodes) - 1, 2)
+            nodes = [_sha256(_NODE_PREFIX + nodes[i] + nodes[i + 1]).digest() for i in pairs] + nodes[len(nodes) & ~1 :]
+            index, end, size = index >> 1, (end + 1) >> 1, (size + 1) >> 1
+        current = nodes[0]
+    inner = (index ^ (size - 1)).bit_length()
+    if len(path) - at != (inner + (index >> inner).bit_count()) * STEP_SIZE:
         return None
-    current = hashlib.sha256(_LEAF_PREFIX + leaf).digest()
-    for level, at in enumerate(range(0, len(path), STEP_SIZE)):
-        sibling = path[at + 1 : at + STEP_SIZE]
+    for level, at in enumerate(range(at, len(path), STEP_SIZE)):
         if level >= inner or index >> level & 1:
             if path[at] != 0:
                 return None
-            current = hashlib.sha256(_NODE_PREFIX + sibling + current).digest()
+            current = _sha256(_NODE_PREFIX + path[at + 1 : at + STEP_SIZE] + current).digest()
         else:
             if path[at] != 1:
                 return None
-            current = hashlib.sha256(_NODE_PREFIX + current + sibling).digest()
+            current = _sha256(_NODE_PREFIX + current + path[at + 1 : at + STEP_SIZE]).digest()
     return current
 
 
-def verify_inclusion(leaf: bytes, proof: InclusionProof, expected_root: bytes) -> bool:
-    """True iff the proof places ``leaf`` in a tree with ``expected_root``.
+def verify_inclusion(leaves: Sequence[bytes], proof: InclusionProof, expected_root: bytes) -> bool:
+    """True iff the proof places the run ``leaves`` in a tree with ``expected_root``.
 
     Never raises on malformed input: bad proofs simply verify false.
     """
     try:
-        implied = fold_root(leaf, proof)
+        implied = fold_root(leaves, proof)
     except Exception:
         return False
     return implied is not None and implied == expected_root

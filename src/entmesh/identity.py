@@ -116,7 +116,7 @@ def verify_revocation_evidence(evidence: RevocationEvidence, trusted: Commitment
     c = evidence.commitment
     if c != trusted:
         return Verdict.failed("TrustMismatch", "evidence cites a different commitment")
-    if not c.proves(_revocation_leaf(evidence.revocation_list), evidence.proof):
+    if not c.proves((_revocation_leaf(evidence.revocation_list),), evidence.proof):
         return Verdict.failed("EvidenceInvalid", "revocation leaf unproven")
     if list(evidence.revocation_list) != sorted(set(evidence.revocation_list)):
         return Verdict.failed("EvidenceInvalid", "revocation list not canonical")

@@ -81,8 +81,9 @@ class NotEntangledError(ValueError):
 class Verdict:
     """Boolean verification outcome plus a machine-readable reason.
 
-    The proof verifiers also count the signatures they checked and the
-    checks they skipped as repeats of one made in the same call.
+    The proof verifiers also count the signatures they checked, the checks
+    they skipped as repeats of one made in the same call, and the inclusion
+    proofs they folded (a range proof is one).
     """
 
     ok: bool
@@ -90,6 +91,7 @@ class Verdict:
     detail: Optional[str] = None
     signatures_checked: int = 0
     signatures_repeated: int = 0
+    inclusion_proofs_checked: int = 0
 
     def __bool__(self) -> bool:
         return self.ok
@@ -152,10 +154,10 @@ class Commitment:
     def to_bytes(self) -> bytes:
         return self._encoding
 
-    def proves(self, leaf: bytes, proof: InclusionProof) -> bool:
-        """True iff ``proof`` places ``leaf`` in this commitment's tree: the
-        proof must fold to ``root`` and carry ``tree_size == leaf_count``."""
-        return proof.tree_size == self.leaf_count and verify_inclusion(leaf, proof, self.root)
+    def proves(self, leaves: Sequence[bytes], proof: InclusionProof) -> bool:
+        """True iff ``proof`` places the run ``leaves`` in this commitment's
+        tree: it must fold to ``root`` and carry ``tree_size == leaf_count``."""
+        return proof.tree_size == self.leaf_count and verify_inclusion(leaves, proof, self.root)
 
     @staticmethod
     def read(r: Reader) -> "Commitment":
@@ -216,11 +218,12 @@ class Receipt:
     previous-commitment leaf, so a receipt alone lets the holder check the
     issuer's chain continuity round over round.  Receipts are retained as
     evidence leaves in the holder's tree two rounds after the submitted
-    root's round.
+    root's round.  A receipt in a proof has no issuer commitment, nor its
+    blob: the verifier splices in its trusted copy (``with_issuer``).
     """
 
     submission: Submission
-    issuer_commitment: Commitment
+    issuer_commitment: Optional[Commitment]
     inclusion: InclusionProof
     prev_digest: Digest
     prev_inclusion: InclusionProof
@@ -247,10 +250,9 @@ class Receipt:
 
     @cached_property
     def _encoding(self) -> bytes:
+        w = Writer() if self.issuer_commitment is None else Writer().blob(self.issuer_commitment._encoding)
         return self.submission._encoding + (
-            Writer()
-            .blob(self.issuer_commitment._encoding)
-            .blob(encode_inclusion_proof(self.inclusion))
+            w.blob(encode_inclusion_proof(self.inclusion))
             .digest(self.prev_digest)
             .blob(encode_inclusion_proof(self.prev_inclusion))
             .getvalue()
@@ -260,11 +262,11 @@ class Receipt:
         return self._encoding
 
     @staticmethod
-    def read(r: Reader) -> "Receipt":
+    def read(r: Reader, in_proof: bool = False) -> "Receipt":
         start = r.tell()
         receipt = Receipt(
             submission=Submission.read(r),
-            issuer_commitment=r.nested(Commitment.read, MAX_COMMITMENT),
+            issuer_commitment=None if in_proof else r.nested(Commitment.read, MAX_COMMITMENT),
             inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
             prev_digest=r.digest(),
             prev_inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
@@ -277,6 +279,15 @@ class Receipt:
 
     def leaf_bytes(self) -> bytes:
         return bytes([LEAF_EVIDENCE]) + self._encoding
+
+    def with_issuer(self, c: Optional[Commitment]) -> "Receipt":
+        """A copy with issuer commitment ``c``, or none as a proof carries it; its bytes are spliced."""
+        cut, enc, old = len(self.submission._encoding), self._encoding, self.issuer_commitment
+        tail = enc[cut if old is None else cut + 4 + len(old._encoding) :]
+        blob = b"" if c is None else len(c._encoding).to_bytes(4, "big") + c._encoding
+        copy = object.__new__(Receipt)  # the fields as they are, bar the issuer commitment and encoding
+        copy.__dict__.update(self.__dict__, issuer_commitment=c, _encoding=enc[:cut] + blob + tail)
+        return copy
 
 
 def _manifest_leaf(manifest: Sequence[NodeId]) -> bytes:
@@ -436,6 +447,10 @@ class KeyDirectory:
     def verify_submission(self, s: Submission) -> bool:
         return self.verify_signature(s.holder_id, s.holder_round, s.message(), s.signature)
 
+    def proves(self, c: Commitment, leaves: Sequence[bytes], proof: InclusionProof) -> bool:
+        """``c.proves(leaves, proof)``, which a proof verifier's view counts."""
+        return c.proves(leaves, proof)
+
 
 def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
     """The checks every receipt needs, whoever verifies it.
@@ -451,17 +466,17 @@ def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
     c = receipt.issuer_commitment
     if not directory.verify_commitment(c):
         return Verdict.failed("BadSignature", f"issuer {c.node_id.hex()}")
-    return _check_receipt_inclusions(receipt)
+    return _check_receipt_inclusions(receipt, directory)
 
 
-def _check_receipt_inclusions(receipt: Receipt) -> Verdict:
+def _check_receipt_inclusions(receipt: Receipt, directory: KeyDirectory) -> Verdict:
     """``check_receipt`` without the issuer signature, for a verifier that
-    holds an authenticated copy equal to the receipt's issuer commitment."""
+    spliced its authenticated copy in as the receipt's issuer commitment."""
     c = receipt.issuer_commitment
-    if not c.proves(receipt.submission.leaf_bytes(), receipt.inclusion):
+    if not directory.proves(c, (receipt.submission.leaf_bytes(),), receipt.inclusion):
         return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
     prev_leaf = bytes([LEAF_PREV]) + receipt.prev_digest
-    if receipt.prev_inclusion.leaf_index != 0 or not c.proves(prev_leaf, receipt.prev_inclusion):
+    if receipt.prev_inclusion.leaf_index != 0 or not directory.proves(c, (prev_leaf,), receipt.prev_inclusion):
         return Verdict.failed("ReceiptInvalid", "prev-commitment leaf unproven")
     return Verdict.passed()
 
@@ -527,7 +542,7 @@ def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory)
             return Verdict.failed("BadSignature", f"round {c.round}")
         if entry.first_leaf_proof.leaf_index != 0:
             return Verdict.failed("ChainBreak", f"first-leaf proof at wrong position, round {c.round}")
-        if not c.proves(bytes([LEAF_PREV]) + entry.prev_digest, entry.first_leaf_proof):
+        if not directory.proves(c, (bytes([LEAF_PREV]) + entry.prev_digest,), entry.first_leaf_proof):
             return Verdict.failed("ChainBreak", f"first leaf unproven at round {c.round}")
         if previous is not None and entry.prev_digest != commitment_digest(previous):
             return Verdict.failed("ChainBreak", f"round {c.round} does not chain")

@@ -210,7 +210,10 @@ def encode_inclusion_proof(proof: InclusionProof) -> bytes:
     if count > MAX_AUDIT_STEPS:
         raise WireError(f"too many audit steps: {count}")
     _check_sides(path[::STEP_SIZE])
-    return Writer().u64(proof.leaf_index).u64(proof.tree_size).u32(count).getvalue() + path
+    try:
+        return _PROOF_HEAD.pack(proof.leaf_index, proof.tree_size, count) + path
+    except struct.error as exc:  # an index or size that is not a u64
+        raise WireError(f"inclusion proof head: {exc}") from None
 
 
 def read_inclusion_proof(r: Reader) -> InclusionProof:

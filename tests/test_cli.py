@@ -390,6 +390,8 @@ class TestVerify:
         assert main(args + ["--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert (obj["signatures_checked"], obj["signatures_repeated"]) == (10, 0)
+        # Four rounds: six chain entries, two paths per receipt, one evidence path per round.
+        assert obj["inclusion_proofs_checked"] == 6 + 4 * 2 + 4
         blob = bytearray(link_run["proof"].read_bytes())
         blob[len(blob) // 2] ^= 0x01
         bad = tmp_path / "bad.proof"
@@ -462,6 +464,20 @@ class TestVerify:
         assert text.startswith("FAIL: LinkFailed (")
         assert text.endswith(": ReceiptMismatch (receipt attests a different round-1 root))\n")
         assert (obj["signatures_checked"], obj["signatures_repeated"]) == (0, 0)
+
+    def test_hub_verdict_counts_one_range_proof_per_round(self, tmp_path, capsys):
+        # hub.yaml, rounds [1, 3]: five issuers.  Five chain entries, two
+        # paths per receipt, and per round one manifest and one evidence proof.
+        config = str(SCENARIOS / "hub.yaml")
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 0
+        proof = tmp_path / "hub.proof"
+        prove = ["prove", "--config", config, "--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"]
+        assert main(prove + ["--out", str(proof)]) == 0
+        capsys.readouterr()
+        args = ["verify", "--proof", str(proof), "--trust", str(tmp_path / "run" / "trust.json"), "--format", "json"]
+        assert main(args) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["signatures_checked"], obj["inclusion_proofs_checked"]) == (8, 5 + 5 * 3 * 2 + 3 + 3)
 
     def test_truncated_proof_is_malformed(self, link_run, tmp_path, capsys):
         bad = tmp_path / "short.proof"
@@ -551,6 +567,21 @@ class TestInspect:
         assert obj["window"] == [1, 4]
         proof = decode_proof(link_run["proof"].read_bytes())
         assert obj["holder"] == proof.holder_id.hex()
+
+    def test_chain_anchor_round_from_the_last_window(self, tmp_path, capsys):
+        # The CI chain proof: four hops from round 1, window 2, so the last
+        # hop covers rounds 4 and 5 and ends in the anchor's round-6
+        # commitment, as when proofs stored that commitment.
+        config = str(SCENARIOS / "chain.yaml")
+        proof = tmp_path / "chain.proof"
+        prove = ["prove", "--config", config, "--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"]
+        assert main(prove + ["--out", str(proof)]) == 0
+        capsys.readouterr()
+        assert main(["inspect", "--proof", str(proof), "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["hops"], obj["anchor_round"]) == (4, 6)
+        assert main(["inspect", "--proof", str(proof)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(" at round 6")
 
     def test_ledger_summary(self, link_run, capsys):
         rc = main(["inspect", "--ledger", str(link_run["art"] / "events.jsonl"), "--format", "json"])

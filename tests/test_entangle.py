@@ -97,11 +97,13 @@ class TestLinkProof:
         assert verdict.reason == "TrustedRootUnavailable"
 
     def test_conflicting_trusted_root(self, pair):
+        # The receipt's issuer commitment is the trusted copy, so a copy with
+        # another root fails the receipt's first inclusion check.
         proof = link_for(pair, "holder", "issuer", (1, 4))
         trusted = dict(pair.commitments_of("issuer"))
         trusted[3] = dataclasses.replace(trusted[3], root=sha256(b"imposter"))
         verdict = verify_link(proof, trusted, pair.directory)
-        assert verdict.reason == "TrustMismatch"
+        assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 2")
 
     def test_empty_window_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -139,6 +141,12 @@ class TestLinkProof:
         bad = dataclasses.replace(proof, receipts=receipts)
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
         assert verdict.reason == "BadSignature"
+
+    def test_named_issuer_must_be_the_trusted_one(self, pair):
+        proof = link_for(pair, "holder", "issuer", (1, 4))
+        bad = dataclasses.replace(proof, issuer_id=pair.id_of("holder"))
+        verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
+        assert (verdict.reason, verdict.detail) == ("ReceiptMismatch", "receipt from another issuer")
 
     def test_evidence_proof_swap_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -226,11 +234,36 @@ class TestHubProof:
             fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
         )
         by_issuer = {link.issuer_id: link for link in proof.links}
-        for label in ("p0", "p1", "p2"):
+        evidence_leaves = []
+        for label in sorted(("p0", "p1", "p2"), key=fan.id_of):
             link = link_for(fan, "center", label, (1, 3))
-            hub_link = by_issuer[link.issuer_id]
             assert proof.holder_chain == link.holder_chain
-            assert (hub_link.receipts, hub_link.evidence_proofs) == (link.receipts, link.evidence_proofs)
+            assert by_issuer[link.issuer_id].receipts == link.receipts
+            evidence_leaves.append([ev.leaf_index for ev in link.evidence_proofs])
+        # One range proof per round covers the three issuers' evidence
+        # leaves, in manifest order.
+        for run, ev in zip(zip(*evidence_leaves), proof.evidence_proofs):
+            assert list(run) == list(range(ev.leaf_index, ev.leaf_index + 3))
+
+    def test_evidence_run_must_be_contiguous(self, fan):
+        # The engine retains one holder round's receipts side by side, in
+        # manifest order; a holder tree that does not is refused.
+        center = fan.nodes["center"]
+        retaining = center.records[4]
+        evidence = retaining.state.evidence
+        retaining.state = dataclasses.replace(retaining.state, evidence=(evidence[1], evidence[0]) + evidence[2:])
+        with pytest.raises(ValueError, match="receipts for round 2 are not one run of leaves"):
+            build_hub_proof(center.records, (1, 3), center.receipt_log)
+
+    def test_range_evidence_names_the_round(self, fan):
+        proof = build_hub_proof(fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log)
+        trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
+        swapped = (proof.evidence_proofs[1], proof.evidence_proofs[0], proof.evidence_proofs[2])
+        verdict = verify_hub(dataclasses.replace(proof, evidence_proofs=swapped), trusted, fan.directory)
+        assert (verdict.reason, verdict.detail) == ("EvidenceInvalid", "receipts for round 1 not retained in round 3")
+        reordered = dataclasses.replace(proof, links=proof.links[::-1], manifest=proof.manifest)
+        verdict = verify_hub(reordered, trusted, fan.directory)
+        assert (verdict.reason, verdict.detail) == ("ManifestMismatch", "presented links do not match the committed manifest")
 
     def test_missing_issuer_trust(self, fan):
         proof = build_hub_proof(
@@ -264,7 +297,7 @@ class TestChainProof:
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1, window_len=2
         )
         assert len(proof.hops) == 2
-        assert proof.anchor_commitment.round == 4
+        assert proof.hops[-1].window_end + 1 == 4
         assert verify_chain(proof, relay.commitments_of("c"), relay.directory)
 
     def test_wire_round_trip(self, relay):
@@ -284,20 +317,25 @@ class TestChainProof:
         proof = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1
         )
-        cutoff = proof.anchor_commitment.round
+        cutoff = proof.hops[-1].window_end + 1
         trusted = {r: c for r, c in relay.commitments_of("c").items() if r < cutoff}
         verdict = verify_chain(proof, trusted, relay.directory)
         assert verdict.reason == "InsufficientLatency"
 
     def test_anchor_disagreement(self, relay):
+        # The last hop's receipt takes the trusted anchor commitment as its
+        # issuer commitment, so a trusted copy with another root fails it.
         proof = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1
         )
         trusted = dict(relay.commitments_of("c"))
-        r = proof.anchor_commitment.round
+        r = proof.hops[-1].window_end + 1
         trusted[r] = dataclasses.replace(trusted[r], root=sha256(b"wrong"))
         verdict = verify_chain(proof, trusted, relay.directory)
-        assert verdict.reason == "AnchorMismatch"
+        assert (verdict.reason, verdict.detail) == (
+            "BrokenHop",
+            f"hop 1: ReceiptInvalid (submission leaf unproven for round {r - 1})",
+        )
 
     def test_hop_composition_must_connect(self, relay):
         proof = build_chain_proof(
@@ -308,27 +346,38 @@ class TestChainProof:
         assert verdict.reason == "BrokenHop"
 
     def test_anchor_from_wrong_node(self, relay):
-        # The anchor commitment is the last hop's final receipt's, so a
-        # foreign anchor commitment means a receipt from the wrong issuer.
+        # Another node's log as the anchor trust would put that node's
+        # commitments into the last hop's receipts, which name the anchor.
         proof = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1
         )
-        last = proof.hops[-1]
-        foreign = relay.nodes["b"].record_at(proof.anchor_commitment.round).commitment
-        receipt = dataclasses.replace(last.receipts[-1], issuer_commitment=foreign)
-        bad_last = dataclasses.replace(last, receipts=last.receipts[:-1] + (receipt,))
-        bad = dataclasses.replace(proof, hops=proof.hops[:-1] + (bad_last,))
-        assert bad.anchor_commitment == foreign
-        verdict = verify_chain(bad, relay.commitments_of("c"), relay.directory)
+        verdict = verify_chain(proof, relay.commitments_of("b"), relay.directory)
         assert verdict.reason == "BrokenHop"
-        assert "ReceiptMismatch" in verdict.detail
+        assert verdict.detail == "hop 1: ReceiptMismatch (receipt from another issuer)"
+
+    def test_named_anchor_must_be_the_trusted_one(self, relay):
+        # The receipts take the anchor's trusted commitments, so the anchor id
+        # the proof names must be theirs: another id is refused, not ignored.
+        proof = build_chain_proof(
+            relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1
+        )
+        renamed = dataclasses.replace(proof.hops[-1], issuer_id=relay.id_of("a"))
+        bad = dataclasses.replace(proof, hops=proof.hops[:-1] + (renamed,))
+        verdict = verify_chain(bad, relay.commitments_of("c"), relay.directory)
+        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 1: ReceiptMismatch (receipt from another issuer)")
 
     def test_anchor_commitment_is_the_last_receipts(self, relay):
+        # The proof stores no anchor commitment: the anchor round is the last
+        # hop's window end + 1, and the anchor's commitment at that round is
+        # the one the last receipt was issued with.
         proof = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1, window_len=2
         )
-        assert proof.anchor_commitment == relay.commitments_of("c")[proof.hops[-1].window_end + 1]
-        assert proof.anchor_commitment is proof.hops[-1].receipts[-1].issuer_commitment
+        last = proof.hops[-1]
+        retained = relay.nodes["b"].receipt_log[relay.id_of("c"), last.window_end]
+        assert retained.issuer_commitment == relay.commitments_of("c")[last.window_end + 1]
+        assert last.receipts[-1] == retained.with_issuer(None)
+        assert last.receipts[-1].issuer_commitment is None
 
     def test_insufficient_latency_names_first_verifying_round(self, relay):
         proof = build_chain_proof(
@@ -522,14 +571,12 @@ class TestProofCodec:
         with pytest.raises(WireError):
             Receipt.from_bytes(encoded(commitment + b"\x00"))
 
-    def test_encoder_refuses_mismatched_window(self, pair, fan):
+    def test_encoder_refuses_mismatched_window(self, pair):
+        # A link window writes one count for its receipt and evidence pairs.
+        # A hub proof counts its evidence proofs apart from its receipts.
         link = link_for(pair, "holder", "issuer", (1, 4))
         with pytest.raises(WireError):
             encode_proof(dataclasses.replace(link, evidence_proofs=link.evidence_proofs[:1]))
-        hub = build_hub_proof(fan.nodes["center"].records, (1, 4), fan.nodes["center"].receipt_log)
-        cut = dataclasses.replace(hub.links[0], evidence_proofs=hub.links[0].evidence_proofs[:1])
-        with pytest.raises(WireError):
-            encode_proof(dataclasses.replace(hub, links=(cut,) + hub.links[1:]))
 
     def test_chain_last_hop_needs_a_receipt(self, relay):
         chain = build_chain_proof(
@@ -543,6 +590,13 @@ class TestProofCodec:
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP1" + data[4:])
+
+    def test_emp2_envelope_refused(self, fan):
+        # EMP2 receipts carried the issuer commitment; no EMP2 reader is kept.
+        data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
+        assert data[:4] == b"EMP3"
+        with pytest.raises(WireError, match="not a proof file"):
+            decode_proof(b"EMP2" + data[4:])
 
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):

@@ -125,7 +125,7 @@ class TestInclusionProofs:
             proof = tree.prove_inclusion(i)
             assert proof.leaf_index == i
             assert proof.tree_size == n
-            assert verify_inclusion(leaves[i], proof, tree.root)
+            assert verify_inclusion([leaves[i]], proof, tree.root)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 11])
     def test_paths_match_reference(self, n):
@@ -163,20 +163,20 @@ class TestInclusionProofs:
     def test_wrong_leaf_rejected(self):
         tree = MerkleTree(leaf_set(7))
         proof = tree.prove_inclusion(2)
-        assert not verify_inclusion(b"not the leaf", proof, tree.root)
+        assert not verify_inclusion([b"not the leaf"], proof, tree.root)
 
     def test_wrong_root_rejected(self):
         leaves = leaf_set(7)
         tree = MerkleTree(leaves)
         proof = tree.prove_inclusion(2)
         other = Digest(hashlib.sha256(b"other").digest())
-        assert not verify_inclusion(leaves[2], proof, other)
+        assert not verify_inclusion([leaves[2]], proof, other)
 
     def test_proof_does_not_transfer_between_indices(self):
         leaves = leaf_set(8)
         tree = MerkleTree(leaves)
         proof = tree.prove_inclusion(3)
-        assert not verify_inclusion(leaves[4], proof, tree.root)
+        assert not verify_inclusion([leaves[4]], proof, tree.root)
 
     def test_flipped_side_rejected(self):
         leaves = leaf_set(6)
@@ -187,7 +187,7 @@ class TestInclusionProofs:
             tree_size=proof.tree_size,
             audit_path=bytes(b ^ 1 if k % 33 == 0 else b for k, b in enumerate(proof.audit_path)),
         )
-        assert fold_root(leaves[2], flipped) is None
+        assert fold_root([leaves[2]], flipped) is None
 
     def test_sides_must_match_index_and_size(self):
         # The side sequence is implied by (index, size); a proof claiming
@@ -196,7 +196,7 @@ class TestInclusionProofs:
         tree = MerkleTree(leaves)
         proof = tree.prove_inclusion(0)
         lying = InclusionProof(leaf_index=1, tree_size=5, audit_path=proof.audit_path)
-        assert fold_root(leaves[0], lying) is None
+        assert fold_root([leaves[0]], lying) is None
 
     def test_truncated_path_rejected(self):
         leaves = leaf_set(9)
@@ -207,13 +207,13 @@ class TestInclusionProofs:
             tree_size=proof.tree_size,
             audit_path=proof.audit_path[:-1],
         )
-        assert fold_root(leaves[4], short) is None
+        assert fold_root([leaves[4]], short) is None
 
     def test_single_leaf_proof_is_empty_path(self):
         tree = MerkleTree([b"only"])
         proof = tree.prove_inclusion(0)
         assert proof.audit_path == b""
-        assert verify_inclusion(b"only", proof, tree.root)
+        assert verify_inclusion([b"only"], proof, tree.root)
 
 
 class TestDigestType:
@@ -242,10 +242,10 @@ def test_inclusion_property(leaves, data):
     tree = MerkleTree(leaves)
     index = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
     proof = tree.prove_inclusion(index)
-    assert verify_inclusion(leaves[index], proof, tree.root)
+    assert verify_inclusion([leaves[index]], proof, tree.root)
     # Any other leaf value at the same position must fail.
     altered = leaves[index] + b"\x00"
-    assert not verify_inclusion(altered, proof, tree.root)
+    assert not verify_inclusion([altered], proof, tree.root)
 
 
 def test_no_root_collisions_across_random_inputs():
@@ -286,7 +286,7 @@ def test_tree_matches_recursive_reference(leaves):
         proof = tree.prove_inclusion(i)
         assert proof.audit_path == ref_path_bytes(leaves, i)
         assert type(proof.audit_path) is bytes
-        assert verify_inclusion(leaves[i], proof, tree.root)
+        assert verify_inclusion([leaves[i]], proof, tree.root)
 
 
 def ref_path_sides(index: int, size: int) -> list:
@@ -356,10 +356,171 @@ def test_fold_matches_reference_for_every_position():
             for proof in _variants(tree.prove_inclusion(i)):
                 for leaf in (leaves[i], leaves[(i + 1) % n]):
                     want = ref_fold_root(leaf, proof)
-                    got = fold_root(leaf, proof)
+                    got = fold_root([leaf], proof)
                     assert got == want, (n, i, proof.leaf_index, proof.tree_size, len(proof.audit_path))
                     assert want is None or type(got) is Digest
                     folded += want is not None
                     rejected += want is None
     # Both outcomes must be well represented, or the comparison shows little.
     assert folded > 10_000 and rejected > 100_000
+
+
+# Range proofs: one proof for a run of consecutive leaves [a, b).
+
+
+def ref_range_siblings(a: int, b: int, size: int) -> list:
+    """The subtrees a proof of the run [a, b) must supply, worked out
+    top-down by the split rule: each child the run misses while its parent
+    meets the run, as (level, side, lo, hi).  Both children of a split of
+    ``lo .. hi`` pair at level log2(k), k the left child's size, so that is
+    the level the sibling's step sits at; the steps run bottom-up, a level's
+    left sibling before its right one."""
+    found = []
+
+    def walk(lo, hi):
+        if hi - lo == 1:
+            return
+        k = 1 << ((hi - lo - 1).bit_length() - 1)
+        for side, (c_lo, c_hi) in ((0, (lo, lo + k)), (1, (lo + k, hi))):
+            if c_hi <= a or c_lo >= b:
+                found.append((k.bit_length() - 1, side, c_lo, c_hi))
+            else:
+                walk(c_lo, c_hi)
+
+    walk(0, size)
+    return sorted(found)
+
+
+def ref_subroots(leaves) -> dict:
+    """Every subtree root of the split rule's tree, by (lo, hi)."""
+    roots = {}
+
+    def walk(lo, hi):
+        if hi - lo == 1:
+            roots[lo, hi] = ref_leaf(leaves[lo])
+        else:
+            k = 1 << ((hi - lo - 1).bit_length() - 1)
+            roots[lo, hi] = hashlib.sha256(b"\x01" + walk(lo, lo + k) + walk(lo + k, hi)).digest()
+        return roots[lo, hi]
+
+    walk(0, len(leaves))
+    return roots
+
+
+def ref_range_path(subroots: dict, a: int, b: int, size: int) -> bytes:
+    return b"".join(bytes([side]) + subroots[lo, hi] for _, side, lo, hi in ref_range_siblings(a, b, size))
+
+
+def ref_fold_range(run, proof: InclusionProof):
+    """Fold ``run`` as the leaves from ``proof.leaf_index`` on, top-down:
+    None unless the path's step count and side bytes are the ones the claimed
+    (leaf_index, len(run), tree_size) imply."""
+    a, size, path = proof.leaf_index, proof.tree_size, proof.audit_path
+    b = a + len(run)
+    if not 0 <= a < b <= size:
+        return None
+    siblings = ref_range_siblings(a, b, size)
+    if len(path) != 33 * len(siblings) or any(path[33 * k] != side for k, (_, side, _, _) in enumerate(siblings)):
+        return None
+    given = {(lo, hi): path[33 * k + 1 : 33 * (k + 1)] for k, (_, _, lo, hi) in enumerate(siblings)}
+
+    def node(lo, hi):
+        if (lo, hi) in given:
+            return given[lo, hi]
+        if a <= lo and hi <= b:
+            return ref_root(run[lo - a : hi - a])
+        k = 1 << ((hi - lo - 1).bit_length() - 1)
+        return hashlib.sha256(b"\x01" + node(lo, lo + k) + node(lo + k, hi)).digest()
+
+    return node(0, size)
+
+
+def _wrong_claims(leaves, proof: InclusionProof, b: int):
+    """(kind, run, proof) with one part of an honest claim for [leaf_index, b) changed."""
+    a, size, path = proof.leaf_index, proof.tree_size, proof.audit_path
+    run = leaves[a:b]
+    spare = b"\x00" + ZERO_DIGEST
+    yield "steps", run, InclusionProof(a, path + spare, size)
+    yield "steps", run, InclusionProof(a, spare + path, size)
+    if path:
+        yield "steps", run, InclusionProof(a, path[33:], size)
+        yield "steps", run, InclusionProof(a, path[:-33], size)
+    for at in range(0, len(path), 33):
+        yield "side", run, InclusionProof(a, path[:at] + bytes([path[at] ^ 1]) + path[at + 1 :], size)
+    yield "shift", run, InclusionProof(a + 1, path, size)
+    if a:
+        yield "shift", run, InclusionProof(a - 1, path, size)
+    if len(run) > 1:
+        yield "run", run[:-1], proof
+    yield "run", run + [b"x"], proof
+    yield "size", run, InclusionProof(a, path, size + 1)
+    yield "size", run, InclusionProof(a, path, size - 1)
+
+
+def test_range_fold_matches_whole_tree_reference():
+    for n in range(1, 71):
+        leaves = leaf_set(n)
+        tree = MerkleTree(leaves)
+        subroots = ref_subroots(leaves)
+        assert tree.root == subroots[0, n]
+        for a in range(n):
+            for b in range(a + 1, n + 1):
+                proof = tree.prove_range(a, b)
+                assert (proof.leaf_index, proof.tree_size) == (a, n)
+                assert proof.audit_path == ref_range_path(subroots, a, b, n), (n, a, b)
+                assert fold_root(leaves[a:b], proof) == tree.root
+
+
+def test_wrong_range_claims_do_not_fold():
+    none_by_kind, claims_by_kind = {}, {}
+    for n in range(1, 25):
+        leaves = leaf_set(n)
+        tree = MerkleTree(leaves)
+        for a in range(n):
+            for b in range(a + 1, n + 1):
+                for kind, run, wrong in _wrong_claims(leaves, tree.prove_range(a, b), b):
+                    got = fold_root(run, wrong)
+                    assert got == ref_fold_range(run, wrong), (kind, n, a, b)
+                    # The root does not pin the tree size; a commitment signs it.
+                    assert got != tree.root or kind == "size", (kind, n, a, b)
+                    claims_by_kind[kind] = claims_by_kind.get(kind, 0) + 1
+                    none_by_kind[kind] = none_by_kind.get(kind, 0) + (got is None)
+    # A wrong step count, a wrong side byte or a shifted run never folds.  A
+    # run one leaf short or long, or a wrong tree size, folds to None wherever
+    # it implies another step shape.  Where the shape is the same (a 4-leaf
+    # tree's runs [0, 2) and [0, 3) both take one right step), a wrong run
+    # folds to a root other than the tree's, and a wrong size is refused by
+    # ``Commitment.proves``, which requires the signed leaf count.
+    for kind in ("steps", "side", "shift"):
+        assert none_by_kind[kind] == claims_by_kind[kind], kind
+    assert 0 < none_by_kind["run"] < claims_by_kind["run"] and 0 < none_by_kind["size"] < claims_by_kind["size"]
+
+
+def test_one_leaf_range_is_the_inclusion_proof():
+    for n in range(1, 71):
+        tree = MerkleTree(leaf_set(n))
+        for i in range(n):
+            assert tree.prove_range(i, i + 1) == tree.prove_inclusion(i)
+            assert tree.prove_inclusion(i).audit_path == ref_path_bytes(leaf_set(n), i)
+
+
+def test_range_out_of_tree_refused():
+    tree = MerkleTree(leaf_set(5))
+    for a, b in ((-1, 2), (2, 2), (3, 2), (0, 6), (5, 6)):
+        with pytest.raises(IndexOutOfRangeError):
+            tree.prove_range(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(1, n))))
+def test_range_property(claim):
+    n, a, length = claim
+    b = min(n, a + length)
+    leaves = [i.to_bytes(2, "big") for i in range(n)]
+    tree = MerkleTree(leaves)
+    proof = tree.prove_range(a, b)
+    assert proof.audit_path == ref_range_path(ref_subroots(leaves), a, b, n)
+    assert verify_inclusion(leaves[a:b], proof, tree.root)
+    altered = leaves[a:b]
+    altered[-1] += b"\x00"
+    assert not verify_inclusion(altered, proof, tree.root)

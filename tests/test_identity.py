@@ -101,7 +101,7 @@ class TestRegistry:
         advance(node, reg)
         proof = reg.credential_proof(cred.digest(), node.record_at(0))
         leaf = bytes([0x06]) + cred.digest()
-        assert verify_inclusion(leaf, proof, node.record_at(0).root)
+        assert verify_inclusion([leaf], proof, node.record_at(0).root)
 
     def test_pending_digests_sorted_into_one_round(self):
         node, reg = issuing_node()

@@ -52,7 +52,7 @@ def digests_in(obj):
 def test_hashtree_outputs_are_plain_bytes():
     tree = MerkleTree([bytes([i]) for i in range(7)])
     path_siblings = [sibling for i in range(7) for sibling in siblings(tree.prove_inclusion(i).audit_path)]
-    folded = [fold_root(bytes([i]), tree.prove_inclusion(i)) for i in range(7)]
+    folded = [fold_root([bytes([i])], tree.prove_inclusion(i)) for i in range(7)]
     assert folded == [tree.root] * 7
     assert_plain([tree.root, leaf_hash(b"x"), node_hash(tree.root, tree.root), *path_siblings, *folded])
 

@@ -1,12 +1,14 @@
 """Decoding is the inverse of encoding, and a record's bytes are its fields'.
 
 Signed records keep one encoding: a decoded one the bytes it was read from,
-one the simulator signs the bytes it signed, any other one the bytes its
-fields encode to on first use.  These tests hold every such encoding to a
-field-by-field reference writer (the record encoders as they were before
-records kept their bytes), on the three proofs the CI job builds and on
-mutations of them, and check that ``dataclasses.replace`` never carries an
-old encoding over to new fields.
+one the simulator signs the bytes it signed, a receipt a proof carries the
+bytes it had without its issuer-commitment blob, a receipt a verifier
+splices its trusted copy into those bytes with the blob put back, any other
+one the bytes its fields encode to on first use.  These tests hold every
+such encoding to a field-by-field reference writer (the record encoders as
+they were before records kept their bytes), on the three proofs the CI job
+builds and on mutations of them, and check that ``dataclasses.replace``
+never carries an old encoding over to new fields.
 """
 
 import dataclasses
@@ -53,9 +55,10 @@ def ref_submission(s: Submission) -> bytes:
 
 
 def ref_receipt(r: Receipt) -> bytes:
-    return ref_submission(r.submission) + (
+    # A receipt in a proof has no issuer commitment, and no blob for it.
+    issuer = b"" if r.issuer_commitment is None else Writer().blob(ref_commitment(r.issuer_commitment)).getvalue()
+    return ref_submission(r.submission) + issuer + (
         Writer()
-        .blob(ref_commitment(r.issuer_commitment))
         .blob(encode_inclusion_proof(r.inclusion))
         .digest(r.prev_digest)
         .blob(encode_inclusion_proof(r.prev_inclusion))
@@ -85,7 +88,8 @@ def signed_records(proof):
             yield entry.commitment
         for link in part.links if isinstance(part, HubProof) else (part,):
             for receipt in link.receipts:
-                yield from (receipt, receipt.submission, receipt.issuer_commitment)
+                assert receipt.issuer_commitment is None
+                yield from (receipt, receipt.submission)
 
 
 def _run(name: str):
@@ -159,31 +163,58 @@ def _replaced(receipt: Receipt) -> list:
     each after the original has given its bytes."""
     sub, c = receipt.submission, receipt.issuer_commitment
     for record in (receipt, sub, c):
-        record.to_bytes()
+        if record is not None:
+            record.to_bytes()
     new_sub = dataclasses.replace(sub, holder_root=_flip(sub.holder_root))
-    new_c = dataclasses.replace(c, round=c.round + 1)
-    return [
+    replaced = [
         new_sub,
         dataclasses.replace(sub, signature=_flip(sub.signature)),
-        new_c,
-        dataclasses.replace(c, leaf_count=c.leaf_count + 1),
         dataclasses.replace(receipt, prev_digest=_flip(receipt.prev_digest)),
         dataclasses.replace(receipt, submission=new_sub),
-        dataclasses.replace(receipt, issuer_commitment=new_c),
     ]
+    if c is not None:
+        new_c = dataclasses.replace(c, round=c.round + 1)
+        replaced += [new_c, dataclasses.replace(c, leaf_count=c.leaf_count + 1), dataclasses.replace(receipt, issuer_commitment=new_c)]
+    return replaced
 
 
-@pytest.mark.parametrize("origin", ["decoded", "simulated"])
+@pytest.mark.parametrize("origin", ["decoded", "spliced", "simulated"])
 def test_replace_encodes_the_new_fields(ci_proofs, origin):
     proof, sim = ci_proofs["link"]
-    if origin == "decoded":
+    h0, hub = sim.nodes["h0"], sim.nodes["hub"]
+    if origin == "simulated":
+        receipt, commitment = h0.receipt_log[hub.node_id, 1], h0.records[1].commitment
+    else:
         decoded = decode_proof(encode_proof(proof))
         receipt, commitment = decoded.receipts[0], decoded.holder_chain[0].commitment
-    else:
-        receipt, commitment = proof.receipts[0], sim.nodes["h0"].records[1].commitment
+        if origin == "spliced":
+            receipt = receipt.with_issuer(hub.records[2].commitment)
     commitment.to_bytes()
     records = _replaced(receipt) + [dataclasses.replace(commitment, root=_flip(commitment.root))]
     for record in records:
         assert_encodes_its_fields(record)
-    old = {receipt.to_bytes(), receipt.submission.to_bytes(), receipt.issuer_commitment.to_bytes(), commitment.to_bytes()}
+    old = {receipt.to_bytes(), receipt.submission.to_bytes(), commitment.to_bytes()}
+    if receipt.issuer_commitment is not None:
+        old.add(receipt.issuer_commitment.to_bytes())
     assert not old & {record.to_bytes() for record in records}
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+def test_proof_receipts_splice_back_to_the_retained_ones(ci_proofs, kind):
+    """A decoded proof's receipt is the retained receipt without its issuer
+    commitment; splicing that commitment back in gives the retained bytes."""
+    proof, sim = ci_proofs[kind]
+    logs = {node.node_id: node.receipt_log for node in sim.nodes.values()}
+    decoded = decode_proof(encode_proof(proof))
+    spliced = 0
+    for part in decoded.hops if isinstance(decoded, ChainProof) else (decoded,):
+        for link in part.links if isinstance(part, HubProof) else (part,):
+            for r, receipt in zip(range(part.window_start, part.window_end + 1), link.receipts):
+                retained = logs[part.holder_id][link.issuer_id, r]
+                assert retained.with_issuer(None) == receipt
+                assert retained.with_issuer(None).to_bytes() == receipt.to_bytes()
+                full = receipt.with_issuer(retained.issuer_commitment)
+                assert full == retained and full.to_bytes() == retained.to_bytes()
+                assert_encodes_its_fields(full)
+                spliced += 1
+    assert spliced >= 4

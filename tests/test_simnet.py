@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmesh.config import load_config, make_simulation
-from entmesh.entangle import MissingReceiptError, build_link_proof, verify_link
+from entmesh.entangle import MissingReceiptError, build_hub_proof, build_link_proof, verify_link
 from entmesh.hashtree import Digest, sha256, verify_inclusion
 from entmesh.keys import Ed25519Scheme, keypair_from_seed
 from entmesh.node import KeyDirectory, round_leaves
@@ -431,7 +431,7 @@ class TestReceiptPathsAgree:
         bad = RECEIPT_TAMPERS[tamper](receipt)
         if tamper == "submission-tree-size":
             c = bad.issuer_commitment
-            assert verify_inclusion(bad.submission.leaf_bytes(), bad.inclusion, c.root)
+            assert verify_inclusion([bad.submission.leaf_bytes()], bad.inclusion, c.root)
         reason = "BadSignature" if tamper == "unsigned-round" else "ReceiptInvalid"
         assert sim.nodes[holder].verify_receipt(bad, sim.directory).reason == reason
         label, events, claims = self.forward(sim, holder, bad)
@@ -566,3 +566,39 @@ class TestSignatureMemo:
             assert verify_link(proof, trusted, sim.directory)
             counts.append(len(ed25519_calls))
         assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize(
+    "sim",
+    [
+        Simulation(ring(6, mutual=True), rounds=8, seed=2),
+        Simulation(fan(12), rounds=7, seed=1),
+        Simulation(
+            federated(2, 3, 9),
+            rounds=12,
+            seed=4,
+            faults=(Equivocate("m1-0", 4, ("h0",)), WithholdReceipt("m1-1", "h3", 5, 7)),
+            audit_every=5,
+        ),
+    ],
+    ids=lambda sim: sim.topology.name,
+)
+def test_a_holder_rounds_receipts_are_one_run_of_leaves(sim):
+    """Round r's tree retains evidence for holder round r - 2 only, sorted by
+    issuer: a holder round's receipts are one run of leaves in manifest order,
+    which is what a hub proof's one range proof per round covers."""
+    sim.run()
+    built = 0
+    for node in sim.nodes.values():
+        for record in node.records:
+            if record.state is not None and record.state.evidence:
+                assert {receipt.holder_round for receipt in record.state.evidence} == {record.round - 2}
+        if not node.manifest:
+            continue
+        for r in range(sim.rounds - 2):
+            try:
+                build_hub_proof(node.records, (r, r), node.receipt_log)
+            except MissingReceiptError:
+                continue  # a withheld or not yet issued receipt, never a broken run
+            built += 1
+    assert built

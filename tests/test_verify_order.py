@@ -7,10 +7,10 @@ it, reason, wrapper and detail included.  That sequential reference is the
 verifier's own body run with signatures checked eagerly, so no second copy
 of the verifier is kept for it.
 
-A receipt's issuer commitment must equal the verifier's trusted copy, whose
-signature was checked where it entered trust, so it records no signature
-check of its own.  On authentic trust logs the verdict must be the one the
-rule that also checks every issuer signature gives (``_parent_rule``).
+A receipt's issuer commitment is the verifier's trusted copy, spliced in,
+whose signature was checked where it entered trust, so it records no
+signature check of its own.  On authentic trust logs the verdict must be the
+one the rule that also checks every issuer signature gives (``_parent_rule``).
 """
 
 import dataclasses
@@ -62,9 +62,9 @@ def _trust(proof, sim):
     return logs.get(proof.anchor_id if isinstance(proof, ChainProof) else proof.issuer_id)
 
 
-def _verify(proof, sim):
+def _verify(proof, sim, trust=None):
     verify = {HubProof: verify_hub, ChainProof: verify_chain}.get(type(proof), verify_link)
-    return verify(proof, _trust(proof, sim), sim.directory)
+    return verify(proof, trust or _trust(proof, sim), sim.directory)
 
 
 class _Eager(entangle._Deferred):
@@ -78,9 +78,9 @@ class _Eager(entangle._Deferred):
         return self._directory.verify_signature(node_id, round_no, message, signature)
 
 
-def _sequential(proof, sim):
+def _sequential(proof, sim, trust=None):
     check = {HubProof: entangle._check_hub, ChainProof: entangle._check_chain}.get(type(proof), entangle._check_link)
-    return check(proof, _trust(proof, sim), _Eager(sim.directory))
+    return check(proof, trust or _trust(proof, sim), _Eager(sim.directory))
 
 
 def _parent_rule(proof, sim):
@@ -95,7 +95,7 @@ def _parent_rule(proof, sim):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entangle, "_Deferred", Recording)
-        patch.setattr(entangle, "_check_receipt_inclusions", lambda receipt: check_receipt(receipt, views[-1]))
+        patch.setattr(entangle, "_check_receipt_inclusions", lambda receipt, view: check_receipt(receipt, view))
         return _verify(proof, sim)
 
 
@@ -108,9 +108,9 @@ def _forged_receipt(receipt):
     return dataclasses.replace(receipt, submission=forged)
 
 
-def _forged_issuer(receipt):
-    c = receipt.issuer_commitment
-    return dataclasses.replace(receipt, issuer_commitment=dataclasses.replace(c, signature=_flip(c.signature)))
+def _forged_trust(log, round_no):
+    """``log`` with the commitment at ``round_no`` differing only in its signature."""
+    return {**log, round_no: dataclasses.replace(log[round_no], signature=_flip(log[round_no].signature))}
 
 
 def _forged_entry(entry):
@@ -159,6 +159,10 @@ class TestSignatureCounts:
         assert verdict
         assert verdict.signatures_checked == 10 == len(ed25519_calls)
         assert verdict.signatures_checked + verdict.signatures_repeated == 166
+        # 6 chain entries, 160 receipts' two paths each, 4 manifest proofs
+        # and one evidence range proof per round (160 evidence paths before).
+        assert verdict.inclusion_proofs_checked == 6 + 320 + 4 + 4 == 334
+        assert len(encode_proof(proof)) <= 64_000
 
     def test_chain_of_four_hops_shares_the_vouched_commitments(self):
         sim = Simulation(chain(4), rounds=10, seed=3).run()
@@ -187,6 +191,7 @@ class TestSignatureCounts:
             assert verdict
             assert verdict.signatures_checked == 2 * w + 2 == len(ed25519_calls)
             assert verdict.signatures_repeated == (n - 1) * w
+            assert verdict.inclusion_proofs_checked == (w + 2) + 2 * n * w + w + w
 
     @pytest.mark.parametrize("hops", [1, 2, 3, 4])
     def test_chain_checks_grow_linearly_in_hops_times_window(self, ed25519_calls, hops):
@@ -201,6 +206,7 @@ class TestSignatureCounts:
             assert verdict
             assert verdict.signatures_checked == hops * (2 * w + 2) == len(ed25519_calls)
             assert verdict.signatures_repeated == 0
+            assert verdict.inclusion_proofs_checked == hops * ((w + 2) + 2 * w + w)
 
     def test_unbound_keys_fail_without_ed25519(self, runs, ed25519_calls):
         proof, sim = runs["hub"]
@@ -213,12 +219,10 @@ class TestSignatureCounts:
     def test_hashed_byte_flip_rejected_with_two_signature_checks(self, runs, ed25519_calls, where):
         proof, sim = runs["hub"]
         if where == "evidence-path":
-            link = proof.links[-1]
-            ev = link.evidence_proofs[-1]
+            ev = proof.evidence_proofs[-1]
             path = ev.audit_path  # the first sibling starts after the first side byte
             flipped = dataclasses.replace(ev, audit_path=path[:1] + bytes([path[1] ^ 1]) + path[2:])
-            link = dataclasses.replace(link, evidence_proofs=_swap(link.evidence_proofs, -1, flipped))
-            bad = dataclasses.replace(proof, links=proof.links[:-1] + (link,))
+            bad = dataclasses.replace(proof, evidence_proofs=_swap(proof.evidence_proofs, -1, flipped))
         else:
             entry = proof.holder_chain[2]
             prev = entry.prev_digest
@@ -238,10 +242,10 @@ class TestSignatureCounts:
 class TestForgedSignatureKeepsItsReason:
     """A forged signature is reported where the sequential checks meet it."""
 
-    def _check(self, proof, sim, reason, detail):
-        verdict = _verify(proof, sim)
+    def _check(self, proof, sim, reason, detail, trust=None):
+        verdict = _verify(proof, sim, trust)
         assert (verdict.ok, verdict.reason, verdict.detail) == (False, reason, detail)
-        reference = _sequential(proof, sim)
+        reference = _sequential(proof, sim, trust)
         assert (reference.ok, reference.reason, reference.detail) == (False, reason, detail)
 
     @pytest.mark.parametrize("index", [0, -1])
@@ -290,32 +294,37 @@ class TestForgedSignatureKeepsItsReason:
         bad = dataclasses.replace(proof, holder_chain=_forge_at(proof.holder_chain, 1, _forged_entry))
         self._check(bad, sim, "BadSignature", "round 7")
 
-    # An issuer commitment that differs from the trusted copy only in its
-    # signature is not the trusted commitment: it cannot borrow the trusted
-    # copy's checked signature.
+    # A receipt in a proof carries no issuer commitment: it takes the
+    # verifier's trusted copy.  A copy that differs from the commitment the
+    # issuer signed only in its signature still proves the receipt's leaves,
+    # but the receipt it makes is not the one the holder retained.
     def test_link_issuer_commitment(self, runs):
         proof, sim = runs["link"]
-        bad = dataclasses.replace(proof, receipts=_forge_at(proof.receipts, 1, _forged_issuer))
-        self._check(bad, sim, "TrustMismatch", "issuer commitment for round 8 disagrees")
+        trust = _forged_trust(_trust(proof, sim), 8)
+        self._check(proof, sim, "EvidenceInvalid", "receipt for round 7 not retained in round 9", trust)
 
     def test_hub_issuer_commitment(self, runs):
         proof, sim = runs["hub"]
-        link = proof.links[2]
-        forged = dataclasses.replace(link, receipts=_forge_at(link.receipts, 1, _forged_issuer))
-        bad = dataclasses.replace(proof, links=_swap(proof.links, 2, forged))
-        inner = "issuer commitment for round 3 disagrees"
-        self._check(bad, sim, "LinkFailed", f"{link.issuer_id.hex()}: TrustMismatch ({inner})")
+        issuer = proof.links[2].issuer_id
+        trust = {**_trust(proof, sim), issuer: _forged_trust(_trust(proof, sim)[issuer], 5)}
+        self._check(proof, sim, "EvidenceInvalid", "receipts for round 4 not retained in round 6", trust)
 
     @pytest.mark.parametrize("hop", [-1, 1])
     def test_chain_issuer_commitment(self, runs, hop):
         proof, sim = runs["chain"]
-        forged = dataclasses.replace(proof.hops[hop], receipts=_forge_at(proof.hops[hop].receipts, -1, _forged_issuer))
-        bad = ChainProof(hops=_swap(proof.hops, hop, forged))
+        r = proof.hops[hop].window_end + 1
         if hop == -1:
-            self._check(bad, sim, "AnchorMismatch", f"issuer commitment for round {forged.window_end + 1} disagrees")
+            # The last hop's copy is the anchor's trusted commitment.
+            inner = f"EvidenceInvalid (receipt for round {r - 1} not retained in round {r + 1})"
+            self._check(proof, sim, "BrokenHop", f"hop {len(proof.hops) - 1}: {inner}", _forged_trust(_trust(proof, sim), r))
         else:
-            inner = f"issuer commitment for round {forged.window_end + 1} disagrees"
-            self._check(bad, sim, "BrokenHop", f"hop {hop}: TrustMismatch ({inner})")
+            # An inner hop's copy is the next hop's holder chain entry, whose
+            # signature the same call checks before it vouches for the hop.
+            vouching = proof.hops[hop + 1]
+            index = r - vouching.window_start
+            forged = dataclasses.replace(vouching, holder_chain=_forge_at(vouching.holder_chain, index, _forged_entry))
+            bad = ChainProof(hops=_swap(proof.hops, hop + 1, forged))
+            self._check(bad, sim, "BrokenHop", f"hop {hop + 1}: BadSignature (round {r})")
 
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])

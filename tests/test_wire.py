@@ -214,6 +214,11 @@ class TestInclusionProofEncoderRefuses:
         with pytest.raises(WireError, match=f"^too many audit steps: {MAX_AUDIT_STEPS + 1}$"):
             encode_inclusion_proof(InclusionProof(leaf_index=0, audit_path=path, tree_size=1))
 
+    @pytest.mark.parametrize("index,size", [(-1, 1), (0, 2**64), (0.5, 1)])
+    def test_index_or_size_not_a_u64(self, index, size):
+        with pytest.raises(WireError, match="^inclusion proof head: "):
+            encode_inclusion_proof(InclusionProof(leaf_index=index, audit_path=b"", tree_size=size))
+
     @pytest.mark.parametrize("cut", [1, 32, 34])
     def test_path_not_whole_steps(self, cut):
         path = ((b"\x00" + self.SIBLING) * 2)[:-cut]
