@@ -128,20 +128,34 @@ class HubLink:
     issuer_id: NodeId
     receipts: tuple[Receipt, ...]  # one per window round, without issuer commitment
 
-    def to_bytes(self) -> bytes:
-        return Writer().digest(self.issuer_id).blobs([receipt.to_bytes() for receipt in self.receipts]).getvalue()
+    def to_bytes(self, submissions: Sequence[bytes]) -> bytes:
+        """Each receipt with its round's submission, which the hub carries, cut out."""
+        if len(self.receipts) != len(submissions):
+            raise WireError(f"{len(self.receipts)} receipts for {len(submissions)} window rounds")
+        cut = []
+        for receipt, sub in zip(self.receipts, submissions):
+            if receipt.submission.to_bytes() != sub:
+                raise WireError("issuers' receipts for one round carry different submissions")
+            cut.append(receipt.to_bytes()[len(sub) :])
+        return Writer().digest(self.issuer_id).blobs(cut).getvalue()
 
     @staticmethod
-    def read(r: Reader) -> "HubLink":
-        return HubLink(r.digest(), r.many(_read_receipt, "window rounds", MAX_ITEMS))
+    def read(r: Reader, submissions: Sequence[Submission]) -> "HubLink":
+        issuer_id, count = r.digest(), r.u32()
+        if count != len(submissions):
+            raise WireError(f"{count} receipts for {len(submissions)} window rounds")
+        return HubLink(issuer_id, tuple([_read_receipt(r, sub) for sub in submissions]))
 
 
-def _read_receipt(r: Reader) -> Receipt:
-    return r.nested(lambda r: Receipt.read(r, in_proof=True), MAX_RECORD)
+def _read_receipt(r: Reader, submission: Optional[Submission] = None) -> Receipt:
+    return r.nested(lambda r: Receipt.read(r, in_proof=True, submission=submission), MAX_RECORD)
 
 
 def _read_chain(r: Reader) -> tuple[ChainEntry, ...]:
     return r.many(lambda r: r.nested(ChainEntry.read, MAX_RECORD), "holder chain entries", MAX_ITEMS)
+
+
+_ByRound = Mapping[int, Commitment]  # a node's commitments by round
 
 
 def _by_round(chain: Sequence[ChainEntry]) -> dict[int, Commitment]:
@@ -281,10 +295,11 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
     return _verified(lambda view: _check_link(proof, trusted, view), directory)
 
 
-def _check_link(proof: LinkProof, trusted: Mapping[int, Commitment], view: _Deferred) -> Verdict:
+def _check_link(proof: LinkProof, trusted: _ByRound, view: _Deferred, commitments: Optional[_ByRound] = None) -> Verdict:
     leaves: list[bytes] = []
-    verdict = _check_holder_chain(proof, view) and _check_receipts(proof, proof, trusted, view, leaves)
-    return verdict and _check_evidence(proof, [(leaf,) for leaf in leaves], proof.evidence_proofs, view)
+    commitments = _by_round(proof.holder_chain) if commitments is None else commitments
+    verdict = _check_holder_chain(proof, view) and _check_receipts(proof, commitments, proof, trusted, view, leaves)
+    return verdict and _check_evidence(proof, commitments, [(leaf,) for leaf in leaves], proof.evidence_proofs, view)
 
 
 def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verdict:
@@ -304,14 +319,14 @@ def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verd
 
 
 def _check_receipts(
-    holder: "LinkProof | HubProof", link: "LinkProof | HubLink", trusted: Mapping[int, Commitment], view: _Deferred, leaves: list
+    holder: "LinkProof | HubProof", commitments: _ByRound, link: "LinkProof | HubLink", trusted: _ByRound,
+    view: _Deferred, leaves: list,
 ) -> Verdict:
-    """One issuer's receipts against ``holder``'s already checked chain; each
-    one's evidence leaf, trusted issuer commitment spliced in, goes to ``leaves``."""
+    """One issuer's receipts against ``holder``'s already checked chain, by round in
+    ``commitments``; each one's evidence leaf, trusted issuer commitment spliced in, goes to ``leaves``."""
     s, e = holder.window_start, holder.window_end
     if len(link.receipts) != e - s + 1:
         return Verdict.failed("WindowInvalid", "one receipt per round required")
-    commitments = _by_round(holder.holder_chain)
     previous: Optional[Commitment] = None
     for r, receipt in zip(range(s, e + 1), link.receipts):
         view.mark()
@@ -337,14 +352,15 @@ def _check_receipts(
     return Verdict.passed()
 
 
-def _check_evidence(holder: "LinkProof | HubProof", runs: Sequence, proofs: Sequence[InclusionProof], view: _Deferred) -> Verdict:
+def _check_evidence(
+    holder: "LinkProof | HubProof", commitments: _ByRound, runs: Sequence, proofs: Sequence[InclusionProof], view: _Deferred
+) -> Verdict:
     """Each window round's run of evidence leaves is retained, in order, in
     the holder's tree EVIDENCE_LAG rounds later."""
     view.mark()
     s, e = holder.window_start, holder.window_end
     if len(proofs) != e - s + 1:
         return Verdict.failed("WindowInvalid", "one evidence proof per round required")
-    commitments = _by_round(holder.holder_chain)
     for r, run, proof in zip(range(s, e + 1), runs, proofs):
         if not view.proves(commitments[r + EVIDENCE_LAG], run, proof):
             what = "receipts" if isinstance(holder, HubProof) else "receipt"
@@ -354,7 +370,7 @@ def _check_evidence(holder: "LinkProof | HubProof", runs: Sequence, proofs: Sequ
 
 @dataclass(frozen=True)
 class HubProof:
-    """All of a holder's committed links over one window, sharing one holder chain."""
+    """All of a holder's committed links over one window, sharing one holder chain and each round's submission."""
 
     holder_id: NodeId
     window_start: int
@@ -366,27 +382,36 @@ class HubProof:
     evidence_proofs: tuple[InclusionProof, ...]  # per window round r, its receipts' run in holder tree r+2
 
     def to_bytes(self) -> bytes:
+        if not self.links:
+            raise WireError("a hub proof needs at least one link")
+        rounds = self.window_end - self.window_start + 1
+        submissions = [receipt.submission.to_bytes() for receipt in self.links[0].receipts]
+        if len(submissions) != rounds:
+            raise WireError(f"{len(submissions)} receipts for {rounds} window rounds")
         w = Writer()
         w.digest(self.holder_id).u64(self.window_start).u64(self.window_end)
         w.digests(self.manifest)
         w.blobs([encode_inclusion_proof(proof) for proof in self.manifest_proofs])
         w.blobs([entry.to_bytes() for entry in self.holder_chain])
-        w.blobs([link.to_bytes() for link in self.links])
+        w.blobs(submissions)
+        w.blobs([link.to_bytes(submissions) for link in self.links])
         w.blobs([encode_inclusion_proof(proof) for proof in self.evidence_proofs])
         return w.getvalue()
 
     @staticmethod
     def read(r: Reader) -> "HubProof":
-        return HubProof(
-            holder_id=r.digest(),
-            window_start=r.u64(),
-            window_end=r.u64(),
-            manifest=r.digests("manifest ids", MAX_ITEMS),
-            manifest_proofs=r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "manifest proofs", MAX_ITEMS),
-            holder_chain=_read_chain(r),
-            links=r.many(lambda r: r.nested(HubLink.read, MAX_LINK), "links", MAX_ITEMS),
-            evidence_proofs=r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "evidence proofs", MAX_ITEMS),
-        )
+        holder_id, start, end = r.digest(), r.u64(), r.u64()
+        manifest = r.digests("manifest ids", MAX_ITEMS)
+        manifest_proofs = r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "manifest proofs", MAX_ITEMS)
+        chain = _read_chain(r)
+        submissions = r.many(lambda r: r.nested(Submission.read, MAX_RECORD), "submissions", MAX_ITEMS)
+        if len(submissions) != end - start + 1:
+            raise WireError(f"{len(submissions)} submissions for a window of {end - start + 1} rounds")
+        links = r.many(lambda r: r.nested(lambda r: HubLink.read(r, submissions), MAX_LINK), "links", MAX_ITEMS)
+        if not links:
+            raise WireError("a hub proof needs at least one link")
+        evidence = r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "evidence proofs", MAX_ITEMS)
+        return HubProof(holder_id, start, end, manifest, manifest_proofs, chain, links, evidence)
 
 
 def build_hub_proof(
@@ -405,6 +430,10 @@ def build_hub_proof(
         if record.state.manifest != manifest:
             raise ValueError(f"manifest changed inside window at round {r}")
         proofs.append(record.tree.prove_inclusion(MANIFEST_LEAF_INDEX))
+    links = tuple(_hub_link(issuer_id, window, receipts) for issuer_id in manifest)
+    for r, round_receipts in zip(range(start, end + 1), zip(*(link.receipts for link in links))):
+        if len({receipt.submission.to_bytes() for receipt in round_receipts}) > 1:
+            raise ValueError(f"receipts for round {r} carry different submissions")
     return HubProof(
         holder_id=chain[0].commitment.node_id,
         window_start=start,
@@ -412,7 +441,7 @@ def build_hub_proof(
         manifest=manifest,
         manifest_proofs=tuple(proofs),
         holder_chain=chain,
-        links=tuple(_hub_link(issuer_id, window, receipts) for issuer_id in manifest),
+        links=links,
         evidence_proofs=tuple(_evidence_proof(holder_records, manifest, r) for r in range(start, end + 1)),
     )
 
@@ -447,24 +476,24 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
     verdict = _check_holder_chain(proof, view)
     if not verdict:
         return _wrapped("LinkFailed", "holder chain", verdict)
+    commitments = _by_round(proof.holder_chain)
     by_link: list[list[bytes]] = [[] for _ in proof.links]
     for link, leaves in zip(proof.links, by_link):
         view.mark()
         issuer_trust = trusted.get(link.issuer_id)
         if issuer_trust is None:
             return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {link.issuer_id.hex()}")
-        verdict = _check_receipts(proof, link, issuer_trust, view, leaves)
+        verdict = _check_receipts(proof, commitments, link, issuer_trust, view, leaves)
         if not verdict:
             return _wrapped("LinkFailed", link.issuer_id.hex(), verdict)
     view.mark()
     manifest_leaf = (_manifest_leaf(proof.manifest),)
-    commitments = _by_round(proof.holder_chain)
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
         if m_proof.leaf_index != MANIFEST_LEAF_INDEX:
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
         if not view.proves(commitments[r], manifest_leaf, m_proof):
             return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")
-    return _check_evidence(proof, list(zip(*by_link)), proof.evidence_proofs, view)
+    return _check_evidence(proof, commitments, list(zip(*by_link)), proof.evidence_proofs, view)
 
 
 @dataclass(frozen=True)
@@ -536,7 +565,8 @@ def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], vi
         if i + 1 < len(proof.hops) and hop.issuer_id != proof.hops[i + 1].holder_id:
             return Verdict.failed("BrokenHop", f"hop {i} issuer is not hop {i + 1} holder")
     last = proof.hops[-1]
-    verdict = _check_link(last, trusted_anchor, view)
+    by_hop = [_by_round(hop.holder_chain) for hop in proof.hops]  # hop i + 1's vouches for hop i's issuer
+    verdict = _check_link(last, trusted_anchor, view, by_hop[-1])
     if not verdict:
         if verdict.reason == "TrustedRootUnavailable":
             return Verdict.failed(
@@ -546,8 +576,7 @@ def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], vi
             )
         return _wrapped("BrokenHop", f"hop {len(proof.hops) - 1}", verdict)
     for i in range(len(proof.hops) - 2, -1, -1):
-        vouched = _by_round(proof.hops[i + 1].holder_chain)
-        verdict = _check_link(proof.hops[i], vouched, view)
+        verdict = _check_link(proof.hops[i], by_hop[i + 1], view, by_hop[i])
         if not verdict:
             return _wrapped("BrokenHop", f"hop {i}", verdict)
     return Verdict.passed()
@@ -665,7 +694,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
     return current == end_root
 
 
-_PROOF_MAGIC = b"EMP3"
+_PROOF_MAGIC = b"EMP4"
 _PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 

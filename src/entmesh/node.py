@@ -262,16 +262,17 @@ class Receipt:
         return self._encoding
 
     @staticmethod
-    def read(r: Reader, in_proof: bool = False) -> "Receipt":
+    def read(r: Reader, in_proof: bool = False, submission: Optional[Submission] = None) -> "Receipt":
+        """Given ``submission``, a receipt in a hub proof: its bytes lack it, so it is spliced in first."""
         start = r.tell()
         receipt = Receipt(
-            submission=Submission.read(r),
+            submission=Submission.read(r) if submission is None else submission,
             issuer_commitment=None if in_proof else r.nested(Commitment.read, MAX_COMMITMENT),
             inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
             prev_digest=r.digest(),
             prev_inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
         )
-        return _keep(receipt, r.since(start))
+        return _keep(receipt, (b"" if submission is None else submission._encoding) + r.since(start))
 
     @staticmethod
     def from_bytes(data: bytes) -> "Receipt":

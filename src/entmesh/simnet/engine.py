@@ -356,8 +356,9 @@ class Simulation:
 
     def _phase_submit(self, r: int) -> None:
         self._submitted_this_round = {}
+        signed: dict[str, Submission] = {}  # one per holder, handed to each of its issuers
         for holder, issuer in self.topology.links:
-            sub = self.nodes[holder].make_submission()
+            sub = signed[holder] = signed.get(holder) or self.nodes[holder].make_submission()
             payload = sub.to_bytes()
             self._send(holder, issuer, len(payload))
             verdict = self.nodes[issuer].receive_submission(sub, self._verifier)

@@ -446,9 +446,9 @@ class TestVerify:
         assert (obj["reason"], obj["detail"]) == ("BrokenHop", detail)
 
     def test_failure_that_checks_no_signature_repeats_none(self, tmp_path, capsys):
-        # The last issuer's first receipt attests a flipped holder root: the
-        # verifier met the holder's signed submissions in the other issuers'
-        # receipts, but checked no signature, so it skipped none as a repeat.
+        # The hub's round-1 submission, which every issuer's receipt shares,
+        # attests a flipped holder root: the first issuer's receipt fails on
+        # it before any signature is checked, so none is skipped as a repeat.
         config = str(SCENARIOS / "hub.yaml")
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 0
         proof = tmp_path / "hub.proof"
@@ -456,13 +456,15 @@ class TestVerify:
         assert main(prove + ["--out", str(proof)]) == 0
         capsys.readouterr()
         blob = bytearray(proof.read_bytes())
-        receipt = decode_proof(bytes(blob)).links[-1].receipts[0]
-        blob[blob.find(receipt.to_bytes()) + 40] ^= 0x01  # holder id (32 B), round (8 B), then the root
+        submission = decode_proof(bytes(blob)).links[0].receipts[0].submission
+        at = blob.find(submission.to_bytes())
+        assert at > 0 and blob.count(submission.to_bytes()) == 1
+        blob[at + 40] ^= 0x01  # holder id (32 B), round (8 B), then the root
         bad = tmp_path / "bad.proof"
         bad.write_bytes(bytes(blob))
         text, obj = self._verify_both_formats(bad, tmp_path / "run" / "trust.json", capsys)
-        assert text.startswith("FAIL: LinkFailed (")
-        assert text.endswith(": ReceiptMismatch (receipt attests a different round-1 root))\n")
+        first = decode_proof(proof.read_bytes()).manifest[0].hex()
+        assert text == f"FAIL: LinkFailed ({first}: ReceiptMismatch (receipt attests a different round-1 root))\n"
         assert (obj["signatures_checked"], obj["signatures_repeated"]) == (0, 0)
 
     def test_hub_verdict_counts_one_range_proof_per_round(self, tmp_path, capsys):

@@ -288,6 +288,102 @@ class TestHubProof:
             build_hub_proof(fan.nodes["center"].records, (7, 8), {})
 
 
+def hub_for(net, window=(1, 3)):
+    return build_hub_proof(net.nodes["center"].records, window, net.nodes["center"].receipt_log)
+
+
+def cut_receipts(link):
+    """An issuer record's receipts as a hub proof writes them: without the
+    submission, which the hub carries once per round."""
+    return [receipt.to_bytes()[len(receipt.submission.to_bytes()) :] for receipt in link.receipts]
+
+
+def hub_bytes(proof, submissions, records):
+    """A hub proof written field by field around the given submission and
+    issuer-record blobs."""
+    w = Writer().digest(proof.holder_id).u64(proof.window_start).u64(proof.window_end).digests(proof.manifest)
+    w.blobs([encode_inclusion_proof(p) for p in proof.manifest_proofs])
+    w.blobs([entry.to_bytes() for entry in proof.holder_chain])
+    w.blobs(submissions).blobs(records)
+    w.blobs([encode_inclusion_proof(p) for p in proof.evidence_proofs])
+    return b"EMP4\x11" + w.getvalue()
+
+
+class TestHubCodec:
+    """A hub proof carries each window round's submission once, and each
+    issuer record's receipts without it."""
+
+    def parts(self, proof):
+        submissions = [receipt.submission.to_bytes() for receipt in proof.links[0].receipts]
+        records = [Writer().digest(link.issuer_id).blobs(cut_receipts(link)).getvalue() for link in proof.links]
+        return submissions, records
+
+    def test_each_round_submission_written_once(self, fan):
+        proof = hub_for(fan)
+        data = encode_proof(proof)
+        assert data == hub_bytes(proof, *self.parts(proof))
+        for receipt in proof.links[0].receipts:
+            assert data.count(receipt.submission.to_bytes()) == 1
+        decoded = decode_proof(data)
+        assert decoded == proof
+        first = decoded.links[0].receipts
+        for link in decoded.links:  # every issuer's round-r receipt holds the one decoded submission
+            assert all(receipt.submission is f.submission for receipt, f in zip(link.receipts, first))
+
+    @pytest.mark.parametrize("change", [1, -1])
+    def test_decoder_refuses_an_issuer_record_of_another_length(self, fan, change):
+        proof = hub_for(fan)
+        submissions, records = self.parts(proof)
+        cut = cut_receipts(proof.links[-1])
+        cut = cut + cut[:1] if change > 0 else cut[:-1]
+        records[-1] = Writer().digest(proof.links[-1].issuer_id).blobs(cut).getvalue()
+        with pytest.raises(WireError, match=f"^{3 + change} receipts for 3 window rounds$"):
+            decode_proof(hub_bytes(proof, submissions, records))
+
+    @pytest.mark.parametrize("change", [1, -1])
+    def test_decoder_refuses_a_submissions_list_of_another_length(self, fan, change):
+        proof = hub_for(fan)
+        submissions, records = self.parts(proof)
+        submissions = submissions + submissions[:1] if change > 0 else submissions[:-1]
+        with pytest.raises(WireError, match=f"^{3 + change} submissions for a window of 3 rounds$"):
+            decode_proof(hub_bytes(proof, submissions, records))
+
+    def test_decoder_refuses_a_hub_with_no_issuer_record(self, fan):
+        proof = hub_for(fan)
+        with pytest.raises(WireError, match="needs at least one link"):
+            decode_proof(hub_bytes(proof, self.parts(proof)[0], []))
+        with pytest.raises(WireError, match="needs at least one link"):
+            encode_proof(dataclasses.replace(proof, links=()))
+
+    def test_encoder_refuses_issuers_with_different_submissions(self, fan):
+        proof = hub_for(fan)
+        link = proof.links[1]
+        receipt = link.receipts[1]
+        other = dataclasses.replace(receipt.submission, signature=bytes(64))
+        forged = dataclasses.replace(link, receipts=(link.receipts[0], dataclasses.replace(receipt, submission=other), link.receipts[2]))
+        with pytest.raises(WireError, match="different submissions"):
+            encode_proof(dataclasses.replace(proof, links=(proof.links[0], forged, proof.links[2])))
+
+    @pytest.mark.parametrize("which", [0, 2])
+    def test_encoder_refuses_a_receipt_count_off_the_window(self, fan, which):
+        proof = hub_for(fan)
+        short = dataclasses.replace(proof.links[which], receipts=proof.links[which].receipts[:-1])
+        links = list(proof.links)
+        links[which] = short
+        with pytest.raises(WireError, match="^2 receipts for"):
+            encode_proof(dataclasses.replace(proof, links=tuple(links)))
+
+    def test_builder_refuses_a_doctored_receipt_log(self, fan):
+        center = fan.nodes["center"]
+        log = dict(center.receipt_log)
+        key = (fan.id_of("p1"), 2)
+        sub = log[key].submission
+        log[key] = dataclasses.replace(log[key], submission=dataclasses.replace(sub, signature=bytes(64)))
+        with pytest.raises(ValueError, match="round 2 carry different submissions"):
+            build_hub_proof(center.records, (1, 3), log)
+        assert build_hub_proof(center.records, (3, 4), log) == hub_for(fan, (3, 4))
+
+
 class TestChainProof:
     def path_ids(self, relay):
         return [relay.id_of("a"), relay.id_of("b"), relay.id_of("c")]
@@ -594,9 +690,16 @@ class TestProofCodec:
     def test_emp2_envelope_refused(self, fan):
         # EMP2 receipts carried the issuer commitment; no EMP2 reader is kept.
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
-        assert data[:4] == b"EMP3"
+        assert data[:4] == b"EMP4"
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP2" + data[4:])
+
+    def test_emp3_envelope_refused(self, fan):
+        # EMP3 hub proofs repeated each round's submission in every issuer's
+        # receipt; no EMP3 reader is kept.
+        data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
+        with pytest.raises(WireError, match="not a proof file"):
+            decode_proof(b"EMP3" + data[4:])
 
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):

@@ -4,9 +4,10 @@ The wire format is normative (docs/FORMATS.md), so a refactor of the records
 that get encoded must not move a single byte.  These digests are the three
 proofs the CI job builds and each scenario's ``commitments.jsonl``, at each
 scenario's own seed.  A change that alters them on purpose re-records them
-here and says why: the proof pins were last re-recorded for the ``EMP3``
-envelope, whose receipts carry no issuer commitment and whose hub proofs
-prove each round's evidence with one range proof.
+here and says why: the proof pins were last re-recorded for the ``EMP4``
+envelope, whose hub proofs carry each window round's holder submission
+once, cut out of every issuer's receipt for that round.  The link and
+chain proofs changed only in their magic.
 """
 
 import hashlib
@@ -22,17 +23,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PINNED = {
     "hub": (
         ["--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
-        (7868, "0b27bec04353ccbdfac2c4a99136976fa9b9ee264c84f566b1924c29c903b384"),
+        (6204, "97448f7d2bb5d7a5e0bd468da2644506107a5a33b4fa90ae3f9c85d09467408b"),
         (29385, "e9be8b8909eca1b012b7cf496c9feb7f5e66c171dc6743cd1cac558b29e092c4"),
     ),
     "chain": (
         ["--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
-        (8987, "9b5a5255271e7e84b911ba7d3b0af379bd80b72d71ea10ab73a260b1c76109e2"),
+        (8987, "c0b3da7709ca3a2ef17254afbf87ee51751b42aa7c7f5e92e4fb5597589f8c84"),
         (24559, "be8982c982c74a7683460be4d2d0d07ab9d6d11b85444f2accf850dfcf25e892"),
     ),
     "identity": (
         ["--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
-        (3875, "25b2023e5532f20efdf7c22a38647f4bb9b6ed60d3969cf8fea7d27c7b9bf1d5"),
+        (3875, "5a292547f1de5fb848a98326167990ac3f4897ed06602cef3342142aae8f847b"),
         (19628, "044d456a658ebe9d2008d2ce8d9621ad3bc6c9989e201f79b17e129b618502fc"),
     ),
 }

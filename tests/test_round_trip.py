@@ -8,7 +8,9 @@ one the bytes its fields encode to on first use.  These tests hold every
 such encoding to a field-by-field reference writer (the record encoders as
 they were before records kept their bytes), on the three proofs the CI job
 builds and on mutations of them, and check that ``dataclasses.replace``
-never carries an old encoding over to new fields.
+never carries an old encoding over to new fields.  A second reference
+writes whole proofs from docs/FORMATS.md, a hub proof's one submission per
+window round included.
 """
 
 import dataclasses
@@ -20,16 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmesh.config import load_config, make_simulation
+from entmesh.simnet import Simulation, fan
 from entmesh.entangle import (
     ChainProof,
     HubProof,
+    LinkProof,
     build_chain_proof,
     build_hub_proof,
     build_link_proof,
     decode_proof,
     encode_proof,
 )
-from entmesh.node import LEAF_ENTANGLED, LEAF_EVIDENCE, Commitment, Receipt, Submission, commitment_digest
+from entmesh.node import LEAF_ENTANGLED, ChainEntry, LEAF_EVIDENCE, Commitment, Receipt, Submission, commitment_digest
 from entmesh.wire import WireError, Writer, encode_inclusion_proof
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -54,16 +58,54 @@ def ref_submission(s: Submission) -> bytes:
     return ref_submission_message(s) + Writer().blob(s.signature).getvalue()
 
 
-def ref_receipt(r: Receipt) -> bytes:
-    # A receipt in a proof has no issuer commitment, and no blob for it.
-    issuer = b"" if r.issuer_commitment is None else Writer().blob(ref_commitment(r.issuer_commitment)).getvalue()
-    return ref_submission(r.submission) + issuer + (
+def ref_hub_receipt(r: Receipt) -> bytes:
+    # A receipt in a hub issuer record: the hub carries its Submission.
+    return (
         Writer()
         .blob(encode_inclusion_proof(r.inclusion))
         .digest(r.prev_digest)
         .blob(encode_inclusion_proof(r.prev_inclusion))
         .getvalue()
     )
+
+
+def ref_receipt(r: Receipt) -> bytes:
+    # A receipt in a proof has no issuer commitment, and no blob for it.
+    issuer = b"" if r.issuer_commitment is None else Writer().blob(ref_commitment(r.issuer_commitment)).getvalue()
+    return ref_submission(r.submission) + issuer + ref_hub_receipt(r)
+
+
+def ref_chain_entry(e: ChainEntry) -> bytes:
+    return Writer().blob(ref_commitment(e.commitment)).digest(e.prev_digest).blob(encode_inclusion_proof(e.first_leaf_proof)).getvalue()
+
+
+def ref_link_proof(p: LinkProof) -> bytes:
+    w = Writer().digest(p.holder_id).digest(p.issuer_id).u64(p.window_start).u64(p.window_end)
+    w.blobs([ref_chain_entry(e) for e in p.holder_chain]).u32(len(p.receipts))
+    for receipt, evidence in zip(p.receipts, p.evidence_proofs):
+        w.blob(ref_receipt(receipt)).blob(encode_inclusion_proof(evidence))
+    return w.getvalue()
+
+
+def ref_hub_proof(p: HubProof) -> bytes:
+    # Each window round's Submission once, after the holder chain; every
+    # issuer record's receipt for that round is written without it.
+    w = Writer().digest(p.holder_id).u64(p.window_start).u64(p.window_end).digests(p.manifest)
+    w.blobs([encode_inclusion_proof(proof) for proof in p.manifest_proofs])
+    w.blobs([ref_chain_entry(e) for e in p.holder_chain])
+    w.blobs([ref_submission(receipt.submission) for receipt in p.links[0].receipts])
+    w.blobs([Writer().digest(link.issuer_id).blobs([ref_hub_receipt(rc) for rc in link.receipts]).getvalue() for link in p.links])
+    w.blobs([encode_inclusion_proof(proof) for proof in p.evidence_proofs])
+    return w.getvalue()
+
+
+def ref_proof(p) -> bytes:
+    """The envelope: magic ``EMP4``, a kind byte, then the body."""
+    if isinstance(p, HubProof):
+        return b"EMP4\x11" + ref_hub_proof(p)
+    if isinstance(p, ChainProof):
+        return b"EMP4\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
+    return b"EMP4\x10" + ref_link_proof(p)
 
 
 def assert_encodes_its_fields(record) -> None:
@@ -131,12 +173,32 @@ def _mutated(draw, blob: bytes) -> bytes:
 def test_ci_proof_round_trips(ci_proofs, kind):
     proof, _ = ci_proofs[kind]
     blob = encode_proof(proof)
+    assert blob == ref_proof(proof)
     decoded = decode_proof(blob)
     assert decoded == proof
     assert encode_proof(decoded) == blob
     for record in signed_records(decoded):
         assert_encodes_its_fields(record)
     for record in signed_records(proof):
+        assert_encodes_its_fields(record)
+
+
+@pytest.fixture(scope="module")
+def fan_runs():
+    return {n: Simulation(fan(n), rounds=7, seed=3).run() for n in (1, 5, 40)}
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+@pytest.mark.parametrize("w", [1, 2, 4])
+def test_fan_hub_proof_round_trips(fan_runs, n, w):
+    center = fan_runs[n].nodes["center"]
+    proof = build_hub_proof(center.records, (1, w), center.receipt_log)
+    blob = encode_proof(proof)
+    assert blob == ref_proof(proof)
+    decoded = decode_proof(blob)
+    assert decoded == proof
+    assert encode_proof(decoded) == blob
+    for record in signed_records(decoded):
         assert_encodes_its_fields(record)
 
 
@@ -149,7 +211,7 @@ def test_every_decodable_mutation_round_trips(ci_proofs, kind, data):
         decoded = decode_proof(blob)
     except (WireError, ValueError):
         return
-    assert encode_proof(decoded) == blob
+    assert encode_proof(decoded) == blob == ref_proof(decoded)
     for record in signed_records(decoded):
         assert_encodes_its_fields(record)
 

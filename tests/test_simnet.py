@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from entmesh.config import load_config, make_simulation
 from entmesh.entangle import MissingReceiptError, build_hub_proof, build_link_proof, verify_link
 from entmesh.hashtree import Digest, sha256, verify_inclusion
-from entmesh.keys import Ed25519Scheme, keypair_from_seed
+from entmesh.keys import Ed25519Scheme, KeyPair, keypair_from_seed
 from entmesh.node import KeyDirectory, round_leaves
 from entmesh.simnet import (
     Equivocate,
@@ -566,6 +566,28 @@ class TestSignatureMemo:
             assert verify_link(proof, trusted, sim.directory)
             counts.append(len(ed25519_calls))
         assert counts[0] == counts[1] > 0
+
+
+class TestOneSubmissionPerHolderRound:
+    """A holder signs one submission per round and hands that one object to
+    each of its issuers; signatures are deterministic, so no byte moves."""
+
+    def test_every_issuer_entangles_the_same_object(self):
+        sim = Simulation(fan(5), rounds=6, seed=3).run()
+        center = sim.nodes["center"]
+        partners = [sim.nodes[f"p{i}"].node_id for i in range(5)]
+        for r in range(sim.rounds - 1):
+            # A receipt carries the submission its issuer entangled.
+            entangled = [center.receipt_log[(partner, r)].submission for partner in partners]
+            assert all(sub is entangled[0] for sub in entangled), r
+
+    def test_fan40_signs_once_per_node_round(self, monkeypatch):
+        signed = []
+        sign = KeyPair.sign
+        monkeypatch.setattr(KeyPair, "sign", lambda self, message: signed.append(message) or sign(self, message))
+        Simulation(fan(40), rounds=8, seed=3).run()
+        # 41 commitments a round, and the centre's one submission a round (40 before).
+        assert len(signed) == 41 * 8 + 8 == 336
 
 
 @pytest.mark.parametrize(

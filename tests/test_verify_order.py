@@ -162,7 +162,25 @@ class TestSignatureCounts:
         # 6 chain entries, 160 receipts' two paths each, 4 manifest proofs
         # and one evidence range proof per round (160 evidence paths before).
         assert verdict.inclusion_proofs_checked == 6 + 320 + 4 + 4 == 334
-        assert len(encode_proof(proof)) <= 64_000
+        # Each window round's submission once, not once per issuer (63,324 B when repeated).
+        assert len(encode_proof(proof)) <= 41_600
+
+    def test_holder_chain_by_round_built_once_per_proof_part(self, monkeypatch):
+        # One round -> commitment view per holder chain: a hub's one chain,
+        # and each chain hop's, which also vouches for the hop before it.
+        built = []
+        by_round = entangle._by_round
+        monkeypatch.setattr(entangle, "_by_round", lambda entries: built.append(entries) or by_round(entries))
+        sim = Simulation(fan(40), rounds=8, seed=3).run()
+        center = sim.nodes["center"]
+        assert verify_hub(build_hub_proof(center.records, (1, 4), center.receipt_log), _logs(sim), sim.directory)
+        assert len(built) == 1
+        built.clear()
+        sim = Simulation(chain(4), rounds=10, seed=3).run()
+        ids = [sim.nodes[label].node_id for label in sim.path_to_anchor("h0")]
+        proof = build_chain_proof(sim.records_by_id(), sim.receipts_by_id(), ids, 2, 2)
+        assert verify_chain(proof, _logs(sim)[proof.anchor_id], sim.directory)
+        assert [id(entries) for entries in built] == [id(hop.holder_chain) for hop in proof.hops]
 
     def test_chain_of_four_hops_shares_the_vouched_commitments(self):
         sim = Simulation(chain(4), rounds=10, seed=3).run()
