@@ -188,11 +188,18 @@ def _evidence_proof(holder_records: Sequence[NodeRecord], issuer_ids: Sequence[N
     """Proof that round ``r``'s receipts from ``issuer_ids``, in that order, are one
     run of leaves in the holder's round r + EVIDENCE_LAG tree (unpruned: see ``_holder_chain``)."""
     retaining = holder_records[r + EVIDENCE_LAG]
-    first = evidence_leaf_index(retaining.state, issuer_ids[0], r)
+    broken = ValueError(f"receipts for round {r} are not one run of leaves in holder round {r + EVIDENCE_LAG}")
+    try:
+        first = evidence_leaf_index(retaining.state, issuer_ids[0], r)
+    except NotEntangledError:
+        # A hub round whose first receipt is not where sorted order puts it is no run.
+        if len(issuer_ids) > 1:
+            raise broken from None
+        raise
     at = first - FIXED_LEAVES - len(retaining.state.entangled)
     run = retaining.state.evidence[at : at + len(issuer_ids)]
     if len(issuer_ids) > 1 and [(rc.issuer_id, rc.holder_round) for rc in run] != [(issuer_id, r) for issuer_id in issuer_ids]:
-        raise ValueError(f"receipts for round {r} are not one run of leaves in holder round {r + EVIDENCE_LAG}")
+        raise broken
     return retaining.tree.prove_range(first, first + len(issuer_ids))
 
 

@@ -19,6 +19,7 @@ Leaf layout (tags distinguish every leaf kind; see docs/FORMATS.md):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, TypeVar
@@ -324,6 +325,14 @@ class RoundState:
     revocation: Optional[tuple[Digest, ...]] = None
 
 
+def _submission_key(sub: Submission) -> tuple[NodeId, int]:
+    return sub.holder_id, sub.holder_round
+
+
+def _receipt_key(receipt: Receipt) -> tuple[NodeId, int]:
+    return receipt.issuer_id, receipt.holder_round
+
+
 def _require_sorted_unique(items: Sequence, what: str) -> None:
     for a, b in zip(items, items[1:]):
         if not a < b:
@@ -336,8 +345,8 @@ def validate_state(state: RoundState) -> None:
     if state.round == 0 and state.prev_commitment_digest != ZERO_DIGEST:
         raise InvariantViolationError("round 0 must chain from the zero digest")
     _require_sorted_unique(state.manifest, "manifest")
-    _require_sorted_unique([(s.holder_id, s.holder_round) for s in state.entangled], "entangled submissions")
-    _require_sorted_unique([(r.issuer_id, r.holder_round) for r in state.evidence], "evidence receipts")
+    _require_sorted_unique([_submission_key(s) for s in state.entangled], "entangled submissions")
+    _require_sorted_unique([_receipt_key(r) for r in state.evidence], "evidence receipts")
     _require_sorted_unique(state.credentials, "credential digests")
     if state.revocation is not None:
         _require_sorted_unique(state.revocation, "revocation list")
@@ -362,26 +371,37 @@ MANIFEST_LEAF_INDEX = 2
 FIXED_LEAVES = 3  # prev, payload, manifest: the leaves before the entangled ones
 
 
+def _find(items: Sequence, key, item_key=None) -> int:
+    """The position of ``key`` in ``items``, or -1 if it is absent.
+
+    A binary search: ``items`` must be strictly ascending by ``item_key``
+    (the item itself when None), as ``validate_state`` requires of a state.
+    """
+    pos = bisect_left(items, key, key=item_key)
+    if pos < len(items) and (items[pos] if item_key is None else item_key(items[pos])) == key:
+        return pos
+    return -1
+
+
 def entangled_leaf_index(state: RoundState, holder_id: NodeId, holder_round: int) -> int:
-    for pos, sub in enumerate(state.entangled):
-        if sub.holder_id == holder_id and sub.holder_round == holder_round:
-            return FIXED_LEAVES + pos
-    raise NotEntangledError(f"no submission from {holder_id.hex()} round {holder_round}")
+    pos = _find(state.entangled, (holder_id, holder_round), _submission_key)
+    if pos < 0:
+        raise NotEntangledError(f"no submission from {holder_id.hex()} round {holder_round}")
+    return FIXED_LEAVES + pos
 
 
 def evidence_leaf_index(state: RoundState, issuer_id: NodeId, holder_round: int) -> int:
-    for pos, rcpt in enumerate(state.evidence):
-        if rcpt.issuer_id == issuer_id and rcpt.holder_round == holder_round:
-            return FIXED_LEAVES + len(state.entangled) + pos
-    raise NotEntangledError(f"no evidence from {issuer_id.hex()} for round {holder_round}")
+    pos = _find(state.evidence, (issuer_id, holder_round), _receipt_key)
+    if pos < 0:
+        raise NotEntangledError(f"no evidence from {issuer_id.hex()} for round {holder_round}")
+    return FIXED_LEAVES + len(state.entangled) + pos
 
 
 def credential_leaf_index(state: RoundState, digest: Digest) -> int:
-    base = FIXED_LEAVES + len(state.entangled) + len(state.evidence)
-    for pos, d in enumerate(state.credentials):
-        if d == digest:
-            return base + pos
-    raise NotEntangledError(f"credential {digest.hex()} not committed in round {state.round}")
+    pos = _find(state.credentials, digest)
+    if pos < 0:
+        raise NotEntangledError(f"credential {digest.hex()} not committed in round {state.round}")
+    return FIXED_LEAVES + len(state.entangled) + len(state.evidence) + pos
 
 
 def revocation_leaf_index(state: RoundState) -> int:
@@ -495,32 +515,42 @@ class ChainEntry:
     prev_digest: Digest
     first_leaf_proof: InclusionProof
 
-    def to_bytes(self) -> bytes:
+    @cached_property
+    def _encoding(self) -> bytes:
         return (
             Writer()
-            .blob(self.commitment.to_bytes())
+            .blob(self.commitment._encoding)
             .digest(self.prev_digest)
             .blob(encode_inclusion_proof(self.first_leaf_proof))
             .getvalue()
         )
 
+    def to_bytes(self) -> bytes:
+        return self._encoding
+
     @staticmethod
     def read(r: Reader) -> "ChainEntry":
-        return ChainEntry(
+        start = r.tell()
+        entry = ChainEntry(
             commitment=r.nested(Commitment.read, MAX_COMMITMENT),
             prev_digest=r.digest(),
             first_leaf_proof=r.nested(read_inclusion_proof, MAX_RECORD),
         )
+        return _keep(entry, r.since(start))
 
 
 def chain_entry_for(record: "NodeRecord") -> ChainEntry:
+    """The record's chain entry: built on first use, then kept until the
+    record is pruned.  A record's round is fixed once built, so its entry is."""
     if record.state is None or record.tree is None:
         raise InvariantViolationError(f"round {record.round} was pruned; cannot build chain entry")
-    return ChainEntry(
-        commitment=record.commitment,
-        prev_digest=record.state.prev_commitment_digest,
-        first_leaf_proof=record.tree.prove_inclusion(0),
-    )
+    if record._chain_entry is None:
+        record._chain_entry = ChainEntry(
+            commitment=record.commitment,
+            prev_digest=record.state.prev_commitment_digest,
+            first_leaf_proof=record.tree.prove_inclusion(0),
+        )
+    return record._chain_entry
 
 
 def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
@@ -564,6 +594,8 @@ class NodeRecord:
     # Bytes the record keeps: encoded commitment, root and, until pruned, the
     # tree's leaf bytes.  Sized when the record is made and again when pruned.
     retained_bytes: int = field(init=False, repr=False, compare=False)
+    # Kept by ``chain_entry_for``; not counted in retained_bytes, the model's storage.
+    _chain_entry: Optional[ChainEntry] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._measure()
@@ -667,6 +699,7 @@ class Node:
         record = self.record_at(round_no)
         record.state = None
         record.tree = None
+        record._chain_entry = None
         record._measure()
 
     def make_submission(self) -> Submission:
@@ -695,12 +728,13 @@ class Node:
         entangled = record.state.entangled[index - FIXED_LEAVES]
         if entangled.holder_root != sub.holder_root:
             raise NotEntangledError("entangled root differs from the submission")
+        entry = chain_entry_for(record)  # its first-leaf proof is shared by the round's receipts
         return Receipt(
             submission=entangled,
-            issuer_commitment=record.commitment,
+            issuer_commitment=entry.commitment,
             inclusion=record.tree.prove_inclusion(index),
-            prev_digest=record.state.prev_commitment_digest,
-            prev_inclusion=record.tree.prove_inclusion(0),
+            prev_digest=entry.prev_digest,
+            prev_inclusion=entry.first_leaf_proof,
         )
 
     def verify_receipt(self, receipt: Receipt, directory: KeyDirectory) -> Verdict:

@@ -3,8 +3,10 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entmesh.hashtree import ZERO_DIGEST, sha256
+from entmesh.hashtree import ZERO_DIGEST, InclusionProof, sha256
 from entmesh.keys import keypair_from_seed
 from entmesh.node import (
     LEAF_ENTANGLED,
@@ -25,6 +27,7 @@ from entmesh.node import (
     Submission,
     commitment_digest,
     chain_entry_for,
+    credential_leaf_index,
     entangled_leaf_index,
     evidence_leaf_index,
     parse_manifest_leaf,
@@ -93,6 +96,93 @@ class TestLeafLayout:
         record = node.build(("x",))
         with pytest.raises(NotEntangledError):
             entangled_leaf_index(record.state, node.node_id, 0)
+
+
+# The leaf lookups as linear scans: the reference the binary searches must match.
+
+
+def linear_entangled_leaf_index(state, holder_id, holder_round):
+    for pos, sub in enumerate(state.entangled):
+        if sub.holder_id == holder_id and sub.holder_round == holder_round:
+            return FIXED_LEAVES + pos
+    raise NotEntangledError(f"no submission from {holder_id.hex()} round {holder_round}")
+
+
+def linear_evidence_leaf_index(state, issuer_id, holder_round):
+    for pos, rcpt in enumerate(state.evidence):
+        if rcpt.issuer_id == issuer_id and rcpt.holder_round == holder_round:
+            return FIXED_LEAVES + len(state.entangled) + pos
+    raise NotEntangledError(f"no evidence from {issuer_id.hex()} for round {holder_round}")
+
+
+def linear_credential_leaf_index(state, digest):
+    base = FIXED_LEAVES + len(state.entangled) + len(state.evidence)
+    for pos, d in enumerate(state.credentials):
+        if d == digest:
+            return base + pos
+    raise NotEntangledError(f"credential {digest.hex()} not committed in round {state.round}")
+
+
+# A small pool, so that drawn lookup keys are often present and often absent.
+_IDS = st.sampled_from([sha256(bytes([i])) for i in range(6)])
+_ROUNDS = st.integers(0, 3)
+_KEYS = st.tuples(_IDS, _ROUNDS)
+
+
+def _submission(holder_id, holder_round):
+    return Submission(holder_id, holder_round, sha256(holder_id), b"sig")
+
+
+def _receipt(issuer_id, holder_round, holder_id):
+    proof = InclusionProof(0, b"", 1)
+    issuer = Commitment(issuer_id, holder_round + 1, ZERO_DIGEST, 1, b"sig")
+    return Receipt(_submission(holder_id, holder_round), issuer, proof, ZERO_DIGEST, proof)
+
+
+@st.composite
+def sorted_states(draw):
+    holder_id = sha256(b"holder")
+    entangled = sorted(draw(st.sets(_KEYS, max_size=12)))
+    evidence = sorted(draw(st.sets(_KEYS, max_size=12)))
+    state = RoundState(
+        node_id=holder_id,
+        round=4,
+        prev_commitment_digest=sha256(b"prev"),
+        payload=("x",),
+        manifest=(),
+        entangled=tuple(_submission(*key) for key in entangled),
+        evidence=tuple(_receipt(issuer_id, r, holder_id) for issuer_id, r in evidence),
+        credentials=tuple(sorted(draw(st.sets(_IDS, max_size=6)))),
+    )
+    validate_state(state)
+    return state
+
+
+def _same_outcome(fast, slow, *args):
+    try:
+        expected = slow(*args)
+    except NotEntangledError as exc:
+        with pytest.raises(NotEntangledError) as raised:
+            fast(*args)
+        assert str(raised.value) == str(exc)
+    else:
+        assert fast(*args) == expected
+
+
+class TestLeafLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(state=sorted_states(), lookups=st.lists(_KEYS, min_size=1, max_size=8))
+    def test_bisection_matches_linear_scan(self, state, lookups):
+        for node_id, r in lookups:
+            _same_outcome(entangled_leaf_index, linear_entangled_leaf_index, state, node_id, r)
+            _same_outcome(evidence_leaf_index, linear_evidence_leaf_index, state, node_id, r)
+            _same_outcome(credential_leaf_index, linear_credential_leaf_index, state, node_id)
+        for sub in state.entangled:
+            _same_outcome(entangled_leaf_index, linear_entangled_leaf_index, state, sub.holder_id, sub.holder_round)
+        for receipt in state.evidence:
+            _same_outcome(evidence_leaf_index, linear_evidence_leaf_index, state, receipt.issuer_id, receipt.holder_round)
+        for digest in state.credentials:
+            _same_outcome(credential_leaf_index, linear_credential_leaf_index, state, digest)
 
 
 class TestStateValidation:
@@ -304,6 +394,17 @@ class TestPruning:
         record = node.record_at(0)
         assert record.state is None and record.tree is None
         assert record.root == root_before
+
+    def test_pruning_drops_the_kept_chain_entry(self, manual_net):
+        net = manual_net(["a", "b"], [("a", "b")]).run(3)
+        node = net.nodes["b"]
+        record = node.record_at(1)
+        entry = chain_entry_for(record)
+        assert chain_entry_for(record) is entry
+        node.prune_record(1)
+        assert record._chain_entry is None
+        with pytest.raises(InvariantViolationError):
+            chain_entry_for(record)
 
     def test_pruned_record_cannot_prove(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(3)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmesh.config import load_config, make_simulation
-from entmesh.simnet import Simulation, fan
+from entmesh.simnet import Simulation, fan, federated
 from entmesh.entangle import (
     ChainProof,
     HubProof,
@@ -33,8 +33,17 @@ from entmesh.entangle import (
     decode_proof,
     encode_proof,
 )
-from entmesh.node import LEAF_ENTANGLED, ChainEntry, LEAF_EVIDENCE, Commitment, Receipt, Submission, commitment_digest
-from entmesh.wire import WireError, Writer, encode_inclusion_proof
+from entmesh.node import (
+    LEAF_ENTANGLED,
+    LEAF_EVIDENCE,
+    ChainEntry,
+    Commitment,
+    Receipt,
+    Submission,
+    chain_entry_for,
+    commitment_digest,
+)
+from entmesh.wire import Reader, WireError, Writer, encode_inclusion_proof
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -117,17 +126,19 @@ def assert_encodes_its_fields(record) -> None:
         assert record.to_bytes() == ref_submission(record)
         assert record.message() == ref_submission_message(record)
         assert record.leaf_bytes() == bytes([LEAF_ENTANGLED]) + ref_submission(record)
+    elif isinstance(record, ChainEntry):
+        assert record.to_bytes() == ref_chain_entry(record)
     else:
         assert record.to_bytes() == ref_receipt(record)
         assert record.leaf_bytes() == bytes([LEAF_EVIDENCE]) + ref_receipt(record)
 
 
 def signed_records(proof):
-    """Every commitment, submission and receipt a proof holds."""
+    """Every chain entry, commitment, submission and receipt a proof holds."""
     parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
     for part in parts:
         for entry in part.holder_chain:
-            yield entry.commitment
+            yield from (entry, entry.commitment)
         for link in part.links if isinstance(part, HubProof) else (part,):
             for receipt in link.receipts:
                 assert receipt.issuer_commitment is None
@@ -245,17 +256,24 @@ def test_replace_encodes_the_new_fields(ci_proofs, origin):
     proof, sim = ci_proofs["link"]
     h0, hub = sim.nodes["h0"], sim.nodes["hub"]
     if origin == "simulated":
-        receipt, commitment = h0.receipt_log[hub.node_id, 1], h0.records[1].commitment
+        receipt, entry = h0.receipt_log[hub.node_id, 1], chain_entry_for(h0.records[1])
     else:
         decoded = decode_proof(encode_proof(proof))
-        receipt, commitment = decoded.receipts[0], decoded.holder_chain[0].commitment
+        receipt, entry = decoded.receipts[0], decoded.holder_chain[0]
         if origin == "spliced":
             receipt = receipt.with_issuer(hub.records[2].commitment)
+    commitment = entry.commitment
     commitment.to_bytes()
-    records = _replaced(receipt) + [dataclasses.replace(commitment, root=_flip(commitment.root))]
+    entry.to_bytes()
+    new_c = dataclasses.replace(commitment, root=_flip(commitment.root))
+    records = _replaced(receipt) + [
+        new_c,
+        dataclasses.replace(entry, prev_digest=_flip(entry.prev_digest)),
+        dataclasses.replace(entry, commitment=new_c),
+    ]
     for record in records:
         assert_encodes_its_fields(record)
-    old = {receipt.to_bytes(), receipt.submission.to_bytes(), commitment.to_bytes()}
+    old = {receipt.to_bytes(), receipt.submission.to_bytes(), commitment.to_bytes(), entry.to_bytes()}
     if receipt.issuer_commitment is not None:
         old.add(receipt.issuer_commitment.to_bytes())
     assert not old & {record.to_bytes() for record in records}
@@ -280,3 +298,44 @@ def test_proof_receipts_splice_back_to_the_retained_ones(ci_proofs, kind):
                 assert_encodes_its_fields(full)
                 spliced += 1
     assert spliced >= 4
+
+
+def test_decoded_entry_keeps_the_slice_it_read(ci_proofs):
+    entry = ci_proofs["chain"][0].hops[0].holder_chain[0]
+    body = entry.to_bytes()
+    data = b"head" + body + b"tail"
+    r = Reader(data)
+    r.u32()  # past the 4-byte head
+    decoded = ChainEntry.read(r)
+    assert r.remaining() == 4
+    assert vars(decoded)["_encoding"] == data[4:-4] == body  # kept when read, not encoded again
+    assert decoded == entry
+
+
+def test_kept_entries_match_fresh_reference_entries():
+    """After a run, each record's kept chain entry has the bytes of an entry
+    built and written field by field from the record as it stands, and the
+    receipts the record's round issued share its first-leaf proof."""
+    sim = Simulation(federated(3, 3, 18), rounds=20, seed=3, audit_every=5).run()
+    kept = 0
+    for node in sim.nodes.values():
+        for record in node.records:
+            entry = record._chain_entry
+            if entry is None:
+                continue
+            assert record.state is not None and record.tree is not None
+            assert entry.commitment is record.commitment
+            fresh = ChainEntry(record.commitment, record.state.prev_commitment_digest, record.tree.prove_inclusion(0))
+            assert entry.to_bytes() == ref_chain_entry(fresh)
+            kept += 1
+    assert kept >= 20 * 18  # the audits built one per holder round at least
+    # A receipt's prev-leaf proof is its issuer round's entry proof, not a copy.
+    records = {node.node_id: node.records for node in sim.nodes.values()}
+    shared = 0
+    for node in sim.nodes.values():
+        for receipt in node.receipt_log.values():
+            entry = records[receipt.issuer_id][receipt.issuer_round]._chain_entry
+            if entry is not None:
+                assert receipt.prev_inclusion is entry.first_leaf_proof
+                shared += 1
+    assert shared >= 18 * 18

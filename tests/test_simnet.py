@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmesh.config import load_config, make_simulation
-from entmesh.entangle import MissingReceiptError, build_hub_proof, build_link_proof, verify_link
-from entmesh.hashtree import Digest, sha256, verify_inclusion
+from entmesh.entangle import MissingReceiptError, build_chain_proof, build_hub_proof, build_link_proof, encode_proof, verify_link
+from entmesh.hashtree import Digest, MerkleTree, sha256, verify_inclusion
 from entmesh.keys import Ed25519Scheme, KeyPair, keypair_from_seed
-from entmesh.node import KeyDirectory, round_leaves
+from entmesh.node import KeyDirectory, NodeRecord, build_round, chain_entry_for, round_leaves
 from entmesh.simnet import (
     Equivocate,
     ForkHistory,
@@ -285,6 +285,60 @@ class TestHistoryFork:
         assert ("h0", "ChainBreak") in rejections
         # The rewriter itself: upstream receipt attests the erased root.
         assert ("m1-0", "ReceiptMismatch") in rejections
+
+
+class TestKeptChainEntries:
+    def test_second_chain_proof_build_proves_no_entry(self, monkeypatch):
+        # The chain proof the benchmark's verify-mix workload builds.
+        sim = Simulation(chain(4), rounds=10, seed=0).run()
+        ids = [sim.nodes[label].node_id for label in sim.path_to_anchor("h0")]
+        build = lambda: build_chain_proof(sim.records_by_id(), sim.receipts_by_id(), ids, 2, 2)
+        first = build()
+        ranges = []
+        prove_range = MerkleTree.prove_range
+
+        def counted(tree, a, b):
+            ranges.append((a, b))
+            return prove_range(tree, a, b)
+
+        monkeypatch.setattr(MerkleTree, "prove_range", counted)
+        second = build()
+        # Only the evidence proofs, one per hop round; a first-leaf proof would start at 0.
+        assert len(ranges) == sum(len(hop.evidence_proofs) for hop in second.hops)
+        assert all(a > 0 for a, _ in ranges)
+        assert encode_proof(second) == encode_proof(first)
+        for a, b in zip(first.hops, second.hops):
+            assert all(x is y for x, y in zip(a.holder_chain, b.holder_chain))
+
+    def test_rewritten_round_gets_a_fresh_entry(self):
+        sim = Simulation(chain(2), rounds=8, seed=13, faults=[ForkHistory(node="m1-0", round=2)], audit_every=2)
+        kept = {}
+        sim.at(2, lambda sim: kept.update(old=chain_entry_for(sim.nodes["m1-0"].record_at(1))))
+        sim.run()
+        # The rewrite chains, so the audits pass over it, on fresh entries.
+        assert events_of(sim, "SelfAuditFailed") == events_of(sim, "ChainAuditFailed") == []
+        rewritten = sim.nodes["m1-0"].record_at(1)
+        assert chain_entry_for(rewritten).commitment is rewritten.commitment is not kept["old"].commitment
+
+    def test_replaced_record_is_audited_on_its_own_entry(self):
+        # A record swapped for one whose tree does not match its commitment,
+        # after the audits kept the old record's entry: both audits see it.
+        def forge(sim):
+            node = sim.nodes["m1-0"]
+            old = node.record_at(2)
+            assert old._chain_entry is not None
+            state = dataclasses.replace(old.state, prev_commitment_digest=sha256(b"forged"))
+            tree, _ = build_round(state, node.keypair)
+            node.records[2] = NodeRecord(commitment=old.commitment, state=state, tree=tree)
+
+        sim = Simulation(chain(2), rounds=8, seed=13, audit_every=2)
+        sim.at(3, forge)
+        sim.run()
+        assert [(e["round"], e["type"], e["node"], e["reason"]) for e in sim.events if e["type"].endswith("AuditFailed")] == [
+            (3, "SelfAuditFailed", "m1-0", "ChainBreak"),
+            (4, "ChainAuditFailed", "m1-0", "ChainBreak"),
+            (6, "ChainAuditFailed", "m1-0", "ChainBreak"),
+        ]
 
 
 def every_round_post(sim, check):
