@@ -19,8 +19,9 @@ Proof vocabulary:
 * ``RootPath``    -- a bare digest path showing one root is transitively
   committed by a later tree, with no receipt evidence involved.
 
-A receipt in a proof carries no issuer commitment: the verifier splices in
-its trusted copy, which it would otherwise compare the receipt's with.
+A receipt in a proof carries no issuer commitment: the verifier checks it
+against its trusted copy, which it would otherwise compare the receipt's
+with, and joins that copy's blob into the receipt's evidence leaf.
 """
 
 from __future__ import annotations
@@ -296,8 +297,8 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
     already checked: anchor rows ``load_trust_bundle`` checked, commitments
     a node checked before taking them from gossip, an anchor's own records,
     or the next hop's holder chain that ``verify_chain`` checks in the same
-    call.  Each receipt's issuer commitment is the trusted copy, spliced in,
-    so its signature is not checked again.
+    call.  Each receipt is checked against the trusted copy of its issuer
+    commitment, so that commitment's signature is not checked again.
     """
     return _verified(lambda view: _check_link(proof, trusted, view), directory)
 
@@ -330,7 +331,7 @@ def _check_receipts(
     view: _Deferred, leaves: list,
 ) -> Verdict:
     """One issuer's receipts against ``holder``'s already checked chain, by round in
-    ``commitments``; each one's evidence leaf, trusted issuer commitment spliced in, goes to ``leaves``."""
+    ``commitments``; each one's evidence leaf, with its trusted issuer commitment, goes to ``leaves``."""
     s, e = holder.window_start, holder.window_end
     if len(link.receipts) != e - s + 1:
         return Verdict.failed("WindowInvalid", "one receipt per round required")
@@ -348,13 +349,12 @@ def _check_receipts(
             return Verdict.failed("ReceiptMismatch", f"receipt attests a different round-{r} root")
         if not view.verify_submission(receipt.submission):
             return Verdict.failed("BadSignature", f"holder signature in receipt for round {r}")
-        receipt = receipt.with_issuer(issuer_c)  # its signature was checked where it entered trust
-        verdict = _check_receipt_inclusions(receipt, view)
+        verdict = _check_receipt_inclusions(receipt, issuer_c, view)  # its signature was checked where it entered trust
         if not verdict:
             return Verdict.failed(verdict.reason, f"{verdict.detail} for round {r}")
         if previous is not None and receipt.prev_digest != commitment_digest(previous):
             return Verdict.failed("ChainBreak", f"issuer chain breaks before round {r + 1}")
-        leaves.append(receipt.leaf_bytes())
+        leaves.append(receipt.evidence_leaf(issuer_c))
         previous = issuer_c
     return Verdict.passed()
 

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence, TypeVar
 from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, sha256, verify_inclusion
 from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
 from .sexpr import Expr, encode_tree
-from .wire import MAX_RECORD, Reader, WireError, Writer, decode, encode_inclusion_proof, read_inclusion_proof
+from .wire import MAX_RECORD, Reader, WireError, Writer, decode, encode_inclusion_proof, frozen_record, read_inclusion_proof
 
 __all__ = [
     "ChainEntry",
@@ -84,7 +84,8 @@ class Verdict:
 
     The proof verifiers also count the signatures they checked, the checks
     they skipped as repeats of one made in the same call, and the inclusion
-    proofs they folded (a range proof is one).
+    proofs they folded (a range proof is one).  A verdict is frozen, so
+    every passed check shares the one ``Verdict.passed()`` returns.
     """
 
     ok: bool
@@ -99,11 +100,14 @@ class Verdict:
 
     @staticmethod
     def passed() -> "Verdict":
-        return Verdict(True)
+        return _PASSED
 
     @staticmethod
     def failed(reason: str, detail: Optional[str] = None) -> "Verdict":
         return Verdict(False, reason, detail)
+
+
+_PASSED = Verdict(True)
 
 
 def _commitment_fields(node_id: NodeId, round_no: int, root: Digest, leaf_count: int) -> Writer:
@@ -123,6 +127,8 @@ def _keep(record: R, encoding: bytes) -> R:
     """Give ``record`` its one encoding: the bytes it was read from, or the
     writer's bytes it was signed from.  A record made any other way encodes
     on first use; ``dataclasses.replace`` makes a new record, which does too.
+    A receipt read from bytes is made by ``frozen_record`` instead: a proof
+    holds one per link and round, each read and dropped within one verify.
     """
     object.__setattr__(record, "_encoding", encoding)
     return record
@@ -220,7 +226,8 @@ class Receipt:
     issuer's chain continuity round over round.  Receipts are retained as
     evidence leaves in the holder's tree two rounds after the submitted
     root's round.  A receipt in a proof has no issuer commitment, nor its
-    blob: the verifier splices in its trusted copy (``with_issuer``).
+    blob: the verifier checks it against its trusted copy in place, and
+    joins that copy's blob into the evidence leaf (``evidence_leaf``).
     """
 
     submission: Submission
@@ -266,14 +273,17 @@ class Receipt:
     def read(r: Reader, in_proof: bool = False, submission: Optional[Submission] = None) -> "Receipt":
         """Given ``submission``, a receipt in a hub proof: its bytes lack it, so it is spliced in first."""
         start = r.tell()
-        receipt = Receipt(
-            submission=Submission.read(r) if submission is None else submission,
-            issuer_commitment=None if in_proof else r.nested(Commitment.read, MAX_COMMITMENT),
-            inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
-            prev_digest=r.digest(),
-            prev_inclusion=r.nested(read_inclusion_proof, MAX_RECORD),
+        head = b"" if submission is None else submission._encoding  # a hub receipt's bytes lack it
+        submission = Submission.read(r) if submission is None else submission
+        issuer_commitment = None if in_proof else r.nested(Commitment.read, MAX_COMMITMENT)
+        inclusion = r.nested(read_inclusion_proof, MAX_RECORD)
+        prev_digest = r.digest()
+        prev_inclusion = r.nested(read_inclusion_proof, MAX_RECORD)
+        return frozen_record(
+            Receipt, submission=submission, issuer_commitment=issuer_commitment, inclusion=inclusion,
+            prev_digest=prev_digest, prev_inclusion=prev_inclusion,
+            _encoding=head + r.since(start),
         )
-        return _keep(receipt, (b"" if submission is None else submission._encoding) + r.since(start))
 
     @staticmethod
     def from_bytes(data: bytes) -> "Receipt":
@@ -282,14 +292,22 @@ class Receipt:
     def leaf_bytes(self) -> bytes:
         return bytes([LEAF_EVIDENCE]) + self._encoding
 
+    def _tail(self) -> bytes:
+        """The encoding past its submission and issuer-commitment blob: the two proofs and the prev digest."""
+        cut, old = len(self.submission._encoding), self.issuer_commitment
+        return self._encoding[cut if old is None else cut + 4 + len(old._encoding) :]
+
     def with_issuer(self, c: Optional[Commitment]) -> "Receipt":
         """A copy with issuer commitment ``c``, or none as a proof carries it; its bytes are spliced."""
-        cut, enc, old = len(self.submission._encoding), self._encoding, self.issuer_commitment
-        tail = enc[cut if old is None else cut + 4 + len(old._encoding) :]
         blob = b"" if c is None else len(c._encoding).to_bytes(4, "big") + c._encoding
         copy = object.__new__(Receipt)  # the fields as they are, bar the issuer commitment and encoding
-        copy.__dict__.update(self.__dict__, issuer_commitment=c, _encoding=enc[:cut] + blob + tail)
+        copy.__dict__.update(self.__dict__, issuer_commitment=c, _encoding=self.submission._encoding + blob + self._tail())
         return copy
+
+    def evidence_leaf(self, c: Commitment) -> bytes:
+        """``with_issuer(c).leaf_bytes()``, joined once from this receipt's bytes and ``c``'s, with no copy."""
+        blob = c._encoding
+        return b"".join((bytes([LEAF_EVIDENCE]), self.submission._encoding, len(blob).to_bytes(4, "big"), blob, self._tail()))
 
 
 def _manifest_leaf(manifest: Sequence[NodeId]) -> bytes:
@@ -481,19 +499,19 @@ def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
     tree's prev-commitment leaf at index 0 (ReceiptInvalid).  The holder's
     signature is not checked here: the holder itself compares the attested
     root with its own record, so only other verifiers need that check.  A
-    proof verifier that found the issuer commitment equal to its trusted
-    copy runs only the two inclusion checks.
+    proof verifier runs only the two inclusion checks, against its trusted
+    copy of the issuer commitment.
     """
     c = receipt.issuer_commitment
     if not directory.verify_commitment(c):
         return Verdict.failed("BadSignature", f"issuer {c.node_id.hex()}")
-    return _check_receipt_inclusions(receipt, directory)
+    return _check_receipt_inclusions(receipt, c, directory)
 
 
-def _check_receipt_inclusions(receipt: Receipt, directory: KeyDirectory) -> Verdict:
-    """``check_receipt`` without the issuer signature, for a verifier that
-    spliced its authenticated copy in as the receipt's issuer commitment."""
-    c = receipt.issuer_commitment
+def _check_receipt_inclusions(receipt: Receipt, c: Commitment, directory: KeyDirectory) -> Verdict:
+    """``check_receipt`` without the issuer signature, against issuer
+    commitment ``c``: the receipt's own, or a proof verifier's
+    authenticated copy, which a receipt in a proof lacks."""
     if not directory.proves(c, (receipt.submission.leaf_bytes(),), receipt.inclusion):
         return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
     prev_leaf = bytes([LEAF_PREV]) + receipt.prev_digest

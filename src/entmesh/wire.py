@@ -15,7 +15,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .hashtree import DIGEST_SIZE, STEP_SIZE, Digest, InclusionProof
 
-__all__ = ["Reader", "Writer", "WireError", "decode", "encode_inclusion_proof", "read_inclusion_proof"]
+__all__ = ["Reader", "Writer", "WireError", "decode", "encode_inclusion_proof", "frozen_record", "read_inclusion_proof"]
 
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
@@ -183,6 +183,19 @@ class Reader:
             raise WireError(f"{self.remaining()} trailing bytes")
 
 
+def frozen_record(cls: type[T], **fields) -> T:
+    """A frozen dataclass record whose instance dict is ``fields``.  The
+    frozen ``__init__`` would set each field with its own
+    ``object.__setattr__`` and check nothing more, so ``cls`` must have no
+    ``__post_init__``.  ``fields`` names every field, and may add the
+    record's kept ``_encoding``.  Its fields are slower to read than those
+    ``__init__`` sets, which suits the many small records a proof decodes
+    for one verify (receipts, inclusion proofs), not records kept longer."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def decode(data: bytes, read: Callable[[Reader], T]) -> T:
     """Read one record from ``data`` and reject any trailing bytes."""
     r = Reader(data)
@@ -223,4 +236,4 @@ def read_inclusion_proof(r: Reader) -> InclusionProof:
     # A step-by-step read meets the first bad side byte before a cut-short path.
     start, size = r._pos, count * STEP_SIZE
     _check_sides(r._data[start : start + min(size, r.remaining()) : STEP_SIZE])
-    return InclusionProof(leaf_index=leaf_index, audit_path=r._take(size), tree_size=tree_size)
+    return frozen_record(InclusionProof, leaf_index=leaf_index, audit_path=r._take(size), tree_size=tree_size)

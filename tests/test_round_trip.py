@@ -10,7 +10,9 @@ they were before records kept their bytes), on the three proofs the CI job
 builds and on mutations of them, and check that ``dataclasses.replace``
 never carries an old encoding over to new fields.  A second reference
 writes whole proofs from docs/FORMATS.md, a hub proof's one submission per
-window round included.
+window round included.  A verifier joins each evidence leaf from a proof
+receipt's bytes and its trusted issuer commitment's; the reference for
+that leaf is the receipt with the commitment spliced in by ``with_issuer``.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entmesh import entangle
 from entmesh.config import load_config, make_simulation
 from entmesh.simnet import Simulation, fan, federated
 from entmesh.entangle import (
@@ -32,6 +35,9 @@ from entmesh.entangle import (
     build_link_proof,
     decode_proof,
     encode_proof,
+    verify_chain,
+    verify_hub,
+    verify_link,
 )
 from entmesh.node import (
     LEAF_ENTANGLED,
@@ -339,3 +345,107 @@ def test_kept_entries_match_fresh_reference_entries():
                 assert receipt.prev_inclusion is entry.first_leaf_proof
                 shared += 1
     assert shared >= 18 * 18
+
+
+def _verify(proof, sim):
+    """Verify ``proof`` against the run's anchor logs, as the CLI does: all of
+    them for a hub proof, else the named issuer's or anchor's (None if absent)."""
+    logs = {
+        sim.nodes[label].node_id: {record.round: record.commitment for record in sim.nodes[label].records}
+        for label in sim.topology.anchors
+    }
+    if isinstance(proof, HubProof):
+        return verify_hub(proof, logs, sim.directory)
+    if isinstance(proof, ChainProof):
+        trust = logs.get(proof.anchor_id)
+        return None if trust is None else verify_chain(proof, trust, sim.directory)
+    trust = logs.get(proof.issuer_id)
+    return None if trust is None else verify_link(proof, trust, sim.directory)
+
+
+def verify_against_spliced_leaves(proof, sim):
+    """Verify ``proof``, holding each evidence leaf the verifier builds to the
+    reference, ``receipt.with_issuer(c).leaf_bytes()`` for the trusted issuer
+    commitment ``c`` of its round, and each window round's run of leaves it
+    folds to the reference leaves of that round's receipts, in link order.
+    Returns the verdict and the number of runs compared."""
+    reference, runs_compared = {}, []
+    check_receipts, check_evidence = entangle._check_receipts, entangle._check_evidence
+
+    def receipts(holder, commitments, link, trusted, view, leaves):
+        verdict = check_receipts(holder, commitments, link, trusted, view, leaves)
+        for r, receipt, leaf in zip(range(holder.window_start, holder.window_end + 1), link.receipts, leaves):
+            reference[id(link), r] = receipt.with_issuer(trusted[r + 1]).leaf_bytes()
+            assert leaf == reference[id(link), r]
+        return verdict
+
+    def evidence(holder, commitments, runs, proofs, view):
+        links = holder.links if isinstance(holder, HubProof) else (holder,)
+        for r, run in zip(range(holder.window_start, holder.window_end + 1), runs):
+            assert tuple(run) == tuple(reference[id(link), r] for link in links)
+            runs_compared.append(r)
+        return check_evidence(holder, commitments, runs, proofs, view)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entangle, "_check_receipts", receipts)
+        patch.setattr(entangle, "_check_evidence", evidence)
+        verdict = _verify(proof, sim)
+    return verdict, len(runs_compared)
+
+
+def _window_rounds(proof) -> int:
+    parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
+    return sum(part.window_end - part.window_start + 1 for part in parts)
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+def test_ci_proof_folds_the_spliced_evidence_leaves(ci_proofs, kind):
+    proof, sim = ci_proofs[kind]
+    for candidate in (proof, decode_proof(encode_proof(proof))):
+        verdict, runs = verify_against_spliced_leaves(candidate, sim)
+        assert verdict
+        assert runs == _window_rounds(proof)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+@pytest.mark.parametrize("w", [1, 2, 4])
+def test_fan_hub_proof_folds_the_spliced_evidence_leaves(fan_runs, n, w):
+    center = fan_runs[n].nodes["center"]
+    proof = decode_proof(encode_proof(build_hub_proof(center.records, (1, w), center.receipt_log)))
+    verdict, runs = verify_against_spliced_leaves(proof, fan_runs[n])
+    assert verdict
+    assert runs == w
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_decodable_mutation_folds_the_spliced_evidence_leaves(ci_proofs, kind, data):
+    proof, sim = ci_proofs[kind]
+    blob = data.draw(_mutated(encode_proof(proof)), label="mutated")
+    try:
+        decoded = decode_proof(blob)
+    except (WireError, ValueError):
+        return
+    verify_against_spliced_leaves(decoded, sim)
+
+
+def test_verifiers_copy_no_receipt(ci_proofs, fan_runs):
+    """Each receipt is checked against its trusted issuer commitment in
+    place: with ``with_issuer`` refusing, every verifier still accepts the
+    CI proofs and the fan(40) hub proof, with the same counts."""
+    proofs = [(candidate, sim) for proof, sim in ci_proofs.values() for candidate in (proof, decode_proof(encode_proof(proof)))]
+    center = fan_runs[40].nodes["center"]
+    fan40 = decode_proof(encode_proof(build_hub_proof(center.records, (1, 4), center.receipt_log)))
+
+    def refuse(receipt, c):
+        raise AssertionError("a verifier copied a receipt to splice its issuer commitment in")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Receipt, "with_issuer", refuse)
+        verdicts = [_verify(proof, sim) for proof, sim in proofs]
+        fan_verdict = _verify(fan40, fan_runs[40])
+    assert all(verdicts) and len(verdicts) == 6
+    assert fan_verdict
+    counts = fan_verdict.signatures_checked, fan_verdict.signatures_repeated, fan_verdict.inclusion_proofs_checked
+    assert counts == (10, 156, 334)

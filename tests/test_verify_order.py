@@ -95,7 +95,7 @@ def _parent_rule(proof, sim):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entangle, "_Deferred", Recording)
-        patch.setattr(entangle, "_check_receipt_inclusions", lambda receipt, view: check_receipt(receipt, view))
+        patch.setattr(entangle, "_check_receipt_inclusions", lambda receipt, c, view: check_receipt(receipt.with_issuer(c), view))
         return _verify(proof, sim)
 
 

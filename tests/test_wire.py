@@ -1,5 +1,6 @@
 """Byte-level encoding: strict reads, bounded blobs, proof round trips."""
 
+import dataclasses
 import struct
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,7 @@ from entmesh.wire import (
     Writer,
     decode,
     encode_inclusion_proof,
+    frozen_record,
     read_inclusion_proof,
 )
 
@@ -154,6 +156,24 @@ class TestNestedRecords:
         assert r.nested(read_outer, 64) == (1, 2)
         assert r.u8() == 3
         r.expect_eof()
+
+
+class TestFrozenRecord:
+    # Every record class a reader makes with ``frozen_record``.
+    RECORDS = [InclusionProof, node.Receipt]
+
+    def test_equals_the_record_init_makes_and_stays_frozen(self):
+        made = frozen_record(InclusionProof, leaf_index=3, audit_path=b"\x01" + bytes(32), tree_size=5)
+        assert made == InclusionProof(3, b"\x01" + bytes(32), 5)
+        assert hash(made) == hash(InclusionProof(3, b"\x01" + bytes(32), 5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.leaf_index = 4
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_record_classes_check_nothing_in_post_init(self, cls):
+        # ``frozen_record`` skips ``__init__``, so a check there would be skipped too.
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+        assert not hasattr(cls, "__post_init__")
 
 
 class TestInclusionProofWire:
