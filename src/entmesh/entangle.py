@@ -19,9 +19,11 @@ Proof vocabulary:
 * ``RootPath``    -- a bare digest path showing one root is transitively
   committed by a later tree, with no receipt evidence involved.
 
-A receipt in a proof carries no issuer commitment: the verifier checks it
-against its trusted copy, which it would otherwise compare the receipt's
-with, and joins that copy's blob into the receipt's evidence leaf.
+A proof holds no whole receipt.  Per window round it holds the holder's
+submission, and per issuer round the receipt's paths (``ReceiptPaths``);
+the verifier checks them against its trusted copy of the issuer commitment,
+which it would otherwise compare the receipt's with, and joins the three
+into the receipt's evidence leaf.
 """
 
 from __future__ import annotations
@@ -38,12 +40,14 @@ from .node import (
     KeyDirectory,
     NodeRecord,
     Receipt,
+    ReceiptPaths,
     Submission,
     Verdict,
     _check_receipt_inclusions,
     _manifest_leaf,
     chain_entry_for,
     commitment_digest,
+    evidence_leaf,
     FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
@@ -98,58 +102,51 @@ class LinkProof:
     window_start: int
     window_end: int
     holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
-    receipts: tuple[Receipt, ...]  # one per window round, without issuer commitment
+    submissions: tuple[Submission, ...]  # the holder's, one per window round
+    receipts: tuple[ReceiptPaths, ...]  # the issuer's receipt paths, one per window round
     evidence_proofs: tuple[InclusionProof, ...]  # receipt leaf in holder tree r+2
-
-    @property
-    def rounds(self) -> range:
-        return range(self.window_start, self.window_end + 1)
 
     def to_bytes(self) -> bytes:
         w = Writer().digest(self.holder_id).digest(self.issuer_id).u64(self.window_start).u64(self.window_end)
         w.blobs([entry.to_bytes() for entry in self.holder_chain])
-        if len(self.receipts) != len(self.evidence_proofs):
-            raise WireError(f"{len(self.receipts)} receipts but {len(self.evidence_proofs)} evidence proofs")
+        if not len(self.submissions) == len(self.receipts) == len(self.evidence_proofs):
+            counts = len(self.submissions), len(self.receipts), len(self.evidence_proofs)
+            raise WireError("%d submissions, %d receipts, %d evidence proofs" % counts)
         w.u32(len(self.receipts))
-        for receipt, proof in zip(self.receipts, self.evidence_proofs):  # per window round
-            w.blob(receipt.to_bytes()).blob(encode_inclusion_proof(proof))
+        for sub, paths, proof in zip(self.submissions, self.receipts, self.evidence_proofs):  # per window round
+            w.blob(sub.to_bytes() + paths.to_bytes()).blob(encode_inclusion_proof(proof))
         return w.getvalue()
 
     @staticmethod
     def read(r: Reader) -> "LinkProof":
         holder_id, issuer_id, start, end, chain = r.digest(), r.digest(), r.u64(), r.u64(), _read_chain(r)
-        window = r.many(lambda r: (_read_receipt(r), r.nested(read_inclusion_proof, MAX_RECORD)), "window rounds", MAX_ITEMS)
-        return LinkProof(holder_id, issuer_id, start, end, chain, tuple(rc for rc, _ in window), tuple(ev for _, ev in window))
+        window = r.many(_read_link_round, "window rounds", MAX_ITEMS)
+        columns = tuple(zip(*window)) or ((), (), ())  # submissions, receipt paths, evidence proofs
+        return LinkProof(holder_id, issuer_id, start, end, chain, *columns)
+
+
+def _read_link_round(r: Reader) -> tuple[Submission, ReceiptPaths, InclusionProof]:
+    """One window round of a link proof: a blob of the submission and the receipt paths, then the evidence proof."""
+    sub, paths = r.nested(lambda r: (Submission.read(r), ReceiptPaths.read(r)), MAX_RECORD)
+    return sub, paths, r.nested(read_inclusion_proof, MAX_RECORD)
 
 
 @dataclass(frozen=True)
 class HubLink:
-    """One issuer's receipts inside a hub proof, which holds the rest."""
+    """One issuer's receipt paths inside a hub proof, which holds the rest."""
 
     issuer_id: NodeId
-    receipts: tuple[Receipt, ...]  # one per window round, without issuer commitment
+    receipts: tuple[ReceiptPaths, ...]  # one per window round
 
-    def to_bytes(self, submissions: Sequence[bytes]) -> bytes:
-        """Each receipt with its round's submission, which the hub carries, cut out."""
-        if len(self.receipts) != len(submissions):
-            raise WireError(f"{len(self.receipts)} receipts for {len(submissions)} window rounds")
-        cut = []
-        for receipt, sub in zip(self.receipts, submissions):
-            if receipt.submission.to_bytes() != sub:
-                raise WireError("issuers' receipts for one round carry different submissions")
-            cut.append(receipt.to_bytes()[len(sub) :])
-        return Writer().digest(self.issuer_id).blobs(cut).getvalue()
+    def to_bytes(self) -> bytes:
+        return Writer().digest(self.issuer_id).blobs([paths.to_bytes() for paths in self.receipts]).getvalue()
 
     @staticmethod
-    def read(r: Reader, submissions: Sequence[Submission]) -> "HubLink":
+    def read(r: Reader, rounds: int) -> "HubLink":
         issuer_id, count = r.digest(), r.u32()
-        if count != len(submissions):
-            raise WireError(f"{count} receipts for {len(submissions)} window rounds")
-        return HubLink(issuer_id, tuple([_read_receipt(r, sub) for sub in submissions]))
-
-
-def _read_receipt(r: Reader, submission: Optional[Submission] = None) -> Receipt:
-    return r.nested(lambda r: Receipt.read(r, in_proof=True, submission=submission), MAX_RECORD)
+        if count != rounds:
+            raise WireError(f"{count} receipts for {rounds} window rounds")
+        return HubLink(issuer_id, tuple([r.nested(ReceiptPaths.read, MAX_RECORD) for _ in range(count)]))
 
 
 def _read_chain(r: Reader) -> tuple[ChainEntry, ...]:
@@ -175,14 +172,11 @@ def _holder_chain(holder_records: Sequence[NodeRecord], window: tuple[int, int])
     return tuple(chain_entry_for(holder_records[r]) for r in range(start, end + EVIDENCE_LAG + 1))
 
 
-def _hub_link(issuer_id: NodeId, window: tuple[int, int], receipts: Mapping[tuple[NodeId, int], Receipt]) -> HubLink:
-    in_proof = []
-    for r in range(window[0], window[1] + 1):
-        receipt = receipts.get((issuer_id, r))
-        if receipt is None:
-            raise MissingReceiptError(issuer_id, r)
-        in_proof.append(receipt.with_issuer(None))
-    return HubLink(issuer_id, tuple(in_proof))
+def _window_receipts(issuer_id: NodeId, window: tuple[int, int], receipts: Mapping[tuple[NodeId, int], Receipt]) -> list[Receipt]:
+    missing = [r for r in range(window[0], window[1] + 1) if (issuer_id, r) not in receipts]
+    if missing:
+        raise MissingReceiptError(issuer_id, missing[0])
+    return [receipts[issuer_id, r] for r in range(window[0], window[1] + 1)]
 
 
 def _evidence_proof(holder_records: Sequence[NodeRecord], issuer_ids: Sequence[NodeId], r: int) -> InclusionProof:
@@ -211,9 +205,10 @@ def build_link_proof(
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> LinkProof:
     chain = _holder_chain(holder_records, window)
-    in_proof = _hub_link(issuer_id, window, receipts).receipts  # a missing receipt is named before its evidence
+    found = _window_receipts(issuer_id, window, receipts)  # a missing receipt is named before its evidence
     evidence = tuple(_evidence_proof(holder_records, (issuer_id,), r) for r in range(window[0], window[1] + 1))
-    return LinkProof(chain[0].commitment.node_id, issuer_id, *window, chain, in_proof, evidence)
+    subs, paths = tuple(rc.submission for rc in found), tuple(rc.paths for rc in found)
+    return LinkProof(chain[0].commitment.node_id, issuer_id, *window, chain, subs, paths, evidence)
 
 
 _Obligation = tuple[NodeId, int, bytes, bytes]  # (node_id, round, message, signature)
@@ -331,30 +326,31 @@ def _check_receipts(
     view: _Deferred, leaves: list,
 ) -> Verdict:
     """One issuer's receipts against ``holder``'s already checked chain, by round in
-    ``commitments``; each one's evidence leaf, with its trusted issuer commitment, goes to ``leaves``."""
+    ``commitments``: round r's is ``holder``'s submission with ``link``'s paths and the
+    trusted issuer commitment, and its evidence leaf goes to ``leaves``."""
     s, e = holder.window_start, holder.window_end
-    if len(link.receipts) != e - s + 1:
+    if len(link.receipts) != e - s + 1 or len(holder.submissions) != e - s + 1:
         return Verdict.failed("WindowInvalid", "one receipt per round required")
     previous: Optional[Commitment] = None
-    for r, receipt in zip(range(s, e + 1), link.receipts):
+    for r, sub, paths in zip(range(s, e + 1), holder.submissions, link.receipts):
         view.mark()
-        if receipt.holder_id != holder.holder_id or receipt.holder_round != r:
+        if sub.holder_id != holder.holder_id or sub.holder_round != r:
             return Verdict.failed("ReceiptMismatch", f"receipt is not for holder round {r}")
         issuer_c = trusted.get(r + 1)
         if issuer_c is None:
             return Verdict.failed("TrustedRootUnavailable", f"no trusted issuer commitment for round {r + 1}")
         if issuer_c.node_id != link.issuer_id:
             return Verdict.failed("ReceiptMismatch", "receipt from another issuer")
-        if receipt.holder_root != commitments[r].root:
+        if sub.holder_root != commitments[r].root:
             return Verdict.failed("ReceiptMismatch", f"receipt attests a different round-{r} root")
-        if not view.verify_submission(receipt.submission):
+        if not view.verify_submission(sub):
             return Verdict.failed("BadSignature", f"holder signature in receipt for round {r}")
-        verdict = _check_receipt_inclusions(receipt, issuer_c, view)  # its signature was checked where it entered trust
+        verdict = _check_receipt_inclusions(sub, paths, issuer_c, view)  # its signature was checked where it entered trust
         if not verdict:
             return Verdict.failed(verdict.reason, f"{verdict.detail} for round {r}")
-        if previous is not None and receipt.prev_digest != commitment_digest(previous):
+        if previous is not None and paths.prev_digest != commitment_digest(previous):
             return Verdict.failed("ChainBreak", f"issuer chain breaks before round {r + 1}")
-        leaves.append(receipt.evidence_leaf(issuer_c))
+        leaves.append(evidence_leaf(sub, issuer_c, paths))
         previous = issuer_c
     return Verdict.passed()
 
@@ -385,6 +381,7 @@ class HubProof:
     manifest: tuple[NodeId, ...]
     manifest_proofs: tuple[InclusionProof, ...]  # manifest leaf, one per window round
     holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
+    submissions: tuple[Submission, ...]  # the holder's, one per window round, for every link
     links: tuple[HubLink, ...]  # in manifest order
     evidence_proofs: tuple[InclusionProof, ...]  # per window round r, its receipts' run in holder tree r+2
 
@@ -392,16 +389,18 @@ class HubProof:
         if not self.links:
             raise WireError("a hub proof needs at least one link")
         rounds = self.window_end - self.window_start + 1
-        submissions = [receipt.submission.to_bytes() for receipt in self.links[0].receipts]
-        if len(submissions) != rounds:
-            raise WireError(f"{len(submissions)} receipts for {rounds} window rounds")
+        if len(self.submissions) != rounds:
+            raise WireError(f"{len(self.submissions)} submissions for a window of {rounds} rounds")
+        for link in self.links:
+            if len(link.receipts) != rounds:
+                raise WireError(f"{len(link.receipts)} receipts for {rounds} window rounds")
         w = Writer()
         w.digest(self.holder_id).u64(self.window_start).u64(self.window_end)
         w.digests(self.manifest)
         w.blobs([encode_inclusion_proof(proof) for proof in self.manifest_proofs])
         w.blobs([entry.to_bytes() for entry in self.holder_chain])
-        w.blobs(submissions)
-        w.blobs([link.to_bytes(submissions) for link in self.links])
+        w.blobs([sub.to_bytes() for sub in self.submissions])
+        w.blobs([link.to_bytes() for link in self.links])
         w.blobs([encode_inclusion_proof(proof) for proof in self.evidence_proofs])
         return w.getvalue()
 
@@ -414,11 +413,11 @@ class HubProof:
         submissions = r.many(lambda r: r.nested(Submission.read, MAX_RECORD), "submissions", MAX_ITEMS)
         if len(submissions) != end - start + 1:
             raise WireError(f"{len(submissions)} submissions for a window of {end - start + 1} rounds")
-        links = r.many(lambda r: r.nested(lambda r: HubLink.read(r, submissions), MAX_LINK), "links", MAX_ITEMS)
+        links = r.many(lambda r: r.nested(lambda r: HubLink.read(r, len(submissions)), MAX_LINK), "links", MAX_ITEMS)
         if not links:
             raise WireError("a hub proof needs at least one link")
         evidence = r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "evidence proofs", MAX_ITEMS)
-        return HubProof(holder_id, start, end, manifest, manifest_proofs, chain, links, evidence)
+        return HubProof(holder_id, start, end, manifest, manifest_proofs, chain, submissions, links, evidence)
 
 
 def build_hub_proof(
@@ -437,8 +436,8 @@ def build_hub_proof(
         if record.state.manifest != manifest:
             raise ValueError(f"manifest changed inside window at round {r}")
         proofs.append(record.tree.prove_inclusion(MANIFEST_LEAF_INDEX))
-    links = tuple(_hub_link(issuer_id, window, receipts) for issuer_id in manifest)
-    for r, round_receipts in zip(range(start, end + 1), zip(*(link.receipts for link in links))):
+    by_issuer = [_window_receipts(issuer_id, window, receipts) for issuer_id in manifest]
+    for r, round_receipts in zip(range(start, end + 1), zip(*by_issuer)):
         if len({receipt.submission.to_bytes() for receipt in round_receipts}) > 1:
             raise ValueError(f"receipts for round {r} carry different submissions")
     return HubProof(
@@ -448,7 +447,8 @@ def build_hub_proof(
         manifest=manifest,
         manifest_proofs=tuple(proofs),
         holder_chain=chain,
-        links=links,
+        submissions=tuple(receipt.submission for receipt in by_issuer[0]),
+        links=tuple(HubLink(issuer_id, tuple(rc.paths for rc in found)) for issuer_id, found in zip(manifest, by_issuer)),
         evidence_proofs=tuple(_evidence_proof(holder_records, manifest, r) for r in range(start, end + 1)),
     )
 

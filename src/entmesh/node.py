@@ -38,6 +38,7 @@ __all__ = [
     "NodeRecord",
     "NotEntangledError",
     "Receipt",
+    "ReceiptPaths",
     "RoundState",
     "StaleSubmissionError",
     "Submission",
@@ -120,15 +121,22 @@ def _submission_fields(holder_id: NodeId, holder_round: int, holder_root: Digest
     return Writer().digest(holder_id).u64(holder_round).digest(holder_root)
 
 
+def _paths_bytes(inclusion: InclusionProof, prev_digest: Digest, prev_inclusion: InclusionProof) -> bytes:
+    # A receipt's paths, in wire order: the rest of the receipt after its issuer commitment.
+    w = Writer().blob(encode_inclusion_proof(inclusion)).digest(prev_digest)
+    return w.blob(encode_inclusion_proof(prev_inclusion)).getvalue()
+
+
 R = TypeVar("R")
 
 
 def _keep(record: R, encoding: bytes) -> R:
-    """Give ``record`` its one encoding: the bytes it was read from, or the
-    writer's bytes it was signed from.  A record made any other way encodes
-    on first use; ``dataclasses.replace`` makes a new record, which does too.
-    A receipt read from bytes is made by ``frozen_record`` instead: a proof
-    holds one per link and round, each read and dropped within one verify.
+    """Give ``record`` its one encoding: the bytes it was read from, the
+    writer's bytes it was signed from, or those of an issued receipt's paths.
+    A record made any other way encodes on first use; ``dataclasses.replace``
+    makes a new record, which does too.  Paths read from bytes are made by
+    ``frozen_record`` instead: a proof holds one per link and round, each
+    read and dropped within one verify.
     """
     object.__setattr__(record, "_encoding", encoding)
     return record
@@ -217,24 +225,52 @@ class Submission:
 
 
 @dataclass(frozen=True)
-class Receipt:
-    """An issuer's acknowledgement that a holder root is entangled.
-
-    Carries the holder's signed submission, the issuer's full commitment,
-    the inclusion proof of the submission leaf, and a proof of the issuer's
-    previous-commitment leaf, so a receipt alone lets the holder check the
-    issuer's chain continuity round over round.  Receipts are retained as
-    evidence leaves in the holder's tree two rounds after the submitted
-    root's round.  A receipt in a proof has no issuer commitment, nor its
-    blob: the verifier checks it against its trusted copy in place, and
-    joins that copy's blob into the evidence leaf (``evidence_leaf``).
+class ReceiptPaths:
+    """What a receipt proves in its issuer's tree: the submission leaf's
+    inclusion proof, and the issuer's previous-commitment digest with the
+    proof of that first leaf.  A proof carries these per issuer round; the
+    submission once per round, and the issuer commitment not at all: the
+    verifier holds a trusted copy.
     """
 
-    submission: Submission
-    issuer_commitment: Optional[Commitment]
     inclusion: InclusionProof
     prev_digest: Digest
     prev_inclusion: InclusionProof
+
+    @cached_property
+    def _encoding(self) -> bytes:
+        return _paths_bytes(self.inclusion, self.prev_digest, self.prev_inclusion)
+
+    def to_bytes(self) -> bytes:
+        return self._encoding
+
+    @staticmethod
+    def read(r: Reader) -> "ReceiptPaths":
+        start = r.tell()
+        inclusion, prev_digest = r.nested(read_inclusion_proof, MAX_RECORD), r.digest()
+        prev_inclusion = r.nested(read_inclusion_proof, MAX_RECORD)
+        return frozen_record(
+            ReceiptPaths, inclusion=inclusion, prev_digest=prev_digest, prev_inclusion=prev_inclusion, _encoding=r.since(start)
+        )
+
+
+@dataclass(frozen=True)
+class Receipt:
+    """An issuer's acknowledgement that a holder root is entangled.
+
+    Carries the holder's signed submission, the issuer's full commitment and
+    the paths that prove the submission and the issuer's previous-commitment
+    leaf in that commitment's tree, so a receipt alone lets the holder check
+    the issuer's chain continuity round over round.  Receipts are retained
+    as evidence leaves in the holder's tree two rounds after the submitted
+    root's round.  It keeps no encoding of its own: its bytes are its three
+    parts' kept bytes, joined when asked for, so a retained receipt holds
+    each part's bytes once.
+    """
+
+    submission: Submission
+    issuer_commitment: Commitment
+    paths: ReceiptPaths
 
     @property
     def holder_id(self) -> NodeId:
@@ -256,58 +292,27 @@ class Receipt:
     def issuer_round(self) -> int:
         return self.issuer_commitment.round
 
-    @cached_property
-    def _encoding(self) -> bytes:
-        w = Writer() if self.issuer_commitment is None else Writer().blob(self.issuer_commitment._encoding)
-        return self.submission._encoding + (
-            w.blob(encode_inclusion_proof(self.inclusion))
-            .digest(self.prev_digest)
-            .blob(encode_inclusion_proof(self.prev_inclusion))
-            .getvalue()
-        )
-
     def to_bytes(self) -> bytes:
-        return self._encoding
+        blob = Writer().blob(self.issuer_commitment._encoding).getvalue()
+        return self.submission._encoding + blob + self.paths._encoding
 
     @staticmethod
-    def read(r: Reader, in_proof: bool = False, submission: Optional[Submission] = None) -> "Receipt":
-        """Given ``submission``, a receipt in a hub proof: its bytes lack it, so it is spliced in first."""
-        start = r.tell()
-        head = b"" if submission is None else submission._encoding  # a hub receipt's bytes lack it
-        submission = Submission.read(r) if submission is None else submission
-        issuer_commitment = None if in_proof else r.nested(Commitment.read, MAX_COMMITMENT)
-        inclusion = r.nested(read_inclusion_proof, MAX_RECORD)
-        prev_digest = r.digest()
-        prev_inclusion = r.nested(read_inclusion_proof, MAX_RECORD)
-        return frozen_record(
-            Receipt, submission=submission, issuer_commitment=issuer_commitment, inclusion=inclusion,
-            prev_digest=prev_digest, prev_inclusion=prev_inclusion,
-            _encoding=head + r.since(start),
-        )
+    def read(r: Reader) -> "Receipt":
+        return Receipt(Submission.read(r), r.nested(Commitment.read, MAX_COMMITMENT), ReceiptPaths.read(r))
 
     @staticmethod
     def from_bytes(data: bytes) -> "Receipt":
         return decode(data, Receipt.read)
 
     def leaf_bytes(self) -> bytes:
-        return bytes([LEAF_EVIDENCE]) + self._encoding
+        return bytes([LEAF_EVIDENCE]) + self.to_bytes()
 
-    def _tail(self) -> bytes:
-        """The encoding past its submission and issuer-commitment blob: the two proofs and the prev digest."""
-        cut, old = len(self.submission._encoding), self.issuer_commitment
-        return self._encoding[cut if old is None else cut + 4 + len(old._encoding) :]
 
-    def with_issuer(self, c: Optional[Commitment]) -> "Receipt":
-        """A copy with issuer commitment ``c``, or none as a proof carries it; its bytes are spliced."""
-        blob = b"" if c is None else len(c._encoding).to_bytes(4, "big") + c._encoding
-        copy = object.__new__(Receipt)  # the fields as they are, bar the issuer commitment and encoding
-        copy.__dict__.update(self.__dict__, issuer_commitment=c, _encoding=self.submission._encoding + blob + self._tail())
-        return copy
-
-    def evidence_leaf(self, c: Commitment) -> bytes:
-        """``with_issuer(c).leaf_bytes()``, joined once from this receipt's bytes and ``c``'s, with no copy."""
-        blob = c._encoding
-        return b"".join((bytes([LEAF_EVIDENCE]), self.submission._encoding, len(blob).to_bytes(4, "big"), blob, self._tail()))
+def evidence_leaf(submission: Submission, c: Commitment, paths: ReceiptPaths) -> bytes:
+    """The evidence leaf of the receipt of ``submission``, ``c`` and ``paths``,
+    joined once from their bytes: a proof verifier's, with its trusted ``c``."""
+    blob = c._encoding
+    return b"".join((bytes([LEAF_EVIDENCE]), submission._encoding, len(blob).to_bytes(4, "big"), blob, paths._encoding))
 
 
 def _manifest_leaf(manifest: Sequence[NodeId]) -> bytes:
@@ -505,17 +510,17 @@ def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
     c = receipt.issuer_commitment
     if not directory.verify_commitment(c):
         return Verdict.failed("BadSignature", f"issuer {c.node_id.hex()}")
-    return _check_receipt_inclusions(receipt, c, directory)
+    return _check_receipt_inclusions(receipt.submission, receipt.paths, c, directory)
 
 
-def _check_receipt_inclusions(receipt: Receipt, c: Commitment, directory: KeyDirectory) -> Verdict:
+def _check_receipt_inclusions(submission: Submission, paths: ReceiptPaths, c: Commitment, directory: KeyDirectory) -> Verdict:
     """``check_receipt`` without the issuer signature, against issuer
     commitment ``c``: the receipt's own, or a proof verifier's
-    authenticated copy, which a receipt in a proof lacks."""
-    if not directory.proves(c, (receipt.submission.leaf_bytes(),), receipt.inclusion):
+    authenticated copy, which a proof does not carry."""
+    if not directory.proves(c, (submission.leaf_bytes(),), paths.inclusion):
         return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
-    prev_leaf = bytes([LEAF_PREV]) + receipt.prev_digest
-    if receipt.prev_inclusion.leaf_index != 0 or not directory.proves(c, (prev_leaf,), receipt.prev_inclusion):
+    prev_leaf = bytes([LEAF_PREV]) + paths.prev_digest
+    if paths.prev_inclusion.leaf_index != 0 or not directory.proves(c, (prev_leaf,), paths.prev_inclusion):
         return Verdict.failed("ReceiptInvalid", "prev-commitment leaf unproven")
     return Verdict.passed()
 
@@ -747,13 +752,8 @@ class Node:
         if entangled.holder_root != sub.holder_root:
             raise NotEntangledError("entangled root differs from the submission")
         entry = chain_entry_for(record)  # its first-leaf proof is shared by the round's receipts
-        return Receipt(
-            submission=entangled,
-            issuer_commitment=entry.commitment,
-            inclusion=record.tree.prove_inclusion(index),
-            prev_digest=entry.prev_digest,
-            prev_inclusion=entry.first_leaf_proof,
-        )
+        fields = (record.tree.prove_inclusion(index), entry.prev_digest, entry.first_leaf_proof)
+        return Receipt(entangled, entry.commitment, _keep(ReceiptPaths(*fields), _paths_bytes(*fields)))
 
     def verify_receipt(self, receipt: Receipt, directory: KeyDirectory) -> Verdict:
         """Holder-side check of a fresh receipt, including issuer continuity."""
@@ -771,7 +771,7 @@ class Node:
         c = receipt.issuer_commitment
         prior = self.receipt_log.get((c.node_id, receipt.holder_round - 1))
         if prior is not None and prior.issuer_round + 1 == c.round:
-            if commitment_digest(prior.issuer_commitment) != receipt.prev_digest:
+            if commitment_digest(prior.issuer_commitment) != receipt.paths.prev_digest:
                 return Verdict.failed("ChainBreak", f"issuer {c.node_id.hex()} broke its chain")
         return Verdict.passed()
 

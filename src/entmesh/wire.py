@@ -190,7 +190,7 @@ def frozen_record(cls: type[T], **fields) -> T:
     ``__post_init__``.  ``fields`` names every field, and may add the
     record's kept ``_encoding``.  Its fields are slower to read than those
     ``__init__`` sets, which suits the many small records a proof decodes
-    for one verify (receipts, inclusion proofs), not records kept longer."""
+    for one verify (receipt paths, inclusion proofs), not records kept longer."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value

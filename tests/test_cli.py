@@ -456,7 +456,7 @@ class TestVerify:
         assert main(prove + ["--out", str(proof)]) == 0
         capsys.readouterr()
         blob = bytearray(proof.read_bytes())
-        submission = decode_proof(bytes(blob)).links[0].receipts[0].submission
+        submission = decode_proof(bytes(blob)).submissions[0]
         at = blob.find(submission.to_bytes())
         assert at > 0 and blob.count(submission.to_bytes()) == 1
         blob[at + 40] ^= 0x01  # holder id (32 B), round (8 B), then the root

@@ -62,7 +62,7 @@ class TestLinkProof:
         assert len(proof.receipts) == 4
         assert len(proof.evidence_proofs) == 4
         assert len(proof.holder_chain) == 4 + EVIDENCE_LAG
-        assert list(proof.rounds) == [1, 2, 3, 4]
+        assert [sub.holder_round for sub in proof.submissions] == [1, 2, 3, 4]
 
     def test_verifies_against_issuer_commitments(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -127,20 +127,25 @@ class TestLinkProof:
 
     def test_swapped_receipt_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        receipts = list(proof.receipts)
-        receipts[0], receipts[1] = receipts[1], receipts[0]
-        bad = dataclasses.replace(proof, receipts=tuple(receipts))
+        swapped = lambda items: (items[1], items[0]) + items[2:]
+        bad = dataclasses.replace(proof, submissions=swapped(proof.submissions), receipts=swapped(proof.receipts))
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
         assert verdict.reason == "ReceiptMismatch"
 
     def test_tampered_receipt_signature_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        victim = proof.receipts[2]
-        forged = dataclasses.replace(victim, submission=dataclasses.replace(victim.submission, signature=b"\x00" * 64))
-        receipts = proof.receipts[:2] + (forged,) + proof.receipts[3:]
-        bad = dataclasses.replace(proof, receipts=receipts)
+        forged = dataclasses.replace(proof.submissions[2], signature=b"\x00" * 64)
+        bad = dataclasses.replace(proof, submissions=proof.submissions[:2] + (forged,) + proof.submissions[3:])
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
         assert verdict.reason == "BadSignature"
+
+    def test_one_submission_per_round_required(self, pair):
+        # The decoder cannot make such a proof; a built one still fails
+        # instead of checking only the rounds that have a submission.
+        proof = link_for(pair, "holder", "issuer", (1, 4))
+        bad = dataclasses.replace(proof, submissions=proof.submissions[:-1])
+        verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
+        assert (verdict.reason, verdict.detail) == ("WindowInvalid", "one receipt per round required")
 
     def test_named_issuer_must_be_the_trusted_one(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -208,13 +213,12 @@ class TestHubProof:
         )
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
         link = proof.links[1]
-        victim = link.receipts[0]
-        forged = dataclasses.replace(victim, submission=dataclasses.replace(victim.submission, holder_root=sha256(b"zzz")))
-        forged_receipts = (forged,) + link.receipts[1:]
-        bad_link = dataclasses.replace(link, receipts=forged_receipts)
+        forged = dataclasses.replace(link.receipts[0], prev_digest=sha256(b"zzz"))
+        bad_link = dataclasses.replace(link, receipts=(forged,) + link.receipts[1:])
         bad = dataclasses.replace(proof, links=(proof.links[0], bad_link, proof.links[2]))
         verdict = verify_hub(bad, trusted, fan.directory)
         assert verdict.reason == "LinkFailed"
+        assert verdict.detail == f"{link.issuer_id.hex()}: ReceiptInvalid (prev-commitment leaf unproven for round 1)"
 
     def test_corrupt_holder_chain_reported(self, fan):
         proof = build_hub_proof(
@@ -238,6 +242,7 @@ class TestHubProof:
         for label in sorted(("p0", "p1", "p2"), key=fan.id_of):
             link = link_for(fan, "center", label, (1, 3))
             assert proof.holder_chain == link.holder_chain
+            assert proof.submissions == link.submissions
             assert by_issuer[link.issuer_id].receipts == link.receipts
             evidence_leaves.append([ev.leaf_index for ev in link.evidence_proofs])
         # One range proof per round covers the three issuers' evidence
@@ -292,10 +297,10 @@ def hub_for(net, window=(1, 3)):
     return build_hub_proof(net.nodes["center"].records, window, net.nodes["center"].receipt_log)
 
 
-def cut_receipts(link):
-    """An issuer record's receipts as a hub proof writes them: without the
-    submission, which the hub carries once per round."""
-    return [receipt.to_bytes()[len(receipt.submission.to_bytes()) :] for receipt in link.receipts]
+def paths_blobs(link):
+    """An issuer record's receipts as a hub proof writes them: their paths,
+    without the submission, which the hub carries once per round."""
+    return [paths.to_bytes() for paths in link.receipts]
 
 
 def hub_bytes(proof, submissions, records):
@@ -311,30 +316,30 @@ def hub_bytes(proof, submissions, records):
 
 class TestHubCodec:
     """A hub proof carries each window round's submission once, and each
-    issuer record's receipts without it."""
+    issuer record's receipt paths."""
 
     def parts(self, proof):
-        submissions = [receipt.submission.to_bytes() for receipt in proof.links[0].receipts]
-        records = [Writer().digest(link.issuer_id).blobs(cut_receipts(link)).getvalue() for link in proof.links]
+        submissions = [sub.to_bytes() for sub in proof.submissions]
+        records = [Writer().digest(link.issuer_id).blobs(paths_blobs(link)).getvalue() for link in proof.links]
         return submissions, records
 
     def test_each_round_submission_written_once(self, fan):
         proof = hub_for(fan)
         data = encode_proof(proof)
         assert data == hub_bytes(proof, *self.parts(proof))
-        for receipt in proof.links[0].receipts:
-            assert data.count(receipt.submission.to_bytes()) == 1
-        decoded = decode_proof(data)
-        assert decoded == proof
-        first = decoded.links[0].receipts
-        for link in decoded.links:  # every issuer's round-r receipt holds the one decoded submission
-            assert all(receipt.submission is f.submission for receipt, f in zip(link.receipts, first))
+        for sub in proof.submissions:
+            assert data.count(sub.to_bytes()) == 1
+        # Each one is the submission every issuer's receipt for its round holds.
+        log = fan.nodes["center"].receipt_log
+        for link in proof.links:
+            assert proof.submissions == tuple(log[link.issuer_id, r].submission for r in (1, 2, 3))
+        assert decode_proof(data) == proof
 
     @pytest.mark.parametrize("change", [1, -1])
     def test_decoder_refuses_an_issuer_record_of_another_length(self, fan, change):
         proof = hub_for(fan)
         submissions, records = self.parts(proof)
-        cut = cut_receipts(proof.links[-1])
+        cut = paths_blobs(proof.links[-1])
         cut = cut + cut[:1] if change > 0 else cut[:-1]
         records[-1] = Writer().digest(proof.links[-1].issuer_id).blobs(cut).getvalue()
         with pytest.raises(WireError, match=f"^{3 + change} receipts for 3 window rounds$"):
@@ -347,6 +352,10 @@ class TestHubCodec:
         submissions = submissions + submissions[:1] if change > 0 else submissions[:-1]
         with pytest.raises(WireError, match=f"^{3 + change} submissions for a window of 3 rounds$"):
             decode_proof(hub_bytes(proof, submissions, records))
+        # The encoder refuses the same list, with the same text.
+        held = proof.submissions + proof.submissions[:1] if change > 0 else proof.submissions[:-1]
+        with pytest.raises(WireError, match=f"^{3 + change} submissions for a window of 3 rounds$"):
+            encode_proof(dataclasses.replace(proof, submissions=held))
 
     def test_decoder_refuses_a_hub_with_no_issuer_record(self, fan):
         proof = hub_for(fan)
@@ -354,15 +363,6 @@ class TestHubCodec:
             decode_proof(hub_bytes(proof, self.parts(proof)[0], []))
         with pytest.raises(WireError, match="needs at least one link"):
             encode_proof(dataclasses.replace(proof, links=()))
-
-    def test_encoder_refuses_issuers_with_different_submissions(self, fan):
-        proof = hub_for(fan)
-        link = proof.links[1]
-        receipt = link.receipts[1]
-        other = dataclasses.replace(receipt.submission, signature=bytes(64))
-        forged = dataclasses.replace(link, receipts=(link.receipts[0], dataclasses.replace(receipt, submission=other), link.receipts[2]))
-        with pytest.raises(WireError, match="different submissions"):
-            encode_proof(dataclasses.replace(proof, links=(proof.links[0], forged, proof.links[2])))
 
     @pytest.mark.parametrize("which", [0, 2])
     def test_encoder_refuses_a_receipt_count_off_the_window(self, fan, which):
@@ -472,8 +472,7 @@ class TestChainProof:
         last = proof.hops[-1]
         retained = relay.nodes["b"].receipt_log[relay.id_of("c"), last.window_end]
         assert retained.issuer_commitment == relay.commitments_of("c")[last.window_end + 1]
-        assert last.receipts[-1] == retained.with_issuer(None)
-        assert last.receipts[-1].issuer_commitment is None
+        assert last.submissions[-1] is retained.submission and last.receipts[-1] is retained.paths
 
     def test_insufficient_latency_names_first_verifying_round(self, relay):
         proof = build_chain_proof(
@@ -512,9 +511,8 @@ class TestChainProof:
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1, window_len=2
         )
         hop = proof.hops[0]
-        victim = hop.receipts[0]
-        forged = dataclasses.replace(victim, submission=dataclasses.replace(victim.submission, signature=b"\x01" * 64))
-        bad_hop = dataclasses.replace(hop, receipts=(forged,) + hop.receipts[1:])
+        forged = dataclasses.replace(hop.submissions[0], signature=b"\x01" * 64)
+        bad_hop = dataclasses.replace(hop, submissions=(forged,) + hop.submissions[1:])
         bad = dataclasses.replace(proof, hops=(bad_hop, proof.hops[1]))
         verdict = verify_chain(bad, relay.commitments_of("c"), relay.directory)
         assert verdict.reason == "BrokenHop"
@@ -636,8 +634,8 @@ class TestProofCodec:
             w = Writer().digest(link.holder_id).digest(link.issuer_id).u64(link.window_start).u64(link.window_end)
             w.blobs([first_entry_blob] + [entry.to_bytes() for entry in link.holder_chain[1:]])
             w.u32(len(link.receipts))
-            for receipt, proof in zip(link.receipts, link.evidence_proofs):
-                w.blob(receipt.to_bytes()).blob(encode_inclusion_proof(proof))
+            for sub, paths, proof in zip(link.submissions, link.receipts, link.evidence_proofs):
+                w.blob(sub.to_bytes() + paths.to_bytes()).blob(encode_inclusion_proof(proof))
             return encode_proof(link)[:5] + w.getvalue()
 
         first = link.holder_chain[0].to_bytes()
@@ -656,9 +654,9 @@ class TestProofCodec:
                 .digest(receipt.holder_root)
                 .blob(receipt.submission.signature)
                 .blob(commitment_blob)
-                .blob(encode_inclusion_proof(receipt.inclusion))
-                .digest(receipt.prev_digest)
-                .blob(encode_inclusion_proof(receipt.prev_inclusion))
+                .blob(encode_inclusion_proof(receipt.paths.inclusion))
+                .digest(receipt.paths.prev_digest)
+                .blob(encode_inclusion_proof(receipt.paths.prev_inclusion))
                 .getvalue()
             )
 
@@ -668,17 +666,19 @@ class TestProofCodec:
             Receipt.from_bytes(encoded(commitment + b"\x00"))
 
     def test_encoder_refuses_mismatched_window(self, pair):
-        # A link window writes one count for its receipt and evidence pairs.
-        # A hub proof counts its evidence proofs apart from its receipts.
+        # A link window writes one count for its submission, receipt paths and
+        # evidence triples.  A hub proof counts its evidence proofs apart from its receipts.
         link = link_for(pair, "holder", "issuer", (1, 4))
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^4 submissions, 4 receipts, 1 evidence proofs$"):
             encode_proof(dataclasses.replace(link, evidence_proofs=link.evidence_proofs[:1]))
+        with pytest.raises(WireError, match="^3 submissions, 4 receipts, 4 evidence proofs$"):
+            encode_proof(dataclasses.replace(link, submissions=link.submissions[1:]))
 
     def test_chain_last_hop_needs_a_receipt(self, relay):
         chain = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), [relay.id_of("a"), relay.id_of("b")], 1
         )
-        empty = dataclasses.replace(chain.hops[0], receipts=(), evidence_proofs=())
+        empty = dataclasses.replace(chain.hops[0], submissions=(), receipts=(), evidence_proofs=())
         with pytest.raises(WireError):
             decode_proof(encode_proof(dataclasses.replace(chain, hops=(empty,))))
 

@@ -22,6 +22,7 @@ from entmesh.node import (
     Node,
     NotEntangledError,
     Receipt,
+    ReceiptPaths,
     RoundState,
     StaleSubmissionError,
     Submission,
@@ -136,7 +137,7 @@ def _submission(holder_id, holder_round):
 def _receipt(issuer_id, holder_round, holder_id):
     proof = InclusionProof(0, b"", 1)
     issuer = Commitment(issuer_id, holder_round + 1, ZERO_DIGEST, 1, b"sig")
-    return Receipt(_submission(holder_id, holder_round), issuer, proof, ZERO_DIGEST, proof)
+    return Receipt(_submission(holder_id, holder_round), issuer, ReceiptPaths(proof, ZERO_DIGEST, proof))
 
 
 @st.composite

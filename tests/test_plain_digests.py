@@ -74,9 +74,12 @@ def test_decoded_hub_proof_digests_are_plain_bytes(manual_net):
     proof = decode_proof(encode_proof(build_hub_proof(center.records, (1, 3), center.receipt_log)))
     values = list(digests_in(proof))
     assert_plain(values)
-    # Ids, roots and siblings all occur: the walk did not miss a kind.
+    # Ids, roots and siblings all occur: the walk did not miss a kind.  The
+    # three rounds' submissions are held once each, not once per issuer.
     assert net.id_of("p0") in values and center.records[2].root in values
-    assert len(values) > 100
+    assert proof.submissions[0].holder_root in values
+    assert siblings(proof.links[0].receipts[0].inclusion.audit_path)[0] in values
+    assert len(values) >= 100
 
 
 def test_identity_digests_are_plain_bytes():

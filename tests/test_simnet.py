@@ -428,15 +428,17 @@ def _flip_first_sibling(proof):
     return dataclasses.replace(proof, audit_path=path[:1] + bytes([path[1] ^ 1]) + path[2:])
 
 
+def _with_paths(rc, **changes):
+    return dataclasses.replace(rc, paths=dataclasses.replace(rc.paths, **changes))
+
+
 RECEIPT_TAMPERS = {
-    "submission-sibling": lambda rc: dataclasses.replace(rc, inclusion=_flip_first_sibling(rc.inclusion)),
-    "submission-tree-size": lambda rc: dataclasses.replace(
-        rc, inclusion=dataclasses.replace(rc.inclusion, tree_size=rc.inclusion.tree_size + 1)
+    "submission-sibling": lambda rc: _with_paths(rc, inclusion=_flip_first_sibling(rc.paths.inclusion)),
+    "submission-tree-size": lambda rc: _with_paths(
+        rc, inclusion=dataclasses.replace(rc.paths.inclusion, tree_size=rc.paths.inclusion.tree_size + 1)
     ),
-    "prev-leaf-index": lambda rc: dataclasses.replace(
-        rc, prev_inclusion=dataclasses.replace(rc.prev_inclusion, leaf_index=1)
-    ),
-    "prev-digest": lambda rc: dataclasses.replace(rc, prev_digest=Digest(sha256(b"another prev"))),
+    "prev-leaf-index": lambda rc: _with_paths(rc, prev_inclusion=dataclasses.replace(rc.paths.prev_inclusion, leaf_index=1)),
+    "prev-digest": lambda rc: _with_paths(rc, prev_digest=Digest(sha256(b"another prev"))),
     "unsigned-round": lambda rc: dataclasses.replace(
         rc, issuer_commitment=dataclasses.replace(rc.issuer_commitment, round=rc.issuer_commitment.round + 7)
     ),
@@ -462,7 +464,7 @@ class TestReceiptPathsAgree:
         # so a proof resized to 7 still folds to the root: only the rule
         # tree_size == leaf_count rejects it.
         receipts = {label: sim.nodes[label].receipt_log[(root_id, self.ROUND)] for label in ("m1-0", "m1-1", "m1-2")}
-        holder = next(label for label, rc in receipts.items() if rc.inclusion.leaf_index == 3)
+        holder = next(label for label, rc in receipts.items() if rc.paths.inclusion.leaf_index == 3)
         assert receipts[holder].issuer_commitment.leaf_count == 6
         return sim, holder, receipts[holder]
 
@@ -485,7 +487,7 @@ class TestReceiptPathsAgree:
         bad = RECEIPT_TAMPERS[tamper](receipt)
         if tamper == "submission-tree-size":
             c = bad.issuer_commitment
-            assert verify_inclusion([bad.submission.leaf_bytes()], bad.inclusion, c.root)
+            assert verify_inclusion([bad.submission.leaf_bytes()], bad.paths.inclusion, c.root)
         reason = "BadSignature" if tamper == "unsigned-round" else "ReceiptInvalid"
         assert sim.nodes[holder].verify_receipt(bad, sim.directory).reason == reason
         label, events, claims = self.forward(sim, holder, bad)

@@ -7,9 +7,9 @@ it, reason, wrapper and detail included.  That sequential reference is the
 verifier's own body run with signatures checked eagerly, so no second copy
 of the verifier is kept for it.
 
-A receipt's issuer commitment is the verifier's trusted copy, spliced in,
-whose signature was checked where it entered trust, so it records no
-signature check of its own.  On authentic trust logs the verdict must be the
+A proof's receipt is its round's submission and its paths with the
+verifier's trusted copy of the issuer commitment, whose signature was
+checked where it entered trust, so it records no signature check of its own.  On authentic trust logs the verdict must be the
 one the rule that also checks every issuer signature gives (``_parent_rule``).
 """
 
@@ -33,7 +33,7 @@ from entmesh.entangle import (
     verify_link,
 )
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import check_receipt
+from entmesh.node import Receipt, check_receipt
 from entmesh.simnet import Simulation, chain, fan
 from entmesh.wire import WireError
 
@@ -95,7 +95,7 @@ def _parent_rule(proof, sim):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entangle, "_Deferred", Recording)
-        patch.setattr(entangle, "_check_receipt_inclusions", lambda receipt, c, view: check_receipt(receipt.with_issuer(c), view))
+        patch.setattr(entangle, "_check_receipt_inclusions", lambda sub, paths, c, view: check_receipt(Receipt(sub, c, paths), view))
         return _verify(proof, sim)
 
 
@@ -103,9 +103,8 @@ def _flip(signature):
     return bytes([signature[0] ^ 1]) + signature[1:]
 
 
-def _forged_receipt(receipt):
-    forged = dataclasses.replace(receipt.submission, signature=_flip(receipt.submission.signature))
-    return dataclasses.replace(receipt, submission=forged)
+def _forged_submission(sub):
+    return dataclasses.replace(sub, signature=_flip(sub.signature))
 
 
 def _forged_trust(log, round_no):
@@ -274,19 +273,19 @@ class TestForgedSignatureKeepsItsReason:
         self._check(bad, sim, "LinkFailed", f"holder chain: BadSignature ({inner})")
 
     def test_hub_issuer_receipt(self, runs):
+        # Every issuer's receipt shares the round's submission: the first
+        # issuer's meets the forged signature after its round-1 receipt passed.
         proof, sim = runs["hub"]
-        link = proof.links[2]
-        forged = dataclasses.replace(link, receipts=_forge_at(link.receipts, 1, _forged_receipt))
-        bad = dataclasses.replace(proof, links=_swap(proof.links, 2, forged))
+        bad = dataclasses.replace(proof, submissions=_forge_at(proof.submissions, 1, _forged_submission))
         inner = "holder signature in receipt for round 2"
-        self._check(bad, sim, "LinkFailed", f"{link.issuer_id.hex()}: BadSignature ({inner})")
+        self._check(bad, sim, "LinkFailed", f"{proof.links[0].issuer_id.hex()}: BadSignature ({inner})")
 
     @pytest.mark.parametrize("record", ["receipt", "chain-entry"])
     def test_chain_inner_hop(self, runs, record):
         proof, sim = runs["chain"]
         hop = proof.hops[1]
         if record == "receipt":
-            hop = dataclasses.replace(hop, receipts=_forge_at(hop.receipts, 0, _forged_receipt))
+            hop = dataclasses.replace(hop, submissions=_forge_at(hop.submissions, 0, _forged_submission))
             inner = "holder signature in receipt for round 2"
         else:
             hop = dataclasses.replace(hop, holder_chain=_forge_at(hop.holder_chain, -1, _forged_entry))
@@ -304,7 +303,7 @@ class TestForgedSignatureKeepsItsReason:
 
     def test_link_receipt(self, runs):
         proof, sim = runs["link"]
-        bad = dataclasses.replace(proof, receipts=_forge_at(proof.receipts, 1, _forged_receipt))
+        bad = dataclasses.replace(proof, submissions=_forge_at(proof.submissions, 1, _forged_submission))
         self._check(bad, sim, "BadSignature", "holder signature in receipt for round 7")
 
     def test_link_holder_chain(self, runs):
@@ -312,7 +311,7 @@ class TestForgedSignatureKeepsItsReason:
         bad = dataclasses.replace(proof, holder_chain=_forge_at(proof.holder_chain, 1, _forged_entry))
         self._check(bad, sim, "BadSignature", "round 7")
 
-    # A receipt in a proof carries no issuer commitment: it takes the
+    # A proof carries no issuer commitment: each receipt takes the
     # verifier's trusted copy.  A copy that differs from the commitment the
     # issuer signed only in its signature still proves the receipt's leaves,
     # but the receipt it makes is not the one the holder retained.
@@ -373,16 +372,16 @@ class TestRepeatsAreSkippedChecks:
 
     def test_failure_before_any_signature_repeats_nothing(self, runs, ed25519_calls):
         # Earlier issuers' receipts met the holder's submissions, but this
-        # receipt fails before its own, so nothing is checked or skipped.
+        # receipt fails before its own, so nothing is checked or skipped:
+        # the verifier holds no trusted commitment for its issuer round.
         proof, sim = runs["hub"]
-        link = proof.links[-1]
-        receipt = link.receipts[0]
-        sub = dataclasses.replace(receipt.submission, holder_root=_flip(receipt.holder_root))
-        forged = dataclasses.replace(link, receipts=_swap(link.receipts, 0, dataclasses.replace(receipt, submission=sub)))
-        verdict = _verify(dataclasses.replace(proof, links=_swap(proof.links, -1, forged)), sim)
+        issuer = proof.links[-1].issuer_id
+        trust = _trust(proof, sim)
+        trust = {**trust, issuer: {r: c for r, c in trust[issuer].items() if r != 2}}
+        verdict = _verify(proof, sim, trust)
         assert (verdict.reason, verdict.detail) == (
             "LinkFailed",
-            f"{link.issuer_id.hex()}: ReceiptMismatch (receipt attests a different round-1 root)",
+            f"{issuer.hex()}: TrustedRootUnavailable (no trusted issuer commitment for round 2)",
         )
         assert (verdict.signatures_checked, verdict.signatures_repeated) == (0, 0)
         assert ed25519_calls == []

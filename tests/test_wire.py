@@ -160,7 +160,7 @@ class TestNestedRecords:
 
 class TestFrozenRecord:
     # Every record class a reader makes with ``frozen_record``.
-    RECORDS = [InclusionProof, node.Receipt]
+    RECORDS = [InclusionProof, node.ReceiptPaths]
 
     def test_equals_the_record_init_makes_and_stays_frozen(self):
         made = frozen_record(InclusionProof, leaf_index=3, audit_path=b"\x01" + bytes(32), tree_size=5)
