@@ -299,20 +299,21 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
 
 
 def _check_link(proof: LinkProof, trusted: _ByRound, view: _Deferred, commitments: Optional[_ByRound] = None) -> Verdict:
-    leaves: list[bytes] = []
     commitments = _by_round(proof.holder_chain) if commitments is None else commitments
-    verdict = _check_holder_chain(proof, view) and _check_receipts(proof, commitments, proof, trusted, view, leaves)
-    return verdict and _check_evidence(proof, commitments, [(leaf,) for leaf in leaves], proof.evidence_proofs, view)
+    return _check_holder_chain(proof, view) and _check_rounds(proof, commitments, ((proof, trusted),), view)
 
 
 def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verdict:
-    """The holder's chain covers its window plus EVIDENCE_LAG rounds and links up."""
+    """The holder's chain covers its window plus EVIDENCE_LAG rounds and links
+    up, and the holder has one submission per window round."""
     view.mark()
     s, e = holder.window_start, holder.window_end
     if s > e:
         return Verdict.failed("WindowInvalid", f"window [{s}, {e}]")
     if len(holder.holder_chain) != e - s + 1 + EVIDENCE_LAG:
         return Verdict.failed("WindowInvalid", "holder chain does not cover the window")
+    if len(holder.submissions) != e - s + 1:
+        return Verdict.failed("WindowInvalid", "one receipt per round required")
     for offset, entry in enumerate(holder.holder_chain):
         if entry.commitment.node_id != holder.holder_id:
             return Verdict.failed("HolderMismatch", "chain entry from another node")
@@ -321,51 +322,48 @@ def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verd
     return verify_chain_entries(holder.holder_chain, view)
 
 
-def _check_receipts(
-    holder: "LinkProof | HubProof", commitments: _ByRound, link: "LinkProof | HubLink", trusted: _ByRound,
-    view: _Deferred, leaves: list,
-) -> Verdict:
-    """One issuer's receipts against ``holder``'s already checked chain, by round in
-    ``commitments``: round r's is ``holder``'s submission with ``link``'s paths and the
-    trusted issuer commitment, and its evidence leaf goes to ``leaves``."""
-    s, e = holder.window_start, holder.window_end
-    if len(link.receipts) != e - s + 1 or len(holder.submissions) != e - s + 1:
-        return Verdict.failed("WindowInvalid", "one receipt per round required")
-    previous: Optional[Commitment] = None
-    for r, sub, paths in zip(range(s, e + 1), holder.submissions, link.receipts):
-        view.mark()
-        if sub.holder_id != holder.holder_id or sub.holder_round != r:
-            return Verdict.failed("ReceiptMismatch", f"receipt is not for holder round {r}")
-        issuer_c = trusted.get(r + 1)
-        if issuer_c is None:
-            return Verdict.failed("TrustedRootUnavailable", f"no trusted issuer commitment for round {r + 1}")
-        if issuer_c.node_id != link.issuer_id:
-            return Verdict.failed("ReceiptMismatch", "receipt from another issuer")
-        if sub.holder_root != commitments[r].root:
-            return Verdict.failed("ReceiptMismatch", f"receipt attests a different round-{r} root")
-        if not view.verify_submission(sub):
-            return Verdict.failed("BadSignature", f"holder signature in receipt for round {r}")
-        verdict = _check_receipt_inclusions(sub, paths, issuer_c, view)  # its signature was checked where it entered trust
-        if not verdict:
-            return Verdict.failed(verdict.reason, f"{verdict.detail} for round {r}")
-        if previous is not None and paths.prev_digest != commitment_digest(previous):
-            return Verdict.failed("ChainBreak", f"issuer chain breaks before round {r + 1}")
-        leaves.append(evidence_leaf(sub, issuer_c, paths))
-        previous = issuer_c
-    return Verdict.passed()
+def _part_failed(holder: "LinkProof | HubProof", where: str, reason: str, detail: str) -> Verdict:
+    """A failure of ``holder``'s part at ``where``, which a hub proof names; a link proof is one part."""
+    verdict = Verdict.failed(reason, detail)
+    return _wrapped("LinkFailed", where, verdict) if isinstance(holder, HubProof) else verdict
 
 
-def _check_evidence(
-    holder: "LinkProof | HubProof", commitments: _ByRound, runs: Sequence, proofs: Sequence[InclusionProof], view: _Deferred
-) -> Verdict:
-    """Each window round's run of evidence leaves is retained, in order, in
-    the holder's tree EVIDENCE_LAG rounds later."""
-    view.mark()
+def _check_rounds(holder: "LinkProof | HubProof", commitments: _ByRound, links: Sequence[tuple], view: _Deferred) -> Verdict:
+    """Each window round in turn, against ``holder``'s checked chain by round in
+    ``commitments``: the holder's submission once, then the receipt paths of each
+    (link, trusted issuer commitments) pair in ``links``, then the round's
+    evidence proof over the leaves those receipts join, in that order."""
     s, e = holder.window_start, holder.window_end
-    if len(proofs) != e - s + 1:
+    for link, _ in links:
+        if len(link.receipts) != e - s + 1:
+            return _part_failed(holder, link.issuer_id.hex(), "WindowInvalid", "one receipt per round required")
+    if len(holder.evidence_proofs) != e - s + 1:
         return Verdict.failed("WindowInvalid", "one evidence proof per round required")
-    for r, run, proof in zip(range(s, e + 1), runs, proofs):
-        if not view.proves(commitments[r + EVIDENCE_LAG], run, proof):
+    for i, (r, sub) in enumerate(zip(range(s, e + 1), holder.submissions)):
+        view.mark()  # a failed receipt check pays for no earlier round's signature
+        if sub.holder_id != holder.holder_id or sub.holder_round != r:
+            return _part_failed(holder, "holder chain", "ReceiptMismatch", f"receipt is not for holder round {r}")
+        if sub.holder_root != commitments[r].root:
+            return _part_failed(holder, "holder chain", "ReceiptMismatch", f"receipt attests a different round-{r} root")
+        if not view.verify_submission(sub):
+            return _part_failed(holder, "holder chain", "BadSignature", f"holder signature in receipt for round {r}")
+        leaves = []
+        for link, trusted in links:
+            paths, issuer_c = link.receipts[i], trusted.get(r + 1)
+            if issuer_c is None:
+                detail = f"no trusted issuer commitment for round {r + 1}"
+                return _part_failed(holder, link.issuer_id.hex(), "TrustedRootUnavailable", detail)
+            if issuer_c.node_id != link.issuer_id:
+                return _part_failed(holder, link.issuer_id.hex(), "ReceiptMismatch", "receipt from another issuer")
+            verdict = _check_receipt_inclusions(sub, paths, issuer_c, view)  # its signature was checked where it entered trust
+            if not verdict:
+                return _part_failed(holder, link.issuer_id.hex(), verdict.reason, f"{verdict.detail} for round {r}")
+            if r > s and paths.prev_digest != commitment_digest(trusted[r]):
+                detail = f"issuer chain breaks before round {r + 1}"
+                return _part_failed(holder, link.issuer_id.hex(), "ChainBreak", detail)
+            leaves.append(evidence_leaf(sub, issuer_c, paths))
+        view.mark()  # no signature fault reaches the evidence fold: a failed one pays for none
+        if not view.proves(commitments[r + EVIDENCE_LAG], leaves, holder.evidence_proofs[i]):
             what = "receipts" if isinstance(holder, HubProof) else "receipt"
             return Verdict.failed("EvidenceInvalid", f"{what} for round {r} not retained in round {r + EVIDENCE_LAG}")
     return Verdict.passed()
@@ -483,24 +481,19 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
     verdict = _check_holder_chain(proof, view)
     if not verdict:
         return _wrapped("LinkFailed", "holder chain", verdict)
+    view.mark()  # a failed manifest proof or trust lookup pays for no chain entry's signature
     commitments = _by_round(proof.holder_chain)
-    by_link: list[list[bytes]] = [[] for _ in proof.links]
-    for link, leaves in zip(proof.links, by_link):
-        view.mark()
-        issuer_trust = trusted.get(link.issuer_id)
-        if issuer_trust is None:
-            return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {link.issuer_id.hex()}")
-        verdict = _check_receipts(proof, commitments, link, issuer_trust, view, leaves)
-        if not verdict:
-            return _wrapped("LinkFailed", link.issuer_id.hex(), verdict)
-    view.mark()
     manifest_leaf = (_manifest_leaf(proof.manifest),)
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
         if m_proof.leaf_index != MANIFEST_LEAF_INDEX:
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
         if not view.proves(commitments[r], manifest_leaf, m_proof):
             return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")
-    return _check_evidence(proof, commitments, list(zip(*by_link)), proof.evidence_proofs, view)
+    links = [(link, trusted.get(link.issuer_id)) for link in proof.links]
+    for link, issuer_trust in links:
+        if issuer_trust is None:
+            return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {link.issuer_id.hex()}")
+    return _check_rounds(proof, commitments, links, view)
 
 
 @dataclass(frozen=True)

@@ -296,14 +296,6 @@ class Receipt:
         blob = Writer().blob(self.issuer_commitment._encoding).getvalue()
         return self.submission._encoding + blob + self.paths._encoding
 
-    @staticmethod
-    def read(r: Reader) -> "Receipt":
-        return Receipt(Submission.read(r), r.nested(Commitment.read, MAX_COMMITMENT), ReceiptPaths.read(r))
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "Receipt":
-        return decode(data, Receipt.read)
-
     def leaf_bytes(self) -> bytes:
         return bytes([LEAF_EVIDENCE]) + self.to_bytes()
 

@@ -29,7 +29,6 @@ from entmesh.entangle import (
 )
 from entmesh.hashtree import sha256
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import Receipt
 from entmesh.wire import WireError, Writer, encode_inclusion_proof
 
 
@@ -383,6 +382,23 @@ class TestHubCodec:
             build_hub_proof(center.records, (1, 3), log)
         assert build_hub_proof(center.records, (3, 4), log) == hub_for(fan, (3, 4))
 
+    # The decoder takes any number of manifest and evidence proofs; the
+    # verifier needs one of each per window round, or it would check fewer.
+    def test_verifier_refuses_a_decoded_hub_without_manifest_proofs(self, fan):
+        proof = decode_proof(encode_proof(dataclasses.replace(hub_for(fan, (1, 4)), manifest_proofs=())))
+        assert proof.manifest_proofs == ()
+        trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
+        verdict = verify_hub(proof, trusted, fan.directory)
+        assert (verdict.reason, verdict.detail) == ("WindowInvalid", "one manifest proof per round required")
+
+    def test_verifier_refuses_a_decoded_hub_with_one_evidence_proof_of_four(self, fan):
+        honest = hub_for(fan, (1, 4))
+        proof = decode_proof(encode_proof(dataclasses.replace(honest, evidence_proofs=honest.evidence_proofs[:1])))
+        assert len(proof.evidence_proofs) == 1
+        trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
+        verdict = verify_hub(proof, trusted, fan.directory)
+        assert (verdict.reason, verdict.detail) == ("WindowInvalid", "one evidence proof per round required")
+
 
 class TestChainProof:
     def path_ids(self, relay):
@@ -483,7 +499,10 @@ class TestChainProof:
         assert verdict.reason == "InsufficientLatency"
         assert verdict.detail.endswith("needs an anchor commitment at round >= 3")
 
-    def test_too_early_anchor_refused_before_any_signature(self, relay, monkeypatch):
+    def test_too_early_anchor_refused_after_one_signature(self, relay, monkeypatch):
+        # The last hop's round-3 receipt needs the anchor's round-4
+        # commitment.  Only that round's submission, met just before, is
+        # checked: not the hop's holder chain, nor its round-2 submission.
         proof = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1, window_len=2
         )
@@ -496,7 +515,9 @@ class TestChainProof:
         assert verdict.detail == (
             "no trusted issuer commitment for round 4; chain of 2 hops needs an anchor commitment at round >= 4"
         )
-        assert calls == []
+        sub = proof.hops[-1].submissions[-1]
+        assert (sub.holder_round, verdict.signatures_checked) == (3, 1)
+        assert [args[1:] for args in calls] == [(sub.message(), sub.signature)]
 
     def test_window_past_its_holder_chain_is_a_broken_hop(self, relay):
         # The claimed window also reaches past the trusted log; the hop's own
@@ -575,6 +596,16 @@ class TestRootPath:
         assert not verify_root_path(doctored, start, end)
 
 
+def link_bytes(link, first_entry_blob):
+    """A link proof written field by field around the given first chain entry blob."""
+    w = Writer().digest(link.holder_id).digest(link.issuer_id).u64(link.window_start).u64(link.window_end)
+    w.blobs([first_entry_blob] + [entry.to_bytes() for entry in link.holder_chain[1:]])
+    w.u32(len(link.receipts))
+    for sub, paths, proof in zip(link.submissions, link.receipts, link.evidence_proofs):
+        w.blob(sub.to_bytes() + paths.to_bytes()).blob(encode_inclusion_proof(proof))
+    return encode_proof(link)[:5] + w.getvalue()
+
+
 class TestProofCodec:
     def test_kind_bytes_distinct(self, pair, fan, relay):
         link = link_for(pair, "holder", "issuer", (1, 2))
@@ -629,41 +660,25 @@ class TestProofCodec:
 
     def test_extra_byte_inside_chain_entry_blob(self, pair):
         link = link_for(pair, "holder", "issuer", (1, 2))
-
-        def encoded(first_entry_blob):
-            w = Writer().digest(link.holder_id).digest(link.issuer_id).u64(link.window_start).u64(link.window_end)
-            w.blobs([first_entry_blob] + [entry.to_bytes() for entry in link.holder_chain[1:]])
-            w.u32(len(link.receipts))
-            for sub, paths, proof in zip(link.submissions, link.receipts, link.evidence_proofs):
-                w.blob(sub.to_bytes() + paths.to_bytes()).blob(encode_inclusion_proof(proof))
-            return encode_proof(link)[:5] + w.getvalue()
-
         first = link.holder_chain[0].to_bytes()
-        assert encoded(first) == encode_proof(link)
+        assert link_bytes(link, first) == encode_proof(link)
         with pytest.raises(WireError):
-            decode_proof(encoded(first + b"\x00"))
+            decode_proof(link_bytes(link, first + b"\x00"))
 
-    def test_extra_byte_inside_receipt_commitment_blob(self, pair):
-        receipt = pair.nodes["holder"].receipt_log[(pair.id_of("issuer"), 1)]
+    def test_extra_byte_inside_chain_entry_commitment_blob(self, pair):
+        # The only commitment a proof carries is a chain entry's.  An extra
+        # byte inside its blob, which the entry blob's length then covers.
+        link = link_for(pair, "holder", "issuer", (1, 2))
+        entry = link.holder_chain[0]
 
-        def encoded(commitment_blob):
-            return (
-                Writer()
-                .digest(receipt.holder_id)
-                .u64(receipt.holder_round)
-                .digest(receipt.holder_root)
-                .blob(receipt.submission.signature)
-                .blob(commitment_blob)
-                .blob(encode_inclusion_proof(receipt.paths.inclusion))
-                .digest(receipt.paths.prev_digest)
-                .blob(encode_inclusion_proof(receipt.paths.prev_inclusion))
-                .getvalue()
-            )
+        def entry_blob(commitment_blob):
+            w = Writer().blob(commitment_blob).digest(entry.prev_digest)
+            return w.blob(encode_inclusion_proof(entry.first_leaf_proof)).getvalue()
 
-        commitment = receipt.issuer_commitment.to_bytes()
-        assert encoded(commitment) == receipt.to_bytes()
+        commitment = entry.commitment.to_bytes()
+        assert entry_blob(commitment) == entry.to_bytes()
         with pytest.raises(WireError):
-            Receipt.from_bytes(encoded(commitment + b"\x00"))
+            decode_proof(link_bytes(link, entry_blob(commitment + b"\x00")))
 
     def test_encoder_refuses_mismatched_window(self, pair):
         # A link window writes one count for its submission, receipt paths and

@@ -16,6 +16,7 @@ from entmesh.node import (
     LEAF_PREV,
     FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
+    MAX_COMMITMENT,
     Commitment,
     InvariantViolationError,
     KeyDirectory,
@@ -37,7 +38,8 @@ from entmesh.node import (
     verify_chain_entries,
 )
 from entmesh.sexpr import encode_tree
-from entmesh.wire import WireError
+from entmesh.wire import WireError, decode
+from test_round_trip import ref_receipt
 
 
 def solo_node(label="solo"):
@@ -250,9 +252,14 @@ class TestWireForms:
         assert Submission.from_bytes(data) == sub
 
     def test_receipt_round_trip(self, manual_net):
+        # A receipt's bytes are its fields' as the reference writer puts
+        # them, and its three parts read back from them in turn.
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
         receipt = net.nodes["a"].receipt_log[(net.id_of("b"), 1)]
-        assert Receipt.from_bytes(receipt.to_bytes()) == receipt
+        data = receipt.to_bytes()
+        assert data == ref_receipt(receipt)
+        parts = lambda r: (Submission.read(r), r.nested(Commitment.read, MAX_COMMITMENT), ReceiptPaths.read(r))
+        assert Receipt(*decode(data, parts)) == receipt
 
     def test_trailing_bytes_rejected(self):
         node = solo_node()

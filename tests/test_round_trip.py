@@ -419,32 +419,36 @@ def composed_leaf(holder_id, issuer_id, r, sub, paths, c):
 
 
 def verify_against_spliced_leaves(proof, sim, reference_leaf):
-    """Verify ``proof``, holding each evidence leaf the verifier builds to
+    """Verify ``proof``, holding each evidence leaf the verifier joins to
     ``reference_leaf(holder_id, issuer_id, r, sub, paths, c)`` for the
-    trusted issuer commitment ``c`` of its round, and each window round's run
-    of leaves it folds to the reference leaves of that round's receipts, in
-    link order.  Returns the verdict and the number of runs compared."""
-    reference, runs_compared = {}, []
-    check_receipts, check_evidence = entangle._check_receipts, entangle._check_evidence
+    trusted issuer commitment ``c`` it joins, and each window round's run of
+    leaves it folds to the reference leaves of that round's receipts, one per
+    link of the holder's proof part, in link order.  Returns the verdict and
+    the number of runs compared."""
+    joined, runs_compared = [], []  # joined: (issuer id, reference leaf) since the last run
+    join, fold = entangle.evidence_leaf, entangle._Deferred.proves
+    parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
 
-    def receipts(holder, commitments, link, trusted, view, leaves):
-        verdict = check_receipts(holder, commitments, link, trusted, view, leaves)
-        rounds = range(holder.window_start, holder.window_end + 1)
-        for r, sub, paths, leaf in zip(rounds, holder.submissions, link.receipts, leaves):
-            reference[id(link), r] = reference_leaf(holder.holder_id, link.issuer_id, r, sub, paths, trusted[r + 1])
-            assert leaf == reference[id(link), r]
-        return verdict
+    def link_orders(holder_id):
+        links = lambda part: part.links if isinstance(part, HubProof) else (part,)
+        return {tuple(link.issuer_id for link in links(part)) for part in parts if part.holder_id == holder_id}
 
-    def evidence(holder, commitments, runs, proofs, view):
-        links = holder.links if isinstance(holder, HubProof) else (holder,)
-        for r, run in zip(range(holder.window_start, holder.window_end + 1), runs):
-            assert tuple(run) == tuple(reference[id(link), r] for link in links)
-            runs_compared.append(r)
-        return check_evidence(holder, commitments, runs, proofs, view)
+    def leaf(sub, c, paths):
+        joined.append((c.node_id, reference_leaf(sub.holder_id, c.node_id, sub.holder_round, sub, paths, c)))
+        assert join(sub, c, paths) == joined[-1][1]
+        return joined[-1][1]
+
+    def proves(view, c, leaves, proof):
+        if leaves[0][0] == LEAF_EVIDENCE:  # a round's run, folded in the holder's round r + 2 tree
+            assert tuple(leaves) == tuple(reference for _, reference in joined)
+            assert tuple(issuer_id for issuer_id, _ in joined) in link_orders(c.node_id)
+            joined.clear()
+            runs_compared.append(c.round - EVIDENCE_LAG)
+        return fold(view, c, leaves, proof)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(entangle, "_check_receipts", receipts)
-        patch.setattr(entangle, "_check_evidence", evidence)
+        patch.setattr(entangle, "evidence_leaf", leaf)
+        patch.setattr(entangle._Deferred, "proves", proves)
         verdict = _verify(proof, sim)
     return verdict, len(runs_compared)
 
@@ -504,4 +508,4 @@ def test_verifiers_copy_no_receipt(ci_proofs, fan_runs):
     assert all(verdicts) and len(verdicts) == 6
     assert fan_verdict
     counts = fan_verdict.signatures_checked, fan_verdict.signatures_repeated, fan_verdict.inclusion_proofs_checked
-    assert counts == (10, 156, 334)
+    assert counts == (10, 0, 334)

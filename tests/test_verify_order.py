@@ -7,10 +7,13 @@ it, reason, wrapper and detail included.  That sequential reference is the
 verifier's own body run with signatures checked eagerly, so no second copy
 of the verifier is kept for it.
 
-A proof's receipt is its round's submission and its paths with the
+The checks walk a proof round by round: each window round's submission
+once, then every issuer's receipt paths for that round, then the round's
+evidence.  A receipt is its round's submission and its paths with the
 verifier's trusted copy of the issuer commitment, whose signature was
-checked where it entered trust, so it records no signature check of its own.  On authentic trust logs the verdict must be the
-one the rule that also checks every issuer signature gives (``_parent_rule``).
+checked where it entered trust, so it records no signature check of its
+own.  On authentic trust logs the verdict must be the one the rule that
+also checks every issuer signature gives (``_parent_rule``).
 """
 
 import dataclasses
@@ -156,8 +159,10 @@ class TestSignatureCounts:
         ed25519_calls.clear()
         verdict = verify_hub(proof, _logs(sim), sim.directory)
         assert verdict
+        # The holder chain's 6 commitments and each round's submission, met
+        # once per round, not once per issuer (166 obligations when repeated).
         assert verdict.signatures_checked == 10 == len(ed25519_calls)
-        assert verdict.signatures_checked + verdict.signatures_repeated == 166
+        assert verdict.signatures_checked + verdict.signatures_repeated == 10
         # 6 chain entries, 160 receipts' two paths each, 4 manifest proofs
         # and one evidence range proof per round (160 evidence paths before).
         assert verdict.inclusion_proofs_checked == 6 + 320 + 4 + 4 == 334
@@ -207,7 +212,7 @@ class TestSignatureCounts:
             verdict = verify_hub(proof, _logs(sim), sim.directory)
             assert verdict
             assert verdict.signatures_checked == 2 * w + 2 == len(ed25519_calls)
-            assert verdict.signatures_repeated == (n - 1) * w
+            assert verdict.signatures_repeated == 0
             assert verdict.inclusion_proofs_checked == (w + 2) + 2 * n * w + w + w
 
     @pytest.mark.parametrize("hops", [1, 2, 3, 4])
@@ -273,12 +278,12 @@ class TestForgedSignatureKeepsItsReason:
         self._check(bad, sim, "LinkFailed", f"holder chain: BadSignature ({inner})")
 
     def test_hub_issuer_receipt(self, runs):
-        # Every issuer's receipt shares the round's submission: the first
-        # issuer's meets the forged signature after its round-1 receipt passed.
+        # Every issuer's receipt shares the round's submission, which is the
+        # holder's: it is checked once, after every round-1 receipt passed.
         proof, sim = runs["hub"]
         bad = dataclasses.replace(proof, submissions=_forge_at(proof.submissions, 1, _forged_submission))
         inner = "holder signature in receipt for round 2"
-        self._check(bad, sim, "LinkFailed", f"{proof.links[0].issuer_id.hex()}: BadSignature ({inner})")
+        self._check(bad, sim, "LinkFailed", f"holder chain: BadSignature ({inner})")
 
     @pytest.mark.parametrize("record", ["receipt", "chain-entry"])
     def test_chain_inner_hop(self, runs, record):
@@ -371,11 +376,18 @@ class TestRepeatsAreSkippedChecks:
     it checked in the same call again, and so skipped its check."""
 
     def test_failure_before_any_signature_repeats_nothing(self, runs, ed25519_calls):
-        # Earlier issuers' receipts met the holder's submissions, but this
-        # receipt fails before its own, so nothing is checked or skipped:
-        # the verifier holds no trusted commitment for its issuer round.
+        # The verifier holds no trusted commitments for the last issuer: the
+        # hub fails on that lookup after its holder chain met six signatures
+        # but before any submission, so nothing is checked or skipped.
         proof, sim = runs["hub"]
         issuer = proof.links[-1].issuer_id
+        trust = {i: log for i, log in _trust(proof, sim).items() if i != issuer}
+        verdict = _verify(proof, sim, trust)
+        assert (verdict.reason, verdict.detail) == ("TrustedRootUnavailable", f"no trusted commitments for {issuer.hex()}")
+        assert (verdict.signatures_checked, verdict.signatures_repeated) == (0, 0)
+        assert ed25519_calls == []
+        # With only its round-2 commitment dropped, the last issuer's round-1
+        # receipt fails after the round's one submission: that alone is checked.
         trust = _trust(proof, sim)
         trust = {**trust, issuer: {r: c for r, c in trust[issuer].items() if r != 2}}
         verdict = _verify(proof, sim, trust)
@@ -383,8 +395,8 @@ class TestRepeatsAreSkippedChecks:
             "LinkFailed",
             f"{issuer.hex()}: TrustedRootUnavailable (no trusted issuer commitment for round 2)",
         )
-        assert (verdict.signatures_checked, verdict.signatures_repeated) == (0, 0)
-        assert ed25519_calls == []
+        assert (verdict.signatures_checked, verdict.signatures_repeated) == (1, 0)
+        assert len(ed25519_calls) == 1
 
     @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
     def test_repeats_match_the_first_pass(self, runs, ed25519_calls, kind):
