@@ -333,6 +333,8 @@ def load_config(path: "Path | str") -> ScenarioConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}")
+    except RecursionError:  # PyYAML composes nested collections recursively
+        raise ConfigError(f"{path}: nested too deeply")
     return config_from_dict(data, source=str(path))
 
 

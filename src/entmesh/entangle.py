@@ -56,7 +56,20 @@ from .node import (
     evidence_leaf_index,
     verify_chain_entries,
 )
-from .wire import MAX_ITEMS, MAX_RECORD, Reader, WireError, Writer, decode, encode_inclusion_proof, read_inclusion_proof
+from .wire import (
+    MAX_ITEMS,
+    MAX_RECORD,
+    Head,
+    Reader,
+    WireError,
+    blobs,
+    decode,
+    digest,
+    digests,
+    encode_inclusion_proof,
+    prefix,
+    read_inclusion_proof,
+)
 
 __all__ = [
     "ChainProof",
@@ -86,6 +99,10 @@ EVIDENCE_LAG = 2
 MAX_LINK = 1 << 24
 
 
+_LINK_HEAD = Head("ddQQ")  # holder_id, issuer_id, window_start, window_end
+_HUB_HEAD = Head("dQQ")  # holder_id, window_start, window_end
+
+
 class MissingReceiptError(ValueError):
     def __init__(self, issuer_id: NodeId, round_no: int):
         super().__init__(f"no receipt from {issuer_id.hex()} for round {round_no}")
@@ -107,19 +124,20 @@ class LinkProof:
     evidence_proofs: tuple[InclusionProof, ...]  # receipt leaf in holder tree r+2
 
     def to_bytes(self) -> bytes:
-        w = Writer().digest(self.holder_id).digest(self.issuer_id).u64(self.window_start).u64(self.window_end)
-        w.blobs([entry.to_bytes() for entry in self.holder_chain])
+        parts = [_LINK_HEAD.pack(self.holder_id, self.issuer_id, self.window_start, self.window_end)]
+        parts += blobs([entry._encoding for entry in self.holder_chain])
         if not len(self.submissions) == len(self.receipts) == len(self.evidence_proofs):
             counts = len(self.submissions), len(self.receipts), len(self.evidence_proofs)
             raise WireError("%d submissions, %d receipts, %d evidence proofs" % counts)
-        w.u32(len(self.receipts))
+        parts.append(prefix(len(self.receipts)))
         for sub, paths, proof in zip(self.submissions, self.receipts, self.evidence_proofs):  # per window round
-            w.blob(sub.to_bytes() + paths.to_bytes()).blob(encode_inclusion_proof(proof))
-        return w.getvalue()
+            sub_bytes, paths_bytes, proof_bytes = sub._encoding, paths._encoding, encode_inclusion_proof(proof)
+            parts += (prefix(len(sub_bytes) + len(paths_bytes)), sub_bytes, paths_bytes, prefix(len(proof_bytes)), proof_bytes)
+        return b"".join(parts)
 
     @staticmethod
     def read(r: Reader) -> "LinkProof":
-        holder_id, issuer_id, start, end, chain = r.digest(), r.digest(), r.u64(), r.u64(), _read_chain(r)
+        (holder_id, issuer_id, start, end), chain = _LINK_HEAD.read(r), _read_chain(r)
         window = r.many(_read_link_round, "window rounds", MAX_ITEMS)
         columns = tuple(zip(*window)) or ((), (), ())  # submissions, receipt paths, evidence proofs
         return LinkProof(holder_id, issuer_id, start, end, chain, *columns)
@@ -139,7 +157,7 @@ class HubLink:
     receipts: tuple[ReceiptPaths, ...]  # one per window round
 
     def to_bytes(self) -> bytes:
-        return Writer().digest(self.issuer_id).blobs([paths.to_bytes() for paths in self.receipts]).getvalue()
+        return b"".join([digest(self.issuer_id), *blobs([paths._encoding for paths in self.receipts])])
 
     @staticmethod
     def read(r: Reader, rounds: int) -> "HubLink":
@@ -179,22 +197,26 @@ def _window_receipts(issuer_id: NodeId, window: tuple[int, int], receipts: Mappi
     return [receipts[issuer_id, r] for r in range(window[0], window[1] + 1)]
 
 
+def _not_one_run(r: int) -> ValueError:
+    return ValueError(f"receipts for round {r} are not one run of leaves in holder round {r + EVIDENCE_LAG}")
+
+
 def _evidence_proof(holder_records: Sequence[NodeRecord], issuer_ids: Sequence[NodeId], r: int) -> InclusionProof:
     """Proof that round ``r``'s receipts from ``issuer_ids``, in that order, are one
     run of leaves in the holder's round r + EVIDENCE_LAG tree (unpruned: see ``_holder_chain``)."""
     retaining = holder_records[r + EVIDENCE_LAG]
-    broken = ValueError(f"receipts for round {r} are not one run of leaves in holder round {r + EVIDENCE_LAG}")
     try:
         first = evidence_leaf_index(retaining.state, issuer_ids[0], r)
     except NotEntangledError:
         # A hub round whose first receipt is not where sorted order puts it is no run.
         if len(issuer_ids) > 1:
-            raise broken from None
+            raise _not_one_run(r) from None
         raise
-    at = first - FIXED_LEAVES - len(retaining.state.entangled)
-    run = retaining.state.evidence[at : at + len(issuer_ids)]
-    if len(issuer_ids) > 1 and [(rc.issuer_id, rc.holder_round) for rc in run] != [(issuer_id, r) for issuer_id in issuer_ids]:
-        raise broken
+    if len(issuer_ids) > 1:
+        at = first - FIXED_LEAVES - len(retaining.state.entangled)
+        run = retaining.state.evidence[at : at + len(issuer_ids)]
+        if [(rc.issuer_id, rc.holder_round) for rc in run] != [(issuer_id, r) for issuer_id in issuer_ids]:
+            raise _not_one_run(r)
     return retaining.tree.prove_range(first, first + len(issuer_ids))
 
 
@@ -392,19 +414,17 @@ class HubProof:
         for link in self.links:
             if len(link.receipts) != rounds:
                 raise WireError(f"{len(link.receipts)} receipts for {rounds} window rounds")
-        w = Writer()
-        w.digest(self.holder_id).u64(self.window_start).u64(self.window_end)
-        w.digests(self.manifest)
-        w.blobs([encode_inclusion_proof(proof) for proof in self.manifest_proofs])
-        w.blobs([entry.to_bytes() for entry in self.holder_chain])
-        w.blobs([sub.to_bytes() for sub in self.submissions])
-        w.blobs([link.to_bytes() for link in self.links])
-        w.blobs([encode_inclusion_proof(proof) for proof in self.evidence_proofs])
-        return w.getvalue()
+        parts = [_HUB_HEAD.pack(self.holder_id, self.window_start, self.window_end), digests(self.manifest)]
+        parts += blobs([encode_inclusion_proof(proof) for proof in self.manifest_proofs])
+        parts += blobs([entry._encoding for entry in self.holder_chain])
+        parts += blobs([sub._encoding for sub in self.submissions])
+        parts += blobs([link.to_bytes() for link in self.links])
+        parts += blobs([encode_inclusion_proof(proof) for proof in self.evidence_proofs])
+        return b"".join(parts)
 
     @staticmethod
     def read(r: Reader) -> "HubProof":
-        holder_id, start, end = r.digest(), r.u64(), r.u64()
+        holder_id, start, end = _HUB_HEAD.read(r)
         manifest = r.digests("manifest ids", MAX_ITEMS)
         manifest_proofs = r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "manifest proofs", MAX_ITEMS)
         chain = _read_chain(r)
@@ -515,7 +535,7 @@ class ChainProof:
         return self.hops[-1].issuer_id
 
     def to_bytes(self) -> bytes:
-        return Writer().blobs([hop.to_bytes() for hop in self.hops]).getvalue()
+        return b"".join(blobs([hop.to_bytes() for hop in self.hops]))
 
     @staticmethod
     def read(r: Reader) -> "ChainProof":

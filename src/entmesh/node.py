@@ -27,7 +27,20 @@ from typing import Iterable, Optional, Sequence, TypeVar
 from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, sha256, verify_inclusion
 from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
 from .sexpr import Expr, encode_tree
-from .wire import MAX_RECORD, Reader, WireError, Writer, decode, encode_inclusion_proof, frozen_record, read_inclusion_proof
+from .wire import (
+    MAX_RECORD,
+    Head,
+    Reader,
+    WireError,
+    bounded,
+    decode,
+    digest,
+    digests,
+    encode_inclusion_proof,
+    frozen_record,
+    prefix,
+    read_inclusion_proof,
+)
 
 __all__ = [
     "ChainEntry",
@@ -111,20 +124,22 @@ class Verdict:
 _PASSED = Verdict(True)
 
 
-def _commitment_fields(node_id: NodeId, round_no: int, root: Digest, leaf_count: int) -> Writer:
-    # The fields a commitment signs, in wire order; its encoding adds the signature.
-    return Writer().digest(node_id).u64(round_no).digest(root).u64(leaf_count)
+# The fields a commitment and a submission sign, in wire order, and the heads
+# their readers unpack: those fields and the length of the signature blob.
+_COMMITMENT_FIELDS, _COMMITMENT_HEAD = Head("dQdQ"), Head("dQdQI")  # node_id, round, root, leaf_count
+_SUBMISSION_FIELDS, _SUBMISSION_HEAD = Head("dQd"), Head("dQdI")  # holder_id, holder_round, holder_root
 
 
-def _submission_fields(holder_id: NodeId, holder_round: int, holder_root: Digest) -> Writer:
-    # The fields a submission signs, in wire order; its encoding adds the signature.
-    return Writer().digest(holder_id).u64(holder_round).digest(holder_root)
+def _signed(fields: bytes, signature: bytes) -> bytes:
+    return b"".join((fields, prefix(len(signature)), signature))
 
 
 def _paths_bytes(inclusion: InclusionProof, prev_digest: Digest, prev_inclusion: InclusionProof) -> bytes:
     # A receipt's paths, in wire order: the rest of the receipt after its issuer commitment.
-    w = Writer().blob(encode_inclusion_proof(inclusion)).digest(prev_digest)
-    return w.blob(encode_inclusion_proof(prev_inclusion)).getvalue()
+    proof = encode_inclusion_proof(inclusion)
+    prev = digest(prev_digest)
+    prev_proof = encode_inclusion_proof(prev_inclusion)
+    return b"".join((prefix(len(proof)), proof, prev, prefix(len(prev_proof)), prev_proof))
 
 
 R = TypeVar("R")
@@ -157,14 +172,12 @@ class Commitment:
     leaf_count: int
     signature: bytes
 
-    _SIGNED = 80  # bytes of node_id, round, root, leaf_count: the signed prefix
-
     @cached_property
     def _encoding(self) -> bytes:
-        return _commitment_fields(self.node_id, self.round, self.root, self.leaf_count).blob(self.signature).getvalue()
+        return _signed(_COMMITMENT_FIELDS.pack(self.node_id, self.round, self.root, self.leaf_count), self.signature)
 
     def message(self) -> bytes:
-        return self._encoding[: self._SIGNED]
+        return self._encoding[: _COMMITMENT_FIELDS.size]
 
     def to_bytes(self) -> bytes:
         return self._encoding
@@ -177,7 +190,8 @@ class Commitment:
     @staticmethod
     def read(r: Reader) -> "Commitment":
         start = r.tell()
-        c = Commitment(r.digest(), r.u64(), r.digest(), r.u64(), r.blob(MAX_SIGNATURE))
+        node_id, round_no, root, leaf_count, n = _COMMITMENT_HEAD.read(r)
+        c = Commitment(node_id, round_no, root, leaf_count, r._take(bounded(n, MAX_SIGNATURE)))
         return _keep(c, r.since(start))
 
     @staticmethod
@@ -198,14 +212,12 @@ class Submission:
     holder_root: Digest
     signature: bytes
 
-    _SIGNED = 72  # bytes of holder_id, holder_round, holder_root: the signed prefix
-
     @cached_property
     def _encoding(self) -> bytes:
-        return _submission_fields(self.holder_id, self.holder_round, self.holder_root).blob(self.signature).getvalue()
+        return _signed(_SUBMISSION_FIELDS.pack(self.holder_id, self.holder_round, self.holder_root), self.signature)
 
     def message(self) -> bytes:
-        return self._encoding[: self._SIGNED]
+        return self._encoding[: _SUBMISSION_FIELDS.size]
 
     def to_bytes(self) -> bytes:
         return self._encoding
@@ -213,7 +225,8 @@ class Submission:
     @staticmethod
     def read(r: Reader) -> "Submission":
         start = r.tell()
-        sub = Submission(r.digest(), r.u64(), r.digest(), r.blob(MAX_SIGNATURE))
+        holder_id, holder_round, holder_root, n = _SUBMISSION_HEAD.read(r)
+        sub = Submission(holder_id, holder_round, holder_root, r._take(bounded(n, MAX_SIGNATURE)))
         return _keep(sub, r.since(start))
 
     @staticmethod
@@ -293,8 +306,8 @@ class Receipt:
         return self.issuer_commitment.round
 
     def to_bytes(self) -> bytes:
-        blob = Writer().blob(self.issuer_commitment._encoding).getvalue()
-        return self.submission._encoding + blob + self.paths._encoding
+        c = self.issuer_commitment._encoding
+        return b"".join((self.submission._encoding, prefix(len(c)), c, self.paths._encoding))
 
     def leaf_bytes(self) -> bytes:
         return bytes([LEAF_EVIDENCE]) + self.to_bytes()
@@ -304,15 +317,15 @@ def evidence_leaf(submission: Submission, c: Commitment, paths: ReceiptPaths) ->
     """The evidence leaf of the receipt of ``submission``, ``c`` and ``paths``,
     joined once from their bytes: a proof verifier's, with its trusted ``c``."""
     blob = c._encoding
-    return b"".join((bytes([LEAF_EVIDENCE]), submission._encoding, len(blob).to_bytes(4, "big"), blob, paths._encoding))
+    return b"".join((bytes([LEAF_EVIDENCE]), submission._encoding, prefix(len(blob)), blob, paths._encoding))
 
 
 def _manifest_leaf(manifest: Sequence[NodeId]) -> bytes:
-    return Writer().u8(LEAF_MANIFEST).digests(manifest).getvalue()
+    return bytes([LEAF_MANIFEST]) + digests(manifest)
 
 
 def _revocation_leaf(revoked: Sequence[Digest]) -> bytes:
-    return Writer().u8(LEAF_REVOCATION).digests(revoked).getvalue()
+    return bytes([LEAF_REVOCATION]) + digests(revoked)
 
 
 def _read_manifest(r: Reader) -> tuple[NodeId, ...]:
@@ -429,10 +442,10 @@ def build_round(state: RoundState, keypair: KeyPair) -> tuple[MerkleTree, Commit
     """Build and sign one round.  Deterministic in the state's field values."""
     validate_state(state)
     tree = MerkleTree(round_leaves(state))
-    signed = _commitment_fields(state.node_id, state.round, tree.root, tree.size)
-    signature = keypair.sign(signed.getvalue())
+    signed = _COMMITMENT_FIELDS.pack(state.node_id, state.round, tree.root, tree.size)
+    signature = keypair.sign(signed)
     commitment = Commitment(state.node_id, state.round, tree.root, tree.size, signature)
-    return tree, _keep(commitment, signed.blob(signature).getvalue())
+    return tree, _keep(commitment, _signed(signed, signature))
 
 
 class KeyDirectory:
@@ -532,13 +545,9 @@ class ChainEntry:
 
     @cached_property
     def _encoding(self) -> bytes:
-        return (
-            Writer()
-            .blob(self.commitment._encoding)
-            .digest(self.prev_digest)
-            .blob(encode_inclusion_proof(self.first_leaf_proof))
-            .getvalue()
-        )
+        c, prev = self.commitment._encoding, digest(self.prev_digest)
+        proof = encode_inclusion_proof(self.first_leaf_proof)
+        return b"".join((prefix(len(c)), c, prev, prefix(len(proof)), proof))
 
     def to_bytes(self) -> bytes:
         return self._encoding
@@ -719,10 +728,10 @@ class Node:
 
     def make_submission(self) -> Submission:
         latest = self.latest
-        signed = _submission_fields(self.node_id, latest.round, latest.root)
-        signature = self.keypair.sign(signed.getvalue())
+        signed = _SUBMISSION_FIELDS.pack(self.node_id, latest.round, latest.root)
+        signature = self.keypair.sign(signed)
         sub = Submission(self.node_id, latest.round, latest.root, signature)
-        return _keep(sub, signed.blob(signature).getvalue())
+        return _keep(sub, _signed(signed, signature))
 
     def receive_submission(self, sub: Submission, directory: KeyDirectory) -> Verdict:
         if not directory.verify_submission(sub):

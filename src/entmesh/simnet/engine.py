@@ -112,7 +112,9 @@ class MetricsRecord:
     equivocations_detected: int
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # The fields are flat, and ``__init__`` sets them in order: a copy of
+        # the instance dict is ``dataclasses.asdict`` without its deep copy.
+        return dict(self.__dict__)
 
 
 class _CheckedOnce(KeyDirectory):

@@ -6,6 +6,11 @@ values, and variable-length runs carry a big-endian 32-bit length or count
 prefix.  Decoding is strict -- every tag, length, and trailing byte is
 checked -- so any single-bit mutation of an encoded object is caught either
 as a decode error or as a failed content check downstream.
+
+A record is written as one join: its fixed fields packed by a precompiled
+``Head``, kept encodings of the records it holds, and a ``prefix`` before
+each blob.  ``Writer`` writes field by field; the records' bytes and
+encode-time refusals are its.  A record reads its fixed head in one unpack.
 """
 
 from __future__ import annotations
@@ -15,7 +20,21 @@ from typing import Callable, Sequence, TypeVar
 
 from .hashtree import DIGEST_SIZE, STEP_SIZE, Digest, InclusionProof
 
-__all__ = ["Reader", "Writer", "WireError", "decode", "encode_inclusion_proof", "frozen_record", "read_inclusion_proof"]
+__all__ = [
+    "Head",
+    "Reader",
+    "Writer",
+    "WireError",
+    "blobs",
+    "bounded",
+    "decode",
+    "digest",
+    "digests",
+    "encode_inclusion_proof",
+    "frozen_record",
+    "prefix",
+    "read_inclusion_proof",
+]
 
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
@@ -33,6 +52,9 @@ class WireError(ValueError):
 
 
 class Writer:
+    """The field-by-field reference writer, one method and one range check
+    per field, which the tests hold the record encoders to."""
+
     __slots__ = ("_buf",)
 
     def __init__(self) -> None:
@@ -88,6 +110,83 @@ class Writer:
 
 _U32 = struct.Struct(">I").unpack_from
 _U64 = struct.Struct(">Q").unpack_from
+_U32_PACK = struct.Struct(">I").pack
+
+
+def prefix(n: int) -> bytes:
+    """``n`` as a u32: the length prefix of every blob and the count of every list."""
+    try:
+        return _U32_PACK(n)
+    except struct.error:
+        raise WireError(f"u32 out of range: {n}") from None
+
+
+def digest(d: bytes) -> bytes:
+    """``d``, refused unless it is a digest's length."""
+    if len(d) != DIGEST_SIZE:
+        raise WireError(f"digest must be {DIGEST_SIZE} bytes")
+    return d
+
+
+def digests(items: Sequence[bytes]) -> bytes:
+    """A u32 count, then each digest."""
+    for d in items:
+        digest(d)
+    return prefix(len(items)) + b"".join(items)
+
+
+def blobs(items: Sequence[bytes]) -> list[bytes]:
+    """A u32 count, then each item as a blob: the parts, for one join."""
+    parts = [prefix(len(items))]
+    for item in items:
+        parts += (prefix(len(item)), item)
+    return parts
+
+
+_FIELD_LIMITS = {"Q": ("u64", _U64_MAX), "I": ("u32", _U32_MAX)}
+
+
+class Head:
+    """A record's fixed fields in wire order, packed and unpacked by one
+    precompiled ``struct``.  ``kinds`` spells them: ``d`` a digest, ``Q`` a
+    u64, ``I`` a u32.  ``pack`` refuses what ``Writer`` refuses, with its
+    text, at the first field it would; ``struct``'s ``32s`` would pad a
+    short digest and cut a long one, so digest lengths are checked here."""
+
+    __slots__ = ("size", "_kinds", "_struct", "_digests")
+
+    def __init__(self, kinds: str):
+        self._kinds = kinds
+        self._struct = struct.Struct(">" + kinds.replace("d", f"{DIGEST_SIZE}s"))
+        self.size = self._struct.size
+        self._digests = [i for i, kind in enumerate(kinds) if kind == "d"]
+
+    def pack(self, *fields) -> bytes:
+        for i in self._digests:
+            if len(fields[i]) != DIGEST_SIZE:
+                break
+        else:
+            try:
+                return self._struct.pack(*fields)
+            except struct.error:
+                pass
+        for kind, value in zip(self._kinds, fields):
+            if kind == "d":
+                digest(value)
+            elif not 0 <= value <= _FIELD_LIMITS[kind][1]:
+                raise WireError(f"{_FIELD_LIMITS[kind][0]} out of range: {value}")
+        return self._struct.pack(*fields)  # a field that is no integer: struct's own refusal
+
+    def read(self, r: "Reader") -> tuple:
+        """The fields, from the next ``size`` bytes of ``r``."""
+        return self._struct.unpack(r._take(self.size))
+
+
+def bounded(n: int, limit: int) -> int:
+    """A blob length ``n``, refused if it is over ``limit``."""
+    if n > limit:
+        raise WireError(f"blob length {n} exceeds limit")
+    return n
 
 
 class Reader:
@@ -132,10 +231,7 @@ class Reader:
         return self._data[pos : pos + DIGEST_SIZE]
 
     def blob(self, max_len: int = 1 << 24) -> bytes:
-        n = self.u32()
-        if n > max_len:
-            raise WireError(f"blob length {n} exceeds limit")
-        return self._take(n)
+        return self._take(bounded(self.u32(), max_len))
 
     def nested(self, read: Callable[["Reader"], T], max_len: int) -> T:
         """A blob that holds exactly one record, read by ``read``."""
@@ -230,10 +326,17 @@ def encode_inclusion_proof(proof: InclusionProof) -> bytes:
 
 
 def read_inclusion_proof(r: Reader) -> InclusionProof:
-    leaf_index, tree_size, count = _PROOF_HEAD.unpack_from(r._data, r._advance(_PROOF_HEAD.size))
+    """The head in one unpack, then the path's step bytes as one slice."""
+    data, start = r._data, r._pos + _PROOF_HEAD.size
+    if start > r._end:
+        raise WireError("truncated input")
+    leaf_index, tree_size, count = _PROOF_HEAD.unpack_from(data, r._pos)
     if count > MAX_AUDIT_STEPS:
         raise WireError(f"too many audit steps: {count}")
+    end = start + count * STEP_SIZE
     # A step-by-step read meets the first bad side byte before a cut-short path.
-    start, size = r._pos, count * STEP_SIZE
-    _check_sides(r._data[start : start + min(size, r.remaining()) : STEP_SIZE])
-    return frozen_record(InclusionProof, leaf_index=leaf_index, audit_path=r._take(size), tree_size=tree_size)
+    _check_sides(data[start : min(end, r._end) : STEP_SIZE])
+    if end > r._end:
+        raise WireError("truncated input")
+    r._pos = end
+    return frozen_record(InclusionProof, leaf_index=leaf_index, audit_path=data[start:end], tree_size=tree_size)

@@ -132,6 +132,15 @@ class TestSimulate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_yaml_is_refused(self, tmp_path, capsys):
+        # PyYAML composes nested collections recursively; the run ends with one error line.
+        path = tmp_path / "deep.yaml"
+        path.write_text("rounds: " + "[" * 5000 + "]" * 5000 + "\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: nested too deeply\n"
+        assert "Traceback" not in err
+
     def test_run_too_large_is_refused(self, tmp_path, capsys):
         path = tmp_path / "huge.yaml"
         path.write_text("rounds: 100000000000\ntopology:\n  kind: chain\n  hops: 4\n")

@@ -1,5 +1,7 @@
 """Scenario schema: strict keys, dotted error paths, cross-field checks."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -253,6 +255,12 @@ class TestFiles:
         path = tmp_path / "broken.yaml"
         path.write_text("rounds: [unclosed\n")
         with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(path)
+
+    def test_deeply_nested_yaml(self, tmp_path):
+        path = tmp_path / "deep.yaml"
+        path.write_text("rounds: " + "[" * 5000 + "]" * 5000 + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: nested too deeply$"):
             load_config(path)
 
     def test_bundled_scenarios_all_parse_and_run_shape(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmesh.hashtree import ZERO_DIGEST, InclusionProof, sha256
+from entmesh.hashtree import ZERO_DIGEST, InclusionProof, MerkleTree, sha256
 from entmesh.keys import keypair_from_seed
 from entmesh.node import (
     LEAF_ENTANGLED,
@@ -17,6 +17,7 @@ from entmesh.node import (
     FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
     MAX_COMMITMENT,
+    ChainEntry,
     Commitment,
     InvariantViolationError,
     KeyDirectory,
@@ -27,6 +28,7 @@ from entmesh.node import (
     RoundState,
     StaleSubmissionError,
     Submission,
+    check_receipt,
     commitment_digest,
     chain_entry_for,
     credential_leaf_index,
@@ -391,6 +393,56 @@ class TestCommitmentChains:
         bad = dataclasses.replace(entries[1], prev_digest=sha256(b"lie"))
         verdict = verify_chain_entries([entries[0], bad, entries[2]], net.directory)
         assert verdict.reason == "ChainBreak"
+
+
+def signed_tree(node, round_no, leaves):
+    """``leaves`` as a tree, and ``node``'s commitment to it at ``round_no``, signed with its own key."""
+    tree = MerkleTree(leaves)
+    unsigned = Commitment(node.node_id, round_no, tree.root, tree.size, b"")
+    return tree, dataclasses.replace(unsigned, signature=node.keypair.sign(unsigned.message()))
+
+
+def prev_leaf(digest):
+    return bytes([LEAF_PREV]) + digest
+
+
+class TestSignedTreesNoBuilderMakes:
+    """A real key can sign a tree that no honest build makes: here, one whose
+    second leaf is a second prev-commitment leaf.  Every hash and signature
+    then checks out, and only the leaf's position is refused."""
+
+    DECOY = sha256(b"decoy")
+
+    def test_receipt_whose_prev_leaf_proof_is_not_at_index_0(self, manual_net):
+        net = manual_net(["a", "b"], [("a", "b")]).run(3)
+        holder, issuer = net.nodes["a"], net.nodes["b"]
+        sub = holder.make_submission()
+        real = commitment_digest(issuer.record_at(2).commitment)
+        tree, c = signed_tree(issuer, 3, [prev_leaf(real), prev_leaf(self.DECOY), sub.leaf_bytes()])
+        honest = ReceiptPaths(tree.prove_inclusion(2), real, tree.prove_inclusion(0))
+        assert check_receipt(Receipt(sub, c, honest), net.directory)
+        off_index = ReceiptPaths(tree.prove_inclusion(2), self.DECOY, tree.prove_inclusion(1))
+        verdict = check_receipt(Receipt(sub, c, off_index), net.directory)
+        assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "prev-commitment leaf unproven")
+
+    def test_chain_entry_whose_first_leaf_proof_is_not_at_index_0(self, manual_net):
+        net = manual_net(["a", "b"], [("a", "b")]).run(3)
+        node = net.nodes["a"]
+        real = commitment_digest(node.record_at(1).commitment)
+        tree, c = signed_tree(node, 2, [prev_leaf(real), prev_leaf(self.DECOY), bytes([LEAF_PAYLOAD]) + self.DECOY])
+        assert verify_chain_entries([ChainEntry(c, real, tree.prove_inclusion(0))], net.directory)
+        verdict = verify_chain_entries([ChainEntry(c, self.DECOY, tree.prove_inclusion(1))], net.directory)
+        assert (verdict.reason, verdict.detail) == ("ChainBreak", "first-leaf proof at wrong position, round 2")
+
+    def test_round_0_entry_with_a_non_zero_prev_digest(self, manual_net):
+        net = manual_net(["a", "b"], [("a", "b")]).run(1)
+        node = net.nodes["a"]
+        payload = bytes([LEAF_PAYLOAD]) + self.DECOY
+        tree, c = signed_tree(node, 0, [prev_leaf(ZERO_DIGEST), payload])
+        assert verify_chain_entries([ChainEntry(c, ZERO_DIGEST, tree.prove_inclusion(0))], net.directory)
+        tree, c = signed_tree(node, 0, [prev_leaf(self.DECOY), payload])
+        verdict = verify_chain_entries([ChainEntry(c, self.DECOY, tree.prove_inclusion(0))], net.directory)
+        assert (verdict.reason, verdict.detail) == ("ChainBreak", "round 0 must chain from the zero digest")
 
 
 class TestPruning:

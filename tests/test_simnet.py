@@ -109,6 +109,12 @@ class TestHonestRuns:
         for bad in ("ReceiptMissing", "ReceiptRejected", "EquivocationDetected", "SelfAuditFailed"):
             assert events_of(sim, bad) == []
 
+    def test_metrics_rows_are_the_records_fields_in_order(self):
+        sim = Simulation(centralized(3), rounds=4, seed=1).run()
+        rows = sim.metrics_rows()
+        assert len(rows) == len(sim.metrics) > 0
+        assert [list(row.items()) for row in rows] == [list(dataclasses.asdict(m).items()) for m in sim.metrics]
+
     def test_receipt_lag_is_uniform(self):
         sim = Simulation(chain(3), rounds=7, seed=2).run()
         for label in ("h0", "m2-0", "m1-0"):

@@ -205,6 +205,13 @@ class TestInclusionProofWire:
         with pytest.raises(WireError, match="^truncated input$"):
             read_inclusion_proof(Reader(bytes(data[: 20 + 33])))
 
+    def test_head_cut_short_inside_its_blob(self):
+        # The blob holds 10 bytes of a 20-byte head.  The bytes after it, which
+        # would read as a step count of 2**32 - 1, belong to the outer record.
+        data = Writer().blob(bytes(10)).getvalue() + b"\xff" * 40
+        with pytest.raises(WireError, match="^truncated input$"):
+            Reader(data).nested(read_inclusion_proof, 64)
+
     def test_step_count_checked_before_the_steps(self):
         data = struct.pack(">QQI", 0, 1, MAX_AUDIT_STEPS + 1)
         with pytest.raises(WireError, match=f"^too many audit steps: {MAX_AUDIT_STEPS + 1}$"):
@@ -416,3 +423,119 @@ def _mutated(draw, blob: bytes) -> bytes:
 def test_mutated_proof_decodes_like_the_reference(encoded_proofs, kind, data):
     blob = data.draw(_mutated(encoded_proofs[kind]), label="mutated")
     assert _outcome(entangle.decode_proof, blob) == _outcome(reference_decode_proof, blob)
+
+
+
+# Commitments and submissions unpack their fixed head at once.  This
+# reference reads each of their fields in turn, on the slow copying reader
+# above with its step-by-step path reader.
+
+
+def fieldwise_read_commitment(r) -> node.Commitment:
+    start = r.tell()
+    c = node.Commitment(r.digest(), r.u64(), r.digest(), r.u64(), r.blob(node.MAX_SIGNATURE))
+    return node._keep(c, r.since(start))
+
+
+def fieldwise_read_submission(r) -> node.Submission:
+    start = r.tell()
+    sub = node.Submission(r.digest(), r.u64(), r.digest(), r.blob(node.MAX_SIGNATURE))
+    return node._keep(sub, r.since(start))
+
+
+def fieldwise_decode_proof(data: bytes):
+    with (
+        mock.patch.object(node.Commitment, "read", staticmethod(fieldwise_read_commitment)),
+        mock.patch.object(node.Submission, "read", staticmethod(fieldwise_read_submission)),
+    ):
+        return reference_decode_proof(data)
+
+
+@pytest.mark.parametrize("kind", ["link", "hub", "chain"])
+def test_pristine_proof_decodes_like_the_fieldwise_reference(encoded_proofs, kind):
+    blob = encoded_proofs[kind]
+    assert entangle.decode_proof(blob) == fieldwise_decode_proof(blob)
+
+
+@pytest.mark.parametrize("kind", ["link", "hub", "chain"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_proof_decodes_like_the_fieldwise_reference(encoded_proofs, kind, data):
+    blob = data.draw(_mutated(encoded_proofs[kind]), label="mutated")
+    assert _outcome(entangle.decode_proof, blob) == _outcome(fieldwise_decode_proof, blob)
+
+
+@pytest.mark.parametrize(
+    "read, fieldwise",
+    [(node.Commitment.read, fieldwise_read_commitment), (node.Submission.read, fieldwise_read_submission)],
+    ids=["commitment", "submission"],
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_head_reads_like_the_fieldwise_reference(encoded_proofs, read, fieldwise, data):
+    # A chain entry's commitment or a link round's submission, cut, lengthened or flipped.
+    link = entangle.decode_proof(encoded_proofs["link"])
+    record = link.holder_chain[0].commitment if read is node.Commitment.read else link.submissions[0]
+    blob = data.draw(_mutated(record.to_bytes()), label="mutated")
+    assert _outcome(lambda b: decode(b, read), blob) == _outcome(lambda b: copying_decode(b, fieldwise), blob)
+
+
+class TestRecordEncodersRefuse:
+    """Record and proof encoders refuse what the field-by-field writer refused, with its text."""
+
+    @pytest.fixture(scope="class")
+    def proofs(self, encoded_proofs):
+        return {kind: entangle.decode_proof(blob) for kind, blob in encoded_proofs.items()}
+
+    def test_link_proof_with_a_short_holder_id(self, proofs):
+        bad = dataclasses.replace(proofs["link"], holder_id=proofs["link"].holder_id[:31])
+        with pytest.raises(WireError, match="^digest must be 32 bytes$"):
+            entangle.encode_proof(bad)
+
+    def test_link_proof_with_a_window_start_past_u64(self, proofs):
+        bad = dataclasses.replace(proofs["link"], window_start=2**64)
+        with pytest.raises(WireError, match="^u64 out of range: 18446744073709551616$"):
+            entangle.encode_proof(bad)
+
+    def test_hub_proof_whose_manifest_holds_a_short_id(self, proofs):
+        hub = proofs["hub"]
+        bad = dataclasses.replace(hub, manifest=(hub.manifest[0][:31],) + hub.manifest[1:])
+        with pytest.raises(WireError, match="^digest must be 32 bytes$"):
+            entangle.encode_proof(bad)
+
+    def test_commitment_with_a_short_root(self, proofs):
+        c = proofs["link"].holder_chain[0].commitment
+        with pytest.raises(WireError, match="^digest must be 32 bytes$"):
+            dataclasses.replace(c, root=c.root[:31]).to_bytes()
+
+    def test_commitment_with_a_negative_round(self, proofs):
+        c = proofs["link"].holder_chain[0].commitment
+        with pytest.raises(WireError, match="^u64 out of range: -1$"):
+            dataclasses.replace(c, round=-1).to_bytes()
+
+    def test_link_proof_refuses_its_first_bad_field(self, proofs):
+        # The issuer id comes before the window in wire order, so it is named first.
+        link = proofs["link"]
+        bad = dataclasses.replace(link, issuer_id=link.issuer_id + b"\x00", window_start=-1)
+        with pytest.raises(WireError, match="^digest must be 32 bytes$"):
+            entangle.encode_proof(bad)
+        with pytest.raises(WireError, match="^u64 out of range: -1$"):
+            entangle.encode_proof(dataclasses.replace(link, window_start=-1, window_end=-2))
+
+    def test_submission_chain_entry_and_paths_with_a_short_digest(self, proofs):
+        link = proofs["link"]
+        sub, entry, paths = link.submissions[0], link.holder_chain[0], link.receipts[0]
+        with pytest.raises(WireError, match="^digest must be 32 bytes$"):
+            dataclasses.replace(sub, holder_root=sub.holder_root[:31]).to_bytes()
+        with pytest.raises(WireError, match="^u64 out of range: 18446744073709551616$"):
+            dataclasses.replace(sub, holder_round=2**64).to_bytes()
+        with pytest.raises(WireError, match="^digest must be 32 bytes$"):
+            dataclasses.replace(entry, prev_digest=bytes(33)).to_bytes()
+        with pytest.raises(WireError, match="^digest must be 32 bytes$"):
+            dataclasses.replace(paths, prev_digest=bytes(31)).to_bytes()
+
+    def test_hub_link_with_a_short_issuer_id(self, proofs):
+        hub = proofs["hub"]
+        link = dataclasses.replace(hub.links[0], issuer_id=bytes(31))
+        with pytest.raises(WireError, match="^digest must be 32 bytes$"):
+            entangle.encode_proof(dataclasses.replace(hub, links=(link,) + hub.links[1:]))
