@@ -128,7 +128,7 @@ def cmd_prove(args) -> int:
             descr = f"link {holder} -> {args.issuer}, rounds [{start}, {end}]"
         elif args.kind == "hub":
             proof = build_hub_proof(records, (start, end), receipts)
-            descr = f"hub {holder}, {len(proof.links)} links, rounds [{start}, {end}]"
+            descr = f"hub {holder}, {len(proof.manifest)} links, rounds [{start}, {end}]"
         else:
             path = sim.path_to_anchor(holder)
             ids = [sim.nodes[label].node_id for label in path]
@@ -209,7 +209,7 @@ def cmd_inspect(args) -> int:
                 "holder": proof.holder_id.hex(),
                 "issuer": proof.issuer_id.hex(),
                 "window": [proof.window_start, proof.window_end],
-                "receipts": len(proof.receipts),
+                "receipts": len(proof.rounds),
                 "bytes": len(blob),
             }
             lines = [
@@ -222,13 +222,13 @@ def cmd_inspect(args) -> int:
                 "kind": "hub",
                 "holder": proof.holder_id.hex(),
                 "window": [proof.window_start, proof.window_end],
-                "links": len(proof.links),
+                "links": len(proof.manifest),
                 "manifest": [node_id.hex() for node_id in proof.manifest],
                 "bytes": len(blob),
             }
             lines = [
                 f"hub proof, rounds [{proof.window_start}, {proof.window_end}], "
-                f"{len(proof.links)} links, {len(blob)} bytes",
+                f"{len(proof.manifest)} links, {len(blob)} bytes",
                 f"  holder {proof.holder_id.hex()}",
             ]
         else:

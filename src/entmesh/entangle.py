@@ -19,18 +19,19 @@ Proof vocabulary:
 * ``RootPath``    -- a bare digest path showing one root is transitively
   committed by a later tree, with no receipt evidence involved.
 
-A proof holds no whole receipt.  Per window round it holds the holder's
-submission, and per issuer round the receipt's paths (``ReceiptPaths``);
-the verifier checks them against its trusted copy of the issuer commitment,
-which it would otherwise compare the receipt's with, and joins the three
-into the receipt's evidence leaf.
+A link or hub proof is its holder chain and its window rounds: each
+``WindowRound`` holds the holder's submission, each issuer's receipt paths
+(``ReceiptPaths``) and the round's evidence proof.  A proof holds no whole
+receipt: the verifier checks the paths against its trusted copy of the
+issuer commitment, which it would otherwise compare the receipt's with, and
+joins the three into the receipt's evidence leaf.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .hashtree import Digest, InclusionProof, fold_root
 from .keys import NodeId
@@ -64,7 +65,6 @@ from .wire import (
     WireError,
     blobs,
     decode,
-    digest,
     digests,
     encode_inclusion_proof,
     prefix,
@@ -73,12 +73,12 @@ from .wire import (
 
 __all__ = [
     "ChainProof",
-    "HubLink",
     "HubProof",
     "LinkProof",
     "MissingReceiptError",
     "PathStep",
     "RootPath",
+    "WindowRound",
     "build_chain_proof",
     "build_hub_proof",
     "build_link_proof",
@@ -95,7 +95,7 @@ __all__ = [
 # the issuer-side inclusion, +1 for evidence retention.
 EVIDENCE_LAG = 2
 
-# Bytes of one hub issuer record or one chain hop blob (docs/FORMATS.md).
+# Bytes of one hub round's submission and receipt paths, or of one chain hop blob (docs/FORMATS.md).
 MAX_LINK = 1 << 24
 
 
@@ -110,6 +110,43 @@ class MissingReceiptError(ValueError):
         self.round = round_no
 
 
+class WindowRound(NamedTuple):
+    """One window round r of a link or hub proof: the holder's round-r
+    submission, each issuer's receipt paths for it in manifest order (one for
+    a link), and the proof that their evidence leaves are one run of leaves in
+    the holder's round r + EVIDENCE_LAG tree.  A tuple, since a proof builds
+    and reads one per round."""
+
+    submission: Submission
+    receipts: tuple[ReceiptPaths, ...]
+    evidence_proof: InclusionProof
+
+
+def _rounds_bytes(rounds: Sequence[WindowRound]) -> list[bytes]:
+    """A u32 count, then per round a blob of the submission and its receipts'
+    paths and a blob of the evidence proof: the parts, for one join."""
+    parts = [prefix(len(rounds))]
+    for sub, receipts, evidence in rounds:
+        sub_bytes, paths_bytes = sub._encoding, b"".join([paths._encoding for paths in receipts])
+        proof_bytes = encode_inclusion_proof(evidence)
+        parts += (prefix(len(sub_bytes) + len(paths_bytes)), sub_bytes, paths_bytes, prefix(len(proof_bytes)), proof_bytes)
+    return parts
+
+
+def _read_rounds(r: Reader, issuers: int, limit: int) -> tuple[WindowRound, ...]:
+    """What ``_rounds_bytes`` writes, ``issuers`` receipts to a round, whose
+    submission and paths blob is at most ``limit`` bytes."""
+
+    def held(r: Reader) -> tuple[Submission, tuple[ReceiptPaths, ...]]:
+        return Submission.read(r), tuple([ReceiptPaths.read(r) for _ in range(issuers)])
+
+    def read_round(r: Reader) -> WindowRound:
+        sub, receipts = r.nested(held, limit)
+        return WindowRound(sub, receipts, r.nested(read_inclusion_proof, MAX_RECORD))
+
+    return r.many(read_round, "window rounds", MAX_ITEMS)
+
+
 @dataclass(frozen=True)
 class LinkProof:
     """Evidence for one periodic link over holder rounds [start, end]."""
@@ -119,52 +156,16 @@ class LinkProof:
     window_start: int
     window_end: int
     holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
-    submissions: tuple[Submission, ...]  # the holder's, one per window round
-    receipts: tuple[ReceiptPaths, ...]  # the issuer's receipt paths, one per window round
-    evidence_proofs: tuple[InclusionProof, ...]  # receipt leaf in holder tree r+2
+    rounds: tuple[WindowRound, ...]  # one per window round, each with the issuer's receipt paths
 
     def to_bytes(self) -> bytes:
-        parts = [_LINK_HEAD.pack(self.holder_id, self.issuer_id, self.window_start, self.window_end)]
-        parts += blobs([entry._encoding for entry in self.holder_chain])
-        if not len(self.submissions) == len(self.receipts) == len(self.evidence_proofs):
-            counts = len(self.submissions), len(self.receipts), len(self.evidence_proofs)
-            raise WireError("%d submissions, %d receipts, %d evidence proofs" % counts)
-        parts.append(prefix(len(self.receipts)))
-        for sub, paths, proof in zip(self.submissions, self.receipts, self.evidence_proofs):  # per window round
-            sub_bytes, paths_bytes, proof_bytes = sub._encoding, paths._encoding, encode_inclusion_proof(proof)
-            parts += (prefix(len(sub_bytes) + len(paths_bytes)), sub_bytes, paths_bytes, prefix(len(proof_bytes)), proof_bytes)
-        return b"".join(parts)
+        head = _LINK_HEAD.pack(self.holder_id, self.issuer_id, self.window_start, self.window_end)
+        return b"".join([head, *blobs([entry._encoding for entry in self.holder_chain]), *_rounds_bytes(self.rounds)])
 
     @staticmethod
     def read(r: Reader) -> "LinkProof":
         (holder_id, issuer_id, start, end), chain = _LINK_HEAD.read(r), _read_chain(r)
-        window = r.many(_read_link_round, "window rounds", MAX_ITEMS)
-        columns = tuple(zip(*window)) or ((), (), ())  # submissions, receipt paths, evidence proofs
-        return LinkProof(holder_id, issuer_id, start, end, chain, *columns)
-
-
-def _read_link_round(r: Reader) -> tuple[Submission, ReceiptPaths, InclusionProof]:
-    """One window round of a link proof: a blob of the submission and the receipt paths, then the evidence proof."""
-    sub, paths = r.nested(lambda r: (Submission.read(r), ReceiptPaths.read(r)), MAX_RECORD)
-    return sub, paths, r.nested(read_inclusion_proof, MAX_RECORD)
-
-
-@dataclass(frozen=True)
-class HubLink:
-    """One issuer's receipt paths inside a hub proof, which holds the rest."""
-
-    issuer_id: NodeId
-    receipts: tuple[ReceiptPaths, ...]  # one per window round
-
-    def to_bytes(self) -> bytes:
-        return b"".join([digest(self.issuer_id), *blobs([paths._encoding for paths in self.receipts])])
-
-    @staticmethod
-    def read(r: Reader, rounds: int) -> "HubLink":
-        issuer_id, count = r.digest(), r.u32()
-        if count != rounds:
-            raise WireError(f"{count} receipts for {rounds} window rounds")
-        return HubLink(issuer_id, tuple([r.nested(ReceiptPaths.read, MAX_RECORD) for _ in range(count)]))
+        return LinkProof(holder_id, issuer_id, start, end, chain, _read_rounds(r, 1, MAX_RECORD))
 
 
 def _read_chain(r: Reader) -> tuple[ChainEntry, ...]:
@@ -190,13 +191,6 @@ def _holder_chain(holder_records: Sequence[NodeRecord], window: tuple[int, int])
     return tuple(chain_entry_for(holder_records[r]) for r in range(start, end + EVIDENCE_LAG + 1))
 
 
-def _window_receipts(issuer_id: NodeId, window: tuple[int, int], receipts: Mapping[tuple[NodeId, int], Receipt]) -> list[Receipt]:
-    missing = [r for r in range(window[0], window[1] + 1) if (issuer_id, r) not in receipts]
-    if missing:
-        raise MissingReceiptError(issuer_id, missing[0])
-    return [receipts[issuer_id, r] for r in range(window[0], window[1] + 1)]
-
-
 def _not_one_run(r: int) -> ValueError:
     return ValueError(f"receipts for round {r} are not one run of leaves in holder round {r + EVIDENCE_LAG}")
 
@@ -220,6 +214,30 @@ def _evidence_proof(holder_records: Sequence[NodeRecord], issuer_ids: Sequence[N
     return retaining.tree.prove_range(first, first + len(issuer_ids))
 
 
+def _window_rounds(
+    holder_records: Sequence[NodeRecord],
+    issuer_ids: Sequence[NodeId],
+    window: tuple[int, int],
+    receipts: Mapping[tuple[NodeId, int], Receipt],
+) -> tuple[WindowRound, ...]:
+    """Each window round's submission, the receipt paths of ``issuer_ids`` in
+    that order, and their evidence run."""
+    span = range(window[0], window[1] + 1)
+    by_issuer = []
+    for issuer_id in issuer_ids:  # a missing receipt is named before any evidence is proved
+        try:
+            by_issuer.append([receipts[issuer_id, r] for r in span])
+        except KeyError:
+            raise MissingReceiptError(issuer_id, next(r for r in span if (issuer_id, r) not in receipts)) from None
+    subs = [receipt.submission for receipt in by_issuer[0]]
+    for found in by_issuer[1:]:
+        for r, sub, receipt in zip(span, subs, found):
+            if receipt.submission.to_bytes() != sub.to_bytes():
+                raise ValueError(f"receipts for round {r} carry different submissions")
+    paths = zip(*[[receipt.paths for receipt in found] for found in by_issuer])
+    return tuple(map(WindowRound, subs, paths, [_evidence_proof(holder_records, issuer_ids, r) for r in span]))
+
+
 def build_link_proof(
     holder_records: Sequence[NodeRecord],
     issuer_id: NodeId,
@@ -227,10 +245,8 @@ def build_link_proof(
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> LinkProof:
     chain = _holder_chain(holder_records, window)
-    found = _window_receipts(issuer_id, window, receipts)  # a missing receipt is named before its evidence
-    evidence = tuple(_evidence_proof(holder_records, (issuer_id,), r) for r in range(window[0], window[1] + 1))
-    subs, paths = tuple(rc.submission for rc in found), tuple(rc.paths for rc in found)
-    return LinkProof(chain[0].commitment.node_id, issuer_id, *window, chain, subs, paths, evidence)
+    rounds = _window_rounds(holder_records, (issuer_id,), window, receipts)
+    return LinkProof(chain[0].commitment.node_id, issuer_id, *window, chain, rounds)
 
 
 _Obligation = tuple[NodeId, int, bytes, bytes]  # (node_id, round, message, signature)
@@ -322,19 +338,22 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
 
 def _check_link(proof: LinkProof, trusted: _ByRound, view: _Deferred, commitments: Optional[_ByRound] = None) -> Verdict:
     commitments = _by_round(proof.holder_chain) if commitments is None else commitments
-    return _check_holder_chain(proof, view) and _check_rounds(proof, commitments, ((proof, trusted),), view)
+    verdict = _check_holder_chain(proof, view)
+    if verdict and any(len(rnd.receipts) != 1 for rnd in proof.rounds):  # a decoded link round holds one
+        verdict = Verdict.failed("WindowInvalid", "one receipt per round required")
+    return verdict and _check_rounds(proof, commitments, ((proof.issuer_id, trusted),), view)
 
 
 def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verdict:
     """The holder's chain covers its window plus EVIDENCE_LAG rounds and links
-    up, and the holder has one submission per window round."""
+    up, and the proof holds one round per window round."""
     view.mark()
     s, e = holder.window_start, holder.window_end
     if s > e:
         return Verdict.failed("WindowInvalid", f"window [{s}, {e}]")
     if len(holder.holder_chain) != e - s + 1 + EVIDENCE_LAG:
         return Verdict.failed("WindowInvalid", "holder chain does not cover the window")
-    if len(holder.submissions) != e - s + 1:
+    if len(holder.rounds) != e - s + 1:
         return Verdict.failed("WindowInvalid", "one receipt per round required")
     for offset, entry in enumerate(holder.holder_chain):
         if entry.commitment.node_id != holder.holder_id:
@@ -350,18 +369,15 @@ def _part_failed(holder: "LinkProof | HubProof", where: str, reason: str, detail
     return _wrapped("LinkFailed", where, verdict) if isinstance(holder, HubProof) else verdict
 
 
-def _check_rounds(holder: "LinkProof | HubProof", commitments: _ByRound, links: Sequence[tuple], view: _Deferred) -> Verdict:
+def _check_rounds(
+    holder: "LinkProof | HubProof", commitments: _ByRound, issuers: Sequence[tuple[NodeId, _ByRound]], view: _Deferred
+) -> Verdict:
     """Each window round in turn, against ``holder``'s checked chain by round in
-    ``commitments``: the holder's submission once, then the receipt paths of each
-    (link, trusted issuer commitments) pair in ``links``, then the round's
-    evidence proof over the leaves those receipts join, in that order."""
-    s, e = holder.window_start, holder.window_end
-    for link, _ in links:
-        if len(link.receipts) != e - s + 1:
-            return _part_failed(holder, link.issuer_id.hex(), "WindowInvalid", "one receipt per round required")
-    if len(holder.evidence_proofs) != e - s + 1:
-        return Verdict.failed("WindowInvalid", "one evidence proof per round required")
-    for i, (r, sub) in enumerate(zip(range(s, e + 1), holder.submissions)):
+    ``commitments``: the holder's submission once, then each receipt's paths
+    against its (issuer id, trusted issuer commitments) pair in ``issuers``, then
+    the round's evidence proof over the leaves those receipts join, in that order."""
+    s = holder.window_start
+    for r, (sub, receipts, evidence) in zip(range(s, holder.window_end + 1), holder.rounds):
         view.mark()  # a failed receipt check pays for no earlier round's signature
         if sub.holder_id != holder.holder_id or sub.holder_round != r:
             return _part_failed(holder, "holder chain", "ReceiptMismatch", f"receipt is not for holder round {r}")
@@ -370,22 +386,22 @@ def _check_rounds(holder: "LinkProof | HubProof", commitments: _ByRound, links: 
         if not view.verify_submission(sub):
             return _part_failed(holder, "holder chain", "BadSignature", f"holder signature in receipt for round {r}")
         leaves = []
-        for link, trusted in links:
-            paths, issuer_c = link.receipts[i], trusted.get(r + 1)
+        for (issuer_id, trusted), paths in zip(issuers, receipts):
+            issuer_c = trusted.get(r + 1)
             if issuer_c is None:
                 detail = f"no trusted issuer commitment for round {r + 1}"
-                return _part_failed(holder, link.issuer_id.hex(), "TrustedRootUnavailable", detail)
-            if issuer_c.node_id != link.issuer_id:
-                return _part_failed(holder, link.issuer_id.hex(), "ReceiptMismatch", "receipt from another issuer")
+                return _part_failed(holder, issuer_id.hex(), "TrustedRootUnavailable", detail)
+            if issuer_c.node_id != issuer_id:
+                return _part_failed(holder, issuer_id.hex(), "ReceiptMismatch", "receipt from another issuer")
             verdict = _check_receipt_inclusions(sub, paths, issuer_c, view)  # its signature was checked where it entered trust
             if not verdict:
-                return _part_failed(holder, link.issuer_id.hex(), verdict.reason, f"{verdict.detail} for round {r}")
+                return _part_failed(holder, issuer_id.hex(), verdict.reason, f"{verdict.detail} for round {r}")
             if r > s and paths.prev_digest != commitment_digest(trusted[r]):
                 detail = f"issuer chain breaks before round {r + 1}"
-                return _part_failed(holder, link.issuer_id.hex(), "ChainBreak", detail)
+                return _part_failed(holder, issuer_id.hex(), "ChainBreak", detail)
             leaves.append(evidence_leaf(sub, issuer_c, paths))
         view.mark()  # no signature fault reaches the evidence fold: a failed one pays for none
-        if not view.proves(commitments[r + EVIDENCE_LAG], leaves, holder.evidence_proofs[i]):
+        if not view.proves(commitments[r + EVIDENCE_LAG], leaves, evidence):
             what = "receipts" if isinstance(holder, HubProof) else "receipt"
             return Verdict.failed("EvidenceInvalid", f"{what} for round {r} not retained in round {r + EVIDENCE_LAG}")
     return Verdict.passed()
@@ -401,41 +417,26 @@ class HubProof:
     manifest: tuple[NodeId, ...]
     manifest_proofs: tuple[InclusionProof, ...]  # manifest leaf, one per window round
     holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
-    submissions: tuple[Submission, ...]  # the holder's, one per window round, for every link
-    links: tuple[HubLink, ...]  # in manifest order
-    evidence_proofs: tuple[InclusionProof, ...]  # per window round r, its receipts' run in holder tree r+2
+    rounds: tuple[WindowRound, ...]  # one per window round, each with every manifest issuer's receipt paths
 
     def to_bytes(self) -> bytes:
-        if not self.links:
+        if not self.manifest:
             raise WireError("a hub proof needs at least one link")
-        rounds = self.window_end - self.window_start + 1
-        if len(self.submissions) != rounds:
-            raise WireError(f"{len(self.submissions)} submissions for a window of {rounds} rounds")
-        for link in self.links:
-            if len(link.receipts) != rounds:
-                raise WireError(f"{len(link.receipts)} receipts for {rounds} window rounds")
         parts = [_HUB_HEAD.pack(self.holder_id, self.window_start, self.window_end), digests(self.manifest)]
         parts += blobs([encode_inclusion_proof(proof) for proof in self.manifest_proofs])
         parts += blobs([entry._encoding for entry in self.holder_chain])
-        parts += blobs([sub._encoding for sub in self.submissions])
-        parts += blobs([link.to_bytes() for link in self.links])
-        parts += blobs([encode_inclusion_proof(proof) for proof in self.evidence_proofs])
+        parts += _rounds_bytes(self.rounds)
         return b"".join(parts)
 
     @staticmethod
     def read(r: Reader) -> "HubProof":
         holder_id, start, end = _HUB_HEAD.read(r)
         manifest = r.digests("manifest ids", MAX_ITEMS)
+        if not manifest:
+            raise WireError("a hub proof needs at least one link")
         manifest_proofs = r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "manifest proofs", MAX_ITEMS)
         chain = _read_chain(r)
-        submissions = r.many(lambda r: r.nested(Submission.read, MAX_RECORD), "submissions", MAX_ITEMS)
-        if len(submissions) != end - start + 1:
-            raise WireError(f"{len(submissions)} submissions for a window of {end - start + 1} rounds")
-        links = r.many(lambda r: r.nested(lambda r: HubLink.read(r, len(submissions)), MAX_LINK), "links", MAX_ITEMS)
-        if not links:
-            raise WireError("a hub proof needs at least one link")
-        evidence = r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "evidence proofs", MAX_ITEMS)
-        return HubProof(holder_id, start, end, manifest, manifest_proofs, chain, submissions, links, evidence)
+        return HubProof(holder_id, start, end, manifest, manifest_proofs, chain, _read_rounds(r, len(manifest), MAX_LINK))
 
 
 def build_hub_proof(
@@ -454,21 +455,8 @@ def build_hub_proof(
         if record.state.manifest != manifest:
             raise ValueError(f"manifest changed inside window at round {r}")
         proofs.append(record.tree.prove_inclusion(MANIFEST_LEAF_INDEX))
-    by_issuer = [_window_receipts(issuer_id, window, receipts) for issuer_id in manifest]
-    for r, round_receipts in zip(range(start, end + 1), zip(*by_issuer)):
-        if len({receipt.submission.to_bytes() for receipt in round_receipts}) > 1:
-            raise ValueError(f"receipts for round {r} carry different submissions")
-    return HubProof(
-        holder_id=chain[0].commitment.node_id,
-        window_start=start,
-        window_end=end,
-        manifest=manifest,
-        manifest_proofs=tuple(proofs),
-        holder_chain=chain,
-        submissions=tuple(receipt.submission for receipt in by_issuer[0]),
-        links=tuple(HubLink(issuer_id, tuple(rc.paths for rc in found)) for issuer_id, found in zip(manifest, by_issuer)),
-        evidence_proofs=tuple(_evidence_proof(holder_records, manifest, r) for r in range(start, end + 1)),
-    )
+    rounds = _window_rounds(holder_records, manifest, window, receipts)
+    return HubProof(chain[0].commitment.node_id, start, end, manifest, tuple(proofs), chain, rounds)
 
 
 def verify_hub(
@@ -494,9 +482,9 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
         return Verdict.failed("WindowInvalid", "one manifest proof per round required")
     if tuple(sorted(proof.manifest)) != proof.manifest or len(set(proof.manifest)) != len(proof.manifest):
         return Verdict.failed("ManifestMismatch", "manifest not in canonical order")
-    if tuple(link.issuer_id for link in proof.links) != proof.manifest:
+    if any(len(rnd.receipts) != len(proof.manifest) for rnd in proof.rounds):
         return Verdict.failed("ManifestMismatch", "presented links do not match the committed manifest")
-    if not proof.links:
+    if not proof.manifest:
         return Verdict.failed("ManifestMismatch", "no links presented")
     verdict = _check_holder_chain(proof, view)
     if not verdict:
@@ -509,11 +497,11 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
         if not view.proves(commitments[r], manifest_leaf, m_proof):
             return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")
-    links = [(link, trusted.get(link.issuer_id)) for link in proof.links]
-    for link, issuer_trust in links:
+    issuers = [(issuer_id, trusted.get(issuer_id)) for issuer_id in proof.manifest]
+    for issuer_id, issuer_trust in issuers:
         if issuer_trust is None:
-            return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {link.issuer_id.hex()}")
-    return _check_rounds(proof, commitments, links, view)
+            return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {issuer_id.hex()}")
+    return _check_rounds(proof, commitments, issuers, view)
 
 
 @dataclass(frozen=True)
@@ -540,7 +528,7 @@ class ChainProof:
     @staticmethod
     def read(r: Reader) -> "ChainProof":
         hops = r.many(lambda r: r.nested(LinkProof.read, MAX_LINK), "hops", MAX_ITEMS)
-        if not hops or not hops[-1].receipts:
+        if not hops or not hops[-1].rounds:
             raise WireError("a chain proof needs at least one hop, and a receipt in its last hop")
         return ChainProof(hops=hops)
 
@@ -714,7 +702,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
     return current == end_root
 
 
-_PROOF_MAGIC = b"EMP4"
+_PROOF_MAGIC = b"EMP5"
 _PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 

@@ -310,12 +310,13 @@ class Receipt:
         return b"".join((self.submission._encoding, prefix(len(c)), c, self.paths._encoding))
 
     def leaf_bytes(self) -> bytes:
-        return bytes([LEAF_EVIDENCE]) + self.to_bytes()
+        return evidence_leaf(self.submission, self.issuer_commitment, self.paths)
 
 
 def evidence_leaf(submission: Submission, c: Commitment, paths: ReceiptPaths) -> bytes:
     """The evidence leaf of the receipt of ``submission``, ``c`` and ``paths``,
-    joined once from their bytes: a proof verifier's, with its trusted ``c``."""
+    joined once from their bytes: a retained receipt's, or a proof verifier's
+    with its trusted ``c``."""
     blob = c._encoding
     return b"".join((bytes([LEAF_EVIDENCE]), submission._encoding, prefix(len(blob)), blob, paths._encoding))
 

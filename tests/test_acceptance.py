@@ -91,8 +91,8 @@ def test_01_figure_reproduction(announce):
     )
     verdict = verify_link(link, _anchor_log(sim, "hub"), sim.directory)
     elapsed = time.perf_counter() - t0
-    if len(link.receipts) != 4 or len(link.evidence_proofs) != 4:
-        problems.append(f"link carries {len(link.receipts)} receipts")
+    if len(link.rounds) != 4:
+        problems.append(f"link carries {len(link.rounds)} receipts")
     if not verdict:
         problems.append(f"link proof failed: {verdict.reason}")
     if elapsed >= 1.0:
@@ -105,12 +105,13 @@ def test_01_figure_reproduction(announce):
     trusted = {sim.nodes[f"p{i}"].node_id: _anchor_log(sim, f"p{i}") for i in range(5)}
     verdict = verify_hub(hub, trusted, sim.directory)
     elapsed = time.perf_counter() - t0
-    if len(hub.links) != 5:
-        problems.append(f"hub carries {len(hub.links)} links")
+    if len(hub.manifest) != 5:
+        problems.append(f"hub carries {len(hub.manifest)} links")
     if not verdict:
         problems.append(f"hub proof failed: {verdict.reason}")
     for drop in range(5):
-        partial = dataclasses.replace(hub, links=hub.links[:drop] + hub.links[drop + 1 :])
+        rounds = tuple(rnd._replace(receipts=rnd.receipts[:drop] + rnd.receipts[drop + 1 :]) for rnd in hub.rounds)
+        partial = dataclasses.replace(hub, rounds=rounds)
         partial_verdict = verify_hub(partial, trusted, sim.directory)
         if partial_verdict or partial_verdict.reason != "ManifestMismatch":
             problems.append(f"dropping link {drop} gave {partial_verdict.reason}")

@@ -279,7 +279,7 @@ class TestProve:
         proof = decode_proof(link_run["proof"].read_bytes())
         assert isinstance(proof, LinkProof)
         assert (proof.window_start, proof.window_end) == (1, 4)
-        assert len(proof.receipts) == 4
+        assert len(proof.rounds) == 4
 
     def test_hub_proof_decodes(self, tmp_path):
         out = tmp_path / "hub.proof"
@@ -297,7 +297,7 @@ class TestProve:
         assert rc == 0
         proof = decode_proof(out.read_bytes())
         assert isinstance(proof, HubProof)
-        assert len(proof.links) == 5
+        assert len(proof.manifest) == 5 and all(len(rnd.receipts) == 5 for rnd in proof.rounds)
 
     def test_chain_proof_decodes(self, chain_run):
         proof = decode_proof(chain_run["proof"].read_bytes())
@@ -444,7 +444,7 @@ class TestVerify:
         assert main(prove + ["--out", str(proof)]) == 0
         capsys.readouterr()
         blob = bytearray(proof.read_bytes())
-        evidence = encode_inclusion_proof(decode_proof(bytes(blob)).hops[1].evidence_proofs[-1])
+        evidence = encode_inclusion_proof(decode_proof(bytes(blob)).hops[1].rounds[-1].evidence_proof)
         assert blob.count(evidence) == 1
         blob[blob.find(evidence) + len(evidence) - 1] ^= 0x01
         bad = tmp_path / "bad.proof"
@@ -465,7 +465,7 @@ class TestVerify:
         assert main(prove + ["--out", str(proof)]) == 0
         capsys.readouterr()
         blob = bytearray(proof.read_bytes())
-        submission = decode_proof(bytes(blob)).submissions[0]
+        submission = decode_proof(bytes(blob)).rounds[0].submission
         at = blob.find(submission.to_bytes())
         assert at > 0 and blob.count(submission.to_bytes()) == 1
         blob[at + 40] ^= 0x01  # holder id (32 B), round (8 B), then the root

@@ -11,6 +11,7 @@ import pytest
 
 from entmesh.entangle import (
     EVIDENCE_LAG,
+    MAX_LINK,
     ChainProof,
     HubProof,
     LinkProof,
@@ -29,7 +30,7 @@ from entmesh.entangle import (
 )
 from entmesh.hashtree import sha256
 from entmesh.keys import Ed25519Scheme
-from entmesh.wire import WireError, Writer, encode_inclusion_proof
+from entmesh.wire import MAX_RECORD, WireError, Writer, encode_inclusion_proof
 
 
 @pytest.fixture
@@ -55,13 +56,25 @@ def link_for(net, holder, issuer, window):
     )
 
 
+def with_round(proof, index, **changes):
+    """``proof`` with its window round ``index`` changed by ``changes``."""
+    rounds = list(proof.rounds)
+    rounds[index] = rounds[index]._replace(**changes)
+    return dataclasses.replace(proof, rounds=tuple(rounds))
+
+
+def with_receipts(proof, pick):
+    """``proof`` with each window round holding ``pick(its receipts)``."""
+    return dataclasses.replace(proof, rounds=tuple(rnd._replace(receipts=pick(rnd.receipts)) for rnd in proof.rounds))
+
+
 class TestLinkProof:
     def test_build_shape(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        assert len(proof.receipts) == 4
-        assert len(proof.evidence_proofs) == 4
+        assert len(proof.rounds) == 4
+        assert all(len(rnd.receipts) == 1 for rnd in proof.rounds)
         assert len(proof.holder_chain) == 4 + EVIDENCE_LAG
-        assert [sub.holder_round for sub in proof.submissions] == [1, 2, 3, 4]
+        assert [rnd.submission.holder_round for rnd in proof.rounds] == [1, 2, 3, 4]
 
     def test_verifies_against_issuer_commitments(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -126,25 +139,32 @@ class TestLinkProof:
 
     def test_swapped_receipt_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        swapped = lambda items: (items[1], items[0]) + items[2:]
-        bad = dataclasses.replace(proof, submissions=swapped(proof.submissions), receipts=swapped(proof.receipts))
+        first, second = proof.rounds[:2]
+        swapped = lambda rnd, other: rnd._replace(submission=other.submission, receipts=other.receipts)
+        bad = dataclasses.replace(proof, rounds=(swapped(first, second), swapped(second, first)) + proof.rounds[2:])
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
         assert verdict.reason == "ReceiptMismatch"
 
     def test_tampered_receipt_signature_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        forged = dataclasses.replace(proof.submissions[2], signature=b"\x00" * 64)
-        bad = dataclasses.replace(proof, submissions=proof.submissions[:2] + (forged,) + proof.submissions[3:])
+        bad = with_round(proof, 2, submission=dataclasses.replace(proof.rounds[2].submission, signature=b"\x00" * 64))
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
         assert verdict.reason == "BadSignature"
 
     def test_one_submission_per_round_required(self, pair):
-        # The decoder cannot make such a proof; a built one still fails
-        # instead of checking only the rounds that have a submission.
+        # A proof with a round fewer than its window fails instead of checking
+        # only the rounds it has, and so does one whose round holds no receipt
+        # or two, which the decoder cannot make.
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        bad = dataclasses.replace(proof, submissions=proof.submissions[:-1])
-        verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
-        assert (verdict.reason, verdict.detail) == ("WindowInvalid", "one receipt per round required")
+        trusted = pair.commitments_of("issuer")
+        for bad in (
+            dataclasses.replace(proof, rounds=proof.rounds[:-1]),
+            decode_proof(encode_proof(dataclasses.replace(proof, rounds=proof.rounds[:-1]))),
+            with_round(proof, 1, receipts=()),
+            with_round(proof, 1, receipts=proof.rounds[1].receipts * 2),
+        ):
+            verdict = verify_link(bad, trusted, pair.directory)
+            assert (verdict.reason, verdict.detail) == ("WindowInvalid", "one receipt per round required")
 
     def test_named_issuer_must_be_the_trusted_one(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -154,8 +174,8 @@ class TestLinkProof:
 
     def test_evidence_proof_swap_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        swapped = (proof.evidence_proofs[1], proof.evidence_proofs[0]) + proof.evidence_proofs[2:]
-        bad = dataclasses.replace(proof, evidence_proofs=swapped)
+        first, second = proof.rounds[:2]
+        bad = with_round(with_round(proof, 0, evidence_proof=second.evidence_proof), 1, evidence_proof=first.evidence_proof)
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
         assert verdict.reason == "EvidenceInvalid"
 
@@ -172,7 +192,7 @@ class TestHubProof:
         proof = build_hub_proof(
             fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
         )
-        assert len(proof.links) == 3
+        assert len(proof.manifest) == 3 and all(len(rnd.receipts) == 3 for rnd in proof.rounds)
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
         assert verify_hub(proof, trusted, fan.directory)
 
@@ -188,10 +208,12 @@ class TestHubProof:
         )
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
         for drop in range(3):
-            subset = proof.links[:drop] + proof.links[drop + 1 :]
-            partial = dataclasses.replace(proof, links=subset)
-            verdict = verify_hub(partial, trusted, fan.directory)
-            assert verdict.reason == "ManifestMismatch"
+            # From every round, or from one only: the decoder cannot make the
+            # latter, a round of fewer receipts than the manifest has issuers.
+            cut = lambda receipts: receipts[:drop] + receipts[drop + 1 :]
+            for partial in (with_receipts(proof, cut), with_round(proof, -1, receipts=cut(proof.rounds[-1].receipts))):
+                verdict = verify_hub(partial, trusted, fan.directory)
+                assert (verdict.reason, verdict.detail) == ("ManifestMismatch", "presented links do not match the committed manifest")
 
     def test_shrunk_manifest_is_detected(self, fan):
         # Rewriting the manifest to match the dropped link still fails:
@@ -200,9 +222,7 @@ class TestHubProof:
             fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
         )
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
-        partial = dataclasses.replace(
-            proof, links=proof.links[1:], manifest=proof.manifest[1:]
-        )
+        partial = dataclasses.replace(with_receipts(proof, lambda receipts: receipts[1:]), manifest=proof.manifest[1:])
         verdict = verify_hub(partial, trusted, fan.directory)
         assert verdict.reason == "ManifestMismatch"
 
@@ -211,13 +231,12 @@ class TestHubProof:
             fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
         )
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
-        link = proof.links[1]
-        forged = dataclasses.replace(link.receipts[0], prev_digest=sha256(b"zzz"))
-        bad_link = dataclasses.replace(link, receipts=(forged,) + link.receipts[1:])
-        bad = dataclasses.replace(proof, links=(proof.links[0], bad_link, proof.links[2]))
+        receipts = proof.rounds[0].receipts
+        forged = dataclasses.replace(receipts[1], prev_digest=sha256(b"zzz"))
+        bad = with_round(proof, 0, receipts=(receipts[0], forged, receipts[2]))
         verdict = verify_hub(bad, trusted, fan.directory)
         assert verdict.reason == "LinkFailed"
-        assert verdict.detail == f"{link.issuer_id.hex()}: ReceiptInvalid (prev-commitment leaf unproven for round 1)"
+        assert verdict.detail == f"{proof.manifest[1].hex()}: ReceiptInvalid (prev-commitment leaf unproven for round 1)"
 
     def test_corrupt_holder_chain_reported(self, fan):
         proof = build_hub_proof(
@@ -236,17 +255,19 @@ class TestHubProof:
         proof = build_hub_proof(
             fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
         )
-        by_issuer = {link.issuer_id: link for link in proof.links}
         evidence_leaves = []
-        for label in sorted(("p0", "p1", "p2"), key=fan.id_of):
+        for k, label in enumerate(sorted(("p0", "p1", "p2"), key=fan.id_of)):
             link = link_for(fan, "center", label, (1, 3))
+            assert proof.manifest[k] == link.issuer_id
             assert proof.holder_chain == link.holder_chain
-            assert proof.submissions == link.submissions
-            assert by_issuer[link.issuer_id].receipts == link.receipts
-            evidence_leaves.append([ev.leaf_index for ev in link.evidence_proofs])
+            for hub_round, link_round in zip(proof.rounds, link.rounds, strict=True):
+                assert hub_round.submission == link_round.submission
+                assert (hub_round.receipts[k],) == link_round.receipts
+            evidence_leaves.append([rnd.evidence_proof.leaf_index for rnd in link.rounds])
         # One range proof per round covers the three issuers' evidence
         # leaves, in manifest order.
-        for run, ev in zip(zip(*evidence_leaves), proof.evidence_proofs):
+        for run, rnd in zip(zip(*evidence_leaves), proof.rounds):
+            ev = rnd.evidence_proof
             assert list(run) == list(range(ev.leaf_index, ev.leaf_index + 3))
 
     def test_evidence_run_must_be_contiguous(self, fan):
@@ -262,12 +283,16 @@ class TestHubProof:
     def test_range_evidence_names_the_round(self, fan):
         proof = build_hub_proof(fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log)
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
-        swapped = (proof.evidence_proofs[1], proof.evidence_proofs[0], proof.evidence_proofs[2])
-        verdict = verify_hub(dataclasses.replace(proof, evidence_proofs=swapped), trusted, fan.directory)
+        first, second = proof.rounds[:2]
+        swapped = with_round(with_round(proof, 0, evidence_proof=second.evidence_proof), 1, evidence_proof=first.evidence_proof)
+        verdict = verify_hub(swapped, trusted, fan.directory)
         assert (verdict.reason, verdict.detail) == ("EvidenceInvalid", "receipts for round 1 not retained in round 3")
-        reordered = dataclasses.replace(proof, links=proof.links[::-1], manifest=proof.manifest)
+        # Receipts out of manifest order are checked against the issuers the
+        # manifest names there, so the first one fails its own inclusion.
+        reordered = with_receipts(proof, lambda receipts: receipts[::-1])
         verdict = verify_hub(reordered, trusted, fan.directory)
-        assert (verdict.reason, verdict.detail) == ("ManifestMismatch", "presented links do not match the committed manifest")
+        detail = f"{proof.manifest[0].hex()}: ReceiptInvalid (submission leaf unproven for round 1)"
+        assert (verdict.reason, verdict.detail) == ("LinkFailed", detail)
 
     def test_missing_issuer_trust(self, fan):
         proof = build_hub_proof(
@@ -296,81 +321,76 @@ def hub_for(net, window=(1, 3)):
     return build_hub_proof(net.nodes["center"].records, window, net.nodes["center"].receipt_log)
 
 
-def paths_blobs(link):
-    """An issuer record's receipts as a hub proof writes them: their paths,
-    without the submission, which the hub carries once per round."""
-    return [paths.to_bytes() for paths in link.receipts]
+def round_blob(sub, receipts):
+    """A window round's first blob as the reference writer writes it: the
+    submission, then each issuer's receipt paths in manifest order."""
+    return sub.to_bytes() + b"".join(paths.to_bytes() for paths in receipts)
 
 
-def hub_bytes(proof, submissions, records):
-    """A hub proof written field by field around the given submission and
-    issuer-record blobs."""
-    w = Writer().digest(proof.holder_id).u64(proof.window_start).u64(proof.window_end).digests(proof.manifest)
+def hub_bytes(proof, manifest=None, held=None):
+    """A hub proof written field by field, around the given manifest and
+    per-round submission and paths blobs."""
+    manifest = proof.manifest if manifest is None else manifest
+    held = [round_blob(rnd.submission, rnd.receipts) for rnd in proof.rounds] if held is None else held
+    w = Writer().digest(proof.holder_id).u64(proof.window_start).u64(proof.window_end).digests(manifest)
     w.blobs([encode_inclusion_proof(p) for p in proof.manifest_proofs])
     w.blobs([entry.to_bytes() for entry in proof.holder_chain])
-    w.blobs(submissions).blobs(records)
-    w.blobs([encode_inclusion_proof(p) for p in proof.evidence_proofs])
-    return b"EMP4\x11" + w.getvalue()
+    w.u32(len(held))
+    for blob, rnd in zip(held, proof.rounds, strict=True):
+        w.blob(blob).blob(encode_inclusion_proof(rnd.evidence_proof))
+    return b"EMP5\x11" + w.getvalue()
 
 
 class TestHubCodec:
-    """A hub proof carries each window round's submission once, and each
-    issuer record's receipt paths."""
-
-    def parts(self, proof):
-        submissions = [sub.to_bytes() for sub in proof.submissions]
-        records = [Writer().digest(link.issuer_id).blobs(paths_blobs(link)).getvalue() for link in proof.links]
-        return submissions, records
+    """A hub proof carries each window round's submission once, with every
+    manifest issuer's receipt paths for that round."""
 
     def test_each_round_submission_written_once(self, fan):
         proof = hub_for(fan)
         data = encode_proof(proof)
-        assert data == hub_bytes(proof, *self.parts(proof))
-        for sub in proof.submissions:
-            assert data.count(sub.to_bytes()) == 1
+        assert data == hub_bytes(proof)
+        for rnd in proof.rounds:
+            assert data.count(rnd.submission.to_bytes()) == 1
+        # The manifest names each issuer once; the rounds hold no issuer id.
+        for issuer_id in proof.manifest:
+            assert data.count(issuer_id) == 1
         # Each one is the submission every issuer's receipt for its round holds.
         log = fan.nodes["center"].receipt_log
-        for link in proof.links:
-            assert proof.submissions == tuple(log[link.issuer_id, r].submission for r in (1, 2, 3))
+        for issuer_id in proof.manifest:
+            assert tuple(rnd.submission for rnd in proof.rounds) == tuple(log[issuer_id, r].submission for r in (1, 2, 3))
         assert decode_proof(data) == proof
 
     @pytest.mark.parametrize("change", [1, -1])
     def test_decoder_refuses_an_issuer_record_of_another_length(self, fan, change):
+        # A round holds one receipt's paths per manifest issuer, so a round
+        # blob with one more or one fewer is refused as it is read.
         proof = hub_for(fan)
-        submissions, records = self.parts(proof)
-        cut = paths_blobs(proof.links[-1])
-        cut = cut + cut[:1] if change > 0 else cut[:-1]
-        records[-1] = Writer().digest(proof.links[-1].issuer_id).blobs(cut).getvalue()
-        with pytest.raises(WireError, match=f"^{3 + change} receipts for 3 window rounds$"):
-            decode_proof(hub_bytes(proof, submissions, records))
-
-    @pytest.mark.parametrize("change", [1, -1])
-    def test_decoder_refuses_a_submissions_list_of_another_length(self, fan, change):
-        proof = hub_for(fan)
-        submissions, records = self.parts(proof)
-        submissions = submissions + submissions[:1] if change > 0 else submissions[:-1]
-        with pytest.raises(WireError, match=f"^{3 + change} submissions for a window of 3 rounds$"):
-            decode_proof(hub_bytes(proof, submissions, records))
-        # The encoder refuses the same list, with the same text.
-        held = proof.submissions + proof.submissions[:1] if change > 0 else proof.submissions[:-1]
-        with pytest.raises(WireError, match=f"^{3 + change} submissions for a window of 3 rounds$"):
-            encode_proof(dataclasses.replace(proof, submissions=held))
+        held = [round_blob(rnd.submission, rnd.receipts) for rnd in proof.rounds]
+        last = proof.rounds[-1]
+        receipts = last.receipts + last.receipts[:1] if change > 0 else last.receipts[:-1]
+        held[-1] = round_blob(last.submission, receipts)
+        error = f"^{len(last.receipts[0].to_bytes())} trailing bytes$" if change > 0 else "^truncated input$"
+        with pytest.raises(WireError, match=error):
+            decode_proof(hub_bytes(proof, held=held))
 
     def test_decoder_refuses_a_hub_with_no_issuer_record(self, fan):
         proof = hub_for(fan)
+        empty = [round_blob(rnd.submission, ()) for rnd in proof.rounds]
         with pytest.raises(WireError, match="needs at least one link"):
-            decode_proof(hub_bytes(proof, self.parts(proof)[0], []))
+            decode_proof(hub_bytes(proof, manifest=(), held=empty))
         with pytest.raises(WireError, match="needs at least one link"):
-            encode_proof(dataclasses.replace(proof, links=()))
+            encode_proof(dataclasses.replace(with_receipts(proof, lambda receipts: ()), manifest=()))
 
-    @pytest.mark.parametrize("which", [0, 2])
-    def test_encoder_refuses_a_receipt_count_off_the_window(self, fan, which):
+    def test_round_of_many_issuers_is_bounded_by_max_link(self, fan):
+        # A hub round's blob holds one receipt's paths per issuer, so past
+        # about 300 issuers it outgrows MAX_RECORD; it is bounded by MAX_LINK.
         proof = hub_for(fan)
-        short = dataclasses.replace(proof.links[which], receipts=proof.links[which].receipts[:-1])
-        links = list(proof.links)
-        links[which] = short
-        with pytest.raises(WireError, match="^2 receipts for"):
-            encode_proof(dataclasses.replace(proof, links=tuple(links)))
+        manifest = tuple(sorted(sha256(bytes([i, j])) for i in range(2) for j in range(200)))
+        wide = dataclasses.replace(with_receipts(proof, lambda receipts: receipts[:1] * len(manifest)), manifest=manifest)
+        held = round_blob(wide.rounds[0].submission, wide.rounds[0].receipts)
+        assert MAX_RECORD < len(held) <= MAX_LINK
+        data = encode_proof(wide)
+        assert data == hub_bytes(wide) and decode_proof(data) == wide
 
     def test_builder_refuses_a_doctored_receipt_log(self, fan):
         center = fan.nodes["center"]
@@ -382,7 +402,7 @@ class TestHubCodec:
             build_hub_proof(center.records, (1, 3), log)
         assert build_hub_proof(center.records, (3, 4), log) == hub_for(fan, (3, 4))
 
-    # The decoder takes any number of manifest and evidence proofs; the
+    # The decoder takes any number of manifest proofs and window rounds; the
     # verifier needs one of each per window round, or it would check fewer.
     def test_verifier_refuses_a_decoded_hub_without_manifest_proofs(self, fan):
         proof = decode_proof(encode_proof(dataclasses.replace(hub_for(fan, (1, 4)), manifest_proofs=())))
@@ -392,12 +412,15 @@ class TestHubCodec:
         assert (verdict.reason, verdict.detail) == ("WindowInvalid", "one manifest proof per round required")
 
     def test_verifier_refuses_a_decoded_hub_with_one_evidence_proof_of_four(self, fan):
+        # Each window round holds its evidence proof, so a hub with one
+        # evidence proof of four holds one round of four.
         honest = hub_for(fan, (1, 4))
-        proof = decode_proof(encode_proof(dataclasses.replace(honest, evidence_proofs=honest.evidence_proofs[:1])))
-        assert len(proof.evidence_proofs) == 1
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
-        verdict = verify_hub(proof, trusted, fan.directory)
-        assert (verdict.reason, verdict.detail) == ("WindowInvalid", "one evidence proof per round required")
+        for rounds in (honest.rounds[:1], honest.rounds + honest.rounds[:1]):
+            proof = decode_proof(encode_proof(dataclasses.replace(honest, rounds=rounds)))
+            assert proof.rounds == rounds
+            verdict = verify_hub(proof, trusted, fan.directory)
+            assert (verdict.reason, verdict.detail) == ("LinkFailed", "holder chain: WindowInvalid (one receipt per round required)")
 
 
 class TestChainProof:
@@ -488,7 +511,8 @@ class TestChainProof:
         last = proof.hops[-1]
         retained = relay.nodes["b"].receipt_log[relay.id_of("c"), last.window_end]
         assert retained.issuer_commitment == relay.commitments_of("c")[last.window_end + 1]
-        assert last.submissions[-1] is retained.submission and last.receipts[-1] is retained.paths
+        assert last.rounds[-1].submission is retained.submission and last.rounds[-1].receipts == (retained.paths,)
+        assert last.rounds[-1].receipts[0] is retained.paths
 
     def test_insufficient_latency_names_first_verifying_round(self, relay):
         proof = build_chain_proof(
@@ -515,7 +539,7 @@ class TestChainProof:
         assert verdict.detail == (
             "no trusted issuer commitment for round 4; chain of 2 hops needs an anchor commitment at round >= 4"
         )
-        sub = proof.hops[-1].submissions[-1]
+        sub = proof.hops[-1].rounds[-1].submission
         assert (sub.holder_round, verdict.signatures_checked) == (3, 1)
         assert [args[1:] for args in calls] == [(sub.message(), sub.signature)]
 
@@ -532,8 +556,7 @@ class TestChainProof:
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1, window_len=2
         )
         hop = proof.hops[0]
-        forged = dataclasses.replace(hop.submissions[0], signature=b"\x01" * 64)
-        bad_hop = dataclasses.replace(hop, submissions=(forged,) + hop.submissions[1:])
+        bad_hop = with_round(hop, 0, submission=dataclasses.replace(hop.rounds[0].submission, signature=b"\x01" * 64))
         bad = dataclasses.replace(proof, hops=(bad_hop, proof.hops[1]))
         verdict = verify_chain(bad, relay.commitments_of("c"), relay.directory)
         assert verdict.reason == "BrokenHop"
@@ -600,9 +623,9 @@ def link_bytes(link, first_entry_blob):
     """A link proof written field by field around the given first chain entry blob."""
     w = Writer().digest(link.holder_id).digest(link.issuer_id).u64(link.window_start).u64(link.window_end)
     w.blobs([first_entry_blob] + [entry.to_bytes() for entry in link.holder_chain[1:]])
-    w.u32(len(link.receipts))
-    for sub, paths, proof in zip(link.submissions, link.receipts, link.evidence_proofs):
-        w.blob(sub.to_bytes() + paths.to_bytes()).blob(encode_inclusion_proof(proof))
+    w.u32(len(link.rounds))
+    for rnd in link.rounds:
+        w.blob(round_blob(rnd.submission, rnd.receipts)).blob(encode_inclusion_proof(rnd.evidence_proof))
     return encode_proof(link)[:5] + w.getvalue()
 
 
@@ -680,20 +703,11 @@ class TestProofCodec:
         with pytest.raises(WireError):
             decode_proof(link_bytes(link, entry_blob(commitment + b"\x00")))
 
-    def test_encoder_refuses_mismatched_window(self, pair):
-        # A link window writes one count for its submission, receipt paths and
-        # evidence triples.  A hub proof counts its evidence proofs apart from its receipts.
-        link = link_for(pair, "holder", "issuer", (1, 4))
-        with pytest.raises(WireError, match="^4 submissions, 4 receipts, 1 evidence proofs$"):
-            encode_proof(dataclasses.replace(link, evidence_proofs=link.evidence_proofs[:1]))
-        with pytest.raises(WireError, match="^3 submissions, 4 receipts, 4 evidence proofs$"):
-            encode_proof(dataclasses.replace(link, submissions=link.submissions[1:]))
-
     def test_chain_last_hop_needs_a_receipt(self, relay):
         chain = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), [relay.id_of("a"), relay.id_of("b")], 1
         )
-        empty = dataclasses.replace(chain.hops[0], submissions=(), receipts=(), evidence_proofs=())
+        empty = dataclasses.replace(chain.hops[0], rounds=())
         with pytest.raises(WireError):
             decode_proof(encode_proof(dataclasses.replace(chain, hops=(empty,))))
 
@@ -705,7 +719,7 @@ class TestProofCodec:
     def test_emp2_envelope_refused(self, fan):
         # EMP2 receipts carried the issuer commitment; no EMP2 reader is kept.
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
-        assert data[:4] == b"EMP4"
+        assert data[:4] == b"EMP5"
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP2" + data[4:])
 
@@ -715,6 +729,13 @@ class TestProofCodec:
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP3" + data[4:])
+
+    def test_emp4_envelope_refused(self, fan):
+        # EMP4 hub proofs held per-issuer records beside the rounds'
+        # submissions and evidence proofs; no EMP4 reader is kept.
+        data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
+        with pytest.raises(WireError, match="not a proof file"):
+            decode_proof(b"EMP4" + data[4:])
 
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):

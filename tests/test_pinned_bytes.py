@@ -4,10 +4,12 @@ The wire format is normative (docs/FORMATS.md), so a refactor of the records
 that get encoded must not move a single byte.  These digests are the three
 proofs the CI job builds and each scenario's ``commitments.jsonl``, at each
 scenario's own seed.  A change that alters them on purpose re-records them
-here and says why: the proof pins were last re-recorded for the ``EMP4``
-envelope, whose hub proofs carry each window round's holder submission
-once, cut out of every issuer's receipt for that round.  The link and
-chain proofs changed only in their magic.
+here and says why: the proof pins were last re-recorded for the ``EMP5``
+envelope, whose hub proofs are their window rounds, each the holder's
+submission with every manifest issuer's receipt paths and the round's
+evidence proof, with no per-issuer record or issuer id beside the manifest
+(268 B less for the hub proof here).  The link and chain proofs changed
+only in their magic: from byte 4 on they are their ``EMP4`` bytes.
 """
 
 import hashlib
@@ -23,17 +25,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PINNED = {
     "hub": (
         ["--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
-        (6204, "97448f7d2bb5d7a5e0bd468da2644506107a5a33b4fa90ae3f9c85d09467408b"),
+        (5936, "f33644eec9aed08bebc44181dad2174ea9935484f7229125f369ee75277aad47"),
         (29385, "e9be8b8909eca1b012b7cf496c9feb7f5e66c171dc6743cd1cac558b29e092c4"),
     ),
     "chain": (
         ["--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
-        (8987, "c0b3da7709ca3a2ef17254afbf87ee51751b42aa7c7f5e92e4fb5597589f8c84"),
+        (8987, "d556a26e93f8603e29e678d63a716670417f4fe6f6c8e40f1b9206056e0a97b0"),
         (24559, "be8982c982c74a7683460be4d2d0d07ab9d6d11b85444f2accf850dfcf25e892"),
     ),
     "identity": (
         ["--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
-        (3875, "5a292547f1de5fb848a98326167990ac3f4897ed06602cef3342142aae8f847b"),
+        (3875, "252024639c5b43e179bab540033f687935a5de4e776249b4a8244065f55d6154"),
         (19628, "044d456a658ebe9d2008d2ce8d9621ad3bc6c9989e201f79b17e129b618502fc"),
     ),
 }

@@ -75,11 +75,12 @@ def test_decoded_hub_proof_digests_are_plain_bytes(manual_net):
     values = list(digests_in(proof))
     assert_plain(values)
     # Ids, roots and siblings all occur: the walk did not miss a kind.  The
-    # three rounds' submissions are held once each, not once per issuer.
+    # three rounds' submissions are held once each, not once per issuer, and
+    # the issuer ids only in the manifest.
     assert net.id_of("p0") in values and center.records[2].root in values
-    assert proof.submissions[0].holder_root in values
-    assert siblings(proof.links[0].receipts[0].inclusion.audit_path)[0] in values
-    assert len(values) >= 100
+    assert proof.rounds[0].submission.holder_root in values
+    assert siblings(proof.rounds[0].receipts[0].inclusion.audit_path)[0] in values
+    assert len(values) == 97
 
 
 def test_identity_digests_are_plain_bytes():

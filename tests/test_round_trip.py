@@ -9,11 +9,11 @@ encoders as they were before records kept their bytes), on the three proofs
 the CI job builds and on mutations of them, and check that
 ``dataclasses.replace`` never carries an old encoding over to new fields.
 A second reference writes whole proofs from docs/FORMATS.md: per window
-round a submission (once per hub proof) and per issuer round the receipt's
-paths.  A verifier joins each evidence leaf from a proof's submission and
-paths and its trusted issuer commitment; the reference for that leaf is
-the one the holder retained, or for a mutated proof the leaf of the
-``Receipt`` made of those three parts.
+round a submission, each issuer's receipt paths and the evidence proof.
+A verifier joins each evidence leaf from a proof's submission and paths
+and its trusted issuer commitment; the reference for that leaf is the one
+the holder retained, or for a mutated proof the leaf of the ``Receipt``
+made of those three parts.
 """
 
 import dataclasses
@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmesh import entangle
+from entmesh import node as node_module
 from entmesh.config import load_config, make_simulation
 from entmesh.simnet import Simulation, fan, federated
 from entmesh.entangle import (
@@ -95,33 +96,36 @@ def ref_chain_entry(e: ChainEntry) -> bytes:
     return Writer().blob(ref_commitment(e.commitment)).digest(e.prev_digest).blob(encode_inclusion_proof(e.first_leaf_proof)).getvalue()
 
 
+def ref_rounds(w: Writer, rounds) -> Writer:
+    # Per window round: one blob of the Submission and each issuer's receipt
+    # paths, in manifest order; then one blob of the evidence proof.
+    w.u32(len(rounds))
+    for rnd in rounds:
+        held = ref_submission(rnd.submission) + b"".join(ref_paths(paths) for paths in rnd.receipts)
+        w.blob(held).blob(encode_inclusion_proof(rnd.evidence_proof))
+    return w
+
+
 def ref_link_proof(p: LinkProof) -> bytes:
     w = Writer().digest(p.holder_id).digest(p.issuer_id).u64(p.window_start).u64(p.window_end)
-    w.blobs([ref_chain_entry(e) for e in p.holder_chain]).u32(len(p.receipts))
-    for sub, paths, evidence in zip(p.submissions, p.receipts, p.evidence_proofs):
-        w.blob(ref_submission(sub) + ref_paths(paths)).blob(encode_inclusion_proof(evidence))
-    return w.getvalue()
+    w.blobs([ref_chain_entry(e) for e in p.holder_chain])
+    return ref_rounds(w, p.rounds).getvalue()
 
 
 def ref_hub_proof(p: HubProof) -> bytes:
-    # Each window round's Submission once, after the holder chain; every
-    # issuer record holds its receipts' paths.
     w = Writer().digest(p.holder_id).u64(p.window_start).u64(p.window_end).digests(p.manifest)
     w.blobs([encode_inclusion_proof(proof) for proof in p.manifest_proofs])
     w.blobs([ref_chain_entry(e) for e in p.holder_chain])
-    w.blobs([ref_submission(sub) for sub in p.submissions])
-    w.blobs([Writer().digest(link.issuer_id).blobs([ref_paths(paths) for paths in link.receipts]).getvalue() for link in p.links])
-    w.blobs([encode_inclusion_proof(proof) for proof in p.evidence_proofs])
-    return w.getvalue()
+    return ref_rounds(w, p.rounds).getvalue()
 
 
 def ref_proof(p) -> bytes:
-    """The envelope: magic ``EMP4``, a kind byte, then the body."""
+    """The envelope: magic ``EMP5``, a kind byte, then the body."""
     if isinstance(p, HubProof):
-        return b"EMP4\x11" + ref_hub_proof(p)
+        return b"EMP5\x11" + ref_hub_proof(p)
     if isinstance(p, ChainProof):
-        return b"EMP4\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
-    return b"EMP4\x10" + ref_link_proof(p)
+        return b"EMP5\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
+    return b"EMP5\x10" + ref_link_proof(p)
 
 
 def assert_encodes_its_fields(record) -> None:
@@ -148,9 +152,9 @@ def signed_records(proof):
     for part in parts:
         for entry in part.holder_chain:
             yield from (entry, entry.commitment)
-        yield from part.submissions
-        for link in part.links if isinstance(part, HubProof) else (part,):
-            yield from link.receipts
+        for rnd in part.rounds:
+            yield rnd.submission
+            yield from rnd.receipts
 
 
 def _run(name: str):
@@ -273,7 +277,8 @@ def test_replace_encodes_the_new_fields(ci_proofs, origin):
         sub, paths = receipt.submission, receipt.paths
     else:
         decoded = decode_proof(encode_proof(proof))
-        sub, paths, entry = decoded.submissions[0], decoded.receipts[0], decoded.holder_chain[0]
+        first = decoded.rounds[0]
+        sub, paths, entry = first.submission, first.receipts[0], decoded.holder_chain[0]
         receipt = Receipt(sub, hub.records[2].commitment, paths) if origin == "spliced" else None
     commitment = entry.commitment
     commitment.to_bytes()
@@ -314,13 +319,29 @@ def test_issued_receipts_hold_their_bytes(monkeypatch):
     assert len(issued) == 3 * 3
 
 
+def _issuer_ids(part):
+    """The issuers a link or hub proof names, in the order its rounds hold their receipts."""
+    return part.manifest if isinstance(part, HubProof) else (part.issuer_id,)
+
+
+def test_receipt_leaf_is_the_evidence_leaf_join(ci_proofs, monkeypatch):
+    """A retained receipt's leaf and a verifier's are one join, ``evidence_leaf``."""
+    _, sim = ci_proofs["hub"]
+    joined = []
+    join = node_module.evidence_leaf
+    monkeypatch.setattr(node_module, "evidence_leaf", lambda *parts: joined.append(parts) or join(*parts))
+    for receipt in sim.nodes["center"].receipt_log.values():
+        leaf = receipt.leaf_bytes()
+        assert joined.pop() == (receipt.submission, receipt.issuer_commitment, receipt.paths)
+        assert leaf == bytes([LEAF_EVIDENCE]) + ref_receipt(receipt)
+
+
 def _parts(proof):
     """(holder id, issuer id, round, submission, paths) for every receipt a proof holds."""
     for part in proof.hops if isinstance(proof, ChainProof) else (proof,):
-        for link in part.links if isinstance(part, HubProof) else (part,):
-            rounds = range(part.window_start, part.window_end + 1)
-            for r, sub, paths in zip(rounds, part.submissions, link.receipts):
-                yield part.holder_id, link.issuer_id, r, sub, paths
+        for r, rnd in zip(range(part.window_start, part.window_end + 1), part.rounds):
+            for issuer_id, paths in zip(_issuer_ids(part), rnd.receipts, strict=True):
+                yield part.holder_id, issuer_id, r, rnd.submission, paths
 
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
@@ -430,8 +451,7 @@ def verify_against_spliced_leaves(proof, sim, reference_leaf):
     parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
 
     def link_orders(holder_id):
-        links = lambda part: part.links if isinstance(part, HubProof) else (part,)
-        return {tuple(link.issuer_id for link in links(part)) for part in parts if part.holder_id == holder_id}
+        return {tuple(_issuer_ids(part)) for part in parts if part.holder_id == holder_id}
 
     def leaf(sub, c, paths):
         joined.append((c.node_id, reference_leaf(sub.holder_id, c.node_id, sub.holder_round, sub, paths, c)))

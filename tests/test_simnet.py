@@ -310,7 +310,7 @@ class TestKeptChainEntries:
         monkeypatch.setattr(MerkleTree, "prove_range", counted)
         second = build()
         # Only the evidence proofs, one per hop round; a first-leaf proof would start at 0.
-        assert len(ranges) == sum(len(hop.evidence_proofs) for hop in second.hops)
+        assert len(ranges) == sum(len(hop.rounds) for hop in second.hops)
         assert all(a > 0 for a, _ in ranges)
         assert encode_proof(second) == encode_proof(first)
         for a, b in zip(first.hops, second.hops):

@@ -37,7 +37,7 @@ from entmesh.entangle import (
 )
 from entmesh.keys import Ed25519Scheme
 from entmesh.node import Receipt, check_receipt
-from entmesh.simnet import Simulation, chain, fan
+from entmesh.simnet import Simulation, chain, fan, federated
 from entmesh.wire import WireError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -128,6 +128,15 @@ def _swap(items, index, item):
 
 def _forge_at(items, index, forge):
     return _swap(items, index, forge(items[index]))
+
+
+def _with_round(proof, index, **changes):
+    """``proof`` with its window round ``index`` changed by ``changes``."""
+    return dataclasses.replace(proof, rounds=_forge_at(proof.rounds, index, lambda rnd: rnd._replace(**changes)))
+
+
+def _forged_round_submission(proof, index):
+    return _with_round(proof, index, submission=_forged_submission(proof.rounds[index].submission))
 
 
 @pytest.fixture
@@ -241,10 +250,10 @@ class TestSignatureCounts:
     def test_hashed_byte_flip_rejected_with_two_signature_checks(self, runs, ed25519_calls, where):
         proof, sim = runs["hub"]
         if where == "evidence-path":
-            ev = proof.evidence_proofs[-1]
+            ev = proof.rounds[-1].evidence_proof
             path = ev.audit_path  # the first sibling starts after the first side byte
             flipped = dataclasses.replace(ev, audit_path=path[:1] + bytes([path[1] ^ 1]) + path[2:])
-            bad = dataclasses.replace(proof, evidence_proofs=_swap(proof.evidence_proofs, -1, flipped))
+            bad = _with_round(proof, -1, evidence_proof=flipped)
         else:
             entry = proof.holder_chain[2]
             prev = entry.prev_digest
@@ -281,7 +290,7 @@ class TestForgedSignatureKeepsItsReason:
         # Every issuer's receipt shares the round's submission, which is the
         # holder's: it is checked once, after every round-1 receipt passed.
         proof, sim = runs["hub"]
-        bad = dataclasses.replace(proof, submissions=_forge_at(proof.submissions, 1, _forged_submission))
+        bad = _forged_round_submission(proof, 1)
         inner = "holder signature in receipt for round 2"
         self._check(bad, sim, "LinkFailed", f"holder chain: BadSignature ({inner})")
 
@@ -290,7 +299,7 @@ class TestForgedSignatureKeepsItsReason:
         proof, sim = runs["chain"]
         hop = proof.hops[1]
         if record == "receipt":
-            hop = dataclasses.replace(hop, submissions=_forge_at(hop.submissions, 0, _forged_submission))
+            hop = _forged_round_submission(hop, 0)
             inner = "holder signature in receipt for round 2"
         else:
             hop = dataclasses.replace(hop, holder_chain=_forge_at(hop.holder_chain, -1, _forged_entry))
@@ -308,7 +317,7 @@ class TestForgedSignatureKeepsItsReason:
 
     def test_link_receipt(self, runs):
         proof, sim = runs["link"]
-        bad = dataclasses.replace(proof, submissions=_forge_at(proof.submissions, 1, _forged_submission))
+        bad = _forged_round_submission(proof, 1)
         self._check(bad, sim, "BadSignature", "holder signature in receipt for round 7")
 
     def test_link_holder_chain(self, runs):
@@ -327,7 +336,7 @@ class TestForgedSignatureKeepsItsReason:
 
     def test_hub_issuer_commitment(self, runs):
         proof, sim = runs["hub"]
-        issuer = proof.links[2].issuer_id
+        issuer = proof.manifest[2]
         trust = {**_trust(proof, sim), issuer: _forged_trust(_trust(proof, sim)[issuer], 5)}
         self._check(proof, sim, "EvidenceInvalid", "receipts for round 4 not retained in round 6", trust)
 
@@ -371,6 +380,44 @@ def test_single_bit_flips_keep_the_sequential_verdict(runs, kind):
             assert (verdict.ok, verdict.reason, verdict.detail) == (reference.ok, reference.reason, reference.detail)
 
 
+class TestProofsNoBuilderMakes:
+    """Proofs of honest links composed or framed as no builder would: each
+    check that refuses one names its own fault, where without it the proof
+    would verify, fail for another reason or raise."""
+
+    def test_unshifted_chain_is_a_broken_hop(self):
+        # Every hop over window [1, 2]: without the shift check the chain
+        # verifies against the anchor at round 3, where the honest one needs round 6.
+        sim = Simulation(chain(4), rounds=10, seed=0).run()
+        path = [sim.nodes[label].node_id for label in sim.path_to_anchor("h0")]
+        records, receipts = sim.records_by_id(), sim.receipts_by_id()
+        hops = tuple(build_link_proof(records[h], i, (1, 2), receipts[h]) for h, i in zip(path, path[1:]))
+        trust = {r: c for r, c in _logs(sim)[path[-1]].items() if r <= 3}
+        verdict = verify_chain(ChainProof(hops=hops), trust, sim.directory)
+        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 1 window does not shift by one round per hop")
+
+    def test_hops_from_two_branches_are_a_broken_hop(self):
+        # h0 -> m1-0 then m1-1 -> root, windows shifted as a chain's are.
+        sim = Simulation(federated(2, 2, 2), rounds=8, seed=0).run()
+        ids = {label: node.node_id for label, node in sim.nodes.items()}
+        records, receipts = sim.records_by_id(), sim.receipts_by_id()
+        first = build_link_proof(records[ids["h0"]], ids["m1-0"], (1, 1), receipts[ids["h0"]])
+        second = build_link_proof(records[ids["m1-1"]], ids["root"], (2, 2), receipts[ids["m1-1"]])
+        verdict = verify_chain(ChainProof(hops=(first, second)), _logs(sim)[ids["root"]], sim.directory)
+        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0 issuer is not hop 1 holder")
+
+    def test_holder_chain_one_round_off_its_window_is_a_round_gap(self):
+        # The window-[2, 3] proof's holder chain links up, but starts one
+        # round after this window: without the check, round 1 has no entry.
+        sim = Simulation(chain(4), rounds=10, seed=0).run()
+        h0, issuer = sim.nodes["h0"], sim.nodes[sim.path_to_anchor("h0")[1]]
+        proof = build_link_proof(h0.records, issuer.node_id, (1, 2), h0.receipt_log)
+        later = build_link_proof(h0.records, issuer.node_id, (2, 3), h0.receipt_log)
+        trust = {record.round: record.commitment for record in issuer.records}
+        verdict = verify_link(dataclasses.replace(proof, holder_chain=later.holder_chain), trust, sim.directory)
+        assert (verdict.reason, verdict.detail) == ("RoundGap", "chain entry out of place")
+
+
 class TestRepeatsAreSkippedChecks:
     """``signatures_repeated`` counts the times the verifier met a signature
     it checked in the same call again, and so skipped its check."""
@@ -380,7 +427,7 @@ class TestRepeatsAreSkippedChecks:
         # hub fails on that lookup after its holder chain met six signatures
         # but before any submission, so nothing is checked or skipped.
         proof, sim = runs["hub"]
-        issuer = proof.links[-1].issuer_id
+        issuer = proof.manifest[-1]
         trust = {i: log for i, log in _trust(proof, sim).items() if i != issuer}
         verdict = _verify(proof, sim, trust)
         assert (verdict.reason, verdict.detail) == ("TrustedRootUnavailable", f"no trusted commitments for {issuer.hex()}")

@@ -475,7 +475,7 @@ def test_mutated_proof_decodes_like_the_fieldwise_reference(encoded_proofs, kind
 def test_head_reads_like_the_fieldwise_reference(encoded_proofs, read, fieldwise, data):
     # A chain entry's commitment or a link round's submission, cut, lengthened or flipped.
     link = entangle.decode_proof(encoded_proofs["link"])
-    record = link.holder_chain[0].commitment if read is node.Commitment.read else link.submissions[0]
+    record = link.holder_chain[0].commitment if read is node.Commitment.read else link.rounds[0].submission
     blob = data.draw(_mutated(record.to_bytes()), label="mutated")
     assert _outcome(lambda b: decode(b, read), blob) == _outcome(lambda b: copying_decode(b, fieldwise), blob)
 
@@ -524,7 +524,7 @@ class TestRecordEncodersRefuse:
 
     def test_submission_chain_entry_and_paths_with_a_short_digest(self, proofs):
         link = proofs["link"]
-        sub, entry, paths = link.submissions[0], link.holder_chain[0], link.receipts[0]
+        sub, entry, paths = link.rounds[0].submission, link.holder_chain[0], link.rounds[0].receipts[0]
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             dataclasses.replace(sub, holder_root=sub.holder_root[:31]).to_bytes()
         with pytest.raises(WireError, match="^u64 out of range: 18446744073709551616$"):
@@ -533,9 +533,3 @@ class TestRecordEncodersRefuse:
             dataclasses.replace(entry, prev_digest=bytes(33)).to_bytes()
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             dataclasses.replace(paths, prev_digest=bytes(31)).to_bytes()
-
-    def test_hub_link_with_a_short_issuer_id(self, proofs):
-        hub = proofs["hub"]
-        link = dataclasses.replace(hub.links[0], issuer_id=bytes(31))
-        with pytest.raises(WireError, match="^digest must be 32 bytes$"):
-            entangle.encode_proof(dataclasses.replace(hub, links=(link,) + hub.links[1:]))
