@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .hashtree import Digest, InclusionProof, fold_root
+from .hashtree import Digest, InclusionProof, fold_root, leaf_hash
 from .keys import NodeId
 from .node import (
     ChainEntry,
@@ -49,6 +49,8 @@ from .node import (
     chain_entry_for,
     commitment_digest,
     evidence_leaf,
+    receipt_key,
+    receipt_paths,
     FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
@@ -124,12 +126,11 @@ class WindowRound(NamedTuple):
 
 def _rounds_bytes(rounds: Sequence[WindowRound]) -> list[bytes]:
     """A u32 count, then per round a blob of the submission and its receipts'
-    paths and a blob of the evidence proof: the parts, for one join."""
+    paths, and the evidence proof: the parts, for one join."""
     parts = [prefix(len(rounds))]
     for sub, receipts, evidence in rounds:
         sub_bytes, paths_bytes = sub._encoding, b"".join([paths._encoding for paths in receipts])
-        proof_bytes = encode_inclusion_proof(evidence)
-        parts += (prefix(len(sub_bytes) + len(paths_bytes)), sub_bytes, paths_bytes, prefix(len(proof_bytes)), proof_bytes)
+        parts += (prefix(len(sub_bytes) + len(paths_bytes)), sub_bytes, paths_bytes, encode_inclusion_proof(evidence))
     return parts
 
 
@@ -142,7 +143,7 @@ def _read_rounds(r: Reader, issuers: int, limit: int) -> tuple[WindowRound, ...]
 
     def read_round(r: Reader) -> WindowRound:
         sub, receipts = r.nested(held, limit)
-        return WindowRound(sub, receipts, r.nested(read_inclusion_proof, MAX_RECORD))
+        return WindowRound(sub, receipts, read_inclusion_proof(r))
 
     return r.many(read_round, "window rounds", MAX_ITEMS)
 
@@ -209,7 +210,7 @@ def _evidence_proof(holder_records: Sequence[NodeRecord], issuer_ids: Sequence[N
     if len(issuer_ids) > 1:
         at = first - FIXED_LEAVES - len(retaining.state.entangled)
         run = retaining.state.evidence[at : at + len(issuer_ids)]
-        if [(rc.issuer_id, rc.holder_round) for rc in run] != [(issuer_id, r) for issuer_id in issuer_ids]:
+        if list(map(receipt_key, run)) != [(issuer_id, r) for issuer_id in issuer_ids]:
             raise _not_one_run(r)
     return retaining.tree.prove_range(first, first + len(issuer_ids))
 
@@ -271,9 +272,9 @@ class _Deferred(KeyDirectory):
         self.bad: Optional[_Obligation] = None
         self.folds = 0
 
-    def proves(self, c: Commitment, leaves: Sequence[bytes], proof: InclusionProof) -> bool:
+    def proves(self, c: Commitment, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
         self.folds += 1
-        return c.proves(leaves, proof)
+        return c.proves(leaf_hashes, proof)
 
     def mark(self) -> None:
         self.record_start = len(self.recorded)
@@ -385,7 +386,7 @@ def _check_rounds(
             return _part_failed(holder, "holder chain", "ReceiptMismatch", f"receipt attests a different round-{r} root")
         if not view.verify_submission(sub):
             return _part_failed(holder, "holder chain", "BadSignature", f"holder signature in receipt for round {r}")
-        leaves = []
+        sub_hash, leaf_hashes = leaf_hash(sub.leaf_bytes()), []
         for (issuer_id, trusted), paths in zip(issuers, receipts):
             issuer_c = trusted.get(r + 1)
             if issuer_c is None:
@@ -393,15 +394,16 @@ def _check_rounds(
                 return _part_failed(holder, issuer_id.hex(), "TrustedRootUnavailable", detail)
             if issuer_c.node_id != issuer_id:
                 return _part_failed(holder, issuer_id.hex(), "ReceiptMismatch", "receipt from another issuer")
-            verdict = _check_receipt_inclusions(sub, paths, issuer_c, view)  # its signature was checked where it entered trust
+            verdict = _check_receipt_inclusions(sub_hash, paths, issuer_c, view)  # its signature was checked where it entered trust
             if not verdict:
                 return _part_failed(holder, issuer_id.hex(), verdict.reason, f"{verdict.detail} for round {r}")
             if r > s and paths.prev_digest != commitment_digest(trusted[r]):
                 detail = f"issuer chain breaks before round {r + 1}"
                 return _part_failed(holder, issuer_id.hex(), "ChainBreak", detail)
-            leaves.append(evidence_leaf(sub, issuer_c, paths))
+            # The receipt's bytes, as its holder retained them, hold its paths in the receipt's form.
+            leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, receipt_paths(paths, issuer_c.leaf_count))))
         view.mark()  # no signature fault reaches the evidence fold: a failed one pays for none
-        if not view.proves(commitments[r + EVIDENCE_LAG], leaves, evidence):
+        if not view.proves(commitments[r + EVIDENCE_LAG], leaf_hashes, evidence):
             what = "receipts" if isinstance(holder, HubProof) else "receipt"
             return Verdict.failed("EvidenceInvalid", f"{what} for round {r} not retained in round {r + EVIDENCE_LAG}")
     return Verdict.passed()
@@ -423,7 +425,8 @@ class HubProof:
         if not self.manifest:
             raise WireError("a hub proof needs at least one link")
         parts = [_HUB_HEAD.pack(self.holder_id, self.window_start, self.window_end), digests(self.manifest)]
-        parts += blobs([encode_inclusion_proof(proof) for proof in self.manifest_proofs])
+        parts.append(prefix(len(self.manifest_proofs)))
+        parts += [encode_inclusion_proof(proof, MANIFEST_LEAF_INDEX) for proof in self.manifest_proofs]
         parts += blobs([entry._encoding for entry in self.holder_chain])
         parts += _rounds_bytes(self.rounds)
         return b"".join(parts)
@@ -434,7 +437,7 @@ class HubProof:
         manifest = r.digests("manifest ids", MAX_ITEMS)
         if not manifest:
             raise WireError("a hub proof needs at least one link")
-        manifest_proofs = r.many(lambda r: r.nested(read_inclusion_proof, MAX_RECORD), "manifest proofs", MAX_ITEMS)
+        manifest_proofs = r.many(lambda r: read_inclusion_proof(r, MANIFEST_LEAF_INDEX), "manifest proofs", MAX_ITEMS)
         chain = _read_chain(r)
         return HubProof(holder_id, start, end, manifest, manifest_proofs, chain, _read_rounds(r, len(manifest), MAX_LINK))
 
@@ -491,11 +494,11 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
         return _wrapped("LinkFailed", "holder chain", verdict)
     view.mark()  # a failed manifest proof or trust lookup pays for no chain entry's signature
     commitments = _by_round(proof.holder_chain)
-    manifest_leaf = (_manifest_leaf(proof.manifest),)
+    manifest_hash = (leaf_hash(_manifest_leaf(proof.manifest)),)
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
         if m_proof.leaf_index != MANIFEST_LEAF_INDEX:
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
-        if not view.proves(commitments[r], manifest_leaf, m_proof):
+        if not view.proves(commitments[r], manifest_hash, m_proof):
             return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")
     issuers = [(issuer_id, trusted.get(issuer_id)) for issuer_id in proof.manifest]
     for issuer_id, issuer_trust in issuers:
@@ -596,11 +599,13 @@ class PathStep:
 
     ``entangled``: the running root appears as a signed submission leaf in
     the next tree.  ``prev``: the running root is inside a commitment whose
-    digest is the next tree's first leaf.
+    digest is the next tree's first leaf.  ``tree_size`` is the next tree's
+    leaf count, which the proof's fold takes.
     """
 
     kind: str  # "entangled" | "prev"
     proof: InclusionProof
+    tree_size: int
     submission: Optional[Submission] = None
     commitment: Optional[Commitment] = None
 
@@ -657,6 +662,7 @@ def _extensions(records_by_id, node_id: NodeId, round_no: int):
             yield (node_id, round_no + 1), PathStep(
                 kind="prev",
                 proof=record.tree.prove_inclusion(0),
+                tree_size=record.tree.size,
                 commitment=own[round_no].commitment,
             )
     for other_id in sorted(records_by_id):
@@ -675,6 +681,7 @@ def _extensions(records_by_id, node_id: NodeId, round_no: int):
         yield (other_id, round_no + 1), PathStep(
             kind="entangled",
             proof=record.tree.prove_inclusion(index),
+            tree_size=record.tree.size,
             submission=record.state.entangled[index - FIXED_LEAVES],
         )
 
@@ -686,14 +693,14 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
         if step.kind == "entangled":
             if step.submission is None or step.submission.holder_root != current:
                 return False
-            implied = fold_root((step.submission.leaf_bytes(),), step.proof)
+            implied = fold_root((leaf_hash(step.submission.leaf_bytes()),), step.proof, step.tree_size)
         elif step.kind == "prev":
             if step.commitment is None or step.commitment.root != current:
                 return False
             leaf = bytes([LEAF_PREV]) + commitment_digest(step.commitment)
             if step.proof.leaf_index != 0:
                 return False
-            implied = fold_root((leaf,), step.proof)
+            implied = fold_root((leaf_hash(leaf),), step.proof, step.tree_size)
         else:
             return False
         if implied is None:
@@ -702,7 +709,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
     return current == end_root
 
 
-_PROOF_MAGIC = b"EMP5"
+_PROOF_MAGIC = b"EMP6"
 _PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 

@@ -11,8 +11,7 @@ stay stable when new leaves are appended on the right.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "DIGEST_SIZE",
@@ -26,13 +25,15 @@ __all__ = [
     "fold_root",
     "leaf_hash",
     "node_hash",
+    "path_steps",
     "root",
     "sha256",
     "verify_inclusion",
 ]
 
 DIGEST_SIZE = 32
-STEP_SIZE = 1 + DIGEST_SIZE  # one audit-path step: side byte, then sibling
+STEP_SIZE = 1 + DIGEST_SIZE  # one step of a path as a receipt writes it: side byte, then sibling
+_LEFT, _RIGHT = b"\x00", b"\x01"  # the side bytes: sibling on the left, on the right
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
 _sha256 = hashlib.sha256
@@ -70,21 +71,21 @@ def root(leaves: Sequence[bytes]) -> Digest:
     return MerkleTree(leaves).root
 
 
-@dataclass(frozen=True)
-class InclusionProof:
+class InclusionProof(NamedTuple):
     """Audit path for a run of consecutive leaves, one leaf or more.
 
-    ``leaf_index`` is the run's first leaf; the verifier supplies the run's
-    leaves, so their count is not written.  ``audit_path`` is the path's
-    wire bytes: ``STEP_SIZE``-byte steps, each a side byte (0 = sibling on
-    the left, 1 = on the right) and then the 32-byte sibling, ordered
-    bottom-up.  ``tree_size`` pins the shape; verification rejects any path
-    whose structure does not match (leaf_index, run length, tree_size).
+    ``leaf_index`` is the run's first leaf; ``siblings`` are the 32-byte
+    subtree roots that bound the run, bottom-up.  Nothing else is held: the
+    verifier supplies the run's leaves, and the tree size comes from the
+    commitment the path is checked against.  Each sibling's side, and how
+    many siblings there are, follow from (leaf_index, run length, tree size),
+    so the fold derives them and rejects a path with any other sibling count
+    (RFC 9162 section 2.1.3 keeps a path the same way).  A tuple, since a
+    proof builds and reads one per receipt and round.
     """
 
     leaf_index: int
-    audit_path: bytes
-    tree_size: int
+    siblings: tuple[Digest, ...]
 
 
 class MerkleTree:
@@ -131,83 +132,93 @@ class MerkleTree:
         size = len(levels[0]) // DIGEST_SIZE
         if not 0 <= start < end <= size:
             raise IndexOutOfRangeError(f"leaf run [{start}, {end}) not in tree of size {size}")
-        steps: list[bytes] = []
+        siblings: list[bytes] = []
         lo, hi = start, end
         for level in levels[:-1]:
             if lo & 1:  # the first node is a right child: its sibling is on the left
-                steps.append(b"\x00")
-                steps.append(level[(lo - 1) * DIGEST_SIZE : lo * DIGEST_SIZE])
+                siblings.append(level[(lo - 1) * DIGEST_SIZE : lo * DIGEST_SIZE])
             if hi & 1 and hi * DIGEST_SIZE < len(level):  # the last node is a left child with a pair
-                steps.append(b"\x01")
-                steps.append(level[hi * DIGEST_SIZE : (hi + 1) * DIGEST_SIZE])
+                siblings.append(level[hi * DIGEST_SIZE : (hi + 1) * DIGEST_SIZE])
             lo, hi = lo >> 1, (hi + 1) >> 1
-        return InclusionProof(start, b"".join(steps), size)
+        return InclusionProof(start, tuple(siblings))
 
     def prove_inclusion(self, index: int) -> InclusionProof:
         return self.prove_range(index, index + 1)
 
 
-def fold_root(leaves: Sequence[bytes], proof: InclusionProof) -> Optional[Digest]:
-    """Fold a run of consecutive leaves up an audit path; return the implied root.
+def fold_root(leaf_hashes: Sequence[bytes], proof: InclusionProof, tree_size: int) -> Optional[Digest]:
+    """Fold the leaf hashes of a run of consecutive leaves up an audit path
+    in a tree of ``tree_size`` leaves; return the implied root.
 
-    Returns None when the path's length or side sequence disagrees with the
-    claimed (leaf_index, tree_size) and the run's length: every serialized
-    field must be load-bearing.  While the run spans several nodes of a
-    level, the level takes the steps ``prove_range`` writes; an unpaired
-    last node is promoted.  Then one pass (RFC 9162 section 2.1.3.2): below
-    level ``inner``, where the node's and the level's last node's positions
-    differ, bit ``level`` of the index gives the sibling's side; above it
-    the node is on the right border, one left sibling per set bit of
-    ``index >> inner``.
+    Returns None when the path's sibling count disagrees with the run's
+    (leaf_index, length) and ``tree_size``.  While the run spans several nodes
+    of a level, the level takes the siblings ``prove_range`` gives; an
+    unpaired last node is promoted.  Then one pass (RFC 9162 section
+    2.1.3.2): below level ``inner``, where the node's and the level's last
+    node's positions differ, bit ``level`` of the index gives the sibling's
+    side; above it the node is on the right border, one left sibling per set
+    bit of ``index >> inner``.
     """
-    index, size = proof.leaf_index, proof.tree_size
+    index, siblings, size = proof.leaf_index, proof.siblings, tree_size
     if not isinstance(index, int) or not isinstance(size, int):
         return None
-    end = index + len(leaves)
+    end = index + len(leaf_hashes)
     if not 0 <= index < end <= size:
         return None
-    path = proof.audit_path
+    at = 0
     if end - index == 1:
-        at, current = 0, _sha256(_LEAF_PREFIX + leaves[0]).digest()
+        current = leaf_hashes[0]
     else:
-        at, nodes = 0, [_sha256(_LEAF_PREFIX + leaf).digest() for leaf in leaves]
+        nodes, count = list(leaf_hashes), len(siblings)
         while end - index > 1:
             if index & 1:
-                if path[at : at + 1] != b"\x00":
+                if at == count:
                     return None
-                nodes.insert(0, path[at + 1 : at + STEP_SIZE])
-                at += STEP_SIZE
+                nodes.insert(0, siblings[at])
+                at += 1
             if end & 1 and end < size:
-                if path[at : at + 1] != b"\x01":
+                if at == count:
                     return None
-                nodes.append(path[at + 1 : at + STEP_SIZE])
-                at += STEP_SIZE
+                nodes.append(siblings[at])
+                at += 1
             pairs = range(0, len(nodes) - 1, 2)
             nodes = [_sha256(_NODE_PREFIX + nodes[i] + nodes[i + 1]).digest() for i in pairs] + nodes[len(nodes) & ~1 :]
             index, end, size = index >> 1, (end + 1) >> 1, (size + 1) >> 1
         current = nodes[0]
+        siblings = siblings[at:]
     inner = (index ^ (size - 1)).bit_length()
-    if len(path) - at != (inner + (index >> inner).bit_count()) * STEP_SIZE:
+    if len(siblings) != inner + (index >> inner).bit_count():
         return None
-    for level, at in enumerate(range(at, len(path), STEP_SIZE)):
+    for level, sibling in enumerate(siblings):
         if level >= inner or index >> level & 1:
-            if path[at] != 0:
-                return None
-            current = _sha256(_NODE_PREFIX + path[at + 1 : at + STEP_SIZE] + current).digest()
+            current = _sha256(_NODE_PREFIX + sibling + current).digest()
         else:
-            if path[at] != 1:
-                return None
-            current = _sha256(_NODE_PREFIX + current + path[at + 1 : at + STEP_SIZE]).digest()
+            current = _sha256(_NODE_PREFIX + current + sibling).digest()
     return current
 
 
-def verify_inclusion(leaves: Sequence[bytes], proof: InclusionProof, expected_root: bytes) -> bool:
-    """True iff the proof places the run ``leaves`` in a tree with ``expected_root``.
+def verify_inclusion(leaf_hashes: Sequence[bytes], proof: InclusionProof, tree_size: int, expected_root: bytes) -> bool:
+    """True iff the proof places the run of leaves with ``leaf_hashes`` in a
+    tree of ``tree_size`` leaves with ``expected_root``.
 
     Never raises on malformed input: bad proofs simply verify false.
     """
     try:
-        implied = fold_root(leaves, proof)
+        implied = fold_root(leaf_hashes, proof, tree_size)
     except Exception:
         return False
     return implied is not None and implied == expected_root
+
+
+def path_steps(proof: InclusionProof, tree_size: int) -> list[bytes]:
+    """A one-leaf path's steps in a tree of ``tree_size`` leaves, bottom-up,
+    as parts for one join: each step a side byte (0 = sibling on the left,
+    1 = on the right) and then the sibling, ``STEP_SIZE`` bytes.  The sides
+    are derived from (leaf_index, tree_size) as ``fold_root`` derives them.
+    A receipt writes its paths this way."""
+    index = proof.leaf_index
+    inner = (index ^ (tree_size - 1)).bit_length()
+    steps = []
+    for level, sibling in enumerate(proof.siblings):
+        steps += (_LEFT if level >= inner or index >> level & 1 else _RIGHT, sibling)
+    return steps

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .hashtree import Digest, InclusionProof, sha256
+from .hashtree import Digest, InclusionProof, leaf_hash, sha256
 from .keys import KeyPair, NodeId
 from .node import (
     Commitment,
@@ -116,7 +116,7 @@ def verify_revocation_evidence(evidence: RevocationEvidence, trusted: Commitment
     c = evidence.commitment
     if c != trusted:
         return Verdict.failed("TrustMismatch", "evidence cites a different commitment")
-    if not c.proves((_revocation_leaf(evidence.revocation_list),), evidence.proof):
+    if not c.proves((leaf_hash(_revocation_leaf(evidence.revocation_list)),), evidence.proof):
         return Verdict.failed("EvidenceInvalid", "revocation leaf unproven")
     if list(evidence.revocation_list) != sorted(set(evidence.revocation_list)):
         return Verdict.failed("EvidenceInvalid", "revocation list not canonical")

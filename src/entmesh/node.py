@@ -20,15 +20,15 @@ Leaf layout (tags distinguish every leaf kind; see docs/FORMATS.md):
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, TypeVar
 
-from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, sha256, verify_inclusion
+from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, leaf_hash, sha256, verify_inclusion
 from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
 from .sexpr import Expr, encode_tree
 from .wire import (
-    MAX_RECORD,
     Head,
     Reader,
     WireError,
@@ -37,6 +37,7 @@ from .wire import (
     digest,
     digests,
     encode_inclusion_proof,
+    encode_receipt_path,
     frozen_record,
     prefix,
     read_inclusion_proof,
@@ -135,11 +136,9 @@ def _signed(fields: bytes, signature: bytes) -> bytes:
 
 
 def _paths_bytes(inclusion: InclusionProof, prev_digest: Digest, prev_inclusion: InclusionProof) -> bytes:
-    # A receipt's paths, in wire order: the rest of the receipt after its issuer commitment.
-    proof = encode_inclusion_proof(inclusion)
-    prev = digest(prev_digest)
-    prev_proof = encode_inclusion_proof(prev_inclusion)
-    return b"".join((prefix(len(proof)), proof, prev, prefix(len(prev_proof)), prev_proof))
+    # A receipt's paths as a proof writes them: the submission leaf's path with
+    # its index, the prev digest, and the first leaf's path, at index 0, without it.
+    return b"".join((encode_inclusion_proof(inclusion), digest(prev_digest), encode_inclusion_proof(prev_inclusion, 0)))
 
 
 R = TypeVar("R")
@@ -182,10 +181,11 @@ class Commitment:
     def to_bytes(self) -> bytes:
         return self._encoding
 
-    def proves(self, leaves: Sequence[bytes], proof: InclusionProof) -> bool:
-        """True iff ``proof`` places the run ``leaves`` in this commitment's
-        tree: it must fold to ``root`` and carry ``tree_size == leaf_count``."""
-        return proof.tree_size == self.leaf_count and verify_inclusion(leaves, proof, self.root)
+    def proves(self, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
+        """True iff ``proof`` places the run of leaves with ``leaf_hashes`` in
+        this commitment's tree: folded in a tree of ``leaf_count`` leaves, it
+        must give ``root``."""
+        return verify_inclusion(leaf_hashes, proof, self.leaf_count, self.root)
 
     @staticmethod
     def read(r: Reader) -> "Commitment":
@@ -244,6 +244,10 @@ class ReceiptPaths:
     proof of that first leaf.  A proof carries these per issuer round; the
     submission once per round, and the issuer commitment not at all: the
     verifier holds a trusted copy.
+
+    Its encoding is the form a proof writes (``_paths_bytes``), kept from
+    issue.  A receipt writes its paths in another form, with the issuer
+    tree's size and each step's side (``receipt_paths``).
     """
 
     inclusion: InclusionProof
@@ -260,11 +264,21 @@ class ReceiptPaths:
     @staticmethod
     def read(r: Reader) -> "ReceiptPaths":
         start = r.tell()
-        inclusion, prev_digest = r.nested(read_inclusion_proof, MAX_RECORD), r.digest()
-        prev_inclusion = r.nested(read_inclusion_proof, MAX_RECORD)
+        inclusion, prev_digest, prev_inclusion = read_inclusion_proof(r), r.digest(), read_inclusion_proof(r, 0)
         return frozen_record(
             ReceiptPaths, inclusion=inclusion, prev_digest=prev_digest, prev_inclusion=prev_inclusion, _encoding=r.since(start)
         )
+
+
+def receipt_paths(paths: ReceiptPaths, leaf_count: int) -> bytes:
+    """``paths`` as a receipt writes them, the rest of the receipt after its
+    issuer commitment, for an issuer tree of ``leaf_count`` leaves: each path
+    a blob of its head (leaf index, tree size, step count) and its steps
+    (``encode_receipt_path``), with the prev digest between them."""
+    parts = encode_receipt_path(paths.inclusion, leaf_count)
+    parts.append(digest(paths.prev_digest))
+    parts += encode_receipt_path(paths.prev_inclusion, leaf_count)
+    return b"".join(parts)
 
 
 @dataclass(frozen=True)
@@ -276,9 +290,10 @@ class Receipt:
     leaf in that commitment's tree, so a receipt alone lets the holder check
     the issuer's chain continuity round over round.  Receipts are retained
     as evidence leaves in the holder's tree two rounds after the submitted
-    root's round.  It keeps no encoding of its own: its bytes are its three
-    parts' kept bytes, joined when asked for, so a retained receipt holds
-    each part's bytes once.
+    root's round.  Its bytes are its Submission's and issuer commitment's
+    kept bytes and its paths as a receipt writes them, joined when asked
+    for.  It keeps that last part, written at issue or on first use; its
+    paths keep the form a proof writes of them.
     """
 
     submission: Submission
@@ -305,20 +320,24 @@ class Receipt:
     def issuer_round(self) -> int:
         return self.issuer_commitment.round
 
+    @cached_property
+    def _paths_encoding(self) -> bytes:
+        return receipt_paths(self.paths, self.issuer_commitment.leaf_count)
+
     def to_bytes(self) -> bytes:
         c = self.issuer_commitment._encoding
-        return b"".join((self.submission._encoding, prefix(len(c)), c, self.paths._encoding))
+        return b"".join((self.submission._encoding, prefix(len(c)), c, self._paths_encoding))
 
     def leaf_bytes(self) -> bytes:
-        return evidence_leaf(self.submission, self.issuer_commitment, self.paths)
+        return evidence_leaf(self.submission, self.issuer_commitment, self._paths_encoding)
 
 
-def evidence_leaf(submission: Submission, c: Commitment, paths: ReceiptPaths) -> bytes:
-    """The evidence leaf of the receipt of ``submission``, ``c`` and ``paths``,
-    joined once from their bytes: a retained receipt's, or a proof verifier's
-    with its trusted ``c``."""
+def evidence_leaf(submission: Submission, c: Commitment, paths: bytes) -> bytes:
+    """The evidence leaf of the receipt of ``submission``, ``c`` and the
+    receipt's ``paths`` bytes (``receipt_paths``), joined once: a retained
+    receipt's, or a proof verifier's with its trusted ``c``."""
     blob = c._encoding
-    return b"".join((bytes([LEAF_EVIDENCE]), submission._encoding, prefix(len(blob)), blob, paths._encoding))
+    return b"".join((bytes([LEAF_EVIDENCE]), submission._encoding, prefix(len(blob)), blob, paths))
 
 
 def _manifest_leaf(manifest: Sequence[NodeId]) -> bytes:
@@ -354,12 +373,11 @@ class RoundState:
     revocation: Optional[tuple[Digest, ...]] = None
 
 
-def _submission_key(sub: Submission) -> tuple[NodeId, int]:
-    return sub.holder_id, sub.holder_round
-
-
-def _receipt_key(receipt: Receipt) -> tuple[NodeId, int]:
-    return receipt.issuer_id, receipt.holder_round
+# The sort keys of a state's entangled submissions, (holder id, holder round),
+# and of its evidence receipts, (issuer id, holder round): each one C-level
+# call, so a binary search makes no Python call per probe.
+submission_key = attrgetter("holder_id", "holder_round")
+receipt_key = attrgetter("issuer_commitment.node_id", "submission.holder_round")
 
 
 def _require_sorted_unique(items: Sequence, what: str) -> None:
@@ -374,8 +392,8 @@ def validate_state(state: RoundState) -> None:
     if state.round == 0 and state.prev_commitment_digest != ZERO_DIGEST:
         raise InvariantViolationError("round 0 must chain from the zero digest")
     _require_sorted_unique(state.manifest, "manifest")
-    _require_sorted_unique([_submission_key(s) for s in state.entangled], "entangled submissions")
-    _require_sorted_unique([_receipt_key(r) for r in state.evidence], "evidence receipts")
+    _require_sorted_unique(list(map(submission_key, state.entangled)), "entangled submissions")
+    _require_sorted_unique(list(map(receipt_key, state.evidence)), "evidence receipts")
     _require_sorted_unique(state.credentials, "credential digests")
     if state.revocation is not None:
         _require_sorted_unique(state.revocation, "revocation list")
@@ -413,14 +431,14 @@ def _find(items: Sequence, key, item_key=None) -> int:
 
 
 def entangled_leaf_index(state: RoundState, holder_id: NodeId, holder_round: int) -> int:
-    pos = _find(state.entangled, (holder_id, holder_round), _submission_key)
+    pos = _find(state.entangled, (holder_id, holder_round), submission_key)
     if pos < 0:
         raise NotEntangledError(f"no submission from {holder_id.hex()} round {holder_round}")
     return FIXED_LEAVES + pos
 
 
 def evidence_leaf_index(state: RoundState, issuer_id: NodeId, holder_round: int) -> int:
-    pos = _find(state.evidence, (issuer_id, holder_round), _receipt_key)
+    pos = _find(state.evidence, (issuer_id, holder_round), receipt_key)
     if pos < 0:
         raise NotEntangledError(f"no evidence from {issuer_id.hex()} for round {holder_round}")
     return FIXED_LEAVES + len(state.entangled) + pos
@@ -497,9 +515,9 @@ class KeyDirectory:
     def verify_submission(self, s: Submission) -> bool:
         return self.verify_signature(s.holder_id, s.holder_round, s.message(), s.signature)
 
-    def proves(self, c: Commitment, leaves: Sequence[bytes], proof: InclusionProof) -> bool:
-        """``c.proves(leaves, proof)``, which a proof verifier's view counts."""
-        return c.proves(leaves, proof)
+    def proves(self, c: Commitment, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
+        """``c.proves(leaf_hashes, proof)``, which a proof verifier's view counts."""
+        return c.proves(leaf_hashes, proof)
 
 
 def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
@@ -516,17 +534,18 @@ def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
     c = receipt.issuer_commitment
     if not directory.verify_commitment(c):
         return Verdict.failed("BadSignature", f"issuer {c.node_id.hex()}")
-    return _check_receipt_inclusions(receipt.submission, receipt.paths, c, directory)
+    return _check_receipt_inclusions(leaf_hash(receipt.submission.leaf_bytes()), receipt.paths, c, directory)
 
 
-def _check_receipt_inclusions(submission: Submission, paths: ReceiptPaths, c: Commitment, directory: KeyDirectory) -> Verdict:
+def _check_receipt_inclusions(submission_hash: Digest, paths: ReceiptPaths, c: Commitment, directory: KeyDirectory) -> Verdict:
     """``check_receipt`` without the issuer signature, against issuer
     commitment ``c``: the receipt's own, or a proof verifier's
-    authenticated copy, which a proof does not carry."""
-    if not directory.proves(c, (submission.leaf_bytes(),), paths.inclusion):
+    authenticated copy, which a proof does not carry.  The caller hashes
+    the submission leaf, once for every receipt that shares it."""
+    if not directory.proves(c, (submission_hash,), paths.inclusion):
         return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
-    prev_leaf = bytes([LEAF_PREV]) + paths.prev_digest
-    if paths.prev_inclusion.leaf_index != 0 or not directory.proves(c, (prev_leaf,), paths.prev_inclusion):
+    prev_hash = leaf_hash(bytes([LEAF_PREV]) + paths.prev_digest)
+    if paths.prev_inclusion.leaf_index != 0 or not directory.proves(c, (prev_hash,), paths.prev_inclusion):
         return Verdict.failed("ReceiptInvalid", "prev-commitment leaf unproven")
     return Verdict.passed()
 
@@ -547,8 +566,7 @@ class ChainEntry:
     @cached_property
     def _encoding(self) -> bytes:
         c, prev = self.commitment._encoding, digest(self.prev_digest)
-        proof = encode_inclusion_proof(self.first_leaf_proof)
-        return b"".join((prefix(len(c)), c, prev, prefix(len(proof)), proof))
+        return b"".join((prefix(len(c)), c, prev, encode_inclusion_proof(self.first_leaf_proof, 0)))
 
     def to_bytes(self) -> bytes:
         return self._encoding
@@ -559,7 +577,7 @@ class ChainEntry:
         entry = ChainEntry(
             commitment=r.nested(Commitment.read, MAX_COMMITMENT),
             prev_digest=r.digest(),
-            first_leaf_proof=r.nested(read_inclusion_proof, MAX_RECORD),
+            first_leaf_proof=read_inclusion_proof(r, 0),
         )
         return _keep(entry, r.since(start))
 
@@ -598,7 +616,7 @@ def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory)
             return Verdict.failed("BadSignature", f"round {c.round}")
         if entry.first_leaf_proof.leaf_index != 0:
             return Verdict.failed("ChainBreak", f"first-leaf proof at wrong position, round {c.round}")
-        if not directory.proves(c, (bytes([LEAF_PREV]) + entry.prev_digest,), entry.first_leaf_proof):
+        if not directory.proves(c, (leaf_hash(bytes([LEAF_PREV]) + entry.prev_digest),), entry.first_leaf_proof):
             return Verdict.failed("ChainBreak", f"first leaf unproven at round {c.round}")
         if previous is not None and entry.prev_digest != commitment_digest(previous):
             return Verdict.failed("ChainBreak", f"round {c.round} does not chain")
@@ -755,7 +773,12 @@ class Node:
             raise NotEntangledError("entangled root differs from the submission")
         entry = chain_entry_for(record)  # its first-leaf proof is shared by the round's receipts
         fields = (record.tree.prove_inclusion(index), entry.prev_digest, entry.first_leaf_proof)
-        return Receipt(entangled, entry.commitment, _keep(ReceiptPaths(*fields), _paths_bytes(*fields)))
+        receipt = Receipt(entangled, entry.commitment, _keep(ReceiptPaths(*fields), _paths_bytes(*fields)))
+        # The receipt's paths in its own form, written now as the issuer sends it.  Set
+        # as ``_keep`` sets an encoding, not through the cached property, which would
+        # give every retained receipt an attribute dict of its own.
+        object.__setattr__(receipt, "_paths_encoding", receipt_paths(receipt.paths, entry.commitment.leaf_count))
+        return receipt
 
     def verify_receipt(self, receipt: Receipt, directory: KeyDirectory) -> Verdict:
         """Holder-side check of a fresh receipt, including issuer continuity."""

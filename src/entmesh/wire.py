@@ -16,9 +16,9 @@ encode-time refusals are its.  A record reads its fixed head in one unpack.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
-from .hashtree import DIGEST_SIZE, STEP_SIZE, Digest, InclusionProof
+from .hashtree import DIGEST_SIZE, STEP_SIZE, Digest, InclusionProof, path_steps
 
 __all__ = [
     "Head",
@@ -31,6 +31,7 @@ __all__ = [
     "digest",
     "digests",
     "encode_inclusion_proof",
+    "encode_receipt_path",
     "frozen_record",
     "prefix",
     "read_inclusion_proof",
@@ -42,7 +43,7 @@ _U64_MAX = 2**64 - 1
 # Length bounds shared by every record (the table in docs/FORMATS.md).
 MAX_ITEMS = 4096  # records in one counted list
 MAX_RECORD = 1 << 16  # bytes of one nested record
-MAX_AUDIT_STEPS = 64  # steps in one inclusion proof's audit path
+MAX_AUDIT_STEPS = 64  # siblings in one inclusion proof's audit path
 
 T = TypeVar("T")
 
@@ -128,11 +129,18 @@ def digest(d: bytes) -> bytes:
     return d
 
 
+def _joined_digests(items: Sequence[bytes]) -> bytes:
+    """``items`` joined, refused unless each is a digest's length: their
+    total is that of as many digests, and none is shorter."""
+    joined = b"".join(items)
+    if len(joined) != DIGEST_SIZE * len(items) or (items and min(map(len, items)) != DIGEST_SIZE):
+        raise WireError(f"digest must be {DIGEST_SIZE} bytes")
+    return joined
+
+
 def digests(items: Sequence[bytes]) -> bytes:
     """A u32 count, then each digest."""
-    for d in items:
-        digest(d)
-    return prefix(len(items)) + b"".join(items)
+    return prefix(len(items)) + _joined_digests(items)
 
 
 def blobs(items: Sequence[bytes]) -> list[bytes]:
@@ -286,7 +294,7 @@ def frozen_record(cls: type[T], **fields) -> T:
     ``__post_init__``.  ``fields`` names every field, and may add the
     record's kept ``_encoding``.  Its fields are slower to read than those
     ``__init__`` sets, which suits the many small records a proof decodes
-    for one verify (receipt paths, inclusion proofs), not records kept longer."""
+    for one verify (receipt paths), not records kept longer."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
@@ -300,43 +308,65 @@ def decode(data: bytes, read: Callable[[Reader], T]) -> T:
     return value
 
 
-_PROOF_HEAD = struct.Struct(">QQI")  # leaf_index, tree_size, step count
+_new_tuple = tuple.__new__  # a NamedTuple made without its Python-level __new__
+_INDEXED_PATH_HEAD = struct.Struct(">QI")  # leaf_index, sibling count
+_RECEIPT_PATH_HEAD = struct.Struct(">IQQI")  # blob length, then leaf_index, tree_size, step count
 
 
-def _check_sides(sides: bytes) -> None:
-    """Refuse a side byte other than 0 or 1, naming the first one."""
-    if sides.translate(None, b"\x00\x01"):
-        raise WireError(f"bad side byte {next(b for b in sides if b > 1)}")
-
-
-def encode_inclusion_proof(proof: InclusionProof) -> bytes:
-    """The head, then the path's step bytes as they are; a path the reader
-    would refuse is refused here."""
-    path = proof.audit_path
-    count, extra = divmod(len(path), STEP_SIZE)
-    if extra:
-        raise WireError(f"audit path is not whole {STEP_SIZE}-byte steps")
+def encode_inclusion_proof(proof: InclusionProof, index: Optional[int] = None) -> bytes:
+    """A path as a proof writes it: the u64 leaf index, then the siblings, a
+    u32 count and each sibling.  ``index`` is the leaf index the format fixes
+    for this path, where it fixes one: the path must be there, and the index
+    is not written.  A path the reader would refuse is refused here."""
+    leaf_index, siblings = proof
+    count = len(siblings)
+    if index is None:
+        try:
+            head = _INDEXED_PATH_HEAD.pack(leaf_index, count)
+        except struct.error:
+            raise WireError(f"u64 out of range: {leaf_index}") from None
+    elif leaf_index != index:
+        raise WireError(f"path at leaf {leaf_index}, not at leaf {index}")
+    else:
+        head = prefix(count)
     if count > MAX_AUDIT_STEPS:
         raise WireError(f"too many audit steps: {count}")
-    _check_sides(path[::STEP_SIZE])
-    try:
-        return _PROOF_HEAD.pack(proof.leaf_index, proof.tree_size, count) + path
-    except struct.error as exc:  # an index or size that is not a u64
-        raise WireError(f"inclusion proof head: {exc}") from None
+    return head + _joined_digests(siblings)
 
 
-def read_inclusion_proof(r: Reader) -> InclusionProof:
-    """The head in one unpack, then the path's step bytes as one slice."""
-    data, start = r._data, r._pos + _PROOF_HEAD.size
-    if start > r._end:
-        raise WireError("truncated input")
-    leaf_index, tree_size, count = _PROOF_HEAD.unpack_from(data, r._pos)
+def read_inclusion_proof(r: Reader, index: Optional[int] = None) -> InclusionProof:
+    """A path as ``encode_inclusion_proof`` writes it, at the fixed ``index``
+    if one is given: the head (index and count, or count) in one unpack,
+    then the siblings sliced from the buffer."""
+    data, pos, limit = r._data, r._pos, r._end
+    if index is None:
+        if pos + _INDEXED_PATH_HEAD.size > limit:
+            raise WireError("truncated input")
+        index, count = _INDEXED_PATH_HEAD.unpack_from(data, pos)
+        pos += _INDEXED_PATH_HEAD.size
+    else:
+        if pos + 4 > limit:
+            raise WireError("truncated input")
+        count = _U32(data, pos)[0]
+        pos += 4
     if count > MAX_AUDIT_STEPS:
         raise WireError(f"too many audit steps: {count}")
-    end = start + count * STEP_SIZE
-    # A step-by-step read meets the first bad side byte before a cut-short path.
-    _check_sides(data[start : min(end, r._end) : STEP_SIZE])
-    if end > r._end:
+    end = pos + count * DIGEST_SIZE
+    if end > limit:
         raise WireError("truncated input")
     r._pos = end
-    return frozen_record(InclusionProof, leaf_index=leaf_index, audit_path=data[start:end], tree_size=tree_size)
+    return _new_tuple(InclusionProof, (index, tuple([data[i : i + DIGEST_SIZE] for i in range(pos, end, DIGEST_SIZE)])))
+
+
+def encode_receipt_path(proof: InclusionProof, tree_size: int) -> list[bytes]:
+    """A one-leaf path as a receipt writes it, in a tree of ``tree_size``
+    leaves, as parts for one join: a blob of the head (leaf_index,
+    tree_size, step count) and the steps ``path_steps`` derives.  No reader
+    reads this form: it is part of the receipt bytes an evidence leaf holds,
+    which are only ever hashed."""
+    count = len(proof.siblings)
+    try:
+        head = _RECEIPT_PATH_HEAD.pack(_RECEIPT_PATH_HEAD.size - 4 + STEP_SIZE * count, proof.leaf_index, tree_size, count)
+    except struct.error as exc:  # an index or size that is not a u64
+        raise WireError(f"inclusion proof head: {exc}") from None
+    return [head, *path_steps(proof, tree_size)]

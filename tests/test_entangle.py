@@ -30,7 +30,8 @@ from entmesh.entangle import (
 )
 from entmesh.hashtree import sha256
 from entmesh.keys import Ed25519Scheme
-from entmesh.wire import MAX_RECORD, WireError, Writer, encode_inclusion_proof
+from entmesh.node import MANIFEST_LEAF_INDEX
+from entmesh.wire import MAX_RECORD, WireError, Writer
 
 
 @pytest.fixture
@@ -317,6 +318,14 @@ class TestHubProof:
             build_hub_proof(fan.nodes["center"].records, (7, 8), {})
 
 
+def path_bytes(w, proof, fixed=None):
+    """A path in a proof, field by field: its leaf index unless the format
+    fixes it, then its sibling count and siblings."""
+    if fixed is None:
+        w.u64(proof.leaf_index)
+    return w.digests(proof.siblings)
+
+
 def hub_for(net, window=(1, 3)):
     return build_hub_proof(net.nodes["center"].records, window, net.nodes["center"].receipt_log)
 
@@ -333,12 +342,14 @@ def hub_bytes(proof, manifest=None, held=None):
     manifest = proof.manifest if manifest is None else manifest
     held = [round_blob(rnd.submission, rnd.receipts) for rnd in proof.rounds] if held is None else held
     w = Writer().digest(proof.holder_id).u64(proof.window_start).u64(proof.window_end).digests(manifest)
-    w.blobs([encode_inclusion_proof(p) for p in proof.manifest_proofs])
+    w.u32(len(proof.manifest_proofs))
+    for p in proof.manifest_proofs:
+        path_bytes(w, p, MANIFEST_LEAF_INDEX)
     w.blobs([entry.to_bytes() for entry in proof.holder_chain])
     w.u32(len(held))
     for blob, rnd in zip(held, proof.rounds, strict=True):
-        w.blob(blob).blob(encode_inclusion_proof(rnd.evidence_proof))
-    return b"EMP5\x11" + w.getvalue()
+        path_bytes(w.blob(blob), rnd.evidence_proof)
+    return b"EMP6\x11" + w.getvalue()
 
 
 class TestHubCodec:
@@ -625,7 +636,7 @@ def link_bytes(link, first_entry_blob):
     w.blobs([first_entry_blob] + [entry.to_bytes() for entry in link.holder_chain[1:]])
     w.u32(len(link.rounds))
     for rnd in link.rounds:
-        w.blob(round_blob(rnd.submission, rnd.receipts)).blob(encode_inclusion_proof(rnd.evidence_proof))
+        path_bytes(w.blob(round_blob(rnd.submission, rnd.receipts)), rnd.evidence_proof)
     return encode_proof(link)[:5] + w.getvalue()
 
 
@@ -696,7 +707,7 @@ class TestProofCodec:
 
         def entry_blob(commitment_blob):
             w = Writer().blob(commitment_blob).digest(entry.prev_digest)
-            return w.blob(encode_inclusion_proof(entry.first_leaf_proof)).getvalue()
+            return path_bytes(w, entry.first_leaf_proof, 0).getvalue()
 
         commitment = entry.commitment.to_bytes()
         assert entry_blob(commitment) == entry.to_bytes()
@@ -719,7 +730,7 @@ class TestProofCodec:
     def test_emp2_envelope_refused(self, fan):
         # EMP2 receipts carried the issuer commitment; no EMP2 reader is kept.
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
-        assert data[:4] == b"EMP5"
+        assert data[:4] == b"EMP6"
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP2" + data[4:])
 
@@ -736,6 +747,13 @@ class TestProofCodec:
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP4" + data[4:])
+
+    def test_emp5_envelope_refused(self, fan):
+        # EMP5 paths held their tree size, step count, side bytes and every
+        # leaf index; no EMP5 reader is kept.
+        data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
+        with pytest.raises(WireError, match="not a proof file"):
+            decode_proof(b"EMP5" + data[4:])
 
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):

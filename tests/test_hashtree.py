@@ -23,6 +23,7 @@ from entmesh.hashtree import (
     fold_root,
     leaf_hash,
     node_hash,
+    path_steps,
     root,
     verify_inclusion,
 )
@@ -63,8 +64,17 @@ def ref_path(leaves, index):
 
 
 def ref_path_bytes(leaves, index) -> bytes:
-    """``ref_path`` as wire steps: side byte (0 left, 1 right), then sibling."""
+    """``ref_path`` as a receipt writes its steps: side byte (0 left, 1 right), then sibling."""
     return b"".join(bytes([side == "right"]) + digest for side, digest in ref_path(leaves, index))
+
+
+def ref_siblings(leaves, index) -> tuple:
+    """``ref_path``'s siblings alone: what a path holds."""
+    return tuple(digest for _, digest in ref_path(leaves, index))
+
+
+def hashes(leaves) -> list:
+    return [ref_leaf(leaf) for leaf in leaves]
 
 
 def leaf_set(n):
@@ -124,8 +134,7 @@ class TestInclusionProofs:
         for i in range(n):
             proof = tree.prove_inclusion(i)
             assert proof.leaf_index == i
-            assert proof.tree_size == n
-            assert verify_inclusion([leaves[i]], proof, tree.root)
+            assert verify_inclusion([leaf_hash(leaves[i])], proof, n, tree.root)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 11])
     def test_paths_match_reference(self, n):
@@ -134,11 +143,10 @@ class TestInclusionProofs:
         for i in range(n):
             proof = tree.prove_inclusion(i)
             expected = ref_path(leaves, i)
-            assert len(proof.audit_path) == 33 * len(expected)
-            for k, (side_name, digest) in enumerate(expected):
-                step = proof.audit_path[33 * k : 33 * (k + 1)]
-                assert step[1:] == digest
-                assert step[0] == (0 if side_name == "left" else 1)
+            assert proof.siblings == tuple(digest for _, digest in expected)
+            # The sides the receipt form writes are the ones the split rule gives.
+            steps = b"".join(path_steps(proof, n))
+            assert [steps[33 * k] for k in range(len(expected))] == [int(side == "right") for side, _ in expected]
 
     def test_path_lengths_follow_tree_shape(self):
         # Depth varies per leaf in a ragged tree; it only equals
@@ -150,8 +158,8 @@ class TestInclusionProofs:
         }
         for n, lengths in shapes.items():
             tree = MerkleTree(leaf_set(n))
-            got = [divmod(len(tree.prove_inclusion(i).audit_path), 33) for i in range(n)]
-            assert got == [(steps, 0) for steps in lengths]
+            got = [len(tree.prove_inclusion(i).siblings) for i in range(n)]
+            assert got == lengths
             assert max(lengths) == math.ceil(math.log2(n))
 
     def test_index_out_of_range(self):
@@ -163,57 +171,54 @@ class TestInclusionProofs:
     def test_wrong_leaf_rejected(self):
         tree = MerkleTree(leaf_set(7))
         proof = tree.prove_inclusion(2)
-        assert not verify_inclusion([b"not the leaf"], proof, tree.root)
+        assert not verify_inclusion([leaf_hash(b"not the leaf")], proof, 7, tree.root)
 
     def test_wrong_root_rejected(self):
         leaves = leaf_set(7)
         tree = MerkleTree(leaves)
         proof = tree.prove_inclusion(2)
         other = Digest(hashlib.sha256(b"other").digest())
-        assert not verify_inclusion([leaves[2]], proof, other)
+        assert not verify_inclusion([leaf_hash(leaves[2])], proof, 7, other)
 
     def test_proof_does_not_transfer_between_indices(self):
         leaves = leaf_set(8)
         tree = MerkleTree(leaves)
         proof = tree.prove_inclusion(3)
-        assert not verify_inclusion([leaves[4]], proof, tree.root)
+        assert not verify_inclusion([leaf_hash(leaves[4])], proof, 8, tree.root)
 
     def test_flipped_side_rejected(self):
+        # A path holds no sides: the fold takes them from the index.  The
+        # same siblings claimed at the index whose lowest side is flipped
+        # put the first sibling on the other side, and fold to another root.
         leaves = leaf_set(6)
         tree = MerkleTree(leaves)
         proof = tree.prove_inclusion(2)
-        flipped = InclusionProof(
-            leaf_index=proof.leaf_index,
-            tree_size=proof.tree_size,
-            audit_path=bytes(b ^ 1 if k % 33 == 0 else b for k, b in enumerate(proof.audit_path)),
-        )
-        assert fold_root([leaves[2]], flipped) is None
+        flipped = InclusionProof(leaf_index=3, siblings=proof.siblings)
+        assert fold_root([leaf_hash(leaves[2])], flipped, 6) not in (None, tree.root)
+        assert fold_root([leaf_hash(leaves[2])], proof, 6) == tree.root
 
     def test_sides_must_match_index_and_size(self):
-        # The side sequence is implied by (index, size); a proof claiming
-        # a different geometry folds to nothing rather than a wrong root.
+        # The sibling count is implied by (index, size); a proof claiming a
+        # geometry of another count folds to nothing rather than a wrong root.
         leaves = leaf_set(5)
         tree = MerkleTree(leaves)
         proof = tree.prove_inclusion(0)
-        lying = InclusionProof(leaf_index=1, tree_size=5, audit_path=proof.audit_path)
-        assert fold_root([leaves[0]], lying) is None
+        for index, size in ((4, 5), (0, 2), (0, 16)):
+            lying = InclusionProof(leaf_index=index, siblings=proof.siblings)
+            assert fold_root([leaf_hash(leaves[0])], lying, size) is None
 
     def test_truncated_path_rejected(self):
         leaves = leaf_set(9)
         tree = MerkleTree(leaves)
         proof = tree.prove_inclusion(4)
-        short = InclusionProof(
-            leaf_index=proof.leaf_index,
-            tree_size=proof.tree_size,
-            audit_path=proof.audit_path[:-1],
-        )
-        assert fold_root([leaves[4]], short) is None
+        short = InclusionProof(leaf_index=proof.leaf_index, siblings=proof.siblings[:-1])
+        assert fold_root([leaf_hash(leaves[4])], short, 9) is None
 
     def test_single_leaf_proof_is_empty_path(self):
         tree = MerkleTree([b"only"])
         proof = tree.prove_inclusion(0)
-        assert proof.audit_path == b""
-        assert verify_inclusion([b"only"], proof, tree.root)
+        assert proof.siblings == ()
+        assert verify_inclusion([leaf_hash(b"only")], proof, 1, tree.root)
 
 
 class TestDigestType:
@@ -242,10 +247,10 @@ def test_inclusion_property(leaves, data):
     tree = MerkleTree(leaves)
     index = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
     proof = tree.prove_inclusion(index)
-    assert verify_inclusion([leaves[index]], proof, tree.root)
+    assert verify_inclusion([leaf_hash(leaves[index])], proof, len(leaves), tree.root)
     # Any other leaf value at the same position must fail.
     altered = leaves[index] + b"\x00"
-    assert not verify_inclusion([altered], proof, tree.root)
+    assert not verify_inclusion([leaf_hash(altered)], proof, len(leaves), tree.root)
 
 
 def test_no_root_collisions_across_random_inputs():
@@ -284,9 +289,10 @@ def test_tree_matches_recursive_reference(leaves):
     assert tree.root == root(leaves) == ref_root(leaves)
     for i in range(len(leaves)):
         proof = tree.prove_inclusion(i)
-        assert proof.audit_path == ref_path_bytes(leaves, i)
-        assert type(proof.audit_path) is bytes
-        assert verify_inclusion([leaves[i]], proof, tree.root)
+        assert proof.siblings == ref_siblings(leaves, i)
+        assert all(type(sibling) is bytes for sibling in proof.siblings)
+        assert b"".join(path_steps(proof, len(leaves))) == ref_path_bytes(leaves, i)
+        assert verify_inclusion([leaf_hash(leaves[i])], proof, len(leaves), tree.root)
 
 
 def ref_path_sides(index: int, size: int) -> list:
@@ -306,45 +312,41 @@ def ref_path_sides(index: int, size: int) -> list:
     return sides
 
 
-def ref_fold_root(leaf: bytes, proof: InclusionProof):
-    """The fold as it was before the single pass: expected sides first."""
-    if not isinstance(proof.leaf_index, int) or not isinstance(proof.tree_size, int):
+def ref_fold_root(leaf: bytes, proof: InclusionProof, size: int):
+    """The fold with the sides worked out first, top-down: None unless the
+    path holds exactly as many siblings as there are sides."""
+    if not isinstance(proof.leaf_index, int) or not isinstance(size, int):
         return None
-    if proof.tree_size < 1 or not 0 <= proof.leaf_index < proof.tree_size:
+    if size < 1 or not 0 <= proof.leaf_index < size:
         return None
-    expected = ref_path_sides(proof.leaf_index, proof.tree_size)
-    path = proof.audit_path
-    if len(path) != 33 * len(expected):
+    expected = ref_path_sides(proof.leaf_index, size)
+    if len(proof.siblings) != len(expected):
         return None
     current = ref_leaf(leaf)
-    for k, want in enumerate(expected):
-        side, sibling = path[33 * k], path[33 * k + 1 : 33 * (k + 1)]
-        if side != want or len(sibling) != 32:
-            return None
+    for side, sibling in zip(expected, proof.siblings):
         pair = sibling + current if side == 0 else current + sibling
         current = hashlib.sha256(b"\x01" + pair).digest()
     return current
 
 
-def _variants(proof: InclusionProof):
-    """The proof itself, then copies with one side byte, one sibling's
-    length, the size, the index or the path length changed."""
-    index, size, path = proof.leaf_index, proof.tree_size, proof.audit_path
-    yield proof
-    for at in range(0, len(path), 33):
-        flipped = bytes([path[at] ^ 1])
-        yield InclusionProof(index, path[:at] + flipped + path[at + 1 :], size)
-        yield InclusionProof(index, path[: at + 32] + path[at + 33 :], size)
+def _variants(proof: InclusionProof, size: int):
+    """(proof, size): the proof itself, then copies with one sibling cut
+    short, two siblings swapped, the size, the index or the sibling count
+    changed."""
+    index, siblings = proof
+    yield proof, size
+    for k, sibling in enumerate(siblings):
+        yield InclusionProof(index, siblings[:k] + (sibling[:31],) + siblings[k + 1 :]), size
+        if k:
+            yield InclusionProof(index, siblings[: k - 1] + (sibling, siblings[k - 1]) + siblings[k + 1 :]), size
     for other in (0, size - 1, size + 1, 2 * size, size + 7):
-        yield InclusionProof(index, path, other)
+        yield proof, other
     for other in (-1, index - 1, index + 1, size - 1 - index, size):
-        yield InclusionProof(other, path, size)
-    spare = b"\x00" + ZERO_DIGEST
-    yield InclusionProof(index, path[:-33], size)
-    yield InclusionProof(index, path[33:], size)
-    yield InclusionProof(index, path + spare, size)
-    yield InclusionProof(index, spare + path, size)
-    yield InclusionProof(index, path + b"\x01" + ZERO_DIGEST, size)
+        yield InclusionProof(other, siblings), size
+    yield InclusionProof(index, siblings[:-1]), size
+    yield InclusionProof(index, siblings[1:]), size
+    yield InclusionProof(index, siblings + (ZERO_DIGEST,)), size
+    yield InclusionProof(index, (ZERO_DIGEST,) + siblings), size
 
 
 def test_fold_matches_reference_for_every_position():
@@ -353,16 +355,16 @@ def test_fold_matches_reference_for_every_position():
         leaves = leaf_set(n)
         tree = MerkleTree(leaves)
         for i in range(n):
-            for proof in _variants(tree.prove_inclusion(i)):
+            for proof, size in _variants(tree.prove_inclusion(i), n):
                 for leaf in (leaves[i], leaves[(i + 1) % n]):
-                    want = ref_fold_root(leaf, proof)
-                    got = fold_root([leaf], proof)
-                    assert got == want, (n, i, proof.leaf_index, proof.tree_size, len(proof.audit_path))
+                    want = ref_fold_root(leaf, proof, size)
+                    got = fold_root([leaf_hash(leaf)], proof, size)
+                    assert got == want, (n, i, proof.leaf_index, size, len(proof.siblings))
                     assert want is None or type(got) is Digest
                     folded += want is not None
                     rejected += want is None
     # Both outcomes must be well represented, or the comparison shows little.
-    assert folded > 10_000 and rejected > 100_000
+    assert folded > 50_000 and rejected > 40_000
 
 
 # Range proofs: one proof for a run of consecutive leaves [a, b).
@@ -407,22 +409,22 @@ def ref_subroots(leaves) -> dict:
     return roots
 
 
-def ref_range_path(subroots: dict, a: int, b: int, size: int) -> bytes:
-    return b"".join(bytes([side]) + subroots[lo, hi] for _, side, lo, hi in ref_range_siblings(a, b, size))
+def ref_range_path(subroots: dict, a: int, b: int, size: int) -> tuple:
+    return tuple(subroots[lo, hi] for _, _, lo, hi in ref_range_siblings(a, b, size))
 
 
-def ref_fold_range(run, proof: InclusionProof):
+def ref_fold_range(run, proof: InclusionProof, size: int):
     """Fold ``run`` as the leaves from ``proof.leaf_index`` on, top-down:
-    None unless the path's step count and side bytes are the ones the claimed
-    (leaf_index, len(run), tree_size) imply."""
-    a, size, path = proof.leaf_index, proof.tree_size, proof.audit_path
+    None unless the path holds as many siblings as the claimed
+    (leaf_index, len(run), size) imply."""
+    a, path = proof
     b = a + len(run)
     if not 0 <= a < b <= size:
         return None
     siblings = ref_range_siblings(a, b, size)
-    if len(path) != 33 * len(siblings) or any(path[33 * k] != side for k, (_, side, _, _) in enumerate(siblings)):
+    if len(path) != len(siblings):
         return None
-    given = {(lo, hi): path[33 * k + 1 : 33 * (k + 1)] for k, (_, _, lo, hi) in enumerate(siblings)}
+    given = {(lo, hi): path[k] for k, (_, _, lo, hi) in enumerate(siblings)}
 
     def node(lo, hi):
         if (lo, hi) in given:
@@ -435,26 +437,25 @@ def ref_fold_range(run, proof: InclusionProof):
     return node(0, size)
 
 
-def _wrong_claims(leaves, proof: InclusionProof, b: int):
-    """(kind, run, proof) with one part of an honest claim for [leaf_index, b) changed."""
-    a, size, path = proof.leaf_index, proof.tree_size, proof.audit_path
+def _wrong_claims(leaves, proof: InclusionProof, b: int, size: int):
+    """(kind, run, proof, size) with one part of an honest claim for [leaf_index, b) changed."""
+    a, path = proof
     run = leaves[a:b]
-    spare = b"\x00" + ZERO_DIGEST
-    yield "steps", run, InclusionProof(a, path + spare, size)
-    yield "steps", run, InclusionProof(a, spare + path, size)
+    yield "steps", run, InclusionProof(a, path + (ZERO_DIGEST,)), size
+    yield "steps", run, InclusionProof(a, (ZERO_DIGEST,) + path), size
     if path:
-        yield "steps", run, InclusionProof(a, path[33:], size)
-        yield "steps", run, InclusionProof(a, path[:-33], size)
-    for at in range(0, len(path), 33):
-        yield "side", run, InclusionProof(a, path[:at] + bytes([path[at] ^ 1]) + path[at + 1 :], size)
-    yield "shift", run, InclusionProof(a + 1, path, size)
+        yield "steps", run, InclusionProof(a, path[1:]), size
+        yield "steps", run, InclusionProof(a, path[:-1]), size
+    for k in range(1, len(path)):
+        yield "order", run, InclusionProof(a, path[: k - 1] + (path[k], path[k - 1]) + path[k + 1 :]), size
+    yield "shift", run, InclusionProof(a + 1, path), size
     if a:
-        yield "shift", run, InclusionProof(a - 1, path, size)
+        yield "shift", run, InclusionProof(a - 1, path), size
     if len(run) > 1:
-        yield "run", run[:-1], proof
-    yield "run", run + [b"x"], proof
-    yield "size", run, InclusionProof(a, path, size + 1)
-    yield "size", run, InclusionProof(a, path, size - 1)
+        yield "run", run[:-1], proof, size
+    yield "run", run + [b"x"], proof, size
+    yield "size", run, proof, size + 1
+    yield "size", run, proof, size - 1
 
 
 def test_range_fold_matches_whole_tree_reference():
@@ -466,9 +467,9 @@ def test_range_fold_matches_whole_tree_reference():
         for a in range(n):
             for b in range(a + 1, n + 1):
                 proof = tree.prove_range(a, b)
-                assert (proof.leaf_index, proof.tree_size) == (a, n)
-                assert proof.audit_path == ref_range_path(subroots, a, b, n), (n, a, b)
-                assert fold_root(leaves[a:b], proof) == tree.root
+                assert proof.leaf_index == a
+                assert proof.siblings == ref_range_path(subroots, a, b, n), (n, a, b)
+                assert fold_root(hashes(leaves[a:b]), proof, n) == tree.root
 
 
 def test_wrong_range_claims_do_not_fold():
@@ -478,22 +479,24 @@ def test_wrong_range_claims_do_not_fold():
         tree = MerkleTree(leaves)
         for a in range(n):
             for b in range(a + 1, n + 1):
-                for kind, run, wrong in _wrong_claims(leaves, tree.prove_range(a, b), b):
-                    got = fold_root(run, wrong)
-                    assert got == ref_fold_range(run, wrong), (kind, n, a, b)
+                for kind, run, wrong, size in _wrong_claims(leaves, tree.prove_range(a, b), b, n):
+                    got = fold_root(hashes(run), wrong, size)
+                    assert got == ref_fold_range(run, wrong, size), (kind, n, a, b)
                     # The root does not pin the tree size; a commitment signs it.
                     assert got != tree.root or kind == "size", (kind, n, a, b)
                     claims_by_kind[kind] = claims_by_kind.get(kind, 0) + 1
                     none_by_kind[kind] = none_by_kind.get(kind, 0) + (got is None)
-    # A wrong step count, a wrong side byte or a shifted run never folds.  A
-    # run one leaf short or long, or a wrong tree size, folds to None wherever
-    # it implies another step shape.  Where the shape is the same (a 4-leaf
-    # tree's runs [0, 2) and [0, 3) both take one right step), a wrong run
-    # folds to a root other than the tree's, and a wrong size is refused by
-    # ``Commitment.proves``, which requires the signed leaf count.
-    for kind in ("steps", "side", "shift"):
-        assert none_by_kind[kind] == claims_by_kind[kind], kind
-    assert 0 < none_by_kind["run"] < claims_by_kind["run"] and 0 < none_by_kind["size"] < claims_by_kind["size"]
+    # A wrong sibling count never folds.  Swapped siblings keep the count and
+    # fold to another root.  A shifted run, a run one leaf short or long, or
+    # a wrong tree size folds to None wherever it implies another sibling
+    # count.  Where the count is the same (a 4-leaf tree's runs [0, 2) and
+    # [0, 3) both take one right sibling), a wrong run folds to a root other
+    # than the tree's, and a wrong size is refused by ``Commitment.proves``,
+    # which folds in a tree of the signed leaf count.
+    assert none_by_kind["steps"] == claims_by_kind["steps"]
+    assert none_by_kind["order"] == 0 < claims_by_kind["order"]
+    for kind in ("shift", "run", "size"):
+        assert 0 < none_by_kind[kind] < claims_by_kind[kind], kind
 
 
 def test_one_leaf_range_is_the_inclusion_proof():
@@ -501,7 +504,7 @@ def test_one_leaf_range_is_the_inclusion_proof():
         tree = MerkleTree(leaf_set(n))
         for i in range(n):
             assert tree.prove_range(i, i + 1) == tree.prove_inclusion(i)
-            assert tree.prove_inclusion(i).audit_path == ref_path_bytes(leaf_set(n), i)
+            assert b"".join(path_steps(tree.prove_inclusion(i), n)) == ref_path_bytes(leaf_set(n), i)
 
 
 def test_range_out_of_tree_refused():
@@ -519,8 +522,8 @@ def test_range_property(claim):
     leaves = [i.to_bytes(2, "big") for i in range(n)]
     tree = MerkleTree(leaves)
     proof = tree.prove_range(a, b)
-    assert proof.audit_path == ref_range_path(ref_subroots(leaves), a, b, n)
-    assert verify_inclusion(leaves[a:b], proof, tree.root)
+    assert proof.siblings == ref_range_path(ref_subroots(leaves), a, b, n)
+    assert verify_inclusion(hashes(leaves[a:b]), proof, n, tree.root)
     altered = leaves[a:b]
     altered[-1] += b"\x00"
-    assert not verify_inclusion(altered, proof, tree.root)
+    assert not verify_inclusion(hashes(altered), proof, n, tree.root)

@@ -21,7 +21,7 @@ from entmesh.identity import (
 )
 from entmesh.keys import keypair_from_seed
 from entmesh.node import KeyDirectory, Node, NotEntangledError
-from entmesh.hashtree import verify_inclusion
+from entmesh.hashtree import leaf_hash, verify_inclusion
 
 
 def issuing_node(label="issuer"):
@@ -101,7 +101,8 @@ class TestRegistry:
         advance(node, reg)
         proof = reg.credential_proof(cred.digest(), node.record_at(0))
         leaf = bytes([0x06]) + cred.digest()
-        assert verify_inclusion([leaf], proof, node.record_at(0).root)
+        c = node.record_at(0).commitment
+        assert verify_inclusion([leaf_hash(leaf)], proof, c.leaf_count, c.root)
 
     def test_pending_digests_sorted_into_one_round(self):
         node, reg = issuing_node()

@@ -4,12 +4,13 @@ The wire format is normative (docs/FORMATS.md), so a refactor of the records
 that get encoded must not move a single byte.  These digests are the three
 proofs the CI job builds and each scenario's ``commitments.jsonl``, at each
 scenario's own seed.  A change that alters them on purpose re-records them
-here and says why: the proof pins were last re-recorded for the ``EMP5``
-envelope, whose hub proofs are their window rounds, each the holder's
-submission with every manifest issuer's receipt paths and the round's
-evidence proof, with no per-issuer record or issuer id beside the manifest
-(268 B less for the hub proof here).  The link and chain proofs changed
-only in their magic: from byte 4 on they are their ``EMP4`` bytes.
+here and says why: the proof pins were last re-recorded for the ``EMP6``
+envelope, whose paths are their siblings alone, with the leaf index only
+where the format does not fix it: no tree size, step count or side bytes,
+which the verifier derives, and no index for prev-leaf, chain-entry and
+manifest paths (hub 5,936 -> 5,173 B, chain 8,987 -> 8,217 B, link 3,875 ->
+3,533 B).  Receipts keep their own form, so ``commitments.jsonl`` is
+unchanged.
 """
 
 import hashlib
@@ -25,17 +26,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PINNED = {
     "hub": (
         ["--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
-        (5936, "f33644eec9aed08bebc44181dad2174ea9935484f7229125f369ee75277aad47"),
+        (5173, "c498e106aae24bde99a3f5b6942e19cbff8a3c82522dc8a10f2042fa847886b4"),
         (29385, "e9be8b8909eca1b012b7cf496c9feb7f5e66c171dc6743cd1cac558b29e092c4"),
     ),
     "chain": (
         ["--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
-        (8987, "d556a26e93f8603e29e678d63a716670417f4fe6f6c8e40f1b9206056e0a97b0"),
+        (8217, "6a7f981ddcb3a28f9f154ac8a1c0f0bf824bf9f9b77057baef4d3e36e9d9fb93"),
         (24559, "be8982c982c74a7683460be4d2d0d07ab9d6d11b85444f2accf850dfcf25e892"),
     ),
     "identity": (
         ["--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
-        (3875, "252024639c5b43e179bab540033f687935a5de4e776249b4a8244065f55d6154"),
+        (3533, "422d96a9e34ddaa77df42342cfd55e087ad490d4ac79f841a8bf1cf24789526f"),
         (19628, "044d456a658ebe9d2008d2ce8d9621ad3bc6c9989e201f79b17e129b618502fc"),
     ),
 }

@@ -26,15 +26,15 @@ def assert_plain(values):
 
 
 def siblings(path):
-    """The siblings of an audit path, which must itself be plain bytes."""
-    assert type(path) is bytes and len(path) % 33 == 0, repr(path)
-    return [path[at + 1 : at + 33] for at in range(0, len(path), 33)]
+    """The siblings of an audit path, a plain tuple."""
+    assert type(path) is InclusionProof and type(path.siblings) is tuple, repr(path)
+    return list(path.siblings)
 
 
 def digests_in(obj):
     """Ids, roots and audit-path siblings anywhere inside a proof record."""
     if isinstance(obj, InclusionProof):
-        yield from siblings(obj.audit_path)
+        yield from siblings(obj)
     elif dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
             value = getattr(obj, field.name)
@@ -51,8 +51,8 @@ def digests_in(obj):
 
 def test_hashtree_outputs_are_plain_bytes():
     tree = MerkleTree([bytes([i]) for i in range(7)])
-    path_siblings = [sibling for i in range(7) for sibling in siblings(tree.prove_inclusion(i).audit_path)]
-    folded = [fold_root([bytes([i])], tree.prove_inclusion(i)) for i in range(7)]
+    path_siblings = [sibling for i in range(7) for sibling in siblings(tree.prove_inclusion(i))]
+    folded = [fold_root([leaf_hash(bytes([i]))], tree.prove_inclusion(i), 7) for i in range(7)]
     assert folded == [tree.root] * 7
     assert_plain([tree.root, leaf_hash(b"x"), node_hash(tree.root, tree.root), *path_siblings, *folded])
 
@@ -79,7 +79,7 @@ def test_decoded_hub_proof_digests_are_plain_bytes(manual_net):
     # the issuer ids only in the manifest.
     assert net.id_of("p0") in values and center.records[2].root in values
     assert proof.rounds[0].submission.holder_root in values
-    assert siblings(proof.rounds[0].receipts[0].inclusion.audit_path)[0] in values
+    assert siblings(proof.rounds[0].receipts[0].inclusion)[0] in values
     assert len(values) == 97
 
 

@@ -1,8 +1,9 @@
-"""Multi-byte mutations of real hub, chain and link proofs.
+"""Mutations of real hub, chain and link proofs.
 
 Every mutated proof must either fail to decode with ``WireError`` or
 ``ValueError``, or decode and get a falsy verdict: never another exception
-and never an accept.
+and never an accept.  A single flipped bit anywhere in the proofs the CI job
+writes is refused with a named reason.
 """
 
 from pathlib import Path
@@ -24,6 +25,7 @@ from entmesh.entangle import (
     verify_hub,
     verify_link,
 )
+from entmesh.node import Verdict
 from entmesh.wire import WireError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -53,22 +55,28 @@ def proofs():
     }
 
 
-def _accepted(blob: bytes, sim) -> bool:
-    try:
-        proof = decode_proof(blob)
-    except (WireError, ValueError):
-        return False
+def _verdict(proof, sim):
+    """The proof's verdict against the run's anchor logs, as the CLI gives
+    them: ``TrustedRootUnavailable`` when there is no log for the issuer or
+    anchor it names."""
     logs = {
         sim.nodes[label].node_id: {record.round: record.commitment for record in sim.nodes[label].records}
         for label in sim.topology.anchors
     }
     if isinstance(proof, HubProof):
-        return bool(verify_hub(proof, logs, sim.directory))
-    if isinstance(proof, ChainProof):
-        log = logs.get(proof.anchor_id)
-        return log is not None and bool(verify_chain(proof, log, sim.directory))
-    log = logs.get(proof.issuer_id)
-    return log is not None and bool(verify_link(proof, log, sim.directory))
+        return verify_hub(proof, logs, sim.directory)
+    log = logs.get(proof.anchor_id if isinstance(proof, ChainProof) else proof.issuer_id)
+    if log is None:
+        return Verdict.failed("TrustedRootUnavailable", "no anchor log for the issuer or anchor the proof names")
+    return (verify_chain if isinstance(proof, ChainProof) else verify_link)(proof, log, sim.directory)
+
+
+def _accepted(blob: bytes, sim) -> bool:
+    try:
+        proof = decode_proof(blob)
+    except (WireError, ValueError):
+        return False
+    return bool(_verdict(proof, sim))
 
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
@@ -87,3 +95,37 @@ def test_mutated_proof_never_accepted(proofs, kind, data):
     for position in positions:
         mutated[position] ^= data.draw(st.integers(1, 255), label="xor")
     assert not _accepted(bytes(mutated), sim)
+
+
+@pytest.fixture(scope="module")
+def ci_proofs():
+    """The hub, chain and link proofs the CI job writes, with their runs."""
+    hub_sim, chain_sim, link_sim = _run("hub.yaml"), _run("chain.yaml"), _run("identity.yaml")
+    center, h0 = hub_sim.nodes["center"], link_sim.nodes["h0"]
+    ids = [chain_sim.nodes[label].node_id for label in chain_sim.path_to_anchor("h0")]
+    return {
+        "hub": (encode_proof(build_hub_proof(center.records, (1, 3), center.receipt_log)), hub_sim),
+        "chain": (encode_proof(build_chain_proof(chain_sim.records_by_id(), chain_sim.receipts_by_id(), ids, 1, 2)), chain_sim),
+        "link": (encode_proof(build_link_proof(h0.records, link_sim.nodes["hub"].node_id, (1, 4), h0.receipt_log)), link_sim),
+    }
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+def test_every_single_bit_flip_is_refused_with_a_named_reason(ci_proofs, kind):
+    # One bit of every byte, a different bit from byte to byte.
+    blob, sim = ci_proofs[kind]
+    reasons = {}
+    for position in range(len(blob)):
+        mutated = bytearray(blob)
+        mutated[position] ^= 1 << (position % 8)
+        try:
+            proof = decode_proof(bytes(mutated))
+        except WireError as exc:
+            reason = "MalformedProof"
+            assert str(exc), position
+        else:
+            verdict = _verdict(proof, sim)
+            reason = verdict.reason
+            assert not verdict and verdict.reason and verdict.detail, (position, verdict)
+        reasons[reason] = reasons.get(reason, 0) + 1
+    assert sum(reasons.values()) == len(blob) and "MalformedProof" in reasons and len(reasons) > 2, reasons

@@ -1,19 +1,19 @@
 """Decoding is the inverse of encoding, and a record's bytes are its fields'.
 
 Records keep one encoding: a decoded one the bytes it was read from, one
-the simulator signs the bytes it signed, an issued receipt's paths the
-bytes they were issued with, any other record the bytes its fields encode
-to on first use; a receipt joins its parts' bytes.  These tests hold
-every such encoding to a field-by-field reference writer (the record
-encoders as they were before records kept their bytes), on the three proofs
-the CI job builds and on mutations of them, and check that
+the simulator signs the bytes it signed, any other record the bytes its
+fields encode to on first use; a receipt joins its parts' bytes, with its
+paths in the receipt's own form.  These tests hold every such encoding to
+a field-by-field reference writer, written from docs/FORMATS.md, on the
+three proofs the CI job builds and on mutations of them, and check that
 ``dataclasses.replace`` never carries an old encoding over to new fields.
-A second reference writes whole proofs from docs/FORMATS.md: per window
-round a submission, each issuer's receipt paths and the evidence proof.
-A verifier joins each evidence leaf from a proof's submission and paths
-and its trusted issuer commitment; the reference for that leaf is the one
-the holder retained, or for a mutated proof the leaf of the ``Receipt``
-made of those three parts.
+The reference writes whole proofs too: per window round a submission,
+each issuer's receipt paths and the evidence proof, each path as its
+siblings with the leaf index where the format does not fix it.  A
+verifier joins each evidence leaf from a proof's submission, its paths in
+the receipt's form and its trusted issuer commitment; the reference for
+that leaf is the one the holder retained, or for a mutated proof the leaf
+of the ``Receipt`` made of those three parts.
 """
 
 import dataclasses
@@ -42,9 +42,11 @@ from entmesh.entangle import (
     verify_hub,
     verify_link,
 )
+from entmesh.hashtree import leaf_hash
 from entmesh.node import (
     LEAF_ENTANGLED,
     LEAF_EVIDENCE,
+    MANIFEST_LEAF_INDEX,
     ChainEntry,
     Commitment,
     Node,
@@ -54,7 +56,7 @@ from entmesh.node import (
     chain_entry_for,
     commitment_digest,
 )
-from entmesh.wire import Reader, WireError, Writer, encode_inclusion_proof
+from entmesh.wire import Reader, WireError, Writer
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -78,31 +80,64 @@ def ref_submission(s: Submission) -> bytes:
     return ref_submission_message(s) + Writer().blob(s.signature).getvalue()
 
 
+def ref_path(w: Writer, proof, fixed=None) -> Writer:
+    # A path in a proof: the u64 leaf index unless the format fixes it, then
+    # a u32 count and the siblings.
+    if fixed is None:
+        w.u64(proof.leaf_index)
+    else:
+        assert proof.leaf_index == fixed
+    return w.digests(proof.siblings)
+
+
+def ref_sides(index: int, size: int) -> list:
+    # Each step's side (0 = sibling on the left, 1 = on the right), bottom-up,
+    # from the split rule worked top-down.
+    sides, lo, hi = [], 0, size
+    while hi - lo > 1:
+        k = 1 << ((hi - lo - 1).bit_length() - 1)
+        sides.append(int(index < lo + k))
+        lo, hi = (lo, lo + k) if index < lo + k else (lo + k, hi)
+    return sides[::-1]
+
+
+def ref_receipt_path(w: Writer, proof, size: int) -> Writer:
+    # A path in a receipt: a blob of the leaf index, the tree size, the step
+    # count, and per step a side byte and the sibling.
+    sides = ref_sides(proof.leaf_index, size)
+    assert len(sides) == len(proof.siblings)
+    steps = Writer().u64(proof.leaf_index).u64(size).u32(len(sides))
+    for side, sibling in zip(sides, proof.siblings):
+        steps.u8(side).digest(sibling)
+    return w.blob(steps.getvalue())
+
+
 def ref_paths(p: ReceiptPaths) -> bytes:
-    return (
-        Writer()
-        .blob(encode_inclusion_proof(p.inclusion))
-        .digest(p.prev_digest)
-        .blob(encode_inclusion_proof(p.prev_inclusion))
-        .getvalue()
-    )
+    """Receipt paths as a proof writes them."""
+    return ref_path(ref_path(Writer(), p.inclusion).digest(p.prev_digest), p.prev_inclusion, 0).getvalue()
+
+
+def ref_receipt_paths(p: ReceiptPaths, size: int) -> bytes:
+    """Receipt paths as a receipt writes them, in an issuer tree of ``size`` leaves."""
+    return ref_receipt_path(ref_receipt_path(Writer(), p.inclusion, size).digest(p.prev_digest), p.prev_inclusion, size).getvalue()
 
 
 def ref_receipt(r: Receipt) -> bytes:
-    return ref_submission(r.submission) + Writer().blob(ref_commitment(r.issuer_commitment)).getvalue() + ref_paths(r.paths)
+    c = r.issuer_commitment
+    return ref_submission(r.submission) + Writer().blob(ref_commitment(c)).getvalue() + ref_receipt_paths(r.paths, c.leaf_count)
 
 
 def ref_chain_entry(e: ChainEntry) -> bytes:
-    return Writer().blob(ref_commitment(e.commitment)).digest(e.prev_digest).blob(encode_inclusion_proof(e.first_leaf_proof)).getvalue()
+    return ref_path(Writer().blob(ref_commitment(e.commitment)).digest(e.prev_digest), e.first_leaf_proof, 0).getvalue()
 
 
 def ref_rounds(w: Writer, rounds) -> Writer:
     # Per window round: one blob of the Submission and each issuer's receipt
-    # paths, in manifest order; then one blob of the evidence proof.
+    # paths, in manifest order; then the evidence proof.
     w.u32(len(rounds))
     for rnd in rounds:
         held = ref_submission(rnd.submission) + b"".join(ref_paths(paths) for paths in rnd.receipts)
-        w.blob(held).blob(encode_inclusion_proof(rnd.evidence_proof))
+        ref_path(w.blob(held), rnd.evidence_proof)
     return w
 
 
@@ -114,18 +149,20 @@ def ref_link_proof(p: LinkProof) -> bytes:
 
 def ref_hub_proof(p: HubProof) -> bytes:
     w = Writer().digest(p.holder_id).u64(p.window_start).u64(p.window_end).digests(p.manifest)
-    w.blobs([encode_inclusion_proof(proof) for proof in p.manifest_proofs])
+    w.u32(len(p.manifest_proofs))
+    for proof in p.manifest_proofs:
+        ref_path(w, proof, MANIFEST_LEAF_INDEX)
     w.blobs([ref_chain_entry(e) for e in p.holder_chain])
     return ref_rounds(w, p.rounds).getvalue()
 
 
 def ref_proof(p) -> bytes:
-    """The envelope: magic ``EMP5``, a kind byte, then the body."""
+    """The envelope: magic ``EMP6``, a kind byte, then the body."""
     if isinstance(p, HubProof):
-        return b"EMP5\x11" + ref_hub_proof(p)
+        return b"EMP6\x11" + ref_hub_proof(p)
     if isinstance(p, ChainProof):
-        return b"EMP5\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
-    return b"EMP5\x10" + ref_link_proof(p)
+        return b"EMP6\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
+    return b"EMP6\x10" + ref_link_proof(p)
 
 
 def assert_encodes_its_fields(record) -> None:
@@ -299,8 +336,9 @@ def test_replace_encodes_the_new_fields(ci_proofs, origin):
 
 def test_issued_receipts_hold_their_bytes(monkeypatch):
     """An issued receipt's parts hold their bytes before its first
-    ``to_bytes()``, the reference writer's, and the receipt keeps no second
-    copy of them: its bytes are theirs, joined."""
+    ``to_bytes()``, the reference writer's: its paths those a proof writes.
+    The receipt keeps no second copy of them, only its paths in the
+    receipt's form, built on first use.  Its bytes are these, joined."""
     issued = []
     issue = Node.issue_receipt
 
@@ -311,6 +349,8 @@ def test_issued_receipts_hold_their_bytes(monkeypatch):
         assert vars(receipt.issuer_commitment)["_encoding"] == ref_commitment(receipt.issuer_commitment)
         assert "_encoding" not in vars(receipt)
         assert receipt.to_bytes() == ref_receipt(receipt)
+        c = receipt.issuer_commitment
+        assert vars(receipt)["_paths_encoding"] == ref_receipt_paths(receipt.paths, c.leaf_count)
         issued.append(receipt)
         return receipt
 
@@ -332,7 +372,8 @@ def test_receipt_leaf_is_the_evidence_leaf_join(ci_proofs, monkeypatch):
     monkeypatch.setattr(node_module, "evidence_leaf", lambda *parts: joined.append(parts) or join(*parts))
     for receipt in sim.nodes["center"].receipt_log.values():
         leaf = receipt.leaf_bytes()
-        assert joined.pop() == (receipt.submission, receipt.issuer_commitment, receipt.paths)
+        c = receipt.issuer_commitment
+        assert joined.pop() == (receipt.submission, c, ref_receipt_paths(receipt.paths, c.leaf_count))
         assert leaf == bytes([LEAF_EVIDENCE]) + ref_receipt(receipt)
 
 
@@ -439,38 +480,62 @@ def composed_leaf(holder_id, issuer_id, r, sub, paths, c):
     return Receipt(sub, c, paths).leaf_bytes()
 
 
-def verify_against_spliced_leaves(proof, sim, reference_leaf):
+def verify_against_spliced_leaves(proof, sim, reference_leaf, reference_paths=None):
     """Verify ``proof``, holding each evidence leaf the verifier joins to
     ``reference_leaf(holder_id, issuer_id, r, sub, paths, c)`` for the
     trusted issuer commitment ``c`` it joins, and each window round's run of
     leaves it folds to the reference leaves of that round's receipts, one per
-    link of the holder's proof part, in link order.  Returns the verdict and
-    the number of runs compared."""
+    link of the holder's proof part, in link order.  With
+    ``reference_paths``, the receipt-form paths the verifier rebuilds are
+    held to ``reference_paths(holder_id, issuer_id, r)`` too, byte for byte.
+    Returns the verdict and the number of runs compared."""
     joined, runs_compared = [], []  # joined: (issuer id, reference leaf) since the last run
-    join, fold = entangle.evidence_leaf, entangle._Deferred.proves
+    rebuilt = []  # the ReceiptPaths whose receipt form was just rebuilt
+    join, fold, rebuild = entangle.evidence_leaf, entangle._Deferred.proves, entangle.receipt_paths
     parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
 
     def link_orders(holder_id):
         return {tuple(_issuer_ids(part)) for part in parts if part.holder_id == holder_id}
 
-    def leaf(sub, c, paths):
+    def receipt_paths(paths, leaf_count):
+        rebuilt.append(paths)
+        return rebuild(paths, leaf_count)
+
+    def leaf(sub, c, paths_bytes):
+        paths = rebuilt.pop()
+        assert paths_bytes == ref_receipt_paths(paths, c.leaf_count)
+        if reference_paths is not None:
+            assert paths_bytes == reference_paths(sub.holder_id, c.node_id, sub.holder_round)
         joined.append((c.node_id, reference_leaf(sub.holder_id, c.node_id, sub.holder_round, sub, paths, c)))
-        assert join(sub, c, paths) == joined[-1][1]
+        assert join(sub, c, paths_bytes) == joined[-1][1]
         return joined[-1][1]
 
-    def proves(view, c, leaves, proof):
-        if leaves[0][0] == LEAF_EVIDENCE:  # a round's run, folded in the holder's round r + 2 tree
-            assert tuple(leaves) == tuple(reference for _, reference in joined)
+    def proves(view, c, leaf_hashes, proof):
+        if joined and leaf_hashes[0] == leaf_hash(joined[0][1]):  # a round's run, folded in the holder's round r + 2 tree
+            assert tuple(leaf_hashes) == tuple(leaf_hash(reference) for _, reference in joined)
             assert tuple(issuer_id for issuer_id, _ in joined) in link_orders(c.node_id)
             joined.clear()
             runs_compared.append(c.round - EVIDENCE_LAG)
-        return fold(view, c, leaves, proof)
+        return fold(view, c, leaf_hashes, proof)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entangle, "evidence_leaf", leaf)
+        patch.setattr(entangle, "receipt_paths", receipt_paths)
         patch.setattr(entangle._Deferred, "proves", proves)
         verdict = _verify(proof, sim)
     return verdict, len(runs_compared)
+
+
+def retained_paths(sim):
+    """The receipt-form paths a holder retained for an issuer and round: its
+    receipt's own, which the receipt built when it was first written."""
+    logs = {node.node_id: node.receipt_log for node in sim.nodes.values()}
+
+    def paths(holder_id, issuer_id, r):
+        receipt = logs[holder_id][issuer_id, r]
+        return vars(receipt)["_paths_encoding"]
+
+    return paths
 
 
 def _window_rounds(proof) -> int:
@@ -482,7 +547,7 @@ def _window_rounds(proof) -> int:
 def test_ci_proof_folds_the_spliced_evidence_leaves(ci_proofs, kind):
     proof, sim = ci_proofs[kind]
     for candidate in (proof, decode_proof(encode_proof(proof))):
-        verdict, runs = verify_against_spliced_leaves(candidate, sim, retained_leaf(sim))
+        verdict, runs = verify_against_spliced_leaves(candidate, sim, retained_leaf(sim), retained_paths(sim))
         assert verdict
         assert runs == _window_rounds(proof)
 
@@ -492,7 +557,7 @@ def test_ci_proof_folds_the_spliced_evidence_leaves(ci_proofs, kind):
 def test_fan_hub_proof_folds_the_spliced_evidence_leaves(fan_runs, n, w):
     center = fan_runs[n].nodes["center"]
     proof = decode_proof(encode_proof(build_hub_proof(center.records, (1, w), center.receipt_log)))
-    verdict, runs = verify_against_spliced_leaves(proof, fan_runs[n], retained_leaf(fan_runs[n]))
+    verdict, runs = verify_against_spliced_leaves(proof, fan_runs[n], retained_leaf(fan_runs[n]), retained_paths(fan_runs[n]))
     assert verdict
     assert runs == w
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from entmesh.config import load_config, make_simulation
 from entmesh.entangle import MissingReceiptError, build_chain_proof, build_hub_proof, build_link_proof, encode_proof, verify_link
-from entmesh.hashtree import Digest, MerkleTree, sha256, verify_inclusion
+from entmesh.hashtree import ZERO_DIGEST, Digest, MerkleTree, fold_root, leaf_hash, sha256
 from entmesh.keys import Ed25519Scheme, KeyPair, keypair_from_seed
 from entmesh.node import KeyDirectory, NodeRecord, build_round, chain_entry_for, round_leaves
 from entmesh.simnet import (
@@ -429,9 +429,8 @@ class TestAnchorPruning:
 
 
 def _flip_first_sibling(proof):
-    # Byte 0 of the path is the first step's side byte; byte 1 starts its sibling.
-    path = proof.audit_path
-    return dataclasses.replace(proof, audit_path=path[:1] + bytes([path[1] ^ 1]) + path[2:])
+    first, *rest = proof.siblings
+    return proof._replace(siblings=(bytes([first[0] ^ 1]) + first[1:], *rest))
 
 
 def _with_paths(rc, **changes):
@@ -440,10 +439,10 @@ def _with_paths(rc, **changes):
 
 RECEIPT_TAMPERS = {
     "submission-sibling": lambda rc: _with_paths(rc, inclusion=_flip_first_sibling(rc.paths.inclusion)),
-    "submission-tree-size": lambda rc: _with_paths(
-        rc, inclusion=dataclasses.replace(rc.paths.inclusion, tree_size=rc.paths.inclusion.tree_size + 1)
+    "submission-extra-sibling": lambda rc: _with_paths(
+        rc, inclusion=rc.paths.inclusion._replace(siblings=rc.paths.inclusion.siblings + (ZERO_DIGEST,))
     ),
-    "prev-leaf-index": lambda rc: _with_paths(rc, prev_inclusion=dataclasses.replace(rc.paths.prev_inclusion, leaf_index=1)),
+    "prev-leaf-index": lambda rc: _with_paths(rc, prev_inclusion=rc.paths.prev_inclusion._replace(leaf_index=1)),
     "prev-digest": lambda rc: _with_paths(rc, prev_digest=Digest(sha256(b"another prev"))),
     "unsigned-round": lambda rc: dataclasses.replace(
         rc, issuer_commitment=dataclasses.replace(rc.issuer_commitment, round=rc.issuer_commitment.round + 7)
@@ -466,9 +465,10 @@ class TestReceiptPathsAgree:
     def run(self):
         sim = Simulation(self.TOPOLOGY, rounds=6, seed=self.SEED).run()
         root_id = sim.nodes["root"].node_id
-        # Leaf 3 of a 6-leaf tree has the same audit path in a 7-leaf tree,
-        # so a proof resized to 7 still folds to the root: only the rule
-        # tree_size == leaf_count rejects it.
+        # Leaf 3 of a 6-leaf tree takes 3 siblings; with a fourth it is the
+        # path of leaf 3 in a tree of 9 or more leaves.  A path holds no tree
+        # size: only the signed leaf count, in which the fold derives the
+        # sibling count, rejects it.
         receipts = {label: sim.nodes[label].receipt_log[(root_id, self.ROUND)] for label in ("m1-0", "m1-1", "m1-2")}
         holder = next(label for label, rc in receipts.items() if rc.paths.inclusion.leaf_index == 3)
         assert receipts[holder].issuer_commitment.leaf_count == 6
@@ -491,9 +491,10 @@ class TestReceiptPathsAgree:
     def test_tampered_receipt(self, run, tamper):
         sim, holder, receipt = run
         bad = RECEIPT_TAMPERS[tamper](receipt)
-        if tamper == "submission-tree-size":
-            c = bad.issuer_commitment
-            assert verify_inclusion([bad.submission.leaf_bytes()], bad.paths.inclusion, c.root)
+        if tamper == "submission-extra-sibling":
+            leaf = leaf_hash(bad.submission.leaf_bytes())
+            assert fold_root([leaf], bad.paths.inclusion, 9) is not None
+            assert fold_root([leaf], bad.paths.inclusion, bad.issuer_commitment.leaf_count) is None
         reason = "BadSignature" if tamper == "unsigned-round" else "ReceiptInvalid"
         assert sim.nodes[holder].verify_receipt(bad, sim.directory).reason == reason
         label, events, claims = self.forward(sim, holder, bad)

@@ -22,10 +22,12 @@ from pathlib import Path
 import pytest
 
 from entmesh import entangle
+from entmesh import node as node_module
 from entmesh.config import load_config, make_simulation
 from entmesh.entangle import (
     ChainProof,
     HubProof,
+    WindowRound,
     build_chain_proof,
     build_hub_proof,
     build_link_proof,
@@ -36,9 +38,24 @@ from entmesh.entangle import (
     verify_link,
 )
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import Receipt, check_receipt
+from entmesh.node import (
+    FIXED_LEAVES,
+    LEAF_PAYLOAD,
+    MANIFEST_LEAF_INDEX,
+    ChainEntry,
+    Receipt,
+    ReceiptPaths,
+    Verdict,
+    chain_entry_for,
+    commitment_digest,
+    receipt_key,
+    round_leaves,
+)
 from entmesh.simnet import Simulation, chain, fan, federated
+from entmesh.hashtree import sha256
 from entmesh.wire import WireError
+
+from test_node import prev_leaf, signed_tree
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -88,17 +105,23 @@ def _sequential(proof, sim, trust=None):
 
 def _parent_rule(proof, sim):
     """The verifier with every receipt's issuer signature checked as well,
-    through ``check_receipt``, in the place its inclusion checks run."""
+    as ``check_receipt`` checks it first, in the place its inclusion checks run."""
     views = []
+    inclusions = entangle._check_receipt_inclusions
 
     class Recording(entangle._Deferred):
         def __init__(self, directory):
             super().__init__(directory)
             views.append(self)
 
+    def check_receipt(submission_hash, paths, c, view):
+        if not view.verify_commitment(c):
+            return Verdict.failed("BadSignature", f"issuer {c.node_id.hex()}")
+        return inclusions(submission_hash, paths, c, view)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entangle, "_Deferred", Recording)
-        patch.setattr(entangle, "_check_receipt_inclusions", lambda sub, paths, c, view: check_receipt(Receipt(sub, c, paths), view))
+        patch.setattr(entangle, "_check_receipt_inclusions", check_receipt)
         return _verify(proof, sim)
 
 
@@ -251,8 +274,8 @@ class TestSignatureCounts:
         proof, sim = runs["hub"]
         if where == "evidence-path":
             ev = proof.rounds[-1].evidence_proof
-            path = ev.audit_path  # the first sibling starts after the first side byte
-            flipped = dataclasses.replace(ev, audit_path=path[:1] + bytes([path[1] ^ 1]) + path[2:])
+            first, *rest = ev.siblings
+            flipped = ev._replace(siblings=(bytes([first[0] ^ 1]) + first[1:], *rest))
             bad = _with_round(proof, -1, evidence_proof=flipped)
         else:
             entry = proof.holder_chain[2]
@@ -416,6 +439,70 @@ class TestProofsNoBuilderMakes:
         trust = {record.round: record.commitment for record in issuer.records}
         verdict = verify_link(dataclasses.replace(proof, holder_chain=later.holder_chain), trust, sim.directory)
         assert (verdict.reason, verdict.detail) == ("RoundGap", "chain entry out of place")
+
+    @pytest.mark.parametrize("fault", ["unsorted", "duplicated"])
+    def test_holder_signed_manifest_out_of_canonical_order(self, manual_net, monkeypatch, fault):
+        # The holder signs rounds whose manifest leaf lists its issuers out of
+        # canonical order, and retains each round's receipts in that order.
+        # Every hash, signature and evidence run then checks out: without the
+        # order check the hub verifies.
+        net = manual_net(["c", "p", "q"], [("c", "p"), ("c", "q")])
+        center = net.nodes["c"]
+        low, high = sorted((net.id_of("p"), net.id_of("q")))
+        manifest = (high, low) if fault == "unsorted" else (low, low, high)
+        center.manifest = manifest
+        monkeypatch.setattr(node_module, "validate_state", lambda state: None)
+        compose = center.compose_state
+
+        def compose_in_manifest_order(*args):
+            state = compose(*args)
+            by_key = {receipt_key(rc): rc for rc in state.evidence}
+            held = sorted({r for _, r in by_key})
+            return dataclasses.replace(state, evidence=tuple(by_key[i, r] for r in held for i in manifest))
+
+        center.compose_state = compose_in_manifest_order
+        net.run(6)
+        rounds = []
+        for r in (1, 2):
+            receipts = [center.receipt_log[i, r] for i in manifest]
+            retaining = center.records[r + 2]
+            keys = [receipt_key(rc) for rc in retaining.state.evidence]
+            first = FIXED_LEAVES + len(retaining.state.entangled) + keys.index((manifest[0], r))
+            evidence = retaining.tree.prove_range(first, first + len(manifest))
+            rounds.append(WindowRound(receipts[0].submission, tuple(rc.paths for rc in receipts), evidence))
+        proofs = tuple(center.records[r].tree.prove_inclusion(MANIFEST_LEAF_INDEX) for r in (1, 2))
+        chain_entries = tuple(chain_entry_for(center.records[r]) for r in range(1, 5))
+        proof = HubProof(center.node_id, 1, 2, manifest, proofs, chain_entries, tuple(rounds))
+        trust = {net.id_of(label): net.commitments_of(label) for label in ("p", "q")}
+        verdict = verify_hub(decode_proof(encode_proof(proof)), trust, net.directory)
+        assert (verdict.reason, verdict.detail) == ("ManifestMismatch", "manifest not in canonical order")
+
+    def test_trust_log_with_an_equivocating_issuers_fork_breaks_the_issuer_chain(self, manual_net):
+        # The issuer signs a second round-2 commitment and a round-3 tree on
+        # top of it that entangles the holder's round-2 submission; the trust
+        # log holds that forked round 3 beside the real round 2.  The holder
+        # signs a round-4 tree retaining the forked receipt.  Each receipt
+        # then proves against its trusted commitment and the evidence folds:
+        # without the continuity check the link verifies.
+        net = manual_net(["h", "i"], [("h", "i")]).run(6)
+        holder, issuer = net.nodes["h"], net.nodes["i"]
+        proof = build_link_proof(holder.records, issuer.node_id, (1, 2), holder.receipt_log)
+        decoy = bytes([LEAF_PAYLOAD]) + sha256(b"fork")
+        _, fork_2 = signed_tree(issuer, 2, [prev_leaf(commitment_digest(issuer.records[1].commitment)), decoy])
+        honest = holder.receipt_log[issuer.node_id, 2]
+        tree_3, fork_3 = signed_tree(issuer, 3, [prev_leaf(commitment_digest(fork_2)), decoy, honest.submission.leaf_bytes()])
+        paths = ReceiptPaths(tree_3.prove_inclusion(2), commitment_digest(fork_2), tree_3.prove_inclusion(0))
+        forked = Receipt(honest.submission, fork_3, paths)
+        retaining = holder.records[4]
+        leaves = [forked.leaf_bytes() if leaf == honest.leaf_bytes() else leaf for leaf in round_leaves(retaining.state)]
+        tree_4, c_4 = signed_tree(holder, 4, leaves)
+        entry = ChainEntry(c_4, retaining.state.prev_commitment_digest, tree_4.prove_inclusion(0))
+        at = leaves.index(forked.leaf_bytes())
+        last = proof.rounds[1]._replace(receipts=(paths,), evidence_proof=tree_4.prove_range(at, at + 1))
+        bad = dataclasses.replace(proof, holder_chain=proof.holder_chain[:3] + (entry,), rounds=(proof.rounds[0], last))
+        trust = {**net.commitments_of("i"), 3: fork_3}
+        verdict = verify_link(decode_proof(encode_proof(bad)), trust, net.directory)
+        assert (verdict.reason, verdict.detail) == ("ChainBreak", "issuer chain breaks before round 3")
 
 
 class TestRepeatsAreSkippedChecks:

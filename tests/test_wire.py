@@ -19,6 +19,7 @@ from entmesh.wire import (
     Writer,
     decode,
     encode_inclusion_proof,
+    encode_receipt_path,
     frozen_record,
     read_inclusion_proof,
 )
@@ -159,20 +160,23 @@ class TestNestedRecords:
 
 
 class TestFrozenRecord:
-    # Every record class a reader makes with ``frozen_record``.
+    # Every record class a reader makes without its constructor: receipt
+    # paths by ``frozen_record``, a path by ``tuple.__new__``.
     RECORDS = [InclusionProof, node.ReceiptPaths]
 
     def test_equals_the_record_init_makes_and_stays_frozen(self):
-        made = frozen_record(InclusionProof, leaf_index=3, audit_path=b"\x01" + bytes(32), tree_size=5)
-        assert made == InclusionProof(3, b"\x01" + bytes(32), 5)
-        assert hash(made) == hash(InclusionProof(3, b"\x01" + bytes(32), 5))
+        path = InclusionProof(3, (bytes(32),))
+        made = frozen_record(node.ReceiptPaths, inclusion=path, prev_digest=bytes(32), prev_inclusion=path)
+        assert made == node.ReceiptPaths(path, bytes(32), path)
+        assert hash(made) == hash(node.ReceiptPaths(path, bytes(32), path))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            made.leaf_index = 4
+            made.prev_digest = bytes(32)
 
     @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
     def test_record_classes_check_nothing_in_post_init(self, cls):
-        # ``frozen_record`` skips ``__init__``, so a check there would be skipped too.
-        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+        # A reader skips the constructor, so a check there would be skipped too.
+        frozen = dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+        assert frozen or issubclass(cls, tuple)
         assert not hasattr(cls, "__post_init__")
 
 
@@ -181,76 +185,70 @@ class TestInclusionProofWire:
     def test_round_trip(self, n, index):
         tree = MerkleTree([bytes([i]) for i in range(n)])
         proof = tree.prove_inclusion(index)
-        data = encode_inclusion_proof(proof)
-        r = Reader(data)
-        back = read_inclusion_proof(r)
-        r.expect_eof()
-        assert back == proof
-
-    def test_bad_side_byte_rejected(self):
-        tree = MerkleTree([b"a", b"b"])
-        data = bytearray(encode_inclusion_proof(tree.prove_inclusion(0)))
-        data[-33] = 9  # side marker of the only path step
-        with pytest.raises(WireError):
-            read_inclusion_proof(Reader(bytes(data)))
-
-    def test_bad_side_byte_named_before_truncation(self):
-        # A step-by-step read meets the bad side byte of step 1 before it
-        # finds the path cut short in step 2.
-        tree = MerkleTree([bytes([i]) for i in range(5)])
-        data = bytearray(encode_inclusion_proof(tree.prove_inclusion(0)))
-        data[20 + 33] = 7
-        with pytest.raises(WireError, match="^bad side byte 7$"):
-            read_inclusion_proof(Reader(bytes(data[:-40])))
-        with pytest.raises(WireError, match="^truncated input$"):
-            read_inclusion_proof(Reader(bytes(data[: 20 + 33])))
+        for fixed in (None, index):
+            data = encode_inclusion_proof(proof, fixed)
+            r = Reader(data)
+            back = read_inclusion_proof(r, fixed)
+            r.expect_eof()
+            assert back == proof
+            assert len(data) == (12 if fixed is None else 4) + 32 * len(proof.siblings)
 
     def test_head_cut_short_inside_its_blob(self):
-        # The blob holds 10 bytes of a 20-byte head.  The bytes after it, which
-        # would read as a step count of 2**32 - 1, belong to the outer record.
+        # The blob holds 10 bytes of a 12-byte head.  The bytes after it, which
+        # would read as a sibling count of 2**32 - 1, belong to the outer record.
         data = Writer().blob(bytes(10)).getvalue() + b"\xff" * 40
         with pytest.raises(WireError, match="^truncated input$"):
             Reader(data).nested(read_inclusion_proof, 64)
 
     def test_step_count_checked_before_the_steps(self):
-        data = struct.pack(">QQI", 0, 1, MAX_AUDIT_STEPS + 1)
+        data = struct.pack(">QI", 0, MAX_AUDIT_STEPS + 1)
         with pytest.raises(WireError, match=f"^too many audit steps: {MAX_AUDIT_STEPS + 1}$"):
             read_inclusion_proof(Reader(data))
+        with pytest.raises(WireError, match=f"^too many audit steps: {MAX_AUDIT_STEPS + 1}$"):
+            read_inclusion_proof(Reader(data[8:]), 0)
 
     def test_audit_path_bound(self):
-        step = b"\x00" + MerkleTree([b"a"]).root
-        at_bound = InclusionProof(leaf_index=0, audit_path=step * 64, tree_size=1)
+        sibling = MerkleTree([b"a"]).root
+        at_bound = InclusionProof(leaf_index=0, siblings=(sibling,) * 64)
         assert decode(encode_inclusion_proof(at_bound), read_inclusion_proof) == at_bound
-        over = struct.pack(">QQI", 0, 1, 65) + step * 65
+        over = struct.pack(">QI", 0, 65) + sibling * 65
         with pytest.raises(WireError):
             read_inclusion_proof(Reader(over))
 
+    def test_fixed_index_is_not_written_and_must_hold(self):
+        proof = MerkleTree([bytes([i]) for i in range(5)]).prove_inclusion(2)
+        assert encode_inclusion_proof(proof, 2) == encode_inclusion_proof(proof)[8:]
+        with pytest.raises(WireError, match="^path at leaf 2, not at leaf 0$"):
+            encode_inclusion_proof(proof, 0)
+
 
 class TestInclusionProofEncoderRefuses:
-    """The encoder refuses every path the reader would refuse."""
+    """The encoders refuse every path the reader would refuse, and the
+    receipt form every head that is not a u64, u64, u32."""
 
     SIBLING = MerkleTree([b"a"]).root
 
-    def test_side_byte_other_than_0_or_1(self):
-        path = b"\x01" + self.SIBLING + b"\x02" + self.SIBLING
-        with pytest.raises(WireError, match="^bad side byte 2$"):
-            encode_inclusion_proof(InclusionProof(leaf_index=0, audit_path=path, tree_size=2))
-
     def test_more_than_max_audit_steps(self):
-        path = (b"\x00" + self.SIBLING) * (MAX_AUDIT_STEPS + 1)
-        with pytest.raises(WireError, match=f"^too many audit steps: {MAX_AUDIT_STEPS + 1}$"):
-            encode_inclusion_proof(InclusionProof(leaf_index=0, audit_path=path, tree_size=1))
+        path = InclusionProof(leaf_index=0, siblings=(self.SIBLING,) * (MAX_AUDIT_STEPS + 1))
+        for fixed in (None, 0):
+            with pytest.raises(WireError, match=f"^too many audit steps: {MAX_AUDIT_STEPS + 1}$"):
+                encode_inclusion_proof(path, fixed)
 
     @pytest.mark.parametrize("index,size", [(-1, 1), (0, 2**64), (0.5, 1)])
     def test_index_or_size_not_a_u64(self, index, size):
+        path = InclusionProof(leaf_index=index, siblings=())
         with pytest.raises(WireError, match="^inclusion proof head: "):
-            encode_inclusion_proof(InclusionProof(leaf_index=index, audit_path=b"", tree_size=size))
+            encode_receipt_path(path, size)
+        if index != 0:  # a proof writes the index alone
+            with pytest.raises(WireError, match=f"^u64 out of range: {index}$"):
+                encode_inclusion_proof(path)
 
     @pytest.mark.parametrize("cut", [1, 32, 34])
     def test_path_not_whole_steps(self, cut):
-        path = ((b"\x00" + self.SIBLING) * 2)[:-cut]
-        with pytest.raises(WireError, match="^audit path is not whole 33-byte steps$"):
-            encode_inclusion_proof(InclusionProof(leaf_index=3, audit_path=path, tree_size=4))
+        # A sibling of 64, 33 or 31 bytes: a path that is not whole digests.
+        siblings = (self.SIBLING, (self.SIBLING * 2)[: 65 - cut])
+        with pytest.raises(WireError, match="^digest must be 32 bytes$"):
+            encode_inclusion_proof(InclusionProof(leaf_index=3, siblings=siblings))
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,15 +270,15 @@ def test_every_proof_round_trips_as_its_step_bytes(n):
         decoded = decode(blob, read_inclusion_proof)
         assert decoded == proof
         assert encode_inclusion_proof(decoded) == blob
-        assert type(decoded.audit_path) is bytes and decoded.audit_path == blob[20:]
-        # The steps the encoding holds are the ones a step-by-step read sees.
+        assert all(type(sibling) is bytes for sibling in decoded.siblings) and b"".join(decoded.siblings) == blob[12:]
+        # The siblings the encoding holds are the ones a sibling-by-sibling read sees.
         assert decoded == copying_decode(blob, stepwise_read_inclusion_proof)
 
 
-# A slow reference decoder: the reader as it was before records were read
-# in place.  Every blob is copied and read by a fresh reader, and an audit
-# path is read one step at a time.  ``reference_decode_proof`` runs the
-# library's record readers on it.
+# A slow reference decoder, written from docs/FORMATS.md: the reader as it
+# was before records were read in place.  Every blob is copied and read by a
+# fresh reader, and a path is read field by field, one sibling at a time.
+# ``reference_decode_proof`` runs the library's record readers on it.
 
 
 class CopyingReader:
@@ -346,18 +344,12 @@ def copying_decode(data: bytes, read):
     return value
 
 
-def stepwise_read_inclusion_proof(r) -> InclusionProof:
-    leaf_index = r.u64()
-    tree_size = r.u64()
-
-    def read_step(r):
-        side = r.u8()
-        if side not in (0, 1):
-            raise WireError(f"bad side byte {side}")
-        return bytes([side]) + r.digest()
-
-    path = b"".join(r.many(read_step, "audit steps", MAX_AUDIT_STEPS))
-    return InclusionProof(leaf_index=leaf_index, audit_path=path, tree_size=tree_size)
+def stepwise_read_inclusion_proof(r, index=None) -> InclusionProof:
+    # A path in a proof: the u64 leaf index unless the format fixes it, then
+    # a u32 count of at most MAX_AUDIT_STEPS and that many 32-byte siblings.
+    leaf_index = r.u64() if index is None else index
+    siblings = r.many(CopyingReader.digest, "audit steps", MAX_AUDIT_STEPS)
+    return InclusionProof(leaf_index=leaf_index, siblings=siblings)
 
 
 def reference_decode_proof(data: bytes):
