@@ -328,9 +328,10 @@ def config_from_dict(data: Any, source: str = "config") -> ScenarioConfig:
 
 
 def load_config(path: "Path | str") -> ScenarioConfig:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} at offset {exc.start})")
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}")
     except RecursionError:  # PyYAML composes nested collections recursively

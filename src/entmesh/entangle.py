@@ -20,11 +20,11 @@ Proof vocabulary:
   committed by a later tree, with no receipt evidence involved.
 
 A link or hub proof is its holder chain and its window rounds: each
-``WindowRound`` holds the holder's submission, each issuer's receipt paths
+``WindowRound`` holds the holder's signature, each issuer's receipt paths
 (``ReceiptPaths``) and the round's evidence proof.  A proof holds no whole
-receipt: the verifier checks the paths against its trusted copy of the
-issuer commitment, which it would otherwise compare the receipt's with, and
-joins the three into the receipt's evidence leaf.
+receipt: the verifier rebuilds the round's submission from its chain entry
+and that signature, checks the paths against its trusted issuer commitment,
+and joins the three into the receipt's evidence leaf.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .node import (
     ReceiptPaths,
     Submission,
     Verdict,
+    MAX_SIGNATURE,
     _check_receipt_inclusions,
     _manifest_leaf,
     chain_entry_for,
@@ -51,6 +52,7 @@ from .node import (
     evidence_leaf,
     receipt_key,
     receipt_paths,
+    submission_of,
     FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
@@ -97,7 +99,7 @@ __all__ = [
 # the issuer-side inclusion, +1 for evidence retention.
 EVIDENCE_LAG = 2
 
-# Bytes of one hub round's submission and receipt paths, or of one chain hop blob (docs/FORMATS.md).
+# Bytes of one hub round's holder signature and receipt paths, or of one chain hop blob (docs/FORMATS.md).
 MAX_LINK = 1 << 24
 
 
@@ -113,37 +115,38 @@ class MissingReceiptError(ValueError):
 
 
 class WindowRound(NamedTuple):
-    """One window round r of a link or hub proof: the holder's round-r
-    submission, each issuer's receipt paths for it in manifest order (one for
-    a link), and the proof that their evidence leaves are one run of leaves in
-    the holder's round r + EVIDENCE_LAG tree.  A tuple, since a proof builds
-    and reads one per round."""
+    """One window round r of a link or hub proof: the holder's signature on
+    its round-r submission, whose id, round and root are chain entry r's, each
+    issuer's receipt paths in manifest order (one for a link), and the proof
+    that their evidence leaves are one run of leaves in the holder's round
+    r + EVIDENCE_LAG tree.  A tuple, since a proof builds and reads one per round."""
 
-    submission: Submission
+    signature: bytes
     receipts: tuple[ReceiptPaths, ...]
     evidence_proof: InclusionProof
 
 
 def _rounds_bytes(rounds: Sequence[WindowRound]) -> list[bytes]:
-    """A u32 count, then per round a blob of the submission and its receipts'
-    paths, and the evidence proof: the parts, for one join."""
+    """A u32 count, then per round a blob of the signature blob and the
+    receipts' paths, and the evidence proof: the parts, for one join."""
     parts = [prefix(len(rounds))]
-    for sub, receipts, evidence in rounds:
-        sub_bytes, paths_bytes = sub._encoding, b"".join([paths._encoding for paths in receipts])
-        parts += (prefix(len(sub_bytes) + len(paths_bytes)), sub_bytes, paths_bytes, encode_inclusion_proof(evidence))
+    for signature, receipts, evidence in rounds:
+        paths_bytes = b"".join([paths._encoding for paths in receipts])
+        size = 4 + len(signature) + len(paths_bytes)  # the signature's blob, then the paths
+        parts += (prefix(size), prefix(len(signature)), signature, paths_bytes, encode_inclusion_proof(evidence))
     return parts
 
 
 def _read_rounds(r: Reader, issuers: int, limit: int) -> tuple[WindowRound, ...]:
     """What ``_rounds_bytes`` writes, ``issuers`` receipts to a round, whose
-    submission and paths blob is at most ``limit`` bytes."""
+    signature and paths blob is at most ``limit`` bytes."""
 
-    def held(r: Reader) -> tuple[Submission, tuple[ReceiptPaths, ...]]:
-        return Submission.read(r), tuple([ReceiptPaths.read(r) for _ in range(issuers)])
+    def held(r: Reader) -> tuple[bytes, tuple[ReceiptPaths, ...]]:
+        return r.blob(MAX_SIGNATURE), tuple([ReceiptPaths.read(r) for _ in range(issuers)])
 
     def read_round(r: Reader) -> WindowRound:
-        sub, receipts = r.nested(held, limit)
-        return WindowRound(sub, receipts, read_inclusion_proof(r))
+        signature, receipts = r.nested(held, limit)
+        return WindowRound(signature, receipts, read_inclusion_proof(r))
 
     return r.many(read_round, "window rounds", MAX_ITEMS)
 
@@ -221,8 +224,8 @@ def _window_rounds(
     window: tuple[int, int],
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> tuple[WindowRound, ...]:
-    """Each window round's submission, the receipt paths of ``issuer_ids`` in
-    that order, and their evidence run."""
+    """Each window round's holder signature, the receipt paths of
+    ``issuer_ids`` in that order, and their evidence run."""
     span = range(window[0], window[1] + 1)
     by_issuer = []
     for issuer_id in issuer_ids:  # a missing receipt is named before any evidence is proved
@@ -230,13 +233,14 @@ def _window_rounds(
             by_issuer.append([receipts[issuer_id, r] for r in span])
         except KeyError:
             raise MissingReceiptError(issuer_id, next(r for r in span if (issuer_id, r) not in receipts)) from None
-    subs = [receipt.submission for receipt in by_issuer[0]]
+    first = by_issuer[0]
     for found in by_issuer[1:]:
-        for r, sub, receipt in zip(span, subs, found):
-            if receipt.submission.to_bytes() != sub.to_bytes():
+        for r, receipt, other in zip(span, first, found):
+            if other.submission.to_bytes() != receipt.submission.to_bytes():
                 raise ValueError(f"receipts for round {r} carry different submissions")
+    signatures = [receipt.submission.signature for receipt in first]  # the holder chain holds the rest of each submission
     paths = zip(*[[receipt.paths for receipt in found] for found in by_issuer])
-    return tuple(map(WindowRound, subs, paths, [_evidence_proof(holder_records, issuer_ids, r) for r in span]))
+    return tuple(map(WindowRound, signatures, paths, [_evidence_proof(holder_records, issuer_ids, r) for r in span]))
 
 
 def build_link_proof(
@@ -374,16 +378,14 @@ def _check_rounds(
     holder: "LinkProof | HubProof", commitments: _ByRound, issuers: Sequence[tuple[NodeId, _ByRound]], view: _Deferred
 ) -> Verdict:
     """Each window round in turn, against ``holder``'s checked chain by round in
-    ``commitments``: the holder's submission once, then each receipt's paths
-    against its (issuer id, trusted issuer commitments) pair in ``issuers``, then
-    the round's evidence proof over the leaves those receipts join, in that order."""
+    ``commitments``: the holder's submission once, rebuilt from chain entry r
+    and the round's signature, then each receipt's paths against its (issuer
+    id, trusted issuer commitments) pair in ``issuers``, then the round's
+    evidence proof over the leaves those receipts join, in that order."""
     s = holder.window_start
-    for r, (sub, receipts, evidence) in zip(range(s, holder.window_end + 1), holder.rounds):
+    for r, (signature, receipts, evidence) in zip(range(s, holder.window_end + 1), holder.rounds):
         view.mark()  # a failed receipt check pays for no earlier round's signature
-        if sub.holder_id != holder.holder_id or sub.holder_round != r:
-            return _part_failed(holder, "holder chain", "ReceiptMismatch", f"receipt is not for holder round {r}")
-        if sub.holder_root != commitments[r].root:
-            return _part_failed(holder, "holder chain", "ReceiptMismatch", f"receipt attests a different round-{r} root")
+        sub = submission_of(commitments[r], signature)
         if not view.verify_submission(sub):
             return _part_failed(holder, "holder chain", "BadSignature", f"holder signature in receipt for round {r}")
         sub_hash, leaf_hashes = leaf_hash(sub.leaf_bytes()), []
@@ -411,7 +413,7 @@ def _check_rounds(
 
 @dataclass(frozen=True)
 class HubProof:
-    """All of a holder's committed links over one window, sharing one holder chain and each round's submission."""
+    """All of a holder's committed links over one window, sharing one holder chain and each round's holder signature."""
 
     holder_id: NodeId
     window_start: int
@@ -709,7 +711,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
     return current == end_root
 
 
-_PROOF_MAGIC = b"EMP6"
+_PROOF_MAGIC = b"EMP7"
 _PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 

@@ -125,10 +125,10 @@ class Verdict:
 _PASSED = Verdict(True)
 
 
-# The fields a commitment and a submission sign, in wire order, and the heads
-# their readers unpack: those fields and the length of the signature blob.
+# The fields a commitment and a submission sign, in wire order, and the head
+# a commitment's reader unpacks: its fields and the length of the signature blob.
 _COMMITMENT_FIELDS, _COMMITMENT_HEAD = Head("dQdQ"), Head("dQdQI")  # node_id, round, root, leaf_count
-_SUBMISSION_FIELDS, _SUBMISSION_HEAD = Head("dQd"), Head("dQdI")  # holder_id, holder_round, holder_root
+_SUBMISSION_FIELDS = Head("dQd")  # holder_id, holder_round, holder_root
 
 
 def _signed(fields: bytes, signature: bytes) -> bytes:
@@ -205,7 +205,8 @@ def commitment_digest(commitment: Commitment) -> Digest:
 
 @dataclass(frozen=True)
 class Submission:
-    """A holder's signed root, as handed to an issuer for entanglement."""
+    """A holder's signed root, as handed to an issuer for entanglement.  Its
+    bytes are hashed and written, never read: a proof holds its signature."""
 
     holder_id: NodeId
     holder_round: int
@@ -222,19 +223,16 @@ class Submission:
     def to_bytes(self) -> bytes:
         return self._encoding
 
-    @staticmethod
-    def read(r: Reader) -> "Submission":
-        start = r.tell()
-        holder_id, holder_round, holder_root, n = _SUBMISSION_HEAD.read(r)
-        sub = Submission(holder_id, holder_round, holder_root, r._take(bounded(n, MAX_SIGNATURE)))
-        return _keep(sub, r.since(start))
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "Submission":
-        return decode(data, Submission.read)
-
     def leaf_bytes(self) -> bytes:
         return bytes([LEAF_ENTANGLED]) + self._encoding
+
+
+def submission_of(c: Commitment, signature: bytes) -> Submission:
+    """The Submission of ``c``'s node, round and root under ``signature``, its bytes
+    kept: as its holder signs it, or as a verifier rebuilds it from a holder chain entry."""
+    sub = Submission(c.node_id, c.round, c.root, signature)
+    fields = _SUBMISSION_FIELDS.pack(c.node_id, c.round, c.root)
+    return _keep(sub, _signed(fields, signature))
 
 
 @dataclass(frozen=True)
@@ -746,11 +744,8 @@ class Node:
         record._measure()
 
     def make_submission(self) -> Submission:
-        latest = self.latest
-        signed = _SUBMISSION_FIELDS.pack(self.node_id, latest.round, latest.root)
-        signature = self.keypair.sign(signed)
-        sub = Submission(self.node_id, latest.round, latest.root, signature)
-        return _keep(sub, _signed(signed, signature))
+        c = self.latest.commitment
+        return submission_of(c, self.keypair.sign(_SUBMISSION_FIELDS.pack(c.node_id, c.round, c.root)))
 
     def receive_submission(self, sub: Submission, directory: KeyDirectory) -> Verdict:
         if not directory.verify_submission(sub):

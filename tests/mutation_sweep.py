@@ -1,0 +1,206 @@
+"""Check-drop mutation sweep over the proof verifiers.
+
+Each mutant below drops one verifier check by rewriting one line of
+``src/entmesh``.  For each, the sweep copies ``src/`` to a temp directory,
+applies the rewrite there and runs the tests named for it; a mutant is
+killed when one of them fails.  The sweep fails if any mutant survives, if
+a listed line is not found exactly once (so a refactor cannot retire a
+mutant without this list saying so), or if the named tests do not all pass
+on the unmutated copy first.  A check added to a verifier adds its mutant
+here.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutation_sweep.py
+
+pytest does not collect this file: its name has no ``test_`` prefix.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/entmesh
+    line: str  # the line, stripped of its indent, found exactly once in the file
+    replacement: str  # what it becomes, at the same indent
+    tests: tuple[str, ...]  # test ids, relative to the repository root
+
+
+_ORDER = "tests/test_verify_order.py::TestProofsNoBuilderMakes::"
+
+MUTANTS = (
+    Mutant(
+        "chain: hop windows shift by one round per hop",
+        "entangle.py",
+        "if (hop.window_start, hop.window_end) != (base.window_start + i, base.window_end + i):",
+        "if False:",
+        (_ORDER + "test_unshifted_chain_is_a_broken_hop",),
+    ),
+    Mutant(
+        "chain: hop i's issuer is hop i+1's holder",
+        "entangle.py",
+        "if i + 1 < len(proof.hops) and hop.issuer_id != proof.hops[i + 1].holder_id:",
+        "if False:",
+        (_ORDER + "test_hops_from_two_branches_are_a_broken_hop",),
+    ),
+    Mutant(
+        "holder chain: entries from the holder the proof names",
+        "entangle.py",
+        "if entry.commitment.node_id != holder.holder_id:",
+        "if False:",
+        ("tests/test_entangle.py::TestLinkProof::test_chain_must_belong_to_holder",),
+    ),
+    Mutant(
+        "holder chain: the first entry sits at window_start",
+        "entangle.py",
+        "if entry.commitment.round != s + offset:",
+        "if False:",
+        (_ORDER + "test_holder_chain_one_round_off_its_window_is_a_round_gap",),
+    ),
+    Mutant(
+        "holder chain: one evidence proof (window round) per round",
+        "entangle.py",
+        "if len(holder.rounds) != e - s + 1:",
+        "if False:",
+        ("tests/test_entangle.py::TestHubCodec::test_verifier_refuses_a_decoded_hub_with_one_evidence_proof_of_four",),
+    ),
+    Mutant(
+        "link: one receipt per window round",
+        "entangle.py",
+        "if verdict and any(len(rnd.receipts) != 1 for rnd in proof.rounds):  # a decoded link round holds one",
+        "if False:",
+        ("tests/test_entangle.py::TestLinkProof::test_one_submission_per_round_required",),
+    ),
+    Mutant(
+        "rounds: the holder's signature on each round's submission",
+        "entangle.py",
+        "if not view.verify_submission(sub):",
+        "if False:",
+        ("tests/test_entangle.py::TestLinkProof::test_tampered_receipt_signature_rejected",),
+    ),
+    Mutant(
+        "rounds: the trusted commitment is the named issuer's",
+        "entangle.py",
+        "if issuer_c.node_id != issuer_id:",
+        "if False:",
+        ("tests/test_entangle.py::TestLinkProof::test_named_issuer_must_be_the_trusted_one",),
+    ),
+    Mutant(
+        "rounds: issuer continuity from the previous window round",
+        "entangle.py",
+        "if r > s and paths.prev_digest != commitment_digest(trusted[r]):",
+        "if False:",
+        (_ORDER + "test_trust_log_with_an_equivocating_issuers_fork_breaks_the_issuer_chain",),
+    ),
+    Mutant(
+        "hub: one manifest proof per round",
+        "entangle.py",
+        "if len(proof.manifest_proofs) != e - s + 1:",
+        "if False:",
+        ("tests/test_entangle.py::TestHubCodec::test_verifier_refuses_a_decoded_hub_without_manifest_proofs",),
+    ),
+    Mutant(
+        "hub: the manifest in canonical order, no duplicates",
+        "entangle.py",
+        "if tuple(sorted(proof.manifest)) != proof.manifest or len(set(proof.manifest)) != len(proof.manifest):",
+        "if False:",
+        (_ORDER + "test_holder_signed_manifest_out_of_canonical_order",),
+    ),
+    Mutant(
+        "hub: manifest proofs at index 2",
+        "entangle.py",
+        "if m_proof.leaf_index != MANIFEST_LEAF_INDEX:",
+        "if False:",
+        (_ORDER + "test_manifest_path_at_another_index_is_misplaced",),
+    ),
+    Mutant(
+        "receipt: the prev-leaf proof at index 0",
+        "node.py",
+        "if paths.prev_inclusion.leaf_index != 0 or not directory.proves(c, (prev_hash,), paths.prev_inclusion):",
+        "if not directory.proves(c, (prev_hash,), paths.prev_inclusion):",
+        ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_receipt_whose_prev_leaf_proof_is_not_at_index_0",),
+    ),
+    Mutant(
+        "chain entries: the first-leaf proof at index 0",
+        "node.py",
+        "if entry.first_leaf_proof.leaf_index != 0:",
+        "if False:",
+        ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_chain_entry_whose_first_leaf_proof_is_not_at_index_0",),
+    ),
+    Mutant(
+        "chain entries: round 0 chains from the zero digest",
+        "node.py",
+        "if previous is None and c.round == 0 and entry.prev_digest != ZERO_DIGEST:",
+        "if False:",
+        ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_round_0_entry_with_a_non_zero_prev_digest",),
+    ),
+)
+
+
+def _mutate(text: str, mutant: Mutant) -> str:
+    lines = text.splitlines(keepends=True)
+    found = [i for i, line in enumerate(lines) if line.strip() == mutant.line]
+    if len(found) != 1:
+        raise LookupError(f"{mutant.file}: the line is found {len(found)} times, not once: {mutant.line}")
+    line = lines[found[0]]
+    lines[found[0]] = line[: len(line) - len(line.lstrip())] + mutant.replacement + "\n"
+    return "".join(lines)
+
+
+def _pytest(src: Path, tests) -> int:
+    """pytest's exit code for ``tests``, importing entmesh from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="entmesh-mutants-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        where = subprocess.run(
+            [sys.executable, "-c", "import entmesh; print(entmesh.__file__)"], env=env, capture_output=True, text=True
+        ).stdout.strip()
+        if not where.startswith(str(src)):
+            print(f"entmesh imports from {where or '(nowhere)'}, not from the mutated copy")
+            return 1
+        try:
+            mutated = [(m, _mutate((src / "entmesh" / m.file).read_text(), m)) for m in MUTANTS]
+        except LookupError as exc:
+            print(f"stale mutant: {exc}")
+            return 1
+        every_test = sorted({test for m in MUTANTS for test in m.tests})
+        if _pytest(src, every_test) != 0:
+            print("the listed tests do not all pass on the unmutated source")
+            return 1
+        survived = []
+        for mutant, text in mutated:
+            path = src / "entmesh" / mutant.file
+            original = path.read_text()
+            path.write_text(text)
+            try:
+                code = _pytest(src, mutant.tests)
+            finally:
+                path.write_text(original)
+            status = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            print(f"{status:9} {mutant.name}")
+            if code != 1:
+                survived.append(mutant.name)
+        print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed")
+        return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -401,13 +401,23 @@ class TestVerify:
         assert (obj["signatures_checked"], obj["signatures_repeated"]) == (10, 0)
         # Four rounds: six chain entries, two paths per receipt, one evidence path per round.
         assert obj["inclusion_proofs_checked"] == 6 + 4 * 2 + 4
-        blob = bytearray(link_run["proof"].read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        bad = tmp_path / "bad.proof"
-        bad.write_bytes(bytes(blob))
-        assert main(["verify", "--proof", str(bad), "--trust", str(link_run["trust"]), "--format", "json"]) == 1
-        obj = json.loads(capsys.readouterr().out)
-        assert obj["ok"] is False and obj["signatures_checked"] <= 2
+        # A flipped hashed byte, in the first receipt's prev digest, fails a
+        # fold, and only the failing record's signatures are checked.
+        # A flipped signature byte, in the last chain entry's, passes every
+        # fold, so the signatures are checked in the order met up to that one.
+        pristine = link_run["proof"].read_bytes()
+        proof = decode_proof(pristine)
+        prev_digest = proof.rounds[0].receipts[0].prev_digest
+        signature = proof.holder_chain[-1].commitment.signature
+        for part, reason, most in ((prev_digest, "ReceiptInvalid", 2), (signature, "BadSignature", 6)):
+            assert pristine.count(part) == 1
+            blob = bytearray(pristine)
+            blob[pristine.find(part) + len(part) // 2] ^= 0x01
+            bad = tmp_path / "bad.proof"
+            bad.write_bytes(bytes(blob))
+            assert main(["verify", "--proof", str(bad), "--trust", str(link_run["trust"]), "--format", "json"]) == 1
+            obj = json.loads(capsys.readouterr().out)
+            assert obj["ok"] is False and obj["reason"] == reason and obj["signatures_checked"] <= most
 
     def test_chain_proof_with_and_without_anchor_flag(self, chain_run, capsys):
         args = ["verify", "--proof", str(chain_run["proof"]), "--trust", str(chain_run["trust"])]
@@ -455,9 +465,9 @@ class TestVerify:
         assert (obj["reason"], obj["detail"]) == ("BrokenHop", detail)
 
     def test_failure_that_checks_no_signature_repeats_none(self, tmp_path, capsys):
-        # The hub's round-1 submission, which every issuer's receipt shares,
-        # attests a flipped holder root: the holder's part fails on it before
-        # any signature is checked, so none is skipped as a repeat.
+        # The hub's round-1 manifest path holds a flipped sibling: the proof
+        # fails on it after the holder chain met its signatures but before
+        # any is checked, so none is skipped as a repeat.
         config = str(SCENARIOS / "hub.yaml")
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 0
         proof = tmp_path / "hub.proof"
@@ -465,14 +475,14 @@ class TestVerify:
         assert main(prove + ["--out", str(proof)]) == 0
         capsys.readouterr()
         blob = bytearray(proof.read_bytes())
-        submission = decode_proof(bytes(blob)).rounds[0].submission
-        at = blob.find(submission.to_bytes())
-        assert at > 0 and blob.count(submission.to_bytes()) == 1
-        blob[at + 40] ^= 0x01  # holder id (32 B), round (8 B), then the root
+        sibling = decode_proof(bytes(blob)).manifest_proofs[0].siblings[0]
+        at = blob.find(sibling)
+        assert at > 0 and blob.count(sibling) == 1
+        blob[at] ^= 0x01
         bad = tmp_path / "bad.proof"
         bad.write_bytes(bytes(blob))
         text, obj = self._verify_both_formats(bad, tmp_path / "run" / "trust.json", capsys)
-        assert text == "FAIL: LinkFailed (holder chain: ReceiptMismatch (receipt attests a different round-1 root))\n"
+        assert text == "FAIL: ManifestMismatch (committed manifest differs at round 1)\n"
         assert (obj["signatures_checked"], obj["signatures_repeated"]) == (0, 0)
 
     def test_hub_verdict_counts_one_range_proof_per_round(self, tmp_path, capsys):
@@ -636,7 +646,8 @@ class TestInspect:
 
 class TestUndecodableInput:
     """Files that are not UTF-8 or nest too deeply for the JSON parser are
-    reported with exit 1 and a named reason, never a traceback."""
+    reported with exit 1 and a named reason, never a traceback; a scenario
+    file, which is configuration, with exit 2 and one error line."""
 
     @staticmethod
     def spoil(source: Path, kind: str) -> bytes:
@@ -670,6 +681,21 @@ class TestUndecodableInput:
             argv = ["inspect", "--ledger", str(bad)]
         assert main(argv) == 1
         assert reason in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "prove"])
+    def test_scenario_that_is_not_utf8(self, tmp_path, capsys, command):
+        source = SCENARIOS / "hub.yaml"
+        bad = tmp_path / source.name
+        bad.write_bytes(self.spoil(source, "non-utf8"))
+        proof = tmp_path / "hub.proof"
+        argv = [command, "--config", str(bad)]
+        if command == "prove":
+            argv += ["--kind", "hub", "--holder", "center", "--start", "1", "--end", "3", "--out", str(proof)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        offset = len(source.read_bytes()) // 2  # hub.yaml is ASCII, so the byte's offset is its position
+        assert captured.err == f"error: {bad}: not UTF-8 (byte 0xff at offset {offset})\n"
+        assert captured.out == "" and not proof.exists()
 
 
 def _paths(value, path=()):

@@ -30,7 +30,7 @@ from entmesh.entangle import (
 )
 from entmesh.hashtree import sha256
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import MANIFEST_LEAF_INDEX
+from entmesh.node import MANIFEST_LEAF_INDEX, submission_of
 from entmesh.wire import MAX_RECORD, WireError, Writer
 
 
@@ -75,7 +75,12 @@ class TestLinkProof:
         assert len(proof.rounds) == 4
         assert all(len(rnd.receipts) == 1 for rnd in proof.rounds)
         assert len(proof.holder_chain) == 4 + EVIDENCE_LAG
-        assert [rnd.submission.holder_round for rnd in proof.rounds] == [1, 2, 3, 4]
+        # Each round holds the signature of the holder's submission for it;
+        # the holder chain entry holds that submission's id, round and root.
+        log = pair.nodes["holder"].receipt_log
+        assert [rnd.signature for rnd in proof.rounds] == [log[pair.id_of("issuer"), r].submission.signature for r in range(1, 5)]
+        for entry, rnd in zip(proof.holder_chain, proof.rounds):
+            assert submission_of(entry.commitment, rnd.signature) == log[pair.id_of("issuer"), entry.commitment.round].submission
 
     def test_verifies_against_issuer_commitments(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -139,18 +144,24 @@ class TestLinkProof:
         assert verdict.reason == "RoundGap"
 
     def test_swapped_receipt_rejected(self, pair):
+        # A round's submission is rebuilt from its own chain entry, so round
+        # 2's signature under it fails, and round 2's paths do not prove it.
         proof = link_for(pair, "holder", "issuer", (1, 4))
         first, second = proof.rounds[:2]
-        swapped = lambda rnd, other: rnd._replace(submission=other.submission, receipts=other.receipts)
+        trusted = pair.commitments_of("issuer")
+        swapped = lambda rnd, other: rnd._replace(signature=other.signature, receipts=other.receipts)
         bad = dataclasses.replace(proof, rounds=(swapped(first, second), swapped(second, first)) + proof.rounds[2:])
-        verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
-        assert verdict.reason == "ReceiptMismatch"
+        verdict = verify_link(bad, trusted, pair.directory)
+        assert (verdict.reason, verdict.detail) == ("BadSignature", "holder signature in receipt for round 1")
+        bad = dataclasses.replace(proof, rounds=(first._replace(receipts=second.receipts),) + proof.rounds[1:])
+        verdict = verify_link(bad, trusted, pair.directory)
+        assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 1")
 
     def test_tampered_receipt_signature_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        bad = with_round(proof, 2, submission=dataclasses.replace(proof.rounds[2].submission, signature=b"\x00" * 64))
+        bad = with_round(proof, 2, signature=b"\x00" * 64)
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
-        assert verdict.reason == "BadSignature"
+        assert (verdict.reason, verdict.detail) == ("BadSignature", "holder signature in receipt for round 3")
 
     def test_one_submission_per_round_required(self, pair):
         # A proof with a round fewer than its window fails instead of checking
@@ -262,7 +273,7 @@ class TestHubProof:
             assert proof.manifest[k] == link.issuer_id
             assert proof.holder_chain == link.holder_chain
             for hub_round, link_round in zip(proof.rounds, link.rounds, strict=True):
-                assert hub_round.submission == link_round.submission
+                assert hub_round.signature == link_round.signature
                 assert (hub_round.receipts[k],) == link_round.receipts
             evidence_leaves.append([rnd.evidence_proof.leaf_index for rnd in link.rounds])
         # One range proof per round covers the three issuers' evidence
@@ -330,17 +341,18 @@ def hub_for(net, window=(1, 3)):
     return build_hub_proof(net.nodes["center"].records, window, net.nodes["center"].receipt_log)
 
 
-def round_blob(sub, receipts):
+def round_blob(signature, receipts):
     """A window round's first blob as the reference writer writes it: the
-    submission, then each issuer's receipt paths in manifest order."""
-    return sub.to_bytes() + b"".join(paths.to_bytes() for paths in receipts)
+    holder's signature as a blob, then each issuer's receipt paths in
+    manifest order."""
+    return Writer().blob(signature).getvalue() + b"".join(paths.to_bytes() for paths in receipts)
 
 
 def hub_bytes(proof, manifest=None, held=None):
     """A hub proof written field by field, around the given manifest and
-    per-round submission and paths blobs."""
+    per-round signature and paths blobs."""
     manifest = proof.manifest if manifest is None else manifest
-    held = [round_blob(rnd.submission, rnd.receipts) for rnd in proof.rounds] if held is None else held
+    held = [round_blob(rnd.signature, rnd.receipts) for rnd in proof.rounds] if held is None else held
     w = Writer().digest(proof.holder_id).u64(proof.window_start).u64(proof.window_end).digests(manifest)
     w.u32(len(proof.manifest_proofs))
     for p in proof.manifest_proofs:
@@ -349,26 +361,29 @@ def hub_bytes(proof, manifest=None, held=None):
     w.u32(len(held))
     for blob, rnd in zip(held, proof.rounds, strict=True):
         path_bytes(w.blob(blob), rnd.evidence_proof)
-    return b"EMP6\x11" + w.getvalue()
+    return b"EMP7\x11" + w.getvalue()
 
 
 class TestHubCodec:
-    """A hub proof carries each window round's submission once, with every
-    manifest issuer's receipt paths for that round."""
+    """A hub proof carries each window round's holder signature once, with
+    every manifest issuer's receipt paths for that round."""
 
     def test_each_round_submission_written_once(self, fan):
+        # Of each round's submission only the signature is written, once: its
+        # holder id, round and root are the holder chain entry's.
         proof = hub_for(fan)
         data = encode_proof(proof)
         assert data == hub_bytes(proof)
-        for rnd in proof.rounds:
-            assert data.count(rnd.submission.to_bytes()) == 1
+        log = fan.nodes["center"].receipt_log
+        for r, rnd in zip((1, 2, 3), proof.rounds):
+            sub = log[proof.manifest[0], r].submission
+            assert data.count(rnd.signature) == 1 and data.count(sub.to_bytes()) == 0
         # The manifest names each issuer once; the rounds hold no issuer id.
         for issuer_id in proof.manifest:
             assert data.count(issuer_id) == 1
-        # Each one is the submission every issuer's receipt for its round holds.
-        log = fan.nodes["center"].receipt_log
+        # Each one signs the submission every issuer's receipt for its round holds.
         for issuer_id in proof.manifest:
-            assert tuple(rnd.submission for rnd in proof.rounds) == tuple(log[issuer_id, r].submission for r in (1, 2, 3))
+            assert tuple(rnd.signature for rnd in proof.rounds) == tuple(log[issuer_id, r].submission.signature for r in (1, 2, 3))
         assert decode_proof(data) == proof
 
     @pytest.mark.parametrize("change", [1, -1])
@@ -376,17 +391,17 @@ class TestHubCodec:
         # A round holds one receipt's paths per manifest issuer, so a round
         # blob with one more or one fewer is refused as it is read.
         proof = hub_for(fan)
-        held = [round_blob(rnd.submission, rnd.receipts) for rnd in proof.rounds]
+        held = [round_blob(rnd.signature, rnd.receipts) for rnd in proof.rounds]
         last = proof.rounds[-1]
         receipts = last.receipts + last.receipts[:1] if change > 0 else last.receipts[:-1]
-        held[-1] = round_blob(last.submission, receipts)
+        held[-1] = round_blob(last.signature, receipts)
         error = f"^{len(last.receipts[0].to_bytes())} trailing bytes$" if change > 0 else "^truncated input$"
         with pytest.raises(WireError, match=error):
             decode_proof(hub_bytes(proof, held=held))
 
     def test_decoder_refuses_a_hub_with_no_issuer_record(self, fan):
         proof = hub_for(fan)
-        empty = [round_blob(rnd.submission, ()) for rnd in proof.rounds]
+        empty = [round_blob(rnd.signature, ()) for rnd in proof.rounds]
         with pytest.raises(WireError, match="needs at least one link"):
             decode_proof(hub_bytes(proof, manifest=(), held=empty))
         with pytest.raises(WireError, match="needs at least one link"):
@@ -398,7 +413,7 @@ class TestHubCodec:
         proof = hub_for(fan)
         manifest = tuple(sorted(sha256(bytes([i, j])) for i in range(2) for j in range(200)))
         wide = dataclasses.replace(with_receipts(proof, lambda receipts: receipts[:1] * len(manifest)), manifest=manifest)
-        held = round_blob(wide.rounds[0].submission, wide.rounds[0].receipts)
+        held = round_blob(wide.rounds[0].signature, wide.rounds[0].receipts)
         assert MAX_RECORD < len(held) <= MAX_LINK
         data = encode_proof(wide)
         assert data == hub_bytes(wide) and decode_proof(data) == wide
@@ -522,7 +537,7 @@ class TestChainProof:
         last = proof.hops[-1]
         retained = relay.nodes["b"].receipt_log[relay.id_of("c"), last.window_end]
         assert retained.issuer_commitment == relay.commitments_of("c")[last.window_end + 1]
-        assert last.rounds[-1].submission is retained.submission and last.rounds[-1].receipts == (retained.paths,)
+        assert last.rounds[-1].signature is retained.submission.signature and last.rounds[-1].receipts == (retained.paths,)
         assert last.rounds[-1].receipts[0] is retained.paths
 
     def test_insufficient_latency_names_first_verifying_round(self, relay):
@@ -550,7 +565,8 @@ class TestChainProof:
         assert verdict.detail == (
             "no trusted issuer commitment for round 4; chain of 2 hops needs an anchor commitment at round >= 4"
         )
-        sub = proof.hops[-1].rounds[-1].submission
+        last = proof.hops[-1]
+        sub = submission_of(last.holder_chain[len(last.rounds) - 1].commitment, last.rounds[-1].signature)
         assert (sub.holder_round, verdict.signatures_checked) == (3, 1)
         assert [args[1:] for args in calls] == [(sub.message(), sub.signature)]
 
@@ -567,10 +583,10 @@ class TestChainProof:
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1, window_len=2
         )
         hop = proof.hops[0]
-        bad_hop = with_round(hop, 0, submission=dataclasses.replace(hop.rounds[0].submission, signature=b"\x01" * 64))
+        bad_hop = with_round(hop, 0, signature=b"\x01" * 64)
         bad = dataclasses.replace(proof, hops=(bad_hop, proof.hops[1]))
         verdict = verify_chain(bad, relay.commitments_of("c"), relay.directory)
-        assert verdict.reason == "BrokenHop"
+        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: BadSignature (holder signature in receipt for round 1)")
 
     def test_needs_two_nodes(self, relay):
         with pytest.raises(ValueError):
@@ -636,7 +652,7 @@ def link_bytes(link, first_entry_blob):
     w.blobs([first_entry_blob] + [entry.to_bytes() for entry in link.holder_chain[1:]])
     w.u32(len(link.rounds))
     for rnd in link.rounds:
-        path_bytes(w.blob(round_blob(rnd.submission, rnd.receipts)), rnd.evidence_proof)
+        path_bytes(w.blob(round_blob(rnd.signature, rnd.receipts)), rnd.evidence_proof)
     return encode_proof(link)[:5] + w.getvalue()
 
 
@@ -730,7 +746,7 @@ class TestProofCodec:
     def test_emp2_envelope_refused(self, fan):
         # EMP2 receipts carried the issuer commitment; no EMP2 reader is kept.
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
-        assert data[:4] == b"EMP6"
+        assert data[:4] == b"EMP7"
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP2" + data[4:])
 
@@ -754,6 +770,13 @@ class TestProofCodec:
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP5" + data[4:])
+
+    def test_emp6_envelope_refused(self, fan):
+        # EMP6 window rounds held the holder's whole Submission; no EMP6
+        # reader is kept.
+        data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
+        with pytest.raises(WireError, match="not a proof file"):
+            decode_proof(b"EMP6" + data[4:])
 
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):

@@ -35,13 +35,14 @@ from entmesh.node import (
     entangled_leaf_index,
     evidence_leaf_index,
     parse_manifest_leaf,
+    submission_of,
     round_leaves,
     validate_state,
     verify_chain_entries,
 )
 from entmesh.sexpr import encode_tree
 from entmesh.wire import Reader, WireError
-from test_round_trip import ref_receipt, ref_receipt_paths
+from test_round_trip import ref_receipt, ref_receipt_paths, ref_submission
 
 
 def solo_node(label="solo"):
@@ -244,27 +245,32 @@ class TestWireForms:
         assert len(c.to_bytes()) == 148
 
     def test_submission_round_trip_and_signature(self):
+        # No reader reads a Submission: a proof verifier rebuilds it from the
+        # holder's commitment and the signature, with the bytes it was signed as.
         node = solo_node()
-        node.build(("x",))
+        c = node.build(("x",)).commitment
         directory = KeyDirectory()
         directory.register(node.node_id, node.keypair.verify_key)
         sub = node.make_submission()
         assert directory.verify_submission(sub)
-        data = sub.to_bytes()
-        assert Submission.from_bytes(data) == sub
+        assert sub.to_bytes() == ref_submission(sub)
+        rebuilt = submission_of(c, sub.signature)
+        assert rebuilt == sub and rebuilt.to_bytes() == sub.to_bytes()
 
     def test_receipt_round_trip(self, manual_net):
         # A receipt's bytes are its fields' as the reference writer puts
-        # them: its submission and issuer commitment read back from them in
-        # turn, and the rest is its paths in the receipt's form, which no
-        # reader reads.
+        # them: its submission's, then its issuer commitment, read back from
+        # them, and the rest is its paths in the receipt's form.  Neither the
+        # submission nor the paths has a reader.
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
         receipt = net.nodes["a"].receipt_log[(net.id_of("b"), 1)]
         data = receipt.to_bytes()
         assert data == ref_receipt(receipt)
-        r = Reader(data)
-        assert (Submission.read(r), r.nested(Commitment.read, MAX_COMMITMENT)) == (receipt.submission, receipt.issuer_commitment)
-        assert data[r.tell() :] == ref_receipt_paths(receipt.paths, receipt.issuer_commitment.leaf_count)
+        sub = ref_submission(receipt.submission)
+        assert data.startswith(sub)
+        r = Reader(data[len(sub) :])
+        assert r.nested(Commitment.read, MAX_COMMITMENT) == receipt.issuer_commitment
+        assert data[len(sub) + r.tell() :] == ref_receipt_paths(receipt.paths, receipt.issuer_commitment.leaf_count)
 
     def test_trailing_bytes_rejected(self):
         node = solo_node()

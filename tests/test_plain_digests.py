@@ -75,12 +75,13 @@ def test_decoded_hub_proof_digests_are_plain_bytes(manual_net):
     values = list(digests_in(proof))
     assert_plain(values)
     # Ids, roots and siblings all occur: the walk did not miss a kind.  The
-    # three rounds' submissions are held once each, not once per issuer, and
-    # the issuer ids only in the manifest.
+    # three rounds' submissions are held as their signatures alone, so each
+    # window round's holder root occurs once, in its chain entry, and the
+    # issuer ids only in the manifest.
     assert net.id_of("p0") in values and center.records[2].root in values
-    assert proof.rounds[0].submission.holder_root in values
+    assert [values.count(center.records[r].root) for r in (1, 2, 3)] == [1, 1, 1]
     assert siblings(proof.rounds[0].receipts[0].inclusion)[0] in values
-    assert len(values) == 97
+    assert len(values) == 91
 
 
 def test_identity_digests_are_plain_bytes():

@@ -7,13 +7,14 @@ paths in the receipt's own form.  These tests hold every such encoding to
 a field-by-field reference writer, written from docs/FORMATS.md, on the
 three proofs the CI job builds and on mutations of them, and check that
 ``dataclasses.replace`` never carries an old encoding over to new fields.
-The reference writes whole proofs too: per window round a submission,
-each issuer's receipt paths and the evidence proof, each path as its
-siblings with the leaf index where the format does not fix it.  A
-verifier joins each evidence leaf from a proof's submission, its paths in
-the receipt's form and its trusted issuer commitment; the reference for
-that leaf is the one the holder retained, or for a mutated proof the leaf
-of the ``Receipt`` made of those three parts.
+The reference writes whole proofs too: per window round the holder's
+signature, each issuer's receipt paths and the evidence proof, each path
+as its siblings with the leaf index where the format does not fix it.  A
+verifier rebuilds each round's submission from its holder chain entry and
+that signature, and joins each evidence leaf from the submission, its
+paths in the receipt's form and its trusted issuer commitment; the
+reference for that leaf is the one the holder retained, or for a mutated
+proof the leaf of the ``Receipt`` made of those three parts.
 """
 
 import dataclasses
@@ -55,6 +56,7 @@ from entmesh.node import (
     Submission,
     chain_entry_for,
     commitment_digest,
+    submission_of,
 )
 from entmesh.wire import Reader, WireError, Writer
 
@@ -132,11 +134,11 @@ def ref_chain_entry(e: ChainEntry) -> bytes:
 
 
 def ref_rounds(w: Writer, rounds) -> Writer:
-    # Per window round: one blob of the Submission and each issuer's receipt
-    # paths, in manifest order; then the evidence proof.
+    # Per window round: one blob of the holder's signature, as a blob, and
+    # each issuer's receipt paths, in manifest order; then the evidence proof.
     w.u32(len(rounds))
     for rnd in rounds:
-        held = ref_submission(rnd.submission) + b"".join(ref_paths(paths) for paths in rnd.receipts)
+        held = Writer().blob(rnd.signature).getvalue() + b"".join(ref_paths(paths) for paths in rnd.receipts)
         ref_path(w.blob(held), rnd.evidence_proof)
     return w
 
@@ -157,12 +159,12 @@ def ref_hub_proof(p: HubProof) -> bytes:
 
 
 def ref_proof(p) -> bytes:
-    """The envelope: magic ``EMP6``, a kind byte, then the body."""
+    """The envelope: magic ``EMP7``, a kind byte, then the body."""
     if isinstance(p, HubProof):
-        return b"EMP6\x11" + ref_hub_proof(p)
+        return b"EMP7\x11" + ref_hub_proof(p)
     if isinstance(p, ChainProof):
-        return b"EMP6\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
-    return b"EMP6\x10" + ref_link_proof(p)
+        return b"EMP7\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
+    return b"EMP7\x10" + ref_link_proof(p)
 
 
 def assert_encodes_its_fields(record) -> None:
@@ -184,13 +186,14 @@ def assert_encodes_its_fields(record) -> None:
 
 
 def signed_records(proof):
-    """Every chain entry, commitment, submission and receipt paths a proof holds."""
+    """Every chain entry, commitment and receipt paths a proof holds, and the
+    submission a verifier rebuilds for each window round."""
     parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
     for part in parts:
         for entry in part.holder_chain:
             yield from (entry, entry.commitment)
-        for rnd in part.rounds:
-            yield rnd.submission
+        for entry, rnd in zip(part.holder_chain, part.rounds):
+            yield submission_of(entry.commitment, rnd.signature)
             yield from rnd.receipts
 
 
@@ -314,8 +317,8 @@ def test_replace_encodes_the_new_fields(ci_proofs, origin):
         sub, paths = receipt.submission, receipt.paths
     else:
         decoded = decode_proof(encode_proof(proof))
-        first = decoded.rounds[0]
-        sub, paths, entry = first.submission, first.receipts[0], decoded.holder_chain[0]
+        first, entry = decoded.rounds[0], decoded.holder_chain[0]
+        sub, paths = submission_of(entry.commitment, first.signature), first.receipts[0]
         receipt = Receipt(sub, hub.records[2].commitment, paths) if origin == "spliced" else None
     commitment = entry.commitment
     commitment.to_bytes()
@@ -378,27 +381,31 @@ def test_receipt_leaf_is_the_evidence_leaf_join(ci_proofs, monkeypatch):
 
 
 def _parts(proof):
-    """(holder id, issuer id, round, submission, paths) for every receipt a proof holds."""
+    """(holder id, issuer id, round, holder chain entry r's commitment, the
+    round's signature, paths) for every receipt a proof holds."""
     for part in proof.hops if isinstance(proof, ChainProof) else (proof,):
-        for r, rnd in zip(range(part.window_start, part.window_end + 1), part.rounds):
+        for r, entry, rnd in zip(range(part.window_start, part.window_end + 1), part.holder_chain, part.rounds):
             for issuer_id, paths in zip(_issuer_ids(part), rnd.receipts, strict=True):
-                yield part.holder_id, issuer_id, r, rnd.submission, paths
+                yield part.holder_id, issuer_id, r, entry.commitment, rnd.signature, paths
 
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
 def test_proof_receipts_splice_back_to_the_retained_ones(ci_proofs, kind):
-    """A proof's submission and paths for an issuer round are the retained
-    receipt's, and with its issuer commitment give the retained bytes.  A
-    built proof holds the retained objects themselves: nothing is copied."""
+    """A proof's signature and paths for an issuer round are the retained
+    receipt's; with the holder chain entry they rebuild its submission, and
+    with its issuer commitment give the retained bytes.  A built proof holds
+    the retained objects themselves: nothing is copied."""
     proof, sim = ci_proofs[kind]
     logs = {node.node_id: node.receipt_log for node in sim.nodes.values()}
     spliced = 0
-    for holder_id, issuer_id, r, sub, paths in _parts(proof):
+    for holder_id, issuer_id, r, c, signature, paths in _parts(proof):
         retained = logs[holder_id][issuer_id, r]
-        assert sub is retained.submission and paths is retained.paths
-    for holder_id, issuer_id, r, sub, paths in _parts(decode_proof(encode_proof(proof))):
+        assert signature is retained.submission.signature and paths is retained.paths
+    for holder_id, issuer_id, r, c, signature, paths in _parts(decode_proof(encode_proof(proof))):
         retained = logs[holder_id][issuer_id, r]
+        sub = submission_of(c, signature)
         assert (sub, paths) == (retained.submission, retained.paths)
+        assert sub.to_bytes() == retained.submission.to_bytes()
         full = Receipt(sub, retained.issuer_commitment, paths)
         assert full == retained and full.to_bytes() == retained.to_bytes()
         assert_encodes_its_fields(full)

@@ -129,10 +129,6 @@ def _flip(signature):
     return bytes([signature[0] ^ 1]) + signature[1:]
 
 
-def _forged_submission(sub):
-    return dataclasses.replace(sub, signature=_flip(sub.signature))
-
-
 def _forged_trust(log, round_no):
     """``log`` with the commitment at ``round_no`` differing only in its signature."""
     return {**log, round_no: dataclasses.replace(log[round_no], signature=_flip(log[round_no].signature))}
@@ -159,7 +155,8 @@ def _with_round(proof, index, **changes):
 
 
 def _forged_round_submission(proof, index):
-    return _with_round(proof, index, submission=_forged_submission(proof.rounds[index].submission))
+    """``proof`` with the holder's signature on window round ``index``'s submission forged."""
+    return _with_round(proof, index, signature=_flip(proof.rounds[index].signature))
 
 
 @pytest.fixture
@@ -440,6 +437,18 @@ class TestProofsNoBuilderMakes:
         verdict = verify_link(dataclasses.replace(proof, holder_chain=later.holder_chain), trust, sim.directory)
         assert (verdict.reason, verdict.detail) == ("RoundGap", "chain entry out of place")
 
+    def test_manifest_path_at_another_index_is_misplaced(self, runs):
+        # A manifest path carries no index on the wire, so only an in-memory
+        # hub holds one off index 2; the encoder refuses to write it.  Without
+        # the position check its fold names the manifest as differing instead.
+        proof, sim = runs["hub"]
+        moved = dataclasses.replace(proof, manifest_proofs=_forge_at(proof.manifest_proofs, 0, lambda p: p._replace(leaf_index=3)))
+        with pytest.raises(WireError, match="^path at leaf 3, not at leaf 2$"):
+            encode_proof(moved)
+        verdict = _verify(moved, sim)
+        assert (verdict.reason, verdict.detail) == ("ManifestMismatch", "manifest proof at wrong position for round 1")
+        assert (verdict.signatures_checked, verdict.signatures_repeated) == (0, 0)
+
     @pytest.mark.parametrize("fault", ["unsorted", "duplicated"])
     def test_holder_signed_manifest_out_of_canonical_order(self, manual_net, monkeypatch, fault):
         # The holder signs rounds whose manifest leaf lists its issuers out of
@@ -469,7 +478,7 @@ class TestProofsNoBuilderMakes:
             keys = [receipt_key(rc) for rc in retaining.state.evidence]
             first = FIXED_LEAVES + len(retaining.state.entangled) + keys.index((manifest[0], r))
             evidence = retaining.tree.prove_range(first, first + len(manifest))
-            rounds.append(WindowRound(receipts[0].submission, tuple(rc.paths for rc in receipts), evidence))
+            rounds.append(WindowRound(receipts[0].submission.signature, tuple(rc.paths for rc in receipts), evidence))
         proofs = tuple(center.records[r].tree.prove_inclusion(MANIFEST_LEAF_INDEX) for r in (1, 2))
         chain_entries = tuple(chain_entry_for(center.records[r]) for r in range(1, 5))
         proof = HubProof(center.node_id, 1, 2, manifest, proofs, chain_entries, tuple(rounds))

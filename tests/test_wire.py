@@ -418,9 +418,10 @@ def test_mutated_proof_decodes_like_the_reference(encoded_proofs, kind, data):
 
 
 
-# Commitments and submissions unpack their fixed head at once.  This
-# reference reads each of their fields in turn, on the slow copying reader
-# above with its step-by-step path reader.
+# Commitments unpack their fixed head at once.  This reference reads each
+# of their fields in turn, on the slow copying reader above with its
+# step-by-step path reader.  A proof holds no Submission: a window round
+# holds the holder's signature as a blob, which the copying reader reads.
 
 
 def fieldwise_read_commitment(r) -> node.Commitment:
@@ -429,17 +430,8 @@ def fieldwise_read_commitment(r) -> node.Commitment:
     return node._keep(c, r.since(start))
 
 
-def fieldwise_read_submission(r) -> node.Submission:
-    start = r.tell()
-    sub = node.Submission(r.digest(), r.u64(), r.digest(), r.blob(node.MAX_SIGNATURE))
-    return node._keep(sub, r.since(start))
-
-
 def fieldwise_decode_proof(data: bytes):
-    with (
-        mock.patch.object(node.Commitment, "read", staticmethod(fieldwise_read_commitment)),
-        mock.patch.object(node.Submission, "read", staticmethod(fieldwise_read_submission)),
-    ):
+    with mock.patch.object(node.Commitment, "read", staticmethod(fieldwise_read_commitment)):
         return reference_decode_proof(data)
 
 
@@ -459,16 +451,15 @@ def test_mutated_proof_decodes_like_the_fieldwise_reference(encoded_proofs, kind
 
 @pytest.mark.parametrize(
     "read, fieldwise",
-    [(node.Commitment.read, fieldwise_read_commitment), (node.Submission.read, fieldwise_read_submission)],
-    ids=["commitment", "submission"],
+    [(node.Commitment.read, fieldwise_read_commitment)],
+    ids=["commitment"],
 )
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_head_reads_like_the_fieldwise_reference(encoded_proofs, read, fieldwise, data):
-    # A chain entry's commitment or a link round's submission, cut, lengthened or flipped.
+    # A chain entry's commitment, cut, lengthened or flipped.
     link = entangle.decode_proof(encoded_proofs["link"])
-    record = link.holder_chain[0].commitment if read is node.Commitment.read else link.rounds[0].submission
-    blob = data.draw(_mutated(record.to_bytes()), label="mutated")
+    blob = data.draw(_mutated(link.holder_chain[0].commitment.to_bytes()), label="mutated")
     assert _outcome(lambda b: decode(b, read), blob) == _outcome(lambda b: copying_decode(b, fieldwise), blob)
 
 
@@ -516,7 +507,8 @@ class TestRecordEncodersRefuse:
 
     def test_submission_chain_entry_and_paths_with_a_short_digest(self, proofs):
         link = proofs["link"]
-        sub, entry, paths = link.rounds[0].submission, link.holder_chain[0], link.rounds[0].receipts[0]
+        entry, paths = link.holder_chain[0], link.rounds[0].receipts[0]
+        sub = node.submission_of(entry.commitment, link.rounds[0].signature)
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             dataclasses.replace(sub, holder_root=sub.holder_root[:31]).to_bytes()
         with pytest.raises(WireError, match="^u64 out of range: 18446744073709551616$"):
