@@ -57,9 +57,9 @@ from .node import (
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
     NotEntangledError,
+    check_chain_links,
     entangled_leaf_index,
     evidence_leaf_index,
-    verify_chain_entries,
 )
 from .wire import (
     MAX_ITEMS,
@@ -295,9 +295,9 @@ def _verified(check: Callable[[_Deferred], Verdict], directory: KeyDirectory) ->
 
     If every other check passed, each distinct signature is checked under
     ``directory`` in the order ``check`` first met it.  If one failed, only
-    the failing record's signatures are: the last two recorded since it
-    began, which covers a chain entry that fails to link because its
-    predecessor's signed commitment was altered.  The first bad signature
+    the signatures the failing record met before it failed are: a holder
+    chain meets its head only once its links hold, and a window round its
+    submission before its receipts.  The first bad signature
     makes ``check`` run once more, answering False for it alone, so the
     verdict is the one the checks give in their own order: the same reason,
     wrapper and detail.
@@ -310,7 +310,7 @@ def _verified(check: Callable[[_Deferred], Verdict], directory: KeyDirectory) ->
     verdict = check(view)
     recorded = view.recorded
     met = Counter(recorded)  # distinct obligations, in the order first met
-    due = met if verdict else dict.fromkeys(recorded[max(view.record_start, len(recorded) - 2) :])
+    due = met if verdict else dict.fromkeys(recorded[view.record_start :])
     checked = repeated = 0
     for obligation in due:
         checked += 1
@@ -350,8 +350,9 @@ def _check_link(proof: LinkProof, trusted: _ByRound, view: _Deferred, commitment
 
 
 def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verdict:
-    """The holder's chain covers its window plus EVIDENCE_LAG rounds and links
-    up, and the proof holds one round per window round."""
+    """The holder's chain covers its window plus EVIDENCE_LAG rounds, links
+    up and ends in a head the holder signed, and the proof holds one round
+    per window round."""
     view.mark()
     s, e = holder.window_start, holder.window_end
     if s > e:
@@ -365,7 +366,11 @@ def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verd
             return Verdict.failed("HolderMismatch", "chain entry from another node")
         if entry.commitment.round != s + offset:
             return Verdict.failed("RoundGap", "chain entry out of place")
-    return verify_chain_entries(holder.holder_chain, view)
+    verdict = check_chain_links(holder.holder_chain, view)
+    head = holder.holder_chain[-1].commitment  # its signature covers every entry it links to
+    if verdict and not view.verify_commitment(head):
+        return Verdict.failed("BadSignature", f"round {head.round}")
+    return verdict
 
 
 def _part_failed(holder: "LinkProof | HubProof", where: str, reason: str, detail: str) -> Verdict:
@@ -387,7 +392,7 @@ def _check_rounds(
         view.mark()  # a failed receipt check pays for no earlier round's signature
         sub = submission_of(commitments[r], signature)
         if not view.verify_submission(sub):
-            return _part_failed(holder, "holder chain", "BadSignature", f"holder signature in receipt for round {r}")
+            return _part_failed(holder, "holder chain", "BadSignature", f"holder signature for round {r}")
         sub_hash, leaf_hashes = leaf_hash(sub.leaf_bytes()), []
         for (issuer_id, trusted), paths in zip(issuers, receipts):
             issuer_c = trusted.get(r + 1)
@@ -494,7 +499,7 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
     verdict = _check_holder_chain(proof, view)
     if not verdict:
         return _wrapped("LinkFailed", "holder chain", verdict)
-    view.mark()  # a failed manifest proof or trust lookup pays for no chain entry's signature
+    view.mark()  # a failed manifest proof or trust lookup pays for no head signature
     commitments = _by_round(proof.holder_chain)
     manifest_hash = (leaf_hash(_manifest_leaf(proof.manifest)),)
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
@@ -560,8 +565,8 @@ def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], di
 
     ``trusted_anchor`` holds commitments already authenticated, as
     ``verify_link`` requires.  Inner hops need no independent trust: hop i's
-    issuer commitments are hop i+1's holder chain entries, whose signatures
-    this call checks.  The last hop's receipts take the anchor's trusted
+    issuer commitments are hop i+1's holder chain entries, which this call
+    links to that chain's head and checks the head's signature.  The last hop's receipts take the anchor's trusted
     commitments, up to the anchor round, the last hop's window end + 1.
     Reasons: BrokenHop, InsufficientLatency.
     """

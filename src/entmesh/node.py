@@ -31,7 +31,6 @@ from .sexpr import Expr, encode_tree
 from .wire import (
     Head,
     Reader,
-    WireError,
     bounded,
     decode,
     digest,
@@ -75,7 +74,6 @@ LEAF_REVOCATION = 0x07
 # Length bounds of node records (the table in docs/FORMATS.md).
 MAX_SIGNATURE = 256  # bytes of one signature
 MAX_COMMITMENT = 4096  # bytes of one commitment blob
-MAX_MANIFEST_IDS = 1 << 20  # node ids in one manifest leaf
 
 # A holder may lag its issuer by at most this many rounds at receipt time.
 STALE_THRESHOLD = 1
@@ -346,16 +344,6 @@ def _revocation_leaf(revoked: Sequence[Digest]) -> bytes:
     return bytes([LEAF_REVOCATION]) + digests(revoked)
 
 
-def _read_manifest(r: Reader) -> tuple[NodeId, ...]:
-    if r.u8() != LEAF_MANIFEST:
-        raise WireError("not a manifest leaf")
-    return r.digests("manifest ids", MAX_MANIFEST_IDS)
-
-
-def parse_manifest_leaf(leaf: bytes) -> tuple[NodeId, ...]:
-    return decode(leaf, _read_manifest)
-
-
 @dataclass(frozen=True)
 class RoundState:
     """Everything a node commits to in one round."""
@@ -594,12 +582,15 @@ def chain_entry_for(record: "NodeRecord") -> ChainEntry:
     return record._chain_entry
 
 
-def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
-    """Check a contiguous run of chain entries, as proofs carry them.
+def check_chain_links(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
+    """Check that a run of chain entries links up, checking no signature.
 
-    Reasons: RoundGap (rounds are not consecutive), BadSignature (a
-    commitment fails under the bound key), ChainBreak (no entries, a
-    first-leaf proof misplaced or not folding to its commitment, a prev
+    Each entry's prev digest hashes the previous commitment, signature
+    included, and its first-leaf proof places that digest in its own
+    signed tree, so the last entry's signature covers the whole run.
+
+    Reasons: RoundGap (rounds are not consecutive), ChainBreak (no entries,
+    a first-leaf proof misplaced or not folding to its commitment, a prev
     digest that is not the previous commitment's digest, or a round 0 that
     does not chain from the zero digest).
     """
@@ -610,8 +601,6 @@ def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory)
         c = entry.commitment
         if previous is not None and c.round != previous.round + 1:
             return Verdict.failed("RoundGap", f"round {c.round} after {previous.round}")
-        if not directory.verify_commitment(c):
-            return Verdict.failed("BadSignature", f"round {c.round}")
         if entry.first_leaf_proof.leaf_index != 0:
             return Verdict.failed("ChainBreak", f"first-leaf proof at wrong position, round {c.round}")
         if not directory.proves(c, (leaf_hash(bytes([LEAF_PREV]) + entry.prev_digest),), entry.first_leaf_proof):
@@ -622,6 +611,19 @@ def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory)
             return Verdict.failed("ChainBreak", "round 0 must chain from the zero digest")
         previous = c
     return Verdict.passed()
+
+
+def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
+    """Check a contiguous run of chain entries and every one's signature:
+    ``check_chain_links``, then BadSignature for the first commitment, in
+    round order, that fails under the key bound at its round."""
+    verdict = check_chain_links(entries, directory)
+    if not verdict:
+        return verdict
+    for entry in entries:
+        if not directory.verify_commitment(entry.commitment):
+            return Verdict.failed("BadSignature", f"round {entry.commitment.round}")
+    return verdict
 
 
 @dataclass

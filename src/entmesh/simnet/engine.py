@@ -49,7 +49,7 @@ from ..node import (
     verify_chain_entries,
 )
 from ..sexpr import Expr
-from .topology import Topology, bfs_distances, validate_topology
+from .topology import Topology, validate_topology
 
 __all__ = [
     "Equivocate",
@@ -532,12 +532,6 @@ class Simulation:
                         next_frontier.append(issuer)
             frontier = next_frontier
         raise ValueError(f"no outbound path from {label} to an anchor")
-
-    def gossip_distances(self, anchor: str) -> dict[str, int]:
-        return bfs_distances(self.topology, anchor)
-
-    def view_of(self, label: str, anchor: str) -> dict[int, Commitment]:
-        return self.views[label][anchor]
 
     def detected(self, offender: str) -> list[dict]:
         return [e for e in self.events if e["type"] == "EquivocationDetected" and e["offender"] == offender]

@@ -9,8 +9,9 @@ as a decode error or as a failed content check downstream.
 
 A record is written as one join: its fixed fields packed by a precompiled
 ``Head``, kept encodings of the records it holds, and a ``prefix`` before
-each blob.  ``Writer`` writes field by field; the records' bytes and
-encode-time refusals are its.  A record reads its fixed head in one unpack.
+each blob.  The bytes and encode-time refusals are those of a
+field-by-field writer, which the tests keep as the reference.  A record
+reads its fixed head in one unpack.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .hashtree import DIGEST_SIZE, STEP_SIZE, Digest, InclusionProof, path_steps
 __all__ = [
     "Head",
     "Reader",
-    "Writer",
     "WireError",
     "blobs",
     "bounded",
@@ -50,63 +50,6 @@ T = TypeVar("T")
 
 class WireError(ValueError):
     """Malformed or truncated wire bytes."""
-
-
-class Writer:
-    """The field-by-field reference writer, one method and one range check
-    per field, which the tests hold the record encoders to."""
-
-    __slots__ = ("_buf",)
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def u8(self, v: int) -> "Writer":
-        if not 0 <= v <= 0xFF:
-            raise WireError(f"u8 out of range: {v}")
-        self._buf.append(v)
-        return self
-
-    def u32(self, v: int) -> "Writer":
-        if not 0 <= v <= _U32_MAX:
-            raise WireError(f"u32 out of range: {v}")
-        self._buf += struct.pack(">I", v)
-        return self
-
-    def u64(self, v: int) -> "Writer":
-        if not 0 <= v <= _U64_MAX:
-            raise WireError(f"u64 out of range: {v}")
-        self._buf += struct.pack(">Q", v)
-        return self
-
-    def digest(self, d: bytes) -> "Writer":
-        if len(d) != DIGEST_SIZE:
-            raise WireError(f"digest must be {DIGEST_SIZE} bytes")
-        self._buf += d
-        return self
-
-    def blob(self, b: bytes) -> "Writer":
-        # Length-prefixed variable bytes.
-        self.u32(len(b))
-        self._buf += b
-        return self
-
-    def blobs(self, items: Sequence[bytes]) -> "Writer":
-        # A u32 count, then each item as a blob.
-        self.u32(len(items))
-        for b in items:
-            self.blob(b)
-        return self
-
-    def digests(self, items: Sequence[bytes]) -> "Writer":
-        # A u32 count, then each digest.
-        self.u32(len(items))
-        for d in items:
-            self.digest(d)
-        return self
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buf)
 
 
 _U32 = struct.Struct(">I").unpack_from
@@ -157,8 +100,8 @@ _FIELD_LIMITS = {"Q": ("u64", _U64_MAX), "I": ("u32", _U32_MAX)}
 class Head:
     """A record's fixed fields in wire order, packed and unpacked by one
     precompiled ``struct``.  ``kinds`` spells them: ``d`` a digest, ``Q`` a
-    u64, ``I`` a u32.  ``pack`` refuses what ``Writer`` refuses, with its
-    text, at the first field it would; ``struct``'s ``32s`` would pad a
+    u64, ``I`` a u32.  ``pack`` refuses what a field-by-field writer
+    refuses, with its text, at the first field it would; ``struct``'s ``32s`` would pad a
     short digest and cut a long one, so digest lengths are checked here."""
 
     __slots__ = ("size", "_kinds", "_struct", "_digests")

@@ -398,18 +398,19 @@ class TestVerify:
         assert capsys.readouterr().out == "OK: link proof verifies\n"
         assert main(args + ["--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert (obj["signatures_checked"], obj["signatures_repeated"]) == (10, 0)
+        # Four rounds: the holder chain's head and the holder's four submissions.
+        assert (obj["signatures_checked"], obj["signatures_repeated"]) == (5, 0)
         # Four rounds: six chain entries, two paths per receipt, one evidence path per round.
         assert obj["inclusion_proofs_checked"] == 6 + 4 * 2 + 4
         # A flipped hashed byte, in the first receipt's prev digest, fails a
-        # fold, and only the failing record's signatures are checked.
-        # A flipped signature byte, in the last chain entry's, passes every
-        # fold, so the signatures are checked in the order met up to that one.
+        # fold, and only the failing round's submission is checked.
+        # A flipped signature byte, in the head's, passes every fold, and
+        # the head is the first signature met, so it is the one checked.
         pristine = link_run["proof"].read_bytes()
         proof = decode_proof(pristine)
         prev_digest = proof.rounds[0].receipts[0].prev_digest
         signature = proof.holder_chain[-1].commitment.signature
-        for part, reason, most in ((prev_digest, "ReceiptInvalid", 2), (signature, "BadSignature", 6)):
+        for part, reason, checked in ((prev_digest, "ReceiptInvalid", 1), (signature, "BadSignature", 1)):
             assert pristine.count(part) == 1
             blob = bytearray(pristine)
             blob[pristine.find(part) + len(part) // 2] ^= 0x01
@@ -417,7 +418,7 @@ class TestVerify:
             bad.write_bytes(bytes(blob))
             assert main(["verify", "--proof", str(bad), "--trust", str(link_run["trust"]), "--format", "json"]) == 1
             obj = json.loads(capsys.readouterr().out)
-            assert obj["ok"] is False and obj["reason"] == reason and obj["signatures_checked"] <= most
+            assert obj["ok"] is False and obj["reason"] == reason and obj["signatures_checked"] == checked
 
     def test_chain_proof_with_and_without_anchor_flag(self, chain_run, capsys):
         args = ["verify", "--proof", str(chain_run["proof"]), "--trust", str(chain_run["trust"])]
@@ -466,8 +467,8 @@ class TestVerify:
 
     def test_failure_that_checks_no_signature_repeats_none(self, tmp_path, capsys):
         # The hub's round-1 manifest path holds a flipped sibling: the proof
-        # fails on it after the holder chain met its signatures but before
-        # any is checked, so none is skipped as a repeat.
+        # fails on it after the holder chain met its head's signature but
+        # before any is checked, so none is skipped as a repeat.
         config = str(SCENARIOS / "hub.yaml")
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 0
         proof = tmp_path / "hub.proof"
@@ -486,8 +487,9 @@ class TestVerify:
         assert (obj["signatures_checked"], obj["signatures_repeated"]) == (0, 0)
 
     def test_hub_verdict_counts_one_range_proof_per_round(self, tmp_path, capsys):
-        # hub.yaml, rounds [1, 3]: five issuers.  Five chain entries, two
-        # paths per receipt, and per round one manifest and one evidence proof.
+        # hub.yaml, rounds [1, 3]: five issuers.  The holder chain's head and
+        # three submissions; five chain entries, two paths per receipt, and
+        # per round one manifest and one evidence proof.
         config = str(SCENARIOS / "hub.yaml")
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 0
         proof = tmp_path / "hub.proof"
@@ -497,7 +499,7 @@ class TestVerify:
         args = ["verify", "--proof", str(proof), "--trust", str(tmp_path / "run" / "trust.json"), "--format", "json"]
         assert main(args) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert (obj["signatures_checked"], obj["inclusion_proofs_checked"]) == (8, 5 + 5 * 3 * 2 + 3 + 3)
+        assert (obj["signatures_checked"], obj["inclusion_proofs_checked"]) == (1 + 3, 5 + 5 * 3 * 2 + 3 + 3)
 
     def test_truncated_proof_is_malformed(self, link_run, tmp_path, capsys):
         bad = tmp_path / "short.proof"

@@ -31,7 +31,9 @@ from entmesh.entangle import (
 from entmesh.hashtree import sha256
 from entmesh.keys import Ed25519Scheme
 from entmesh.node import MANIFEST_LEAF_INDEX, submission_of
-from entmesh.wire import MAX_RECORD, WireError, Writer
+from entmesh.wire import MAX_RECORD, WireError
+
+from test_wire import Writer
 
 
 @pytest.fixture
@@ -152,7 +154,7 @@ class TestLinkProof:
         swapped = lambda rnd, other: rnd._replace(signature=other.signature, receipts=other.receipts)
         bad = dataclasses.replace(proof, rounds=(swapped(first, second), swapped(second, first)) + proof.rounds[2:])
         verdict = verify_link(bad, trusted, pair.directory)
-        assert (verdict.reason, verdict.detail) == ("BadSignature", "holder signature in receipt for round 1")
+        assert (verdict.reason, verdict.detail) == ("BadSignature", "holder signature for round 1")
         bad = dataclasses.replace(proof, rounds=(first._replace(receipts=second.receipts),) + proof.rounds[1:])
         verdict = verify_link(bad, trusted, pair.directory)
         assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 1")
@@ -161,7 +163,7 @@ class TestLinkProof:
         proof = link_for(pair, "holder", "issuer", (1, 4))
         bad = with_round(proof, 2, signature=b"\x00" * 64)
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
-        assert (verdict.reason, verdict.detail) == ("BadSignature", "holder signature in receipt for round 3")
+        assert (verdict.reason, verdict.detail) == ("BadSignature", "holder signature for round 3")
 
     def test_one_submission_per_round_required(self, pair):
         # A proof with a round fewer than its window fails instead of checking
@@ -586,7 +588,7 @@ class TestChainProof:
         bad_hop = with_round(hop, 0, signature=b"\x01" * 64)
         bad = dataclasses.replace(proof, hops=(bad_hop, proof.hops[1]))
         verdict = verify_chain(bad, relay.commitments_of("c"), relay.directory)
-        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: BadSignature (holder signature in receipt for round 1)")
+        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: BadSignature (holder signature for round 1)")
 
     def test_needs_two_nodes(self, relay):
         with pytest.raises(ValueError):

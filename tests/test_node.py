@@ -34,15 +34,25 @@ from entmesh.node import (
     credential_leaf_index,
     entangled_leaf_index,
     evidence_leaf_index,
-    parse_manifest_leaf,
     submission_of,
     round_leaves,
     validate_state,
     verify_chain_entries,
 )
 from entmesh.sexpr import encode_tree
-from entmesh.wire import Reader, WireError
+from entmesh.wire import Reader, WireError, decode
 from test_round_trip import ref_receipt, ref_receipt_paths, ref_submission
+
+
+def parse_manifest_leaf(leaf: bytes) -> tuple:
+    """The node ids of a manifest leaf, read back: no library code reads one."""
+
+    def read(r: Reader) -> tuple:
+        if r.u8() != LEAF_MANIFEST:
+            raise WireError("not a manifest leaf")
+        return r.digests("manifest ids", 1 << 20)
+
+    return decode(leaf, read)
 
 
 def solo_node(label="solo"):

@@ -12,7 +12,9 @@ from entmesh.hashtree import DIGEST_SIZE, InclusionProof, MerkleTree, fold_root,
 from entmesh.identity import Credential, CredentialMode, RecoveryPolicy
 from entmesh.keys import keypair_from_seed, node_id_for_key
 from entmesh.node import Node, commitment_digest
-from entmesh.wire import Reader, Writer
+from entmesh.wire import Reader
+
+from test_wire import Writer
 
 # Fields of proof records that hold one digest, or a tuple of them.
 _DIGEST_FIELDS = {"holder_id", "issuer_id", "node_id", "root", "holder_root", "prev_digest", "manifest"}

@@ -4,6 +4,11 @@ Every mutated proof must either fail to decode with ``WireError`` or
 ``ValueError``, or decode and get a falsy verdict: never another exception
 and never an accept.  A single flipped bit anywhere in the proofs the CI job
 writes is refused with a named reason.
+
+The verifiers check one signature per holder chain, its head's.  The
+rule that checks every chain entry's signature (``verify_chain_entries``)
+is kept as a slow reference: every proof it accepts, the verifiers accept,
+and every mutation is refused by both.
 """
 
 from pathlib import Path
@@ -12,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entmesh import entangle
 from entmesh.config import load_config, make_simulation
 from entmesh.entangle import (
     ChainProof,
@@ -25,7 +31,7 @@ from entmesh.entangle import (
     verify_hub,
     verify_link,
 )
-from entmesh.node import Verdict
+from entmesh.node import Verdict, verify_chain_entries
 from entmesh.wire import WireError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -71,12 +77,21 @@ def _verdict(proof, sim):
     return (verify_chain if isinstance(proof, ChainProof) else verify_link)(proof, log, sim.directory)
 
 
-def _accepted(blob: bytes, sim) -> bool:
+def _every_entry_verdict(proof, sim):
+    """``_verdict`` under the every-entry rule: each holder chain is checked
+    by ``verify_chain_entries``, every entry's signature included, where the
+    verifiers check its links."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entangle, "check_chain_links", verify_chain_entries)
+        return _verdict(proof, sim)
+
+
+def _accepted(blob: bytes, sim, verdict=_verdict) -> bool:
     try:
         proof = decode_proof(blob)
     except (WireError, ValueError):
         return False
-    return bool(_verdict(proof, sim))
+    return bool(verdict(proof, sim))
 
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
@@ -95,6 +110,7 @@ def test_mutated_proof_never_accepted(proofs, kind, data):
     for position in positions:
         mutated[position] ^= data.draw(st.integers(1, 255), label="xor")
     assert not _accepted(bytes(mutated), sim)
+    assert not _accepted(bytes(mutated), sim, _every_entry_verdict)
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +145,23 @@ def test_every_single_bit_flip_is_refused_with_a_named_reason(ci_proofs, kind):
             assert not verdict and verdict.reason and verdict.detail, (position, verdict)
         reasons[reason] = reasons.get(reason, 0) + 1
     assert sum(reasons.values()) == len(blob) and "MalformedProof" in reasons and len(reasons) > 2, reasons
+
+
+@pytest.mark.parametrize(("kind", "every_entry", "head"), [("hub", 8, 4), ("chain", 24, 12), ("link", 10, 5)])
+def test_both_rules_accept_the_ci_proofs_and_refuse_each_bit_flip(ci_proofs, kind, every_entry, head):
+    # Each CI proof passes both rules, the every-entry rule checking every
+    # chain entry's signature and the head rule one per chain; and each
+    # single-bit flip, one bit of every byte, is refused by both.
+    blob, sim = ci_proofs[kind]
+    proof = decode_proof(blob)
+    reference, verdict = _every_entry_verdict(proof, sim), _verdict(proof, sim)
+    assert reference and verdict
+    assert (reference.signatures_checked, verdict.signatures_checked) == (every_entry, head)
+    for position in range(len(blob)):
+        mutated = bytearray(blob)
+        mutated[position] ^= 1 << (position % 8)
+        try:
+            proof = decode_proof(bytes(mutated))
+        except WireError:
+            continue
+        assert not _every_entry_verdict(proof, sim) and not _verdict(proof, sim), position

@@ -58,7 +58,9 @@ from entmesh.node import (
     commitment_digest,
     submission_of,
 )
-from entmesh.wire import Reader, WireError, Writer
+from entmesh.wire import Reader, WireError
+
+from test_wire import Writer
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -600,4 +602,4 @@ def test_verifiers_copy_no_receipt(ci_proofs, fan_runs):
     assert all(verdicts) and len(verdicts) == 6
     assert fan_verdict
     counts = fan_verdict.signatures_checked, fan_verdict.signatures_repeated, fan_verdict.inclusion_proofs_checked
-    assert counts == (10, 0, 334)
+    assert counts == (5, 0, 334)

@@ -129,10 +129,10 @@ class TestHonestRuns:
     def test_gossip_arrival_matches_distance(self):
         topo = federated(levels=2, arity=2, holders=4)
         sim = Simulation(topo, rounds=8, seed=3).run()
-        distances = sim.gossip_distances("root")
+        distances = bfs_distances(sim.topology, "root")
         last = sim.rounds - 1
         for label in topo.labels:
-            view = sim.view_of(label, "root")
+            view = sim.views[label]["root"]
             expected = set(range(0, last - distances[label] + 1))
             assert set(view) == expected, label
             for r, commitment in view.items():

@@ -43,13 +43,16 @@ from entmesh.node import (
     LEAF_PAYLOAD,
     MANIFEST_LEAF_INDEX,
     ChainEntry,
+    KeyDirectory,
     Receipt,
     ReceiptPaths,
     Verdict,
     chain_entry_for,
     commitment_digest,
+    evidence_leaf_index,
     receipt_key,
     round_leaves,
+    verify_chain_entries,
 )
 from entmesh.simnet import Simulation, chain, fan, federated
 from entmesh.hashtree import sha256
@@ -188,10 +191,11 @@ class TestSignatureCounts:
         ed25519_calls.clear()
         verdict = verify_hub(proof, _logs(sim), sim.directory)
         assert verdict
-        # The holder chain's 6 commitments and each round's submission, met
-        # once per round, not once per issuer (166 obligations when repeated).
-        assert verdict.signatures_checked == 10 == len(ed25519_calls)
-        assert verdict.signatures_checked + verdict.signatures_repeated == 10
+        # The holder chain's head and each round's submission, met once per
+        # round, not once per issuer (166 obligations when repeated, 10 when
+        # each of the chain's 6 commitments was checked).
+        assert verdict.signatures_checked == 5 == len(ed25519_calls)
+        assert verdict.signatures_checked + verdict.signatures_repeated == 5
         # 6 chain entries, 160 receipts' two paths each, 4 manifest proofs
         # and one evidence range proof per round (160 evidence paths before).
         assert verdict.inclusion_proofs_checked == 6 + 320 + 4 + 4 == 334
@@ -221,18 +225,20 @@ class TestSignatureCounts:
         proof = build_chain_proof(sim.records_by_id(), sim.receipts_by_id(), ids, 2, 2)
         verdict = verify_chain(proof, _logs(sim)[proof.anchor_id], sim.directory)
         assert verdict
-        assert (verdict.signatures_checked, verdict.signatures_repeated) == (24, 0)
+        # Four hops over two rounds: each hop's head and its two submissions.
+        assert (verdict.signatures_checked, verdict.signatures_repeated) == (12, 0)
 
     def test_link_proof_repeats_no_signature(self, runs):
         proof, sim = runs["link"]
         verdict = _verify(proof, sim)
         assert verdict
-        assert (verdict.signatures_checked, verdict.signatures_repeated) == (6, 0)
+        # Two rounds: the holder chain's head and two submissions.
+        assert (verdict.signatures_checked, verdict.signatures_repeated) == (3, 0)
 
     @pytest.mark.parametrize("n", [5, 10, 20])
     def test_hub_checks_do_not_grow_with_issuers(self, ed25519_calls, n):
-        # The holder chain's w + 2 commitments and the w submissions the
-        # holder signs once per round, whatever the number of issuers.
+        # The holder chain's head and the w submissions the holder signs
+        # once per round, whatever the number of issuers.
         sim = Simulation(fan(n), rounds=7, seed=3).run()
         center = sim.nodes["center"]
         for w in (1, 2, 4):
@@ -240,13 +246,13 @@ class TestSignatureCounts:
             ed25519_calls.clear()
             verdict = verify_hub(proof, _logs(sim), sim.directory)
             assert verdict
-            assert verdict.signatures_checked == 2 * w + 2 == len(ed25519_calls)
+            assert verdict.signatures_checked == w + 1 == len(ed25519_calls)
             assert verdict.signatures_repeated == 0
             assert verdict.inclusion_proofs_checked == (w + 2) + 2 * n * w + w + w
 
     @pytest.mark.parametrize("hops", [1, 2, 3, 4])
     def test_chain_checks_grow_linearly_in_hops_times_window(self, ed25519_calls, hops):
-        # Per hop: its holder chain's w + 2 commitments and w submissions.
+        # Per hop: its holder chain's head and w submissions.
         sim = Simulation(chain(hops), rounds=10, seed=3).run()
         ids = [sim.nodes[label].node_id for label in sim.path_to_anchor("h0")]
         assert len(ids) == hops + 1
@@ -255,7 +261,7 @@ class TestSignatureCounts:
             ed25519_calls.clear()
             verdict = verify_chain(proof, _logs(sim)[proof.anchor_id], sim.directory)
             assert verdict
-            assert verdict.signatures_checked == hops * (2 * w + 2) == len(ed25519_calls)
+            assert verdict.signatures_checked == hops * (w + 1) == len(ed25519_calls)
             assert verdict.signatures_repeated == 0
             assert verdict.inclusion_proofs_checked == hops * ((w + 2) + 2 * w + w)
 
@@ -263,7 +269,8 @@ class TestSignatureCounts:
         proof, sim = runs["hub"]
         _, other = runs["chain"]
         verdict = verify_hub(proof, _trust(proof, sim), other.directory)
-        assert (verdict.reason, verdict.detail) == ("LinkFailed", "holder chain: BadSignature (round 1)")
+        # The first signature met is the head's, at round 4 + 2.
+        assert (verdict.reason, verdict.detail) == ("LinkFailed", "holder chain: BadSignature (round 6)")
         assert ed25519_calls == []
 
     @pytest.mark.parametrize("where", ["evidence-path", "chain-prev-digest"])
@@ -291,7 +298,10 @@ class TestSignatureCounts:
 
 
 class TestForgedSignatureKeepsItsReason:
-    """A forged signature is reported where the sequential checks meet it."""
+    """A forged signature is reported where the sequential checks meet it.
+    Of a holder chain only the head's signature is checked: an earlier
+    entry's is hashed into the next entry's prev digest, so forging it
+    breaks the chain there."""
 
     def _check(self, proof, sim, reason, detail, trust=None):
         verdict = _verify(proof, sim, trust)
@@ -303,15 +313,16 @@ class TestForgedSignatureKeepsItsReason:
     def test_hub_holder_chain(self, runs, index):
         proof, sim = runs["hub"]
         bad = dataclasses.replace(proof, holder_chain=_forge_at(proof.holder_chain, index, _forged_entry))
-        inner = f"round {proof.holder_chain[index].commitment.round}"
-        self._check(bad, sim, "LinkFailed", f"holder chain: BadSignature ({inner})")
+        r = proof.holder_chain[index].commitment.round
+        inner = f"BadSignature (round {r})" if index == -1 else f"ChainBreak (round {r + 1} does not chain)"
+        self._check(bad, sim, "LinkFailed", f"holder chain: {inner}")
 
     def test_hub_issuer_receipt(self, runs):
         # Every issuer's receipt shares the round's submission, which is the
         # holder's: it is checked once, after every round-1 receipt passed.
         proof, sim = runs["hub"]
         bad = _forged_round_submission(proof, 1)
-        inner = "holder signature in receipt for round 2"
+        inner = "holder signature for round 2"
         self._check(bad, sim, "LinkFailed", f"holder chain: BadSignature ({inner})")
 
     @pytest.mark.parametrize("record", ["receipt", "chain-entry"])
@@ -320,7 +331,7 @@ class TestForgedSignatureKeepsItsReason:
         hop = proof.hops[1]
         if record == "receipt":
             hop = _forged_round_submission(hop, 0)
-            inner = "holder signature in receipt for round 2"
+            inner = "holder signature for round 2"
         else:
             hop = dataclasses.replace(hop, holder_chain=_forge_at(hop.holder_chain, -1, _forged_entry))
             inner = "round 5"
@@ -338,12 +349,12 @@ class TestForgedSignatureKeepsItsReason:
     def test_link_receipt(self, runs):
         proof, sim = runs["link"]
         bad = _forged_round_submission(proof, 1)
-        self._check(bad, sim, "BadSignature", "holder signature in receipt for round 7")
+        self._check(bad, sim, "BadSignature", "holder signature for round 7")
 
     def test_link_holder_chain(self, runs):
         proof, sim = runs["link"]
         bad = dataclasses.replace(proof, holder_chain=_forge_at(proof.holder_chain, 1, _forged_entry))
-        self._check(bad, sim, "BadSignature", "round 7")
+        self._check(bad, sim, "ChainBreak", "round 8 does not chain")
 
     # A proof carries no issuer commitment: each receipt takes the
     # verifier's trusted copy.  A copy that differs from the commitment the
@@ -369,13 +380,15 @@ class TestForgedSignatureKeepsItsReason:
             inner = f"EvidenceInvalid (receipt for round {r - 1} not retained in round {r + 1})"
             self._check(proof, sim, "BrokenHop", f"hop {len(proof.hops) - 1}: {inner}", _forged_trust(_trust(proof, sim), r))
         else:
-            # An inner hop's copy is the next hop's holder chain entry, whose
-            # signature the same call checks before it vouches for the hop.
+            # An inner hop's copy is the next hop's holder chain entry, which
+            # the same call links to that chain's signed head before it
+            # vouches for the hop: a forged one breaks that chain.
             vouching = proof.hops[hop + 1]
             index = r - vouching.window_start
+            assert index < len(vouching.holder_chain) - 1
             forged = dataclasses.replace(vouching, holder_chain=_forge_at(vouching.holder_chain, index, _forged_entry))
             bad = ChainProof(hops=_swap(proof.hops, hop + 1, forged))
-            self._check(bad, sim, "BrokenHop", f"hop {hop + 1}: BadSignature (round {r})")
+            self._check(bad, sim, "BrokenHop", f"hop {hop + 1}: ChainBreak (round {r + 1} does not chain)")
 
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
@@ -512,6 +525,56 @@ class TestProofsNoBuilderMakes:
         trust = {**net.commitments_of("i"), 3: fork_3}
         verdict = verify_link(decode_proof(encode_proof(bad)), trust, net.directory)
         assert (verdict.reason, verdict.detail) == ("ChainBreak", "issuer chain breaks before round 3")
+
+
+class TestTheHeadVouchesForItsChain:
+    """A holder chain's one checked signature is its head's, under the key
+    bound at the head's round (docs/FORMATS.md, "Checking a holder chain")."""
+
+    @pytest.mark.parametrize("signer", ["holder", "issuer"])
+    def test_inner_entry_with_a_bad_signature_under_a_signed_head(self, manual_net, signer):
+        # The round-3 entry's signature is forged, and a round-4 head that
+        # chains from it is signed over the same leaves with a new first
+        # leaf.  Signed by the holder, the head covers the forged entry and
+        # the link verifies, where the every-entry rule refuses the chain;
+        # signed by another key, the head is refused.
+        net = manual_net(["h", "i"], [("h", "i")]).run(6)
+        holder, issuer = net.nodes["h"], net.nodes["i"]
+        proof = build_link_proof(holder.records, issuer.node_id, (1, 2), holder.receipt_log)
+        forged = _forged_entry(proof.holder_chain[2])
+        retaining = holder.records[4].state
+        leaves = [prev_leaf(commitment_digest(forged.commitment)), *round_leaves(retaining)[1:]]
+        tree, c = signed_tree(holder, 4, leaves)
+        if signer == "issuer":
+            c = dataclasses.replace(c, signature=issuer.keypair.sign(c.message()))
+        head = ChainEntry(c, commitment_digest(forged.commitment), tree.prove_inclusion(0))
+        at = evidence_leaf_index(retaining, issuer.node_id, 2)
+        last = proof.rounds[1]._replace(evidence_proof=tree.prove_range(at, at + 1))
+        bad = dataclasses.replace(proof, holder_chain=(*proof.holder_chain[:2], forged, head), rounds=(proof.rounds[0], last))
+        bad = decode_proof(encode_proof(bad))
+        verdict = verify_link(bad, net.commitments_of("i"), net.directory)
+        if signer == "holder":
+            assert verdict and (verdict.signatures_checked, verdict.signatures_repeated) == (3, 0)
+            reference = verify_chain_entries(bad.holder_chain, net.directory)
+            assert (reference.reason, reference.detail) == ("BadSignature", "round 3")
+        else:
+            assert (verdict.reason, verdict.detail, verdict.signatures_checked) == ("BadSignature", "round 4", 1)
+
+    def test_link_across_a_key_rebind_verifies_under_the_heads_key(self, runs):
+        # identity.yaml: h1 recovers its key at round 7.  The link's window
+        # [6, 7] and its holder chain, rounds 6 to 9, cross that rebind.
+        proof, sim = runs["link"]
+        assert [r for r, _ in sim.directory.bindings_of(proof.holder_id)] == [0, 7]
+        assert proof.holder_chain[0].commitment.round < 7 <= proof.window_end
+        verdict = _verify(proof, sim)
+        assert verdict and verdict.signatures_checked == 3
+        assert verify_chain_entries(proof.holder_chain, sim.directory)
+        # Under h1's genesis key alone the head, the first signature met, fails.
+        genesis = KeyDirectory()
+        for node in sim.nodes.values():
+            genesis.register(node.node_id, sim.directory.bindings_of(node.node_id)[0][1])
+        verdict = verify_link(proof, _trust(proof, sim), genesis)
+        assert (verdict.reason, verdict.detail, verdict.signatures_checked) == ("BadSignature", "round 9", 1)
 
 
 class TestRepeatsAreSkippedChecks:

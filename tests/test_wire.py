@@ -3,6 +3,7 @@
 import dataclasses
 import struct
 from pathlib import Path
+from typing import Sequence
 from unittest import mock
 
 import pytest
@@ -11,12 +12,11 @@ from hypothesis import strategies as st
 
 from entmesh import entangle, node
 from entmesh.config import load_config, make_simulation
-from entmesh.hashtree import Digest, InclusionProof, MerkleTree
+from entmesh.hashtree import DIGEST_SIZE, Digest, InclusionProof, MerkleTree
 from entmesh.wire import (
     MAX_AUDIT_STEPS,
     Reader,
     WireError,
-    Writer,
     decode,
     encode_inclusion_proof,
     encode_receipt_path,
@@ -273,6 +273,68 @@ def test_every_proof_round_trips_as_its_step_bytes(n):
         assert all(type(sibling) is bytes for sibling in decoded.siblings) and b"".join(decoded.siblings) == blob[12:]
         # The siblings the encoding holds are the ones a sibling-by-sibling read sees.
         assert decoded == copying_decode(blob, stepwise_read_inclusion_proof)
+
+
+# Slow references, written from docs/FORMATS.md: a field-by-field writer,
+# and a decoder that copies every blob.
+
+
+class Writer:
+    """The field-by-field reference writer, one method and one range check
+    per field, which the tests hold the record encoders to.  No encoder in
+    the library uses it: each writes one join of kept bytes."""
+
+    __slots__ = ("_buf",)
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+
+    def u8(self, v: int) -> "Writer":
+        if not 0 <= v <= 0xFF:
+            raise WireError(f"u8 out of range: {v}")
+        self._buf.append(v)
+        return self
+
+    def u32(self, v: int) -> "Writer":
+        if not 0 <= v <= 0xFFFF_FFFF:
+            raise WireError(f"u32 out of range: {v}")
+        self._buf += struct.pack(">I", v)
+        return self
+
+    def u64(self, v: int) -> "Writer":
+        if not 0 <= v <= 0xFFFF_FFFF_FFFF_FFFF:
+            raise WireError(f"u64 out of range: {v}")
+        self._buf += struct.pack(">Q", v)
+        return self
+
+    def digest(self, d: bytes) -> "Writer":
+        if len(d) != DIGEST_SIZE:
+            raise WireError(f"digest must be {DIGEST_SIZE} bytes")
+        self._buf += d
+        return self
+
+    def blob(self, b: bytes) -> "Writer":
+        # Length-prefixed variable bytes.
+        self.u32(len(b))
+        self._buf += b
+        return self
+
+    def blobs(self, items: Sequence[bytes]) -> "Writer":
+        # A u32 count, then each item as a blob.
+        self.u32(len(items))
+        for b in items:
+            self.blob(b)
+        return self
+
+    def digests(self, items: Sequence[bytes]) -> "Writer":
+        # A u32 count, then each digest.
+        self.u32(len(items))
+        for d in items:
+            self.digest(d)
+        return self
+
+    def getvalue(self) -> bytes:
+        return bytes(self._buf)
 
 
 # A slow reference decoder, written from docs/FORMATS.md: the reader as it
