@@ -53,11 +53,11 @@ from .node import (
     receipt_key,
     receipt_paths,
     submission_of,
+    verify_chain_entries,
     FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
     NotEntangledError,
-    check_chain_links,
     entangled_leaf_index,
     evidence_leaf_index,
 )
@@ -350,9 +350,9 @@ def _check_link(proof: LinkProof, trusted: _ByRound, view: _Deferred, commitment
 
 
 def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verdict:
-    """The holder's chain covers its window plus EVIDENCE_LAG rounds, links
-    up and ends in a head the holder signed, and the proof holds one round
-    per window round."""
+    """The holder's chain covers its window plus EVIDENCE_LAG rounds, the
+    proof holds one round per window round, and ``verify_chain_entries``
+    passes the chain: it links up to a head the holder signed."""
     view.mark()
     s, e = holder.window_start, holder.window_end
     if s > e:
@@ -366,11 +366,7 @@ def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verd
             return Verdict.failed("HolderMismatch", "chain entry from another node")
         if entry.commitment.round != s + offset:
             return Verdict.failed("RoundGap", "chain entry out of place")
-    verdict = check_chain_links(holder.holder_chain, view)
-    head = holder.holder_chain[-1].commitment  # its signature covers every entry it links to
-    if verdict and not view.verify_commitment(head):
-        return Verdict.failed("BadSignature", f"round {head.round}")
-    return verdict
+    return verify_chain_entries(holder.holder_chain, view)
 
 
 def _part_failed(holder: "LinkProof | HubProof", where: str, reason: str, detail: str) -> Verdict:

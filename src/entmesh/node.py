@@ -582,17 +582,18 @@ def chain_entry_for(record: "NodeRecord") -> ChainEntry:
     return record._chain_entry
 
 
-def check_chain_links(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
-    """Check that a run of chain entries links up, checking no signature.
+def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
+    """Check that a run of chain entries links up, then its head's signature.
 
     Each entry's prev digest hashes the previous commitment, signature
     included, and its first-leaf proof places that digest in its own
-    signed tree, so the last entry's signature covers the whole run.
+    signed tree, so the last entry's signature covers the whole run: it is
+    the one signature checked, under the key bound at its round.
 
     Reasons: RoundGap (rounds are not consecutive), ChainBreak (no entries,
     a first-leaf proof misplaced or not folding to its commitment, a prev
     digest that is not the previous commitment's digest, or a round 0 that
-    does not chain from the zero digest).
+    does not chain from the zero digest), then BadSignature (the head's).
     """
     if not entries:
         return Verdict.failed("ChainBreak", "empty chain")
@@ -610,20 +611,10 @@ def check_chain_links(entries: Sequence[ChainEntry], directory: KeyDirectory) ->
         if previous is None and c.round == 0 and entry.prev_digest != ZERO_DIGEST:
             return Verdict.failed("ChainBreak", "round 0 must chain from the zero digest")
         previous = c
+    head = entries[-1].commitment
+    if not directory.verify_commitment(head):
+        return Verdict.failed("BadSignature", f"round {head.round}")
     return Verdict.passed()
-
-
-def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
-    """Check a contiguous run of chain entries and every one's signature:
-    ``check_chain_links``, then BadSignature for the first commitment, in
-    round order, that fails under the key bound at its round."""
-    verdict = check_chain_links(entries, directory)
-    if not verdict:
-        return verdict
-    for entry in entries:
-        if not directory.verify_commitment(entry.commitment):
-            return Verdict.failed("BadSignature", f"round {entry.commitment.round}")
-    return verdict
 
 
 @dataclass

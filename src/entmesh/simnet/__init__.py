@@ -10,7 +10,6 @@ from .engine import (
 )
 from .topology import (
     Topology,
-    bfs_distances,
     centralized,
     chain,
     fan,
@@ -27,7 +26,6 @@ __all__ = [
     "Simulation",
     "Topology",
     "WithholdReceipt",
-    "bfs_distances",
     "centralized",
     "chain",
     "fan",

@@ -7,14 +7,12 @@ the same links, so reachability is computed on the undirected view.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 __all__ = [
     "Topology",
-    "bfs_distances",
     "centralized",
     "chain",
     "fan",
@@ -74,21 +72,6 @@ def validate_topology(topo: Topology) -> None:
     for anchor in topo.anchors:
         if anchor not in known:
             raise ValueError(f"anchor {anchor} is not a node")
-
-
-def bfs_distances(topo: Topology, source: str) -> dict[str, int]:
-    """Hop counts from ``source`` over the undirected link graph."""
-    if source not in topo.labels:
-        raise ValueError(f"unknown label {source}")
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        for neighbor in topo.neighbors(current):
-            if neighbor not in dist:
-                dist[neighbor] = dist[current] + 1
-                queue.append(neighbor)
-    return dist
 
 
 def centralized(holders: int, name: Optional[str] = None) -> Topology:

@@ -168,9 +168,6 @@ class Reader:
         pos = self._advance(n)
         return self._data[pos : pos + n]
 
-    def u8(self) -> int:
-        return self._data[self._advance(1)]
-
     def u32(self) -> int:
         return _U32(self._data, self._advance(4))[0]
 

@@ -76,13 +76,6 @@ MUTANTS = (
         ("tests/test_entangle.py::TestHubCodec::test_verifier_refuses_a_decoded_hub_with_one_evidence_proof_of_four",),
     ),
     Mutant(
-        "holder chain: the head's signature",
-        "entangle.py",
-        "if verdict and not view.verify_commitment(head):",
-        "if False:",
-        ("tests/test_verify_order.py::TestTheHeadVouchesForItsChain::test_inner_entry_with_a_bad_signature_under_a_signed_head[issuer]",),
-    ),
-    Mutant(
         "link: one receipt per window round",
         "entangle.py",
         "if verdict and any(len(rnd.receipts) != 1 for rnd in proof.rounds):  # a decoded link round holds one",
@@ -139,14 +132,21 @@ MUTANTS = (
         ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_receipt_whose_prev_leaf_proof_is_not_at_index_0",),
     ),
     Mutant(
-        "chain links (check_chain_links, shared by audits and proofs): the first-leaf proof at index 0",
+        "chain rule (verify_chain_entries, shared by audits and proofs): the head's signature",
+        "node.py",
+        "if not directory.verify_commitment(head):",
+        "if False:",
+        ("tests/test_verify_order.py::TestTheHeadVouchesForItsChain::test_inner_entry_with_a_bad_signature_under_a_signed_head[issuer]",),
+    ),
+    Mutant(
+        "chain rule (verify_chain_entries, shared by audits and proofs): the first-leaf proof at index 0",
         "node.py",
         "if entry.first_leaf_proof.leaf_index != 0:",
         "if False:",
         ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_chain_entry_whose_first_leaf_proof_is_not_at_index_0",),
     ),
     Mutant(
-        "chain links (check_chain_links, shared by audits and proofs): round 0 chains from the zero digest",
+        "chain rule (verify_chain_entries, shared by audits and proofs): round 0 chains from the zero digest",
         "node.py",
         "if previous is None and c.round == 0 and entry.prev_digest != ZERO_DIGEST:",
         "if False:",

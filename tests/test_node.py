@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmesh.hashtree import ZERO_DIGEST, InclusionProof, MerkleTree, sha256
+from entmesh.hashtree import ZERO_DIGEST, InclusionProof, sha256
 from entmesh.keys import keypair_from_seed
 from entmesh.node import (
     LEAF_ENTANGLED,
@@ -41,18 +41,15 @@ from entmesh.node import (
 )
 from entmesh.sexpr import encode_tree
 from entmesh.wire import Reader, WireError, decode
+from adversary import prev_leaf, signed_tree
 from test_round_trip import ref_receipt, ref_receipt_paths, ref_submission
 
 
 def parse_manifest_leaf(leaf: bytes) -> tuple:
     """The node ids of a manifest leaf, read back: no library code reads one."""
-
-    def read(r: Reader) -> tuple:
-        if r.u8() != LEAF_MANIFEST:
-            raise WireError("not a manifest leaf")
-        return r.digests("manifest ids", 1 << 20)
-
-    return decode(leaf, read)
+    if leaf[:1] != bytes([LEAF_MANIFEST]):
+        raise WireError("not a manifest leaf")
+    return decode(leaf[1:], lambda r: r.digests("manifest ids", 1 << 20))
 
 
 def solo_node(label="solo"):
@@ -412,17 +409,6 @@ class TestCommitmentChains:
         bad = dataclasses.replace(entries[1], prev_digest=sha256(b"lie"))
         verdict = verify_chain_entries([entries[0], bad, entries[2]], net.directory)
         assert verdict.reason == "ChainBreak"
-
-
-def signed_tree(node, round_no, leaves):
-    """``leaves`` as a tree, and ``node``'s commitment to it at ``round_no``, signed with its own key."""
-    tree = MerkleTree(leaves)
-    unsigned = Commitment(node.node_id, round_no, tree.root, tree.size, b"")
-    return tree, dataclasses.replace(unsigned, signature=node.keypair.sign(unsigned.message()))
-
-
-def prev_leaf(digest):
-    return bytes([LEAF_PREV]) + digest
 
 
 class TestSignedTreesNoBuilderMakes:

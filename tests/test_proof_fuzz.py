@@ -6,9 +6,9 @@ and never an accept.  A single flipped bit anywhere in the proofs the CI job
 writes is refused with a named reason.
 
 The verifiers check one signature per holder chain, its head's.  The
-rule that checks every chain entry's signature (``verify_chain_entries``)
-is kept as a slow reference: every proof it accepts, the verifiers accept,
-and every mutation is refused by both.
+rule that also checks every chain entry's signature (``every_entry_rule``
+in ``adversary``) is kept as a slow reference: every proof it accepts, the
+verifiers accept, and every mutation is refused by both.
 """
 
 from pathlib import Path
@@ -31,8 +31,10 @@ from entmesh.entangle import (
     verify_hub,
     verify_link,
 )
-from entmesh.node import Verdict, verify_chain_entries
+from entmesh.node import Verdict
 from entmesh.wire import WireError
+
+from adversary import every_entry_rule
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -79,10 +81,10 @@ def _verdict(proof, sim):
 
 def _every_entry_verdict(proof, sim):
     """``_verdict`` under the every-entry rule: each holder chain is checked
-    by ``verify_chain_entries``, every entry's signature included, where the
-    verifiers check its links."""
+    by ``every_entry_rule``, every entry's signature included, where the
+    verifiers check its links and its head's signature."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(entangle, "check_chain_links", verify_chain_entries)
+        patch.setattr(entangle, "verify_chain_entries", every_entry_rule)
         return _verdict(proof, sim)
 
 

@@ -1,6 +1,7 @@
 """Topology builders and the round-driving engine, faults included."""
 
 import dataclasses
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from entmesh.simnet import (
     ForkHistory,
     Simulation,
     WithholdReceipt,
-    bfs_distances,
     centralized,
     chain,
     fan,
@@ -29,7 +29,24 @@ from entmesh.simnet import (
 )
 from entmesh.simnet.topology import Topology
 
+from adversary import every_entry_rule, forged_commitment
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def bfs_distances(topo: Topology, source: str) -> dict[str, int]:
+    """Hop counts from ``source`` over the undirected link graph."""
+    if source not in topo.labels:
+        raise ValueError(f"unknown label {source}")
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        current = queue.popleft()
+        for neighbor in topo.neighbors(current):
+            if neighbor not in dist:
+                dist[neighbor] = dist[current] + 1
+                queue.append(neighbor)
+    return dist
 
 
 def events_of(sim, type_):
@@ -525,11 +542,6 @@ MEMO_RUNS = {
 }
 
 
-def _flip_signature(commitment):
-    signature = commitment.signature
-    return dataclasses.replace(commitment, signature=bytes([signature[0] ^ 1]) + signature[1:])
-
-
 @pytest.fixture
 def ed25519_calls(monkeypatch):
     """Every Ed25519 verify made while the fixture is active, as
@@ -551,8 +563,11 @@ class TestSignatureMemo:
     the key directory; ``sim.directory`` itself stays plain."""
 
     @pytest.mark.parametrize("run", sorted(MEMO_RUNS))
-    def test_same_run_as_the_plain_directory(self, run):
+    def test_same_run_as_the_plain_directory(self, run, monkeypatch):
         memo = MEMO_RUNS[run]().run()
+        # The reference run also audits each chain by the every-entry rule,
+        # so the audits' head rule changes no event, metric or root either.
+        monkeypatch.setattr("entmesh.simnet.engine.verify_chain_entries", every_entry_rule)
         reference = MEMO_RUNS[run]()
         reference._verifier = reference.directory
         reference.run()
@@ -575,7 +590,7 @@ class TestSignatureMemo:
 
         def forward_forged_twice(sim):
             receipt = sim.nodes["m1-2"].receipt_log[(root_id, 3)]
-            forged = dataclasses.replace(receipt, issuer_commitment=_flip_signature(receipt.issuer_commitment))
+            forged = dataclasses.replace(receipt, issuer_commitment=forged_commitment(receipt.issuer_commitment))
             for _ in range(2):
                 sim._ingest_forward("h2", forged)
 
@@ -595,7 +610,7 @@ class TestSignatureMemo:
         del ed25519_calls[:]
         assert sim._verifier.verify_commitment(commitment)
         assert ed25519_calls == []  # checked during the run already
-        forged = _flip_signature(commitment)
+        forged = forged_commitment(commitment)
         assert not sim._verifier.verify_commitment(forged)
         assert not sim._verifier.verify_commitment(forged)
         assert [ok for _, ok in ed25519_calls] == [False, False]

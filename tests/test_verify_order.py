@@ -52,13 +52,22 @@ from entmesh.node import (
     evidence_leaf_index,
     receipt_key,
     round_leaves,
-    verify_chain_entries,
 )
 from entmesh.simnet import Simulation, chain, fan, federated
 from entmesh.hashtree import sha256
 from entmesh.wire import WireError
 
-from test_node import prev_leaf, signed_tree
+from adversary import (
+    every_entry_rule,
+    forged_commitment,
+    forge_at,
+    forged_entry,
+    forged_round_submission,
+    prev_leaf,
+    signed_tree,
+    swap,
+    with_round,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -128,38 +137,9 @@ def _parent_rule(proof, sim):
         return _verify(proof, sim)
 
 
-def _flip(signature):
-    return bytes([signature[0] ^ 1]) + signature[1:]
-
-
 def _forged_trust(log, round_no):
     """``log`` with the commitment at ``round_no`` differing only in its signature."""
-    return {**log, round_no: dataclasses.replace(log[round_no], signature=_flip(log[round_no].signature))}
-
-
-def _forged_entry(entry):
-    forged = dataclasses.replace(entry.commitment, signature=_flip(entry.commitment.signature))
-    return dataclasses.replace(entry, commitment=forged)
-
-
-def _swap(items, index, item):
-    items = list(items)
-    items[index] = item
-    return tuple(items)
-
-
-def _forge_at(items, index, forge):
-    return _swap(items, index, forge(items[index]))
-
-
-def _with_round(proof, index, **changes):
-    """``proof`` with its window round ``index`` changed by ``changes``."""
-    return dataclasses.replace(proof, rounds=_forge_at(proof.rounds, index, lambda rnd: rnd._replace(**changes)))
-
-
-def _forged_round_submission(proof, index):
-    """``proof`` with the holder's signature on window round ``index``'s submission forged."""
-    return _with_round(proof, index, signature=_flip(proof.rounds[index].signature))
+    return {**log, round_no: forged_commitment(log[round_no])}
 
 
 @pytest.fixture
@@ -280,12 +260,12 @@ class TestSignatureCounts:
             ev = proof.rounds[-1].evidence_proof
             first, *rest = ev.siblings
             flipped = ev._replace(siblings=(bytes([first[0] ^ 1]) + first[1:], *rest))
-            bad = _with_round(proof, -1, evidence_proof=flipped)
+            bad = with_round(proof, -1, evidence_proof=flipped)
         else:
             entry = proof.holder_chain[2]
             prev = entry.prev_digest
             flipped = dataclasses.replace(entry, prev_digest=type(prev)(bytes([prev[0] ^ 1]) + prev[1:]))
-            bad = dataclasses.replace(proof, holder_chain=_swap(proof.holder_chain, 2, flipped))
+            bad = dataclasses.replace(proof, holder_chain=swap(proof.holder_chain, 2, flipped))
         good_blob, bad_blob = encode_proof(proof), encode_proof(bad)
         assert len(good_blob) == len(bad_blob)
         assert sum(bin(a ^ b).count("1") for a, b in zip(good_blob, bad_blob)) == 1
@@ -312,7 +292,7 @@ class TestForgedSignatureKeepsItsReason:
     @pytest.mark.parametrize("index", [0, -1])
     def test_hub_holder_chain(self, runs, index):
         proof, sim = runs["hub"]
-        bad = dataclasses.replace(proof, holder_chain=_forge_at(proof.holder_chain, index, _forged_entry))
+        bad = dataclasses.replace(proof, holder_chain=forge_at(proof.holder_chain, index, forged_entry))
         r = proof.holder_chain[index].commitment.round
         inner = f"BadSignature (round {r})" if index == -1 else f"ChainBreak (round {r + 1} does not chain)"
         self._check(bad, sim, "LinkFailed", f"holder chain: {inner}")
@@ -321,7 +301,7 @@ class TestForgedSignatureKeepsItsReason:
         # Every issuer's receipt shares the round's submission, which is the
         # holder's: it is checked once, after every round-1 receipt passed.
         proof, sim = runs["hub"]
-        bad = _forged_round_submission(proof, 1)
+        bad = forged_round_submission(proof, 1)
         inner = "holder signature for round 2"
         self._check(bad, sim, "LinkFailed", f"holder chain: BadSignature ({inner})")
 
@@ -330,30 +310,30 @@ class TestForgedSignatureKeepsItsReason:
         proof, sim = runs["chain"]
         hop = proof.hops[1]
         if record == "receipt":
-            hop = _forged_round_submission(hop, 0)
+            hop = forged_round_submission(hop, 0)
             inner = "holder signature for round 2"
         else:
-            hop = dataclasses.replace(hop, holder_chain=_forge_at(hop.holder_chain, -1, _forged_entry))
+            hop = dataclasses.replace(hop, holder_chain=forge_at(hop.holder_chain, -1, forged_entry))
             inner = "round 5"
-        bad = ChainProof(hops=_swap(proof.hops, 1, hop))
+        bad = ChainProof(hops=swap(proof.hops, 1, hop))
         self._check(bad, sim, "BrokenHop", f"hop 1: BadSignature ({inner})")
 
     def test_chain_last_hop(self, runs):
         proof, sim = runs["chain"]
         last = proof.hops[-1]
-        hop = dataclasses.replace(last, holder_chain=_forge_at(last.holder_chain, -1, _forged_entry))
+        hop = dataclasses.replace(last, holder_chain=forge_at(last.holder_chain, -1, forged_entry))
         bad = ChainProof(hops=proof.hops[:-1] + (hop,))
         inner = f"round {last.holder_chain[-1].commitment.round}"
         self._check(bad, sim, "BrokenHop", f"hop {len(proof.hops) - 1}: BadSignature ({inner})")
 
     def test_link_receipt(self, runs):
         proof, sim = runs["link"]
-        bad = _forged_round_submission(proof, 1)
+        bad = forged_round_submission(proof, 1)
         self._check(bad, sim, "BadSignature", "holder signature for round 7")
 
     def test_link_holder_chain(self, runs):
         proof, sim = runs["link"]
-        bad = dataclasses.replace(proof, holder_chain=_forge_at(proof.holder_chain, 1, _forged_entry))
+        bad = dataclasses.replace(proof, holder_chain=forge_at(proof.holder_chain, 1, forged_entry))
         self._check(bad, sim, "ChainBreak", "round 8 does not chain")
 
     # A proof carries no issuer commitment: each receipt takes the
@@ -386,8 +366,8 @@ class TestForgedSignatureKeepsItsReason:
             vouching = proof.hops[hop + 1]
             index = r - vouching.window_start
             assert index < len(vouching.holder_chain) - 1
-            forged = dataclasses.replace(vouching, holder_chain=_forge_at(vouching.holder_chain, index, _forged_entry))
-            bad = ChainProof(hops=_swap(proof.hops, hop + 1, forged))
+            forged = dataclasses.replace(vouching, holder_chain=forge_at(vouching.holder_chain, index, forged_entry))
+            bad = ChainProof(hops=swap(proof.hops, hop + 1, forged))
             self._check(bad, sim, "BrokenHop", f"hop {hop + 1}: ChainBreak (round {r + 1} does not chain)")
 
 
@@ -455,7 +435,7 @@ class TestProofsNoBuilderMakes:
         # hub holds one off index 2; the encoder refuses to write it.  Without
         # the position check its fold names the manifest as differing instead.
         proof, sim = runs["hub"]
-        moved = dataclasses.replace(proof, manifest_proofs=_forge_at(proof.manifest_proofs, 0, lambda p: p._replace(leaf_index=3)))
+        moved = dataclasses.replace(proof, manifest_proofs=forge_at(proof.manifest_proofs, 0, lambda p: p._replace(leaf_index=3)))
         with pytest.raises(WireError, match="^path at leaf 3, not at leaf 2$"):
             encode_proof(moved)
         verdict = _verify(moved, sim)
@@ -541,7 +521,7 @@ class TestTheHeadVouchesForItsChain:
         net = manual_net(["h", "i"], [("h", "i")]).run(6)
         holder, issuer = net.nodes["h"], net.nodes["i"]
         proof = build_link_proof(holder.records, issuer.node_id, (1, 2), holder.receipt_log)
-        forged = _forged_entry(proof.holder_chain[2])
+        forged = forged_entry(proof.holder_chain[2])
         retaining = holder.records[4].state
         leaves = [prev_leaf(commitment_digest(forged.commitment)), *round_leaves(retaining)[1:]]
         tree, c = signed_tree(holder, 4, leaves)
@@ -555,7 +535,7 @@ class TestTheHeadVouchesForItsChain:
         verdict = verify_link(bad, net.commitments_of("i"), net.directory)
         if signer == "holder":
             assert verdict and (verdict.signatures_checked, verdict.signatures_repeated) == (3, 0)
-            reference = verify_chain_entries(bad.holder_chain, net.directory)
+            reference = every_entry_rule(bad.holder_chain, net.directory)
             assert (reference.reason, reference.detail) == ("BadSignature", "round 3")
         else:
             assert (verdict.reason, verdict.detail, verdict.signatures_checked) == ("BadSignature", "round 4", 1)
@@ -568,7 +548,7 @@ class TestTheHeadVouchesForItsChain:
         assert proof.holder_chain[0].commitment.round < 7 <= proof.window_end
         verdict = _verify(proof, sim)
         assert verdict and verdict.signatures_checked == 3
-        assert verify_chain_entries(proof.holder_chain, sim.directory)
+        assert every_entry_rule(proof.holder_chain, sim.directory)
         # Under h1's genesis key alone the head, the first signature met, fails.
         genesis = KeyDirectory()
         for node in sim.nodes.values():

@@ -29,9 +29,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 class TestWriterReader:
     def test_scalar_round_trip(self):
-        data = Writer().u8(7).u32(70_000).u64(1 << 40).getvalue()
+        data = Writer().u32(70_000).u64(1 << 40).getvalue()
         r = Reader(data)
-        assert (r.u8(), r.u32(), r.u64()) == (7, 70_000, 1 << 40)
+        assert (r.u32(), r.u64()) == (70_000, 1 << 40)
         r.expect_eof()
 
     def test_big_endian_layout(self):
@@ -73,14 +73,14 @@ class TestWriterReader:
             Reader(data).blob()
 
     def test_expect_eof_rejects_trailing(self):
-        r = Reader(b"\x01\x02")
-        r.u8()
+        r = Reader(b"\x00\x00\x00\x01\x02")
+        r.u32()
         with pytest.raises(WireError):
             r.expect_eof()
 
     def test_remaining(self):
-        r = Reader(b"\x01\x02\x03")
-        r.u8()
+        r = Reader(b"\x00\x00\x00\x01\x02\x03")
+        r.u32()
         assert r.remaining() == 2
 
     def test_digests_round_trip(self):
@@ -128,34 +128,34 @@ class TestNestedRecords:
             Reader(data).nested(_u32_record, 4)
 
     def test_remaining_inside_a_record(self):
-        data = Writer().blob(b"\x01\x02\x03\x04\x05").u8(6).u8(7).u8(8).getvalue()
+        data = Writer().blob(Writer().u32(1).u64(2).getvalue()).u32(6).u64(7).getvalue()
         seen = []
 
         def read(r: Reader) -> int:
             seen.append(r.remaining())
-            value = r.u8()
+            value = r.u32()
             seen.append(r.remaining())
-            r.u32()
+            r.u64()
             seen.append(r.remaining())
             return value
 
         r = Reader(data)
         assert r.nested(read, 64) == 1
-        assert seen == [5, 4, 0]
-        assert r.remaining() == 3
-        assert (r.u8(), r.u8(), r.u8()) == (6, 7, 8)
+        assert seen == [12, 8, 0]
+        assert r.remaining() == 12
+        assert (r.u32(), r.u64()) == (6, 7)
         r.expect_eof()
 
     def test_records_nest_and_restore_the_outer_end(self):
-        inner = Writer().blob(Writer().u32(1).getvalue()).u8(2).getvalue()
-        data = Writer().blob(inner).u8(3).getvalue()
+        inner = Writer().blob(Writer().u32(1).getvalue()).u32(2).getvalue()
+        data = Writer().blob(inner).u32(3).getvalue()
 
         def read_outer(r: Reader) -> tuple:
-            return r.nested(_u32_record, 64), r.u8()
+            return r.nested(_u32_record, 64), r.u32()
 
         r = Reader(data)
         assert r.nested(read_outer, 64) == (1, 2)
-        assert r.u8() == 3
+        assert r.u32() == 3
         r.expect_eof()
 
 
@@ -354,9 +354,6 @@ class CopyingReader:
         out = self._data[self._pos : self._pos + n]
         self._pos += n
         return out
-
-    def u8(self) -> int:
-        return self._take(1)[0]
 
     def u32(self) -> int:
         return struct.unpack(">I", self._take(4))[0]
