@@ -15,7 +15,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey,
 
 from .hashtree import Digest, sha256
 
-__all__ = ["Ed25519Scheme", "KeyPair", "NodeId", "node_id_for_key"]
+__all__ = ["Ed25519Scheme", "KeyPair", "NodeId", "keypair_from_seed", "node_id_for_key"]
 
 # A node id is just a digest: the fingerprint of the verification key.
 NodeId = Digest
@@ -26,13 +26,6 @@ def node_id_for_key(verify_key: bytes) -> NodeId:
 
 
 class Ed25519Scheme:
-    def keypair_from_seed(self, seed: bytes) -> "KeyPair":
-        if len(seed) != 32:
-            raise ValueError("ed25519 seed must be 32 bytes")
-        private = Ed25519PrivateKey.from_private_bytes(seed)
-        public = private.public_key().public_bytes_raw()
-        return KeyPair(verify_key=public, _private=private)
-
     def verify(self, verify_key: bytes, message: bytes, signature: bytes) -> bool:
         if len(verify_key) != 32 or len(signature) != 64:
             return False
@@ -59,11 +52,12 @@ class KeyPair:
 def keypair_from_seed(seed: "bytes | str") -> KeyPair:
     """Derive a keypair from an arbitrary seed string or byte string.
 
-    Anything that is not already a 32-byte seed is hashed down to one, so
-    human-readable labels make valid deterministic seeds.
+    A 32-byte seed is the Ed25519 private key; anything else is hashed down
+    to one, so human-readable labels make valid deterministic seeds.
     """
     if isinstance(seed, str):
         seed = seed.encode("utf-8")
     if len(seed) != 32:
         seed = sha256(seed)
-    return Ed25519Scheme().keypair_from_seed(seed)
+    private = Ed25519PrivateKey.from_private_bytes(seed)
+    return KeyPair(verify_key=private.public_key().public_bytes_raw(), _private=private)

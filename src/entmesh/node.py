@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional, Sequence, TypeVar
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable, Optional, Sequence
 
 from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, leaf_hash, sha256, verify_inclusion
 from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
@@ -37,7 +36,6 @@ from .wire import (
     digests,
     encode_inclusion_proof,
     encode_receipt_path,
-    frozen_record,
     prefix,
     read_inclusion_proof,
 )
@@ -133,25 +131,12 @@ def _signed(fields: bytes, signature: bytes) -> bytes:
     return b"".join((fields, prefix(len(signature)), signature))
 
 
-def _paths_bytes(inclusion: InclusionProof, prev_digest: Digest, prev_inclusion: InclusionProof) -> bytes:
-    # A receipt's paths as a proof writes them: the submission leaf's path with
-    # its index, the prev digest, and the first leaf's path, at index 0, without it.
-    return b"".join((encode_inclusion_proof(inclusion), digest(prev_digest), encode_inclusion_proof(prev_inclusion, 0)))
-
-
-R = TypeVar("R")
-
-
-def _keep(record: R, encoding: bytes) -> R:
-    """Give ``record`` its one encoding: the bytes it was read from, the
-    writer's bytes it was signed from, or those of an issued receipt's paths.
-    A record made any other way encodes on first use; ``dataclasses.replace``
-    makes a new record, which does too.  Paths read from bytes are made by
-    ``frozen_record`` instead: a proof holds one per link and round, each
-    read and dropped within one verify.
-    """
-    object.__setattr__(record, "_encoding", encoding)
-    return record
+# A record gets its bytes when it is made, in its ``__post_init__``: those
+# passed as ``encoding`` (a reader's slice, or the bytes ``build_round``
+# signed), else its fields encoded once.  So a record its encoder refuses
+# cannot be made.  The init-only ``encoding`` is not named ``_encoding``:
+# ``dataclasses.replace`` passes each unnamed one on, and would hand a
+# record's old bytes to its new fields.
 
 
 @dataclass(frozen=True)
@@ -168,10 +153,12 @@ class Commitment:
     root: Digest
     leaf_count: int
     signature: bytes
+    encoding: InitVar[Optional[bytes]] = None
 
-    @cached_property
-    def _encoding(self) -> bytes:
-        return _signed(_COMMITMENT_FIELDS.pack(self.node_id, self.round, self.root, self.leaf_count), self.signature)
+    def __post_init__(self, encoding: Optional[bytes]) -> None:
+        if encoding is None:
+            encoding = _signed(_COMMITMENT_FIELDS.pack(self.node_id, self.round, self.root, self.leaf_count), self.signature)
+        object.__setattr__(self, "_encoding", encoding)
 
     def message(self) -> bytes:
         return self._encoding[: _COMMITMENT_FIELDS.size]
@@ -189,8 +176,8 @@ class Commitment:
     def read(r: Reader) -> "Commitment":
         start = r.tell()
         node_id, round_no, root, leaf_count, n = _COMMITMENT_HEAD.read(r)
-        c = Commitment(node_id, round_no, root, leaf_count, r._take(bounded(n, MAX_SIGNATURE)))
-        return _keep(c, r.since(start))
+        signature = r._take(bounded(n, MAX_SIGNATURE))
+        return Commitment(node_id, round_no, root, leaf_count, signature, encoding=r.since(start))
 
     @staticmethod
     def from_bytes(data: bytes) -> "Commitment":
@@ -211,9 +198,9 @@ class Submission:
     holder_root: Digest
     signature: bytes
 
-    @cached_property
-    def _encoding(self) -> bytes:
-        return _signed(_SUBMISSION_FIELDS.pack(self.holder_id, self.holder_round, self.holder_root), self.signature)
+    def __post_init__(self) -> None:
+        fields = _SUBMISSION_FIELDS.pack(self.holder_id, self.holder_round, self.holder_root)
+        object.__setattr__(self, "_encoding", _signed(fields, self.signature))
 
     def message(self) -> bytes:
         return self._encoding[: _SUBMISSION_FIELDS.size]
@@ -226,11 +213,9 @@ class Submission:
 
 
 def submission_of(c: Commitment, signature: bytes) -> Submission:
-    """The Submission of ``c``'s node, round and root under ``signature``, its bytes
-    kept: as its holder signs it, or as a verifier rebuilds it from a holder chain entry."""
-    sub = Submission(c.node_id, c.round, c.root, signature)
-    fields = _SUBMISSION_FIELDS.pack(c.node_id, c.round, c.root)
-    return _keep(sub, _signed(fields, signature))
+    """The Submission of ``c``'s node, round and root under ``signature``: as its
+    holder signs it, or as a verifier rebuilds it from a holder chain entry."""
+    return Submission(c.node_id, c.round, c.root, signature)
 
 
 @dataclass(frozen=True)
@@ -241,18 +226,22 @@ class ReceiptPaths:
     submission once per round, and the issuer commitment not at all: the
     verifier holds a trusted copy.
 
-    Its encoding is the form a proof writes (``_paths_bytes``), kept from
-    issue.  A receipt writes its paths in another form, with the issuer
-    tree's size and each step's side (``receipt_paths``).
+    Its encoding is the form a proof writes: the submission leaf's path
+    with its index, the prev digest, and the first leaf's path, at index 0,
+    without it.  A receipt writes its paths in another form, with the
+    issuer tree's size and each step's side (``receipt_paths``).
     """
 
     inclusion: InclusionProof
     prev_digest: Digest
     prev_inclusion: InclusionProof
+    encoding: InitVar[Optional[bytes]] = None
 
-    @cached_property
-    def _encoding(self) -> bytes:
-        return _paths_bytes(self.inclusion, self.prev_digest, self.prev_inclusion)
+    def __post_init__(self, encoding: Optional[bytes]) -> None:
+        if encoding is None:
+            inclusion, prev = encode_inclusion_proof(self.inclusion), digest(self.prev_digest)
+            encoding = b"".join((inclusion, prev, encode_inclusion_proof(self.prev_inclusion, 0)))
+        object.__setattr__(self, "_encoding", encoding)
 
     def to_bytes(self) -> bytes:
         return self._encoding
@@ -261,9 +250,7 @@ class ReceiptPaths:
     def read(r: Reader) -> "ReceiptPaths":
         start = r.tell()
         inclusion, prev_digest, prev_inclusion = read_inclusion_proof(r), r.digest(), read_inclusion_proof(r, 0)
-        return frozen_record(
-            ReceiptPaths, inclusion=inclusion, prev_digest=prev_digest, prev_inclusion=prev_inclusion, _encoding=r.since(start)
-        )
+        return ReceiptPaths(inclusion, prev_digest, prev_inclusion, encoding=r.since(start))
 
 
 def receipt_paths(paths: ReceiptPaths, leaf_count: int) -> bytes:
@@ -288,8 +275,8 @@ class Receipt:
     as evidence leaves in the holder's tree two rounds after the submitted
     root's round.  Its bytes are its Submission's and issuer commitment's
     kept bytes and its paths as a receipt writes them, joined when asked
-    for.  It keeps that last part, written at issue or on first use; its
-    paths keep the form a proof writes of them.
+    for.  It keeps that last part, written when it is made; its paths keep
+    the form a proof writes of them.
     """
 
     submission: Submission
@@ -316,9 +303,8 @@ class Receipt:
     def issuer_round(self) -> int:
         return self.issuer_commitment.round
 
-    @cached_property
-    def _paths_encoding(self) -> bytes:
-        return receipt_paths(self.paths, self.issuer_commitment.leaf_count)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_paths_encoding", receipt_paths(self.paths, self.issuer_commitment.leaf_count))
 
     def to_bytes(self) -> bytes:
         c = self.issuer_commitment._encoding
@@ -449,8 +435,7 @@ def build_round(state: RoundState, keypair: KeyPair) -> tuple[MerkleTree, Commit
     tree = MerkleTree(round_leaves(state))
     signed = _COMMITMENT_FIELDS.pack(state.node_id, state.round, tree.root, tree.size)
     signature = keypair.sign(signed)
-    commitment = Commitment(state.node_id, state.round, tree.root, tree.size, signature)
-    return tree, _keep(commitment, _signed(signed, signature))
+    return tree, Commitment(state.node_id, state.round, tree.root, tree.size, signature, encoding=_signed(signed, signature))
 
 
 class KeyDirectory:
@@ -548,11 +533,13 @@ class ChainEntry:
     commitment: Commitment
     prev_digest: Digest
     first_leaf_proof: InclusionProof
+    encoding: InitVar[Optional[bytes]] = None
 
-    @cached_property
-    def _encoding(self) -> bytes:
-        c, prev = self.commitment._encoding, digest(self.prev_digest)
-        return b"".join((prefix(len(c)), c, prev, encode_inclusion_proof(self.first_leaf_proof, 0)))
+    def __post_init__(self, encoding: Optional[bytes]) -> None:
+        if encoding is None:
+            c, prev = self.commitment._encoding, digest(self.prev_digest)
+            encoding = b"".join((prefix(len(c)), c, prev, encode_inclusion_proof(self.first_leaf_proof, 0)))
+        object.__setattr__(self, "_encoding", encoding)
 
     def to_bytes(self) -> bytes:
         return self._encoding
@@ -560,12 +547,8 @@ class ChainEntry:
     @staticmethod
     def read(r: Reader) -> "ChainEntry":
         start = r.tell()
-        entry = ChainEntry(
-            commitment=r.nested(Commitment.read, MAX_COMMITMENT),
-            prev_digest=r.digest(),
-            first_leaf_proof=read_inclusion_proof(r, 0),
-        )
-        return _keep(entry, r.since(start))
+        commitment, prev_digest = r.nested(Commitment.read, MAX_COMMITMENT), r.digest()
+        return ChainEntry(commitment, prev_digest, read_inclusion_proof(r, 0), encoding=r.since(start))
 
 
 def chain_entry_for(record: "NodeRecord") -> ChainEntry:
@@ -760,13 +743,8 @@ class Node:
         if entangled.holder_root != sub.holder_root:
             raise NotEntangledError("entangled root differs from the submission")
         entry = chain_entry_for(record)  # its first-leaf proof is shared by the round's receipts
-        fields = (record.tree.prove_inclusion(index), entry.prev_digest, entry.first_leaf_proof)
-        receipt = Receipt(entangled, entry.commitment, _keep(ReceiptPaths(*fields), _paths_bytes(*fields)))
-        # The receipt's paths in its own form, written now as the issuer sends it.  Set
-        # as ``_keep`` sets an encoding, not through the cached property, which would
-        # give every retained receipt an attribute dict of its own.
-        object.__setattr__(receipt, "_paths_encoding", receipt_paths(receipt.paths, entry.commitment.leaf_count))
-        return receipt
+        paths = ReceiptPaths(record.tree.prove_inclusion(index), entry.prev_digest, entry.first_leaf_proof)
+        return Receipt(entangled, entry.commitment, paths)
 
     def verify_receipt(self, receipt: Receipt, directory: KeyDirectory) -> Verdict:
         """Holder-side check of a fresh receipt, including issuer continuity."""

@@ -32,7 +32,6 @@ __all__ = [
     "digests",
     "encode_inclusion_proof",
     "encode_receipt_path",
-    "frozen_record",
     "prefix",
     "read_inclusion_proof",
 ]
@@ -225,19 +224,6 @@ class Reader:
     def expect_eof(self) -> None:
         if self._pos != self._end:
             raise WireError(f"{self.remaining()} trailing bytes")
-
-
-def frozen_record(cls: type[T], **fields) -> T:
-    """A frozen dataclass record whose instance dict is ``fields``.  The
-    frozen ``__init__`` would set each field with its own
-    ``object.__setattr__`` and check nothing more, so ``cls`` must have no
-    ``__post_init__``.  ``fields`` names every field, and may add the
-    record's kept ``_encoding``.  Its fields are slower to read than those
-    ``__init__`` sets, which suits the many small records a proof decodes
-    for one verify (receipt paths), not records kept longer."""
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
 
 
 def decode(data: bytes, read: Callable[[Reader], T]) -> T:

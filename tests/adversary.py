@@ -1,15 +1,34 @@
 """Builders for inputs no honest node makes, shared by the test modules.
 
-Signed trees a real key signs but no honest build makes, forged signatures
-and chain entries, proofs with one part swapped, and the every-entry
-reference rule for holder chains.  pytest does not collect this file: its
-name has no ``test_`` prefix.
+Signed trees a real key signs but no honest build makes, records held in
+memory with bytes their encoder refuses to write, forged signatures and
+chain entries, proofs with one part swapped or composed field by field,
+and the every-entry reference rule for holder chains.  pytest does not
+collect this file: its name has no ``test_`` prefix.
 """
 
 import dataclasses
 
-from entmesh.hashtree import MerkleTree
-from entmesh.node import LEAF_PREV, Commitment, Verdict, verify_chain_entries
+from entmesh.entangle import EVIDENCE_LAG, ChainProof, HubProof, WindowRound, build_link_proof
+from entmesh.hashtree import MerkleTree, sha256
+from entmesh.node import (
+    FIXED_LEAVES,
+    LEAF_PAYLOAD,
+    LEAF_PREV,
+    MANIFEST_LEAF_INDEX,
+    ChainEntry,
+    Commitment,
+    Receipt,
+    ReceiptPaths,
+    Verdict,
+    chain_entry_for,
+    commitment_digest,
+    receipt_key,
+    round_leaves,
+    verify_chain_entries,
+)
+
+DECOY = sha256(b"decoy")
 
 
 def signed_tree(node, round_no, leaves):
@@ -21,6 +40,19 @@ def signed_tree(node, round_no, leaves):
 
 def prev_leaf(digest):
     return bytes([LEAF_PREV]) + digest
+
+
+def decoy_prev_tree(node, round_no, real, last):
+    """``node``'s signed tree at ``round_no`` whose leaves are a prev-commitment
+    leaf of ``real``, a second one of ``DECOY`` and ``last``."""
+    return signed_tree(node, round_no, [prev_leaf(real), prev_leaf(DECOY), last])
+
+
+def held_in_memory(record, **changes):
+    """``record`` with ``changes``, made with ``record``'s bytes passed in: a
+    record its encoder refuses, as a peer may hold one in memory.  Its kept
+    bytes are stale, so only checks that read its fields see the changes."""
+    return dataclasses.replace(record, encoding=record.to_bytes(), **changes)
 
 
 def flip(signature):
@@ -71,3 +103,71 @@ def every_entry_rule(entries, directory):
         if not directory.verify_commitment(entry.commitment):
             return Verdict.failed("BadSignature", f"round {entry.commitment.round}")
     return verdict
+
+
+def chain_of_links(sim, links):
+    """A chain proof whose hops are the link proofs of ``links``, each a
+    (holder, issuer, window) of labels in ``sim``, however they join."""
+    ids = {label: node.node_id for label, node in sim.nodes.items()}
+    records, receipts = sim.records_by_id(), sim.receipts_by_id()
+    return ChainProof(
+        hops=tuple(build_link_proof(records[ids[h]], ids[i], window, receipts[ids[h]]) for h, i, window in links)
+    )
+
+
+def compose_in_manifest_order(node, manifest):
+    """Make ``node`` list its issuers in ``manifest`` order, canonical or not,
+    and retain each round's receipts in that order."""
+    node.manifest = manifest
+    compose = node.compose_state
+
+    def compose_in_manifest_order(*args):
+        state = compose(*args)
+        by_key = {receipt_key(rc): rc for rc in state.evidence}
+        held = sorted({r for _, r in by_key})
+        return dataclasses.replace(state, evidence=tuple(by_key[i, r] for r in held for i in manifest))
+
+    node.compose_state = compose_in_manifest_order
+
+
+def hub_proof_in_manifest_order(node, manifest, window):
+    """``node``'s hub proof over ``window``, built field by field with the
+    receipts of each round taken in ``manifest`` order, as
+    ``compose_in_manifest_order`` retained them."""
+    start, end = window
+    rounds = []
+    for r in range(start, end + 1):
+        receipts = [node.receipt_log[i, r] for i in manifest]
+        retaining = node.records[r + EVIDENCE_LAG]
+        keys = [receipt_key(rc) for rc in retaining.state.evidence]
+        first = FIXED_LEAVES + len(retaining.state.entangled) + keys.index((manifest[0], r))
+        evidence = retaining.tree.prove_range(first, first + len(manifest))
+        rounds.append(WindowRound(receipts[0].submission.signature, tuple(rc.paths for rc in receipts), evidence))
+    proofs = tuple(node.records[r].tree.prove_inclusion(MANIFEST_LEAF_INDEX) for r in range(start, end + 1))
+    chain_entries = tuple(chain_entry_for(node.records[r]) for r in range(start, end + EVIDENCE_LAG + 1))
+    return HubProof(node.node_id, start, end, manifest, proofs, chain_entries, tuple(rounds))
+
+
+def link_over_an_issuer_fork(net, holder_label, issuer_label):
+    """The holder's link proof over [1, 2] and a trust log for the issuer,
+    with round 2's receipt from a fork.  The issuer signs a second round-2
+    commitment and a round-3 tree on top of it that entangles the holder's
+    round-2 submission; the trust log holds that forked round 3 beside the
+    real round 2.  The holder signs a round-4 tree retaining the forked
+    receipt."""
+    holder, issuer = net.nodes[holder_label], net.nodes[issuer_label]
+    proof = build_link_proof(holder.records, issuer.node_id, (1, 2), holder.receipt_log)
+    decoy = bytes([LEAF_PAYLOAD]) + sha256(b"fork")
+    _, fork_2 = signed_tree(issuer, 2, [prev_leaf(commitment_digest(issuer.records[1].commitment)), decoy])
+    honest = holder.receipt_log[issuer.node_id, 2]
+    tree_3, fork_3 = signed_tree(issuer, 3, [prev_leaf(commitment_digest(fork_2)), decoy, honest.submission.leaf_bytes()])
+    paths = ReceiptPaths(tree_3.prove_inclusion(2), commitment_digest(fork_2), tree_3.prove_inclusion(0))
+    forked = Receipt(honest.submission, fork_3, paths)
+    retaining = holder.records[4]
+    leaves = [forked.leaf_bytes() if leaf == honest.leaf_bytes() else leaf for leaf in round_leaves(retaining.state)]
+    tree_4, c_4 = signed_tree(holder, 4, leaves)
+    entry = ChainEntry(c_4, retaining.state.prev_commitment_digest, tree_4.prove_inclusion(0))
+    at = leaves.index(forked.leaf_bytes())
+    last = proof.rounds[1]._replace(receipts=(paths,), evidence_proof=tree_4.prove_range(at, at + 1))
+    bad = dataclasses.replace(proof, holder_chain=proof.holder_chain[:3] + (entry,), rounds=(proof.rounds[0], last))
+    return bad, {**net.commitments_of(issuer_label), 3: fork_3}

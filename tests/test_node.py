@@ -41,7 +41,7 @@ from entmesh.node import (
 )
 from entmesh.sexpr import encode_tree
 from entmesh.wire import Reader, WireError, decode
-from adversary import prev_leaf, signed_tree
+from adversary import DECOY, decoy_prev_tree, held_in_memory, prev_leaf, signed_tree
 from test_round_trip import ref_receipt, ref_receipt_paths, ref_submission
 
 
@@ -414,19 +414,21 @@ class TestCommitmentChains:
 class TestSignedTreesNoBuilderMakes:
     """A real key can sign a tree that no honest build makes: here, one whose
     second leaf is a second prev-commitment leaf.  Every hash and signature
-    then checks out, and only the leaf's position is refused."""
-
-    DECOY = sha256(b"decoy")
+    then checks out, and only the leaf's position is refused.  A path off
+    the index the format fixes cannot be written, so no record of one can be
+    made from its fields: a peer holds it in memory with bytes passed in."""
 
     def test_receipt_whose_prev_leaf_proof_is_not_at_index_0(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
         holder, issuer = net.nodes["a"], net.nodes["b"]
         sub = holder.make_submission()
         real = commitment_digest(issuer.record_at(2).commitment)
-        tree, c = signed_tree(issuer, 3, [prev_leaf(real), prev_leaf(self.DECOY), sub.leaf_bytes()])
+        tree, c = decoy_prev_tree(issuer, 3, real, sub.leaf_bytes())
         honest = ReceiptPaths(tree.prove_inclusion(2), real, tree.prove_inclusion(0))
         assert check_receipt(Receipt(sub, c, honest), net.directory)
-        off_index = ReceiptPaths(tree.prove_inclusion(2), self.DECOY, tree.prove_inclusion(1))
+        with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
+            ReceiptPaths(tree.prove_inclusion(2), DECOY, tree.prove_inclusion(1))
+        off_index = held_in_memory(honest, prev_digest=DECOY, prev_inclusion=tree.prove_inclusion(1))
         verdict = check_receipt(Receipt(sub, c, off_index), net.directory)
         assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "prev-commitment leaf unproven")
 
@@ -434,19 +436,23 @@ class TestSignedTreesNoBuilderMakes:
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
         node = net.nodes["a"]
         real = commitment_digest(node.record_at(1).commitment)
-        tree, c = signed_tree(node, 2, [prev_leaf(real), prev_leaf(self.DECOY), bytes([LEAF_PAYLOAD]) + self.DECOY])
-        assert verify_chain_entries([ChainEntry(c, real, tree.prove_inclusion(0))], net.directory)
-        verdict = verify_chain_entries([ChainEntry(c, self.DECOY, tree.prove_inclusion(1))], net.directory)
+        tree, c = decoy_prev_tree(node, 2, real, bytes([LEAF_PAYLOAD]) + DECOY)
+        honest = ChainEntry(c, real, tree.prove_inclusion(0))
+        assert verify_chain_entries([honest], net.directory)
+        with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
+            ChainEntry(c, DECOY, tree.prove_inclusion(1))
+        off_index = held_in_memory(honest, prev_digest=DECOY, first_leaf_proof=tree.prove_inclusion(1))
+        verdict = verify_chain_entries([off_index], net.directory)
         assert (verdict.reason, verdict.detail) == ("ChainBreak", "first-leaf proof at wrong position, round 2")
 
     def test_round_0_entry_with_a_non_zero_prev_digest(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(1)
         node = net.nodes["a"]
-        payload = bytes([LEAF_PAYLOAD]) + self.DECOY
+        payload = bytes([LEAF_PAYLOAD]) + DECOY
         tree, c = signed_tree(node, 0, [prev_leaf(ZERO_DIGEST), payload])
         assert verify_chain_entries([ChainEntry(c, ZERO_DIGEST, tree.prove_inclusion(0))], net.directory)
-        tree, c = signed_tree(node, 0, [prev_leaf(self.DECOY), payload])
-        verdict = verify_chain_entries([ChainEntry(c, self.DECOY, tree.prove_inclusion(0))], net.directory)
+        tree, c = signed_tree(node, 0, [prev_leaf(DECOY), payload])
+        verdict = verify_chain_entries([ChainEntry(c, DECOY, tree.prove_inclusion(0))], net.directory)
         assert (verdict.reason, verdict.detail) == ("ChainBreak", "round 0 must chain from the zero digest")
 
 

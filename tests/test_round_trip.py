@@ -1,8 +1,8 @@
 """Decoding is the inverse of encoding, and a record's bytes are its fields'.
 
-Records keep one encoding: a decoded one the bytes it was read from, one
-the simulator signs the bytes it signed, any other record the bytes its
-fields encode to on first use; a receipt joins its parts' bytes, with its
+Records keep one encoding, set when they are made: a decoded one the bytes
+it was read from, one the simulator signs the bytes it signed, any other
+record the bytes its fields encode to; a receipt joins its parts' bytes, with its
 paths in the receipt's own form.  These tests hold every such encoding to
 a field-by-field reference writer, written from docs/FORMATS.md, on the
 three proofs the CI job builds and on mutations of them, and check that
@@ -343,7 +343,7 @@ def test_issued_receipts_hold_their_bytes(monkeypatch):
     """An issued receipt's parts hold their bytes before its first
     ``to_bytes()``, the reference writer's: its paths those a proof writes.
     The receipt keeps no second copy of them, only its paths in the
-    receipt's form, built on first use.  Its bytes are these, joined."""
+    receipt's form, built when it is made.  Its bytes are these, joined."""
     issued = []
     issue = Node.issue_receipt
 

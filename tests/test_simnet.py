@@ -28,8 +28,9 @@ from entmesh.simnet import (
     validate_topology,
 )
 from entmesh.simnet.topology import Topology
+from entmesh.wire import WireError
 
-from adversary import every_entry_rule, forged_commitment
+from adversary import every_entry_rule, forged_commitment, held_in_memory
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -454,12 +455,19 @@ def _with_paths(rc, **changes):
     return dataclasses.replace(rc, paths=dataclasses.replace(rc.paths, **changes))
 
 
+def _prev_path_at_leaf_1(rc):
+    return rc.paths.prev_inclusion._replace(leaf_index=1)
+
+
+# A prev-leaf path off leaf 0 cannot be written, so its paths are made with
+# their old bytes passed in.  Every other tamper re-encodes: stale bytes
+# could hide it from a check that reads the kept bytes.
 RECEIPT_TAMPERS = {
     "submission-sibling": lambda rc: _with_paths(rc, inclusion=_flip_first_sibling(rc.paths.inclusion)),
     "submission-extra-sibling": lambda rc: _with_paths(
         rc, inclusion=rc.paths.inclusion._replace(siblings=rc.paths.inclusion.siblings + (ZERO_DIGEST,))
     ),
-    "prev-leaf-index": lambda rc: _with_paths(rc, prev_inclusion=rc.paths.prev_inclusion._replace(leaf_index=1)),
+    "prev-leaf-index": lambda rc: dataclasses.replace(rc, paths=held_in_memory(rc.paths, prev_inclusion=_prev_path_at_leaf_1(rc))),
     "prev-digest": lambda rc: _with_paths(rc, prev_digest=Digest(sha256(b"another prev"))),
     "unsigned-round": lambda rc: dataclasses.replace(
         rc, issuer_commitment=dataclasses.replace(rc.issuer_commitment, round=rc.issuer_commitment.round + 7)
@@ -507,6 +515,9 @@ class TestReceiptPathsAgree:
     @pytest.mark.parametrize("tamper", sorted(RECEIPT_TAMPERS))
     def test_tampered_receipt(self, run, tamper):
         sim, holder, receipt = run
+        if tamper == "prev-leaf-index":
+            with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
+                _with_paths(receipt, prev_inclusion=_prev_path_at_leaf_1(receipt))
         bad = RECEIPT_TAMPERS[tamper](receipt)
         if tamper == "submission-extra-sibling":
             leaf = leaf_hash(bad.submission.leaf_bytes())

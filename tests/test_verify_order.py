@@ -27,7 +27,6 @@ from entmesh.config import load_config, make_simulation
 from entmesh.entangle import (
     ChainProof,
     HubProof,
-    WindowRound,
     build_chain_proof,
     build_hub_proof,
     build_link_proof,
@@ -38,31 +37,20 @@ from entmesh.entangle import (
     verify_link,
 )
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import (
-    FIXED_LEAVES,
-    LEAF_PAYLOAD,
-    MANIFEST_LEAF_INDEX,
-    ChainEntry,
-    KeyDirectory,
-    Receipt,
-    ReceiptPaths,
-    Verdict,
-    chain_entry_for,
-    commitment_digest,
-    evidence_leaf_index,
-    receipt_key,
-    round_leaves,
-)
+from entmesh.node import ChainEntry, KeyDirectory, Verdict, commitment_digest, evidence_leaf_index, round_leaves
 from entmesh.simnet import Simulation, chain, fan, federated
-from entmesh.hashtree import sha256
 from entmesh.wire import WireError
 
 from adversary import (
+    chain_of_links,
+    compose_in_manifest_order,
     every_entry_rule,
     forged_commitment,
     forge_at,
     forged_entry,
     forged_round_submission,
+    hub_proof_in_manifest_order,
+    link_over_an_issuer_fork,
     prev_leaf,
     signed_tree,
     swap,
@@ -402,21 +390,17 @@ class TestProofsNoBuilderMakes:
         # Every hop over window [1, 2]: without the shift check the chain
         # verifies against the anchor at round 3, where the honest one needs round 6.
         sim = Simulation(chain(4), rounds=10, seed=0).run()
-        path = [sim.nodes[label].node_id for label in sim.path_to_anchor("h0")]
-        records, receipts = sim.records_by_id(), sim.receipts_by_id()
-        hops = tuple(build_link_proof(records[h], i, (1, 2), receipts[h]) for h, i in zip(path, path[1:]))
-        trust = {r: c for r, c in _logs(sim)[path[-1]].items() if r <= 3}
-        verdict = verify_chain(ChainProof(hops=hops), trust, sim.directory)
+        path = sim.path_to_anchor("h0")
+        unshifted = chain_of_links(sim, [(h, i, (1, 2)) for h, i in zip(path, path[1:])])
+        trust = {r: c for r, c in _logs(sim)[sim.nodes[path[-1]].node_id].items() if r <= 3}
+        verdict = verify_chain(unshifted, trust, sim.directory)
         assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 1 window does not shift by one round per hop")
 
     def test_hops_from_two_branches_are_a_broken_hop(self):
         # h0 -> m1-0 then m1-1 -> root, windows shifted as a chain's are.
         sim = Simulation(federated(2, 2, 2), rounds=8, seed=0).run()
-        ids = {label: node.node_id for label, node in sim.nodes.items()}
-        records, receipts = sim.records_by_id(), sim.receipts_by_id()
-        first = build_link_proof(records[ids["h0"]], ids["m1-0"], (1, 1), receipts[ids["h0"]])
-        second = build_link_proof(records[ids["m1-1"]], ids["root"], (2, 2), receipts[ids["m1-1"]])
-        verdict = verify_chain(ChainProof(hops=(first, second)), _logs(sim)[ids["root"]], sim.directory)
+        proof = chain_of_links(sim, [("h0", "m1-0", (1, 1)), ("m1-1", "root", (2, 2))])
+        verdict = verify_chain(proof, _logs(sim)[sim.nodes["root"].node_id], sim.directory)
         assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0 issuer is not hop 1 holder")
 
     def test_holder_chain_one_round_off_its_window_is_a_round_gap(self):
@@ -452,29 +436,10 @@ class TestProofsNoBuilderMakes:
         center = net.nodes["c"]
         low, high = sorted((net.id_of("p"), net.id_of("q")))
         manifest = (high, low) if fault == "unsorted" else (low, low, high)
-        center.manifest = manifest
         monkeypatch.setattr(node_module, "validate_state", lambda state: None)
-        compose = center.compose_state
-
-        def compose_in_manifest_order(*args):
-            state = compose(*args)
-            by_key = {receipt_key(rc): rc for rc in state.evidence}
-            held = sorted({r for _, r in by_key})
-            return dataclasses.replace(state, evidence=tuple(by_key[i, r] for r in held for i in manifest))
-
-        center.compose_state = compose_in_manifest_order
+        compose_in_manifest_order(center, manifest)
         net.run(6)
-        rounds = []
-        for r in (1, 2):
-            receipts = [center.receipt_log[i, r] for i in manifest]
-            retaining = center.records[r + 2]
-            keys = [receipt_key(rc) for rc in retaining.state.evidence]
-            first = FIXED_LEAVES + len(retaining.state.entangled) + keys.index((manifest[0], r))
-            evidence = retaining.tree.prove_range(first, first + len(manifest))
-            rounds.append(WindowRound(receipts[0].submission.signature, tuple(rc.paths for rc in receipts), evidence))
-        proofs = tuple(center.records[r].tree.prove_inclusion(MANIFEST_LEAF_INDEX) for r in (1, 2))
-        chain_entries = tuple(chain_entry_for(center.records[r]) for r in range(1, 5))
-        proof = HubProof(center.node_id, 1, 2, manifest, proofs, chain_entries, tuple(rounds))
+        proof = hub_proof_in_manifest_order(center, manifest, (1, 2))
         trust = {net.id_of(label): net.commitments_of(label) for label in ("p", "q")}
         verdict = verify_hub(decode_proof(encode_proof(proof)), trust, net.directory)
         assert (verdict.reason, verdict.detail) == ("ManifestMismatch", "manifest not in canonical order")
@@ -487,22 +452,7 @@ class TestProofsNoBuilderMakes:
         # then proves against its trusted commitment and the evidence folds:
         # without the continuity check the link verifies.
         net = manual_net(["h", "i"], [("h", "i")]).run(6)
-        holder, issuer = net.nodes["h"], net.nodes["i"]
-        proof = build_link_proof(holder.records, issuer.node_id, (1, 2), holder.receipt_log)
-        decoy = bytes([LEAF_PAYLOAD]) + sha256(b"fork")
-        _, fork_2 = signed_tree(issuer, 2, [prev_leaf(commitment_digest(issuer.records[1].commitment)), decoy])
-        honest = holder.receipt_log[issuer.node_id, 2]
-        tree_3, fork_3 = signed_tree(issuer, 3, [prev_leaf(commitment_digest(fork_2)), decoy, honest.submission.leaf_bytes()])
-        paths = ReceiptPaths(tree_3.prove_inclusion(2), commitment_digest(fork_2), tree_3.prove_inclusion(0))
-        forked = Receipt(honest.submission, fork_3, paths)
-        retaining = holder.records[4]
-        leaves = [forked.leaf_bytes() if leaf == honest.leaf_bytes() else leaf for leaf in round_leaves(retaining.state)]
-        tree_4, c_4 = signed_tree(holder, 4, leaves)
-        entry = ChainEntry(c_4, retaining.state.prev_commitment_digest, tree_4.prove_inclusion(0))
-        at = leaves.index(forked.leaf_bytes())
-        last = proof.rounds[1]._replace(receipts=(paths,), evidence_proof=tree_4.prove_range(at, at + 1))
-        bad = dataclasses.replace(proof, holder_chain=proof.holder_chain[:3] + (entry,), rounds=(proof.rounds[0], last))
-        trust = {**net.commitments_of("i"), 3: fork_3}
+        bad, trust = link_over_an_issuer_fork(net, "h", "i")
         verdict = verify_link(decode_proof(encode_proof(bad)), trust, net.directory)
         assert (verdict.reason, verdict.detail) == ("ChainBreak", "issuer chain breaks before round 3")
 
