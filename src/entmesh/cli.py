@@ -158,7 +158,6 @@ def _verdict_exit(fmt: str, kind: str, verdict: Verdict) -> int:
         "reason": verdict.reason,
         "detail": verdict.detail,
         "signatures_checked": verdict.signatures_checked,
-        "signatures_repeated": verdict.signatures_repeated,
         "inclusion_proofs_checked": verdict.inclusion_proofs_checked,
     }
     if verdict:

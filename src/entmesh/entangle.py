@@ -29,7 +29,6 @@ and joins the three into the receipt's evidence leaf.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -264,24 +263,19 @@ class _Deferred(KeyDirectory):
     signature check is recorded, in the order the verifier meets it, and
     answered True unless it is the one obligation ``bad`` names or no key is
     bound to its node at its round, so a first pass runs every hash, trust
-    and inclusion check before any Ed25519 check.  ``mark`` notes where the
-    record being checked begins, and ``folds`` counts the inclusion proofs
-    checked.  The view lives for one call: it is not a cache.
+    and inclusion check before any Ed25519 check.  ``folds`` counts the
+    inclusion proofs checked.  The view lives for one call: it is not a cache.
     """
 
     def __init__(self, directory: KeyDirectory):
         self._bindings = directory._bindings
         self.recorded: list[_Obligation] = []
-        self.record_start = 0
         self.bad: Optional[_Obligation] = None
         self.folds = 0
 
     def proves(self, c: Commitment, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
         self.folds += 1
         return c.proves(leaf_hashes, proof)
-
-    def mark(self) -> None:
-        self.record_start = len(self.recorded)
 
     def verify_signature(self, node_id: NodeId, round_no: int, message: bytes, signature: bytes) -> bool:
         obligation = (node_id, round_no, message, signature)
@@ -291,35 +285,26 @@ class _Deferred(KeyDirectory):
 
 
 def _verified(check: Callable[[_Deferred], Verdict], directory: KeyDirectory) -> Verdict:
-    """Run ``check`` with its signatures deferred, then check them once each.
+    """Run ``check`` with its signatures deferred, then check them.
 
-    If every other check passed, each distinct signature is checked under
-    ``directory`` in the order ``check`` first met it.  If one failed, only
-    the signatures the failing record met before it failed are: a holder
-    chain meets its head only once its links hold, and a window round its
-    submission before its receipts.  The first bad signature
+    The only signatures ``check`` meets are its holder chains' heads, each
+    once, as the last check of ``verify_chain_entries``.  If every other
+    check passed, they are checked under ``directory`` in the order
+    ``check`` met them; if one failed, none is.  The first bad signature
     makes ``check`` run once more, answering False for it alone, so the
     verdict is the one the checks give in their own order: the same reason,
     wrapper and detail.
-
-    The verdict counts the signatures checked and, as repeats, the times
-    ``check`` met one of those again: checks skipped because an identical
-    one was made.  A verdict that checked none repeated none.
     """
     view = _Deferred(directory)
     verdict = check(view)
-    recorded = view.recorded
-    met = Counter(recorded)  # distinct obligations, in the order first met
-    due = met if verdict else dict.fromkeys(recorded[view.record_start :])
-    checked = repeated = 0
-    for obligation in due:
+    checked = 0
+    for obligation in view.recorded if verdict else ():
         checked += 1
-        repeated += met[obligation] - 1
         if not directory.verify_signature(*obligation):
             view.bad, view.folds = obligation, 0
             verdict = check(view)
             break
-    return replace(verdict, signatures_checked=checked, signatures_repeated=repeated, inclusion_proofs_checked=view.folds)
+    return replace(verdict, signatures_checked=checked, inclusion_proofs_checked=view.folds)
 
 
 def _wrapped(reason: str, where: str, inner: Verdict) -> Verdict:
@@ -353,7 +338,6 @@ def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verd
     """The holder's chain covers its window plus EVIDENCE_LAG rounds, the
     proof holds one round per window round, and ``verify_chain_entries``
     passes the chain: it links up to a head the holder signed."""
-    view.mark()
     s, e = holder.window_start, holder.window_end
     if s > e:
         return Verdict.failed("WindowInvalid", f"window [{s}, {e}]")
@@ -380,15 +364,15 @@ def _check_rounds(
 ) -> Verdict:
     """Each window round in turn, against ``holder``'s checked chain by round in
     ``commitments``: the holder's submission once, rebuilt from chain entry r
-    and the round's signature, then each receipt's paths against its (issuer
-    id, trusted issuer commitments) pair in ``issuers``, then the round's
-    evidence proof over the leaves those receipts join, in that order."""
+    and the round's signature and hashed, then each receipt's paths against
+    its (issuer id, trusted issuer commitments) pair in ``issuers``, then the
+    round's evidence proof over the leaves those receipts join, in that
+    order.  The signature is hashed, not checked: the trusted issuer
+    commitment covers the entangled leaf, and the chain's head the evidence
+    leaf, that hold it."""
     s = holder.window_start
     for r, (signature, receipts, evidence) in zip(range(s, holder.window_end + 1), holder.rounds):
-        view.mark()  # a failed receipt check pays for no earlier round's signature
         sub = submission_of(commitments[r], signature)
-        if not view.verify_submission(sub):
-            return _part_failed(holder, "holder chain", "BadSignature", f"holder signature for round {r}")
         sub_hash, leaf_hashes = leaf_hash(sub.leaf_bytes()), []
         for (issuer_id, trusted), paths in zip(issuers, receipts):
             issuer_c = trusted.get(r + 1)
@@ -405,7 +389,6 @@ def _check_rounds(
                 return _part_failed(holder, issuer_id.hex(), "ChainBreak", detail)
             # The receipt's bytes, as its holder retained them, hold its paths in the receipt's form.
             leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, receipt_paths(paths, issuer_c.leaf_count))))
-        view.mark()  # no signature fault reaches the evidence fold: a failed one pays for none
         if not view.proves(commitments[r + EVIDENCE_LAG], leaf_hashes, evidence):
             what = "receipts" if isinstance(holder, HubProof) else "receipt"
             return Verdict.failed("EvidenceInvalid", f"{what} for round {r} not retained in round {r + EVIDENCE_LAG}")
@@ -495,7 +478,6 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
     verdict = _check_holder_chain(proof, view)
     if not verdict:
         return _wrapped("LinkFailed", "holder chain", verdict)
-    view.mark()  # a failed manifest proof or trust lookup pays for no head signature
     commitments = _by_round(proof.holder_chain)
     manifest_hash = (leaf_hash(_manifest_leaf(proof.manifest)),)
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):

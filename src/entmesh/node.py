@@ -93,17 +93,15 @@ class NotEntangledError(ValueError):
 class Verdict:
     """Boolean verification outcome plus a machine-readable reason.
 
-    The proof verifiers also count the signatures they checked, the checks
-    they skipped as repeats of one made in the same call, and the inclusion
-    proofs they folded (a range proof is one).  A verdict is frozen, so
-    every passed check shares the one ``Verdict.passed()`` returns.
+    The proof verifiers also count the signatures they checked and the
+    inclusion proofs they folded (a range proof is one).  A verdict is
+    frozen, so every passed check shares the one ``Verdict.passed()`` returns.
     """
 
     ok: bool
     reason: Optional[str] = None
     detail: Optional[str] = None
     signatures_checked: int = 0
-    signatures_repeated: int = 0
     inclusion_proofs_checked: int = 0
 
     def __bool__(self) -> bool:
@@ -498,9 +496,10 @@ def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
     submission leaf's proof (ReceiptInvalid), and the proof of the issuer
     tree's prev-commitment leaf at index 0 (ReceiptInvalid).  The holder's
     signature is not checked here: the holder itself compares the attested
-    root with its own record, so only other verifiers need that check.  A
-    proof verifier runs only the two inclusion checks, against its trusted
-    copy of the issuer commitment.
+    root with its own record, so only a node forwarded the receipt checks
+    it.  A proof verifier runs only the two inclusion checks, against its
+    trusted copy of the issuer commitment, and hashes the holder's
+    signature without checking it.
     """
     c = receipt.issuer_commitment
     if not directory.verify_commitment(c):
@@ -707,7 +706,8 @@ class Node:
 
     def attach_received(self) -> None:
         # Called at round end: pin the receipts that arrived during this
-        # round onto the round's record so ledgers capture them verbatim.
+        # round onto the round's record, where the next round's forwarding
+        # phase reads them to pass on downstream.
         if self.records:
             self.records[-1].received_receipts = tuple(self._pending_receipts.values())
 

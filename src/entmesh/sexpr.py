@@ -72,7 +72,11 @@ def _tokenize(text: str) -> Iterator[tuple[str, int]]:
 
 def _atom(token: str, text: str, pos: int) -> Expr:
     if _INT_RE.match(token):
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # past the interpreter's int-string limit, which printing it would hit too
+            digits = len(token.lstrip("-"))
+            raise ParseError(f"integer literal of {digits} digits is too long", _byte_offset(text, pos)) from None
     if token.startswith("#"):
         if _HEX_RE.match(token):
             return bytes.fromhex(token[2:])
@@ -113,14 +117,21 @@ def _check_symbol(sym: str) -> str:
     raise ValueError(f"not a printable symbol: {sym!r}")
 
 
-def tokens_of(expr: Expr) -> list[str]:
-    """Canonical token stream, parentheses included."""
-    out: list[str] = []
+_CLOSE = object()  # marks where a list's ")" goes on the walk's stack
 
-    def walk(e: Expr) -> None:
-        if isinstance(e, bool):
+
+def tokens_of(expr: Expr) -> list[str]:
+    """Canonical token stream, parentheses included.  The walk keeps its own
+    stack, so any expression ``parse`` accepts prints, however deep."""
+    out: list[str] = []
+    stack: list[object] = [expr]
+    while stack:
+        e = stack.pop()
+        if e is _CLOSE:
+            out.append(")")
+        elif isinstance(e, bool):
             raise ValueError("booleans are values, not expressions; use the symbols true/false")
-        if isinstance(e, int):
+        elif isinstance(e, int):
             out.append(str(e))
         elif isinstance(e, str):
             out.append(_check_symbol(e))
@@ -128,13 +139,10 @@ def tokens_of(expr: Expr) -> list[str]:
             out.append("#x" + e.hex())
         elif isinstance(e, tuple):
             out.append("(")
-            for item in e:
-                walk(item)
-            out.append(")")
+            stack.append(_CLOSE)
+            stack.extend(reversed(e))
         else:
             raise ValueError(f"not an expression: {e!r}")
-
-    walk(expr)
     return out
 
 

@@ -52,7 +52,6 @@ class WireError(ValueError):
 
 
 _U32 = struct.Struct(">I").unpack_from
-_U64 = struct.Struct(">Q").unpack_from
 _U32_PACK = struct.Struct(">I").pack
 
 
@@ -169,9 +168,6 @@ class Reader:
 
     def u32(self) -> int:
         return _U32(self._data, self._advance(4))[0]
-
-    def u64(self) -> int:
-        return _U64(self._data, self._advance(8))[0]
 
     def digest(self) -> Digest:
         pos = self._advance(DIGEST_SIZE)

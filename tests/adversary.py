@@ -90,16 +90,17 @@ def forged_round_submission(proof, index):
 
 
 def every_entry_rule(entries, directory):
-    """The slow reference for a holder chain: ``verify_chain_entries``, then
-    BadSignature for the first entry, in round order, whose signature fails
-    under the key bound at its round.  It refuses what
+    """The slow reference for a holder chain: ``verify_chain_entries``, which
+    checks the head's signature, then BadSignature for the first other
+    entry, in round order, whose signature fails under the key bound at its
+    round.  So each entry's signature is checked once.  It refuses what
     ``verify_chain_entries`` refuses, and more only when an inner entry's
     signature is bad under a head that the holder's key signed.
     """
     verdict = verify_chain_entries(entries, directory)
     if not verdict:
         return verdict
-    for entry in entries:
+    for entry in entries[:-1]:
         if not directory.verify_commitment(entry.commitment):
             return Verdict.failed("BadSignature", f"round {entry.commitment.round}")
     return verdict
@@ -148,6 +149,38 @@ def hub_proof_in_manifest_order(node, manifest, window):
     return HubProof(node.node_id, start, end, manifest, proofs, chain_entries, tuple(rounds))
 
 
+def retained_at_round_4(holder, proof, honest, receipt):
+    """``proof``, ``holder``'s link over [1, 2], with its round-2 receipt
+    ``honest`` swapped for ``receipt``: the holder signs a round-4 tree
+    retaining ``receipt`` in ``honest``'s place, which becomes the head."""
+    retaining = holder.records[4]
+    leaves = [receipt.leaf_bytes() if leaf == honest.leaf_bytes() else leaf for leaf in round_leaves(retaining.state)]
+    tree_4, c_4 = signed_tree(holder, 4, leaves)
+    entry = ChainEntry(c_4, retaining.state.prev_commitment_digest, tree_4.prove_inclusion(0))
+    at = leaves.index(receipt.leaf_bytes())
+    last = WindowRound(receipt.submission.signature, (receipt.paths,), tree_4.prove_range(at, at + 1))
+    return dataclasses.replace(proof, holder_chain=proof.holder_chain[:3] + (entry,), rounds=(proof.rounds[0], last))
+
+
+def link_over_a_submission_signed_by(net, holder_label, issuer_label, signer):
+    """The holder's link proof over [1, 2] and a trust log for the issuer,
+    with round 2's Submission signed by ``signer``, a node other than the
+    holder.  The issuer signs a round-3 tree that entangles that Submission
+    where the honest one was, the trust log holds it, and the holder signs a
+    round-4 tree retaining its receipt."""
+    holder, issuer = net.nodes[holder_label], net.nodes[issuer_label]
+    proof = build_link_proof(holder.records, issuer.node_id, (1, 2), holder.receipt_log)
+    honest = holder.receipt_log[issuer.node_id, 2]
+    entangled = honest.submission
+    sub = dataclasses.replace(entangled, signature=signer.keypair.sign(entangled.message()))
+    leaves = [sub.leaf_bytes() if leaf == entangled.leaf_bytes() else leaf for leaf in round_leaves(issuer.records[3].state)]
+    tree_3, c_3 = signed_tree(issuer, 3, leaves)
+    at = leaves.index(sub.leaf_bytes())
+    paths = ReceiptPaths(tree_3.prove_inclusion(at), honest.paths.prev_digest, tree_3.prove_inclusion(0))
+    bad = retained_at_round_4(holder, proof, honest, Receipt(sub, c_3, paths))
+    return bad, {**net.commitments_of(issuer_label), 3: c_3}
+
+
 def link_over_an_issuer_fork(net, holder_label, issuer_label):
     """The holder's link proof over [1, 2] and a trust log for the issuer,
     with round 2's receipt from a fork.  The issuer signs a second round-2
@@ -162,12 +195,5 @@ def link_over_an_issuer_fork(net, holder_label, issuer_label):
     honest = holder.receipt_log[issuer.node_id, 2]
     tree_3, fork_3 = signed_tree(issuer, 3, [prev_leaf(commitment_digest(fork_2)), decoy, honest.submission.leaf_bytes()])
     paths = ReceiptPaths(tree_3.prove_inclusion(2), commitment_digest(fork_2), tree_3.prove_inclusion(0))
-    forked = Receipt(honest.submission, fork_3, paths)
-    retaining = holder.records[4]
-    leaves = [forked.leaf_bytes() if leaf == honest.leaf_bytes() else leaf for leaf in round_leaves(retaining.state)]
-    tree_4, c_4 = signed_tree(holder, 4, leaves)
-    entry = ChainEntry(c_4, retaining.state.prev_commitment_digest, tree_4.prove_inclusion(0))
-    at = leaves.index(forked.leaf_bytes())
-    last = proof.rounds[1]._replace(receipts=(paths,), evidence_proof=tree_4.prove_range(at, at + 1))
-    bad = dataclasses.replace(proof, holder_chain=proof.holder_chain[:3] + (entry,), rounds=(proof.rounds[0], last))
+    bad = retained_at_round_4(holder, proof, honest, Receipt(honest.submission, fork_3, paths))
     return bad, {**net.commitments_of(issuer_label), 3: fork_3}

@@ -83,13 +83,6 @@ MUTANTS = (
         ("tests/test_entangle.py::TestLinkProof::test_one_submission_per_round_required",),
     ),
     Mutant(
-        "rounds: the holder's signature on each round's submission",
-        "entangle.py",
-        "if not view.verify_submission(sub):",
-        "if False:",
-        ("tests/test_entangle.py::TestLinkProof::test_tampered_receipt_signature_rejected",),
-    ),
-    Mutant(
         "rounds: the trusted commitment is the named issuer's",
         "entangle.py",
         "if issuer_c.node_id != issuer_id:",

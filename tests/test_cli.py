@@ -141,6 +141,26 @@ class TestSimulate:
         assert err == f"error: {path}: nested too deeply\n"
         assert "Traceback" not in err
 
+    def _identity_with_claims(self, tmp_path, claims):
+        path = tmp_path / "claims.yaml"
+        data = yaml.safe_load((SCENARIOS / "identity.yaml").read_text())
+        data["identity"][0]["claims"] = claims
+        path.write_text(yaml.safe_dump(data))
+        return path
+
+    def test_deeply_nested_claims_run(self, tmp_path, capsys):
+        # Claims 3,000 deep parse, so the credential's digest prints them.
+        path = self._identity_with_claims(tmp_path, "(" * 3000 + "claim" + ")" * 3000)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_claims_integer_past_the_int_string_limit_is_refused(self, tmp_path, capsys):
+        path = self._identity_with_claims(tmp_path, "(role " + "9" * 5000 + ")")
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        bad = "bad expression: integer literal of 5000 digits is too long (offset 6)"
+        assert err == f"error: {path}.identity[0].claims: {bad}\n"
+
     def test_run_too_large_is_refused(self, tmp_path, capsys):
         path = tmp_path / "huge.yaml"
         path.write_text("rounds: 100000000000\ntopology:\n  kind: chain\n  hops: 4\n")
@@ -398,19 +418,20 @@ class TestVerify:
         assert capsys.readouterr().out == "OK: link proof verifies\n"
         assert main(args + ["--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        # Four rounds: the holder chain's head and the holder's four submissions.
-        assert (obj["signatures_checked"], obj["signatures_repeated"]) == (5, 0)
+        # Four rounds: the holder chain's head alone (5 when the holder's four
+        # submissions were checked too).  No repeat is counted.
+        assert obj["signatures_checked"] == 1 and "signatures_repeated" not in obj
         # Four rounds: six chain entries, two paths per receipt, one evidence path per round.
         assert obj["inclusion_proofs_checked"] == 6 + 4 * 2 + 4
         # A flipped hashed byte, in the first receipt's prev digest, fails a
-        # fold, and only the failing round's submission is checked.
+        # fold, and no signature is checked.
         # A flipped signature byte, in the head's, passes every fold, and
         # the head is the first signature met, so it is the one checked.
         pristine = link_run["proof"].read_bytes()
         proof = decode_proof(pristine)
         prev_digest = proof.rounds[0].receipts[0].prev_digest
         signature = proof.holder_chain[-1].commitment.signature
-        for part, reason, checked in ((prev_digest, "ReceiptInvalid", 1), (signature, "BadSignature", 1)):
+        for part, reason, checked in ((prev_digest, "ReceiptInvalid", 0), (signature, "BadSignature", 1)):
             assert pristine.count(part) == 1
             blob = bytearray(pristine)
             blob[pristine.find(part) + len(part) // 2] ^= 0x01
@@ -467,8 +488,8 @@ class TestVerify:
 
     def test_failure_that_checks_no_signature_repeats_none(self, tmp_path, capsys):
         # The hub's round-1 manifest path holds a flipped sibling: the proof
-        # fails on it after the holder chain met its head's signature but
-        # before any is checked, so none is skipped as a repeat.
+        # fails on it after the holder chain met its head's signature, so
+        # none is checked, and the verdict counts no repeats.
         config = str(SCENARIOS / "hub.yaml")
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 0
         proof = tmp_path / "hub.proof"
@@ -484,12 +505,12 @@ class TestVerify:
         bad.write_bytes(bytes(blob))
         text, obj = self._verify_both_formats(bad, tmp_path / "run" / "trust.json", capsys)
         assert text == "FAIL: ManifestMismatch (committed manifest differs at round 1)\n"
-        assert (obj["signatures_checked"], obj["signatures_repeated"]) == (0, 0)
+        assert obj["signatures_checked"] == 0 and "signatures_repeated" not in obj
 
     def test_hub_verdict_counts_one_range_proof_per_round(self, tmp_path, capsys):
-        # hub.yaml, rounds [1, 3]: five issuers.  The holder chain's head and
-        # three submissions; five chain entries, two paths per receipt, and
-        # per round one manifest and one evidence proof.
+        # hub.yaml, rounds [1, 3]: five issuers.  The holder chain's head
+        # alone; five chain entries, two paths per receipt, and per round one
+        # manifest and one evidence proof.
         config = str(SCENARIOS / "hub.yaml")
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 0
         proof = tmp_path / "hub.proof"
@@ -499,7 +520,7 @@ class TestVerify:
         args = ["verify", "--proof", str(proof), "--trust", str(tmp_path / "run" / "trust.json"), "--format", "json"]
         assert main(args) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert (obj["signatures_checked"], obj["inclusion_proofs_checked"]) == (1 + 3, 5 + 5 * 3 * 2 + 3 + 3)
+        assert (obj["signatures_checked"], obj["inclusion_proofs_checked"]) == (1, 5 + 5 * 3 * 2 + 3 + 3)
 
     def test_truncated_proof_is_malformed(self, link_run, tmp_path, capsys):
         bad = tmp_path / "short.proof"

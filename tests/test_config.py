@@ -191,6 +191,12 @@ class TestIdentitySchema:
         with pytest.raises(ConfigError, match="bad expression"):
             config_from_dict(base(credential_issuers=["hub"], identity=[op]))
 
+    def test_claims_integer_past_the_int_string_limit(self):
+        op = self.issue_op(claims="(role " + "9" * 5000 + ")")
+        error = r"^config\.identity\[0\]\.claims: bad expression: integer literal of 5000 digits is too long \(offset 6\)$"
+        with pytest.raises(ConfigError, match=error):
+            config_from_dict(base(credential_issuers=["hub"], identity=[op]))
+
     def test_unknown_mode(self):
         op = self.issue_op(mode="fancy")
         with pytest.raises(ConfigError, match="unknown mode"):

@@ -146,15 +146,15 @@ class TestLinkProof:
         assert verdict.reason == "RoundGap"
 
     def test_swapped_receipt_rejected(self, pair):
-        # A round's submission is rebuilt from its own chain entry, so round
-        # 2's signature under it fails, and round 2's paths do not prove it.
+        # A round's submission is rebuilt from its own chain entry, so with
+        # round 2's signature, or with its own, round 2's paths do not prove it.
         proof = link_for(pair, "holder", "issuer", (1, 4))
         first, second = proof.rounds[:2]
         trusted = pair.commitments_of("issuer")
         swapped = lambda rnd, other: rnd._replace(signature=other.signature, receipts=other.receipts)
         bad = dataclasses.replace(proof, rounds=(swapped(first, second), swapped(second, first)) + proof.rounds[2:])
         verdict = verify_link(bad, trusted, pair.directory)
-        assert (verdict.reason, verdict.detail) == ("BadSignature", "holder signature for round 1")
+        assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 1")
         bad = dataclasses.replace(proof, rounds=(first._replace(receipts=second.receipts),) + proof.rounds[1:])
         verdict = verify_link(bad, trusted, pair.directory)
         assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 1")
@@ -163,7 +163,7 @@ class TestLinkProof:
         proof = link_for(pair, "holder", "issuer", (1, 4))
         bad = with_round(proof, 2, signature=b"\x00" * 64)
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
-        assert (verdict.reason, verdict.detail) == ("BadSignature", "holder signature for round 3")
+        assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 3")
 
     def test_one_submission_per_round_required(self, pair):
         # A proof with a round fewer than its window fails instead of checking
@@ -551,10 +551,10 @@ class TestChainProof:
         assert verdict.reason == "InsufficientLatency"
         assert verdict.detail.endswith("needs an anchor commitment at round >= 3")
 
-    def test_too_early_anchor_refused_after_one_signature(self, relay, monkeypatch):
+    def test_too_early_anchor_refused_before_any_signature(self, relay, monkeypatch):
         # The last hop's round-3 receipt needs the anchor's round-4
-        # commitment.  Only that round's submission, met just before, is
-        # checked: not the hop's holder chain, nor its round-2 submission.
+        # commitment.  The hop's holder chain met its head before, but a
+        # failed check leaves every signature unchecked.
         proof = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1, window_len=2
         )
@@ -567,10 +567,7 @@ class TestChainProof:
         assert verdict.detail == (
             "no trusted issuer commitment for round 4; chain of 2 hops needs an anchor commitment at round >= 4"
         )
-        last = proof.hops[-1]
-        sub = submission_of(last.holder_chain[len(last.rounds) - 1].commitment, last.rounds[-1].signature)
-        assert (sub.holder_round, verdict.signatures_checked) == (3, 1)
-        assert [args[1:] for args in calls] == [(sub.message(), sub.signature)]
+        assert verdict.signatures_checked == 0 and calls == []
 
     def test_window_past_its_holder_chain_is_a_broken_hop(self, relay):
         # The claimed window also reaches past the trusted log; the hop's own
@@ -588,7 +585,7 @@ class TestChainProof:
         bad_hop = with_round(hop, 0, signature=b"\x01" * 64)
         bad = dataclasses.replace(proof, hops=(bad_hop, proof.hops[1]))
         verdict = verify_chain(bad, relay.commitments_of("c"), relay.directory)
-        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: BadSignature (holder signature for round 1)")
+        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: ReceiptInvalid (submission leaf unproven for round 1)")
 
     def test_needs_two_nodes(self, relay):
         with pytest.raises(ValueError):

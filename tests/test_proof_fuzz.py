@@ -149,7 +149,7 @@ def test_every_single_bit_flip_is_refused_with_a_named_reason(ci_proofs, kind):
     assert sum(reasons.values()) == len(blob) and "MalformedProof" in reasons and len(reasons) > 2, reasons
 
 
-@pytest.mark.parametrize(("kind", "every_entry", "head"), [("hub", 8, 4), ("chain", 24, 12), ("link", 10, 5)])
+@pytest.mark.parametrize(("kind", "every_entry", "head"), [("hub", 5, 1), ("chain", 16, 4), ("link", 6, 1)])
 def test_both_rules_accept_the_ci_proofs_and_refuse_each_bit_flip(ci_proofs, kind, every_entry, head):
     # Each CI proof passes both rules, the every-entry rule checking every
     # chain entry's signature and the head rule one per chain; and each

@@ -601,5 +601,4 @@ def test_verifiers_copy_no_receipt(ci_proofs, fan_runs):
         fan_verdict = _verify(fan40, fan_runs[40])
     assert all(verdicts) and len(verdicts) == 6
     assert fan_verdict
-    counts = fan_verdict.signatures_checked, fan_verdict.signatures_repeated, fan_verdict.inclusion_proofs_checked
-    assert counts == (5, 0, 334)
+    assert (fan_verdict.signatures_checked, fan_verdict.inclusion_proofs_checked) == (1, 334)

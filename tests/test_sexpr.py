@@ -62,6 +62,13 @@ class TestParse:
             parse("(café)")
         assert err.value.offset == 1
 
+    def test_integer_past_the_int_string_limit_is_a_parse_error(self):
+        # Python refuses to convert an integer string of more than 4,300
+        # digits; the literal is refused at its offset like any bad token.
+        with pytest.raises(ParseError, match=r"^integer literal of 5000 digits is too long \(offset 6\)$") as err:
+            parse("(role " + "9" * 5000 + ")")
+        assert err.value.offset == 6
+
 
 class TestUnparse:
     def test_canonical_form(self):
@@ -82,6 +89,12 @@ class TestUnparse:
     def test_round_trip_examples(self):
         for text in ("(role auditor)", "(threshold 2 true false true)", "#x00ff"):
             assert unparse(parse(text)) == text
+
+    def test_round_trip_5000_deep(self):
+        # parse keeps its own stack, and so does the printer: whatever parses, prints.
+        text = "(" * 5000 + "claim" + ")" * 5000
+        assert unparse(parse(text)) == text
+        assert encode_tree(parse(text)).size == 10_001
 
 
 class TestTokens:

@@ -1,5 +1,5 @@
-"""Verifiers check every hash, trust and inclusion fact first, then each
-distinct signature once per call.
+"""Verifiers check every hash, trust and inclusion fact first, then one
+signature per holder chain, its head's.
 
 The verdict must not depend on that order: for a proof with one fault it is
 the verdict the checks give when each signature is checked where they meet
@@ -8,12 +8,13 @@ verifier's own body run with signatures checked eagerly, so no second copy
 of the verifier is kept for it.
 
 The checks walk a proof round by round: each window round's submission
-once, then every issuer's receipt paths for that round, then the round's
-evidence.  A receipt is its round's submission and its paths with the
-verifier's trusted copy of the issuer commitment, whose signature was
-checked where it entered trust, so it records no signature check of its
-own.  On authentic trust logs the verdict must be the one the rule that
-also checks every issuer signature gives (``_parent_rule``).
+once, rebuilt and hashed (its signature is not checked), then every
+issuer's receipt paths for that round, then the round's evidence.  A
+receipt is its round's submission and its paths with the verifier's
+trusted copy of the issuer commitment, whose signature was checked where
+it entered trust, so it records no signature check of its own.  On
+authentic trust logs the verdict must be the one the rule that also
+checks every issuer signature gives (``_parent_rule``).
 """
 
 import dataclasses
@@ -37,7 +38,15 @@ from entmesh.entangle import (
     verify_link,
 )
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import ChainEntry, KeyDirectory, Verdict, commitment_digest, evidence_leaf_index, round_leaves
+from entmesh.node import (
+    ChainEntry,
+    KeyDirectory,
+    Verdict,
+    commitment_digest,
+    evidence_leaf_index,
+    round_leaves,
+    submission_of,
+)
 from entmesh.simnet import Simulation, chain, fan, federated
 from entmesh.wire import WireError
 
@@ -50,6 +59,7 @@ from adversary import (
     forged_entry,
     forged_round_submission,
     hub_proof_in_manifest_order,
+    link_over_a_submission_signed_by,
     link_over_an_issuer_fork,
     prev_leaf,
     signed_tree,
@@ -159,11 +169,11 @@ class TestSignatureCounts:
         ed25519_calls.clear()
         verdict = verify_hub(proof, _logs(sim), sim.directory)
         assert verdict
-        # The holder chain's head and each round's submission, met once per
-        # round, not once per issuer (166 obligations when repeated, 10 when
-        # each of the chain's 6 commitments was checked).
-        assert verdict.signatures_checked == 5 == len(ed25519_calls)
-        assert verdict.signatures_checked + verdict.signatures_repeated == 5
+        # The holder chain's head alone: each round's submission is hashed,
+        # not checked (5 when it was checked once per round, 10 when each of
+        # the chain's 6 commitments was too, 166 obligations when the
+        # submission was met once per issuer).
+        assert verdict.signatures_checked == 1 == len(ed25519_calls)
         # 6 chain entries, 160 receipts' two paths each, 4 manifest proofs
         # and one evidence range proof per round (160 evidence paths before).
         assert verdict.inclusion_proofs_checked == 6 + 320 + 4 + 4 == 334
@@ -193,20 +203,21 @@ class TestSignatureCounts:
         proof = build_chain_proof(sim.records_by_id(), sim.receipts_by_id(), ids, 2, 2)
         verdict = verify_chain(proof, _logs(sim)[proof.anchor_id], sim.directory)
         assert verdict
-        # Four hops over two rounds: each hop's head and its two submissions.
-        assert (verdict.signatures_checked, verdict.signatures_repeated) == (12, 0)
+        # Four hops over two rounds: each hop's head (12 when each hop's two
+        # submissions were checked too).
+        assert verdict.signatures_checked == 4
 
     def test_link_proof_repeats_no_signature(self, runs):
         proof, sim = runs["link"]
         verdict = _verify(proof, sim)
         assert verdict
-        # Two rounds: the holder chain's head and two submissions.
-        assert (verdict.signatures_checked, verdict.signatures_repeated) == (3, 0)
+        # Two rounds: the holder chain's head alone.
+        assert verdict.signatures_checked == 1
 
     @pytest.mark.parametrize("n", [5, 10, 20])
     def test_hub_checks_do_not_grow_with_issuers(self, ed25519_calls, n):
-        # The holder chain's head and the w submissions the holder signs
-        # once per round, whatever the number of issuers.
+        # The holder chain's head alone, whatever the number of issuers and
+        # rounds.
         sim = Simulation(fan(n), rounds=7, seed=3).run()
         center = sim.nodes["center"]
         for w in (1, 2, 4):
@@ -214,13 +225,12 @@ class TestSignatureCounts:
             ed25519_calls.clear()
             verdict = verify_hub(proof, _logs(sim), sim.directory)
             assert verdict
-            assert verdict.signatures_checked == w + 1 == len(ed25519_calls)
-            assert verdict.signatures_repeated == 0
+            assert verdict.signatures_checked == 1 == len(ed25519_calls)
             assert verdict.inclusion_proofs_checked == (w + 2) + 2 * n * w + w + w
 
     @pytest.mark.parametrize("hops", [1, 2, 3, 4])
     def test_chain_checks_grow_linearly_in_hops_times_window(self, ed25519_calls, hops):
-        # Per hop: its holder chain's head and w submissions.
+        # Per hop: its holder chain's head; the folds grow with the window.
         sim = Simulation(chain(hops), rounds=10, seed=3).run()
         ids = [sim.nodes[label].node_id for label in sim.path_to_anchor("h0")]
         assert len(ids) == hops + 1
@@ -229,8 +239,7 @@ class TestSignatureCounts:
             ed25519_calls.clear()
             verdict = verify_chain(proof, _logs(sim)[proof.anchor_id], sim.directory)
             assert verdict
-            assert verdict.signatures_checked == hops * (w + 1) == len(ed25519_calls)
-            assert verdict.signatures_repeated == 0
+            assert verdict.signatures_checked == hops == len(ed25519_calls)
             assert verdict.inclusion_proofs_checked == hops * ((w + 2) + 2 * w + w)
 
     def test_unbound_keys_fail_without_ed25519(self, runs, ed25519_calls):
@@ -242,7 +251,7 @@ class TestSignatureCounts:
         assert ed25519_calls == []
 
     @pytest.mark.parametrize("where", ["evidence-path", "chain-prev-digest"])
-    def test_hashed_byte_flip_rejected_with_two_signature_checks(self, runs, ed25519_calls, where):
+    def test_hashed_byte_flip_rejected_without_a_signature_check(self, runs, ed25519_calls, where):
         proof, sim = runs["hub"]
         if where == "evidence-path":
             ev = proof.rounds[-1].evidence_proof
@@ -260,7 +269,7 @@ class TestSignatureCounts:
         ed25519_calls.clear()
         verdict = _verify(decode_proof(bad_blob), sim)
         assert not verdict
-        assert verdict.signatures_checked <= 2 and len(ed25519_calls) == verdict.signatures_checked
+        assert verdict.signatures_checked == 0 == len(ed25519_calls)
         reference = _sequential(bad, sim)
         assert (verdict.reason, verdict.detail) == (reference.reason, reference.detail)
 
@@ -269,7 +278,9 @@ class TestForgedSignatureKeepsItsReason:
     """A forged signature is reported where the sequential checks meet it.
     Of a holder chain only the head's signature is checked: an earlier
     entry's is hashed into the next entry's prev digest, so forging it
-    breaks the chain there."""
+    breaks the chain there.  A window round's signature is hashed into the
+    submission leaf its receipts prove, so forging it fails the round's
+    first receipt."""
 
     def _check(self, proof, sim, reason, detail, trust=None):
         verdict = _verify(proof, sim, trust)
@@ -287,11 +298,11 @@ class TestForgedSignatureKeepsItsReason:
 
     def test_hub_issuer_receipt(self, runs):
         # Every issuer's receipt shares the round's submission, which is the
-        # holder's: it is checked once, after every round-1 receipt passed.
+        # holder's: the first issuer's round-2 receipt no longer proves it.
         proof, sim = runs["hub"]
         bad = forged_round_submission(proof, 1)
-        inner = "holder signature for round 2"
-        self._check(bad, sim, "LinkFailed", f"holder chain: BadSignature ({inner})")
+        inner = "ReceiptInvalid (submission leaf unproven for round 2)"
+        self._check(bad, sim, "LinkFailed", f"{proof.manifest[0].hex()}: {inner}")
 
     @pytest.mark.parametrize("record", ["receipt", "chain-entry"])
     def test_chain_inner_hop(self, runs, record):
@@ -299,12 +310,12 @@ class TestForgedSignatureKeepsItsReason:
         hop = proof.hops[1]
         if record == "receipt":
             hop = forged_round_submission(hop, 0)
-            inner = "holder signature for round 2"
+            inner = "ReceiptInvalid (submission leaf unproven for round 2)"
         else:
             hop = dataclasses.replace(hop, holder_chain=forge_at(hop.holder_chain, -1, forged_entry))
-            inner = "round 5"
+            inner = "BadSignature (round 5)"
         bad = ChainProof(hops=swap(proof.hops, 1, hop))
-        self._check(bad, sim, "BrokenHop", f"hop 1: BadSignature ({inner})")
+        self._check(bad, sim, "BrokenHop", f"hop 1: {inner}")
 
     def test_chain_last_hop(self, runs):
         proof, sim = runs["chain"]
@@ -317,7 +328,7 @@ class TestForgedSignatureKeepsItsReason:
     def test_link_receipt(self, runs):
         proof, sim = runs["link"]
         bad = forged_round_submission(proof, 1)
-        self._check(bad, sim, "BadSignature", "holder signature for round 7")
+        self._check(bad, sim, "ReceiptInvalid", "submission leaf unproven for round 7")
 
     def test_link_holder_chain(self, runs):
         proof, sim = runs["link"]
@@ -424,7 +435,7 @@ class TestProofsNoBuilderMakes:
             encode_proof(moved)
         verdict = _verify(moved, sim)
         assert (verdict.reason, verdict.detail) == ("ManifestMismatch", "manifest proof at wrong position for round 1")
-        assert (verdict.signatures_checked, verdict.signatures_repeated) == (0, 0)
+        assert verdict.signatures_checked == 0
 
     @pytest.mark.parametrize("fault", ["unsorted", "duplicated"])
     def test_holder_signed_manifest_out_of_canonical_order(self, manual_net, monkeypatch, fault):
@@ -484,7 +495,7 @@ class TestTheHeadVouchesForItsChain:
         bad = decode_proof(encode_proof(bad))
         verdict = verify_link(bad, net.commitments_of("i"), net.directory)
         if signer == "holder":
-            assert verdict and (verdict.signatures_checked, verdict.signatures_repeated) == (3, 0)
+            assert verdict and verdict.signatures_checked == 1
             reference = every_entry_rule(bad.holder_chain, net.directory)
             assert (reference.reason, reference.detail) == ("BadSignature", "round 3")
         else:
@@ -497,7 +508,7 @@ class TestTheHeadVouchesForItsChain:
         assert [r for r, _ in sim.directory.bindings_of(proof.holder_id)] == [0, 7]
         assert proof.holder_chain[0].commitment.round < 7 <= proof.window_end
         verdict = _verify(proof, sim)
-        assert verdict and verdict.signatures_checked == 3
+        assert verdict and verdict.signatures_checked == 1
         assert every_entry_rule(proof.holder_chain, sim.directory)
         # Under h1's genesis key alone the head, the first signature met, fails.
         genesis = KeyDirectory()
@@ -506,24 +517,80 @@ class TestTheHeadVouchesForItsChain:
         verdict = verify_link(proof, _trust(proof, sim), genesis)
         assert (verdict.reason, verdict.detail, verdict.signatures_checked) == ("BadSignature", "round 9", 1)
 
+    @pytest.mark.parametrize("head", ["holder", "other key"])
+    def test_round_submission_signed_with_another_key(self, manual_net, ed25519_calls, head):
+        # Round 2's Submission carries the issuer's signature; the issuer
+        # entangled it and the holder retained its receipt at round 4.  Its
+        # signature is hashed, not checked: under a head the holder signed
+        # the link verifies with the head's one check, and under a head
+        # signed with another key that head is refused.
+        net = manual_net(["h", "i"], [("h", "i")]).run(6)
+        holder, issuer = net.nodes["h"], net.nodes["i"]
+        bad, trust = link_over_a_submission_signed_by(net, "h", "i", issuer)
+        assert not net.directory.verify_submission(submission_of(bad.holder_chain[1].commitment, bad.rounds[1].signature))
+        c = bad.holder_chain[-1].commitment
+        if head == "other key":
+            c = dataclasses.replace(c, signature=issuer.keypair.sign(c.message()))
+            head_entry = dataclasses.replace(bad.holder_chain[-1], commitment=c)
+            bad = dataclasses.replace(bad, holder_chain=swap(bad.holder_chain, -1, head_entry))
+        ed25519_calls.clear()
+        verdict = verify_link(decode_proof(encode_proof(bad)), trust, net.directory)
+        if head == "holder":
+            assert verdict and verdict.signatures_checked == 1 == len(ed25519_calls)
+            assert ed25519_calls == [(holder.keypair.verify_key, c.message(), c.signature)]
+        else:
+            assert (verdict.reason, verdict.detail, verdict.signatures_checked) == ("BadSignature", "round 4", 1)
+
+    @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+    def test_flipped_round_signature_byte_is_unproven_before_any_check(self, runs, ed25519_calls, kind):
+        # One bit of a window round's signature, in the encoded proof: the
+        # rebuilt submission is not the one the issuer entangled, so the
+        # round's first receipt fails to prove it, after no Ed25519 check.
+        proof, sim = runs[kind]
+        part = proof.hops[1] if kind == "chain" else proof
+        r = part.window_start + 1
+        blob = encode_proof(proof)
+        assert blob.count(part.rounds[1].signature) == 1
+        at = blob.index(part.rounds[1].signature) + 5
+        bad = decode_proof(blob[:at] + bytes([blob[at] ^ 4]) + blob[at + 1 :])
+        ed25519_calls.clear()
+        verdict = _verify(bad, sim)
+        expected = ("ReceiptInvalid", f"submission leaf unproven for round {r}")
+        if kind != "link":
+            wrapper, where = ("LinkFailed", proof.manifest[0].hex()) if kind == "hub" else ("BrokenHop", "hop 1")
+            expected = (wrapper, f"{where}: {expected[0]} ({expected[1]})")
+        assert (verdict.reason, verdict.detail) == expected
+        assert verdict.signatures_checked == 0 == len(ed25519_calls)
+
+    def test_every_entry_rule_checks_each_entry_once(self, runs, ed25519_calls):
+        # The head inside verify_chain_entries, every other entry after it.
+        proof, sim = runs["link"]
+        ed25519_calls.clear()
+        assert every_entry_rule(proof.holder_chain, sim.directory)
+        messages = [message for _, message, _ in ed25519_calls]
+        chain = [entry.commitment.message() for entry in proof.holder_chain]
+        assert messages == chain[-1:] + chain[:-1]
+
 
 class TestRepeatsAreSkippedChecks:
-    """``signatures_repeated`` counts the times the verifier met a signature
-    it checked in the same call again, and so skipped its check."""
+    """``signatures_checked`` is the number of Ed25519 checks the call made,
+    each holder chain's head once: none when a hash, trust or inclusion
+    check fails first."""
 
     def test_failure_before_any_signature_repeats_nothing(self, runs, ed25519_calls):
         # The verifier holds no trusted commitments for the last issuer: the
-        # hub fails on that lookup after its holder chain met six signatures
-        # but before any submission, so nothing is checked or skipped.
+        # hub fails on that lookup after its holder chain met its head, so
+        # nothing is checked.
         proof, sim = runs["hub"]
         issuer = proof.manifest[-1]
         trust = {i: log for i, log in _trust(proof, sim).items() if i != issuer}
         verdict = _verify(proof, sim, trust)
         assert (verdict.reason, verdict.detail) == ("TrustedRootUnavailable", f"no trusted commitments for {issuer.hex()}")
-        assert (verdict.signatures_checked, verdict.signatures_repeated) == (0, 0)
+        assert verdict.signatures_checked == 0
         assert ed25519_calls == []
         # With only its round-2 commitment dropped, the last issuer's round-1
-        # receipt fails after the round's one submission: that alone is checked.
+        # receipt fails after the round's submission was hashed: nothing is
+        # checked either.
         trust = _trust(proof, sim)
         trust = {**trust, issuer: {r: c for r, c in trust[issuer].items() if r != 2}}
         verdict = _verify(proof, sim, trust)
@@ -531,15 +598,13 @@ class TestRepeatsAreSkippedChecks:
             "LinkFailed",
             f"{issuer.hex()}: TrustedRootUnavailable (no trusted issuer commitment for round 2)",
         )
-        assert (verdict.signatures_checked, verdict.signatures_repeated) == (1, 0)
-        assert len(ed25519_calls) == 1
+        assert verdict.signatures_checked == 0
+        assert ed25519_calls == []
 
     @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
     def test_repeats_match_the_first_pass(self, runs, ed25519_calls, kind):
-        # Reference: the Ed25519 checks actually made, and how often a
-        # first pass that answers every signature True meets each of them.
+        # Reference: the Ed25519 checks actually made.
         proof, sim = runs[kind]
-        check = {HubProof: entangle._check_hub, ChainProof: entangle._check_chain}.get(type(proof), entangle._check_link)
         blob = encode_proof(proof)
         bits = len(blob) * 8
         for position in [None, *range(3, bits, bits // 300)]:
@@ -552,12 +617,6 @@ class TestRepeatsAreSkippedChecks:
                 continue
             if _trust(bad, sim) is None:
                 continue
-            first = entangle._Deferred(sim.directory)
-            check(bad, _trust(bad, sim), first)
-            met = {}
-            for _, _, message, signature in first.recorded:
-                met[message, signature] = met.get((message, signature), 0) + 1
             ed25519_calls.clear()
             verdict = _verify(bad, sim)
             assert verdict.signatures_checked == len(ed25519_calls)
-            assert verdict.signatures_repeated == sum(met[message, signature] - 1 for _, message, signature in ed25519_calls)
