@@ -30,7 +30,7 @@ and joins the three into the receipt's evidence leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .hashtree import Digest, InclusionProof, fold_root, leaf_hash
 from .keys import NodeId
@@ -52,7 +52,8 @@ from .node import (
     receipt_key,
     receipt_paths,
     submission_of,
-    verify_chain_entries,
+    verify_chain_head,
+    verify_chain_links,
     FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
     LEAF_PREV,
@@ -253,58 +254,24 @@ def build_link_proof(
     return LinkProof(chain[0].commitment.node_id, issuer_id, *window, chain, rounds)
 
 
-_Obligation = tuple[NodeId, int, bytes, bytes]  # (node_id, round, message, signature)
-
-
-class _Deferred(KeyDirectory):
-    """One verifier call's view of its key directory, deferring signatures.
-
-    It shares the directory's bindings, as the simulator's memo does.  Each
-    signature check is recorded, in the order the verifier meets it, and
-    answered True unless it is the one obligation ``bad`` names or no key is
-    bound to its node at its round, so a first pass runs every hash, trust
-    and inclusion check before any Ed25519 check.  ``folds`` counts the
-    inclusion proofs checked.  The view lives for one call: it is not a cache.
-    """
+class _Call:
+    """One verifier call's directory, and the inclusion proofs it folded and
+    the signatures it checked.  The checks take it where they take a directory."""
 
     def __init__(self, directory: KeyDirectory):
-        self._bindings = directory._bindings
-        self.recorded: list[_Obligation] = []
-        self.bad: Optional[_Obligation] = None
-        self.folds = 0
+        self.directory = directory
+        self.folds = self.signatures = 0
 
     def proves(self, c: Commitment, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
         self.folds += 1
         return c.proves(leaf_hashes, proof)
 
-    def verify_signature(self, node_id: NodeId, round_no: int, message: bytes, signature: bytes) -> bool:
-        obligation = (node_id, round_no, message, signature)
-        self.recorded.append(obligation)
-        # A node with no key bound fails as cheaply as a hash check does.
-        return obligation != self.bad and self.key_at(node_id, round_no) is not None
+    def verify_commitment(self, c: Commitment) -> bool:
+        self.signatures += 1
+        return self.directory.verify_commitment(c)
 
-
-def _verified(check: Callable[[_Deferred], Verdict], directory: KeyDirectory) -> Verdict:
-    """Run ``check`` with its signatures deferred, then check them.
-
-    The only signatures ``check`` meets are its holder chains' heads, each
-    once, as the last check of ``verify_chain_entries``.  If every other
-    check passed, they are checked under ``directory`` in the order
-    ``check`` met them; if one failed, none is.  The first bad signature
-    makes ``check`` run once more, answering False for it alone, so the
-    verdict is the one the checks give in their own order: the same reason,
-    wrapper and detail.
-    """
-    view = _Deferred(directory)
-    verdict = check(view)
-    checked = 0
-    for obligation in view.recorded if verdict else ():
-        checked += 1
-        if not directory.verify_signature(*obligation):
-            view.bad, view.folds = obligation, 0
-            verdict = check(view)
-            break
-    return replace(verdict, signatures_checked=checked, inclusion_proofs_checked=view.folds)
+    def counted(self, verdict: Verdict) -> Verdict:
+        return replace(verdict, signatures_checked=self.signatures, inclusion_proofs_checked=self.folds)
 
 
 def _wrapped(reason: str, where: str, inner: Verdict) -> Verdict:
@@ -321,23 +288,26 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
     a node checked before taking them from gossip, an anchor's own records,
     or the next hop's holder chain that ``verify_chain`` checks in the same
     call.  Each receipt is checked against the trusted copy of its issuer
-    commitment, so that commitment's signature is not checked again.
+    commitment, so that commitment's signature is not checked again.  The
+    holder chain's head signature is checked last, after every other check.
     """
-    return _verified(lambda view: _check_link(proof, trusted, view), directory)
+    call = _Call(directory)
+    return call.counted(_check_link(proof, trusted, call) and verify_chain_head(proof.holder_chain, call))
 
 
-def _check_link(proof: LinkProof, trusted: _ByRound, view: _Deferred, commitments: Optional[_ByRound] = None) -> Verdict:
+def _check_link(proof: LinkProof, trusted: _ByRound, call: _Call, commitments: Optional[_ByRound] = None) -> Verdict:
+    """Every check of a link but its head's signature."""
     commitments = _by_round(proof.holder_chain) if commitments is None else commitments
-    verdict = _check_holder_chain(proof, view)
+    verdict = _check_holder_chain(proof, call)
     if verdict and any(len(rnd.receipts) != 1 for rnd in proof.rounds):  # a decoded link round holds one
         verdict = Verdict.failed("WindowInvalid", "one receipt per round required")
-    return verdict and _check_rounds(proof, commitments, ((proof.issuer_id, trusted),), view)
+    return verdict and _check_rounds(proof, commitments, ((proof.issuer_id, trusted),), call)
 
 
-def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verdict:
+def _check_holder_chain(holder: "LinkProof | HubProof", call: _Call) -> Verdict:
     """The holder's chain covers its window plus EVIDENCE_LAG rounds, the
-    proof holds one round per window round, and ``verify_chain_entries``
-    passes the chain: it links up to a head the holder signed."""
+    proof holds one round per window round, and the chain links up.  A head
+    with no key bound at its round fails here, with no Ed25519 check."""
     s, e = holder.window_start, holder.window_end
     if s > e:
         return Verdict.failed("WindowInvalid", f"window [{s}, {e}]")
@@ -350,7 +320,11 @@ def _check_holder_chain(holder: "LinkProof | HubProof", view: _Deferred) -> Verd
             return Verdict.failed("HolderMismatch", "chain entry from another node")
         if entry.commitment.round != s + offset:
             return Verdict.failed("RoundGap", "chain entry out of place")
-    return verify_chain_entries(holder.holder_chain, view)
+    verdict = verify_chain_links(holder.holder_chain, call)
+    head = holder.holder_chain[-1].commitment
+    if verdict and call.directory.key_at(head.node_id, head.round) is None:
+        return verify_chain_head(holder.holder_chain, call.directory)
+    return verdict
 
 
 def _part_failed(holder: "LinkProof | HubProof", where: str, reason: str, detail: str) -> Verdict:
@@ -360,7 +334,7 @@ def _part_failed(holder: "LinkProof | HubProof", where: str, reason: str, detail
 
 
 def _check_rounds(
-    holder: "LinkProof | HubProof", commitments: _ByRound, issuers: Sequence[tuple[NodeId, _ByRound]], view: _Deferred
+    holder: "LinkProof | HubProof", commitments: _ByRound, issuers: Sequence[tuple[NodeId, _ByRound]], call: _Call
 ) -> Verdict:
     """Each window round in turn, against ``holder``'s checked chain by round in
     ``commitments``: the holder's submission once, rebuilt from chain entry r
@@ -381,7 +355,7 @@ def _check_rounds(
                 return _part_failed(holder, issuer_id.hex(), "TrustedRootUnavailable", detail)
             if issuer_c.node_id != issuer_id:
                 return _part_failed(holder, issuer_id.hex(), "ReceiptMismatch", "receipt from another issuer")
-            verdict = _check_receipt_inclusions(sub_hash, paths, issuer_c, view)  # its signature was checked where it entered trust
+            verdict = _check_receipt_inclusions(sub_hash, paths, issuer_c, call)  # its signature was checked where it entered trust
             if not verdict:
                 return _part_failed(holder, issuer_id.hex(), verdict.reason, f"{verdict.detail} for round {r}")
             if r > s and paths.prev_digest != commitment_digest(trusted[r]):
@@ -389,7 +363,7 @@ def _check_rounds(
                 return _part_failed(holder, issuer_id.hex(), "ChainBreak", detail)
             # The receipt's bytes, as its holder retained them, hold its paths in the receipt's form.
             leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, receipt_paths(paths, issuer_c.leaf_count))))
-        if not view.proves(commitments[r + EVIDENCE_LAG], leaf_hashes, evidence):
+        if not call.proves(commitments[r + EVIDENCE_LAG], leaf_hashes, evidence):
             what = "receipts" if isinstance(holder, HubProof) else "receipt"
             return Verdict.failed("EvidenceInvalid", f"{what} for round {r} not retained in round {r + EVIDENCE_LAG}")
     return Verdict.passed()
@@ -458,12 +432,13 @@ def verify_hub(
 
     ``trusted`` maps each issuer id to that issuer's commitments, already
     authenticated as ``verify_link`` requires; their signatures are not
-    checked again.
+    checked again.  The holder chain's head signature is checked last.
     """
-    return _verified(lambda view: _check_hub(proof, trusted, view), directory)
+    call = _Call(directory)
+    return call.counted(_check_hub(proof, trusted, call))
 
 
-def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment]], view: _Deferred) -> Verdict:
+def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment]], call: _Call) -> Verdict:
     s, e = proof.window_start, proof.window_end
     if s > e:
         return Verdict.failed("WindowInvalid", f"window [{s}, {e}]")
@@ -475,7 +450,7 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
         return Verdict.failed("ManifestMismatch", "presented links do not match the committed manifest")
     if not proof.manifest:
         return Verdict.failed("ManifestMismatch", "no links presented")
-    verdict = _check_holder_chain(proof, view)
+    verdict = _check_holder_chain(proof, call)
     if not verdict:
         return _wrapped("LinkFailed", "holder chain", verdict)
     commitments = _by_round(proof.holder_chain)
@@ -483,13 +458,17 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
     for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
         if m_proof.leaf_index != MANIFEST_LEAF_INDEX:
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
-        if not view.proves(commitments[r], manifest_hash, m_proof):
+        if not call.proves(commitments[r], manifest_hash, m_proof):
             return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")
     issuers = [(issuer_id, trusted.get(issuer_id)) for issuer_id in proof.manifest]
     for issuer_id, issuer_trust in issuers:
         if issuer_trust is None:
             return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {issuer_id.hex()}")
-    return _check_rounds(proof, commitments, issuers, view)
+    verdict = _check_rounds(proof, commitments, issuers, call)
+    if not verdict:
+        return verdict
+    verdict = verify_chain_head(proof.holder_chain, call)
+    return verdict or _wrapped("LinkFailed", "holder chain", verdict)
 
 
 @dataclass(frozen=True)
@@ -546,12 +525,14 @@ def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], di
     issuer commitments are hop i+1's holder chain entries, which this call
     links to that chain's head and checks the head's signature.  The last hop's receipts take the anchor's trusted
     commitments, up to the anchor round, the last hop's window end + 1.
+    The hops' heads come last, in the hops' order, from the anchor side.
     Reasons: BrokenHop, InsufficientLatency.
     """
-    return _verified(lambda view: _check_chain(proof, trusted_anchor, view), directory)
+    call = _Call(directory)
+    return call.counted(_check_chain(proof, trusted_anchor, call))
 
 
-def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], view: _Deferred) -> Verdict:
+def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], call: _Call) -> Verdict:
     if not proof.hops:
         return Verdict.failed("BrokenHop", "no hops")
     base = proof.hops[0]
@@ -562,7 +543,7 @@ def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], vi
             return Verdict.failed("BrokenHop", f"hop {i} issuer is not hop {i + 1} holder")
     last = proof.hops[-1]
     by_hop = [_by_round(hop.holder_chain) for hop in proof.hops]  # hop i + 1's vouches for hop i's issuer
-    verdict = _check_link(last, trusted_anchor, view, by_hop[-1])
+    verdict = _check_link(last, trusted_anchor, call, by_hop[-1])
     if not verdict:
         if verdict.reason == "TrustedRootUnavailable":
             return Verdict.failed(
@@ -572,7 +553,11 @@ def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], vi
             )
         return _wrapped("BrokenHop", f"hop {len(proof.hops) - 1}", verdict)
     for i in range(len(proof.hops) - 2, -1, -1):
-        verdict = _check_link(proof.hops[i], by_hop[i + 1], view, by_hop[i])
+        verdict = _check_link(proof.hops[i], by_hop[i + 1], call, by_hop[i])
+        if not verdict:
+            return _wrapped("BrokenHop", f"hop {i}", verdict)
+    for i in reversed(range(len(proof.hops))):
+        verdict = verify_chain_head(proof.hops[i].holder_chain, call)
         if not verdict:
             return _wrapped("BrokenHop", f"hop {i}", verdict)
     return Verdict.passed()

@@ -74,6 +74,8 @@ def read_ledger(path: "Path | str", expected_kind: Optional[str] = None) -> tupl
                 logger.warning("%s: dropping truncated final record", path)
                 break
             raise LedgerError(f"{path}: malformed record on line {i + 1}")
+        except ValueError as exc:  # an integer past Python's int-string limit: whole, so not a truncation
+            raise LedgerError(f"{path}: record on line {i + 1} is malformed: {exc}")
         except RecursionError:
             raise LedgerError(f"{path}: record on line {i + 1} is nested too deeply")
         if not isinstance(row, dict):
@@ -163,7 +165,7 @@ def load_trust_bundle(path: "Path | str") -> TrustBundle:
     """Load ``trust.json``, refusing it unless it keeps every rule in docs/FORMATS.md."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 decode errors are ValueErrors, as is the int-string limit
         raise LedgerError(f"{path}: not valid JSON: {exc}")
     if not isinstance(raw, dict) or raw.get("format") != "entmesh-trust":
         raise LedgerError(f"{path}: not a trust bundle")

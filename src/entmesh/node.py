@@ -485,7 +485,7 @@ class KeyDirectory:
         return self.verify_signature(s.holder_id, s.holder_round, s.message(), s.signature)
 
     def proves(self, c: Commitment, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
-        """``c.proves(leaf_hashes, proof)``, which a proof verifier's view counts."""
+        """``c.proves(leaf_hashes, proof)``, which a proof verifier's call counts."""
         return c.proves(leaf_hashes, proof)
 
 
@@ -570,12 +570,18 @@ def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory)
     Each entry's prev digest hashes the previous commitment, signature
     included, and its first-leaf proof places that digest in its own
     signed tree, so the last entry's signature covers the whole run: it is
-    the one signature checked, under the key bound at its round.
+    the one signature checked.  A proof verifier calls the two parts apart.
+    """
+    return verify_chain_links(entries, directory) and verify_chain_head(entries, directory)
+
+
+def verify_chain_links(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
+    """The links of a run of chain entries, folded through ``directory.proves``.
 
     Reasons: RoundGap (rounds are not consecutive), ChainBreak (no entries,
     a first-leaf proof misplaced or not folding to its commitment, a prev
     digest that is not the previous commitment's digest, or a round 0 that
-    does not chain from the zero digest), then BadSignature (the head's).
+    does not chain from the zero digest).
     """
     if not entries:
         return Verdict.failed("ChainBreak", "empty chain")
@@ -593,6 +599,11 @@ def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory)
         if previous is None and c.round == 0 and entry.prev_digest != ZERO_DIGEST:
             return Verdict.failed("ChainBreak", "round 0 must chain from the zero digest")
         previous = c
+    return Verdict.passed()
+
+
+def verify_chain_head(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
+    """BadSignature unless the head, the last entry, verifies under the key bound at its round."""
     head = entries[-1].commitment
     if not directory.verify_commitment(head):
         return Verdict.failed("BadSignature", f"round {head.round}")

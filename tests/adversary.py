@@ -25,7 +25,8 @@ from entmesh.node import (
     commitment_digest,
     receipt_key,
     round_leaves,
-    verify_chain_entries,
+    verify_chain_head,
+    verify_chain_links,
 )
 
 DECOY = sha256(b"decoy")
@@ -90,14 +91,19 @@ def forged_round_submission(proof, index):
 
 
 def every_entry_rule(entries, directory):
-    """The slow reference for a holder chain: ``verify_chain_entries``, which
-    checks the head's signature, then BadSignature for the first other
-    entry, in round order, whose signature fails under the key bound at its
-    round.  So each entry's signature is checked once.  It refuses what
-    ``verify_chain_entries`` refuses, and more only when an inner entry's
-    signature is bad under a head that the holder's key signed.
+    """The slow reference for a holder chain: ``verify_chain_links``, then
+    ``every_entry_signature``.  It refuses what ``verify_chain_entries``
+    refuses, and more only when an inner entry's signature is bad under a
+    head that the holder's key signed.
     """
-    verdict = verify_chain_entries(entries, directory)
+    return verify_chain_links(entries, directory) and every_entry_signature(entries, directory)
+
+
+def every_entry_signature(entries, directory):
+    """``verify_chain_head``, then BadSignature for the first other entry,
+    in round order, whose signature fails under the key bound at its round.
+    So each entry's signature is checked once."""
+    verdict = verify_chain_head(entries, directory)
     if not verdict:
         return verdict
     for entry in entries[:-1]:

@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 
 _ORDER = "tests/test_verify_order.py::TestProofsNoBuilderMakes::"
+_HEADS = "tests/test_verify_order.py::TestForgedSignatureKeepsItsReason::"
 
 MUTANTS = (
     Mutant(
@@ -74,6 +75,20 @@ MUTANTS = (
         "if len(holder.rounds) != e - s + 1:",
         "if False:",
         ("tests/test_entangle.py::TestHubCodec::test_verifier_refuses_a_decoded_hub_with_one_evidence_proof_of_four",),
+    ),
+    Mutant(
+        "holder chain: a head with no key bound fails at its links, with no Ed25519 check",
+        "entangle.py",
+        "if verdict and call.directory.key_at(head.node_id, head.round) is None:",
+        "if False:",
+        ("tests/test_verify_order.py::TestSignatureCounts::test_head_with_no_key_bound_fails_at_its_links[chain-h0]",),
+    ),
+    Mutant(
+        "link: its holder chain's head signature, checked last",
+        "entangle.py",
+        "return call.counted(_check_link(proof, trusted, call) and verify_chain_head(proof.holder_chain, call))",
+        "return call.counted(_check_link(proof, trusted, call))",
+        ("tests/test_verify_order.py::TestTheHeadVouchesForItsChain::test_link_across_a_key_rebind_verifies_under_the_heads_key",),
     ),
     Mutant(
         "link: one receipt per window round",
@@ -118,6 +133,20 @@ MUTANTS = (
         (_ORDER + "test_manifest_path_at_another_index_is_misplaced",),
     ),
     Mutant(
+        "hub: its holder chain's head signature, checked last",
+        "entangle.py",
+        "verdict = verify_chain_head(proof.holder_chain, call)",
+        "verdict = Verdict.passed()",
+        (_HEADS + "test_hub_holder_chain[-1]",),
+    ),
+    Mutant(
+        "chain: every hop's head signature, not only the last hop's",
+        "entangle.py",
+        "for i in reversed(range(len(proof.hops))):",
+        "for i in (len(proof.hops) - 1,):",
+        (_HEADS + "test_chain_inner_hop[chain-entry]",),
+    ),
+    Mutant(
         "receipt: the prev-leaf proof at index 0",
         "node.py",
         "if paths.prev_inclusion.leaf_index != 0 or not directory.proves(c, (prev_hash,), paths.prev_inclusion):",
@@ -125,21 +154,21 @@ MUTANTS = (
         ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_receipt_whose_prev_leaf_proof_is_not_at_index_0",),
     ),
     Mutant(
-        "chain rule (verify_chain_entries, shared by audits and proofs): the head's signature",
+        "chain rule (verify_chain_head, shared by audits and proofs): the head's signature",
         "node.py",
         "if not directory.verify_commitment(head):",
         "if False:",
         ("tests/test_verify_order.py::TestTheHeadVouchesForItsChain::test_inner_entry_with_a_bad_signature_under_a_signed_head[issuer]",),
     ),
     Mutant(
-        "chain rule (verify_chain_entries, shared by audits and proofs): the first-leaf proof at index 0",
+        "chain rule (verify_chain_links, shared by audits and proofs): the first-leaf proof at index 0",
         "node.py",
         "if entry.first_leaf_proof.leaf_index != 0:",
         "if False:",
         ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_chain_entry_whose_first_leaf_proof_is_not_at_index_0",),
     ),
     Mutant(
-        "chain rule (verify_chain_entries, shared by audits and proofs): round 0 chains from the zero digest",
+        "chain rule (verify_chain_links, shared by audits and proofs): round 0 chains from the zero digest",
         "node.py",
         "if previous is None and c.round == 0 and entry.prev_digest != ZERO_DIGEST:",
         "if False:",

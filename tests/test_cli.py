@@ -5,6 +5,7 @@ shell would see are exactly what gets asserted.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -668,9 +669,10 @@ class TestInspect:
 
 
 class TestUndecodableInput:
-    """Files that are not UTF-8 or nest too deeply for the JSON parser are
-    reported with exit 1 and a named reason, never a traceback; a scenario
-    file, which is configuration, with exit 2 and one error line."""
+    """Files that are not UTF-8, nest too deeply for the JSON parser or hold
+    an integer past Python's int-string limit are reported with exit 1 and
+    a named reason, never a traceback; a scenario file, which is
+    configuration, with exit 2 and one error line."""
 
     @staticmethod
     def spoil(source: Path, kind: str) -> bytes:
@@ -678,6 +680,11 @@ class TestUndecodableInput:
         if kind == "non-utf8":
             middle = len(blob) // 2
             return blob[:middle] + b"\xff" + blob[middle:]
+        if kind == "big-int":
+            # 5,000 digits: the bundle's seed, or a whole record as a ledger's last line.
+            if source.suffix == ".json":
+                return re.sub(rb'"seed": \d+', b'"seed": ' + b"9" * 5000, blob, count=1)
+            return blob + b'{"round":' + b"9" * 5000 + b"}\n"
         deep = b"[" * 100000
         if source.suffix == ".json":
             assert b'"topology": ' in blob
@@ -687,7 +694,7 @@ class TestUndecodableInput:
         assert rest.count(b"\n") >= 1
         return header + b"\n" + deep + b"\n" + rest
 
-    @pytest.mark.parametrize("kind", ["non-utf8", "nested"])
+    @pytest.mark.parametrize("kind", ["non-utf8", "nested", "big-int"])
     @pytest.mark.parametrize(
         "command, reason",
         [("verify-trust", "MalformedTrust"), ("inspect-trust", "MalformedTrust"), ("inspect-ledger", "MalformedLedger")],

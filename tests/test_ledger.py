@@ -67,6 +67,20 @@ class TestLedgerFiles:
         with pytest.raises(LedgerError):
             read_ledger(path)
 
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_integer_past_the_int_string_limit_is_an_error(self, tmp_path, caplog, line):
+        # Python reads no integer of more than 4,300 digits.  The line is
+        # whole, so even the last one is refused, not dropped as truncated.
+        path = tmp_path / "events.jsonl"
+        write_ledger(path, "events", [{"n": 1}, {"n": 2}])
+        lines = path.read_text().splitlines()
+        lines[line] = '{"n":' + "9" * 5000 + "}"
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.WARNING, logger="entmesh.ledger"):
+            with pytest.raises(LedgerError, match=f"line {line + 1} is malformed: .*4300"):
+                read_ledger(path)
+        assert caplog.messages == []
+
     def test_non_object_record_rejected(self, tmp_path):
         path = tmp_path / "events.jsonl"
         write_ledger(path, "events", [])
@@ -155,6 +169,12 @@ class TestTrustBundle:
         path = tmp_path / "trust.json"
         path.write_text("{nope")
         with pytest.raises(LedgerError):
+            load_trust_bundle(path)
+
+    def test_integer_past_the_int_string_limit(self, tmp_path):
+        path = tmp_path / "trust.json"
+        path.write_text('{"format": "entmesh-trust", "seed": ' + "9" * 5000 + "}")
+        with pytest.raises(LedgerError, match="not valid JSON: .*4300"):
             load_trust_bundle(path)
 
     def test_wrong_format_marker(self, tmp_path):

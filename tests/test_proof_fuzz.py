@@ -7,7 +7,8 @@ writes is refused with a named reason.
 
 The verifiers check one signature per holder chain, its head's.  The
 rule that also checks every chain entry's signature (``every_entry_rule``
-in ``adversary``) is kept as a slow reference: every proof it accepts, the
+in ``adversary``, whose signature part is ``every_entry_signature``) is
+kept as a slow reference: every proof it accepts, the
 verifiers accept, and every mutation is refused by both.
 """
 
@@ -34,7 +35,7 @@ from entmesh.entangle import (
 from entmesh.node import Verdict
 from entmesh.wire import WireError
 
-from adversary import every_entry_rule
+from adversary import every_entry_signature
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -80,11 +81,11 @@ def _verdict(proof, sim):
 
 
 def _every_entry_verdict(proof, sim):
-    """``_verdict`` under the every-entry rule: each holder chain is checked
-    by ``every_entry_rule``, every entry's signature included, where the
-    verifiers check its links and its head's signature."""
+    """``_verdict`` under the every-entry rule: where the verifiers check a
+    holder chain's head signature, ``every_entry_signature`` checks it and
+    then every other entry's."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(entangle, "verify_chain_entries", every_entry_rule)
+        patch.setattr(entangle, "verify_chain_head", every_entry_signature)
         return _verdict(proof, sim)
 
 

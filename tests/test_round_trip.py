@@ -500,7 +500,7 @@ def verify_against_spliced_leaves(proof, sim, reference_leaf, reference_paths=No
     Returns the verdict and the number of runs compared."""
     joined, runs_compared = [], []  # joined: (issuer id, reference leaf) since the last run
     rebuilt = []  # the ReceiptPaths whose receipt form was just rebuilt
-    join, fold, rebuild = entangle.evidence_leaf, entangle._Deferred.proves, entangle.receipt_paths
+    join, fold, rebuild = entangle.evidence_leaf, entangle._Call.proves, entangle.receipt_paths
     parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
 
     def link_orders(holder_id):
@@ -519,18 +519,18 @@ def verify_against_spliced_leaves(proof, sim, reference_leaf, reference_paths=No
         assert join(sub, c, paths_bytes) == joined[-1][1]
         return joined[-1][1]
 
-    def proves(view, c, leaf_hashes, proof):
+    def proves(call, c, leaf_hashes, proof):
         if joined and leaf_hashes[0] == leaf_hash(joined[0][1]):  # a round's run, folded in the holder's round r + 2 tree
             assert tuple(leaf_hashes) == tuple(leaf_hash(reference) for _, reference in joined)
             assert tuple(issuer_id for issuer_id, _ in joined) in link_orders(c.node_id)
             joined.clear()
             runs_compared.append(c.round - EVIDENCE_LAG)
-        return fold(view, c, leaf_hashes, proof)
+        return fold(call, c, leaf_hashes, proof)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entangle, "evidence_leaf", leaf)
         patch.setattr(entangle, "receipt_paths", receipt_paths)
-        patch.setattr(entangle._Deferred, "proves", proves)
+        patch.setattr(entangle._Call, "proves", proves)
         verdict = _verify(proof, sim)
     return verdict, len(runs_compared)
 

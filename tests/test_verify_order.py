@@ -2,10 +2,11 @@
 signature per holder chain, its head's.
 
 The verdict must not depend on that order: for a proof with one fault it is
-the verdict the checks give when each signature is checked where they meet
-it, reason, wrapper and detail included.  That sequential reference is the
-verifier's own body run with signatures checked eagerly, so no second copy
-of the verifier is kept for it.
+the verdict the checks give when each head is checked where its chain's
+links are, reason, wrapper and detail included.  That sequential reference
+is the verifiers themselves with ``verify_chain_entries``, links then head,
+in place of their links rule, so no second copy of the verifier is kept
+for it.
 
 The checks walk a proof round by round: each window round's submission
 once, rebuilt and hashed (its signature is not checked), then every
@@ -97,40 +98,26 @@ def _verify(proof, sim, trust=None):
     return verify(proof, trust or _trust(proof, sim), sim.directory)
 
 
-class _Eager(entangle._Deferred):
-    """Checks each signature where the verifier meets it, as many times as it does."""
-
-    def __init__(self, directory):
-        super().__init__(directory)
-        self._directory = directory
-
-    def verify_signature(self, node_id, round_no, message, signature):
-        return self._directory.verify_signature(node_id, round_no, message, signature)
-
-
 def _sequential(proof, sim, trust=None):
-    check = {HubProof: entangle._check_hub, ChainProof: entangle._check_chain}.get(type(proof), entangle._check_link)
-    return check(proof, trust or _trust(proof, sim), _Eager(sim.directory))
+    """The verifier with each holder chain's head checked where its links
+    are, as the audits check a chain.  The heads, all good by then, are
+    checked again at the end."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entangle, "verify_chain_links", node_module.verify_chain_entries)
+        return _verify(proof, sim, trust)
 
 
 def _parent_rule(proof, sim):
     """The verifier with every receipt's issuer signature checked as well,
     as ``check_receipt`` checks it first, in the place its inclusion checks run."""
-    views = []
     inclusions = entangle._check_receipt_inclusions
 
-    class Recording(entangle._Deferred):
-        def __init__(self, directory):
-            super().__init__(directory)
-            views.append(self)
-
-    def check_receipt(submission_hash, paths, c, view):
-        if not view.verify_commitment(c):
+    def check_receipt(submission_hash, paths, c, call):
+        if not call.verify_commitment(c):
             return Verdict.failed("BadSignature", f"issuer {c.node_id.hex()}")
-        return inclusions(submission_hash, paths, c, view)
+        return inclusions(submission_hash, paths, c, call)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(entangle, "_Deferred", Recording)
         patch.setattr(entangle, "_check_receipt_inclusions", check_receipt)
         return _verify(proof, sim)
 
@@ -249,6 +236,49 @@ class TestSignatureCounts:
         # The first signature met is the head's, at round 4 + 2.
         assert (verdict.reason, verdict.detail) == ("LinkFailed", "holder chain: BadSignature (round 6)")
         assert ed25519_calls == []
+
+    @pytest.mark.parametrize(
+        "kind, missing, reason, detail, folds",
+        [
+            pytest.param("hub", "center", "LinkFailed", "holder chain: BadSignature (round 5)", 5, id="hub-center"),
+            pytest.param("chain", "h0", "BrokenHop", "hop 0: BadSignature (round 4)", 34, id="chain-h0"),
+            pytest.param("chain", "m3-0", "BrokenHop", "hop 1: BadSignature (round 5)", 24, id="chain-m3-0"),
+        ],
+    )
+    def test_head_with_no_key_bound_fails_at_its_links(self, runs, ed25519_calls, kind, missing, reason, detail, folds):
+        # One node's key is missing from the directory.  Its holder chain's
+        # head fails where the chain's links are checked, before any other
+        # head is checked, so no Ed25519 check is made.
+        proof, sim = runs[kind]
+        if kind == "hub":
+            center = sim.nodes["center"]
+            proof = build_hub_proof(center.records, (1, 3), center.receipt_log)
+        directory = KeyDirectory()
+        for label, node in sim.nodes.items():
+            (_, genesis), *rebinds = sim.directory.bindings_of(node.node_id)
+            if label != missing:
+                directory.register(node.node_id, genesis)
+                for from_round, key in rebinds:
+                    directory.rebind(node.node_id, key, from_round)
+        verify = verify_hub if kind == "hub" else verify_chain
+        verdict = verify(proof, _trust(proof, sim), directory)
+        assert (verdict.reason, verdict.detail) == (reason, detail)
+        assert (verdict.signatures_checked, verdict.inclusion_proofs_checked) == (0, folds)
+        assert ed25519_calls == []
+
+    @pytest.mark.parametrize("kind, chains", [("hub", 1), ("chain", 4), ("link", 1)])
+    def test_each_holder_chain_is_linked_then_its_head_checked_once(self, runs, monkeypatch, kind, chains):
+        # Every holder chain's links, in the order the parts are checked
+        # (a chain's hops from the anchor side), then each head, in that order.
+        met = []
+        for name in ("verify_chain_links", "verify_chain_head"):
+            rule = getattr(entangle, name)
+            monkeypatch.setattr(entangle, name, lambda entries, d, name=name, rule=rule: met.append((name, entries)) or rule(entries, d))
+        proof, sim = runs[kind]
+        assert _verify(proof, sim)
+        chains_checked = [hop.holder_chain for hop in reversed(proof.hops)] if kind == "chain" else [proof.holder_chain]
+        assert len(chains_checked) == chains
+        assert met == [("verify_chain_links", c) for c in chains_checked] + [("verify_chain_head", c) for c in chains_checked]
 
     @pytest.mark.parametrize("where", ["evidence-path", "chain-prev-digest"])
     def test_hashed_byte_flip_rejected_without_a_signature_check(self, runs, ed25519_calls, where):
@@ -563,7 +593,7 @@ class TestTheHeadVouchesForItsChain:
         assert verdict.signatures_checked == 0 == len(ed25519_calls)
 
     def test_every_entry_rule_checks_each_entry_once(self, runs, ed25519_calls):
-        # The head inside verify_chain_entries, every other entry after it.
+        # The head by verify_chain_head, every other entry after it.
         proof, sim = runs["link"]
         ed25519_calls.clear()
         assert every_entry_rule(proof.holder_chain, sim.directory)
