@@ -330,9 +330,9 @@ def config_from_dict(data: Any, source: str = "config") -> ScenarioConfig:
 def load_config(path: "Path | str") -> ScenarioConfig:
     try:
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, so caught before the next clause
         raise ConfigError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} at offset {exc.start})")
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # PyYAML's int and date constructors raise ValueError
         raise ConfigError(f"{path}: not valid YAML: {exc}")
     except RecursionError:  # PyYAML composes nested collections recursively
         raise ConfigError(f"{path}: nested too deeply")

@@ -7,8 +7,8 @@ is a pure function of (topology, rounds, seed, faults).
 Phases, round r:
   0. scheduled pre-build operations (credential issuance, recovery, ...)
   1. every node builds and signs its round-r tree
-  2. incremental self-audit of the (r-1, r) chain link, then pure trust
-     anchors prune round r-1 down to root + commitment
+  2. self-audit of the chain from round r-1, then pure trust anchors
+     prune round r-1 down to root + commitment
   3. every holder submits its new root along each link
   4. issuers acknowledge the submissions entangled in their round-r trees;
      holders validate receipts and notice missing ones
@@ -17,7 +17,7 @@ Phases, round r:
      claims across branches
   6. anchor commitments gossip one hop per round
   7. scheduled post-build operations
-  8. periodic full-chain audit, when enabled
+  8. periodic chain audit, from each node's last passing audit head on
   9. cumulative metrics snapshot
 
 The engine is deliberately message-faithful: everything a node learns
@@ -43,6 +43,7 @@ from ..node import (
     Receipt,
     StaleSubmissionError,
     Submission,
+    Verdict,
     build_round,
     chain_entry_for,
     check_receipt,
@@ -225,6 +226,8 @@ class Simulation:
         # Every signed (node, round) -> root claim a node has verified.
         self._claims: dict[str, dict[tuple[NodeId, int], Digest]] = {label: {} for label in topology.labels}
         self._reported: set[tuple[str, NodeId, int]] = set()
+        # Each node's last passing chain-audit head, where its next audit starts.
+        self._audited: dict[str, int] = {}
 
     # -- scheduling ------------------------------------------------------
 
@@ -340,16 +343,20 @@ class Simulation:
             commitment=commitment, state=state, tree=tree, received_receipts=old.received_receipts
         )
 
+    def _audit(self, label: str, start: int) -> Verdict:
+        """The chain rule over the node's unpruned records from round ``start`` on;
+        it passes when fewer than two are left.  A start past round 0 checks what
+        a walk of the whole history would: pruned records are always a prefix, and
+        no record below a passed head is replaced (``ForkHistory`` rewrites only
+        round r - 1 while round r is built, at or above any earlier head)."""
+        entries = [chain_entry_for(record) for record in self.nodes[label].records[start:] if record.state is not None]
+        return verify_chain_entries(entries, self._verifier) if len(entries) > 1 else Verdict.passed()
+
     def _phase_audit_and_prune(self, r: int) -> None:
         if r < 1:
             return
         for label in self.topology.labels:
-            node = self.nodes[label]
-            prev, cur = node.record_at(r - 1), node.record_at(r)
-            if prev.state is None or cur.state is None:
-                continue
-            entries = [chain_entry_for(prev), chain_entry_for(cur)]
-            verdict = verify_chain_entries(entries, self._verifier)
+            verdict = self._audit(label, r - 1)
             if not verdict:
                 self._event("SelfAuditFailed", node=label, reason=verdict.reason)
         # Rounds below r-1 were pruned in earlier rounds.
@@ -466,17 +473,10 @@ class Simulation:
         if not self.audit_every or r == 0 or r % self.audit_every:
             return
         for label in self.topology.labels:
-            node = self.nodes[label]
-            entries = []
-            for record in node.records:
-                if record.state is None:
-                    entries = []
-                    continue
-                entries.append(chain_entry_for(record))
-            if len(entries) < 2:
-                continue
-            verdict = verify_chain_entries(entries, self._verifier)
-            if not verdict:
+            verdict = self._audit(label, self._audited.get(label, 0))
+            if verdict:
+                self._audited[label] = r
+            else:
                 self._event("ChainAuditFailed", node=label, reason=verdict.reason)
 
     def _phase_metrics(self, r: int) -> None:

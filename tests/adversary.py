@@ -3,8 +3,9 @@
 Signed trees a real key signs but no honest build makes, records held in
 memory with bytes their encoder refuses to write, forged signatures and
 chain entries, proofs with one part swapped or composed field by field,
-and the every-entry reference rule for holder chains.  pytest does not
-collect this file: its name has no ``test_`` prefix.
+the every-entry reference rule for holder chains and the whole-history
+reference walk for chain audits.  pytest does not collect this file: its
+name has no ``test_`` prefix.
 """
 
 import dataclasses
@@ -110,6 +111,27 @@ def every_entry_signature(entries, directory):
         if not directory.verify_commitment(entry.commitment):
             return Verdict.failed("BadSignature", f"round {entry.commitment.round}")
     return verdict
+
+
+def full_history_audit(sim, r, rule):
+    """The chain audit at round ``r`` as a walk of each node's whole history:
+    ``rule`` over its unpruned records, from round 0 at every audit.  The
+    simulator's audit, which starts at the node's last passing head, must
+    report what this does."""
+    if not sim.audit_every or r == 0 or r % sim.audit_every:
+        return
+    for label in sim.topology.labels:
+        entries = []
+        for record in sim.nodes[label].records:
+            if record.state is None:
+                entries = []
+                continue
+            entries.append(chain_entry_for(record))
+        if len(entries) < 2:
+            continue
+        verdict = rule(entries, sim._verifier)
+        if not verdict:
+            sim._event("ChainAuditFailed", node=label, reason=verdict.reason)
 
 
 def chain_of_links(sim, links):

@@ -1,13 +1,14 @@
-"""Check-drop mutation sweep over the proof verifiers.
+"""Mutation sweep over the proof verifiers' checks and the cost laws.
 
-Each mutant below drops one verifier check by rewriting one line of
-``src/entmesh``.  For each, the sweep copies ``src/`` to a temp directory,
-applies the rewrite there and runs the tests named for it; a mutant is
-killed when one of them fails.  The sweep fails if any mutant survives, if
+Each mutant below drops one verifier check, or makes one step cost more
+than a cost law allows, by rewriting one line of ``src/entmesh``.  For
+each, the sweep copies ``src/`` to a temp directory, applies the rewrite
+there and runs the tests named for it; a mutant is killed when one of
+them fails.  The sweep fails if any mutant survives, if
 a listed line is not found exactly once (so a refactor cannot retire a
 mutant without this list saying so), or if the named tests do not all pass
 on the unmutated copy first.  A check added to a verifier adds its mutant
-here.
+here, and so does a cost the cost laws are meant to catch.
 
 Run from anywhere, with the test dependencies installed:
 
@@ -39,6 +40,7 @@ class Mutant(NamedTuple):
 
 _ORDER = "tests/test_verify_order.py::TestProofsNoBuilderMakes::"
 _HEADS = "tests/test_verify_order.py::TestForgedSignatureKeepsItsReason::"
+_COST = "tests/test_cost_laws.py::"
 
 MUTANTS = (
     Mutant(
@@ -173,6 +175,27 @@ MUTANTS = (
         "if previous is None and c.round == 0 and entry.prev_digest != ZERO_DIGEST:",
         "if False:",
         ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_round_0_entry_with_a_non_zero_prev_digest",),
+    ),
+    Mutant(
+        "cost law: an inclusion proof slices its siblings, it does not rehash the tree",
+        "hashtree.py",
+        "return self.prove_range(index, index + 1)",
+        "return ([sha256(_NODE_PREFIX + level[i : i + 64]) for level in self._levels[:-1] for i in range(0, len(level) - 63, 64)], self.prove_range(index, index + 1))[1]",
+        (_COST + "test_hashing_and_bytes_grow_as_log_holders[sha256]",),
+    ),
+    Mutant(
+        "cost law: the self-audit starts at round r - 1, not at round 0",
+        "simnet/engine.py",
+        "verdict = self._audit(label, r - 1)",
+        "verdict = self._audit(label, 0)",
+        (_COST + "test_work_per_node_round_is_flat_in_rounds[folds-centralized-10]",),
+    ),
+    Mutant(
+        "cost law: the chain audit starts at the last passing head, not at round 0",
+        "simnet/engine.py",
+        "verdict = self._audit(label, self._audited.get(label, 0))",
+        "verdict = self._audit(label, 0)",
+        (_COST + "test_work_per_node_round_is_flat_in_rounds[folds-federated-3x3-18-audited]",),
     ),
 )
 

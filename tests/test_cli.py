@@ -162,6 +162,22 @@ class TestSimulate:
         bad = "bad expression: integer literal of 5000 digits is too long (offset 6)"
         assert err == f"error: {path}.identity[0].claims: {bad}\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "prove"])
+    @pytest.mark.parametrize("key", ["seed", "holders"])
+    def test_integer_past_the_int_string_limit_is_refused(self, tmp_path, capsys, command, key):
+        # PyYAML's int constructor raises ValueError past Python's int-string limit.
+        path = tmp_path / "big.yaml"
+        seed, holders = ("9" * 5000, 3) if key == "seed" else (1, "9" * 5000)
+        path.write_text(f"rounds: 4\nseed: {seed}\ntopology:\n  kind: centralized\n  holders: {holders}\n")
+        out = tmp_path / "big.proof"
+        args = [command, "--config", str(path)]
+        if command == "prove":
+            args += ["--kind", "hub", "--holder", "h0", "--start", "1", "--end", "2", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid YAML: Exceeds the limit (4300 digits) ")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_run_too_large_is_refused(self, tmp_path, capsys):
         path = tmp_path / "huge.yaml"
         path.write_text("rounds: 100000000000\ntopology:\n  kind: chain\n  hops: 4\n")

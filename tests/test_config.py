@@ -263,6 +263,21 @@ class TestFiles:
         with pytest.raises(ConfigError, match="not valid YAML"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("seed: " + "9" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+            ("seed: 2020-02-30", "day is out of range for month"),
+        ],
+        ids=["int-past-the-int-string-limit", "date-past-the-month"],
+    )
+    def test_value_pyyaml_cannot_construct(self, tmp_path, text, reason):
+        # PyYAML's constructors raise ValueError for these; the loader names the file.
+        path = tmp_path / "value.yaml"
+        path.write_text(f"rounds: 4\n{text}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: not valid YAML: {reason}')}"):
+            load_config(path)
+
     def test_deeply_nested_yaml(self, tmp_path):
         path = tmp_path / "deep.yaml"
         path.write_text("rounds: " + "[" * 5000 + "]" * 5000 + "\n")

@@ -1,0 +1,129 @@
+"""The cost laws, counted: a node's work per round stays flat as holders and
+rounds grow, and only hashing and bytes grow, as log2 of the holder count.
+
+Wall-clock time is too noisy for a tier-1 check, so this module counts work
+and fits the counts against input size, as Goldsmith et al. do (ESEC/FSE
+2007).  Per node-round, leaving out round 0, which has no receipts, it
+counts Ed25519 signs (``KeyPair.sign``) and verifies
+(``Ed25519Scheme.verify``), inclusion folds (``fold_root``, in ``hashtree``
+and in ``entangle``), SHA-256 calls (``hashtree._sha256``) and bytes sent.
+The counts are deterministic.  Ed25519 is stood in for by a keyed SHA-512
+that refuses what Ed25519 refuses on these runs (any signature its key did
+not make), so every check has its real outcome at a fraction of the time,
+and signatures keep their 64 bytes.  At seed 0, as (signs, verifies, folds,
+SHA-256 calls, bytes sent):
+
+* ``centralized(n)`` x 10 rounds, for n = 10 / 50 / 200:
+  (1.91, 1.92, 3.82, 35.5, 954) / (1.98, 1.98, 3.96, 40.3, 1,160) /
+  (2.00, 2.00, 3.99, 44.5, 1,309);
+* ``centralized(10)`` at 10 / 80 rounds: (1.91, 1.92, 3.82, 35.5, 954) /
+  (1.91, 1.91, 3.82, 35.8, 967);
+* ``federated(3, 3, 18)`` with ``audit_every=10`` at 30 / 120 rounds:
+  (1.97, 1.97, 6.35, 44.6, 1,414) / (1.97, 1.97, 6.65, 46.0, 1,443).
+  While each chain audit walked the node's whole history, its folds read
+  6.69 / 11.12 (+66%) and its SHA-256 calls 46.1 / 65.6.
+
+The bounds, each with room for about twice the spread above:
+
+* ``FLAT``: across the holder sweep, the largest of signs, verifies and
+  folds per node-round is at most 10% above the smallest; across a rounds
+  sweep, so is every count;
+* ``FLAT`` again for the log law: SHA-256 calls and bytes per node-round at
+  200 holders are at most 10% above a + b·log2(200), the line through their
+  figures at 10 and 50 holders.
+"""
+
+import functools
+import hashlib
+import math
+from collections import Counter
+
+import pytest
+
+from entmesh import entangle, hashtree
+from entmesh.keys import Ed25519Scheme, KeyPair
+from entmesh.simnet import Simulation, centralized, federated
+
+FLAT = 1.10
+HOLDERS = (10, 50, 200)
+HOLDER_RUNS = [("centralized", n, 10, 0) for n in HOLDERS]
+ROUND_SWEEPS = {
+    "centralized-10": [("centralized", 10, rounds, 0) for rounds in (10, 80)],
+    "federated-3x3-18-audited": [("federated", 18, rounds, 10) for rounds in (30, 120)],
+}
+TOPOLOGIES = {"centralized": centralized, "federated": lambda holders: federated(3, 3, holders)}
+
+
+def stand_in_sign(keypair, message):
+    return hashlib.sha512(keypair.verify_key + message).digest()
+
+
+def stand_in_verify(scheme, verify_key, message, signature):
+    return signature == hashlib.sha512(verify_key + message).digest()
+
+
+# (owner, attribute, count, function): the counted functions, each wrapped where it is looked up.
+COUNTED = (
+    (KeyPair, "sign", "signs", stand_in_sign),
+    (Ed25519Scheme, "verify", "verifies", stand_in_verify),
+    (hashtree, "fold_root", "folds", hashtree.fold_root),
+    (entangle, "fold_root", "folds", hashtree.fold_root),
+    (hashtree, "_sha256", "sha256", hashtree._sha256),
+)
+PER_ROUND = ("signs", "verifies", "folds")
+GROWING = ("sha256", "bytes")
+
+
+@functools.cache
+def per_node_round(topology: str, holders: int, rounds: int, audit_every: int) -> dict[str, float]:
+    """Counts per node-round of a seed-0 run, over rounds 1 to ``rounds - 1``."""
+    counts = Counter()
+    live = []  # holds one item from round 1 on
+
+    def counted(original, count):
+        def wrapper(*args, **kwargs):
+            if live:
+                counts[count] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    def start(sim):
+        live.append(True)
+        counts["bytes"] -= sim.total_bytes_sent()
+
+    sim = Simulation(TOPOLOGIES[topology](holders), rounds=rounds, seed=0, audit_every=audit_every)
+    sim.at(1, start)
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name, count, function in COUNTED:
+            patch.setattr(owner, name, counted(function, count))
+        sim.run()
+    assert sim.events == []  # an honest run: every check passed, under the stand-in as under Ed25519
+    counts["bytes"] += sim.total_bytes_sent()
+    node_rounds = len(sim.topology.labels) * (rounds - 1)
+    return {count: counts[count] / node_rounds for count in PER_ROUND + GROWING}
+
+
+def spread(runs, count):
+    values = [per_node_round(*run)[count] for run in runs]
+    return max(values) / min(values)
+
+
+@pytest.mark.parametrize("count", PER_ROUND)
+def test_work_per_node_round_is_flat_in_holders(count):
+    assert spread(HOLDER_RUNS, count) <= FLAT, [per_node_round(*run)[count] for run in HOLDER_RUNS]
+
+
+@pytest.mark.parametrize("count", GROWING)
+def test_hashing_and_bytes_grow_as_log_holders(count):
+    small, middle, large = (per_node_round(*run)[count] for run in HOLDER_RUNS)
+    slope = (middle - small) / math.log2(HOLDERS[1] / HOLDERS[0])
+    line = middle + slope * math.log2(HOLDERS[2] / HOLDERS[1])
+    assert large <= FLAT * line, (small, middle, large, line)
+
+
+@pytest.mark.parametrize("sweep", sorted(ROUND_SWEEPS))
+@pytest.mark.parametrize("count", PER_ROUND + GROWING)
+def test_work_per_node_round_is_flat_in_rounds(sweep, count):
+    runs = ROUND_SWEEPS[sweep]
+    assert spread(runs, count) <= FLAT, [per_node_round(*run)[count] for run in runs]

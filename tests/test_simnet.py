@@ -30,7 +30,7 @@ from entmesh.simnet import (
 from entmesh.simnet.topology import Topology
 from entmesh.wire import WireError
 
-from adversary import every_entry_rule, forged_commitment, held_in_memory
+from adversary import every_entry_rule, forged_commitment, full_history_audit, held_in_memory
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -576,9 +576,11 @@ class TestSignatureMemo:
     @pytest.mark.parametrize("run", sorted(MEMO_RUNS))
     def test_same_run_as_the_plain_directory(self, run, monkeypatch):
         memo = MEMO_RUNS[run]().run()
-        # The reference run also audits each chain by the every-entry rule,
-        # so the audits' head rule changes no event, metric or root either.
+        # The reference run also audits each chain by the every-entry rule, and
+        # its chain audits walk each node's whole history, so neither the audits'
+        # head rule nor their start changes an event, metric or root.
         monkeypatch.setattr("entmesh.simnet.engine.verify_chain_entries", every_entry_rule)
+        monkeypatch.setattr(Simulation, "_phase_chain_audit", lambda sim, r: full_history_audit(sim, r, every_entry_rule))
         reference = MEMO_RUNS[run]()
         reference._verifier = reference.directory
         reference.run()
