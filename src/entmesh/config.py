@@ -8,6 +8,7 @@ that loads runs to completion.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional
@@ -75,6 +76,12 @@ def _take(mapping: dict, key: str, path: str, kind: type, default: Any = _MISSIN
         _fail(f"{path}.{key}", "expected an integer, got a boolean")
     if not isinstance(value, kind):
         _fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
+    # YAML's hex, octal and sexagesimal forms skip the decimal conversion that
+    # enforces Python's int-string limit, so an integer past it is refused here,
+    # before a message or a key derivation formats it.  0 means no limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if kind is int and limit and value.bit_length() > limit and abs(value) >= 10**limit:
+        _fail(f"{path}.{key}", f"integer of more than {limit} digits, past the int-string limit")
     return value
 
 

@@ -551,17 +551,10 @@ class ChainEntry:
 
 
 def chain_entry_for(record: "NodeRecord") -> ChainEntry:
-    """The record's chain entry: built on first use, then kept until the
-    record is pruned.  A record's round is fixed once built, so its entry is."""
-    if record.state is None or record.tree is None:
+    """The record's chain entry, made with the record; a pruned record has none."""
+    if record.entry is None:
         raise InvariantViolationError(f"round {record.round} was pruned; cannot build chain entry")
-    if record._chain_entry is None:
-        record._chain_entry = ChainEntry(
-            commitment=record.commitment,
-            prev_digest=record.state.prev_commitment_digest,
-            first_leaf_proof=record.tree.prove_inclusion(0),
-        )
-    return record._chain_entry
+    return record.entry
 
 
 def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
@@ -610,26 +603,28 @@ def verify_chain_head(entries: Sequence[ChainEntry], directory: KeyDirectory) ->
     return Verdict.passed()
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeRecord:
-    """One committed round.  Pruned records keep only root and commitment."""
+    """One committed round, made once.  A record with a tree has its state
+    too; pruning replaces it with one that keeps only root and commitment."""
 
     commitment: Commitment
     state: Optional[RoundState] = None
     tree: Optional[MerkleTree] = None
-    received_receipts: tuple[Receipt, ...] = ()
-    # Bytes the record keeps: encoded commitment, root and, until pruned, the
-    # tree's leaf bytes.  Sized when the record is made and again when pruned.
+    # The round's chain entry, made with the record; None without a tree.
+    entry: Optional[ChainEntry] = field(init=False, repr=False, compare=False)
+    # Bytes the storage model counts: encoded commitment, root and, unless
+    # pruned, the tree's leaf bytes.  The entry, derived from the tree, is not.
     retained_bytes: int = field(init=False, repr=False, compare=False)
-    # Kept by ``chain_entry_for``; not counted in retained_bytes, the model's storage.
-    _chain_entry: Optional[ChainEntry] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._measure()
-
-    def _measure(self) -> None:
-        leaf_bytes = self.tree.leaf_bytes_total if self.tree is not None else 0
-        self.retained_bytes = len(self.commitment.to_bytes()) + len(self.commitment.root) + leaf_bytes
+        entry, leaf_bytes = None, 0
+        if self.tree is not None:
+            entry = ChainEntry(self.commitment, self.state.prev_commitment_digest, self.tree.prove_inclusion(0))
+            leaf_bytes = self.tree.leaf_bytes_total
+        object.__setattr__(self, "entry", entry)
+        c = self.commitment
+        object.__setattr__(self, "retained_bytes", len(c.to_bytes()) + len(c.root) + leaf_bytes)
 
     @property
     def round(self) -> int:
@@ -715,20 +710,9 @@ class Node:
         self._pending_receipts.clear()
         return record
 
-    def attach_received(self) -> None:
-        # Called at round end: pin the receipts that arrived during this
-        # round onto the round's record, where the next round's forwarding
-        # phase reads them to pass on downstream.
-        if self.records:
-            self.records[-1].received_receipts = tuple(self._pending_receipts.values())
-
     def prune_record(self, round_no: int) -> None:
         # Trust-anchor storage mode: keep only the root and the commitment.
-        record = self.record_at(round_no)
-        record.state = None
-        record.tree = None
-        record._chain_entry = None
-        record._measure()
+        self.records[round_no] = NodeRecord(self.record_at(round_no).commitment)
 
     def make_submission(self) -> Submission:
         c = self.latest.commitment
@@ -753,7 +737,7 @@ class Node:
         entangled = record.state.entangled[index - FIXED_LEAVES]
         if entangled.holder_root != sub.holder_root:
             raise NotEntangledError("entangled root differs from the submission")
-        entry = chain_entry_for(record)  # its first-leaf proof is shared by the round's receipts
+        entry = record.entry  # its first-leaf proof is shared by the round's receipts
         paths = ReceiptPaths(record.tree.prove_inclusion(index), entry.prev_digest, entry.first_leaf_proof)
         return Receipt(entangled, entry.commitment, paths)
 

@@ -8,13 +8,13 @@ Phases, round r:
   0. scheduled pre-build operations (credential issuance, recovery, ...)
   1. every node builds and signs its round-r tree
   2. self-audit of the chain from round r-1, then pure trust anchors
-     prune round r-1 down to root + commitment
+     replace their round r-1 record with one of root + commitment
   3. every holder submits its new root along each link
   4. issuers acknowledge the submissions entangled in their round-r trees;
      holders validate receipts and notice missing ones
-  5. nodes forward the receipts they received last round to their own
-     holders, which is what lets a downstream node compare an issuer's
-     claims across branches
+  5. nodes forward the receipts their round-r trees retain as evidence,
+     in evidence order, to their own holders, which is what lets a
+     downstream node compare an issuer's claims across branches
   6. anchor commitments gossip one hop per round
   7. scheduled post-build operations
   8. periodic chain audit, from each node's last passing audit head on
@@ -45,7 +45,6 @@ from ..node import (
     Submission,
     Verdict,
     build_round,
-    chain_entry_for,
     check_receipt,
     verify_chain_entries,
 )
@@ -339,9 +338,7 @@ class Simulation:
             raise ValueError("cannot rewrite a pruned round")
         state = dataclasses.replace(old.state, payload=self._payload(node.label, r - 1, forked=True))
         tree, commitment = build_round(state, node.keypair)
-        node.records[r - 1] = NodeRecord(
-            commitment=commitment, state=state, tree=tree, received_receipts=old.received_receipts
-        )
+        node.records[r - 1] = NodeRecord(commitment=commitment, state=state, tree=tree)
 
     def _audit(self, label: str, start: int) -> Verdict:
         """The chain rule over the node's unpruned records from round ``start`` on;
@@ -349,7 +346,7 @@ class Simulation:
         a walk of the whole history would: pruned records are always a prefix, and
         no record below a passed head is replaced (``ForkHistory`` rewrites only
         round r - 1 while round r is built, at or above any earlier head)."""
-        entries = [chain_entry_for(record) for record in self.nodes[label].records[start:] if record.state is not None]
+        entries = [record.entry for record in self.nodes[label].records[start:] if record.entry is not None]
         return verify_chain_entries(entries, self._verifier) if len(entries) > 1 else Verdict.passed()
 
     def _phase_audit_and_prune(self, r: int) -> None:
@@ -419,11 +416,10 @@ class Simulation:
         if r < 1:
             return
         for label in self.topology.labels:
-            record = self.nodes[label].record_at(r - 1)
             downstream = self.topology.holders_of(label)
             if not downstream:
                 continue
-            for receipt in record.received_receipts:
+            for receipt in self.nodes[label].record_at(r).state.evidence:
                 payload_len = len(receipt.to_bytes())
                 for target in downstream:
                     self._send(label, target, payload_len)
@@ -480,8 +476,6 @@ class Simulation:
                 self._event("ChainAuditFailed", node=label, reason=verdict.reason)
 
     def _phase_metrics(self, r: int) -> None:
-        for label in self.topology.labels:
-            self.nodes[label].attach_received()
         for label in self.topology.labels:
             counters = vars(self._counters[label])
             self.metrics.append(

@@ -53,8 +53,6 @@ class ManualNet:
             if not verdict:
                 self.receipt_failures.append((holder, issuer, self.round, verdict))
         self._awaiting = submitted
-        for label in self.labels:
-            self.nodes[label].attach_received()
 
     def run(self, rounds, **kwargs):
         for _ in range(rounds):

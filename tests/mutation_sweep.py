@@ -1,7 +1,8 @@
 """Mutation sweep over the proof verifiers' checks and the cost laws.
 
-Each mutant below drops one verifier check, or makes one step cost more
-than a cost law allows, by rewriting one line of ``src/entmesh``.  For
+Each mutant below drops one verifier check or the forwarding that
+equivocation detection relies on, or makes one step cost more than a
+cost law allows, by rewriting one line of ``src/entmesh``.  For
 each, the sweep copies ``src/`` to a temp directory, applies the rewrite
 there and runs the tests named for it; a mutant is killed when one of
 them fails.  The sweep fails if any mutant survives, if
@@ -196,6 +197,13 @@ MUTANTS = (
         "verdict = self._audit(label, self._audited.get(label, 0))",
         "verdict = self._audit(label, 0)",
         (_COST + "test_work_per_node_round_is_flat_in_rounds[folds-federated-3x3-18-audited]",),
+    ),
+    Mutant(
+        "detection: a node forwards the receipts its round retains",
+        "simnet/engine.py",
+        "for receipt in self.nodes[label].record_at(r).state.evidence:",
+        "for receipt in ():",
+        ("tests/test_simnet.py::TestEquivocation::test_fork_victim_detects_within_two_rounds",),
     ),
 )
 

@@ -6,6 +6,7 @@ shell would see are exactly what gets asserted.
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -688,7 +689,7 @@ class TestUndecodableInput:
     """Files that are not UTF-8, nest too deeply for the JSON parser or hold
     an integer past Python's int-string limit are reported with exit 1 and
     a named reason, never a traceback; a scenario file, which is
-    configuration, with exit 2 and one error line."""
+    configuration, with exit 2 and one error line, in any YAML integer form."""
 
     @staticmethod
     def spoil(source: Path, kind: str) -> bytes:
@@ -696,6 +697,9 @@ class TestUndecodableInput:
         if kind == "non-utf8":
             middle = len(blob) // 2
             return blob[:middle] + b"\xff" + blob[middle:]
+        if kind == "big-hex-int":
+            # 5,000 hex digits, which PyYAML builds without a decimal conversion.
+            return re.sub(rb"seed: \d+", b"seed: 0x" + b"f" * 5000, blob, count=1)
         if kind == "big-int":
             # 5,000 digits: the bundle's seed, or a whole record as a ledger's last line.
             if source.suffix == ".json":
@@ -728,20 +732,32 @@ class TestUndecodableInput:
         assert main(argv) == 1
         assert reason in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["simulate", "prove"])
-    def test_scenario_that_is_not_utf8(self, tmp_path, capsys, command):
-        source = SCENARIOS / "hub.yaml"
-        bad = tmp_path / source.name
-        bad.write_bytes(self.spoil(source, "non-utf8"))
+    @staticmethod
+    def refuse_scenario(tmp_path, capsys, command: str, kind: str) -> tuple[Path, str]:
+        """Run ``command`` on hub.yaml spoiled by ``kind``: exit 2, no output,
+        no proof.  Returns the spoiled file and what went to stderr."""
+        bad = tmp_path / "hub.yaml"
+        bad.write_bytes(TestUndecodableInput.spoil(SCENARIOS / "hub.yaml", kind))
         proof = tmp_path / "hub.proof"
         argv = [command, "--config", str(bad)]
         if command == "prove":
             argv += ["--kind", "hub", "--holder", "center", "--start", "1", "--end", "3", "--out", str(proof)]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        offset = len(source.read_bytes()) // 2  # hub.yaml is ASCII, so the byte's offset is its position
-        assert captured.err == f"error: {bad}: not UTF-8 (byte 0xff at offset {offset})\n"
         assert captured.out == "" and not proof.exists()
+        return bad, captured.err
+
+    @pytest.mark.parametrize("command", ["simulate", "prove"])
+    def test_scenario_that_is_not_utf8(self, tmp_path, capsys, command):
+        bad, err = self.refuse_scenario(tmp_path, capsys, command, "non-utf8")
+        offset = len((SCENARIOS / "hub.yaml").read_bytes()) // 2  # hub.yaml is ASCII, so the byte's offset is its position
+        assert err == f"error: {bad}: not UTF-8 (byte 0xff at offset {offset})\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "prove"])
+    def test_scenario_hex_integer_past_the_int_string_limit(self, tmp_path, capsys, command):
+        bad, err = self.refuse_scenario(tmp_path, capsys, command, "big-hex-int")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: {bad}.seed: integer of more than {limit} digits, past the int-string limit\n"
 
 
 def _paths(value, path=()):

@@ -1,6 +1,7 @@
 """Scenario schema: strict keys, dotted error paths, cross-field checks."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -277,6 +278,39 @@ class TestFiles:
         path.write_text(f"rounds: 4\n{text}\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: not valid YAML: {reason}')}"):
             load_config(path)
+
+    # Integers PyYAML builds without the decimal conversion that enforces the limit.
+    PAST_THE_LIMIT = {
+        "hex": "0x" + "f" * 5000,
+        "octal": "0" + "7" * 5000,
+        "binary": "0b" + "1" * 15000,
+        "sexagesimal": "1" + ":59" * 3000,
+    }
+    SCENARIO = "rounds: {rounds}\nseed: {seed}\ntopology:\n  kind: centralized\n  holders: {holders}\n"
+    FAULT = "faults:\n  - kind: withhold_receipt\n    node: hub\n    victim: h0\n    start_round: {start_round}\n"
+
+    @pytest.mark.parametrize("form", sorted(PAST_THE_LIMIT))
+    @pytest.mark.parametrize("key", ["seed", "rounds", "topology.holders", "faults[0].start_round"])
+    def test_integer_form_past_the_int_string_limit(self, tmp_path, key, form):
+        values = {"rounds": 4, "seed": 0, "holders": 3, "start_round": 1}
+        values[key.rpartition(".")[2]] = self.PAST_THE_LIMIT[form]
+        path = tmp_path / "big.yaml"
+        path.write_text((self.SCENARIO + self.FAULT).format(**values))
+        limit = sys.get_int_max_str_digits()
+        message = f"{path}.{key}: integer of more than {limit} digits, past the int-string limit"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+    def test_integer_at_the_int_string_limit_loads(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "seed.yaml"
+        for seed, loads in ((10**limit - 1, True), (10**limit, False)):
+            path.write_text(self.SCENARIO.format(rounds=2, seed=hex(seed), holders=1))
+            if loads:
+                assert load_config(path).seed == seed
+            else:
+                with pytest.raises(ConfigError, match=r"\.seed: integer of more than"):
+                    load_config(path)
 
     def test_deeply_nested_yaml(self, tmp_path):
         path = tmp_path / "deep.yaml"

@@ -290,7 +290,8 @@ class TestHubProof:
         center = fan.nodes["center"]
         retaining = center.records[4]
         evidence = retaining.state.evidence
-        retaining.state = dataclasses.replace(retaining.state, evidence=(evidence[1], evidence[0]) + evidence[2:])
+        swapped = dataclasses.replace(retaining.state, evidence=(evidence[1], evidence[0]) + evidence[2:])
+        center.records[4] = dataclasses.replace(retaining, state=swapped)
         with pytest.raises(ValueError, match="receipts for round 2 are not one run of leaves"):
             build_hub_proof(center.records, (1, 3), center.receipt_log)
 

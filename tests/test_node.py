@@ -456,6 +456,26 @@ class TestSignedTreesNoBuilderMakes:
         assert (verdict.reason, verdict.detail) == ("ChainBreak", "round 0 must chain from the zero digest")
 
 
+class TestRecordsAreMadeOnce:
+    def test_no_record_field_can_be_assigned(self, manual_net):
+        record = manual_net(["a", "b"], [("a", "b")]).run(2).nodes["b"].record_at(1)
+        for name in ("commitment", "state", "tree", "entry", "retained_bytes"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+
+    def test_a_built_record_holds_its_entry_before_anything_asks(self):
+        node = solo_node()
+        directory = KeyDirectory()
+        directory.register(node.node_id, node.keypair.verify_key)
+        records = [node.build(("data", r)) for r in range(3)]
+        for record in records:
+            entry = vars(record)["entry"]
+            assert entry.commitment is record.commitment
+            assert entry.prev_digest == record.state.prev_commitment_digest
+            assert entry.first_leaf_proof == record.tree.prove_inclusion(0)
+        assert verify_chain_entries([record.entry for record in records], directory)
+
+
 class TestPruning:
     def test_pruned_record_keeps_commitment(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
@@ -471,11 +491,24 @@ class TestPruning:
         node = net.nodes["b"]
         record = node.record_at(1)
         entry = chain_entry_for(record)
-        assert chain_entry_for(record) is entry
+        assert entry is record.entry
         node.prune_record(1)
-        assert record._chain_entry is None
-        with pytest.raises(InvariantViolationError):
-            chain_entry_for(record)
+        assert node.record_at(1).entry is None
+        with pytest.raises(InvariantViolationError, match="round 1 was pruned; cannot build chain entry"):
+            chain_entry_for(node.record_at(1))
+
+    def test_pruning_replaces_the_record_and_leaves_the_old_one_whole(self, manual_net):
+        net = manual_net(["a", "b"], [("a", "b")]).run(3)
+        node = net.nodes["b"]
+        record = node.record_at(1)
+        state, tree, entry, kept = record.state, record.tree, record.entry, record.retained_bytes
+        node.prune_record(1)
+        pruned = node.record_at(1)
+        assert pruned is not record
+        assert (record.state, record.tree, record.entry, record.retained_bytes) == (state, tree, entry, kept)
+        assert (pruned.state, pruned.tree, pruned.entry) == (None, None, None)
+        assert pruned.commitment is record.commitment
+        assert pruned.retained_bytes == len(record.commitment.to_bytes()) + 32
 
     def test_pruned_record_cannot_prove(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(3)

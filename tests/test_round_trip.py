@@ -428,28 +428,30 @@ def test_decoded_entry_keeps_the_slice_it_read(ci_proofs):
 
 
 def test_kept_entries_match_fresh_reference_entries():
-    """After a run, each record's kept chain entry has the bytes of an entry
-    built and written field by field from the record as it stands, and the
-    receipts the record's round issued share its first-leaf proof."""
+    """After a run, each record's chain entry, made with the record, has the
+    bytes of an entry built and written field by field from the record as it
+    stands, and the receipts the record's round issued share its first-leaf
+    proof."""
     sim = Simulation(federated(3, 3, 18), rounds=20, seed=3, audit_every=5).run()
     kept = 0
     for node in sim.nodes.values():
         for record in node.records:
-            entry = record._chain_entry
+            entry = record.entry
             if entry is None:
+                assert record.state is None and record.tree is None
                 continue
             assert record.state is not None and record.tree is not None
             assert entry.commitment is record.commitment
             fresh = ChainEntry(record.commitment, record.state.prev_commitment_digest, record.tree.prove_inclusion(0))
             assert entry.to_bytes() == ref_chain_entry(fresh)
             kept += 1
-    assert kept >= 20 * 18  # the audits built one per holder round at least
+    assert kept >= 20 * 18  # every holder round keeps its entry at least
     # A receipt's prev-leaf proof is its issuer round's entry proof, not a copy.
     records = {node.node_id: node.records for node in sim.nodes.values()}
     shared = 0
     for node in sim.nodes.values():
         for receipt in node.receipt_log.values():
-            entry = records[receipt.issuer_id][receipt.issuer_round]._chain_entry
+            entry = records[receipt.issuer_id][receipt.issuer_round].entry
             if entry is not None:
                 assert receipt.paths.prev_inclusion is entry.first_leaf_proof
                 shared += 1

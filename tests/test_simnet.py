@@ -12,7 +12,7 @@ from entmesh.config import load_config, make_simulation
 from entmesh.entangle import MissingReceiptError, build_chain_proof, build_hub_proof, build_link_proof, encode_proof, verify_link
 from entmesh.hashtree import ZERO_DIGEST, Digest, MerkleTree, fold_root, leaf_hash, sha256
 from entmesh.keys import Ed25519Scheme, KeyPair, keypair_from_seed
-from entmesh.node import KeyDirectory, NodeRecord, build_round, chain_entry_for, round_leaves
+from entmesh.node import KeyDirectory, build_round, chain_entry_for, round_leaves
 from entmesh.simnet import (
     Equivocate,
     ForkHistory,
@@ -132,6 +132,28 @@ class TestHonestRuns:
         rows = sim.metrics_rows()
         assert len(rows) == len(sim.metrics) > 0
         assert [list(row.items()) for row in rows] == [list(dataclasses.asdict(m).items()) for m in sim.metrics]
+
+    def test_nodes_forward_what_their_round_retains_in_evidence_order(self):
+        sim = Simulation(ring(4, mutual=True), rounds=6, seed=0)
+        forwarded = []
+        ingest = sim._ingest_forward
+
+        def hooked(observer, receipt):
+            forwarded.append((sim.round, observer, receipt))
+            ingest(observer, receipt)
+
+        sim._ingest_forward = hooked
+        sim.run()
+        expected = [
+            (r, target, receipt)
+            for r in range(1, sim.rounds)
+            for label in sim.topology.labels
+            for receipt in sim.nodes[label].record_at(r).state.evidence
+            for target in sim.topology.holders_of(label)
+        ]
+        assert forwarded == expected
+        # Each node holds receipts from two issuers, so the order is a real one.
+        assert any(len({receipt.issuer_id for receipt in record.state.evidence}) > 1 for record in sim.nodes["n0"].records)
 
     def test_receipt_lag_is_uniform(self):
         sim = Simulation(chain(3), rounds=7, seed=2).run()
@@ -346,14 +368,15 @@ class TestKeptChainEntries:
 
     def test_replaced_record_is_audited_on_its_own_entry(self):
         # A record swapped for one whose tree does not match its commitment,
-        # after the audits kept the old record's entry: both audits see it.
+        # after the audits checked the old record's entry: both audits see it.
         def forge(sim):
             node = sim.nodes["m1-0"]
             old = node.record_at(2)
-            assert old._chain_entry is not None
+            assert old.entry is not None
             state = dataclasses.replace(old.state, prev_commitment_digest=sha256(b"forged"))
             tree, _ = build_round(state, node.keypair)
-            node.records[2] = NodeRecord(commitment=old.commitment, state=state, tree=tree)
+            node.records[2] = dataclasses.replace(old, state=state, tree=tree)
+            assert node.records[2].entry.prev_digest != old.entry.prev_digest
 
         sim = Simulation(chain(2), rounds=8, seed=13, audit_every=2)
         sim.at(3, forge)
