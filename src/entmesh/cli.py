@@ -7,6 +7,7 @@ or trust material), 2 bad configuration or arguments, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,6 +23,8 @@ from .entangle import (
     build_link_proof,
     decode_proof,
     encode_proof,
+    hop_windows,
+    last_holder_round,
     verify_chain,
     verify_hub,
     verify_link,
@@ -35,6 +38,7 @@ from .ledger import (
     write_trust_bundle,
 )
 from .node import Verdict
+from .simnet import Simulation
 from .wire import WireError
 
 __all__ = ["main"]
@@ -56,15 +60,15 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text", help="output format")
 
 
-def _run_scenario(args) -> "tuple":
-    config = load_config(args.config)
-    sim = make_simulation(config, seed=args.seed)
+def _run(config, seed: Optional[int]) -> Simulation:
+    sim = make_simulation(config, seed=seed)
     sim.run()
-    return config, sim
+    return sim
 
 
 def cmd_simulate(args) -> int:
-    config, sim = _run_scenario(args)
+    config = load_config(args.config)
+    sim = _run(config, args.seed)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -112,8 +116,28 @@ def _label_to_id(sim, label: str):
     return sim.nodes[label].node_id
 
 
+def _rounds_to_run(config, args) -> int:
+    """How many rounds ``prove`` runs: until every holder round its proof reads
+    is final, so the proof, or the error, is that of a run of every round.  A
+    proof that reads past the scenario runs all of it, and fails as before."""
+    start = args.start
+    end = args.end if args.end is not None else start
+    if args.kind == "chain":
+        try:
+            path = config.topology.path_to_anchor(args.holder)
+        except ValueError:
+            return config.rounds
+        windows = hop_windows(start, args.window, len(path) - 1)
+        reads = [(holder, last_holder_round(window)) for holder, window in zip(path, windows)]
+    else:
+        reads = [(args.holder, last_holder_round((start, end)))]
+    final = max((Simulation.rounds_until_final(config.faults, label, r) for label, r in reads), default=1)
+    return min(config.rounds, max(1, final))
+
+
 def cmd_prove(args) -> int:
-    config, sim = _run_scenario(args)
+    config = load_config(args.config)
+    sim = _run(dataclasses.replace(config, rounds=_rounds_to_run(config, args)), args.seed)
     start = args.start
     end = args.end if args.end is not None else start
     holder = args.holder
@@ -297,7 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_prove = sub.add_parser("prove", help="re-run a scenario and emit a proof file")
+    p_prove = sub.add_parser(
+        "prove",
+        help="re-run a scenario through the last round the proof reads and emit a proof file",
+        description="Re-run a scenario through the last round the proof reads, and one more when a "
+        "fork_history fault rewrites that round, then write the proof: the same bytes a run of every round gives.",
+    )
     p_prove.add_argument("--config", required=True)
     p_prove.add_argument("--kind", choices=("link", "hub", "chain"), required=True)
     p_prove.add_argument("--holder", required=True, help="holder node label")

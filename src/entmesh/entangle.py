@@ -7,6 +7,14 @@ leaf in the holder's round r+2 tree.  The pipeline is fully parallel: no
 node ever waits on a same-round artifact of another node, which is what
 makes mutual (cyclic) entanglement graphs possible.
 
+So a proof reads a bounded stretch of its holders' history.  A link or hub
+proof over holder rounds [s, e] reads the holder's rounds s to
+e + EVIDENCE_LAG (``last_holder_round``), whose last tree retains the
+receipts for round e, and the holder's receipts for rounds s to e.  A chain
+proof from round s over w-round windows is one link proof per hop: hop i
+covers its holder's rounds [s + i, s + i + w - 1] (``hop_windows``), so the
+last hop's holder is read furthest, to round s + hops - 1 + w - 1 + EVIDENCE_LAG.
+
 Proof vocabulary:
 
 * ``LinkProof``   -- one holder/issuer relationship over a round window.
@@ -89,6 +97,8 @@ __all__ = [
     "build_root_path",
     "decode_proof",
     "encode_proof",
+    "hop_windows",
+    "last_holder_round",
     "verify_chain",
     "verify_hub",
     "verify_link",
@@ -183,16 +193,27 @@ def _by_round(chain: Sequence[ChainEntry]) -> dict[int, Commitment]:
     return {entry.commitment.round: entry.commitment for entry in chain}
 
 
+def last_holder_round(window: tuple[int, int]) -> int:
+    """The last holder round a link or hub proof over ``window`` reads: the
+    one whose tree retains the receipts for the window's last round."""
+    return window[1] + EVIDENCE_LAG
+
+
+def hop_windows(start_round: int, window_len: int, hops: int) -> list[tuple[int, int]]:
+    """The windows of a chain proof's hops, each one round on from the last."""
+    return [(start_round + i, start_round + i + window_len - 1) for i in range(hops)]
+
+
 def _holder_chain(holder_records: Sequence[NodeRecord], window: tuple[int, int]) -> tuple[ChainEntry, ...]:
     start, end = window
     if start > end or start < 0:
         raise ValueError(f"bad window {window}")
-    if end + EVIDENCE_LAG >= len(holder_records):
+    last = last_holder_round(window)
+    if last >= len(holder_records):
         raise ValueError(
-            f"window {window} needs holder rounds up to {end + EVIDENCE_LAG}, "
-            f"but only {len(holder_records)} rounds exist"
+            f"window {window} needs holder rounds up to {last}, but only {len(holder_records)} rounds exist"
         )
-    return tuple(chain_entry_for(holder_records[r]) for r in range(start, end + EVIDENCE_LAG + 1))
+    return tuple(chain_entry_for(holder_records[r]) for r in range(start, last + 1))
 
 
 def _not_one_run(r: int) -> ValueError:
@@ -510,11 +531,13 @@ def build_chain_proof(
     """Compose a chain along ``path`` (holder first, anchor last)."""
     if len(path) < 2:
         raise ValueError("a chain needs at least one hop")
-    hops = []
-    for i, (holder, issuer) in enumerate(zip(path, path[1:])):
-        window = (start_round + i, start_round + i + window_len - 1)
-        hops.append(build_link_proof(records_by_id[holder], issuer, window, receipts_by_id[holder]))
-    return ChainProof(hops=tuple(hops))
+    windows = hop_windows(start_round, window_len, len(path) - 1)
+    return ChainProof(
+        hops=tuple(
+            build_link_proof(records_by_id[holder], issuer, window, receipts_by_id[holder])
+            for holder, issuer, window in zip(path, path[1:], windows)
+        )
+    )
 
 
 def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], directory: KeyDirectory) -> Verdict:

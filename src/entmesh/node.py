@@ -651,6 +651,8 @@ class Node:
         self.node_id: NodeId = keypair.node_id
         self.manifest: tuple[NodeId, ...] = ()
         self.records: list[NodeRecord] = []
+        # The sum of the records' retained_bytes, kept as records are added and replaced.
+        self.retained_bytes = 0
         self._pending_submissions: dict[tuple[NodeId, int], Submission] = {}
         self._pending_receipts: dict[tuple[NodeId, int], Receipt] = {}
         self.receipt_log: dict[tuple[NodeId, int], Receipt] = {}
@@ -706,13 +708,19 @@ class Node:
         tree, commitment = build_round(state, self.keypair)
         record = NodeRecord(commitment=commitment, state=state, tree=tree)
         self.records.append(record)
+        self.retained_bytes += record.retained_bytes
         self._pending_submissions.clear()
         self._pending_receipts.clear()
         return record
 
+    def replace_record(self, round_no: int, record: NodeRecord) -> None:
+        old = self.record_at(round_no)
+        self.records[round_no] = record
+        self.retained_bytes += record.retained_bytes - old.retained_bytes
+
     def prune_record(self, round_no: int) -> None:
         # Trust-anchor storage mode: keep only the root and the commitment.
-        self.records[round_no] = NodeRecord(self.record_at(round_no).commitment)
+        self.replace_record(round_no, NodeRecord(self.record_at(round_no).commitment))
 
     def make_submission(self) -> Submission:
         c = self.latest.commitment

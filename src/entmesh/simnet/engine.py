@@ -318,7 +318,7 @@ class Simulation:
             equivocating = eq is not None and r >= eq.start_round
             if equivocating and r == eq.start_round:
                 shadow = Node(label, node.keypair)
-                shadow.records = list(node.records)
+                shadow.records, shadow.retained_bytes = list(node.records), node.retained_bytes
                 shadow.manifest = node.manifest
                 self._shadows[label] = shadow
                 self._event("EquivocationStarted", node=label, fork_targets=list(eq.fork_targets))
@@ -338,7 +338,16 @@ class Simulation:
             raise ValueError("cannot rewrite a pruned round")
         state = dataclasses.replace(old.state, payload=self._payload(node.label, r - 1, forked=True))
         tree, commitment = build_round(state, node.keypair)
-        node.records[r - 1] = NodeRecord(commitment=commitment, state=state, tree=tree)
+        node.replace_record(r - 1, NodeRecord(commitment=commitment, state=state, tree=tree))
+
+    @staticmethod
+    def rounds_until_final(faults: Sequence, label: str, round_no: int) -> int:
+        """How many rounds a run with ``faults`` makes before ``label``'s record
+        ``round_no`` is final: round_no + 1, or round_no + 2 when a ``ForkHistory``
+        on ``label`` at round_no + 1 replaces it (``_rewrite_previous``).  No other
+        fault or phase changes a built record, or a receipt once it is logged."""
+        rewritten = ForkHistory(node=label, round=round_no + 1) in faults
+        return round_no + 2 if rewritten else round_no + 1
 
     def _audit(self, label: str, start: int) -> Verdict:
         """The chain rule over the node's unpruned records from round ``start`` on;
@@ -493,7 +502,7 @@ class Simulation:
     # -- inspection --------------------------------------------------------
 
     def retained_bytes(self, label: str) -> int:
-        return sum(record.retained_bytes for record in self.nodes[label].records)
+        return self.nodes[label].retained_bytes
 
     def records_by_id(self) -> dict[NodeId, list[NodeRecord]]:
         return {node.node_id: node.records for node in self.nodes.values()}
@@ -502,30 +511,8 @@ class Simulation:
         return {node.node_id: node.receipt_log for node in self.nodes.values()}
 
     def path_to_anchor(self, label: str) -> list[str]:
-        """Shortest outbound path from ``label`` to the nearest anchor."""
-        anchors = set(self.topology.anchors)
-        if not anchors:
-            raise ValueError("topology has no anchors")
-        parents: dict[str, str] = {}
-        frontier = [label]
-        seen = {label}
-        while frontier:
-            found = sorted(anchors & set(frontier))
-            if found:
-                path = [found[0]]
-                while path[-1] != label:
-                    path.append(parents[path[-1]])
-                path.reverse()
-                return path
-            next_frontier = []
-            for current in frontier:
-                for issuer in self.topology.issuers_of(current):
-                    if issuer not in seen:
-                        seen.add(issuer)
-                        parents[issuer] = current
-                        next_frontier.append(issuer)
-            frontier = next_frontier
-        raise ValueError(f"no outbound path from {label} to an anchor")
+        """``Topology.path_to_anchor`` of the run's topology."""
+        return self.topology.path_to_anchor(label)
 
     def detected(self, offender: str) -> list[dict]:
         return [e for e in self.events if e["type"] == "EquivocationDetected" and e["offender"] == offender]

@@ -57,6 +57,32 @@ class Topology:
     def neighbors(self, label: str) -> tuple[str, ...]:
         return self._partners.get(label, _NO_PARTNERS)[2]
 
+    def path_to_anchor(self, label: str) -> list[str]:
+        """Shortest outbound path from ``label`` to the nearest anchor."""
+        anchors = set(self.anchors)
+        if not anchors:
+            raise ValueError("topology has no anchors")
+        parents: dict[str, str] = {}
+        frontier = [label]
+        seen = {label}
+        while frontier:
+            found = sorted(anchors & set(frontier))
+            if found:
+                path = [found[0]]
+                while path[-1] != label:
+                    path.append(parents[path[-1]])
+                path.reverse()
+                return path
+            next_frontier = []
+            for current in frontier:
+                for issuer in self.issuers_of(current):
+                    if issuer not in seen:
+                        seen.add(issuer)
+                        parents[issuer] = current
+                        next_frontier.append(issuer)
+            frontier = next_frontier
+        raise ValueError(f"no outbound path from {label} to an anchor")
+
 
 def validate_topology(topo: Topology) -> None:
     if len(set(topo.labels)) != len(topo.labels):

@@ -1,8 +1,9 @@
 """Mutation sweep over the proof verifiers' checks and the cost laws.
 
 Each mutant below drops one verifier check or the forwarding that
-equivocation detection relies on, or makes one step cost more than a
-cost law allows, by rewriting one line of ``src/entmesh``.  For
+equivocation detection relies on, makes one step cost more than a
+cost law allows, or makes ``entmesh prove`` stop its run before a round
+its proof reads is final, by rewriting one line of ``src/entmesh``.  For
 each, the sweep copies ``src/`` to a temp directory, applies the rewrite
 there and runs the tests named for it; a mutant is killed when one of
 them fails.  The sweep fails if any mutant survives, if
@@ -42,6 +43,7 @@ class Mutant(NamedTuple):
 _ORDER = "tests/test_verify_order.py::TestProofsNoBuilderMakes::"
 _HEADS = "tests/test_verify_order.py::TestForgedSignatureKeepsItsReason::"
 _COST = "tests/test_cost_laws.py::"
+_PROVE = "tests/test_cli.py::TestProveRunsTheRoundsItReads::"
 
 MUTANTS = (
     Mutant(
@@ -197,6 +199,20 @@ MUTANTS = (
         "verdict = self._audit(label, self._audited.get(label, 0))",
         "verdict = self._audit(label, 0)",
         (_COST + "test_work_per_node_round_is_flat_in_rounds[folds-federated-3x3-18-audited]",),
+    ),
+    Mutant(
+        "prove: one round more when a ForkHistory replaces the last round the proof reads",
+        "simnet/engine.py",
+        "rewritten = ForkHistory(node=label, round=round_no + 1) in faults",
+        "rewritten = False",
+        (_PROVE + "test_a_fork_of_the_last_round_read_runs_one_round_more[hub-holder]",),
+    ),
+    Mutant(
+        "prove: a link or hub proof reads its holder's rounds up to end + EVIDENCE_LAG",
+        "entangle.py",
+        "return window[1] + EVIDENCE_LAG",
+        "return window[1] + EVIDENCE_LAG - 1",
+        (_PROVE + "test_hub_window_1_to_4_runs_7_of_10_rounds",),
     ),
     Mutant(
         "detection: a node forwards the receipts its round retains",

@@ -14,8 +14,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entmesh import cli
 from entmesh.cli import main
-from entmesh.config import MAX_NODE_ROUNDS
+from entmesh.config import MAX_NODE_ROUNDS, load_config
 from entmesh.entangle import ChainProof, HubProof, LinkProof, decode_proof
 from entmesh.ledger import LedgerError, load_trust_bundle
 from entmesh.wire import encode_inclusion_proof
@@ -408,6 +409,130 @@ class TestProve:
         with pytest.raises(SystemExit) as exc:
             main(["prove", "--config", str(SCENARIOS / "link.yaml")])
         assert exc.value.code == 2
+
+
+def _chain_holder(topology):
+    """The label farthest from an anchor; the first label when none has a path."""
+
+    def hops(label):
+        try:
+            return len(topology.path_to_anchor(label))
+        except ValueError:
+            return 0
+
+    return max(topology.labels, key=hops)
+
+
+def _prove_cases(config):
+    """(case id, prove arguments) for a hub, a link and a chain proof: an early
+    window, the last window the scenario's rounds hold, one round past it, a bad
+    window and, for chains, a zero-length window; then proofs of an anchor and
+    of an unknown label."""
+    topology, last = config.topology, config.rounds - 1
+    holder = max(topology.labels, key=lambda label: len(topology.issuers_of(label)))
+    windows = {"early": (1, 2), "last": (last - 3, last - 2), "past": (last - 3, last - 1), "bad": (3, 2), "negative": (-1, 1)}
+    cases = []
+    for kind, extra in (("hub", []), ("link", ["--issuer", topology.issuers_of(holder)[0]])):
+        for name, (start, end) in windows.items():
+            cases.append((f"{kind}-{name}", ["--kind", kind, "--holder", holder, *extra, "--start", start, "--end", end]))
+    chain_holder = _chain_holder(topology)
+    try:
+        hops = len(topology.path_to_anchor(chain_holder)) - 1
+    except ValueError:
+        hops = 1
+    fits = last - 2 - (hops - 1) - 1  # the last start whose 2-round hop windows the rounds hold
+    for name, (start, window) in {"early": (0, 1), "last": (fits, 2), "past": (fits + 1, 2), "bad": (-1, 2), "zero": (1, 0)}.items():
+        cases.append((f"chain-{name}", ["--kind", "chain", "--holder", chain_holder, "--start", start, "--window", window]))
+    for anchor in topology.anchors[:1]:  # pruned when the scenario prunes anchors; a chain of no hops
+        cases.append(("hub-of-anchor", ["--kind", "hub", "--holder", anchor, "--start", 1, "--end", 2]))
+        cases.append(("chain-from-anchor", ["--kind", "chain", "--holder", anchor, "--start", 1]))
+    cases.append(("unknown-holder", ["--kind", "hub", "--holder", "nobody", "--start", 1, "--end", 2]))
+    return cases
+
+
+@pytest.fixture
+def finished_runs(monkeypatch):
+    """Has ``cli.make_simulation`` hand out one run per scenario, rounds and
+    seed, and lists the rounds of every run it hands out.  A finished run
+    runs again unchanged, so ``prove`` may reuse it."""
+    made, runs = {}, []
+    original = cli.make_simulation
+
+    def make_simulation(config, seed=None):
+        key = (config.name, config.rounds, seed)
+        if key not in made:
+            made[key] = original(config, seed=seed).run()
+        runs.append(config.rounds)
+        return made[key]
+
+    monkeypatch.setattr(cli, "make_simulation", make_simulation)
+    return runs
+
+
+def _prove(capsys, argv, out):
+    out.unlink(missing_ok=True)
+    code = main(["prove", *map(str, argv), "--out", str(out)])
+    printed = capsys.readouterr()
+    return code, printed.out, printed.err, out.read_bytes() if out.exists() else None
+
+
+def _prove_every_round(monkeypatch, capsys, argv, out):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_rounds_to_run", lambda config, args: config.rounds)
+        return _prove(capsys, argv, out)
+
+
+def _with_faults(tmp_path, scenario, *faults):
+    data = yaml.safe_load((SCENARIOS / scenario).read_text())
+    data["faults"] = [*data.get("faults", []), *faults]
+    path = tmp_path / scenario
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+# name -> (scenario, the node whose last round read a fork_history replaces, prove
+# arguments, the rounds prove runs): a hub proof reads center's rounds up to 6,
+# and hop 3 of h0 -> m3-0 -> m2-0 -> m1-0 -> root reads m1-0's rounds up to 7.
+FORKED_LAST_READS = {
+    "hub-holder": ("hub.yaml", "center", ["--kind", "hub", "--holder", "center", "--start", 1, "--end", 4], 8),
+    "last-hop-holder": ("chain.yaml", "m1-0", ["--kind", "chain", "--holder", "h0", "--start", 1, "--window", 2], 9),
+}
+
+
+class TestProveRunsTheRoundsItReads:
+    """``prove`` runs a scenario only until the rounds its proof reads are
+    final, and writes and prints what a run of every round would."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("scenario", sorted(path.name for path in SCENARIOS.glob("*.yaml")))
+    def test_output_is_that_of_a_run_of_every_round(self, scenario, seed, tmp_path, monkeypatch, capsys, finished_runs):
+        config = load_config(SCENARIOS / scenario)
+        out = tmp_path / "window.proof"
+        for case, args in _prove_cases(config):
+            for fmt in ("text", "json"):
+                argv = ["--config", SCENARIOS / scenario, *args, "--seed", seed, "--format", fmt]
+                assert _prove(capsys, argv, out) == _prove_every_round(monkeypatch, capsys, argv, out), (case, fmt)
+        assert min(finished_runs) < config.rounds == max(finished_runs)
+
+    def test_hub_window_1_to_4_runs_7_of_10_rounds(self, tmp_path, capsys, finished_runs):
+        argv = ["--config", SCENARIOS / "hub.yaml", "--kind", "hub", "--holder", "center", "--start", 1, "--end", 4]
+        assert _prove(capsys, argv, tmp_path / "hub.proof")[0] == 0
+        assert finished_runs == [7]
+
+    @pytest.mark.parametrize("scenario, holder, args, rounds", FORKED_LAST_READS.values(), ids=list(FORKED_LAST_READS))
+    def test_a_fork_of_the_last_round_read_runs_one_round_more(
+        self, scenario, holder, args, rounds, tmp_path, monkeypatch, capsys, finished_runs
+    ):
+        config = _with_faults(tmp_path, scenario, {"kind": "fork_history", "node": holder, "round": rounds - 1})
+        argv = ["--config", config, *args]
+        out = tmp_path / "window.proof"
+        proved = _prove(capsys, argv, out)
+        assert proved[0] == 0 and finished_runs == [rounds]
+        assert proved == _prove_every_round(monkeypatch, capsys, argv, out)
+        # The fork replaces a round the proof reads: a run without it proves other bytes.
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_rounds_to_run", lambda config, args: rounds - 1)
+            assert _prove(capsys, argv, out)[3] != proved[3]
 
 
 class TestVerify:

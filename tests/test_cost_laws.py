@@ -6,7 +6,9 @@ and fits the counts against input size, as Goldsmith et al. do (ESEC/FSE
 2007).  Per node-round, leaving out round 0, which has no receipts, it
 counts Ed25519 signs (``KeyPair.sign``) and verifies
 (``Ed25519Scheme.verify``), inclusion folds (``fold_root``, in ``hashtree``
-and in ``entangle``), SHA-256 calls (``hashtree._sha256``) and bytes sent.
+and in ``entangle``), SHA-256 calls (``hashtree._sha256``), bytes sent and,
+in the rounds sweeps, records whose retained bytes are read
+(``NodeRecord.retained_bytes``).
 The counts are deterministic.  Ed25519 is stood in for by a keyed SHA-512
 that refuses what Ed25519 refuses on these runs (any signature its key did
 not make), so every check has its real outcome at a fraction of the time,
@@ -22,6 +24,10 @@ SHA-256 calls, bytes sent):
   (1.97, 1.97, 6.35, 44.6, 1,414) / (1.97, 1.97, 6.65, 46.0, 1,443).
   While each chain audit walked the node's whole history, its folds read
   6.69 / 11.12 (+66%) and its SHA-256 calls 46.1 / 65.6.
+
+Records read per node-round: 1.20 / 1.18 for ``centralized(10)`` and
+1.07 / 1.07 for ``federated(3, 3, 18)``.  While each metrics row summed
+every record of its node, they read 6 / 41 and 16 / 61.
 
 The bounds, each with room for about twice the spread above:
 
@@ -42,6 +48,7 @@ import pytest
 
 from entmesh import entangle, hashtree
 from entmesh.keys import Ed25519Scheme, KeyPair
+from entmesh.node import NodeRecord
 from entmesh.simnet import Simulation, centralized, federated
 
 FLAT = 1.10
@@ -72,6 +79,10 @@ COUNTED = (
 )
 PER_ROUND = ("signs", "verifies", "folds")
 GROWING = ("sha256", "bytes")
+# Records whose retained bytes are read: one per record built and two per anchor
+# record pruned, so 1 + 2 / nodes per node-round with one pruned anchor: flat in
+# rounds, not in holders.
+RECORDS = ("records",)
 
 
 @functools.cache
@@ -92,16 +103,26 @@ def per_node_round(topology: str, holders: int, rounds: int, audit_every: int) -
         live.append(True)
         counts["bytes"] -= sim.total_bytes_sent()
 
+    # NodeRecord sets retained_bytes with object.__setattr__, which this property's setter takes.
+    def retained(record):
+        if live:
+            counts["records"] += 1
+        return vars(record)["retained_bytes"]
+
+    def retain(record, value):
+        vars(record)["retained_bytes"] = value
+
     sim = Simulation(TOPOLOGIES[topology](holders), rounds=rounds, seed=0, audit_every=audit_every)
     sim.at(1, start)
     with pytest.MonkeyPatch.context() as patch:
         for owner, name, count, function in COUNTED:
             patch.setattr(owner, name, counted(function, count))
+        patch.setattr(NodeRecord, "retained_bytes", property(retained, retain), raising=False)
         sim.run()
     assert sim.events == []  # an honest run: every check passed, under the stand-in as under Ed25519
     counts["bytes"] += sim.total_bytes_sent()
     node_rounds = len(sim.topology.labels) * (rounds - 1)
-    return {count: counts[count] / node_rounds for count in PER_ROUND + GROWING}
+    return {count: counts[count] / node_rounds for count in PER_ROUND + GROWING + RECORDS}
 
 
 def spread(runs, count):
@@ -123,7 +144,7 @@ def test_hashing_and_bytes_grow_as_log_holders(count):
 
 
 @pytest.mark.parametrize("sweep", sorted(ROUND_SWEEPS))
-@pytest.mark.parametrize("count", PER_ROUND + GROWING)
+@pytest.mark.parametrize("count", PER_ROUND + GROWING + RECORDS)
 def test_work_per_node_round_is_flat_in_rounds(sweep, count):
     runs = ROUND_SWEEPS[sweep]
     assert spread(runs, count) <= FLAT, [per_node_round(*run)[count] for run in runs]

@@ -423,6 +423,19 @@ RETAINED_RUNS = {
     "identity": lambda prune: make_simulation(
         dataclasses.replace(load_config(SCENARIOS / "identity.yaml"), prune_anchors=prune)
     ),
+    "federated-audited-faults": lambda prune: Simulation(
+        federated(levels=3, arity=3, holders=18),
+        rounds=12,
+        seed=17,
+        faults=[
+            Equivocate("m1-0", 4, ("m2-0",)),
+            WithholdReceipt("m2-3", "h3", 3, 6),
+            ForkHistory(node="m2-4", round=5),
+            ForkHistory(node="h9", round=8),
+        ],
+        prune_anchors=prune,
+        audit_every=4,
+    ),
 }
 
 
