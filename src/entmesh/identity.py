@@ -335,5 +335,5 @@ def apply_recovery(
     if not verdict:
         return verdict
     directory.rebind(node.node_id, cert.new_verify_key, from_round=cert.effective_round)
-    node.keypair = new_keypair
+    node.rekey(new_keypair, cert.effective_round)
     return Verdict.passed()

@@ -649,6 +649,8 @@ class Node:
         self.label = label
         self.keypair = keypair
         self.node_id: NodeId = keypair.node_id
+        # Keys a recovery replaced, each with the first round it no longer signs.
+        self._retired_keys: list[tuple[int, KeyPair]] = []
         self.manifest: tuple[NodeId, ...] = ()
         self.records: list[NodeRecord] = []
         # The sum of the records' retained_bytes, kept as records are added and replaced.
@@ -671,6 +673,18 @@ class Node:
         if not 0 <= round_no < len(self.records):
             raise InvariantViolationError(f"no record for round {round_no}")
         return self.records[round_no]
+
+    def rekey(self, keypair: KeyPair, from_round: int) -> None:
+        """Sign rounds from ``from_round`` on with ``keypair``; earlier rounds keep their key."""
+        self._retired_keys.append((from_round, self.keypair))
+        self.keypair = keypair
+
+    def keypair_at(self, round_no: int) -> KeyPair:
+        """The key bound to round ``round_no``, which a rewrite of that round signs with."""
+        for until_round, keypair in self._retired_keys:
+            if round_no < until_round:
+                return keypair
+        return self.keypair
 
     def prev_digest(self) -> Digest:
         if not self.records:

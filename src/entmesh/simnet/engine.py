@@ -337,7 +337,7 @@ class Simulation:
         if old.state is None:
             raise ValueError("cannot rewrite a pruned round")
         state = dataclasses.replace(old.state, payload=self._payload(node.label, r - 1, forked=True))
-        tree, commitment = build_round(state, node.keypair)
+        tree, commitment = build_round(state, node.keypair_at(r - 1))
         node.replace_record(r - 1, NodeRecord(commitment=commitment, state=state, tree=tree))
 
     @staticmethod

@@ -422,6 +422,15 @@ RECOVER_TWICE = {
     "identity": [_RECOVER, _RECOVER],
 }
 
+# A history fork at the round a recovery takes effect rewrites a round the old key is bound to.
+FORK_AT_RECOVERY = {
+    "rounds": 2,
+    "topology": {"kind": "centralized", "holders": 3},
+    "credential_issuers": ["hub"],
+    "faults": [{"kind": "fork_history", "node": "hub", "round": 1}],
+    "identity": [{"op": "recover", "round": 1, "node": "hub", "guardians": ["hub"], "threshold": 1, "enroll_round": 0}],
+}
+
 
 @pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory):
@@ -441,6 +450,7 @@ class TestGeneratedScenarios:
     @settings(max_examples=300, deadline=None)
     @given(data=generated_scenarios())
     @example(data=RECOVER_TWICE)
+    @example(data=FORK_AT_RECOVERY)
     def test_a_run_writes_a_trust_bundle_that_loads(self, bundle_dir, data):
         try:
             config = config_from_dict(data)

@@ -681,6 +681,19 @@ class TestSignatureMemo:
             assert not sim._verifier.verify_signature(h1.node_id, round_no, message, by_old_key)
             assert not sim.directory.verify_signature(h1.node_id, round_no, message, by_old_key)
 
+    def test_a_fork_at_the_recovery_round_signs_with_the_old_key(self):
+        config = load_config(SCENARIOS / "identity.yaml")
+        config = dataclasses.replace(config, faults=(*config.faults, ForkHistory(node="h1", round=7)))
+        sim = make_simulation(config).run()
+        h1 = sim.nodes["h1"]
+        old_key = keypair_from_seed(f"{config.seed}:h1")
+        assert h1.keypair_at(6).verify_key == old_key.verify_key
+        assert h1.keypair_at(7) is h1.keypair and h1.keypair.verify_key != old_key.verify_key
+        rewritten = h1.record_at(6)
+        assert rewritten.state.payload == ("data", "h1", 6, "forked")
+        assert sim.directory.verify_commitment(rewritten.commitment)
+        assert not events_of(sim, "SelfAuditFailed")
+
     def test_directory_stays_plain(self, ed25519_calls):
         sim = make_simulation(load_config(SCENARIOS / "link.yaml")).run()
         assert type(sim.directory) is KeyDirectory
