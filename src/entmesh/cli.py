@@ -44,13 +44,9 @@ from .wire import WireError
 __all__ = ["main"]
 
 
-def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
-
-
 def _emit(fmt: str, lines: list[str], obj: dict) -> None:
     if fmt == "json":
-        _print_json(obj)
+        print(json.dumps(obj, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -60,15 +56,9 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text", help="output format")
 
 
-def _run(config, seed: Optional[int]) -> Simulation:
-    sim = make_simulation(config, seed=seed)
-    sim.run()
-    return sim
-
-
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    sim = _run(config, args.seed)
+    sim = make_simulation(config, seed=args.seed).run()
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -110,45 +100,43 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _label_to_id(sim, label: str):
-    if label not in sim.nodes:
-        raise ConfigError(f"unknown node label {label!r}")
-    return sim.nodes[label].node_id
-
-
 def _rounds_to_run(config, args) -> int:
     """How many rounds ``prove`` runs: until every holder round its proof reads
     is final, so the proof, or the error, is that of a run of every round.  A
-    proof that reads past the scenario runs all of it, and fails as before."""
-    start = args.start
-    end = args.end if args.end is not None else start
+    proof that reads past the scenario, or a chain from a holder with no path
+    to an anchor, runs all of it, and fails as before."""
     if args.kind == "chain":
         try:
             path = config.topology.path_to_anchor(args.holder)
         except ValueError:
             return config.rounds
-        windows = hop_windows(start, args.window, len(path) - 1)
+        windows = hop_windows(args.start, args.window, len(path) - 1)
         reads = [(holder, last_holder_round(window)) for holder, window in zip(path, windows)]
     else:
-        reads = [(args.holder, last_holder_round((start, end)))]
+        reads = [(args.holder, last_holder_round((args.start, args.end)))]
     final = max((Simulation.rounds_until_final(config.faults, label, r) for label, r in reads), default=1)
     return min(config.rounds, max(1, final))
 
 
 def cmd_prove(args) -> int:
     config = load_config(args.config)
-    sim = _run(dataclasses.replace(config, rounds=_rounds_to_run(config, args)), args.seed)
-    start = args.start
-    end = args.end if args.end is not None else start
-    holder = args.holder
-    _label_to_id(sim, holder)
+    holder, labels = args.holder, config.topology.labels
+    # Argument errors are refused before the run.
+    if holder not in labels:
+        raise ConfigError(f"unknown node label {holder!r}")
+    if args.kind == "link" and not args.issuer:
+        raise ConfigError("cannot build proof: --issuer is required for link proofs")
+    if args.kind == "link" and args.issuer not in labels:
+        raise ConfigError(f"cannot build proof: unknown node label {args.issuer!r}")
+    if args.end is None:
+        args.end = args.start  # the window is [start, start], for _rounds_to_run too
+    start, end = args.start, args.end
+    sim = make_simulation(dataclasses.replace(config, rounds=_rounds_to_run(config, args)), seed=args.seed).run()
     records = sim.nodes[holder].records
     receipts = sim.nodes[holder].receipt_log
     try:
         if args.kind == "link":
-            if not args.issuer:
-                raise ConfigError("--issuer is required for link proofs")
-            proof = build_link_proof(records, _label_to_id(sim, args.issuer), (start, end), receipts)
+            proof = build_link_proof(records, sim.nodes[args.issuer].node_id, (start, end), receipts)
             descr = f"link {holder} -> {args.issuer}, rounds [{start}, {end}]"
         elif args.kind == "hub":
             proof = build_hub_proof(records, (start, end), receipts)

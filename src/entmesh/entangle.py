@@ -32,7 +32,9 @@ A link or hub proof is its holder chain and its window rounds: each
 (``ReceiptPaths``) and the round's evidence proof.  A proof holds no whole
 receipt: the verifier rebuilds the round's submission from its chain entry
 and that signature, checks the paths against its trusted issuer commitment,
-and joins the three into the receipt's evidence leaf.
+and joins the three into the receipt's evidence leaf.  Nor does it name its
+holder or window: its holder chain's first entry gives the holder and first
+round, under the chain's signed head, and the window holds one round per window round.
 """
 
 from __future__ import annotations
@@ -72,11 +74,11 @@ from .node import (
 from .wire import (
     MAX_ITEMS,
     MAX_RECORD,
-    Head,
     Reader,
     WireError,
     blobs,
     decode,
+    digest,
     digests,
     encode_inclusion_proof,
     prefix,
@@ -111,10 +113,6 @@ EVIDENCE_LAG = 2
 
 # Bytes of one hub round's holder signature and receipt paths, or of one chain hop blob (docs/FORMATS.md).
 MAX_LINK = 1 << 24
-
-
-_LINK_HEAD = Head("ddQQ")  # holder_id, issuer_id, window_start, window_end
-_HUB_HEAD = Head("dQQ")  # holder_id, window_start, window_end
 
 
 class MissingReceiptError(ValueError):
@@ -161,29 +159,48 @@ def _read_rounds(r: Reader, issuers: int, limit: int) -> tuple[WindowRound, ...]
     return r.many(read_round, "window rounds", MAX_ITEMS)
 
 
+def _read_held(r: Reader, issuers: int, limit: int) -> tuple[tuple[ChainEntry, ...], tuple[WindowRound, ...]]:
+    """A holder chain, then its window rounds as ``_read_rounds`` reads them,
+    refused unless each holds one: they name the proof's holder and window."""
+    chain = r.many(lambda r: r.nested(ChainEntry.read, MAX_RECORD), "holder chain entries", MAX_ITEMS)
+    rounds = _read_rounds(r, issuers, limit)
+    if not chain or not rounds:
+        raise WireError("a link or hub proof needs a holder chain entry and a window round")
+    return chain, rounds
+
+
+class _Held:
+    """The holder and window of a link or hub proof, read from its holder
+    chain: the first entry's node and round, and one round per window round."""
+
+    @property
+    def holder_id(self) -> NodeId:
+        return self.holder_chain[0].commitment.node_id
+
+    @property
+    def window_start(self) -> int:
+        return self.holder_chain[0].commitment.round
+
+    @property
+    def window_end(self) -> int:
+        return self.window_start + len(self.rounds) - 1
+
+
 @dataclass(frozen=True)
-class LinkProof:
+class LinkProof(_Held):
     """Evidence for one periodic link over holder rounds [start, end]."""
 
-    holder_id: NodeId
     issuer_id: NodeId
-    window_start: int
-    window_end: int
     holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
     rounds: tuple[WindowRound, ...]  # one per window round, each with the issuer's receipt paths
 
     def to_bytes(self) -> bytes:
-        head = _LINK_HEAD.pack(self.holder_id, self.issuer_id, self.window_start, self.window_end)
-        return b"".join([head, *blobs([entry._encoding for entry in self.holder_chain]), *_rounds_bytes(self.rounds)])
+        chain = blobs([entry._encoding for entry in self.holder_chain])
+        return b"".join([digest(self.issuer_id), *chain, *_rounds_bytes(self.rounds)])
 
     @staticmethod
     def read(r: Reader) -> "LinkProof":
-        (holder_id, issuer_id, start, end), chain = _LINK_HEAD.read(r), _read_chain(r)
-        return LinkProof(holder_id, issuer_id, start, end, chain, _read_rounds(r, 1, MAX_RECORD))
-
-
-def _read_chain(r: Reader) -> tuple[ChainEntry, ...]:
-    return r.many(lambda r: r.nested(ChainEntry.read, MAX_RECORD), "holder chain entries", MAX_ITEMS)
+        return LinkProof(r.digest(), *_read_held(r, 1, MAX_RECORD))
 
 
 _ByRound = Mapping[int, Commitment]  # a node's commitments by round
@@ -271,8 +288,7 @@ def build_link_proof(
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> LinkProof:
     chain = _holder_chain(holder_records, window)
-    rounds = _window_rounds(holder_records, (issuer_id,), window, receipts)
-    return LinkProof(chain[0].commitment.node_id, issuer_id, *window, chain, rounds)
+    return LinkProof(issuer_id, chain, _window_rounds(holder_records, (issuer_id,), window, receipts))
 
 
 class _Call:
@@ -316,31 +332,23 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
     return call.counted(_check_link(proof, trusted, call) and verify_chain_head(proof.holder_chain, call))
 
 
-def _check_link(proof: LinkProof, trusted: _ByRound, call: _Call, commitments: Optional[_ByRound] = None) -> Verdict:
+def _check_link(proof: LinkProof, trusted: _ByRound, call: _Call) -> Verdict:
     """Every check of a link but its head's signature."""
-    commitments = _by_round(proof.holder_chain) if commitments is None else commitments
     verdict = _check_holder_chain(proof, call)
     if verdict and any(len(rnd.receipts) != 1 for rnd in proof.rounds):  # a decoded link round holds one
         verdict = Verdict.failed("WindowInvalid", "one receipt per round required")
-    return verdict and _check_rounds(proof, commitments, ((proof.issuer_id, trusted),), call)
+    return verdict and _check_rounds(proof, ((proof.issuer_id, trusted),), call)
 
 
 def _check_holder_chain(holder: "LinkProof | HubProof", call: _Call) -> Verdict:
-    """The holder's chain covers its window plus EVIDENCE_LAG rounds, the
-    proof holds one round per window round, and the chain links up.  A head
-    with no key bound at its round fails here, with no Ed25519 check."""
-    s, e = holder.window_start, holder.window_end
-    if s > e:
-        return Verdict.failed("WindowInvalid", f"window [{s}, {e}]")
-    if len(holder.holder_chain) != e - s + 1 + EVIDENCE_LAG:
+    """The holder chain holds an entry per window round, of which there is one
+    at least, and EVIDENCE_LAG more, each the first entry's node's, linked up.
+    A head with no key bound at its round fails here, with no Ed25519 check."""
+    if not holder.rounds or len(holder.holder_chain) != len(holder.rounds) + EVIDENCE_LAG:
         return Verdict.failed("WindowInvalid", "holder chain does not cover the window")
-    if len(holder.rounds) != e - s + 1:
-        return Verdict.failed("WindowInvalid", "one receipt per round required")
-    for offset, entry in enumerate(holder.holder_chain):
+    for entry in holder.holder_chain:
         if entry.commitment.node_id != holder.holder_id:
             return Verdict.failed("HolderMismatch", "chain entry from another node")
-        if entry.commitment.round != s + offset:
-            return Verdict.failed("RoundGap", "chain entry out of place")
     verdict = verify_chain_links(holder.holder_chain, call)
     head = holder.holder_chain[-1].commitment
     if verdict and call.directory.key_at(head.node_id, head.round) is None:
@@ -354,20 +362,20 @@ def _part_failed(holder: "LinkProof | HubProof", where: str, reason: str, detail
     return _wrapped("LinkFailed", where, verdict) if isinstance(holder, HubProof) else verdict
 
 
-def _check_rounds(
-    holder: "LinkProof | HubProof", commitments: _ByRound, issuers: Sequence[tuple[NodeId, _ByRound]], call: _Call
-) -> Verdict:
-    """Each window round in turn, against ``holder``'s checked chain by round in
-    ``commitments``: the holder's submission once, rebuilt from chain entry r
+def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId, _ByRound]], call: _Call) -> Verdict:
+    """Each window round r in turn, against ``holder``'s checked chain walked
+    by position, where entry r sits at the round's and entry r + EVIDENCE_LAG
+    that many places on: the holder's submission once, rebuilt from entry r
     and the round's signature and hashed, then each receipt's paths against
     its (issuer id, trusted issuer commitments) pair in ``issuers``, then the
     round's evidence proof over the leaves those receipts join, in that
     order.  The signature is hashed, not checked: the trusted issuer
     commitment covers the entangled leaf, and the chain's head the evidence
     leaf, that hold it."""
-    s = holder.window_start
-    for r, (signature, receipts, evidence) in zip(range(s, holder.window_end + 1), holder.rounds):
-        sub = submission_of(commitments[r], signature)
+    s, chain = holder.window_start, holder.holder_chain
+    for entry, (signature, receipts, evidence), retaining in zip(chain, holder.rounds, chain[EVIDENCE_LAG:]):
+        r = entry.commitment.round
+        sub = submission_of(entry.commitment, signature)
         sub_hash, leaf_hashes = leaf_hash(sub.leaf_bytes()), []
         for (issuer_id, trusted), paths in zip(issuers, receipts):
             issuer_c = trusted.get(r + 1)
@@ -384,19 +392,16 @@ def _check_rounds(
                 return _part_failed(holder, issuer_id.hex(), "ChainBreak", detail)
             # The receipt's bytes, as its holder retained them, hold its paths in the receipt's form.
             leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, receipt_paths(paths, issuer_c.leaf_count))))
-        if not call.proves(commitments[r + EVIDENCE_LAG], leaf_hashes, evidence):
+        if not call.proves(retaining.commitment, leaf_hashes, evidence):
             what = "receipts" if isinstance(holder, HubProof) else "receipt"
             return Verdict.failed("EvidenceInvalid", f"{what} for round {r} not retained in round {r + EVIDENCE_LAG}")
     return Verdict.passed()
 
 
 @dataclass(frozen=True)
-class HubProof:
+class HubProof(_Held):
     """All of a holder's committed links over one window, sharing one holder chain and each round's holder signature."""
 
-    holder_id: NodeId
-    window_start: int
-    window_end: int
     manifest: tuple[NodeId, ...]
     manifest_proofs: tuple[InclusionProof, ...]  # manifest leaf, one per window round
     holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
@@ -405,8 +410,7 @@ class HubProof:
     def to_bytes(self) -> bytes:
         if not self.manifest:
             raise WireError("a hub proof needs at least one link")
-        parts = [_HUB_HEAD.pack(self.holder_id, self.window_start, self.window_end), digests(self.manifest)]
-        parts.append(prefix(len(self.manifest_proofs)))
+        parts = [digests(self.manifest), prefix(len(self.manifest_proofs))]
         parts += [encode_inclusion_proof(proof, MANIFEST_LEAF_INDEX) for proof in self.manifest_proofs]
         parts += blobs([entry._encoding for entry in self.holder_chain])
         parts += _rounds_bytes(self.rounds)
@@ -414,13 +418,11 @@ class HubProof:
 
     @staticmethod
     def read(r: Reader) -> "HubProof":
-        holder_id, start, end = _HUB_HEAD.read(r)
         manifest = r.digests("manifest ids", MAX_ITEMS)
         if not manifest:
             raise WireError("a hub proof needs at least one link")
         manifest_proofs = r.many(lambda r: read_inclusion_proof(r, MANIFEST_LEAF_INDEX), "manifest proofs", MAX_ITEMS)
-        chain = _read_chain(r)
-        return HubProof(holder_id, start, end, manifest, manifest_proofs, chain, _read_rounds(r, len(manifest), MAX_LINK))
+        return HubProof(manifest, manifest_proofs, *_read_held(r, len(manifest), MAX_LINK))
 
 
 def build_hub_proof(
@@ -440,7 +442,7 @@ def build_hub_proof(
             raise ValueError(f"manifest changed inside window at round {r}")
         proofs.append(record.tree.prove_inclusion(MANIFEST_LEAF_INDEX))
     rounds = _window_rounds(holder_records, manifest, window, receipts)
-    return HubProof(chain[0].commitment.node_id, start, end, manifest, tuple(proofs), chain, rounds)
+    return HubProof(manifest, tuple(proofs), chain, rounds)
 
 
 def verify_hub(
@@ -460,10 +462,7 @@ def verify_hub(
 
 
 def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment]], call: _Call) -> Verdict:
-    s, e = proof.window_start, proof.window_end
-    if s > e:
-        return Verdict.failed("WindowInvalid", f"window [{s}, {e}]")
-    if len(proof.manifest_proofs) != e - s + 1:
+    if len(proof.manifest_proofs) != len(proof.rounds):
         return Verdict.failed("WindowInvalid", "one manifest proof per round required")
     if tuple(sorted(proof.manifest)) != proof.manifest or len(set(proof.manifest)) != len(proof.manifest):
         return Verdict.failed("ManifestMismatch", "manifest not in canonical order")
@@ -474,18 +473,18 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
     verdict = _check_holder_chain(proof, call)
     if not verdict:
         return _wrapped("LinkFailed", "holder chain", verdict)
-    commitments = _by_round(proof.holder_chain)
     manifest_hash = (leaf_hash(_manifest_leaf(proof.manifest)),)
-    for r, m_proof in zip(range(s, e + 1), proof.manifest_proofs):
+    for entry, m_proof in zip(proof.holder_chain, proof.manifest_proofs):
+        r = entry.commitment.round
         if m_proof.leaf_index != MANIFEST_LEAF_INDEX:
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
-        if not call.proves(commitments[r], manifest_hash, m_proof):
+        if not call.proves(entry.commitment, manifest_hash, m_proof):
             return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")
     issuers = [(issuer_id, trusted.get(issuer_id)) for issuer_id in proof.manifest]
     for issuer_id, issuer_trust in issuers:
         if issuer_trust is None:
             return Verdict.failed("TrustedRootUnavailable", f"no trusted commitments for {issuer_id.hex()}")
-    verdict = _check_rounds(proof, commitments, issuers, call)
+    verdict = _check_rounds(proof, issuers, call)
     if not verdict:
         return verdict
     verdict = verify_chain_head(proof.holder_chain, call)
@@ -516,8 +515,8 @@ class ChainProof:
     @staticmethod
     def read(r: Reader) -> "ChainProof":
         hops = r.many(lambda r: r.nested(LinkProof.read, MAX_LINK), "hops", MAX_ITEMS)
-        if not hops or not hops[-1].rounds:
-            raise WireError("a chain proof needs at least one hop, and a receipt in its last hop")
+        if not hops:
+            raise WireError("a chain proof needs at least one hop")
         return ChainProof(hops=hops)
 
 
@@ -560,13 +559,13 @@ def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], ca
         return Verdict.failed("BrokenHop", "no hops")
     base = proof.hops[0]
     for i, hop in enumerate(proof.hops):
-        if (hop.window_start, hop.window_end) != (base.window_start + i, base.window_end + i):
+        if not hop.holder_chain or (hop.window_start, hop.window_end) != (base.window_start + i, base.window_end + i):
             return Verdict.failed("BrokenHop", f"hop {i} window does not shift by one round per hop")
-        if i + 1 < len(proof.hops) and hop.issuer_id != proof.hops[i + 1].holder_id:
-            return Verdict.failed("BrokenHop", f"hop {i} issuer is not hop {i + 1} holder")
+        if i > 0 and proof.hops[i - 1].issuer_id != hop.holder_id:
+            return Verdict.failed("BrokenHop", f"hop {i - 1} issuer is not hop {i} holder")
     last = proof.hops[-1]
-    by_hop = [_by_round(hop.holder_chain) for hop in proof.hops]  # hop i + 1's vouches for hop i's issuer
-    verdict = _check_link(last, trusted_anchor, call, by_hop[-1])
+    by_hop = [_by_round(hop.holder_chain) for hop in proof.hops[1:]]  # hop i + 1's vouches for hop i's issuer
+    verdict = _check_link(last, trusted_anchor, call)
     if not verdict:
         if verdict.reason == "TrustedRootUnavailable":
             return Verdict.failed(
@@ -576,7 +575,7 @@ def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], ca
             )
         return _wrapped("BrokenHop", f"hop {len(proof.hops) - 1}", verdict)
     for i in range(len(proof.hops) - 2, -1, -1):
-        verdict = _check_link(proof.hops[i], by_hop[i + 1], call, by_hop[i])
+        verdict = _check_link(proof.hops[i], by_hop[i], call)
         if not verdict:
             return _wrapped("BrokenHop", f"hop {i}", verdict)
     for i in reversed(range(len(proof.hops))):
@@ -702,7 +701,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
     return current == end_root
 
 
-_PROOF_MAGIC = b"EMP7"
+_PROOF_MAGIC = b"EMP8"
 _PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 

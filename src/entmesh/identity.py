@@ -196,13 +196,8 @@ class CredentialRegistry:
             latency_rounds=0,
         )
 
-    def revocation_evidence(
-        self,
-        digest: Digest,
-        record: Optional[NodeRecord] = None,
-    ) -> RevocationEvidence:
-        """Build committed evidence for the digest's status at a round."""
-        record = record if record is not None else self.node.latest
+    def revocation_evidence(self, digest: Digest, record: NodeRecord) -> RevocationEvidence:
+        """Build committed evidence for the digest's status at ``record``'s round."""
         if record.state is None or record.tree is None:
             raise NotEntangledError(f"round {record.round} was pruned")
         if record.state.revocation is None:
@@ -215,12 +210,7 @@ class CredentialRegistry:
             commitment=record.commitment,
         )
 
-    def credential_proof(
-        self,
-        digest: Digest,
-        record: Optional[NodeRecord] = None,
-    ) -> InclusionProof:
-        record = record if record is not None else self.node.latest
+    def credential_proof(self, digest: Digest, record: NodeRecord) -> InclusionProof:
         if record.state is None or record.tree is None:
             raise NotEntangledError(f"round {record.round} was pruned")
         return record.tree.prove_inclusion(credential_leaf_index(record.state, digest))

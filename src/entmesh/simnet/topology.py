@@ -7,9 +7,8 @@ the same links, so reachability is computed on the undirected view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
 
 __all__ = [
     "Topology",
@@ -100,7 +99,7 @@ def validate_topology(topo: Topology) -> None:
             raise ValueError(f"anchor {anchor} is not a node")
 
 
-def centralized(holders: int, name: Optional[str] = None) -> Topology:
+def centralized(holders: int) -> Topology:
     """One hub, every holder entangles into it."""
     if holders < 1:
         raise ValueError("need at least one holder")
@@ -108,7 +107,7 @@ def centralized(holders: int, name: Optional[str] = None) -> Topology:
     links = tuple((f"h{i}", "hub") for i in range(holders))
     roles = {"hub": "anchor", **{f"h{i}": "holder" for i in range(holders)}}
     topo = Topology(
-        name=name or f"centralized-{holders}",
+        name=f"centralized-{holders}",
         labels=tuple(labels),
         links=links,
         anchors=("hub",),
@@ -118,7 +117,7 @@ def centralized(holders: int, name: Optional[str] = None) -> Topology:
     return topo
 
 
-def federated(levels: int, arity: int, holders: int, name: Optional[str] = None) -> Topology:
+def federated(levels: int, arity: int, holders: int) -> Topology:
     """A root, ``levels - 1`` intermediary tiers fanning out by ``arity``,
     and ``holders`` spread evenly across the bottom tier."""
     if levels < 1 or arity < 1 or holders < 1:
@@ -143,7 +142,7 @@ def federated(levels: int, arity: int, holders: int, name: Optional[str] = None)
         roles[label] = "holder"
         links.append((label, tier[i % len(tier)]))
     topo = Topology(
-        name=name or f"federated-{levels}x{arity}-{holders}",
+        name=f"federated-{levels}x{arity}-{holders}",
         labels=tuple(labels),
         links=tuple(links),
         anchors=("root",),
@@ -153,15 +152,14 @@ def federated(levels: int, arity: int, holders: int, name: Optional[str] = None)
     return topo
 
 
-def chain(hops: int, name: Optional[str] = None) -> Topology:
+def chain(hops: int) -> Topology:
     """A single path of ``hops`` links from one holder up to the root."""
     if hops < 1:
         raise ValueError("need at least one hop")
-    topo = federated(levels=hops, arity=1, holders=1, name=name or f"chain-{hops}")
-    return topo
+    return replace(federated(levels=hops, arity=1, holders=1), name=f"chain-{hops}")
 
 
-def ring(size: int, mutual: bool = False, name: Optional[str] = None) -> Topology:
+def ring(size: int, mutual: bool = False) -> Topology:
     """A cycle with no designated anchor.  ``mutual`` links both directions."""
     if size < 3:
         raise ValueError("a ring needs at least three nodes")
@@ -170,7 +168,7 @@ def ring(size: int, mutual: bool = False, name: Optional[str] = None) -> Topolog
     if mutual:
         links.extend((f"n{(i + 1) % size}", f"n{i}") for i in range(size))
     topo = Topology(
-        name=name or ("ring-mutual-" if mutual else "ring-") + str(size),
+        name=("ring-mutual-" if mutual else "ring-") + str(size),
         labels=labels,
         links=tuple(links),
         anchors=(),
@@ -180,7 +178,7 @@ def ring(size: int, mutual: bool = False, name: Optional[str] = None) -> Topolog
     return topo
 
 
-def fan(partners: int, name: Optional[str] = None) -> Topology:
+def fan(partners: int) -> Topology:
     """One holder entangling into several independent issuers."""
     if partners < 1:
         raise ValueError("need at least one partner")
@@ -188,7 +186,7 @@ def fan(partners: int, name: Optional[str] = None) -> Topology:
     links = tuple(("center", f"p{i}") for i in range(partners))
     roles = {"center": "holder", **{f"p{i}": "anchor" for i in range(partners)}}
     topo = Topology(
-        name=name or f"fan-{partners}",
+        name=f"fan-{partners}",
         labels=labels,
         links=links,
         anchors=tuple(f"p{i}" for i in range(partners)),
@@ -198,7 +196,7 @@ def fan(partners: int, name: Optional[str] = None) -> Topology:
     return topo
 
 
-def interoperated(left_holders: int, right_holders: int, name: Optional[str] = None) -> Topology:
+def interoperated(left_holders: int, right_holders: int) -> Topology:
     """Two hub-and-spoke webs whose hubs entangle into each other."""
     if left_holders < 1 or right_holders < 1:
         raise ValueError("each web needs at least one holder")
@@ -216,7 +214,7 @@ def interoperated(left_holders: int, right_holders: int, name: Optional[str] = N
         roles[label] = "holder"
         links.append((label, "b-hub"))
     topo = Topology(
-        name=name or f"interoperated-{left_holders}-{right_holders}",
+        name=f"interoperated-{left_holders}-{right_holders}",
         labels=tuple(labels),
         links=tuple(links),
         anchors=("a-hub", "b-hub"),

@@ -174,7 +174,7 @@ def hub_proof_in_manifest_order(node, manifest, window):
         rounds.append(WindowRound(receipts[0].submission.signature, tuple(rc.paths for rc in receipts), evidence))
     proofs = tuple(node.records[r].tree.prove_inclusion(MANIFEST_LEAF_INDEX) for r in range(start, end + 1))
     chain_entries = tuple(chain_entry_for(node.records[r]) for r in range(start, end + EVIDENCE_LAG + 1))
-    return HubProof(node.node_id, start, end, manifest, proofs, chain_entries, tuple(rounds))
+    return HubProof(manifest, proofs, chain_entries, tuple(rounds))
 
 
 def retained_at_round_4(holder, proof, honest, receipt):

@@ -1,8 +1,8 @@
 """Mutation sweep over the proof verifiers' checks and the cost laws.
 
-Each mutant below drops one verifier check or the forwarding that
-equivocation detection relies on, makes one step cost more than a
-cost law allows, or makes ``entmesh prove`` stop its run before a round
+Each mutant below drops one verifier or proof decoder check, or the
+forwarding that equivocation detection relies on, makes one step cost
+more than a cost law allows, or makes ``entmesh prove`` stop its run before a round
 its proof reads is final, by rewriting one line of ``src/entmesh``.  For
 each, the sweep copies ``src/`` to a temp directory, applies the rewrite
 there and runs the tests named for it; a mutant is killed when one of
@@ -49,35 +49,28 @@ MUTANTS = (
     Mutant(
         "chain: hop windows shift by one round per hop",
         "entangle.py",
-        "if (hop.window_start, hop.window_end) != (base.window_start + i, base.window_end + i):",
+        "if not hop.holder_chain or (hop.window_start, hop.window_end) != (base.window_start + i, base.window_end + i):",
         "if False:",
         (_ORDER + "test_unshifted_chain_is_a_broken_hop",),
     ),
     Mutant(
         "chain: hop i's issuer is hop i+1's holder",
         "entangle.py",
-        "if i + 1 < len(proof.hops) and hop.issuer_id != proof.hops[i + 1].holder_id:",
+        "if i > 0 and proof.hops[i - 1].issuer_id != hop.holder_id:",
         "if False:",
         (_ORDER + "test_hops_from_two_branches_are_a_broken_hop",),
     ),
     Mutant(
-        "holder chain: entries from the holder the proof names",
+        "holder chain: every entry from the first entry's node",
         "entangle.py",
         "if entry.commitment.node_id != holder.holder_id:",
         "if False:",
         ("tests/test_entangle.py::TestLinkProof::test_chain_must_belong_to_holder",),
     ),
     Mutant(
-        "holder chain: the first entry sits at window_start",
+        "holder chain: one entry per window round and EVIDENCE_LAG more",
         "entangle.py",
-        "if entry.commitment.round != s + offset:",
-        "if False:",
-        (_ORDER + "test_holder_chain_one_round_off_its_window_is_a_round_gap",),
-    ),
-    Mutant(
-        "holder chain: one evidence proof (window round) per round",
-        "entangle.py",
-        "if len(holder.rounds) != e - s + 1:",
+        "if not holder.rounds or len(holder.holder_chain) != len(holder.rounds) + EVIDENCE_LAG:",
         "if False:",
         ("tests/test_entangle.py::TestHubCodec::test_verifier_refuses_a_decoded_hub_with_one_evidence_proof_of_four",),
     ),
@@ -119,7 +112,7 @@ MUTANTS = (
     Mutant(
         "hub: one manifest proof per round",
         "entangle.py",
-        "if len(proof.manifest_proofs) != e - s + 1:",
+        "if len(proof.manifest_proofs) != len(proof.rounds):",
         "if False:",
         ("tests/test_entangle.py::TestHubCodec::test_verifier_refuses_a_decoded_hub_without_manifest_proofs",),
     ),
@@ -150,6 +143,13 @@ MUTANTS = (
         "for i in reversed(range(len(proof.hops))):",
         "for i in (len(proof.hops) - 1,):",
         (_HEADS + "test_chain_inner_hop[chain-entry]",),
+    ),
+    Mutant(
+        "decoder: a link or hub proof holds the chain entry and window round that name its holder and window",
+        "entangle.py",
+        "if not chain or not rounds:",
+        "if False:",
+        ("tests/test_entangle.py::TestProofCodec::test_proof_with_no_holder_chain_entry_or_window_round_refused[rounds-hub]",),
     ),
     Mutant(
         "receipt: the prev-leaf proof at index 0",

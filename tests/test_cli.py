@@ -4,6 +4,7 @@ Everything goes through ``main(argv)`` so the exit codes and output the
 shell would see are exactly what gets asserted.
 """
 
+import dataclasses
 import json
 import re
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from entmesh import cli
 from entmesh.cli import main
 from entmesh.config import MAX_NODE_ROUNDS, load_config
-from entmesh.entangle import ChainProof, HubProof, LinkProof, decode_proof
+from entmesh.entangle import ChainProof, HubProof, LinkProof, decode_proof, encode_proof
 from entmesh.ledger import LedgerError, load_trust_bundle
 from entmesh.wire import encode_inclusion_proof
 
@@ -374,6 +375,29 @@ class TestProve:
         assert rc == 2
         assert "--issuer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--kind", "hub", "--holder", "nobody"], "unknown node label 'nobody'"),
+            (["--kind", "chain", "--holder", "nobody"], "unknown node label 'nobody'"),
+            (["--kind", "link", "--holder", "nobody", "--issuer", "nowhere"], "unknown node label 'nobody'"),
+            (["--kind", "link", "--holder", "h0"], "cannot build proof: --issuer is required for link proofs"),
+            (["--kind", "link", "--holder", "h0", "--issuer", ""], "cannot build proof: --issuer is required for link proofs"),
+            (["--kind", "link", "--holder", "h0", "--issuer", "nowhere"], "cannot build proof: unknown node label 'nowhere'"),
+        ],
+        ids=["hub-holder", "chain-holder", "link-holder-first", "link-no-issuer", "link-empty-issuer", "link-issuer"],
+    )
+    def test_argument_errors_are_refused_before_the_run(self, args, error, tmp_path, monkeypatch, capsys):
+        # Labels are the scenario's, so a bad one is refused before any
+        # round runs, in the order and with the text a finished run gives.
+        made = []
+        monkeypatch.setattr(cli, "make_simulation", lambda *a, **k: made.append(a))
+        out = tmp_path / "x.proof"
+        argv = ["prove", "--config", str(SCENARIOS / "identity.yaml"), *args, "--start", "1", "--end", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert made == [] and not out.exists()
+
     def test_window_past_available_evidence(self, tmp_path, capsys):
         rc = main(
             [
@@ -672,13 +696,36 @@ class TestVerify:
         assert rc == 1
         assert "MalformedProof" in capsys.readouterr().out
 
-    def test_bad_magic_is_malformed(self, link_run, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["link", "hub"])
+    @pytest.mark.parametrize("empty", ["holder_chain", "rounds"])
+    def test_proof_with_no_holder_chain_entry_or_window_round_is_malformed(self, link_run, tmp_path, capsys, kind, empty):
+        # The first chain entry names the holder and the window's first
+        # round, so a proof with no entry, or no window round, names neither.
+        proof = tmp_path / "window.proof"
+        if kind == "hub":
+            prove = ["--config", str(SCENARIOS / "hub.yaml"), "--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"]
+            assert main(["prove", *prove, "--out", str(proof)]) == 0
+            capsys.readouterr()
+        else:
+            proof = link_run["proof"]
+        bad = tmp_path / "empty.proof"
+        bad.write_bytes(encode_proof(dataclasses.replace(decode_proof(proof.read_bytes()), **{empty: ()})))
+        expected = "FAIL: MalformedProof (a link or hub proof needs a holder chain entry and a window round)\n"
+        assert main(["verify", "--proof", str(bad), "--trust", str(link_run["trust"])]) == 1
+        assert capsys.readouterr().out == expected
+        assert main(["inspect", "--proof", str(bad)]) == 1
+        assert capsys.readouterr().out == expected
+
+    # EMP7 link and hub proofs wrote their holder id and window, which the
+    # holder chain gives; no EMP7 reader is kept.
+    @pytest.mark.parametrize("magic", [b"XXXX", b"EMP7"], ids=["XXXX", "EMP7"])
+    def test_bad_magic_is_malformed(self, link_run, tmp_path, capsys, magic):
         blob = link_run["proof"].read_bytes()
         bad = tmp_path / "magic.proof"
-        bad.write_bytes(b"XXXX" + blob[4:])
+        bad.write_bytes(magic + blob[4:])
         rc = main(["verify", "--proof", str(bad), "--trust", str(link_run["trust"])])
         assert rc == 1
-        assert "MalformedProof" in capsys.readouterr().out
+        assert capsys.readouterr().out == "FAIL: MalformedProof (not a proof file)\n"
 
     def test_corrupt_trust_bundle(self, link_run, tmp_path, capsys):
         bad = tmp_path / "trust.json"
@@ -744,7 +791,73 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
 
+# The CI proofs (scenario, prove arguments) and what ``inspect --proof``
+# prints for them, in text and JSON.  Each holder and window is read from
+# its holder chain, and each reads as the EMP7 holder id and window fields
+# did: only the sizes differ (EMP7 hub 4,957, chain 7,641, link 3,245 B).
+CI_PROOFS_INSPECTED = {
+    "hub": (
+        ["--config", str(SCENARIOS / "hub.yaml"), "--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
+        "hub proof, rounds [1, 3], 5 links, 4909 bytes\n"
+        "  holder 0a65d3f580a7d0d81eed1f10e4d637b2a0ca563fd859619021d8bee6a9d3bbf6\n",
+        {
+            "bytes": 4909,
+            "holder": "0a65d3f580a7d0d81eed1f10e4d637b2a0ca563fd859619021d8bee6a9d3bbf6",
+            "kind": "hub",
+            "links": 5,
+            "manifest": [
+                "21bfd77c950907d302e55f97b81203880d9789c7b3134f993cafcf63b8b2188e",
+                "2f4a6384edef2a8194de84ae5b9183e9452f76e9376a43edd8aeb3576b5737a5",
+                "42ab3769c2b137854f4ce1f86c41d66f6ce892f0fabdfcc5152776966ad82cc2",
+                "8de4b516316263aff13c5857fbc40310db49cdc8aa1c1fb68a39e45824c0f56d",
+                "8f9cfb9823f83269fcc2b66ae71331e80150a2ff0d7a3a18df274324b97bd466",
+            ],
+            "window": [1, 3],
+        },
+    ),
+    "chain": (
+        ["--config", str(SCENARIOS / "chain.yaml"), "--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
+        "chain proof, 4 hops, 7449 bytes\n"
+        "  holder 8c82c6368f6141358d305a76da07b1ac1a4622c6023155bfcff4275cd13ca510\n"
+        "  anchor 00d58369f3756164c05594dcbf206610c802884990620912bf3e81d14458fb8b at round 6\n",
+        {
+            "anchor": "00d58369f3756164c05594dcbf206610c802884990620912bf3e81d14458fb8b",
+            "anchor_round": 6,
+            "bytes": 7449,
+            "holder": "8c82c6368f6141358d305a76da07b1ac1a4622c6023155bfcff4275cd13ca510",
+            "hops": 4,
+            "kind": "chain",
+        },
+    ),
+    "link": (
+        ["--config", str(SCENARIOS / "identity.yaml"), "--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
+        "link proof, rounds [1, 4], 3197 bytes\n"
+        "  holder c216bf170ae0e55225574e922362d7154a039d60102c0c7f976ff28635086d9d\n"
+        "  issuer c91b3d66d2fdcca30575cd1817fd074cd075aed90952f98dd6a7f71049e4ef90\n",
+        {
+            "bytes": 3197,
+            "holder": "c216bf170ae0e55225574e922362d7154a039d60102c0c7f976ff28635086d9d",
+            "issuer": "c91b3d66d2fdcca30575cd1817fd074cd075aed90952f98dd6a7f71049e4ef90",
+            "kind": "link",
+            "receipts": 4,
+            "window": [1, 4],
+        },
+    ),
+}
+
+
 class TestInspect:
+    @pytest.mark.parametrize("kind", sorted(CI_PROOFS_INSPECTED))
+    def test_ci_proof_inspected(self, kind, tmp_path, capsys):
+        prove, text, obj = CI_PROOFS_INSPECTED[kind]
+        proof = tmp_path / f"{kind}.proof"
+        assert main(["prove", *prove, "--out", str(proof)]) == 0
+        capsys.readouterr()
+        assert main(["inspect", "--proof", str(proof)]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["inspect", "--proof", str(proof), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == obj
+
     def test_proof_summary(self, link_run, capsys):
         rc = main(["inspect", "--proof", str(link_run["proof"]), "--format", "json"])
         assert rc == 0

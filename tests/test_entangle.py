@@ -30,7 +30,7 @@ from entmesh.entangle import (
 )
 from entmesh.hashtree import sha256
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import MANIFEST_LEAF_INDEX, submission_of
+from entmesh.node import MANIFEST_LEAF_INDEX, chain_entry_for, submission_of
 from entmesh.wire import MAX_RECORD, WireError
 
 from test_wire import Writer
@@ -126,16 +126,21 @@ class TestLinkProof:
         assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 2")
 
     def test_empty_window_rejected(self, pair):
+        # A window of no round, whose holder chain holds only the lag, which
+        # the decoder cannot make: it would vouch for no receipt.
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        bad = dataclasses.replace(proof, window_start=5)
+        bad = dataclasses.replace(proof, holder_chain=proof.holder_chain[-EVIDENCE_LAG:], rounds=())
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
-        assert verdict.reason == "WindowInvalid"
+        assert (verdict.reason, verdict.detail) == ("WindowInvalid", "holder chain does not cover the window")
 
     def test_chain_must_belong_to_holder(self, pair):
+        # The first entry names the holder, so a head from another node, at
+        # the round the holder's own would be, is refused.
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        bad = dataclasses.replace(proof, holder_id=pair.id_of("issuer"))
+        head = chain_entry_for(pair.nodes["issuer"].records[6])
+        bad = dataclasses.replace(proof, holder_chain=proof.holder_chain[:-1] + (head,))
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
-        assert verdict.reason == "HolderMismatch"
+        assert (verdict.reason, verdict.detail) == ("HolderMismatch", "chain entry from another node")
 
     def test_reordered_chain_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -166,17 +171,18 @@ class TestLinkProof:
         assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 3")
 
     def test_one_submission_per_round_required(self, pair):
-        # A proof with a round fewer than its window fails instead of checking
-        # only the rounds it has, and so does one whose round holds no receipt
-        # or two, which the decoder cannot make.
+        # A proof with a round fewer than its holder chain covers fails
+        # instead of checking only the rounds it has, and so does one whose
+        # round holds no receipt or two, which the decoder cannot make.
         proof = link_for(pair, "holder", "issuer", (1, 4))
         trusted = pair.commitments_of("issuer")
         for bad in (
             dataclasses.replace(proof, rounds=proof.rounds[:-1]),
             decode_proof(encode_proof(dataclasses.replace(proof, rounds=proof.rounds[:-1]))),
-            with_round(proof, 1, receipts=()),
-            with_round(proof, 1, receipts=proof.rounds[1].receipts * 2),
         ):
+            verdict = verify_link(bad, trusted, pair.directory)
+            assert (verdict.reason, verdict.detail) == ("WindowInvalid", "holder chain does not cover the window")
+        for bad in (with_round(proof, 1, receipts=()), with_round(proof, 1, receipts=proof.rounds[1].receipts * 2)):
             verdict = verify_link(bad, trusted, pair.directory)
             assert (verdict.reason, verdict.detail) == ("WindowInvalid", "one receipt per round required")
 
@@ -356,15 +362,14 @@ def hub_bytes(proof, manifest=None, held=None):
     per-round signature and paths blobs."""
     manifest = proof.manifest if manifest is None else manifest
     held = [round_blob(rnd.signature, rnd.receipts) for rnd in proof.rounds] if held is None else held
-    w = Writer().digest(proof.holder_id).u64(proof.window_start).u64(proof.window_end).digests(manifest)
-    w.u32(len(proof.manifest_proofs))
+    w = Writer().digests(manifest).u32(len(proof.manifest_proofs))
     for p in proof.manifest_proofs:
         path_bytes(w, p, MANIFEST_LEAF_INDEX)
     w.blobs([entry.to_bytes() for entry in proof.holder_chain])
     w.u32(len(held))
     for blob, rnd in zip(held, proof.rounds, strict=True):
         path_bytes(w.blob(blob), rnd.evidence_proof)
-    return b"EMP7\x11" + w.getvalue()
+    return b"EMP8\x11" + w.getvalue()
 
 
 class TestHubCodec:
@@ -442,14 +447,16 @@ class TestHubCodec:
 
     def test_verifier_refuses_a_decoded_hub_with_one_evidence_proof_of_four(self, fan):
         # Each window round holds its evidence proof, so a hub with one
-        # evidence proof of four holds one round of four.
+        # evidence proof of four holds one round of four, and with as many
+        # manifest proofs its holder chain covers more than its window.
         honest = hub_for(fan, (1, 4))
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
-        for rounds in (honest.rounds[:1], honest.rounds + honest.rounds[:1]):
-            proof = decode_proof(encode_proof(dataclasses.replace(honest, rounds=rounds)))
+        for count in (1, 5):
+            rounds, manifest_proofs = (honest.rounds * 2)[:count], (honest.manifest_proofs * 2)[:count]
+            proof = decode_proof(encode_proof(dataclasses.replace(honest, rounds=rounds, manifest_proofs=manifest_proofs)))
             assert proof.rounds == rounds
             verdict = verify_hub(proof, trusted, fan.directory)
-            assert (verdict.reason, verdict.detail) == ("LinkFailed", "holder chain: WindowInvalid (one receipt per round required)")
+            assert (verdict.reason, verdict.detail) == ("LinkFailed", "holder chain: WindowInvalid (holder chain does not cover the window)")
 
 
 class TestChainProof:
@@ -571,12 +578,23 @@ class TestChainProof:
         assert verdict.signatures_checked == 0 and calls == []
 
     def test_window_past_its_holder_chain_is_a_broken_hop(self, relay):
-        # The claimed window also reaches past the trusted log; the hop's own
-        # fault is what gets reported.
+        # The window of 50 rounds also reaches past the trusted log; the hop's
+        # own fault is what gets reported.
         proof = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay)[:2], 1)
-        stretched = ChainProof(hops=(dataclasses.replace(proof.hops[0], window_end=50),))
+        stretched = ChainProof(hops=(dataclasses.replace(proof.hops[0], rounds=proof.hops[0].rounds * 50),))
+        assert stretched.hops[0].window_end == 50
         verdict = verify_chain(stretched, relay.commitments_of("b"), relay.directory)
         assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: WindowInvalid (holder chain does not cover the window)")
+
+    @pytest.mark.parametrize("hop", [0, 1])
+    def test_hop_with_no_holder_chain_is_a_broken_hop(self, relay, hop):
+        # A hop's window is its holder chain's, so a hop with none, which the
+        # decoder cannot make, has no window to shift: a verdict, not an IndexError.
+        proof = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1)
+        hops = list(proof.hops)
+        hops[hop] = dataclasses.replace(hops[hop], holder_chain=())
+        verdict = verify_chain(ChainProof(hops=tuple(hops)), relay.commitments_of("c"), relay.directory)
+        assert (verdict.reason, verdict.detail) == ("BrokenHop", f"hop {hop} window does not shift by one round per hop")
 
     def test_corrupt_inner_hop_reported(self, relay):
         proof = build_chain_proof(
@@ -648,7 +666,7 @@ class TestRootPath:
 
 def link_bytes(link, first_entry_blob):
     """A link proof written field by field around the given first chain entry blob."""
-    w = Writer().digest(link.holder_id).digest(link.issuer_id).u64(link.window_start).u64(link.window_end)
+    w = Writer().digest(link.issuer_id)
     w.blobs([first_entry_blob] + [entry.to_bytes() for entry in link.holder_chain[1:]])
     w.u32(len(link.rounds))
     for rnd in link.rounds:
@@ -735,8 +753,25 @@ class TestProofCodec:
             relay.records_by_id(), relay.receipts_by_id(), [relay.id_of("a"), relay.id_of("b")], 1
         )
         empty = dataclasses.replace(chain.hops[0], rounds=())
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
             decode_proof(encode_proof(dataclasses.replace(chain, hops=(empty,))))
+
+    @pytest.mark.parametrize("kind", ["link", "hub", "chain"])
+    @pytest.mark.parametrize("empty", ["holder_chain", "rounds"])
+    def test_proof_with_no_holder_chain_entry_or_window_round_refused(self, pair, fan, relay, kind, empty):
+        # The first chain entry names the holder and the window's first
+        # round, and the window holds one round per window round, so a proof
+        # with neither has no holder or window to name.
+        path = [relay.id_of("a"), relay.id_of("b"), relay.id_of("c")]
+        proof = {
+            "link": link_for(pair, "holder", "issuer", (1, 2)),
+            "hub": hub_for(fan, (1, 2)),
+            "chain": build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), path, 1),
+        }[kind]
+        emptied = lambda part: dataclasses.replace(part, **{empty: ()})
+        bad = dataclasses.replace(proof, hops=(proof.hops[0], emptied(proof.hops[1]))) if kind == "chain" else emptied(proof)
+        with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
+            decode_proof(encode_proof(bad))
 
     def test_previous_envelope_refused(self, fan):
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
@@ -746,7 +781,7 @@ class TestProofCodec:
     def test_emp2_envelope_refused(self, fan):
         # EMP2 receipts carried the issuer commitment; no EMP2 reader is kept.
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
-        assert data[:4] == b"EMP7"
+        assert data[:4] == b"EMP8"
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP2" + data[4:])
 
@@ -777,6 +812,13 @@ class TestProofCodec:
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP6" + data[4:])
+
+    def test_emp7_envelope_refused(self, fan):
+        # EMP7 link and hub proofs began with the holder id and window, which
+        # their holder chains give; no EMP7 reader is kept.
+        data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
+        with pytest.raises(WireError, match="not a proof file"):
+            decode_proof(b"EMP7" + data[4:])
 
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):

@@ -170,7 +170,7 @@ class TestRevocationEvidence:
         solo.build(("x",))  # no revocation section at all
         reg = CredentialRegistry(solo)
         with pytest.raises(NotEntangledError):
-            reg.revocation_evidence(sha256(b"any"))
+            reg.revocation_evidence(sha256(b"any"), solo.latest)
 
 
 class TestRecoveryPolicy:

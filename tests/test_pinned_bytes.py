@@ -4,13 +4,13 @@ The wire format is normative (docs/FORMATS.md), so a refactor of the records
 that get encoded must not move a single byte.  These digests are the three
 proofs the CI job builds and each scenario's ``commitments.jsonl``, at each
 scenario's own seed.  A change that alters them on purpose re-records them
-here and says why: the proof pins were last re-recorded for the ``EMP7``
-envelope, whose window rounds hold the holder's signature where ``EMP6``
-held its whole Submission: the holder id, round and root are the holder
-chain entry's, which the verifier rebuilds the Submission from (72 B a
-round; hub 5,173 -> 4,957 B, chain 8,217 -> 7,641 B, link 3,533 ->
-3,245 B).  Receipts and evidence leaves keep their bytes, so
-``commitments.jsonl`` is unchanged.
+here and says why: the proof pins were last re-recorded for the ``EMP8``
+envelope, whose link and hub proofs drop the holder id and window that
+``EMP7`` wrote before their holder chains.  Those fields were unsigned and
+repeated what the chain gives: its first entry's node and round, and one
+round per window round (48 B per link, hub or chain hop; hub 4,957 ->
+4,909 B, chain 7,641 -> 7,449 B, link 3,245 -> 3,197 B).  Receipts and
+evidence leaves keep their bytes, so ``commitments.jsonl`` is unchanged.
 """
 
 import hashlib
@@ -26,17 +26,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PINNED = {
     "hub": (
         ["--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
-        (4957, "d67bdc9079405371ac4b9ea91c124a0634343b9e3c3b78ccb4d88bfadf452a9b"),
+        (4909, "1a5c2dae28295894fab18432b0c334c1ff2af7db85d13b57985027d11d367881"),
         (29385, "e9be8b8909eca1b012b7cf496c9feb7f5e66c171dc6743cd1cac558b29e092c4"),
     ),
     "chain": (
         ["--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
-        (7641, "9a8e5c3f90cbcf59fc85578968ca0ee822157173c4b2a89930c63c1148162345"),
+        (7449, "b848e22f36981018df727bec912361547fa7516f3bdcf456e1ac0bce1ef4c30f"),
         (24559, "be8982c982c74a7683460be4d2d0d07ab9d6d11b85444f2accf850dfcf25e892"),
     ),
     "identity": (
         ["--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
-        (3245, "8cb18584e126914727916e91dbf356b7cbf031bd4eeb18dcc459b6f8b0548a7b"),
+        (3197, "49162fa5382629068e71ca3242398da6b8e83053a63a895533fd9db8f00444e1"),
         (19628, "044d456a658ebe9d2008d2ce8d9621ad3bc6c9989e201f79b17e129b618502fc"),
     ),
 }

@@ -78,12 +78,13 @@ def test_decoded_hub_proof_digests_are_plain_bytes(manual_net):
     assert_plain(values)
     # Ids, roots and siblings all occur: the walk did not miss a kind.  The
     # three rounds' submissions are held as their signatures alone, so each
-    # window round's holder root occurs once, in its chain entry, and the
-    # issuer ids only in the manifest.
+    # window round's holder root occurs once, in its chain entry, the
+    # issuer ids only in the manifest, and the holder id only in the chain
+    # entries' commitments: the proof has no holder id field.
     assert net.id_of("p0") in values and center.records[2].root in values
     assert [values.count(center.records[r].root) for r in (1, 2, 3)] == [1, 1, 1]
     assert siblings(proof.rounds[0].receipts[0].inclusion)[0] in values
-    assert len(values) == 91
+    assert len(values) == 90
 
 
 def test_identity_digests_are_plain_bytes():

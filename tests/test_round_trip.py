@@ -146,14 +146,14 @@ def ref_rounds(w: Writer, rounds) -> Writer:
 
 
 def ref_link_proof(p: LinkProof) -> bytes:
-    w = Writer().digest(p.holder_id).digest(p.issuer_id).u64(p.window_start).u64(p.window_end)
+    # No holder id or window: they are the holder chain's.
+    w = Writer().digest(p.issuer_id)
     w.blobs([ref_chain_entry(e) for e in p.holder_chain])
     return ref_rounds(w, p.rounds).getvalue()
 
 
 def ref_hub_proof(p: HubProof) -> bytes:
-    w = Writer().digest(p.holder_id).u64(p.window_start).u64(p.window_end).digests(p.manifest)
-    w.u32(len(p.manifest_proofs))
+    w = Writer().digests(p.manifest).u32(len(p.manifest_proofs))
     for proof in p.manifest_proofs:
         ref_path(w, proof, MANIFEST_LEAF_INDEX)
     w.blobs([ref_chain_entry(e) for e in p.holder_chain])
@@ -161,12 +161,12 @@ def ref_hub_proof(p: HubProof) -> bytes:
 
 
 def ref_proof(p) -> bytes:
-    """The envelope: magic ``EMP7``, a kind byte, then the body."""
+    """The envelope: magic ``EMP8``, a kind byte, then the body."""
     if isinstance(p, HubProof):
-        return b"EMP7\x11" + ref_hub_proof(p)
+        return b"EMP8\x11" + ref_hub_proof(p)
     if isinstance(p, ChainProof):
-        return b"EMP7\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
-    return b"EMP7\x10" + ref_link_proof(p)
+        return b"EMP8\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
+    return b"EMP8\x10" + ref_link_proof(p)
 
 
 def assert_encodes_its_fields(record) -> None:

@@ -520,14 +520,9 @@ class TestRecordEncodersRefuse:
     def proofs(self, encoded_proofs):
         return {kind: entangle.decode_proof(blob) for kind, blob in encoded_proofs.items()}
 
-    def test_link_proof_with_a_short_holder_id(self, proofs):
-        bad = dataclasses.replace(proofs["link"], holder_id=proofs["link"].holder_id[:31])
+    def test_link_proof_with_a_short_issuer_id(self, proofs):
+        bad = dataclasses.replace(proofs["link"], issuer_id=proofs["link"].issuer_id[:31])
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
-            entangle.encode_proof(bad)
-
-    def test_link_proof_with_a_window_start_past_u64(self, proofs):
-        bad = dataclasses.replace(proofs["link"], window_start=2**64)
-        with pytest.raises(WireError, match="^u64 out of range: 18446744073709551616$"):
             entangle.encode_proof(bad)
 
     def test_hub_proof_whose_manifest_holds_a_short_id(self, proofs):
@@ -547,13 +542,15 @@ class TestRecordEncodersRefuse:
             dataclasses.replace(c, round=-1).to_bytes()
 
     def test_link_proof_refuses_its_first_bad_field(self, proofs):
-        # The issuer id comes before the window in wire order, so it is named first.
+        # The issuer id comes before the window rounds in wire order, so it is named first.
         link = proofs["link"]
-        bad = dataclasses.replace(link, issuer_id=link.issuer_id + b"\x00", window_start=-1)
+        evidence = link.rounds[0].evidence_proof._replace(leaf_index=-1)
+        rounds = (link.rounds[0]._replace(evidence_proof=evidence),) + link.rounds[1:]
+        bad = dataclasses.replace(link, issuer_id=link.issuer_id + b"\x00", rounds=rounds)
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             entangle.encode_proof(bad)
         with pytest.raises(WireError, match="^u64 out of range: -1$"):
-            entangle.encode_proof(dataclasses.replace(link, window_start=-1, window_end=-2))
+            entangle.encode_proof(dataclasses.replace(link, rounds=rounds))
 
     def test_submission_chain_entry_and_paths_with_a_short_digest(self, proofs):
         link = proofs["link"]
