@@ -103,13 +103,10 @@ def cmd_simulate(args) -> int:
 def _rounds_to_run(config, args) -> int:
     """How many rounds ``prove`` runs: until every holder round its proof reads
     is final, so the proof, or the error, is that of a run of every round.  A
-    proof that reads past the scenario, or a chain from a holder with no path
-    to an anchor, runs all of it, and fails as before."""
+    proof that reads past the scenario runs all of it, and fails as before.
+    A chain's holder has a path to an anchor: ``cmd_prove`` checks it first."""
     if args.kind == "chain":
-        try:
-            path = config.topology.path_to_anchor(args.holder)
-        except ValueError:
-            return config.rounds
+        path = config.topology.path_to_anchor(args.holder)
         windows = hop_windows(args.start, args.window, len(path) - 1)
         reads = [(holder, last_holder_round(window)) for holder, window in zip(path, windows)]
     else:
@@ -128,6 +125,11 @@ def cmd_prove(args) -> int:
         raise ConfigError("cannot build proof: --issuer is required for link proofs")
     if args.kind == "link" and args.issuer not in labels:
         raise ConfigError(f"cannot build proof: unknown node label {args.issuer!r}")
+    if args.kind == "chain":
+        try:
+            path = config.topology.path_to_anchor(holder)
+        except ValueError as exc:
+            raise ConfigError(f"cannot build proof: {exc}")
     if args.end is None:
         args.end = args.start  # the window is [start, start], for _rounds_to_run too
     start, end = args.start, args.end
@@ -142,7 +144,6 @@ def cmd_prove(args) -> int:
             proof = build_hub_proof(records, (start, end), receipts)
             descr = f"hub {holder}, {len(proof.manifest)} links, rounds [{start}, {end}]"
         else:
-            path = sim.path_to_anchor(holder)
             ids = [sim.nodes[label].node_id for label in path]
             proof = build_chain_proof(
                 sim.records_by_id(), sim.receipts_by_id(), ids, start, args.window

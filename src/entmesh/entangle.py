@@ -27,36 +27,41 @@ Proof vocabulary:
 * ``RootPath``    -- a bare digest path showing one root is transitively
   committed by a later tree, with no receipt evidence involved.
 
-A link or hub proof is its holder chain and its window rounds: each
-``WindowRound`` holds the holder's signature, each issuer's receipt paths
-(``ReceiptPaths``) and the round's evidence proof.  A proof holds no whole
-receipt: the verifier rebuilds the round's submission from its chain entry
-and that signature, checks the paths against its trusted issuer commitment,
-and joins the three into the receipt's evidence leaf.  Nor does it name its
-holder or window: its holder chain's first entry gives the holder and first
-round, under the chain's signed head, and the window holds one round per window round.
+A link or hub proof is its holder chain and its window rounds.  The holder
+chain is the holder's commitments and, for each after the first, its link
+(``ChainLink``): the path of its first leaf, which the verifier computes
+from the commitment before it.  Each ``WindowRound`` holds the holder's
+signature, each issuer's receipt paths (``ReceiptPaths``) and the round's
+evidence proof.  A proof holds no whole receipt: the verifier rebuilds the
+round's submission from its holder chain commitment and that signature,
+checks the paths against its trusted issuer commitment, and joins the three
+into the receipt's evidence leaf.  Nor does it name its holder or window:
+its holder chain's first commitment gives the holder and first round, under
+the chain's signed head, and the window holds one round per window round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .hashtree import Digest, InclusionProof, fold_root, leaf_hash
 from .keys import NodeId
 from .node import (
-    ChainEntry,
+    ChainLink,
     Commitment,
+    InvariantViolationError,
     KeyDirectory,
     NodeRecord,
     Receipt,
     ReceiptPaths,
     Submission,
     Verdict,
+    MAX_COMMITMENT,
     MAX_SIGNATURE,
     _check_receipt_inclusions,
     _manifest_leaf,
-    chain_entry_for,
     commitment_digest,
     evidence_leaf,
     receipt_key,
@@ -124,10 +129,11 @@ class MissingReceiptError(ValueError):
 
 class WindowRound(NamedTuple):
     """One window round r of a link or hub proof: the holder's signature on
-    its round-r submission, whose id, round and root are chain entry r's, each
-    issuer's receipt paths in manifest order (one for a link), and the proof
-    that their evidence leaves are one run of leaves in the holder's round
-    r + EVIDENCE_LAG tree.  A tuple, since a proof builds and reads one per round."""
+    its round-r submission, whose id, round and root are holder chain
+    commitment r's, each issuer's receipt paths in manifest order (one for a
+    link), and the proof that their evidence leaves are one run of leaves in
+    the holder's round r + EVIDENCE_LAG tree.  A tuple, since a proof builds
+    and reads one per round."""
 
     signature: bytes
     receipts: tuple[ReceiptPaths, ...]
@@ -159,27 +165,42 @@ def _read_rounds(r: Reader, issuers: int, limit: int) -> tuple[WindowRound, ...]
     return r.many(read_round, "window rounds", MAX_ITEMS)
 
 
-def _read_held(r: Reader, issuers: int, limit: int) -> tuple[tuple[ChainEntry, ...], tuple[WindowRound, ...]]:
+_encoding_of = attrgetter("_encoding")  # a record's kept bytes
+
+
+def _chain_bytes(holder: "LinkProof | HubProof") -> list[bytes]:
+    """A holder chain as parts, for one join: a u32 count and each
+    commitment's blob, then each link, whose count the commitments' fixes."""
+    chain, links = holder.holder_chain, holder.links
+    if len(links) != max(len(chain) - 1, 0):
+        raise WireError("a holder chain holds one link per commitment after the first")
+    parts = blobs(list(map(_encoding_of, chain)))
+    parts += map(_encoding_of, links)
+    return parts
+
+
+def _read_held(r: Reader, issuers: int, limit: int) -> tuple[tuple[Commitment, ...], tuple[ChainLink, ...], tuple[WindowRound, ...]]:
     """A holder chain, then its window rounds as ``_read_rounds`` reads them,
     refused unless each holds one: they name the proof's holder and window."""
-    chain = r.many(lambda r: r.nested(ChainEntry.read, MAX_RECORD), "holder chain entries", MAX_ITEMS)
+    chain = r.many(lambda r: r.nested(Commitment.read, MAX_COMMITMENT), "holder chain commitments", MAX_ITEMS)
+    links = tuple([ChainLink.read(r) for _ in range(len(chain) - 1)])
     rounds = _read_rounds(r, issuers, limit)
     if not chain or not rounds:
         raise WireError("a link or hub proof needs a holder chain entry and a window round")
-    return chain, rounds
+    return chain, links, rounds
 
 
 class _Held:
     """The holder and window of a link or hub proof, read from its holder
-    chain: the first entry's node and round, and one round per window round."""
+    chain: the first commitment's node and round, and one round per window round."""
 
     @property
     def holder_id(self) -> NodeId:
-        return self.holder_chain[0].commitment.node_id
+        return self.holder_chain[0].node_id
 
     @property
     def window_start(self) -> int:
-        return self.holder_chain[0].commitment.round
+        return self.holder_chain[0].round
 
     @property
     def window_end(self) -> int:
@@ -191,12 +212,12 @@ class LinkProof(_Held):
     """Evidence for one periodic link over holder rounds [start, end]."""
 
     issuer_id: NodeId
-    holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
+    holder_chain: tuple[Commitment, ...]  # rounds start .. end + EVIDENCE_LAG
+    links: tuple[ChainLink, ...]  # rounds start + 1 .. end + EVIDENCE_LAG
     rounds: tuple[WindowRound, ...]  # one per window round, each with the issuer's receipt paths
 
     def to_bytes(self) -> bytes:
-        chain = blobs([entry._encoding for entry in self.holder_chain])
-        return b"".join([digest(self.issuer_id), *chain, *_rounds_bytes(self.rounds)])
+        return b"".join([digest(self.issuer_id), *_chain_bytes(self), *_rounds_bytes(self.rounds)])
 
     @staticmethod
     def read(r: Reader) -> "LinkProof":
@@ -206,8 +227,8 @@ class LinkProof(_Held):
 _ByRound = Mapping[int, Commitment]  # a node's commitments by round
 
 
-def _by_round(chain: Sequence[ChainEntry]) -> dict[int, Commitment]:
-    return {entry.commitment.round: entry.commitment for entry in chain}
+def _by_round(chain: Sequence[Commitment]) -> dict[int, Commitment]:
+    return {c.round: c for c in chain}
 
 
 def last_holder_round(window: tuple[int, int]) -> int:
@@ -221,7 +242,10 @@ def hop_windows(start_round: int, window_len: int, hops: int) -> list[tuple[int,
     return [(start_round + i, start_round + i + window_len - 1) for i in range(hops)]
 
 
-def _holder_chain(holder_records: Sequence[NodeRecord], window: tuple[int, int]) -> tuple[ChainEntry, ...]:
+def _holder_chain(
+    holder_records: Sequence[NodeRecord], window: tuple[int, int]
+) -> tuple[tuple[Commitment, ...], tuple[ChainLink, ...]]:
+    """The commitments of unpruned rounds start .. last_holder_round(window), and the links of all but the first."""
     start, end = window
     if start > end or start < 0:
         raise ValueError(f"bad window {window}")
@@ -230,7 +254,11 @@ def _holder_chain(holder_records: Sequence[NodeRecord], window: tuple[int, int])
         raise ValueError(
             f"window {window} needs holder rounds up to {last}, but only {len(holder_records)} rounds exist"
         )
-    return tuple(chain_entry_for(holder_records[r]) for r in range(start, last + 1))
+    records = holder_records[start : last + 1]
+    for record in records:
+        if record.link is None:
+            raise InvariantViolationError(f"round {record.round} was pruned; cannot build a holder chain")
+    return tuple([record.commitment for record in records]), tuple([record.link for record in records[1:]])
 
 
 def _not_one_run(r: int) -> ValueError:
@@ -287,8 +315,8 @@ def build_link_proof(
     window: tuple[int, int],
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> LinkProof:
-    chain = _holder_chain(holder_records, window)
-    return LinkProof(issuer_id, chain, _window_rounds(holder_records, (issuer_id,), window, receipts))
+    chain, links = _holder_chain(holder_records, window)
+    return LinkProof(issuer_id, chain, links, _window_rounds(holder_records, (issuer_id,), window, receipts))
 
 
 class _Call:
@@ -341,16 +369,16 @@ def _check_link(proof: LinkProof, trusted: _ByRound, call: _Call) -> Verdict:
 
 
 def _check_holder_chain(holder: "LinkProof | HubProof", call: _Call) -> Verdict:
-    """The holder chain holds an entry per window round, of which there is one
-    at least, and EVIDENCE_LAG more, each the first entry's node's, linked up.
-    A head with no key bound at its round fails here, with no Ed25519 check."""
+    """The holder chain holds a commitment per window round, of which there is
+    one at least, and EVIDENCE_LAG more, each the first one's node's, linked
+    up.  A head with no key bound at its round fails here, with no Ed25519 check."""
     if not holder.rounds or len(holder.holder_chain) != len(holder.rounds) + EVIDENCE_LAG:
         return Verdict.failed("WindowInvalid", "holder chain does not cover the window")
-    for entry in holder.holder_chain:
-        if entry.commitment.node_id != holder.holder_id:
+    for c in holder.holder_chain:
+        if c.node_id != holder.holder_id:
             return Verdict.failed("HolderMismatch", "chain entry from another node")
-    verdict = verify_chain_links(holder.holder_chain, call)
-    head = holder.holder_chain[-1].commitment
+    verdict = verify_chain_links(holder.holder_chain, holder.links, call)
+    head = holder.holder_chain[-1]
     if verdict and call.directory.key_at(head.node_id, head.round) is None:
         return verify_chain_head(holder.holder_chain, call.directory)
     return verdict
@@ -364,18 +392,18 @@ def _part_failed(holder: "LinkProof | HubProof", where: str, reason: str, detail
 
 def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId, _ByRound]], call: _Call) -> Verdict:
     """Each window round r in turn, against ``holder``'s checked chain walked
-    by position, where entry r sits at the round's and entry r + EVIDENCE_LAG
-    that many places on: the holder's submission once, rebuilt from entry r
-    and the round's signature and hashed, then each receipt's paths against
+    by position, where commitment r sits at the round's and commitment
+    r + EVIDENCE_LAG that many places on: the holder's submission once,
+    rebuilt from commitment r and the round's signature and hashed, then each receipt's paths against
     its (issuer id, trusted issuer commitments) pair in ``issuers``, then the
     round's evidence proof over the leaves those receipts join, in that
     order.  The signature is hashed, not checked: the trusted issuer
     commitment covers the entangled leaf, and the chain's head the evidence
     leaf, that hold it."""
     s, chain = holder.window_start, holder.holder_chain
-    for entry, (signature, receipts, evidence), retaining in zip(chain, holder.rounds, chain[EVIDENCE_LAG:]):
-        r = entry.commitment.round
-        sub = submission_of(entry.commitment, signature)
+    for c, (signature, receipts, evidence), retaining in zip(chain, holder.rounds, chain[EVIDENCE_LAG:]):
+        r = c.round
+        sub = submission_of(c, signature)
         sub_hash, leaf_hashes = leaf_hash(sub.leaf_bytes()), []
         for (issuer_id, trusted), paths in zip(issuers, receipts):
             issuer_c = trusted.get(r + 1)
@@ -392,7 +420,7 @@ def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId
                 return _part_failed(holder, issuer_id.hex(), "ChainBreak", detail)
             # The receipt's bytes, as its holder retained them, hold its paths in the receipt's form.
             leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, receipt_paths(paths, issuer_c.leaf_count))))
-        if not call.proves(retaining.commitment, leaf_hashes, evidence):
+        if not call.proves(retaining, leaf_hashes, evidence):
             what = "receipts" if isinstance(holder, HubProof) else "receipt"
             return Verdict.failed("EvidenceInvalid", f"{what} for round {r} not retained in round {r + EVIDENCE_LAG}")
     return Verdict.passed()
@@ -404,7 +432,8 @@ class HubProof(_Held):
 
     manifest: tuple[NodeId, ...]
     manifest_proofs: tuple[InclusionProof, ...]  # manifest leaf, one per window round
-    holder_chain: tuple[ChainEntry, ...]  # rounds start .. end + EVIDENCE_LAG
+    holder_chain: tuple[Commitment, ...]  # rounds start .. end + EVIDENCE_LAG
+    links: tuple[ChainLink, ...]  # rounds start + 1 .. end + EVIDENCE_LAG
     rounds: tuple[WindowRound, ...]  # one per window round, each with every manifest issuer's receipt paths
 
     def to_bytes(self) -> bytes:
@@ -412,7 +441,7 @@ class HubProof(_Held):
             raise WireError("a hub proof needs at least one link")
         parts = [digests(self.manifest), prefix(len(self.manifest_proofs))]
         parts += [encode_inclusion_proof(proof, MANIFEST_LEAF_INDEX) for proof in self.manifest_proofs]
-        parts += blobs([entry._encoding for entry in self.holder_chain])
+        parts += _chain_bytes(self)
         parts += _rounds_bytes(self.rounds)
         return b"".join(parts)
 
@@ -430,7 +459,7 @@ def build_hub_proof(
     window: tuple[int, int],
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> HubProof:
-    chain = _holder_chain(holder_records, window)
+    chain, links = _holder_chain(holder_records, window)
     start, end = window
     manifest = holder_records[start].state.manifest
     if not manifest:
@@ -442,7 +471,7 @@ def build_hub_proof(
             raise ValueError(f"manifest changed inside window at round {r}")
         proofs.append(record.tree.prove_inclusion(MANIFEST_LEAF_INDEX))
     rounds = _window_rounds(holder_records, manifest, window, receipts)
-    return HubProof(manifest, tuple(proofs), chain, rounds)
+    return HubProof(manifest, tuple(proofs), chain, links, rounds)
 
 
 def verify_hub(
@@ -474,11 +503,11 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
     if not verdict:
         return _wrapped("LinkFailed", "holder chain", verdict)
     manifest_hash = (leaf_hash(_manifest_leaf(proof.manifest)),)
-    for entry, m_proof in zip(proof.holder_chain, proof.manifest_proofs):
-        r = entry.commitment.round
+    for c, m_proof in zip(proof.holder_chain, proof.manifest_proofs):
+        r = c.round
         if m_proof.leaf_index != MANIFEST_LEAF_INDEX:
             return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
-        if not call.proves(entry.commitment, manifest_hash, m_proof):
+        if not call.proves(c, manifest_hash, m_proof):
             return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")
     issuers = [(issuer_id, trusted.get(issuer_id)) for issuer_id in proof.manifest]
     for issuer_id, issuer_trust in issuers:
@@ -544,7 +573,7 @@ def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], di
 
     ``trusted_anchor`` holds commitments already authenticated, as
     ``verify_link`` requires.  Inner hops need no independent trust: hop i's
-    issuer commitments are hop i+1's holder chain entries, which this call
+    issuer commitments are hop i+1's holder chain commitments, which this call
     links to that chain's head and checks the head's signature.  The last hop's receipts take the anchor's trusted
     commitments, up to the anchor round, the last hop's window end + 1.
     The hops' heads come last, in the hops' order, from the anchor side.
@@ -701,7 +730,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
     return current == end_root
 
 
-_PROOF_MAGIC = b"EMP8"
+_PROOF_MAGIC = b"EMP9"
 _PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 

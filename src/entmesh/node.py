@@ -4,7 +4,10 @@ Each node advances in discrete rounds.  A round's state is flattened into a
 fixed leaf layout, committed as a Merkle root, and signed.  The first leaf
 of every tree is the digest of the previous round's commitment, so the
 per-round roots form a tamper-evident chain: substituting any historical
-round breaks verification at the next one.
+round breaks verification at the next one.  A holder chain, as proofs and
+audits check it, is a run of commitments and, for each after the first, the
+path of its first leaf (``ChainLink``); the verifier computes that leaf from
+the commitment before it, so the newest commitment's signature covers them all.
 
 Leaf layout (tags distinguish every leaf kind; see docs/FORMATS.md):
 
@@ -41,7 +44,7 @@ from .wire import (
 )
 
 __all__ = [
-    "ChainEntry",
+    "ChainLink",
     "Commitment",
     "InvariantViolationError",
     "KeyDirectory",
@@ -212,7 +215,7 @@ class Submission:
 
 def submission_of(c: Commitment, signature: bytes) -> Submission:
     """The Submission of ``c``'s node, round and root under ``signature``: as its
-    holder signs it, or as a verifier rebuilds it from a holder chain entry."""
+    holder signs it, or as a verifier rebuilds it from a holder chain commitment."""
     return Submission(c.node_id, c.round, c.root, signature)
 
 
@@ -521,83 +524,62 @@ def _check_receipt_inclusions(submission_hash: Digest, paths: ReceiptPaths, c: C
 
 
 @dataclass(frozen=True)
-class ChainEntry:
-    """A commitment plus the proof of its tree's first (prev-digest) leaf.
-
-    The minimal witness for chain contiguity when full trees are not
-    shipped: consecutive entries are linked by checking each entry's
-    prev digest against the digest of the previous entry's commitment.
+class ChainLink:
+    """What links a commitment to the one before it in a holder chain: the
+    path of its tree's first leaf, which holds the previous commitment's
+    digest.  The verifier computes that leaf from the previous commitment,
+    so a link holds only the path, and its encoding is the path at index 0,
+    without the index.  A record's link is made with the record; the
+    receipts its round issues share its path.
     """
 
-    commitment: Commitment
-    prev_digest: Digest
-    first_leaf_proof: InclusionProof
+    proof: InclusionProof
     encoding: InitVar[Optional[bytes]] = None
 
     def __post_init__(self, encoding: Optional[bytes]) -> None:
         if encoding is None:
-            c, prev = self.commitment._encoding, digest(self.prev_digest)
-            encoding = b"".join((prefix(len(c)), c, prev, encode_inclusion_proof(self.first_leaf_proof, 0)))
+            encoding = encode_inclusion_proof(self.proof, 0)
         object.__setattr__(self, "_encoding", encoding)
 
     def to_bytes(self) -> bytes:
         return self._encoding
 
     @staticmethod
-    def read(r: Reader) -> "ChainEntry":
+    def read(r: Reader) -> "ChainLink":
         start = r.tell()
-        commitment, prev_digest = r.nested(Commitment.read, MAX_COMMITMENT), r.digest()
-        return ChainEntry(commitment, prev_digest, read_inclusion_proof(r, 0), encoding=r.since(start))
+        return ChainLink(read_inclusion_proof(r, 0), encoding=r.since(start))
 
 
-def chain_entry_for(record: "NodeRecord") -> ChainEntry:
-    """The record's chain entry, made with the record; a pruned record has none."""
-    if record.entry is None:
-        raise InvariantViolationError(f"round {record.round} was pruned; cannot build chain entry")
-    return record.entry
+def verify_chain_entries(chain: Sequence[Commitment], links: Sequence[ChainLink], directory: KeyDirectory) -> Verdict:
+    """Check that a holder chain links up, then its head's signature.  Each
+    link places the digest of the commitment before it in its own signed
+    tree, so the last commitment's signature covers the whole run: it is the
+    one signature checked.  A proof verifier calls the two parts apart."""
+    return verify_chain_links(chain, links, directory) and verify_chain_head(chain, directory)
 
 
-def verify_chain_entries(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
-    """Check that a run of chain entries links up, then its head's signature.
-
-    Each entry's prev digest hashes the previous commitment, signature
-    included, and its first-leaf proof places that digest in its own
-    signed tree, so the last entry's signature covers the whole run: it is
-    the one signature checked.  A proof verifier calls the two parts apart.
-    """
-    return verify_chain_links(entries, directory) and verify_chain_head(entries, directory)
-
-
-def verify_chain_links(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
-    """The links of a run of chain entries, folded through ``directory.proves``.
-
-    Reasons: RoundGap (rounds are not consecutive), ChainBreak (no entries,
-    a first-leaf proof misplaced or not folding to its commitment, a prev
-    digest that is not the previous commitment's digest, or a round 0 that
-    does not chain from the zero digest).
-    """
-    if not entries:
+def verify_chain_links(chain: Sequence[Commitment], links: Sequence[ChainLink], directory: KeyDirectory) -> Verdict:
+    """The links of a holder chain, each folded once through ``directory.proves``.
+    Reasons: RoundGap (rounds are not consecutive), ChainBreak (no commitments,
+    other than one link per commitment after the first, a link not at leaf 0,
+    or one whose first leaf is not the previous commitment's digest)."""
+    if not chain:
         return Verdict.failed("ChainBreak", "empty chain")
-    previous: Optional[Commitment] = None
-    for entry in entries:
-        c = entry.commitment
-        if previous is not None and c.round != previous.round + 1:
+    if len(links) != len(chain) - 1:
+        return Verdict.failed("ChainBreak", f"{len(links)} links for {len(chain)} commitments")
+    for previous, c, link in zip(chain, chain[1:], links):
+        if c.round != previous.round + 1:
             return Verdict.failed("RoundGap", f"round {c.round} after {previous.round}")
-        if entry.first_leaf_proof.leaf_index != 0:
+        if link.proof.leaf_index != 0:
             return Verdict.failed("ChainBreak", f"first-leaf proof at wrong position, round {c.round}")
-        if not directory.proves(c, (leaf_hash(bytes([LEAF_PREV]) + entry.prev_digest),), entry.first_leaf_proof):
-            return Verdict.failed("ChainBreak", f"first leaf unproven at round {c.round}")
-        if previous is not None and entry.prev_digest != commitment_digest(previous):
+        if not directory.proves(c, (leaf_hash(bytes([LEAF_PREV]) + commitment_digest(previous)),), link.proof):
             return Verdict.failed("ChainBreak", f"round {c.round} does not chain")
-        if previous is None and c.round == 0 and entry.prev_digest != ZERO_DIGEST:
-            return Verdict.failed("ChainBreak", "round 0 must chain from the zero digest")
-        previous = c
     return Verdict.passed()
 
 
-def verify_chain_head(entries: Sequence[ChainEntry], directory: KeyDirectory) -> Verdict:
-    """BadSignature unless the head, the last entry, verifies under the key bound at its round."""
-    head = entries[-1].commitment
+def verify_chain_head(chain: Sequence[Commitment], directory: KeyDirectory) -> Verdict:
+    """BadSignature unless the head, the last commitment, verifies under the key bound at its round."""
+    head = chain[-1]
     if not directory.verify_commitment(head):
         return Verdict.failed("BadSignature", f"round {head.round}")
     return Verdict.passed()
@@ -611,18 +593,18 @@ class NodeRecord:
     commitment: Commitment
     state: Optional[RoundState] = None
     tree: Optional[MerkleTree] = None
-    # The round's chain entry, made with the record; None without a tree.
-    entry: Optional[ChainEntry] = field(init=False, repr=False, compare=False)
+    # The round's chain link, made with the record; None without a tree.
+    link: Optional[ChainLink] = field(init=False, repr=False, compare=False)
     # Bytes the storage model counts: encoded commitment, root and, unless
-    # pruned, the tree's leaf bytes.  The entry, derived from the tree, is not.
+    # pruned, the tree's leaf bytes.  The link, derived from the tree, is not.
     retained_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entry, leaf_bytes = None, 0
+        link, leaf_bytes = None, 0
         if self.tree is not None:
-            entry = ChainEntry(self.commitment, self.state.prev_commitment_digest, self.tree.prove_inclusion(0))
+            link = ChainLink(self.tree.prove_inclusion(0))
             leaf_bytes = self.tree.leaf_bytes_total
-        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "link", link)
         c = self.commitment
         object.__setattr__(self, "retained_bytes", len(c.to_bytes()) + len(c.root) + leaf_bytes)
 
@@ -759,9 +741,9 @@ class Node:
         entangled = record.state.entangled[index - FIXED_LEAVES]
         if entangled.holder_root != sub.holder_root:
             raise NotEntangledError("entangled root differs from the submission")
-        entry = record.entry  # its first-leaf proof is shared by the round's receipts
-        paths = ReceiptPaths(record.tree.prove_inclusion(index), entry.prev_digest, entry.first_leaf_proof)
-        return Receipt(entangled, entry.commitment, paths)
+        # The round's link path is shared by the round's receipts.
+        paths = ReceiptPaths(record.tree.prove_inclusion(index), record.state.prev_commitment_digest, record.link.proof)
+        return Receipt(entangled, record.commitment, paths)
 
     def verify_receipt(self, receipt: Receipt, directory: KeyDirectory) -> Verdict:
         """Holder-side check of a fresh receipt, including issuer continuity."""

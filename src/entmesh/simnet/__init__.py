@@ -3,7 +3,6 @@
 from .engine import (
     Equivocate,
     ForkHistory,
-    MetricsRecord,
     Simulation,
     WithholdReceipt,
     measure_latency,
@@ -22,7 +21,6 @@ from .topology import (
 __all__ = [
     "Equivocate",
     "ForkHistory",
-    "MetricsRecord",
     "Simulation",
     "Topology",
     "WithholdReceipt",

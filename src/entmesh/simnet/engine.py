@@ -54,7 +54,6 @@ from .topology import Topology, validate_topology
 __all__ = [
     "Equivocate",
     "ForkHistory",
-    "MetricsRecord",
     "Simulation",
     "WithholdReceipt",
     "measure_latency",
@@ -94,27 +93,6 @@ class ForkHistory:
 
     node: str
     round: int
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Cumulative per-node counters, snapshotted once per round."""
-
-    round: int
-    node: str
-    bytes_sent: int
-    bytes_received: int
-    messages_sent: int
-    messages_received: int
-    receipts_issued: int
-    receipts_received: int
-    retained_bytes: int
-    equivocations_detected: int
-
-    def as_dict(self) -> dict:
-        # The fields are flat, and ``__init__`` sets them in order: a copy of
-        # the instance dict is ``dataclasses.asdict`` without its deep copy.
-        return dict(self.__dict__)
 
 
 class _CheckedOnce(KeyDirectory):
@@ -210,7 +188,8 @@ class Simulation:
         self._shadows: dict[str, Node] = {}
         self.round = 0
         self.events: list[dict] = []
-        self.metrics: list[MetricsRecord] = []
+        # One row per node per round: its round, label, retained bytes and cumulative counters.
+        self.metrics: list[dict] = []
         self._counters: dict[str, _Counters] = {label: _Counters() for label in topology.labels}
         self._scheduled: dict[tuple[int, str], list[Callable[["Simulation"], None]]] = {}
         # Submissions sent in round r, acknowledged in round r+1.
@@ -350,13 +329,18 @@ class Simulation:
         return round_no + 2 if rewritten else round_no + 1
 
     def _audit(self, label: str, start: int) -> Verdict:
-        """The chain rule over the node's unpruned records from round ``start`` on;
-        it passes when fewer than two are left.  A start past round 0 checks what
-        a walk of the whole history would: pruned records are always a prefix, and
-        no record below a passed head is replaced (``ForkHistory`` rewrites only
-        round r - 1 while round r is built, at or above any earlier head)."""
-        entries = [record.entry for record in self.nodes[label].records[start:] if record.entry is not None]
-        return verify_chain_entries(entries, self._verifier) if len(entries) > 1 else Verdict.passed()
+        """The chain rule over the links of the node's unpruned records from round
+        ``start`` on, from the commitment of record start - 1, or of the newest
+        pruned one: pruned records are a prefix and keep their commitments.  It
+        checks what a walk of the whole history would, as no record below a passed
+        head is replaced (``ForkHistory`` rewrites round r - 1 while r is built)."""
+        records = self.nodes[label].records
+        first = max(start, 1)
+        while first < len(records) and records[first].link is None:
+            first += 1
+        links = [record.link for record in records[first:]]
+        chain = [record.commitment for record in records[first - 1 :]]
+        return verify_chain_entries(chain, links, self._verifier) if links else Verdict.passed()
 
     def _phase_audit_and_prune(self, r: int) -> None:
         if r < 1:
@@ -486,10 +470,8 @@ class Simulation:
 
     def _phase_metrics(self, r: int) -> None:
         for label in self.topology.labels:
-            counters = vars(self._counters[label])
-            self.metrics.append(
-                MetricsRecord(round=r, node=label, retained_bytes=self.retained_bytes(label), **counters)
-            )
+            row = {"round": r, "node": label, "retained_bytes": self.retained_bytes(label)}
+            self.metrics.append({**row, **vars(self._counters[label])})
 
     def _finalize(self) -> None:
         # Archival state for pure anchors: every round down to root + commitment.
@@ -518,7 +500,7 @@ class Simulation:
         return [e for e in self.events if e["type"] == "EquivocationDetected" and e["offender"] == offender]
 
     def metrics_rows(self) -> list[dict]:
-        return [m.as_dict() for m in self.metrics]
+        return self.metrics
 
     def total_bytes_sent(self) -> int:
         return sum(c.bytes_sent for c in self._counters.values())

@@ -2,27 +2,26 @@
 
 Signed trees a real key signs but no honest build makes, records held in
 memory with bytes their encoder refuses to write, forged signatures and
-chain entries, proofs with one part swapped or composed field by field,
-the every-entry reference rule for holder chains and the whole-history
-reference walk for chain audits.  pytest does not collect this file: its
-name has no ``test_`` prefix.
+commitments, proofs with one part swapped or composed field by field, the
+every-entry reference rule for holder chains, and two reference audits: the
+whole-history walk, and the audit that reads each record's own prev digest.
+pytest does not collect this file: its name has no ``test_`` prefix.
 """
 
 import dataclasses
 
 from entmesh.entangle import EVIDENCE_LAG, ChainProof, HubProof, WindowRound, build_link_proof
-from entmesh.hashtree import MerkleTree, sha256
+from entmesh.hashtree import ZERO_DIGEST, MerkleTree, leaf_hash, sha256
 from entmesh.node import (
     FIXED_LEAVES,
     LEAF_PAYLOAD,
     LEAF_PREV,
     MANIFEST_LEAF_INDEX,
-    ChainEntry,
+    ChainLink,
     Commitment,
     Receipt,
     ReceiptPaths,
     Verdict,
-    chain_entry_for,
     commitment_digest,
     receipt_key,
     round_leaves,
@@ -66,11 +65,6 @@ def forged_commitment(commitment):
     return dataclasses.replace(commitment, signature=flip(commitment.signature))
 
 
-def forged_entry(entry):
-    """``entry`` with its commitment's signature forged."""
-    return dataclasses.replace(entry, commitment=forged_commitment(entry.commitment))
-
-
 def swap(items, index, item):
     items = list(items)
     items[index] = item
@@ -91,47 +85,74 @@ def forged_round_submission(proof, index):
     return with_round(proof, index, signature=flip(proof.rounds[index].signature))
 
 
-def every_entry_rule(entries, directory):
+def every_entry_rule(chain, links, directory):
     """The slow reference for a holder chain: ``verify_chain_links``, then
     ``every_entry_signature``.  It refuses what ``verify_chain_entries``
-    refuses, and more only when an inner entry's signature is bad under a
-    head that the holder's key signed.
+    refuses, and more only when an inner commitment's signature is bad under
+    a head that the holder's key signed.
     """
-    return verify_chain_links(entries, directory) and every_entry_signature(entries, directory)
+    return verify_chain_links(chain, links, directory) and every_entry_signature(chain, directory)
 
 
-def every_entry_signature(entries, directory):
-    """``verify_chain_head``, then BadSignature for the first other entry,
+def every_entry_signature(chain, directory):
+    """``verify_chain_head``, then BadSignature for the first other commitment,
     in round order, whose signature fails under the key bound at its round.
-    So each entry's signature is checked once."""
-    verdict = verify_chain_head(entries, directory)
+    So each commitment's signature is checked once."""
+    verdict = verify_chain_head(chain, directory)
     if not verdict:
         return verdict
-    for entry in entries[:-1]:
-        if not directory.verify_commitment(entry.commitment):
-            return Verdict.failed("BadSignature", f"round {entry.commitment.round}")
+    for c in chain[:-1]:
+        if not directory.verify_commitment(c):
+            return Verdict.failed("BadSignature", f"round {c.round}")
     return verdict
 
 
 def full_history_audit(sim, r, rule):
     """The chain audit at round ``r`` as a walk of each node's whole history:
-    ``rule`` over its unpruned records, from round 0 at every audit.  The
-    simulator's audit, which starts at the node's last passing head, must
-    report what this does."""
+    ``rule`` over the links of its unpruned records, from round 1 at every
+    audit, each from the commitment of the record before it.  The simulator's
+    audit, which starts at the node's last passing head, must report what
+    this does."""
     if not sim.audit_every or r == 0 or r % sim.audit_every:
         return
     for label in sim.topology.labels:
-        entries = []
-        for record in sim.nodes[label].records:
-            if record.state is None:
-                entries = []
-                continue
-            entries.append(chain_entry_for(record))
-        if len(entries) < 2:
+        records = sim.nodes[label].records
+        walked = [i for i in range(1, len(records)) if records[i].link is not None]
+        if not walked:
             continue
-        verdict = rule(entries, sim._verifier)
+        chain = [records[i].commitment for i in [walked[0] - 1, *walked]]
+        verdict = rule(chain, [records[i].link for i in walked], sim._verifier)
         if not verdict:
             sim._event("ChainAuditFailed", node=label, reason=verdict.reason)
+
+
+def own_prev_digest_audit(sim, label, start):
+    """The audit as it was while each record kept its own prev digest, for
+    ``Simulation._audit``: over the node's unpruned records from round
+    ``start`` on, passing when fewer than two are left, each record's
+    first-leaf path folded with the prev digest its state holds, that digest
+    compared with the digest of the record before it, and a round-0 record's
+    with the zero digest; then the head's signature.  The simulator's audit,
+    which folds each path with its predecessor's digest instead, must report
+    what this does."""
+    records = [record for record in sim.nodes[label].records[start:] if record.link is not None]
+    if len(records) < 2:
+        return Verdict.passed()
+    previous = None
+    for record in records:
+        c, prev_digest, path = record.commitment, record.state.prev_commitment_digest, record.link.proof
+        if previous is not None and c.round != previous.round + 1:
+            return Verdict.failed("RoundGap", f"round {c.round} after {previous.round}")
+        if path.leaf_index != 0:
+            return Verdict.failed("ChainBreak", f"first-leaf proof at wrong position, round {c.round}")
+        if not sim._verifier.proves(c, (leaf_hash(prev_leaf(prev_digest)),), path):
+            return Verdict.failed("ChainBreak", f"first leaf unproven at round {c.round}")
+        if previous is not None and prev_digest != commitment_digest(previous):
+            return Verdict.failed("ChainBreak", f"round {c.round} does not chain")
+        if previous is None and c.round == 0 and prev_digest != ZERO_DIGEST:
+            return Verdict.failed("ChainBreak", "round 0 must chain from the zero digest")
+        previous = c
+    return verify_chain_head([previous], sim._verifier)
 
 
 def chain_of_links(sim, links):
@@ -173,8 +194,8 @@ def hub_proof_in_manifest_order(node, manifest, window):
         evidence = retaining.tree.prove_range(first, first + len(manifest))
         rounds.append(WindowRound(receipts[0].submission.signature, tuple(rc.paths for rc in receipts), evidence))
     proofs = tuple(node.records[r].tree.prove_inclusion(MANIFEST_LEAF_INDEX) for r in range(start, end + 1))
-    chain_entries = tuple(chain_entry_for(node.records[r]) for r in range(start, end + EVIDENCE_LAG + 1))
-    return HubProof(manifest, proofs, chain_entries, tuple(rounds))
+    held = node.records[start : end + EVIDENCE_LAG + 1]
+    return HubProof(manifest, proofs, tuple(r.commitment for r in held), tuple(r.link for r in held[1:]), tuple(rounds))
 
 
 def retained_at_round_4(holder, proof, honest, receipt):
@@ -184,10 +205,10 @@ def retained_at_round_4(holder, proof, honest, receipt):
     retaining = holder.records[4]
     leaves = [receipt.leaf_bytes() if leaf == honest.leaf_bytes() else leaf for leaf in round_leaves(retaining.state)]
     tree_4, c_4 = signed_tree(holder, 4, leaves)
-    entry = ChainEntry(c_4, retaining.state.prev_commitment_digest, tree_4.prove_inclusion(0))
     at = leaves.index(receipt.leaf_bytes())
     last = WindowRound(receipt.submission.signature, (receipt.paths,), tree_4.prove_range(at, at + 1))
-    return dataclasses.replace(proof, holder_chain=proof.holder_chain[:3] + (entry,), rounds=(proof.rounds[0], last))
+    chain, links = proof.holder_chain[:3] + (c_4,), proof.links[:2] + (ChainLink(tree_4.prove_inclusion(0)),)
+    return dataclasses.replace(proof, holder_chain=chain, links=links, rounds=(proof.rounds[0], last))
 
 
 def link_over_a_submission_signed_by(net, holder_label, issuer_label, signer):

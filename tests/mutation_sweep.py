@@ -61,14 +61,14 @@ MUTANTS = (
         (_ORDER + "test_hops_from_two_branches_are_a_broken_hop",),
     ),
     Mutant(
-        "holder chain: every entry from the first entry's node",
+        "holder chain: every commitment from the first commitment's node",
         "entangle.py",
-        "if entry.commitment.node_id != holder.holder_id:",
+        "if c.node_id != holder.holder_id:",
         "if False:",
         ("tests/test_entangle.py::TestLinkProof::test_chain_must_belong_to_holder",),
     ),
     Mutant(
-        "holder chain: one entry per window round and EVIDENCE_LAG more",
+        "holder chain: one commitment per window round and EVIDENCE_LAG more",
         "entangle.py",
         "if not holder.rounds or len(holder.holder_chain) != len(holder.rounds) + EVIDENCE_LAG:",
         "if False:",
@@ -145,7 +145,7 @@ MUTANTS = (
         (_HEADS + "test_chain_inner_hop[chain-entry]",),
     ),
     Mutant(
-        "decoder: a link or hub proof holds the chain entry and window round that name its holder and window",
+        "decoder: a link or hub proof holds the chain commitment and window round that name its holder and window",
         "entangle.py",
         "if not chain or not rounds:",
         "if False:",
@@ -166,18 +166,18 @@ MUTANTS = (
         ("tests/test_verify_order.py::TestTheHeadVouchesForItsChain::test_inner_entry_with_a_bad_signature_under_a_signed_head[issuer]",),
     ),
     Mutant(
-        "chain rule (verify_chain_links, shared by audits and proofs): the first-leaf proof at index 0",
+        "chain rule (verify_chain_links, shared by audits and proofs): each link's path at index 0",
         "node.py",
-        "if entry.first_leaf_proof.leaf_index != 0:",
+        "if link.proof.leaf_index != 0:",
         "if False:",
-        ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_chain_entry_whose_first_leaf_proof_is_not_at_index_0",),
+        ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_chain_link_whose_path_is_not_at_index_0",),
     ),
     Mutant(
-        "chain rule (verify_chain_links, shared by audits and proofs): round 0 chains from the zero digest",
+        "chain rule (verify_chain_links, shared by audits and proofs): each link folds from the previous commitment",
         "node.py",
-        "if previous is None and c.round == 0 and entry.prev_digest != ZERO_DIGEST:",
+        "if not directory.proves(c, (leaf_hash(bytes([LEAF_PREV]) + commitment_digest(previous)),), link.proof):",
         "if False:",
-        ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_round_0_entry_with_a_non_zero_prev_digest",),
+        ("tests/test_node.py::TestCommitmentChains::test_link_folds_from_the_previous_commitment[commitment]",),
     ),
     Mutant(
         "cost law: an inclusion proof slices its siblings, it does not rehash the tree",

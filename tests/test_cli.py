@@ -398,6 +398,16 @@ class TestProve:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert made == [] and not out.exists()
 
+    def test_chain_from_a_holder_with_no_path_to_an_anchor_is_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
+        # decentralized-ring has no anchors, so no chain can end in one.
+        made = []
+        monkeypatch.setattr(cli, "make_simulation", lambda *a, **k: made.append(a))
+        out = tmp_path / "x.proof"
+        argv = ["prove", "--config", str(SCENARIOS / "decentralized-ring.yaml"), "--kind", "chain", "--holder", "n0"]
+        assert main([*argv, "--start", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cannot build proof: topology has no anchors\n"
+        assert made == [] and not out.exists()
+
     def test_window_past_available_evidence(self, tmp_path, capsys):
         rc = main(
             [
@@ -588,8 +598,8 @@ class TestVerify:
         # Four rounds: the holder chain's head alone (5 when the holder's four
         # submissions were checked too).  No repeat is counted.
         assert obj["signatures_checked"] == 1 and "signatures_repeated" not in obj
-        # Four rounds: six chain entries, two paths per receipt, one evidence path per round.
-        assert obj["inclusion_proofs_checked"] == 6 + 4 * 2 + 4
+        # Four rounds: five holder chain links, two paths per receipt, one evidence path per round.
+        assert obj["inclusion_proofs_checked"] == 5 + 4 * 2 + 4
         # A flipped hashed byte, in the first receipt's prev digest, fails a
         # fold, and no signature is checked.
         # A flipped signature byte, in the head's, passes every fold, and
@@ -597,7 +607,7 @@ class TestVerify:
         pristine = link_run["proof"].read_bytes()
         proof = decode_proof(pristine)
         prev_digest = proof.rounds[0].receipts[0].prev_digest
-        signature = proof.holder_chain[-1].commitment.signature
+        signature = proof.holder_chain[-1].signature
         for part, reason, checked in ((prev_digest, "ReceiptInvalid", 0), (signature, "BadSignature", 1)):
             assert pristine.count(part) == 1
             blob = bytearray(pristine)
@@ -676,8 +686,8 @@ class TestVerify:
 
     def test_hub_verdict_counts_one_range_proof_per_round(self, tmp_path, capsys):
         # hub.yaml, rounds [1, 3]: five issuers.  The holder chain's head
-        # alone; five chain entries, two paths per receipt, and per round one
-        # manifest and one evidence proof.
+        # alone; four links of its five commitments, two paths per receipt,
+        # and per round one manifest and one evidence proof.
         config = str(SCENARIOS / "hub.yaml")
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == 0
         proof = tmp_path / "hub.proof"
@@ -687,7 +697,7 @@ class TestVerify:
         args = ["verify", "--proof", str(proof), "--trust", str(tmp_path / "run" / "trust.json"), "--format", "json"]
         assert main(args) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert (obj["signatures_checked"], obj["inclusion_proofs_checked"]) == (1, 5 + 5 * 3 * 2 + 3 + 3)
+        assert (obj["signatures_checked"], obj["inclusion_proofs_checked"]) == (1, 4 + 5 * 3 * 2 + 3 + 3)
 
     def test_truncated_proof_is_malformed(self, link_run, tmp_path, capsys):
         bad = tmp_path / "short.proof"
@@ -699,8 +709,8 @@ class TestVerify:
     @pytest.mark.parametrize("kind", ["link", "hub"])
     @pytest.mark.parametrize("empty", ["holder_chain", "rounds"])
     def test_proof_with_no_holder_chain_entry_or_window_round_is_malformed(self, link_run, tmp_path, capsys, kind, empty):
-        # The first chain entry names the holder and the window's first
-        # round, so a proof with no entry, or no window round, names neither.
+        # The first holder chain commitment names the holder and the window's
+        # first round, so a proof with no commitment, or no window round, names neither.
         proof = tmp_path / "window.proof"
         if kind == "hub":
             prove = ["--config", str(SCENARIOS / "hub.yaml"), "--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"]
@@ -709,7 +719,8 @@ class TestVerify:
         else:
             proof = link_run["proof"]
         bad = tmp_path / "empty.proof"
-        bad.write_bytes(encode_proof(dataclasses.replace(decode_proof(proof.read_bytes()), **{empty: ()})))
+        emptied = {"holder_chain": (), "links": ()} if empty == "holder_chain" else {"rounds": ()}
+        bad.write_bytes(encode_proof(dataclasses.replace(decode_proof(proof.read_bytes()), **emptied)))
         expected = "FAIL: MalformedProof (a link or hub proof needs a holder chain entry and a window round)\n"
         assert main(["verify", "--proof", str(bad), "--trust", str(link_run["trust"])]) == 1
         assert capsys.readouterr().out == expected
@@ -717,8 +728,9 @@ class TestVerify:
         assert capsys.readouterr().out == expected
 
     # EMP7 link and hub proofs wrote their holder id and window, which the
-    # holder chain gives; no EMP7 reader is kept.
-    @pytest.mark.parametrize("magic", [b"XXXX", b"EMP7"], ids=["XXXX", "EMP7"])
+    # holder chain gives, and EMP8 holder chains a prev digest per entry,
+    # which the commitment before it gives; no EMP7 or EMP8 reader is kept.
+    @pytest.mark.parametrize("magic", [b"XXXX", b"EMP7", b"EMP8"], ids=["XXXX", "EMP7", "EMP8"])
     def test_bad_magic_is_malformed(self, link_run, tmp_path, capsys, magic):
         blob = link_run["proof"].read_bytes()
         bad = tmp_path / "magic.proof"
@@ -794,14 +806,15 @@ class TestVerify:
 # The CI proofs (scenario, prove arguments) and what ``inspect --proof``
 # prints for them, in text and JSON.  Each holder and window is read from
 # its holder chain, and each reads as the EMP7 holder id and window fields
-# did: only the sizes differ (EMP7 hub 4,957, chain 7,641, link 3,245 B).
+# did: only the sizes differ (EMP7 hub 4,957, chain 7,641, link 3,245 B;
+# EMP8 4,909, 7,449 and 3,197 B).
 CI_PROOFS_INSPECTED = {
     "hub": (
         ["--config", str(SCENARIOS / "hub.yaml"), "--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
-        "hub proof, rounds [1, 3], 5 links, 4909 bytes\n"
+        "hub proof, rounds [1, 3], 5 links, 4661 bytes\n"
         "  holder 0a65d3f580a7d0d81eed1f10e4d637b2a0ca563fd859619021d8bee6a9d3bbf6\n",
         {
-            "bytes": 4909,
+            "bytes": 4661,
             "holder": "0a65d3f580a7d0d81eed1f10e4d637b2a0ca563fd859619021d8bee6a9d3bbf6",
             "kind": "hub",
             "links": 5,
@@ -817,13 +830,13 @@ CI_PROOFS_INSPECTED = {
     ),
     "chain": (
         ["--config", str(SCENARIOS / "chain.yaml"), "--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
-        "chain proof, 4 hops, 7449 bytes\n"
+        "chain proof, 4 hops, 6505 bytes\n"
         "  holder 8c82c6368f6141358d305a76da07b1ac1a4622c6023155bfcff4275cd13ca510\n"
         "  anchor 00d58369f3756164c05594dcbf206610c802884990620912bf3e81d14458fb8b at round 6\n",
         {
             "anchor": "00d58369f3756164c05594dcbf206610c802884990620912bf3e81d14458fb8b",
             "anchor_round": 6,
-            "bytes": 7449,
+            "bytes": 6505,
             "holder": "8c82c6368f6141358d305a76da07b1ac1a4622c6023155bfcff4275cd13ca510",
             "hops": 4,
             "kind": "chain",
@@ -831,11 +844,11 @@ CI_PROOFS_INSPECTED = {
     ),
     "link": (
         ["--config", str(SCENARIOS / "identity.yaml"), "--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
-        "link proof, rounds [1, 4], 3197 bytes\n"
+        "link proof, rounds [1, 4], 2913 bytes\n"
         "  holder c216bf170ae0e55225574e922362d7154a039d60102c0c7f976ff28635086d9d\n"
         "  issuer c91b3d66d2fdcca30575cd1817fd074cd075aed90952f98dd6a7f71049e4ef90\n",
         {
-            "bytes": 3197,
+            "bytes": 2913,
             "holder": "c216bf170ae0e55225574e922362d7154a039d60102c0c7f976ff28635086d9d",
             "issuer": "c91b3d66d2fdcca30575cd1817fd074cd075aed90952f98dd6a7f71049e4ef90",
             "kind": "link",

@@ -30,9 +30,10 @@ from entmesh.entangle import (
 )
 from entmesh.hashtree import sha256
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import MANIFEST_LEAF_INDEX, chain_entry_for, submission_of
+from entmesh.node import MANIFEST_LEAF_INDEX, submission_of
 from entmesh.wire import MAX_RECORD, WireError
 
+from adversary import forged_commitment
 from test_wire import Writer
 
 
@@ -76,13 +77,13 @@ class TestLinkProof:
         proof = link_for(pair, "holder", "issuer", (1, 4))
         assert len(proof.rounds) == 4
         assert all(len(rnd.receipts) == 1 for rnd in proof.rounds)
-        assert len(proof.holder_chain) == 4 + EVIDENCE_LAG
+        assert len(proof.holder_chain) == 4 + EVIDENCE_LAG == len(proof.links) + 1
         # Each round holds the signature of the holder's submission for it;
-        # the holder chain entry holds that submission's id, round and root.
+        # the holder chain commitment holds that submission's id, round and root.
         log = pair.nodes["holder"].receipt_log
         assert [rnd.signature for rnd in proof.rounds] == [log[pair.id_of("issuer"), r].submission.signature for r in range(1, 5)]
-        for entry, rnd in zip(proof.holder_chain, proof.rounds):
-            assert submission_of(entry.commitment, rnd.signature) == log[pair.id_of("issuer"), entry.commitment.round].submission
+        for c, rnd in zip(proof.holder_chain, proof.rounds):
+            assert submission_of(c, rnd.signature) == log[pair.id_of("issuer"), c.round].submission
 
     def test_verifies_against_issuer_commitments(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -129,16 +130,17 @@ class TestLinkProof:
         # A window of no round, whose holder chain holds only the lag, which
         # the decoder cannot make: it would vouch for no receipt.
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        bad = dataclasses.replace(proof, holder_chain=proof.holder_chain[-EVIDENCE_LAG:], rounds=())
+        chain, links = proof.holder_chain[-EVIDENCE_LAG:], proof.links[1 - EVIDENCE_LAG :]
+        bad = dataclasses.replace(proof, holder_chain=chain, links=links, rounds=())
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
         assert (verdict.reason, verdict.detail) == ("WindowInvalid", "holder chain does not cover the window")
 
     def test_chain_must_belong_to_holder(self, pair):
-        # The first entry names the holder, so a head from another node, at
-        # the round the holder's own would be, is refused.
+        # The first commitment names the holder, so a head from another node,
+        # at the round the holder's own would be, is refused.
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        head = chain_entry_for(pair.nodes["issuer"].records[6])
-        bad = dataclasses.replace(proof, holder_chain=proof.holder_chain[:-1] + (head,))
+        head = pair.nodes["issuer"].records[6]
+        bad = dataclasses.replace(proof, holder_chain=proof.holder_chain[:-1] + (head.commitment,), links=proof.links[:-1] + (head.link,))
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
         assert (verdict.reason, verdict.detail) == ("HolderMismatch", "chain entry from another node")
 
@@ -151,7 +153,7 @@ class TestLinkProof:
         assert verdict.reason == "RoundGap"
 
     def test_swapped_receipt_rejected(self, pair):
-        # A round's submission is rebuilt from its own chain entry, so with
+        # A round's submission is rebuilt from its own chain commitment, so with
         # round 2's signature, or with its own, round 2's paths do not prove it.
         proof = link_for(pair, "holder", "issuer", (1, 4))
         first, second = proof.rounds[:2]
@@ -264,7 +266,7 @@ class TestHubProof:
         )
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
         chain = list(proof.holder_chain)
-        chain[2] = dataclasses.replace(chain[2], prev_digest=sha256(b"forged"))
+        chain[2] = forged_commitment(chain[2])
         for bad_chain in (tuple(chain), proof.holder_chain[:-1], proof.holder_chain[1:] + proof.holder_chain[:1]):
             verdict = verify_hub(dataclasses.replace(proof, holder_chain=bad_chain), trusted, fan.directory)
             assert verdict.reason == "LinkFailed"
@@ -357,6 +359,15 @@ def round_blob(signature, receipts):
     return Writer().blob(signature).getvalue() + b"".join(paths.to_bytes() for paths in receipts)
 
 
+def holder_chain_bytes(w, first_commitment_blob, proof):
+    """A holder chain field by field, around the given first commitment blob:
+    the commitments, counted, each a blob, then each link's path at index 0."""
+    w.blobs([first_commitment_blob] + [c.to_bytes() for c in proof.holder_chain[1:]])
+    for link in proof.links:
+        path_bytes(w, link.proof, 0)
+    return w
+
+
 def hub_bytes(proof, manifest=None, held=None):
     """A hub proof written field by field, around the given manifest and
     per-round signature and paths blobs."""
@@ -365,11 +376,11 @@ def hub_bytes(proof, manifest=None, held=None):
     w = Writer().digests(manifest).u32(len(proof.manifest_proofs))
     for p in proof.manifest_proofs:
         path_bytes(w, p, MANIFEST_LEAF_INDEX)
-    w.blobs([entry.to_bytes() for entry in proof.holder_chain])
+    holder_chain_bytes(w, proof.holder_chain[0].to_bytes(), proof)
     w.u32(len(held))
     for blob, rnd in zip(held, proof.rounds, strict=True):
         path_bytes(w.blob(blob), rnd.evidence_proof)
-    return b"EMP8\x11" + w.getvalue()
+    return b"EMP9\x11" + w.getvalue()
 
 
 class TestHubCodec:
@@ -378,7 +389,7 @@ class TestHubCodec:
 
     def test_each_round_submission_written_once(self, fan):
         # Of each round's submission only the signature is written, once: its
-        # holder id, round and root are the holder chain entry's.
+        # holder id, round and root are the holder chain commitment's.
         proof = hub_for(fan)
         data = encode_proof(proof)
         assert data == hub_bytes(proof)
@@ -664,10 +675,9 @@ class TestRootPath:
         assert not verify_root_path(doctored, start, end)
 
 
-def link_bytes(link, first_entry_blob):
-    """A link proof written field by field around the given first chain entry blob."""
-    w = Writer().digest(link.issuer_id)
-    w.blobs([first_entry_blob] + [entry.to_bytes() for entry in link.holder_chain[1:]])
+def link_bytes(link, first_commitment_blob):
+    """A link proof written field by field around the given first holder chain commitment blob."""
+    w = holder_chain_bytes(Writer().digest(link.issuer_id), first_commitment_blob, link)
     w.u32(len(link.rounds))
     for rnd in link.rounds:
         path_bytes(w.blob(round_blob(rnd.signature, rnd.receipts)), rnd.evidence_proof)
@@ -711,13 +721,21 @@ class TestProofCodec:
             decode_proof(data + b"\x00")
 
     def test_holder_chain_count_bound(self, pair):
-        # Well-formed entries throughout: only the 4096-item list bound rejects it.
+        # Well-formed commitments and links throughout: only the 4096-item list bound rejects it.
         link = link_for(pair, "holder", "issuer", (1, 2))
-        at_bound = dataclasses.replace(link, holder_chain=link.holder_chain[:1] * 4096)
+        at_bound = dataclasses.replace(link, holder_chain=link.holder_chain[:1] * 4096, links=link.links[:1] * 4095)
         assert len(decode_proof(encode_proof(at_bound)).holder_chain) == 4096
-        over = dataclasses.replace(link, holder_chain=link.holder_chain[:1] * 4097)
-        with pytest.raises(WireError):
+        over = dataclasses.replace(link, holder_chain=link.holder_chain[:1] * 4097, links=link.links[:1] * 4096)
+        with pytest.raises(WireError, match="^too many holder chain commitments: 4097$"):
             decode_proof(encode_proof(over))
+
+    def test_links_are_one_per_commitment_after_the_first(self, pair):
+        # The commitments' count fixes the links', so a proof held in memory
+        # with another count has no bytes to write.
+        link = link_for(pair, "holder", "issuer", (1, 2))
+        for links in (link.links[1:], link.links + link.links[:1]):
+            with pytest.raises(WireError, match="^a holder chain holds one link per commitment after the first$"):
+                encode_proof(dataclasses.replace(link, links=links))
 
     def test_chain_needs_a_hop(self, relay):
         chain = build_chain_proof(
@@ -726,27 +744,14 @@ class TestProofCodec:
         with pytest.raises(WireError):
             decode_proof(encode_proof(dataclasses.replace(chain, hops=())))
 
-    def test_extra_byte_inside_chain_entry_blob(self, pair):
+    def test_extra_byte_inside_holder_chain_commitment_blob(self, pair):
+        # The only commitments a proof carries are its holder chain's.  An
+        # extra byte inside one's blob, which the blob's length covers.
         link = link_for(pair, "holder", "issuer", (1, 2))
         first = link.holder_chain[0].to_bytes()
         assert link_bytes(link, first) == encode_proof(link)
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^1 trailing bytes$"):
             decode_proof(link_bytes(link, first + b"\x00"))
-
-    def test_extra_byte_inside_chain_entry_commitment_blob(self, pair):
-        # The only commitment a proof carries is a chain entry's.  An extra
-        # byte inside its blob, which the entry blob's length then covers.
-        link = link_for(pair, "holder", "issuer", (1, 2))
-        entry = link.holder_chain[0]
-
-        def entry_blob(commitment_blob):
-            w = Writer().blob(commitment_blob).digest(entry.prev_digest)
-            return path_bytes(w, entry.first_leaf_proof, 0).getvalue()
-
-        commitment = entry.commitment.to_bytes()
-        assert entry_blob(commitment) == entry.to_bytes()
-        with pytest.raises(WireError):
-            decode_proof(link_bytes(link, entry_blob(commitment + b"\x00")))
 
     def test_chain_last_hop_needs_a_receipt(self, relay):
         chain = build_chain_proof(
@@ -759,16 +764,16 @@ class TestProofCodec:
     @pytest.mark.parametrize("kind", ["link", "hub", "chain"])
     @pytest.mark.parametrize("empty", ["holder_chain", "rounds"])
     def test_proof_with_no_holder_chain_entry_or_window_round_refused(self, pair, fan, relay, kind, empty):
-        # The first chain entry names the holder and the window's first
-        # round, and the window holds one round per window round, so a proof
-        # with neither has no holder or window to name.
+        # The first holder chain commitment names the holder and the window's
+        # first round, and the window holds one round per window round, so a
+        # proof with neither has no holder or window to name.
         path = [relay.id_of("a"), relay.id_of("b"), relay.id_of("c")]
         proof = {
             "link": link_for(pair, "holder", "issuer", (1, 2)),
             "hub": hub_for(fan, (1, 2)),
             "chain": build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), path, 1),
         }[kind]
-        emptied = lambda part: dataclasses.replace(part, **{empty: ()})
+        emptied = lambda part: dataclasses.replace(part, **{empty: ()}, **({"links": ()} if empty == "holder_chain" else {}))
         bad = dataclasses.replace(proof, hops=(proof.hops[0], emptied(proof.hops[1]))) if kind == "chain" else emptied(proof)
         with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
             decode_proof(encode_proof(bad))
@@ -781,7 +786,7 @@ class TestProofCodec:
     def test_emp2_envelope_refused(self, fan):
         # EMP2 receipts carried the issuer commitment; no EMP2 reader is kept.
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
-        assert data[:4] == b"EMP8"
+        assert data[:4] == b"EMP9"
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP2" + data[4:])
 
@@ -819,6 +824,14 @@ class TestProofCodec:
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP7" + data[4:])
+
+    def test_emp8_envelope_refused(self, fan):
+        # EMP8 holder chains held a prev digest per entry, which the verifier
+        # computes from the commitment before it, and a first-leaf path for
+        # the first entry, which linked to nothing; no EMP8 reader is kept.
+        data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
+        with pytest.raises(WireError, match="^not a proof file$"):
+            decode_proof(b"EMP8" + data[4:])
 
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):

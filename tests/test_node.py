@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entmesh.entangle import build_link_proof
 from entmesh.hashtree import ZERO_DIGEST, InclusionProof, sha256
 from entmesh.keys import keypair_from_seed
 from entmesh.node import (
@@ -17,7 +18,7 @@ from entmesh.node import (
     FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
     MAX_COMMITMENT,
-    ChainEntry,
+    ChainLink,
     Commitment,
     InvariantViolationError,
     KeyDirectory,
@@ -30,7 +31,6 @@ from entmesh.node import (
     Submission,
     check_receipt,
     commitment_digest,
-    chain_entry_for,
     credential_leaf_index,
     entangled_leaf_index,
     evidence_leaf_index,
@@ -41,7 +41,7 @@ from entmesh.node import (
 )
 from entmesh.sexpr import encode_tree
 from entmesh.wire import Reader, WireError, decode
-from adversary import DECOY, decoy_prev_tree, held_in_memory, prev_leaf, signed_tree
+from adversary import DECOY, decoy_prev_tree, flip, forged_commitment, held_in_memory, prev_leaf, signed_tree
 from test_round_trip import ref_receipt, ref_receipt_paths, ref_submission
 
 
@@ -54,6 +54,11 @@ def parse_manifest_leaf(leaf: bytes) -> tuple:
 
 def solo_node(label="solo"):
     return Node(label, keypair_from_seed(f"key:{label}"))
+
+
+def chain_of(records):
+    """The holder chain of ``records``: their commitments, and the links of all but the first."""
+    return [record.commitment for record in records], [record.link for record in records[1:]]
 
 
 class TestLeafLayout:
@@ -374,41 +379,58 @@ class TestCommitmentChains:
             records = node.records
             assert [r.round for r in records] == [0, 1, 2, 3]
             assert all(r.tree.root == r.commitment.root for r in records)
-            assert verify_chain_entries([chain_entry_for(r) for r in records], net.directory)
+            assert verify_chain_entries(*chain_of(records), net.directory)
 
     def test_gap_detected(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(4)
         records = net.nodes["a"].records
-        verdict = verify_chain_entries([chain_entry_for(records[0]), chain_entry_for(records[2])], net.directory)
+        verdict = verify_chain_entries([records[0].commitment, records[2].commitment], [records[2].link], net.directory)
         assert verdict.reason == "RoundGap"
 
     def test_unknown_signer_detected(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(2)
-        entries = [chain_entry_for(r) for r in net.nodes["a"].records]
-        verdict = verify_chain_entries(entries, KeyDirectory())
+        verdict = verify_chain_entries(*chain_of(net.nodes["a"].records), KeyDirectory())
         assert verdict.reason == "BadSignature"
 
     def test_chain_entries_match_full_check(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(4)
-        entries = [chain_entry_for(r) for r in net.nodes["a"].records]
-        assert verify_chain_entries(entries, net.directory)
+        assert verify_chain_entries(*chain_of(net.nodes["a"].records), net.directory)
 
     def test_substituted_history_breaks_entries(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(4)
         other = manual_net(["a", "b"], [("a", "b")], seed="net2").run(4)
-        entries = [chain_entry_for(r) for r in net.nodes["a"].records]
-        foreign = chain_entry_for(other.nodes["a"].records[2])
-        spliced = entries[:2] + [foreign] + entries[3:]
-        verdict = verify_chain_entries(spliced, net.directory)
+        chain, links = chain_of(net.nodes["a"].records)
+        foreign = other.nodes["a"].records[2]
+        chain[2], links[1] = foreign.commitment, foreign.link
+        verdict = verify_chain_entries(chain, links, net.directory)
         assert not verdict
         assert verdict.reason in ("BadSignature", "ChainBreak")
 
-    def test_tampered_prev_digest_breaks(self, manual_net):
-        net = manual_net(["a", "b"], [("a", "b")]).run(3)
-        entries = [chain_entry_for(r) for r in net.nodes["a"].records]
-        bad = dataclasses.replace(entries[1], prev_digest=sha256(b"lie"))
-        verdict = verify_chain_entries([entries[0], bad, entries[2]], net.directory)
-        assert verdict.reason == "ChainBreak"
+    @pytest.mark.parametrize("part", ["commitment", "link"])
+    def test_link_folds_from_the_previous_commitment(self, manual_net, part):
+        # A commitment below the head whose signature alone differs, or a
+        # link with a flipped sibling: either way round 2's first leaf is
+        # not the digest of the commitment before it, under the same head.
+        net = manual_net(["a", "b"], [("a", "b")]).run(4)
+        chain, links = chain_of(net.nodes["a"].records)
+        if part == "commitment":
+            chain[1] = forged_commitment(chain[1])
+        else:
+            path = links[1].proof
+            links[1] = ChainLink(path._replace(siblings=(flip(path.siblings[0]), *path.siblings[1:])))
+        verdict = verify_chain_entries(chain, links, net.directory)
+        assert (verdict.reason, verdict.detail) == ("ChainBreak", "round 2 does not chain")
+
+    def test_one_link_per_commitment_after_the_first(self, manual_net):
+        # A chain held in memory with a link too few or too many: the links
+        # are walked beside the commitments, so neither is silently dropped.
+        net = manual_net(["a", "b"], [("a", "b")]).run(4)
+        chain, links = chain_of(net.nodes["a"].records)
+        for bad in (links[:-1], links + links[-1:]):
+            verdict = verify_chain_entries(chain, bad, net.directory)
+            assert (verdict.reason, verdict.detail) == ("ChainBreak", f"{len(bad)} links for 4 commitments")
+        assert verify_chain_entries(chain[:1], [], net.directory)
+        assert verify_chain_entries([], [], net.directory).detail == "empty chain"
 
 
 class TestSignedTreesNoBuilderMakes:
@@ -432,48 +454,38 @@ class TestSignedTreesNoBuilderMakes:
         verdict = check_receipt(Receipt(sub, c, off_index), net.directory)
         assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "prev-commitment leaf unproven")
 
-    def test_chain_entry_whose_first_leaf_proof_is_not_at_index_0(self, manual_net):
+    def test_chain_link_whose_path_is_not_at_index_0(self, manual_net):
+        # Round 2's tree holds the real prev leaf second, after a decoy: a
+        # path to it folds from the previous commitment, at the wrong leaf.
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
         node = net.nodes["a"]
-        real = commitment_digest(node.record_at(1).commitment)
-        tree, c = decoy_prev_tree(node, 2, real, bytes([LEAF_PAYLOAD]) + DECOY)
-        honest = ChainEntry(c, real, tree.prove_inclusion(0))
-        assert verify_chain_entries([honest], net.directory)
-        with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
-            ChainEntry(c, DECOY, tree.prove_inclusion(1))
-        off_index = held_in_memory(honest, prev_digest=DECOY, first_leaf_proof=tree.prove_inclusion(1))
-        verdict = verify_chain_entries([off_index], net.directory)
-        assert (verdict.reason, verdict.detail) == ("ChainBreak", "first-leaf proof at wrong position, round 2")
-
-    def test_round_0_entry_with_a_non_zero_prev_digest(self, manual_net):
-        net = manual_net(["a", "b"], [("a", "b")]).run(1)
-        node = net.nodes["a"]
+        previous = node.record_at(1).commitment
         payload = bytes([LEAF_PAYLOAD]) + DECOY
-        tree, c = signed_tree(node, 0, [prev_leaf(ZERO_DIGEST), payload])
-        assert verify_chain_entries([ChainEntry(c, ZERO_DIGEST, tree.prove_inclusion(0))], net.directory)
-        tree, c = signed_tree(node, 0, [prev_leaf(DECOY), payload])
-        verdict = verify_chain_entries([ChainEntry(c, DECOY, tree.prove_inclusion(0))], net.directory)
-        assert (verdict.reason, verdict.detail) == ("ChainBreak", "round 0 must chain from the zero digest")
+        tree, c = signed_tree(node, 2, [prev_leaf(commitment_digest(previous)), payload])
+        assert verify_chain_entries([previous, c], [ChainLink(tree.prove_inclusion(0))], net.directory)
+        tree, c = signed_tree(node, 2, [prev_leaf(DECOY), prev_leaf(commitment_digest(previous)), payload])
+        with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
+            ChainLink(tree.prove_inclusion(1))
+        off_index = held_in_memory(ChainLink(tree.prove_inclusion(0)), proof=tree.prove_inclusion(1))
+        verdict = verify_chain_entries([previous, c], [off_index], net.directory)
+        assert (verdict.reason, verdict.detail) == ("ChainBreak", "first-leaf proof at wrong position, round 2")
 
 
 class TestRecordsAreMadeOnce:
     def test_no_record_field_can_be_assigned(self, manual_net):
         record = manual_net(["a", "b"], [("a", "b")]).run(2).nodes["b"].record_at(1)
-        for name in ("commitment", "state", "tree", "entry", "retained_bytes"):
+        for name in ("commitment", "state", "tree", "link", "retained_bytes"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, None)
 
-    def test_a_built_record_holds_its_entry_before_anything_asks(self):
+    def test_a_built_record_holds_its_link_before_anything_asks(self):
         node = solo_node()
         directory = KeyDirectory()
         directory.register(node.node_id, node.keypair.verify_key)
         records = [node.build(("data", r)) for r in range(3)]
         for record in records:
-            entry = vars(record)["entry"]
-            assert entry.commitment is record.commitment
-            assert entry.prev_digest == record.state.prev_commitment_digest
-            assert entry.first_leaf_proof == record.tree.prove_inclusion(0)
-        assert verify_chain_entries([record.entry for record in records], directory)
+            assert vars(record)["link"].proof == record.tree.prove_inclusion(0)
+        assert verify_chain_entries(*chain_of(records), directory)
 
 
 class TestPruning:
@@ -486,36 +498,32 @@ class TestPruning:
         assert record.state is None and record.tree is None
         assert record.root == root_before
 
-    def test_pruning_drops_the_kept_chain_entry(self, manual_net):
+    def test_pruning_drops_the_kept_link(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
         node = net.nodes["b"]
-        record = node.record_at(1)
-        entry = chain_entry_for(record)
-        assert entry is record.entry
+        assert node.record_at(1).link is not None
         node.prune_record(1)
-        assert node.record_at(1).entry is None
-        with pytest.raises(InvariantViolationError, match="round 1 was pruned; cannot build chain entry"):
-            chain_entry_for(node.record_at(1))
+        assert node.record_at(1).link is None
 
     def test_pruning_replaces_the_record_and_leaves_the_old_one_whole(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
         node = net.nodes["b"]
         record = node.record_at(1)
-        state, tree, entry, kept = record.state, record.tree, record.entry, record.retained_bytes
+        state, tree, link, kept = record.state, record.tree, record.link, record.retained_bytes
         node.prune_record(1)
         pruned = node.record_at(1)
         assert pruned is not record
-        assert (record.state, record.tree, record.entry, record.retained_bytes) == (state, tree, entry, kept)
-        assert (pruned.state, pruned.tree, pruned.entry) == (None, None, None)
+        assert (record.state, record.tree, record.link, record.retained_bytes) == (state, tree, link, kept)
+        assert (pruned.state, pruned.tree, pruned.link) == (None, None, None)
         assert pruned.commitment is record.commitment
         assert pruned.retained_bytes == len(record.commitment.to_bytes()) + 32
 
     def test_pruned_record_cannot_prove(self, manual_net):
-        net = manual_net(["a", "b"], [("a", "b")]).run(3)
-        node = net.nodes["b"]
+        net = manual_net(["a", "b"], [("a", "b")]).run(4)
+        node = net.nodes["a"]
         node.prune_record(1)
-        with pytest.raises(InvariantViolationError):
-            chain_entry_for(node.record_at(1))
+        with pytest.raises(InvariantViolationError, match="^round 1 was pruned; cannot build a holder chain$"):
+            build_link_proof(node.records, net.id_of("b"), (1, 1), node.receipt_log)
 
 
 class TestKeyDirectory:

@@ -4,12 +4,14 @@ The wire format is normative (docs/FORMATS.md), so a refactor of the records
 that get encoded must not move a single byte.  These digests are the three
 proofs the CI job builds and each scenario's ``commitments.jsonl``, at each
 scenario's own seed.  A change that alters them on purpose re-records them
-here and says why: the proof pins were last re-recorded for the ``EMP8``
-envelope, whose link and hub proofs drop the holder id and window that
-``EMP7`` wrote before their holder chains.  Those fields were unsigned and
-repeated what the chain gives: its first entry's node and round, and one
-round per window round (48 B per link, hub or chain hop; hub 4,957 ->
-4,909 B, chain 7,641 -> 7,449 B, link 3,245 -> 3,197 B).  Receipts and
+here and says why: the proof pins were last re-recorded for the ``EMP9``
+envelope, whose holder chains are their commitments and one first-leaf path
+per commitment after the first.  ``EMP8`` wrote each chain entry as a blob
+of its commitment, its prev digest and its first-leaf path; the prev digest
+is the digest of the commitment before it, which the verifier computes, and
+the first entry's digest and path linked to nothing the verifier holds
+(36 B per chain entry, plus the first entry's path; hub 4,909 -> 4,661 B,
+chain 7,449 -> 6,505 B, link 3,197 -> 2,913 B).  Trees, receipts and
 evidence leaves keep their bytes, so ``commitments.jsonl`` is unchanged.
 """
 
@@ -26,17 +28,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PINNED = {
     "hub": (
         ["--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
-        (4909, "1a5c2dae28295894fab18432b0c334c1ff2af7db85d13b57985027d11d367881"),
+        (4661, "8ec98c79a1dca26cba77c780b8e792ea116f517afdd4e71e1ffe305a7eaac7f1"),
         (29385, "e9be8b8909eca1b012b7cf496c9feb7f5e66c171dc6743cd1cac558b29e092c4"),
     ),
     "chain": (
         ["--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
-        (7449, "b848e22f36981018df727bec912361547fa7516f3bdcf456e1ac0bce1ef4c30f"),
+        (6505, "4b3bbbe59369d3a17ba759fe00b65a7e77e4ce63aaf76ea84062a1e021ee7083"),
         (24559, "be8982c982c74a7683460be4d2d0d07ab9d6d11b85444f2accf850dfcf25e892"),
     ),
     "identity": (
         ["--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
-        (3197, "49162fa5382629068e71ca3242398da6b8e83053a63a895533fd9db8f00444e1"),
+        (2913, "c68ddb3bdcfd296db526b1cf6b76a7bfb792386e293b59e9acf890e7d6e751ad"),
         (19628, "044d456a658ebe9d2008d2ce8d9621ad3bc6c9989e201f79b17e129b618502fc"),
     ),
 }

@@ -78,13 +78,15 @@ def test_decoded_hub_proof_digests_are_plain_bytes(manual_net):
     assert_plain(values)
     # Ids, roots and siblings all occur: the walk did not miss a kind.  The
     # three rounds' submissions are held as their signatures alone, so each
-    # window round's holder root occurs once, in its chain entry, the
-    # issuer ids only in the manifest, and the holder id only in the chain
-    # entries' commitments: the proof has no holder id field.
+    # window round's holder root occurs once, in its holder chain
+    # commitment, the issuer ids only in the manifest, and the holder id only
+    # in the holder chain's commitments: the proof has no holder id field.
+    # 83 since the holder chain dropped its entries' five prev digests and
+    # the first entry's two-sibling path (90 before).
     assert net.id_of("p0") in values and center.records[2].root in values
     assert [values.count(center.records[r].root) for r in (1, 2, 3)] == [1, 1, 1]
     assert siblings(proof.rounds[0].receipts[0].inclusion)[0] in values
-    assert len(values) == 90
+    assert len(values) == 83
 
 
 def test_identity_digests_are_plain_bytes():

@@ -6,7 +6,7 @@ and never an accept.  A single flipped bit anywhere in the proofs the CI job
 writes is refused with a named reason.
 
 The verifiers check one signature per holder chain, its head's.  The
-rule that also checks every chain entry's signature (``every_entry_rule``
+rule that also checks every holder chain commitment's signature (``every_entry_rule``
 in ``adversary``, whose signature part is ``every_entry_signature``) is
 kept as a slow reference: every proof it accepts, the
 verifiers accept, and every mutation is refused by both.
@@ -168,3 +168,53 @@ def test_both_rules_accept_the_ci_proofs_and_refuse_each_bit_flip(ci_proofs, kin
         except WireError:
             continue
         assert not _every_entry_verdict(proof, sim) and not _verdict(proof, sim), position
+
+
+def _holder_chain_flips(blob, proof):
+    """(hop, rounds, byte position) for every byte of ``proof``'s encoding
+    ``blob`` whose flip makes a holder chain round of ``rounds`` not chain:
+    each sibling of a link path, at its commitment's round N, and each root,
+    leaf count and signature byte of a commitment at round N below a head.
+    The next link folds from the whole commitment, at round N + 1; its own
+    link, if it has one, folds into its root and leaf count first, at round
+    N, though a leaf count in the same power-of-two bracket folds leaf 0 as
+    before.  A commitment's node id and round are refused as another node's
+    or round's, and its signature length does not decode."""
+    parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
+    at, flips = 0, []
+    for hop, part in enumerate(parts):
+        for c in part.holder_chain:
+            at = blob.index(c.to_bytes(), at)
+            if c is not part.holder_chain[-1]:
+                own = c is not part.holder_chain[0]
+                flips += [(hop, (c.round,) if own else (c.round + 1,), at + i) for i in range(40, 72)]
+                flips += [(hop, (c.round, c.round + 1) if own else (c.round + 1,), at + i) for i in range(72, 80)]
+                flips += [(hop, (c.round + 1,), at + i) for i in range(84, len(c.to_bytes()))]
+            at += len(c.to_bytes())
+        for c, link in zip(part.holder_chain[1:], part.links):
+            at = blob.index(link.to_bytes(), at)
+            flips += [(hop, (c.round,), at + i) for i in range(4, len(link.to_bytes()))]
+            at += len(link.to_bytes())
+    return flips
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+def test_a_flip_in_a_link_or_a_commitment_below_the_head_does_not_chain(ci_proofs, kind):
+    # The verifier computes each link's first leaf from the commitment before
+    # it, so a flipped byte of either fails that link's one fold.
+    blob, sim = ci_proofs[kind]
+    flips = _holder_chain_flips(blob, decode_proof(blob))
+    assert len({position for _, _, position in flips}) == len(flips) > 300
+    for hop, rounds, position in flips:
+        mutated = bytearray(blob)
+        mutated[position] ^= 1 << (position % 8)
+        verdict = _verdict(decode_proof(bytes(mutated)), sim)
+        expected = []
+        for round_no in rounds:
+            inner = f"round {round_no} does not chain"
+            expected.append({
+                "hub": ("LinkFailed", f"holder chain: ChainBreak ({inner})"),
+                "chain": ("BrokenHop", f"hop {hop}: ChainBreak ({inner})"),
+                "link": ("ChainBreak", inner),
+            }[kind])
+        assert (verdict.reason, verdict.detail) in expected, position

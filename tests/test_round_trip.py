@@ -10,8 +10,8 @@ three proofs the CI job builds and on mutations of them, and check that
 The reference writes whole proofs too: per window round the holder's
 signature, each issuer's receipt paths and the evidence proof, each path
 as its siblings with the leaf index where the format does not fix it.  A
-verifier rebuilds each round's submission from its holder chain entry and
-that signature, and joins each evidence leaf from the submission, its
+verifier rebuilds each round's submission from its holder chain commitment
+and that signature, and joins each evidence leaf from the submission, its
 paths in the receipt's form and its trusted issuer commitment; the
 reference for that leaf is the one the holder retained, or for a mutated
 proof the leaf of the ``Receipt`` made of those three parts.
@@ -48,13 +48,12 @@ from entmesh.node import (
     LEAF_ENTANGLED,
     LEAF_EVIDENCE,
     MANIFEST_LEAF_INDEX,
-    ChainEntry,
+    ChainLink,
     Commitment,
     Node,
     Receipt,
     ReceiptPaths,
     Submission,
-    chain_entry_for,
     commitment_digest,
     submission_of,
 )
@@ -131,8 +130,18 @@ def ref_receipt(r: Receipt) -> bytes:
     return ref_submission(r.submission) + Writer().blob(ref_commitment(c)).getvalue() + ref_receipt_paths(r.paths, c.leaf_count)
 
 
-def ref_chain_entry(e: ChainEntry) -> bytes:
-    return ref_path(Writer().blob(ref_commitment(e.commitment)).digest(e.prev_digest), e.first_leaf_proof, 0).getvalue()
+def ref_link(link: ChainLink) -> bytes:
+    return ref_path(Writer(), link.proof, 0).getvalue()
+
+
+def ref_holder_chain(w: Writer, p) -> Writer:
+    # The commitments, counted, each a blob; then one link per commitment
+    # after the first, uncounted.
+    w.blobs([ref_commitment(c) for c in p.holder_chain])
+    assert len(p.links) == len(p.holder_chain) - 1
+    for link in p.links:
+        ref_path(w, link.proof, 0)
+    return w
 
 
 def ref_rounds(w: Writer, rounds) -> Writer:
@@ -148,25 +157,23 @@ def ref_rounds(w: Writer, rounds) -> Writer:
 def ref_link_proof(p: LinkProof) -> bytes:
     # No holder id or window: they are the holder chain's.
     w = Writer().digest(p.issuer_id)
-    w.blobs([ref_chain_entry(e) for e in p.holder_chain])
-    return ref_rounds(w, p.rounds).getvalue()
+    return ref_rounds(ref_holder_chain(w, p), p.rounds).getvalue()
 
 
 def ref_hub_proof(p: HubProof) -> bytes:
     w = Writer().digests(p.manifest).u32(len(p.manifest_proofs))
     for proof in p.manifest_proofs:
         ref_path(w, proof, MANIFEST_LEAF_INDEX)
-    w.blobs([ref_chain_entry(e) for e in p.holder_chain])
-    return ref_rounds(w, p.rounds).getvalue()
+    return ref_rounds(ref_holder_chain(w, p), p.rounds).getvalue()
 
 
 def ref_proof(p) -> bytes:
-    """The envelope: magic ``EMP8``, a kind byte, then the body."""
+    """The envelope: magic ``EMP9``, a kind byte, then the body."""
     if isinstance(p, HubProof):
-        return b"EMP8\x11" + ref_hub_proof(p)
+        return b"EMP9\x11" + ref_hub_proof(p)
     if isinstance(p, ChainProof):
-        return b"EMP8\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
-    return b"EMP8\x10" + ref_link_proof(p)
+        return b"EMP9\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
+    return b"EMP9\x10" + ref_link_proof(p)
 
 
 def assert_encodes_its_fields(record) -> None:
@@ -178,8 +185,8 @@ def assert_encodes_its_fields(record) -> None:
         assert record.to_bytes() == ref_submission(record)
         assert record.message() == ref_submission_message(record)
         assert record.leaf_bytes() == bytes([LEAF_ENTANGLED]) + ref_submission(record)
-    elif isinstance(record, ChainEntry):
-        assert record.to_bytes() == ref_chain_entry(record)
+    elif isinstance(record, ChainLink):
+        assert record.to_bytes() == ref_link(record)
     elif isinstance(record, ReceiptPaths):
         assert record.to_bytes() == ref_paths(record)
     else:
@@ -188,14 +195,14 @@ def assert_encodes_its_fields(record) -> None:
 
 
 def signed_records(proof):
-    """Every chain entry, commitment and receipt paths a proof holds, and the
-    submission a verifier rebuilds for each window round."""
+    """Every holder chain commitment and link and receipt paths a proof
+    holds, and the submission a verifier rebuilds for each window round."""
     parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
     for part in parts:
-        for entry in part.holder_chain:
-            yield from (entry, entry.commitment)
-        for entry, rnd in zip(part.holder_chain, part.rounds):
-            yield submission_of(entry.commitment, rnd.signature)
+        yield from part.holder_chain
+        yield from part.links
+        for c, rnd in zip(part.holder_chain, part.rounds):
+            yield submission_of(c, rnd.signature)
             yield from rnd.receipts
 
 
@@ -315,25 +322,23 @@ def test_replace_encodes_the_new_fields(ci_proofs, origin):
     proof, sim = ci_proofs["link"]
     h0, hub = sim.nodes["h0"], sim.nodes["hub"]
     if origin == "simulated":
-        receipt, entry = h0.receipt_log[hub.node_id, 1], chain_entry_for(h0.records[1])
+        receipt, commitment, link = h0.receipt_log[hub.node_id, 1], h0.records[1].commitment, h0.records[2].link
         sub, paths = receipt.submission, receipt.paths
     else:
         decoded = decode_proof(encode_proof(proof))
-        first, entry = decoded.rounds[0], decoded.holder_chain[0]
-        sub, paths = submission_of(entry.commitment, first.signature), first.receipts[0]
+        first, commitment, link = decoded.rounds[0], decoded.holder_chain[0], decoded.links[0]
+        sub, paths = submission_of(commitment, first.signature), first.receipts[0]
         receipt = Receipt(sub, hub.records[2].commitment, paths) if origin == "spliced" else None
-    commitment = entry.commitment
     commitment.to_bytes()
-    entry.to_bytes()
-    new_c = dataclasses.replace(commitment, root=_flip(commitment.root))
+    link.to_bytes()
+    path = link.proof
     records = _replaced(sub, paths, receipt) + [
-        new_c,
-        dataclasses.replace(entry, prev_digest=_flip(entry.prev_digest)),
-        dataclasses.replace(entry, commitment=new_c),
+        dataclasses.replace(commitment, root=_flip(commitment.root)),
+        dataclasses.replace(link, proof=path._replace(siblings=(_flip(path.siblings[0]), *path.siblings[1:]))),
     ]
     for record in records:
         assert_encodes_its_fields(record)
-    old = {sub.to_bytes(), paths.to_bytes(), commitment.to_bytes(), entry.to_bytes()}
+    old = {sub.to_bytes(), paths.to_bytes(), commitment.to_bytes(), link.to_bytes()}
     if receipt is not None:
         old |= {receipt.to_bytes(), receipt.issuer_commitment.to_bytes()}
     assert not old & {record.to_bytes() for record in records}
@@ -383,18 +388,18 @@ def test_receipt_leaf_is_the_evidence_leaf_join(ci_proofs, monkeypatch):
 
 
 def _parts(proof):
-    """(holder id, issuer id, round, holder chain entry r's commitment, the
-    round's signature, paths) for every receipt a proof holds."""
+    """(holder id, issuer id, round, holder chain commitment r, the round's
+    signature, paths) for every receipt a proof holds."""
     for part in proof.hops if isinstance(proof, ChainProof) else (proof,):
-        for r, entry, rnd in zip(range(part.window_start, part.window_end + 1), part.holder_chain, part.rounds):
+        for r, c, rnd in zip(range(part.window_start, part.window_end + 1), part.holder_chain, part.rounds):
             for issuer_id, paths in zip(_issuer_ids(part), rnd.receipts, strict=True):
-                yield part.holder_id, issuer_id, r, entry.commitment, rnd.signature, paths
+                yield part.holder_id, issuer_id, r, c, rnd.signature, paths
 
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
 def test_proof_receipts_splice_back_to_the_retained_ones(ci_proofs, kind):
     """A proof's signature and paths for an issuer round are the retained
-    receipt's; with the holder chain entry they rebuild its submission, and
+    receipt's; with the holder chain commitment they rebuild its submission, and
     with its issuer commitment give the retained bytes.  A built proof holds
     the retained objects themselves: nothing is copied."""
     proof, sim = ci_proofs[kind]
@@ -415,45 +420,42 @@ def test_proof_receipts_splice_back_to_the_retained_ones(ci_proofs, kind):
     assert spliced >= 4
 
 
-def test_decoded_entry_keeps_the_slice_it_read(ci_proofs):
-    entry = ci_proofs["chain"][0].hops[0].holder_chain[0]
-    body = entry.to_bytes()
+def test_decoded_link_keeps_the_slice_it_read(ci_proofs):
+    link = ci_proofs["chain"][0].hops[0].links[0]
+    body = link.to_bytes()
     data = b"head" + body + b"tail"
     r = Reader(data)
     r.u32()  # past the 4-byte head
-    decoded = ChainEntry.read(r)
+    decoded = ChainLink.read(r)
     assert r.remaining() == 4
     assert vars(decoded)["_encoding"] == data[4:-4] == body  # kept when read, not encoded again
-    assert decoded == entry
+    assert decoded == link
 
 
-def test_kept_entries_match_fresh_reference_entries():
-    """After a run, each record's chain entry, made with the record, has the
-    bytes of an entry built and written field by field from the record as it
-    stands, and the receipts the record's round issued share its first-leaf
-    proof."""
+def test_kept_links_match_fresh_reference_links():
+    """After a run, each record's chain link, made with the record, has the
+    bytes of the path of the record's first leaf, as it stands, written
+    field by field, and the receipts the record's round issued share its path."""
     sim = Simulation(federated(3, 3, 18), rounds=20, seed=3, audit_every=5).run()
     kept = 0
     for node in sim.nodes.values():
         for record in node.records:
-            entry = record.entry
-            if entry is None:
+            link = record.link
+            if link is None:
                 assert record.state is None and record.tree is None
                 continue
             assert record.state is not None and record.tree is not None
-            assert entry.commitment is record.commitment
-            fresh = ChainEntry(record.commitment, record.state.prev_commitment_digest, record.tree.prove_inclusion(0))
-            assert entry.to_bytes() == ref_chain_entry(fresh)
+            assert link.to_bytes() == ref_link(ChainLink(record.tree.prove_inclusion(0)))
             kept += 1
-    assert kept >= 20 * 18  # every holder round keeps its entry at least
-    # A receipt's prev-leaf proof is its issuer round's entry proof, not a copy.
+    assert kept >= 20 * 18  # every holder round keeps its link at least
+    # A receipt's prev-leaf proof is its issuer round's link path, not a copy.
     records = {node.node_id: node.records for node in sim.nodes.values()}
     shared = 0
     for node in sim.nodes.values():
         for receipt in node.receipt_log.values():
-            entry = records[receipt.issuer_id][receipt.issuer_round].entry
-            if entry is not None:
-                assert receipt.paths.prev_inclusion is entry.first_leaf_proof
+            link = records[receipt.issuer_id][receipt.issuer_round].link
+            if link is not None:
+                assert receipt.paths.prev_inclusion is link.proof
                 shared += 1
     assert shared >= 18 * 18
 
@@ -603,4 +605,4 @@ def test_verifiers_copy_no_receipt(ci_proofs, fan_runs):
         fan_verdict = _verify(fan40, fan_runs[40])
     assert all(verdicts) and len(verdicts) == 6
     assert fan_verdict
-    assert (fan_verdict.signatures_checked, fan_verdict.inclusion_proofs_checked) == (1, 334)
+    assert (fan_verdict.signatures_checked, fan_verdict.inclusion_proofs_checked) == (1, 333)

@@ -12,7 +12,7 @@ from entmesh.config import load_config, make_simulation
 from entmesh.entangle import MissingReceiptError, build_chain_proof, build_hub_proof, build_link_proof, encode_proof, verify_link
 from entmesh.hashtree import ZERO_DIGEST, Digest, MerkleTree, fold_root, leaf_hash, sha256
 from entmesh.keys import Ed25519Scheme, KeyPair, keypair_from_seed
-from entmesh.node import KeyDirectory, build_round, chain_entry_for, round_leaves
+from entmesh.node import KeyDirectory, build_round, round_leaves
 from entmesh.simnet import (
     Equivocate,
     ForkHistory,
@@ -30,7 +30,7 @@ from entmesh.simnet import (
 from entmesh.simnet.topology import Topology
 from entmesh.wire import WireError
 
-from adversary import every_entry_rule, forged_commitment, full_history_audit, held_in_memory
+from adversary import every_entry_rule, forged_commitment, full_history_audit, held_in_memory, own_prev_digest_audit
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -127,11 +127,24 @@ class TestHonestRuns:
         for bad in ("ReceiptMissing", "ReceiptRejected", "EquivocationDetected", "SelfAuditFailed"):
             assert events_of(sim, bad) == []
 
-    def test_metrics_rows_are_the_records_fields_in_order(self):
+    def test_metrics_rows_are_each_nodes_counters_in_order(self):
         sim = Simulation(centralized(3), rounds=4, seed=1).run()
-        rows = sim.metrics_rows()
-        assert len(rows) == len(sim.metrics) > 0
-        assert [list(row.items()) for row in rows] == [list(dataclasses.asdict(m).items()) for m in sim.metrics]
+        rows, labels = sim.metrics_rows(), sim.topology.labels
+        assert [(row["round"], row["node"]) for row in rows] == [(r, label) for r in range(4) for label in labels]
+        counters = [
+            "bytes_sent",
+            "bytes_received",
+            "messages_sent",
+            "messages_received",
+            "receipts_issued",
+            "receipts_received",
+            "equivocations_detected",
+        ]
+        assert all(list(row) == ["round", "node", "retained_bytes", *counters] for row in rows)
+        # Each row is a snapshot: the last round's are the final counters, not views of them.
+        for row in rows[-len(labels) :]:
+            assert {name: row[name] for name in counters} == vars(sim._counters[row["node"]])
+        assert rows[0]["bytes_sent"] < rows[-len(labels)]["bytes_sent"]
 
     def test_nodes_forward_what_their_round_retains_in_evidence_order(self):
         sim = Simulation(ring(4, mutual=True), rounds=6, seed=0)
@@ -333,8 +346,8 @@ class TestHistoryFork:
         assert ("m1-0", "ReceiptMismatch") in rejections
 
 
-class TestKeptChainEntries:
-    def test_second_chain_proof_build_proves_no_entry(self, monkeypatch):
+class TestKeptChainLinks:
+    def test_second_chain_proof_build_proves_no_link(self, monkeypatch):
         # The chain proof the benchmark's verify-mix workload builds.
         sim = Simulation(chain(4), rounds=10, seed=0).run()
         ids = [sim.nodes[label].node_id for label in sim.path_to_anchor("h0")]
@@ -355,28 +368,32 @@ class TestKeptChainEntries:
         assert encode_proof(second) == encode_proof(first)
         for a, b in zip(first.hops, second.hops):
             assert all(x is y for x, y in zip(a.holder_chain, b.holder_chain))
+            assert all(x is y for x, y in zip(a.links, b.links))
 
-    def test_rewritten_round_gets_a_fresh_entry(self):
+    def test_rewritten_round_gets_a_fresh_link(self):
         sim = Simulation(chain(2), rounds=8, seed=13, faults=[ForkHistory(node="m1-0", round=2)], audit_every=2)
         kept = {}
-        sim.at(2, lambda sim: kept.update(old=chain_entry_for(sim.nodes["m1-0"].record_at(1))))
+        sim.at(2, lambda sim: kept.update(old=sim.nodes["m1-0"].record_at(1)))
         sim.run()
-        # The rewrite chains, so the audits pass over it, on fresh entries.
+        # The rewrite chains, so the audits pass over it, on its fresh link.
         assert events_of(sim, "SelfAuditFailed") == events_of(sim, "ChainAuditFailed") == []
         rewritten = sim.nodes["m1-0"].record_at(1)
-        assert chain_entry_for(rewritten).commitment is rewritten.commitment is not kept["old"].commitment
+        assert rewritten.commitment is not kept["old"].commitment
+        assert rewritten.link is not kept["old"].link and rewritten.link.proof == rewritten.tree.prove_inclusion(0)
 
-    def test_replaced_record_is_audited_on_its_own_entry(self):
-        # A record swapped for one whose tree does not match its commitment,
-        # after the audits checked the old record's entry: both audits see it.
+    def test_replaced_record_is_audited_on_its_own_link(self):
+        # A record swapped for one whose tree, of another payload, does not
+        # match its commitment, after the audits checked the old record's
+        # link: both audits see it, by the link's fold.  An audit checks the
+        # signed chain and does not read a record's own prev digest, so a
+        # record that changed only that would still link.
         def forge(sim):
             node = sim.nodes["m1-0"]
             old = node.record_at(2)
-            assert old.entry is not None
-            state = dataclasses.replace(old.state, prev_commitment_digest=sha256(b"forged"))
+            state = dataclasses.replace(old.state, payload=("forged",))
             tree, _ = build_round(state, node.keypair)
             node.records[2] = dataclasses.replace(old, state=state, tree=tree)
-            assert node.records[2].entry.prev_digest != old.entry.prev_digest
+            assert node.records[2].link.proof != old.link.proof
 
         sim = Simulation(chain(2), rounds=8, seed=13, audit_every=2)
         sim.at(3, forge)
@@ -386,6 +403,40 @@ class TestKeptChainEntries:
             (4, "ChainAuditFailed", "m1-0", "ChainBreak"),
             (6, "ChainAuditFailed", "m1-0", "ChainBreak"),
         ]
+        # The audit as it read each record's own prev digest reports the same.
+        reference = Simulation(chain(2), rounds=8, seed=13, audit_every=2)
+        reference._audit = lambda label, start: own_prev_digest_audit(reference, label, start)
+        reference.at(3, forge)
+        assert reference.run().events == sim.events
+
+
+def _scenario_at_seed_7(path):
+    return lambda: make_simulation(load_config(path), seed=7)
+
+
+AUDIT_RUNS = {
+    **{path.name: _scenario_at_seed_7(path) for path in sorted(SCENARIOS.glob("*.yaml"))},
+    "federated-audited-faults": lambda: RETAINED_RUNS["federated-audited-faults"](True),
+}
+
+
+class TestAuditRule:
+    @pytest.mark.parametrize("run", sorted(AUDIT_RUNS))
+    def test_same_run_as_the_own_prev_digest_audit(self, run):
+        # Each audit folds a record's link with its predecessor's digest; the
+        # reference folds the record's path with its own prev digest, then
+        # compares that digest with its predecessor's.  No event, metric or
+        # root differs.
+        sim = AUDIT_RUNS[run]().run()
+        reference = AUDIT_RUNS[run]()
+        reference._audit = lambda label, start: own_prev_digest_audit(reference, label, start)
+        reference.run()
+        assert sim.events == reference.events
+        assert sim.metrics_rows() == reference.metrics_rows()
+        for label in sim.topology.labels:
+            assert [r.commitment for r in sim.nodes[label].records] == [
+                r.commitment for r in reference.nodes[label].records
+            ], label
 
 
 def every_round_post(sim, check):

@@ -40,7 +40,7 @@ from entmesh.entangle import (
 )
 from entmesh.keys import Ed25519Scheme
 from entmesh.node import (
-    ChainEntry,
+    ChainLink,
     KeyDirectory,
     Verdict,
     commitment_digest,
@@ -57,7 +57,6 @@ from adversary import (
     every_entry_rule,
     forged_commitment,
     forge_at,
-    forged_entry,
     forged_round_submission,
     hub_proof_in_manifest_order,
     link_over_a_submission_signed_by,
@@ -161,9 +160,10 @@ class TestSignatureCounts:
         # the chain's 6 commitments was too, 166 obligations when the
         # submission was met once per issuer).
         assert verdict.signatures_checked == 1 == len(ed25519_calls)
-        # 6 chain entries, 160 receipts' two paths each, 4 manifest proofs
-        # and one evidence range proof per round (160 evidence paths before).
-        assert verdict.inclusion_proofs_checked == 6 + 320 + 4 + 4 == 334
+        # 5 holder chain links, 160 receipts' two paths each, 4 manifest
+        # proofs and one evidence range proof per round (160 evidence paths
+        # before; 6 chain entries' paths, the first linking to nothing, before EMP9).
+        assert verdict.inclusion_proofs_checked == 5 + 320 + 4 + 4 == 333
         # Each window round's submission once, not once per issuer (63,324 B when repeated).
         assert len(encode_proof(proof)) <= 41_600
 
@@ -213,7 +213,7 @@ class TestSignatureCounts:
             verdict = verify_hub(proof, _logs(sim), sim.directory)
             assert verdict
             assert verdict.signatures_checked == 1 == len(ed25519_calls)
-            assert verdict.inclusion_proofs_checked == (w + 2) + 2 * n * w + w + w
+            assert verdict.inclusion_proofs_checked == (w + 1) + 2 * n * w + w + w
 
     @pytest.mark.parametrize("hops", [1, 2, 3, 4])
     def test_chain_checks_grow_linearly_in_hops_times_window(self, ed25519_calls, hops):
@@ -227,7 +227,7 @@ class TestSignatureCounts:
             verdict = verify_chain(proof, _logs(sim)[proof.anchor_id], sim.directory)
             assert verdict
             assert verdict.signatures_checked == hops == len(ed25519_calls)
-            assert verdict.inclusion_proofs_checked == hops * ((w + 2) + 2 * w + w)
+            assert verdict.inclusion_proofs_checked == hops * ((w + 1) + 2 * w + w)
 
     def test_unbound_keys_fail_without_ed25519(self, runs, ed25519_calls):
         proof, sim = runs["hub"]
@@ -240,9 +240,9 @@ class TestSignatureCounts:
     @pytest.mark.parametrize(
         "kind, missing, reason, detail, folds",
         [
-            pytest.param("hub", "center", "LinkFailed", "holder chain: BadSignature (round 5)", 5, id="hub-center"),
-            pytest.param("chain", "h0", "BrokenHop", "hop 0: BadSignature (round 4)", 34, id="chain-h0"),
-            pytest.param("chain", "m3-0", "BrokenHop", "hop 1: BadSignature (round 5)", 24, id="chain-m3-0"),
+            pytest.param("hub", "center", "LinkFailed", "holder chain: BadSignature (round 5)", 4, id="hub-center"),
+            pytest.param("chain", "h0", "BrokenHop", "hop 0: BadSignature (round 4)", 30, id="chain-h0"),
+            pytest.param("chain", "m3-0", "BrokenHop", "hop 1: BadSignature (round 5)", 21, id="chain-m3-0"),
         ],
     )
     def test_head_with_no_key_bound_fails_at_its_links(self, runs, ed25519_calls, kind, missing, reason, detail, folds):
@@ -273,26 +273,23 @@ class TestSignatureCounts:
         met = []
         for name in ("verify_chain_links", "verify_chain_head"):
             rule = getattr(entangle, name)
-            monkeypatch.setattr(entangle, name, lambda entries, d, name=name, rule=rule: met.append((name, entries)) or rule(entries, d))
+            monkeypatch.setattr(entangle, name, lambda chain, *rest, name=name, rule=rule: met.append((name, chain)) or rule(chain, *rest))
         proof, sim = runs[kind]
         assert _verify(proof, sim)
         chains_checked = [hop.holder_chain for hop in reversed(proof.hops)] if kind == "chain" else [proof.holder_chain]
         assert len(chains_checked) == chains
         assert met == [("verify_chain_links", c) for c in chains_checked] + [("verify_chain_head", c) for c in chains_checked]
 
-    @pytest.mark.parametrize("where", ["evidence-path", "chain-prev-digest"])
+    @pytest.mark.parametrize("where", ["evidence-path", "chain-link-path"])
     def test_hashed_byte_flip_rejected_without_a_signature_check(self, runs, ed25519_calls, where):
         proof, sim = runs["hub"]
+        path = proof.rounds[-1].evidence_proof if where == "evidence-path" else proof.links[1].proof
+        first, *rest = path.siblings
+        flipped = path._replace(siblings=(bytes([first[0] ^ 1]) + first[1:], *rest))
         if where == "evidence-path":
-            ev = proof.rounds[-1].evidence_proof
-            first, *rest = ev.siblings
-            flipped = ev._replace(siblings=(bytes([first[0] ^ 1]) + first[1:], *rest))
             bad = with_round(proof, -1, evidence_proof=flipped)
         else:
-            entry = proof.holder_chain[2]
-            prev = entry.prev_digest
-            flipped = dataclasses.replace(entry, prev_digest=type(prev)(bytes([prev[0] ^ 1]) + prev[1:]))
-            bad = dataclasses.replace(proof, holder_chain=swap(proof.holder_chain, 2, flipped))
+            bad = dataclasses.replace(proof, links=swap(proof.links, 1, ChainLink(flipped)))
         good_blob, bad_blob = encode_proof(proof), encode_proof(bad)
         assert len(good_blob) == len(bad_blob)
         assert sum(bin(a ^ b).count("1") for a, b in zip(good_blob, bad_blob)) == 1
@@ -307,8 +304,8 @@ class TestSignatureCounts:
 class TestForgedSignatureKeepsItsReason:
     """A forged signature is reported where the sequential checks meet it.
     Of a holder chain only the head's signature is checked: an earlier
-    entry's is hashed into the next entry's prev digest, so forging it
-    breaks the chain there.  A window round's signature is hashed into the
+    commitment's is hashed into the first leaf of the next one's tree, which
+    that one's link places there, so forging it breaks the chain there.  A window round's signature is hashed into the
     submission leaf its receipts prove, so forging it fails the round's
     first receipt."""
 
@@ -321,8 +318,8 @@ class TestForgedSignatureKeepsItsReason:
     @pytest.mark.parametrize("index", [0, -1])
     def test_hub_holder_chain(self, runs, index):
         proof, sim = runs["hub"]
-        bad = dataclasses.replace(proof, holder_chain=forge_at(proof.holder_chain, index, forged_entry))
-        r = proof.holder_chain[index].commitment.round
+        bad = dataclasses.replace(proof, holder_chain=forge_at(proof.holder_chain, index, forged_commitment))
+        r = proof.holder_chain[index].round
         inner = f"BadSignature (round {r})" if index == -1 else f"ChainBreak (round {r + 1} does not chain)"
         self._check(bad, sim, "LinkFailed", f"holder chain: {inner}")
 
@@ -342,7 +339,7 @@ class TestForgedSignatureKeepsItsReason:
             hop = forged_round_submission(hop, 0)
             inner = "ReceiptInvalid (submission leaf unproven for round 2)"
         else:
-            hop = dataclasses.replace(hop, holder_chain=forge_at(hop.holder_chain, -1, forged_entry))
+            hop = dataclasses.replace(hop, holder_chain=forge_at(hop.holder_chain, -1, forged_commitment))
             inner = "BadSignature (round 5)"
         bad = ChainProof(hops=swap(proof.hops, 1, hop))
         self._check(bad, sim, "BrokenHop", f"hop 1: {inner}")
@@ -350,9 +347,9 @@ class TestForgedSignatureKeepsItsReason:
     def test_chain_last_hop(self, runs):
         proof, sim = runs["chain"]
         last = proof.hops[-1]
-        hop = dataclasses.replace(last, holder_chain=forge_at(last.holder_chain, -1, forged_entry))
+        hop = dataclasses.replace(last, holder_chain=forge_at(last.holder_chain, -1, forged_commitment))
         bad = ChainProof(hops=proof.hops[:-1] + (hop,))
-        inner = f"round {last.holder_chain[-1].commitment.round}"
+        inner = f"round {last.holder_chain[-1].round}"
         self._check(bad, sim, "BrokenHop", f"hop {len(proof.hops) - 1}: BadSignature ({inner})")
 
     def test_link_receipt(self, runs):
@@ -362,7 +359,7 @@ class TestForgedSignatureKeepsItsReason:
 
     def test_link_holder_chain(self, runs):
         proof, sim = runs["link"]
-        bad = dataclasses.replace(proof, holder_chain=forge_at(proof.holder_chain, 1, forged_entry))
+        bad = dataclasses.replace(proof, holder_chain=forge_at(proof.holder_chain, 1, forged_commitment))
         self._check(bad, sim, "ChainBreak", "round 8 does not chain")
 
     # A proof carries no issuer commitment: each receipt takes the
@@ -389,13 +386,13 @@ class TestForgedSignatureKeepsItsReason:
             inner = f"EvidenceInvalid (receipt for round {r - 1} not retained in round {r + 1})"
             self._check(proof, sim, "BrokenHop", f"hop {len(proof.hops) - 1}: {inner}", _forged_trust(_trust(proof, sim), r))
         else:
-            # An inner hop's copy is the next hop's holder chain entry, which
+            # An inner hop's copy is the next hop's holder chain commitment, which
             # the same call links to that chain's signed head before it
             # vouches for the hop: a forged one breaks that chain.
             vouching = proof.hops[hop + 1]
             index = r - vouching.window_start
             assert index < len(vouching.holder_chain) - 1
-            forged = dataclasses.replace(vouching, holder_chain=forge_at(vouching.holder_chain, index, forged_entry))
+            forged = dataclasses.replace(vouching, holder_chain=forge_at(vouching.holder_chain, index, forged_commitment))
             bad = ChainProof(hops=swap(proof.hops, hop + 1, forged))
             self._check(bad, sim, "BrokenHop", f"hop {hop + 1}: ChainBreak (round {r + 1} does not chain)")
 
@@ -417,9 +414,30 @@ def test_single_bit_flips_keep_the_sequential_verdict(runs, kind):
             continue
         if _trust(bad, sim) is None:
             continue
-        verdict = _verify(bad, sim)
-        for reference in (_sequential(bad, sim), _parent_rule(bad, sim)):
+        verdict, sequential = _verify(bad, sim), _sequential(bad, sim)
+        head = _head_with_another_leaf_count(proof, bad)
+        if head is not None and (verdict.reason, verdict.detail) != (sequential.reason, sequential.detail):
+            # The one single fault the two orders name apart: a head whose
+            # signed leaf count changed within its power-of-two bracket, so
+            # its link still folds.  The sequential checks meet the head's
+            # signature next; the verifier, which checks heads last, the
+            # evidence fold against that head, with no Ed25519 check.
+            assert f"BadSignature (round {head.round})" in f"{sequential.reason} ({sequential.detail})"
+            assert "EvidenceInvalid" in f"{verdict.reason} ({verdict.detail})"
+            assert f"retained in round {head.round}" in verdict.detail and verdict.signatures_checked == 0
+            sequential = verdict
+        for reference in (sequential, _parent_rule(bad, sim)):
             assert (verdict.ok, verdict.reason, verdict.detail) == (reference.ok, reference.reason, reference.detail)
+
+
+def _head_with_another_leaf_count(proof, bad):
+    """The holder chain head of ``bad`` whose leaf count is not that of the
+    same part's head in ``proof``, or None."""
+    parts = lambda p: p.hops if isinstance(p, ChainProof) else (p,)
+    for part, bad_part in zip(parts(proof), parts(bad)):
+        if bad_part.holder_chain[-1].leaf_count != part.holder_chain[-1].leaf_count:
+            return bad_part.holder_chain[-1]
+    return None
 
 
 class TestProofsNoBuilderMakes:
@@ -501,21 +519,21 @@ class TestTheHeadVouchesForItsChain:
         net = manual_net(["h", "i"], [("h", "i")]).run(6)
         holder, issuer = net.nodes["h"], net.nodes["i"]
         proof = build_link_proof(holder.records, issuer.node_id, (1, 2), holder.receipt_log)
-        forged = forged_entry(proof.holder_chain[2])
+        forged = forged_commitment(proof.holder_chain[2])
         retaining = holder.records[4].state
-        leaves = [prev_leaf(commitment_digest(forged.commitment)), *round_leaves(retaining)[1:]]
-        tree, c = signed_tree(holder, 4, leaves)
+        leaves = [prev_leaf(commitment_digest(forged)), *round_leaves(retaining)[1:]]
+        tree, head = signed_tree(holder, 4, leaves)
         if signer == "issuer":
-            c = dataclasses.replace(c, signature=issuer.keypair.sign(c.message()))
-        head = ChainEntry(c, commitment_digest(forged.commitment), tree.prove_inclusion(0))
+            head = dataclasses.replace(head, signature=issuer.keypair.sign(head.message()))
         at = evidence_leaf_index(retaining, issuer.node_id, 2)
         last = proof.rounds[1]._replace(evidence_proof=tree.prove_range(at, at + 1))
-        bad = dataclasses.replace(proof, holder_chain=(*proof.holder_chain[:2], forged, head), rounds=(proof.rounds[0], last))
+        chain, links = (*proof.holder_chain[:2], forged, head), (*proof.links[:2], ChainLink(tree.prove_inclusion(0)))
+        bad = dataclasses.replace(proof, holder_chain=chain, links=links, rounds=(proof.rounds[0], last))
         bad = decode_proof(encode_proof(bad))
         verdict = verify_link(bad, net.commitments_of("i"), net.directory)
         if signer == "holder":
             assert verdict and verdict.signatures_checked == 1
-            reference = every_entry_rule(bad.holder_chain, net.directory)
+            reference = every_entry_rule(bad.holder_chain, bad.links, net.directory)
             assert (reference.reason, reference.detail) == ("BadSignature", "round 3")
         else:
             assert (verdict.reason, verdict.detail, verdict.signatures_checked) == ("BadSignature", "round 4", 1)
@@ -525,10 +543,10 @@ class TestTheHeadVouchesForItsChain:
         # [6, 7] and its holder chain, rounds 6 to 9, cross that rebind.
         proof, sim = runs["link"]
         assert [r for r, _ in sim.directory.bindings_of(proof.holder_id)] == [0, 7]
-        assert proof.holder_chain[0].commitment.round < 7 <= proof.window_end
+        assert proof.holder_chain[0].round < 7 <= proof.window_end
         verdict = _verify(proof, sim)
         assert verdict and verdict.signatures_checked == 1
-        assert every_entry_rule(proof.holder_chain, sim.directory)
+        assert every_entry_rule(proof.holder_chain, proof.links, sim.directory)
         # Under h1's genesis key alone the head, the first signature met, fails.
         genesis = KeyDirectory()
         for node in sim.nodes.values():
@@ -546,12 +564,11 @@ class TestTheHeadVouchesForItsChain:
         net = manual_net(["h", "i"], [("h", "i")]).run(6)
         holder, issuer = net.nodes["h"], net.nodes["i"]
         bad, trust = link_over_a_submission_signed_by(net, "h", "i", issuer)
-        assert not net.directory.verify_submission(submission_of(bad.holder_chain[1].commitment, bad.rounds[1].signature))
-        c = bad.holder_chain[-1].commitment
+        assert not net.directory.verify_submission(submission_of(bad.holder_chain[1], bad.rounds[1].signature))
+        c = bad.holder_chain[-1]
         if head == "other key":
             c = dataclasses.replace(c, signature=issuer.keypair.sign(c.message()))
-            head_entry = dataclasses.replace(bad.holder_chain[-1], commitment=c)
-            bad = dataclasses.replace(bad, holder_chain=swap(bad.holder_chain, -1, head_entry))
+            bad = dataclasses.replace(bad, holder_chain=swap(bad.holder_chain, -1, c))
         ed25519_calls.clear()
         verdict = verify_link(decode_proof(encode_proof(bad)), trust, net.directory)
         if head == "holder":
@@ -585,9 +602,9 @@ class TestTheHeadVouchesForItsChain:
         # The head by verify_chain_head, every other entry after it.
         proof, sim = runs["link"]
         ed25519_calls.clear()
-        assert every_entry_rule(proof.holder_chain, sim.directory)
+        assert every_entry_rule(proof.holder_chain, proof.links, sim.directory)
         messages = [message for _, message, _ in ed25519_calls]
-        chain = [entry.commitment.message() for entry in proof.holder_chain]
+        chain = [c.message() for c in proof.holder_chain]
         assert messages == chain[-1:] + chain[:-1]
 
 

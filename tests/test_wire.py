@@ -507,9 +507,9 @@ def test_mutated_proof_decodes_like_the_fieldwise_reference(encoded_proofs, kind
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_head_reads_like_the_fieldwise_reference(encoded_proofs, read, fieldwise, data):
-    # A chain entry's commitment, cut, lengthened or flipped.
+    # A holder chain commitment, cut, lengthened or flipped.
     link = entangle.decode_proof(encoded_proofs["link"])
-    blob = data.draw(_mutated(link.holder_chain[0].commitment.to_bytes()), label="mutated")
+    blob = data.draw(_mutated(link.holder_chain[0].to_bytes()), label="mutated")
     assert _outcome(lambda b: decode(b, read), blob) == _outcome(lambda b: copying_decode(b, fieldwise), blob)
 
 
@@ -532,12 +532,12 @@ class TestRecordEncodersRefuse:
             entangle.encode_proof(bad)
 
     def test_commitment_with_a_short_root(self, proofs):
-        c = proofs["link"].holder_chain[0].commitment
+        c = proofs["link"].holder_chain[0]
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             dataclasses.replace(c, root=c.root[:31]).to_bytes()
 
     def test_commitment_with_a_negative_round(self, proofs):
-        c = proofs["link"].holder_chain[0].commitment
+        c = proofs["link"].holder_chain[0]
         with pytest.raises(WireError, match="^u64 out of range: -1$"):
             dataclasses.replace(c, round=-1).to_bytes()
 
@@ -552,15 +552,15 @@ class TestRecordEncodersRefuse:
         with pytest.raises(WireError, match="^u64 out of range: -1$"):
             entangle.encode_proof(dataclasses.replace(link, rounds=rounds))
 
-    def test_submission_chain_entry_and_paths_with_a_short_digest(self, proofs):
+    def test_submission_chain_link_and_paths_with_a_short_digest(self, proofs):
         link = proofs["link"]
-        entry, paths = link.holder_chain[0], link.rounds[0].receipts[0]
-        sub = node.submission_of(entry.commitment, link.rounds[0].signature)
+        chain_link, paths = link.links[0], link.rounds[0].receipts[0]
+        sub = node.submission_of(link.holder_chain[0], link.rounds[0].signature)
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             dataclasses.replace(sub, holder_root=sub.holder_root[:31]).to_bytes()
         with pytest.raises(WireError, match="^u64 out of range: 18446744073709551616$"):
             dataclasses.replace(sub, holder_round=2**64).to_bytes()
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
-            dataclasses.replace(entry, prev_digest=bytes(33)).to_bytes()
+            dataclasses.replace(chain_link, proof=chain_link.proof._replace(siblings=(bytes(33),))).to_bytes()
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             dataclasses.replace(paths, prev_digest=bytes(31)).to_bytes()
