@@ -100,17 +100,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _rounds_to_run(config, args) -> int:
-    """How many rounds ``prove`` runs: until every holder round its proof reads
-    is final, so the proof, or the error, is that of a run of every round.  A
-    proof that reads past the scenario runs all of it, and fails as before.
-    A chain's holder has a path to an anchor: ``cmd_prove`` checks it first."""
-    if args.kind == "chain":
-        path = config.topology.path_to_anchor(args.holder)
-        windows = hop_windows(args.start, args.window, len(path) - 1)
-        reads = [(holder, last_holder_round(window)) for holder, window in zip(path, windows)]
-    else:
-        reads = [(args.holder, last_holder_round((args.start, args.end)))]
+def _rounds_to_run(config, reads) -> int:
+    """How many rounds ``prove`` runs: until every holder round its proof reads,
+    each a (label, last round read) pair in ``reads``, is final, so the proof,
+    or the error, is that of a run of every round.  A proof that reads past
+    the scenario runs all of it, and fails as before."""
     final = max((Simulation.rounds_until_final(config.faults, label, r) for label, r in reads), default=1)
     return min(config.rounds, max(1, final))
 
@@ -125,15 +119,17 @@ def cmd_prove(args) -> int:
         raise ConfigError("cannot build proof: --issuer is required for link proofs")
     if args.kind == "link" and args.issuer not in labels:
         raise ConfigError(f"cannot build proof: unknown node label {args.issuer!r}")
+    start, end = args.start, args.start if args.end is None else args.end
     if args.kind == "chain":
         try:
             path = config.topology.path_to_anchor(holder)
         except ValueError as exc:
             raise ConfigError(f"cannot build proof: {exc}")
-    if args.end is None:
-        args.end = args.start  # the window is [start, start], for _rounds_to_run too
-    start, end = args.start, args.end
-    sim = make_simulation(dataclasses.replace(config, rounds=_rounds_to_run(config, args)), seed=args.seed).run()
+        windows = hop_windows(start, args.window, len(path) - 1)
+        reads = [(label, last_holder_round(window)) for label, window in zip(path, windows)]
+    else:
+        reads = [(holder, last_holder_round((start, end)))]
+    sim = make_simulation(dataclasses.replace(config, rounds=_rounds_to_run(config, reads)), seed=args.seed).run()
     records = sim.nodes[holder].records
     receipts = sim.nodes[holder].receipt_log
     try:

@@ -43,10 +43,9 @@ the chain's signed head, and the window holds one round per window round.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .hashtree import Digest, InclusionProof, fold_root, leaf_hash
+from .hashtree import Digest, InclusionProof, fold_root, fold_sizes, leaf_hash, verify_inclusion
 from .keys import NodeId
 from .node import (
     ChainLink,
@@ -129,11 +128,9 @@ class MissingReceiptError(ValueError):
 
 class WindowRound(NamedTuple):
     """One window round r of a link or hub proof: the holder's signature on
-    its round-r submission, whose id, round and root are holder chain
-    commitment r's, each issuer's receipt paths in manifest order (one for a
-    link), and the proof that their evidence leaves are one run of leaves in
-    the holder's round r + EVIDENCE_LAG tree.  A tuple, since a proof builds
-    and reads one per round."""
+    the submission of holder chain commitment r, each issuer's receipt paths
+    in manifest order, and the proof that their evidence leaves are one run
+    in the holder's round r + EVIDENCE_LAG tree.  A tuple: one per round."""
 
     signature: bytes
     receipts: tuple[ReceiptPaths, ...]
@@ -165,18 +162,13 @@ def _read_rounds(r: Reader, issuers: int, limit: int) -> tuple[WindowRound, ...]
     return r.many(read_round, "window rounds", MAX_ITEMS)
 
 
-_encoding_of = attrgetter("_encoding")  # a record's kept bytes
-
-
 def _chain_bytes(holder: "LinkProof | HubProof") -> list[bytes]:
     """A holder chain as parts, for one join: a u32 count and each
     commitment's blob, then each link, whose count the commitments' fixes."""
     chain, links = holder.holder_chain, holder.links
     if len(links) != max(len(chain) - 1, 0):
         raise WireError("a holder chain holds one link per commitment after the first")
-    parts = blobs(list(map(_encoding_of, chain)))
-    parts += map(_encoding_of, links)
-    return parts
+    return blobs([c._encoding for c in chain]) + [link._encoding for link in links]
 
 
 def _read_held(r: Reader, issuers: int, limit: int) -> tuple[tuple[Commitment, ...], tuple[ChainLink, ...], tuple[WindowRound, ...]]:
@@ -391,15 +383,13 @@ def _part_failed(holder: "LinkProof | HubProof", where: str, reason: str, detail
 
 
 def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId, _ByRound]], call: _Call) -> Verdict:
-    """Each window round r in turn, against ``holder``'s checked chain walked
-    by position, where commitment r sits at the round's and commitment
-    r + EVIDENCE_LAG that many places on: the holder's submission once,
-    rebuilt from commitment r and the round's signature and hashed, then each receipt's paths against
-    its (issuer id, trusted issuer commitments) pair in ``issuers``, then the
-    round's evidence proof over the leaves those receipts join, in that
-    order.  The signature is hashed, not checked: the trusted issuer
-    commitment covers the entangled leaf, and the chain's head the evidence
-    leaf, that hold it."""
+    """Each window round r in turn, with ``holder``'s checked chain walked by
+    position: the submission rebuilt from commitment r and the round's
+    signature, hashed (the trusted issuer commitment and the head cover the
+    leaves that hold it), then each receipt's paths against its (issuer id,
+    trusted issuer commitments) pair in ``issuers``, then the evidence proof
+    against commitment r + EVIDENCE_LAG.  Only the head's signature vouches
+    for its leaf count: if that count may fail the last evidence, it is checked there."""
     s, chain = holder.window_start, holder.holder_chain
     for c, (signature, receipts, evidence), retaining in zip(chain, holder.rounds, chain[EVIDENCE_LAG:]):
         r = c.round
@@ -421,9 +411,21 @@ def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId
             # The receipt's bytes, as its holder retained them, hold its paths in the receipt's form.
             leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, receipt_paths(paths, issuer_c.leaf_count))))
         if not call.proves(retaining, leaf_hashes, evidence):
+            if retaining is chain[-1] and _folds_at_another_leaf_count(retaining, leaf_hashes, evidence):
+                verdict = verify_chain_head(chain, call)
+                if not verdict:
+                    return _part_failed(holder, "holder chain", verdict.reason, verdict.detail)
             what = "receipts" if isinstance(holder, HubProof) else "receipt"
             return Verdict.failed("EvidenceInvalid", f"{what} for round {r} not retained in round {r + EVIDENCE_LAG}")
     return Verdict.passed()
+
+
+def _folds_at_another_leaf_count(head: Commitment, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
+    """Whether ``proof`` places the leaves in ``head``'s root at another leaf
+    count n with the same ceil(log2 n), at all of which its link folds alike."""
+    top = 1 << (head.leaf_count - 1).bit_length()
+    sizes = fold_sizes(proof.leaf_index, len(leaf_hashes), top // 2 + 1, top)
+    return any(verify_inclusion(leaf_hashes, proof, n, head.root) for n in sizes)
 
 
 @dataclass(frozen=True)

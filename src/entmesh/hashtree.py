@@ -23,6 +23,7 @@ __all__ = [
     "STEP_SIZE",
     "ZERO_DIGEST",
     "fold_root",
+    "fold_sizes",
     "leaf_hash",
     "node_hash",
     "path_steps",
@@ -195,6 +196,22 @@ def fold_root(leaf_hashes: Sequence[bytes], proof: InclusionProof, tree_size: in
         else:
             current = _sha256(_NODE_PREFIX + current + sibling).digest()
     return current
+
+
+def fold_sizes(index: int, run: int, lo: int, hi: int) -> set[int]:
+    """``lo`` and each size in (lo, hi] one past a size where ``fold_root``,
+    folding a path for the ``run`` leaves from ``index``, changes course (the
+    run fits, a last node gets a pair, ``inner`` grows): a path folds at any
+    size in [lo, hi] as at the largest of these not above it."""
+    if not isinstance(index, int) or index < 0:
+        return {lo}  # fold_root folds such a path at no size
+    end = index + run
+    cuts, level = [end - 1], 0
+    while end - index > 1:
+        cuts.append(end << level)
+        index, end, level = index >> 1, (end + 1) >> 1, level + 1
+    cuts += [((index >> j) + 1) << j << level for j in range(hi.bit_length() + 1)]
+    return {lo} | {cut + 1 for cut in cuts if lo <= cut < hi}
 
 
 def verify_inclusion(leaf_hashes: Sequence[bytes], proof: InclusionProof, tree_size: int, expected_root: bytes) -> bool:

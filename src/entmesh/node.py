@@ -4,10 +4,8 @@ Each node advances in discrete rounds.  A round's state is flattened into a
 fixed leaf layout, committed as a Merkle root, and signed.  The first leaf
 of every tree is the digest of the previous round's commitment, so the
 per-round roots form a tamper-evident chain: substituting any historical
-round breaks verification at the next one.  A holder chain, as proofs and
-audits check it, is a run of commitments and, for each after the first, the
-path of its first leaf (``ChainLink``); the verifier computes that leaf from
-the commitment before it, so the newest commitment's signature covers them all.
+round breaks verification at the next one.  A holder chain is a run of
+commitments and, for each after the first, its first leaf's path (``ChainLink``).
 
 Leaf layout (tags distinguish every leaf kind; see docs/FORMATS.md):
 
@@ -525,13 +523,9 @@ def _check_receipt_inclusions(submission_hash: Digest, paths: ReceiptPaths, c: C
 
 @dataclass(frozen=True)
 class ChainLink:
-    """What links a commitment to the one before it in a holder chain: the
-    path of its tree's first leaf, which holds the previous commitment's
-    digest.  The verifier computes that leaf from the previous commitment,
-    so a link holds only the path, and its encoding is the path at index 0,
-    without the index.  A record's link is made with the record; the
-    receipts its round issues share its path.
-    """
+    """The path of a commitment's first leaf, which holds the digest of the one
+    before it in a holder chain.  The verifier computes that leaf, so a link is
+    the path at index 0, encoded without the index.  Made with its record."""
 
     proof: InclusionProof
     encoding: InitVar[Optional[bytes]] = None
@@ -551,10 +545,8 @@ class ChainLink:
 
 
 def verify_chain_entries(chain: Sequence[Commitment], links: Sequence[ChainLink], directory: KeyDirectory) -> Verdict:
-    """Check that a holder chain links up, then its head's signature.  Each
-    link places the digest of the commitment before it in its own signed
-    tree, so the last commitment's signature covers the whole run: it is the
-    one signature checked.  A proof verifier calls the two parts apart."""
+    """Check that a holder chain links up, then its head's signature, which covers
+    the whole run through the links.  A proof verifier calls the two parts apart."""
     return verify_chain_links(chain, links, directory) and verify_chain_head(chain, directory)
 
 

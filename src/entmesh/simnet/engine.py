@@ -330,10 +330,9 @@ class Simulation:
 
     def _audit(self, label: str, start: int) -> Verdict:
         """The chain rule over the links of the node's unpruned records from round
-        ``start`` on, from the commitment of record start - 1, or of the newest
-        pruned one: pruned records are a prefix and keep their commitments.  It
-        checks what a walk of the whole history would, as no record below a passed
-        head is replaced (``ForkHistory`` rewrites round r - 1 while r is built)."""
+        ``start`` on, from the commitment before them (pruned records are a prefix
+        and keep theirs).  No record below a passed head is replaced
+        (``ForkHistory`` rewrites round r - 1 while r is built), so this is a whole walk's verdict."""
         records = self.nodes[label].records
         first = max(start, 1)
         while first < len(records) and records[first].link is None:

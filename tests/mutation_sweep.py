@@ -145,6 +145,13 @@ MUTANTS = (
         (_HEADS + "test_chain_inner_hop[chain-entry]",),
     ),
     Mutant(
+        "heads last: a head's leaf count that its link folds at too is checked by its signature before the evidence fold names it",
+        "entangle.py",
+        "if retaining is chain[-1] and _folds_at_another_leaf_count(retaining, leaf_hashes, evidence):",
+        "if False:",
+        (_HEADS + "test_head_at_a_leaf_count_its_link_folds_at[hub]",),
+    ),
+    Mutant(
         "decoder: a link or hub proof holds the chain commitment and window round that name its holder and window",
         "entangle.py",
         "if not chain or not rounds:",

@@ -21,6 +21,7 @@ from entmesh.hashtree import (
     MerkleTree,
     ZERO_DIGEST,
     fold_root,
+    fold_sizes,
     leaf_hash,
     node_hash,
     path_steps,
@@ -470,6 +471,26 @@ def test_range_fold_matches_whole_tree_reference():
                 assert proof.leaf_index == a
                 assert proof.siblings == ref_range_path(subroots, a, b, n), (n, a, b)
                 assert fold_root(hashes(leaves[a:b]), proof, n) == tree.root
+
+
+def test_fold_sizes_pick_one_size_per_range_of_equal_folds():
+    # A run's path, whole or one sibling short, folds at every size as it
+    # does at the largest size ``fold_sizes`` picks not above it.
+    for n in range(1, 20):
+        leaves = leaf_set(n)
+        tree = MerkleTree(leaves)
+        for a in range(n):
+            for b in range(a + 1, min(n, a + 5) + 1):
+                proof, run = tree.prove_range(a, b), hashes(leaves[a:b])
+                for lo, hi in ((1, 40), (n // 2 + 1, 2 * n)):
+                    sizes = fold_sizes(a, b - a, lo, hi)
+                    assert lo in sizes and sizes <= set(range(lo, hi + 1))
+                    assert len(sizes) <= 2 * hi.bit_length() + 3
+                    for path in (proof, proof._replace(siblings=proof.siblings[:-1])):
+                        for size in range(lo, hi + 1):
+                            picked = max(s for s in sizes if s <= size)
+                            assert fold_root(run, path, size) == fold_root(run, path, picked), (n, a, b, size)
+    assert fold_sizes(-1, 2, 1, 8) == {1}  # no size folds a run before leaf 0
 
 
 def test_wrong_range_claims_do_not_fold():

@@ -352,6 +352,42 @@ class TestForgedSignatureKeepsItsReason:
         inner = f"round {last.holder_chain[-1].round}"
         self._check(bad, sim, "BrokenHop", f"hop {len(proof.hops) - 1}: BadSignature ({inner})")
 
+    @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+    def test_head_at_a_leaf_count_its_link_folds_at(self, runs, kind):
+        # A head's link places leaf 0, whose path is the same at every leaf
+        # count n with the same ceil(log2 n), so only the head's signature
+        # refuses another of those counts.  Where the last window round's
+        # evidence fold meets such a count before the heads are checked, the
+        # verifier checks that signature there, as the sequential checks do;
+        # without that, it would name the evidence fold.
+        proof, sim = runs[kind]
+        parts = proof.hops if kind == "chain" else (proof,)
+        evidence_first = 0
+        for hop, part in enumerate(parts):
+            head = part.holder_chain[-1]
+            top = 1 << (head.leaf_count - 1).bit_length()
+            inner = f"BadSignature (round {head.round})"
+            reason, detail = {
+                "hub": ("LinkFailed", f"holder chain: {inner}"),
+                "chain": ("BrokenHop", f"hop {hop}: {inner}"),
+                "link": ("BadSignature", f"round {head.round}"),
+            }[kind]
+            for n in range(top // 2 + 1, top + 1):
+                if n == head.leaf_count:
+                    continue
+                counted = dataclasses.replace(head, leaf_count=n)
+                bad = dataclasses.replace(part, holder_chain=swap(part.holder_chain, -1, counted))
+                if kind == "chain":
+                    bad = ChainProof(hops=swap(proof.hops, hop, bad))
+                self._check(bad, sim, reason, detail)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(entangle, "_folds_at_another_leaf_count", lambda *args: False)
+                    without = _verify(bad, sim)
+                evidence_first += "EvidenceInvalid" in f"{without.reason} {without.detail}"
+        # The link's evidence leaf, 3 of 5, sits in the first 4 leaves, where
+        # no count of 5 to 8 changes its fold: its head fails last either way.
+        assert evidence_first == {"hub": 3, "chain": 10, "link": 0}[kind]
+
     def test_link_receipt(self, runs):
         proof, sim = runs["link"]
         bad = forged_round_submission(proof, 1)
@@ -414,30 +450,9 @@ def test_single_bit_flips_keep_the_sequential_verdict(runs, kind):
             continue
         if _trust(bad, sim) is None:
             continue
-        verdict, sequential = _verify(bad, sim), _sequential(bad, sim)
-        head = _head_with_another_leaf_count(proof, bad)
-        if head is not None and (verdict.reason, verdict.detail) != (sequential.reason, sequential.detail):
-            # The one single fault the two orders name apart: a head whose
-            # signed leaf count changed within its power-of-two bracket, so
-            # its link still folds.  The sequential checks meet the head's
-            # signature next; the verifier, which checks heads last, the
-            # evidence fold against that head, with no Ed25519 check.
-            assert f"BadSignature (round {head.round})" in f"{sequential.reason} ({sequential.detail})"
-            assert "EvidenceInvalid" in f"{verdict.reason} ({verdict.detail})"
-            assert f"retained in round {head.round}" in verdict.detail and verdict.signatures_checked == 0
-            sequential = verdict
-        for reference in (sequential, _parent_rule(bad, sim)):
+        verdict = _verify(bad, sim)
+        for reference in (_sequential(bad, sim), _parent_rule(bad, sim)):
             assert (verdict.ok, verdict.reason, verdict.detail) == (reference.ok, reference.reason, reference.detail)
-
-
-def _head_with_another_leaf_count(proof, bad):
-    """The holder chain head of ``bad`` whose leaf count is not that of the
-    same part's head in ``proof``, or None."""
-    parts = lambda p: p.hops if isinstance(p, ChainProof) else (p,)
-    for part, bad_part in zip(parts(proof), parts(bad)):
-        if bad_part.holder_chain[-1].leaf_count != part.holder_chain[-1].leaf_count:
-            return bad_part.holder_chain[-1]
-    return None
 
 
 class TestProofsNoBuilderMakes:
