@@ -31,9 +31,11 @@ from .entangle import (
 )
 from .ledger import (
     LedgerError,
+    check_anchor_signatures,
     commitment_row,
     load_trust_bundle,
     read_ledger,
+    read_trust_bundle,
     write_ledger,
     write_trust_bundle,
 )
@@ -188,11 +190,24 @@ def cmd_verify(args) -> int:
     except (WireError, ValueError) as exc:
         return _malformed(args.format, "MalformedProof", str(exc))
     try:
-        bundle = load_trust_bundle(args.trust)
+        bundle = read_trust_bundle(args.trust)
     except LedgerError as exc:
         return _malformed(args.format, "MalformedTrust", str(exc))
+    kind, verdict = _verdict(proof, bundle)
+    # Anchor rows are authenticated last, so a refused proof costs no
+    # Ed25519 check; an OK still needs every row's signature.
+    if verdict:
+        try:
+            check_anchor_signatures(args.trust, bundle)
+        except LedgerError as exc:
+            return _malformed(args.format, "MalformedTrust", str(exc))
+    return _verdict_exit(args.format, kind, verdict)
+
+
+def _verdict(proof, bundle) -> tuple[str, Verdict]:
+    """The proof's kind and its verdict against ``bundle``'s anchor logs."""
     if isinstance(proof, HubProof):
-        return _verdict_exit(args.format, "hub", verify_hub(proof, bundle.anchors, bundle.directory))
+        return "hub", verify_hub(proof, bundle.anchors, bundle.directory)
     if isinstance(proof, LinkProof):
         kind, verify, trusted = "link", verify_link, bundle.anchors.get(proof.issuer_id)
         missing = "issuer has no anchor log in the trust bundle"
@@ -200,8 +215,8 @@ def cmd_verify(args) -> int:
         kind, verify, trusted = "chain", verify_chain, bundle.anchors.get(proof.anchor_id)
         missing = "anchor has no log in the trust bundle"
     if trusted is None:
-        return _verdict_exit(args.format, kind, Verdict.failed("TrustedRootUnavailable", missing))
-    return _verdict_exit(args.format, kind, verify(proof, trusted, bundle.directory))
+        return kind, Verdict.failed("TrustedRootUnavailable", missing)
+    return kind, verify(proof, trusted, bundle.directory)
 
 
 def cmd_inspect(args) -> int:

@@ -341,8 +341,9 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
     """Check one link against trusted issuer commitments.
 
     ``trusted`` maps issuer rounds to commitments whose signatures are
-    already checked: anchor rows ``load_trust_bundle`` checked, commitments
-    a node checked before taking them from gossip, an anchor's own records,
+    checked apart from this call: anchor rows, which ``entmesh verify``
+    checks before it reports a passing verdict (``check_anchor_signatures``),
+    commitments a node checked before taking them from gossip, an anchor's own records,
     or the next hop's holder chain that ``verify_chain`` checks in the same
     call.  Each receipt is checked against the trusted copy of its issuer
     commitment, so that commitment's signature is not checked again.  The
@@ -484,9 +485,10 @@ def verify_hub(
     """Check completeness: every committed link present and verifying, and
     each window round's receipts retained as one run of leaves.
 
-    ``trusted`` maps each issuer id to that issuer's commitments, already
-    authenticated as ``verify_link`` requires; their signatures are not
-    checked again.  The holder chain's head signature is checked last.
+    ``trusted`` maps each issuer id to that issuer's commitments,
+    authenticated apart from this call as ``verify_link`` requires; their
+    signatures are not checked here.  The holder chain's head signature is
+    checked last.
     """
     call = _Call(directory)
     return call.counted(_check_hub(proof, trusted, call))
@@ -573,7 +575,7 @@ def build_chain_proof(
 def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], directory: KeyDirectory) -> Verdict:
     """Check a chain against the anchor's trusted commitments only.
 
-    ``trusted_anchor`` holds commitments already authenticated, as
+    ``trusted_anchor`` holds commitments authenticated apart from this call, as
     ``verify_link`` requires.  Inner hops need no independent trust: hop i's
     issuer commitments are hop i+1's holder chain commitments, which this call
     links to that chain's head and checks the head's signature.  The last hop's receipts take the anchor's trusted

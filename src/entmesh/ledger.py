@@ -24,10 +24,12 @@ from .node import Commitment, KeyDirectory
 __all__ = [
     "LedgerError",
     "TrustBundle",
+    "check_anchor_signatures",
     "commitment_from_row",
     "commitment_row",
     "load_trust_bundle",
     "read_ledger",
+    "read_trust_bundle",
     "write_ledger",
     "write_trust_bundle",
 ]
@@ -162,7 +164,16 @@ def _shaped(value, kind: type, what: str):
 
 
 def load_trust_bundle(path: "Path | str") -> TrustBundle:
-    """Load ``trust.json``, refusing it unless it keeps every rule in docs/FORMATS.md."""
+    """Load ``trust.json``, refusing it unless it keeps every rule in docs/FORMATS.md:
+    the structural rules first, then each anchor row's signature."""
+    bundle = read_trust_bundle(path)
+    check_anchor_signatures(path, bundle)
+    return bundle
+
+
+def read_trust_bundle(path: "Path | str") -> TrustBundle:
+    """Read ``trust.json`` under every structural rule in docs/FORMATS.md.  No
+    anchor row's signature is checked: ``check_anchor_signatures`` does that."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # JSON and UTF-8 decode errors are ValueErrors, as is the int-string limit
@@ -200,8 +211,6 @@ def load_trust_bundle(path: "Path | str") -> TrustBundle:
                 raise LedgerError(f"{where}: round {c.round} is labelled {row.get('node')!r}")
             if c.round in log:
                 raise LedgerError(f"{where}: round {c.round} is listed twice")
-            if not directory.verify_commitment(c):
-                raise LedgerError(f"{where} has a bad signature at round {c.round}")
             log[c.round] = c
         anchors[node_id] = log
     return TrustBundle(
@@ -211,3 +220,13 @@ def load_trust_bundle(path: "Path | str") -> TrustBundle:
         node_ids=node_ids,
         anchors=anchors,
     )
+
+
+def check_anchor_signatures(path: "Path | str", bundle: TrustBundle) -> None:
+    """Refuse ``bundle``, read from ``path``, unless each anchor row's signature
+    verifies under the key bound to its node at its round."""
+    labels = {node_id: label for label, node_id in bundle.node_ids.items()}
+    for node_id, log in bundle.anchors.items():
+        for c in log.values():
+            if not bundle.directory.verify_commitment(c):
+                raise LedgerError(f"{path}: anchor log for {labels[node_id]!r} has a bad signature at round {c.round}")

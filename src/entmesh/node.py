@@ -226,9 +226,10 @@ class ReceiptPaths:
     verifier holds a trusted copy.
 
     Its encoding is the form a proof writes: the submission leaf's path
-    with its index, the prev digest, and the first leaf's path, at index 0,
-    without it.  A receipt writes its paths in another form, with the
-    issuer tree's size and each step's side (``receipt_paths``).
+    with its index, the prev digest, and the first leaf's path as the
+    issuer round's ``ChainLink`` writes it.  A receipt writes its paths in
+    another form, with the issuer tree's size and each step's side
+    (``receipt_paths``).
     """
 
     inclusion: InclusionProof
@@ -238,9 +239,14 @@ class ReceiptPaths:
 
     def __post_init__(self, encoding: Optional[bytes]) -> None:
         if encoding is None:
-            inclusion, prev = encode_inclusion_proof(self.inclusion), digest(self.prev_digest)
-            encoding = b"".join((inclusion, prev, encode_inclusion_proof(self.prev_inclusion, 0)))
+            encoding = _joined_paths(self.inclusion, self.prev_digest, ChainLink(self.prev_inclusion))
         object.__setattr__(self, "_encoding", encoding)
+
+    @staticmethod
+    def of_round(inclusion: InclusionProof, prev_digest: Digest, link: "ChainLink") -> "ReceiptPaths":
+        """Paths whose first-leaf path is the issuer round's ``link``, joined
+        from the bytes the link keeps."""
+        return ReceiptPaths(inclusion, prev_digest, link.proof, encoding=_joined_paths(inclusion, prev_digest, link))
 
     def to_bytes(self) -> bytes:
         return self._encoding
@@ -250,6 +256,10 @@ class ReceiptPaths:
         start = r.tell()
         inclusion, prev_digest, prev_inclusion = read_inclusion_proof(r), r.digest(), read_inclusion_proof(r, 0)
         return ReceiptPaths(inclusion, prev_digest, prev_inclusion, encoding=r.since(start))
+
+
+def _joined_paths(inclusion: InclusionProof, prev_digest: Digest, link: "ChainLink") -> bytes:
+    return b"".join((encode_inclusion_proof(inclusion), digest(prev_digest), link.to_bytes()))
 
 
 def receipt_paths(paths: ReceiptPaths, leaf_count: int) -> bytes:
@@ -733,8 +743,8 @@ class Node:
         entangled = record.state.entangled[index - FIXED_LEAVES]
         if entangled.holder_root != sub.holder_root:
             raise NotEntangledError("entangled root differs from the submission")
-        # The round's link path is shared by the round's receipts.
-        paths = ReceiptPaths(record.tree.prove_inclusion(index), record.state.prev_commitment_digest, record.link.proof)
+        # The round's link, path and bytes, is shared by the round's receipts.
+        paths = ReceiptPaths.of_round(record.tree.prove_inclusion(index), record.state.prev_commitment_digest, record.link)
         return Receipt(entangled, record.commitment, paths)
 
     def verify_receipt(self, receipt: Receipt, directory: KeyDirectory) -> Verdict:

@@ -1,6 +1,7 @@
 """Mutation sweep over the proof verifiers' checks and the cost laws.
 
-Each mutant below drops one verifier or proof decoder check, or the
+Each mutant below drops one verifier or proof decoder check, the anchor
+row check ``entmesh verify`` makes before an OK, or the
 forwarding that equivocation detection relies on, makes one step cost
 more than a cost law allows, or makes ``entmesh prove`` stop its run before a round
 its proof reads is final, by rewriting one line of ``src/entmesh``.  For
@@ -185,6 +186,13 @@ MUTANTS = (
         "if not directory.proves(c, (leaf_hash(bytes([LEAF_PREV]) + commitment_digest(previous)),), link.proof):",
         "if False:",
         ("tests/test_node.py::TestCommitmentChains::test_link_folds_from_the_previous_commitment[commitment]",),
+    ),
+    Mutant(
+        "verify: an OK needs every anchor row's signature, checked after the verdict",
+        "cli.py",
+        "check_anchor_signatures(args.trust, bundle)",
+        "pass",
+        ("tests/test_cli.py::TestTrustBundleFuzz::test_bundle_rules_checked_at_load[anchor-row-signature-flipped-verify]",),
     ),
     Mutant(
         "cost law: an inclusion proof slices its siblings, it does not rehash the tree",

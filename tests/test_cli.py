@@ -19,7 +19,9 @@ from entmesh import cli
 from entmesh.cli import main
 from entmesh.config import MAX_NODE_ROUNDS, load_config
 from entmesh.entangle import ChainProof, HubProof, LinkProof, decode_proof, encode_proof
-from entmesh.ledger import LedgerError, load_trust_bundle
+from entmesh.keys import Ed25519Scheme
+from entmesh.ledger import LedgerError, commitment_row, load_trust_bundle
+from entmesh.node import Commitment
 from entmesh.wire import encode_inclusion_proof
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -1202,6 +1204,130 @@ class TestTrustBundleFuzz:
         mutated.write_text(json.dumps(bundle))
         assert main(["verify", "--proof", str(recovery_run["proof"]), "--trust", str(mutated)]) in (0, 1)
 
+
+
+@pytest.fixture(scope="module")
+def ci_runs(tmp_path_factory):
+    """Each CI proof, by kind, with the trust bundle of its scenario's run."""
+    runs = {}
+    for kind, (prove, _text, _obj) in CI_PROOFS_INSPECTED.items():
+        base = tmp_path_factory.mktemp(f"ci-{kind}")
+        assert main(["simulate", *prove[:2], "--out", str(base)]) == 0  # prove[:2] is --config and its file
+        assert main(["prove", *prove, "--out", str(base / "ci.proof")]) == 0
+        runs[kind] = {"proof": base / "ci.proof", "trust": base / "trust.json"}
+    return runs
+
+
+@pytest.fixture
+def ed25519_calls(monkeypatch):
+    """A list that grows by one for each Ed25519 check made."""
+    calls, verify = [], Ed25519Scheme.verify
+    monkeypatch.setattr(Ed25519Scheme, "verify", lambda self, *args: calls.append(args) or verify(self, *args))
+    return calls
+
+
+def _verify_json(proof: Path, trust: Path, capsys) -> tuple[int, dict]:
+    rc = main(["verify", "--proof", str(proof), "--trust", str(trust), "--format", "json"])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def _flip_first_prev_digest(blob: bytes) -> bytes:
+    """``blob`` with a bit flipped in its first receipt's prev digest, which the
+    receipt's first-leaf path then fails to fold."""
+    proof = decode_proof(blob)
+    rounds = proof.hops[0].rounds if isinstance(proof, ChainProof) else proof.rounds
+    prev_digest = rounds[0].receipts[0].prev_digest
+    assert blob.count(prev_digest) == 1
+    at = blob.find(prev_digest)
+    return blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1 :]
+
+
+def _forge_last_row(trust: Path, out: Path) -> str:
+    """Write to ``out`` the bundle at ``trust`` with its first anchor log's last
+    row forged: its root, in the blob and the ``root`` field, changed, so the
+    row keeps every structural rule and only its signature is wrong.  Returns
+    the refusal that names it."""
+    bundle = json.loads(trust.read_text())
+    label = sorted(bundle["anchors"])[0]
+    row = bundle["anchors"][label][-1]
+    c = Commitment.from_bytes(bytes.fromhex(row["commitment"]))
+    forged = dataclasses.replace(c, root=bytes(b ^ 0xFF for b in c.root))
+    bundle["anchors"][label][-1] = commitment_row(label, forged)
+    out.write_text(json.dumps(bundle))
+    return f"{out}: anchor log for {label!r} has a bad signature at round {c.round}"
+
+
+class TestAnchorRowsCheckedLast:
+    """``verify`` reads the bundle's structure, then the proof, and checks the
+    anchor rows' signatures only before an OK."""
+
+    # Ed25519 checks an honest CI proof makes: every anchor row (hub 50,
+    # chain 10, link 10) and one per holder chain head.
+    HONEST_CHECKS = {"hub": 51, "chain": 14, "link": 11}
+
+    @pytest.mark.parametrize("kind", sorted(HONEST_CHECKS))
+    def test_honest_proof_checks_every_row(self, ci_runs, kind, ed25519_calls, capsys):
+        rc, obj = _verify_json(ci_runs[kind]["proof"], ci_runs[kind]["trust"], capsys)
+        assert rc == 0 and obj["ok"] is True
+        assert len(ed25519_calls) == self.HONEST_CHECKS[kind]
+
+    @pytest.mark.parametrize("kind", sorted(HONEST_CHECKS))
+    def test_proof_a_fold_refuses_costs_no_ed25519_check(self, ci_runs, kind, tmp_path, ed25519_calls, capsys):
+        bad = tmp_path / "bad.proof"
+        bad.write_bytes(_flip_first_prev_digest(ci_runs[kind]["proof"].read_bytes()))
+        rc, obj = _verify_json(bad, ci_runs[kind]["trust"], capsys)
+        assert rc == 1 and obj["reason"] in ("ReceiptInvalid", "LinkFailed", "BrokenHop")
+        assert ed25519_calls == [] and obj["signatures_checked"] == 0
+
+    @pytest.mark.parametrize("kind", sorted(HONEST_CHECKS))
+    def test_refused_copy_makes_only_the_checks_its_verdict_counts(self, ci_runs, kind, tmp_path, ed25519_calls, capsys):
+        # Flipped bits spread over the proof: a copy that decodes is refused
+        # by its folds (no check) or by a head's signature (the ones its
+        # verdict counts); one that does not decode makes none.
+        pristine = ci_runs[kind]["proof"].read_bytes()
+        bad = tmp_path / "bad.proof"
+        for at in range(7, len(pristine), len(pristine) // 40):
+            bad.write_bytes(pristine[:at] + bytes([pristine[at] ^ 0x10]) + pristine[at + 1 :])
+            ed25519_calls.clear()
+            rc, obj = _verify_json(bad, ci_runs[kind]["trust"], capsys)
+            assert rc == 1 and obj["reason"] != "MalformedTrust"
+            assert len(ed25519_calls) == obj.get("signatures_checked", 0)
+
+    @pytest.mark.parametrize("kind", sorted(HONEST_CHECKS))
+    def test_forged_row_is_named_only_for_a_proof_that_passes(self, ci_runs, kind, tmp_path, capsys):
+        forged = tmp_path / "trust.json"
+        refusal = _forge_last_row(ci_runs[kind]["trust"], forged)
+        assert main(["verify", "--proof", str(ci_runs[kind]["proof"]), "--trust", str(forged)]) == 1
+        assert capsys.readouterr().out == f"FAIL: MalformedTrust ({refusal})\n"
+        bad = tmp_path / "bad.proof"
+        bad.write_bytes(_flip_first_prev_digest(ci_runs[kind]["proof"].read_bytes()))
+        verdicts = []
+        for trust in (ci_runs[kind]["trust"], forged):
+            assert main(["verify", "--proof", str(bad), "--trust", str(trust)]) == 1
+            verdicts.append(capsys.readouterr().out)
+        assert verdicts[0] == verdicts[1] and "MalformedTrust" not in verdicts[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_structurally_valid_forged_rows_never_raise(self, recovery_run, data):
+        # Any anchor row, the ones the proof reads included, with any root,
+        # leaf count, round or signature its blob can hold.
+        bundle = json.loads(recovery_run["trust"].read_text())
+        rows = [(label, i) for label, log in sorted(bundle["anchors"].items()) for i in range(len(log))]
+        label, i = data.draw(st.sampled_from(rows), label="row")
+        c = Commitment.from_bytes(bytes.fromhex(bundle["anchors"][label][i]["commitment"]))
+        forged = dataclasses.replace(
+            c,
+            root=data.draw(st.sampled_from([c.root, bytes(32), bytes(b ^ 1 for b in c.root)]), label="root"),
+            leaf_count=data.draw(st.sampled_from([c.leaf_count, 0, 1, c.leaf_count + 1, 2**64 - 1]), label="leaf_count"),
+            round=data.draw(st.sampled_from([c.round, c.round + 1, 2**64 - 1]), label="round"),
+            signature=data.draw(st.sampled_from([c.signature, b"", bytes(64), c.signature[:-1]]), label="signature"),
+        )
+        bundle["anchors"][label][i] = commitment_row(label, forged)
+        mutated = recovery_run["base"] / "forged-trust.json"
+        mutated.write_text(json.dumps(bundle))
+        rc = main(["verify", "--proof", str(recovery_run["proof"]), "--trust", str(mutated)])
+        assert rc == (0 if forged == c else 1)
 
 # Small integers keep a mutated scenario's run short; the two large ones
 # cross MAX_NODE_ROUNDS whatever they replace.

@@ -21,7 +21,7 @@ SHA-256 calls, bytes sent):
 * ``centralized(10)`` at 10 / 80 rounds: (1.91, 1.92, 3.82, 35.5, 954) /
   (1.91, 1.91, 3.82, 35.8, 967);
 * ``federated(3, 3, 18)`` with ``audit_every=10`` at 30 / 120 rounds:
-  (1.97, 1.97, 6.35, 44.6, 1,414) / (1.97, 1.97, 6.65, 46.0, 1,443).
+  (1.97, 1.97, 6.29, 45.4, 1,414) / (1.97, 1.97, 6.63, 47.0, 1,443).
   While each chain audit walked the node's whole history, its folds read
   6.69 / 11.12 (+66%) and its SHA-256 calls 46.1 / 65.6.
 
