@@ -28,16 +28,17 @@ Proof vocabulary:
   committed by a later tree, with no receipt evidence involved.
 
 A link or hub proof is its holder chain and its window rounds.  The holder
-chain is the holder's commitments and, for each after the first, its link
-(``ChainLink``): the path of its first leaf, which the verifier computes
-from the commitment before it.  Each ``WindowRound`` holds the holder's
-signature, each issuer's receipt paths (``ReceiptPaths``) and the round's
-evidence proof.  A proof holds no whole receipt: the verifier rebuilds the
+chain (``HolderChain``) is the holder's commitments and, for each after the
+first, its link (``ChainLink``): the path of its first leaf, which the
+verifier computes from the commitment before it.  Each ``WindowRound``
+holds the holder's signature, each issuer's receipt paths (``ReceiptPaths``)
+and the round's evidence proof.  A proof holds no whole receipt: the verifier rebuilds the
 round's submission from its holder chain commitment and that signature,
 checks the paths against its trusted issuer commitment, and joins the three
 into the receipt's evidence leaf.  Nor does it name its holder or window:
 its holder chain's first commitment gives the holder and first round, under
 the chain's signed head, and the window holds one round per window round.
+No proof record can be made in a shape its reader refuses or cannot make.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .hashtree import Digest, InclusionProof, fold_root, fold_sizes, leaf_hash, verify_inclusion
 from .keys import NodeId
 from .node import (
-    ChainLink,
     Commitment,
+    HolderChain,
     InvariantViolationError,
     KeyDirectory,
     NodeRecord,
@@ -57,8 +58,8 @@ from .node import (
     ReceiptPaths,
     Submission,
     Verdict,
-    MAX_COMMITMENT,
     MAX_SIGNATURE,
+    NO_HOLDER_OR_WINDOW,
     _check_receipt_inclusions,
     _manifest_leaf,
     commitment_digest,
@@ -80,6 +81,7 @@ from .wire import (
     MAX_RECORD,
     Reader,
     WireError,
+    at_leaf,
     blobs,
     decode,
     digest,
@@ -162,41 +164,25 @@ def _read_rounds(r: Reader, issuers: int, limit: int) -> tuple[WindowRound, ...]
     return r.many(read_round, "window rounds", MAX_ITEMS)
 
 
-def _chain_bytes(holder: "LinkProof | HubProof") -> list[bytes]:
-    """A holder chain as parts, for one join: a u32 count and each
-    commitment's blob, then each link, whose count the commitments' fixes."""
-    chain, links = holder.holder_chain, holder.links
-    if len(links) != max(len(chain) - 1, 0):
-        raise WireError("a holder chain holds one link per commitment after the first")
-    return blobs([c._encoding for c in chain]) + [link._encoding for link in links]
-
-
-def _read_held(r: Reader, issuers: int, limit: int) -> tuple[tuple[Commitment, ...], tuple[ChainLink, ...], tuple[WindowRound, ...]]:
-    """A holder chain, then its window rounds as ``_read_rounds`` reads them,
-    refused unless each holds one: they name the proof's holder and window."""
-    chain = r.many(lambda r: r.nested(Commitment.read, MAX_COMMITMENT), "holder chain commitments", MAX_ITEMS)
-    links = tuple([ChainLink.read(r) for _ in range(len(chain) - 1)])
-    rounds = _read_rounds(r, issuers, limit)
-    if not chain or not rounds:
-        raise WireError("a link or hub proof needs a holder chain entry and a window round")
-    return chain, links, rounds
-
-
 class _Held:
     """The holder and window of a link or hub proof, read from its holder
     chain: the first commitment's node and round, and one round per window round."""
 
     @property
     def holder_id(self) -> NodeId:
-        return self.holder_chain[0].node_id
+        return self.holder_chain.commitments[0].node_id
 
     @property
     def window_start(self) -> int:
-        return self.holder_chain[0].round
+        return self.holder_chain.commitments[0].round
 
     @property
     def window_end(self) -> int:
         return self.window_start + len(self.rounds) - 1
+
+    def __post_init__(self) -> None:
+        if not self.rounds:
+            raise WireError(NO_HOLDER_OR_WINDOW)
 
 
 @dataclass(frozen=True)
@@ -204,16 +190,20 @@ class LinkProof(_Held):
     """Evidence for one periodic link over holder rounds [start, end]."""
 
     issuer_id: NodeId
-    holder_chain: tuple[Commitment, ...]  # rounds start .. end + EVIDENCE_LAG
-    links: tuple[ChainLink, ...]  # rounds start + 1 .. end + EVIDENCE_LAG
+    holder_chain: HolderChain  # rounds start .. end + EVIDENCE_LAG
     rounds: tuple[WindowRound, ...]  # one per window round, each with the issuer's receipt paths
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if any(len(rnd.receipts) != 1 for rnd in self.rounds):
+            raise WireError("a link proof round holds one receipt's paths")
+
     def to_bytes(self) -> bytes:
-        return b"".join([digest(self.issuer_id), *_chain_bytes(self), *_rounds_bytes(self.rounds)])
+        return b"".join([digest(self.issuer_id), *self.holder_chain.parts(), *_rounds_bytes(self.rounds)])
 
     @staticmethod
     def read(r: Reader) -> "LinkProof":
-        return LinkProof(r.digest(), *_read_held(r, 1, MAX_RECORD))
+        return LinkProof(r.digest(), HolderChain.read(r), _read_rounds(r, 1, MAX_RECORD))
 
 
 _ByRound = Mapping[int, Commitment]  # a node's commitments by round
@@ -234,10 +224,8 @@ def hop_windows(start_round: int, window_len: int, hops: int) -> list[tuple[int,
     return [(start_round + i, start_round + i + window_len - 1) for i in range(hops)]
 
 
-def _holder_chain(
-    holder_records: Sequence[NodeRecord], window: tuple[int, int]
-) -> tuple[tuple[Commitment, ...], tuple[ChainLink, ...]]:
-    """The commitments of unpruned rounds start .. last_holder_round(window), and the links of all but the first."""
+def _holder_chain(holder_records: Sequence[NodeRecord], window: tuple[int, int]) -> HolderChain:
+    """The holder chain of unpruned rounds start .. last_holder_round(window)."""
     start, end = window
     if start > end or start < 0:
         raise ValueError(f"bad window {window}")
@@ -250,7 +238,7 @@ def _holder_chain(
     for record in records:
         if record.link is None:
             raise InvariantViolationError(f"round {record.round} was pruned; cannot build a holder chain")
-    return tuple([record.commitment for record in records]), tuple([record.link for record in records[1:]])
+    return HolderChain(tuple([record.commitment for record in records]), tuple([record.link for record in records[1:]]))
 
 
 def _not_one_run(r: int) -> ValueError:
@@ -307,8 +295,8 @@ def build_link_proof(
     window: tuple[int, int],
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> LinkProof:
-    chain, links = _holder_chain(holder_records, window)
-    return LinkProof(issuer_id, chain, links, _window_rounds(holder_records, (issuer_id,), window, receipts))
+    chain = _holder_chain(holder_records, window)
+    return LinkProof(issuer_id, chain, _window_rounds(holder_records, (issuer_id,), window, receipts))
 
 
 class _Call:
@@ -355,23 +343,20 @@ def verify_link(proof: LinkProof, trusted: Mapping[int, Commitment], directory: 
 
 def _check_link(proof: LinkProof, trusted: _ByRound, call: _Call) -> Verdict:
     """Every check of a link but its head's signature."""
-    verdict = _check_holder_chain(proof, call)
-    if verdict and any(len(rnd.receipts) != 1 for rnd in proof.rounds):  # a decoded link round holds one
-        verdict = Verdict.failed("WindowInvalid", "one receipt per round required")
-    return verdict and _check_rounds(proof, ((proof.issuer_id, trusted),), call)
+    return _check_holder_chain(proof, call) and _check_rounds(proof, ((proof.issuer_id, trusted),), call)
 
 
 def _check_holder_chain(holder: "LinkProof | HubProof", call: _Call) -> Verdict:
-    """The holder chain holds a commitment per window round, of which there is
-    one at least, and EVIDENCE_LAG more, each the first one's node's, linked
-    up.  A head with no key bound at its round fails here, with no Ed25519 check."""
-    if not holder.rounds or len(holder.holder_chain) != len(holder.rounds) + EVIDENCE_LAG:
+    """The holder chain holds a commitment per window round and EVIDENCE_LAG
+    more, each the first one's node's, linked up.  A head with no key bound
+    at its round fails here, with no Ed25519 check."""
+    if len(holder.holder_chain.commitments) != len(holder.rounds) + EVIDENCE_LAG:
         return Verdict.failed("WindowInvalid", "holder chain does not cover the window")
-    for c in holder.holder_chain:
+    for c in holder.holder_chain.commitments:
         if c.node_id != holder.holder_id:
             return Verdict.failed("HolderMismatch", "chain entry from another node")
-    verdict = verify_chain_links(holder.holder_chain, holder.links, call)
-    head = holder.holder_chain[-1]
+    verdict = verify_chain_links(holder.holder_chain, call)
+    head = holder.holder_chain.commitments[-1]
     if verdict and call.directory.key_at(head.node_id, head.round) is None:
         return verify_chain_head(holder.holder_chain, call.directory)
     return verdict
@@ -391,7 +376,7 @@ def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId
     trusted issuer commitments) pair in ``issuers``, then the evidence proof
     against commitment r + EVIDENCE_LAG.  Only the head's signature vouches
     for its leaf count: if that count may fail the last evidence, it is checked there."""
-    s, chain = holder.window_start, holder.holder_chain
+    s, chain = holder.window_start, holder.holder_chain.commitments
     for c, (signature, receipts, evidence), retaining in zip(chain, holder.rounds, chain[EVIDENCE_LAG:]):
         r = c.round
         sub = submission_of(c, signature)
@@ -413,7 +398,7 @@ def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId
             leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, receipt_paths(paths, issuer_c.leaf_count))))
         if not call.proves(retaining, leaf_hashes, evidence):
             if retaining is chain[-1] and _folds_at_another_leaf_count(retaining, leaf_hashes, evidence):
-                verdict = verify_chain_head(chain, call)
+                verdict = verify_chain_head(holder.holder_chain, call)
                 if not verdict:
                     return _part_failed(holder, "holder chain", verdict.reason, verdict.detail)
             what = "receipts" if isinstance(holder, HubProof) else "receipt"
@@ -435,26 +420,26 @@ class HubProof(_Held):
 
     manifest: tuple[NodeId, ...]
     manifest_proofs: tuple[InclusionProof, ...]  # manifest leaf, one per window round
-    holder_chain: tuple[Commitment, ...]  # rounds start .. end + EVIDENCE_LAG
-    links: tuple[ChainLink, ...]  # rounds start + 1 .. end + EVIDENCE_LAG
+    holder_chain: HolderChain  # rounds start .. end + EVIDENCE_LAG
     rounds: tuple[WindowRound, ...]  # one per window round, each with every manifest issuer's receipt paths
 
-    def to_bytes(self) -> bytes:
+    def __post_init__(self) -> None:
         if not self.manifest:
             raise WireError("a hub proof needs at least one link")
-        parts = [digests(self.manifest), prefix(len(self.manifest_proofs))]
-        parts += [encode_inclusion_proof(proof, MANIFEST_LEAF_INDEX) for proof in self.manifest_proofs]
-        parts += _chain_bytes(self)
-        parts += _rounds_bytes(self.rounds)
-        return b"".join(parts)
+        for proof in self.manifest_proofs:
+            at_leaf(proof, MANIFEST_LEAF_INDEX)
+        super().__post_init__()
+
+    def to_bytes(self) -> bytes:
+        proofs = [encode_inclusion_proof(proof, MANIFEST_LEAF_INDEX) for proof in self.manifest_proofs]
+        chain, rounds = self.holder_chain.parts(), _rounds_bytes(self.rounds)
+        return b"".join([digests(self.manifest), prefix(len(proofs)), *proofs, *chain, *rounds])
 
     @staticmethod
     def read(r: Reader) -> "HubProof":
         manifest = r.digests("manifest ids", MAX_ITEMS)
-        if not manifest:
-            raise WireError("a hub proof needs at least one link")
         manifest_proofs = r.many(lambda r: read_inclusion_proof(r, MANIFEST_LEAF_INDEX), "manifest proofs", MAX_ITEMS)
-        return HubProof(manifest, manifest_proofs, *_read_held(r, len(manifest), MAX_LINK))
+        return HubProof(manifest, manifest_proofs, HolderChain.read(r), _read_rounds(r, len(manifest), MAX_LINK))
 
 
 def build_hub_proof(
@@ -462,7 +447,7 @@ def build_hub_proof(
     window: tuple[int, int],
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> HubProof:
-    chain, links = _holder_chain(holder_records, window)
+    chain = _holder_chain(holder_records, window)
     start, end = window
     manifest = holder_records[start].state.manifest
     if not manifest:
@@ -474,7 +459,7 @@ def build_hub_proof(
             raise ValueError(f"manifest changed inside window at round {r}")
         proofs.append(record.tree.prove_inclusion(MANIFEST_LEAF_INDEX))
     rounds = _window_rounds(holder_records, manifest, window, receipts)
-    return HubProof(manifest, tuple(proofs), chain, links, rounds)
+    return HubProof(manifest, tuple(proofs), chain, rounds)
 
 
 def verify_hub(
@@ -499,20 +484,17 @@ def _check_hub(proof: HubProof, trusted: Mapping[NodeId, Mapping[int, Commitment
         return Verdict.failed("WindowInvalid", "one manifest proof per round required")
     if tuple(sorted(proof.manifest)) != proof.manifest or len(set(proof.manifest)) != len(proof.manifest):
         return Verdict.failed("ManifestMismatch", "manifest not in canonical order")
+    # A decoded round holds one receipt's paths per issuer; a hub held in
+    # memory that leaves a committed link out is refused here, by name.
     if any(len(rnd.receipts) != len(proof.manifest) for rnd in proof.rounds):
         return Verdict.failed("ManifestMismatch", "presented links do not match the committed manifest")
-    if not proof.manifest:
-        return Verdict.failed("ManifestMismatch", "no links presented")
     verdict = _check_holder_chain(proof, call)
     if not verdict:
         return _wrapped("LinkFailed", "holder chain", verdict)
     manifest_hash = (leaf_hash(_manifest_leaf(proof.manifest)),)
-    for c, m_proof in zip(proof.holder_chain, proof.manifest_proofs):
-        r = c.round
-        if m_proof.leaf_index != MANIFEST_LEAF_INDEX:
-            return Verdict.failed("ManifestMismatch", f"manifest proof at wrong position for round {r}")
+    for c, m_proof in zip(proof.holder_chain.commitments, proof.manifest_proofs):
         if not call.proves(c, manifest_hash, m_proof):
-            return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {r}")
+            return Verdict.failed("ManifestMismatch", f"committed manifest differs at round {c.round}")
     issuers = [(issuer_id, trusted.get(issuer_id)) for issuer_id in proof.manifest]
     for issuer_id, issuer_trust in issuers:
         if issuer_trust is None:
@@ -534,6 +516,10 @@ class ChainProof:
 
     hops: tuple[LinkProof, ...]
 
+    def __post_init__(self) -> None:
+        if not self.hops:
+            raise WireError("a chain proof needs at least one hop")
+
     @property
     def holder_id(self) -> NodeId:
         return self.hops[0].holder_id
@@ -547,10 +533,7 @@ class ChainProof:
 
     @staticmethod
     def read(r: Reader) -> "ChainProof":
-        hops = r.many(lambda r: r.nested(LinkProof.read, MAX_LINK), "hops", MAX_ITEMS)
-        if not hops:
-            raise WireError("a chain proof needs at least one hop")
-        return ChainProof(hops=hops)
+        return ChainProof(r.many(lambda r: r.nested(LinkProof.read, MAX_LINK), "hops", MAX_ITEMS))
 
 
 def build_chain_proof(
@@ -588,27 +571,20 @@ def verify_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], di
 
 
 def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], call: _Call) -> Verdict:
-    if not proof.hops:
-        return Verdict.failed("BrokenHop", "no hops")
     base = proof.hops[0]
     for i, hop in enumerate(proof.hops):
-        if not hop.holder_chain or (hop.window_start, hop.window_end) != (base.window_start + i, base.window_end + i):
+        if (hop.window_start, hop.window_end) != (base.window_start + i, base.window_end + i):
             return Verdict.failed("BrokenHop", f"hop {i} window does not shift by one round per hop")
         if i > 0 and proof.hops[i - 1].issuer_id != hop.holder_id:
             return Verdict.failed("BrokenHop", f"hop {i - 1} issuer is not hop {i} holder")
-    last = proof.hops[-1]
-    by_hop = [_by_round(hop.holder_chain) for hop in proof.hops[1:]]  # hop i + 1's vouches for hop i's issuer
-    verdict = _check_link(last, trusted_anchor, call)
-    if not verdict:
-        if verdict.reason == "TrustedRootUnavailable":
-            return Verdict.failed(
-                "InsufficientLatency",
-                f"{verdict.detail}; chain of {len(proof.hops)} hops "
-                f"needs an anchor commitment at round >= {last.window_end + 1}",
-            )
-        return _wrapped("BrokenHop", f"hop {len(proof.hops) - 1}", verdict)
-    for i in range(len(proof.hops) - 2, -1, -1):
-        verdict = _check_link(proof.hops[i], by_hop[i], call)
+    last = len(proof.hops) - 1
+    # Hop i + 1's holder chain vouches for hop i's issuer, and the anchor's log for the last hop's.
+    trust = [*(_by_round(hop.holder_chain.commitments) for hop in proof.hops[1:]), trusted_anchor]
+    for i in range(last, -1, -1):
+        verdict = _check_link(proof.hops[i], trust[i], call)
+        if i == last and verdict.reason == "TrustedRootUnavailable":
+            needs = f"chain of {len(proof.hops)} hops needs an anchor commitment at round >= {proof.hops[i].window_end + 1}"
+            return Verdict.failed("InsufficientLatency", f"{verdict.detail}; {needs}")
         if not verdict:
             return _wrapped("BrokenHop", f"hop {i}", verdict)
     for i in reversed(range(len(proof.hops))):

@@ -35,7 +35,7 @@ from .node import (
     credential_leaf_index,
     revocation_leaf_index,
 )
-from .sexpr import Expr, evaluate, unparse
+from .sexpr import Expr, unparse
 
 __all__ = [
     "Credential",
@@ -235,12 +235,8 @@ class RecoveryPolicy:
         return sha256(unparse(self.expr()).encode("utf-8"))
 
     def decide(self, endorsed: Sequence[NodeId]) -> bool:
-        """Evaluate the policy expression against the endorsing set."""
-        granted = set(endorsed)
-        substituted: Expr = ("threshold", self.threshold) + tuple(
-            "true" if g in granted else "false" for g in self.guardians
-        )
-        return bool(evaluate(substituted))
+        """Whether the endorsing set holds ``threshold`` of the guardians, as ``expr()`` states."""
+        return len(set(endorsed) & set(self.guardians)) >= self.threshold
 
 
 def _recovery_message(old_id: NodeId, new_verify_key: bytes) -> bytes:
@@ -276,7 +272,7 @@ def verify_recovery(
     directory: KeyDirectory,
     policy_digest: Optional[Digest] = None,
 ) -> Verdict:
-    """Check endorsements and evaluate the committed policy.
+    """Check endorsements and decide by the committed policy.
 
     ``policy_digest``, when given, pins the certificate's policy to the one
     the node committed; a substituted policy fails even if self-consistent.

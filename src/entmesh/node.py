@@ -5,7 +5,8 @@ fixed leaf layout, committed as a Merkle root, and signed.  The first leaf
 of every tree is the digest of the previous round's commitment, so the
 per-round roots form a tamper-evident chain: substituting any historical
 round breaks verification at the next one.  A holder chain is a run of
-commitments and, for each after the first, its first leaf's path (``ChainLink``).
+commitments and, for each after the first, its first leaf's path (``ChainLink``):
+a ``HolderChain``.
 
 Leaf layout (tags distinguish every leaf kind; see docs/FORMATS.md):
 
@@ -29,8 +30,12 @@ from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, leaf_hash
 from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
 from .sexpr import Expr, encode_tree
 from .wire import (
+    MAX_ITEMS,
     Head,
     Reader,
+    WireError,
+    at_leaf,
+    blobs,
     bounded,
     decode,
     digest,
@@ -44,6 +49,7 @@ from .wire import (
 __all__ = [
     "ChainLink",
     "Commitment",
+    "HolderChain",
     "InvariantViolationError",
     "KeyDirectory",
     "Node",
@@ -535,12 +541,14 @@ def _check_receipt_inclusions(submission_hash: Digest, paths: ReceiptPaths, c: C
 class ChainLink:
     """The path of a commitment's first leaf, which holds the digest of the one
     before it in a holder chain.  The verifier computes that leaf, so a link is
-    the path at index 0, encoded without the index.  Made with its record."""
+    the path at index 0, encoded without the index, and made only there, even
+    from a reader's bytes.  Made with its record."""
 
     proof: InclusionProof
     encoding: InitVar[Optional[bytes]] = None
 
     def __post_init__(self, encoding: Optional[bytes]) -> None:
+        at_leaf(self.proof, 0)
         if encoding is None:
             encoding = encode_inclusion_proof(self.proof, 0)
         object.__setattr__(self, "_encoding", encoding)
@@ -554,34 +562,56 @@ class ChainLink:
         return ChainLink(read_inclusion_proof(r, 0), encoding=r.since(start))
 
 
-def verify_chain_entries(chain: Sequence[Commitment], links: Sequence[ChainLink], directory: KeyDirectory) -> Verdict:
+NO_HOLDER_OR_WINDOW = "a link or hub proof needs a holder chain entry and a window round"
+
+
+@dataclass(frozen=True)
+class HolderChain:
+    """A run of commitments and, for each after the first, its link: what a
+    link or hub proof holds and an audit walks.  Made only with a commitment
+    and one link per commitment after it, so no check meets another shape."""
+
+    commitments: tuple[Commitment, ...]
+    links: tuple[ChainLink, ...]
+
+    def __post_init__(self) -> None:
+        if not self.commitments:
+            raise WireError(NO_HOLDER_OR_WINDOW)
+        if len(self.links) != len(self.commitments) - 1:
+            raise WireError("a holder chain holds one link per commitment after the first")
+
+    def parts(self) -> list[bytes]:
+        """A u32 count and each commitment's blob, then each link: the parts, for one join."""
+        return blobs([c._encoding for c in self.commitments]) + [link._encoding for link in self.links]
+
+    @staticmethod
+    def read(r: Reader) -> "HolderChain":
+        commitments = r.many(lambda r: r.nested(Commitment.read, MAX_COMMITMENT), "holder chain commitments", MAX_ITEMS)
+        return HolderChain(commitments, tuple([ChainLink.read(r) for _ in range(len(commitments) - 1)]))
+
+
+def verify_chain_entries(chain: HolderChain, directory: KeyDirectory) -> Verdict:
     """Check that a holder chain links up, then its head's signature, which covers
     the whole run through the links.  A proof verifier calls the two parts apart."""
-    return verify_chain_links(chain, links, directory) and verify_chain_head(chain, directory)
+    return verify_chain_links(chain, directory) and verify_chain_head(chain, directory)
 
 
-def verify_chain_links(chain: Sequence[Commitment], links: Sequence[ChainLink], directory: KeyDirectory) -> Verdict:
+def verify_chain_links(chain: HolderChain, directory: KeyDirectory) -> Verdict:
     """The links of a holder chain, each folded once through ``directory.proves``.
-    Reasons: RoundGap (rounds are not consecutive), ChainBreak (no commitments,
-    other than one link per commitment after the first, a link not at leaf 0,
-    or one whose first leaf is not the previous commitment's digest)."""
-    if not chain:
-        return Verdict.failed("ChainBreak", "empty chain")
-    if len(links) != len(chain) - 1:
-        return Verdict.failed("ChainBreak", f"{len(links)} links for {len(chain)} commitments")
-    for previous, c, link in zip(chain, chain[1:], links):
+    Reasons: RoundGap (rounds are not consecutive), ChainBreak (a link whose
+    first leaf is not the previous commitment's digest)."""
+    commitments = chain.commitments
+    for previous, c, link in zip(commitments, commitments[1:], chain.links):
         if c.round != previous.round + 1:
             return Verdict.failed("RoundGap", f"round {c.round} after {previous.round}")
-        if link.proof.leaf_index != 0:
-            return Verdict.failed("ChainBreak", f"first-leaf proof at wrong position, round {c.round}")
         if not directory.proves(c, (leaf_hash(bytes([LEAF_PREV]) + commitment_digest(previous)),), link.proof):
             return Verdict.failed("ChainBreak", f"round {c.round} does not chain")
     return Verdict.passed()
 
 
-def verify_chain_head(chain: Sequence[Commitment], directory: KeyDirectory) -> Verdict:
+def verify_chain_head(chain: HolderChain, directory: KeyDirectory) -> Verdict:
     """BadSignature unless the head, the last commitment, verifies under the key bound at its round."""
-    head = chain[-1]
+    head = chain.commitments[-1]
     if not directory.verify_commitment(head):
         return Verdict.failed("BadSignature", f"round {head.round}")
     return Verdict.passed()

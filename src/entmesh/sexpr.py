@@ -16,19 +16,15 @@ from typing import Iterator, Union
 from .hashtree import MerkleTree
 
 __all__ = [
-    "EvalError",
     "Expr",
     "ParseError",
-    "Value",
     "encode_tree",
-    "evaluate",
     "parse",
     "tokens_of",
     "unparse",
 ]
 
 Expr = Union[int, str, bytes, tuple]
-Value = Union[int, bool, bytes]
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _HEX_RE = re.compile(r"#x(?:[0-9a-fA-F]{2})*\Z")
@@ -42,10 +38,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class EvalError(ValueError):
-    pass
 
 
 def _byte_offset(text: str, index: int) -> int:
@@ -130,7 +122,7 @@ def tokens_of(expr: Expr) -> list[str]:
         if e is _CLOSE:
             out.append(")")
         elif isinstance(e, bool):
-            raise ValueError("booleans are values, not expressions; use the symbols true/false")
+            raise ValueError("booleans are not expressions")
         elif isinstance(e, int):
             out.append(str(e))
         elif isinstance(e, str):
@@ -162,83 +154,3 @@ def unparse(expr: Expr) -> str:
 def encode_tree(expr: Expr) -> MerkleTree:
     """Content-address an expression: one leaf per canonical token."""
     return MerkleTree([t.encode("utf-8") for t in tokens_of(expr)])
-
-
-def _want_int(v: Value, op: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise EvalError(f"{op}: expected integer, got {v!r}")
-    return v
-
-
-def _want_bool(v: Value, op: str) -> bool:
-    if not isinstance(v, bool):
-        raise EvalError(f"{op}: expected boolean, got {v!r}")
-    return v
-
-
-def evaluate(expr: Expr) -> Value:
-    """Evaluate a closed expression down to an integer, boolean, or bytes."""
-    if isinstance(expr, bool):
-        raise EvalError("booleans are not source expressions")
-    if isinstance(expr, int):
-        return expr
-    if isinstance(expr, bytes):
-        return expr
-    if isinstance(expr, str):
-        if expr == "true":
-            return True
-        if expr == "false":
-            return False
-        raise EvalError(f"unbound symbol {expr!r}")
-    if not isinstance(expr, tuple):
-        raise EvalError(f"not an expression: {expr!r}")
-    if not expr:
-        raise EvalError("cannot evaluate the empty list")
-    head = expr[0]
-    if not isinstance(head, str):
-        raise EvalError(f"operator must be a symbol, got {head!r}")
-    args = [evaluate(a) for a in expr[1:]]
-
-    if head == "+":
-        return sum(_want_int(a, head) for a in args)
-    if head == "*":
-        product = 1
-        for a in args:
-            product *= _want_int(a, head)
-        return product
-    if head == "-":
-        if not args:
-            raise EvalError("-: needs at least one argument")
-        first = _want_int(args[0], head)
-        if len(args) == 1:
-            return -first
-        for a in args[1:]:
-            first -= _want_int(a, head)
-        return first
-    if head in (">=", "<="):
-        if len(args) != 2:
-            raise EvalError(f"{head}: needs exactly two arguments")
-        a, b = (_want_int(x, head) for x in args)
-        return a >= b if head == ">=" else a <= b
-    if head == "=":
-        if len(args) != 2:
-            raise EvalError("=: needs exactly two arguments")
-        a, b = args
-        if isinstance(a, bool) != isinstance(b, bool) or isinstance(a, bytes) != isinstance(b, bytes):
-            raise EvalError("=: mismatched argument types")
-        return a == b
-    if head == "and":
-        return all(_want_bool(a, head) for a in args)
-    if head == "or":
-        return any(_want_bool(a, head) for a in args)
-    if head == "not":
-        if len(args) != 1:
-            raise EvalError("not: needs exactly one argument")
-        return not _want_bool(args[0], head)
-    if head == "threshold":
-        if not args:
-            raise EvalError("threshold: needs a count argument")
-        m = _want_int(args[0], head)
-        votes = sum(1 for a in args[1:] if _want_bool(a, head))
-        return votes >= m
-    raise EvalError(f"unknown operator {head!r}")

@@ -37,6 +37,7 @@ from ..identity import CredentialRegistry
 from ..keys import Ed25519Scheme, NodeId, keypair_from_seed
 from ..node import (
     Commitment,
+    HolderChain,
     KeyDirectory,
     Node,
     NodeRecord,
@@ -337,9 +338,11 @@ class Simulation:
         first = max(start, 1)
         while first < len(records) and records[first].link is None:
             first += 1
-        links = [record.link for record in records[first:]]
-        chain = [record.commitment for record in records[first - 1 :]]
-        return verify_chain_entries(chain, links, self._verifier) if links else Verdict.passed()
+        if first >= len(records):
+            return Verdict.passed()
+        commitments = tuple([record.commitment for record in records[first - 1 :]])
+        chain = HolderChain(commitments, tuple([record.link for record in records[first:]]))
+        return verify_chain_entries(chain, self._verifier)
 
     def _phase_audit_and_prune(self, r: int) -> None:
         if r < 1:

@@ -25,6 +25,7 @@ __all__ = [
     "Head",
     "Reader",
     "WireError",
+    "at_leaf",
     "blobs",
     "bounded",
     "decode",
@@ -247,13 +248,18 @@ def encode_inclusion_proof(proof: InclusionProof, index: Optional[int] = None) -
             head = _INDEXED_PATH_HEAD.pack(leaf_index, count)
         except struct.error:
             raise WireError(f"u64 out of range: {leaf_index}") from None
-    elif leaf_index != index:
-        raise WireError(f"path at leaf {leaf_index}, not at leaf {index}")
     else:
+        at_leaf(proof, index)
         head = prefix(count)
     if count > MAX_AUDIT_STEPS:
         raise WireError(f"too many audit steps: {count}")
     return head + _joined_digests(siblings)
+
+
+def at_leaf(proof: InclusionProof, index: int) -> None:
+    """Refuse ``proof`` unless it is at ``index``, the leaf the format fixes for it."""
+    if proof.leaf_index != index:
+        raise WireError(f"path at leaf {proof.leaf_index}, not at leaf {index}")
 
 
 def read_inclusion_proof(r: Reader, index: Optional[int] = None) -> InclusionProof:

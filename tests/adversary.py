@@ -1,10 +1,11 @@
 """Builders for inputs no honest node makes, shared by the test modules.
 
 Signed trees a real key signs but no honest build makes, records held in
-memory with bytes their encoder refuses to write, forged signatures and
-commitments, proofs with one part swapped or composed field by field, the
-every-entry reference rule for holder chains, and two reference audits: the
-whole-history walk, and the audit that reads each record's own prev digest.
+memory with bytes their encoder refuses to write, proof bytes no encoder
+writes, forged signatures and commitments, proofs with one part swapped or
+composed field by field, the every-entry reference rule for holder chains,
+and two reference audits: the whole-history walk, and the audit that reads
+each record's own prev digest.
 pytest does not collect this file: its name has no ``test_`` prefix.
 """
 
@@ -19,6 +20,7 @@ from entmesh.node import (
     MANIFEST_LEAF_INDEX,
     ChainLink,
     Commitment,
+    HolderChain,
     Receipt,
     ReceiptPaths,
     Verdict,
@@ -28,6 +30,7 @@ from entmesh.node import (
     verify_chain_head,
     verify_chain_links,
 )
+from entmesh.wire import prefix
 
 DECOY = sha256(b"decoy")
 
@@ -75,6 +78,22 @@ def forge_at(items, index, forge):
     return swap(items, index, forge(items[index]))
 
 
+def with_chain(proof, **changes):
+    """``proof`` with its holder chain's ``commitments`` or ``links`` changed by ``changes``."""
+    return dataclasses.replace(proof, holder_chain=dataclasses.replace(proof.holder_chain, **changes))
+
+
+def emptied_bytes(part, empty):
+    """The bytes of link or hub proof ``part`` with its holder chain, or its
+    window rounds, written as none: a zeroed u32 count.  No proof with
+    either empty can be made, so none can be encoded."""
+    blob, chain = part.to_bytes(), b"".join(part.holder_chain.parts())
+    at = blob.index(chain)
+    if empty == "holder_chain":
+        return blob[:at] + prefix(0) + blob[at + len(chain) :]
+    return blob[:at] + chain + prefix(0)
+
+
 def with_round(proof, index, **changes):
     """``proof`` with its window round ``index`` changed by ``changes``."""
     return dataclasses.replace(proof, rounds=forge_at(proof.rounds, index, lambda rnd: rnd._replace(**changes)))
@@ -85,13 +104,13 @@ def forged_round_submission(proof, index):
     return with_round(proof, index, signature=flip(proof.rounds[index].signature))
 
 
-def every_entry_rule(chain, links, directory):
+def every_entry_rule(chain, directory):
     """The slow reference for a holder chain: ``verify_chain_links``, then
     ``every_entry_signature``.  It refuses what ``verify_chain_entries``
     refuses, and more only when an inner commitment's signature is bad under
     a head that the holder's key signed.
     """
-    return verify_chain_links(chain, links, directory) and every_entry_signature(chain, directory)
+    return verify_chain_links(chain, directory) and every_entry_signature(chain, directory)
 
 
 def every_entry_signature(chain, directory):
@@ -101,7 +120,7 @@ def every_entry_signature(chain, directory):
     verdict = verify_chain_head(chain, directory)
     if not verdict:
         return verdict
-    for c in chain[:-1]:
+    for c in chain.commitments[:-1]:
         if not directory.verify_commitment(c):
             return Verdict.failed("BadSignature", f"round {c.round}")
     return verdict
@@ -120,8 +139,8 @@ def full_history_audit(sim, r, rule):
         walked = [i for i in range(1, len(records)) if records[i].link is not None]
         if not walked:
             continue
-        chain = [records[i].commitment for i in [walked[0] - 1, *walked]]
-        verdict = rule(chain, [records[i].link for i in walked], sim._verifier)
+        chain = HolderChain(tuple(records[i].commitment for i in [walked[0] - 1, *walked]), tuple(records[i].link for i in walked))
+        verdict = rule(chain, sim._verifier)
         if not verdict:
             sim._event("ChainAuditFailed", node=label, reason=verdict.reason)
 
@@ -152,7 +171,7 @@ def own_prev_digest_audit(sim, label, start):
         if previous is None and c.round == 0 and prev_digest != ZERO_DIGEST:
             return Verdict.failed("ChainBreak", "round 0 must chain from the zero digest")
         previous = c
-    return verify_chain_head([previous], sim._verifier)
+    return verify_chain_head(HolderChain((previous,), ()), sim._verifier)
 
 
 def chain_of_links(sim, links):
@@ -195,7 +214,8 @@ def hub_proof_in_manifest_order(node, manifest, window):
         rounds.append(WindowRound(receipts[0].submission.signature, tuple(rc.paths for rc in receipts), evidence))
     proofs = tuple(node.records[r].tree.prove_inclusion(MANIFEST_LEAF_INDEX) for r in range(start, end + 1))
     held = node.records[start : end + EVIDENCE_LAG + 1]
-    return HubProof(manifest, proofs, tuple(r.commitment for r in held), tuple(r.link for r in held[1:]), tuple(rounds))
+    chain = HolderChain(tuple(r.commitment for r in held), tuple(r.link for r in held[1:]))
+    return HubProof(manifest, proofs, chain, tuple(rounds))
 
 
 def retained_at_round_4(holder, proof, honest, receipt):
@@ -207,8 +227,9 @@ def retained_at_round_4(holder, proof, honest, receipt):
     tree_4, c_4 = signed_tree(holder, 4, leaves)
     at = leaves.index(receipt.leaf_bytes())
     last = WindowRound(receipt.submission.signature, (receipt.paths,), tree_4.prove_range(at, at + 1))
-    chain, links = proof.holder_chain[:3] + (c_4,), proof.links[:2] + (ChainLink(tree_4.prove_inclusion(0)),)
-    return dataclasses.replace(proof, holder_chain=chain, links=links, rounds=(proof.rounds[0], last))
+    held = proof.holder_chain
+    chain = HolderChain(held.commitments[:3] + (c_4,), held.links[:2] + (ChainLink(tree_4.prove_inclusion(0)),))
+    return dataclasses.replace(proof, holder_chain=chain, rounds=(proof.rounds[0], last))
 
 
 def link_over_a_submission_signed_by(net, holder_label, issuer_label, signer):

@@ -1,17 +1,19 @@
 """Mutation sweep over the proof verifiers' checks and the cost laws.
 
-Each mutant below drops one verifier or proof decoder check, the anchor
-row check ``entmesh verify`` makes before an OK, or the
-forwarding that equivocation detection relies on, makes one step cost
-more than a cost law allows, or makes ``entmesh prove`` stop its run before a round
-its proof reads is final, by rewriting one line of ``src/entmesh``.  For
+Each mutant below drops one verifier check, a shape rule that a proof
+record holds when it is made, the anchor row check ``entmesh verify``
+makes before an OK, or the forwarding that equivocation detection relies
+on, makes one step cost more than a cost law allows, or makes ``entmesh
+prove`` stop its run before a round its proof reads is final, by
+rewriting one line of ``src/entmesh``.  For
 each, the sweep copies ``src/`` to a temp directory, applies the rewrite
 there and runs the tests named for it; a mutant is killed when one of
 them fails.  The sweep fails if any mutant survives, if
 a listed line is not found exactly once (so a refactor cannot retire a
 mutant without this list saying so), or if the named tests do not all pass
-on the unmutated copy first.  A check added to a verifier adds its mutant
-here, and so does a cost the cost laws are meant to catch.
+on the unmutated copy first.  A check added to a verifier or a proof
+record adds its mutant here, and so does a cost the cost laws are meant
+to catch.
 
 Run from anywhere, with the test dependencies installed:
 
@@ -45,12 +47,13 @@ _ORDER = "tests/test_verify_order.py::TestProofsNoBuilderMakes::"
 _HEADS = "tests/test_verify_order.py::TestForgedSignatureKeepsItsReason::"
 _COST = "tests/test_cost_laws.py::"
 _PROVE = "tests/test_cli.py::TestProveRunsTheRoundsItReads::"
+_SHAPE = "tests/test_entangle.py::TestEachShapeRuleInOnePlace::test_one_text_however_made"
 
 MUTANTS = (
     Mutant(
         "chain: hop windows shift by one round per hop",
         "entangle.py",
-        "if not hop.holder_chain or (hop.window_start, hop.window_end) != (base.window_start + i, base.window_end + i):",
+        "if (hop.window_start, hop.window_end) != (base.window_start + i, base.window_end + i):",
         "if False:",
         (_ORDER + "test_unshifted_chain_is_a_broken_hop",),
     ),
@@ -71,7 +74,7 @@ MUTANTS = (
     Mutant(
         "holder chain: one commitment per window round and EVIDENCE_LAG more",
         "entangle.py",
-        "if not holder.rounds or len(holder.holder_chain) != len(holder.rounds) + EVIDENCE_LAG:",
+        "if len(holder.holder_chain.commitments) != len(holder.rounds) + EVIDENCE_LAG:",
         "if False:",
         ("tests/test_entangle.py::TestHubCodec::test_verifier_refuses_a_decoded_hub_with_one_evidence_proof_of_four",),
     ),
@@ -90,9 +93,9 @@ MUTANTS = (
         ("tests/test_verify_order.py::TestTheHeadVouchesForItsChain::test_link_across_a_key_rebind_verifies_under_the_heads_key",),
     ),
     Mutant(
-        "link: one receipt per window round",
+        "link: one receipt per window round (LinkProof, when made)",
         "entangle.py",
-        "if verdict and any(len(rnd.receipts) != 1 for rnd in proof.rounds):  # a decoded link round holds one",
+        "if any(len(rnd.receipts) != 1 for rnd in self.rounds):",
         "if False:",
         ("tests/test_entangle.py::TestLinkProof::test_one_submission_per_round_required",),
     ),
@@ -125,11 +128,25 @@ MUTANTS = (
         (_ORDER + "test_holder_signed_manifest_out_of_canonical_order",),
     ),
     Mutant(
-        "hub: manifest proofs at index 2",
+        "hub: manifest proofs at index 2 (HubProof, when made)",
         "entangle.py",
-        "if m_proof.leaf_index != MANIFEST_LEAF_INDEX:",
-        "if False:",
+        "at_leaf(proof, MANIFEST_LEAF_INDEX)",
+        "pass",
         (_ORDER + "test_manifest_path_at_another_index_is_misplaced",),
+    ),
+    Mutant(
+        "hub: a manifest of one link at least (HubProof, when made)",
+        "entangle.py",
+        "if not self.manifest:",
+        "if False:",
+        (_SHAPE + "[hub-of-an-empty-manifest]",),
+    ),
+    Mutant(
+        "hub: each round holds every committed issuer's receipt, which a hub held in memory may leave out",
+        "entangle.py",
+        "if any(len(rnd.receipts) != len(proof.manifest) for rnd in proof.rounds):",
+        "if False:",
+        ("tests/test_entangle.py::TestHubProof::test_dropping_any_link_is_detected",),
     ),
     Mutant(
         "hub: its holder chain's head signature, checked last",
@@ -153,11 +170,32 @@ MUTANTS = (
         (_HEADS + "test_head_at_a_leaf_count_its_link_folds_at[hub]",),
     ),
     Mutant(
-        "decoder: a link or hub proof holds the chain commitment and window round that name its holder and window",
+        "decoder: a link or hub proof holds the window round that names its window (the proof, when made)",
         "entangle.py",
-        "if not chain or not rounds:",
+        "if not self.rounds:",
         "if False:",
         ("tests/test_entangle.py::TestProofCodec::test_proof_with_no_holder_chain_entry_or_window_round_refused[rounds-hub]",),
+    ),
+    Mutant(
+        "decoder: a holder chain holds the commitment that names its holder (HolderChain, when made)",
+        "node.py",
+        "if not self.commitments:",
+        "if False:",
+        ("tests/test_entangle.py::TestProofCodec::test_proof_with_no_holder_chain_entry_or_window_round_refused[holder_chain-link]",),
+    ),
+    Mutant(
+        "holder chain: one link per commitment after the first (HolderChain, when made)",
+        "node.py",
+        "if len(self.links) != len(self.commitments) - 1:",
+        "if False:",
+        ("tests/test_node.py::TestCommitmentChains::test_one_link_per_commitment_after_the_first",),
+    ),
+    Mutant(
+        "chain: a hop at least (ChainProof, when made)",
+        "entangle.py",
+        "if not self.hops:",
+        "if False:",
+        (_SHAPE + "[chain-of-no-hop]",),
     ),
     Mutant(
         "receipt: the prev-leaf proof at index 0",
@@ -174,10 +212,10 @@ MUTANTS = (
         ("tests/test_verify_order.py::TestTheHeadVouchesForItsChain::test_inner_entry_with_a_bad_signature_under_a_signed_head[issuer]",),
     ),
     Mutant(
-        "chain rule (verify_chain_links, shared by audits and proofs): each link's path at index 0",
+        "chain rule: each link's path at index 0 (ChainLink, when made with its bytes)",
         "node.py",
-        "if link.proof.leaf_index != 0:",
-        "if False:",
+        "at_leaf(self.proof, 0)",
+        "pass",
         ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_chain_link_whose_path_is_not_at_index_0",),
     ),
     Mutant(

@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 from entmesh import cli
 from entmesh.cli import main
 from entmesh.config import MAX_NODE_ROUNDS, load_config
-from entmesh.entangle import ChainProof, HubProof, LinkProof, decode_proof, encode_proof
+from entmesh.entangle import ChainProof, HubProof, LinkProof, decode_proof
 from entmesh.keys import Ed25519Scheme
 from entmesh.ledger import LedgerError, commitment_row, load_trust_bundle
 from entmesh.node import Commitment
 from entmesh.wire import encode_inclusion_proof
+
+from adversary import emptied_bytes
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -609,7 +611,7 @@ class TestVerify:
         pristine = link_run["proof"].read_bytes()
         proof = decode_proof(pristine)
         prev_digest = proof.rounds[0].receipts[0].prev_digest
-        signature = proof.holder_chain[-1].signature
+        signature = proof.holder_chain.commitments[-1].signature
         for part, reason, checked in ((prev_digest, "ReceiptInvalid", 0), (signature, "BadSignature", 1)):
             assert pristine.count(part) == 1
             blob = bytearray(pristine)
@@ -712,7 +714,9 @@ class TestVerify:
     @pytest.mark.parametrize("empty", ["holder_chain", "rounds"])
     def test_proof_with_no_holder_chain_entry_or_window_round_is_malformed(self, link_run, tmp_path, capsys, kind, empty):
         # The first holder chain commitment names the holder and the window's
-        # first round, so a proof with no commitment, or no window round, names neither.
+        # first round, so a proof with no commitment, or no window round, names
+        # neither.  No such proof can be made, so its bytes are written here,
+        # with a zeroed u32 count.
         proof = tmp_path / "window.proof"
         if kind == "hub":
             prove = ["--config", str(SCENARIOS / "hub.yaml"), "--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"]
@@ -721,8 +725,8 @@ class TestVerify:
         else:
             proof = link_run["proof"]
         bad = tmp_path / "empty.proof"
-        emptied = {"holder_chain": (), "links": ()} if empty == "holder_chain" else {"rounds": ()}
-        bad.write_bytes(encode_proof(dataclasses.replace(decode_proof(proof.read_bytes()), **emptied)))
+        blob = proof.read_bytes()
+        bad.write_bytes(blob[:5] + emptied_bytes(decode_proof(blob), empty))
         expected = "FAIL: MalformedProof (a link or hub proof needs a holder chain entry and a window round)\n"
         assert main(["verify", "--proof", str(bad), "--trust", str(link_run["trust"])]) == 1
         assert capsys.readouterr().out == expected

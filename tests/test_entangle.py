@@ -6,6 +6,7 @@ engine bug or vice versa.
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -30,10 +31,10 @@ from entmesh.entangle import (
 )
 from entmesh.hashtree import sha256
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import MANIFEST_LEAF_INDEX, submission_of
-from entmesh.wire import MAX_RECORD, WireError
+from entmesh.node import MANIFEST_LEAF_INDEX, ChainLink, HolderChain, submission_of
+from entmesh.wire import MAX_RECORD, WireError, blobs, prefix
 
-from adversary import forged_commitment
+from adversary import emptied_bytes, forged_commitment, with_chain
 from test_wire import Writer
 
 
@@ -67,9 +68,9 @@ def with_round(proof, index, **changes):
     return dataclasses.replace(proof, rounds=tuple(rounds))
 
 
-def with_receipts(proof, pick):
-    """``proof`` with each window round holding ``pick(its receipts)``."""
-    return dataclasses.replace(proof, rounds=tuple(rnd._replace(receipts=pick(rnd.receipts)) for rnd in proof.rounds))
+def with_receipts(proof, pick, **changes):
+    """``proof`` with each window round holding ``pick(its receipts)``, and ``changes``."""
+    return dataclasses.replace(proof, rounds=tuple(rnd._replace(receipts=pick(rnd.receipts)) for rnd in proof.rounds), **changes)
 
 
 class TestLinkProof:
@@ -77,12 +78,12 @@ class TestLinkProof:
         proof = link_for(pair, "holder", "issuer", (1, 4))
         assert len(proof.rounds) == 4
         assert all(len(rnd.receipts) == 1 for rnd in proof.rounds)
-        assert len(proof.holder_chain) == 4 + EVIDENCE_LAG == len(proof.links) + 1
+        assert len(proof.holder_chain.commitments) == 4 + EVIDENCE_LAG == len(proof.holder_chain.links) + 1
         # Each round holds the signature of the holder's submission for it;
         # the holder chain commitment holds that submission's id, round and root.
         log = pair.nodes["holder"].receipt_log
         assert [rnd.signature for rnd in proof.rounds] == [log[pair.id_of("issuer"), r].submission.signature for r in range(1, 5)]
-        for c, rnd in zip(proof.holder_chain, proof.rounds):
+        for c, rnd in zip(proof.holder_chain.commitments, proof.rounds):
             assert submission_of(c, rnd.signature) == log[pair.id_of("issuer"), c.round].submission
 
     def test_verifies_against_issuer_commitments(self, pair):
@@ -127,28 +128,29 @@ class TestLinkProof:
         assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 2")
 
     def test_empty_window_rejected(self, pair):
-        # A window of no round, whose holder chain holds only the lag, which
-        # the decoder cannot make: it would vouch for no receipt.
+        # A window of no round, whose holder chain holds only the lag, cannot
+        # be made, as the decoder cannot make it: it would vouch for no receipt.
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        chain, links = proof.holder_chain[-EVIDENCE_LAG:], proof.links[1 - EVIDENCE_LAG :]
-        bad = dataclasses.replace(proof, holder_chain=chain, links=links, rounds=())
-        verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
-        assert (verdict.reason, verdict.detail) == ("WindowInvalid", "holder chain does not cover the window")
+        held = proof.holder_chain
+        chain = HolderChain(held.commitments[-EVIDENCE_LAG:], held.links[1 - EVIDENCE_LAG :])
+        with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
+            dataclasses.replace(proof, holder_chain=chain, rounds=())
 
     def test_chain_must_belong_to_holder(self, pair):
         # The first commitment names the holder, so a head from another node,
         # at the round the holder's own would be, is refused.
         proof = link_for(pair, "holder", "issuer", (1, 4))
         head = pair.nodes["issuer"].records[6]
-        bad = dataclasses.replace(proof, holder_chain=proof.holder_chain[:-1] + (head.commitment,), links=proof.links[:-1] + (head.link,))
+        held = proof.holder_chain
+        bad = with_chain(proof, commitments=held.commitments[:-1] + (head.commitment,), links=held.links[:-1] + (head.link,))
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
         assert (verdict.reason, verdict.detail) == ("HolderMismatch", "chain entry from another node")
 
     def test_reordered_chain_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        chain = list(proof.holder_chain)
+        chain = list(proof.holder_chain.commitments)
         chain[0], chain[1] = chain[1], chain[0]
-        bad = dataclasses.replace(proof, holder_chain=tuple(chain))
+        bad = with_chain(proof, commitments=tuple(chain))
         verdict = verify_link(bad, pair.commitments_of("issuer"), pair.directory)
         assert verdict.reason == "RoundGap"
 
@@ -174,8 +176,8 @@ class TestLinkProof:
 
     def test_one_submission_per_round_required(self, pair):
         # A proof with a round fewer than its holder chain covers fails
-        # instead of checking only the rounds it has, and so does one whose
-        # round holds no receipt or two, which the decoder cannot make.
+        # instead of checking only the rounds it has.  One whose round holds
+        # no receipt or two cannot be made, as the decoder cannot make it.
         proof = link_for(pair, "holder", "issuer", (1, 4))
         trusted = pair.commitments_of("issuer")
         for bad in (
@@ -184,9 +186,9 @@ class TestLinkProof:
         ):
             verdict = verify_link(bad, trusted, pair.directory)
             assert (verdict.reason, verdict.detail) == ("WindowInvalid", "holder chain does not cover the window")
-        for bad in (with_round(proof, 1, receipts=()), with_round(proof, 1, receipts=proof.rounds[1].receipts * 2)):
-            verdict = verify_link(bad, trusted, pair.directory)
-            assert (verdict.reason, verdict.detail) == ("WindowInvalid", "one receipt per round required")
+        for receipts in ((), proof.rounds[1].receipts * 2):
+            with pytest.raises(WireError, match="^a link proof round holds one receipt's paths$"):
+                with_round(proof, 1, receipts=receipts)
 
     def test_named_issuer_must_be_the_trusted_one(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -244,7 +246,7 @@ class TestHubProof:
             fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
         )
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
-        partial = dataclasses.replace(with_receipts(proof, lambda receipts: receipts[1:]), manifest=proof.manifest[1:])
+        partial = with_receipts(proof, lambda receipts: receipts[1:], manifest=proof.manifest[1:])
         verdict = verify_hub(partial, trusted, fan.directory)
         assert verdict.reason == "ManifestMismatch"
 
@@ -265,9 +267,14 @@ class TestHubProof:
             fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
         )
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
-        chain = list(proof.holder_chain)
+        held = proof.holder_chain
+        chain = list(held.commitments)
         chain[2] = forged_commitment(chain[2])
-        for bad_chain in (tuple(chain), proof.holder_chain[:-1], proof.holder_chain[1:] + proof.holder_chain[:1]):
+        for bad_chain in (
+            HolderChain(tuple(chain), held.links),
+            HolderChain(held.commitments[:-1], held.links[:-1]),
+            HolderChain(held.commitments[1:] + held.commitments[:1], held.links),
+        ):
             verdict = verify_hub(dataclasses.replace(proof, holder_chain=bad_chain), trusted, fan.directory)
             assert verdict.reason == "LinkFailed"
             assert verdict.detail.startswith("holder chain: ")
@@ -326,8 +333,8 @@ class TestHubProof:
         assert verdict.reason == "TrustedRootUnavailable"
 
     def test_empty_manifest_refused(self, fan):
-        # A hub proof with no links never verifies ("no links presented"), so
-        # it is not built at all.
+        # A hub proof with no links cannot be made ("a hub proof needs at least
+        # one link"), so `build_hub_proof` refuses first, naming the round.
         leaf = fan.nodes["p0"]
         assert leaf.records[1].state.manifest == ()
         with pytest.raises(ValueError, match="empty manifest"):
@@ -362,8 +369,8 @@ def round_blob(signature, receipts):
 def holder_chain_bytes(w, first_commitment_blob, proof):
     """A holder chain field by field, around the given first commitment blob:
     the commitments, counted, each a blob, then each link's path at index 0."""
-    w.blobs([first_commitment_blob] + [c.to_bytes() for c in proof.holder_chain[1:]])
-    for link in proof.links:
+    w.blobs([first_commitment_blob] + [c.to_bytes() for c in proof.holder_chain.commitments[1:]])
+    for link in proof.holder_chain.links:
         path_bytes(w, link.proof, 0)
     return w
 
@@ -376,7 +383,7 @@ def hub_bytes(proof, manifest=None, held=None):
     w = Writer().digests(manifest).u32(len(proof.manifest_proofs))
     for p in proof.manifest_proofs:
         path_bytes(w, p, MANIFEST_LEAF_INDEX)
-    holder_chain_bytes(w, proof.holder_chain[0].to_bytes(), proof)
+    holder_chain_bytes(w, proof.holder_chain.commitments[0].to_bytes(), proof)
     w.u32(len(held))
     for blob, rnd in zip(held, proof.rounds, strict=True):
         path_bytes(w.blob(blob), rnd.evidence_proof)
@@ -424,14 +431,14 @@ class TestHubCodec:
         with pytest.raises(WireError, match="needs at least one link"):
             decode_proof(hub_bytes(proof, manifest=(), held=empty))
         with pytest.raises(WireError, match="needs at least one link"):
-            encode_proof(dataclasses.replace(with_receipts(proof, lambda receipts: ()), manifest=()))
+            with_receipts(proof, lambda receipts: (), manifest=())
 
     def test_round_of_many_issuers_is_bounded_by_max_link(self, fan):
         # A hub round's blob holds one receipt's paths per issuer, so past
         # about 300 issuers it outgrows MAX_RECORD; it is bounded by MAX_LINK.
         proof = hub_for(fan)
         manifest = tuple(sorted(sha256(bytes([i, j])) for i in range(2) for j in range(200)))
-        wide = dataclasses.replace(with_receipts(proof, lambda receipts: receipts[:1] * len(manifest)), manifest=manifest)
+        wide = with_receipts(proof, lambda receipts: receipts[:1] * len(manifest), manifest=manifest)
         held = round_blob(wide.rounds[0].signature, wide.rounds[0].receipts)
         assert MAX_RECORD < len(held) <= MAX_LINK
         data = encode_proof(wide)
@@ -597,15 +604,12 @@ class TestChainProof:
         verdict = verify_chain(stretched, relay.commitments_of("b"), relay.directory)
         assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: WindowInvalid (holder chain does not cover the window)")
 
-    @pytest.mark.parametrize("hop", [0, 1])
-    def test_hop_with_no_holder_chain_is_a_broken_hop(self, relay, hop):
-        # A hop's window is its holder chain's, so a hop with none, which the
-        # decoder cannot make, has no window to shift: a verdict, not an IndexError.
+    def test_hop_with_no_holder_chain_cannot_be_made(self, relay):
+        # A hop's window is its holder chain's, so a hop with none would have
+        # no window to shift: like the decoder, a holder chain refuses to be empty.
         proof = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1)
-        hops = list(proof.hops)
-        hops[hop] = dataclasses.replace(hops[hop], holder_chain=())
-        verdict = verify_chain(ChainProof(hops=tuple(hops)), relay.commitments_of("c"), relay.directory)
-        assert (verdict.reason, verdict.detail) == ("BrokenHop", f"hop {hop} window does not shift by one round per hop")
+        with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
+            with_chain(proof.hops[1], commitments=(), links=())
 
     def test_corrupt_inner_hop_reported(self, relay):
         proof = build_chain_proof(
@@ -723,32 +727,36 @@ class TestProofCodec:
     def test_holder_chain_count_bound(self, pair):
         # Well-formed commitments and links throughout: only the 4096-item list bound rejects it.
         link = link_for(pair, "holder", "issuer", (1, 2))
-        at_bound = dataclasses.replace(link, holder_chain=link.holder_chain[:1] * 4096, links=link.links[:1] * 4095)
-        assert len(decode_proof(encode_proof(at_bound)).holder_chain) == 4096
-        over = dataclasses.replace(link, holder_chain=link.holder_chain[:1] * 4097, links=link.links[:1] * 4096)
+        held = link.holder_chain
+        at_bound = with_chain(link, commitments=held.commitments[:1] * 4096, links=held.links[:1] * 4095)
+        assert len(decode_proof(encode_proof(at_bound)).holder_chain.commitments) == 4096
+        over = with_chain(link, commitments=held.commitments[:1] * 4097, links=held.links[:1] * 4096)
         with pytest.raises(WireError, match="^too many holder chain commitments: 4097$"):
             decode_proof(encode_proof(over))
 
     def test_links_are_one_per_commitment_after_the_first(self, pair):
-        # The commitments' count fixes the links', so a proof held in memory
-        # with another count has no bytes to write.
+        # The commitments' count fixes the links', so a holder chain with
+        # another count cannot be made: it would have no bytes to write.
         link = link_for(pair, "holder", "issuer", (1, 2))
-        for links in (link.links[1:], link.links + link.links[:1]):
+        links = link.holder_chain.links
+        for other in (links[1:], links + links[:1]):
             with pytest.raises(WireError, match="^a holder chain holds one link per commitment after the first$"):
-                encode_proof(dataclasses.replace(link, links=links))
+                with_chain(link, links=other)
 
     def test_chain_needs_a_hop(self, relay):
         chain = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), [relay.id_of("a"), relay.id_of("b")], 1
         )
-        with pytest.raises(WireError):
-            decode_proof(encode_proof(dataclasses.replace(chain, hops=())))
+        with pytest.raises(WireError, match="^a chain proof needs at least one hop$"):
+            dataclasses.replace(chain, hops=())
+        with pytest.raises(WireError, match="^a chain proof needs at least one hop$"):
+            decode_proof(encode_proof(chain)[:5] + prefix(0))
 
     def test_extra_byte_inside_holder_chain_commitment_blob(self, pair):
         # The only commitments a proof carries are its holder chain's.  An
         # extra byte inside one's blob, which the blob's length covers.
         link = link_for(pair, "holder", "issuer", (1, 2))
-        first = link.holder_chain[0].to_bytes()
+        first = link.holder_chain.commitments[0].to_bytes()
         assert link_bytes(link, first) == encode_proof(link)
         with pytest.raises(WireError, match="^1 trailing bytes$"):
             decode_proof(link_bytes(link, first + b"\x00"))
@@ -757,9 +765,11 @@ class TestProofCodec:
         chain = build_chain_proof(
             relay.records_by_id(), relay.receipts_by_id(), [relay.id_of("a"), relay.id_of("b")], 1
         )
-        empty = dataclasses.replace(chain.hops[0], rounds=())
         with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
-            decode_proof(encode_proof(dataclasses.replace(chain, hops=(empty,))))
+            dataclasses.replace(chain.hops[0], rounds=())
+        hop = emptied_bytes(chain.hops[0], "rounds")
+        with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
+            decode_proof(encode_proof(chain)[:5] + b"".join(blobs([hop])))
 
     @pytest.mark.parametrize("kind", ["link", "hub", "chain"])
     @pytest.mark.parametrize("empty", ["holder_chain", "rounds"])
@@ -773,10 +783,12 @@ class TestProofCodec:
             "hub": hub_for(fan, (1, 2)),
             "chain": build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), path, 1),
         }[kind]
-        emptied = lambda part: dataclasses.replace(part, **{empty: ()}, **({"links": ()} if empty == "holder_chain" else {}))
-        bad = dataclasses.replace(proof, hops=(proof.hops[0], emptied(proof.hops[1]))) if kind == "chain" else emptied(proof)
+        if kind == "chain":
+            bad = b"".join(blobs([proof.hops[0].to_bytes(), emptied_bytes(proof.hops[1], empty)]))
+        else:
+            bad = emptied_bytes(proof, empty)
         with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
-            decode_proof(encode_proof(bad))
+            decode_proof(encode_proof(proof)[:5] + bad)
 
     def test_previous_envelope_refused(self, fan):
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
@@ -836,3 +848,98 @@ class TestProofCodec:
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):
             encode_proof("nonsense")
+
+
+NO_ENTRY = "a link or hub proof needs a holder chain entry and a window round"
+
+
+def shape_rules(link, hub, chain):
+    """Each shape a proof record refuses when it is made, by rule: the
+    reader's text, the record made from its fields, the record made by
+    ``dataclasses.replace`` on an honest one, and hand-written bytes of a
+    proof of that shape, or None where the format cannot write it."""
+    held, chain_link, rnd = link.holder_chain, link.holder_chain.links[0], link.rounds[0]
+    no_receipts = tuple(r._replace(receipts=()) for r in hub.rounds)
+    moved = (hub.manifest_proofs[0]._replace(leaf_index=3),) + hub.manifest_proofs[1:]
+    off_index = chain_link.proof._replace(leaf_index=1)
+    two = (rnd._replace(receipts=rnd.receipts * 2),) + link.rounds[1:]
+    envelope = lambda proof: encode_proof(proof)[:5]
+    return {
+        "holder-chain-of-no-commitment": (
+            NO_ENTRY,
+            lambda: HolderChain((), ()),
+            lambda: dataclasses.replace(held, commitments=(), links=()),
+            envelope(link) + emptied_bytes(link, "holder_chain"),
+        ),
+        "holder-chain-of-a-link-too-few": (
+            "a holder chain holds one link per commitment after the first",
+            lambda: HolderChain(held.commitments, held.links[1:]),
+            lambda: dataclasses.replace(held, links=held.links[1:]),
+            None,  # the commitments' count is the links'
+        ),
+        "chain-link-off-index-0": (
+            "path at leaf 1, not at leaf 0",
+            lambda: ChainLink(off_index, encoding=chain_link.to_bytes()),
+            lambda: dataclasses.replace(chain_link, proof=off_index),
+            None,  # a link's index is not written
+        ),
+        "proof-of-no-window-round": (
+            NO_ENTRY,
+            lambda: LinkProof(link.issuer_id, held, ()),
+            lambda: dataclasses.replace(hub, rounds=()),
+            envelope(hub) + emptied_bytes(hub, "rounds"),
+        ),
+        "link-round-of-two-receipts": (
+            "a link proof round holds one receipt's paths",
+            lambda: LinkProof(link.issuer_id, held, two),
+            lambda: dataclasses.replace(link, rounds=two),
+            None,  # a link round's blob holds one receipt's paths
+        ),
+        "hub-of-an-empty-manifest": (
+            "a hub proof needs at least one link",
+            lambda: HubProof((), hub.manifest_proofs, hub.holder_chain, no_receipts),
+            lambda: dataclasses.replace(hub, manifest=(), rounds=no_receipts),
+            hub_bytes(hub, manifest=(), held=[round_blob(r.signature, ()) for r in hub.rounds]),
+        ),
+        "manifest-path-off-index-2": (
+            "path at leaf 3, not at leaf 2",
+            lambda: HubProof(hub.manifest, moved, hub.holder_chain, hub.rounds),
+            lambda: dataclasses.replace(hub, manifest_proofs=moved),
+            None,  # a manifest path's index is not written
+        ),
+        "chain-of-no-hop": (
+            "a chain proof needs at least one hop",
+            lambda: ChainProof(()),
+            lambda: dataclasses.replace(chain, hops=()),
+            envelope(chain) + prefix(0),
+        ),
+    }
+
+
+class TestEachShapeRuleInOnePlace:
+    """A proof record refuses, when it is made, each shape its reader
+    refuses or cannot make, with one text however it is made: from its
+    fields, by ``dataclasses.replace``, or by the decoder.  So no verifier
+    meets one."""
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "holder-chain-of-no-commitment",
+            "holder-chain-of-a-link-too-few",
+            "chain-link-off-index-0",
+            "proof-of-no-window-round",
+            "link-round-of-two-receipts",
+            "hub-of-an-empty-manifest",
+            "manifest-path-off-index-2",
+            "chain-of-no-hop",
+        ],
+    )
+    def test_one_text_however_made(self, pair, fan, relay, rule):
+        path = [relay.id_of("a"), relay.id_of("b"), relay.id_of("c")]
+        chain = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), path, 1)
+        text, make, replace, data = shape_rules(link_for(pair, "holder", "issuer", (1, 2)), hub_for(fan), chain)[rule]
+        ways = [make, replace] if data is None else [make, replace, lambda: decode_proof(data)]
+        for made in ways:
+            with pytest.raises(WireError, match=f"^{re.escape(text)}$"):
+                made()

@@ -20,6 +20,7 @@ from entmesh.node import (
     MAX_COMMITMENT,
     ChainLink,
     Commitment,
+    HolderChain,
     InvariantViolationError,
     KeyDirectory,
     Node,
@@ -58,7 +59,7 @@ def solo_node(label="solo"):
 
 def chain_of(records):
     """The holder chain of ``records``: their commitments, and the links of all but the first."""
-    return [record.commitment for record in records], [record.link for record in records[1:]]
+    return HolderChain(tuple(record.commitment for record in records), tuple(record.link for record in records[1:]))
 
 
 class TestLeafLayout:
@@ -379,30 +380,29 @@ class TestCommitmentChains:
             records = node.records
             assert [r.round for r in records] == [0, 1, 2, 3]
             assert all(r.tree.root == r.commitment.root for r in records)
-            assert verify_chain_entries(*chain_of(records), net.directory)
+            assert verify_chain_entries(chain_of(records), net.directory)
 
     def test_gap_detected(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(4)
         records = net.nodes["a"].records
-        verdict = verify_chain_entries([records[0].commitment, records[2].commitment], [records[2].link], net.directory)
+        verdict = verify_chain_entries(HolderChain((records[0].commitment, records[2].commitment), (records[2].link,)), net.directory)
         assert verdict.reason == "RoundGap"
 
     def test_unknown_signer_detected(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(2)
-        verdict = verify_chain_entries(*chain_of(net.nodes["a"].records), KeyDirectory())
+        verdict = verify_chain_entries(chain_of(net.nodes["a"].records), KeyDirectory())
         assert verdict.reason == "BadSignature"
 
     def test_chain_entries_match_full_check(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(4)
-        assert verify_chain_entries(*chain_of(net.nodes["a"].records), net.directory)
+        assert verify_chain_entries(chain_of(net.nodes["a"].records), net.directory)
 
     def test_substituted_history_breaks_entries(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(4)
         other = manual_net(["a", "b"], [("a", "b")], seed="net2").run(4)
-        chain, links = chain_of(net.nodes["a"].records)
-        foreign = other.nodes["a"].records[2]
-        chain[2], links[1] = foreign.commitment, foreign.link
-        verdict = verify_chain_entries(chain, links, net.directory)
+        records = list(net.nodes["a"].records)
+        records[2] = other.nodes["a"].records[2]
+        verdict = verify_chain_entries(chain_of(records), net.directory)
         assert not verdict
         assert verdict.reason in ("BadSignature", "ChainBreak")
 
@@ -412,25 +412,30 @@ class TestCommitmentChains:
         # link with a flipped sibling: either way round 2's first leaf is
         # not the digest of the commitment before it, under the same head.
         net = manual_net(["a", "b"], [("a", "b")]).run(4)
-        chain, links = chain_of(net.nodes["a"].records)
+        chain = chain_of(net.nodes["a"].records)
+        commitments, links = list(chain.commitments), list(chain.links)
         if part == "commitment":
-            chain[1] = forged_commitment(chain[1])
+            commitments[1] = forged_commitment(commitments[1])
         else:
             path = links[1].proof
             links[1] = ChainLink(path._replace(siblings=(flip(path.siblings[0]), *path.siblings[1:])))
-        verdict = verify_chain_entries(chain, links, net.directory)
+        verdict = verify_chain_entries(HolderChain(tuple(commitments), tuple(links)), net.directory)
         assert (verdict.reason, verdict.detail) == ("ChainBreak", "round 2 does not chain")
 
     def test_one_link_per_commitment_after_the_first(self, manual_net):
-        # A chain held in memory with a link too few or too many: the links
-        # are walked beside the commitments, so neither is silently dropped.
+        # A chain with a link too few or too many cannot be made, from its
+        # fields or by replacing them, so the links walked beside the
+        # commitments drop none; nor can a chain of no commitment.
         net = manual_net(["a", "b"], [("a", "b")]).run(4)
-        chain, links = chain_of(net.nodes["a"].records)
-        for bad in (links[:-1], links + links[-1:]):
-            verdict = verify_chain_entries(chain, bad, net.directory)
-            assert (verdict.reason, verdict.detail) == ("ChainBreak", f"{len(bad)} links for 4 commitments")
-        assert verify_chain_entries(chain[:1], [], net.directory)
-        assert verify_chain_entries([], [], net.directory).detail == "empty chain"
+        chain = chain_of(net.nodes["a"].records)
+        for bad in (chain.links[:-1], chain.links + chain.links[-1:]):
+            with pytest.raises(WireError, match="^a holder chain holds one link per commitment after the first$"):
+                HolderChain(chain.commitments, bad)
+            with pytest.raises(WireError, match="^a holder chain holds one link per commitment after the first$"):
+                dataclasses.replace(chain, links=bad)
+        assert verify_chain_entries(HolderChain(chain.commitments[:1], ()), net.directory)
+        with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
+            HolderChain((), ())
 
 
 class TestSignedTreesNoBuilderMakes:
@@ -438,7 +443,8 @@ class TestSignedTreesNoBuilderMakes:
     second leaf is a second prev-commitment leaf.  Every hash and signature
     then checks out, and only the leaf's position is refused.  A path off
     the index the format fixes cannot be written, so no record of one can be
-    made from its fields: a peer holds it in memory with bytes passed in."""
+    made from its fields.  A peer may hold a receipt's paths in memory with
+    bytes passed in; a chain link refuses that too."""
 
     def test_receipt_whose_prev_leaf_proof_is_not_at_index_0(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
@@ -462,13 +468,13 @@ class TestSignedTreesNoBuilderMakes:
         previous = node.record_at(1).commitment
         payload = bytes([LEAF_PAYLOAD]) + DECOY
         tree, c = signed_tree(node, 2, [prev_leaf(commitment_digest(previous)), payload])
-        assert verify_chain_entries([previous, c], [ChainLink(tree.prove_inclusion(0))], net.directory)
+        assert verify_chain_entries(HolderChain((previous, c), (ChainLink(tree.prove_inclusion(0)),)), net.directory)
         tree, c = signed_tree(node, 2, [prev_leaf(DECOY), prev_leaf(commitment_digest(previous)), payload])
         with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
             ChainLink(tree.prove_inclusion(1))
-        off_index = held_in_memory(ChainLink(tree.prove_inclusion(0)), proof=tree.prove_inclusion(1))
-        verdict = verify_chain_entries([previous, c], [off_index], net.directory)
-        assert (verdict.reason, verdict.detail) == ("ChainBreak", "first-leaf proof at wrong position, round 2")
+        # Nor with bytes passed in, as a reader makes a link: no chain holds one.
+        with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
+            held_in_memory(ChainLink(tree.prove_inclusion(0)), proof=tree.prove_inclusion(1))
 
 
 class TestRecordsAreMadeOnce:
@@ -485,7 +491,7 @@ class TestRecordsAreMadeOnce:
         records = [node.build(("data", r)) for r in range(3)]
         for record in records:
             assert vars(record)["link"].proof == record.tree.prove_inclusion(0)
-        assert verify_chain_entries(*chain_of(records), directory)
+        assert verify_chain_entries(chain_of(records), directory)
 
 
 class TestPruning:

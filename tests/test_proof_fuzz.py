@@ -183,15 +183,16 @@ def _holder_chain_flips(blob, proof):
     parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
     at, flips = 0, []
     for hop, part in enumerate(parts):
-        for c in part.holder_chain:
+        chain = part.holder_chain.commitments
+        for c in chain:
             at = blob.index(c.to_bytes(), at)
-            if c is not part.holder_chain[-1]:
-                own = c is not part.holder_chain[0]
+            if c is not chain[-1]:
+                own = c is not chain[0]
                 flips += [(hop, (c.round,) if own else (c.round + 1,), at + i) for i in range(40, 72)]
                 flips += [(hop, (c.round, c.round + 1) if own else (c.round + 1,), at + i) for i in range(72, 80)]
                 flips += [(hop, (c.round + 1,), at + i) for i in range(84, len(c.to_bytes()))]
             at += len(c.to_bytes())
-        for c, link in zip(part.holder_chain[1:], part.links):
+        for c, link in zip(chain[1:], part.holder_chain.links):
             at = blob.index(link.to_bytes(), at)
             flips += [(hop, (c.round,), at + i) for i in range(4, len(link.to_bytes()))]
             at += len(link.to_bytes())

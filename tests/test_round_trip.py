@@ -137,9 +137,10 @@ def ref_link(link: ChainLink) -> bytes:
 def ref_holder_chain(w: Writer, p) -> Writer:
     # The commitments, counted, each a blob; then one link per commitment
     # after the first, uncounted.
-    w.blobs([ref_commitment(c) for c in p.holder_chain])
-    assert len(p.links) == len(p.holder_chain) - 1
-    for link in p.links:
+    chain = p.holder_chain
+    w.blobs([ref_commitment(c) for c in chain.commitments])
+    assert len(chain.links) == len(chain.commitments) - 1
+    for link in chain.links:
         ref_path(w, link.proof, 0)
     return w
 
@@ -199,9 +200,9 @@ def signed_records(proof):
     holds, and the submission a verifier rebuilds for each window round."""
     parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
     for part in parts:
-        yield from part.holder_chain
-        yield from part.links
-        for c, rnd in zip(part.holder_chain, part.rounds):
+        yield from part.holder_chain.commitments
+        yield from part.holder_chain.links
+        for c, rnd in zip(part.holder_chain.commitments, part.rounds):
             yield submission_of(c, rnd.signature)
             yield from rnd.receipts
 
@@ -326,7 +327,7 @@ def test_replace_encodes_the_new_fields(ci_proofs, origin):
         sub, paths = receipt.submission, receipt.paths
     else:
         decoded = decode_proof(encode_proof(proof))
-        first, commitment, link = decoded.rounds[0], decoded.holder_chain[0], decoded.links[0]
+        first, commitment, link = decoded.rounds[0], decoded.holder_chain.commitments[0], decoded.holder_chain.links[0]
         sub, paths = submission_of(commitment, first.signature), first.receipts[0]
         receipt = Receipt(sub, hub.records[2].commitment, paths) if origin == "spliced" else None
     commitment.to_bytes()
@@ -391,7 +392,7 @@ def _parts(proof):
     """(holder id, issuer id, round, holder chain commitment r, the round's
     signature, paths) for every receipt a proof holds."""
     for part in proof.hops if isinstance(proof, ChainProof) else (proof,):
-        for r, c, rnd in zip(range(part.window_start, part.window_end + 1), part.holder_chain, part.rounds):
+        for r, c, rnd in zip(range(part.window_start, part.window_end + 1), part.holder_chain.commitments, part.rounds):
             for issuer_id, paths in zip(_issuer_ids(part), rnd.receipts, strict=True):
                 yield part.holder_id, issuer_id, r, c, rnd.signature, paths
 
@@ -421,7 +422,7 @@ def test_proof_receipts_splice_back_to_the_retained_ones(ci_proofs, kind):
 
 
 def test_decoded_link_keeps_the_slice_it_read(ci_proofs):
-    link = ci_proofs["chain"][0].hops[0].links[0]
+    link = ci_proofs["chain"][0].hops[0].holder_chain.links[0]
     body = link.to_bytes()
     data = b"head" + body + b"tail"
     r = Reader(data)

@@ -1,4 +1,4 @@
-"""Expression language: canonical printing, parsing, evaluation."""
+"""Expression language: canonical printing and parsing, and content addresses."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from entmesh.hashtree import MerkleTree
 from entmesh.sexpr import (
-    EvalError,
     ParseError,
     encode_tree,
-    evaluate,
     parse,
     tokens_of,
     unparse,
@@ -111,60 +109,6 @@ class TestTokens:
     def test_encoding_separates_structure(self):
         # Flattened token content differs by parens, so roots differ.
         assert encode_tree(("a", ("b",))).root != encode_tree(("a", "b")).root
-
-
-class TestEvaluate:
-    @pytest.mark.parametrize(
-        "text,value",
-        [
-            ("(+ 1 2 3)", 6),
-            ("(* 2 3 4)", 24),
-            ("(- 10 4 1)", 5),
-            ("(- 3)", -3),
-            ("(>= 3 3)", True),
-            ("(<= 4 3)", False),
-            ("(= 2 2)", True),
-            ("(= #x01 #x02)", False),
-            ("(and true true)", True),
-            ("(and)", True),
-            ("(or false)", False),
-            ("(not false)", True),
-            ("(threshold 2 true false true)", True),
-            ("(threshold 2 true false false)", False),
-            ("(threshold 0)", True),
-            ("42", 42),
-            ("#xab", b"\xab"),
-        ],
-    )
-    def test_values(self, text, value):
-        got = evaluate(parse(text))
-        assert got == value
-        assert type(got) is type(value)
-
-    def test_unbound_symbol(self):
-        with pytest.raises(EvalError):
-            evaluate("mystery")
-
-    def test_type_errors(self):
-        with pytest.raises(EvalError):
-            evaluate(parse("(+ 1 true)"))
-        with pytest.raises(EvalError):
-            evaluate(parse("(and 1)"))
-        with pytest.raises(EvalError):
-            evaluate(parse("(= 1 true)"))
-
-    def test_arity_errors(self):
-        for text in ("(-)", "(>= 1)", "(not true false)", "(threshold)"):
-            with pytest.raises(EvalError):
-                evaluate(parse(text))
-
-    def test_unknown_operator(self):
-        with pytest.raises(EvalError):
-            evaluate(parse("(frobnicate 1)"))
-
-    def test_empty_list_not_evaluable(self):
-        with pytest.raises(EvalError):
-            evaluate(())
 
 
 symbols = st.from_regex(r"[a-z!$%&*+./:<=>?@^_~][a-z0-9!$%&*+./:<=>?@^_~-]{0,8}", fullmatch=True).filter(

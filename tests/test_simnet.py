@@ -367,8 +367,8 @@ class TestKeptChainLinks:
         assert all(a > 0 for a, _ in ranges)
         assert encode_proof(second) == encode_proof(first)
         for a, b in zip(first.hops, second.hops):
-            assert all(x is y for x, y in zip(a.holder_chain, b.holder_chain))
-            assert all(x is y for x, y in zip(a.links, b.links))
+            assert all(x is y for x, y in zip(a.holder_chain.commitments, b.holder_chain.commitments))
+            assert all(x is y for x, y in zip(a.holder_chain.links, b.holder_chain.links))
 
     def test_rewritten_round_gets_a_fresh_link(self):
         sim = Simulation(chain(2), rounds=8, seed=13, faults=[ForkHistory(node="m1-0", round=2)], audit_every=2)

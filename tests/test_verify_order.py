@@ -41,6 +41,7 @@ from entmesh.entangle import (
 from entmesh.keys import Ed25519Scheme
 from entmesh.node import (
     ChainLink,
+    HolderChain,
     KeyDirectory,
     Verdict,
     commitment_digest,
@@ -64,6 +65,7 @@ from adversary import (
     prev_leaf,
     signed_tree,
     swap,
+    with_chain,
     with_round,
 )
 
@@ -182,7 +184,7 @@ class TestSignatureCounts:
         ids = [sim.nodes[label].node_id for label in sim.path_to_anchor("h0")]
         proof = build_chain_proof(sim.records_by_id(), sim.receipts_by_id(), ids, 2, 2)
         assert verify_chain(proof, _logs(sim)[proof.anchor_id], sim.directory)
-        assert [id(entries) for entries in built] == [id(hop.holder_chain) for hop in proof.hops[1:]]
+        assert [id(entries) for entries in built] == [id(hop.holder_chain.commitments) for hop in proof.hops[1:]]
 
     def test_chain_of_four_hops_shares_the_vouched_commitments(self):
         sim = Simulation(chain(4), rounds=10, seed=3).run()
@@ -283,13 +285,13 @@ class TestSignatureCounts:
     @pytest.mark.parametrize("where", ["evidence-path", "chain-link-path"])
     def test_hashed_byte_flip_rejected_without_a_signature_check(self, runs, ed25519_calls, where):
         proof, sim = runs["hub"]
-        path = proof.rounds[-1].evidence_proof if where == "evidence-path" else proof.links[1].proof
+        path = proof.rounds[-1].evidence_proof if where == "evidence-path" else proof.holder_chain.links[1].proof
         first, *rest = path.siblings
         flipped = path._replace(siblings=(bytes([first[0] ^ 1]) + first[1:], *rest))
         if where == "evidence-path":
             bad = with_round(proof, -1, evidence_proof=flipped)
         else:
-            bad = dataclasses.replace(proof, links=swap(proof.links, 1, ChainLink(flipped)))
+            bad = with_chain(proof, links=swap(proof.holder_chain.links, 1, ChainLink(flipped)))
         good_blob, bad_blob = encode_proof(proof), encode_proof(bad)
         assert len(good_blob) == len(bad_blob)
         assert sum(bin(a ^ b).count("1") for a, b in zip(good_blob, bad_blob)) == 1
@@ -318,8 +320,8 @@ class TestForgedSignatureKeepsItsReason:
     @pytest.mark.parametrize("index", [0, -1])
     def test_hub_holder_chain(self, runs, index):
         proof, sim = runs["hub"]
-        bad = dataclasses.replace(proof, holder_chain=forge_at(proof.holder_chain, index, forged_commitment))
-        r = proof.holder_chain[index].round
+        bad = with_chain(proof, commitments=forge_at(proof.holder_chain.commitments, index, forged_commitment))
+        r = proof.holder_chain.commitments[index].round
         inner = f"BadSignature (round {r})" if index == -1 else f"ChainBreak (round {r + 1} does not chain)"
         self._check(bad, sim, "LinkFailed", f"holder chain: {inner}")
 
@@ -339,7 +341,7 @@ class TestForgedSignatureKeepsItsReason:
             hop = forged_round_submission(hop, 0)
             inner = "ReceiptInvalid (submission leaf unproven for round 2)"
         else:
-            hop = dataclasses.replace(hop, holder_chain=forge_at(hop.holder_chain, -1, forged_commitment))
+            hop = with_chain(hop, commitments=forge_at(hop.holder_chain.commitments, -1, forged_commitment))
             inner = "BadSignature (round 5)"
         bad = ChainProof(hops=swap(proof.hops, 1, hop))
         self._check(bad, sim, "BrokenHop", f"hop 1: {inner}")
@@ -347,9 +349,9 @@ class TestForgedSignatureKeepsItsReason:
     def test_chain_last_hop(self, runs):
         proof, sim = runs["chain"]
         last = proof.hops[-1]
-        hop = dataclasses.replace(last, holder_chain=forge_at(last.holder_chain, -1, forged_commitment))
+        hop = with_chain(last, commitments=forge_at(last.holder_chain.commitments, -1, forged_commitment))
         bad = ChainProof(hops=proof.hops[:-1] + (hop,))
-        inner = f"round {last.holder_chain[-1].round}"
+        inner = f"round {last.holder_chain.commitments[-1].round}"
         self._check(bad, sim, "BrokenHop", f"hop {len(proof.hops) - 1}: BadSignature ({inner})")
 
     @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
@@ -364,7 +366,7 @@ class TestForgedSignatureKeepsItsReason:
         parts = proof.hops if kind == "chain" else (proof,)
         evidence_first = 0
         for hop, part in enumerate(parts):
-            head = part.holder_chain[-1]
+            head = part.holder_chain.commitments[-1]
             top = 1 << (head.leaf_count - 1).bit_length()
             inner = f"BadSignature (round {head.round})"
             reason, detail = {
@@ -376,7 +378,7 @@ class TestForgedSignatureKeepsItsReason:
                 if n == head.leaf_count:
                     continue
                 counted = dataclasses.replace(head, leaf_count=n)
-                bad = dataclasses.replace(part, holder_chain=swap(part.holder_chain, -1, counted))
+                bad = with_chain(part, commitments=swap(part.holder_chain.commitments, -1, counted))
                 if kind == "chain":
                     bad = ChainProof(hops=swap(proof.hops, hop, bad))
                 self._check(bad, sim, reason, detail)
@@ -395,7 +397,7 @@ class TestForgedSignatureKeepsItsReason:
 
     def test_link_holder_chain(self, runs):
         proof, sim = runs["link"]
-        bad = dataclasses.replace(proof, holder_chain=forge_at(proof.holder_chain, 1, forged_commitment))
+        bad = with_chain(proof, commitments=forge_at(proof.holder_chain.commitments, 1, forged_commitment))
         self._check(bad, sim, "ChainBreak", "round 8 does not chain")
 
     # A proof carries no issuer commitment: each receipt takes the
@@ -427,8 +429,8 @@ class TestForgedSignatureKeepsItsReason:
             # vouches for the hop: a forged one breaks that chain.
             vouching = proof.hops[hop + 1]
             index = r - vouching.window_start
-            assert index < len(vouching.holder_chain) - 1
-            forged = dataclasses.replace(vouching, holder_chain=forge_at(vouching.holder_chain, index, forged_commitment))
+            assert index < len(vouching.holder_chain.commitments) - 1
+            forged = with_chain(vouching, commitments=forge_at(vouching.holder_chain.commitments, index, forged_commitment))
             bad = ChainProof(hops=swap(proof.hops, hop + 1, forged))
             self._check(bad, sim, "BrokenHop", f"hop {hop + 1}: ChainBreak (round {r + 1} does not chain)")
 
@@ -478,16 +480,15 @@ class TestProofsNoBuilderMakes:
         assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0 issuer is not hop 1 holder")
 
     def test_manifest_path_at_another_index_is_misplaced(self, runs):
-        # A manifest path carries no index on the wire, so only an in-memory
-        # hub holds one off index 2; the encoder refuses to write it.  Without
-        # the position check its fold names the manifest as differing instead.
-        proof, sim = runs["hub"]
-        moved = dataclasses.replace(proof, manifest_proofs=forge_at(proof.manifest_proofs, 0, lambda p: p._replace(leaf_index=3)))
+        # A manifest path carries no index on the wire, so a hub that holds one
+        # off index 2 cannot be made, from its fields or by replacing them:
+        # no verifier meets one.
+        proof, _ = runs["hub"]
+        moved = forge_at(proof.manifest_proofs, 0, lambda p: p._replace(leaf_index=3))
         with pytest.raises(WireError, match="^path at leaf 3, not at leaf 2$"):
-            encode_proof(moved)
-        verdict = _verify(moved, sim)
-        assert (verdict.reason, verdict.detail) == ("ManifestMismatch", "manifest proof at wrong position for round 1")
-        assert verdict.signatures_checked == 0
+            HubProof(proof.manifest, moved, proof.holder_chain, proof.rounds)
+        with pytest.raises(WireError, match="^path at leaf 3, not at leaf 2$"):
+            dataclasses.replace(proof, manifest_proofs=moved)
 
     @pytest.mark.parametrize("fault", ["unsorted", "duplicated"])
     def test_holder_signed_manifest_out_of_canonical_order(self, manual_net, monkeypatch, fault):
@@ -534,7 +535,7 @@ class TestTheHeadVouchesForItsChain:
         net = manual_net(["h", "i"], [("h", "i")]).run(6)
         holder, issuer = net.nodes["h"], net.nodes["i"]
         proof = build_link_proof(holder.records, issuer.node_id, (1, 2), holder.receipt_log)
-        forged = forged_commitment(proof.holder_chain[2])
+        forged = forged_commitment(proof.holder_chain.commitments[2])
         retaining = holder.records[4].state
         leaves = [prev_leaf(commitment_digest(forged)), *round_leaves(retaining)[1:]]
         tree, head = signed_tree(holder, 4, leaves)
@@ -542,13 +543,14 @@ class TestTheHeadVouchesForItsChain:
             head = dataclasses.replace(head, signature=issuer.keypair.sign(head.message()))
         at = evidence_leaf_index(retaining, issuer.node_id, 2)
         last = proof.rounds[1]._replace(evidence_proof=tree.prove_range(at, at + 1))
-        chain, links = (*proof.holder_chain[:2], forged, head), (*proof.links[:2], ChainLink(tree.prove_inclusion(0)))
-        bad = dataclasses.replace(proof, holder_chain=chain, links=links, rounds=(proof.rounds[0], last))
+        held = proof.holder_chain
+        chain = HolderChain((*held.commitments[:2], forged, head), (*held.links[:2], ChainLink(tree.prove_inclusion(0))))
+        bad = dataclasses.replace(proof, holder_chain=chain, rounds=(proof.rounds[0], last))
         bad = decode_proof(encode_proof(bad))
         verdict = verify_link(bad, net.commitments_of("i"), net.directory)
         if signer == "holder":
             assert verdict and verdict.signatures_checked == 1
-            reference = every_entry_rule(bad.holder_chain, bad.links, net.directory)
+            reference = every_entry_rule(bad.holder_chain, net.directory)
             assert (reference.reason, reference.detail) == ("BadSignature", "round 3")
         else:
             assert (verdict.reason, verdict.detail, verdict.signatures_checked) == ("BadSignature", "round 4", 1)
@@ -558,10 +560,10 @@ class TestTheHeadVouchesForItsChain:
         # [6, 7] and its holder chain, rounds 6 to 9, cross that rebind.
         proof, sim = runs["link"]
         assert [r for r, _ in sim.directory.bindings_of(proof.holder_id)] == [0, 7]
-        assert proof.holder_chain[0].round < 7 <= proof.window_end
+        assert proof.holder_chain.commitments[0].round < 7 <= proof.window_end
         verdict = _verify(proof, sim)
         assert verdict and verdict.signatures_checked == 1
-        assert every_entry_rule(proof.holder_chain, proof.links, sim.directory)
+        assert every_entry_rule(proof.holder_chain, sim.directory)
         # Under h1's genesis key alone the head, the first signature met, fails.
         genesis = KeyDirectory()
         for node in sim.nodes.values():
@@ -579,11 +581,11 @@ class TestTheHeadVouchesForItsChain:
         net = manual_net(["h", "i"], [("h", "i")]).run(6)
         holder, issuer = net.nodes["h"], net.nodes["i"]
         bad, trust = link_over_a_submission_signed_by(net, "h", "i", issuer)
-        assert not net.directory.verify_submission(submission_of(bad.holder_chain[1], bad.rounds[1].signature))
-        c = bad.holder_chain[-1]
+        assert not net.directory.verify_submission(submission_of(bad.holder_chain.commitments[1], bad.rounds[1].signature))
+        c = bad.holder_chain.commitments[-1]
         if head == "other key":
             c = dataclasses.replace(c, signature=issuer.keypair.sign(c.message()))
-            bad = dataclasses.replace(bad, holder_chain=swap(bad.holder_chain, -1, c))
+            bad = with_chain(bad, commitments=swap(bad.holder_chain.commitments, -1, c))
         ed25519_calls.clear()
         verdict = verify_link(decode_proof(encode_proof(bad)), trust, net.directory)
         if head == "holder":
@@ -617,9 +619,9 @@ class TestTheHeadVouchesForItsChain:
         # The head by verify_chain_head, every other entry after it.
         proof, sim = runs["link"]
         ed25519_calls.clear()
-        assert every_entry_rule(proof.holder_chain, proof.links, sim.directory)
+        assert every_entry_rule(proof.holder_chain, sim.directory)
         messages = [message for _, message, _ in ed25519_calls]
-        chain = [c.message() for c in proof.holder_chain]
+        chain = [c.message() for c in proof.holder_chain.commitments]
         assert messages == chain[-1:] + chain[:-1]
 
 

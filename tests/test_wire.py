@@ -509,7 +509,7 @@ def test_mutated_proof_decodes_like_the_fieldwise_reference(encoded_proofs, kind
 def test_head_reads_like_the_fieldwise_reference(encoded_proofs, read, fieldwise, data):
     # A holder chain commitment, cut, lengthened or flipped.
     link = entangle.decode_proof(encoded_proofs["link"])
-    blob = data.draw(_mutated(link.holder_chain[0].to_bytes()), label="mutated")
+    blob = data.draw(_mutated(link.holder_chain.commitments[0].to_bytes()), label="mutated")
     assert _outcome(lambda b: decode(b, read), blob) == _outcome(lambda b: copying_decode(b, fieldwise), blob)
 
 
@@ -532,12 +532,12 @@ class TestRecordEncodersRefuse:
             entangle.encode_proof(bad)
 
     def test_commitment_with_a_short_root(self, proofs):
-        c = proofs["link"].holder_chain[0]
+        c = proofs["link"].holder_chain.commitments[0]
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             dataclasses.replace(c, root=c.root[:31]).to_bytes()
 
     def test_commitment_with_a_negative_round(self, proofs):
-        c = proofs["link"].holder_chain[0]
+        c = proofs["link"].holder_chain.commitments[0]
         with pytest.raises(WireError, match="^u64 out of range: -1$"):
             dataclasses.replace(c, round=-1).to_bytes()
 
@@ -554,8 +554,8 @@ class TestRecordEncodersRefuse:
 
     def test_submission_chain_link_and_paths_with_a_short_digest(self, proofs):
         link = proofs["link"]
-        chain_link, paths = link.links[0], link.rounds[0].receipts[0]
-        sub = node.submission_of(link.holder_chain[0], link.rounds[0].signature)
+        chain_link, paths = link.holder_chain.links[0], link.rounds[0].receipts[0]
+        sub = node.submission_of(link.holder_chain.commitments[0], link.rounds[0].signature)
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             dataclasses.replace(sub, holder_root=sub.holder_root[:31]).to_bytes()
         with pytest.raises(WireError, match="^u64 out of range: 18446744073709551616$"):
