@@ -139,7 +139,7 @@ MUTANTS = (
         "entangle.py",
         "if not self.manifest:",
         "if False:",
-        (_SHAPE + "[hub-of-an-empty-manifest]",),
+        (_SHAPE + "[hub-of-an-empty-manifest-fields]",),
     ),
     Mutant(
         "hub: each round holds every committed issuer's receipt, which a hub held in memory may leave out",
@@ -195,7 +195,7 @@ MUTANTS = (
         "entangle.py",
         "if not self.hops:",
         "if False:",
-        (_SHAPE + "[chain-of-no-hop]",),
+        (_SHAPE + "[chain-of-no-hop-fields]",),
     ),
     Mutant(
         "receipt: the prev-leaf proof at index 0",

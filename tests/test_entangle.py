@@ -604,12 +604,13 @@ class TestChainProof:
         verdict = verify_chain(stretched, relay.commitments_of("b"), relay.directory)
         assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: WindowInvalid (holder chain does not cover the window)")
 
-    def test_hop_with_no_holder_chain_cannot_be_made(self, relay):
+    @pytest.mark.parametrize("hop", [0, 1])
+    def test_hop_with_no_holder_chain_cannot_be_made(self, relay, hop):
         # A hop's window is its holder chain's, so a hop with none would have
         # no window to shift: like the decoder, a holder chain refuses to be empty.
         proof = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay), 1)
         with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
-            with_chain(proof.hops[1], commitments=(), links=())
+            with_chain(proof.hops[hop], commitments=(), links=())
 
     def test_corrupt_inner_hop_reported(self, relay):
         proof = build_chain_proof(
@@ -923,23 +924,26 @@ class TestEachShapeRuleInOnePlace:
     meets one."""
 
     @pytest.mark.parametrize(
-        "rule",
+        "rule,way",
         [
-            "holder-chain-of-no-commitment",
-            "holder-chain-of-a-link-too-few",
-            "chain-link-off-index-0",
-            "proof-of-no-window-round",
-            "link-round-of-two-receipts",
-            "hub-of-an-empty-manifest",
-            "manifest-path-off-index-2",
-            "chain-of-no-hop",
+            (rule, way)
+            for rule, decodable in [
+                ("holder-chain-of-no-commitment", True),
+                ("holder-chain-of-a-link-too-few", False),
+                ("chain-link-off-index-0", False),
+                ("proof-of-no-window-round", True),
+                ("link-round-of-two-receipts", False),
+                ("hub-of-an-empty-manifest", True),
+                ("manifest-path-off-index-2", False),
+                ("chain-of-no-hop", True),
+            ]
+            for way in (["fields", "replace", "decoder"] if decodable else ["fields", "replace"])
         ],
     )
-    def test_one_text_however_made(self, pair, fan, relay, rule):
+    def test_one_text_however_made(self, pair, fan, relay, rule, way):
         path = [relay.id_of("a"), relay.id_of("b"), relay.id_of("c")]
         chain = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), path, 1)
         text, make, replace, data = shape_rules(link_for(pair, "holder", "issuer", (1, 2)), hub_for(fan), chain)[rule]
-        ways = [make, replace] if data is None else [make, replace, lambda: decode_proof(data)]
-        for made in ways:
-            with pytest.raises(WireError, match=f"^{re.escape(text)}$"):
-                made()
+        made = {"fields": make, "replace": replace, "decoder": lambda: decode_proof(data)}[way]
+        with pytest.raises(WireError, match=f"^{re.escape(text)}$"):
+            made()

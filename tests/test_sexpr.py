@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmesh.hashtree import MerkleTree
+from entmesh.identity import RecoveryPolicy
+from entmesh.keys import keypair_from_seed
 from entmesh.sexpr import (
     ParseError,
     encode_tree,
@@ -109,6 +111,30 @@ class TestTokens:
     def test_encoding_separates_structure(self):
         # Flattened token content differs by parens, so roots differ.
         assert encode_tree(("a", ("b",))).root != encode_tree(("a", "b")).root
+
+
+class TestThresholdForm:
+    """A recovery policy commits ``(threshold k g...)``; with no evaluator,
+    ``RecoveryPolicy.decide`` is what reads it: true when k of the distinct
+    guardians endorse, whatever else is in the endorsing list."""
+
+    @pytest.mark.parametrize(
+        "threshold,endorsing,holds",
+        [
+            (1, (), False),
+            (1, (2,), True),
+            (2, (0, 0), False),
+            (2, (0, 3), False),
+            (2, (2, 1), True),
+            (3, (0, 1, 2), True),
+            (3, (0, 1, 3, 3), False),
+        ],
+    )
+    def test_decide_counts_the_form(self, threshold, endorsing, holds):
+        ids = [keypair_from_seed(f"g{i}").node_id for i in range(3)] + [keypair_from_seed("stranger").node_id]
+        policy = RecoveryPolicy(threshold, tuple(ids[:3]))
+        assert policy.expr() == ("threshold", threshold, *sorted(ids[:3]))
+        assert policy.decide([ids[i] for i in endorsing]) is holds
 
 
 symbols = st.from_regex(r"[a-z!$%&*+./:<=>?@^_~][a-z0-9!$%&*+./:<=>?@^_~-]{0,8}", fullmatch=True).filter(
