@@ -235,7 +235,8 @@ class ReceiptPaths:
     with its index, the prev digest, and the first leaf's path as the
     issuer round's ``ChainLink`` writes it.  A receipt writes its paths in
     another form, with the issuer tree's size and each step's side
-    (``receipt_paths``).
+    (``receipt_paths``).  Like a link, it is made only with that path at
+    index 0, even from bytes passed in.
     """
 
     inclusion: InclusionProof
@@ -244,6 +245,7 @@ class ReceiptPaths:
     encoding: InitVar[Optional[bytes]] = None
 
     def __post_init__(self, encoding: Optional[bytes]) -> None:
+        at_leaf(self.prev_inclusion, 0)
         if encoding is None:
             encoding = _joined_paths(self.inclusion, self.prev_digest, ChainLink(self.prev_inclusion))
         object.__setattr__(self, "_encoding", encoding)
@@ -511,7 +513,8 @@ def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
 
     In order: the issuer commitment's signature (BadSignature), the
     submission leaf's proof (ReceiptInvalid), and the proof of the issuer
-    tree's prev-commitment leaf at index 0 (ReceiptInvalid).  The holder's
+    tree's prev-commitment leaf (ReceiptInvalid), at index 0: a
+    ``ReceiptPaths`` is made only there.  The holder's
     signature is not checked here: the holder itself compares the attested
     root with its own record, so only a node forwarded the receipt checks
     it.  A proof verifier runs only the two inclusion checks, against its
@@ -532,7 +535,7 @@ def _check_receipt_inclusions(submission_hash: Digest, paths: ReceiptPaths, c: C
     if not directory.proves(c, (submission_hash,), paths.inclusion):
         return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
     prev_hash = leaf_hash(bytes([LEAF_PREV]) + paths.prev_digest)
-    if paths.prev_inclusion.leaf_index != 0 or not directory.proves(c, (prev_hash,), paths.prev_inclusion):
+    if not directory.proves(c, (prev_hash,), paths.prev_inclusion):
         return Verdict.failed("ReceiptInvalid", "prev-commitment leaf unproven")
     return Verdict.passed()
 

@@ -22,7 +22,9 @@ Phases, round r:
 
 The engine is deliberately message-faithful: everything a node learns
 arrives as bytes over a link and is signature-checked before it can
-influence that node's view.
+influence that node's view.  A check of a signature the run itself made,
+or one that already passed, is answered from the run's memo
+(``_CheckedOnce``) without Ed25519: its answer cannot differ.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from ..entangle import build_chain_proof, verify_chain
 from ..hashtree import Digest
 from ..identity import CredentialRegistry
-from ..keys import Ed25519Scheme, NodeId, keypair_from_seed
+from ..keys import Ed25519Scheme, KeyPair, NodeId, keypair_from_seed
 from ..node import (
     Commitment,
     HolderChain,
@@ -100,28 +102,33 @@ class _CheckedOnce(KeyDirectory):
     """A run's memoizing view of its key directory.
 
     It shares the directory's bindings, so a rebinding applied to the
-    directory holds here at once.  Each check resolves the key first and
-    remembers only ``(key, message, signature)`` triples that passed: a pass
-    under an old key never vouches for a new one, and a bad signature is
-    checked, and reported, every time.  Ed25519 verify is pure, so the run's
-    events and metrics are those of the plain directory.  Proof verifiers
-    get ``Simulation.directory`` itself, which remembers nothing.
+    directory holds here at once.  ``known`` is the run's set of
+    ``(key, message, signature)`` triples that verify: each signature the
+    run made, with the signing key's verify half and the bytes it signed
+    (RFC 8032 verification of such a triple can only pass), and each
+    triple that passed an Ed25519 check here.  Each check resolves the key
+    bound at its round first and looks up only that key's triple: a
+    triple under an old key never vouches for a new one, and a signature
+    not in the set is checked with Ed25519, and a failure reported, every
+    time.  Ed25519 verify is pure, so the run's events and metrics are
+    those of the plain directory.  Proof verifiers get
+    ``Simulation.directory`` itself, which remembers nothing.
     """
 
-    def __init__(self, directory: KeyDirectory):
+    def __init__(self, directory: KeyDirectory, known: set[tuple[bytes, bytes, bytes]]):
         self._bindings = directory._bindings
-        self._passed: set[tuple[bytes, bytes, bytes]] = set()
+        self._known = known
 
     def verify_signature(self, node_id: NodeId, round_no: int, message: bytes, signature: bytes) -> bool:
         key = self.key_at(node_id, round_no)
         if key is None:
             return False
         triple = (key, message, signature)
-        if triple in self._passed:
+        if triple in self._known:
             return True
         if not Ed25519Scheme().verify(key, message, signature):
             return False
-        self._passed.add(triple)
+        self._known.add(triple)
         return True
 
 
@@ -155,8 +162,10 @@ class Simulation:
         self.seed = seed
         self.audit_every = audit_every
         self.directory = KeyDirectory()
+        # Triples that verify: every signature the run makes, and every check that passed.
+        self._signatures: set[tuple[bytes, bytes, bytes]] = set()
         # Every signature check inside the run goes through this view.
-        self._verifier: KeyDirectory = _CheckedOnce(self.directory)
+        self._verifier: KeyDirectory = _CheckedOnce(self.directory, self._signatures)
         self.nodes: dict[str, Node] = {}
         for label in topology.labels:
             keypair = keypair_from_seed(f"{seed}:{label}")
@@ -265,6 +274,10 @@ class Simulation:
         base: tuple = ("data", label, round_no)
         return base + ("forked",) if forked else base
 
+    def _learn_signed(self, keypair: KeyPair, signed: Commitment | Submission) -> None:
+        """Remember that ``keypair`` signed ``signed``: its message, exactly the bytes signed."""
+        self._signatures.add((keypair.verify_key, signed.message(), signed.signature))
+
     def _build_kwargs(self, label: str) -> dict:
         registry = self.registries.get(label)
         if registry is None:
@@ -305,19 +318,23 @@ class Simulation:
             # Snapshot queued submissions before build clears them: the fork
             # must entangle exactly the same inbound roots as the real tree.
             pending_subs = dict(node._pending_submissions) if equivocating else None
-            node.build(self._payload(label, r), **self._build_kwargs(label))
+            record = node.build(self._payload(label, r), **self._build_kwargs(label))
+            self._learn_signed(node.keypair, record.commitment)
             if equivocating:
                 shadow = self._shadows[label]
                 shadow._pending_submissions = pending_subs
                 shadow._pending_receipts = {}
-                shadow.build(self._payload(label, r, forked=True))
+                record = shadow.build(self._payload(label, r, forked=True))
+                self._learn_signed(shadow.keypair, record.commitment)
 
     def _rewrite_previous(self, node: Node, r: int) -> None:
         old = node.record_at(r - 1)
         if old.state is None:
             raise ValueError("cannot rewrite a pruned round")
         state = dataclasses.replace(old.state, payload=self._payload(node.label, r - 1, forked=True))
-        tree, commitment = build_round(state, node.keypair_at(r - 1))
+        keypair = node.keypair_at(r - 1)
+        tree, commitment = build_round(state, keypair)
+        self._learn_signed(keypair, commitment)
         node.replace_record(r - 1, NodeRecord(commitment=commitment, state=state, tree=tree))
 
     @staticmethod
@@ -359,7 +376,11 @@ class Simulation:
         self._submitted_this_round = {}
         signed: dict[str, Submission] = {}  # one per holder, handed to each of its issuers
         for holder, issuer in self.topology.links:
-            sub = signed[holder] = signed.get(holder) or self.nodes[holder].make_submission()
+            sub = signed.get(holder)
+            if sub is None:
+                node = self.nodes[holder]
+                sub = signed[holder] = node.make_submission()
+                self._learn_signed(node.keypair, sub)
             payload = sub.to_bytes()
             self._send(holder, issuer, len(payload))
             verdict = self.nodes[issuer].receive_submission(sub, self._verifier)

@@ -3,8 +3,9 @@
 Each mutant below drops one verifier check, a shape rule that a proof
 record holds when it is made, the anchor row check ``entmesh verify``
 makes before an OK, or the forwarding that equivocation detection relies
-on, makes one step cost more than a cost law allows, or makes ``entmesh
-prove`` stop its run before a round its proof reads is final, by
+on, makes one step cost more than a cost law allows, makes ``entmesh
+prove`` stop its run before a round its proof reads is final, or lets
+a run's signature memo answer for a triple that does not verify, by
 rewriting one line of ``src/entmesh``.  For
 each, the sweep copies ``src/`` to a temp directory, applies the rewrite
 there and runs the tests named for it; a mutant is killed when one of
@@ -198,10 +199,10 @@ MUTANTS = (
         (_SHAPE + "[chain-of-no-hop-fields]",),
     ),
     Mutant(
-        "receipt: the prev-leaf proof at index 0",
+        "receipt: the prev-leaf path at index 0 (ReceiptPaths, when made with its bytes)",
         "node.py",
-        "if paths.prev_inclusion.leaf_index != 0 or not directory.proves(c, (prev_hash,), paths.prev_inclusion):",
-        "if not directory.proves(c, (prev_hash,), paths.prev_inclusion):",
+        "at_leaf(self.prev_inclusion, 0)",
+        "pass",
         ("tests/test_node.py::TestSignedTreesNoBuilderMakes::test_receipt_whose_prev_leaf_proof_is_not_at_index_0",),
     ),
     Mutant(
@@ -266,6 +267,20 @@ MUTANTS = (
         "return window[1] + EVIDENCE_LAG",
         "return window[1] + EVIDENCE_LAG - 1",
         (_PROVE + "test_hub_window_1_to_4_runs_7_of_10_rounds",),
+    ),
+    Mutant(
+        "memo: a submission the run signs is learned with its own message",
+        "simnet/engine.py",
+        "self._learn_signed(node.keypair, sub)",
+        "self._learn_signed(node.keypair, dataclasses.replace(node.latest.commitment, signature=sub.signature))",
+        ("tests/test_simnet.py::TestSignatureMemo::test_every_remembered_triple_verifies[link.yaml]",),
+    ),
+    Mutant(
+        "memo: a triple answers only under the key bound at the check's round",
+        "simnet/engine.py",
+        "if triple in self._known:",
+        "if (message, signature) in {known[1:] for known in self._known}:",
+        ("tests/test_simnet.py::TestSignatureMemo::test_a_learned_triple_never_answers_for_a_rebound_key",),
     ),
     Mutant(
         "detection: a node forwards the receipts its round retains",

@@ -4,39 +4,48 @@ rounds grow, and only hashing and bytes grow, as log2 of the holder count.
 Wall-clock time is too noisy for a tier-1 check, so this module counts work
 and fits the counts against input size, as Goldsmith et al. do (ESEC/FSE
 2007).  Per node-round, leaving out round 0, which has no receipts, it
-counts Ed25519 signs (``KeyPair.sign``) and verifies
-(``Ed25519Scheme.verify``), inclusion folds (``fold_root``, in ``hashtree``
-and in ``entangle``), SHA-256 calls (``hashtree._sha256``), bytes sent and,
-in the rounds sweeps, records whose retained bytes are read
-(``NodeRecord.retained_bytes``).
+counts Ed25519 signs (``KeyPair.sign``), the signature checks nodes ask
+for (``_CheckedOnce.verify_signature``, the run's memo) and the Ed25519
+verifies those make (``Ed25519Scheme.verify``), inclusion folds
+(``fold_root``, in ``hashtree`` and in ``entangle``), SHA-256 calls
+(``hashtree._sha256``), bytes sent and, in the rounds sweeps, records
+whose retained bytes are read (``NodeRecord.retained_bytes``).
 The counts are deterministic.  Ed25519 is stood in for by a keyed SHA-512
 that refuses what Ed25519 refuses on these runs (any signature its key did
 not make), so every check has its real outcome at a fraction of the time,
-and signatures keep their 64 bytes.  At seed 0, as (signs, verifies, folds,
+and signatures keep their 64 bytes.  Every signature these honest runs
+check is one the run made, which the memo learns when it is signed, so
+they make no Ed25519 verify at all.  At seed 0, as (signs, checks, folds,
 SHA-256 calls, bytes sent):
 
 * ``centralized(n)`` x 10 rounds, for n = 10 / 50 / 200:
-  (1.91, 1.92, 3.82, 35.5, 954) / (1.98, 1.98, 3.96, 40.3, 1,160) /
-  (2.00, 2.00, 3.99, 44.5, 1,309);
-* ``centralized(10)`` at 10 / 80 rounds: (1.91, 1.92, 3.82, 35.5, 954) /
-  (1.91, 1.91, 3.82, 35.8, 967);
+  (1.91, 3.73, 3.71, 36.1, 954) / (1.98, 3.94, 3.85, 40.9, 1,160) /
+  (2.00, 3.99, 3.88, 45.0, 1,309);
+* ``centralized(10)`` at 10 / 80 rounds: (1.91, 3.73, 3.71, 36.1, 954) /
+  (1.91, 3.73, 3.81, 36.7, 967);
 * ``federated(3, 3, 18)`` with ``audit_every=10`` at 30 / 120 rounds:
-  (1.97, 1.97, 6.29, 45.4, 1,414) / (1.97, 1.97, 6.63, 47.0, 1,443).
+  (1.97, 5.60, 6.29, 45.4, 1,414) / (1.97, 5.71, 6.63, 47.0, 1,443).
   While each chain audit walked the node's whole history, its folds read
   6.69 / 11.12 (+66%) and its SHA-256 calls 46.1 / 65.6.
+
+While the memo learned only the checks that passed, the Ed25519 verifies
+read about one per sign (1.92 / 1.98 / 2.00 in the holder sweep), and the
+law bounded them in place of the checks.
 
 Records read per node-round: 1.20 / 1.18 for ``centralized(10)`` and
 1.07 / 1.07 for ``federated(3, 3, 18)``.  While each metrics row summed
 every record of its node, they read 6 / 41 and 16 / 61.
 
-The bounds, each with room for about twice the spread above:
+The bounds, each with room over the spreads above, the widest of which
+is 7%, the checks' across the holder sweep:
 
-* ``FLAT``: across the holder sweep, the largest of signs, verifies and
+* ``FLAT``: across the holder sweep, the largest of signs, checks and
   folds per node-round is at most 10% above the smallest; across a rounds
   sweep, so is every count;
 * ``FLAT`` again for the log law: SHA-256 calls and bytes per node-round at
   200 holders are at most 10% above a + b·log2(200), the line through their
-  figures at 10 and 50 holders.
+  figures at 10 and 50 holders;
+* Ed25519 verifies are exactly 0 in every run.
 """
 
 import functools
@@ -50,6 +59,7 @@ from entmesh import entangle, hashtree
 from entmesh.keys import Ed25519Scheme, KeyPair
 from entmesh.node import NodeRecord
 from entmesh.simnet import Simulation, centralized, federated
+from entmesh.simnet.engine import _CheckedOnce
 
 FLAT = 1.10
 HOLDERS = (10, 50, 200)
@@ -73,11 +83,12 @@ def stand_in_verify(scheme, verify_key, message, signature):
 COUNTED = (
     (KeyPair, "sign", "signs", stand_in_sign),
     (Ed25519Scheme, "verify", "verifies", stand_in_verify),
+    (_CheckedOnce, "verify_signature", "checks", _CheckedOnce.verify_signature),
     (hashtree, "fold_root", "folds", hashtree.fold_root),
     (entangle, "fold_root", "folds", hashtree.fold_root),
     (hashtree, "_sha256", "sha256", hashtree._sha256),
 )
-PER_ROUND = ("signs", "verifies", "folds")
+PER_ROUND = ("signs", "checks", "folds")
 GROWING = ("sha256", "bytes")
 # Records whose retained bytes are read: one per record built and two per anchor
 # record pruned, so 1 + 2 / nodes per node-round with one pruned anchor: flat in
@@ -122,7 +133,7 @@ def per_node_round(topology: str, holders: int, rounds: int, audit_every: int) -
     assert sim.events == []  # an honest run: every check passed, under the stand-in as under Ed25519
     counts["bytes"] += sim.total_bytes_sent()
     node_rounds = len(sim.topology.labels) * (rounds - 1)
-    return {count: counts[count] / node_rounds for count in PER_ROUND + GROWING + RECORDS}
+    return {count: counts[count] / node_rounds for count in PER_ROUND + GROWING + RECORDS + ("verifies",)}
 
 
 def spread(runs, count):
@@ -133,6 +144,11 @@ def spread(runs, count):
 @pytest.mark.parametrize("count", PER_ROUND)
 def test_work_per_node_round_is_flat_in_holders(count):
     assert spread(HOLDER_RUNS, count) <= FLAT, [per_node_round(*run)[count] for run in HOLDER_RUNS]
+
+
+@pytest.mark.parametrize("run", HOLDER_RUNS + [run for runs in ROUND_SWEEPS.values() for run in runs], ids=str)
+def test_an_honest_run_makes_no_ed25519_verify(run):
+    assert per_node_round(*run)["verifies"] == 0
 
 
 @pytest.mark.parametrize("count", GROWING)

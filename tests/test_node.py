@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmesh.entangle import build_link_proof
-from entmesh.hashtree import ZERO_DIGEST, InclusionProof, sha256
+from entmesh.hashtree import ZERO_DIGEST, InclusionProof, leaf_hash, sha256
 from entmesh.keys import keypair_from_seed
 from entmesh.node import (
     LEAF_ENTANGLED,
@@ -443,8 +443,8 @@ class TestSignedTreesNoBuilderMakes:
     second leaf is a second prev-commitment leaf.  Every hash and signature
     then checks out, and only the leaf's position is refused.  A path off
     the index the format fixes cannot be written, so no record of one can be
-    made from its fields.  A peer may hold a receipt's paths in memory with
-    bytes passed in; a chain link refuses that too."""
+    made from its fields.  A peer may hold a receipt's paths or a chain link
+    in memory with bytes passed in; each refuses that too."""
 
     def test_receipt_whose_prev_leaf_proof_is_not_at_index_0(self, manual_net):
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
@@ -454,11 +454,13 @@ class TestSignedTreesNoBuilderMakes:
         tree, c = decoy_prev_tree(issuer, 3, real, sub.leaf_bytes())
         honest = ReceiptPaths(tree.prove_inclusion(2), real, tree.prove_inclusion(0))
         assert check_receipt(Receipt(sub, c, honest), net.directory)
+        # The decoy's path folds to the signed root, from the wrong leaf.
+        assert c.proves((leaf_hash(prev_leaf(DECOY)),), tree.prove_inclusion(1))
         with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
             ReceiptPaths(tree.prove_inclusion(2), DECOY, tree.prove_inclusion(1))
-        off_index = held_in_memory(honest, prev_digest=DECOY, prev_inclusion=tree.prove_inclusion(1))
-        verdict = check_receipt(Receipt(sub, c, off_index), net.directory)
-        assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "prev-commitment leaf unproven")
+        # Nor with bytes passed in, as a peer holds a receipt's paths: no receipt holds one.
+        with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
+            held_in_memory(honest, prev_digest=DECOY, prev_inclusion=tree.prove_inclusion(1))
 
     def test_chain_link_whose_path_is_not_at_index_0(self, manual_net):
         # Round 2's tree holds the real prev leaf second, after a decoy: a

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from entmesh.config import load_config, make_simulation
 from entmesh.entangle import MissingReceiptError, build_chain_proof, build_hub_proof, build_link_proof, encode_proof, verify_link
 from entmesh.hashtree import ZERO_DIGEST, Digest, MerkleTree, fold_root, leaf_hash, sha256
+from entmesh.identity import _recovery_message
 from entmesh.keys import Ed25519Scheme, KeyPair, keypair_from_seed
 from entmesh.node import KeyDirectory, build_round, round_leaves
 from entmesh.simnet import (
@@ -546,15 +547,13 @@ def _prev_path_at_leaf_1(rc):
     return rc.paths.prev_inclusion._replace(leaf_index=1)
 
 
-# A prev-leaf path off leaf 0 cannot be written, so its paths are made with
-# their old bytes passed in.  Every other tamper re-encodes: stale bytes
-# could hide it from a check that reads the kept bytes.
+# Every tamper re-encodes: stale bytes could hide it from a check that reads
+# the kept bytes.  A prev-leaf path off leaf 0 is no tamper: it cannot be made.
 RECEIPT_TAMPERS = {
     "submission-sibling": lambda rc: _with_paths(rc, inclusion=_flip_first_sibling(rc.paths.inclusion)),
     "submission-extra-sibling": lambda rc: _with_paths(
         rc, inclusion=rc.paths.inclusion._replace(siblings=rc.paths.inclusion.siblings + (ZERO_DIGEST,))
     ),
-    "prev-leaf-index": lambda rc: dataclasses.replace(rc, paths=held_in_memory(rc.paths, prev_inclusion=_prev_path_at_leaf_1(rc))),
     "prev-digest": lambda rc: _with_paths(rc, prev_digest=Digest(sha256(b"another prev"))),
     "unsigned-round": lambda rc: dataclasses.replace(
         rc, issuer_commitment=dataclasses.replace(rc.issuer_commitment, round=rc.issuer_commitment.round + 7)
@@ -599,12 +598,18 @@ class TestReceiptPathsAgree:
         _, events, claims = self.forward(sim, holder, receipt)
         assert events == [] and len(claims) == 2
 
+    def test_prev_leaf_path_off_index_0_cannot_be_made(self, run):
+        _, _, receipt = run
+        off_index = _prev_path_at_leaf_1(receipt)
+        with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
+            _with_paths(receipt, prev_inclusion=off_index)
+        # Nor with its old bytes passed in, as a peer may hold a receipt's paths.
+        with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
+            held_in_memory(receipt.paths, prev_inclusion=off_index)
+
     @pytest.mark.parametrize("tamper", sorted(RECEIPT_TAMPERS))
     def test_tampered_receipt(self, run, tamper):
         sim, holder, receipt = run
-        if tamper == "prev-leaf-index":
-            with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
-                _with_paths(receipt, prev_inclusion=_prev_path_at_leaf_1(receipt))
         bad = RECEIPT_TAMPERS[tamper](receipt)
         if tamper == "submission-extra-sibling":
             leaf = leaf_hash(bad.submission.leaf_bytes())
@@ -677,6 +682,46 @@ class TestSignatureMemo:
             assert [r.commitment for r in memo.nodes[label].records] == [
                 r.commitment for r in reference.nodes[label].records
             ], label
+
+    @pytest.mark.parametrize("run", sorted(MEMO_RUNS))
+    def test_every_remembered_triple_verifies(self, run):
+        # Each place the engine signs teaches the memo the key, bytes and signature it signed.
+        sim = MEMO_RUNS[run]().run()
+        assert sim._signatures
+        assert [triple for triple in sim._signatures if not Ed25519Scheme().verify(*triple)] == []
+
+    @pytest.mark.parametrize("scenario", sorted(path.name for path in SCENARIOS.glob("*.yaml")))
+    def test_a_bundled_scenario_makes_no_ed25519_verify(self, scenario, ed25519_calls):
+        sim = make_simulation(load_config(SCENARIOS / scenario)).run()
+        if scenario != "identity.yaml":
+            assert ed25519_calls == []
+            return
+        # Only the recovery's guardian endorsements, which go through the plain directory.
+        h1 = sim.nodes["h1"]
+        message = _recovery_message(h1.node_id, h1.keypair.verify_key)
+        guardians = sorted(sim.nodes[label].keypair.verify_key for label in ("h0", "h2", "hub"))
+        assert sorted((key, signed, ok) for (key, signed, _), ok in ed25519_calls) == [(key, message, True) for key in guardians]
+
+    def test_a_learned_triple_never_answers_for_a_rebound_key(self, ed25519_calls):
+        sim = Simulation(centralized(3), rounds=4, seed=2).run()
+        h0 = sim.nodes["h0"]
+        commitment = h0.record_at(2).commitment
+        assert (h0.keypair.verify_key, commitment.message(), commitment.signature) in sim._signatures
+        assert sim._verifier.verify_commitment(commitment)
+        assert ed25519_calls == []  # neither the run nor this check verified it
+        sim.directory.rebind(h0.node_id, keypair_from_seed("another key").verify_key, from_round=2)
+        assert not sim._verifier.verify_commitment(commitment)
+        assert [ok for _, ok in ed25519_calls] == [False]
+        assert sim._verifier.verify_commitment(h0.record_at(1).commitment)
+        assert len(ed25519_calls) == 1
+
+    def test_another_nodes_signature_over_a_signed_message(self, ed25519_calls):
+        sim = Simulation(centralized(3), rounds=4, seed=2).run()
+        commitment = sim.nodes["h0"].record_at(2).commitment
+        resigned = dataclasses.replace(commitment, signature=sim.nodes["h1"].keypair.sign(commitment.message()))
+        for _ in range(2):
+            assert not sim._verifier.verify_commitment(resigned)
+        assert [ok for _, ok in ed25519_calls] == [False, False]
 
     def test_each_passing_triple_checked_once_and_failures_every_time(self, ed25519_calls):
         sim = Simulation(
