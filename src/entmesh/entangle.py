@@ -78,11 +78,9 @@ from .node import (
 )
 from .wire import (
     MAX_ITEMS,
-    MAX_RECORD,
     Reader,
     WireError,
     at_leaf,
-    blobs,
     decode,
     digest,
     digests,
@@ -117,9 +115,6 @@ __all__ = [
 # the issuer-side inclusion, +1 for evidence retention.
 EVIDENCE_LAG = 2
 
-# Bytes of one hub round's holder signature and receipt paths, or of one chain hop blob (docs/FORMATS.md).
-MAX_LINK = 1 << 24
-
 
 class MissingReceiptError(ValueError):
     def __init__(self, issuer_id: NodeId, round_no: int):
@@ -140,25 +135,20 @@ class WindowRound(NamedTuple):
 
 
 def _rounds_bytes(rounds: Sequence[WindowRound]) -> list[bytes]:
-    """A u32 count, then per round a blob of the signature blob and the
-    receipts' paths, and the evidence proof: the parts, for one join."""
+    """A u32 count, then per round the signature blob, the receipts' paths
+    and the evidence proof: the parts, for one join."""
     parts = [prefix(len(rounds))]
     for signature, receipts, evidence in rounds:
-        paths_bytes = b"".join([paths._encoding for paths in receipts])
-        size = 4 + len(signature) + len(paths_bytes)  # the signature's blob, then the paths
-        parts += (prefix(size), prefix(len(signature)), signature, paths_bytes, encode_inclusion_proof(evidence))
+        parts += (prefix(len(signature)), signature, *[paths._encoding for paths in receipts])
+        parts.append(encode_inclusion_proof(evidence))
     return parts
 
 
-def _read_rounds(r: Reader, issuers: int, limit: int) -> tuple[WindowRound, ...]:
-    """What ``_rounds_bytes`` writes, ``issuers`` receipts to a round, whose
-    signature and paths blob is at most ``limit`` bytes."""
-
-    def held(r: Reader) -> tuple[bytes, tuple[ReceiptPaths, ...]]:
-        return r.blob(MAX_SIGNATURE), tuple([ReceiptPaths.read(r) for _ in range(issuers)])
+def _read_rounds(r: Reader, issuers: int) -> tuple[WindowRound, ...]:
+    """What ``_rounds_bytes`` writes, ``issuers`` receipts to a round."""
 
     def read_round(r: Reader) -> WindowRound:
-        signature, receipts = r.nested(held, limit)
+        signature, receipts = r.blob(MAX_SIGNATURE), tuple([ReceiptPaths.read(r) for _ in range(issuers)])
         return WindowRound(signature, receipts, read_inclusion_proof(r))
 
     return r.many(read_round, "window rounds", MAX_ITEMS)
@@ -203,7 +193,7 @@ class LinkProof(_Held):
 
     @staticmethod
     def read(r: Reader) -> "LinkProof":
-        return LinkProof(r.digest(), HolderChain.read(r), _read_rounds(r, 1, MAX_RECORD))
+        return LinkProof(r.digest(), HolderChain.read(r), _read_rounds(r, 1))
 
 
 _ByRound = Mapping[int, Commitment]  # a node's commitments by round
@@ -439,7 +429,7 @@ class HubProof(_Held):
     def read(r: Reader) -> "HubProof":
         manifest = r.digests("manifest ids", MAX_ITEMS)
         manifest_proofs = r.many(lambda r: read_inclusion_proof(r, MANIFEST_LEAF_INDEX), "manifest proofs", MAX_ITEMS)
-        return HubProof(manifest, manifest_proofs, HolderChain.read(r), _read_rounds(r, len(manifest), MAX_LINK))
+        return HubProof(manifest, manifest_proofs, HolderChain.read(r), _read_rounds(r, len(manifest)))
 
 
 def build_hub_proof(
@@ -529,11 +519,11 @@ class ChainProof:
         return self.hops[-1].issuer_id
 
     def to_bytes(self) -> bytes:
-        return b"".join(blobs([hop.to_bytes() for hop in self.hops]))
+        return b"".join([prefix(len(self.hops)), *[hop.to_bytes() for hop in self.hops]])
 
     @staticmethod
     def read(r: Reader) -> "ChainProof":
-        return ChainProof(r.many(lambda r: r.nested(LinkProof.read, MAX_LINK), "hops", MAX_ITEMS))
+        return ChainProof(r.many(LinkProof.read, "hops", MAX_ITEMS))
 
 
 def build_chain_proof(
@@ -710,7 +700,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
     return current == end_root
 
 
-_PROOF_MAGIC = b"EMP9"
+_PROOF_MAGIC = b"EMPA"
 _PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 

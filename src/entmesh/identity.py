@@ -103,20 +103,17 @@ class StatusReport:
 
 @dataclass(frozen=True)
 class RevocationEvidence:
-    """Committed proof that a digest is (or is not) on the revocation list."""
+    """Committed proof that a digest is (or is not) on the revocation list.
+    It holds no commitment: its verifier folds it against the trusted one."""
 
     credential_digest: Digest
     revoked: bool
     revocation_list: tuple[Digest, ...]
     proof: InclusionProof
-    commitment: Commitment
 
 
 def verify_revocation_evidence(evidence: RevocationEvidence, trusted: Commitment) -> Verdict:
-    c = evidence.commitment
-    if c != trusted:
-        return Verdict.failed("TrustMismatch", "evidence cites a different commitment")
-    if not c.proves((leaf_hash(_revocation_leaf(evidence.revocation_list)),), evidence.proof):
+    if not trusted.proves((leaf_hash(_revocation_leaf(evidence.revocation_list)),), evidence.proof):
         return Verdict.failed("EvidenceInvalid", "revocation leaf unproven")
     if list(evidence.revocation_list) != sorted(set(evidence.revocation_list)):
         return Verdict.failed("EvidenceInvalid", "revocation list not canonical")
@@ -207,7 +204,6 @@ class CredentialRegistry:
             revoked=digest in record.state.revocation,
             revocation_list=record.state.revocation,
             proof=record.tree.prove_inclusion(revocation_leaf_index(record.state)),
-            commitment=record.commitment,
         )
 
     def credential_proof(self, digest: Digest, record: NodeRecord) -> InclusionProof:
@@ -267,17 +263,13 @@ class RecoveryCertificate:
     effective_round: int
 
 
-def verify_recovery(
-    cert: RecoveryCertificate,
-    directory: KeyDirectory,
-    policy_digest: Optional[Digest] = None,
-) -> Verdict:
+def verify_recovery(cert: RecoveryCertificate, directory: KeyDirectory, policy_digest: Digest) -> Verdict:
     """Check endorsements and decide by the committed policy.
 
-    ``policy_digest``, when given, pins the certificate's policy to the one
-    the node committed; a substituted policy fails even if self-consistent.
+    ``policy_digest`` pins the certificate's policy to the one the node
+    committed; a substituted policy fails even if self-consistent.
     """
-    if policy_digest is not None and cert.policy.digest() != policy_digest:
+    if cert.policy.digest() != policy_digest:
         return Verdict.failed("PolicyMismatch", "certificate policy is not the committed one")
     message = _recovery_message(cert.old_id, cert.new_verify_key)
     endorsed: list[NodeId] = []
@@ -306,7 +298,7 @@ def apply_recovery(
     directory: KeyDirectory,
     cert: RecoveryCertificate,
     new_keypair: KeyPair,
-    policy_digest: Optional[Digest] = None,
+    policy_digest: Digest,
 ) -> Verdict:
     """Validate a certificate and swap the node's signing key.
 

@@ -35,7 +35,6 @@ from .wire import (
     Reader,
     WireError,
     at_leaf,
-    blobs,
     bounded,
     decode,
     digest,
@@ -78,7 +77,6 @@ LEAF_REVOCATION = 0x07
 
 # Length bounds of node records (the table in docs/FORMATS.md).
 MAX_SIGNATURE = 256  # bytes of one signature
-MAX_COMMITMENT = 4096  # bytes of one commitment blob
 
 # A holder may lag its issuer by at most this many rounds at receipt time.
 STALE_THRESHOLD = 1
@@ -584,12 +582,13 @@ class HolderChain:
             raise WireError("a holder chain holds one link per commitment after the first")
 
     def parts(self) -> list[bytes]:
-        """A u32 count and each commitment's blob, then each link: the parts, for one join."""
-        return blobs([c._encoding for c in self.commitments]) + [link._encoding for link in self.links]
+        """A u32 count and each commitment, then each link: the parts, for one join."""
+        commitments = [c._encoding for c in self.commitments]
+        return [prefix(len(commitments)), *commitments, *[link._encoding for link in self.links]]
 
     @staticmethod
     def read(r: Reader) -> "HolderChain":
-        commitments = r.many(lambda r: r.nested(Commitment.read, MAX_COMMITMENT), "holder chain commitments", MAX_ITEMS)
+        commitments = r.many(Commitment.read, "holder chain commitments", MAX_ITEMS)
         return HolderChain(commitments, tuple([ChainLink.read(r) for _ in range(len(commitments) - 1)]))
 
 

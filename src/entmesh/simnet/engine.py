@@ -22,9 +22,9 @@ Phases, round r:
 
 The engine is deliberately message-faithful: everything a node learns
 arrives as bytes over a link and is signature-checked before it can
-influence that node's view.  A check of a signature the run itself made,
-or one that already passed, is answered from the run's memo
-(``_CheckedOnce``) without Ed25519: its answer cannot differ.
+influence that node's view.  A check of a signature the run itself made
+is answered from the run's memo (``_CheckedOnce``) without Ed25519: its
+answer cannot differ.
 """
 
 from __future__ import annotations
@@ -103,16 +103,15 @@ class _CheckedOnce(KeyDirectory):
 
     It shares the directory's bindings, so a rebinding applied to the
     directory holds here at once.  ``known`` is the run's set of
-    ``(key, message, signature)`` triples that verify: each signature the
+    ``(key, message, signature)`` triples it signed: each signature the
     run made, with the signing key's verify half and the bytes it signed
-    (RFC 8032 verification of such a triple can only pass), and each
-    triple that passed an Ed25519 check here.  Each check resolves the key
-    bound at its round first and looks up only that key's triple: a
-    triple under an old key never vouches for a new one, and a signature
-    not in the set is checked with Ed25519, and a failure reported, every
-    time.  Ed25519 verify is pure, so the run's events and metrics are
-    those of the plain directory.  Proof verifiers get
-    ``Simulation.directory`` itself, which remembers nothing.
+    (RFC 8032 verification of such a triple can only pass).  Each check
+    resolves the key bound at its round first and looks up only that key's
+    triple: a triple under an old key never vouches for a new one, and a
+    signature the run did not make is checked with Ed25519 every time.
+    Ed25519 verify is pure, so the run's events and metrics are those of
+    the plain directory.  Proof verifiers get ``Simulation.directory``
+    itself, which remembers nothing.
     """
 
     def __init__(self, directory: KeyDirectory, known: set[tuple[bytes, bytes, bytes]]):
@@ -123,13 +122,7 @@ class _CheckedOnce(KeyDirectory):
         key = self.key_at(node_id, round_no)
         if key is None:
             return False
-        triple = (key, message, signature)
-        if triple in self._known:
-            return True
-        if not Ed25519Scheme().verify(key, message, signature):
-            return False
-        self._known.add(triple)
-        return True
+        return (key, message, signature) in self._known or Ed25519Scheme().verify(key, message, signature)
 
 
 @dataclass
@@ -162,7 +155,7 @@ class Simulation:
         self.seed = seed
         self.audit_every = audit_every
         self.directory = KeyDirectory()
-        # Triples that verify: every signature the run makes, and every check that passed.
+        # Triples that verify: every signature the run makes.
         self._signatures: set[tuple[bytes, bytes, bytes]] = set()
         # Every signature check inside the run goes through this view.
         self._verifier: KeyDirectory = _CheckedOnce(self.directory, self._signatures)

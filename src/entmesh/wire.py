@@ -9,9 +9,10 @@ as a decode error or as a failed content check downstream.
 
 A record is written as one join: its fixed fields packed by a precompiled
 ``Head``, kept encodings of the records it holds, and a ``prefix`` before
-each blob.  The bytes and encode-time refusals are those of a
-field-by-field writer, which the tests keep as the reference.  A record
-reads its fixed head in one unpack.
+each blob and list.  A record held in another is written bare: it ends
+where its own fields say, so its reader reads it in place.  The bytes and
+encode-time refusals are those of a field-by-field writer, which the tests
+keep as the reference.  A record reads its fixed head in one unpack.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "Reader",
     "WireError",
     "at_leaf",
-    "blobs",
     "bounded",
     "decode",
     "digest",
@@ -42,7 +42,6 @@ _U64_MAX = 2**64 - 1
 
 # Length bounds shared by every record (the table in docs/FORMATS.md).
 MAX_ITEMS = 4096  # records in one counted list
-MAX_RECORD = 1 << 16  # bytes of one nested record
 MAX_AUDIT_STEPS = 64  # siblings in one inclusion proof's audit path
 
 T = TypeVar("T")
@@ -83,14 +82,6 @@ def _joined_digests(items: Sequence[bytes]) -> bytes:
 def digests(items: Sequence[bytes]) -> bytes:
     """A u32 count, then each digest."""
     return prefix(len(items)) + _joined_digests(items)
-
-
-def blobs(items: Sequence[bytes]) -> list[bytes]:
-    """A u32 count, then each item as a blob: the parts, for one join."""
-    parts = [prefix(len(items))]
-    for item in items:
-        parts += (prefix(len(item)), item)
-    return parts
 
 
 _FIELD_LIMITS = {"Q": ("u64", _U64_MAX), "I": ("u32", _U32_MAX)}
@@ -140,11 +131,8 @@ def bounded(n: int, limit: int) -> int:
 
 
 class Reader:
-    """Strict reads from one buffer, up to an end limit.
-
-    A nested record is read in place: ``nested`` narrows the end limit to
-    the record's blob and restores it once the record has filled the blob
-    exactly, so no blob is copied and no second reader is made.  A reader
+    """Strict reads from one buffer, in place: each record's reader reads
+    its fields from the position the record before it ended at.  A reader
     that raised is left mid-record and is not read again.
     """
 
@@ -176,21 +164,6 @@ class Reader:
 
     def blob(self, max_len: int = 1 << 24) -> bytes:
         return self._take(bounded(self.u32(), max_len))
-
-    def nested(self, read: Callable[["Reader"], T], max_len: int) -> T:
-        """A blob that holds exactly one record, read by ``read``."""
-        n = self.u32()
-        if n > max_len:
-            raise WireError(f"blob length {n} exceeds limit")
-        end = self._pos + n
-        if end > self._end:
-            raise WireError("truncated input")
-        outer, self._end = self._end, end
-        value = read(self)
-        if self._pos != end:
-            raise WireError(f"{end - self._pos} trailing bytes")
-        self._end = outer
-        return value
 
     def many(self, read: Callable[["Reader"], T], what: str, limit: int) -> tuple[T, ...]:
         """A u32 count of at most ``limit``, then that many records."""

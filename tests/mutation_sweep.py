@@ -278,8 +278,8 @@ MUTANTS = (
     Mutant(
         "memo: a triple answers only under the key bound at the check's round",
         "simnet/engine.py",
-        "if triple in self._known:",
-        "if (message, signature) in {known[1:] for known in self._known}:",
+        "return (key, message, signature) in self._known or Ed25519Scheme().verify(key, message, signature)",
+        "return (message, signature) in {known[1:] for known in self._known} or Ed25519Scheme().verify(key, message, signature)",
         ("tests/test_simnet.py::TestSignatureMemo::test_a_learned_triple_never_answers_for_a_rebound_key",),
     ),
     Mutant(

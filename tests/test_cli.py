@@ -811,16 +811,14 @@ class TestVerify:
 
 # The CI proofs (scenario, prove arguments) and what ``inspect --proof``
 # prints for them, in text and JSON.  Each holder and window is read from
-# its holder chain, and each reads as the EMP7 holder id and window fields
-# did: only the sizes differ (EMP7 hub 4,957, chain 7,641, link 3,245 B;
-# EMP8 4,909, 7,449 and 3,197 B).
+# its holder chain.
 CI_PROOFS_INSPECTED = {
     "hub": (
         ["--config", str(SCENARIOS / "hub.yaml"), "--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
-        "hub proof, rounds [1, 3], 5 links, 4661 bytes\n"
+        "hub proof, rounds [1, 3], 5 links, 4629 bytes\n"
         "  holder 0a65d3f580a7d0d81eed1f10e4d637b2a0ca563fd859619021d8bee6a9d3bbf6\n",
         {
-            "bytes": 4661,
+            "bytes": 4629,
             "holder": "0a65d3f580a7d0d81eed1f10e4d637b2a0ca563fd859619021d8bee6a9d3bbf6",
             "kind": "hub",
             "links": 5,
@@ -836,13 +834,13 @@ CI_PROOFS_INSPECTED = {
     ),
     "chain": (
         ["--config", str(SCENARIOS / "chain.yaml"), "--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
-        "chain proof, 4 hops, 6505 bytes\n"
+        "chain proof, 4 hops, 6393 bytes\n"
         "  holder 8c82c6368f6141358d305a76da07b1ac1a4622c6023155bfcff4275cd13ca510\n"
         "  anchor 00d58369f3756164c05594dcbf206610c802884990620912bf3e81d14458fb8b at round 6\n",
         {
             "anchor": "00d58369f3756164c05594dcbf206610c802884990620912bf3e81d14458fb8b",
             "anchor_round": 6,
-            "bytes": 6505,
+            "bytes": 6393,
             "holder": "8c82c6368f6141358d305a76da07b1ac1a4622c6023155bfcff4275cd13ca510",
             "hops": 4,
             "kind": "chain",
@@ -850,11 +848,11 @@ CI_PROOFS_INSPECTED = {
     ),
     "link": (
         ["--config", str(SCENARIOS / "identity.yaml"), "--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
-        "link proof, rounds [1, 4], 2913 bytes\n"
+        "link proof, rounds [1, 4], 2873 bytes\n"
         "  holder c216bf170ae0e55225574e922362d7154a039d60102c0c7f976ff28635086d9d\n"
         "  issuer c91b3d66d2fdcca30575cd1817fd074cd075aed90952f98dd6a7f71049e4ef90\n",
         {
-            "bytes": 2913,
+            "bytes": 2873,
             "holder": "c216bf170ae0e55225574e922362d7154a039d60102c0c7f976ff28635086d9d",
             "issuer": "c91b3d66d2fdcca30575cd1817fd074cd075aed90952f98dd6a7f71049e4ef90",
             "kind": "link",

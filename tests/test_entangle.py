@@ -7,12 +7,12 @@ engine bug or vice versa.
 
 import dataclasses
 import re
+import struct
 
 import pytest
 
 from entmesh.entangle import (
     EVIDENCE_LAG,
-    MAX_LINK,
     ChainProof,
     HubProof,
     LinkProof,
@@ -31,8 +31,8 @@ from entmesh.entangle import (
 )
 from entmesh.hashtree import sha256
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import MANIFEST_LEAF_INDEX, ChainLink, HolderChain, submission_of
-from entmesh.wire import MAX_RECORD, WireError, blobs, prefix
+from entmesh.node import MANIFEST_LEAF_INDEX, MAX_SIGNATURE, ChainLink, HolderChain, submission_of
+from entmesh.wire import MAX_AUDIT_STEPS, MAX_ITEMS, WireError, encode_inclusion_proof, prefix
 
 from adversary import emptied_bytes, forged_commitment, with_chain
 from test_wire import Writer
@@ -359,17 +359,20 @@ def hub_for(net, window=(1, 3)):
     return build_hub_proof(net.nodes["center"].records, window, net.nodes["center"].receipt_log)
 
 
-def round_blob(signature, receipts):
-    """A window round's first blob as the reference writer writes it: the
-    holder's signature as a blob, then each issuer's receipt paths in
-    manifest order."""
+def round_fields(signature, receipts):
+    """A window round up to its evidence proof, as the reference writer
+    writes it: the holder's signature as a blob, then each issuer's receipt
+    paths in manifest order."""
     return Writer().blob(signature).getvalue() + b"".join(paths.to_bytes() for paths in receipts)
 
 
-def holder_chain_bytes(w, first_commitment_blob, proof):
-    """A holder chain field by field, around the given first commitment blob:
-    the commitments, counted, each a blob, then each link's path at index 0."""
-    w.blobs([first_commitment_blob] + [c.to_bytes() for c in proof.holder_chain.commitments[1:]])
+def holder_chain_bytes(w, first_commitment, proof):
+    """A holder chain field by field, around the given first commitment's
+    bytes: the commitments, counted, each written bare, then each link's
+    path at index 0."""
+    w.u32(len(proof.holder_chain.commitments)).record(first_commitment)
+    for c in proof.holder_chain.commitments[1:]:
+        w.record(c.to_bytes())
     for link in proof.holder_chain.links:
         path_bytes(w, link.proof, 0)
     return w
@@ -377,17 +380,17 @@ def holder_chain_bytes(w, first_commitment_blob, proof):
 
 def hub_bytes(proof, manifest=None, held=None):
     """A hub proof written field by field, around the given manifest and
-    per-round signature and paths blobs."""
+    per-round signature and paths (``round_fields``)."""
     manifest = proof.manifest if manifest is None else manifest
-    held = [round_blob(rnd.signature, rnd.receipts) for rnd in proof.rounds] if held is None else held
+    held = [round_fields(rnd.signature, rnd.receipts) for rnd in proof.rounds] if held is None else held
     w = Writer().digests(manifest).u32(len(proof.manifest_proofs))
     for p in proof.manifest_proofs:
         path_bytes(w, p, MANIFEST_LEAF_INDEX)
     holder_chain_bytes(w, proof.holder_chain.commitments[0].to_bytes(), proof)
     w.u32(len(held))
-    for blob, rnd in zip(held, proof.rounds, strict=True):
-        path_bytes(w.blob(blob), rnd.evidence_proof)
-    return b"EMP9\x11" + w.getvalue()
+    for fields, rnd in zip(held, proof.rounds, strict=True):
+        path_bytes(w.record(fields), rnd.evidence_proof)
+    return b"EMPA\x11" + w.getvalue()
 
 
 class TestHubCodec:
@@ -414,35 +417,39 @@ class TestHubCodec:
 
     @pytest.mark.parametrize("change", [1, -1])
     def test_decoder_refuses_an_issuer_record_of_another_length(self, fan, change):
-        # A round holds one receipt's paths per manifest issuer, so a round
-        # blob with one more or one fewer is refused as it is read.
+        # A round holds one receipt's paths per manifest issuer, so in a last
+        # round with one more, the extra paths' submission-leaf path is read as
+        # the evidence proof and the rest is left over; with one fewer, the
+        # evidence proof is read as the last paths' first, and they run past the end.
         proof = hub_for(fan)
-        held = [round_blob(rnd.signature, rnd.receipts) for rnd in proof.rounds]
+        held = [round_fields(rnd.signature, rnd.receipts) for rnd in proof.rounds]
         last = proof.rounds[-1]
-        receipts = last.receipts + last.receipts[:1] if change > 0 else last.receipts[:-1]
-        held[-1] = round_blob(last.signature, receipts)
-        error = f"^{len(last.receipts[0].to_bytes())} trailing bytes$" if change > 0 else "^truncated input$"
+        extra = last.receipts[0]
+        receipts = last.receipts + (extra,) if change > 0 else last.receipts[:-1]
+        held[-1] = round_fields(last.signature, receipts)
+        left = len(extra.to_bytes()) - len(encode_inclusion_proof(extra.inclusion)) + len(encode_inclusion_proof(last.evidence_proof))
+        error = f"^{left} trailing bytes$" if change > 0 else "^truncated input$"
         with pytest.raises(WireError, match=error):
             decode_proof(hub_bytes(proof, held=held))
 
     def test_decoder_refuses_a_hub_with_no_issuer_record(self, fan):
         proof = hub_for(fan)
-        empty = [round_blob(rnd.signature, ()) for rnd in proof.rounds]
+        empty = [round_fields(rnd.signature, ()) for rnd in proof.rounds]
         with pytest.raises(WireError, match="needs at least one link"):
             decode_proof(hub_bytes(proof, manifest=(), held=empty))
         with pytest.raises(WireError, match="needs at least one link"):
             with_receipts(proof, lambda receipts: (), manifest=())
 
-    def test_round_of_many_issuers_is_bounded_by_max_link(self, fan):
-        # A hub round's blob holds one receipt's paths per issuer, so past
-        # about 300 issuers it outgrows MAX_RECORD; it is bounded by MAX_LINK.
+    def test_round_of_400_issuers_round_trips(self, fan):
+        # A hub round holds one receipt's paths per issuer, read by the
+        # manifest's length: no bound but the manifest's covers its bytes.
         proof = hub_for(fan)
         manifest = tuple(sorted(sha256(bytes([i, j])) for i in range(2) for j in range(200)))
         wide = with_receipts(proof, lambda receipts: receipts[:1] * len(manifest), manifest=manifest)
-        held = round_blob(wide.rounds[0].signature, wide.rounds[0].receipts)
-        assert MAX_RECORD < len(held) <= MAX_LINK
+        assert len(round_fields(wide.rounds[0].signature, wide.rounds[0].receipts)) > 1 << 16
         data = encode_proof(wide)
         assert data == hub_bytes(wide) and decode_proof(data) == wide
+        assert encode_proof(decode_proof(data)) == data
 
     def test_builder_refuses_a_doctored_receipt_log(self, fan):
         center = fan.nodes["center"]
@@ -680,12 +687,12 @@ class TestRootPath:
         assert not verify_root_path(doctored, start, end)
 
 
-def link_bytes(link, first_commitment_blob):
-    """A link proof written field by field around the given first holder chain commitment blob."""
-    w = holder_chain_bytes(Writer().digest(link.issuer_id), first_commitment_blob, link)
+def link_bytes(link, first_commitment):
+    """A link proof written field by field around the given first holder chain commitment's bytes."""
+    w = holder_chain_bytes(Writer().digest(link.issuer_id), first_commitment, link)
     w.u32(len(link.rounds))
     for rnd in link.rounds:
-        path_bytes(w.blob(round_blob(rnd.signature, rnd.receipts)), rnd.evidence_proof)
+        path_bytes(w.record(round_fields(rnd.signature, rnd.receipts)), rnd.evidence_proof)
     return encode_proof(link)[:5] + w.getvalue()
 
 
@@ -753,14 +760,16 @@ class TestProofCodec:
         with pytest.raises(WireError, match="^a chain proof needs at least one hop$"):
             decode_proof(encode_proof(chain)[:5] + prefix(0))
 
-    def test_extra_byte_inside_holder_chain_commitment_blob(self, pair):
-        # The only commitments a proof carries are its holder chain's.  An
-        # extra byte inside one's blob, which the blob's length covers.
+    def test_extra_byte_after_a_holder_chain_commitment(self, pair):
+        # The only commitments a proof carries are its holder chain's, each
+        # ended by its signature blob.  An extra byte after the first is read
+        # as the second's first byte, so the second's signature length takes
+        # the low byte of its leaf count as its high byte: past MAX_SIGNATURE.
         link = link_for(pair, "holder", "issuer", (1, 2))
-        first = link.holder_chain.commitments[0].to_bytes()
-        assert link_bytes(link, first) == encode_proof(link)
-        with pytest.raises(WireError, match="^1 trailing bytes$"):
-            decode_proof(link_bytes(link, first + b"\x00"))
+        first, second = link.holder_chain.commitments[:2]
+        assert link_bytes(link, first.to_bytes()) == encode_proof(link)
+        with pytest.raises(WireError, match=f"^blob length {(second.leaf_count & 0xFF) << 24} exceeds limit$"):
+            decode_proof(link_bytes(link, first.to_bytes() + b"\x00"))
 
     def test_chain_last_hop_needs_a_receipt(self, relay):
         chain = build_chain_proof(
@@ -770,7 +779,7 @@ class TestProofCodec:
             dataclasses.replace(chain.hops[0], rounds=())
         hop = emptied_bytes(chain.hops[0], "rounds")
         with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
-            decode_proof(encode_proof(chain)[:5] + b"".join(blobs([hop])))
+            decode_proof(encode_proof(chain)[:5] + prefix(1) + hop)
 
     @pytest.mark.parametrize("kind", ["link", "hub", "chain"])
     @pytest.mark.parametrize("empty", ["holder_chain", "rounds"])
@@ -785,7 +794,7 @@ class TestProofCodec:
             "chain": build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), path, 1),
         }[kind]
         if kind == "chain":
-            bad = b"".join(blobs([proof.hops[0].to_bytes(), emptied_bytes(proof.hops[1], empty)]))
+            bad = prefix(2) + proof.hops[0].to_bytes() + emptied_bytes(proof.hops[1], empty)
         else:
             bad = emptied_bytes(proof, empty)
         with pytest.raises(WireError, match="^a link or hub proof needs a holder chain entry and a window round$"):
@@ -799,7 +808,7 @@ class TestProofCodec:
     def test_emp2_envelope_refused(self, fan):
         # EMP2 receipts carried the issuer commitment; no EMP2 reader is kept.
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
-        assert data[:4] == b"EMP9"
+        assert data[:4] == b"EMPA"
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP2" + data[4:])
 
@@ -846,9 +855,52 @@ class TestProofCodec:
         with pytest.raises(WireError, match="^not a proof file$"):
             decode_proof(b"EMP8" + data[4:])
 
+    def test_emp9_envelope_refused(self, fan):
+        # EMP9 wrote each holder chain commitment, window round and chain hop
+        # in a blob length its own fields fixed; no EMP9 reader is kept.
+        data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
+        with pytest.raises(WireError, match="^not a proof file$"):
+            decode_proof(b"EMP9" + data[4:])
+
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):
             encode_proof("nonsense")
+
+
+def bounded_fields(link, chain):
+    """Each bounded field of a proof: (proof, its offset, its value there,
+    its bound, the refusal past the bound).  Held records have no length of
+    their own, so each is found by the fields before it: a link proof is the
+    envelope, the issuer id, the holder chain (a count, then commitments of
+    80 fixed bytes and a signature blob), then the window rounds."""
+    rounds = 37 + len(b"".join(link.holder_chain.parts()))
+    signature = len(link.rounds[0].signature)
+    return {
+        "holder-chain-commitments": (link, 37, len(link.holder_chain.commitments), MAX_ITEMS, "too many holder chain commitments"),
+        "commitment-signature": (link, 41 + 80, signature, MAX_SIGNATURE, "blob length"),
+        "window-rounds": (link, rounds, len(link.rounds), MAX_ITEMS, "too many window rounds"),
+        "round-signature": (link, rounds + 4, signature, MAX_SIGNATURE, "blob length"),
+        "receipt-path-steps": (
+            link, rounds + 8 + signature + 8, len(link.rounds[0].receipts[0].inclusion.siblings), MAX_AUDIT_STEPS, "too many audit steps"
+        ),
+        "hops": (chain, 5, len(chain.hops), MAX_ITEMS, "too many hops"),
+    }
+
+
+class TestBareRecordsKeepTheirBounds:
+    """A record held in another is written bare, yet every count, signature
+    blob and path in it keeps its bound, checked before what it covers is
+    read: one past the bound is refused, whatever bytes follow."""
+
+    @pytest.mark.parametrize("field", ["holder-chain-commitments", "commitment-signature", "window-rounds", "round-signature", "receipt-path-steps", "hops"])
+    def test_one_past_the_bound_refused(self, field, pair, relay):
+        link = link_for(pair, "holder", "issuer", (1, 2))
+        chain = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), [relay.id_of(n) for n in "abc"], 1)
+        proof, at, value, bound, refusal = bounded_fields(link, chain)[field]
+        data = encode_proof(proof)
+        assert struct.unpack_from(">I", data, at) == (value,)
+        with pytest.raises(WireError, match=f"^{refusal}:? {bound + 1}( exceeds limit)?$"):
+            decode_proof(data[:at] + struct.pack(">I", bound + 1) + data[at + 4 :])
 
 
 NO_ENTRY = "a link or hub proof needs a holder chain entry and a window round"
@@ -894,13 +946,13 @@ def shape_rules(link, hub, chain):
             "a link proof round holds one receipt's paths",
             lambda: LinkProof(link.issuer_id, held, two),
             lambda: dataclasses.replace(link, rounds=two),
-            None,  # a link round's blob holds one receipt's paths
+            None,  # a link proof reads one receipt's paths a round
         ),
         "hub-of-an-empty-manifest": (
             "a hub proof needs at least one link",
             lambda: HubProof((), hub.manifest_proofs, hub.holder_chain, no_receipts),
             lambda: dataclasses.replace(hub, manifest=(), rounds=no_receipts),
-            hub_bytes(hub, manifest=(), held=[round_blob(r.signature, ()) for r in hub.rounds]),
+            hub_bytes(hub, manifest=(), held=[round_fields(r.signature, ()) for r in hub.rounds]),
         ),
         "manifest-path-off-index-2": (
             "path at leaf 3, not at leaf 2",

@@ -154,7 +154,7 @@ class TestRevocationEvidence:
         node, reg, cred = self.make()
         evidence = reg.revocation_evidence(cred.digest(), node.record_at(2))
         verdict = verify_revocation_evidence(evidence, node.record_at(3).commitment)
-        assert verdict.reason == "TrustMismatch"
+        assert (verdict.reason, verdict.detail) == ("EvidenceInvalid", "revocation leaf unproven")
 
     def test_padded_list_rejected(self):
         node, reg, cred = self.make()
@@ -229,12 +229,12 @@ class TestRecoveryVerdicts:
     def test_threshold_met(self):
         setup = RecoverySetup()
         cert = setup.certificate(setup.guardians[:2])
-        assert verify_recovery(cert, setup.directory)
+        assert verify_recovery(cert, setup.directory, policy_digest=setup.policy.digest())
 
     def test_threshold_unmet(self):
         setup = RecoverySetup()
         cert = setup.certificate(setup.guardians[:1])
-        verdict = verify_recovery(cert, setup.directory)
+        verdict = verify_recovery(cert, setup.directory, policy_digest=setup.policy.digest())
         assert verdict.reason == "PolicyUnsatisfied"
 
     def test_pinned_policy_must_match(self):
@@ -250,13 +250,13 @@ class TestRecoveryVerdicts:
         outsider = keypair_from_seed("rec:outsider")
         setup.directory.register(outsider.node_id, outsider.verify_key)
         cert = setup.certificate([setup.guardians[0], outsider])
-        verdict = verify_recovery(cert, setup.directory)
+        verdict = verify_recovery(cert, setup.directory, policy_digest=setup.policy.digest())
         assert verdict.reason == "UnknownGuardian"
 
     def test_duplicate_endorsement_rejected(self):
         setup = RecoverySetup()
         cert = setup.certificate([setup.guardians[0], setup.guardians[0]])
-        verdict = verify_recovery(cert, setup.directory)
+        verdict = verify_recovery(cert, setup.directory, policy_digest=setup.policy.digest())
         assert verdict.reason == "DuplicateGuardian"
 
     def test_endorsement_binds_the_new_key(self):
@@ -265,7 +265,7 @@ class TestRecoveryVerdicts:
         swapped = dataclasses.replace(
             cert, new_verify_key=keypair_from_seed("rec:evil").verify_key
         )
-        verdict = verify_recovery(swapped, setup.directory)
+        verdict = verify_recovery(swapped, setup.directory, policy_digest=setup.policy.digest())
         assert verdict.reason == "BadSignature"
 
     def test_exhaustive_small_truth_table(self):
@@ -273,7 +273,7 @@ class TestRecoveryVerdicts:
         for size in range(4):
             for subset in itertools.combinations(setup.guardians, size):
                 cert = setup.certificate(list(subset))
-                assert bool(verify_recovery(cert, setup.directory)) == (size >= 2)
+                assert bool(verify_recovery(cert, setup.directory, policy_digest=setup.policy.digest())) == (size >= 2)
 
 
 class TestApplyRecovery:
@@ -284,7 +284,7 @@ class TestApplyRecovery:
         setup.owner.build(("round-1",))
 
         cert = setup.certificate(setup.guardians[:2], effective_round=2)
-        verdict = apply_recovery(setup.owner, setup.directory, cert, setup.new_keypair)
+        verdict = apply_recovery(setup.owner, setup.directory, cert, setup.new_keypair, policy_digest=setup.policy.digest())
         assert verdict
 
         assert setup.owner.node_id == genesis_id
@@ -298,19 +298,19 @@ class TestApplyRecovery:
         setup = RecoverySetup()
         stranger = Node("stranger", keypair_from_seed("rec:stranger"))
         cert = setup.certificate(setup.guardians[:2])
-        verdict = apply_recovery(stranger, setup.directory, cert, setup.new_keypair)
+        verdict = apply_recovery(stranger, setup.directory, cert, setup.new_keypair, policy_digest=setup.policy.digest())
         assert verdict.reason == "HolderMismatch"
 
     def test_mismatched_keypair_rejected(self):
         setup = RecoverySetup()
         cert = setup.certificate(setup.guardians[:2])
         wrong = keypair_from_seed("rec:wrong")
-        verdict = apply_recovery(setup.owner, setup.directory, cert, wrong)
+        verdict = apply_recovery(setup.owner, setup.directory, cert, wrong, policy_digest=setup.policy.digest())
         assert verdict.reason == "KeyMismatch"
 
     def test_failed_verification_leaves_binding_alone(self):
         setup = RecoverySetup()
         cert = setup.certificate(setup.guardians[:1], effective_round=2)
-        verdict = apply_recovery(setup.owner, setup.directory, cert, setup.new_keypair)
+        verdict = apply_recovery(setup.owner, setup.directory, cert, setup.new_keypair, policy_digest=setup.policy.digest())
         assert verdict.reason == "PolicyUnsatisfied"
         assert setup.directory.key_at(setup.owner.node_id, 5) == keypair_from_seed("rec:owner").verify_key

@@ -17,7 +17,6 @@ from entmesh.node import (
     LEAF_PREV,
     FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
-    MAX_COMMITMENT,
     ChainLink,
     Commitment,
     HolderChain,
@@ -282,7 +281,7 @@ class TestWireForms:
         sub = ref_submission(receipt.submission)
         assert data.startswith(sub)
         r = Reader(data[len(sub) :])
-        assert r.nested(Commitment.read, MAX_COMMITMENT) == receipt.issuer_commitment
+        assert Commitment.from_bytes(r.blob()) == receipt.issuer_commitment
         assert data[len(sub) + r.tell() :] == ref_receipt_paths(receipt.paths, receipt.issuer_commitment.leaf_count)
 
     def test_trailing_bytes_rejected(self):

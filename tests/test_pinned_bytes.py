@@ -4,15 +4,11 @@ The wire format is normative (docs/FORMATS.md), so a refactor of the records
 that get encoded must not move a single byte.  These digests are the three
 proofs the CI job builds and each scenario's ``commitments.jsonl``, at each
 scenario's own seed.  A change that alters them on purpose re-records them
-here and says why: the proof pins were last re-recorded for the ``EMP9``
-envelope, whose holder chains are their commitments and one first-leaf path
-per commitment after the first.  ``EMP8`` wrote each chain entry as a blob
-of its commitment, its prev digest and its first-leaf path; the prev digest
-is the digest of the commitment before it, which the verifier computes, and
-the first entry's digest and path linked to nothing the verifier holds
-(36 B per chain entry, plus the first entry's path; hub 4,909 -> 4,661 B,
-chain 7,449 -> 6,505 B, link 3,197 -> 2,913 B).  Trees, receipts and
-evidence leaves keep their bytes, so ``commitments.jsonl`` is unchanged.
+here and says why: the proof pins were last re-recorded for the ``EMPA``
+envelope, which writes each holder chain commitment, window round and chain
+hop bare, ended by its own fields (hub 4,629 B, chain 6,393 B, link
+2,873 B).  Trees, receipts and evidence leaves kept their bytes, so
+``commitments.jsonl`` was not re-recorded.
 """
 
 import hashlib
@@ -28,17 +24,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PINNED = {
     "hub": (
         ["--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
-        (4661, "8ec98c79a1dca26cba77c780b8e792ea116f517afdd4e71e1ffe305a7eaac7f1"),
+        (4629, "f19e81ae9854fda89d0a5049e197e92136122287e67f4c45bf3c8b187b0ce836"),
         (29385, "e9be8b8909eca1b012b7cf496c9feb7f5e66c171dc6743cd1cac558b29e092c4"),
     ),
     "chain": (
         ["--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
-        (6505, "4b3bbbe59369d3a17ba759fe00b65a7e77e4ce63aaf76ea84062a1e021ee7083"),
+        (6393, "4a29fbee427b75c506ea04155d5c09af528e1e82aa5c2b37902c75a28bf29cc7"),
         (24559, "be8982c982c74a7683460be4d2d0d07ab9d6d11b85444f2accf850dfcf25e892"),
     ),
     "identity": (
         ["--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
-        (2913, "c68ddb3bdcfd296db526b1cf6b76a7bfb792386e293b59e9acf890e7d6e751ad"),
+        (2873, "8ab31722fc0db1087801b1bc5813f5b6de3af54a952db4356717553732c5b285"),
         (19628, "044d456a658ebe9d2008d2ce8d9621ad3bc6c9989e201f79b17e129b618502fc"),
     ),
 }

@@ -135,10 +135,12 @@ def ref_link(link: ChainLink) -> bytes:
 
 
 def ref_holder_chain(w: Writer, p) -> Writer:
-    # The commitments, counted, each a blob; then one link per commitment
-    # after the first, uncounted.
+    # The commitments, counted, each written bare; then one link per
+    # commitment after the first, uncounted.
     chain = p.holder_chain
-    w.blobs([ref_commitment(c) for c in chain.commitments])
+    w.u32(len(chain.commitments))
+    for c in chain.commitments:
+        w.record(ref_commitment(c))
     assert len(chain.links) == len(chain.commitments) - 1
     for link in chain.links:
         ref_path(w, link.proof, 0)
@@ -146,12 +148,14 @@ def ref_holder_chain(w: Writer, p) -> Writer:
 
 
 def ref_rounds(w: Writer, rounds) -> Writer:
-    # Per window round: one blob of the holder's signature, as a blob, and
-    # each issuer's receipt paths, in manifest order; then the evidence proof.
+    # Per window round, bare: the holder's signature as a blob, each
+    # issuer's receipt paths in manifest order, then the evidence proof.
     w.u32(len(rounds))
     for rnd in rounds:
-        held = Writer().blob(rnd.signature).getvalue() + b"".join(ref_paths(paths) for paths in rnd.receipts)
-        ref_path(w.blob(held), rnd.evidence_proof)
+        w.blob(rnd.signature)
+        for paths in rnd.receipts:
+            w.record(ref_paths(paths))
+        ref_path(w, rnd.evidence_proof)
     return w
 
 
@@ -169,12 +173,16 @@ def ref_hub_proof(p: HubProof) -> bytes:
 
 
 def ref_proof(p) -> bytes:
-    """The envelope: magic ``EMP9``, a kind byte, then the body."""
+    """The envelope: magic ``EMPA``, a kind byte, then the body."""
     if isinstance(p, HubProof):
-        return b"EMP9\x11" + ref_hub_proof(p)
+        return b"EMPA\x11" + ref_hub_proof(p)
     if isinstance(p, ChainProof):
-        return b"EMP9\x12" + Writer().blobs([ref_link_proof(hop) for hop in p.hops]).getvalue()
-    return b"EMP9\x10" + ref_link_proof(p)
+        # The hops, counted, each written bare.
+        w = Writer().u32(len(p.hops))
+        for hop in p.hops:
+            w.record(ref_link_proof(hop))
+        return b"EMPA\x12" + w.getvalue()
+    return b"EMPA\x10" + ref_link_proof(p)
 
 
 def assert_encodes_its_fields(record) -> None:

@@ -723,7 +723,7 @@ class TestSignatureMemo:
             assert not sim._verifier.verify_commitment(resigned)
         assert [ok for _, ok in ed25519_calls] == [False, False]
 
-    def test_each_passing_triple_checked_once_and_failures_every_time(self, ed25519_calls):
+    def test_only_a_signature_the_run_did_not_make_reaches_ed25519_every_time(self, ed25519_calls):
         sim = Simulation(
             federated(levels=2, arity=3, holders=9),
             rounds=12,
@@ -741,13 +741,21 @@ class TestSignatureMemo:
 
         sim.at(6, forward_forged_twice, phase="post")
         sim.run()
-        passed = [triple for triple, ok in ed25519_calls if ok]
+        # The equivocation and the fork are signed by the run; the forged commitment, forwarded twice, is not.
         failed = [triple for triple, ok in ed25519_calls if not ok]
-        assert len(passed) == len(set(passed))
         assert len(failed) == 2 and failed[0] == failed[1]
-        assert len(ed25519_calls) == len(set(passed)) + len(failed)
+        assert len(ed25519_calls) == len(failed)
         rejected = [e for e in events_of(sim, "ForwardRejected") if e["round"] == 6]
         assert rejected == [{"round": 6, "type": "ForwardRejected", "observer": "h2", "reason": "BadSignature"}] * 2
+
+    def test_a_valid_signature_the_run_did_not_make_is_checked_every_time(self, ed25519_calls):
+        sim = Simulation(centralized(3), rounds=4, seed=2).run()
+        h0 = sim.nodes["h0"]
+        message = b"signed outside the run"
+        signature = h0.keypair.sign(message)
+        for _ in range(3):
+            assert sim._verifier.verify_signature(h0.node_id, 2, message, signature)
+        assert ed25519_calls == [((h0.keypair.verify_key, message, signature), True)] * 3
 
     def test_flipped_signature_over_memoized_message(self, ed25519_calls):
         sim = Simulation(centralized(3), rounds=4, seed=2).run()
@@ -770,9 +778,9 @@ class TestSignatureMemo:
         assert sim._verifier.verify_commitment(h1.record_at(6).commitment)
         message = h1.record_at(7).commitment.message()
         by_old_key = old_key.sign(message)
-        # A pass under the old key is remembered with that key ...
+        # The run did not make this signature: Ed25519 passes it under the key bound at round 6 ...
         assert sim._verifier.verify_signature(h1.node_id, 6, message, by_old_key)
-        # ... and never counts for a round the new key is bound to.
+        # ... and fails it under the new key, bound from round 7.
         for round_no in (7, 8):
             assert not sim._verifier.verify_signature(h1.node_id, round_no, message, by_old_key)
             assert not sim.directory.verify_signature(h1.node_id, round_no, message, by_old_key)

@@ -103,67 +103,6 @@ class TestWriterReader:
             Reader(data[:-1]).digests("ids", 3)
 
 
-def _u32_record(r: Reader) -> int:
-    return r.u32()
-
-
-class TestNestedRecords:
-    """``nested`` reads a record in place, bounded by its blob."""
-
-    def test_record_shorter_than_its_blob(self):
-        data = Writer().blob(Writer().u32(5).u8(1).getvalue()).getvalue()
-        with pytest.raises(WireError, match="^1 trailing bytes$"):
-            Reader(data).nested(_u32_record, 64)
-
-    def test_length_past_the_outer_end(self):
-        data = Writer().u32(10).getvalue() + b"abc"
-        with pytest.raises(WireError, match="^truncated input$"):
-            Reader(data).nested(_u32_record, 64)
-
-    def test_record_reading_past_its_blob_into_the_outer_buffer(self):
-        # The blob holds 2 bytes but the record wants 4; the outer buffer
-        # has plenty more, which the record must not see.
-        data = Writer().blob(b"\x00\x01").u32(7).u64(9).getvalue()
-        with pytest.raises(WireError, match="^truncated input$"):
-            Reader(data).nested(_u32_record, 64)
-
-    def test_length_over_its_bound(self):
-        data = Writer().blob(bytes(8)).getvalue()
-        with pytest.raises(WireError, match="^blob length 8 exceeds limit$"):
-            Reader(data).nested(_u32_record, 4)
-
-    def test_remaining_inside_a_record(self):
-        data = Writer().blob(Writer().u32(1).u64(2).getvalue()).u32(6).u64(7).getvalue()
-        seen = []
-
-        def read(r: Reader) -> int:
-            seen.append(r.remaining())
-            value = r.u32()
-            seen.append(r.remaining())
-            read_u64(r)
-            seen.append(r.remaining())
-            return value
-
-        r = Reader(data)
-        assert r.nested(read, 64) == 1
-        assert seen == [12, 8, 0]
-        assert r.remaining() == 12
-        assert (r.u32(), read_u64(r)) == (6, 7)
-        r.expect_eof()
-
-    def test_records_nest_and_restore_the_outer_end(self):
-        inner = Writer().blob(Writer().u32(1).getvalue()).u32(2).getvalue()
-        data = Writer().blob(inner).u32(3).getvalue()
-
-        def read_outer(r: Reader) -> tuple:
-            return r.nested(_u32_record, 64), r.u32()
-
-        r = Reader(data)
-        assert r.nested(read_outer, 64) == (1, 2)
-        assert r.u32() == 3
-        r.expect_eof()
-
-
 def test_inclusion_proof_checks_nothing_in_post_init():
     # A reader makes paths by ``tuple.__new__``, skipping the constructor, so
     # a check there would be skipped too.
@@ -184,12 +123,11 @@ class TestInclusionProofWire:
             assert back == proof
             assert len(data) == (12 if fixed is None else 4) + 32 * len(proof.siblings)
 
-    def test_head_cut_short_inside_its_blob(self):
-        # The blob holds 10 bytes of a 12-byte head.  The bytes after it, which
-        # would read as a sibling count of 2**32 - 1, belong to the outer record.
-        data = Writer().blob(bytes(10)).getvalue() + b"\xff" * 40
-        with pytest.raises(WireError, match="^truncated input$"):
-            Reader(data).nested(read_inclusion_proof, 64)
+    def test_head_cut_short_at_the_end(self):
+        # The buffer ends 2 bytes into a 12-byte head, or inside a fixed-index path's 4-byte count.
+        for data, fixed in ((bytes(10), None), (bytes(3), 0)):
+            with pytest.raises(WireError, match="^truncated input$"):
+                read_inclusion_proof(Reader(data), fixed)
 
     def test_step_count_checked_before_the_steps(self):
         data = struct.pack(">QI", 0, MAX_AUDIT_STEPS + 1)
@@ -310,11 +248,9 @@ class Writer:
         self._buf += b
         return self
 
-    def blobs(self, items: Sequence[bytes]) -> "Writer":
-        # A u32 count, then each item as a blob.
-        self.u32(len(items))
-        for b in items:
-            self.blob(b)
+    def record(self, b: bytes) -> "Writer":
+        # A record another reference writer wrote, bare: its fields end it.
+        self._buf += b
         return self
 
     def digests(self, items: Sequence[bytes]) -> "Writer":
@@ -328,10 +264,10 @@ class Writer:
         return bytes(self._buf)
 
 
-# A slow reference decoder, written from docs/FORMATS.md: the reader as it
-# was before records were read in place.  Every blob is copied and read by a
-# fresh reader, and a path is read field by field, one sibling at a time.
-# ``reference_decode_proof`` runs the library's record readers on it.
+# A slow reference decoder, written from docs/FORMATS.md: every field is
+# copied out of the buffer as it is read, and a path is read field by field,
+# one sibling at a time.  ``reference_decode_proof`` runs the library's
+# record readers on it.
 
 
 class CopyingReader:
@@ -360,9 +296,6 @@ class CopyingReader:
         if n > max_len:
             raise WireError(f"blob length {n} exceeds limit")
         return self._take(n)
-
-    def nested(self, read, max_len: int):
-        return copying_decode(self.blob(max_len), read)
 
     def many(self, read, what: str, limit: int) -> tuple:
         count = self.u32()
