@@ -35,7 +35,11 @@ holds the holder's signature, each issuer's receipt paths (``ReceiptPaths``)
 and the round's evidence proof.  A proof holds no whole receipt: the verifier rebuilds the
 round's submission from its holder chain commitment and that signature,
 checks the paths against its trusted issuer commitment, and joins the three
-into the receipt's evidence leaf.  Nor does it name its holder or window:
+into the receipt's evidence leaf.  Each issuer's chain enters the proof
+once, as the prev digest the window's first round writes for it: after
+it, the verifier takes the digest of its trusted issuer commitment of the
+round before, as an issuer's receipt links to the one before it.  Nor does
+it name its holder or window:
 its holder chain's first commitment gives the holder and first round, under
 the chain's signed head, and the window holds one round per window round.
 No proof record can be made in a shape its reader refuses or cannot make.
@@ -44,6 +48,7 @@ No proof record can be made in a shape its reader refuses or cannot make.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .hashtree import Digest, InclusionProof, fold_root, fold_sizes, leaf_hash, verify_inclusion
@@ -64,6 +69,7 @@ from .node import (
     _manifest_leaf,
     commitment_digest,
     evidence_leaf,
+    prev_leaf_hash,
     receipt_key,
     receipt_paths,
     submission_of,
@@ -71,7 +77,6 @@ from .node import (
     verify_chain_links,
     FIXED_LEAVES,
     MANIFEST_LEAF_INDEX,
-    LEAF_PREV,
     NotEntangledError,
     entangled_leaf_index,
     evidence_leaf_index,
@@ -126,32 +131,43 @@ class MissingReceiptError(ValueError):
 class WindowRound(NamedTuple):
     """One window round r of a link or hub proof: the holder's signature on
     the submission of holder chain commitment r, each issuer's receipt paths
-    in manifest order, and the proof that their evidence leaves are one run
-    in the holder's round r + EVIDENCE_LAG tree.  A tuple: one per round."""
+    in manifest order, the proof that their evidence leaves are one run in
+    the holder's round r + EVIDENCE_LAG tree and, in the window's first
+    round only, each issuer's prev digest in manifest order.  A tuple: one
+    per round."""
 
     signature: bytes
     receipts: tuple[ReceiptPaths, ...]
     evidence_proof: InclusionProof
+    prev_digests: tuple[Digest, ...] = ()
 
 
 def _rounds_bytes(rounds: Sequence[WindowRound]) -> list[bytes]:
-    """A u32 count, then per round the signature blob, the receipts' paths
-    and the evidence proof: the parts, for one join."""
+    """A u32 count, then per round the signature blob, the prev digests (in
+    the first round), the receipts' paths and the evidence proof: the parts,
+    for one join."""
     parts = [prefix(len(rounds))]
-    for signature, receipts, evidence in rounds:
-        parts += (prefix(len(signature)), signature, *[paths._encoding for paths in receipts])
+    for signature, receipts, evidence, prev_digests in rounds:
+        parts += (prefix(len(signature)), signature, *map(digest, prev_digests), *[paths._encoding for paths in receipts])
         parts.append(encode_inclusion_proof(evidence))
     return parts
 
 
 def _read_rounds(r: Reader, issuers: int) -> tuple[WindowRound, ...]:
-    """What ``_rounds_bytes`` writes, ``issuers`` receipts to a round."""
+    """What ``_rounds_bytes`` writes, ``issuers`` receipts to a round and
+    as many prev digests to the first."""
+    written = issuers
 
     def read_round(r: Reader) -> WindowRound:
-        signature, receipts = r.blob(MAX_SIGNATURE), tuple([ReceiptPaths.read(r) for _ in range(issuers)])
-        return WindowRound(signature, receipts, read_inclusion_proof(r))
+        nonlocal written
+        signature, prev_digests, written = r.blob(MAX_SIGNATURE), tuple([r.digest() for _ in range(written)]), 0
+        receipts = tuple([ReceiptPaths.read(r) for _ in range(issuers)])
+        return WindowRound(signature, receipts, read_inclusion_proof(r), prev_digests)
 
     return r.many(read_round, "window rounds", MAX_ITEMS)
+
+
+_prev_digests = attrgetter("prev_digests")
 
 
 class _Held:
@@ -170,9 +186,14 @@ class _Held:
     def window_end(self) -> int:
         return self.window_start + len(self.rounds) - 1
 
-    def __post_init__(self) -> None:
-        if not self.rounds:
+    def _refuse_shapes(self, issuers: int) -> None:
+        """Refuse a proof of ``issuers`` issuers with no window round, or
+        with prev digests other than one per issuer in its first round."""
+        rounds = self.rounds
+        if not rounds:
             raise WireError(NO_HOLDER_OR_WINDOW)
+        if len(rounds[0].prev_digests) != issuers or any(map(_prev_digests, rounds[1:])):
+            raise WireError("a proof holds each issuer's prev digest in its first window round only")
 
 
 @dataclass(frozen=True)
@@ -184,7 +205,7 @@ class LinkProof(_Held):
     rounds: tuple[WindowRound, ...]  # one per window round, each with the issuer's receipt paths
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        self._refuse_shapes(1)
         if any(len(rnd.receipts) != 1 for rnd in self.rounds):
             raise WireError("a link proof round holds one receipt's paths")
 
@@ -261,7 +282,8 @@ def _window_rounds(
     receipts: Mapping[tuple[NodeId, int], Receipt],
 ) -> tuple[WindowRound, ...]:
     """Each window round's holder signature, the receipt paths of
-    ``issuer_ids`` in that order, and their evidence run."""
+    ``issuer_ids`` in that order and their evidence run, and in the first
+    round their prev digests."""
     span = range(window[0], window[1] + 1)
     by_issuer = []
     for issuer_id in issuer_ids:  # a missing receipt is named before any evidence is proved
@@ -276,7 +298,10 @@ def _window_rounds(
                 raise ValueError(f"receipts for round {r} carry different submissions")
     signatures = [receipt.submission.signature for receipt in first]  # the holder chain holds the rest of each submission
     paths = zip(*[[receipt.paths for receipt in found] for found in by_issuer])
-    return tuple(map(WindowRound, signatures, paths, [_evidence_proof(holder_records, issuer_ids, r) for r in span]))
+    evidence = [_evidence_proof(holder_records, issuer_ids, r) for r in span]
+    # Each issuer's chain enters the proof once, at the window's first round.
+    written = tuple([found[0].prev_digest for found in by_issuer])
+    return (WindowRound(signatures[0], next(paths), evidence[0], written), *map(WindowRound, signatures[1:], paths, evidence[1:]))
 
 
 def build_link_proof(
@@ -364,28 +389,36 @@ def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId
     signature, hashed (the trusted issuer commitment and the head cover the
     leaves that hold it), then each receipt's paths against its (issuer id,
     trusted issuer commitments) pair in ``issuers``, then the evidence proof
-    against commitment r + EVIDENCE_LAG.  Only the head's signature vouches
-    for its leaf count: if that count may fail the last evidence, it is checked there."""
-    s, chain = holder.window_start, holder.holder_chain.commitments
-    for c, (signature, receipts, evidence), retaining in zip(chain, holder.rounds, chain[EVIDENCE_LAG:]):
+    against commitment r + EVIDENCE_LAG.  A receipt's prev digest is the one
+    the window's first round writes, and its trusted issuer commitment's of
+    round r after it, whose first-leaf fold links the issuer's chain on.
+    Only the head's signature vouches for its leaf count: if that count may
+    fail the last evidence, it is checked there."""
+    chain = holder.holder_chain.commitments
+    for c, (signature, receipts, evidence, written), retaining in zip(chain, holder.rounds, chain[EVIDENCE_LAG:]):
         r = c.round
         sub = submission_of(c, signature)
         sub_hash, leaf_hashes = leaf_hash(sub.leaf_bytes()), []
-        for (issuer_id, trusted), paths in zip(issuers, receipts):
+        # After the window's first round, trusted[r] is the commitment round r - 1's receipt was checked against.
+        prev_digests = written or [commitment_digest(trusted[r]) for _, trusted in issuers]
+        for (issuer_id, trusted), paths, prev_digest in zip(issuers, receipts, prev_digests):
             issuer_c = trusted.get(r + 1)
             if issuer_c is None:
                 detail = f"no trusted issuer commitment for round {r + 1}"
                 return _part_failed(holder, issuer_id.hex(), "TrustedRootUnavailable", detail)
             if issuer_c.node_id != issuer_id:
                 return _part_failed(holder, issuer_id.hex(), "ReceiptMismatch", "receipt from another issuer")
-            verdict = _check_receipt_inclusions(sub_hash, paths, issuer_c, call)  # its signature was checked where it entered trust
+            first_leaf = prev_leaf_hash(prev_digest)
+            # Its signature was checked where it entered trust.  With a written digest, its first leaf is the receipt's check.
+            verdict = _check_receipt_inclusions((sub_hash, first_leaf) if written else (sub_hash,), paths, issuer_c, call)
             if not verdict:
                 return _part_failed(holder, issuer_id.hex(), verdict.reason, f"{verdict.detail} for round {r}")
-            if r > s and paths.prev_digest != commitment_digest(trusted[r]):
+            if not written and not call.proves(issuer_c, (first_leaf,), paths.prev_inclusion):
                 detail = f"issuer chain breaks before round {r + 1}"
                 return _part_failed(holder, issuer_id.hex(), "ChainBreak", detail)
             # The receipt's bytes, as its holder retained them, hold its paths in the receipt's form.
-            leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, receipt_paths(paths, issuer_c.leaf_count))))
+            paths_bytes = receipt_paths(paths, prev_digest, issuer_c.leaf_count)
+            leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, paths_bytes)))
         if not call.proves(retaining, leaf_hashes, evidence):
             if retaining is chain[-1] and _folds_at_another_leaf_count(retaining, leaf_hashes, evidence):
                 verdict = verify_chain_head(holder.holder_chain, call)
@@ -418,7 +451,7 @@ class HubProof(_Held):
             raise WireError("a hub proof needs at least one link")
         for proof in self.manifest_proofs:
             at_leaf(proof, MANIFEST_LEAF_INDEX)
-        super().__post_init__()
+        self._refuse_shapes(len(self.manifest))
 
     def to_bytes(self) -> bytes:
         proofs = [encode_inclusion_proof(proof, MANIFEST_LEAF_INDEX) for proof in self.manifest_proofs]
@@ -688,10 +721,9 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
         elif step.kind == "prev":
             if step.commitment is None or step.commitment.root != current:
                 return False
-            leaf = bytes([LEAF_PREV]) + commitment_digest(step.commitment)
             if step.proof.leaf_index != 0:
                 return False
-            implied = fold_root((leaf_hash(leaf),), step.proof, step.tree_size)
+            implied = fold_root((prev_leaf_hash(commitment_digest(step.commitment)),), step.proof, step.tree_size)
         else:
             return False
         if implied is None:
@@ -700,7 +732,7 @@ def verify_root_path(path: RootPath, start_root: Digest, end_root: Digest) -> bo
     return current == end_root
 
 
-_PROOF_MAGIC = b"EMPA"
+_PROOF_MAGIC = b"EMPB"
 _PROOF_KINDS = {0x10: LinkProof, 0x11: HubProof, 0x12: ChainProof}
 
 

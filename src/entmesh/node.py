@@ -191,6 +191,11 @@ def commitment_digest(commitment: Commitment) -> Digest:
     return sha256(commitment._encoding)
 
 
+def prev_leaf_hash(prev_digest: Digest) -> Digest:
+    """The hash of a tree's first leaf, ``0x01 || prev_digest``."""
+    return leaf_hash(bytes([LEAF_PREV]) + prev_digest)
+
+
 @dataclass(frozen=True)
 class Submission:
     """A holder's signed root, as handed to an issuer for entanglement.  Its
@@ -224,35 +229,35 @@ def submission_of(c: Commitment, signature: bytes) -> Submission:
 @dataclass(frozen=True)
 class ReceiptPaths:
     """What a receipt proves in its issuer's tree: the submission leaf's
-    inclusion proof, and the issuer's previous-commitment digest with the
-    proof of that first leaf.  A proof carries these per issuer round; the
-    submission once per round, and the issuer commitment not at all: the
-    verifier holds a trusted copy.
+    inclusion proof, and the proof of the first leaf, which holds the
+    issuer's previous-commitment digest (the receipt's ``prev_digest``).  A
+    proof carries these per issuer round; the submission once per round,
+    each issuer's prev digest once, in its window's first round, and the
+    issuer commitment not at all: the verifier holds a trusted copy.
 
     Its encoding is the form a proof writes: the submission leaf's path
-    with its index, the prev digest, and the first leaf's path as the
-    issuer round's ``ChainLink`` writes it.  A receipt writes its paths in
-    another form, with the issuer tree's size and each step's side
-    (``receipt_paths``).  Like a link, it is made only with that path at
-    index 0, even from bytes passed in.
+    with its index, then the first leaf's path as the issuer round's
+    ``ChainLink`` writes it.  A receipt writes its paths in another form,
+    with the issuer tree's size and each step's side, and its prev digest
+    between them (``receipt_paths``).  Like a link, it is made only with
+    that path at index 0, even from bytes passed in.
     """
 
     inclusion: InclusionProof
-    prev_digest: Digest
     prev_inclusion: InclusionProof
     encoding: InitVar[Optional[bytes]] = None
 
     def __post_init__(self, encoding: Optional[bytes]) -> None:
         at_leaf(self.prev_inclusion, 0)
         if encoding is None:
-            encoding = _joined_paths(self.inclusion, self.prev_digest, ChainLink(self.prev_inclusion))
+            encoding = _joined_paths(self.inclusion, ChainLink(self.prev_inclusion))
         object.__setattr__(self, "_encoding", encoding)
 
     @staticmethod
-    def of_round(inclusion: InclusionProof, prev_digest: Digest, link: "ChainLink") -> "ReceiptPaths":
+    def of_round(inclusion: InclusionProof, link: "ChainLink") -> "ReceiptPaths":
         """Paths whose first-leaf path is the issuer round's ``link``, joined
         from the bytes the link keeps."""
-        return ReceiptPaths(inclusion, prev_digest, link.proof, encoding=_joined_paths(inclusion, prev_digest, link))
+        return ReceiptPaths(inclusion, link.proof, encoding=_joined_paths(inclusion, link))
 
     def to_bytes(self) -> bytes:
         return self._encoding
@@ -260,21 +265,23 @@ class ReceiptPaths:
     @staticmethod
     def read(r: Reader) -> "ReceiptPaths":
         start = r.tell()
-        inclusion, prev_digest, prev_inclusion = read_inclusion_proof(r), r.digest(), read_inclusion_proof(r, 0)
-        return ReceiptPaths(inclusion, prev_digest, prev_inclusion, encoding=r.since(start))
+        inclusion, prev_inclusion = read_inclusion_proof(r), read_inclusion_proof(r, 0)
+        return ReceiptPaths(inclusion, prev_inclusion, encoding=r.since(start))
 
 
-def _joined_paths(inclusion: InclusionProof, prev_digest: Digest, link: "ChainLink") -> bytes:
-    return b"".join((encode_inclusion_proof(inclusion), digest(prev_digest), link.to_bytes()))
+def _joined_paths(inclusion: InclusionProof, link: "ChainLink") -> bytes:
+    return encode_inclusion_proof(inclusion) + link.to_bytes()
 
 
-def receipt_paths(paths: ReceiptPaths, leaf_count: int) -> bytes:
-    """``paths`` as a receipt writes them, the rest of the receipt after its
-    issuer commitment, for an issuer tree of ``leaf_count`` leaves: each path
-    a blob of its head (leaf index, tree size, step count) and its steps
-    (``encode_receipt_path``), with the prev digest between them."""
+def receipt_paths(paths: ReceiptPaths, prev_digest: Digest, leaf_count: int) -> bytes:
+    """``paths`` and ``prev_digest`` as a receipt writes them, the rest of
+    the receipt after its issuer commitment, for an issuer tree of
+    ``leaf_count`` leaves: each path a blob of its head (leaf index, tree
+    size, step count) and its steps (``encode_receipt_path``), with the prev
+    digest between them: a receipt's own, or the one a proof verifier holds
+    for it, written in the proof or its trusted issuer commitment's."""
     parts = encode_receipt_path(paths.inclusion, leaf_count)
-    parts.append(digest(paths.prev_digest))
+    parts.append(digest(prev_digest))
     parts += encode_receipt_path(paths.prev_inclusion, leaf_count)
     return b"".join(parts)
 
@@ -283,19 +290,21 @@ def receipt_paths(paths: ReceiptPaths, leaf_count: int) -> bytes:
 class Receipt:
     """An issuer's acknowledgement that a holder root is entangled.
 
-    Carries the holder's signed submission, the issuer's full commitment and
-    the paths that prove the submission and the issuer's previous-commitment
-    leaf in that commitment's tree, so a receipt alone lets the holder check
-    the issuer's chain continuity round over round.  Receipts are retained
+    Carries the holder's signed submission, the issuer's full commitment,
+    the issuer's previous-commitment digest and the paths that prove the
+    submission and that digest's leaf in that commitment's tree, so a
+    receipt alone lets the holder check the issuer's chain continuity round
+    over round.  Receipts are retained
     as evidence leaves in the holder's tree two rounds after the submitted
     root's round.  Its bytes are its Submission's and issuer commitment's
-    kept bytes and its paths as a receipt writes them, joined when asked
-    for.  It keeps that last part, written when it is made; its paths keep
-    the form a proof writes of them.
+    kept bytes and its prev digest and paths as a receipt writes them,
+    joined when asked for.  It keeps that last part, written when it is
+    made; its paths keep the form a proof writes of them.
     """
 
     submission: Submission
     issuer_commitment: Commitment
+    prev_digest: Digest
     paths: ReceiptPaths
 
     @property
@@ -319,7 +328,8 @@ class Receipt:
         return self.issuer_commitment.round
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_paths_encoding", receipt_paths(self.paths, self.issuer_commitment.leaf_count))
+        encoded = receipt_paths(self.paths, self.prev_digest, self.issuer_commitment.leaf_count)
+        object.__setattr__(self, "_paths_encoding", encoded)
 
     def to_bytes(self) -> bytes:
         c = self.issuer_commitment._encoding
@@ -516,24 +526,30 @@ def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
     signature is not checked here: the holder itself compares the attested
     root with its own record, so only a node forwarded the receipt checks
     it.  A proof verifier runs only the two inclusion checks, against its
-    trusted copy of the issuer commitment, and hashes the holder's
-    signature without checking it.
+    trusted copy of the issuer commitment, the second from the prev digest
+    its proof writes at the window's first round and from the digest of
+    the copy's predecessor after it, and hashes the holder's signature
+    without checking it.
     """
     c = receipt.issuer_commitment
     if not directory.verify_commitment(c):
         return Verdict.failed("BadSignature", f"issuer {c.node_id.hex()}")
-    return _check_receipt_inclusions(leaf_hash(receipt.submission.leaf_bytes()), receipt.paths, c, directory)
+    leaf_hashes = (leaf_hash(receipt.submission.leaf_bytes()), prev_leaf_hash(receipt.prev_digest))
+    return _check_receipt_inclusions(leaf_hashes, receipt.paths, c, directory)
 
 
-def _check_receipt_inclusions(submission_hash: Digest, paths: ReceiptPaths, c: Commitment, directory: KeyDirectory) -> Verdict:
+def _check_receipt_inclusions(leaf_hashes: Sequence[Digest], paths: ReceiptPaths, c: Commitment, directory: KeyDirectory) -> Verdict:
     """``check_receipt`` without the issuer signature, against issuer
     commitment ``c``: the receipt's own, or a proof verifier's
-    authenticated copy, which a proof does not carry.  The caller hashes
-    the submission leaf, once for every receipt that shares it."""
-    if not directory.proves(c, (submission_hash,), paths.inclusion):
+    authenticated copy, which a proof does not carry.  ``leaf_hashes``
+    holds the submission leaf's hash, which the caller makes once for
+    every receipt that shares it, then the first leaf's, from the receipt's
+    prev digest.  A proof verifier hands the first leaf's only at its
+    window's first round, whose digests the proof writes; after it, it
+    folds that leaf itself, from its trusted issuer commitment."""
+    if not directory.proves(c, leaf_hashes[:1], paths.inclusion):
         return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
-    prev_hash = leaf_hash(bytes([LEAF_PREV]) + paths.prev_digest)
-    if not directory.proves(c, (prev_hash,), paths.prev_inclusion):
+    if leaf_hashes[1:] and not directory.proves(c, leaf_hashes[1:], paths.prev_inclusion):
         return Verdict.failed("ReceiptInvalid", "prev-commitment leaf unproven")
     return Verdict.passed()
 
@@ -606,7 +622,7 @@ def verify_chain_links(chain: HolderChain, directory: KeyDirectory) -> Verdict:
     for previous, c, link in zip(commitments, commitments[1:], chain.links):
         if c.round != previous.round + 1:
             return Verdict.failed("RoundGap", f"round {c.round} after {previous.round}")
-        if not directory.proves(c, (leaf_hash(bytes([LEAF_PREV]) + commitment_digest(previous)),), link.proof):
+        if not directory.proves(c, (prev_leaf_hash(commitment_digest(previous)),), link.proof):
             return Verdict.failed("ChainBreak", f"round {c.round} does not chain")
     return Verdict.passed()
 
@@ -776,8 +792,8 @@ class Node:
         if entangled.holder_root != sub.holder_root:
             raise NotEntangledError("entangled root differs from the submission")
         # The round's link, path and bytes, is shared by the round's receipts.
-        paths = ReceiptPaths.of_round(record.tree.prove_inclusion(index), record.state.prev_commitment_digest, record.link)
-        return Receipt(entangled, record.commitment, paths)
+        paths = ReceiptPaths.of_round(record.tree.prove_inclusion(index), record.link)
+        return Receipt(entangled, record.commitment, record.state.prev_commitment_digest, paths)
 
     def verify_receipt(self, receipt: Receipt, directory: KeyDirectory) -> Verdict:
         """Holder-side check of a fresh receipt, including issuer continuity."""
@@ -795,7 +811,7 @@ class Node:
         c = receipt.issuer_commitment
         prior = self.receipt_log.get((c.node_id, receipt.holder_round - 1))
         if prior is not None and prior.issuer_round + 1 == c.round:
-            if commitment_digest(prior.issuer_commitment) != receipt.paths.prev_digest:
+            if commitment_digest(prior.issuer_commitment) != receipt.prev_digest:
                 return Verdict.failed("ChainBreak", f"issuer {c.node_id.hex()} broke its chain")
         return Verdict.passed()
 

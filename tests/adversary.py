@@ -11,7 +11,7 @@ pytest does not collect this file: its name has no ``test_`` prefix.
 
 import dataclasses
 
-from entmesh.entangle import EVIDENCE_LAG, ChainProof, HubProof, WindowRound, build_link_proof
+from entmesh.entangle import EVIDENCE_LAG, ChainProof, HubProof, WindowRound, build_chain_proof, build_hub_proof, build_link_proof
 from entmesh.hashtree import ZERO_DIGEST, MerkleTree, leaf_hash, sha256
 from entmesh.node import (
     FIXED_LEAVES,
@@ -211,25 +211,30 @@ def hub_proof_in_manifest_order(node, manifest, window):
         keys = [receipt_key(rc) for rc in retaining.state.evidence]
         first = FIXED_LEAVES + len(retaining.state.entangled) + keys.index((manifest[0], r))
         evidence = retaining.tree.prove_range(first, first + len(manifest))
-        rounds.append(WindowRound(receipts[0].submission.signature, tuple(rc.paths for rc in receipts), evidence))
+        prev_digests = tuple(rc.prev_digest for rc in receipts) if r == start else ()
+        rounds.append(WindowRound(receipts[0].submission.signature, tuple(rc.paths for rc in receipts), evidence, prev_digests))
     proofs = tuple(node.records[r].tree.prove_inclusion(MANIFEST_LEAF_INDEX) for r in range(start, end + 1))
     held = node.records[start : end + EVIDENCE_LAG + 1]
     chain = HolderChain(tuple(r.commitment for r in held), tuple(r.link for r in held[1:]))
     return HubProof(manifest, proofs, chain, tuple(rounds))
 
 
-def retained_at_round_4(holder, proof, honest, receipt):
-    """``proof``, ``holder``'s link over [1, 2], with its round-2 receipt
-    ``honest`` swapped for ``receipt``: the holder signs a round-4 tree
-    retaining ``receipt`` in ``honest``'s place, which becomes the head."""
-    retaining = holder.records[4]
-    leaves = [receipt.leaf_bytes() if leaf == honest.leaf_bytes() else leaf for leaf in round_leaves(retaining.state)]
-    tree_4, c_4 = signed_tree(holder, 4, leaves)
-    at = leaves.index(receipt.leaf_bytes())
-    last = WindowRound(receipt.submission.signature, (receipt.paths,), tree_4.prove_range(at, at + 1))
+def retained_in_the_head(holder, proof, honest, receipt):
+    """``proof``, a link or hub proof of ``holder``'s, with the receipt
+    ``honest`` of its last window round swapped for ``receipt``: the holder
+    signs a tree retaining ``receipt`` in ``honest``'s place, at the round
+    that retains ``honest``, which becomes the head.  The window holds
+    two rounds at least, so the last round writes no prev digest."""
+    retaining = honest.holder_round + EVIDENCE_LAG
+    leaves = [receipt.leaf_bytes() if leaf == honest.leaf_bytes() else leaf for leaf in round_leaves(holder.records[retaining].state)]
+    tree, head = signed_tree(holder, retaining, leaves)
+    last = proof.rounds[-1]
+    paths = tuple(receipt.paths if p == honest.paths else p for p in last.receipts)
+    at = last.evidence_proof.leaf_index  # the run of the round's receipts keeps its place
+    last = WindowRound(receipt.submission.signature, paths, tree.prove_range(at, at + len(paths)))
     held = proof.holder_chain
-    chain = HolderChain(held.commitments[:3] + (c_4,), held.links[:2] + (ChainLink(tree_4.prove_inclusion(0)),))
-    return dataclasses.replace(proof, holder_chain=chain, rounds=(proof.rounds[0], last))
+    chain = HolderChain(held.commitments[:-1] + (head,), held.links[:-1] + (ChainLink(tree.prove_inclusion(0)),))
+    return dataclasses.replace(proof, holder_chain=chain, rounds=proof.rounds[:-1] + (last,))
 
 
 def link_over_a_submission_signed_by(net, holder_label, issuer_label, signer):
@@ -246,24 +251,57 @@ def link_over_a_submission_signed_by(net, holder_label, issuer_label, signer):
     leaves = [sub.leaf_bytes() if leaf == entangled.leaf_bytes() else leaf for leaf in round_leaves(issuer.records[3].state)]
     tree_3, c_3 = signed_tree(issuer, 3, leaves)
     at = leaves.index(sub.leaf_bytes())
-    paths = ReceiptPaths(tree_3.prove_inclusion(at), honest.paths.prev_digest, tree_3.prove_inclusion(0))
-    bad = retained_at_round_4(holder, proof, honest, Receipt(sub, c_3, paths))
+    paths = ReceiptPaths(tree_3.prove_inclusion(at), tree_3.prove_inclusion(0))
+    bad = retained_in_the_head(holder, proof, honest, Receipt(sub, c_3, honest.prev_digest, paths))
     return bad, {**net.commitments_of(issuer_label), 3: c_3}
+
+
+def issuer_fork(issuer, honest):
+    """``issuer``'s receipt for the Submission of ``honest``, a receipt of
+    holder round r, from a fork: the issuer signs a second round-r
+    commitment and a round r + 1 tree on top of it that entangles that
+    Submission.  Each of the fork's rounds is one a trust log may hold."""
+    r = honest.holder_round
+    decoy = bytes([LEAF_PAYLOAD]) + sha256(b"fork")
+    _, fork = signed_tree(issuer, r, [prev_leaf(commitment_digest(issuer.records[r - 1].commitment)), decoy])
+    tree, forked = signed_tree(issuer, r + 1, [prev_leaf(commitment_digest(fork)), decoy, honest.submission.leaf_bytes()])
+    paths = ReceiptPaths(tree.prove_inclusion(2), tree.prove_inclusion(0))
+    return Receipt(honest.submission, forked, commitment_digest(fork), paths)
 
 
 def link_over_an_issuer_fork(net, holder_label, issuer_label):
     """The holder's link proof over [1, 2] and a trust log for the issuer,
-    with round 2's receipt from a fork.  The issuer signs a second round-2
-    commitment and a round-3 tree on top of it that entangles the holder's
-    round-2 submission; the trust log holds that forked round 3 beside the
-    real round 2.  The holder signs a round-4 tree retaining the forked
-    receipt."""
+    with round 2's receipt from a fork (``issuer_fork``): the trust log
+    holds the forked round 3 beside the real round 2.  The holder signs a
+    round-4 tree retaining the forked receipt."""
     holder, issuer = net.nodes[holder_label], net.nodes[issuer_label]
     proof = build_link_proof(holder.records, issuer.node_id, (1, 2), holder.receipt_log)
-    decoy = bytes([LEAF_PAYLOAD]) + sha256(b"fork")
-    _, fork_2 = signed_tree(issuer, 2, [prev_leaf(commitment_digest(issuer.records[1].commitment)), decoy])
     honest = holder.receipt_log[issuer.node_id, 2]
-    tree_3, fork_3 = signed_tree(issuer, 3, [prev_leaf(commitment_digest(fork_2)), decoy, honest.submission.leaf_bytes()])
-    paths = ReceiptPaths(tree_3.prove_inclusion(2), commitment_digest(fork_2), tree_3.prove_inclusion(0))
-    bad = retained_at_round_4(holder, proof, honest, Receipt(honest.submission, fork_3, paths))
-    return bad, {**net.commitments_of(issuer_label), 3: fork_3}
+    forked = issuer_fork(issuer, honest)
+    return retained_in_the_head(holder, proof, honest, forked), {**net.commitments_of(issuer_label), 3: forked.issuer_commitment}
+
+
+def hub_over_an_issuer_fork(net, holder_label, issuer_label):
+    """The holder's hub proof over [1, 2] and a trust log for each manifest
+    issuer, with ``issuer_label``'s round-2 receipt from a fork, as
+    ``link_over_an_issuer_fork`` makes it; the others are honest."""
+    holder, issuer = net.nodes[holder_label], net.nodes[issuer_label]
+    proof = build_hub_proof(holder.records, (1, 2), holder.receipt_log)
+    honest = holder.receipt_log[issuer.node_id, 2]
+    forked = issuer_fork(issuer, honest)
+    trust = {net.id_of(label): net.commitments_of(label) for label in net.nodes if net.id_of(label) in proof.manifest}
+    trust[issuer.node_id] = {**trust[issuer.node_id], 3: forked.issuer_commitment}
+    return retained_in_the_head(holder, proof, honest, forked), trust
+
+
+def chain_over_an_anchor_fork(net, labels, start_round, window_len):
+    """The chain proof along ``labels`` (holder first, anchor last) and the
+    anchor's trust log, with the last hop's last window round's receipt
+    from a fork of the anchor, as ``link_over_an_issuer_fork`` makes it."""
+    ids = [net.id_of(label) for label in labels]
+    proof = build_chain_proof(net.records_by_id(), net.receipts_by_id(), ids, start_round, window_len)
+    holder, anchor, last = net.nodes[labels[-2]], net.nodes[labels[-1]], proof.hops[-1]
+    honest = holder.receipt_log[anchor.node_id, last.window_end]
+    forked = issuer_fork(anchor, honest)
+    bad = ChainProof(proof.hops[:-1] + (retained_in_the_head(holder, last, honest, forked),))
+    return bad, {**net.commitments_of(labels[-1]), forked.issuer_round: forked.issuer_commitment}

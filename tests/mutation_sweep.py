@@ -49,6 +49,8 @@ _HEADS = "tests/test_verify_order.py::TestForgedSignatureKeepsItsReason::"
 _COST = "tests/test_cost_laws.py::"
 _PROVE = "tests/test_cli.py::TestProveRunsTheRoundsItReads::"
 _SHAPE = "tests/test_entangle.py::TestEachShapeRuleInOnePlace::test_one_text_however_made"
+_CONTINUITY = "tests/test_entangle.py::TestIssuerContinuity::"
+_WRITTEN = "tests/test_entangle.py::TestWrittenPrevDigests::"
 
 MUTANTS = (
     Mutant(
@@ -110,9 +112,50 @@ MUTANTS = (
     Mutant(
         "rounds: issuer continuity from the previous window round",
         "entangle.py",
-        "if r > s and paths.prev_digest != commitment_digest(trusted[r]):",
+        "if not written and not call.proves(issuer_c, (first_leaf,), paths.prev_inclusion):",
         "if False:",
-        (_ORDER + "test_trust_log_with_an_equivocating_issuers_fork_breaks_the_issuer_chain",),
+        (
+            _ORDER + "test_trust_log_with_an_equivocating_issuers_fork_breaks_the_issuer_chain",
+            _CONTINUITY + "test_hub_over_a_trust_log_with_a_fork",
+            _CONTINUITY + "test_chain_over_an_anchor_log_with_a_fork_at_the_last_hop",
+        ),
+    ),
+    Mutant(
+        "rounds: each round's evidence run folds in the holder tree EVIDENCE_LAG rounds on",
+        "entangle.py",
+        "if not call.proves(retaining, leaf_hashes, evidence):",
+        "if False:",
+        (
+            "tests/test_entangle.py::TestLinkProof::test_evidence_proof_swap_rejected",
+            "tests/test_entangle.py::TestHubProof::test_evidence_run_must_be_contiguous",
+        ),
+    ),
+    Mutant(
+        "receipt (check_receipt and every proof receipt): the submission leaf folds in the issuer tree",
+        "node.py",
+        "if not directory.proves(c, leaf_hashes[:1], paths.inclusion):",
+        "if False:",
+        (
+            "tests/test_entangle.py::TestLinkProof::test_swapped_receipt_rejected",
+            "tests/test_entangle.py::TestLinkProof::test_tampered_receipt_signature_rejected",
+        ),
+    ),
+    Mutant(
+        "receipt: the first leaf folds from its prev digest, in a proof the one written at the window's first round",
+        "node.py",
+        "if leaf_hashes[1:] and not directory.proves(c, leaf_hashes[1:], paths.prev_inclusion):",
+        "if False:",
+        (
+            _WRITTEN + "test_every_bit_of_a_hubs_written_digests",
+            _WRITTEN + "test_every_bit_of_a_chain_hops_written_digest",
+        ),
+    ),
+    Mutant(
+        "rounds: each issuer's prev digest in the first window round only (the proof, when made)",
+        "entangle.py",
+        "if len(rounds[0].prev_digests) != issuers or any(map(_prev_digests, rounds[1:])):",
+        "if False:",
+        (_SHAPE + "[first-round-without-its-prev-digests-fields]", _SHAPE + "[later-round-with-prev-digests-replace]"),
     ),
     Mutant(
         "hub: one manifest proof per round",
@@ -173,7 +216,7 @@ MUTANTS = (
     Mutant(
         "decoder: a link or hub proof holds the window round that names its window (the proof, when made)",
         "entangle.py",
-        "if not self.rounds:",
+        "if not rounds:",
         "if False:",
         ("tests/test_entangle.py::TestProofCodec::test_proof_with_no_holder_chain_entry_or_window_round_refused[rounds-hub]",),
     ),
@@ -222,7 +265,7 @@ MUTANTS = (
     Mutant(
         "chain rule (verify_chain_links, shared by audits and proofs): each link folds from the previous commitment",
         "node.py",
-        "if not directory.proves(c, (leaf_hash(bytes([LEAF_PREV]) + commitment_digest(previous)),), link.proof):",
+        "if not directory.proves(c, (prev_leaf_hash(commitment_digest(previous)),), link.proof):",
         "if False:",
         ("tests/test_node.py::TestCommitmentChains::test_link_folds_from_the_previous_commitment[commitment]",),
     ),

@@ -610,7 +610,7 @@ class TestVerify:
         # the head is the first signature met, so it is the one checked.
         pristine = link_run["proof"].read_bytes()
         proof = decode_proof(pristine)
-        prev_digest = proof.rounds[0].receipts[0].prev_digest
+        prev_digest = proof.rounds[0].prev_digests[0]
         signature = proof.holder_chain.commitments[-1].signature
         for part, reason, checked in ((prev_digest, "ReceiptInvalid", 0), (signature, "BadSignature", 1)):
             assert pristine.count(part) == 1
@@ -815,10 +815,10 @@ class TestVerify:
 CI_PROOFS_INSPECTED = {
     "hub": (
         ["--config", str(SCENARIOS / "hub.yaml"), "--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
-        "hub proof, rounds [1, 3], 5 links, 4629 bytes\n"
+        "hub proof, rounds [1, 3], 5 links, 4309 bytes\n"
         "  holder 0a65d3f580a7d0d81eed1f10e4d637b2a0ca563fd859619021d8bee6a9d3bbf6\n",
         {
-            "bytes": 4629,
+            "bytes": 4309,
             "holder": "0a65d3f580a7d0d81eed1f10e4d637b2a0ca563fd859619021d8bee6a9d3bbf6",
             "kind": "hub",
             "links": 5,
@@ -834,13 +834,13 @@ CI_PROOFS_INSPECTED = {
     ),
     "chain": (
         ["--config", str(SCENARIOS / "chain.yaml"), "--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
-        "chain proof, 4 hops, 6393 bytes\n"
+        "chain proof, 4 hops, 6265 bytes\n"
         "  holder 8c82c6368f6141358d305a76da07b1ac1a4622c6023155bfcff4275cd13ca510\n"
         "  anchor 00d58369f3756164c05594dcbf206610c802884990620912bf3e81d14458fb8b at round 6\n",
         {
             "anchor": "00d58369f3756164c05594dcbf206610c802884990620912bf3e81d14458fb8b",
             "anchor_round": 6,
-            "bytes": 6393,
+            "bytes": 6265,
             "holder": "8c82c6368f6141358d305a76da07b1ac1a4622c6023155bfcff4275cd13ca510",
             "hops": 4,
             "kind": "chain",
@@ -848,11 +848,11 @@ CI_PROOFS_INSPECTED = {
     ),
     "link": (
         ["--config", str(SCENARIOS / "identity.yaml"), "--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
-        "link proof, rounds [1, 4], 2873 bytes\n"
+        "link proof, rounds [1, 4], 2777 bytes\n"
         "  holder c216bf170ae0e55225574e922362d7154a039d60102c0c7f976ff28635086d9d\n"
         "  issuer c91b3d66d2fdcca30575cd1817fd074cd075aed90952f98dd6a7f71049e4ef90\n",
         {
-            "bytes": 2873,
+            "bytes": 2777,
             "holder": "c216bf170ae0e55225574e922362d7154a039d60102c0c7f976ff28635086d9d",
             "issuer": "c91b3d66d2fdcca30575cd1817fd074cd075aed90952f98dd6a7f71049e4ef90",
             "kind": "link",
@@ -1238,7 +1238,7 @@ def _flip_first_prev_digest(blob: bytes) -> bytes:
     receipt's first-leaf path then fails to fold."""
     proof = decode_proof(blob)
     rounds = proof.hops[0].rounds if isinstance(proof, ChainProof) else proof.rounds
-    prev_digest = rounds[0].receipts[0].prev_digest
+    prev_digest = rounds[0].prev_digests[0]
     assert blob.count(prev_digest) == 1
     at = blob.find(prev_digest)
     return blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1 :]

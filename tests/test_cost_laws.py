@@ -46,6 +46,16 @@ is 7%, the checks' across the holder sweep:
   200 holders are at most 10% above a + b·log2(200), the line through their
   figures at 10 and 50 holders;
 * Ed25519 verifies are exactly 0 in every run.
+
+A hub proof's bytes obey the law in window rounds: each round added to a
+``fan(n)`` hub's window adds the same bytes, 1,212 for n = 5 and 6,444
+for n = 40 (over [1, w], w = 1 to 4, at seed 0).  Of those, 144·n are
+receipt paths, each partner's 4-leaf tree giving a 76 B submission-leaf
+path (index, count, two siblings) and a 68 B first-leaf path (count, two
+siblings); the rest is the holder chain commitment and link, the round's
+signature, manifest proof and evidence proof.  Each issuer's chain
+enters the proof once, so it writes n prev digests whatever w is.  While
+every window round wrote them, each round added 32·n bytes more.
 """
 
 import functools
@@ -58,7 +68,9 @@ import pytest
 from entmesh import entangle, hashtree
 from entmesh.keys import Ed25519Scheme, KeyPair
 from entmesh.node import NodeRecord
-from entmesh.simnet import Simulation, centralized, federated
+from entmesh.wire import encode_inclusion_proof
+from entmesh.entangle import build_hub_proof, encode_proof
+from entmesh.simnet import Simulation, centralized, fan, federated
 from entmesh.simnet.engine import _CheckedOnce
 
 FLAT = 1.10
@@ -164,3 +176,17 @@ def test_hashing_and_bytes_grow_as_log_holders(count):
 def test_work_per_node_round_is_flat_in_rounds(sweep, count):
     runs = ROUND_SWEEPS[sweep]
     assert spread(runs, count) <= FLAT, [per_node_round(*run)[count] for run in runs]
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_hub_bytes_grow_by_a_constant_per_window_round(n):
+    center = Simulation(fan(n), rounds=7, seed=0).run().nodes["center"]
+    proofs = [build_hub_proof(center.records, (1, w), center.receipt_log) for w in range(1, 5)]
+    sizes = [len(encode_proof(proof)) for proof in proofs]
+    assert {b - a for a, b in zip(sizes, sizes[1:])} == {1_212 if n == 5 else 6_444}, sizes
+    for proof in proofs:
+        later = [paths for rnd in proof.rounds[1:] for paths in rnd.receipts]
+        assert {(len(encode_inclusion_proof(paths.inclusion)), len(paths.to_bytes())) for paths in later} <= {(76, 144)}
+        assert [len(rnd.prev_digests) for rnd in proof.rounds] == [n] + [0] * (len(proof.rounds) - 1)
+    added = proofs[-1].rounds[-1].receipts
+    assert sum(len(paths.to_bytes()) for paths in added) == 144 * n

@@ -34,7 +34,7 @@ from entmesh.keys import Ed25519Scheme
 from entmesh.node import MANIFEST_LEAF_INDEX, MAX_SIGNATURE, ChainLink, HolderChain, submission_of
 from entmesh.wire import MAX_AUDIT_STEPS, MAX_ITEMS, WireError, encode_inclusion_proof, prefix
 
-from adversary import emptied_bytes, forged_commitment, with_chain
+from adversary import chain_over_an_anchor_fork, emptied_bytes, forged_commitment, hub_over_an_issuer_fork, with_chain
 from test_wire import Writer
 
 
@@ -156,17 +156,19 @@ class TestLinkProof:
 
     def test_swapped_receipt_rejected(self, pair):
         # A round's submission is rebuilt from its own chain commitment, so with
-        # round 2's signature, or with its own, round 2's paths do not prove it.
+        # round 3's signature, or with its own, round 3's paths do not prove
+        # round 2's.  Rounds 2 and 3 both hold their paths without a prev
+        # digest: only the window's first round holds one.
         proof = link_for(pair, "holder", "issuer", (1, 4))
-        first, second = proof.rounds[:2]
+        first, second, third = proof.rounds[:3]
         trusted = pair.commitments_of("issuer")
         swapped = lambda rnd, other: rnd._replace(signature=other.signature, receipts=other.receipts)
-        bad = dataclasses.replace(proof, rounds=(swapped(first, second), swapped(second, first)) + proof.rounds[2:])
+        bad = dataclasses.replace(proof, rounds=(first, swapped(second, third), swapped(third, second)) + proof.rounds[3:])
         verdict = verify_link(bad, trusted, pair.directory)
-        assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 1")
-        bad = dataclasses.replace(proof, rounds=(first._replace(receipts=second.receipts),) + proof.rounds[1:])
+        assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 2")
+        bad = dataclasses.replace(proof, rounds=(first, second._replace(receipts=third.receipts)) + proof.rounds[2:])
         verdict = verify_link(bad, trusted, pair.directory)
-        assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 1")
+        assert (verdict.reason, verdict.detail) == ("ReceiptInvalid", "submission leaf unproven for round 2")
 
     def test_tampered_receipt_signature_rejected(self, pair):
         proof = link_for(pair, "holder", "issuer", (1, 4))
@@ -246,7 +248,8 @@ class TestHubProof:
             fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
         )
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
-        partial = with_receipts(proof, lambda receipts: receipts[1:], manifest=proof.manifest[1:])
+        rounds = tuple(rnd._replace(receipts=rnd.receipts[1:], prev_digests=rnd.prev_digests[1:]) for rnd in proof.rounds)
+        partial = dataclasses.replace(proof, manifest=proof.manifest[1:], rounds=rounds)
         verdict = verify_hub(partial, trusted, fan.directory)
         assert verdict.reason == "ManifestMismatch"
 
@@ -255,9 +258,8 @@ class TestHubProof:
             fan.nodes["center"].records, (1, 3), fan.nodes["center"].receipt_log
         )
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
-        receipts = proof.rounds[0].receipts
-        forged = dataclasses.replace(receipts[1], prev_digest=sha256(b"zzz"))
-        bad = with_round(proof, 0, receipts=(receipts[0], forged, receipts[2]))
+        written = proof.rounds[0].prev_digests
+        bad = with_round(proof, 0, prev_digests=(written[0], sha256(b"zzz"), written[2]))
         verdict = verify_hub(bad, trusted, fan.directory)
         assert verdict.reason == "LinkFailed"
         assert verdict.detail == f"{proof.manifest[1].hex()}: ReceiptInvalid (prev-commitment leaf unproven for round 1)"
@@ -359,11 +361,15 @@ def hub_for(net, window=(1, 3)):
     return build_hub_proof(net.nodes["center"].records, window, net.nodes["center"].receipt_log)
 
 
-def round_fields(signature, receipts):
+def round_fields(signature, receipts, prev_digests=()):
     """A window round up to its evidence proof, as the reference writer
-    writes it: the holder's signature as a blob, then each issuer's receipt
+    writes it: the holder's signature as a blob, the prev digests (the
+    window's first round writes one per issuer), then each issuer's receipt
     paths in manifest order."""
-    return Writer().blob(signature).getvalue() + b"".join(paths.to_bytes() for paths in receipts)
+    w = Writer().blob(signature)
+    for d in prev_digests:
+        w.digest(d)
+    return w.getvalue() + b"".join(paths.to_bytes() for paths in receipts)
 
 
 def holder_chain_bytes(w, first_commitment, proof):
@@ -382,7 +388,7 @@ def hub_bytes(proof, manifest=None, held=None):
     """A hub proof written field by field, around the given manifest and
     per-round signature and paths (``round_fields``)."""
     manifest = proof.manifest if manifest is None else manifest
-    held = [round_fields(rnd.signature, rnd.receipts) for rnd in proof.rounds] if held is None else held
+    held = [round_fields(*rnd[:2], rnd.prev_digests) for rnd in proof.rounds] if held is None else held
     w = Writer().digests(manifest).u32(len(proof.manifest_proofs))
     for p in proof.manifest_proofs:
         path_bytes(w, p, MANIFEST_LEAF_INDEX)
@@ -390,7 +396,7 @@ def hub_bytes(proof, manifest=None, held=None):
     w.u32(len(held))
     for fields, rnd in zip(held, proof.rounds, strict=True):
         path_bytes(w.record(fields), rnd.evidence_proof)
-    return b"EMPA\x11" + w.getvalue()
+    return b"EMPB\x11" + w.getvalue()
 
 
 class TestHubCodec:
@@ -422,7 +428,7 @@ class TestHubCodec:
         # the evidence proof and the rest is left over; with one fewer, the
         # evidence proof is read as the last paths' first, and they run past the end.
         proof = hub_for(fan)
-        held = [round_fields(rnd.signature, rnd.receipts) for rnd in proof.rounds]
+        held = [round_fields(*rnd[:2], rnd.prev_digests) for rnd in proof.rounds]
         last = proof.rounds[-1]
         extra = last.receipts[0]
         receipts = last.receipts + (extra,) if change > 0 else last.receipts[:-1]
@@ -445,8 +451,9 @@ class TestHubCodec:
         # manifest's length: no bound but the manifest's covers its bytes.
         proof = hub_for(fan)
         manifest = tuple(sorted(sha256(bytes([i, j])) for i in range(2) for j in range(200)))
-        wide = with_receipts(proof, lambda receipts: receipts[:1] * len(manifest), manifest=manifest)
-        assert len(round_fields(wide.rounds[0].signature, wide.rounds[0].receipts)) > 1 << 16
+        rounds = tuple(rnd._replace(receipts=rnd.receipts[:1] * len(manifest), prev_digests=rnd.prev_digests[:1] * len(manifest)) for rnd in proof.rounds)
+        wide = dataclasses.replace(proof, manifest=manifest, rounds=rounds)
+        assert len(round_fields(*wide.rounds[0][:2], wide.rounds[0].prev_digests)) > 1 << 16
         data = encode_proof(wide)
         assert data == hub_bytes(wide) and decode_proof(data) == wide
         assert encode_proof(decode_proof(data)) == data
@@ -473,11 +480,12 @@ class TestHubCodec:
     def test_verifier_refuses_a_decoded_hub_with_one_evidence_proof_of_four(self, fan):
         # Each window round holds its evidence proof, so a hub with one
         # evidence proof of four holds one round of four, and with as many
-        # manifest proofs its holder chain covers more than its window.
+        # manifest proofs its holder chain covers more than its window.  A
+        # fifth round repeats a later one: only the first holds prev digests.
         honest = hub_for(fan, (1, 4))
         trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
         for count in (1, 5):
-            rounds, manifest_proofs = (honest.rounds * 2)[:count], (honest.manifest_proofs * 2)[:count]
+            rounds, manifest_proofs = (honest.rounds + honest.rounds[1:])[:count], (honest.manifest_proofs * 2)[:count]
             proof = decode_proof(encode_proof(dataclasses.replace(honest, rounds=rounds, manifest_proofs=manifest_proofs)))
             assert proof.rounds == rounds
             verdict = verify_hub(proof, trusted, fan.directory)
@@ -572,8 +580,11 @@ class TestChainProof:
         last = proof.hops[-1]
         retained = relay.nodes["b"].receipt_log[relay.id_of("c"), last.window_end]
         assert retained.issuer_commitment == relay.commitments_of("c")[last.window_end + 1]
-        assert last.rounds[-1].signature is retained.submission.signature and last.rounds[-1].receipts == (retained.paths,)
-        assert last.rounds[-1].receipts[0] is retained.paths
+        # After the window's first round, the paths are the retained ones but for the prev digest.
+        assert last.rounds[-1].signature is retained.submission.signature
+        assert last.rounds[-1].receipts[0] is retained.paths and last.rounds[-1].prev_digests == ()
+        first = relay.nodes["b"].receipt_log[relay.id_of("c"), last.window_start]
+        assert last.rounds[0].receipts[0] is first.paths and last.rounds[0].prev_digests == (first.prev_digest,)
 
     def test_insufficient_latency_names_first_verifying_round(self, relay):
         proof = build_chain_proof(
@@ -606,7 +617,9 @@ class TestChainProof:
         # The window of 50 rounds also reaches past the trusted log; the hop's
         # own fault is what gets reported.
         proof = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), self.path_ids(relay)[:2], 1)
-        stretched = ChainProof(hops=(dataclasses.replace(proof.hops[0], rounds=proof.hops[0].rounds * 50),))
+        (first,) = proof.hops[0].rounds
+        later = first._replace(prev_digests=())
+        stretched = ChainProof(hops=(dataclasses.replace(proof.hops[0], rounds=(first,) + (later,) * 49),))
         assert stretched.hops[0].window_end == 50
         verdict = verify_chain(stretched, relay.commitments_of("b"), relay.directory)
         assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 0: WindowInvalid (holder chain does not cover the window)")
@@ -632,6 +645,63 @@ class TestChainProof:
     def test_needs_two_nodes(self, relay):
         with pytest.raises(ValueError):
             build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), [relay.id_of("a")], 1)
+
+
+class TestIssuerContinuity:
+    """Each issuer's chain enters a proof once, as the prev digest its paths
+    hold in the window's first round.  After it, the verifier folds each
+    receipt's first leaf from its trusted issuer commitment of the round
+    before, so a trust log that holds an equivocating issuer's fork breaks
+    the issuer chain in every kind of proof, not only in a lone link
+    (tests/test_verify_order.py has that one)."""
+
+    def test_hub_over_a_trust_log_with_a_fork(self, fan):
+        bad, trust = hub_over_an_issuer_fork(fan, "center", "p1")
+        verdict = verify_hub(decode_proof(encode_proof(bad)), trust, fan.directory)
+        detail = f"{fan.id_of('p1').hex()}: ChainBreak (issuer chain breaks before round 3)"
+        assert (verdict.reason, verdict.detail) == ("LinkFailed", detail)
+
+    def test_chain_over_an_anchor_log_with_a_fork_at_the_last_hop(self, relay):
+        # Hop 1 covers b's rounds [2, 3]: its round-3 receipt comes from c's fork.
+        bad, trust = chain_over_an_anchor_fork(relay, ["a", "b", "c"], 1, 2)
+        verdict = verify_chain(decode_proof(encode_proof(bad)), trust, relay.directory)
+        assert (verdict.reason, verdict.detail) == ("BrokenHop", "hop 1: ChainBreak (issuer chain breaks before round 4)")
+
+
+class TestWrittenPrevDigests:
+    """A written prev digest is the one a proof's first window round folds
+    each issuer's first leaf from: any bit of it flipped, the receipt's
+    own check refuses it for that round, naming the issuer or hop."""
+
+    @staticmethod
+    def flips(proof, digest):
+        """``proof``'s bytes with each bit of ``digest``, written once, flipped in turn."""
+        data = encode_proof(proof)
+        assert data.count(digest) == 1
+        at = data.index(digest)
+        for bit in range(len(digest) * 8):
+            flipped = bytearray(data)
+            flipped[at + bit // 8] ^= 1 << (bit % 8)
+            yield decode_proof(bytes(flipped))
+
+    def test_every_bit_of_a_hubs_written_digests(self, fan):
+        proof = hub_for(fan)
+        trusted = {fan.id_of(p): fan.commitments_of(p) for p in ("p0", "p1", "p2")}
+        for issuer_id, prev_digest in zip(proof.manifest, proof.rounds[0].prev_digests, strict=True):
+            expected = ("LinkFailed", f"{issuer_id.hex()}: ReceiptInvalid (prev-commitment leaf unproven for round 1)")
+            for bad in self.flips(proof, prev_digest):
+                verdict = verify_hub(bad, trusted, fan.directory)
+                assert (verdict.reason, verdict.detail) == expected
+
+    def test_every_bit_of_a_chain_hops_written_digest(self, relay):
+        path = [relay.id_of("a"), relay.id_of("b"), relay.id_of("c")]
+        proof = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), path, 1, window_len=2)
+        for i, hop in enumerate(proof.hops):
+            (prev_digest,) = hop.rounds[0].prev_digests
+            expected = ("BrokenHop", f"hop {i}: ReceiptInvalid (prev-commitment leaf unproven for round {hop.window_start})")
+            for bad in self.flips(proof, prev_digest):
+                verdict = verify_chain(bad, relay.commitments_of("c"), relay.directory)
+                assert (verdict.reason, verdict.detail) == expected
 
 
 class TestRootPath:
@@ -692,7 +762,7 @@ def link_bytes(link, first_commitment):
     w = holder_chain_bytes(Writer().digest(link.issuer_id), first_commitment, link)
     w.u32(len(link.rounds))
     for rnd in link.rounds:
-        path_bytes(w.record(round_fields(rnd.signature, rnd.receipts)), rnd.evidence_proof)
+        path_bytes(w.record(round_fields(*rnd[:2], rnd.prev_digests)), rnd.evidence_proof)
     return encode_proof(link)[:5] + w.getvalue()
 
 
@@ -808,7 +878,7 @@ class TestProofCodec:
     def test_emp2_envelope_refused(self, fan):
         # EMP2 receipts carried the issuer commitment; no EMP2 reader is kept.
         data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
-        assert data[:4] == b"EMPA"
+        assert data[:4] == b"EMPB"
         with pytest.raises(WireError, match="not a proof file"):
             decode_proof(b"EMP2" + data[4:])
 
@@ -862,6 +932,14 @@ class TestProofCodec:
         with pytest.raises(WireError, match="^not a proof file$"):
             decode_proof(b"EMP9" + data[4:])
 
+    def test_empa_envelope_refused(self, fan):
+        # EMPA wrote each issuer's prev digest in every window round, which
+        # after the first the verifier takes from its trusted issuer
+        # commitment of the round before; no EMPA reader is kept.
+        data = encode_proof(build_hub_proof(fan.nodes["center"].records, (1, 2), fan.nodes["center"].receipt_log))
+        with pytest.raises(WireError, match="^not a proof file$"):
+            decode_proof(b"EMPA" + data[4:])
+
     def test_not_a_proof_object(self):
         with pytest.raises(TypeError):
             encode_proof("nonsense")
@@ -881,7 +959,8 @@ def bounded_fields(link, chain):
         "window-rounds": (link, rounds, len(link.rounds), MAX_ITEMS, "too many window rounds"),
         "round-signature": (link, rounds + 4, signature, MAX_SIGNATURE, "blob length"),
         "receipt-path-steps": (
-            link, rounds + 8 + signature + 8, len(link.rounds[0].receipts[0].inclusion.siblings), MAX_AUDIT_STEPS, "too many audit steps"
+            # past the first round's signature and its one prev digest, the path's leaf index
+            link, rounds + 8 + signature + 32 + 8, len(link.rounds[0].receipts[0].inclusion.siblings), MAX_AUDIT_STEPS, "too many audit steps"
         ),
         "hops": (chain, 5, len(chain.hops), MAX_ITEMS, "too many hops"),
     }
@@ -904,6 +983,7 @@ class TestBareRecordsKeepTheirBounds:
 
 
 NO_ENTRY = "a link or hub proof needs a holder chain entry and a window round"
+PREV_DIGESTS = "a proof holds each issuer's prev digest in its first window round only"
 
 
 def shape_rules(link, hub, chain):
@@ -916,6 +996,8 @@ def shape_rules(link, hub, chain):
     moved = (hub.manifest_proofs[0]._replace(leaf_index=3),) + hub.manifest_proofs[1:]
     off_index = chain_link.proof._replace(leaf_index=1)
     two = (rnd._replace(receipts=rnd.receipts * 2),) + link.rounds[1:]
+    unwritten = lambda proof: (proof.rounds[0]._replace(prev_digests=proof.rounds[0].prev_digests[1:]),) + proof.rounds[1:]
+    repeated = lambda proof: proof.rounds[:1] * 2 + proof.rounds[2:]
     envelope = lambda proof: encode_proof(proof)[:5]
     return {
         "holder-chain-of-no-commitment": (
@@ -947,6 +1029,18 @@ def shape_rules(link, hub, chain):
             lambda: LinkProof(link.issuer_id, held, two),
             lambda: dataclasses.replace(link, rounds=two),
             None,  # a link proof reads one receipt's paths a round
+        ),
+        "first-round-without-its-prev-digests": (
+            PREV_DIGESTS,
+            lambda: LinkProof(link.issuer_id, held, unwritten(link)),
+            lambda: dataclasses.replace(hub, rounds=unwritten(hub)),
+            None,  # the first round's paths are read with their prev digests
+        ),
+        "later-round-with-prev-digests": (
+            PREV_DIGESTS,
+            lambda: LinkProof(link.issuer_id, held, repeated(link)),
+            lambda: dataclasses.replace(hub, rounds=repeated(hub)),
+            None,  # a later round's paths are read without
         ),
         "hub-of-an-empty-manifest": (
             "a hub proof needs at least one link",
@@ -985,6 +1079,8 @@ class TestEachShapeRuleInOnePlace:
                 ("chain-link-off-index-0", False),
                 ("proof-of-no-window-round", True),
                 ("link-round-of-two-receipts", False),
+                ("first-round-without-its-prev-digests", False),
+                ("later-round-with-prev-digests", False),
                 ("hub-of-an-empty-manifest", True),
                 ("manifest-path-off-index-2", False),
                 ("chain-of-no-hop", True),

@@ -154,7 +154,7 @@ def _submission(holder_id, holder_round):
 def _receipt(issuer_id, holder_round, holder_id):
     proof = InclusionProof(0, ())
     issuer = Commitment(issuer_id, holder_round + 1, ZERO_DIGEST, 1, b"sig")
-    return Receipt(_submission(holder_id, holder_round), issuer, ReceiptPaths(proof, ZERO_DIGEST, proof))
+    return Receipt(_submission(holder_id, holder_round), issuer, ZERO_DIGEST, ReceiptPaths(proof, proof))
 
 
 @st.composite
@@ -282,7 +282,7 @@ class TestWireForms:
         assert data.startswith(sub)
         r = Reader(data[len(sub) :])
         assert Commitment.from_bytes(r.blob()) == receipt.issuer_commitment
-        assert data[len(sub) + r.tell() :] == ref_receipt_paths(receipt.paths, receipt.issuer_commitment.leaf_count)
+        assert data[len(sub) + r.tell() :] == ref_receipt_paths(receipt.paths, receipt.prev_digest, receipt.issuer_commitment.leaf_count)
 
     def test_trailing_bytes_rejected(self):
         node = solo_node()
@@ -451,15 +451,15 @@ class TestSignedTreesNoBuilderMakes:
         sub = holder.make_submission()
         real = commitment_digest(issuer.record_at(2).commitment)
         tree, c = decoy_prev_tree(issuer, 3, real, sub.leaf_bytes())
-        honest = ReceiptPaths(tree.prove_inclusion(2), real, tree.prove_inclusion(0))
-        assert check_receipt(Receipt(sub, c, honest), net.directory)
+        honest = ReceiptPaths(tree.prove_inclusion(2), tree.prove_inclusion(0))
+        assert check_receipt(Receipt(sub, c, real, honest), net.directory)
         # The decoy's path folds to the signed root, from the wrong leaf.
         assert c.proves((leaf_hash(prev_leaf(DECOY)),), tree.prove_inclusion(1))
         with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
-            ReceiptPaths(tree.prove_inclusion(2), DECOY, tree.prove_inclusion(1))
+            ReceiptPaths(tree.prove_inclusion(2), tree.prove_inclusion(1))
         # Nor with bytes passed in, as a peer holds a receipt's paths: no receipt holds one.
         with pytest.raises(WireError, match="^path at leaf 1, not at leaf 0$"):
-            held_in_memory(honest, prev_digest=DECOY, prev_inclusion=tree.prove_inclusion(1))
+            held_in_memory(honest, prev_inclusion=tree.prove_inclusion(1))
 
     def test_chain_link_whose_path_is_not_at_index_0(self, manual_net):
         # Round 2's tree holds the real prev leaf second, after a decoy: a

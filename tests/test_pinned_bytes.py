@@ -4,10 +4,11 @@ The wire format is normative (docs/FORMATS.md), so a refactor of the records
 that get encoded must not move a single byte.  These digests are the three
 proofs the CI job builds and each scenario's ``commitments.jsonl``, at each
 scenario's own seed.  A change that alters them on purpose re-records them
-here and says why: the proof pins were last re-recorded for the ``EMPA``
-envelope, which writes each holder chain commitment, window round and chain
-hop bare, ended by its own fields (hub 4,629 B, chain 6,393 B, link
-2,873 B).  Trees, receipts and evidence leaves kept their bytes, so
+here and says why: the proof pins were last re-recorded for the ``EMPB``
+envelope, in which each issuer's chain enters a proof once, as the prev
+digest of the window's first round, and later window rounds write none
+(hub 4,309 B, chain 6,265 B, link 2,777 B; 4,629, 6,393 and 2,873 B in
+``EMPA``).  Trees, receipts and evidence leaves kept their bytes, so
 ``commitments.jsonl`` was not re-recorded.
 """
 
@@ -24,17 +25,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PINNED = {
     "hub": (
         ["--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
-        (4629, "f19e81ae9854fda89d0a5049e197e92136122287e67f4c45bf3c8b187b0ce836"),
+        (4309, "d87e84301e897e71eca496195256e8cd1b1129be8353bda98fa8915c2b1e3526"),
         (29385, "e9be8b8909eca1b012b7cf496c9feb7f5e66c171dc6743cd1cac558b29e092c4"),
     ),
     "chain": (
         ["--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
-        (6393, "4a29fbee427b75c506ea04155d5c09af528e1e82aa5c2b37902c75a28bf29cc7"),
+        (6265, "669dd4c18ea3b5c668ae296724a49882a29660a27d1604633fa17a34aca4cafe"),
         (24559, "be8982c982c74a7683460be4d2d0d07ab9d6d11b85444f2accf850dfcf25e892"),
     ),
     "identity": (
         ["--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
-        (2873, "8ab31722fc0db1087801b1bc5813f5b6de3af54a952db4356717553732c5b285"),
+        (2777, "0ca7f8a5a24733f3427b038c5993b92e67c29e5bef411e080a4b58eea090c5f6"),
         (19628, "044d456a658ebe9d2008d2ce8d9621ad3bc6c9989e201f79b17e129b618502fc"),
     ),
 }

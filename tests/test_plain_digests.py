@@ -7,7 +7,7 @@ must have exactly type ``bytes``.
 
 import dataclasses
 
-from entmesh.entangle import build_hub_proof, decode_proof, encode_proof
+from entmesh.entangle import WindowRound, build_hub_proof, decode_proof, encode_proof
 from entmesh.hashtree import DIGEST_SIZE, InclusionProof, MerkleTree, fold_root, leaf_hash, node_hash
 from entmesh.identity import Credential, CredentialMode, RecoveryPolicy
 from entmesh.keys import keypair_from_seed, node_id_for_key
@@ -37,6 +37,9 @@ def digests_in(obj):
     """Ids, roots and audit-path siblings anywhere inside a proof record."""
     if isinstance(obj, InclusionProof):
         yield from siblings(obj)
+    elif isinstance(obj, WindowRound):  # its prev digests, which the window's first round alone writes
+        yield from obj.prev_digests
+        yield from digests_in(obj[:3])
     elif dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
             value = getattr(obj, field.name)
@@ -81,12 +84,14 @@ def test_decoded_hub_proof_digests_are_plain_bytes(manual_net):
     # window round's holder root occurs once, in its holder chain
     # commitment, the issuer ids only in the manifest, and the holder id only
     # in the holder chain's commitments: the proof has no holder id field.
-    # 83 since the holder chain dropped its entries' five prev digests and
-    # the first entry's two-sibling path (90 before).
+    # 77 since each issuer's prev digest is written in the window's first
+    # round only (83 before, 90 before the holder chain dropped its entries'
+    # five prev digests and the first entry's two-sibling path).
     assert net.id_of("p0") in values and center.records[2].root in values
     assert [values.count(center.records[r].root) for r in (1, 2, 3)] == [1, 1, 1]
     assert siblings(proof.rounds[0].receipts[0].inclusion)[0] in values
-    assert len(values) == 83
+    assert [len(rnd.prev_digests) for rnd in proof.rounds] == [3, 0, 0]
+    assert len(values) == 77
 
 
 def test_identity_digests_are_plain_bytes():

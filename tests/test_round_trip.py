@@ -8,13 +8,15 @@ a field-by-field reference writer, written from docs/FORMATS.md, on the
 three proofs the CI job builds and on mutations of them, and check that
 ``dataclasses.replace`` never carries an old encoding over to new fields.
 The reference writes whole proofs too: per window round the holder's
-signature, each issuer's receipt paths and the evidence proof, each path
-as its siblings with the leaf index where the format does not fix it.  A
-verifier rebuilds each round's submission from its holder chain commitment
-and that signature, and joins each evidence leaf from the submission, its
-paths in the receipt's form and its trusted issuer commitment; the
-reference for that leaf is the one the holder retained, or for a mutated
-proof the leaf of the ``Receipt`` made of those three parts.
+signature, each issuer's prev digest (in the window's first round only),
+each issuer's receipt paths and the evidence proof, each path as its
+siblings with the leaf index where the format does not fix it.  A verifier
+rebuilds each round's submission from its holder chain commitment and that
+signature, and joins each evidence leaf from the submission, its paths in
+the receipt's form with the prev digest (the written one, then its trusted
+issuer commitment's of the round before) and its trusted issuer
+commitment; the reference for that leaf is the one the holder retained,
+or for a mutated proof the leaf of the ``Receipt`` made of those parts.
 """
 
 import dataclasses
@@ -117,17 +119,18 @@ def ref_receipt_path(w: Writer, proof, size: int) -> Writer:
 
 def ref_paths(p: ReceiptPaths) -> bytes:
     """Receipt paths as a proof writes them."""
-    return ref_path(ref_path(Writer(), p.inclusion).digest(p.prev_digest), p.prev_inclusion, 0).getvalue()
+    return ref_path(ref_path(Writer(), p.inclusion), p.prev_inclusion, 0).getvalue()
 
 
-def ref_receipt_paths(p: ReceiptPaths, size: int) -> bytes:
-    """Receipt paths as a receipt writes them, in an issuer tree of ``size`` leaves."""
-    return ref_receipt_path(ref_receipt_path(Writer(), p.inclusion, size).digest(p.prev_digest), p.prev_inclusion, size).getvalue()
+def ref_receipt_paths(p: ReceiptPaths, prev_digest: bytes, size: int) -> bytes:
+    """Receipt paths with ``prev_digest`` as a receipt writes them, in an issuer tree of ``size`` leaves."""
+    return ref_receipt_path(ref_receipt_path(Writer(), p.inclusion, size).digest(prev_digest), p.prev_inclusion, size).getvalue()
 
 
 def ref_receipt(r: Receipt) -> bytes:
     c = r.issuer_commitment
-    return ref_submission(r.submission) + Writer().blob(ref_commitment(c)).getvalue() + ref_receipt_paths(r.paths, c.leaf_count)
+    paths = ref_receipt_paths(r.paths, r.prev_digest, c.leaf_count)
+    return ref_submission(r.submission) + Writer().blob(ref_commitment(c)).getvalue() + paths
 
 
 def ref_link(link: ChainLink) -> bytes:
@@ -148,11 +151,15 @@ def ref_holder_chain(w: Writer, p) -> Writer:
 
 
 def ref_rounds(w: Writer, rounds) -> Writer:
-    # Per window round, bare: the holder's signature as a blob, each
-    # issuer's receipt paths in manifest order, then the evidence proof.
+    # Per window round, bare: the holder's signature as a blob, in the
+    # first round each issuer's prev digest, then each issuer's receipt
+    # paths in manifest order, then the evidence proof.
     w.u32(len(rounds))
-    for rnd in rounds:
+    for i, rnd in enumerate(rounds):
         w.blob(rnd.signature)
+        assert (len(rnd.prev_digests) == len(rnd.receipts)) if i == 0 else rnd.prev_digests == ()
+        for d in rnd.prev_digests:
+            w.digest(d)
         for paths in rnd.receipts:
             w.record(ref_paths(paths))
         ref_path(w, rnd.evidence_proof)
@@ -173,16 +180,16 @@ def ref_hub_proof(p: HubProof) -> bytes:
 
 
 def ref_proof(p) -> bytes:
-    """The envelope: magic ``EMPA``, a kind byte, then the body."""
+    """The envelope: magic ``EMPB``, a kind byte, then the body."""
     if isinstance(p, HubProof):
-        return b"EMPA\x11" + ref_hub_proof(p)
+        return b"EMPB\x11" + ref_hub_proof(p)
     if isinstance(p, ChainProof):
         # The hops, counted, each written bare.
         w = Writer().u32(len(p.hops))
         for hop in p.hops:
             w.record(ref_link_proof(hop))
-        return b"EMPA\x12" + w.getvalue()
-    return b"EMPA\x10" + ref_link_proof(p)
+        return b"EMPB\x12" + w.getvalue()
+    return b"EMPB\x10" + ref_link_proof(p)
 
 
 def assert_encodes_its_fields(record) -> None:
@@ -309,7 +316,8 @@ def _replaced(sub: Submission, paths: ReceiptPaths, receipt=None) -> list:
         if record is not None:
             record.to_bytes()
     new_sub = dataclasses.replace(sub, holder_root=_flip(sub.holder_root))
-    new_paths = dataclasses.replace(paths, prev_digest=_flip(paths.prev_digest))
+    inclusion = paths.inclusion
+    new_paths = dataclasses.replace(paths, inclusion=inclusion._replace(siblings=(_flip(inclusion.siblings[0]), *inclusion.siblings[1:])))
     replaced = [new_sub, dataclasses.replace(sub, signature=_flip(sub.signature)), new_paths]
     if receipt is not None:
         c = receipt.issuer_commitment
@@ -320,6 +328,7 @@ def _replaced(sub: Submission, paths: ReceiptPaths, receipt=None) -> list:
             dataclasses.replace(c, leaf_count=c.leaf_count + 1),
             dataclasses.replace(receipt, submission=new_sub),
             dataclasses.replace(receipt, paths=new_paths),
+            dataclasses.replace(receipt, prev_digest=_flip(receipt.prev_digest)),
             dataclasses.replace(receipt, issuer_commitment=new_c),
         ]
     return replaced
@@ -337,7 +346,7 @@ def test_replace_encodes_the_new_fields(ci_proofs, origin):
         decoded = decode_proof(encode_proof(proof))
         first, commitment, link = decoded.rounds[0], decoded.holder_chain.commitments[0], decoded.holder_chain.links[0]
         sub, paths = submission_of(commitment, first.signature), first.receipts[0]
-        receipt = Receipt(sub, hub.records[2].commitment, paths) if origin == "spliced" else None
+        receipt = Receipt(sub, hub.records[2].commitment, first.prev_digests[0], paths) if origin == "spliced" else None
     commitment.to_bytes()
     link.to_bytes()
     path = link.proof
@@ -369,7 +378,7 @@ def test_issued_receipts_hold_their_bytes(monkeypatch):
         assert "_encoding" not in vars(receipt)
         assert receipt.to_bytes() == ref_receipt(receipt)
         c = receipt.issuer_commitment
-        assert vars(receipt)["_paths_encoding"] == ref_receipt_paths(receipt.paths, c.leaf_count)
+        assert vars(receipt)["_paths_encoding"] == ref_receipt_paths(receipt.paths, receipt.prev_digest, c.leaf_count)
         issued.append(receipt)
         return receipt
 
@@ -392,41 +401,50 @@ def test_receipt_leaf_is_the_evidence_leaf_join(ci_proofs, monkeypatch):
     for receipt in sim.nodes["center"].receipt_log.values():
         leaf = receipt.leaf_bytes()
         c = receipt.issuer_commitment
-        assert joined.pop() == (receipt.submission, c, ref_receipt_paths(receipt.paths, c.leaf_count))
+        assert joined.pop() == (receipt.submission, c, ref_receipt_paths(receipt.paths, receipt.prev_digest, c.leaf_count))
         assert leaf == bytes([LEAF_EVIDENCE]) + ref_receipt(receipt)
 
 
 def _parts(proof):
     """(holder id, issuer id, round, holder chain commitment r, the round's
-    signature, paths) for every receipt a proof holds."""
+    signature, paths, the written prev digest or None) for every receipt a
+    proof holds."""
     for part in proof.hops if isinstance(proof, ChainProof) else (proof,):
         for r, c, rnd in zip(range(part.window_start, part.window_end + 1), part.holder_chain.commitments, part.rounds):
-            for issuer_id, paths in zip(_issuer_ids(part), rnd.receipts, strict=True):
-                yield part.holder_id, issuer_id, r, c, rnd.signature, paths
+            written = rnd.prev_digests or [None] * len(rnd.receipts)
+            for issuer_id, paths, prev_digest in zip(_issuer_ids(part), rnd.receipts, written, strict=True):
+                yield part.holder_id, issuer_id, r, c, rnd.signature, paths, prev_digest
 
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
 def test_proof_receipts_splice_back_to_the_retained_ones(ci_proofs, kind):
     """A proof's signature and paths for an issuer round are the retained
-    receipt's; with the holder chain commitment they rebuild its submission, and
-    with its issuer commitment give the retained bytes.  A built proof holds
-    the retained objects themselves: nothing is copied."""
+    receipt's, and so is the prev digest its window's first round writes;
+    with the holder chain commitment they rebuild its submission, and with
+    its issuer commitment and that digest give the retained bytes.  Later
+    rounds' paths write no digest: with the trusted issuer round-r
+    commitment's they splice back to the retained bytes too.  A built proof
+    holds the retained objects themselves: nothing is copied."""
     proof, sim = ci_proofs[kind]
     logs = {node.node_id: node.receipt_log for node in sim.nodes.values()}
-    spliced = 0
-    for holder_id, issuer_id, r, c, signature, paths in _parts(proof):
+    records = sim.records_by_id()
+    spliced = later = 0
+    for holder_id, issuer_id, r, c, signature, paths, prev_digest in _parts(proof):
         retained = logs[holder_id][issuer_id, r]
         assert signature is retained.submission.signature and paths is retained.paths
-    for holder_id, issuer_id, r, c, signature, paths in _parts(decode_proof(encode_proof(proof))):
+        assert prev_digest is None or prev_digest is retained.prev_digest
+    for holder_id, issuer_id, r, c, signature, paths, prev_digest in _parts(decode_proof(encode_proof(proof))):
         retained = logs[holder_id][issuer_id, r]
         sub = submission_of(c, signature)
-        assert (sub, paths) == (retained.submission, retained.paths)
+        if prev_digest is None:
+            prev_digest, later = commitment_digest(records[issuer_id][r].commitment), later + 1
+        assert (sub, paths, prev_digest) == (retained.submission, retained.paths, retained.prev_digest)
         assert sub.to_bytes() == retained.submission.to_bytes()
-        full = Receipt(sub, retained.issuer_commitment, paths)
+        full = Receipt(sub, retained.issuer_commitment, prev_digest, paths)
         assert full == retained and full.to_bytes() == retained.to_bytes()
         assert_encodes_its_fields(full)
         spliced += 1
-    assert spliced >= 4
+    assert spliced >= 4 and later >= 3
 
 
 def test_decoded_link_keeps_the_slice_it_read(ci_proofs):
@@ -490,45 +508,45 @@ def retained_leaf(sim):
     receipt's leaf bytes in the holder's round r + 2 state."""
     records = sim.records_by_id()
 
-    def leaf(holder_id, issuer_id, r, sub, paths, c):
+    def leaf(holder_id, issuer_id, r, sub, prev_digest, paths, c):
         state = records[holder_id][r + EVIDENCE_LAG].state
         return next(rc for rc in state.evidence if (rc.issuer_id, rc.holder_round) == (issuer_id, r)).leaf_bytes()
 
     return leaf
 
 
-def composed_leaf(holder_id, issuer_id, r, sub, paths, c):
-    """The leaf of the receipt made of ``sub``, issuer commitment ``c`` and ``paths``."""
-    return Receipt(sub, c, paths).leaf_bytes()
+def composed_leaf(holder_id, issuer_id, r, sub, prev_digest, paths, c):
+    """The leaf of the receipt made of ``sub``, issuer commitment ``c``, ``prev_digest`` and ``paths``."""
+    return Receipt(sub, c, prev_digest, paths).leaf_bytes()
 
 
 def verify_against_spliced_leaves(proof, sim, reference_leaf, reference_paths=None):
     """Verify ``proof``, holding each evidence leaf the verifier joins to
-    ``reference_leaf(holder_id, issuer_id, r, sub, paths, c)`` for the
-    trusted issuer commitment ``c`` it joins, and each window round's run of
+    ``reference_leaf(holder_id, issuer_id, r, sub, prev_digest, paths, c)``
+    for the trusted issuer commitment ``c`` and prev digest it joins, and each window round's run of
     leaves it folds to the reference leaves of that round's receipts, one per
     link of the holder's proof part, in link order.  With
     ``reference_paths``, the receipt-form paths the verifier rebuilds are
     held to ``reference_paths(holder_id, issuer_id, r)`` too, byte for byte.
     Returns the verdict and the number of runs compared."""
     joined, runs_compared = [], []  # joined: (issuer id, reference leaf) since the last run
-    rebuilt = []  # the ReceiptPaths whose receipt form was just rebuilt
+    rebuilt = []  # the ReceiptPaths, and the prev digest, whose receipt form was just rebuilt
     join, fold, rebuild = entangle.evidence_leaf, entangle._Call.proves, entangle.receipt_paths
     parts = proof.hops if isinstance(proof, ChainProof) else (proof,)
 
     def link_orders(holder_id):
         return {tuple(_issuer_ids(part)) for part in parts if part.holder_id == holder_id}
 
-    def receipt_paths(paths, leaf_count):
-        rebuilt.append(paths)
-        return rebuild(paths, leaf_count)
+    def receipt_paths(paths, prev_digest, leaf_count):
+        rebuilt.append((paths, prev_digest))
+        return rebuild(paths, prev_digest, leaf_count)
 
     def leaf(sub, c, paths_bytes):
-        paths = rebuilt.pop()
-        assert paths_bytes == ref_receipt_paths(paths, c.leaf_count)
+        paths, prev_digest = rebuilt.pop()
+        assert paths_bytes == ref_receipt_paths(paths, prev_digest, c.leaf_count)
         if reference_paths is not None:
             assert paths_bytes == reference_paths(sub.holder_id, c.node_id, sub.holder_round)
-        joined.append((c.node_id, reference_leaf(sub.holder_id, c.node_id, sub.holder_round, sub, paths, c)))
+        joined.append((c.node_id, reference_leaf(sub.holder_id, c.node_id, sub.holder_round, sub, prev_digest, paths, c)))
         assert join(sub, c, paths_bytes) == joined[-1][1]
         return joined[-1][1]
 

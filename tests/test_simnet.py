@@ -554,7 +554,7 @@ RECEIPT_TAMPERS = {
     "submission-extra-sibling": lambda rc: _with_paths(
         rc, inclusion=rc.paths.inclusion._replace(siblings=rc.paths.inclusion.siblings + (ZERO_DIGEST,))
     ),
-    "prev-digest": lambda rc: _with_paths(rc, prev_digest=Digest(sha256(b"another prev"))),
+    "prev-digest": lambda rc: dataclasses.replace(rc, prev_digest=Digest(sha256(b"another prev"))),
     "unsigned-round": lambda rc: dataclasses.replace(
         rc, issuer_commitment=dataclasses.replace(rc.issuer_commitment, round=rc.issuer_commitment.round + 7)
     ),

@@ -485,9 +485,9 @@ class TestRecordEncodersRefuse:
         with pytest.raises(WireError, match="^u64 out of range: -1$"):
             entangle.encode_proof(dataclasses.replace(link, rounds=rounds))
 
-    def test_submission_chain_link_and_paths_with_a_short_digest(self, proofs):
+    def test_submission_chain_link_and_prev_digest_with_a_short_digest(self, proofs):
         link = proofs["link"]
-        chain_link, paths = link.holder_chain.links[0], link.rounds[0].receipts[0]
+        chain_link, first = link.holder_chain.links[0], link.rounds[0]
         sub = node.submission_of(link.holder_chain.commitments[0], link.rounds[0].signature)
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             dataclasses.replace(sub, holder_root=sub.holder_root[:31]).to_bytes()
@@ -495,5 +495,6 @@ class TestRecordEncodersRefuse:
             dataclasses.replace(sub, holder_round=2**64).to_bytes()
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
             dataclasses.replace(chain_link, proof=chain_link.proof._replace(siblings=(bytes(33),))).to_bytes()
+        # A written prev digest is refused by the proof's encoder, which writes it.
         with pytest.raises(WireError, match="^digest must be 32 bytes$"):
-            dataclasses.replace(paths, prev_digest=bytes(31)).to_bytes()
+            entangle.encode_proof(dataclasses.replace(link, rounds=(first._replace(prev_digests=(bytes(31),)),) + link.rounds[1:]))
