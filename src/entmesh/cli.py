@@ -25,6 +25,7 @@ from .entangle import (
     encode_proof,
     hop_windows,
     last_holder_round,
+    owed_checks,
     verify_chain,
     verify_hub,
     verify_link,
@@ -269,6 +270,9 @@ def cmd_inspect(args) -> int:
                 f"  holder {proof.holder_id.hex()}",
                 f"  anchor {proof.anchor_id.hex()} at round {anchor_round}",
             ]
+        signatures, folds = owed_checks(proof)
+        obj.update(signatures_owed=signatures, inclusion_proofs_owed=folds)
+        lines.insert(1, f"  a verify owes {signatures} Ed25519 check{'s' * (signatures != 1)} and {folds} inclusion proofs")
         _emit(args.format, lines, obj)
         return 0
     if args.ledger:

@@ -110,6 +110,7 @@ __all__ = [
     "encode_proof",
     "hop_windows",
     "last_holder_round",
+    "owed_checks",
     "verify_chain",
     "verify_hub",
     "verify_link",
@@ -161,8 +162,7 @@ def _read_rounds(r: Reader, issuers: int) -> tuple[WindowRound, ...]:
     def read_round(r: Reader) -> WindowRound:
         nonlocal written
         signature, prev_digests, written = r.blob(MAX_SIGNATURE), tuple([r.digest() for _ in range(written)]), 0
-        receipts = tuple([ReceiptPaths.read(r) for _ in range(issuers)])
-        return WindowRound(signature, receipts, read_inclusion_proof(r), prev_digests)
+        return WindowRound(signature, ReceiptPaths.read_many(r, issuers), read_inclusion_proof(r), prev_digests)
 
     return r.many(read_round, "window rounds", MAX_ITEMS)
 
@@ -323,8 +323,9 @@ class _Call:
         self.folds = self.signatures = 0
 
     def proves(self, c: Commitment, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
+        """Whether ``proof`` places the leaves in ``c``'s tree, folded by ``verify_inclusion`` and counted."""
         self.folds += 1
-        return c.proves(leaf_hashes, proof)
+        return verify_inclusion(leaf_hashes, proof, c.leaf_count, c.root)
 
     def verify_commitment(self, c: Commitment) -> bool:
         self.signatures += 1
@@ -397,28 +398,28 @@ def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId
     chain = holder.holder_chain.commitments
     for c, (signature, receipts, evidence, written), retaining in zip(chain, holder.rounds, chain[EVIDENCE_LAG:]):
         r = c.round
+        issuer_round = r + 1
         sub = submission_of(c, signature)
         sub_hash, leaf_hashes = leaf_hash(sub.leaf_bytes()), []
         # After the window's first round, trusted[r] is the commitment round r - 1's receipt was checked against.
         prev_digests = written or [commitment_digest(trusted[r]) for _, trusted in issuers]
         for (issuer_id, trusted), paths, prev_digest in zip(issuers, receipts, prev_digests):
-            issuer_c = trusted.get(r + 1)
+            issuer_c = trusted.get(issuer_round)
             if issuer_c is None:
-                detail = f"no trusted issuer commitment for round {r + 1}"
+                detail = f"no trusted issuer commitment for round {issuer_round}"
                 return _part_failed(holder, issuer_id.hex(), "TrustedRootUnavailable", detail)
             if issuer_c.node_id != issuer_id:
                 return _part_failed(holder, issuer_id.hex(), "ReceiptMismatch", "receipt from another issuer")
             first_leaf = prev_leaf_hash(prev_digest)
             # Its signature was checked where it entered trust.  With a written digest, its first leaf is the receipt's check.
             verdict = _check_receipt_inclusions((sub_hash, first_leaf) if written else (sub_hash,), paths, issuer_c, call)
-            if not verdict:
+            if not verdict.ok:
                 return _part_failed(holder, issuer_id.hex(), verdict.reason, f"{verdict.detail} for round {r}")
             if not written and not call.proves(issuer_c, (first_leaf,), paths.prev_inclusion):
-                detail = f"issuer chain breaks before round {r + 1}"
+                detail = f"issuer chain breaks before round {issuer_round}"
                 return _part_failed(holder, issuer_id.hex(), "ChainBreak", detail)
             # The receipt's bytes, as its holder retained them, hold its paths in the receipt's form.
-            paths_bytes = receipt_paths(paths, prev_digest, issuer_c.leaf_count)
-            leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, paths_bytes)))
+            leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, receipt_paths(paths, prev_digest, issuer_c.leaf_count))))
         if not call.proves(retaining, leaf_hashes, evidence):
             if retaining is chain[-1] and _folds_at_another_leaf_count(retaining, leaf_hashes, evidence):
                 verdict = verify_chain_head(holder.holder_chain, call)
@@ -615,6 +616,22 @@ def _check_chain(proof: ChainProof, trusted_anchor: Mapping[int, Commitment], ca
         if not verdict:
             return _wrapped("BrokenHop", f"hop {i}", verdict)
     return Verdict.passed()
+
+
+def owed_checks(proof: "LinkProof | HubProof | ChainProof") -> tuple[int, int]:
+    """The Ed25519 checks and inclusion proofs an honest verify of ``proof``
+    makes, from its structure alone.  A link or hub over w rounds checks one
+    head signature and folds its w + 1 holder chain links, each issuer's two
+    receipt paths a round and one evidence run a round, and a hub one
+    manifest path a round: 4w + 1 for a link, (w + 1) + 2nw + 2w for a hub
+    of n issuers.  A chain owes what its hops do."""
+    if isinstance(proof, ChainProof):
+        owed = [owed_checks(hop) for hop in proof.hops]
+        return sum(signatures for signatures, _ in owed), sum(folds for _, folds in owed)
+    w = len(proof.rounds)
+    if isinstance(proof, HubProof):
+        return 1, (w + 1) + 2 * len(proof.manifest) * w + 2 * w
+    return 1, 4 * w + 1
 
 
 @dataclass(frozen=True)

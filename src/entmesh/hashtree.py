@@ -34,7 +34,7 @@ __all__ = [
 
 DIGEST_SIZE = 32
 STEP_SIZE = 1 + DIGEST_SIZE  # one step of a path as a receipt writes it: side byte, then sibling
-_LEFT, _RIGHT = b"\x00", b"\x01"  # the side bytes: sibling on the left, on the right
+_SIDES = (b"\x00", b"\x01")  # the side bytes: sibling on the left, on the right
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
 _sha256 = hashlib.sha256
@@ -60,7 +60,7 @@ class IndexOutOfRangeError(IndexError):
 
 def leaf_hash(leaf: bytes) -> Digest:
     """Hash of a single leaf: H(0x00 || leaf)."""
-    return sha256(_LEAF_PREFIX + leaf)
+    return _sha256(_LEAF_PREFIX + leaf).digest()
 
 
 def node_hash(left: bytes, right: bytes) -> Digest:
@@ -152,25 +152,28 @@ def fold_root(leaf_hashes: Sequence[bytes], proof: InclusionProof, tree_size: in
     in a tree of ``tree_size`` leaves; return the implied root.
 
     Returns None when the path's sibling count disagrees with the run's
-    (leaf_index, length) and ``tree_size``.  While the run spans several nodes
-    of a level, the level takes the siblings ``prove_range`` gives; an
-    unpaired last node is promoted.  Then one pass (RFC 9162 section
-    2.1.3.2): below level ``inner``, where the node's and the level's last
-    node's positions differ, bit ``level`` of the index gives the sibling's
-    side; above it the node is on the right border, one left sibling per set
-    bit of ``index >> inner``.
+    (leaf_index, length) and ``tree_size``.  One leaf, the common case, is
+    taken first.  While a longer run spans several nodes of a level, the
+    level takes the siblings ``prove_range`` gives; an unpaired last node is
+    promoted.  Then one pass (RFC 9162 section 2.1.3.2): below level
+    ``inner``, where the node's and the level's last node's positions
+    differ, bit ``level`` of the index gives the sibling's side; above it
+    the node is on the right border, one left sibling per set bit of
+    ``index >> inner``.
     """
-    index, siblings, size = proof.leaf_index, proof.siblings, tree_size
+    index, siblings = proof
+    size = tree_size
     if not isinstance(index, int) or not isinstance(size, int):
         return None
-    end = index + len(leaf_hashes)
-    if not 0 <= index < end <= size:
-        return None
-    at = 0
-    if end - index == 1:
+    if len(leaf_hashes) == 1:
+        if not 0 <= index < size:
+            return None
         current = leaf_hashes[0]
     else:
-        nodes, count = list(leaf_hashes), len(siblings)
+        end = index + len(leaf_hashes)
+        if not 0 <= index < end <= size:
+            return None
+        at, count, nodes = 0, len(siblings), list(leaf_hashes)
         while end - index > 1:
             if index & 1:
                 if at == count:
@@ -190,11 +193,13 @@ def fold_root(leaf_hashes: Sequence[bytes], proof: InclusionProof, tree_size: in
     inner = (index ^ (size - 1)).bit_length()
     if len(siblings) != inner + (index >> inner).bit_count():
         return None
-    for level, sibling in enumerate(siblings):
-        if level >= inner or index >> level & 1:
-            current = _sha256(_NODE_PREFIX + sibling + current).digest()
-        else:
+    right = ~index & ((1 << inner) - 1)  # bit ``level`` set: that level's sibling is on the right
+    for sibling in siblings:
+        if right & 1:
             current = _sha256(_NODE_PREFIX + current + sibling).digest()
+        else:
+            current = _sha256(_NODE_PREFIX + sibling + current).digest()
+        right >>= 1
     return current
 
 
@@ -233,9 +238,10 @@ def path_steps(proof: InclusionProof, tree_size: int) -> list[bytes]:
     1 = on the right) and then the sibling, ``STEP_SIZE`` bytes.  The sides
     are derived from (leaf_index, tree_size) as ``fold_root`` derives them.
     A receipt writes its paths this way."""
-    index = proof.leaf_index
-    inner = (index ^ (tree_size - 1)).bit_length()
+    index, siblings = proof
+    right = ~index & ((1 << (index ^ (tree_size - 1)).bit_length()) - 1)  # fold_root's sides
     steps = []
-    for level, sibling in enumerate(proof.siblings):
-        steps += (_LEFT if level >= inner or index >> level & 1 else _RIGHT, sibling)
+    for sibling in siblings:
+        steps += (_SIDES[right & 1], sibling)
+        right >>= 1
     return steps

@@ -21,12 +21,14 @@ Leaf layout (tags distinguish every leaf kind; see docs/FORMATS.md):
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from operator import attrgetter
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .hashtree import Digest, InclusionProof, MerkleTree, ZERO_DIGEST, leaf_hash, sha256, verify_inclusion
+from . import hashtree
+from .hashtree import STEP_SIZE, Digest, InclusionProof, MerkleTree, ZERO_DIGEST, leaf_hash, path_steps, sha256, verify_inclusion
 from .keys import Ed25519Scheme, KeyPair, NodeId, node_id_for_key
 from .sexpr import Expr, encode_tree
 from .wire import (
@@ -40,9 +42,9 @@ from .wire import (
     digest,
     digests,
     encode_inclusion_proof,
-    encode_receipt_path,
     prefix,
     read_inclusion_proof,
+    read_path_pairs,
 )
 
 __all__ = [
@@ -191,9 +193,13 @@ def commitment_digest(commitment: Commitment) -> Digest:
     return sha256(commitment._encoding)
 
 
+_PREV_LEAF = hashtree._LEAF_PREFIX + bytes([LEAF_PREV])  # a first leaf's hashed prefix: leaf prefix, then tag
+
+
 def prev_leaf_hash(prev_digest: Digest) -> Digest:
-    """The hash of a tree's first leaf, ``0x01 || prev_digest``."""
-    return leaf_hash(bytes([LEAF_PREV]) + prev_digest)
+    """The hash of a tree's first leaf, ``0x01 || prev_digest``: its
+    ``leaf_hash``, in one call."""
+    return hashtree._sha256(_PREV_LEAF + prev_digest).digest()
 
 
 @dataclass(frozen=True)
@@ -263,27 +269,53 @@ class ReceiptPaths:
         return self._encoding
 
     @staticmethod
-    def read(r: Reader) -> "ReceiptPaths":
-        start = r.tell()
-        inclusion, prev_inclusion = read_inclusion_proof(r), read_inclusion_proof(r, 0)
-        return ReceiptPaths(inclusion, prev_inclusion, encoding=r.since(start))
+    def read_many(r: Reader, count: int) -> tuple["ReceiptPaths", ...]:
+        """``count`` receipts' paths, read in one pass (``read_path_pairs``),
+        each keeping the slice it was read from.  Each is made without its
+        constructor: the reader places every first-leaf path at index 0,
+        the one rule the constructor holds for bytes passed in."""
+        made = []
+        for inclusion, prev_inclusion, encoding in read_path_pairs(r, count):
+            paths = _new_object(ReceiptPaths)
+            _set_attribute(paths, "__dict__", {"inclusion": inclusion, "prev_inclusion": prev_inclusion, "_encoding": encoding})
+            made.append(paths)
+        return tuple(made)
+
+
+_new_object, _set_attribute = object.__new__, object.__setattr__
 
 
 def _joined_paths(inclusion: InclusionProof, link: "ChainLink") -> bytes:
     return encode_inclusion_proof(inclusion) + link.to_bytes()
 
 
+# A receipt-form path's head: its blob length, then leaf_index, tree_size and step count.
+_RECEIPT_PATH_HEAD = struct.Struct(">IQQI")
+
+
 def receipt_paths(paths: ReceiptPaths, prev_digest: Digest, leaf_count: int) -> bytes:
     """``paths`` and ``prev_digest`` as a receipt writes them, the rest of
     the receipt after its issuer commitment, for an issuer tree of
-    ``leaf_count`` leaves: each path a blob of its head (leaf index, tree
-    size, step count) and its steps (``encode_receipt_path``), with the prev
-    digest between them: a receipt's own, or the one a proof verifier holds
-    for it, written in the proof or its trusted issuer commitment's."""
-    parts = encode_receipt_path(paths.inclusion, leaf_count)
-    parts.append(digest(prev_digest))
-    parts += encode_receipt_path(paths.prev_inclusion, leaf_count)
-    return b"".join(parts)
+    ``leaf_count`` leaves, in one join: each path a blob of its head (leaf
+    index, tree size, step count) and its steps (``path_steps``, with the
+    sides ``fold_root`` derives), with the prev digest between them: a
+    receipt's own, or the one a proof verifier holds for it, written in the
+    proof or its trusted issuer commitment's."""
+    inclusion, prev_inclusion = paths.inclusion, paths.prev_inclusion
+    count, prev_count = len(inclusion.siblings), len(prev_inclusion.siblings)
+    head = _RECEIPT_PATH_HEAD.pack
+    try:
+        return b"".join(
+            [
+                head(_RECEIPT_PATH_HEAD.size - 4 + STEP_SIZE * count, inclusion.leaf_index, leaf_count, count),
+                *path_steps(inclusion, leaf_count),
+                digest(prev_digest),
+                head(_RECEIPT_PATH_HEAD.size - 4 + STEP_SIZE * prev_count, prev_inclusion.leaf_index, leaf_count, prev_count),
+                *path_steps(prev_inclusion, leaf_count),
+            ]
+        )
+    except struct.error as exc:  # an index or size that is not a u64
+        raise WireError(f"inclusion proof head: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -339,12 +371,15 @@ class Receipt:
         return evidence_leaf(self.submission, self.issuer_commitment, self._paths_encoding)
 
 
+_EVIDENCE_TAG = bytes([LEAF_EVIDENCE])
+
+
 def evidence_leaf(submission: Submission, c: Commitment, paths: bytes) -> bytes:
     """The evidence leaf of the receipt of ``submission``, ``c`` and the
     receipt's ``paths`` bytes (``receipt_paths``), joined once: a retained
     receipt's, or a proof verifier's with its trusted ``c``."""
     blob = c._encoding
-    return b"".join((bytes([LEAF_EVIDENCE]), submission._encoding, prefix(len(blob)), blob, paths))
+    return b"".join((_EVIDENCE_TAG, submission._encoding, prefix(len(blob)), blob, paths))
 
 
 def _manifest_leaf(manifest: Sequence[NodeId]) -> bytes:
@@ -512,8 +547,9 @@ class KeyDirectory:
         return self.verify_signature(s.holder_id, s.holder_round, s.message(), s.signature)
 
     def proves(self, c: Commitment, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
-        """``c.proves(leaf_hashes, proof)``, which a proof verifier's call counts."""
-        return c.proves(leaf_hashes, proof)
+        """``c.proves(leaf_hashes, proof)``, folded by ``verify_inclusion``
+        as a proof verifier's call folds it, uncounted."""
+        return verify_inclusion(leaf_hashes, proof, c.leaf_count, c.root)
 
 
 def check_receipt(receipt: Receipt, directory: KeyDirectory) -> Verdict:
@@ -551,7 +587,7 @@ def _check_receipt_inclusions(leaf_hashes: Sequence[Digest], paths: ReceiptPaths
         return Verdict.failed("ReceiptInvalid", "submission leaf unproven")
     if leaf_hashes[1:] and not directory.proves(c, leaf_hashes[1:], paths.prev_inclusion):
         return Verdict.failed("ReceiptInvalid", "prev-commitment leaf unproven")
-    return Verdict.passed()
+    return _PASSED
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .hashtree import DIGEST_SIZE, STEP_SIZE, Digest, InclusionProof, path_steps
+from .hashtree import DIGEST_SIZE, Digest, InclusionProof
 
 __all__ = [
     "Head",
@@ -32,9 +32,9 @@ __all__ = [
     "digest",
     "digests",
     "encode_inclusion_proof",
-    "encode_receipt_path",
     "prefix",
     "read_inclusion_proof",
+    "read_path_pairs",
 ]
 
 _U32_MAX = 2**32 - 1
@@ -206,7 +206,8 @@ def decode(data: bytes, read: Callable[[Reader], T]) -> T:
 
 _new_tuple = tuple.__new__  # a NamedTuple made without its Python-level __new__
 _INDEXED_PATH_HEAD = struct.Struct(">QI")  # leaf_index, sibling count
-_RECEIPT_PATH_HEAD = struct.Struct(">IQQI")  # blob length, then leaf_index, tree_size, step count
+# The siblings of a path of n steps, sliced from the buffer in one unpack.
+_SIBLINGS = tuple([struct.Struct(f"{DIGEST_SIZE}s" * n).unpack_from for n in range(MAX_AUDIT_STEPS + 1)])
 
 
 def encode_inclusion_proof(proof: InclusionProof, index: Optional[int] = None) -> bytes:
@@ -238,7 +239,7 @@ def at_leaf(proof: InclusionProof, index: int) -> None:
 def read_inclusion_proof(r: Reader, index: Optional[int] = None) -> InclusionProof:
     """A path as ``encode_inclusion_proof`` writes it, at the fixed ``index``
     if one is given: the head (index and count, or count) in one unpack,
-    then the siblings sliced from the buffer."""
+    then the siblings in another."""
     data, pos, limit = r._data, r._pos, r._end
     if index is None:
         if pos + _INDEXED_PATH_HEAD.size > limit:
@@ -256,18 +257,37 @@ def read_inclusion_proof(r: Reader, index: Optional[int] = None) -> InclusionPro
     if end > limit:
         raise WireError("truncated input")
     r._pos = end
-    return _new_tuple(InclusionProof, (index, tuple([data[i : i + DIGEST_SIZE] for i in range(pos, end, DIGEST_SIZE)])))
+    return _new_tuple(InclusionProof, (index, _SIBLINGS[count](data, pos)))
 
 
-def encode_receipt_path(proof: InclusionProof, tree_size: int) -> list[bytes]:
-    """A one-leaf path as a receipt writes it, in a tree of ``tree_size``
-    leaves, as parts for one join: a blob of the head (leaf_index,
-    tree_size, step count) and the steps ``path_steps`` derives.  No reader
-    reads this form: it is part of the receipt bytes an evidence leaf holds,
-    which are only ever hashed."""
-    count = len(proof.siblings)
-    try:
-        head = _RECEIPT_PATH_HEAD.pack(_RECEIPT_PATH_HEAD.size - 4 + STEP_SIZE * count, proof.leaf_index, tree_size, count)
-    except struct.error as exc:  # an index or size that is not a u64
-        raise WireError(f"inclusion proof head: {exc}") from None
-    return [head, *path_steps(proof, tree_size)]
+def read_path_pairs(r: Reader, count: int) -> list[tuple[InclusionProof, InclusionProof, bytes]]:
+    """``count`` pairs of paths, each a path with its index and then one at
+    the fixed index 0, read in one pass as ``read_inclusion_proof`` reads
+    each, with the bytes of each pair."""
+    data, pos, limit = r._data, r._pos, r._end
+    head, head_size, siblings = _INDEXED_PATH_HEAD.unpack_from, _INDEXED_PATH_HEAD.size, _SIBLINGS
+    pairs = []
+    for _ in range(count):
+        start = pos
+        if pos + head_size > limit:
+            raise WireError("truncated input")
+        index, steps = head(data, pos)
+        pos += head_size
+        if steps > MAX_AUDIT_STEPS:
+            raise WireError(f"too many audit steps: {steps}")
+        end = pos + steps * DIGEST_SIZE
+        if end > limit:
+            raise WireError("truncated input")
+        inclusion = _new_tuple(InclusionProof, (index, siblings[steps](data, pos)))
+        if end + 4 > limit:
+            raise WireError("truncated input")
+        steps, pos = _U32(data, end)[0], end + 4
+        if steps > MAX_AUDIT_STEPS:
+            raise WireError(f"too many audit steps: {steps}")
+        end = pos + steps * DIGEST_SIZE
+        if end > limit:
+            raise WireError("truncated input")
+        pairs.append((inclusion, _new_tuple(InclusionProof, (0, siblings[steps](data, pos))), data[start:end]))
+        pos = end
+    r._pos = pos
+    return pairs

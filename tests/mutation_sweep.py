@@ -270,6 +270,20 @@ MUTANTS = (
         ("tests/test_node.py::TestCommitmentChains::test_link_folds_from_the_previous_commitment[commitment]",),
     ),
     Mutant(
+        "digest path: a prev step's commitment holds the running root",
+        "entangle.py",
+        "if step.commitment is None or step.commitment.root != current:",
+        "if step.commitment is None:",
+        ("tests/test_entangle.py::TestRootPath::test_prev_step_starts_from_the_running_root",),
+    ),
+    Mutant(
+        "digest path: a prev step's path is the first leaf's",
+        "entangle.py",
+        "if step.proof.leaf_index != 0:",
+        "if False:",
+        ("tests/test_entangle.py::TestRootPath::test_prev_step_folds_the_first_leaf_only",),
+    ),
+    Mutant(
         "verify: an OK needs every anchor row's signature, checked after the verdict",
         "cli.py",
         "check_anchor_signatures(args.trust, bundle)",

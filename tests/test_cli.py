@@ -816,10 +816,12 @@ CI_PROOFS_INSPECTED = {
     "hub": (
         ["--config", str(SCENARIOS / "hub.yaml"), "--kind", "hub", "--holder", "center", "--start", "1", "--end", "3"],
         "hub proof, rounds [1, 3], 5 links, 4309 bytes\n"
+        "  a verify owes 1 Ed25519 check and 40 inclusion proofs\n"
         "  holder 0a65d3f580a7d0d81eed1f10e4d637b2a0ca563fd859619021d8bee6a9d3bbf6\n",
         {
             "bytes": 4309,
             "holder": "0a65d3f580a7d0d81eed1f10e4d637b2a0ca563fd859619021d8bee6a9d3bbf6",
+            "inclusion_proofs_owed": 40,
             "kind": "hub",
             "links": 5,
             "manifest": [
@@ -829,12 +831,14 @@ CI_PROOFS_INSPECTED = {
                 "8de4b516316263aff13c5857fbc40310db49cdc8aa1c1fb68a39e45824c0f56d",
                 "8f9cfb9823f83269fcc2b66ae71331e80150a2ff0d7a3a18df274324b97bd466",
             ],
+            "signatures_owed": 1,
             "window": [1, 3],
         },
     ),
     "chain": (
         ["--config", str(SCENARIOS / "chain.yaml"), "--kind", "chain", "--holder", "h0", "--start", "1", "--window", "2"],
         "chain proof, 4 hops, 6265 bytes\n"
+        "  a verify owes 4 Ed25519 checks and 36 inclusion proofs\n"
         "  holder 8c82c6368f6141358d305a76da07b1ac1a4622c6023155bfcff4275cd13ca510\n"
         "  anchor 00d58369f3756164c05594dcbf206610c802884990620912bf3e81d14458fb8b at round 6\n",
         {
@@ -843,20 +847,25 @@ CI_PROOFS_INSPECTED = {
             "bytes": 6265,
             "holder": "8c82c6368f6141358d305a76da07b1ac1a4622c6023155bfcff4275cd13ca510",
             "hops": 4,
+            "inclusion_proofs_owed": 36,
             "kind": "chain",
+            "signatures_owed": 4,
         },
     ),
     "link": (
         ["--config", str(SCENARIOS / "identity.yaml"), "--kind", "link", "--holder", "h0", "--issuer", "hub", "--start", "1", "--end", "4"],
         "link proof, rounds [1, 4], 2777 bytes\n"
+        "  a verify owes 1 Ed25519 check and 17 inclusion proofs\n"
         "  holder c216bf170ae0e55225574e922362d7154a039d60102c0c7f976ff28635086d9d\n"
         "  issuer c91b3d66d2fdcca30575cd1817fd074cd075aed90952f98dd6a7f71049e4ef90\n",
         {
             "bytes": 2777,
             "holder": "c216bf170ae0e55225574e922362d7154a039d60102c0c7f976ff28635086d9d",
+            "inclusion_proofs_owed": 17,
             "issuer": "c91b3d66d2fdcca30575cd1817fd074cd075aed90952f98dd6a7f71049e4ef90",
             "kind": "link",
             "receipts": 4,
+            "signatures_owed": 1,
             "window": [1, 4],
         },
     ),
@@ -874,6 +883,16 @@ class TestInspect:
         assert capsys.readouterr().out == text
         assert main(["inspect", "--proof", str(proof), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == obj
+
+    @pytest.mark.parametrize("kind", sorted(CI_PROOFS_INSPECTED))
+    def test_owed_checks_are_an_honest_verifys(self, ci_runs, kind, capsys):
+        # What inspect reads from a proof's structure is what verifying it
+        # counts: (1, 40) for the hub, (4, 36) for the chain, (1, 17) for the link.
+        assert main(["inspect", "--proof", str(ci_runs[kind]["proof"]), "--format", "json"]) == 0
+        owed = json.loads(capsys.readouterr().out)
+        rc, verdict = _verify_json(ci_runs[kind]["proof"], ci_runs[kind]["trust"], capsys)
+        assert rc == 0 and verdict["ok"] is True
+        assert (owed["signatures_owed"], owed["inclusion_proofs_owed"]) == (verdict["signatures_checked"], verdict["inclusion_proofs_checked"])
 
     def test_proof_summary(self, link_run, capsys):
         rc = main(["inspect", "--proof", str(link_run["proof"]), "--format", "json"])

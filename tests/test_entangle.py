@@ -17,6 +17,7 @@ from entmesh.entangle import (
     HubProof,
     LinkProof,
     MissingReceiptError,
+    PathStep,
     RootPath,
     build_chain_proof,
     build_hub_proof,
@@ -29,9 +30,9 @@ from entmesh.entangle import (
     verify_link,
     verify_root_path,
 )
-from entmesh.hashtree import sha256
+from entmesh.hashtree import MerkleTree, sha256
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import MANIFEST_LEAF_INDEX, MAX_SIGNATURE, ChainLink, HolderChain, submission_of
+from entmesh.node import LEAF_PAYLOAD, LEAF_PREV, MANIFEST_LEAF_INDEX, MAX_SIGNATURE, ChainLink, HolderChain, commitment_digest, submission_of
 from entmesh.wire import MAX_AUDIT_STEPS, MAX_ITEMS, WireError, encode_inclusion_proof, prefix
 
 from adversary import chain_over_an_anchor_fork, emptied_bytes, forged_commitment, hub_over_an_issuer_fork, with_chain
@@ -755,6 +756,29 @@ class TestRootPath:
         start = relay.nodes["a"].record_at(0).root
         end = relay.nodes["c"].record_at(2).root
         assert not verify_root_path(doctored, start, end)
+
+    def test_prev_step_starts_from_the_running_root(self, relay):
+        # A prev step folds its own commitment's digest, whatever the running
+        # root is: only comparing that commitment's root with it ties the
+        # step to the path's start.
+        a = relay.nodes["a"]
+        path = build_root_path(relay.records_by_id(), (a.node_id, 0), (a.node_id, 2))
+        end = a.record_at(2).root
+        assert verify_root_path(path, a.record_at(0).root, end)
+        for start in (a.record_at(1).root, relay.nodes["b"].record_at(0).root, sha256(b"x")):
+            assert not verify_root_path(path, start, end)
+
+    def test_prev_step_folds_the_first_leaf_only(self, relay):
+        # A tree may hold a leaf equal to a commitment's prev leaf elsewhere
+        # than at index 0; its path folds to the tree's root, but only the
+        # first leaf chains the commitment before it.
+        c = relay.nodes["a"].record_at(0).commitment
+        prev_leaf, other = bytes([LEAF_PREV]) + commitment_digest(c), bytes([LEAF_PAYLOAD]) + sha256(b"payload")
+        for leaves, index, chains in (([prev_leaf, other], 0, True), ([other, prev_leaf], 1, False)):
+            tree = MerkleTree(leaves)
+            step = PathStep(kind="prev", proof=tree.prove_inclusion(index), tree_size=tree.size, commitment=c)
+            path = RootPath(c.node_id, c.round, c.node_id, c.round + 1, (step,))
+            assert verify_root_path(path, c.root, tree.root) is chains
 
 
 def link_bytes(link, first_commitment):

@@ -459,6 +459,20 @@ def _wrong_claims(leaves, proof: InclusionProof, b: int, size: int):
     yield "size", run, proof, size - 1
 
 
+def _one_leaf_claims(leaf: list, proof: InclusionProof, size: int):
+    """(run, proof, whether it proves the leaf) for the honest one-leaf claim
+    and malformed ones: a sibling too many or too few, the index at or past
+    the size or negative, and no leaf at all."""
+    i, path = proof
+    yield leaf, proof, True
+    yield leaf, InclusionProof(i, path + (ZERO_DIGEST,)), False
+    if path:
+        yield leaf, InclusionProof(i, path[:-1]), False
+    for index in (size, size + 1, -1):
+        yield leaf, InclusionProof(index, path), False
+    yield (), proof, False
+
+
 def test_range_fold_matches_whole_tree_reference():
     for n in range(1, 71):
         leaves = leaf_set(n)
@@ -471,6 +485,14 @@ def test_range_fold_matches_whole_tree_reference():
                 assert proof.leaf_index == a
                 assert proof.siblings == ref_range_path(subroots, a, b, n), (n, a, b)
                 assert fold_root(hashes(leaves[a:b]), proof, n) == tree.root
+            # One leaf, which the fold takes first, against the reference,
+            # and malformed claims, which verify false without raising.
+            proof = tree.prove_inclusion(a)
+            for run, claim, proves in _one_leaf_claims(leaves[a : a + 1], proof, n):
+                assert fold_root(hashes(run), claim, n) == ref_fold_range(run, claim, n), (n, a, claim.leaf_index)
+                assert verify_inclusion(hashes(run), claim, n, tree.root) is proves, (n, a, claim.leaf_index)
+            for index in (float(a), str(a), None):
+                assert verify_inclusion(hashes(leaves[a : a + 1]), InclusionProof(index, proof.siblings), n, tree.root) is False
 
 
 def test_fold_sizes_pick_one_size_per_range_of_equal_folds():

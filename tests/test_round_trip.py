@@ -21,13 +21,14 @@ or for a mutated proof the leaf of the ``Receipt`` made of those parts.
 
 import dataclasses
 import hashlib
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmesh import entangle
+from entmesh import entangle, hashtree
 from entmesh import node as node_module
 from entmesh.config import load_config, make_simulation
 from entmesh.simnet import Simulation, fan, federated
@@ -41,6 +42,7 @@ from entmesh.entangle import (
     build_link_proof,
     decode_proof,
     encode_proof,
+    owed_checks,
     verify_chain,
     verify_hub,
     verify_link,
@@ -633,3 +635,46 @@ def test_verifiers_copy_no_receipt(ci_proofs, fan_runs):
     assert all(verdicts) and len(verdicts) == 6
     assert fan_verdict
     assert (fan_verdict.signatures_checked, fan_verdict.inclusion_proofs_checked) == (1, 333)
+
+
+def _verify_counting_folds(proof, sim):
+    """``_verify(proof, sim)`` and the calls it made to ``hashtree.verify_inclusion``,
+    wrapped in every ``entmesh`` module that binds it, as perfbench's tracer wraps it."""
+    calls, fold = [], hashtree.verify_inclusion
+
+    def counted(*args):
+        calls.append(args)
+        return fold(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "entmesh" or name.startswith("entmesh.")):
+                for attr, value in list(vars(module).items()):
+                    if value is fold:
+                        patch.setattr(module, attr, counted)
+        verdict = _verify(proof, sim)
+    return verdict, len(calls)
+
+
+def _assert_folds_counted(proof, sim):
+    """An honest verify of ``proof`` counts exactly the folds it makes, and
+    ``owed_checks`` reads its counts from the proof's structure."""
+    verdict, folds = _verify_counting_folds(proof, sim)
+    assert verdict
+    assert verdict.inclusion_proofs_checked == folds
+    assert owed_checks(proof) == (verdict.signatures_checked, folds)
+
+
+@pytest.mark.parametrize("kind", ["hub", "chain", "link"])
+def test_ci_proof_counts_the_folds_it_makes(ci_proofs, kind):
+    proof, sim = ci_proofs[kind]
+    for candidate in (proof, decode_proof(encode_proof(proof))):
+        _assert_folds_counted(candidate, sim)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+@pytest.mark.parametrize("w", [1, 2, 4])
+def test_fan_hub_counts_the_folds_it_makes(fan_runs, n, w):
+    center = fan_runs[n].nodes["center"]
+    proof = decode_proof(encode_proof(build_hub_proof(center.records, (1, w), center.receipt_log)))
+    _assert_folds_counted(proof, fan_runs[n])

@@ -3,6 +3,7 @@
 import dataclasses
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 from unittest import mock
 
@@ -19,7 +20,6 @@ from entmesh.wire import (
     WireError,
     decode,
     encode_inclusion_proof,
-    encode_receipt_path,
     read_inclusion_proof,
 )
 
@@ -166,8 +166,11 @@ class TestInclusionProofEncoderRefuses:
     @pytest.mark.parametrize("index,size", [(-1, 1), (0, 2**64), (0.5, 1)])
     def test_index_or_size_not_a_u64(self, index, size):
         path = InclusionProof(leaf_index=index, siblings=())
+        # The receipt form, written by node.receipt_paths from a stand-in
+        # that no ReceiptPaths constructor would refuse first.
+        paths = SimpleNamespace(inclusion=path, prev_inclusion=InclusionProof(leaf_index=0, siblings=()))
         with pytest.raises(WireError, match="^inclusion proof head: "):
-            encode_receipt_path(path, size)
+            node.receipt_paths(paths, bytes(DIGEST_SIZE), size)
         if index != 0:  # a proof writes the index alone
             with pytest.raises(WireError, match=f"^u64 out of range: {index}$"):
                 encode_inclusion_proof(path)
@@ -335,11 +338,24 @@ def stepwise_read_inclusion_proof(r, index=None) -> InclusionProof:
     return InclusionProof(leaf_index=leaf_index, siblings=siblings)
 
 
+def stepwise_read_receipt_paths(r, count: int) -> tuple:
+    # A window round's receipt paths: per receipt the submission leaf's path
+    # with its index, then the first leaf's at index 0, each made by the
+    # ReceiptPaths constructor with the bytes it was read from.
+    made = []
+    for _ in range(count):
+        start = r.tell()
+        inclusion, prev_inclusion = stepwise_read_inclusion_proof(r), stepwise_read_inclusion_proof(r, 0)
+        made.append(node.ReceiptPaths(inclusion, prev_inclusion, encoding=r.since(start)))
+    return tuple(made)
+
+
 def reference_decode_proof(data: bytes):
     with (
         mock.patch.object(entangle, "decode", copying_decode),
         mock.patch.object(entangle, "read_inclusion_proof", stepwise_read_inclusion_proof),
         mock.patch.object(node, "read_inclusion_proof", stepwise_read_inclusion_proof),
+        mock.patch.object(node.ReceiptPaths, "read_many", staticmethod(stepwise_read_receipt_paths)),
     ):
         return entangle.decode_proof(data)
 
