@@ -421,7 +421,7 @@ def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId
             # The receipt's bytes, as its holder retained them, hold its paths in the receipt's form.
             leaf_hashes.append(leaf_hash(evidence_leaf(sub, issuer_c, receipt_paths(paths, prev_digest, issuer_c.leaf_count))))
         if not call.proves(retaining, leaf_hashes, evidence):
-            if retaining is chain[-1] and _folds_at_another_leaf_count(retaining, leaf_hashes, evidence):
+            if retaining is chain[-1] and _folds_at_another_leaf_count(call, retaining, leaf_hashes, evidence):
                 verdict = verify_chain_head(holder.holder_chain, call)
                 if not verdict:
                     return _part_failed(holder, "holder chain", verdict.reason, verdict.detail)
@@ -430,12 +430,16 @@ def _check_rounds(holder: "LinkProof | HubProof", issuers: Sequence[tuple[NodeId
     return Verdict.passed()
 
 
-def _folds_at_another_leaf_count(head: Commitment, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
+def _folds_at_another_leaf_count(call: _Call, head: Commitment, leaf_hashes: Sequence[bytes], proof: InclusionProof) -> bool:
     """Whether ``proof`` places the leaves in ``head``'s root at another leaf
-    count n with the same ceil(log2 n), at all of which its link folds alike."""
+    count n with the same ceil(log2 n), at all of which its link folds alike.
+    Each count tried is a fold, counted on ``call``."""
     top = 1 << (head.leaf_count - 1).bit_length()
-    sizes = fold_sizes(proof.leaf_index, len(leaf_hashes), top // 2 + 1, top)
-    return any(verify_inclusion(leaf_hashes, proof, n, head.root) for n in sizes)
+    for n in fold_sizes(proof.leaf_index, len(leaf_hashes), top // 2 + 1, top):
+        call.folds += 1
+        if verify_inclusion(leaf_hashes, proof, n, head.root):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ pytest does not collect this file: its name has no ``test_`` prefix.
 
 import dataclasses
 
+from hypothesis import strategies as st
+
 from entmesh.entangle import EVIDENCE_LAG, ChainProof, HubProof, WindowRound, build_chain_proof, build_hub_proof, build_link_proof
 from entmesh.hashtree import ZERO_DIGEST, MerkleTree, leaf_hash, sha256
 from entmesh.node import (
@@ -30,7 +32,8 @@ from entmesh.node import (
     verify_chain_head,
     verify_chain_links,
 )
-from entmesh.wire import prefix
+
+import reference
 
 DECOY = sha256(b"decoy")
 
@@ -83,15 +86,27 @@ def with_chain(proof, **changes):
     return dataclasses.replace(proof, holder_chain=dataclasses.replace(proof.holder_chain, **changes))
 
 
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """``blob`` cut short, lengthened, or with up to 8 bytes flipped."""
+    how = draw(st.sampled_from(["xor", "truncate", "append"]))
+    if how == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if how == "append":
+        return blob + draw(st.binary(min_size=1, max_size=40))
+    data = bytearray(blob)
+    for position in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=8, unique=True)):
+        data[position] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
 def emptied_bytes(part, empty):
     """The bytes of link or hub proof ``part`` with its holder chain, or its
-    window rounds, written as none: a zeroed u32 count.  No proof with
-    either empty can be made, so none can be encoded."""
-    blob, chain = part.to_bytes(), b"".join(part.holder_chain.parts())
-    at = blob.index(chain)
-    if empty == "holder_chain":
-        return blob[:at] + prefix(0) + blob[at + len(chain) :]
-    return blob[:at] + chain + prefix(0)
+    window rounds, written as none by the reference writer: a zeroed u32
+    count.  No proof with either empty can be made, so none can be encoded."""
+    kind = type(part).__name__
+    none = {"holder_chain": {"holder_chain_commitments": (), "links": ()}} if empty == "holder_chain" else {"window_rounds": ()}
+    return reference.write(kind, {**reference.fields(kind, part), **none})
 
 
 def with_round(proof, index, **changes):

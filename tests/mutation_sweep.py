@@ -48,6 +48,7 @@ _ORDER = "tests/test_verify_order.py::TestProofsNoBuilderMakes::"
 _HEADS = "tests/test_verify_order.py::TestForgedSignatureKeepsItsReason::"
 _COST = "tests/test_cost_laws.py::"
 _PROVE = "tests/test_cli.py::TestProveRunsTheRoundsItReads::"
+_ROOT_PATH = "tests/test_entangle.py::TestRootPath::"
 _SHAPE = "tests/test_entangle.py::TestEachShapeRuleInOnePlace::test_one_text_however_made"
 _CONTINUITY = "tests/test_entangle.py::TestIssuerContinuity::"
 _WRITTEN = "tests/test_entangle.py::TestWrittenPrevDigests::"
@@ -209,7 +210,7 @@ MUTANTS = (
     Mutant(
         "heads last: a head's leaf count that its link folds at too is checked by its signature before the evidence fold names it",
         "entangle.py",
-        "if retaining is chain[-1] and _folds_at_another_leaf_count(retaining, leaf_hashes, evidence):",
+        "if retaining is chain[-1] and _folds_at_another_leaf_count(call, retaining, leaf_hashes, evidence):",
         "if False:",
         (_HEADS + "test_head_at_a_leaf_count_its_link_folds_at[hub]",),
     ),
@@ -274,14 +275,42 @@ MUTANTS = (
         "entangle.py",
         "if step.commitment is None or step.commitment.root != current:",
         "if step.commitment is None:",
-        ("tests/test_entangle.py::TestRootPath::test_prev_step_starts_from_the_running_root",),
+        (_ROOT_PATH + "test_prev_step_starts_from_the_running_root",),
     ),
     Mutant(
         "digest path: a prev step's path is the first leaf's",
         "entangle.py",
         "if step.proof.leaf_index != 0:",
         "if False:",
-        ("tests/test_entangle.py::TestRootPath::test_prev_step_folds_the_first_leaf_only",),
+        (_ROOT_PATH + "test_prev_step_folds_the_first_leaf_only",),
+    ),
+    Mutant(
+        "digest path: an entangled step's submission holds the running root",
+        "entangle.py",
+        "if step.submission is None or step.submission.holder_root != current:",
+        "if step.submission is None:",
+        (_ROOT_PATH + "test_wrong_terminal_roots_rejected",),
+    ),
+    Mutant(
+        "digest path: a step whose path does not fold implies no root",
+        "entangle.py",
+        "if implied is None:",
+        "if False:",
+        (_ROOT_PATH + "test_a_step_that_does_not_fold_ends_the_path",),
+    ),
+    Mutant(
+        "digest path: a step of neither kind fails the path",
+        "entangle.py",
+        'if step.kind == "entangled":',
+        'if step.kind != "prev":',
+        (_ROOT_PATH + "test_unknown_step_kind_rejected",),
+    ),
+    Mutant(
+        "digest path: the walk ends at the end root",
+        "entangle.py",
+        "return current == end_root",
+        "return True",
+        (_ROOT_PATH + "test_empty_path_only_for_identical_endpoints",),
     ),
     Mutant(
         "verify: an OK needs every anchor row's signature, checked after the verdict",

@@ -7,7 +7,6 @@ engine bug or vice versa.
 
 import dataclasses
 import re
-import struct
 
 import pytest
 
@@ -32,11 +31,11 @@ from entmesh.entangle import (
 )
 from entmesh.hashtree import MerkleTree, sha256
 from entmesh.keys import Ed25519Scheme
-from entmesh.node import LEAF_PAYLOAD, LEAF_PREV, MANIFEST_LEAF_INDEX, MAX_SIGNATURE, ChainLink, HolderChain, commitment_digest, submission_of
+from entmesh.node import LEAF_PAYLOAD, LEAF_PREV, MAX_SIGNATURE, ChainLink, HolderChain, commitment_digest, submission_of
 from entmesh.wire import MAX_AUDIT_STEPS, MAX_ITEMS, WireError, encode_inclusion_proof, prefix
 
 from adversary import chain_over_an_anchor_fork, emptied_bytes, forged_commitment, hub_over_an_issuer_fork, with_chain
-from test_wire import Writer
+import reference
 
 
 @pytest.fixture
@@ -350,54 +349,13 @@ class TestHubProof:
             build_hub_proof(fan.nodes["center"].records, (7, 8), {})
 
 
-def path_bytes(w, proof, fixed=None):
-    """A path in a proof, field by field: its leaf index unless the format
-    fixes it, then its sibling count and siblings."""
-    if fixed is None:
-        w.u64(proof.leaf_index)
-    return w.digests(proof.siblings)
-
-
 def hub_for(net, window=(1, 3)):
     return build_hub_proof(net.nodes["center"].records, window, net.nodes["center"].receipt_log)
 
 
-def round_fields(signature, receipts, prev_digests=()):
-    """A window round up to its evidence proof, as the reference writer
-    writes it: the holder's signature as a blob, the prev digests (the
-    window's first round writes one per issuer), then each issuer's receipt
-    paths in manifest order."""
-    w = Writer().blob(signature)
-    for d in prev_digests:
-        w.digest(d)
-    return w.getvalue() + b"".join(paths.to_bytes() for paths in receipts)
-
-
-def holder_chain_bytes(w, first_commitment, proof):
-    """A holder chain field by field, around the given first commitment's
-    bytes: the commitments, counted, each written bare, then each link's
-    path at index 0."""
-    w.u32(len(proof.holder_chain.commitments)).record(first_commitment)
-    for c in proof.holder_chain.commitments[1:]:
-        w.record(c.to_bytes())
-    for link in proof.holder_chain.links:
-        path_bytes(w, link.proof, 0)
-    return w
-
-
-def hub_bytes(proof, manifest=None, held=None):
-    """A hub proof written field by field, around the given manifest and
-    per-round signature and paths (``round_fields``)."""
-    manifest = proof.manifest if manifest is None else manifest
-    held = [round_fields(*rnd[:2], rnd.prev_digests) for rnd in proof.rounds] if held is None else held
-    w = Writer().digests(manifest).u32(len(proof.manifest_proofs))
-    for p in proof.manifest_proofs:
-        path_bytes(w, p, MANIFEST_LEAF_INDEX)
-    holder_chain_bytes(w, proof.holder_chain.commitments[0].to_bytes(), proof)
-    w.u32(len(held))
-    for fields, rnd in zip(held, proof.rounds, strict=True):
-        path_bytes(w.record(fields), rnd.evidence_proof)
-    return b"EMPB\x11" + w.getvalue()
+def without_issuers(rounds):
+    """``rounds`` holding no receipt's paths and no prev digest, as a hub of no issuer writes them."""
+    return [rnd._replace(receipts=(), prev_digests=()) for rnd in rounds]
 
 
 class TestHubCodec:
@@ -409,7 +367,7 @@ class TestHubCodec:
         # holder id, round and root are the holder chain commitment's.
         proof = hub_for(fan)
         data = encode_proof(proof)
-        assert data == hub_bytes(proof)
+        assert data == reference.encode(proof)
         log = fan.nodes["center"].receipt_log
         for r, rnd in zip((1, 2, 3), proof.rounds):
             sub = log[proof.manifest[0], r].submission
@@ -429,21 +387,19 @@ class TestHubCodec:
         # the evidence proof and the rest is left over; with one fewer, the
         # evidence proof is read as the last paths' first, and they run past the end.
         proof = hub_for(fan)
-        held = [round_fields(*rnd[:2], rnd.prev_digests) for rnd in proof.rounds]
         last = proof.rounds[-1]
         extra = last.receipts[0]
         receipts = last.receipts + (extra,) if change > 0 else last.receipts[:-1]
-        held[-1] = round_fields(last.signature, receipts)
+        rounds = proof.rounds[:-1] + (last._replace(receipts=receipts),)
         left = len(extra.to_bytes()) - len(encode_inclusion_proof(extra.inclusion)) + len(encode_inclusion_proof(last.evidence_proof))
         error = f"^{left} trailing bytes$" if change > 0 else "^truncated input$"
         with pytest.raises(WireError, match=error):
-            decode_proof(hub_bytes(proof, held=held))
+            decode_proof(reference.encode(proof, window_rounds=rounds))
 
     def test_decoder_refuses_a_hub_with_no_issuer_record(self, fan):
         proof = hub_for(fan)
-        empty = [round_fields(rnd.signature, ()) for rnd in proof.rounds]
         with pytest.raises(WireError, match="needs at least one link"):
-            decode_proof(hub_bytes(proof, manifest=(), held=empty))
+            decode_proof(reference.encode(proof, manifest_ids=(), window_rounds=without_issuers(proof.rounds)))
         with pytest.raises(WireError, match="needs at least one link"):
             with_receipts(proof, lambda receipts: (), manifest=())
 
@@ -454,9 +410,9 @@ class TestHubCodec:
         manifest = tuple(sorted(sha256(bytes([i, j])) for i in range(2) for j in range(200)))
         rounds = tuple(rnd._replace(receipts=rnd.receipts[:1] * len(manifest), prev_digests=rnd.prev_digests[:1] * len(manifest)) for rnd in proof.rounds)
         wide = dataclasses.replace(proof, manifest=manifest, rounds=rounds)
-        assert len(round_fields(*wide.rounds[0][:2], wide.rounds[0].prev_digests)) > 1 << 16
+        assert len(reference.write("WindowRound", wide.rounds[0])) > 1 << 16
         data = encode_proof(wide)
-        assert data == hub_bytes(wide) and decode_proof(data) == wide
+        assert data == reference.encode(wide) and decode_proof(data) == wide
         assert encode_proof(decode_proof(data)) == data
 
     def test_builder_refuses_a_doctored_receipt_log(self, fan):
@@ -757,6 +713,15 @@ class TestRootPath:
         end = relay.nodes["c"].record_at(2).root
         assert not verify_root_path(doctored, start, end)
 
+    def test_a_step_that_does_not_fold_ends_the_path(self, relay):
+        # A path with a sibling too many folds to no root, so the walk ends
+        # there, whatever end root the path is held to: even None.
+        path = build_root_path(relay.records_by_id(), (relay.id_of("a"), 0), (relay.id_of("c"), 2))
+        *steps, last = path.steps
+        proof = last.proof._replace(siblings=last.proof.siblings + last.proof.siblings[:1])
+        doctored = dataclasses.replace(path, steps=(*steps, dataclasses.replace(last, proof=proof)))
+        assert not verify_root_path(doctored, relay.nodes["a"].record_at(0).root, None)
+
     def test_prev_step_starts_from_the_running_root(self, relay):
         # A prev step folds its own commitment's digest, whatever the running
         # root is: only comparing that commitment's root with it ties the
@@ -779,15 +744,6 @@ class TestRootPath:
             step = PathStep(kind="prev", proof=tree.prove_inclusion(index), tree_size=tree.size, commitment=c)
             path = RootPath(c.node_id, c.round, c.node_id, c.round + 1, (step,))
             assert verify_root_path(path, c.root, tree.root) is chains
-
-
-def link_bytes(link, first_commitment):
-    """A link proof written field by field around the given first holder chain commitment's bytes."""
-    w = holder_chain_bytes(Writer().digest(link.issuer_id), first_commitment, link)
-    w.u32(len(link.rounds))
-    for rnd in link.rounds:
-        path_bytes(w.record(round_fields(*rnd[:2], rnd.prev_digests)), rnd.evidence_proof)
-    return encode_proof(link)[:5] + w.getvalue()
 
 
 class TestProofCodec:
@@ -860,10 +816,12 @@ class TestProofCodec:
         # as the second's first byte, so the second's signature length takes
         # the low byte of its leaf count as its high byte: past MAX_SIGNATURE.
         link = link_for(pair, "holder", "issuer", (1, 2))
-        first, second = link.holder_chain.commitments[:2]
-        assert link_bytes(link, first.to_bytes()) == encode_proof(link)
+        second = link.holder_chain.commitments[1]
+        data = encode_proof(link)
+        assert data == reference.encode(link)
+        at = reference.starts(data)["body.holder_chain.holder_chain_commitments.1"]
         with pytest.raises(WireError, match=f"^blob length {(second.leaf_count & 0xFF) << 24} exceeds limit$"):
-            decode_proof(link_bytes(link, first.to_bytes() + b"\x00"))
+            decode_proof(data[:at] + b"\x00" + data[at:])
 
     def test_chain_last_hop_needs_a_receipt(self, relay):
         chain = build_chain_proof(
@@ -970,23 +928,18 @@ class TestProofCodec:
 
 
 def bounded_fields(link, chain):
-    """Each bounded field of a proof: (proof, its offset, its value there,
-    its bound, the refusal past the bound).  Held records have no length of
-    their own, so each is found by the fields before it: a link proof is the
-    envelope, the issuer id, the holder chain (a count, then commitments of
-    80 fixed bytes and a signature blob), then the window rounds."""
-    rounds = 37 + len(b"".join(link.holder_chain.parts()))
-    signature = len(link.rounds[0].signature)
+    """Each bounded field of a proof: (proof, the reference reader's name
+    for it, its value, its bound, the refusal past the bound).  Held records
+    have no length of their own, so the reader finds each by the fields
+    before it."""
+    first = "body.window_rounds.0"
     return {
-        "holder-chain-commitments": (link, 37, len(link.holder_chain.commitments), MAX_ITEMS, "too many holder chain commitments"),
-        "commitment-signature": (link, 41 + 80, signature, MAX_SIGNATURE, "blob length"),
-        "window-rounds": (link, rounds, len(link.rounds), MAX_ITEMS, "too many window rounds"),
-        "round-signature": (link, rounds + 4, signature, MAX_SIGNATURE, "blob length"),
-        "receipt-path-steps": (
-            # past the first round's signature and its one prev digest, the path's leaf index
-            link, rounds + 8 + signature + 32 + 8, len(link.rounds[0].receipts[0].inclusion.siblings), MAX_AUDIT_STEPS, "too many audit steps"
-        ),
-        "hops": (chain, 5, len(chain.hops), MAX_ITEMS, "too many hops"),
+        "holder-chain-commitments": (link, "body.holder_chain.holder_chain_commitments", len(link.holder_chain.commitments), MAX_ITEMS, "too many holder chain commitments"),
+        "commitment-signature": (link, "body.holder_chain.holder_chain_commitments.0.signature", len(link.holder_chain.commitments[0].signature), MAX_SIGNATURE, "blob length"),
+        "window-rounds": (link, "body.window_rounds", len(link.rounds), MAX_ITEMS, "too many window rounds"),
+        "round-signature": (link, f"{first}.signature", len(link.rounds[0].signature), MAX_SIGNATURE, "blob length"),
+        "receipt-path-steps": (link, f"{first}.receipts.0.inclusion.audit_steps", len(link.rounds[0].receipts[0].inclusion.siblings), MAX_AUDIT_STEPS, "too many audit steps"),
+        "hops": (chain, "body.hops", len(chain.hops), MAX_ITEMS, "too many hops"),
     }
 
 
@@ -999,11 +952,12 @@ class TestBareRecordsKeepTheirBounds:
     def test_one_past_the_bound_refused(self, field, pair, relay):
         link = link_for(pair, "holder", "issuer", (1, 2))
         chain = build_chain_proof(relay.records_by_id(), relay.receipts_by_id(), [relay.id_of(n) for n in "abc"], 1)
-        proof, at, value, bound, refusal = bounded_fields(link, chain)[field]
+        proof, name, value, bound, refusal = bounded_fields(link, chain)[field]
         data = encode_proof(proof)
-        assert struct.unpack_from(">I", data, at) == (value,)
+        at = reference.starts(data)[name]
+        assert reference.decode(data[at : at + 4], "u32") == value
         with pytest.raises(WireError, match=f"^{refusal}:? {bound + 1}( exceeds limit)?$"):
-            decode_proof(data[:at] + struct.pack(">I", bound + 1) + data[at + 4 :])
+            decode_proof(data[:at] + reference.write("u32", bound + 1) + data[at + 4 :])
 
 
 NO_ENTRY = "a link or hub proof needs a holder chain entry and a window round"
@@ -1070,7 +1024,7 @@ def shape_rules(link, hub, chain):
             "a hub proof needs at least one link",
             lambda: HubProof((), hub.manifest_proofs, hub.holder_chain, no_receipts),
             lambda: dataclasses.replace(hub, manifest=(), rounds=no_receipts),
-            hub_bytes(hub, manifest=(), held=[round_fields(r.signature, ()) for r in hub.rounds]),
+            reference.encode(hub, manifest_ids=(), window_rounds=without_issuers(hub.rounds)),
         ),
         "manifest-path-off-index-2": (
             "path at leaf 3, not at leaf 2",

@@ -29,6 +29,8 @@ from entmesh.hashtree import (
     verify_inclusion,
 )
 
+from reference import write
+
 # Frozen expected values, computed once with the standalone reference
 # implementation in this file before the library existed.
 EMPTY_LEAF_HEX = "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"
@@ -65,8 +67,8 @@ def ref_path(leaves, index):
 
 
 def ref_path_bytes(leaves, index) -> bytes:
-    """``ref_path`` as a receipt writes its steps: side byte (0 left, 1 right), then sibling."""
-    return b"".join(bytes([side == "right"]) + digest for side, digest in ref_path(leaves, index))
+    """``ref_path``'s steps as a receipt writes them: the reference's Step rows."""
+    return b"".join(write("Step", (side == "right", digest)) for side, digest in ref_path(leaves, index))
 
 
 def ref_siblings(leaves, index) -> tuple:

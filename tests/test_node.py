@@ -42,7 +42,7 @@ from entmesh.node import (
 from entmesh.sexpr import encode_tree
 from entmesh.wire import Reader, WireError, decode
 from adversary import DECOY, decoy_prev_tree, flip, forged_commitment, held_in_memory, prev_leaf, signed_tree
-from test_round_trip import ref_receipt, ref_receipt_paths, ref_submission
+import reference
 
 
 def parse_manifest_leaf(leaf: bytes) -> tuple:
@@ -265,7 +265,7 @@ class TestWireForms:
         directory.register(node.node_id, node.keypair.verify_key)
         sub = node.make_submission()
         assert directory.verify_submission(sub)
-        assert sub.to_bytes() == ref_submission(sub)
+        assert sub.to_bytes() == reference.write("Submission", sub)
         rebuilt = submission_of(c, sub.signature)
         assert rebuilt == sub and rebuilt.to_bytes() == sub.to_bytes()
 
@@ -277,12 +277,12 @@ class TestWireForms:
         net = manual_net(["a", "b"], [("a", "b")]).run(3)
         receipt = net.nodes["a"].receipt_log[(net.id_of("b"), 1)]
         data = receipt.to_bytes()
-        assert data == ref_receipt(receipt)
-        sub = ref_submission(receipt.submission)
+        assert data == reference.write("Receipt", receipt)
+        sub = reference.write("Submission", receipt.submission)
         assert data.startswith(sub)
         r = Reader(data[len(sub) :])
         assert Commitment.from_bytes(r.blob()) == receipt.issuer_commitment
-        assert data[len(sub) + r.tell() :] == ref_receipt_paths(receipt.paths, receipt.prev_digest, receipt.issuer_commitment.leaf_count)
+        assert data[len(sub) + r.tell() :] == reference.receipt_paths(receipt.paths, receipt.prev_digest, receipt.issuer_commitment.leaf_count)
 
     def test_trailing_bytes_rejected(self):
         node = solo_node()

@@ -14,7 +14,7 @@ from entmesh.keys import keypair_from_seed, node_id_for_key
 from entmesh.node import Node, commitment_digest
 from entmesh.wire import Reader
 
-from test_wire import Writer
+from reference import write
 
 # Fields of proof records that hold one digest, or a tuple of them.
 _DIGEST_FIELDS = {"holder_id", "issuer_id", "node_id", "root", "holder_root", "prev_digest", "manifest"}
@@ -64,10 +64,7 @@ def test_hashtree_outputs_are_plain_bytes():
 
 def test_reader_digests_are_plain_bytes():
     ids = [bytes([i]) * DIGEST_SIZE for i in range(3)]
-    w = Writer().digest(ids[0]).u32(len(ids))
-    for d in ids:
-        w.digest(d)
-    r = Reader(w.getvalue())
+    r = Reader(write("digest", ids[0]) + write("list<digest>", ids))
     one, many = r.digest(), r.digests("ids", 8)
     assert [one, *many] == [ids[0], *ids]
     assert_plain([one, *many])

@@ -3,20 +3,18 @@
 Records keep one encoding, set when they are made: a decoded one the bytes
 it was read from, one the simulator signs the bytes it signed, any other
 record the bytes its fields encode to; a receipt joins its parts' bytes, with its
-paths in the receipt's own form.  These tests hold every such encoding to
-a field-by-field reference writer, written from docs/FORMATS.md, on the
-three proofs the CI job builds and on mutations of them, and check that
+paths in the receipt's own form.  These tests hold every such encoding,
+and whole proofs, to the reference writer (``tests/reference.py``), which
+writes the docs/FORMATS.md layouts field by field, on the three proofs the
+CI job builds and on mutations of them, and check that
 ``dataclasses.replace`` never carries an old encoding over to new fields.
-The reference writes whole proofs too: per window round the holder's
-signature, each issuer's prev digest (in the window's first round only),
-each issuer's receipt paths and the evidence proof, each path as its
-siblings with the leaf index where the format does not fix it.  A verifier
-rebuilds each round's submission from its holder chain commitment and that
-signature, and joins each evidence leaf from the submission, its paths in
-the receipt's form with the prev digest (the written one, then its trusted
-issuer commitment's of the round before) and its trusted issuer
-commitment; the reference for that leaf is the one the holder retained,
-or for a mutated proof the leaf of the ``Receipt`` made of those parts.
+A verifier rebuilds each round's submission from its holder chain
+commitment and that round's signature, and joins each evidence leaf from
+the submission, its paths in the receipt's form with the prev digest (the
+written one, then its trusted issuer commitment's of the round before) and
+its trusted issuer commitment; the reference for that leaf is the one the
+holder retained, or for a mutated proof the leaf of the ``Receipt`` made
+of those parts.
 """
 
 import dataclasses
@@ -36,7 +34,6 @@ from entmesh.entangle import (
     EVIDENCE_LAG,
     ChainProof,
     HubProof,
-    LinkProof,
     build_chain_proof,
     build_hub_proof,
     build_link_proof,
@@ -50,10 +47,7 @@ from entmesh.entangle import (
 from entmesh.hashtree import leaf_hash
 from entmesh.node import (
     LEAF_ENTANGLED,
-    LEAF_EVIDENCE,
-    MANIFEST_LEAF_INDEX,
     ChainLink,
-    Commitment,
     Node,
     Receipt,
     ReceiptPaths,
@@ -63,153 +57,24 @@ from entmesh.node import (
 )
 from entmesh.wire import Reader, WireError
 
-from test_wire import Writer
+import reference
+from adversary import mutated, with_chain
+from reference import write
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-# The reference writers: each record's fields, written one by one.
-
-
-def ref_commitment_message(c: Commitment) -> bytes:
-    return Writer().digest(c.node_id).u64(c.round).digest(c.root).u64(c.leaf_count).getvalue()
-
-
-def ref_commitment(c: Commitment) -> bytes:
-    return ref_commitment_message(c) + Writer().blob(c.signature).getvalue()
-
-
-def ref_submission_message(s: Submission) -> bytes:
-    return Writer().digest(s.holder_id).u64(s.holder_round).digest(s.holder_root).getvalue()
-
-
-def ref_submission(s: Submission) -> bytes:
-    return ref_submission_message(s) + Writer().blob(s.signature).getvalue()
-
-
-def ref_path(w: Writer, proof, fixed=None) -> Writer:
-    # A path in a proof: the u64 leaf index unless the format fixes it, then
-    # a u32 count and the siblings.
-    if fixed is None:
-        w.u64(proof.leaf_index)
-    else:
-        assert proof.leaf_index == fixed
-    return w.digests(proof.siblings)
-
-
-def ref_sides(index: int, size: int) -> list:
-    # Each step's side (0 = sibling on the left, 1 = on the right), bottom-up,
-    # from the split rule worked top-down.
-    sides, lo, hi = [], 0, size
-    while hi - lo > 1:
-        k = 1 << ((hi - lo - 1).bit_length() - 1)
-        sides.append(int(index < lo + k))
-        lo, hi = (lo, lo + k) if index < lo + k else (lo + k, hi)
-    return sides[::-1]
-
-
-def ref_receipt_path(w: Writer, proof, size: int) -> Writer:
-    # A path in a receipt: a blob of the leaf index, the tree size, the step
-    # count, and per step a side byte and the sibling.
-    sides = ref_sides(proof.leaf_index, size)
-    assert len(sides) == len(proof.siblings)
-    steps = Writer().u64(proof.leaf_index).u64(size).u32(len(sides))
-    for side, sibling in zip(sides, proof.siblings):
-        steps.u8(side).digest(sibling)
-    return w.blob(steps.getvalue())
-
-
-def ref_paths(p: ReceiptPaths) -> bytes:
-    """Receipt paths as a proof writes them."""
-    return ref_path(ref_path(Writer(), p.inclusion), p.prev_inclusion, 0).getvalue()
-
-
-def ref_receipt_paths(p: ReceiptPaths, prev_digest: bytes, size: int) -> bytes:
-    """Receipt paths with ``prev_digest`` as a receipt writes them, in an issuer tree of ``size`` leaves."""
-    return ref_receipt_path(ref_receipt_path(Writer(), p.inclusion, size).digest(prev_digest), p.prev_inclusion, size).getvalue()
-
-
-def ref_receipt(r: Receipt) -> bytes:
-    c = r.issuer_commitment
-    paths = ref_receipt_paths(r.paths, r.prev_digest, c.leaf_count)
-    return ref_submission(r.submission) + Writer().blob(ref_commitment(c)).getvalue() + paths
-
-
-def ref_link(link: ChainLink) -> bytes:
-    return ref_path(Writer(), link.proof, 0).getvalue()
-
-
-def ref_holder_chain(w: Writer, p) -> Writer:
-    # The commitments, counted, each written bare; then one link per
-    # commitment after the first, uncounted.
-    chain = p.holder_chain
-    w.u32(len(chain.commitments))
-    for c in chain.commitments:
-        w.record(ref_commitment(c))
-    assert len(chain.links) == len(chain.commitments) - 1
-    for link in chain.links:
-        ref_path(w, link.proof, 0)
-    return w
-
-
-def ref_rounds(w: Writer, rounds) -> Writer:
-    # Per window round, bare: the holder's signature as a blob, in the
-    # first round each issuer's prev digest, then each issuer's receipt
-    # paths in manifest order, then the evidence proof.
-    w.u32(len(rounds))
-    for i, rnd in enumerate(rounds):
-        w.blob(rnd.signature)
-        assert (len(rnd.prev_digests) == len(rnd.receipts)) if i == 0 else rnd.prev_digests == ()
-        for d in rnd.prev_digests:
-            w.digest(d)
-        for paths in rnd.receipts:
-            w.record(ref_paths(paths))
-        ref_path(w, rnd.evidence_proof)
-    return w
-
-
-def ref_link_proof(p: LinkProof) -> bytes:
-    # No holder id or window: they are the holder chain's.
-    w = Writer().digest(p.issuer_id)
-    return ref_rounds(ref_holder_chain(w, p), p.rounds).getvalue()
-
-
-def ref_hub_proof(p: HubProof) -> bytes:
-    w = Writer().digests(p.manifest).u32(len(p.manifest_proofs))
-    for proof in p.manifest_proofs:
-        ref_path(w, proof, MANIFEST_LEAF_INDEX)
-    return ref_rounds(ref_holder_chain(w, p), p.rounds).getvalue()
-
-
-def ref_proof(p) -> bytes:
-    """The envelope: magic ``EMPB``, a kind byte, then the body."""
-    if isinstance(p, HubProof):
-        return b"EMPB\x11" + ref_hub_proof(p)
-    if isinstance(p, ChainProof):
-        # The hops, counted, each written bare.
-        w = Writer().u32(len(p.hops))
-        for hop in p.hops:
-            w.record(ref_link_proof(hop))
-        return b"EMPB\x12" + w.getvalue()
-    return b"EMPB\x10" + ref_link_proof(p)
-
-
 def assert_encodes_its_fields(record) -> None:
-    if isinstance(record, Commitment):
-        assert record.to_bytes() == ref_commitment(record)
-        assert record.message() == ref_commitment_message(record)
-        assert commitment_digest(record) == hashlib.sha256(ref_commitment(record)).digest()
-    elif isinstance(record, Submission):
-        assert record.to_bytes() == ref_submission(record)
-        assert record.message() == ref_submission_message(record)
-        assert record.leaf_bytes() == bytes([LEAF_ENTANGLED]) + ref_submission(record)
-    elif isinstance(record, ChainLink):
-        assert record.to_bytes() == ref_link(record)
-    elif isinstance(record, ReceiptPaths):
-        assert record.to_bytes() == ref_paths(record)
-    else:
-        assert record.to_bytes() == ref_receipt(record)
-        assert record.leaf_bytes() == bytes([LEAF_EVIDENCE]) + ref_receipt(record)
+    kind = type(record).__name__
+    assert record.to_bytes() == write(kind, record)
+    if kind in ("Commitment", "Submission"):
+        assert record.message() == write(kind, record, until="signature")
+    if kind == "Commitment":
+        assert commitment_digest(record) == hashlib.sha256(write(kind, record)).digest()
+    elif kind == "Submission":
+        assert record.leaf_bytes() == bytes([LEAF_ENTANGLED]) + write(kind, record)
+    elif kind == "Receipt":
+        assert record.leaf_bytes() == write("EvidenceLeaf", record)
 
 
 def signed_records(proof):
@@ -246,30 +111,19 @@ def ci_proofs():
     }
 
 
-@st.composite
-def _mutated(draw, blob: bytes) -> bytes:
-    how = draw(st.sampled_from(["xor", "truncate", "append"]))
-    if how == "truncate":
-        return blob[: draw(st.integers(0, len(blob) - 1))]
-    if how == "append":
-        return blob + draw(st.binary(min_size=1, max_size=40))
-    data = bytearray(blob)
-    for position in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=8, unique=True)):
-        data[position] ^= draw(st.integers(1, 255))
-    return bytes(data)
-
-
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
 def test_ci_proof_round_trips(ci_proofs, kind):
-    proof, _ = ci_proofs[kind]
+    assert_round_trips(ci_proofs[kind][0])
+
+
+def assert_round_trips(proof) -> None:
+    """``proof`` encodes to the reference's bytes and decodes back, and each
+    record it holds, or its decoded copy holds, encodes to its fields'."""
     blob = encode_proof(proof)
-    assert blob == ref_proof(proof)
+    assert blob == reference.encode(proof)
     decoded = decode_proof(blob)
-    assert decoded == proof
-    assert encode_proof(decoded) == blob
-    for record in signed_records(decoded):
-        assert_encodes_its_fields(record)
-    for record in signed_records(proof):
+    assert decoded == proof and encode_proof(decoded) == blob
+    for record in (*signed_records(decoded), *signed_records(proof)):
         assert_encodes_its_fields(record)
 
 
@@ -282,26 +136,19 @@ def fan_runs():
 @pytest.mark.parametrize("w", [1, 2, 4])
 def test_fan_hub_proof_round_trips(fan_runs, n, w):
     center = fan_runs[n].nodes["center"]
-    proof = build_hub_proof(center.records, (1, w), center.receipt_log)
-    blob = encode_proof(proof)
-    assert blob == ref_proof(proof)
-    decoded = decode_proof(blob)
-    assert decoded == proof
-    assert encode_proof(decoded) == blob
-    for record in signed_records(decoded):
-        assert_encodes_its_fields(record)
+    assert_round_trips(build_hub_proof(center.records, (1, w), center.receipt_log))
 
 
 @pytest.mark.parametrize("kind", ["hub", "chain", "link"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_every_decodable_mutation_round_trips(ci_proofs, kind, data):
-    blob = data.draw(_mutated(encode_proof(ci_proofs[kind][0])), label="mutated")
+    blob = data.draw(mutated(encode_proof(ci_proofs[kind][0])), label="mutated")
     try:
         decoded = decode_proof(blob)
     except (WireError, ValueError):
         return
-    assert encode_proof(decoded) == blob == ref_proof(decoded)
+    assert encode_proof(decoded) == blob == reference.encode(decoded)
     for record in signed_records(decoded):
         assert_encodes_its_fields(record)
 
@@ -374,13 +221,12 @@ def test_issued_receipts_hold_their_bytes(monkeypatch):
 
     def checked(node, sub):
         receipt = issue(node, sub)
-        assert vars(receipt.paths)["_encoding"] == ref_paths(receipt.paths)
-        assert vars(receipt.submission)["_encoding"] == ref_submission(receipt.submission)
-        assert vars(receipt.issuer_commitment)["_encoding"] == ref_commitment(receipt.issuer_commitment)
+        for part in (receipt.paths, receipt.submission, receipt.issuer_commitment):
+            assert vars(part)["_encoding"] == write(type(part).__name__, part)
         assert "_encoding" not in vars(receipt)
-        assert receipt.to_bytes() == ref_receipt(receipt)
+        assert receipt.to_bytes() == write("Receipt", receipt)
         c = receipt.issuer_commitment
-        assert vars(receipt)["_paths_encoding"] == ref_receipt_paths(receipt.paths, receipt.prev_digest, c.leaf_count)
+        assert vars(receipt)["_paths_encoding"] == reference.receipt_paths(receipt.paths, receipt.prev_digest, c.leaf_count)
         issued.append(receipt)
         return receipt
 
@@ -403,8 +249,8 @@ def test_receipt_leaf_is_the_evidence_leaf_join(ci_proofs, monkeypatch):
     for receipt in sim.nodes["center"].receipt_log.values():
         leaf = receipt.leaf_bytes()
         c = receipt.issuer_commitment
-        assert joined.pop() == (receipt.submission, c, ref_receipt_paths(receipt.paths, receipt.prev_digest, c.leaf_count))
-        assert leaf == bytes([LEAF_EVIDENCE]) + ref_receipt(receipt)
+        assert joined.pop() == (receipt.submission, c, reference.receipt_paths(receipt.paths, receipt.prev_digest, c.leaf_count))
+        assert leaf == write("EvidenceLeaf", receipt)
 
 
 def _parts(proof):
@@ -474,7 +320,7 @@ def test_kept_links_match_fresh_reference_links():
                 assert record.state is None and record.tree is None
                 continue
             assert record.state is not None and record.tree is not None
-            assert link.to_bytes() == ref_link(ChainLink(record.tree.prove_inclusion(0)))
+            assert link.to_bytes() == write("ChainLink", ChainLink(record.tree.prove_inclusion(0)))
             kept += 1
     assert kept >= 20 * 18  # every holder round keeps its link at least
     # A receipt's prev-leaf proof is its issuer round's link path, not a copy.
@@ -545,7 +391,7 @@ def verify_against_spliced_leaves(proof, sim, reference_leaf, reference_paths=No
 
     def leaf(sub, c, paths_bytes):
         paths, prev_digest = rebuilt.pop()
-        assert paths_bytes == ref_receipt_paths(paths, prev_digest, c.leaf_count)
+        assert paths_bytes == reference.receipt_paths(paths, prev_digest, c.leaf_count)
         if reference_paths is not None:
             assert paths_bytes == reference_paths(sub.holder_id, c.node_id, sub.holder_round)
         joined.append((c.node_id, reference_leaf(sub.holder_id, c.node_id, sub.holder_round, sub, prev_digest, paths, c)))
@@ -609,7 +455,7 @@ def test_fan_hub_proof_folds_the_spliced_evidence_leaves(fan_runs, n, w):
 @given(data=st.data())
 def test_every_decodable_mutation_folds_the_spliced_evidence_leaves(ci_proofs, kind, data):
     proof, sim = ci_proofs[kind]
-    blob = data.draw(_mutated(encode_proof(proof)), label="mutated")
+    blob = data.draw(mutated(encode_proof(proof)), label="mutated")
     try:
         decoded = decode_proof(blob)
     except (WireError, ValueError):
@@ -678,3 +524,16 @@ def test_fan_hub_counts_the_folds_it_makes(fan_runs, n, w):
     center = fan_runs[n].nodes["center"]
     proof = decode_proof(encode_proof(build_hub_proof(center.records, (1, w), center.receipt_log)))
     _assert_folds_counted(proof, fan_runs[n])
+
+
+@pytest.mark.parametrize("leaf_count", [5, 6, 7])
+def test_a_verify_that_tries_the_heads_other_leaf_counts_counts_those_folds(fan_runs, leaf_count):
+    # The last window round's evidence fails to fold against a head whose
+    # leaf count was altered, so the verifier folds it at the head's other
+    # leaf counts before it checks the head's signature.
+    center = fan_runs[5].nodes["center"]
+    proof = build_hub_proof(center.records, (1, 4), center.receipt_log)
+    *kept, head = proof.holder_chain.commitments
+    verdict, folds = _verify_counting_folds(with_chain(proof, commitments=(*kept, dataclasses.replace(head, leaf_count=leaf_count))), fan_runs[5])
+    assert (verdict.reason, verdict.detail) == ("LinkFailed", f"holder chain: BadSignature (round {head.round})")
+    assert verdict.inclusion_proofs_checked == folds

@@ -1,11 +1,8 @@
 """Byte-level encoding: strict reads, bounded blobs, proof round trips."""
 
 import dataclasses
-import struct
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Sequence
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,44 +20,41 @@ from entmesh.wire import (
     read_inclusion_proof,
 )
 
+import reference
+from adversary import mutated
+from reference import write
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def read_u64(r: Reader) -> int:
-    """A lone u64, which ``Reader`` does not read: a record's u64 fields are
-    unpacked with its head (``wire.Head``)."""
-    return struct.unpack(">Q", r._take(8))[0]
-
-
 class TestWriterReader:
+    """The library's ``Reader`` on the reference writer's bytes, and the
+    reference's scalars.  ``Reader`` reads no lone u64: a record's u64
+    fields are unpacked with its head (``wire.Head``)."""
+
     def test_scalar_round_trip(self):
-        data = Writer().u32(70_000).u64(1 << 40).getvalue()
-        r = Reader(data)
-        assert (r.u32(), read_u64(r)) == (70_000, 1 << 40)
+        r = Reader(write("u32", 70_000) + write("u64", 1 << 40))
+        assert r.u32() == 70_000 and reference.decode(r._take(8), "u64") == 1 << 40
         r.expect_eof()
 
     def test_big_endian_layout(self):
-        assert Writer().u32(1).getvalue() == b"\x00\x00\x00\x01"
-        assert Writer().u64(258).getvalue() == b"\x00" * 6 + b"\x01\x02"
+        assert write("u32", 1) == b"\x00\x00\x00\x01"
+        assert write("u64", 258) == b"\x00" * 6 + b"\x01\x02"
 
     def test_blob_round_trip(self):
-        data = Writer().blob(b"payload").blob(b"").getvalue()
-        r = Reader(data)
+        r = Reader(write("blob", b"payload") + write("blob", b""))
         assert r.blob() == b"payload"
         assert r.blob() == b""
         r.expect_eof()
 
     def test_digest_requires_32_bytes(self):
         with pytest.raises(WireError):
-            Writer().digest(b"short")
+            write("digest", b"short")
 
     def test_out_of_range_scalars(self):
-        with pytest.raises(WireError):
-            Writer().u8(256)
-        with pytest.raises(WireError):
-            Writer().u32(-1)
-        with pytest.raises(WireError):
-            Writer().u64(1 << 64)
+        for kind, value in (("u8", 256), ("u32", -1), ("u64", 1 << 64)):
+            with pytest.raises(WireError, match=f"^{kind} out of range: {value}$"):
+                write(kind, value)
 
     def test_short_read(self):
         r = Reader(b"\x00\x01")
@@ -68,14 +62,12 @@ class TestWriterReader:
             r.u32()
 
     def test_blob_length_bound(self):
-        data = Writer().blob(b"x" * 100).getvalue()
         with pytest.raises(WireError):
-            Reader(data).blob(max_len=10)
+            Reader(write("blob", b"x" * 100)).blob(max_len=10)
 
     def test_blob_truncated_body(self):
-        data = Writer().u32(50).getvalue() + b"only-a-little"
         with pytest.raises(WireError):
-            Reader(data).blob()
+            Reader(write("u32", 50) + b"only-a-little").blob()
 
     def test_expect_eof_rejects_trailing(self):
         r = Reader(b"\x00\x00\x00\x01\x02")
@@ -90,13 +82,13 @@ class TestWriterReader:
 
     def test_digests_round_trip(self):
         ids = [Digest(bytes([i]) * 32) for i in range(3)]
-        r = Reader(Writer().digests(ids).getvalue())
+        r = Reader(write("list<digest>", ids))
         back = r.digests("ids", 3)
         r.expect_eof()
         assert back == tuple(ids) and all(type(d) is Digest for d in back)
 
     def test_digests_bound_and_truncation(self):
-        data = Writer().digests([bytes(32)] * 3).getvalue()
+        data = write("list<digest>", [bytes(32)] * 3)
         with pytest.raises(WireError, match="^too many ids: 3$"):
             Reader(data).digests("ids", 2)
         with pytest.raises(WireError, match="^truncated input$"):
@@ -130,7 +122,7 @@ class TestInclusionProofWire:
                 read_inclusion_proof(Reader(data), fixed)
 
     def test_step_count_checked_before_the_steps(self):
-        data = struct.pack(">QI", 0, MAX_AUDIT_STEPS + 1)
+        data = write("u64", 0) + write("u32", MAX_AUDIT_STEPS + 1)
         with pytest.raises(WireError, match=f"^too many audit steps: {MAX_AUDIT_STEPS + 1}$"):
             read_inclusion_proof(Reader(data))
         with pytest.raises(WireError, match=f"^too many audit steps: {MAX_AUDIT_STEPS + 1}$"):
@@ -140,7 +132,7 @@ class TestInclusionProofWire:
         sibling = MerkleTree([b"a"]).root
         at_bound = InclusionProof(leaf_index=0, siblings=(sibling,) * 64)
         assert decode(encode_inclusion_proof(at_bound), read_inclusion_proof) == at_bound
-        over = struct.pack(">QI", 0, 65) + sibling * 65
+        over = write("u64", 0) + write("u32", 65) + sibling * 65
         with pytest.raises(WireError):
             read_inclusion_proof(Reader(over))
 
@@ -204,160 +196,7 @@ def test_every_proof_round_trips_as_its_step_bytes(n):
         assert encode_inclusion_proof(decoded) == blob
         assert all(type(sibling) is bytes for sibling in decoded.siblings) and b"".join(decoded.siblings) == blob[12:]
         # The siblings the encoding holds are the ones a sibling-by-sibling read sees.
-        assert decoded == copying_decode(blob, stepwise_read_inclusion_proof)
-
-
-# Slow references, written from docs/FORMATS.md: a field-by-field writer,
-# and a decoder that copies every blob.
-
-
-class Writer:
-    """The field-by-field reference writer, one method and one range check
-    per field, which the tests hold the record encoders to.  No encoder in
-    the library uses it: each writes one join of kept bytes."""
-
-    __slots__ = ("_buf",)
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def u8(self, v: int) -> "Writer":
-        if not 0 <= v <= 0xFF:
-            raise WireError(f"u8 out of range: {v}")
-        self._buf.append(v)
-        return self
-
-    def u32(self, v: int) -> "Writer":
-        if not 0 <= v <= 0xFFFF_FFFF:
-            raise WireError(f"u32 out of range: {v}")
-        self._buf += struct.pack(">I", v)
-        return self
-
-    def u64(self, v: int) -> "Writer":
-        if not 0 <= v <= 0xFFFF_FFFF_FFFF_FFFF:
-            raise WireError(f"u64 out of range: {v}")
-        self._buf += struct.pack(">Q", v)
-        return self
-
-    def digest(self, d: bytes) -> "Writer":
-        if len(d) != DIGEST_SIZE:
-            raise WireError(f"digest must be {DIGEST_SIZE} bytes")
-        self._buf += d
-        return self
-
-    def blob(self, b: bytes) -> "Writer":
-        # Length-prefixed variable bytes.
-        self.u32(len(b))
-        self._buf += b
-        return self
-
-    def record(self, b: bytes) -> "Writer":
-        # A record another reference writer wrote, bare: its fields end it.
-        self._buf += b
-        return self
-
-    def digests(self, items: Sequence[bytes]) -> "Writer":
-        # A u32 count, then each digest.
-        self.u32(len(items))
-        for d in items:
-            self.digest(d)
-        return self
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buf)
-
-
-# A slow reference decoder, written from docs/FORMATS.md: every field is
-# copied out of the buffer as it is read, and a path is read field by field,
-# one sibling at a time.  ``reference_decode_proof`` runs the library's
-# record readers on it.
-
-
-class CopyingReader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
-            raise WireError("truncated input")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
-
-    def digest(self) -> Digest:
-        return Digest(self._take(32))
-
-    def blob(self, max_len: int = 1 << 24) -> bytes:
-        n = self.u32()
-        if n > max_len:
-            raise WireError(f"blob length {n} exceeds limit")
-        return self._take(n)
-
-    def many(self, read, what: str, limit: int) -> tuple:
-        count = self.u32()
-        if count > limit:
-            raise WireError(f"too many {what}: {count}")
-        return tuple([read(self) for _ in range(count)])
-
-    def digests(self, what: str, limit: int) -> tuple:
-        return self.many(CopyingReader.digest, what, limit)
-
-    def tell(self) -> int:
-        return self._pos
-
-    def since(self, start: int) -> bytes:
-        return self._data[start : self._pos]
-
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-    def expect_eof(self) -> None:
-        if self._pos != len(self._data):
-            raise WireError(f"{self.remaining()} trailing bytes")
-
-
-def copying_decode(data: bytes, read):
-    r = CopyingReader(data)
-    value = read(r)
-    r.expect_eof()
-    return value
-
-
-def stepwise_read_inclusion_proof(r, index=None) -> InclusionProof:
-    # A path in a proof: the u64 leaf index unless the format fixes it, then
-    # a u32 count of at most MAX_AUDIT_STEPS and that many 32-byte siblings.
-    leaf_index = r.u64() if index is None else index
-    siblings = r.many(CopyingReader.digest, "audit steps", MAX_AUDIT_STEPS)
-    return InclusionProof(leaf_index=leaf_index, siblings=siblings)
-
-
-def stepwise_read_receipt_paths(r, count: int) -> tuple:
-    # A window round's receipt paths: per receipt the submission leaf's path
-    # with its index, then the first leaf's at index 0, each made by the
-    # ReceiptPaths constructor with the bytes it was read from.
-    made = []
-    for _ in range(count):
-        start = r.tell()
-        inclusion, prev_inclusion = stepwise_read_inclusion_proof(r), stepwise_read_inclusion_proof(r, 0)
-        made.append(node.ReceiptPaths(inclusion, prev_inclusion, encoding=r.since(start)))
-    return tuple(made)
-
-
-def reference_decode_proof(data: bytes):
-    with (
-        mock.patch.object(entangle, "decode", copying_decode),
-        mock.patch.object(entangle, "read_inclusion_proof", stepwise_read_inclusion_proof),
-        mock.patch.object(node, "read_inclusion_proof", stepwise_read_inclusion_proof),
-        mock.patch.object(node.ReceiptPaths, "read_many", staticmethod(stepwise_read_receipt_paths)),
-    ):
-        return entangle.decode_proof(data)
+        assert decoded == reference.decode(blob, "path")
 
 
 def _outcome(decoder, data: bytes):
@@ -391,75 +230,27 @@ def encoded_proofs():
 def test_pristine_proof_decodes_like_the_reference(encoded_proofs, kind):
     blob = encoded_proofs[kind]
     decoded = entangle.decode_proof(blob)
-    assert decoded == reference_decode_proof(blob)
-    assert entangle.encode_proof(decoded) == blob
-
-
-@st.composite
-def _mutated(draw, blob: bytes) -> bytes:
-    how = draw(st.sampled_from(["xor", "truncate", "append"]))
-    if how == "truncate":
-        return blob[: draw(st.integers(0, len(blob) - 1))]
-    if how == "append":
-        return blob + draw(st.binary(min_size=1, max_size=40))
-    data = bytearray(blob)
-    for position in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=8, unique=True)):
-        data[position] ^= draw(st.integers(1, 255))
-    return bytes(data)
+    assert decoded == reference.decode(blob)
+    assert entangle.encode_proof(decoded) == blob == reference.encode(decoded)
 
 
 @pytest.mark.parametrize("kind", ["link", "hub", "chain"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_proof_decodes_like_the_reference(encoded_proofs, kind, data):
-    blob = data.draw(_mutated(encoded_proofs[kind]), label="mutated")
-    assert _outcome(entangle.decode_proof, blob) == _outcome(reference_decode_proof, blob)
+    blob = data.draw(mutated(encoded_proofs[kind]), label="mutated")
+    assert _outcome(entangle.decode_proof, blob) == _outcome(reference.decode, blob)
 
 
 
-# Commitments unpack their fixed head at once.  This reference reads each
-# of their fields in turn, on the slow copying reader above with its
-# step-by-step path reader.  A proof holds no Submission: a window round
-# holds the holder's signature as a blob, which the copying reader reads.
-
-
-def fieldwise_read_commitment(r) -> node.Commitment:
-    start = r.tell()
-    fields = r.digest(), r.u64(), r.digest(), r.u64(), r.blob(node.MAX_SIGNATURE)
-    return node.Commitment(*fields, encoding=r.since(start))
-
-
-def fieldwise_decode_proof(data: bytes):
-    with mock.patch.object(node.Commitment, "read", staticmethod(fieldwise_read_commitment)):
-        return reference_decode_proof(data)
-
-
-@pytest.mark.parametrize("kind", ["link", "hub", "chain"])
-def test_pristine_proof_decodes_like_the_fieldwise_reference(encoded_proofs, kind):
-    blob = encoded_proofs[kind]
-    assert entangle.decode_proof(blob) == fieldwise_decode_proof(blob)
-
-
-@pytest.mark.parametrize("kind", ["link", "hub", "chain"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_mutated_proof_decodes_like_the_fieldwise_reference(encoded_proofs, kind, data):
-    blob = data.draw(_mutated(encoded_proofs[kind]), label="mutated")
-    assert _outcome(entangle.decode_proof, blob) == _outcome(fieldwise_decode_proof, blob)
-
-
-@pytest.mark.parametrize(
-    "read, fieldwise",
-    [(node.Commitment.read, fieldwise_read_commitment)],
-    ids=["commitment"],
-)
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_head_reads_like_the_fieldwise_reference(encoded_proofs, read, fieldwise, data):
-    # A holder chain commitment, cut, lengthened or flipped.
+def test_head_reads_like_the_reference(encoded_proofs, data):
+    # A holder chain commitment, cut, lengthened or flipped: its reader
+    # unpacks its fixed head at once, and the reference reads each field in turn.
     link = entangle.decode_proof(encoded_proofs["link"])
-    blob = data.draw(_mutated(link.holder_chain.commitments[0].to_bytes()), label="mutated")
-    assert _outcome(lambda b: decode(b, read), blob) == _outcome(lambda b: copying_decode(b, fieldwise), blob)
+    blob = data.draw(mutated(link.holder_chain.commitments[0].to_bytes()), label="mutated")
+    assert _outcome(node.Commitment.from_bytes, blob) == _outcome(lambda b: reference.decode(b, "Commitment"), blob)
 
 
 class TestRecordEncodersRefuse:
